@@ -101,6 +101,20 @@ func (pl *cascadePlan) starCells() int {
 	return iblt.CellsFor(bound)
 }
 
+// msgSize is the exact length of the Algorithm 2 payload: level count, one
+// framed table per level, the star flag and its framed table, parent hash.
+func (pl *cascadePlan) msgSize() int {
+	n := 4
+	for i := 1; i <= pl.t; i++ {
+		n += 4 + iblt.SerializedSizeFor(pl.parentCells(i), pl.level[i-1].width, 0)
+	}
+	n++
+	if pl.star {
+		n += 4 + iblt.SerializedSizeFor(pl.starCells(), pl.starCodec.width, 0)
+	}
+	return n + 8
+}
+
 func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint64, sk *BobSketch) (*Result, error) {
 	if len(msg) < 4+1+8 {
 		return nil, fmt.Errorf("core: short cascade message")
@@ -372,10 +386,15 @@ func CascadeUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][
 }
 
 func appendFramed(dst, body []byte) []byte {
-	var sz [4]byte
-	binary.LittleEndian.PutUint32(sz[:], uint32(len(body)))
-	dst = append(dst, sz[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
 	return append(dst, body...)
+}
+
+// appendFramedTable is appendFramed(dst, t.Marshal()) without the
+// intermediate copy of the table.
+func appendFramedTable(dst []byte, t *iblt.Table) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.SerializedSize()))
+	return t.AppendMarshal(dst)
 }
 
 func readFramed(buf []byte) (body []byte, consumed int, err error) {

@@ -160,17 +160,17 @@ func nestedAliceMsg(coins hashing.Coins, alice [][]uint64, p Params, d, dHat int
 
 // cascadeAliceMsg builds the Algorithm 2 payload (all levels plus T*).
 func cascadeAliceMsg(plan *cascadePlan, coins hashing.Coins, alice [][]uint64) []byte {
-	var payload []byte
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(plan.t))
-	payload = append(payload, hdr[:]...)
+	// Sized up front: a forest payload is ~1 MB, and growing it by doubling
+	// copies it several times over.
+	payload := make([]byte, 0, plan.msgSize())
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(plan.t))
 	for i := 1; i <= plan.t; i++ {
 		enc := plan.level[i-1].encoder()
 		ti := iblt.New(plan.parentCells(i), plan.level[i-1].width, 0, plan.parentSeed(i))
 		for _, cs := range alice {
 			ti.Insert(enc.encode(cs))
 		}
-		payload = appendFramed(payload, ti.Marshal())
+		payload = appendFramedTable(payload, ti)
 	}
 	if plan.star {
 		enc := plan.starCodec.encoder()
@@ -179,7 +179,7 @@ func cascadeAliceMsg(plan *cascadePlan, coins hashing.Coins, alice [][]uint64) [
 			tStar.Insert(enc.encode(cs))
 		}
 		payload = append(payload, 1)
-		payload = appendFramed(payload, tStar.Marshal())
+		payload = appendFramedTable(payload, tStar)
 	} else {
 		payload = append(payload, 0)
 	}
@@ -207,16 +207,7 @@ func DigestSize(kind DigestKind, p Params, d, dHat int) (int, error) {
 		codec := newChildCodec(hashing.NewCoins(0), "probe", 0, iblt.CellsFor(d))
 		return hdrLen + iblt.SerializedSizeFor(iblt.CellsFor(2*dHat), codec.width, 0) + 8, nil
 	case DigestCascade:
-		plan := newCascadePlan(hashing.NewCoins(0), p, d)
-		n := hdrLen + 4
-		for i := 1; i <= plan.t; i++ {
-			n += 4 + iblt.SerializedSizeFor(plan.parentCells(i), plan.level[i-1].width, 0)
-		}
-		n++ // star flag
-		if plan.star {
-			n += 4 + iblt.SerializedSizeFor(plan.starCells(), plan.starCodec.width, 0)
-		}
-		return n + 8, nil
+		return hdrLen + newCascadePlan(hashing.NewCoins(0), p, d).msgSize(), nil
 	}
 	return 0, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
@@ -195,7 +195,7 @@ func (b *IncrementalDigest) parentHashNow() uint64 {
 			hs = append(hs, vh)
 		}
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	slices.Sort(hs)
 	return hashing.HashUint64s(b.parSeed, hs)
 }
 
@@ -209,15 +209,14 @@ func (b *IncrementalDigest) SnapshotMsg() []byte {
 	case DigestNaive, DigestNested:
 		body = append(b.tables[0].Marshal(), u64le(b.parentHashNow())...)
 	case DigestCascade:
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(b.plan.t))
-		body = append(body, hdr[:]...)
+		body = make([]byte, 0, b.plan.msgSize())
+		body = binary.LittleEndian.AppendUint32(body, uint32(b.plan.t))
 		for i := 0; i < b.plan.t; i++ {
-			body = appendFramed(body, b.tables[i].Marshal())
+			body = appendFramedTable(body, b.tables[i])
 		}
 		if b.plan.star {
 			body = append(body, 1)
-			body = appendFramed(body, b.tables[len(b.tables)-1].Marshal())
+			body = appendFramedTable(body, b.tables[len(b.tables)-1])
 		} else {
 			body = append(body, 0)
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/matching"
 	"sosr/internal/setrecon"
@@ -37,51 +37,62 @@ func IsMultTag(x uint64) (int, bool) {
 // EncodeMultisetParent converts a parent multiset of inner multisets into a
 // canonical set of distinct child sets: each inner multiset is packed, equal
 // inner multisets are grouped, and each group's packed set gains a MultTag
-// carrying the group count.
+// carrying the group count. Every child is a sub-slice of one arena.
 func EncodeMultisetParent(inner [][]uint64) ([][]uint64, error) {
-	type group struct {
-		packed []uint64
-		count  int
-	}
-	groups := map[uint64]*group{}
-	var order []uint64
+	// Each packed child is followed by one spare word for its tag.
+	arena := make([]uint64, 0, setutil.TotalSize(inner)+len(inner))
+	packed := make([][]uint64, len(inner))
 	for i, ms := range inner {
-		packed, err := setrecon.MultisetToSet(ms)
-		if err != nil {
+		m := len(arena)
+		var err error
+		if arena, err = setrecon.AppendMultisetToSet(arena, ms); err != nil {
 			return nil, fmt.Errorf("core: inner multiset %d: %w", i, err)
 		}
-		for _, x := range packed {
+		packed[i] = arena[m:]
+		for _, x := range packed[i] {
 			if _, isTag := IsMultTag(x); isTag {
 				return nil, fmt.Errorf("core: inner multiset %d collides with multiplicity tag", i)
 			}
 		}
-		h := setutil.Hash(0x6d6d73, packed)
-		if g, ok := groups[h]; ok && setutil.Equal(g.packed, packed) {
-			g.count++
-			continue
-		} else if ok {
-			return nil, fmt.Errorf("core: inner multiset hash collision")
-		}
-		groups[h] = &group{packed: packed, count: 1}
-		order = append(order, h)
+		arena = append(arena, 0)
 	}
-	out := make([][]uint64, 0, len(groups))
-	for _, h := range order {
-		g := groups[h]
-		cs := append(setutil.Clone(g.packed), MultTag(g.count))
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+	// Sorting brings equal packed sets together; each run becomes one child.
+	// A tag exceeds every packed element, so it lands in the spare word and
+	// the child stays canonical.
+	setutil.SortSets(packed)
+	out := packed[:0]
+	for i := 0; i < len(packed); {
+		j := i + 1
+		for j < len(packed) && slices.Equal(packed[i], packed[j]) {
+			j++
+		}
+		n := len(packed[i]) + 1
+		cs := packed[i][:n:n]
+		cs[n-1] = MultTag(j - i)
 		out = append(out, cs)
+		i = j
 	}
 	setutil.SortSets(out)
 	return out, nil
 }
 
 // DecodeMultisetParent inverts EncodeMultisetParent, returning each distinct
-// inner multiset with its parent-level count.
+// inner multiset (sorted, a sub-slice of one arena) with its parent-level
+// count.
 func DecodeMultisetParent(parent [][]uint64) (inner [][]uint64, counts []int, err error) {
+	total := 0
+	for _, cs := range parent {
+		for _, x := range cs {
+			if _, isTag := IsMultTag(x); !isTag {
+				total += int(x >> 48)
+			}
+		}
+	}
+	arena := make([]uint64, 0, total)
+	inner = make([][]uint64, len(parent))
+	counts = make([]int, len(parent))
 	for i, cs := range parent {
-		var packed []uint64
-		count := -1
+		m, count := len(arena), -1
 		for _, x := range cs {
 			if k, isTag := IsMultTag(x); isTag {
 				if count >= 0 {
@@ -90,13 +101,16 @@ func DecodeMultisetParent(parent [][]uint64) (inner [][]uint64, counts []int, er
 				count = k
 				continue
 			}
-			packed = append(packed, x)
+			e, k := setrecon.UnpackCounted(x)
+			for ; k > 0; k-- {
+				arena = append(arena, e)
+			}
 		}
 		if count < 0 {
 			return nil, nil, fmt.Errorf("core: child set %d missing multiplicity tag", i)
 		}
-		inner = append(inner, setrecon.SetToMultiset(packed))
-		counts = append(counts, count)
+		slices.Sort(arena[m:])
+		inner[i], counts[i] = arena[m:len(arena):len(arena)], count
 	}
 	return inner, counts, nil
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
@@ -121,7 +121,7 @@ func (gc groupCodec) hashGroup(group [][]uint64) uint64 {
 	for i, cs := range group {
 		hs[i] = gc.child.setHash(cs)
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	slices.Sort(hs)
 	return hashing.HashUint64s(gc.groupHash, hs)
 }
 
@@ -234,7 +234,7 @@ func (r *groupRecoverer) recoverGroupAgainst(wantHash uint64, candidate [][]uint
 		}
 		recoveredGroup = append(recoveredGroup, rec)
 	}
-	sort.Slice(recoveredGroup, func(i, j int) bool { return setutil.LessSets(recoveredGroup[i], recoveredGroup[j]) })
+	setutil.SortSets(recoveredGroup)
 	if gc.hashGroup(recoveredGroup) != wantHash {
 		return nil, false
 	}
@@ -257,7 +257,7 @@ func grandparentHash(coins hashing.Coins, gp [][][]uint64, gc groupCodec) uint64
 	for i, group := range gp {
 		hs[i] = gc.hashGroup(group)
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	slices.Sort(hs)
 	return hashing.HashUint64s(coins.Seed(grandparentVerifyLabel, 0), hs)
 }
 
@@ -359,7 +359,7 @@ func nested3Bob(coins hashing.Coins, gc groupCodec, msg []byte, bob [][][]uint64
 	for _, group := range addedGroups {
 		out = append(out, sortSets(group))
 	}
-	sort.Slice(out, func(i, j int) bool { return lessGroups(out[i], out[j]) })
+	slices.SortFunc(out, compareGroups)
 	if grandparentHash(coins, out, gc) != wantHash {
 		return nil, ErrVerify
 	}
@@ -370,13 +370,9 @@ func nested3Bob(coins hashing.Coins, gc groupCodec, msg []byte, bob [][][]uint64
 	}, nil
 }
 
-func lessGroups(a, b [][]uint64) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if !setutil.Equal(a[i], b[i]) {
-			return setutil.LessSets(a[i], b[i])
-		}
-	}
-	return len(a) < len(b)
+// compareGroups is the lexicographic order on groups of canonical sets.
+func compareGroups(a, b [][]uint64) int {
+	return slices.CompareFunc(a, b, slices.Compare[[]uint64])
 }
 
 // Distance3 computes the recursive ground-truth difference between two

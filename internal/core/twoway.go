@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sosr/internal/hashing"
 	"sosr/internal/setutil"
@@ -68,7 +67,7 @@ func TwoWay(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, 
 	}
 	union := setutil.CloneSets(res.Recovered)
 	union = append(union, setutil.CloneSets(toAlice)...)
-	sort.Slice(union, func(i, j int) bool { return setutil.LessSets(union[i], union[j]) })
+	setutil.SortSets(union)
 	// Alice's union must equal Bob's: alice ∪ toAlice == recovered ∪ removed.
 	aliceUnion := setutil.CloneSets(alice)
 	aliceUnion = append(aliceUnion, setutil.CloneSets(toAlice)...)

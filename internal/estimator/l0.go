@@ -23,7 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"sosr/internal/hashing"
 )
@@ -260,7 +260,7 @@ func (e *Estimator) Estimate() uint64 {
 		// constant is validated by estimator tests and E5.
 		per[r] = uint64(2*threshold) << uint(star+1)
 	}
-	sort.Slice(per, func(i, j int) bool { return per[i] < per[j] })
+	slices.Sort(per)
 	return per[len(per)/2]
 }
 

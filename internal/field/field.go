@@ -306,18 +306,120 @@ func (p Poly) Derivative() Poly {
 	return out.Normalize()
 }
 
-// PowMod returns base^e mod m for polynomials.
+// PowMod returns base^e mod m for polynomials. It panics if m is zero.
 func PowMod(base Poly, e uint64, m Poly) Poly {
-	result := Poly{1}
-	b := Mod(base, m)
-	for e > 0 {
-		if e&1 == 1 {
-			result = Mod(MulPoly(result, b), m)
-		}
-		b = Mod(MulPoly(b, b), m)
-		e >>= 1
+	m = m.Monic()
+	if len(m) == 0 {
+		panic("field: division by zero polynomial")
 	}
-	return result
+	if e == 0 {
+		return Poly{1}
+	}
+	n := len(m) - 1
+	out := make(Poly, n)
+	newPolyWork(n).powMod(out, Mod(base, m), e, m[:n])
+	return out.Normalize()
+}
+
+// polyWork is the scratch one Roots (or PowMod) call computes in: every
+// intermediate polynomial lives in a buffer sized once from the degree, so
+// the 61 squarings of a modular power and the Euclidean steps of a gcd
+// allocate nothing. Inside it a monic polynomial of degree n is its n low
+// coefficients, the leading 1 implied; other polynomials are dense slices,
+// trailing zeros allowed.
+type polyWork struct {
+	prod []uint64 // 2n: product being reduced
+	pow  []uint64 // n: running power
+	a, b []uint64 // n+1 each: gcd operands
+	h, f []uint64 // n and n+1: Roots' power and dividend
+}
+
+func newPolyWork(n int) *polyWork {
+	buf := make([]uint64, 7*n+3)
+	cut := func(k int) []uint64 {
+		out := buf[:k:k]
+		buf = buf[k:]
+		return out
+	}
+	return &polyWork{prod: cut(2 * n), pow: cut(n), a: cut(n + 1), b: cut(n + 1), h: cut(n), f: cut(n + 1)}
+}
+
+// mulMod sets dst (n words) to a·b mod m for monic m of degree n = len(m)
+// and len(a), len(b) ≤ n, both non-empty. dst may alias a or b.
+func (w *polyWork) mulMod(dst, a, b, m []uint64) {
+	n := len(m)
+	prod := w.prod[:len(a)+len(b)-1]
+	clear(prod)
+	for i, x := range a {
+		if x == 0 {
+			continue
+		}
+		for j, y := range b {
+			prod[i+j] = Add(prod[i+j], Mul(x, y))
+		}
+	}
+	// Cancel each coefficient from x^n up against the monic modulus.
+	for i := len(prod) - 1; i >= n; i-- {
+		c := prod[i]
+		if c == 0 {
+			continue
+		}
+		for j, y := range m {
+			prod[i-n+j] = Sub(prod[i-n+j], Mul(c, y))
+		}
+	}
+	clear(dst[copy(dst, prod):n])
+}
+
+// powMod sets dst (n words) to base^e mod m for monic m of degree n = len(m),
+// e > 0 and base already reduced (len(base) ≤ n). It scans e from the top
+// bit, so every multiplication after a squaring is by the short base itself —
+// linear work when base is x + a.
+func (w *polyWork) powMod(dst, base []uint64, e uint64, m []uint64) {
+	n := len(m)
+	base = Poly(base).Normalize()
+	if n == 0 || len(base) == 0 {
+		clear(dst)
+		return
+	}
+	pow := w.pow[:n]
+	clear(pow[copy(pow, base):])
+	for bit := bits.Len64(e) - 2; bit >= 0; bit-- {
+		w.mulMod(pow, pow, pow, m)
+		if e>>uint(bit)&1 == 1 {
+			w.mulMod(pow, pow, base, m)
+		}
+	}
+	copy(dst, pow)
+}
+
+// gcd returns the monic greatest common divisor of p and q, not both zero, as
+// a dense slice (leading 1 included) aliasing w.a or w.b. Neither input is
+// modified.
+func (w *polyWork) gcd(p, q []uint64) []uint64 {
+	a := Poly(w.a[:copy(w.a, p)]).Normalize()
+	b := Poly(w.b[:copy(w.b, q)]).Normalize()
+	for len(b) != 0 {
+		// a = a mod b in place, then swap.
+		db := len(b) - 1
+		leadInv := Inv(b[db])
+		for len(a) > db {
+			da := len(a) - 1
+			c := Mul(a[da], leadInv)
+			for i, y := range b[:db] {
+				a[da-db+i] = Sub(a[da-db+i], Mul(c, y))
+			}
+			a = a[:da].Normalize()
+		}
+		a, b = b, a
+	}
+	if lead := a[len(a)-1]; lead != 1 {
+		inv := Inv(lead)
+		for i, x := range a {
+			a[i] = Mul(x, inv)
+		}
+	}
+	return a
 }
 
 // ErrNotSplitting is returned by Roots when the polynomial does not factor
@@ -335,19 +437,33 @@ func Roots(p Poly, seed uint64) ([]uint64, error) {
 	if len(p) == 0 {
 		return nil, ErrNotSplitting
 	}
-	// Keep only the part of p that splits into distinct linear factors:
-	// gcd(p, x^P - x) is the product of the distinct linear factors. If that
-	// is not all of p, p has repeated or higher-degree factors.
-	xP := PowMod(Poly{0, 1}, P, p) // x^P mod p
-	lin := GCD(SubPoly(xP, Poly{0, 1}), p)
-	if lin.Degree() != p.Degree() {
-		return nil, ErrNotSplitting
+	n := len(p) - 1
+	roots := make([]uint64, 0, n)
+	if n == 0 {
+		return roots, nil
 	}
-	roots := make([]uint64, 0, p.Degree())
+	// fac holds the monic factors still to split, laid end to end with their
+	// leading 1s implied: a factor of degree k is k words, and splitting it
+	// into degrees j and k-j overwrites it in place.
+	fac := make([]uint64, n)
+	copy(fac, p)
+	w := newPolyWork(n)
+	// p splits into distinct linear factors iff it divides x^P - x, that is
+	// iff x^P ≡ x (mod p); otherwise it has a repeated or higher-degree
+	// factor. Degree 1 always passes: x ≡ -c (mod x + c) and (-c)^P = -c.
+	if n > 1 {
+		xP := w.h[:n]
+		w.powMod(xP, Poly{0, 1}, P, fac)
+		xP[1] = Sub(xP[1], 1)
+		if !Poly(xP).IsZero() {
+			return nil, ErrNotSplitting
+		}
+	}
 	state := seed ^ 0x726f6f7473 // "roots"
-	var split func(f Poly) error
-	split = func(f Poly) error {
-		switch f.Degree() {
+	var split func(f []uint64) error
+	split = func(f []uint64) error {
+		d := len(f)
+		switch d {
 		case 0:
 			return nil
 		case 1:
@@ -355,27 +471,42 @@ func Roots(p Poly, seed uint64) ([]uint64, error) {
 			roots = append(roots, Neg(f[0]))
 			return nil
 		}
+		full := append(append(w.f[:0], f...), 1) // f with its leading 1
 		for attempt := 0; attempt < 64; attempt++ {
 			state = state*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
 			a := Reduce(state ^ (state >> 29))
 			// g = gcd(f, (x+a)^((P-1)/2) - 1): each root r of f lands in g
 			// iff r+a is a quadratic residue, a 50/50 split per root.
-			h := PowMod(Poly{a, 1}, (P-1)/2, f)
-			g := GCD(SubPoly(h, Poly{1}), f)
-			if d := g.Degree(); d > 0 && d < f.Degree() {
-				if err := split(g); err != nil {
-					return err
-				}
-				quo, rem := DivMod(f, g)
-				if !rem.IsZero() {
-					return ErrNotSplitting
-				}
-				return split(quo)
+			h := w.h[:d]
+			w.powMod(h, Poly{a, 1}, (P-1)/2, f)
+			h[0] = Sub(h[0], 1)
+			g := w.gcd(full, h)
+			dg := len(g) - 1
+			if dg == 0 || dg == d {
+				continue
 			}
+			// quo = f / g, dividing in place: the quotient's coefficients
+			// replace the dividend's from the top down, the remainder is
+			// what stays below x^dg.
+			for i := d; i >= dg; i-- {
+				c := full[i]
+				for j, y := range g[:dg] {
+					full[i-dg+j] = Sub(full[i-dg+j], Mul(c, y))
+				}
+			}
+			if !Poly(full[:dg]).IsZero() {
+				return ErrNotSplitting
+			}
+			copy(f, g[:dg])
+			copy(f[dg:], full[dg:d])
+			if err := split(f[:dg]); err != nil {
+				return err
+			}
+			return split(f[dg:])
 		}
 		return ErrNotSplitting
 	}
-	if err := split(p); err != nil {
+	if err := split(fac); err != nil {
 		return nil, err
 	}
 	return roots, nil

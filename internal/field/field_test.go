@@ -371,3 +371,39 @@ func sameRootSet(a, b []uint64) bool {
 	}
 	return true
 }
+
+// TestPowModMatchesRepeatedMultiplication checks the in-place kernel against
+// the allocating DivMod/MulPoly it replaced, over bases longer than, equal to
+// and shorter than the modulus, and a non-monic modulus.
+func TestPowModMatchesRepeatedMultiplication(t *testing.T) {
+	m := FromRoots([]uint64{3, 11, 500, 1 << 40, 77}).Scale(9)
+	for _, base := range []Poly{{5}, {4, 1}, {1, 2, 3, 4, 5}, {9, 8, 7, 6, 5, 4, 3, 2}} {
+		want := Poly{1}
+		for e := uint64(0); e < 40; e++ {
+			if got := PowMod(base, e, m); !polyEqual(got, want) {
+				t.Fatalf("PowMod(%v, %d) = %v, want %v", base, e, got, want)
+			}
+			want = Mod(MulPoly(want, base), m)
+		}
+	}
+}
+
+// TestRootsRejectsIrreducibleAndKeepsInput: x² − c for a non-residue c has no
+// roots, and Roots never writes to the polynomial it was handed.
+func TestRootsRejectsIrreducibleAndKeepsInput(t *testing.T) {
+	c := uint64(2)
+	for Pow(c, (P-1)/2) == 1 {
+		c++
+	}
+	if _, err := Roots(Poly{Neg(c), 0, 1}, 3); err == nil {
+		t.Fatalf("x^2 - %d reported as splitting", c)
+	}
+	p := FromRoots([]uint64{10, 20, 30, 40, 50})
+	before := p.Clone()
+	if _, err := Roots(p, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !polyEqual(p, before) {
+		t.Fatalf("Roots modified its input: %v", p)
+	}
+}

@@ -7,7 +7,7 @@ package forest
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/hashing"
 	"sosr/internal/prng"
@@ -47,9 +47,23 @@ func (f *Forest) Roots() []int {
 	return out
 }
 
-// Children returns the children adjacency lists.
+// Children returns the children adjacency lists, each ascending. The lists
+// are capacity-limited sub-slices of one array.
 func (f *Forest) Children() [][]int32 {
-	out := make([][]int32, len(f.Parent))
+	n := len(f.Parent)
+	out := make([][]int32, n)
+	count := make([]int32, n)
+	for _, p := range f.Parent {
+		if p >= 0 {
+			count[p]++
+		}
+	}
+	kids := make([]int32, n)
+	at := int32(0)
+	for v, c := range count {
+		out[v] = kids[at : at : at+c]
+		at += c
+	}
 	for v, p := range f.Parent {
 		if p >= 0 {
 			out[p] = append(out[p], int32(v))
@@ -58,13 +72,30 @@ func (f *Forest) Children() [][]int32 {
 	return out
 }
 
+// bottomUp orders the vertices so that every child precedes its parent: a
+// breadth-first walk from the roots, reversed.
+func bottomUp(f *Forest, children [][]int32) []int32 {
+	order := make([]int32, 0, f.N())
+	for v, p := range f.Parent {
+		if p < 0 {
+			order = append(order, int32(v))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		order = append(order, children[order[i]]...)
+	}
+	slices.Reverse(order)
+	return order
+}
+
 // Validate checks that parent pointers are in range and acyclic.
 func (f *Forest) Validate() error {
 	n := len(f.Parent)
 	state := make([]int8, n) // 0 unvisited, 1 on path, 2 done
+	var path []int
 	for v := 0; v < n; v++ {
 		u := v
-		var path []int
+		path = path[:0]
 		for state[u] == 0 {
 			state[u] = 1
 			path = append(path, u)
@@ -199,66 +230,33 @@ func Perturb(f *Forest, k int, src *prng.Source) *Forest {
 func CanonLabels(forests ...*Forest) [][]int {
 	intern := map[string]int{}
 	out := make([][]int, len(forests))
+	var ids []int
+	var key []byte
 	for fi, f := range forests {
-		n := f.N()
-		labels := make([]int, n)
+		labels := make([]int, f.N())
 		children := f.Children()
-		order := byHeight(f)
-		for _, v := range order {
-			ids := make([]int, 0, len(children[v]))
+		for _, v := range bottomUp(f, children) {
+			ids = ids[:0]
 			for _, c := range children[v] {
 				ids = append(ids, labels[c])
 			}
-			sort.Ints(ids)
-			key := make([]byte, 0, len(ids)*4)
+			slices.Sort(ids)
+			key = key[:0]
 			for _, id := range ids {
 				key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 			}
-			ks := string(key)
-			id, ok := intern[ks]
+			// The lookup converts key without copying it; only a label seen
+			// for the first time pays for its string.
+			id, ok := intern[string(key)]
 			if !ok {
 				id = len(intern) + 1
-				intern[ks] = id
+				intern[string(key)] = id
 			}
 			labels[v] = id
 		}
 		out[fi] = labels
 	}
 	return out
-}
-
-// byHeight returns vertices ordered by increasing subtree height, so
-// children are processed before parents.
-func byHeight(f *Forest) []int {
-	n := f.N()
-	children := f.Children()
-	height := make([]int, n)
-	var compute func(v int) int
-	for v := 0; v < n; v++ {
-		height[v] = -1
-	}
-	compute = func(v int) int {
-		if height[v] >= 0 {
-			return height[v]
-		}
-		h := 0
-		for _, c := range children[v] {
-			if ch := compute(int(c)) + 1; ch > h {
-				h = ch
-			}
-		}
-		height[v] = h
-		return h
-	}
-	for v := 0; v < n; v++ {
-		compute(v)
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return height[order[i]] < height[order[j]] })
-	return order
 }
 
 // IsIsomorphic decides rooted-forest isomorphism exactly: the multisets of
@@ -310,15 +308,18 @@ func EditDistanceUpperBound(a, b *Forest) int {
 // list of its children's signatures (the paper's "Θ(log n)-bit pairwise
 // independent hash of the isomorphism class label of the tree it roots").
 func HashSignatures(f *Forest, seed uint64) []uint64 {
-	n := f.N()
-	sigs := make([]uint64, n)
-	children := f.Children()
-	for _, v := range byHeight(f) {
-		cs := make([]uint64, 0, len(children[v]))
+	return hashSignatures(f, f.Children(), seed)
+}
+
+func hashSignatures(f *Forest, children [][]int32, seed uint64) []uint64 {
+	sigs := make([]uint64, f.N())
+	var cs []uint64
+	for _, v := range bottomUp(f, children) {
+		cs = cs[:0]
 		for _, c := range children[v] {
 			cs = append(cs, sigs[c])
 		}
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+		slices.Sort(cs)
 		sigs[v] = hashing.HashUint64s(seed, cs)
 	}
 	return sigs

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sosr/internal/core"
 	"sosr/internal/hashing"
@@ -53,14 +54,21 @@ func childEntry(sig uint64) uint64 { return sig & sigMask }
 
 // VertexMultisets builds the M_v collection for a forest under sig.
 func VertexMultisets(f *Forest, sigs []uint64) [][]uint64 {
-	children := f.Children()
-	out := make([][]uint64, f.N())
-	for v := range out {
-		mv := []uint64{markParent(sigs[v])}
-		for _, c := range children[v] {
-			mv = append(mv, childEntry(sigs[c]))
+	return vertexMultisets(f.Children(), sigs)
+}
+
+// vertexMultisets packs every M_v into one arena: a vertex contributes its
+// own marked entry, and one entry to its parent's M_v if it has one.
+func vertexMultisets(children [][]int32, sigs []uint64) [][]uint64 {
+	arena := make([]uint64, 0, 2*len(children))
+	out := make([][]uint64, len(children))
+	for v, kids := range children {
+		m := len(arena)
+		arena = append(arena, markParent(sigs[v]))
+		for _, c := range kids {
+			arena = append(arena, childEntry(sigs[c]))
 		}
-		out[v] = mv
+		out[v] = arena[m:len(arena):len(arena)]
 	}
 	return out
 }
@@ -103,17 +111,17 @@ type SideInfo struct {
 
 // Measure computes f's SideInfo.
 func Measure(f *Forest) SideInfo {
-	maxKids := 0
-	for _, kids := range f.Children() {
-		if len(kids) > maxKids {
-			maxKids = len(kids)
+	kids := make([]int, f.N())
+	for _, p := range f.Parent {
+		if p >= 0 {
+			kids[p]++
 		}
 	}
-	mc := maxKids + 2
-	if mc < 2 {
-		mc = 2
+	maxKids := 0
+	if len(kids) > 0 {
+		maxKids = slices.Max(kids)
 	}
-	return SideInfo{N: f.N(), Depth: f.Depth(), MaxChild: mc}
+	return SideInfo{N: f.N(), Depth: f.Depth(), MaxChild: maxKids + 2}
 }
 
 // Plan resolves the shared reconciliation parameters from both parties'
@@ -147,8 +155,9 @@ func Plan(a, b SideInfo, p ReconParams) (ReconParams, core.Params) {
 // encodeSide computes a party's signature-collection parent set under the
 // shared coins.
 func encodeSide(coins hashing.Coins, f *Forest) ([][]uint64, error) {
-	sigs := HashSignatures(f, coins.Seed("forest/ahu", 0))
-	return core.EncodeMultisetParent(VertexMultisets(f, sigs))
+	children := f.Children()
+	sigs := hashSignatures(f, children, coins.Seed("forest/ahu", 0))
+	return core.EncodeMultisetParent(vertexMultisets(children, sigs))
 }
 
 // AliceMsg builds Alice's Theorem 6.1 transmission — the cascaded signature
@@ -219,60 +228,57 @@ func ReconAuto(sess transport.Channel, coins hashing.Coins, fa, fb *Forest, maxB
 // collection of tagged M_v child sets produced by core.EncodeMultisetParent.
 // wantN, when positive, is verified against the rebuilt vertex count.
 func Rebuild(parent [][]uint64, wantN int) (*Forest, error) {
-	inner, counts, err := core.DecodeMultisetParent(parent)
+	// Each group is one distinct M_v, sorted: its child entries — repeated
+	// once per child — then the marked parent entry, which the mark bit puts
+	// last. counts[i] is the number of vertices carrying group i.
+	groups, counts, err := core.DecodeMultisetParent(parent)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRebuild, err)
 	}
-	type group struct {
-		children map[uint64]int // child signature -> multiplicity per copy
-		count    int            // vertices with this signature
-	}
-	groups := map[uint64]*group{}
-	childOccur := map[uint64]int{}
-	for i, mv := range inner {
-		var parentSig uint64
-		seenParent := false
-		children := map[uint64]int{}
-		for _, x := range mv {
-			if x>>47 == 1 {
-				if seenParent {
-					return nil, fmt.Errorf("%w: two parent marks in one M_v", ErrRebuild)
-				}
-				seenParent = true
-				parentSig = x & sigMask
-				continue
-			}
-			children[x&sigMask]++
-		}
-		if !seenParent {
+	bySig := make(map[uint64]int32, len(groups))
+	totalVertices := 0
+	for i, mv := range groups {
+		last := len(mv) - 1
+		if last < 0 || mv[last]>>47 != 1 {
 			return nil, fmt.Errorf("%w: M_v missing parent mark", ErrRebuild)
 		}
-		if _, dup := groups[parentSig]; dup {
+		if last > 0 && mv[last-1]>>47 == 1 {
+			return nil, fmt.Errorf("%w: two parent marks in one M_v", ErrRebuild)
+		}
+		sig := mv[last] & sigMask
+		if _, dup := bySig[sig]; dup {
 			return nil, fmt.Errorf("%w: signature appears in two distinct M_v groups", ErrRebuild)
 		}
-		groups[parentSig] = &group{children: children, count: counts[i]}
-		for q, m := range children {
-			childOccur[q] += m * counts[i]
-		}
-	}
-	// Root multiplicities.
-	totalVertices := 0
-	for _, g := range groups {
-		totalVertices += g.count
+		bySig[sig] = int32(i)
+		groups[i] = mv[:last]
+		totalVertices += counts[i]
 	}
 	if wantN > 0 && totalVertices != wantN {
 		return nil, fmt.Errorf("%w: rebuilt %d vertices, want %d", ErrRebuild, totalVertices, wantN)
 	}
+	// Resolve child entries to group indexes once, counting how often each
+	// group occurs as a child: its other vertices are roots.
+	kids := make([][]int32, len(groups))
+	kidArena := make([]int32, 0, totalVertices)
+	childOccur := make([]int, len(groups))
+	for i, mv := range groups {
+		m := len(kidArena)
+		for _, q := range mv {
+			gi, ok := bySig[q]
+			if !ok {
+				return nil, fmt.Errorf("%w: unknown child signature", ErrRebuild)
+			}
+			kidArena = append(kidArena, gi)
+			childOccur[gi] += counts[i]
+		}
+		kids[i] = kidArena[m:]
+	}
 	f := New(totalVertices)
 	next := 0
-	var build func(sig uint64, parentIdx int, depth int) error
-	build = func(sig uint64, parentIdx int, depth int) error {
+	var build func(gi int32, parentIdx int, depth int) error
+	build = func(gi int32, parentIdx int, depth int) error {
 		if depth > totalVertices {
 			return fmt.Errorf("%w: cycle in signature graph", ErrRebuild)
-		}
-		g, ok := groups[sig]
-		if !ok {
-			return fmt.Errorf("%w: unknown child signature", ErrRebuild)
 		}
 		if next >= totalVertices {
 			return fmt.Errorf("%w: vertex overflow", ErrRebuild)
@@ -280,22 +286,20 @@ func Rebuild(parent [][]uint64, wantN int) (*Forest, error) {
 		v := next
 		next++
 		f.Parent[v] = int32(parentIdx)
-		for q, m := range g.children {
-			for c := 0; c < m; c++ {
-				if err := build(q, v, depth+1); err != nil {
-					return err
-				}
+		for _, q := range kids[gi] {
+			if err := build(q, v, depth+1); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	for sig, g := range groups {
-		rootCount := g.count - childOccur[sig]
+	for gi := range groups {
+		rootCount := counts[gi] - childOccur[gi]
 		if rootCount < 0 {
 			return nil, fmt.Errorf("%w: negative root count", ErrRebuild)
 		}
 		for r := 0; r < rootCount; r++ {
-			if err := build(sig, -1, 1); err != nil {
+			if err := build(int32(gi), -1, 1); err != nil {
 				return nil, err
 			}
 		}

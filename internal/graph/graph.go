@@ -8,9 +8,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"sosr/internal/prng"
 )
@@ -101,7 +102,7 @@ func (g *Graph) EdgeCount() int {
 
 // Edges returns all edges as (u, v) pairs with u < v.
 func (g *Graph) Edges() [][2]int {
-	var out [][2]int
+	out := make([][2]int, 0, g.EdgeCount())
 	for u := 0; u < g.N; u++ {
 		g.EachNeighbor(u, func(v int) {
 			if u < v {
@@ -125,7 +126,7 @@ func (g *Graph) EachNeighbor(u int, f func(v int)) {
 
 // Neighbors returns the sorted neighbor list of u.
 func (g *Graph) Neighbors(u int) []int {
-	var out []int
+	out := make([]int, 0, g.Degree(u))
 	g.EachNeighbor(u, func(v int) { out = append(out, v) })
 	return out
 }
@@ -246,24 +247,35 @@ func IsIsomorphic(a, b *Graph) bool {
 	n := a.N
 	colA := refine(a, nil)
 	colB := refine(b, nil)
-	if !sameColorHistogram(colA, colB) {
+	sortedA, sortedB := slices.Clone(colA), slices.Clone(colB)
+	slices.Sort(sortedA)
+	slices.Sort(sortedB)
+	if !slices.Equal(sortedA, sortedB) {
 		return false
 	}
-	// Backtracking on vertices in order of ascending color-class size.
+	// Backtracking on vertices in order of ascending color-class size:
+	// sorting by color lays each class out as one run, which sizes it.
 	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	for v := range order {
+		order[v] = v
 	}
-	classSize := map[uint64]int{}
-	for _, c := range colA {
-		classSize[c]++
-	}
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := classSize[colA[order[i]]], classSize[colA[order[j]]]
-		if si != sj {
-			return si < sj
+	slices.SortFunc(order, func(u, v int) int { return cmp.Compare(colA[u], colA[v]) })
+	size := make([]int, n)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && colA[order[j]] == colA[order[i]] {
+			j++
 		}
-		return order[i] < order[j]
+		for _, v := range order[i:j] {
+			size[v] = j - i
+		}
+		i = j
+	}
+	slices.SortFunc(order, func(u, v int) int {
+		if size[u] != size[v] {
+			return size[u] - size[v]
+		}
+		return u - v
 	})
 	mapping := make([]int, n)
 	used := make([]bool, n)
@@ -303,62 +315,64 @@ func IsIsomorphic(a, b *Graph) bool {
 	return try(0)
 }
 
+// adjacency returns g's neighbor lists in compressed form: the neighbors of
+// v, ascending, are nbr[off[v]:off[v+1]].
+func (g *Graph) adjacency() (off, nbr []int32) {
+	off = make([]int32, g.N+1)
+	for v := 0; v < g.N; v++ {
+		off[v+1] = off[v] + int32(g.Degree(v))
+	}
+	nbr = make([]int32, 0, off[g.N])
+	for v := 0; v < g.N; v++ {
+		g.EachNeighbor(v, func(w int) { nbr = append(nbr, int32(w)) })
+	}
+	return off, nbr
+}
+
 // refine runs 1-dimensional Weisfeiler–Leman color refinement to a fixed
 // point and returns per-vertex colors.
 func refine(g *Graph, initial []uint64) []uint64 {
 	n := g.N
+	off, nbr := g.adjacency()
 	col := make([]uint64, n)
 	if initial != nil {
 		copy(col, initial)
 	} else {
 		for v := 0; v < n; v++ {
-			col[v] = uint64(g.Degree(v))
+			col[v] = uint64(off[v+1] - off[v])
 		}
 	}
 	next := make([]uint64, n)
+	// One scratch serves both the per-vertex neighbor-color multiset and the
+	// per-round distinct count.
+	scratch := make([]uint64, n)
+	distinct := countDistinct(col, scratch)
 	for round := 0; round < n; round++ {
-		changed := false
 		for v := 0; v < n; v++ {
-			var ms []uint64
-			g.EachNeighbor(v, func(w int) { ms = append(ms, col[w]) })
-			sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+			ms := scratch[:0]
+			for _, w := range nbr[off[v]:off[v+1]] {
+				ms = append(ms, col[w])
+			}
+			slices.Sort(ms)
 			h := col[v] ^ 0x9e3779b97f4a7c15
 			for _, m := range ms {
 				h = (h ^ prng.Mix64(m)) * 0x100000001b3
 			}
 			next[v] = prng.Mix64(h)
 		}
-		distinctBefore := countDistinct(col)
-		copy(col, next)
-		if countDistinct(col) == distinctBefore {
+		col, next = next, col
+		before := distinct
+		if distinct = countDistinct(col, scratch); distinct == before {
 			break
 		}
-		changed = true
-		_ = changed
 	}
 	return col
 }
 
-func countDistinct(xs []uint64) int {
-	m := map[uint64]bool{}
-	for _, x := range xs {
-		m[x] = true
-	}
-	return len(m)
-}
-
-func sameColorHistogram(a, b []uint64) bool {
-	m := map[uint64]int{}
-	for _, x := range a {
-		m[x]++
-	}
-	for _, x := range b {
-		m[x]--
-	}
-	for _, v := range m {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+// countDistinct counts the distinct values of xs, sorting a copy in scratch
+// (len(scratch) ≥ len(xs)).
+func countDistinct(xs, scratch []uint64) int {
+	s := scratch[:copy(scratch, xs)]
+	slices.Sort(s)
+	return len(slices.Compact(s))
 }

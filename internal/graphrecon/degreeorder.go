@@ -16,7 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/core"
 	"sosr/internal/graph"
@@ -47,44 +47,48 @@ type DegreeOrderParams struct {
 	D int
 }
 
-// DegreeOrderSignatures computes the §5.1 signature scheme for g: the top-h
-// vertices by degree (descending, ties broken by index) and, for every
-// other vertex, the subset of [h] it is adjacent to.
-func DegreeOrderSignatures(g *graph.Graph, h int) (top []int, sigs map[int][]uint64) {
-	order := degreeOrder(g)
-	top = append([]int(nil), order[:h]...)
-	pos := make(map[int]int, h)
-	for j, v := range top {
-		pos[v] = j
+// DegreeOrderSignatures computes the §5.1 signature scheme for g: top holds
+// the h highest-degree vertices (descending, ties broken by index), rest the
+// others in the same order, and sigs[i] is the signature of rest[i] — the
+// ascending ranks in top of the anchors it is adjacent to. The signatures are
+// capacity-limited sub-slices of one arena.
+func DegreeOrderSignatures(g *graph.Graph, h int) (top, rest []int, sigs [][]uint64) {
+	order, deg := degreeOrder(g)
+	top, rest = order[:h], order[h:]
+	// Every signature entry is an edge into top, so top's degrees bound them.
+	total := 0
+	for _, t := range top {
+		total += deg[t]
 	}
-	sigs = make(map[int][]uint64, g.N-h)
-	for _, v := range order[h:] {
-		var sig []uint64
+	arena := make([]uint64, 0, total)
+	sigs = make([][]uint64, len(rest))
+	for i, v := range rest {
+		m := len(arena)
 		for j, t := range top {
 			if g.HasEdge(v, t) {
-				sig = append(sig, uint64(j))
+				arena = append(arena, uint64(j))
 			}
 		}
-		sigs[v] = sig // already sorted: j increasing
+		sigs[i] = arena[m:len(arena):len(arena)]
 	}
-	return top, sigs
+	return top, rest, sigs
 }
 
 // degreeOrder returns vertices sorted by degree descending (index ascending
-// on ties).
-func degreeOrder(g *graph.Graph) []int {
-	deg := g.Degrees()
-	order := make([]int, g.N)
+// on ties), and the degrees.
+func degreeOrder(g *graph.Graph) (order, deg []int) {
+	deg = g.Degrees()
+	order = make([]int, g.N)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if deg[order[i]] != deg[order[j]] {
-			return deg[order[i]] > deg[order[j]]
+	slices.SortFunc(order, func(u, v int) int {
+		if deg[u] != deg[v] {
+			return deg[v] - deg[u]
 		}
-		return order[i] < order[j]
+		return u - v
 	})
-	return order
+	return order, deg
 }
 
 // IsSeparated checks Definition 5.1: after sorting by degree, the top h
@@ -96,21 +100,16 @@ func IsSeparated(g *graph.Graph, h, a, b int) bool {
 	if h < 1 || h >= g.N {
 		return false
 	}
-	order := degreeOrder(g)
-	deg := g.Degrees()
+	order, deg := degreeOrder(g)
 	for i := 0; i+1 <= h && i+1 < g.N; i++ {
 		if deg[order[i]]-deg[order[i+1]] < a {
 			return false
 		}
 	}
-	_, sigs := DegreeOrderSignatures(g, h)
-	list := make([][]uint64, 0, len(sigs))
-	for _, s := range sigs {
-		list = append(list, s)
-	}
-	for i := 0; i < len(list); i++ {
-		for j := i + 1; j < len(list); j++ {
-			if setutil.SymmetricDiff(list[i], list[j]) < b {
+	_, _, sigs := DegreeOrderSignatures(g, h)
+	for i := range sigs {
+		for j := i + 1; j < len(sigs); j++ {
+			if setutil.SymmetricDiff(sigs[i], sigs[j]) < b {
 				return false
 			}
 		}
@@ -176,12 +175,12 @@ func DegreeOrderAlice(coins hashing.Coins, ga *graph.Graph, p DegreeOrderParams)
 	if h < 1 || h >= n {
 		return nil, fmt.Errorf("graphrecon: invalid h=%d", h)
 	}
-	topA, sigsA := DegreeOrderSignatures(ga, h)
+	topA, restA, sigsA := DegreeOrderSignatures(ga, h)
 	parentA, err := signatureParent(sigsA)
 	if err != nil {
 		return nil, err
 	}
-	labelA := degreeOrderLabeling(ga, topA, sigsA, parentA)
+	labelA := degreeOrderLabeling(topA, restA, sigsA, parentA)
 	edgeSetA := labeledEdgeSet(ga, labelA)
 	edgeT := iblt.NewUint64(iblt.CellsFor(d), 0, coins.Seed("graphrecon/edges", 0))
 	for _, e := range edgeSetA {
@@ -203,7 +202,7 @@ func DegreeOrderApply(coins hashing.Coins, gb *graph.Graph, p DegreeOrderParams,
 	if h < 1 || h >= n {
 		return nil, fmt.Errorf("graphrecon: invalid h=%d", h)
 	}
-	topB, sigsB := DegreeOrderSignatures(gb, h)
+	topB, restB, sigsB := DegreeOrderSignatures(gb, h)
 	parentB, err := signatureParent(sigsB)
 	if err != nil {
 		return nil, err
@@ -213,42 +212,36 @@ func DegreeOrderApply(coins hashing.Coins, gb *graph.Graph, p DegreeOrderParams,
 	if err != nil {
 		return nil, fmt.Errorf("graphrecon: signature reconciliation: %w", err)
 	}
-	labelB, err := bobDegreeOrderLabeling(gb, topB, sigsB, res.Recovered, d)
+	labelB, err := bobDegreeOrderLabeling(topB, restB, sigsB, res.Recovered, d)
 	if err != nil {
 		return nil, err
 	}
 	return applyEdgeRecon(edgeMsg, gb, labelB, n, coins)
 }
 
-// signatureParent converts a vertex→signature map into a canonical parent
-// set, rejecting duplicate signatures (which violate separation).
-func signatureParent(sigs map[int][]uint64) ([][]uint64, error) {
-	parent := make([][]uint64, 0, len(sigs))
-	seen := map[uint64][]uint64{}
-	for _, s := range sigs {
-		h := setutil.Hash(0x51e7a, s)
-		if prev, ok := seen[h]; ok && setutil.Equal(prev, s) {
+// signatureParent sorts a graph's vertex signatures into a canonical parent
+// set, rejecting duplicate signatures (which violate separation). sigs itself
+// is left in vertex order.
+func signatureParent(sigs [][]uint64) ([][]uint64, error) {
+	parent := slices.Clone(sigs)
+	setutil.SortSets(parent)
+	for i := 1; i < len(parent); i++ {
+		if slices.Equal(parent[i-1], parent[i]) {
 			return nil, fmt.Errorf("%w: duplicate vertex signature", ErrNotSeparated)
 		}
-		seen[h] = s
-		parent = append(parent, s)
 	}
-	setutil.SortSets(parent)
 	return parent, nil
 }
 
 // degreeOrderLabeling labels Alice's graph: top vertices get 0..h-1 by
 // degree rank; the rest get h + (lexicographic rank of their signature).
-func degreeOrderLabeling(g *graph.Graph, top []int, sigs map[int][]uint64, sortedSigs [][]uint64) []int {
-	label := make([]int, g.N)
-	for i := range label {
-		label[i] = -1
-	}
+func degreeOrderLabeling(top, rest []int, sigs, sortedSigs [][]uint64) []int {
+	label := make([]int, len(top)+len(rest))
 	for j, v := range top {
 		label[v] = j
 	}
-	for v, s := range sigs {
-		label[v] = len(top) + sigRank(sortedSigs, s)
+	for i, v := range rest {
+		label[v] = len(top) + sigRank(sortedSigs, sigs[i])
 	}
 	return label
 }
@@ -272,15 +265,13 @@ func sigRank(sorted [][]uint64, s []uint64) int {
 // his own degree rank; every other vertex matched to the unique signature of
 // Alice's within symmetric difference ≤ d (exact matches first), labeled by
 // that signature's lexicographic rank.
-func bobDegreeOrderLabeling(gb *graph.Graph, topB []int, sigsB map[int][]uint64, aliceSigs [][]uint64, d int) ([]int, error) {
-	label := make([]int, gb.N)
-	for i := range label {
-		label[i] = -1
-	}
+func bobDegreeOrderLabeling(topB, restB []int, sigsB, aliceSigs [][]uint64, d int) ([]int, error) {
+	label := make([]int, len(topB)+len(restB))
 	for j, v := range topB {
 		label[v] = j
 	}
-	for v, sB := range sigsB {
+	for i, v := range restB {
+		sB := sigsB[i]
 		// Exact match via binary search, else conforming scan.
 		r := sigRank(aliceSigs, sB)
 		if r < len(aliceSigs) && setutil.Equal(aliceSigs[r], sB) {
@@ -306,11 +297,16 @@ func bobDegreeOrderLabeling(gb *graph.Graph, topB []int, sigsB map[int][]uint64,
 
 // labeledEdgeSet returns the canonical set of edge keys of g under label.
 func labeledEdgeSet(g *graph.Graph, label []int) []uint64 {
-	var out []uint64
-	for _, e := range g.Edges() {
-		out = append(out, edgeKey(label[e[0]], label[e[1]]))
+	out := make([]uint64, 0, g.EdgeCount())
+	for u := 0; u < g.N; u++ {
+		g.EachNeighbor(u, func(v int) {
+			if u < v {
+				out = append(out, edgeKey(label[u], label[v]))
+			}
+		})
 	}
-	return setutil.Canonical(out)
+	slices.Sort(out)
+	return slices.Compact(out) // a non-injective labeling repeats keys
 }
 
 // edgeKey packs an unordered label pair into a word (labels < 2^30 so the

@@ -33,17 +33,17 @@ func TestDegreeOrderSignatures(t *testing.T) {
 		g.AddEdge(0, v)
 	}
 	g.AddEdge(1, 2)
-	top, sigs := DegreeOrderSignatures(g, 2)
+	top, rest, sigs := DegreeOrderSignatures(g, 2)
 	if top[0] != 0 {
 		t.Fatalf("top[0] = %d, want hub", top[0])
 	}
-	if len(sigs) != 4 {
-		t.Fatalf("%d signatures, want 4", len(sigs))
+	if len(sigs) != 4 || len(rest) != 4 {
+		t.Fatalf("%d signatures for %d vertices, want 4", len(sigs), len(rest))
 	}
 	// Every non-top vertex is adjacent to the hub => signature contains 0.
-	for v, s := range sigs {
+	for i, s := range sigs {
 		if len(s) == 0 || s[0] != 0 {
-			t.Fatalf("vertex %d signature %v missing hub", v, s)
+			t.Fatalf("vertex %d signature %v missing hub", rest[i], s)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package graphrecon
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/core"
 	"sosr/internal/graph"
@@ -42,29 +42,35 @@ type NeighborhoodParams struct {
 
 // DegreeSignature returns v's degree-neighborhood multiset (sorted).
 func DegreeSignature(g *graph.Graph, v, m int) []uint64 {
-	var out []uint64
+	out := make([]uint64, 0, g.Degree(v))
 	g.EachNeighbor(v, func(w int) {
 		if deg := g.Degree(w); deg <= m {
 			out = append(out, uint64(deg))
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// AllDegreeSignatures computes every vertex's signature.
+// AllDegreeSignatures computes every vertex's signature, as capacity-limited
+// sub-slices of one arena.
 func AllDegreeSignatures(g *graph.Graph, m int) [][]uint64 {
 	degs := g.Degrees()
+	total := 0
+	for _, d := range degs {
+		total += d
+	}
+	arena := make([]uint64, 0, total)
 	out := make([][]uint64, g.N)
 	for v := 0; v < g.N; v++ {
-		var sig []uint64
+		at := len(arena)
 		g.EachNeighbor(v, func(w int) {
 			if degs[w] <= m {
-				sig = append(sig, uint64(degs[w]))
+				arena = append(arena, uint64(degs[w]))
 			}
 		})
-		sort.Slice(sig, func(i, j int) bool { return sig[i] < sig[j] })
-		out[v] = sig
+		slices.Sort(arena[at:])
+		out[v] = arena[at:len(arena):len(arena)]
 	}
 	return out
 }
@@ -167,19 +173,17 @@ func NeighborhoodAlice(coins hashing.Coins, ga *graph.Graph, p NeighborhoodParam
 	n, d := ga.N, p.D
 	budget := NeighborhoodBudget(p)
 	packedA := side.Packed
-	sortedA := setutil.CloneSets(packedA)
-	setutil.SortSets(sortedA)
-	labelA := packedLabeling(packedA, sortedA)
+	parentA, err := signatureParent(packedA)
+	if err != nil {
+		return nil, err
+	}
+	labelA := packedLabeling(packedA, parentA)
 	edgeSetA := labeledEdgeSet(ga, labelA)
 	edgeT := iblt.NewUint64(iblt.CellsFor(d), 0, coins.Seed("graphrecon/nbr-edges", 0))
 	for _, e := range edgeSetA {
 		edgeT.InsertUint64(e)
 	}
 	edgePayload := append(edgeT.Marshal(), u64le(setutil.Hash(coins.Seed("graphrecon/nbr-edgeverify", 0), edgeSetA))...)
-	parentA, err := signatureParent(asMap(packedA))
-	if err != nil {
-		return nil, err
-	}
 	sigParams, err := neighborhoodSigParams(n, maxSig, budget).Normalized()
 	if err != nil {
 		return nil, err
@@ -198,7 +202,7 @@ func NeighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParam
 	n, d := gb.N, p.D
 	budget := NeighborhoodBudget(p)
 	sigsB, packedB := side.Sigs, side.Packed
-	parentB, err := signatureParent(asMap(packedB))
+	parentB, err := signatureParent(packedB)
 	if err != nil {
 		return nil, err
 	}
@@ -271,15 +275,18 @@ func applyNeighborhoodEdges(edgeMsg []byte, gb *graph.Graph, labelB []int, n int
 	return out, nil
 }
 
-// packSignatures converts per-vertex degree multisets into packed sets.
+// packSignatures converts per-vertex degree multisets into packed sets, all
+// in one arena.
 func packSignatures(sigs [][]uint64) ([][]uint64, error) {
+	arena := make([]uint64, 0, setutil.TotalSize(sigs))
 	out := make([][]uint64, len(sigs))
 	for v, s := range sigs {
-		packed, err := setrecon.MultisetToSet(s)
-		if err != nil {
+		at := len(arena)
+		var err error
+		if arena, err = setrecon.AppendMultisetToSet(arena, s); err != nil {
 			return nil, fmt.Errorf("graphrecon: vertex %d signature: %w", v, err)
 		}
-		out[v] = packed
+		out[v] = arena[at:len(arena):len(arena)]
 	}
 	return out, nil
 }
@@ -291,14 +298,6 @@ func packedLabeling(packed, sorted [][]uint64) []int {
 		label[v] = sigRank(sorted, s)
 	}
 	return label
-}
-
-func asMap(packed [][]uint64) map[int][]uint64 {
-	m := make(map[int][]uint64, len(packed))
-	for v, s := range packed {
-		m[v] = s
-	}
-	return m
 }
 
 func maxChildSize(parents ...[][]uint64) int {

@@ -86,13 +86,13 @@ func TestDegreeOrderLabelingConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, sigs := DegreeOrderSignatures(g, h)
+	top, rest, sigs := DegreeOrderSignatures(g, h)
 	parent, err := signatureParent(sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	labelA := degreeOrderLabeling(g, top, sigs, parent)
-	labelB, err := bobDegreeOrderLabeling(g, top, sigs, parent, 2)
+	labelA := degreeOrderLabeling(top, rest, sigs, parent)
+	labelB, err := bobDegreeOrderLabeling(top, rest, sigs, parent, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,39 +178,35 @@ func (r *Registry) GetHistogram(name string, labelValues ...string) *Histogram {
 }
 
 // seriesKey joins label values with an unprintable separator.
-func seriesKey(lvs []string) string {
-	switch len(lvs) {
-	case 0:
-		return ""
-	case 1:
-		return lvs[0]
-	}
-	n := len(lvs) - 1
-	for _, v := range lvs {
-		n += len(v)
-	}
-	b := make([]byte, 0, n)
+func seriesKey(lvs []string) string { return string(appendSeriesKey(nil, lvs)) }
+
+func appendSeriesKey(b []byte, lvs []string) []byte {
 	for i, v := range lvs {
 		if i > 0 {
 			b = append(b, '\xff')
 		}
 		b = append(b, v...)
 	}
-	return string(b)
+	return b
 }
 
 // child returns (creating if needed) the series for the given label values.
+// Finding an existing series allocates nothing — the key is assembled on the
+// stack and the map is probed with it in place — so With on a session path
+// costs a read lock and a lookup; only a series' first use builds its key.
 func (f *family) child(lvs []string) *series {
 	if len(lvs) != len(f.labels) {
 		panic(fmt.Sprintf("obs: %s expects %d label values, got %d", f.name, len(f.labels), len(lvs)))
 	}
-	key := seriesKey(lvs)
+	var buf [128]byte
+	probe := appendSeriesKey(buf[:0], lvs)
 	f.mu.RLock()
-	s, ok := f.children[key]
+	s, ok := f.children[string(probe)]
 	f.mu.RUnlock()
 	if ok {
 		return s
 	}
+	key := string(probe)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok = f.children[key]; ok {

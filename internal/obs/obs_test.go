@@ -170,3 +170,22 @@ func TestQuantile(t *testing.T) {
 		t.Fatalf("sum/count = %v/%d", h2.Sum(), h2.Count())
 	}
 }
+
+// TestWithExistingSeriesAllocBudget pins the session-path rule: resolving a
+// series that already exists — however many labels key it — allocates
+// nothing, so per-session counters cost a lookup and an atomic add.
+func TestWithExistingSeriesAllocBudget(t *testing.T) {
+	r := NewRegistry()
+	sessions := r.Counter("sessions_total", "help", "kind", "proto", "status")
+	stage := r.Histogram("stage_seconds", "help", nil, "stage")
+	kind, proto, status := "sos", "cascade", "ok"
+	sessions.With(kind, proto, status).Inc()
+	stage.With("hello").Observe(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		sessions.With(kind, proto, status).Inc()
+		stage.With("hello").Observe(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("With on existing series allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -3,7 +3,7 @@ package setrecon
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/hashing"
 	"sosr/internal/transport"
@@ -34,34 +34,55 @@ var ErrMultisetRange = errors.New("setrecon: multiset element or multiplicity ou
 // MultisetToSet converts a multiset (slice with repeats, any order) into the
 // canonical packed set of (element, count) pairs.
 func MultisetToSet(ms []uint64) ([]uint64, error) {
-	counts := make(map[uint64]uint64, len(ms))
-	for _, x := range ms {
-		if x > MaxMultisetElement {
-			return nil, fmt.Errorf("%w: element %d", ErrMultisetRange, x)
-		}
-		counts[x]++
+	return AppendMultisetToSet(make([]uint64, 0, len(ms)), ms)
+}
+
+// AppendMultisetToSet appends MultisetToSet(ms) to dst, so a caller packing
+// many multisets fills one arena. It sorts a copy of ms inside dst, folds
+// each run of equal elements into one packed word in place, and sorts the
+// packed words.
+func AppendMultisetToSet(dst, ms []uint64) ([]uint64, error) {
+	m := len(dst)
+	dst = append(dst, ms...)
+	run := dst[m:]
+	slices.Sort(run)
+	if len(run) > 0 && run[len(run)-1] > MaxMultisetElement {
+		return nil, fmt.Errorf("%w: element %d", ErrMultisetRange, run[len(run)-1])
 	}
-	out := make([]uint64, 0, len(counts))
-	for x, k := range counts {
-		if k > MaxMultiplicity {
-			return nil, fmt.Errorf("%w: element %d has multiplicity %d", ErrMultisetRange, x, k)
+	w := 0
+	for i := 0; i < len(run); {
+		j := i + 1
+		for j < len(run) && run[j] == run[i] {
+			j++
 		}
-		out = append(out, PackCounted(x, k))
+		if k := j - i; k > MaxMultiplicity {
+			return nil, fmt.Errorf("%w: element %d has multiplicity %d", ErrMultisetRange, run[i], k)
+		}
+		run[w] = PackCounted(run[i], uint64(j-i))
+		w++
+		i = j
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	slices.Sort(run[:w])
+	return dst[:m+w], nil
 }
 
 // SetToMultiset inverts MultisetToSet, returning a sorted multiset.
 func SetToMultiset(set []uint64) []uint64 {
-	var out []uint64
+	n := 0
+	for _, p := range set {
+		n += int(p >> 48)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint64, 0, n)
 	for _, p := range set {
 		x, k := UnpackCounted(p)
-		for i := uint64(0); i < k; i++ {
+		for ; k > 0; k-- {
 			out = append(out, x)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -10,7 +10,7 @@ package setutil
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"sosr/internal/hashing"
 )
@@ -24,8 +24,31 @@ const MaxElement uint64 = 1<<60 - 1
 func Canonical(xs []uint64) []uint64 {
 	out := make([]uint64, len(xs))
 	copy(out, xs)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupSorted(out)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// CanonicalSets returns a canonical copy of every child set of parent, in
+// parent order: out[i] equals Canonical(parent[i]). All children are packed
+// into one backing array — two allocations however many children there are —
+// as capacity-limited sub-slices, so appending to one never reaches its
+// neighbour. The price of sharing is lifetime: retaining any one child
+// retains the whole array.
+func CanonicalSets(parent [][]uint64) [][]uint64 {
+	arena := make([]uint64, 0, TotalSize(parent))
+	out := make([][]uint64, len(parent))
+	for i, cs := range parent {
+		m := len(arena)
+		arena = append(arena, cs...)
+		c := arena[m:]
+		if !IsCanonical(c) {
+			slices.Sort(c)
+			c = slices.Compact(c)
+			arena = arena[:m+len(c)]
+		}
+		out[i] = c[:len(c):len(c)]
+	}
+	return out
 }
 
 // IsCanonical reports whether xs is strictly increasing.
@@ -36,20 +59,6 @@ func IsCanonical(xs []uint64) bool {
 		}
 	}
 	return true
-}
-
-func dedupSorted(xs []uint64) []uint64 {
-	if len(xs) == 0 {
-		return xs
-	}
-	w := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[w-1] {
-			xs[w] = xs[i]
-			w++
-		}
-	}
-	return xs[:w]
 }
 
 // SymmetricDiff returns |a ⊕ b| for canonical sets a and b.
@@ -108,8 +117,8 @@ func ApplyDiff(base, add, remove []uint64) []uint64 {
 		}
 	}
 	out = append(out, add...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupSorted(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Equal reports whether two canonical sets are equal.
@@ -127,8 +136,8 @@ func Equal(a, b []uint64) bool {
 
 // Contains reports whether canonical set a contains x.
 func Contains(a []uint64, x uint64) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= x })
-	return i < len(a) && a[i] == x
+	_, found := slices.BinarySearch(a, x)
+	return found
 }
 
 // Encode serializes a canonical set as a length-prefixed little-endian word
@@ -185,7 +194,7 @@ func CloneSets(ss [][]uint64) [][]uint64 {
 // SortSets orders a slice of canonical sets lexicographically; used to
 // canonicalize parent sets before hashing or comparing sets of sets.
 func SortSets(ss [][]uint64) {
-	sort.Slice(ss, func(i, j int) bool { return LessSets(ss[i], ss[j]) })
+	slices.SortFunc(ss, slices.Compare)
 }
 
 // LessSets is the lexicographic order on canonical sets.
@@ -223,7 +232,7 @@ func HashSetOfSets(seed uint64, ss [][]uint64) uint64 {
 	for i, s := range ss {
 		hs[i] = Hash(seed^0xa5a5a5a5a5a5a5a5, s)
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	slices.Sort(hs)
 	return hashing.HashUint64s(seed, hs)
 }
 

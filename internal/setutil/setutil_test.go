@@ -1,6 +1,7 @@
 package setutil
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -163,5 +164,85 @@ func TestCloneIndependence(t *testing.T) {
 	cs[0][0] = 42
 	if ss[0][0] == 42 {
 		t.Fatal("CloneSets aliases")
+	}
+}
+
+// TestCanonicalSetsMatchesCanonical: the arena form is child-for-child what
+// Canonical returns, whatever mix of empty, duplicate-laden, unsorted and
+// already-canonical children comes in.
+func TestCanonicalSetsMatchesCanonical(t *testing.T) {
+	check := func(parent [][]uint64) bool {
+		got := CanonicalSets(parent)
+		if len(got) != len(parent) {
+			return false
+		}
+		for i, cs := range parent {
+			if !slices.Equal(got[i], Canonical(cs)) {
+				return false
+			}
+		}
+		return true
+	}
+	fixed := [][][]uint64{
+		nil,
+		{},
+		{nil, {}, nil},
+		{{1, 2, 3}, {4, 5}},           // already canonical
+		{{3, 3, 3}, {}, {2, 1, 2, 1}}, // duplicates around an empty child
+		{{9, 1}, {1, 2, 3}, {7, 7}, nil, {5}},
+	}
+	for _, p := range fixed {
+		if !check(p) {
+			t.Fatalf("CanonicalSets(%v) = %v", p, CanonicalSets(p))
+		}
+	}
+	// Small element range, so random children collide and repeat often.
+	if err := quick.Check(func(raw [][]uint8) bool {
+		parent := make([][]uint64, len(raw))
+		for i, cs := range raw {
+			for _, x := range cs {
+				parent[i] = append(parent[i], uint64(x%16))
+			}
+		}
+		return check(parent)
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCanonicalSetsIsolation: the children share one array but not each
+// other's fate — overwriting one and appending to it reaches neither the
+// caller's input nor any other child.
+func TestCanonicalSetsIsolation(t *testing.T) {
+	input := [][]uint64{{1, 2, 3}, {6, 5, 4, 4}, {}, {7, 8}}
+	snapshot := CloneSets(input)
+	got := CanonicalSets(input)
+	want := CloneSets(got)
+	for i := range got {
+		for j := range got[i] {
+			got[i][j] = 99
+		}
+		_ = append(got[i], 1000, 1001)
+		for j := range got {
+			if j != i && !slices.Equal(got[j], want[j]) {
+				t.Fatalf("writing to child %d changed child %d: %v", i, j, got[j])
+			}
+		}
+		copy(got[i], want[i])
+	}
+	for i := range input {
+		if !slices.Equal(input[i], snapshot[i]) {
+			t.Fatalf("input child %d changed: %v", i, input[i])
+		}
+	}
+}
+
+func TestCanonicalSetsAllocs(t *testing.T) {
+	parent := make([][]uint64, 500)
+	for i := range parent {
+		parent[i] = []uint64{uint64(i), 3, uint64(2 * i), 3}
+	}
+	if got := testing.AllocsPerRun(10, func() { CanonicalSets(parent) }); got > 2 {
+		t.Fatalf("CanonicalSets allocates %.0f/op for 500 children, want ≤ 2", got)
 	}
 }

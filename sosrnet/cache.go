@@ -2,7 +2,7 @@ package sosrnet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sosr/internal/core"
@@ -318,14 +318,7 @@ func (s *Server) updateSetsOfSets(name string, add, remove [][]uint64, sp *obs.S
 	if err != nil {
 		return err
 	}
-	addC := make([][]uint64, len(add))
-	for i, cs := range add {
-		addC[i] = setutil.Canonical(cs)
-	}
-	removeC := make([][]uint64, len(remove))
-	for i, cs := range remove {
-		removeC[i] = setutil.Canonical(cs)
-	}
+	addC, removeC := setutil.CanonicalSets(add), setutil.CanonicalSets(remove)
 	if ds.shard != nil {
 		addC = ds.shard.topo.OwnedSets(ds.shard.index, addC)
 		removeC = ds.shard.topo.OwnedSets(ds.shard.index, removeC)
@@ -355,9 +348,9 @@ func (s *Server) updateSetsOfSets(name string, add, remove [][]uint64, sp *obs.S
 
 // stageSOS validates a canonical, shard-filtered sets-of-sets mutation
 // against the hosted parent and builds the next parent slice, touching no
-// state. Caller holds d.mu. The copy-on-write rebuild hash-indexes the
-// mutation lists so the pass over a large hosted parent is
-// O(|sos| + |update|), not O(|sos| x |update|).
+// state. Caller holds d.mu. Only the mutation is hash-indexed, so the pass
+// over a large hosted parent hashes each child once and allocates
+// O(|update|), not O(|sos|).
 func (d *dataset) stageSOS(addC, removeC [][]uint64) ([][]uint64, error) {
 	const memberSeed = 0xd15717c7 // same salt Validate uses for dedup
 	rmByHash := make(map[uint64][]int, len(removeC))
@@ -365,9 +358,21 @@ func (d *dataset) stageSOS(addC, removeC [][]uint64) ([][]uint64, error) {
 		h := setutil.Hash(memberSeed, cs)
 		rmByHash[h] = append(rmByHash[h], i)
 	}
+	// dupAdd is the first add equal to an earlier add or to a child that
+	// stays hosted.
+	dupAdd := len(addC)
+	addByHash := make(map[uint64][]int, len(addC))
+	for i, cs := range addC {
+		h := setutil.Hash(memberSeed, cs)
+		for _, j := range addByHash[h] {
+			if setutil.Equal(cs, addC[j]) {
+				dupAdd = min(dupAdd, i)
+			}
+		}
+		addByHash[h] = append(addByHash[h], i)
+	}
 	taken := make([]bool, len(removeC))
 	next := make([][]uint64, 0, len(d.sos)+len(addC))
-	nextHashes := make(map[uint64][]int, len(d.sos)+len(addC))
 outer:
 	for _, cs := range d.sos {
 		h := setutil.Hash(memberSeed, cs)
@@ -377,7 +382,11 @@ outer:
 				continue outer
 			}
 		}
-		nextHashes[h] = append(nextHashes[h], len(next))
+		for _, i := range addByHash[h] {
+			if setutil.Equal(cs, addC[i]) {
+				dupAdd = min(dupAdd, i)
+			}
+		}
 		next = append(next, cs)
 	}
 	for i, ok := range taken {
@@ -385,17 +394,10 @@ outer:
 			return nil, fmt.Errorf("remove[%d] is not hosted", i)
 		}
 	}
-	for i, cs := range addC {
-		h := setutil.Hash(memberSeed, cs)
-		for _, j := range nextHashes[h] {
-			if setutil.Equal(next[j], cs) {
-				return nil, fmt.Errorf("add[%d] already hosted", i)
-			}
-		}
-		nextHashes[h] = append(nextHashes[h], len(next))
-		next = append(next, cs)
+	if dupAdd < len(addC) {
+		return nil, fmt.Errorf("add[%d] already hosted", dupAdd)
 	}
-	return next, nil
+	return append(next, addC...), nil
 }
 
 // commitSOS installs a staged sets-of-sets mutation: infallible by
@@ -535,44 +537,49 @@ func (s *Server) updateMultisets(name string, add, remove []uint64, sp *obs.Span
 
 // stageMultiset validates a shard-filtered multiset mutation against the
 // hosted packing and returns the next packed contents, touching no state.
-// Caller holds d.mu.
+// Caller holds d.mu. Only the mutation is indexed: hosted words it does not
+// name pass through untouched.
 func (d *dataset) stageMultiset(add, remove []uint64) ([]uint64, error) {
-	// Unpack the hosted (element, count) words, stage the mutation on the
-	// counts, and validate everything before any state is touched.
-	counts := make(map[uint64]uint64, len(d.set))
-	for _, w := range d.set {
-		x, k := setrecon.UnpackCounted(w)
-		counts[x] = k
-	}
-	staged := make(map[uint64]int64, len(add)+len(remove))
+	delta := make(map[uint64]int64, len(add)+len(remove))
 	for _, x := range remove {
-		staged[x]--
+		delta[x]--
 	}
 	for _, x := range add {
-		staged[x]++
+		delta[x]++
 	}
-	for x, delta := range staged {
-		next := int64(counts[x]) + delta
-		if next < 0 {
-			return nil, fmt.Errorf("remove of element %d exceeds its multiplicity %d", x, counts[x])
-		}
-		if next > int64(setrecon.MaxMultiplicity) {
+	// restage folds x's staged change into its hosted multiplicity k and
+	// appends what remains of it to packed.
+	restage := func(packed []uint64, x, k uint64) ([]uint64, error) {
+		next := int64(k) + delta[x]
+		switch {
+		case next < 0:
+			return nil, fmt.Errorf("remove of element %d exceeds its multiplicity %d", x, k)
+		case next > int64(setrecon.MaxMultiplicity):
 			return nil, fmt.Errorf("%w: element %d would reach multiplicity %d", setrecon.ErrMultisetRange, x, next)
+		case next > 0:
+			packed = append(packed, setrecon.PackCounted(x, uint64(next)))
+		}
+		return packed, nil
+	}
+	packed := make([]uint64, 0, len(d.set)+len(delta))
+	var err error
+	for _, w := range d.set {
+		x, k := setrecon.UnpackCounted(w)
+		if _, staged := delta[x]; !staged {
+			packed = append(packed, w)
+			continue
+		}
+		if packed, err = restage(packed, x, k); err != nil {
+			return nil, err
+		}
+		delete(delta, x)
+	}
+	for x := range delta { // elements not hosted yet
+		if packed, err = restage(packed, x, 0); err != nil {
+			return nil, err
 		}
 	}
-	for x, delta := range staged {
-		next := int64(counts[x]) + delta
-		if next == 0 {
-			delete(counts, x)
-		} else {
-			counts[x] = uint64(next)
-		}
-	}
-	packed := make([]uint64, 0, len(counts))
-	for x, k := range counts {
-		packed = append(packed, setrecon.PackCounted(x, k))
-	}
-	sort.Slice(packed, func(i, j int) bool { return packed[i] < packed[j] })
+	slices.Sort(packed)
 	return packed, nil
 }
 

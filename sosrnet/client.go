@@ -356,10 +356,7 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 }
 
 func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config, sp *obs.Span) (*sosr.Result, *NetStats, error) {
-	bob := make([][]uint64, len(local))
-	for i, cs := range local {
-		bob[i] = setutil.Canonical(cs)
-	}
+	bob := setutil.CanonicalSets(local)
 	ep, cleanup, err := c.session(ctx)
 	if err != nil {
 		return nil, nil, err

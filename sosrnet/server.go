@@ -337,11 +337,7 @@ func (s *Server) HostMultiset(name string, elems []uint64) error {
 // HostSetsOfSets hosts a parent set of child sets. Child sets may be passed
 // unsorted; each is stored in canonical order.
 func (s *Server) HostSetsOfSets(name string, parent [][]uint64) error {
-	canon := make([][]uint64, len(parent))
-	for i, cs := range parent {
-		canon[i] = setutil.Canonical(cs)
-	}
-	return s.host(name, &dataset{kind: KindSetsOfSets, sos: canon})
+	return s.host(name, &dataset{kind: KindSetsOfSets, sos: setutil.CanonicalSets(parent)})
 }
 
 // checkShard validates a shard-hosting request.
@@ -399,11 +395,10 @@ func (s *Server) HostSetsOfSetsShard(name string, parent [][]uint64, topo *shard
 	if err != nil {
 		return err
 	}
-	canon := make([][]uint64, len(parent))
-	for i, cs := range parent {
-		canon[i] = setutil.Canonical(cs)
-	}
-	return s.host(name, &dataset{kind: KindSetsOfSets, sos: topo.OwnedSets(index, canon), shard: ss})
+	// Ownership is decided on canonical children; the owned ones are then
+	// packed on their own, so the shard does not pin the whole parent's arena.
+	owned := setutil.CanonicalSets(topo.OwnedSets(index, setutil.CanonicalSets(parent)))
+	return s.host(name, &dataset{kind: KindSetsOfSets, sos: owned, shard: ss})
 }
 
 // HostGraph hosts an undirected simple graph.

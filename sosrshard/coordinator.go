@@ -151,18 +151,10 @@ func (co *Coordinator) UpdateMultisets(name string, add, remove []uint64) error 
 // UpdateSetsOfSets routes a logical sets-of-sets mutation to every replica
 // of the shards owning the touched child sets.
 func (co *Coordinator) UpdateSetsOfSets(name string, add, remove [][]uint64) error {
-	addParts := co.topo.SplitSets(canonSets(add))
-	rmParts := co.topo.SplitSets(canonSets(remove))
+	addParts := co.topo.SplitSets(setutil.CanonicalSets(add))
+	rmParts := co.topo.SplitSets(setutil.CanonicalSets(remove))
 	return co.updateShards(
 		func(i int) bool { return len(addParts[i]) > 0 || len(rmParts[i]) > 0 },
 		func(i int, srv *sosrnet.Server) error { return srv.UpdateSetsOfSets(name, addParts[i], rmParts[i]) },
 	)
-}
-
-func canonSets(parent [][]uint64) [][]uint64 {
-	out := make([][]uint64, len(parent))
-	for i, cs := range parent {
-		out[i] = setutil.Canonical(cs)
-	}
-	return out
 }

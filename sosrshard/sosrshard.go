@@ -47,7 +47,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"syscall"
@@ -627,9 +627,9 @@ func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr
 		// Shards partition the element space, so the merged slices are
 		// disjoint; sorting restores the canonical order an unsharded run
 		// reports.
-		sortWords(merged.Recovered)
-		sortWords(merged.OnlyA)
-		sortWords(merged.OnlyB)
+		slices.Sort(merged.Recovered)
+		slices.Sort(merged.OnlyA)
+		slices.Sort(merged.OnlyB)
 		merged.Stats = stats.Protocol
 		return merged, stats, nil
 	})
@@ -664,7 +664,7 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 			merged = append(merged, oc.res.([]uint64)...)
 			stats.add(i, st.topo.ShardID(i), oc)
 		}
-		sortWords(merged)
+		slices.Sort(merged)
 		return merged, stats, nil
 	})
 	c.finishSpan(sp, stats, err)
@@ -681,10 +681,7 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, *Stats, error) {
 	sp := c.startSpan(ctx, name, "sos")
 	ctx = obs.ContextWithSpan(ctx, sp)
-	canon := make([][]uint64, len(local))
-	for i, cs := range local {
-		canon[i] = setutil.Canonical(cs)
-	}
+	canon := setutil.CanonicalSets(local)
 	res, stats, err := withRefresh(ctx, c, func(st *state) (*sosr.Result, *Stats, error) {
 		parts := st.topo.SplitSets(canon)
 		outs, err := c.fanOut(ctx, st, cfg.Seed, func(actx context.Context, i int, cl *sosrnet.Client, seed uint64) (any, *sosrnet.NetStats, error) {
@@ -725,8 +722,4 @@ func unpack3[R any](res R, ns *sosrnet.NetStats, err error) (any, *sosrnet.NetSt
 		return nil, nil, err
 	}
 	return res, ns, nil
-}
-
-func sortWords(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
