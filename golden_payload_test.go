@@ -24,21 +24,26 @@ import (
 // byte Alice puts on the wire, and every tie order that reaches an encoding,
 // for fixed seeds. A change that alters one of them changes the protocol.
 // Regenerate with SOSR_GOLDEN_PRINT=1 go test -run TestGoldenPayloads . — and
-// only when a wire change is the point of the PR.
+// only when a wire change is the point of the PR. The compact child-IBLT
+// encoding (PR 14) was one: it moved exactly the five payloads whose parent
+// keys are child encodings (core/nested, core/cascade, forest/sig,
+// graphrecon/degree-sig, graphrecon/nbr-sig). The other ten — stand-alone
+// tables, naive keys, char-poly, packings, orders and Bob's results — still
+// carry their PR 12 hashes.
 var goldenPayloads = map[string]string{
-	"core/cascade":             "d9d3d03ba41bbb879b0dd0f4c531f4a03d259497eeba8a0c7628342731ff7679",
+	"core/cascade":             "ec2fa5de98b271a301142ce3e0eaa498ba1bd264fe7addc0bf885e8abfb0f7c2",
 	"core/multiset-parent":     "7c701af2ea5e39c5d3a022761f734ceafeddc4bdce5f8cfa19b1653bd1a526e9",
 	"core/naive":               "f04e516e58c75c652c4303c88f5699f01702a6f6af571be94e54063e2c890a52",
-	"core/nested":              "1a275bd876c4977d4850209c046681f1a55274aa81c011ed2db6eec67564ae0f",
+	"core/nested":              "4cf4963e86585d8075dc5013c2505877108f4041a4985e7b58e05c6162876b7b",
 	"field/roots-order":        "cdf4ff6f5cd7158602e64a83ffea27431cbdcd462fb07c700060634a4128dc11",
 	"forest/meta":              "dcd6e9b82ebb172375dd3040d193dc146c388390ead62c09c17b74782bce9691",
-	"forest/sig":               "1a409a8cdcc70d511a47e5587cbc6b08e030bc865696d408c4ab3d1d48b5bdf3",
+	"forest/sig":               "c50f1ac4a16e767e05bade5292b99ba427efca949f617708577a3d8923a8fa82",
 	"graphrecon/degree-edges":  "ab17d5bd7a040f644398e1071eef9eb1920303cadb3f426ed79ca0705e6a4cb4",
 	"graphrecon/degree-result": "38681f8380eea2298e5bcfd364da09be1ad335dbd54cf06f186e59f647f3a4fc",
-	"graphrecon/degree-sig":    "27ea09cd4f70e383c140e023f51ab407ce74f34da49270b98ab33ebfe4077526",
+	"graphrecon/degree-sig":    "4c59346095b66d8f0f0258f48aa30b75af5b6c919289a36bffa67f8cbe5b1a9c",
 	"graphrecon/nbr-edges":     "ab0c557b4c66a8b87adeac78c3e66e982d1e882e31ff2aa74198bd04b7f70c42",
 	"graphrecon/nbr-result":    "bfad4be05e8e78b20d97427235f1b7f59ffc5595fca325294d618cba155eb4d6",
-	"graphrecon/nbr-sig":       "c73a4fe0617c874b776fc20aa130aea72b7e682b18942d9ffdde562fbfab01bd",
+	"graphrecon/nbr-sig":       "9b97ec1474eb59d0b5175a435efc1d3129530996d9bd2df2cfa9973bdf3a1bc0",
 	"setrecon/charpoly":        "957c7edf6bbb42595acd874be32e099bbcac0604c4d924ddb2b3fc2edc213ab8",
 	"setrecon/multiset":        "14590b9d95d1a486fe3d2dd4f1136d9e7b4214768412db71d7f66239f80105c3",
 }

@@ -61,7 +61,7 @@ func NewBobSketch(kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params
 		}
 		sk.tables = []*iblt.Table{t}
 	case DigestNested:
-		codec := newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d))
+		codec := newNestedCodec(coins, p, d)
 		enc := codec.encoder()
 		t := iblt.New(iblt.CellsFor(2*dHat), codec.width, 0, coins.Seed("nested/parent", 0))
 		for _, cs := range bob {
@@ -149,7 +149,7 @@ func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]u
 	case DigestNaive:
 		res, err = naiveBob(coins, body, bob, newNaiveCodec(np), sk)
 	case DigestNested:
-		res, err = nestedBob(coins, body, bob, newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d)), sk)
+		res, err = nestedBob(coins, body, bob, newNestedCodec(coins, np, d), sk)
 	case DigestCascade:
 		res, err = cascadeBob(coins, newCascadePlan(coins, np, d), body, bob, sk)
 	default:

@@ -67,7 +67,7 @@ func newCascadePlan(coins hashing.Coins, p Params, d int) *cascadePlan {
 	}
 	plan := &cascadePlan{p: p, d: d, t: t, star: d >= p.H, coins: coins}
 	for i := 1; i <= t; i++ {
-		plan.level = append(plan.level, newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i)))
+		plan.level = append(plan.level, newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p.H))
 	}
 	plan.starCodec = newNaiveCodec(p)
 	return plan

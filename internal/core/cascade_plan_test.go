@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sosr/internal/hashing"
+	"sosr/internal/iblt"
 )
 
 // Unit tests for Algorithm 2's planning arithmetic (levels, star inclusion,
@@ -82,13 +83,14 @@ func TestCascadePlanDeterministic(t *testing.T) {
 
 func TestChildCodecRoundTrip(t *testing.T) {
 	coins := hashing.NewCoins(6)
-	codec := newChildCodec(coins, "test/child", 0, 16)
+	codec := newChildCodec(coins, "test/child", 0, 16, 8)
 	cs := []uint64{5, 9, 1 << 40}
 	enc := codec.encode(cs)
 	if len(enc) != codec.width {
 		t.Fatalf("encoding width %d != %d", len(enc), codec.width)
 	}
-	tab, h, err := codec.decode(enc)
+	var tab iblt.Table
+	h, err := codec.decodeInto(&tab, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +106,15 @@ func TestChildCodecRoundTrip(t *testing.T) {
 
 func TestChildCodecRecoverAgainst(t *testing.T) {
 	coins := hashing.NewCoins(5)
-	codec := newChildCodec(coins, "test/child", 0, 16)
+	codec := newChildCodec(coins, "test/child", 0, 16, 8)
 	aliceSet := []uint64{1, 2, 3, 4}
 	bobSet := []uint64{1, 2, 3, 9}
-	ta, h, err := codec.decode(codec.encode(aliceSet))
+	var ta iblt.Table
+	h, err := codec.decodeInto(&ta, codec.encode(aliceSet))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := codec.recoverAgainst(ta, h, bobSet)
+	rec, ok := codec.recoverAgainst(&ta, h, bobSet)
 	if !ok {
 		t.Fatal("recovery failed")
 	}
@@ -120,10 +123,10 @@ func TestChildCodecRecoverAgainst(t *testing.T) {
 	}
 	// A wrong candidate fails the hash check; empty fallback recovers
 	// standalone sets.
-	if _, ok := codec.recoverAgainst(ta, h, []uint64{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000}); ok {
+	if _, ok := codec.recoverAgainst(&ta, h, []uint64{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000}); ok {
 		t.Fatal("wrong candidate accepted")
 	}
-	rec2, ok := codec.recoverFromCandidates(ta, h, nil)
+	rec2, ok := codec.recoverFromCandidates(&ta, h, nil)
 	if !ok || len(rec2) != 4 {
 		t.Fatal("empty-set fallback failed")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -155,9 +156,9 @@ func TestApplyMsgCachedParity(t *testing.T) {
 // table with every encoding deleted marshals to exactly the same bytes as one
 // with the insert-built aggregate subtracted.
 func TestBobSketchSubtractionBytes(t *testing.T) {
-	_, bob, _ := decodeWorkload(t)
+	_, bob, p := decodeWorkload(t)
 	coins := hashing.NewCoins(42)
-	codec := newChildCodec(coins, "cascade/child", 1, iblt.CellsTight(2))
+	codec := newChildCodec(coins, "cascade/child", 1, iblt.CellsTight(2), p.H)
 	enc := codec.encoder()
 
 	deleted := iblt.New(64, codec.width, 0, 7)
@@ -203,5 +204,37 @@ func TestApplyMsgCachedRejectsMismatch(t *testing.T) {
 	}
 	if _, err := ApplyMsgCached(DigestCascade, coins, msg, bob, p, d, dHat, sk2); err == nil {
 		t.Fatal("wrong-d sketch accepted")
+	}
+}
+
+// TestMRAlice3AllocBudget pins Theorem 3.9's matching step: Alice compares
+// each of her differing child sets with every one of Bob's sketches, and that
+// pair loop must not allocate — it merges into one scratch estimator instead
+// of cloning per pair (3 allocations × d̂² pairs before).
+func TestMRAlice3AllocBudget(t *testing.T) {
+	alice, bob, p := decodeWorkload(t) // 16 differing children on each side
+	coins := hashing.NewCoins(42)
+	dHat := DHat(16, p.S)
+	round2, _, err := MRBob2(coins, bob, p, MRAlice1(coins, alice, dHat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	run := func() {
+		round3, _, err := MRAlice3(coins, alice, p, 16, round2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int(binary.LittleEndian.Uint32(round3))
+		pairs = n * n
+	}
+	run()
+	got := testing.AllocsPerRun(10, run)
+	t.Logf("MRAlice3 allocs/op: %.0f for %d (child, sketch) pairs", got, pairs)
+	// What remains is per call or per differing child (Bob's parsed sketches,
+	// Alice's hash table and index, one sketch and one payload per child);
+	// per pair it was 3 more.
+	if budget := float64(pairs); got > budget || pairs < 100 {
+		t.Fatalf("MRAlice3 allocates %.0f/op over %d pairs, budget %.0f", got, pairs, budget)
 	}
 }

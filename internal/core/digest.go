@@ -27,8 +27,10 @@ const (
 	DigestCascade
 )
 
-// digestMagic guards against applying foreign blobs.
-var digestMagic = [4]byte{'S', 'O', 'S', '1'}
+// digestMagic guards against applying foreign blobs. The trailing digit
+// versions the payload layout: SOS2 digests carry header-less child-IBLT
+// keys that an SOS1 reader would mis-parse.
+var digestMagic = [4]byte{'S', 'O', 'S', '2'}
 
 // ErrBadDigest indicates a digest that does not parse or whose parameters
 // disagree with the receiver's configuration.
@@ -122,7 +124,7 @@ func ApplyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64,
 	case DigestNaive:
 		res, err = naiveBob(coins, body, bob, newNaiveCodec(p), nil)
 	case DigestNested:
-		res, err = nestedBob(coins, body, bob, newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d)), nil)
+		res, err = nestedBob(coins, body, bob, newNestedCodec(coins, p, d), nil)
 	case DigestCascade:
 		res, err = cascadeBob(coins, newCascadePlan(coins, p, d), body, bob, nil)
 	default:
@@ -149,7 +151,7 @@ func naiveAliceMsg(coins hashing.Coins, alice [][]uint64, p Params, dHat int) []
 
 // nestedAliceMsg builds the Algorithm 1 payload.
 func nestedAliceMsg(coins hashing.Coins, alice [][]uint64, p Params, d, dHat int) []byte {
-	codec := newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d))
+	codec := newNestedCodec(coins, p, d)
 	enc := codec.encoder()
 	parent := iblt.New(iblt.CellsFor(2*dHat), codec.width, 0, coins.Seed("nested/parent", 0))
 	for _, cs := range alice {
@@ -204,7 +206,7 @@ func DigestSize(kind DigestKind, p Params, d, dHat int) (int, error) {
 		codec := newNaiveCodec(p)
 		return hdrLen + iblt.SerializedSizeFor(iblt.CellsFor(2*dHat), codec.width, 0) + 8, nil
 	case DigestNested:
-		codec := newChildCodec(hashing.NewCoins(0), "probe", 0, iblt.CellsFor(d))
+		codec := newNestedCodec(hashing.NewCoins(0), p, d)
 		return hdrLen + iblt.SerializedSizeFor(iblt.CellsFor(2*dHat), codec.width, 0) + 8, nil
 	case DigestCascade:
 		return hdrLen + newCascadePlan(hashing.NewCoins(0), p, d).msgSize(), nil

@@ -101,27 +101,42 @@ func (c naiveCodec) decode(buf []byte) ([]uint64, error) {
 
 // childCodec builds Algorithm 1/2 style (child IBLT, hash) encodings at a
 // fixed cell count. All child IBLTs produced by one codec share seed and
-// shape, so any two of them can be subtracted.
+// shape, so any two of them can be subtracted. An encoding is the child
+// table's bare cells (iblt.AppendCells) followed by the 8-byte set hash: the
+// shape header both parties derive from the plan is not repeated in every
+// parent cell, and cell counts take only the bytes the instance's child-size
+// bound needs.
 type childCodec struct {
-	cells int
-	seed  uint64
-	hash  uint64 // seed of the per-child-set hash
-	width int
+	cells      int
+	seed       uint64
+	hash       uint64 // seed of the per-child-set hash
+	countBytes int    // per-cell count width, from the child-size bound
+	width      int
 }
 
-func newChildCodec(coins hashing.Coins, label string, level, cells int) childCodec {
-	seed := coins.Seed(label+"/cells", level)
+// newChildCodec plans the encoding of child sets of at most maxLen elements
+// (Params.H, which both parties fix before any payload is built).
+func newChildCodec(coins hashing.Coins, label string, level, cells, maxLen int) childCodec {
+	cb := countBytesFor(maxLen)
 	return childCodec{
-		cells: iblt.RoundCells(cells, 0),
-		seed:  seed,
-		hash:  coins.Seed(childHashLabel, 0),
-		width: iblt.SerializedSizeFor(cells, iblt.WordWidth, 0) + 8,
+		cells:      iblt.RoundCells(cells, 0),
+		seed:       coins.Seed(label+"/cells", level),
+		hash:       coins.Seed(childHashLabel, 0),
+		countBytes: cb,
+		width:      iblt.CellsSize(cells, iblt.WordWidth, 0, cb) + 8,
 	}
 }
 
-// table returns an empty child IBLT of this codec's shape.
-func (c childCodec) table() *iblt.Table {
-	return iblt.NewUint64(c.cells, 0, c.seed)
+// countBytesFor is the count width for a table that only ever holds
+// insertions of at most maxKeys keys: no cell count can exceed maxKeys.
+func countBytesFor(maxKeys int) int {
+	switch {
+	case maxKeys < 1<<8:
+		return 1
+	case maxKeys < 1<<16:
+		return 2
+	}
+	return 4
 }
 
 // encode returns the fixed-width encoding of a child set.
@@ -160,24 +175,22 @@ func (e *childEncoder) encode(cs []uint64) []byte {
 	for _, x := range cs {
 		e.t.InsertUint64(x)
 	}
-	buf := e.t.AppendMarshal(e.buf[:0])
-	var h [8]byte
-	binary.LittleEndian.PutUint64(h[:], setutil.Hash(e.c.hash, cs))
-	buf = append(buf, h[:]...)
+	buf := e.t.AppendCells(e.buf[:0], e.c.countBytes)
+	buf = binary.LittleEndian.AppendUint64(buf, setutil.Hash(e.c.hash, cs))
 	e.buf = buf
 	return buf
 }
 
-// decode splits an encoding into its child IBLT and hash.
-func (c childCodec) decode(buf []byte) (*iblt.Table, uint64, error) {
+// decodeInto splits an encoding into its child IBLT, loaded into t, and hash.
+func (c childCodec) decodeInto(t *iblt.Table, buf []byte) (uint64, error) {
 	if len(buf) != c.width {
-		return nil, 0, fmt.Errorf("core: child encoding width %d != %d", len(buf), c.width)
+		return 0, fmt.Errorf("core: child encoding width %d != %d", len(buf), c.width)
 	}
-	t, err := iblt.Unmarshal(buf[:len(buf)-8])
-	if err != nil {
-		return nil, 0, err
+	t.Reshape(c.cells, iblt.WordWidth, 0, c.seed)
+	if err := t.LoadCells(buf[:len(buf)-8], c.countBytes); err != nil {
+		return 0, err
 	}
-	return t, binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil
+	return binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil
 }
 
 // setHash returns the hash this codec attaches to a child set.
@@ -213,13 +226,7 @@ type childRecoverer struct {
 // decodeEnc parses a fixed-width child encoding into the scratch table and
 // returns its attached set hash. The parse stays valid until the next call.
 func (r *childRecoverer) decodeEnc(buf []byte) (uint64, error) {
-	if len(buf) != r.c.width {
-		return 0, fmt.Errorf("core: child encoding width %d != %d", len(buf), r.c.width)
-	}
-	if err := r.ta.UnmarshalInto(buf[:len(buf)-8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil
+	return r.c.decodeInto(&r.ta, buf)
 }
 
 // recoverAgainst tries to reconstruct Alice's child set from the last parsed

@@ -14,15 +14,23 @@ func FuzzApplyMsg(f *testing.F) {
 	coins := hashing.NewCoins(21)
 	alice := [][]uint64{{1, 2, 3}, {9}, {20, 22}}
 	bob := [][]uint64{{1, 2, 3}, {9, 10}, {31}}
-	p := Params{S: 8, H: 8}
-	np, err := p.normalized()
-	if err != nil {
-		f.Fatal(err)
+	// The kind byte's high nibble picks the instance shape, so the fuzzer
+	// reaches every child count width (1, 2 and 4 bytes); the first eleven
+	// seeds predate the widths and stay on shape 0.
+	// The wide shapes take a small universe so naive keys stay a 128-byte
+	// bitmap instead of an 8·H-byte list per cell.
+	var shapes []Params
+	for _, p := range []Params{{S: 8, H: 8}, {S: 8, H: 300, U: 1 << 10}, {S: 8, H: 70000, U: 1 << 10}} {
+		np, err := p.normalized()
+		if err != nil {
+			f.Fatal(err)
+		}
+		shapes = append(shapes, np)
 	}
 	const d = 4
-	dHat := DHat(d, np.S)
+	dHat := DHat(d, shapes[0].S)
 	for _, kind := range []DigestKind{DigestNaive, DigestNested, DigestCascade} {
-		msg, err := AliceMsg(kind, coins, alice, np, d, dHat)
+		msg, err := AliceMsg(kind, coins, alice, shapes[0], d, dHat)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -34,13 +42,36 @@ func FuzzApplyMsg(f *testing.F) {
 	}
 	f.Add(byte(0), []byte{})
 	f.Add(byte(9), make([]byte, 40))
-	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
-		res, err := ApplyMsg(DigestKind(kind), coins, body, bob, np, d, dHat)
+	// Header-less child keys at each count width: intact, with the first
+	// child count inside the first parent cell's key sum saturated (a count
+	// no honest child can carry), and one byte short (every key misaligned).
+	for si, np := range shapes {
+		for _, tc := range []struct {
+			kind       DigestKind
+			firstCount int // table header, parent count; cascade adds t and the frame length
+		}{{DigestNested, 20 + 4}, {DigestCascade, 4 + 4 + 20 + 4}} {
+			msg, err := AliceMsg(tc.kind, coins, alice, np, d, dHat)
+			if err != nil {
+				f.Fatal(err)
+			}
+			sel := byte(si<<4) | byte(tc.kind)
+			f.Add(sel, msg)
+			saturated := append([]byte(nil), msg...)
+			for i := 0; i < countBytesFor(np.H); i++ {
+				saturated[tc.firstCount+i] = 0xff
+			}
+			f.Add(sel, saturated)
+			f.Add(sel, msg[1:])
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel byte, body []byte) {
+		kind, np := DigestKind(sel&0x0f), shapes[int(sel>>4)%len(shapes)]
+		res, err := ApplyMsg(kind, coins, body, bob, np, d, dHat)
 		if err == nil && res == nil {
 			t.Fatal("nil result without error")
 		}
 		// The cached path must be exactly as robust.
-		if DigestKind(kind) == DigestCascade {
+		if kind == DigestCascade {
 			sk, err := NewBobSketch(DigestCascade, coins, bob, np, d, dHat)
 			if err != nil {
 				t.Fatal(err)

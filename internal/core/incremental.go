@@ -80,7 +80,7 @@ func NewIncrementalDigest(kind DigestKind, coins hashing.Coins, p Params, d, dHa
 		b.naiveEnc = b.naiveCodec.encoder()
 		b.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), b.naiveCodec.width, 0, coins.Seed("naive/parent", 0))}
 	case DigestNested:
-		b.childCdc = newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d))
+		b.childCdc = newNestedCodec(coins, p, d)
 		b.childEnc = []*childEncoder{b.childCdc.encoder()}
 		b.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), b.childCdc.width, 0, coins.Seed("nested/parent", 0))}
 	case DigestCascade:

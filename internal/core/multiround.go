@@ -204,12 +204,13 @@ func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 
 	}
 	matches := make([]match, 0, len(aliceDiffHashes))
 	sumDi := 0
+	var merged estimator.Estimator // scratch: one differing set's sketch merged with one of Bob's
 	for _, h := range aliceDiffHashes {
 		cs, ok := aliceByHash[h]
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: Alice differing hash unknown", ErrChildDecode)
 		}
-		// Build the per-set sketch once (O(|cs|)), then merge a clone with
+		// Build the per-set sketch once (O(|cs|)), then merge a copy with
 		// each of Bob's sketches in O(1) words — the paper's O(n + d̂²)
 		// matching cost.
 		base := estimator.New(estParams, estSeed)
@@ -218,11 +219,11 @@ func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 
 		}
 		bi, di := -1, math.MaxInt
 		for j, ebj := range lbEst {
-			ea := base.Clone()
-			if err := ea.Merge(ebj); err != nil {
+			merged.CopyFrom(base)
+			if err := merged.Merge(ebj); err != nil {
 				return nil, 0, err
 			}
-			if est := int(ea.Estimate()); est < di {
+			if est := int(merged.Estimate()); est < di {
 				di, bi = est, j
 			}
 		}

@@ -23,7 +23,7 @@ func NestedKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]ui
 	if err != nil {
 		return nil, err
 	}
-	codec := newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d))
+	codec := newNestedCodec(coins, p, d)
 
 	// --- Alice: build EA, insert into a parent holding the full encoding
 	// symmetric difference |EA ⊕ EB| ≤ 2·d̂, send (see nestedAliceMsg). ---
@@ -38,6 +38,11 @@ func NestedKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]ui
 	res.Attempts = 1
 	res.DUsed = d
 	return res, nil
+}
+
+// newNestedCodec is the child codec of Algorithm 1: O(d)-cell child IBLTs.
+func newNestedCodec(coins hashing.Coins, p Params, d int) childCodec {
+	return newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d), p.H)
 }
 
 func nestedBob(coins hashing.Coins, msg []byte, bob [][]uint64, codec childCodec, sk *BobSketch) (*Result, error) {

@@ -90,29 +90,29 @@ type Result3 struct {
 }
 
 // groupCodec encodes a whole group (set of sets) as a fixed-width key: a
-// group IBLT over child encodings plus a group hash.
+// group IBLT over child encodings plus a group hash. Like a child encoding,
+// the group table rides as bare cells; its counts are bounded by the group
+// size S.
 type groupCodec struct {
-	child     childCodec
-	cells     int
-	seed      uint64
-	groupHash uint64
-	width     int
+	child      childCodec
+	cells      int
+	seed       uint64
+	groupHash  uint64
+	countBytes int
+	width      int
 }
 
-func newGroupCodec(coins hashing.Coins, childCells, groupCells int) groupCodec {
-	child := newChildCodec(coins, "nested3/child", 0, childCells)
-	seed := coins.Seed("nested3/group", 0)
+func newGroupCodec(coins hashing.Coins, p Params3, childCells, groupCells int) groupCodec {
+	child := newChildCodec(coins, "nested3/child", 0, childCells, p.H)
+	cb := countBytesFor(p.S)
 	return groupCodec{
-		child:     child,
-		cells:     iblt.RoundCells(groupCells, 0),
-		seed:      seed,
-		groupHash: coins.Seed("nested3/grouphash", 0),
-		width:     iblt.SerializedSizeFor(groupCells, child.width, 0) + 8,
+		child:      child,
+		cells:      iblt.RoundCells(groupCells, 0),
+		seed:       coins.Seed("nested3/group", 0),
+		groupHash:  coins.Seed("nested3/grouphash", 0),
+		countBytes: cb,
+		width:      iblt.CellsSize(groupCells, child.width, 0, cb) + 8,
 	}
-}
-
-func (gc groupCodec) table() *iblt.Table {
-	return iblt.New(gc.cells, gc.child.width, 0, gc.seed)
 }
 
 // hashGroup hashes a group order-invariantly via its child-set hashes.
@@ -126,26 +126,13 @@ func (gc groupCodec) hashGroup(group [][]uint64) uint64 {
 }
 
 func (gc groupCodec) encode(group [][]uint64) []byte {
-	t := gc.table()
+	t := iblt.New(gc.cells, gc.child.width, 0, gc.seed)
 	enc := gc.child.encoder()
 	for _, cs := range group {
 		t.Insert(enc.encode(cs))
 	}
-	buf := t.Marshal()
-	var h [8]byte
-	binary.LittleEndian.PutUint64(h[:], gc.hashGroup(group))
-	return append(buf, h[:]...)
-}
-
-func (gc groupCodec) decode(buf []byte) (*iblt.Table, uint64, error) {
-	if len(buf) != gc.width {
-		return nil, 0, fmt.Errorf("core: group encoding width %d != %d", len(buf), gc.width)
-	}
-	t, err := iblt.Unmarshal(buf[:len(buf)-8])
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil
+	buf := t.AppendCells(make([]byte, 0, gc.width), gc.countBytes)
+	return binary.LittleEndian.AppendUint64(buf, gc.hashGroup(group))
 }
 
 // groupRecoverer carries the scratch for group-level recovery: the group
@@ -172,11 +159,9 @@ func (r *groupRecoverer) decodeEnc(buf []byte) (uint64, error) {
 	if len(buf) != r.gc.width {
 		return 0, fmt.Errorf("core: group encoding width %d != %d", len(buf), r.gc.width)
 	}
-	if err := r.ta.UnmarshalInto(buf[:len(buf)-8]); err != nil {
+	r.ta.Reshape(r.gc.cells, r.gc.child.width, 0, r.gc.seed)
+	if err := r.ta.LoadCells(buf[:len(buf)-8], r.gc.countBytes); err != nil {
 		return 0, err
-	}
-	if r.ta.Width() != r.gc.child.width {
-		return 0, fmt.Errorf("core: group table key width %d != %d", r.ta.Width(), r.gc.child.width)
 	}
 	return binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil
 }
@@ -241,14 +226,6 @@ func (r *groupRecoverer) recoverGroupAgainst(wantHash uint64, candidate [][]uint
 	return recoveredGroup, true
 }
 
-// recoverGroupAgainst is the one-shot form of
-// groupRecoverer.recoverGroupAgainst.
-func (gc groupCodec) recoverGroupAgainst(ta *iblt.Table, wantHash uint64, candidate [][]uint64) ([][]uint64, bool) {
-	r := newGroupRecoverer(gc)
-	r.ta.CopyFrom(ta)
-	return r.recoverGroupAgainst(wantHash, candidate)
-}
-
 // grandparentVerifyLabel names the depth-3 whole-instance hash.
 const grandparentVerifyLabel = "nested3/verify"
 
@@ -271,7 +248,7 @@ func Nested3KnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][][
 		return nil, err
 	}
 	b = b.normalized(p)
-	gc := newGroupCodec(coins, iblt.CellsFor(b.D), iblt.CellsFor(2*b.DChild))
+	gc := newGroupCodec(coins, p, iblt.CellsFor(b.D), iblt.CellsFor(2*b.DChild))
 
 	// --- Alice ---
 	top := iblt.New(iblt.CellsFor(2*b.DGroup), gc.width, 0, coins.Seed("nested3/top", 0))

@@ -16,8 +16,11 @@ import (
 // plan) is a pure function of (kind, coins, p, d, dHat), which the caller
 // persists alongside and passes back to RestoreIncrementalDigest.
 
-// persistFormat versions the digest persistence encoding.
-const persistFormat = 1
+// persistFormat versions the digest persistence encoding. Format 2 has the
+// same framing as format 1; the bump marks that the parent tables inside are
+// keyed by the compact child encodings, so a format-1 blob is refused by
+// version rather than by the key-width check it would also fail.
+const persistFormat = 2
 
 // MarshalBinary serializes the digest's mutable state. The output is not
 // canonical (map iteration order leaks into it); equality of restored

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"sosr/internal/hashing"
@@ -93,6 +95,11 @@ func TestDigestPersistCorrupt(t *testing.T) {
 	}
 	if err := restore(append([]byte{persistFormat + 1}, blob[1:]...)); err == nil {
 		t.Fatal("unknown format restored")
+	}
+	// Format 1 predates the compact child encodings. Its framing is the same,
+	// so even a body that would otherwise load must be refused by version.
+	if err := restore(append([]byte{1}, blob[1:]...)); !errors.Is(err, ErrBadDigest) || !strings.Contains(err.Error(), "format") {
+		t.Fatalf("format-1 blob: got %v, want a format refusal", err)
 	}
 	// Wrong parameters: the table shapes derived from (p, d) won't match.
 	if _, err := RestoreIncrementalDigest(DigestCascade, coins, p, 9, 0, blob); err == nil {

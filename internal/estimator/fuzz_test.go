@@ -102,3 +102,50 @@ func TestCloneIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyFromMatchesCloneWithoutAllocating: the scratch form of Clone used
+// by one-against-many merge loops gives the same estimates as a fresh clone,
+// leaves its source untouched, retargets across parameter sets, and — once
+// its storage has grown — allocates nothing, Estimate included.
+func TestCopyFromMatchesCloneWithoutAllocating(t *testing.T) {
+	params := CompactParams(64)
+	base := New(params, 9)
+	for x := uint64(0); x < 40; x++ {
+		base.Add(x, SideA)
+	}
+	others := make([]*Estimator, 6)
+	for i := range others {
+		others[i] = New(params, 9)
+		for x := uint64(i); x < 40+uint64(3*i); x++ {
+			others[i].Add(x, SideB)
+		}
+	}
+	before := base.Marshal()
+	var scratch Estimator
+	scratch.CopyFrom(New(Params{}, 1)) // a larger, unrelated shape first
+	for _, o := range others {
+		want := base.Clone()
+		if err := want.Merge(o); err != nil {
+			t.Fatal(err)
+		}
+		scratch.CopyFrom(base)
+		if err := scratch.Merge(o); err != nil {
+			t.Fatal(err)
+		}
+		if got := scratch.Estimate(); got != want.Estimate() {
+			t.Fatalf("scratch estimate %d, clone estimate %d", got, want.Estimate())
+		}
+	}
+	if string(base.Marshal()) != string(before) {
+		t.Fatal("merging into the scratch copy changed its source")
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		for _, o := range others {
+			scratch.CopyFrom(base)
+			_ = scratch.Merge(o)
+			_ = scratch.Estimate()
+		}
+	}); n != 0 {
+		t.Fatalf("copy+merge+estimate allocates %.1f per run", n)
+	}
+}

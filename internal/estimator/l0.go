@@ -185,10 +185,19 @@ var ErrIncompatible = errors.New("estimator: incompatible estimators")
 // Clone returns an independent copy (used to merge one sketch against many
 // counterparts, the Theorem 3.9 matching step).
 func (e *Estimator) Clone() *Estimator {
-	out := *e
-	out.words = append([]uint64(nil), e.words...)
-	out.levelHashers = append([]hashing.Pairwise(nil), e.levelHashers...)
-	return &out
+	out := &Estimator{}
+	out.CopyFrom(e)
+	return out
+}
+
+// CopyFrom makes e an independent copy of src, reusing e's storage when it is
+// large enough — the scratch-reuse form of Clone for loops that merge one
+// sketch against many counterparts.
+func (e *Estimator) CopyFrom(src *Estimator) {
+	words, hashers := e.words[:0], e.levelHashers[:0]
+	*e = *src
+	e.words = append(words, src.words...)
+	e.levelHashers = append(hashers, src.levelHashers...)
 }
 
 // Merge folds other into e. This is the O(1)-per-word merge of Appendix A:
@@ -226,7 +235,8 @@ func nonzeroBuckets(w []uint64) int {
 // regime). The final answer is the median over replicas.
 func (e *Estimator) Estimate() uint64 {
 	p := e.params
-	per := make([]uint64, p.Replicas)
+	var few [8]uint64 // the usual replica counts stay on the stack
+	per := few[:0]
 	for r := 0; r < p.Replicas; r++ {
 		star := -1
 		for l := p.Levels - 1; l >= 0; l-- {
@@ -252,13 +262,13 @@ func (e *Estimator) Estimate() uint64 {
 				}
 				total += count
 			}
-			per[r] = uint64(total)
+			per = append(per, uint64(total))
 			continue
 		}
 		// Level i collects a 2^-(i+1) sample; seeing >threshold survivors at
 		// level i* suggests d ≈ 2·threshold·2^(i*+1) in expectation; the
 		// constant is validated by estimator tests and E5.
-		per[r] = uint64(2*threshold) << uint(star+1)
+		per = append(per, uint64(2*threshold)<<uint(star+1))
 	}
 	slices.Sort(per)
 	return per[len(per)/2]

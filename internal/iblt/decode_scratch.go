@@ -91,22 +91,7 @@ func (t *Table) UnmarshalInto(buf []byte) error {
 		return err
 	}
 	t.Reshape(cells, width, k, seed)
-	fillCells(t, buf)
-	return nil
-}
-
-// fillCells copies the cell payload of a validated Marshal buffer into a
-// table already shaped to match.
-func fillCells(t *Table, buf []byte) {
-	off := headerSize
-	for c := 0; c < t.cells; c++ {
-		t.counts[c] = int32(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		copy(t.keySums[c*t.width:(c+1)*t.width], buf[off:off+t.width])
-		off += t.width
-		t.checks[c] = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
+	return t.LoadCells(buf[headerSize:t.SerializedSize()], marshalCountBytes)
 }
 
 // PackedDiff receives DecodePacked results: every peeled key is copied into

@@ -17,6 +17,7 @@
 package iblt
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -137,11 +138,11 @@ func (t *Table) checksumWord(x uint64) uint64 {
 	return hashing.HashWord(t.seed^checksumSalt, x)
 }
 
+// xorKey folds key into a cell's key sum. Keys are up to several hundred
+// bytes when they are child-IBLT encodings, so the XOR runs word-wise.
 func (t *Table) xorKey(cell int, key []byte) {
-	base := cell * t.width
-	for i, b := range key {
-		t.keySums[base+i] ^= b
-	}
+	sum := t.keySums[cell*t.width : (cell+1)*t.width]
+	subtle.XORBytes(sum, sum, key)
 }
 
 func (t *Table) update(key []byte, delta int32) {
@@ -231,9 +232,7 @@ func (t *Table) Subtract(other *Table) error {
 		t.counts[i] -= other.counts[i]
 		t.checks[i] ^= other.checks[i]
 	}
-	for i := range t.keySums {
-		t.keySums[i] ^= other.keySums[i]
-	}
+	subtle.XORBytes(t.keySums, t.keySums, other.keySums)
 	return nil
 }
 
@@ -244,7 +243,13 @@ func (t *Table) IsEmpty() bool {
 			return false
 		}
 	}
-	for _, b := range t.keySums {
+	sums := t.keySums
+	for ; len(sums) >= 8; sums = sums[8:] {
+		if binary.LittleEndian.Uint64(sums) != 0 {
+			return false
+		}
+	}
+	for _, b := range sums {
 		if b != 0 {
 			return false
 		}
@@ -392,13 +397,19 @@ func (t *Table) AppendDecodeUint64(added, removed []uint64) (a, r []uint64, err 
 // SerializedSize returns the exact number of bytes Marshal produces for a
 // table of this shape: a fixed header plus (4 + width + 8) bytes per cell.
 func (t *Table) SerializedSize() int {
-	return headerSize + t.cells*(4+t.width+8)
+	return headerSize + CellsSize(t.cells, t.width, t.k, marshalCountBytes)
 }
 
 // SerializedSizeFor computes the Marshal size for a hypothetical table, used
 // by protocols when budgeting communication.
 func SerializedSizeFor(cells, width, k int) int {
-	return headerSize + RoundCells(cells, k)*(4+width+8)
+	return headerSize + CellsSize(cells, width, k, marshalCountBytes)
+}
+
+// CellsSize is the exact number of bytes AppendCells produces for a table
+// built with New(cells, width, k, _): (countBytes + width + 8) per cell.
+func CellsSize(cells, width, k, countBytes int) int {
+	return RoundCells(cells, k) * (countBytes + width + 8)
 }
 
 // RoundCells returns the actual cell count a table built with New(cells, _,
@@ -418,7 +429,10 @@ func RoundCells(cells, k int) int {
 	return cells
 }
 
-const headerSize = 4 + 4 + 4 + 8 // k, cells, width, seed
+const (
+	headerSize        = 4 + 4 + 4 + 8 // k, cells, width, seed
+	marshalCountBytes = 4             // Marshal keeps every int32 count
+)
 
 // Marshal serializes the table. The layout is fixed-width so an encoding of
 // a child IBLT can be XORed inside a parent table: equal-shaped empty tables
@@ -427,32 +441,97 @@ func (t *Table) Marshal() []byte {
 	return t.AppendMarshal(make([]byte, 0, t.SerializedSize()))
 }
 
-// AppendMarshal appends the Marshal encoding to dst and returns the extended
-// slice, letting encode loops reuse one buffer across many tables.
+// AppendMarshal appends the Marshal encoding — the shape header, then the
+// cells with 4-byte counts — to dst and returns the extended slice, letting
+// encode loops reuse one buffer across many tables.
 func (t *Table) AppendMarshal(dst []byte) []byte {
-	start, need := len(dst), t.SerializedSize()
-	if cap(dst)-start < need {
-		grown := make([]byte, start+need, (start+need)*2)
-		copy(grown, dst)
-		dst = grown
-	} else {
-		dst = dst[:start+need]
+	dst = grow(dst, t.SerializedSize())
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.k))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.cells))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.width))
+	dst = binary.LittleEndian.AppendUint64(dst, t.seed)
+	return t.AppendCells(dst, marshalCountBytes)
+}
+
+// grow returns dst with room for need more bytes, doubling so that a buffer
+// reused across appends settles after one growth.
+func grow(dst []byte, need int) []byte {
+	if cap(dst)-len(dst) >= need {
+		return dst
 	}
+	grown := make([]byte, len(dst), (len(dst)+need)*2)
+	copy(grown, dst)
+	return grown
+}
+
+// AppendCells appends the table's cells with no shape header: per cell the
+// count in countBytes (1, 2 or 4) little-endian bytes, the key sum, and the
+// 8-byte checksum. It is the encoding for a table that rides as a key inside
+// another table, where both parties derive the shape from their plan and the
+// header would repeat in every parent cell. Narrow counts are the count's low
+// bytes and LoadCells zero-extends them, so 1 and 2 bytes suit insert-only
+// tables of fewer than 256 and 65 536 keys; a count that does not fit its
+// width is a caller bug and panics, like a key of the wrong width.
+func (t *Table) AppendCells(dst []byte, countBytes int) []byte {
+	if !validCountBytes(countBytes) {
+		panic(fmt.Sprintf("iblt: count width %d not 1, 2 or 4", countBytes))
+	}
+	start, need := len(dst), CellsSize(t.cells, t.width, t.k, countBytes)
+	dst = grow(dst, need)[:start+need]
 	buf := dst[start:] // every byte below is overwritten; no clearing needed
-	binary.LittleEndian.PutUint32(buf[0:], uint32(t.k))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(t.cells))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(t.width))
-	binary.LittleEndian.PutUint64(buf[12:], t.seed)
-	off := headerSize
+	off := 0
 	for c := 0; c < t.cells; c++ {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(t.counts[c]))
-		off += 4
+		n := uint32(t.counts[c])
+		if countBytes < 4 && n>>(8*countBytes) != 0 {
+			panic(fmt.Sprintf("iblt: count %d does not fit %d bytes", t.counts[c], countBytes))
+		}
+		switch countBytes {
+		case 1:
+			buf[off] = byte(n)
+		case 2:
+			binary.LittleEndian.PutUint16(buf[off:], uint16(n))
+		case 4:
+			binary.LittleEndian.PutUint32(buf[off:], n)
+		}
+		off += countBytes
 		copy(buf[off:], t.keySums[c*t.width:(c+1)*t.width])
 		off += t.width
 		binary.LittleEndian.PutUint64(buf[off:], t.checks[c])
 		off += 8
 	}
 	return dst
+}
+
+func validCountBytes(n int) bool { return n == 1 || n == 2 || n == 4 }
+
+// LoadCells overwrites every cell of t — already shaped by the caller from
+// its plan (New or Reshape) — with an AppendCells encoding of the same count
+// width. buf must be exactly the encoding's length; nothing is allocated, so
+// no size is ever taken from the input.
+func (t *Table) LoadCells(buf []byte, countBytes int) error {
+	if !validCountBytes(countBytes) {
+		return fmt.Errorf("iblt: count width %d not 1, 2 or 4", countBytes)
+	}
+	if need := CellsSize(t.cells, t.width, t.k, countBytes); len(buf) != need {
+		return fmt.Errorf("iblt: cell encoding is %d bytes, shape needs %d", len(buf), need)
+	}
+	off := 0
+	for c := 0; c < t.cells; c++ {
+		switch countBytes {
+		case 1:
+			t.counts[c] = int32(buf[off])
+		case 2:
+			t.counts[c] = int32(binary.LittleEndian.Uint16(buf[off:]))
+		case 4:
+			t.counts[c] = int32(binary.LittleEndian.Uint32(buf[off:]))
+		}
+		off += countBytes
+		copy(t.keySums[c*t.width:(c+1)*t.width], buf[off:off+t.width])
+		off += t.width
+		t.checks[c] = binary.LittleEndian.Uint64(buf[off:])
+		off += 8
+	}
+	return nil
 }
 
 // Unmarshal parses a table serialized by Marshal. The claimed shape is
@@ -465,10 +544,9 @@ func Unmarshal(buf []byte) (*Table, error) {
 		return nil, err
 	}
 	t := New(cells, width, k, seed)
-	if len(buf) < t.SerializedSize() {
-		return nil, fmt.Errorf("iblt: truncated body (%d < %d bytes)", len(buf), t.SerializedSize())
+	if err := t.LoadCells(buf[headerSize:t.SerializedSize()], marshalCountBytes); err != nil {
+		return nil, err
 	}
-	fillCells(t, buf)
 	return t, nil
 }
 

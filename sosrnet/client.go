@@ -357,6 +357,7 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 
 func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config, sp *obs.Span) (*sosr.Result, *NetStats, error) {
 	bob := setutil.CanonicalSets(local)
+	bobH := maxChildLen(bob)
 	ep, cleanup, err := c.session(ctx)
 	if err != nil {
 		return nil, nil, err
@@ -366,13 +367,21 @@ func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, 
 		Dataset: name, Kind: KindSetsOfSets, Seed: cfg.Seed,
 		D: cfg.KnownDiff, Protocol: cfg.Protocol.String(), DHat: cfg.KnownChildDiff,
 		Replicas: cfg.Replicas, S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe,
-		CS: len(bob), CH: maxChildLen(bob), Validate: cfg.Validate,
+		CS: len(bob), CH: bobH, Validate: cfg.Validate,
 	}, sp)
 	if err != nil {
 		return nil, nil, err
 	}
 	p, err := core.Params{S: acc.S, H: acc.H, U: acc.U}.Normalized()
 	if err != nil {
+		return nil, nil, err
+	}
+	// The accepted shape sizes Bob's encoders too: it must cover his data
+	// whether the bound came from his own config or from the peer.
+	if len(bob) > p.S || bobH > p.H {
+		err := fmt.Errorf("%w: local replica (%d child sets, largest %d) exceeds the accepted shape s=%d h=%d",
+			core.ErrInvalidInstance, len(bob), bobH, p.S, p.H)
+		sendDone(ep, false, err, 0)
 		return nil, nil, err
 	}
 	if cfg.Validate {

@@ -57,6 +57,7 @@ const (
 	rejectMisroute       = "misroute"
 	rejectStaleEpoch     = "stale_epoch"
 	rejectBusy           = "busy"
+	rejectInstance       = "invalid_instance"
 )
 
 // metrics lazily registers the server's families on its registry (creating a

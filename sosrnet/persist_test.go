@@ -373,3 +373,101 @@ func TestSnapshotAllCompactsWALs(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverDiscardsFormat1Digest is the upgrade path: a snapshot written
+// before the compact child encodings carries format-1 digest blobs. Recovery
+// must refuse them by format (with a warning, not an error), keep the
+// dataset, and rebuild the digest lazily so the next session's payload is the
+// one a never-restarted server would send.
+func TestRecoverDiscardsFormat1Digest(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA := NewServer()
+	srvA.UseStore(st)
+	seedDatasets(t, srvA)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srvA.Serve(ln) }()
+	// Admit the live digest (second miss of its key, across a version bump)
+	// and snapshot it.
+	live := restoreProbes()["cascade-live"]
+	aliceProbe(t, ln.Addr().String(), live)
+	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9050, 9051}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, want := aliceProbe(t, ln.Addr().String(), live)
+	if err := srvA.SnapshotDataset("docs"); err != nil {
+		t.Fatal(err)
+	}
+	srvA.Close()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+
+	// Rewrite the snapshot as its pre-upgrade self: same framing, format 1.
+	recs, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	downgraded := 0
+	for _, r := range recs {
+		for i := range r.Record.Digests {
+			r.Record.Digests[i].Data[0] = 1
+			downgraded++
+		}
+		if err := st.SaveSnapshot(r.Record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if downgraded == 0 {
+		t.Fatal("no digest was persisted; the test would prove nothing")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var discarded []string
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	var rs RecoveryStats
+	_, addrB, _ := startServer(t, func(s *Server) {
+		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+			if r.Message == "recovery: discarding persisted digest" {
+				r.Attrs(func(a slog.Attr) bool {
+					if a.Key == "err" {
+						discarded = append(discarded, a.Value.String())
+					}
+					return true
+				})
+			}
+		}})
+		s.UseStore(st2)
+		var err error
+		if rs, err = s.Recover(); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+	})
+	if rs.Datasets != 3 || rs.Digests != 0 {
+		t.Fatalf("recovery stats %+v, want 3 datasets and no restored digest", rs)
+	}
+	if len(discarded) != downgraded {
+		t.Fatalf("%d discard warnings for %d format-1 digests", len(discarded), downgraded)
+	}
+	for _, msg := range discarded {
+		if !strings.Contains(msg, "format") {
+			t.Fatalf("digest discarded for %q, want a format refusal", msg)
+		}
+	}
+	if _, got := aliceProbe(t, addrB, live); !bytes.Equal(got, want) {
+		t.Fatalf("payload after discarding the digest differs (%d vs %d bytes)", len(got), len(want))
+	}
+}

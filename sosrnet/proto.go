@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sosr/internal/core"
 	"sosr/internal/wire"
 )
 
@@ -54,7 +55,10 @@ const (
 // protoVersion is the handshake version; bumped on incompatible changes.
 // v2: shard coordinates became (canonical shard-identity hash, count, epoch,
 // order-invariant fingerprint) — replacing the positional shard index.
-const protoVersion = 2
+// v3: child-IBLT keys inside parent tables lost their per-key shape header
+// and carry H-derived count widths, so every nested, cascade, graph and
+// forest payload differs from v2's.
+const protoVersion = 3
 
 // Package errors.
 var (
@@ -86,6 +90,7 @@ const (
 	codeMisroute   = "misroute"
 	codeStaleEpoch = "stale_epoch"
 	codeBusy       = "busy"
+	codeInstance   = "invalid_instance"
 )
 
 // helloMsg opens a session. Zero fields are omitted; kind-specific fields
@@ -221,6 +226,8 @@ func sendErrorFrame(ep *wire.Endpoint, err error) {
 		em.Code = codeMisroute
 	case errors.Is(err, ErrBusy):
 		em.Code = codeBusy
+	case errors.Is(err, core.ErrInvalidInstance):
+		em.Code = codeInstance
 	}
 	_ = ep.SendFrame(lblError, marshalCtl(em))
 }
@@ -239,6 +246,8 @@ func serverError(payload []byte) error {
 		return fmt.Errorf("%w: %w: %s", ErrServer, ErrMisrouted, em.Error)
 	case codeBusy:
 		return fmt.Errorf("%w: %w: %s", ErrServer, ErrBusy, em.Error)
+	case codeInstance:
+		return fmt.Errorf("%w: %w: %s", ErrServer, core.ErrInvalidInstance, em.Error)
 	}
 	return fmt.Errorf("%w: %s", ErrServer, em.Error)
 }

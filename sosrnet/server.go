@@ -737,6 +737,9 @@ func (s *Server) handle(conn net.Conn) {
 		err = fmt.Errorf("%w: kind %q", ErrUnsupported, h.Kind)
 		sendErrorFrame(ep, err)
 	}
+	if errors.Is(err, core.ErrInvalidInstance) {
+		s.reject(sid, remote, rejectInstance, err, tid)
+	}
 	stc.stage.Fail(err)
 	stc.stage.Finish()
 	m.stageTransfer.Observe(time.Since(serveStart).Seconds())
@@ -949,13 +952,20 @@ func resolveSOS(h *helloMsg, alice [][]uint64) (*sosPlan, error) {
 	default:
 		return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
 	}
+	// A derived bound covers the hosted data by construction; an explicit
+	// one must, because every encoder below sizes its buffers and count
+	// widths from it.
 	S := h.S
 	if S <= 0 {
 		S = max(len(alice), h.CS, 1)
+	} else if len(alice) > S {
+		return nil, fmt.Errorf("%w: hosted dataset has %d child sets, hello bounds s=%d", core.ErrInvalidInstance, len(alice), S)
 	}
 	H := h.H
 	if H <= 0 {
 		H = max(maxChildLen(alice), h.CH, 1)
+	} else if m := maxChildLen(alice); m > H {
+		return nil, fmt.Errorf("%w: hosted dataset has a child set of %d elements, hello bounds h=%d", core.ErrInvalidInstance, m, H)
 	}
 	p, err := core.Params{S: S, H: H, U: h.U}.Normalized()
 	if err != nil {
