@@ -49,19 +49,21 @@ type perfBench struct {
 	P95Ms float64 `json:"p95_ms,omitempty"`
 	P99Ms float64 `json:"p99_ms,omitempty"`
 	// BoundRatioMean/BoundRatioMax audit the paper's communication envelope:
-	// protocol bytes divided by the resolved difference bound d̂. Set for the
-	// encode rows (payload bytes ÷ d̂) and, from the servers' sosr_bound_ratio
-	// histogram, for the session rows.
+	// Alice's payload bytes divided by (d̂ differing keys × the table-cell
+	// bytes of one key, core.CellBytes) — the same quantity for every
+	// protocol. Set for the encode rows and, from the servers'
+	// sosr_bound_ratio histogram, for the session rows. (Up to BENCH_pr10.json
+	// the columns held bytes ÷ d̂.)
 	BoundRatioMean float64 `json:"bound_ratio_mean,omitempty"`
 	BoundRatioMax  float64 `json:"bound_ratio_max,omitempty"`
 }
 
 // boundRatio fills the envelope columns for a single encoding of known size.
-func (pb *perfBench) boundRatio(bytes, dHat int) {
-	if dHat <= 0 {
+func (pb *perfBench) boundRatio(bytes, dHat, cellBytes int) {
+	if dHat <= 0 || cellBytes <= 0 {
 		return
 	}
-	r := float64(bytes) / float64(dHat)
+	r := float64(bytes) / (float64(dHat) * float64(cellBytes))
 	pb.BoundRatioMean, pb.BoundRatioMax = r, r
 }
 
@@ -154,7 +156,7 @@ func perfJSON(w io.Writer) error {
 			setrecon.BuildIBLTMsg(coins, setAlice, 64)
 		}
 	})
-	setEncode.boundRatio(len(setMsg), 64)
+	setEncode.boundRatio(len(setMsg), 64, 8+4+8)
 	report.Benchmarks = append(report.Benchmarks, setEncode)
 	report.Benchmarks = append(report.Benchmarks, perfRow("set/decode-d64", func(b *testing.B) {
 		b.ReportAllocs()
@@ -195,7 +197,7 @@ func perfJSON(w io.Writer) error {
 				}
 			}
 		})
-		encRow.boundRatio(len(msg), dHat)
+		encRow.boundRatio(len(msg), dHat, core.CellBytes(cfg.kind, p, cfg.d))
 		report.Benchmarks = append(report.Benchmarks, encRow)
 		report.Benchmarks = append(report.Benchmarks, perfRow(cfg.name+"-decode", func(b *testing.B) {
 			b.ReportAllocs()
@@ -324,6 +326,7 @@ func netSessions(alice, bob [][]uint64, clients int, dur time.Duration) (perfBen
 
 	// Warm up (connection setup, and at PR 4 the server-side encode cache).
 	warm := sosrnet.Dial(addr)
+	defer warm.Close()
 	if _, _, err := warm.SetsOfSets(context.Background(), "docs", bob, cfg); err != nil {
 		return perfBench{}, fmt.Errorf("warmup session: %w", err)
 	}
@@ -337,6 +340,7 @@ func netSessions(alice, bob [][]uint64, clients int, dur time.Duration) (perfBen
 		go func() {
 			defer wg.Done()
 			c := sosrnet.Dial(addr)
+			defer c.Close()
 			for time.Now().Before(deadline) {
 				if _, _, err := c.SetsOfSets(context.Background(), "docs", bob, cfg); err != nil {
 					failed.Add(1)
@@ -404,6 +408,7 @@ func shardedSessions(alice, bob [][]uint64, shards, clients int, dur time.Durati
 	if err != nil {
 		return perfBench{}, err
 	}
+	defer c.Close()
 	cfg := sosr.Config{Seed: 7, Protocol: sosr.ProtocolCascade, KnownDiff: 32}
 	if _, _, err := c.SetsOfSets(context.Background(), "docs", bob, cfg); err != nil {
 		return perfBench{}, fmt.Errorf("sharded warmup: %w", err)

@@ -542,6 +542,7 @@ func cmdShardSync(args []string) {
 	if err != nil {
 		fatal("dialing shards failed", "err", err.Error())
 	}
+	defer c.Close()
 	c.HedgeDelay = *hedge
 	c.PerShardDiff = *perShardD
 	c.Logger = logger
@@ -677,6 +678,7 @@ func cmdSync(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	c := sosrnet.Dial(*addr)
+	defer c.Close()
 	switch sosrnet.Kind(*kind) {
 	case sosrnet.KindSet:
 		res, ns, err := c.Sets(ctx, *name, local.Elems, sosr.SetConfig{Seed: *seed, KnownDiff: *d, UseCharPoly: *charpoly})
@@ -757,7 +759,9 @@ func cmdDemo() {
 	if err != nil {
 		fatal("in-process reconcile failed", "err", err.Error())
 	}
-	res, ns, err := sosrnet.Dial(ln.Addr().String()).SetsOfSets(context.Background(), "docs", replica.Parents, cfg)
+	client := sosrnet.Dial(ln.Addr().String())
+	defer client.Close()
+	res, ns, err := client.SetsOfSets(context.Background(), "docs", replica.Parents, cfg)
 	if err != nil {
 		fatal("demo sync failed", "err", err.Error())
 	}

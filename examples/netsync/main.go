@@ -60,6 +60,7 @@ func main() {
 
 	// --- Client machine (only the address and the seed are shared) ---
 	client := sosrnet.Dial(ln.Addr().String())
+	defer client.Close() // sessions reuse the connection; Close releases it
 	res, ns, err := client.SetsOfSets(context.Background(), "corpus", replica, sosr.Config{
 		Seed:      1234,
 		KnownDiff: d, // or 0 for the estimator/doubling variants

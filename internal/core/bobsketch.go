@@ -25,6 +25,7 @@ type BobSketch struct {
 	dHat int
 	seed uint64 // coins.Master(): aggregates are only valid under these coins
 
+	plan      *cascadePlan  // DigestCascade: the sizes and seeds of this shape, derived once
 	tables    []*iblt.Table // per parent level, aggregate of enc(cs) for all of Bob's children
 	star      *iblt.Table   // cascade T* aggregate (nil when the plan has no star)
 	bobHashes []uint64      // per-child-set hash under childSeed(coins), aligned with the parent set
@@ -70,6 +71,7 @@ func NewBobSketch(kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params
 		sk.tables = []*iblt.Table{t}
 	case DigestCascade:
 		plan := newCascadePlan(coins, p, d)
+		sk.plan = plan
 		enc := plan.level[0].encoder()
 		for i := 1; i <= plan.t; i++ {
 			enc.reuse(plan.level[i-1])
@@ -151,7 +153,7 @@ func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]u
 	case DigestNested:
 		res, err = nestedBob(coins, body, bob, newNestedCodec(coins, np, d), sk)
 	case DigestCascade:
-		res, err = cascadeBob(coins, newCascadePlan(coins, np, d), body, bob, sk)
+		res, err = cascadeBob(coins, sk.plan, body, bob, sk)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
 	}

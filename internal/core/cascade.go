@@ -3,7 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
+	"slices"
+	"sync"
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
@@ -57,15 +58,8 @@ type cascadePlan struct {
 }
 
 func newCascadePlan(coins hashing.Coins, p Params, d int) *cascadePlan {
-	md := d
-	if p.H < md {
-		md = p.H
-	}
-	t := bits.Len(uint(md - 1)) // ⌈log2 md⌉ for md ≥ 2
-	if t < 1 {
-		t = 1
-	}
-	plan := &cascadePlan{p: p, d: d, t: t, star: d >= p.H, coins: coins}
+	t, star := cascadeLevels(p, d)
+	plan := &cascadePlan{p: p, d: d, t: t, star: star, coins: coins, level: make([]childCodec, 0, t)}
 	for i := 1; i <= t; i++ {
 		plan.level = append(plan.level, newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p.H))
 	}
@@ -115,7 +109,123 @@ func (pl *cascadePlan) msgSize() int {
 	return n + 8
 }
 
+// cascadeBob is Bob's side of Algorithm 2. All of its scratch lives in a
+// pooled workspace; the Result is copied out of it (assembleHashed, sortSets)
+// and shares no memory with it, with msg, or with bob's child slices beyond
+// what those copies read.
 func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint64, sk *BobSketch) (*Result, error) {
+	w := cascadeWorkPool.Get().(*cascadeWork)
+	res, err := w.run(coins, plan, msg, bob, sk)
+	w.release()
+	cascadeWorkPool.Put(w)
+	return res, err
+}
+
+var cascadeWorkPool = sync.Pool{New: func() any { return new(cascadeWork) }}
+
+// cascadeWork is the scratch of one cascadeBob run: the split message, the
+// hash indexes, the reusable tables and the encoders. A hot decode (same
+// shape as the one before it on this workspace) finds every buffer already
+// large enough and allocates only its Result. Nothing in a released
+// workspace refers to the caller's message or parent set, so the pool pins
+// no caller data.
+type cascadeWork struct {
+	frames      [][]byte            // per-level table bodies, slices of the message
+	byHash      map[uint64][]uint64 // Bob's child set by its hash
+	removed     map[uint64]bool     // hashes of D_B, Bob's differing child sets
+	outstanding map[uint64]bool     // Alice's differing child-set hashes not yet recovered
+	recovered   map[uint64][]uint64 // Alice's child hash -> recovered set
+	dA, dB      [][]uint64          // recovered sets (in rec's arena) and Bob's differing sets
+	hashes      []uint64            // Bob's child hashes, computed here when no sketch has them
+	parent      iblt.Table          // one parent table, reshaped for every level
+	diff        iblt.PackedDiff
+	rec         childRecoverer
+	enc         childEncoder
+	star        naiveEncoder
+
+	// Per run, dropped by release.
+	bob       [][]uint64
+	bobHashes []uint64 // hashes, or the sketch's
+	peels     int
+}
+
+// release drops every reference to the finished run's inputs and empties the
+// collections, keeping their storage.
+func (w *cascadeWork) release() {
+	clear(w.frames[:cap(w.frames)])
+	clear(w.dB[:cap(w.dB)])
+	clear(w.dA[:cap(w.dA)])
+	w.frames, w.dA, w.dB = w.frames[:0], w.dA[:0], w.dB[:0]
+	clear(w.byHash)
+	clear(w.removed)
+	clear(w.outstanding)
+	clear(w.recovered)
+	w.rec.forget()
+	w.bob, w.bobHashes, w.peels = nil, nil, 0
+}
+
+// encoder retargets the workspace's child encoder at codec.
+func (w *cascadeWork) encoder(codec childCodec) *childEncoder {
+	w.enc.reuse(codec)
+	return &w.enc
+}
+
+// loadParent parses a level's table body into the parent scratch and removes
+// Bob's children from it: all of them when skipRemoved is false, all except
+// D_B otherwise. With a sketch that is one subtraction of its aggregate (plus
+// re-inserting D_B); without, every child is re-encoded.
+func (w *cascadeWork) loadParent(body []byte, codec childCodec, agg *iblt.Table, skipRemoved bool) error {
+	if err := w.parent.UnmarshalInto(body); err != nil {
+		return err
+	}
+	if w.parent.Width() != codec.width {
+		return fmt.Errorf("%w: parent key width %d != %d", ErrParentDecode, w.parent.Width(), codec.width)
+	}
+	if agg != nil {
+		if err := w.parent.Subtract(agg); err != nil {
+			return fmt.Errorf("%w: %v", ErrParentDecode, err)
+		}
+		if skipRemoved { // re-insert D_B: net effect is "delete all except D_B"
+			e := w.encoder(codec)
+			for i, cs := range w.bob {
+				if w.removed[w.bobHashes[i]] {
+					w.parent.Insert(e.encode(cs))
+				}
+			}
+		}
+		return nil
+	}
+	e := w.encoder(codec)
+	for i, cs := range w.bob {
+		if !skipRemoved || !w.removed[w.bobHashes[i]] {
+			w.parent.Delete(e.encode(cs))
+		}
+	}
+	return nil
+}
+
+// tryRecover parses one of Alice's differing child encodings at the current
+// level (w.rec.c) and tries to rebuild her child set from it against D_B.
+func (w *cascadeWork) tryRecover(e []byte) error {
+	hA, err := w.rec.decodeEnc(e)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrChildDecode, err)
+	}
+	if !w.outstanding[hA] {
+		if _, done := w.recovered[hA]; done {
+			return nil // already recovered at an earlier level
+		}
+		w.outstanding[hA] = true // first sighting (level 1 adds its own below)
+	}
+	if r, ok := w.rec.recoverFromCandidates(hA, w.dB); ok {
+		w.recovered[hA] = r
+		delete(w.outstanding, hA)
+		w.dA = append(w.dA, r)
+	}
+	return nil
+}
+
+func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint64, sk *BobSketch) (*Result, error) {
 	if len(msg) < 4+1+8 {
 		return nil, fmt.Errorf("core: short cascade message")
 	}
@@ -127,16 +237,15 @@ func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint
 		return nil, fmt.Errorf("%w: Bob sketch level mismatch", ErrBadDigest)
 	}
 	// Split the message into per-level frames up front; each level's table is
-	// parsed lazily into one scratch table reused across levels.
+	// parsed lazily into the one parent scratch table.
 	off := 4
-	frames := make([][]byte, t)
 	for i := 0; i < t; i++ {
 		body, n, err := readFramed(msg[off:])
 		if err != nil {
 			return nil, err
 		}
 		off += n
-		frames[i] = body
+		w.frames = append(w.frames, body)
 	}
 	if off >= len(msg) {
 		return nil, fmt.Errorf("core: cascade message missing star flag")
@@ -162,64 +271,24 @@ func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint
 	wantParent := binary.LittleEndian.Uint64(msg[off:])
 
 	chs := childSeed(coins)
-	var bobHashes []uint64
+	w.bob = bob
 	if sk != nil {
-		bobHashes = sk.bobHashes
+		w.bobHashes = sk.bobHashes
 	} else {
-		bobHashes = make([]uint64, len(bob))
+		w.hashes = slices.Grow(w.hashes[:0], len(bob))[:len(bob)]
 		for i, cs := range bob {
-			bobHashes[i] = setutil.Hash(chs, cs)
+			w.hashes[i] = setutil.Hash(chs, cs)
 		}
+		w.bobHashes = w.hashes
 	}
-	byHash := make(map[uint64][]uint64, len(bob))
+	if w.byHash == nil {
+		w.byHash = make(map[uint64][]uint64, len(bob))
+		w.removed = make(map[uint64]bool)
+		w.outstanding = make(map[uint64]bool)
+		w.recovered = make(map[uint64][]uint64)
+	}
 	for i, cs := range bob {
-		byHash[bobHashes[i]] = cs
-	}
-
-	// Per-level scratch, shared across the whole receive path.
-	var parent iblt.Table
-	var diff iblt.PackedDiff
-	var rec childRecoverer
-	var enc *childEncoder
-	getEnc := func(c childCodec) *childEncoder {
-		if enc == nil {
-			enc = c.encoder()
-		} else {
-			enc.reuse(c)
-		}
-		return enc
-	}
-	peels := 0
-	// loadParent parses level frame body and subtracts Bob's aggregate (from
-	// the sketch, or by re-encoding every child not in skip).
-	loadParent := func(body []byte, codec childCodec, agg *iblt.Table, skip map[uint64]bool) error {
-		if err := parent.UnmarshalInto(body); err != nil {
-			return err
-		}
-		if parent.Width() != codec.width {
-			return fmt.Errorf("%w: parent key width %d != %d", ErrParentDecode, parent.Width(), codec.width)
-		}
-		if agg != nil {
-			if err := parent.Subtract(agg); err != nil {
-				return fmt.Errorf("%w: %v", ErrParentDecode, err)
-			}
-			if skip != nil { // re-insert D_B: net effect is "delete all except D_B"
-				e := getEnc(codec)
-				for i, cs := range bob {
-					if skip[bobHashes[i]] {
-						parent.Insert(e.encode(cs))
-					}
-				}
-			}
-			return nil
-		}
-		e := getEnc(codec)
-		for i, cs := range bob {
-			if skip == nil || !skip[bobHashes[i]] {
-				parent.Delete(e.encode(cs))
-			}
-		}
-		return nil
+		w.byHash[w.bobHashes[i]] = cs
 	}
 
 	// --- Level 1: delete all of Bob's encodings, find D_B and the full set
@@ -229,59 +298,35 @@ func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint
 	if sk != nil {
 		agg1 = sk.tables[0]
 	}
-	if err := loadParent(frames[0], codec1, agg1, nil); err != nil {
+	if err := w.loadParent(w.frames[0], codec1, agg1, false); err != nil {
 		return nil, err
 	}
-	if err := parent.DecodePacked(&diff); err != nil {
+	if err := w.parent.DecodePacked(&w.diff); err != nil {
 		return nil, fmt.Errorf("%w: level 1: %v", ErrParentDecode, err)
 	}
-	peels += parent.PeelCount()
-	var dB [][]uint64
-	removedHashes := make(map[uint64]bool, len(diff.Removed))
-	for _, e := range diff.Removed {
+	w.peels += w.parent.PeelCount()
+	for _, e := range w.diff.Removed {
 		h, err := codec1.encHash(e)
 		if err != nil {
 			return nil, fmt.Errorf("%w: level 1: %v", ErrChildDecode, err)
 		}
-		cs, ok := byHash[h]
+		cs, ok := w.byHash[h]
 		if !ok {
 			return nil, fmt.Errorf("%w: level 1 removed hash unknown", ErrChildDecode)
 		}
-		dB = append(dB, cs)
-		removedHashes[h] = true
+		w.dB = append(w.dB, cs)
+		w.removed[h] = true
 	}
-	// outstanding: Alice's differing child-set hashes not yet recovered.
-	outstanding := make(map[uint64]bool, len(diff.Added))
-	var dA [][]uint64
-	recovered := make(map[uint64][]uint64) // alice child hash -> recovered set
-	tryRecover := func(e []byte) error {
-		hA, err := rec.decodeEnc(e)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrChildDecode, err)
-		}
-		if !outstanding[hA] {
-			if _, done := recovered[hA]; done {
-				return nil // already recovered at an earlier level
-			}
-			outstanding[hA] = true // first sighting (level 1 path adds below)
-		}
-		if r, ok := rec.recoverFromCandidates(hA, dB); ok {
-			recovered[hA] = r
-			delete(outstanding, hA)
-			dA = append(dA, r)
-		}
-		return nil
-	}
-	for _, e := range diff.Added {
+	for _, e := range w.diff.Added {
 		hA, err := codec1.encHash(e)
 		if err != nil {
 			return nil, fmt.Errorf("%w: level 1: %v", ErrChildDecode, err)
 		}
-		outstanding[hA] = true
+		w.outstanding[hA] = true
 	}
-	rec.c = codec1
-	for _, e := range diff.Added {
-		if err := tryRecover(e); err != nil {
+	w.rec.c = codec1
+	for _, e := range w.diff.Added {
+		if err := w.tryRecover(e); err != nil {
 			return nil, err
 		}
 	}
@@ -289,29 +334,29 @@ func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint
 	// --- Levels 2..t: delete everything known, extract the remainder. ---
 	for i := 2; i <= t; i++ {
 		codec := plan.level[i-1]
-		rec.c = codec
+		w.rec.c = codec
 		var agg *iblt.Table
 		if sk != nil {
 			agg = sk.tables[i-1]
 		}
-		if err := loadParent(frames[i-1], codec, agg, removedHashes); err != nil {
+		if err := w.loadParent(w.frames[i-1], codec, agg, true); err != nil {
 			return nil, err
 		}
-		e := getEnc(codec)
-		for _, r := range recovered { // all of D_A so far
-			parent.Delete(e.encode(r))
+		e := w.encoder(codec)
+		for _, r := range w.recovered { // all of D_A so far
+			w.parent.Delete(e.encode(r))
 		}
-		if err := parent.DecodePacked(&diff); err != nil {
+		if err := w.parent.DecodePacked(&w.diff); err != nil {
 			// A parent-level peel failure at level i is fatal only if the
 			// stragglers cannot be caught later; report it.
 			return nil, fmt.Errorf("%w: level %d: %v", ErrParentDecode, i, err)
 		}
-		peels += parent.PeelCount()
-		if len(diff.Removed) != 0 {
+		w.peels += w.parent.PeelCount()
+		if len(w.diff.Removed) != 0 {
 			return nil, fmt.Errorf("%w: level %d: unexpected negative keys", ErrParentDecode, i)
 		}
-		for _, e := range diff.Added {
-			if err := tryRecover(e); err != nil {
+		for _, e := range w.diff.Added {
+			if err := w.tryRecover(e); err != nil {
 				return nil, err
 			}
 		}
@@ -319,62 +364,62 @@ func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint
 
 	// --- T*: full encodings for anything still outstanding. ---
 	if starFrame != nil {
-		if err := parent.UnmarshalInto(starFrame); err != nil {
+		if err := w.parent.UnmarshalInto(starFrame); err != nil {
 			return nil, err
 		}
-		if parent.Width() != plan.starCodec.width {
-			return nil, fmt.Errorf("%w: T* key width %d != %d", ErrParentDecode, parent.Width(), plan.starCodec.width)
+		if w.parent.Width() != plan.starCodec.width {
+			return nil, fmt.Errorf("%w: T* key width %d != %d", ErrParentDecode, w.parent.Width(), plan.starCodec.width)
 		}
-		starEnc := plan.starCodec.encoder()
+		w.star.reuse(plan.starCodec)
 		if sk != nil {
-			if err := parent.Subtract(sk.star); err != nil {
+			if err := w.parent.Subtract(sk.star); err != nil {
 				return nil, fmt.Errorf("%w: T*: %v", ErrParentDecode, err)
 			}
 			for i, cs := range bob {
-				if removedHashes[bobHashes[i]] {
-					parent.Insert(starEnc.encode(cs))
+				if w.removed[w.bobHashes[i]] {
+					w.parent.Insert(w.star.encode(cs))
 				}
 			}
 		} else {
 			for i, cs := range bob {
-				if !removedHashes[bobHashes[i]] {
-					parent.Delete(starEnc.encode(cs))
+				if !w.removed[w.bobHashes[i]] {
+					w.parent.Delete(w.star.encode(cs))
 				}
 			}
 		}
-		for _, r := range recovered {
-			parent.Delete(starEnc.encode(r))
+		for _, r := range w.recovered {
+			w.parent.Delete(w.star.encode(r))
 		}
-		if err := parent.DecodePacked(&diff); err != nil {
+		if err := w.parent.DecodePacked(&w.diff); err != nil {
 			return nil, fmt.Errorf("%w: T*: %v", ErrParentDecode, err)
 		}
-		peels += parent.PeelCount()
-		if len(diff.Removed) != 0 {
+		w.peels += w.parent.PeelCount()
+		if len(w.diff.Removed) != 0 {
 			return nil, fmt.Errorf("%w: T*: unexpected negative keys", ErrParentDecode)
 		}
-		for _, e := range diff.Added {
+		for _, e := range w.diff.Added {
 			cs, err := plan.starCodec.decode(e)
 			if err != nil {
 				return nil, fmt.Errorf("%w: T*: %v", ErrChildDecode, err)
 			}
 			h := setutil.Hash(chs, cs)
-			if _, done := recovered[h]; done {
+			if _, done := w.recovered[h]; done {
 				continue
 			}
-			recovered[h] = cs
-			delete(outstanding, h)
-			dA = append(dA, cs)
+			w.recovered[h] = cs
+			delete(w.outstanding, h)
+			w.dA = append(w.dA, cs)
 		}
 	}
 
-	if len(outstanding) != 0 {
-		return nil, fmt.Errorf("%w: %d child sets unrecovered", ErrChildDecode, len(outstanding))
+	if len(w.outstanding) != 0 {
+		return nil, fmt.Errorf("%w: %d child sets unrecovered", ErrChildDecode, len(w.outstanding))
 	}
-	final := assembleHashed(bob, bobHashes, dA, removedHashes)
+	final := assembleHashed(bob, w.bobHashes, w.dA, w.removed)
 	if parentHash(coins, final) != wantParent {
 		return nil, ErrVerify
 	}
-	return &Result{Recovered: final, Added: sortSets(dA), Removed: sortSets(dB), PeelIterations: peels + rec.peels}, nil
+	return &Result{Recovered: final, Added: sortSets(w.dA), Removed: sortSets(w.dB), PeelIterations: w.peels + w.rec.peels}, nil
 }
 
 // CascadeUnknownD solves SSRU per Corollary 3.8: repeated doubling over d

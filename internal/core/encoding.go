@@ -65,7 +65,16 @@ type naiveEncoder struct {
 }
 
 func (c naiveCodec) encoder() *naiveEncoder {
-	return &naiveEncoder{c: c, buf: make([]byte, c.width)}
+	e := &naiveEncoder{}
+	e.reuse(c)
+	return e
+}
+
+// reuse retargets the encoder at another codec, keeping its buffer when it
+// is large enough.
+func (e *naiveEncoder) reuse(c naiveCodec) {
+	e.c = c
+	e.buf = slices.Grow(e.buf[:0], c.width)[:c.width]
 }
 
 func (e *naiveEncoder) encode(cs []uint64) []byte { return e.c.encodeInto(e.buf, cs) }
@@ -123,7 +132,7 @@ func newChildCodec(coins hashing.Coins, label string, level, cells, maxLen int) 
 		seed:       coins.Seed(label+"/cells", level),
 		hash:       coins.Seed(childHashLabel, 0),
 		countBytes: cb,
-		width:      iblt.CellsSize(cells, iblt.WordWidth, 0, cb) + 8,
+		width:      childWidth(cells, maxLen),
 	}
 }
 
@@ -210,8 +219,9 @@ func (c childCodec) encHash(buf []byte) (uint64, error) {
 // receive path parses one child IBLT per differing encoding and tries many
 // candidate subtractions against it, so all the tables, peel queues, and diff
 // slices live here and are reused across encodings, candidates, and cascade
-// levels. Only a verified recovery allocates (the returned set must outlive
-// the scratch). The zero value is ready after setting c.
+// levels. Verified recoveries are packed into the kept arena, which outlives
+// the per-candidate scratch: they stay valid until forget. The zero value is
+// ready after setting c.
 type childRecoverer struct {
 	c     childCodec
 	ta    iblt.Table // Alice's child table, parsed once per encoding
@@ -220,7 +230,27 @@ type childRecoverer struct {
 	add   []uint64
 	rem   []uint64
 	merge []uint64
-	peels int // total child peel iterations (for observability)
+	kept  []uint64 // arena of the verified recoveries handed out
+	peels int      // total child peel iterations (for observability)
+}
+
+// keep copies a verified recovery into the arena. A full arena is replaced
+// by a larger one rather than grown, so the sets already handed out keep
+// their backing.
+func (r *childRecoverer) keep(cs []uint64) []uint64 {
+	if cap(r.kept)-len(r.kept) < len(cs) {
+		r.kept = make([]uint64, 0, max(2*cap(r.kept), len(cs), 256))
+	}
+	n := len(r.kept)
+	r.kept = append(r.kept, cs...)
+	return r.kept[n:len(r.kept):len(r.kept)]
+}
+
+// forget invalidates every recovery handed out so far and restarts the peel
+// count, so a pooled recoverer can serve the next decode from the same arena.
+func (r *childRecoverer) forget() {
+	r.kept = r.kept[:0]
+	r.peels = 0
 }
 
 // decodeEnc parses a fixed-width child encoding into the scratch table and
@@ -232,8 +262,8 @@ func (r *childRecoverer) decodeEnc(buf []byte) (uint64, error) {
 // recoverAgainst tries to reconstruct Alice's child set from the last parsed
 // child IBLT (with attached hash wantHash) using candidate as Bob's
 // counterpart: the candidate's IBLT is subtracted, the difference peeled, and
-// candidate patched by it. The result is returned (freshly allocated) only
-// if it verifies against wantHash.
+// candidate patched by it. The result is returned (packed into the kept
+// arena) only if it verifies against wantHash.
 func (r *childRecoverer) recoverAgainst(wantHash uint64, candidate []uint64) ([]uint64, bool) {
 	r.diff.CopyFrom(&r.ta)
 	r.tb.Reshape(r.c.cells, iblt.WordWidth, 0, r.c.seed)
@@ -253,7 +283,7 @@ func (r *childRecoverer) recoverAgainst(wantHash uint64, candidate []uint64) ([]
 	if setutil.Hash(r.c.hash, rec) != wantHash {
 		return nil, false
 	}
-	return append([]uint64(nil), rec...), true
+	return r.keep(rec), true
 }
 
 // applyDiff computes (candidate \ rem) ∪ add in canonical order into the

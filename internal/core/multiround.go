@@ -244,9 +244,7 @@ func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 
 	binary.LittleEndian.PutUint32(round3, uint32(len(matches)))
 	for _, m := range matches {
 		budget := m.di*EstimatorSafety + 2
-		if budget > 2*p.H+2 {
-			budget = 2*p.H + 2
-		}
+		budget = min(budget, mrPairBudgetCap(p))
 		var kind byte
 		var body []byte
 		if m.di >= sqrtD {

@@ -167,6 +167,13 @@ type GraphMsgs struct {
 	Edges []byte
 }
 
+// DegreeOrderSigShape returns the sets-of-sets shape and difference bound the
+// signature collections of two n-vertex graphs reconcile under: what sizes
+// the cascade payload of Theorem 5.2, whatever the graphs hold.
+func DegreeOrderSigShape(n int, p DegreeOrderParams) (core.Params, int) {
+	return core.Params{S: n, H: p.H, U: uint64(p.H)}, max(p.D, 1)
+}
+
 // DegreeOrderAlice builds Alice's Theorem 5.2 transmission from her graph
 // alone, for split-party deployments; DegreeOrderApply is Bob's half. The
 // payloads are byte-identical to what the in-process protocol sends.
@@ -187,8 +194,8 @@ func DegreeOrderAlice(coins hashing.Coins, ga *graph.Graph, p DegreeOrderParams)
 		edgeT.InsertUint64(e)
 	}
 	edgePayload := append(edgeT.Marshal(), u64le(setutil.Hash(coins.Seed("graphrecon/edgeverify", 0), edgeSetA))...)
-	sigParams := core.Params{S: n, H: h, U: uint64(h)}
-	sigMsg, err := core.AliceMsg(core.DigestCascade, coins.Sub("graphrecon/sig", 0), parentA, sigParams, max(d, 1), 0)
+	sigParams, sigD := DegreeOrderSigShape(n, p)
+	sigMsg, err := core.AliceMsg(core.DigestCascade, coins.Sub("graphrecon/sig", 0), parentA, sigParams, sigD, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +214,8 @@ func DegreeOrderApply(coins hashing.Coins, gb *graph.Graph, p DegreeOrderParams,
 	if err != nil {
 		return nil, err
 	}
-	sigParams := core.Params{S: n, H: h, U: uint64(h)}
-	res, err := core.ApplyMsg(core.DigestCascade, coins.Sub("graphrecon/sig", 0), sigMsg, parentB, sigParams, max(d, 1), 0)
+	sigParams, sigD := DegreeOrderSigShape(n, p)
+	res, err := core.ApplyMsg(core.DigestCascade, coins.Sub("graphrecon/sig", 0), sigMsg, parentB, sigParams, sigD, 0)
 	if err != nil {
 		return nil, fmt.Errorf("graphrecon: signature reconciliation: %w", err)
 	}

@@ -150,10 +150,13 @@ func NeighborhoodEncode(g *graph.Graph, m int) (*NbrSide, error) {
 	return &NbrSide{Sigs: sigs, Packed: packed, MaxSig: maxChildSize(packed)}, nil
 }
 
-// neighborhoodSigParams derives the shared signature-reconciliation shape
-// from the negotiated maximum packed signature size.
-func neighborhoodSigParams(n, maxSig, budget int) core.Params {
-	return core.Params{S: n, H: maxSig + 2*budget, U: 0}
+// NeighborhoodSigShape returns the sets-of-sets shape and difference bound
+// the packed signature collections of two n-vertex graphs reconcile under,
+// given the negotiated maximum packed signature size: what sizes the cascade
+// payload of Theorem 5.6.
+func NeighborhoodSigShape(n int, p NeighborhoodParams, maxSig int) (core.Params, int) {
+	budget := NeighborhoodBudget(p)
+	return core.Params{S: n, H: maxSig + 2*budget, U: 0}, budget
 }
 
 // NeighborhoodBudget resolves the signature-reconciliation budget (SigBudget
@@ -184,7 +187,8 @@ func NeighborhoodAlice(coins hashing.Coins, ga *graph.Graph, p NeighborhoodParam
 		edgeT.InsertUint64(e)
 	}
 	edgePayload := append(edgeT.Marshal(), u64le(setutil.Hash(coins.Seed("graphrecon/nbr-edgeverify", 0), edgeSetA))...)
-	sigParams, err := neighborhoodSigParams(n, maxSig, budget).Normalized()
+	sigShape, _ := NeighborhoodSigShape(n, p, maxSig)
+	sigParams, err := sigShape.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +210,8 @@ func NeighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParam
 	if err != nil {
 		return nil, err
 	}
-	sigParams, err := neighborhoodSigParams(n, maxSig, budget).Normalized()
+	sigShape, _ := NeighborhoodSigShape(n, p, maxSig)
+	sigParams, err := sigShape.Normalized()
 	if err != nil {
 		return nil, err
 	}

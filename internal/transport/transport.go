@@ -95,6 +95,13 @@ func (s *Session) Record(from Role, label string, size int) {
 	s.msgs = append(s.msgs, Msg{From: from, Label: label, Bytes: size})
 }
 
+// Reset empties the session for the next conversation on the same link,
+// keeping its message storage (and whether it records payloads).
+func (s *Session) Reset() {
+	clear(s.payloads)
+	*s = Session{msgs: s.msgs[:0], payloads: s.payloads[:0], keepBytes: s.keepBytes, tamper: s.tamper}
+}
+
 // Send transmits payload from the given role and returns the bytes as the
 // receiving party sees them (a defensive copy, so a sender mutating its
 // buffer afterwards cannot leak state across the "wire").

@@ -16,11 +16,15 @@ import (
 // Stats()/Rounds() report exactly what the in-process simulation would;
 // control frames ("ctl/...") count only toward WireBytes.
 //
+// A connection may carry several sessions one after the other: EndSession
+// closes one session's books, so the next starts from zero and reports what
+// a session on a connection of its own would.
+//
 // transport.Channel has no error returns, so I/O failures follow the
 // bufio.Writer model: the first error sticks, subsequent operations are
 // no-ops returning empty payloads, and callers check Err() (the
 // error-returning SendFrame/RecvFrame API is preferred for drivers). An
-// Endpoint is not safe for concurrent use; each session owns one.
+// Endpoint is not safe for concurrent use; one session at a time owns it.
 type Endpoint struct {
 	rw         io.ReadWriter
 	local      transport.Role
@@ -33,16 +37,23 @@ type Endpoint struct {
 	// other report (NetStats, session logs, /metrics) derives from them.
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
-	wbuf     []byte // reusable frame-encode scratch (SendFrame)
 
-	// rbufs is the bounded read ring: each received frame lands in the next
-	// slot, so a payload returned by RecvFrame stays valid for at least
-	// readRingSlots − (readAheadDepth + 1) further receives — comfortably
-	// above the two concurrently held payloads any protocol flow needs
-	// (graph/forest signature + edge/meta frames). rnext is owned by the
-	// session goroutine, or by the read-ahead goroutine once one is started.
-	rbufs [readRingSlots][]byte
-	rnext int
+	// Reader state, owned by the goroutine that reads frames off the
+	// connection: the session goroutine, or the read-ahead goroutine once one
+	// is started. hdr receives each frame header, so a reader blocked on an
+	// idle connection holds these ten bytes and no buffer. labels remembers
+	// the last few distinct labels received: a conversation repeats a handful
+	// of them, and a label already seen costs no string allocation.
+	hdr    [headerLen]byte
+	labels [4]string
+	lnext  int
+
+	// held is the ring of delivered frames: RecvFrame parks each frame's
+	// buffer here and returns to the pool the one that rotates out, so a
+	// payload stays valid for heldFrames − 1 further receives. Owned by the
+	// session goroutine.
+	held  [heldFrames]*frameBuf
+	hnext int
 
 	// ra delivers pipelined frames once StartReadAhead runs; raStop tells the
 	// reader goroutine to discard an undelivered frame and exit.
@@ -50,30 +61,24 @@ type Endpoint struct {
 	raStop chan struct{}
 }
 
-// maxRetainedWriteBuf caps the scratch kept between frames; a single huge
-// payload must not pin its buffer for the connection's lifetime.
-const maxRetainedWriteBuf = 1 << 20
-
-// maxRetainedReadBuf caps each read-ring slot kept between frames, mirroring
-// the write-side bound.
-const maxRetainedReadBuf = 1 << 20
-
-// readRingSlots is the read-ring size. The invariant: slots in flight =
-// frames queued in the read-ahead channel (≤ readAheadDepth) + one being read
-// + payloads the session still references (≤ 2 in every protocol flow), so
-// readAheadDepth + 3 slots suffice; 6 leaves a margin.
-const readRingSlots = 6
+// heldFrames is the size of the delivered-frames ring: the frame RecvFrame
+// just returned plus the three before it — comfortably above the two
+// concurrently held payloads any protocol flow needs (graph/forest signature
+// + edge/meta frames).
+const heldFrames = 4
 
 // readAheadDepth bounds how many frames the reader goroutine decodes ahead of
 // the session consuming them.
 const readAheadDepth = 2
 
-// raFrame is one pipelined frame in flight between the reader goroutine and
-// RecvFrame. Byte and stats accounting happen at consume time, so pipelined
-// and synchronous sessions report identical totals at every protocol step.
+// raFrame is one received frame on its way to RecvFrame: from the reader
+// goroutine through the read-ahead channel, or straight from readOne. Byte
+// and stats accounting happen at consume time, so pipelined and synchronous
+// sessions report identical totals at every protocol step.
 type raFrame struct {
 	label   string
 	payload []byte
+	buf     *frameBuf // backs payload; nil on error
 	n       int
 	err     error
 }
@@ -114,39 +119,52 @@ func (e *Endpoint) fail(err error) error {
 	return err
 }
 
-// WireBytes returns the total bytes read from and written to the connection,
-// framing included.
+// WireBytes returns the bytes read from and written to the connection in the
+// current session, framing included.
 func (e *Endpoint) WireBytes() (in, out int64) { return e.bytesIn.Load(), e.bytesOut.Load() }
 
-// BytesRead returns the total connection bytes read, framing included. Safe
-// to call concurrently with the session goroutine.
+// BytesRead returns the connection bytes the current session read, framing
+// included. Safe to call concurrently with the session goroutine.
 func (e *Endpoint) BytesRead() int64 { return e.bytesIn.Load() }
 
-// BytesWritten returns the total connection bytes written, framing included.
-// Safe to call concurrently with the session goroutine.
+// BytesWritten returns the connection bytes the current session wrote,
+// framing included. Safe to call concurrently with the session goroutine.
 func (e *Endpoint) BytesWritten() int64 { return e.bytesOut.Load() }
 
+// EndSession closes the books of one session: the buffers of the frames it
+// was delivered go back to the pool — every payload RecvFrame returned is
+// invalid from here on — and the byte counters and the stats mirror restart
+// from zero, so the next session on this connection accounts exactly like the
+// first. Call it where the conversation is quiescent (the session's last
+// frame consumed, nothing of the next one consumed yet), whether the
+// connection will carry another session or is about to be closed.
+func (e *Endpoint) EndSession() {
+	for i, fb := range e.held {
+		if fb != nil {
+			putBuf(fb)
+			e.held[i] = nil
+		}
+	}
+	e.bytesIn.Store(0)
+	e.bytesOut.Store(0)
+	e.rec.Reset()
+}
+
 // SendFrame writes a labeled frame from the local party, recording protocol
-// frames in the stats mirror. The frame is encoded into a per-endpoint
-// scratch buffer, so steady-state sends do not allocate per frame.
+// frames in the stats mirror. The frame is encoded into a pooled buffer that
+// goes back as soon as it is written.
 func (e *Endpoint) SendFrame(label string, payload []byte) error {
 	if e.err != nil {
 		return e.err
 	}
-	scratch := e.wbuf
-	if need := FrameSize(label, len(payload)); cap(scratch) < need {
-		scratch = make([]byte, 0, need)
-	}
-	buf, err := AppendFrame(scratch[:0], label, payload)
+	fb := getBuf(FrameSize(label, len(payload)))
+	buf, err := AppendFrame(fb.b[:0], label, payload)
 	if err != nil {
+		putBuf(fb)
 		return e.fail(err)
 	}
-	if cap(buf) <= maxRetainedWriteBuf {
-		e.wbuf = buf[:0]
-	} else {
-		e.wbuf = nil
-	}
 	n, err := e.rw.Write(buf)
+	putBuf(fb)
 	e.bytesOut.Add(int64(n))
 	if err != nil {
 		return e.fail(err)
@@ -157,33 +175,63 @@ func (e *Endpoint) SendFrame(label string, payload []byte) error {
 	return nil
 }
 
-// readOne decodes the next frame into the next read-ring slot. Called from
-// the session goroutine, or from the read-ahead goroutine once one owns the
-// ring.
-func (e *Endpoint) readOne() (label string, payload []byte, n int, err error) {
-	slot := e.rnext
-	e.rnext = (e.rnext + 1) % readRingSlots
-	label, payload, n, buf, err := readFrameInto(e.rw, e.maxPayload, e.rbufs[slot])
-	if cap(buf) <= maxRetainedReadBuf {
-		e.rbufs[slot] = buf
-	} else {
-		e.rbufs[slot] = nil
+// readOne decodes the next frame off the connection. The body buffer is taken
+// from the pool only after the header has arrived. Called from the session
+// goroutine, or from the read-ahead goroutine once one is started.
+func (e *Endpoint) readOne() raFrame {
+	labelLen, payloadLen, n, err := readHeader(e.rw, &e.hdr, e.maxPayload)
+	if err != nil {
+		return raFrame{n: n, err: err}
 	}
-	return label, payload, n, err
+	need := bodyLen(labelLen, payloadLen)
+	fb := getBuf(need)
+	body := fb.b[:need]
+	bn, err := readBody(e.rw, &e.hdr, body, labelLen, payloadLen)
+	n += bn
+	if err != nil {
+		putBuf(fb)
+		return raFrame{n: n, err: err}
+	}
+	return raFrame{
+		label:   e.label(body[:labelLen]),
+		payload: body[labelLen : labelLen+payloadLen : labelLen+payloadLen],
+		buf:     fb,
+		n:       n,
+	}
+}
+
+// label returns b as a string, reusing the string of a recently received
+// equal label.
+func (e *Endpoint) label(b []byte) string {
+	for _, l := range e.labels {
+		if l == string(b) { // the comparison does not allocate
+			return l
+		}
+	}
+	l := string(b)
+	e.labels[e.lnext] = l
+	e.lnext = (e.lnext + 1) % len(e.labels)
+	return l
 }
 
 // StartReadAhead pipelines frame reads: a reader goroutine decodes frame k+1
 // off the connection while the session is still processing frame k, up to
-// readAheadDepth frames ahead, reusing the same read ring the synchronous
-// path uses. RecvFrame transparently consumes from the pipeline; byte and
-// stats accounting stay at consume time, so totals match an unpipelined
-// session at every step. The first read error is delivered in order and ends
-// the pipeline. Idempotent; a no-op on an already failed endpoint.
+// readAheadDepth frames ahead. RecvFrame transparently consumes from the
+// pipeline; byte and stats accounting stay at consume time, so totals match
+// an unpipelined session at every step. The first read error is delivered in
+// order and ends the pipeline. Idempotent; a no-op on an already failed
+// endpoint.
 //
-// The reader goroutine blocks in conn reads; closing the connection (which
-// every session owner does) is what unblocks and retires it. Call
-// StopReadAhead before the endpoint is abandoned so a frame the goroutine
-// already holds is discarded rather than waiting for a consumer.
+// The goroutine lives as long as the connection, across sessions: between two
+// of them it waits for the next frame header and holds no buffer. A read
+// error — the peer closed or reset the connection, a deadline passed, the
+// stream is not framed — leaves a connection nothing more can be read from,
+// so the goroutine closes it (when it is an io.Closer): an idle connection
+// whose peer went away gives back its descriptor without waiting for its
+// owner to look. Closing the connection is also what unblocks and retires the
+// goroutine; call StopReadAhead first when abandoning the endpoint, so a
+// frame the goroutine already holds is discarded rather than waiting for a
+// consumer.
 func (e *Endpoint) StartReadAhead() {
 	if e.ra != nil || e.err != nil {
 		return
@@ -194,13 +242,21 @@ func (e *Endpoint) StartReadAhead() {
 	go func() {
 		defer close(ch)
 		for {
-			label, payload, n, err := e.readOne()
+			f := e.readOne()
+			if f.err != nil {
+				if c, ok := e.rw.(io.Closer); ok {
+					_ = c.Close()
+				}
+			}
 			select {
-			case ch <- raFrame{label: label, payload: payload, n: n, err: err}:
+			case ch <- f:
 			case <-stop:
+				if f.buf != nil {
+					putBuf(f.buf)
+				}
 				return
 			}
-			if err != nil {
+			if f.err != nil {
 				return
 			}
 		}
@@ -219,34 +275,45 @@ func (e *Endpoint) StopReadAhead() {
 	}
 }
 
+// Pending reports whether the read-ahead goroutine has delivered something
+// the session has not consumed. Between two sessions the peer is silent, so
+// on an idle connection a pending delivery is the peer's close (or bytes that
+// belong to no session) and the connection must not carry another one. It
+// never blocks; false without read-ahead.
+func (e *Endpoint) Pending() bool { return len(e.ra) > 0 }
+
 // RecvFrame reads the peer's next frame, recording protocol frames in the
-// stats mirror. The returned payload is backed by the endpoint's read ring:
-// it stays valid for at least three subsequent receives, then its slot is
-// reused — retain a copy to hold it longer.
+// stats mirror. The returned payload is backed by a pooled buffer: it stays
+// valid for the next three receives and at most until EndSession, then the
+// buffer is reused — retain a copy to hold it longer.
 func (e *Endpoint) RecvFrame() (label string, payload []byte, err error) {
 	if e.err != nil {
 		return "", nil, e.err
 	}
-	var n int
+	var f raFrame
 	if e.ra != nil {
-		f, ok := <-e.ra
-		if !ok {
+		var ok bool
+		if f, ok = <-e.ra; !ok {
 			// Reader gone without delivering an error: only possible after
 			// StopReadAhead, i.e. a receive on an abandoned endpoint.
 			return "", nil, e.fail(io.ErrUnexpectedEOF)
 		}
-		label, payload, n, err = f.label, f.payload, f.n, f.err
 	} else {
-		label, payload, n, err = e.readOne()
+		f = e.readOne()
 	}
-	e.bytesIn.Add(int64(n))
-	if err != nil {
-		return "", nil, e.fail(err)
+	e.bytesIn.Add(int64(f.n))
+	if f.err != nil {
+		return "", nil, e.fail(f.err)
 	}
-	if !IsControl(label) {
-		e.rec.Record(e.remote(), label, len(payload))
+	if old := e.held[e.hnext]; old != nil {
+		putBuf(old)
 	}
-	return label, payload, nil
+	e.held[e.hnext] = f.buf
+	e.hnext = (e.hnext + 1) % heldFrames
+	if !IsControl(f.label) {
+		e.rec.Record(e.remote(), f.label, len(f.payload))
+	}
+	return f.label, f.payload, nil
 }
 
 // RecvExpect reads the peer's next frame and requires the given label.

@@ -114,61 +114,71 @@ func WriteFrame(w io.Writer, label string, payload []byte) (int, error) {
 // consumed. Truncated streams surface io.ErrUnexpectedEOF (or io.EOF when no
 // frame byte arrived at all, so callers can treat a clean close distinctly).
 func ReadFrame(r io.Reader, maxPayload int) (label string, payload []byte, n int, err error) {
-	label, payload, n, _, err = readFrameInto(r, maxPayload, nil)
-	return label, payload, n, err
+	var hdr [headerLen]byte
+	labelLen, payloadLen, n, err := readHeader(r, &hdr, maxPayload)
+	if err != nil {
+		return "", nil, n, err
+	}
+	body := make([]byte, bodyLen(labelLen, payloadLen))
+	bn, err := readBody(r, &hdr, body, labelLen, payloadLen)
+	n += bn
+	if err != nil {
+		return "", nil, n, err
+	}
+	return string(body[:labelLen]), body[labelLen : labelLen+payloadLen : labelLen+payloadLen], n, nil
 }
 
-// readFrameInto is ReadFrame with a caller-supplied scratch buffer: the frame
-// body is read into scratch (grown only when too small) and the returned
-// payload is a subslice of the returned buffer, valid until the buffer is
-// reused. Endpoint's read ring feeds its slots through here so steady-state
-// receives do not allocate per frame beyond the label string.
-func readFrameInto(r io.Reader, maxPayload int, scratch []byte) (label string, payload []byte, n int, buf []byte, err error) {
+// A frame is read in two steps so that a reader waiting for the next frame
+// holds nothing payload-sized: readHeader blocks until the fixed-size header
+// has arrived and validates it; only then does the caller find a body buffer
+// of bodyLen bytes and hand it to readBody.
+
+// readHeader reads and validates a frame header into hdr, returning the label
+// and payload lengths it announces and the bytes consumed.
+func readHeader(r io.Reader, hdr *[headerLen]byte, maxPayload int) (labelLen, payloadLen, n int, err error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var hdr [headerLen]byte
-	hn, err := io.ReadFull(r, hdr[:])
-	n += hn
+	n, err = io.ReadFull(r, hdr[:])
 	if err != nil {
-		if errors.Is(err, io.EOF) && hn > 0 {
+		if errors.Is(err, io.EOF) && n > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return "", nil, n, scratch, err
+		return 0, 0, n, err
 	}
 	if [4]byte(hdr[:4]) != Magic {
-		return "", nil, n, scratch, ErrBadMagic
+		return 0, 0, n, ErrBadMagic
 	}
 	if hdr[4] != Version {
-		return "", nil, n, scratch, fmt.Errorf("%w: %d", ErrVersion, hdr[4])
+		return 0, 0, n, fmt.Errorf("%w: %d", ErrVersion, hdr[4])
 	}
-	labelLen := int(hdr[5])
 	// Compare in uint64 before converting: on 32-bit platforms a hostile
 	// length ≥ 2^31 would wrap negative as int and slip past the bound.
 	rawLen := binary.LittleEndian.Uint32(hdr[6:])
 	if uint64(rawLen) > uint64(maxPayload) {
-		return "", nil, n, scratch, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, rawLen, maxPayload)
+		return 0, 0, n, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, rawLen, maxPayload)
 	}
-	payloadLen := int(rawLen)
-	need := labelLen + payloadLen + crcLen
-	body := scratch
-	if cap(body) < need {
-		body = make([]byte, need)
-	} else {
-		body = body[:need]
-	}
-	bn, err := io.ReadFull(r, body)
-	n += bn
+	return int(hdr[5]), int(rawLen), n, nil
+}
+
+// bodyLen is what follows a header on the wire: label, payload, checksum.
+func bodyLen(labelLen, payloadLen int) int { return labelLen + payloadLen + crcLen }
+
+// readBody reads the rest of the frame hdr announced into body (exactly
+// bodyLen bytes) and verifies the checksum; the label is body[:labelLen] and
+// the payload follows it.
+func readBody(r io.Reader, hdr *[headerLen]byte, body []byte, labelLen, payloadLen int) (n int, err error) {
+	n, err = io.ReadFull(r, body)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return "", nil, n, body, err
+		return n, err
 	}
 	crc := crc32.Checksum(hdr[:], castagnoli)
 	crc = crc32.Update(crc, castagnoli, body[:labelLen+payloadLen])
 	if binary.LittleEndian.Uint32(body[labelLen+payloadLen:]) != crc {
-		return "", nil, n, body, ErrChecksum
+		return n, ErrChecksum
 	}
-	return string(body[:labelLen]), body[labelLen : labelLen+payloadLen : labelLen+payloadLen], n, body, nil
+	return n, nil
 }

@@ -39,15 +39,31 @@ type NetStats struct {
 }
 
 // Client reconciles local replicas against a sosrd server. Each method runs
-// one session on its own TCP connection and takes a context as its first
-// parameter: cancellation (or a context deadline) severs the connection, so a
-// hedged or failed-over session releases its resources immediately. The zero
-// Timeout means no per-session deadline beyond the context's. A Client is
-// safe for concurrent use.
+// one session and takes a context as its first parameter: cancellation (or a
+// context deadline) severs the session's connection, so a hedged or
+// failed-over session releases its resources immediately. The zero Timeout
+// means no per-session deadline beyond the context's.
+//
+// Sessions reuse connections. When a session has finished cleanly — its
+// closing ctl/done written, no I/O error, the context still live — the Client
+// parks the connection, and its next session takes it back instead of
+// dialing; concurrent sessions each hold a connection of their own, so a
+// Client keeps at most as many as it ever ran sessions at once. Anything else
+// (a rejected handshake, a server error frame, a decode failure, a timeout,
+// cancellation) closes the connection as a connection per session would. A
+// parked connection the server has meanwhile closed is noticed and dropped
+// when it is taken; if the close races the new hello, the session is replayed
+// once on a fresh connection — the server only reads during a session, so
+// that is safe — and a failure on a fresh connection is reported as it is.
+// Close releases the parked connections; a Client that is dropped without it
+// keeps them until the server's idle timer closes them.
+//
+// A Client is safe for concurrent use.
 type Client struct {
 	// Addr is the server's "host:port".
 	Addr string
-	// Timeout bounds each whole session (dial through close) when positive.
+	// Timeout bounds each whole session (dial, or taking a parked
+	// connection, through the closing frame) when positive.
 	Timeout time.Duration
 	// MaxFrame bounds accepted frame payloads (0 = wire.DefaultMaxPayload).
 	MaxFrame int
@@ -64,8 +80,9 @@ type Client struct {
 	ShardCount       int
 	ShardEpoch       uint64
 	ShardFingerprint uint64
-	// Obs, when set, receives decode-stage metrics: sketch-cache hits/misses
-	// and a peel-iterations histogram.
+	// Obs, when set, receives the client's metrics: connection events (dial,
+	// reuse, stale_redial), sketch-cache hits/misses and a peel-iterations
+	// histogram.
 	Obs *obs.Registry
 	// Trace, when set, samples a distributed trace per session: the root span
 	// covers the whole session (wire accounting as attributes), "decode"
@@ -90,52 +107,170 @@ type Client struct {
 	// dial, when non-nil, replaces the TCP dial — tests use it to count and
 	// track the connections a session path opens and closes.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
+
+	mu     sync.Mutex
+	idle   []*clientConn // parked connections, the most recently used last
+	closed bool          // Close was called: finished sessions close instead of parking
 }
 
 // Dial returns a client for the given server address. No connection is made
 // until a reconcile method runs.
 func Dial(addr string) *Client { return &Client{Addr: addr} }
 
-// session opens one connection and wraps it as Bob's endpoint with pipelined
-// reads: the server's next frame is decoded off the socket while the client
-// is still applying the previous one. The returned cleanup is idempotent and
-// must run on every exit path — it detaches the context watchdog, retires the
-// read-ahead goroutine, and closes the connection, so no handshake-rejection
-// or mid-protocol error branch can leak the TCP conn (a leak per rejected
-// retry would exhaust fds during a failover storm).
-func (c *Client) session(ctx context.Context) (*wire.Endpoint, func(), error) {
+// Close closes the connections the Client has parked. Sessions in flight
+// finish normally and then close theirs; a Client used after Close still
+// works, on a connection per session.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	for _, cc := range idle {
+		cc.discard()
+	}
+	return nil
+}
+
+// clientConn is one connection to the server with Bob's endpoint on it and
+// pipelined reads: the server's next frame is decoded off the socket while
+// the client is still applying the previous one. It carries one session at a
+// time; between sessions it sits in Client.idle, its reader goroutine waiting
+// for a frame header and holding no buffer.
+type clientConn struct {
+	conn net.Conn
+	ep   *wire.Endpoint
+	// sever closes the connection; stop detaches it from the running
+	// session's context (nil when that context cannot be cancelled).
+	sever func()
+	stop  func() bool
+}
+
+// discard retires the connection for good.
+func (cc *clientConn) discard() {
+	cc.ep.StopReadAhead()
+	_ = cc.conn.Close()
+	cc.ep.EndSession()
+}
+
+// takeIdle returns the most recently parked connection that is still quiet,
+// or nil. A parked connection's reader is blocked on the socket, so a server
+// that has closed it (idle timer, shutdown) shows as a pending delivery and
+// the connection is dropped here rather than tried.
+func (c *Client) takeIdle() *clientConn {
+	for {
+		c.mu.Lock()
+		n := len(c.idle)
+		if n == 0 {
+			c.mu.Unlock()
+			return nil
+		}
+		cc := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		if !cc.ep.Pending() {
+			return cc
+		}
+		cc.discard()
+	}
+}
+
+// dialConn opens a fresh connection.
+func (c *Client) dialConn(ctx context.Context) (*clientConn, error) {
+	var conn net.Conn
+	var err error
+	if c.dial != nil {
+		conn, err = c.dial(ctx, c.Addr)
+	} else {
+		d := net.Dialer{Timeout: c.Timeout}
+		conn, err = d.DialContext(ctx, "tcp", c.Addr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.countConn(connDial)
+	cc := &clientConn{conn: conn, ep: wire.NewEndpoint(conn, transport.Bob)}
+	cc.sever = func() { _ = conn.Close() }
+	cc.ep.SetMaxPayload(c.MaxFrame)
+	cc.ep.StartReadAhead()
+	return cc, nil
+}
+
+// open starts a session: it takes a parked connection or dials one, arms the
+// session's deadline and cancellation, and runs the handshake. On success the
+// caller owns the connection and must hand it to finish on every exit path;
+// on error nothing is left open.
+func (c *Client) open(ctx context.Context, h *helloMsg, sp *obs.Span) (*clientConn, *acceptMsg, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	dial := c.dial
-	if dial == nil {
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			d := net.Dialer{Timeout: c.Timeout}
-			return d.DialContext(ctx, "tcp", addr)
+	cc := c.takeIdle()
+	reused := cc != nil
+	for {
+		if cc == nil {
+			var err error
+			if cc, err = c.dialConn(ctx); err != nil {
+				return nil, nil, err
+			}
 		}
+		if c.Timeout > 0 {
+			_ = cc.conn.SetDeadline(time.Now().Add(c.Timeout))
+		}
+		// A blocked read or write observes cancellation only through the
+		// socket: sever it the moment ctx is done.
+		if ctx.Done() != nil {
+			cc.stop = context.AfterFunc(ctx, cc.sever)
+		}
+		acc, err := c.hello(cc.ep, h, sp)
+		if err == nil {
+			if reused {
+				c.countConn(connReuse)
+			}
+			return cc, acc, nil
+		}
+		// The server may close a parked connection (idle timer, restart) just
+		// as this hello is written; the connection then fails before the
+		// session's first frame arrives. Sessions only read on the server, so
+		// the hello is replayed once on a fresh connection, whose failures are
+		// the caller's to see.
+		stale := reused && cc.ep.Err() != nil && cc.ep.BytesRead() == 0 && ctx.Err() == nil
+		c.finish(ctx, cc, err)
+		if !stale {
+			return nil, nil, err
+		}
+		c.countConn(connStaleRedial)
+		cc, reused = nil, false
 	}
-	conn, err := dial(ctx, c.Addr)
-	if err != nil {
-		return nil, nil, err
+}
+
+// finish ends the session on cc. The connection is parked for the Client's
+// next session only after a cleanly finished conversation — err is what the
+// session is about to return, and every nil-error path has written its
+// ctl/done — with no endpoint error and a context that is still live;
+// otherwise it is closed.
+func (c *Client) finish(ctx context.Context, cc *clientConn, err error) {
+	if cc.stop != nil {
+		cc.stop()
+		cc.stop = nil
 	}
+	// stop() and then ctx.Err(): a context that fired before stop has
+	// already run (or will run) sever, and shows as done here.
+	if err != nil || cc.ep.Err() != nil || ctx.Err() != nil {
+		cc.discard()
+		return
+	}
+	cc.ep.EndSession()
 	if c.Timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(c.Timeout))
+		_ = cc.conn.SetDeadline(time.Time{})
 	}
-	// A blocked read or write observes cancellation only through the socket:
-	// sever it the moment ctx is done.
-	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
-	ep := wire.NewEndpoint(conn, transport.Bob)
-	ep.SetMaxPayload(c.MaxFrame)
-	ep.StartReadAhead()
-	var once sync.Once
-	cleanup := func() {
-		once.Do(func() {
-			stop()
-			ep.StopReadAhead()
-			_ = conn.Close()
-		})
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		cc.discard()
+		return
 	}
-	return ep, cleanup, nil
+	c.idle = append(c.idle, cc)
+	c.mu.Unlock()
 }
 
 // ctxErr re-labels an error once ctx is done: a severed connection surfaces
@@ -242,23 +377,20 @@ func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr
 	return res, ns, err
 }
 
-func (c *Client) sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig, sp *obs.Span) (*sosr.SetResult, *NetStats, error) {
+func (c *Client) sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig, sp *obs.Span) (_ *sosr.SetResult, _ *NetStats, err error) {
 	if cfg.UseCharPoly && cfg.KnownDiff <= 0 {
 		return nil, nil, errors.New("sosrnet: UseCharPoly requires KnownDiff > 0")
 	}
 	bob := setutil.Canonical(local)
-	ep, cleanup, err := c.session(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	_, err = c.hello(ep, &helloMsg{
+	cc, _, err := c.open(ctx, &helloMsg{
 		Dataset: name, Kind: KindSet, Seed: cfg.Seed,
 		D: cfg.KnownDiff, CharPoly: cfg.UseCharPoly,
 	}, sp)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() { c.finish(ctx, cc, err) }()
+	ep := cc.ep
 	coins := hashing.NewCoins(cfg.Seed)
 	var res *setrecon.Result
 	if cfg.UseCharPoly {
@@ -310,19 +442,17 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 	return rec, ns, err
 }
 
-func (c *Client) multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64, sp *obs.Span) ([]uint64, *NetStats, error) {
+func (c *Client) multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64, sp *obs.Span) (_ []uint64, _ *NetStats, err error) {
 	packed, err := setrecon.MultisetToSet(local)
 	if err != nil {
 		return nil, nil, err
 	}
-	ep, cleanup, err := c.session(ctx)
+	cc, _, err := c.open(ctx, &helloMsg{Dataset: name, Kind: KindMultiset, Seed: seed, D: diffBound}, sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer cleanup()
-	if _, err = c.hello(ep, &helloMsg{Dataset: name, Kind: KindMultiset, Seed: seed, D: diffBound}, sp); err != nil {
-		return nil, nil, err
-	}
+	defer func() { c.finish(ctx, cc, err) }()
+	ep := cc.ep
 	coins := hashing.NewCoins(seed)
 	if diffBound <= 0 {
 		// The server's unknown-d flow waits for the probe; packed multisets
@@ -355,15 +485,10 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 	return res, ns, err
 }
 
-func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config, sp *obs.Span) (*sosr.Result, *NetStats, error) {
+func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config, sp *obs.Span) (_ *sosr.Result, _ *NetStats, err error) {
 	bob := setutil.CanonicalSets(local)
 	bobH := maxChildLen(bob)
-	ep, cleanup, err := c.session(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	acc, err := c.hello(ep, &helloMsg{
+	cc, acc, err := c.open(ctx, &helloMsg{
 		Dataset: name, Kind: KindSetsOfSets, Seed: cfg.Seed,
 		D: cfg.KnownDiff, Protocol: cfg.Protocol.String(), DHat: cfg.KnownChildDiff,
 		Replicas: cfg.Replicas, S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe,
@@ -372,6 +497,8 @@ func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, 
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() { c.finish(ctx, cc, err) }()
+	ep := cc.ep
 	p, err := core.Params{S: acc.S, H: acc.H, U: acc.U}.Normalized()
 	if err != nil {
 		return nil, nil, err
@@ -607,7 +734,7 @@ func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg s
 	return res, ns, err
 }
 
-func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig, sp *obs.Span) (*sosr.GraphResult, *NetStats, error) {
+func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig, sp *obs.Span) (_ *sosr.GraphResult, _ *NetStats, err error) {
 	gb := toGraph(local)
 	d := cfg.MaxEdits
 	if d < 1 {
@@ -632,21 +759,17 @@ func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg s
 	}
 	var side *graphrecon.NbrSide
 	if h.Scheme == "neighborhood" {
-		var err error
 		if side, err = graphrecon.NeighborhoodEncode(gb, cfg.DegreeThreshold); err != nil {
 			return nil, nil, err
 		}
 		h.MaxSig = side.MaxSig
 	}
-	ep, cleanup, err := c.session(ctx)
+	cc, acc, err := c.open(ctx, h, sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer cleanup()
-	acc, err := c.hello(ep, h, sp)
-	if err != nil {
-		return nil, nil, err
-	}
+	defer func() { c.finish(ctx, cc, err) }()
+	ep := cc.ep
 	coins := hashing.NewCoins(cfg.Seed)
 	sig, err := recvOrServerError(ep, "cascade-iblts")
 	if err != nil {
@@ -691,18 +814,13 @@ func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg
 	return res, ns, err
 }
 
-func (c *Client) forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig, sp *obs.Span) (*sosr.ForestResult, *NetStats, error) {
+func (c *Client) forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig, sp *obs.Span) (_ *sosr.ForestResult, _ *NetStats, err error) {
 	fb := toForest(local)
 	if err := fb.Validate(); err != nil {
 		return nil, nil, err
 	}
 	info := forest.Measure(fb)
-	ep, cleanup, err := c.session(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	acc, err := c.hello(ep, &helloMsg{
+	cc, acc, err := c.open(ctx, &helloMsg{
 		Dataset: name, Kind: KindForest, Seed: cfg.Seed,
 		D: cfg.MaxEdits, Sigma: cfg.Depth,
 		N: info.N, Depth: info.Depth, MaxChild: info.MaxChild,
@@ -710,6 +828,8 @@ func (c *Client) forest(ctx context.Context, name string, local sosr.Forest, cfg
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() { c.finish(ctx, cc, err) }()
+	ep := cc.ep
 	infoA := forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}
 	coins := hashing.NewCoins(cfg.Seed)
 	// recvAttempt separates connection failures (commErr, which end the

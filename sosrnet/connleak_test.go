@@ -26,11 +26,34 @@ func (c *trackedConn) Close() error {
 	return c.Conn.Close()
 }
 
-// TestSessionClosesConnOnEveryPath is the conn-leak regression test: every
-// session — successful, rejected at the hello (unknown dataset, misroute,
-// stale epoch), or cancelled mid-flight — must close the TCP connection it
-// dialed. A leak here is invisible in small tests but starves a fleet doing
-// failover retries, where rejection paths run constantly.
+// writeHookConn calls after once its first write has gone out.
+type writeHookConn struct {
+	net.Conn
+	after func()
+	once  sync.Once
+}
+
+func (c *writeHookConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.once.Do(c.after)
+	return n, err
+}
+
+// parked counts the connections a client holds between sessions.
+func parked(c *Client) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int64(len(c.idle))
+}
+
+// TestSessionClosesConnOnEveryPath is the conn-leak regression test, around
+// the reuse contract: a session that finished cleanly parks its connection
+// (opened − closed == parked, and the next one dials nothing); every other
+// ending — rejected at the hello (unknown dataset, misroute, stale epoch, bad
+// parameters), cancelled, timed out — closes the connection it ran on; and
+// after Client.Close nothing is left open. A leak here is invisible in small
+// tests but starves a fleet doing failover retries, where rejection paths run
+// constantly.
 func TestSessionClosesConnOnEveryPath(t *testing.T) {
 	ctx := context.Background()
 	topo := mustTopo(t, 3, "c0:1", "c1:2")
@@ -45,6 +68,7 @@ func TestSessionClosesConnOnEveryPath(t *testing.T) {
 	})
 
 	var opened, closed atomic.Int64
+	var clients []*Client
 	track := func(c *Client) *Client {
 		c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
 			var d net.Dialer
@@ -55,29 +79,42 @@ func TestSessionClosesConnOnEveryPath(t *testing.T) {
 			opened.Add(1)
 			return &trackedConn{Conn: conn, closed: &closed}, nil
 		}
+		clients = append(clients, c)
 		return c
 	}
-	check := func(step string) {
+	// check requires that every connection still open is one a client has
+	// parked, and that exactly want of them are.
+	check := func(step string, want int64) {
 		t.Helper()
-		if o, c := opened.Load(), closed.Load(); o != c {
-			t.Fatalf("%s: %d conns opened, %d closed", step, o, c)
+		var held int64
+		for _, c := range clients {
+			held += parked(c)
+		}
+		if o, c := opened.Load(), closed.Load(); o-c != held || held != want {
+			t.Fatalf("%s: %d conns opened, %d closed, %d parked (want %d parked)", step, o, c, held, want)
 		}
 	}
 
 	cfg := sosr.SetConfig{Seed: 1, KnownDiff: 16}
 
-	// Successful session.
+	// Successful sessions park one connection and keep using it.
 	c := track(Dial(addr))
-	if _, _, err := c.Sets(ctx, "plain", bob, cfg); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if _, _, err := c.Sets(ctx, "plain", bob, cfg); err != nil {
+			t.Fatal(err)
+		}
+		check("success", 1)
 	}
-	check("success")
+	if opened.Load() != 1 {
+		t.Fatalf("three sequential sessions dialed %d times", opened.Load())
+	}
 
-	// Unknown dataset: rejected at the hello.
+	// Unknown dataset: rejected at the hello, on the parked connection, which
+	// is closed rather than parked again.
 	if _, _, err := c.Sets(ctx, "nope", bob, cfg); !errors.Is(err, ErrServer) {
 		t.Fatalf("unknown dataset: %v", err)
 	}
-	check("unknown dataset")
+	check("unknown dataset", 0)
 
 	// Misrouted shard session.
 	wrongShard := track(Dial(addr))
@@ -88,22 +125,27 @@ func TestSessionClosesConnOnEveryPath(t *testing.T) {
 	if _, _, err := wrongShard.Sets(ctx, "ids", bob, cfg); !errors.Is(err, ErrMisrouted) {
 		t.Fatalf("misroute: %v", err)
 	}
-	check("misroute")
+	check("misroute", 0)
 
 	// Stale epoch.
 	stale := track(shardClient(addr, mustTopo(t, 2, "c0:1", "c1:2"), 0))
 	if _, _, err := stale.Sets(ctx, "ids", bob, cfg); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale epoch: %v", err)
 	}
-	check("stale epoch")
+	check("stale epoch", 0)
 
 	// Bad request parameters rejected server-side mid-hello.
 	if _, _, err := c.Sets(ctx, "plain", bob, sosr.SetConfig{Seed: 1, KnownDiff: 1 << 30}); !errors.Is(err, ErrServer) {
 		t.Fatalf("oversized bound: %v", err)
 	}
-	check("rejected parameters")
+	check("rejected parameters", 0)
 
-	// Cancelled before the session starts: no conn may be opened at all.
+	// Cancelled before the session starts: no conn may be opened at all, and
+	// a parked one is left alone.
+	if _, _, err := c.Sets(ctx, "plain", bob, cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("parked again", 1)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	before := opened.Load()
@@ -113,20 +155,53 @@ func TestSessionClosesConnOnEveryPath(t *testing.T) {
 	if opened.Load() != before {
 		t.Fatal("a connection was dialed under an already-cancelled context")
 	}
-	check("pre-cancelled")
+	check("pre-cancelled", 1)
 
-	// Cancelled mid-session: the watchdog severs the conn, and cleanup still
-	// balances the books.
-	mid, cancelMid := context.WithTimeout(ctx, time.Millisecond)
+	// Cancelled mid-session — here as soon as the hello is written: the
+	// watchdog severs the conn, and whether the session then fails or wins
+	// the race against it, a connection used under a cancelled context is
+	// closed, never parked.
+	mid, cancelMid := context.WithCancel(ctx)
 	defer cancelMid()
-	time.Sleep(2 * time.Millisecond)
-	_, _, err := c.Sets(mid, "plain", bob, cfg)
-	if err == nil {
-		t.Fatal("session under an expired context succeeded")
+	midc := track(Dial(addr))
+	dial := midc.dial
+	midc.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &writeHookConn{Conn: conn, after: cancelMid}, nil
 	}
-	check("expired mid-session")
+	if _, _, err := midc.Sets(mid, "plain", bob, cfg); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-session: %v", err)
+	}
+	check("cancelled mid-session", 1)
 
-	if opened.Load() == 0 {
-		t.Fatal("tracking dial hook never used")
+	// A session deadline that passes mid-session closes the connection too.
+	slow := track(Dial(addr))
+	slow.Timeout = time.Nanosecond
+	if _, _, err := slow.Sets(ctx, "plain", bob, cfg); err == nil {
+		t.Fatal("session under an expired deadline succeeded")
+	}
+	check("timed out", 1)
+
+	// Close releases whatever is parked.
+	if _, _, err := c.Sets(ctx, "plain", bob, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range clients {
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o, cl := opened.Load(), closed.Load(); o != cl || o == 0 {
+		t.Fatalf("after Close: %d conns opened, %d closed", o, cl)
+	}
+	// A closed client still works, on a connection per session.
+	if _, _, err := c.Sets(ctx, "plain", bob, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if o, cl := opened.Load(), closed.Load(); o != cl {
+		t.Fatalf("session on a closed client: %d conns opened, %d closed", o, cl)
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"sosr/internal/wire"
 )
 
-// FuzzHandshake throws raw bytes at the server's accept loop: whatever
+// FuzzHandshake throws raw bytes at the server's connection handler: whatever
 // arrives instead of a hello — torn frames, wrong labels, hostile JSON,
-// absurd shard coordinates or shapes — the handler must reject and return,
-// never panic and never hang past its deadlines. Datasets of every kind are
+// absurd shard coordinates or shapes — or after a served session, where the
+// handler waits for the next hello of the same connection, it must reject or
+// finish and return, never panic and never hang past its deadlines. Datasets of every kind are
 // hosted so a structurally valid hello exercises each serving path's
 // parameter validation too.
 func FuzzHandshake(f *testing.F) {
@@ -72,6 +73,18 @@ func FuzzHandshake(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wrongLabel)
+	// Whole conversations, so the fuzzer also mutates what follows a served
+	// session on the same connection: the closing done, a second session, and
+	// bytes that are neither.
+	done, err := wire.AppendFrame(nil, lblDone, marshalCtl(&doneMsg{OK: true, Rounds: 1, Bytes: 348, Messages: 1, Attempts: 1}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	session := append(hello(helloMsg{V: protoVersion, Dataset: "ids", Kind: KindSet, Seed: 7, D: 8}), done...)
+	f.Add(session)
+	f.Add(append(append([]byte(nil), session...), session...))
+	f.Add(append(append([]byte(nil), session...), "GET / HTTP/1.1\r\n\r\n"...))
+	f.Add(append(append([]byte(nil), session...), session[:len(session)-3]...))
 	f.Add([]byte{})
 	f.Add([]byte("SOSW"))
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))

@@ -15,7 +15,9 @@ import (
 //	sosr_sessions_started_total{kind}          sessions past a valid handshake
 //	sosr_sessions_total{kind,proto,status}     finished sessions (ok|error|client_failed)
 //	sosr_handshake_rejects_total{reason}       sessions dropped before serving
-//	sosr_sessions_active                       sessions currently on a goroutine
+//	sosr_sessions_active                       sessions currently being served
+//	sosr_connections{state}                    accepted connections: active (in a
+//	                                           session) or idle (between two)
 //	sosr_wire_bytes_total{proto,dir}           connection bytes, framing included
 //	sosr_protocol_bytes_total{proto,party}     protocol-frame payload bytes
 //	sosr_stage_seconds{stage}                  hello|encode|transfer|done latency
@@ -23,7 +25,7 @@ import (
 //	sosr_enccache_bytes / sosr_enccache_entries
 //	sosr_dataset_version{dataset,shard}        copy-on-write version counter
 //	sosr_dataset_items{dataset,shard}          elements/children/edges/nodes hosted
-//	sosr_bound_ratio                           protocol bytes ÷ d̂ per session
+//	sosr_bound_ratio                           server payload ÷ (d̂ keys × cell bytes) per session
 type serverMetrics struct {
 	started  *obs.CounterVec
 	sessions *obs.CounterVec
@@ -34,9 +36,11 @@ type serverMetrics struct {
 	active   *obs.Gauge
 
 	// boundRatio audits the paper's O(d̂) communication promise on every
-	// session: protocol payload bytes divided by the resolved difference
-	// bound d̂. Independent of n by Theorem 3.3 — a drifting ratio means a
-	// protocol regression, not a bigger dataset.
+	// session: the server's payload bytes divided by what the bound lets
+	// them scale with, d̂ differing keys times the table-cell bytes of one
+	// key under the session's plan. Independent of n by Theorems 3.3–3.9 and
+	// of the family by construction — a drifting ratio means a protocol
+	// regression, not a bigger dataset or a wider key.
 	boundRatio *obs.Histogram
 
 	// Hot stage children, resolved once so the session path is an atomic add.
@@ -87,9 +91,9 @@ func (s *Server) metrics() *serverMetrics {
 				"Session latency by stage: hello (accept to validated handshake), encode (payload builds), transfer (serving), done (whole session).",
 				nil, "stage"),
 			active: r.Gauge("sosr_sessions_active",
-				"Sessions currently holding a goroutine.").With(),
+				"Sessions currently being served (a fresh connection counts from accept, a reused one from its hello).").With(),
 			boundRatio: r.Histogram("sosr_bound_ratio",
-				"Protocol payload bytes divided by the session's resolved difference bound d̂ — the paper's O(d̂) communication promise, audited per session.",
+				"Server payload bytes divided by (differing keys the session's bound allows × table-cell bytes of one key) — the paper's O(d̂) communication promise, audited per session; the cells-per-key slack of a healthy encoder, 2 to 20.",
 				boundRatioBuckets).With(),
 		}
 		m.stageHello = m.stage.With("hello")
@@ -113,6 +117,15 @@ func (s *Server) metrics() *serverMetrics {
 		r.GaugeFunc("sosr_enccache_entries", "Resident encoding-cache entries.",
 			nil, func(emit func(v float64, lvs ...string)) {
 				emit(float64(s.CacheStats().Entries))
+			})
+		r.GaugeFunc("sosr_connections",
+			"Accepted connections by state: active (carrying a session) or idle (kept by the client between two sessions, holding no session slot).",
+			[]string{"state"}, func(emit func(v float64, lvs ...string)) {
+				s.mu.Lock()
+				idle, all := len(s.idle), len(s.conns)
+				s.mu.Unlock()
+				emit(float64(idle), "idle")
+				emit(float64(all-idle), "active")
 			})
 		r.GaugeFunc("sosr_dataset_version",
 			"Current copy-on-write version of each hosted dataset (0 until the first update).",
@@ -158,26 +171,43 @@ func (s *Server) observeEncode(start time.Time) {
 	s.metrics().stageEncode.Observe(time.Since(start).Seconds())
 }
 
-// Client-side decode metric names, registered on Client.Obs when set:
+// Client-side metric names, registered on Client.Obs when set:
 //
+//	sosr_client_connections_total{event}   dial (a connection was opened), reuse
+//	                                       (a session ran on a parked one),
+//	                                       stale_redial (a parked one failed
+//	                                       before the session's first frame and
+//	                                       the session was replayed on a dial)
 //	sosr_decodecache_events_total{event}   sketch-cache lookups (hit|miss)
 //	sosr_peel_iterations                   peel loop iterations per decode
 type clientMetrics struct {
+	conns [numConnEvents]*obs.Counter
 	hit   *obs.Counter
 	miss  *obs.Counter
 	peels *obs.Histogram
 }
 
+// Connection events (sosr_client_connections_total{event=...}).
+const (
+	connDial = iota
+	connReuse
+	connStaleRedial
+	numConnEvents
+)
+
+var connEventNames = [numConnEvents]string{"dial", "reuse", "stale_redial"}
+
 // peelBuckets spans the observed peel-iteration range: tens for small
 // cascades through thousands for naive decodes of large parents.
 var peelBuckets = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
-// boundRatioBuckets span bytes-per-d̂ from a tight charpoly session (~8
-// bytes per difference) through heavily padded small-d̂ cascades.
-var boundRatioBuckets = []float64{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+// boundRatioBuckets resolve the healthy range — 1 (a charpoly session) through
+// 2–5 (IBLT families at d̂ ≥ 8) to ~20 (d̂ = 1 on the 16-cell table floor) —
+// and leave room above DefaultBoundEnvelope to see how far an outlier went.
+var boundRatioBuckets = []float64{1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 512, 2048}
 
-// metrics lazily registers the client's decode families on Obs; nil when the
-// caller supplied no registry (the decode path then skips observation).
+// metrics lazily registers the client's families on Obs; nil when the caller
+// supplied no registry (every observation is then skipped).
 func (c *Client) metrics() *clientMetrics {
 	if c.Obs == nil {
 		return nil
@@ -185,14 +215,26 @@ func (c *Client) metrics() *clientMetrics {
 	c.metOnce.Do(func() {
 		events := c.Obs.Counter("sosr_decodecache_events_total",
 			"Bob-sketch cache lookups by outcome: hit (subtracted a memoized aggregate), miss (encoded and cached).", "event")
+		conns := c.Obs.Counter("sosr_client_connections_total",
+			"Client connection events: dial (opened), reuse (a session ran on a parked connection), stale_redial (a parked connection failed before the session's first frame; the session was replayed on a fresh one).", "event")
 		c.met = &clientMetrics{
 			hit:  events.With("hit"),
 			miss: events.With("miss"),
 			peels: c.Obs.Histogram("sosr_peel_iterations",
 				"IBLT peel-loop iterations per successful decode.", peelBuckets).With(),
 		}
+		for ev, name := range connEventNames {
+			c.met.conns[ev] = conns.With(name)
+		}
 	})
 	return c.met
+}
+
+// countConn records one connection event.
+func (c *Client) countConn(event int) {
+	if m := c.metrics(); m != nil {
+		m.conns[event].Inc()
+	}
 }
 
 // observeDecodeCache records one sketch-cache lookup outcome.

@@ -2,6 +2,7 @@ package sosrnet
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"sosr"
+	"sosr/internal/obs"
 )
 
 // scrapeMetrics fetches /metrics and flattens every sample into a map keyed
@@ -26,8 +28,23 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("metrics content type %q", ct)
 	}
+	return parseProm(t, resp.Body)
+}
+
+// registrySamples flattens a registry the way scrapeMetrics flattens a scrape.
+func registrySamples(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return parseProm(t, &buf)
+}
+
+func parseProm(t *testing.T, r io.Reader) map[string]float64 {
+	t.Helper()
 	out := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()

@@ -5,15 +5,27 @@
 // with the server's data, reporting the same protocol Stats the in-process
 // simulation reports.
 //
-// A session is one connection: the client opens with a "ctl/hello" frame
-// naming the dataset and the negotiated configuration (protocol kind,
-// variant, seed, difference bounds, instance shape); the server answers
-// "ctl/accept" with the resolved parameters (or "ctl/error"); then the
-// protocol frames flow — the same labeled payloads, byte for byte, that the
-// in-process transport records for the same configuration, because both ends
-// call the same exported Alice-step/Bob-step engine functions. The client
-// closes with "ctl/done" carrying its view of the session so the server can
-// log both sides' accounting.
+// A session is one conversation on a connection: the client opens with a
+// "ctl/hello" frame naming the dataset and the negotiated configuration
+// (protocol kind, variant, seed, difference bounds, instance shape); the
+// server answers "ctl/accept" with the resolved parameters (or "ctl/error");
+// then the protocol frames flow — the same labeled payloads, byte for byte,
+// that the in-process transport records for the same configuration, because
+// both ends call the same exported Alice-step/Bob-step engine functions. The
+// client closes with "ctl/done" carrying its view of the session so the
+// server can log both sides' accounting.
+//
+// A connection carries sessions one after the other, never two at once. After
+// a cleanly finished session the client keeps the connection and opens its
+// next session on it with a new hello; the server, having read the done,
+// waits for that hello (holding no session slot while it does) and closes
+// the connection when none comes for idleConnTimeout. Nothing on the wire
+// marks a connection as reusable: a peer that closes after "done" is simply
+// never reused, and anything but a clean finish (a rejected handshake, an
+// error frame, a failed decode, a timeout) ends the connection with the
+// session. Each session accounts for itself — byte counts, stats, session
+// ID, metrics, trace spans and log record are per session, whichever
+// connection carried it.
 //
 // Framing (magic, version, label, length, checksum) lives in internal/wire;
 // control frames ("ctl/...") are excluded from protocol Stats and reported

@@ -35,6 +35,7 @@ func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg 
 		// instead of aging out by LRU pressure.
 		CacheBytes: -1,
 	}
+	defer cl.Close() // one pull, one connection: nothing to keep
 	if ds.shard != nil {
 		cl.ShardID = ds.shard.topo.ShardIDHash(ds.shard.index)
 		cl.ShardCount = ds.shard.topo.NumShards()

@@ -28,10 +28,14 @@ import (
 )
 
 // Server hosts named datasets and serves concurrent one-way reconciliation
-// sessions: every connection is one session, handled on its own goroutine,
-// with the server playing Alice (the client ends up with the server's data).
-// Datasets take live updates (UpdateSets/UpdateSetsOfSets); sessions work
-// off an immutable copy-on-write snapshot taken at session start.
+// sessions, with the server playing Alice (the client ends up with the
+// server's data). Every connection is handled on its own goroutine and
+// carries sessions one after the other for as long as the client keeps it:
+// between two of them it is idle — it holds no session slot, is not counted
+// as an active session, and is closed after idleConnTimeout, or at once by
+// Close and Shutdown. Datasets take live updates (UpdateSets/
+// UpdateSetsOfSets); sessions work off an immutable copy-on-write snapshot
+// taken at session start.
 //
 // Alice-side encodings are memoized in a bounded, versioned cache (see
 // internal/enccache), so concurrent sessions against a hot dataset with the
@@ -61,16 +65,19 @@ type Server struct {
 	// DefaultMaxBound; raise it for sessions that legitimately reconcile
 	// enormous differences.
 	MaxBound int
-	// SessionTimeout bounds a whole session from accept to close, severing
-	// stalled or malicious connections that would otherwise pin a goroutine
-	// forever. 0 means DefaultSessionTimeout; negative disables the
-	// deadline.
+	// SessionTimeout bounds a whole session — from accept for the session
+	// that opens a connection, from the arrival of its hello for every later
+	// one — severing stalled or malicious connections that would otherwise
+	// pin a goroutine forever. 0 means DefaultSessionTimeout; negative
+	// disables the deadline.
 	SessionTimeout time.Duration
-	// HelloTimeout bounds the wait for the opening hello frame. A connection
-	// that dribbles (or never sends) its handshake is severed after this
-	// long instead of holding a session slot for the whole SessionTimeout —
-	// the slow-loris guard. 0 means DefaultHelloTimeout; negative disables
-	// the tighter deadline (the session deadline still applies).
+	// HelloTimeout bounds the wait for the opening hello frame of a fresh
+	// connection. A connection that dribbles (or never sends) its handshake
+	// is severed after this long instead of holding a session slot for the
+	// whole SessionTimeout — the slow-loris guard. 0 means
+	// DefaultHelloTimeout; negative disables the tighter deadline (the
+	// session deadline still applies). A connection waiting between two
+	// sessions holds no slot and is bounded by idleConnTimeout instead.
 	HelloTimeout time.Duration
 	// CacheBytes bounds the Alice-side encoding cache: 0 selects
 	// enccache.DefaultMaxBytes, negative disables caching entirely (every
@@ -81,9 +88,11 @@ type Server struct {
 	// (0 = unlimited). A connection over the cap is answered with a ctl/error
 	// carrying the "busy" code (clients see ErrBusy — retry after a backoff
 	// or on another replica) and counted under
-	// sosr_handshake_rejects_total{reason="busy"}. Slots are claimed at
-	// accept, before the hello arrives, so dribbling handshakes count toward
-	// the cap until the hello deadline clears them.
+	// sosr_handshake_rejects_total{reason="busy"}. A fresh connection claims
+	// its slot at accept, before the hello arrives, so dribbling handshakes
+	// count toward the cap until the hello deadline clears them; a reused
+	// connection claims one when its next hello has arrived and gives it
+	// back when that session ends.
 	MaxConcurrentSessions int
 	// Trace, when set, records distributed traces: a session whose hello
 	// carries a trace context always joins its client's trace (the client
@@ -98,15 +107,17 @@ type Server struct {
 	// endpoints (/admin/*, /debug/*) behind "Authorization: Bearer <token>".
 	// /metrics, /healthz, /readyz, and /datasets stay open for scrapers.
 	AdminToken string
-	// BoundEnvelope flags sessions whose protocol-bytes ÷ d̂ ratio blows
-	// past it: the session span gains bound_exceeded=true and a Warn log is
-	// emitted (the ratio itself always feeds sosr_bound_ratio). 0 means
-	// DefaultBoundEnvelope; negative disables flagging.
+	// BoundEnvelope flags sessions whose bound ratio — the server's payload
+	// bytes ÷ (differing keys its bound allows × table-cell bytes of one such
+	// key) — blows past it: the session span gains bound_exceeded=true and a
+	// Warn log is emitted (the ratio itself always feeds sosr_bound_ratio).
+	// 0 means DefaultBoundEnvelope; negative disables flagging.
 	BoundEnvelope float64
 
 	mu       sync.Mutex
 	datasets map[string]*dataset
 	conns    map[net.Conn]struct{}
+	idle     map[net.Conn]struct{} // the connections of conns that are between two sessions
 	ln       net.Listener
 	closed   bool
 	wg       sync.WaitGroup
@@ -228,13 +239,22 @@ const DefaultSessionTimeout = 5 * time.Minute
 // DefaultHelloTimeout is the default deadline for the opening hello frame.
 const DefaultHelloTimeout = 10 * time.Second
 
-// DefaultBoundEnvelope is the default bytes÷d̂ ratio past which a session
-// is flagged as blowing its communication envelope. The constant-factor
-// cost per difference is tens of bytes for IBLT variants (cells × cell
-// size × hash replication) and can reach a few hundred for padded small-d̂
-// cascades; 1024 is comfortably past every healthy protocol family while
-// still catching a linear-in-n regression immediately.
-const DefaultBoundEnvelope = 1024
+// idleConnTimeout is how long a connection may wait between two sessions
+// before the server closes it. Clients notice when they next take the
+// connection and dial again.
+const idleConnTimeout = 90 * time.Second
+
+// DefaultBoundEnvelope is the default bound ratio past which a session is
+// flagged as blowing its communication envelope. The ratio divides the
+// server's payload by what the paper lets it scale with — d̂ differing keys
+// times the table-cell bytes of one key in this session's plan (core.CellBytes;
+// 20 for a plain set element) — so it is the same small number for every
+// family: the cells-per-key slack of an IBLT, 2 to 5 at the benchmark's
+// shapes, up to ~20 when d̂ = 1 meets the 16-cell table floor, times up to 3
+// when a replicated session needs every attempt. 32 clears all of that and
+// still catches a payload that grows with the hosted data: at d̂ = 32 a
+// table sized by s is flagged from s ≈ 250 up.
+const DefaultBoundEnvelope = 32
 
 // maxHelloReplicas caps the client-requested replication factor (each
 // replica is one server-built payload).
@@ -245,6 +265,7 @@ func NewServer() *Server {
 	return &Server{
 		datasets: make(map[string]*dataset),
 		conns:    make(map[net.Conn]struct{}),
+		idle:     make(map[net.Conn]struct{}),
 	}
 }
 
@@ -498,8 +519,8 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops accepting, severs active sessions, and waits for their
-// goroutines to exit.
+// Close stops accepting, severs active sessions and idle connections, and
+// waits for their goroutines to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -514,13 +535,17 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Shutdown stops accepting and waits for in-flight sessions to finish; when
+// Shutdown stops accepting, closes idle connections at once, and waits for
+// in-flight sessions to finish (their connections close when they do); when
 // ctx expires first, remaining sessions are severed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	if s.ln != nil {
 		s.ln.Close()
+	}
+	for c := range s.idle {
+		c.Close()
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
@@ -542,14 +567,36 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// reject counts and logs a session dropped before serving.
+// setIdle moves a connection into or out of the idle set. It refuses to idle
+// one once the server is closing: the caller closes it instead.
+func (s *Server) setIdle(conn net.Conn, idle bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !idle {
+		delete(s.idle, conn)
+		return true
+	}
+	if s.closed {
+		return false
+	}
+	s.idle[conn] = struct{}{}
+	return true
+}
+
+// reject counts and logs a session dropped before serving. Like every log
+// site on the session path, it builds its record only for a handler that
+// wants it.
 func (s *Server) reject(sid uint64, remote, reason string, err error, tid obs.TraceID) {
 	s.metrics().rejects.With(reason).Inc()
+	lg := s.logger()
+	if !lg.Enabled(context.Background(), slog.LevelWarn) {
+		return
+	}
 	args := []any{"sid", sid, "remote", remote, "reason", reason, "err", err.Error()}
 	if tid != 0 {
 		args = append(args, "trace_id", tid.String())
 	}
-	s.logger().Warn("handshake rejected", args...)
+	lg.Warn("handshake rejected", args...)
 }
 
 func (s *Server) boundEnvelope() float64 {
@@ -569,8 +616,33 @@ type sessTrace struct {
 	stage *obs.Span // "transfer" span, parent of estimate/encode children
 	d     int       // resolved difference bound
 	dHat  int       // resolved d̂ (== d for set/graph/forest kinds)
-	hits  int       // encode-cache hits this session
-	miss  int       // encode-cache misses (payload builds)
+	// The bound audit's denominator: how many differing keys the session's
+	// bound allows for, and the table-cell bytes one of them costs under the
+	// session's plan. For a sets-of-sets session that is d̂ and
+	// core.CellBytes; a graph or forest session reconciles signature sets and
+	// audits against that inner shape.
+	keys      int
+	cellBytes int
+	hits      int // encode-cache hits this session
+	miss      int // encode-cache misses (payload builds)
+}
+
+// audit records what the server's payload may scale with. Flows that resolve
+// their bound more than once (doubling, estimated d) re-record it; the last
+// attempt's stands, and earlier, smaller attempts add at most its size again.
+func (t *sessTrace) audit(keys, cellBytes int) {
+	if t != nil {
+		t.keys, t.cellBytes = keys, cellBytes
+	}
+}
+
+// boundRatio is the server's payload per unit of the session's bound, 0 when
+// the session never resolved one.
+func (t *sessTrace) boundRatio(aliceBytes int) float64 {
+	if t.keys <= 0 || t.cellBytes <= 0 || aliceBytes <= 0 {
+		return 0
+	}
+	return float64(aliceBytes) / (float64(t.keys) * float64(t.cellBytes))
 }
 
 // child opens a stage span under the transfer span.
@@ -600,20 +672,138 @@ func (t *sessTrace) cacheEvent(hit bool) {
 	}
 }
 
-// handle runs one session.
+// srvConn is one accepted connection: Alice's endpoint on it and the ordinal
+// of the session it is carrying.
+type srvConn struct {
+	conn   net.Conn
+	ep     *wire.Endpoint
+	remote string
+	seq    int // 1 for the session that opened the connection
+}
+
+// sessionRecord is what one session leaves behind, beyond the connection it
+// ran on and the endpoint's counters. account derives the metrics, the span
+// attributes and the log record from it, so the three cannot disagree.
+type sessionRecord struct {
+	sid uint64
+	// start is the accept for the session that opened the connection and the
+	// arrival of the hello for every later one.
+	start  time.Time
+	h      helloMsg
+	sp     *obs.Span // session span; nil when untraced
+	tr     sessTrace
+	proto  string
+	detail string
+	done   *doneMsg
+	err    error
+}
+
+// handle serves one connection: sessions one after the other, each admitted,
+// handshaken, dispatched and accounted on its own, until one of them fails,
+// the client leaves, the idle timer fires or the server closes.
 func (s *Server) handle(conn net.Conn) {
-	start := time.Now()
+	c := &srvConn{conn: conn, remote: conn.RemoteAddr().String(), ep: wire.NewEndpoint(conn, transport.Alice)}
+	c.ep.SetMaxPayload(s.MaxFrame)
+	// The accept-loop goroutine closes conn right after handle returns, which
+	// retires a reader blocked mid-read.
+	defer c.ep.StopReadAhead()
+	for c.seq = 1; s.session(c); c.seq++ {
+	}
+}
+
+// session runs one session on c and reports whether the connection may carry
+// another.
+func (s *Server) session(c *srvConn) bool {
+	var hello []byte
+	if c.seq > 1 {
+		var ok bool
+		if hello, ok = s.awaitHello(c); !ok {
+			return false
+		}
+	}
+	rec := &sessionRecord{sid: s.sid.Add(1), start: time.Now(), proto: "unknown"}
 	m := s.metrics()
 	m.active.Add(1)
 	defer m.active.Add(-1)
-	sid := s.sid.Add(1)
-	remote := conn.RemoteAddr().String()
+	hello, slot, ok := s.admit(c, rec, hello)
+	if slot {
+		defer s.liveSessions.Add(-1)
+	}
+	if !ok {
+		return false
+	}
+	ds, ok := s.handshake(c, rec, hello)
+	if !ok {
+		return false
+	}
+	s.dispatch(c, rec, ds)
+	s.account(c, rec)
+	// The session's books are closed either way: its frame buffers go back to
+	// the pool, and a next session starts its byte counts from zero.
+	c.ep.EndSession()
+	return rec.err == nil && rec.done != nil && c.ep.Err() == nil
+}
+
+// awaitHello parks a connection between two sessions until the next hello
+// arrives. While it waits the connection is idle: it holds no session slot,
+// it is not an active session, and Close and Shutdown close it at once. A
+// connection that ends here without a byte of a next session — the client
+// closed it, the idle timer fired, the server is closing — just ends; only
+// bytes that do not make a hello count as a rejected handshake.
+func (s *Server) awaitHello(c *srvConn) ([]byte, bool) {
+	if !s.setIdle(c.conn, true) {
+		return nil, false
+	}
+	_ = c.conn.SetDeadline(time.Now().Add(idleConnTimeout))
+	hello, err := c.ep.RecvExpect(lblHello)
+	s.setIdle(c.conn, false)
+	if err != nil {
+		if c.ep.BytesRead() > 0 {
+			s.reject(s.sid.Add(1), c.remote, helloFailure(err), err, 0)
+		}
+		return nil, false
+	}
+	return hello, true
+}
+
+// helloFailure names the reject reason for a hello that never arrived whole.
+func helloFailure(err error) string {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return rejectHelloTimeout
+	}
+	return rejectHelloIO
+}
+
+// admit arms the session's deadlines, claims its slot and, on a fresh
+// connection, waits for the opening hello (a reused connection hands in the
+// hello that ended its idle wait). slot reports whether a
+// MaxConcurrentSessions slot was claimed, which the caller gives back.
+func (s *Server) admit(c *srvConn, rec *sessionRecord, hello []byte) (_ []byte, slot, ok bool) {
 	timeout := s.SessionTimeout
 	if timeout == 0 {
 		timeout = DefaultSessionTimeout
 	}
+	deadline := time.Time{} // a negative timeout clears what the idle wait set
 	if timeout > 0 {
-		_ = conn.SetDeadline(start.Add(timeout))
+		deadline = rec.start.Add(timeout)
+	}
+	_ = c.conn.SetDeadline(deadline)
+	// Claim a session slot before any further read: a server at its cap
+	// answers immediately with a distinct busy error instead of queueing the
+	// client behind sessions it cannot serve.
+	if lim := s.MaxConcurrentSessions; lim > 0 {
+		if s.liveSessions.Add(1) > int64(lim) {
+			s.liveSessions.Add(-1)
+			err := fmt.Errorf("%w: at the cap of %d concurrent sessions", ErrBusy, lim)
+			sendErrorFrame(c.ep, err)
+			s.reject(rec.sid, c.remote, rejectBusy, err, 0)
+			return nil, false, false
+		}
+		slot = true
+	}
+	if c.seq > 1 {
+		return hello, slot, true
 	}
 	// The hello gets a much tighter read deadline than the session: a
 	// slow-loris connection that never completes its handshake must release
@@ -622,179 +812,185 @@ func (s *Server) handle(conn net.Conn) {
 	if helloTimeout == 0 {
 		helloTimeout = DefaultHelloTimeout
 	}
-	if helloTimeout > 0 && (timeout <= 0 || helloTimeout < timeout) {
-		_ = conn.SetReadDeadline(start.Add(helloTimeout))
+	tighter := helloTimeout > 0 && (timeout <= 0 || helloTimeout < timeout)
+	if tighter {
+		_ = c.conn.SetReadDeadline(rec.start.Add(helloTimeout))
 	}
-	ep := wire.NewEndpoint(conn, transport.Alice)
-	ep.SetMaxPayload(s.MaxFrame)
-	// Claim a session slot before any read: a server at its cap answers
-	// immediately with a distinct busy error instead of queueing the client
-	// behind sessions it cannot serve.
-	if lim := s.MaxConcurrentSessions; lim > 0 {
-		if s.liveSessions.Add(1) > int64(lim) {
-			s.liveSessions.Add(-1)
-			err := fmt.Errorf("%w: at the cap of %d concurrent sessions", ErrBusy, lim)
-			sendErrorFrame(ep, err)
-			s.reject(sid, remote, rejectBusy, err, 0)
-			return
-		}
-		defer s.liveSessions.Add(-1)
-	}
-	payload, err := ep.RecvExpect(lblHello)
+	hello, err := c.ep.RecvExpect(lblHello)
 	if err != nil {
-		reason := rejectHelloIO
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			reason = rejectHelloTimeout
-		}
-		s.reject(sid, remote, reason, err, 0)
-		return
+		s.reject(rec.sid, c.remote, helloFailure(err), err, 0)
+		return nil, slot, false
 	}
-	// Handshake complete: restore the session-wide read deadline.
-	if helloTimeout > 0 && (timeout <= 0 || helloTimeout < timeout) {
-		if timeout > 0 {
-			_ = conn.SetReadDeadline(start.Add(timeout))
-		} else {
-			_ = conn.SetReadDeadline(time.Time{})
-		}
+	if tighter {
+		_ = c.conn.SetReadDeadline(deadline)
 	}
-	var h helloMsg
-	if err := json.Unmarshal(payload, &h); err != nil {
-		err = fmt.Errorf("malformed hello: %v", err)
-		sendErrorFrame(ep, err)
-		s.reject(sid, remote, rejectMalformed, err, 0)
-		return
+	return hello, slot, true
+}
+
+// handshake parses and validates the hello into rec.h and resolves the
+// dataset it names. A hello that fails any check is answered with an error
+// frame, counted as a reject, and ends the connection.
+func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*dataset, bool) {
+	h := &rec.h
+	refuse := func(reason string, err error) (*dataset, bool) {
+		sendErrorFrame(c.ep, err)
+		s.reject(rec.sid, c.remote, reason, err, obs.TraceID(h.TraceID))
+		return nil, false
+	}
+	if err := json.Unmarshal(hello, h); err != nil {
+		*h = helloMsg{} // whatever a torn hello filled in is not to be trusted
+		return refuse(rejectMalformed, fmt.Errorf("malformed hello: %v", err))
 	}
 	if h.V != protoVersion {
-		err := fmt.Errorf("protocol version %d unsupported (want %d)", h.V, protoVersion)
-		sendErrorFrame(ep, err)
-		s.reject(sid, remote, rejectVersion, err, obs.TraceID(h.TraceID))
-		return
+		return refuse(rejectVersion, fmt.Errorf("protocol version %d unsupported (want %d)", h.V, protoVersion))
 	}
-	if err := s.checkHello(&h); err != nil {
-		sendErrorFrame(ep, err)
-		s.reject(sid, remote, rejectBound, err, obs.TraceID(h.TraceID))
-		return
+	if err := s.checkHello(h); err != nil {
+		return refuse(rejectBound, err)
 	}
 	ds, err := s.lookup(h.Dataset, h.Kind)
 	if err != nil {
-		sendErrorFrame(ep, err)
-		s.reject(sid, remote, rejectUnknownDataset, err, obs.TraceID(h.TraceID))
-		return
+		return refuse(rejectUnknownDataset, err)
 	}
-	if err := ds.checkRoute(&h); err != nil {
-		sendErrorFrame(ep, err)
-		reason := rejectMisroute
+	if err := ds.checkRoute(h); err != nil {
 		if errors.Is(err, ErrStaleEpoch) {
-			reason = rejectStaleEpoch
+			return refuse(rejectStaleEpoch, err)
 		}
-		s.reject(sid, remote, reason, err, obs.TraceID(h.TraceID))
-		return
+		return refuse(rejectMisroute, err)
 	}
-	m.stageHello.Observe(time.Since(start).Seconds())
+	m := s.metrics()
+	m.stageHello.Observe(time.Since(rec.start).Seconds())
 	m.started.With(string(h.Kind)).Inc()
 	// Trace context: a hello carrying trace IDs joins the client's trace
 	// unconditionally (the client sampled it); otherwise the server's own
-	// sample rate decides. sp stays nil on untraced sessions — every span
-	// helper below is nil-safe and allocation-free then.
-	var sp *obs.Span
+	// sample rate decides. The span stays nil on untraced sessions — every
+	// span helper is nil-safe and allocation-free then.
 	if h.TraceID != 0 {
-		sp = s.Trace.Join(obs.TraceID(h.TraceID), obs.SpanID(h.SpanID), "server/session")
+		rec.sp = s.Trace.Join(obs.TraceID(h.TraceID), obs.SpanID(h.SpanID), "server/session")
 	} else {
-		sp = s.Trace.StartRoot("server/session")
+		rec.sp = s.Trace.StartRoot("server/session")
 	}
-	tid := obs.TraceID(h.TraceID)
-	if sp != nil {
-		tid = sp.TraceID()
-		sp.ChildAt("hello", start).Finish()
-	}
+	rec.sp.ChildAt("hello", rec.start).Finish()
 	// The carrier itself is always threaded so bound resolution and cache
 	// tallies feed sosr_bound_ratio on every session; its spans stay nil
 	// (and cost nothing) when the session is untraced.
-	stc := &sessTrace{sp: sp}
+	rec.tr.sp = rec.sp
+	return ds, true
+}
+
+// dispatch serves the session's protocol frames, leaving the outcome in rec.
+func (s *Server) dispatch(c *srvConn, rec *sessionRecord, ds *dataset) {
+	h, ep, tr := &rec.h, c.ep, &rec.tr
 	// Handshake validated: pipeline the client's remaining frames (probes,
-	// acks, done) so they decode off the socket while payloads are built. The
-	// accept-loop goroutine closes conn right after handle returns, which
-	// retires a reader blocked mid-read.
+	// acks, done — and, on a connection the client keeps, the hello of its
+	// next session) so they decode off the socket while payloads are built.
+	// Started once per connection.
 	ep.StartReadAhead()
-	defer ep.StopReadAhead()
 	view := ds.view(h.Dataset)
 	coins := hashing.NewCoins(h.Seed)
 	serveStart := time.Now()
-	stc.stage = sp.Child("transfer")
-	var done *doneMsg
-	proto, detail := "unknown", ""
+	tr.stage = rec.sp.Child("transfer")
 	switch h.Kind {
 	case KindSet, KindMultiset:
-		done, proto, detail, err = s.serveSet(ep, coins, view, &h, stc)
+		rec.done, rec.proto, rec.detail, rec.err = s.serveSet(ep, coins, view, h, tr)
 	case KindSetsOfSets:
-		done, proto, detail, err = s.serveSOS(ep, coins, view, &h, stc)
+		rec.done, rec.proto, rec.detail, rec.err = s.serveSOS(ep, coins, view, h, tr)
 	case KindGraph:
-		done, proto, detail, err = s.serveGraph(ep, coins, view, &h, stc)
+		rec.done, rec.proto, rec.detail, rec.err = s.serveGraph(ep, coins, view, h, tr)
 	case KindForest:
-		done, proto, detail, err = s.serveForest(ep, coins, view, &h, stc)
+		rec.done, rec.proto, rec.detail, rec.err = s.serveForest(ep, coins, view, h, tr)
 	default:
-		err = fmt.Errorf("%w: kind %q", ErrUnsupported, h.Kind)
-		sendErrorFrame(ep, err)
+		rec.err = fmt.Errorf("%w: kind %q", ErrUnsupported, h.Kind)
+		sendErrorFrame(ep, rec.err)
 	}
-	if errors.Is(err, core.ErrInvalidInstance) {
-		s.reject(sid, remote, rejectInstance, err, tid)
+	if errors.Is(rec.err, core.ErrInvalidInstance) {
+		s.reject(rec.sid, c.remote, rejectInstance, rec.err, rec.traceID())
 	}
-	stc.stage.Fail(err)
-	stc.stage.Finish()
-	m.stageTransfer.Observe(time.Since(serveStart).Seconds())
-	dur := time.Since(start)
+	tr.stage.Fail(rec.err)
+	tr.stage.Finish()
+	s.metrics().stageTransfer.Observe(time.Since(serveStart).Seconds())
+}
+
+// traceID is the trace the session belongs to: its span's, or the one the
+// hello named when this server keeps no spans.
+func (rec *sessionRecord) traceID() obs.TraceID {
+	if rec.sp != nil {
+		return rec.sp.TraceID()
+	}
+	return obs.TraceID(rec.h.TraceID)
+}
+
+// account closes a served session: metrics, span attributes and the log
+// record, all read off the one sessionRecord and the endpoint's counters.
+func (s *Server) account(c *srvConn, rec *sessionRecord) {
+	m, h, tr, sp := s.metrics(), &rec.h, &rec.tr, rec.sp
+	dur := time.Since(rec.start)
 	m.stageDone.Observe(dur.Seconds())
-	st := ep.Stats()
-	in, out := ep.BytesRead(), ep.BytesWritten()
-	m.wire.With(proto, "in").Add(uint64(in))
-	m.wire.With(proto, "out").Add(uint64(out))
-	m.protoB.With(proto, "alice").Add(uint64(st.AliceBytes))
-	m.protoB.With(proto, "bob").Add(uint64(st.BobBytes))
+	st := c.ep.Stats()
+	in, out := c.ep.BytesRead(), c.ep.BytesWritten()
+	m.wire.With(rec.proto, "in").Add(uint64(in))
+	m.wire.With(rec.proto, "out").Add(uint64(out))
+	m.protoB.With(rec.proto, "alice").Add(uint64(st.AliceBytes))
+	m.protoB.With(rec.proto, "bob").Add(uint64(st.BobBytes))
 	status := "ok"
 	switch {
-	case err != nil:
+	case rec.err != nil:
 		status = "error"
-	case done != nil && !done.OK:
+	case rec.done != nil && !rec.done.OK:
 		status = "client_failed"
 	}
-	m.sessions.With(string(h.Kind), proto, status).Inc()
-	// Bound-ratio audit: the paper promises O(d̂) protocol bytes per round
-	// independent of n; the ratio makes that checkable on every session,
-	// traced or not.
-	var ratio float64
+	m.sessions.With(string(h.Kind), rec.proto, status).Inc()
+	// Bound-ratio audit: the paper promises payloads of O(d̂) keys whatever
+	// n is; the ratio of Alice's bytes to d̂ keys' worth of table cells makes
+	// that checkable on every session, traced or not.
+	ratio := tr.boundRatio(st.AliceBytes)
 	exceeded := false
-	if stc.dHat > 0 && st.TotalBytes > 0 {
-		ratio = float64(st.TotalBytes) / float64(stc.dHat)
-	}
 	if ratio > 0 {
 		m.boundRatio.Observe(ratio)
 		exceeded = s.boundEnvelope() > 0 && ratio > s.boundEnvelope()
 	}
+	tid := rec.traceID()
 	if sp != nil {
 		sp.SetStr("dataset", h.Dataset)
 		sp.SetStr("kind", string(h.Kind))
-		sp.SetStr("proto", proto)
+		sp.SetStr("proto", rec.proto)
 		sp.SetStr("status", status)
-		sp.SetStr("remote", remote)
-		sp.SetInt("sid", int64(sid))
-		sp.SetInt("d", int64(stc.d))
-		sp.SetInt("dhat", int64(stc.dHat))
+		sp.SetStr("remote", c.remote)
+		sp.SetInt("sid", int64(rec.sid))
+		sp.SetInt("conn_seq", int64(c.seq))
+		sp.SetInt("d", int64(tr.d))
+		sp.SetInt("dhat", int64(tr.dHat))
 		sp.SetInt("proto_bytes", int64(st.TotalBytes))
 		sp.SetInt("wire_in", in)
 		sp.SetInt("wire_out", out)
-		sp.SetInt("cache_hits", int64(stc.hits))
-		sp.SetInt("cache_misses", int64(stc.miss))
+		sp.SetInt("cache_hits", int64(tr.hits))
+		sp.SetInt("cache_misses", int64(tr.miss))
 		if ratio > 0 {
 			sp.SetFloat("bound_ratio", ratio)
 			sp.SetBool("bound_exceeded", exceeded)
 		}
-		sp.Fail(err)
+		sp.Fail(rec.err)
 		sp.Finish()
 	}
+	// Log records are built only for a handler that wants them: boxing some
+	// thirty values per session for a discarding logger was a tenth of a hot
+	// session's allocations.
+	lg := s.logger()
+	if exceeded && lg.Enabled(context.Background(), slog.LevelWarn) {
+		args := []any{
+			"sid", rec.sid, "dataset", h.Dataset, "proto", rec.proto,
+			"ratio", ratio, "keys", tr.keys, "cell_bytes", tr.cellBytes, "alice_bytes", st.AliceBytes,
+		}
+		if tid != 0 {
+			args = append(args, "trace_id", tid.String())
+		}
+		lg.Warn("session exceeded communication envelope", args...)
+	}
+	if !lg.Enabled(context.Background(), slog.LevelInfo) {
+		return
+	}
 	args := []any{
-		"sid", sid, "remote", remote,
-		"dataset", h.Dataset, "kind", string(h.Kind), "proto", proto, "status", status,
+		"sid", rec.sid, "remote", c.remote, "conn_seq", c.seq,
+		"dataset", h.Dataset, "kind", string(h.Kind), "proto", rec.proto, "status", status,
 		"rounds", st.Rounds, "proto_bytes", st.TotalBytes,
 		"wire_in", in, "wire_out", out,
 		"dur", dur.Round(time.Microsecond).String(),
@@ -802,23 +998,13 @@ func (s *Server) handle(conn net.Conn) {
 	if tid != 0 {
 		args = append(args, "trace_id", tid.String(), "span_id", sp.ID().String())
 	}
-	if exceeded {
-		eargs := []any{
-			"sid", sid, "dataset", h.Dataset, "proto", proto,
-			"ratio", ratio, "dhat", stc.dHat, "proto_bytes", st.TotalBytes,
-		}
-		if tid != 0 {
-			eargs = append(eargs, "trace_id", tid.String())
-		}
-		s.logger().Warn("session exceeded communication envelope", eargs...)
+	if rec.detail != "" {
+		args = append(args, "detail", rec.detail)
 	}
-	if detail != "" {
-		args = append(args, "detail", detail)
+	if rec.err != nil {
+		args = append(args, "err", rec.err.Error())
 	}
-	if err != nil {
-		args = append(args, "err", err.Error())
-	}
-	if done != nil {
+	if done := rec.done; done != nil {
 		args = append(args,
 			"client_rounds", done.Rounds, "client_bytes", done.Bytes,
 			"client_msgs", done.Messages, "attempts", done.Attempts)
@@ -826,7 +1012,7 @@ func (s *Server) handle(conn net.Conn) {
 			args = append(args, "client_err", done.Error)
 		}
 	}
-	s.logger().Info("session finished", args...)
+	lg.Info("session finished", args...)
 }
 
 // accept sends the resolved parameters.
@@ -855,14 +1041,20 @@ func parseDone(payload []byte) (*doneMsg, error) {
 
 // ---- set / multiset ----
 
+// setCellBytes is one cell of a plain set's IBLT: an 8-byte element, a count
+// and a checksum.
+const setCellBytes = 8 + 4 + 8
+
 func (s *Server) serveSet(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
 	alice := view.set
 	variant := "iblt"
 	detail := fmt.Sprintf("d=%d", h.D)
 	tr.bounds(h.D, h.D)
+	tr.audit(h.D, setCellBytes)
 	switch {
 	case h.CharPoly:
 		variant = "charpoly"
+		tr.audit(h.D, 8) // one field element per difference
 		if h.D <= 0 {
 			err := errors.New("charpoly requires a positive difference bound")
 			sendErrorFrame(ep, err)
@@ -908,6 +1100,7 @@ func (s *Server) serveSet(ep *wire.Endpoint, coins hashing.Coins, view dsView, h
 			return nil, variant, detail, err
 		}
 		tr.bounds(d, d)
+		tr.audit(d, setCellBytes)
 		body := s.cachedMsg(view, "set-iblt", coins.Master(), d, tr, func() []byte {
 			return setrecon.BuildIBLTMsg(coins, alice, d)
 		})
@@ -935,6 +1128,20 @@ type sosPlan struct {
 	d        int
 	dHat     int
 	replicas int
+}
+
+// cellBytes is the audit's cost of one differing child set under this plan
+// at difference bound d.
+func (pl *sosPlan) cellBytes(d int) int {
+	switch pl.proto {
+	case "naive":
+		return core.CellBytes(core.DigestNaive, pl.p, d)
+	case "nested":
+		return core.CellBytes(core.DigestNested, pl.p, d)
+	case "cascade":
+		return core.CellBytes(core.DigestCascade, pl.p, d)
+	}
+	return core.MultiRoundCellBytes(pl.p)
 }
 
 func resolveSOS(h *helloMsg, alice [][]uint64) (*sosPlan, error) {
@@ -993,6 +1200,7 @@ func (s *Server) serveSOS(ep *wire.Endpoint, coins hashing.Coins, view dsView, h
 		return nil, "invalid", "", err
 	}
 	tr.bounds(pl.d, pl.dHat)
+	tr.audit(pl.dHat, pl.cellBytes(pl.d))
 	detail := fmt.Sprintf("d=%d d̂=%d s=%d h=%d", pl.d, pl.dHat, pl.p.S, pl.p.H)
 	if h.Validate {
 		if err := core.Validate(alice, pl.p); err != nil {
@@ -1025,6 +1233,7 @@ func (s *Server) serveSOS(ep *wire.Endpoint, coins hashing.Coins, view dsView, h
 			esp.SetInt("dhat", int64(dHat))
 			esp.Finish()
 			tr.bounds(1, dHat)
+			tr.audit(dHat, pl.cellBytes(1))
 			var body []byte
 			if body, err = s.sosAliceMsg(view, core.DigestNaive, coins, pl.p, 1, dHat, tr); err != nil {
 				sendErrorFrame(ep, err)
@@ -1096,6 +1305,7 @@ func (s *Server) serveDoubling(ep *wire.Endpoint, coins hashing.Coins, view dsVi
 		// Each attempt re-records the bounds; the surviving values are the
 		// attempt the client acked (or the last one tried).
 		tr.bounds(d, core.DHat(d, p.S))
+		tr.audit(core.DHat(d, p.S), core.CellBytes(kind, p, d))
 		body, err := s.sosAliceMsg(view, kind, att, p, d, core.DHat(d, p.S), tr)
 		if err != nil {
 			sendErrorFrame(ep, err)
@@ -1147,6 +1357,7 @@ func (s *Server) serveMultiRound(ep *wire.Endpoint, coins hashing.Coins, view ds
 		esp.SetInt("dhat", int64(dHat))
 		esp.Finish()
 		tr.bounds(pl.d, dHat)
+		tr.audit(dHat, pl.cellBytes(pl.d))
 	}
 	for r := 0; r < attempts; r++ {
 		c := coins
@@ -1224,6 +1435,8 @@ func (s *Server) serveGraph(ep *wire.Endpoint, coins hashing.Coins, view dsView,
 	tr.bounds(d, d)
 	switch h.Scheme {
 	case "degree":
+		sigShape, sigD := graphrecon.DegreeOrderSigShape(ga.N, graphrecon.DegreeOrderParams{H: h.TopH, D: d})
+		tr.audit(core.DHat(sigD, sigShape.S), core.CellBytes(core.DigestCascade, sigShape, sigD))
 		// Both frames come from one encode pass; memoize them together.
 		frames, err := s.cachedFrames(view, "graph-degree", coins.Master(), d,
 			fmt.Sprintf("h=%d", h.TopH), tr, func() ([][]byte, error) {
@@ -1262,6 +1475,8 @@ func (s *Server) serveGraph(ep *wire.Endpoint, coins hashing.Coins, view dsView,
 			sendErrorFrame(ep, err)
 			return nil, proto, detail, err
 		}
+		sigShape, sigD := graphrecon.NeighborhoodSigShape(ga.N, p, maxSig)
+		tr.audit(core.DHat(sigD, sigShape.S), core.CellBytes(core.DigestCascade, sigShape, sigD))
 		frames, err := s.cachedFrames(view, "graph-nbr", coins.Master(), d,
 			fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, maxSig, h.SigBudget), tr, func() ([][]byte, error) {
 				msgs, err := graphrecon.NeighborhoodAlice(coins, ga, p, sideA, maxSig)
@@ -1317,6 +1532,7 @@ func (s *Server) serveForest(ep *wire.Endpoint, coins hashing.Coins, ds dsView, 
 	if h.D > 0 {
 		tr.bounds(h.D, h.D)
 		rp, params := forest.Plan(ds.fi, infoB, forest.ReconParams{Sigma: h.Sigma, D: h.D, Budget: h.Budget})
+		tr.audit(core.DHat(rp.Budget, params.S), core.CellBytes(core.DigestCascade, params, rp.Budget))
 		if rp.Budget > s.maxBound() {
 			err := fmt.Errorf("%w: forest budget %d exceeds server bound %d", ErrUnsupported, rp.Budget, s.maxBound())
 			sendErrorFrame(ep, err)
@@ -1349,6 +1565,7 @@ func (s *Server) serveForest(ep *wire.Endpoint, coins hashing.Coins, ds dsView, 
 		att := coins.Sub("forest-attempt", k)
 		rp, params := forest.Plan(ds.fi, infoB, forest.ReconParams{Sigma: 1, D: 1, Budget: budget})
 		tr.bounds(1, budget)
+		tr.audit(core.DHat(rp.Budget, params.S), core.CellBytes(core.DigestCascade, params, rp.Budget))
 		frames, err := s.cachedFrames(ds, "forest-auto", att.Master(), 1,
 			planExtra(1, budget), tr, func() ([][]byte, error) {
 				sig, meta, err := forest.AliceMsg(att, ds.f, rp, params)

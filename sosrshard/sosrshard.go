@@ -150,7 +150,9 @@ func (st *Stats) add(index int, id string, oc *shardOutcome) {
 // Client reconciles local replicas against a sharded deployment: one
 // concurrent fan-out session per shard, replicas tried in rendezvous order
 // with failover and optional hedging, results merged. Configure the fields
-// before the first reconcile. Methods are safe for concurrent use.
+// before the first reconcile. Methods are safe for concurrent use. The
+// per-replica session clients keep their connections between reconciles (see
+// sosrnet.Client); Close releases them.
 type Client struct {
 	// Timeout bounds each per-replica session (dial through close).
 	Timeout time.Duration
@@ -186,7 +188,9 @@ type Client struct {
 	Refresh func(ctx context.Context) (*Topology, error)
 	// Obs, when set before the first reconcile, receives fan-out metrics:
 	// per-shard session latency, straggler spread, fan-out outcomes,
-	// failover and hedge counters (see metrics.go). Nil disables
+	// failover and hedge counters (see metrics.go), and the per-replica
+	// session clients' own families (connection dials, reuses and stale
+	// redials; sketch-cache events; peel iterations). Nil disables
 	// instrumentation.
 	Obs *obs.Registry
 	// Trace, when set, samples one distributed trace per reconcile: a
@@ -230,16 +234,37 @@ func (c *Client) Topology() *Topology {
 // SetTopology swaps the client's topology — the self-healing path after an
 // epoch bump. In-flight fan-outs finish against the topology they started
 // with; per-replica session clients (and their warm sketch caches) are
-// rebuilt lazily.
+// rebuilt lazily, and the old ones give up the connections they had parked.
 func (c *Client) SetTopology(topo *Topology) error {
 	if topo == nil {
 		return errors.New("sosrshard: nil topology")
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	old := c.clients
 	c.topo = topo
 	c.clients = nil
+	c.mu.Unlock()
+	closeClients(old)
 	return nil
+}
+
+// Close closes the connections the per-replica session clients have parked.
+// Fan-outs in flight finish normally and close theirs; the Client stays
+// usable, on a connection per session.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	cls := c.clients
+	c.mu.Unlock()
+	closeClients(cls)
+	return nil
+}
+
+func closeClients(cls [][]*sosrnet.Client) {
+	for _, reps := range cls {
+		for _, cl := range reps {
+			_ = cl.Close()
+		}
+	}
 }
 
 // state is one fan-out's immutable view: the topology and its per-replica
@@ -267,6 +292,7 @@ func (c *Client) state() (*state, error) {
 					Addr:             addr,
 					Timeout:          c.Timeout,
 					MaxFrame:         c.MaxFrame,
+					Obs:              c.Obs,
 					ShardID:          topo.ShardIDHash(i),
 					ShardCount:       topo.NumShards(),
 					ShardEpoch:       topo.Epoch(),
