@@ -1,6 +1,8 @@
 package sosr
 
 import (
+	"fmt"
+
 	"sosr/internal/core"
 	"sosr/internal/hashing"
 	"sosr/internal/transport"
@@ -41,34 +43,25 @@ type Result3 struct {
 // communication driven by the three difference bounds rather than the data
 // size.
 func ReconcileSetsOfSetsOfSets(alice, bob [][][]uint64, cfg Config3) (*Result3, error) {
+	// The data's own shape: what a zero bound derives, and what a set bound
+	// must cover (the encoders size their count fields from the shape).
+	data := core.Params3{G: maxLen(len(alice), len(bob)), S: 1, H: 1}
+	for _, gp := range [][][][]uint64{alice, bob} {
+		for _, group := range gp {
+			data.S = max(data.S, len(group))
+			data.H = max(data.H, maxChildLen(group))
+		}
+	}
 	p := core.Params3{G: cfg.MaxGroups, S: cfg.MaxChildSets, H: cfg.MaxChildSize}
-	if p.G <= 0 {
-		p.G = maxLen(len(alice), len(bob))
-	}
-	if p.S <= 0 {
-		for _, gp := range [][][][]uint64{alice, bob} {
-			for _, group := range gp {
-				if len(group) > p.S {
-					p.S = len(group)
-				}
-			}
-		}
-		if p.S < 1 {
-			p.S = 1
-		}
-	}
-	if p.H <= 0 {
-		for _, gp := range [][][][]uint64{alice, bob} {
-			for _, group := range gp {
-				for _, cs := range group {
-					if len(cs) > p.H {
-						p.H = len(cs)
-					}
-				}
-			}
-		}
-		if p.H < 1 {
-			p.H = 1
+	for _, b := range []struct {
+		name      string
+		set       *int
+		dataBound int
+	}{{"MaxGroups", &p.G, data.G}, {"MaxChildSets", &p.S, data.S}, {"MaxChildSize", &p.H, data.H}} {
+		if *b.set <= 0 {
+			*b.set = b.dataBound
+		} else if *b.set < b.dataBound {
+			return nil, fmt.Errorf("%w: %s=%d is below the data's %d", core.ErrInvalidInstance, b.name, *b.set, b.dataBound)
 		}
 	}
 	b := core.Bounds3{D: cfg.KnownDiff}

@@ -133,12 +133,9 @@ func digestPlan(alice, bob [][]uint64, cfg Config) (core.DigestKind, core.Params
 	if cfg.KnownDiff <= 0 {
 		return 0, core.Params{}, fmt.Errorf("sosr: digests require KnownDiff > 0 (unknown-d protocols are interactive)")
 	}
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(alice), len(bob))
-	}
-	if p.H <= 0 {
-		p.H = maxChildLen(alice, bob)
+	p, err := sosShape(cfg, alice, bob)
+	if err != nil {
+		return 0, core.Params{}, err
 	}
 	switch cfg.Protocol {
 	case ProtocolNaive:

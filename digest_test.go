@@ -105,7 +105,8 @@ func TestDigestOneToMany(t *testing.T) {
 	// One digest serves many Bobs (multicast reconciliation).
 	alice, bob1 := workload.PlantedSetsOfSets(31, 12, 16, 1<<40, 4)
 	_, bob2 := workload.PlantedSetsOfSets(31, 12, 16, 1<<40, 2)
-	cfg := Config{Seed: 41, MaxChildSets: 12, MaxChildSize: 16, KnownDiff: 4, Protocol: ProtocolCascade}
+	// The shape covers every party: planted insertions grow a child past 16.
+	cfg := Config{Seed: 41, MaxChildSets: 12, MaxChildSize: maxChildLen(alice, bob1, bob2), KnownDiff: 4, Protocol: ProtocolCascade}
 	digest, err := BuildDigest(alice, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -51,9 +51,10 @@ func TestReconcileSetsOfSetsOfSetsEqual(t *testing.T) {
 func TestReconcileSetsOfSetsTwoWay(t *testing.T) {
 	alice, bob := workload.PlantedSetsOfSets(31, 12, 16, 1<<40, 6)
 	d := SetsOfSetsDistance(alice, bob)
+	h := maxChildLen(alice, bob) // a planted insertion grows a child past 16
 	for _, proto := range []Protocol{ProtocolNested, ProtocolCascade, ProtocolMultiRound} {
 		res, err := ReconcileSetsOfSetsTwoWay(alice, bob, Config{
-			Seed: 3, MaxChildSets: 12, MaxChildSize: 16, KnownDiff: d, Protocol: proto,
+			Seed: 3, MaxChildSets: 12, MaxChildSize: h, KnownDiff: d, Protocol: proto,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
@@ -80,7 +81,7 @@ func TestReconcileSetsOfSetsTwoWay(t *testing.T) {
 		_ = want
 		// The return leg adds exactly one round over the one-way run.
 		oneWay, err := ReconcileSetsOfSets(alice, bob, Config{
-			Seed: 3, MaxChildSets: 12, MaxChildSize: 16, KnownDiff: d, Protocol: proto,
+			Seed: 3, MaxChildSets: 12, MaxChildSize: h, KnownDiff: d, Protocol: proto,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -18,27 +18,54 @@ import (
 // cache. The cascade levels ≥ 2 and T* delete "all except D_B": the cached
 // path subtracts the full aggregate and re-inserts the (few) D_B encodings,
 // which XOR-cancels to the identical table state.
+//
+// The same linearity gives a sketch a successor: the aggregates of a parent
+// that differs in a few children are the old aggregates minus the encodings
+// of the children that left plus those of the children that came
+// (NextBobSketch), cell for cell what a build over the new parent produces.
+// That takes the old children's contents, so a sketch whose parent is known
+// to change retains it. One built with no predecessor does not: most parents
+// never change, and the copy would double what their holder keeps for them.
 type BobSketch struct {
-	kind DigestKind
-	p    Params
-	d    int
-	dHat int
-	seed uint64 // coins.Master(): aggregates are only valid under these coins
+	kind  DigestKind
+	p     Params
+	d     int
+	dHat  int
+	coins hashing.Coins // aggregates are only valid under these coins
 
 	plan      *cascadePlan  // DigestCascade: the sizes and seeds of this shape, derived once
-	tables    []*iblt.Table // per parent level, aggregate of enc(cs) for all of Bob's children
-	star      *iblt.Table   // cascade T* aggregate (nil when the plan has no star)
-	bobHashes []uint64      // per-child-set hash under childSeed(coins), aligned with the parent set
+	tables    []*iblt.Table // aggregates of enc(cs) over Bob's children. naive/nested: [0]; cascade: levels, then T* when the plan has one
+	bobHashes []uint64      // per-child-set hash under childSeed(coins), in parent order
+	bob       [][]uint64    // the canonical parent set the aggregates cover; nil when not retained
 }
 
 // NewBobSketch precomputes Bob's aggregate encodings of parent set bob for
 // the given protocol shape. The sketch is read-only afterwards and safe for
-// concurrent ApplyMsgCached calls; bob must stay unmodified (and canonical)
-// for as long as the sketch is used.
+// concurrent ApplyMsgCached calls; bob must be canonical.
 func NewBobSketch(kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params, d, dHat int) (*BobSketch, error) {
-	p, err := p.normalized()
+	sk, _, err := NextBobSketch(nil, kind, coins, bob, p, d, dHat)
+	return sk, err
+}
+
+// NextBobSketch returns the sketch of parent set bob under (kind, coins, p,
+// d, dHat), as the successor of prev: the sketch of another parent that this
+// one replaces. When prev was built for the same shape under the same coins
+// and retains its parent, the two parents are diffed by child hash (as
+// multisets), prev's aggregates are copied, and only the encodings of the
+// children one parent holds and the other does not are deleted and inserted —
+// O(s) hashing plus O(|Δ|·levels) encodes where a build costs O(s·levels).
+// delta is |Δ|, the number of encodings patched per table. Otherwise (prev
+// nil, of another shape or other coins, without its parent, or differing in
+// at least as many children as bob holds) the sketch is built from scratch
+// and delta is -1. Either way the result equals NewBobSketch(bob) cell for
+// cell, and prev is not modified.
+//
+// A successor (prev non-nil) retains bob, so that its own successor can be
+// patched: bob must then stay unmodified for as long as the sketch is used.
+func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params, d, dHat int) (sk *BobSketch, delta int, err error) {
+	p, err = p.normalized()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if d < 1 {
 		d = 1
@@ -46,64 +73,106 @@ func NewBobSketch(kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params
 	if dHat <= 0 {
 		dHat = DHat(d, p.S)
 	}
-	sk := &BobSketch{kind: kind, p: p, d: d, dHat: dHat, seed: coins.Master()}
+	sk = &BobSketch{kind: kind, p: p, d: d, dHat: dHat, coins: coins}
 	chs := childSeed(coins)
 	sk.bobHashes = make([]uint64, len(bob))
 	for i, cs := range bob {
 		sk.bobHashes[i] = setutil.Hash(chs, cs)
 	}
+	w := cascadeWorkPool.Get().(*cascadeWork)
+	defer func() {
+		w.release()
+		cascadeWorkPool.Put(w)
+	}()
+	if prev != nil {
+		sk.bob = bob
+		if prev.bob != nil && prev.check(kind, coins, p, d, dHat) == nil {
+			gone, come := w.diffParents(prev, sk)
+			if delta = len(gone) + len(come); delta < len(bob) {
+				sk.plan = prev.plan
+				sk.tables = iblt.CloneAll(prev.tables)
+				sk.patch(w, gone, come)
+				return sk, delta, nil
+			}
+		}
+	}
 	switch kind {
 	case DigestNaive:
-		codec := newNaiveCodec(p)
-		enc := codec.encoder()
-		t := iblt.New(iblt.CellsFor(2*dHat), codec.width, 0, coins.Seed("naive/parent", 0))
-		for _, cs := range bob {
-			t.Insert(enc.encode(cs))
-		}
-		sk.tables = []*iblt.Table{t}
+		sk.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), newNaiveCodec(p).width, 0, coins.Seed("naive/parent", 0))}
 	case DigestNested:
-		codec := newNestedCodec(coins, p, d)
-		enc := codec.encoder()
-		t := iblt.New(iblt.CellsFor(2*dHat), codec.width, 0, coins.Seed("nested/parent", 0))
-		for _, cs := range bob {
-			t.Insert(enc.encode(cs))
-		}
-		sk.tables = []*iblt.Table{t}
+		sk.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), newNestedCodec(coins, p, d).width, 0, coins.Seed("nested/parent", 0))}
 	case DigestCascade:
 		plan := newCascadePlan(coins, p, d)
 		sk.plan = plan
-		enc := plan.level[0].encoder()
+		sk.tables = make([]*iblt.Table, 0, plan.t+1)
 		for i := 1; i <= plan.t; i++ {
-			enc.reuse(plan.level[i-1])
-			ti := iblt.New(plan.parentCells(i), plan.level[i-1].width, 0, plan.parentSeed(i))
-			for _, cs := range bob {
-				ti.Insert(enc.encode(cs))
-			}
-			sk.tables = append(sk.tables, ti)
+			sk.tables = append(sk.tables, iblt.New(plan.parentCells(i), plan.level[i-1].width, 0, plan.parentSeed(i)))
 		}
 		if plan.star {
-			starEnc := plan.starCodec.encoder()
-			tStar := iblt.New(plan.starCells(), plan.starCodec.width, 0, plan.starSeed())
-			for _, cs := range bob {
-				tStar.Insert(starEnc.encode(cs))
-			}
-			sk.star = tStar
+			sk.tables = append(sk.tables, iblt.New(plan.starCells(), plan.starCodec.width, 0, plan.starSeed()))
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
+		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
 	}
-	return sk, nil
+	sk.patch(w, nil, bob)
+	return sk, -1, nil
+}
+
+// setEncoder is what patch needs of the naive and child encoders.
+type setEncoder interface{ encode(cs []uint64) []byte }
+
+// patch deletes the encodings of gone from every aggregate table and inserts
+// those of come, on the workspace's encoders.
+func (sk *BobSketch) patch(w *cascadeWork, gone, come [][]uint64) {
+	apply := func(t *iblt.Table, e setEncoder) {
+		for _, cs := range gone {
+			t.Delete(e.encode(cs))
+		}
+		for _, cs := range come {
+			t.Insert(e.encode(cs))
+		}
+	}
+	switch sk.kind {
+	case DigestNaive:
+		w.star.reuse(newNaiveCodec(sk.p))
+		apply(sk.tables[0], &w.star)
+	case DigestNested:
+		apply(sk.tables[0], w.encoder(newNestedCodec(sk.coins, sk.p, sk.d)))
+	case DigestCascade:
+		for i, codec := range sk.plan.level {
+			apply(sk.tables[i], w.encoder(codec))
+		}
+		if sk.plan.star {
+			w.star.reuse(sk.plan.starCodec)
+			apply(sk.tables[sk.plan.t], &w.star)
+		}
+	}
+}
+
+// Holds reports whether bob is the parent set the sketch covers: the same
+// child sets (by hash) in the same order, bobHashes being indexed by it.
+func (sk *BobSketch) Holds(bob [][]uint64) bool {
+	if len(bob) != len(sk.bobHashes) {
+		return false
+	}
+	if len(bob) > 0 && len(sk.bob) > 0 && &bob[0] == &sk.bob[0] {
+		return true // the very slice the sketch retains
+	}
+	chs := childSeed(sk.coins)
+	for i, cs := range bob {
+		if setutil.Hash(chs, cs) != sk.bobHashes[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // SizeBytes reports the sketch's approximate memory footprint for cache
-// accounting.
+// accounting, a retained parent set included.
 func (sk *BobSketch) SizeBytes() int64 {
-	n := int64(8 * len(sk.bobHashes))
+	n := int64(8*len(sk.bobHashes) + 24*len(sk.bob) + 8*setutil.TotalSize(sk.bob))
 	for _, t := range sk.tables {
 		n += int64(t.SerializedSize())
-	}
-	if sk.star != nil {
-		n += int64(sk.star.SerializedSize())
 	}
 	return n
 }
@@ -112,7 +181,7 @@ func (sk *BobSketch) SizeBytes() int64 {
 // mismatched sketch would silently corrupt the subtraction, so it is an error,
 // never a fallback.
 func (sk *BobSketch) check(kind DigestKind, coins hashing.Coins, p Params, d, dHat int) error {
-	if sk.kind != kind || sk.p != p || sk.d != d || sk.seed != coins.Master() {
+	if sk.kind != kind || sk.p != p || sk.d != d || sk.coins != coins {
 		return fmt.Errorf("%w: Bob sketch shape mismatch", ErrBadDigest)
 	}
 	if kind != DigestCascade && sk.dHat != dHat {
@@ -123,9 +192,11 @@ func (sk *BobSketch) check(kind DigestKind, coins hashing.Coins, p Params, d, dH
 
 // ApplyMsgCached is ApplyMsg with Bob's side served from a precomputed
 // sketch: parent-level subtractions reuse sk's aggregates instead of
-// re-encoding every child set. sk must have been built by NewBobSketch under
-// the same (kind, coins, bob, p, d, dHat); nil sk falls back to the plain
-// path. The recovered difference is identical either way.
+// re-encoding every child set. sk must have been built (or derived) under the
+// same (kind, coins, bob, p, d, dHat) — a sketch of another shape, of other
+// coins or of another parent set is refused as ErrBadDigest before anything
+// is subtracted; nil sk falls back to the plain path. The recovered
+// difference is identical either way.
 func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d, dHat int, sk *BobSketch) (*Result, error) {
 	if d < 1 {
 		d = 1
@@ -143,8 +214,8 @@ func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]u
 	if err := sk.check(kind, coins, np, d, dHat); err != nil {
 		return nil, err
 	}
-	if len(bob) != len(sk.bobHashes) {
-		return nil, fmt.Errorf("%w: Bob sketch parent size mismatch", ErrBadDigest)
+	if !sk.Holds(bob) {
+		return nil, fmt.Errorf("%w: Bob sketch built for another parent set", ErrBadDigest)
 	}
 	var res *Result
 	switch kind {

@@ -126,9 +126,10 @@ var cascadeWorkPool = sync.Pool{New: func() any { return new(cascadeWork) }}
 // cascadeWork is the scratch of one cascadeBob run: the split message, the
 // hash indexes, the reusable tables and the encoders. A hot decode (same
 // shape as the one before it on this workspace) finds every buffer already
-// large enough and allocates only its Result. Nothing in a released
-// workspace refers to the caller's message or parent set, so the pool pins
-// no caller data.
+// large enough and allocates only its Result. Building or patching a Bob
+// sketch borrows the same workspace for its encoders and the parent diff.
+// Nothing in a released workspace refers to the caller's message or parent
+// set, so the pool pins no caller data.
 type cascadeWork struct {
 	frames      [][]byte            // per-level table bodies, slices of the message
 	byHash      map[uint64][]uint64 // Bob's child set by its hash
@@ -142,6 +143,8 @@ type cascadeWork struct {
 	rec         childRecoverer
 	enc         childEncoder
 	star        naiveEncoder
+	tally       map[uint64]int32 // diffParents: occurrences of a child hash in the old parent not yet matched
+	gone, come  [][]uint64       // diffParents: the children only the old, only the new parent holds
 
 	// Per run, dropped by release.
 	bob       [][]uint64
@@ -155,13 +158,43 @@ func (w *cascadeWork) release() {
 	clear(w.frames[:cap(w.frames)])
 	clear(w.dB[:cap(w.dB)])
 	clear(w.dA[:cap(w.dA)])
-	w.frames, w.dA, w.dB = w.frames[:0], w.dA[:0], w.dB[:0]
+	clear(w.gone[:cap(w.gone)])
+	clear(w.come[:cap(w.come)])
+	w.frames, w.dA, w.dB, w.gone, w.come = w.frames[:0], w.dA[:0], w.dB[:0], w.gone[:0], w.come[:0]
 	clear(w.byHash)
 	clear(w.removed)
 	clear(w.outstanding)
 	clear(w.recovered)
 	w.rec.forget()
 	w.bob, w.bobHashes, w.peels = nil, nil, 0
+}
+
+// diffParents splits two sketches' parents into the children only old holds
+// and the children only next holds, matching children by hash as multisets: a
+// child held twice by one parent and once by the other differs once. The
+// lists are valid until release.
+func (w *cascadeWork) diffParents(old, next *BobSketch) (gone, come [][]uint64) {
+	if w.tally == nil {
+		w.tally = make(map[uint64]int32, len(old.bobHashes))
+	}
+	for _, h := range old.bobHashes {
+		w.tally[h]++
+	}
+	for i, h := range next.bobHashes {
+		if n := w.tally[h]; n > 0 {
+			w.tally[h] = n - 1
+		} else {
+			w.come = append(w.come, next.bob[i])
+		}
+	}
+	for i, h := range old.bobHashes {
+		if n := w.tally[h]; n > 0 {
+			w.tally[h] = n - 1
+			w.gone = append(w.gone, old.bob[i])
+		}
+	}
+	clear(w.tally)
+	return w.gone, w.come
 }
 
 // encoder retargets the workspace's child encoder at codec.
@@ -233,7 +266,7 @@ func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bo
 	if t != plan.t {
 		return nil, fmt.Errorf("core: cascade level count %d != plan %d", t, plan.t)
 	}
-	if sk != nil && (len(sk.tables) != t || (sk.star == nil) == plan.star) {
+	if sk != nil && (sk.plan.t != t || sk.plan.star != plan.star) {
 		return nil, fmt.Errorf("%w: Bob sketch level mismatch", ErrBadDigest)
 	}
 	// Split the message into per-level frames up front; each level's table is
@@ -372,7 +405,7 @@ func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bo
 		}
 		w.star.reuse(plan.starCodec)
 		if sk != nil {
-			if err := w.parent.Subtract(sk.star); err != nil {
+			if err := w.parent.Subtract(sk.tables[t]); err != nil {
 				return nil, fmt.Errorf("%w: T*: %v", ErrParentDecode, err)
 			}
 			for i, cs := range bob {

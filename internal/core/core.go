@@ -63,6 +63,22 @@ func (p Params) normalized() (Params, error) {
 	return p, nil
 }
 
+// Fits reports, as ErrInvalidInstance, a parent set the shape cannot hold:
+// more than S child sets, or a child set of more than H elements. Encoders
+// size their fixed-width keys and count fields from the shape, so data
+// beyond it must be refused before it reaches one.
+func (p Params) Fits(parent [][]uint64) error {
+	if len(parent) > p.S {
+		return fmt.Errorf("%w: %d child sets exceeds S=%d", ErrInvalidInstance, len(parent), p.S)
+	}
+	for i, cs := range parent {
+		if len(cs) > p.H {
+			return fmt.Errorf("%w: child %d has %d elements, H=%d", ErrInvalidInstance, i, len(cs), p.H)
+		}
+	}
+	return nil
+}
+
 // Result reports a completed sets-of-sets reconciliation.
 type Result struct {
 	// Recovered is Bob's reconstruction of Alice's parent set, with child
@@ -106,14 +122,11 @@ func Validate(parent [][]uint64, p Params) error {
 	if err != nil {
 		return err
 	}
-	if len(parent) > p.S {
-		return fmt.Errorf("%w: %d child sets exceeds S=%d", ErrInvalidInstance, len(parent), p.S)
+	if err := p.Fits(parent); err != nil {
+		return err
 	}
 	seen := make(map[uint64][]uint64, len(parent))
 	for i, cs := range parent {
-		if len(cs) > p.H {
-			return fmt.Errorf("%w: child %d has %d elements, H=%d", ErrInvalidInstance, i, len(cs), p.H)
-		}
 		if !setutil.IsCanonical(cs) {
 			return fmt.Errorf("%w: child %d not canonical", ErrInvalidInstance, i)
 		}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
+	"sosr/internal/setutil"
 	"sosr/internal/transport"
 	"sosr/internal/workload"
 )
@@ -181,7 +184,10 @@ func TestBobSketchSubtractionBytes(t *testing.T) {
 }
 
 // TestApplyMsgCachedRejectsMismatch ensures a stale or foreign sketch is an
-// error, never a silent wrong answer.
+// error, never a silent wrong answer: other coins, another d, and — for every
+// kind — another parent set of the same size or the same children in another
+// order are refused up front as ErrBadDigest (the last two used to surface
+// only as a late ErrVerify).
 func TestApplyMsgCachedRejectsMismatch(t *testing.T) {
 	alice, bob, p := decodeWorkload(t)
 	coins := hashing.NewCoins(42)
@@ -204,6 +210,31 @@ func TestApplyMsgCachedRejectsMismatch(t *testing.T) {
 	}
 	if _, err := ApplyMsgCached(DigestCascade, coins, msg, bob, p, d, dHat, sk2); err == nil {
 		t.Fatal("wrong-d sketch accepted")
+	}
+
+	other := setutil.CloneSets(bob)
+	other[3] = []uint64{1 << 41, 1<<41 + 1}
+	for _, kind := range []DigestKind{DigestNaive, DigestNested, DigestCascade} {
+		msg, err := AliceMsg(kind, coins, alice, p, d, dHat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := NewBobSketch(kind, coins, other, p, d, dHat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ApplyMsgCached(kind, coins, msg, bob, p, d, dHat, sk); !errors.Is(err, ErrBadDigest) {
+			t.Errorf("kind %d: sketch of another parent: err = %v, want ErrBadDigest", kind, err)
+		}
+		// The same children in another order index differently: refused too.
+		swapped := slices.Clone(bob)
+		swapped[0], swapped[1] = swapped[1], swapped[0]
+		if _, err := ApplyMsgCached(kind, coins, msg, swapped, p, d, dHat, mustSketch(t, kind, coins, bob, p, d)); !errors.Is(err, ErrBadDigest) {
+			t.Errorf("kind %d: sketch of a reordered parent: err = %v, want ErrBadDigest", kind, err)
+		}
+		if _, err := ApplyMsgCached(kind, coins, msg, setutil.CloneSets(bob), p, d, dHat, mustSketch(t, kind, coins, bob, p, d)); err != nil {
+			t.Errorf("kind %d: sketch refused an equal copy of its parent: %v", kind, err)
+		}
 	}
 }
 

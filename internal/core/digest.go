@@ -88,11 +88,10 @@ func ApplyDigest(digest []byte, coins hashing.Coins, bob [][]uint64) (*Result, e
 	if d < 1 || dHat < 1 || d > 1<<40 || dHat > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible bounds d=%d d̂=%d", ErrBadDigest, d, dHat)
 	}
-	res, err := ApplyMsg(kind, coins, digest[hdrLen:], bob, p, d, dHat)
-	if err != nil {
+	if err := p.Fits(bob); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return ApplyMsg(kind, coins, digest[hdrLen:], bob, p, d, dHat)
 }
 
 // AliceMsg builds the raw one-round payload for kind — exactly the bytes the

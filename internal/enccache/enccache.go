@@ -145,7 +145,7 @@ func (c *Cache) GetOrCompute(k Key, build func() ([]byte, error)) ([]byte, error
 // under one key so a hit replays the entire Alice side of the session. The
 // returned slices are shared — callers must not mutate them.
 func (c *Cache) GetOrComputeFrames(k Key, build func() ([][]byte, error)) ([][]byte, error) {
-	e, _, err := c.getOrCompute(k, func() (*entry, error) {
+	e, _, err := c.getOrCompute(k, nil, func(*entry) (*entry, error) {
 		frames, err := build()
 		if err != nil {
 			return nil, err
@@ -165,9 +165,25 @@ func (c *Cache) GetOrComputeFrames(k Key, build func() ([][]byte, error)) ([][]b
 // read-only (Bob sketches, the first user, are only ever Subtract sources).
 // hit reports whether the lookup was served from memory rather than running
 // (or piggybacking on) a build.
-func (c *Cache) GetOrComputeValue(k Key, build func() (any, int64, error)) (val any, hit bool, err error) {
-	e, hit, err := c.getOrCompute(k, func() (*entry, error) {
-		v, size, err := build()
+//
+// A key may name a value that goes stale (the newest sketch of a parent set
+// that changes): a resident value that current rejects is not a hit — it is
+// handed to build as prev, and what build derives from it replaces it, the
+// byte count re-accounted. prev is nil when nothing is resident. A lookup
+// that piggybacks on another caller's build receives that caller's value,
+// which current may also reject; the caller checks. nil current accepts any
+// resident value.
+func (c *Cache) GetOrComputeValue(k Key, current func(val any) bool, build func(prev any) (any, int64, error)) (val any, hit bool, err error) {
+	var fresh func(*entry) bool
+	if current != nil {
+		fresh = func(e *entry) bool { return current(e.val) }
+	}
+	e, hit, err := c.getOrCompute(k, fresh, func(prev *entry) (*entry, error) {
+		var pv any
+		if prev != nil {
+			pv = prev.val
+		}
+		v, size, err := build(pv)
 		if err != nil {
 			return nil, err
 		}
@@ -180,15 +196,27 @@ func (c *Cache) GetOrComputeValue(k Key, build func() (any, int64, error)) (val 
 }
 
 // getOrCompute is the shared lookup/coalesce/insert path. build returns a
-// keyless entry (frames or val plus size) that getOrCompute stores.
-func (c *Cache) getOrCompute(k Key, build func() (*entry, error)) (e *entry, hit bool, err error) {
+// keyless entry (frames or val plus size) that getOrCompute stores. A
+// resident entry that fresh (when non-nil) rejects counts as a miss and is
+// passed to build, whose result replaces it. fresh is caller code and runs
+// without the lock; whatever became resident meanwhile is still replaced.
+func (c *Cache) getOrCompute(k Key, fresh func(*entry) bool, build func(prev *entry) (*entry, error)) (e *entry, hit bool, err error) {
+	var prev *entry
 	c.mu.Lock()
 	if el, ok := c.entries[k]; ok {
+		prev = el.Value.(*entry)
 		c.ll.MoveToFront(el)
-		c.hits++
-		e := el.Value.(*entry)
+	}
+	hit = prev != nil
+	if hit && fresh != nil {
 		c.mu.Unlock()
-		return e, true, nil
+		hit = fresh(prev)
+		c.mu.Lock()
+	}
+	if hit {
+		c.hits++
+		c.mu.Unlock()
+		return prev, true, nil
 	}
 	if cl, ok := c.inflight[k]; ok {
 		c.shared++
@@ -219,7 +247,7 @@ func (c *Cache) getOrCompute(k Key, build func() (*entry, error)) (e *entry, hit
 			c.mu.Unlock()
 		}
 	}()
-	built, err := build()
+	built, err := build(prev)
 	if err == nil {
 		cl.frames, cl.val, cl.size = built.frames, built.val, built.size
 	}
@@ -269,17 +297,26 @@ func (c *Cache) GetFrames(k Key) ([][]byte, bool) {
 	return el.Value.(*entry).frames, true
 }
 
-// insert stores a built entry and evicts from the LRU tail until the byte
-// bound holds. Oversized payloads (> half the bound) are not retained — one
-// giant value must not flush the whole working set. Caller holds mu.
+// insert stores a built entry, in place of the key's resident one if there
+// is one, and evicts from the LRU tail until the byte bound holds. Oversized
+// payloads (> half the bound) are not retained — one giant value must not
+// flush the whole working set — and the value they would have replaced goes
+// too: it is stale. Caller holds mu.
 func (c *Cache) insert(ne *entry) {
+	el, ok := c.entries[ne.key]
 	if ne.size > c.maxBytes/2 {
+		if ok {
+			c.ll.Remove(el)
+			delete(c.entries, ne.key)
+			c.bytes -= el.Value.(*entry).size
+		}
 		return
 	}
-	if el, ok := c.entries[ne.key]; ok { // lost a race with an identical build
-		e := el.Value.(*entry)
-		c.bytes += ne.size - e.size
-		e.frames, e.val, e.size = ne.frames, ne.val, ne.size
+	if ok {
+		// The list element gets a new entry rather than new fields: lookups
+		// that returned the old one read it without the lock.
+		c.bytes += ne.size - el.Value.(*entry).size
+		el.Value = ne
 		c.ll.MoveToFront(el)
 	} else {
 		c.entries[ne.key] = c.ll.PushFront(ne)

@@ -319,15 +319,15 @@ func TestGetOrComputeValueCachesAndEvicts(t *testing.T) {
 	c := New(1000)
 	k := Key{Dataset: "ds", Proto: "bob/cascade", Seed: 7}
 	builds := 0
-	build := func() (any, int64, error) {
+	build := func(any) (any, int64, error) {
 		builds++
 		return &[3]int{1, 2, 3}, 400, nil
 	}
-	v1, hit, err := c.GetOrComputeValue(k, build)
+	v1, hit, err := c.GetOrComputeValue(k, nil, build)
 	if err != nil || hit || builds != 1 {
 		t.Fatalf("first lookup: hit=%v builds=%d err=%v", hit, builds, err)
 	}
-	v2, hit, err := c.GetOrComputeValue(k, build)
+	v2, hit, err := c.GetOrComputeValue(k, nil, build)
 	if err != nil || !hit || builds != 1 {
 		t.Fatalf("second lookup: hit=%v builds=%d err=%v", hit, builds, err)
 	}
@@ -349,11 +349,11 @@ func TestGetOrComputeValueCachesAndEvicts(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		k2 := k
 		k2.Seed = uint64(100 + i)
-		if _, _, err := c.GetOrComputeValue(k2, build); err != nil {
+		if _, _, err := c.GetOrComputeValue(k2, nil, build); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, hit, _ := c.GetOrComputeValue(k, build); hit {
+	if _, hit, _ := c.GetOrComputeValue(k, nil, build); hit {
 		t.Fatal("evicted value still resident")
 	}
 	if st := c.Stats(); st.Evictions == 0 || st.Bytes > 1000 {
@@ -365,11 +365,82 @@ func TestGetOrComputeValueErrorNotCached(t *testing.T) {
 	c := New(0)
 	k := Key{Dataset: "ds", Proto: "bob/naive"}
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrComputeValue(k, func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.GetOrComputeValue(k, nil, func(any) (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, hit, err := c.GetOrComputeValue(k, func() (any, int64, error) { return "ok", 2, nil })
+	v, hit, err := c.GetOrComputeValue(k, nil, func(any) (any, int64, error) { return "ok", 2, nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("retry after error: %v %v %v", v, hit, err)
+	}
+}
+
+// TestGetOrComputeValueReplacesStale: a resident value the caller rejects is
+// a miss whose build sees it as the predecessor; the successor takes its
+// place under the same key with the byte count re-accounted, an oversized
+// successor leaves nothing behind, and a lookup that piggybacks on another
+// caller's build gets that caller's value to judge for itself.
+func TestGetOrComputeValueReplacesStale(t *testing.T) {
+	c := New(1000)
+	k := Key{Dataset: "ds", Proto: "bob/cascade", Seed: 7}
+	is := func(want int) func(any) bool { return func(v any) bool { return v.(int) == want } }
+	next := func(want int, size int64) func(any) (any, int64, error) {
+		return func(prev any) (any, int64, error) {
+			if want == 1 && prev != nil || want > 1 && prev != want-1 {
+				t.Errorf("build of %d saw predecessor %v", want, prev)
+			}
+			return want, size, nil
+		}
+	}
+	if v, hit, err := c.GetOrComputeValue(k, is(1), next(1, 100)); err != nil || hit || v != 1 {
+		t.Fatalf("first lookup: %v %v %v", v, hit, err)
+	}
+	if v, hit, err := c.GetOrComputeValue(k, is(1), next(1, 100)); err != nil || !hit || v != 1 {
+		t.Fatalf("fresh lookup: %v %v %v", v, hit, err)
+	}
+	if v, hit, err := c.GetOrComputeValue(k, is(2), next(2, 300)); err != nil || hit || v != 2 {
+		t.Fatalf("stale lookup: %v %v %v", v, hit, err)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 300 || st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats after replacement: %+v", st)
+	}
+	if v, hit, _ := c.GetOrComputeValue(k, is(2), next(2, 300)); !hit || v != 2 {
+		t.Fatalf("successor not resident: %v %v", v, hit)
+	}
+	if _, _, err := c.GetOrComputeValue(k, is(3), next(3, 600)); err != nil { // > maxBytes/2
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("oversized successor left its stale predecessor resident: %+v", st)
+	}
+
+	// Two callers wanting different values under one key: the second waits on
+	// the first's build and is handed a value its own check rejects.
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan any)
+	go func() {
+		v, _, _ := c.GetOrComputeValue(k, is(4), func(any) (any, int64, error) {
+			close(started)
+			<-release
+			return 4, 10, nil
+		})
+		done <- v
+	}()
+	<-started
+	go func() {
+		v, hit, _ := c.GetOrComputeValue(k, is(5), func(any) (any, int64, error) {
+			t.Error("piggybacking lookup ran its own build")
+			return 5, 10, nil
+		})
+		if hit {
+			t.Error("piggybacked lookup reported a hit")
+		}
+		done <- v
+	}()
+	for c.Stats().Shared == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if a, b := <-done, <-done; a != 4 || b != 4 {
+		t.Fatalf("coalesced lookups returned %v and %v, want the one build's value", a, b)
 	}
 }

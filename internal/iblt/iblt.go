@@ -203,6 +203,39 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
+// CloneAll deep-copies ts. The copies' cell arrays are carved out of one
+// allocation per array kind, so copying a whole family of tables (every level
+// of a sketch) costs six allocations however many tables there are. Each
+// copy's slices are capacity-limited to its own share.
+func CloneAll(ts []*Table) []*Table {
+	var cells, sums, ks int
+	for _, t := range ts {
+		cells, sums, ks = cells+t.cells, sums+len(t.keySums), ks+t.k
+	}
+	tabs := make([]Table, len(ts))
+	out := make([]*Table, len(ts))
+	counts := make([]int32, 0, cells)
+	keySums := make([]byte, 0, sums)
+	checks := make([]uint64, 0, cells)
+	idx := make([]int, ks)
+	for i, t := range ts {
+		c, s := len(counts), len(keySums)
+		counts = append(counts, t.counts...)
+		keySums = append(keySums, t.keySums...)
+		checks = append(checks, t.checks...)
+		tabs[i] = Table{
+			k: t.k, cells: t.cells, width: t.width, seed: t.seed,
+			counts:  counts[c:len(counts):len(counts)],
+			keySums: keySums[s:len(keySums):len(keySums)],
+			checks:  checks[c:len(checks):len(checks)],
+			idx:     idx[:0:t.k],
+		}
+		idx = idx[t.k:]
+		out[i] = &tabs[i]
+	}
+	return out
+}
+
 // Reset zeroes every cell while retaining allocations, so one table can
 // encode many keys-or-key-sets in sequence without reallocating (the child
 // codec encode loops of §3.2 reuse a single scratch table this way).

@@ -97,12 +97,9 @@ type Result struct {
 // argument) recovers Alice's parent set of child sets. Child sets may be
 // passed unsorted; each must be duplicate-free within the parent.
 func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(alice), len(bob))
-	}
-	if p.H <= 0 {
-		p.H = maxChildLen(alice, bob)
+	p, err := sosShape(cfg, alice, bob)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Validate {
 		if err := core.Validate(alice, p); err != nil {
@@ -133,7 +130,6 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 
 	sess := transport.New()
 	var res *core.Result
-	var err error
 	switch proto {
 	case ProtocolNaive:
 		if d > 0 {
@@ -187,6 +183,28 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 // sets: the minimum-cost child matching under symmetric-difference costs
 // (§3.1). Local computation, O(s³) — for sizing, testing and experiments.
 func SetsOfSetsDistance(a, b [][]uint64) int { return core.Distance(a, b) }
+
+// sosShape resolves the instance shape of a run: the bounds cfg sets, and for
+// those it leaves zero the parties' own sizes. A bound set below either
+// party's data is refused as core.ErrInvalidInstance, Validate or not: the
+// encoders size their keys from the shape.
+func sosShape(cfg Config, alice, bob [][]uint64) (core.Params, error) {
+	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
+	if p.S <= 0 {
+		p.S = maxLen(len(alice), len(bob))
+	}
+	if p.H <= 0 {
+		p.H = maxChildLen(alice, bob)
+	}
+	if cfg.MaxChildSets > 0 || cfg.MaxChildSize > 0 {
+		for _, parent := range [][][]uint64{alice, bob} {
+			if err := p.Fits(parent); err != nil {
+				return p, err
+			}
+		}
+	}
+	return p, nil
+}
 
 func maxLen(a, b int) int {
 	if a > b {

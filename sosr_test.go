@@ -1,8 +1,10 @@
 package sosr
 
 import (
+	"errors"
 	"testing"
 
+	"sosr/internal/core"
 	"sosr/internal/prng"
 	"sosr/internal/workload"
 )
@@ -142,6 +144,68 @@ func TestReconcileSetsOfSetsValidate(t *testing.T) {
 	_, err := ReconcileSetsOfSets(bad, bad, Config{Seed: 1, Validate: true, KnownDiff: 1})
 	if err == nil {
 		t.Fatal("validation skipped")
+	}
+}
+
+// TestReconcileSetsOfSetsUndersizedShape: a shape bound set below either
+// party's data is refused as core.ErrInvalidInstance with Validate off — the
+// naive protocol used to index past its fixed-width key — by every protocol,
+// known d or not, and by the entry points that share the shape; bounds left
+// zero are derived from the data as before.
+func TestReconcileSetsOfSetsUndersizedShape(t *testing.T) {
+	alice := [][]uint64{{1, 2, 3, 4, 5, 6}, {10, 11}}
+	bob := [][]uint64{{1, 2, 3, 4, 5}, {10, 11}}
+	shapes := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"child-size", Config{MaxChildSize: 3}, false},
+		{"child-size-alice-only", Config{MaxChildSize: 5}, false},
+		{"child-sets", Config{MaxChildSets: 1}, false},
+		{"both", Config{MaxChildSets: 1, MaxChildSize: 3}, false},
+		{"exact", Config{MaxChildSets: 2, MaxChildSize: 6}, true},
+		{"derived", Config{}, true},
+	}
+	for _, proto := range []Protocol{ProtocolNaive, ProtocolNested, ProtocolCascade, ProtocolMultiRound} {
+		for _, d := range []int{0, 4} {
+			for _, sh := range shapes {
+				cfg := sh.cfg
+				cfg.Seed, cfg.Protocol, cfg.KnownDiff = 5, proto, d
+				res, err := ReconcileSetsOfSets(alice, bob, cfg)
+				switch {
+				case sh.ok && (err != nil || SetsOfSetsDistance(res.Recovered, alice) != 0):
+					t.Errorf("%v d=%d %s: err %v", proto, d, sh.name, err)
+				case !sh.ok && !errors.Is(err, core.ErrInvalidInstance):
+					t.Errorf("%v d=%d %s: err = %v, want ErrInvalidInstance", proto, d, sh.name, err)
+				}
+			}
+		}
+	}
+	small := Config{Seed: 5, Protocol: ProtocolNaive, KnownDiff: 4, MaxChildSize: 3}
+	if _, err := ReconcileSetsOfSetsTwoWay(alice, bob, small); !errors.Is(err, core.ErrInvalidInstance) {
+		t.Errorf("two-way: err = %v, want ErrInvalidInstance", err)
+	}
+	if _, err := BuildDigest(alice, small); !errors.Is(err, core.ErrInvalidInstance) {
+		t.Errorf("BuildDigest: err = %v, want ErrInvalidInstance", err)
+	}
+	fits := Config{Seed: 5, Protocol: ProtocolNaive, KnownDiff: 4, MaxChildSets: 2, MaxChildSize: 5}
+	digest, err := BuildDigest(bob, fits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyDigest(digest, alice, fits); !errors.Is(err, core.ErrInvalidInstance) {
+		t.Errorf("ApplyDigest over a larger replica: err = %v, want ErrInvalidInstance", err)
+	}
+	groupsA, groupsB := [][][]uint64{alice, {{7}}}, [][][]uint64{bob}
+	for _, cfg := range []Config3{{MaxGroups: 1}, {MaxChildSets: 1}, {MaxChildSize: 5}} {
+		cfg.KnownDiff = 4
+		if _, err := ReconcileSetsOfSetsOfSets(groupsA, groupsB, cfg); !errors.Is(err, core.ErrInvalidInstance) {
+			t.Errorf("depth-3 %+v: err = %v, want ErrInvalidInstance", cfg, err)
+		}
+	}
+	if _, err := ReconcileSetsOfSetsOfSets(groupsA, groupsB, Config3{KnownDiff: 12, MaxGroups: 2, MaxChildSets: 2, MaxChildSize: 6}); err != nil {
+		t.Errorf("depth-3 exact shape: %v", err)
 	}
 }
 

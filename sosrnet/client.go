@@ -98,12 +98,9 @@ type Client struct {
 	CacheBytes int64
 
 	cacheOnce sync.Once
-	cache     *enccache.Cache
+	cache     *enccache.Cache // preset by the server pull path, which keeps Bob sketches in its encoding cache
 	metOnce   sync.Once
 	met       *clientMetrics
-	// sketchFor, when non-nil, overrides the sketch cache as the source of Bob
-	// sketches (the server pull path keys sketches on dataset versions).
-	sketchFor sketchProvider
 	// dial, when non-nil, replaces the TCP dial — tests use it to count and
 	// track the connections a session path opens and closes.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -518,8 +515,7 @@ func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, 
 		}
 	}
 	coins := hashing.NewCoins(cfg.Seed)
-	ap := c.newSOSApply(name, bob, p)
-	ap.sp = sp
+	ap := &sosApply{c: c, name: name, bob: bob, p: p, sp: sp}
 	var res *core.Result
 	var attempts int
 	switch acc.Protocol {

@@ -1,62 +1,52 @@
 package sosrnet
 
 import (
-	"fmt"
-
 	"sosr/internal/core"
 	"sosr/internal/enccache"
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
-	"sosr/internal/setutil"
 )
 
 // Client-side decode caching: the Bob twin of the server's Alice encoding
-// cache. A client that repeatedly reconciles the same local parent set
-// against a hosted dataset re-derives the identical child encodings every
-// session — a pure function of (local data, derived coins, instance shape,
-// bounds) under the public-coin model. The client therefore memoizes
-// core.BobSketch aggregates in a byte-bounded LRU and subtracts them per
-// session instead of re-encoding, which is where the Bob-side decode spends
-// most of its time. Sketches are read-only after construction, so concurrent
-// sessions of one Client share them safely.
+// cache. A client that repeatedly reconciles a local parent set against a
+// hosted dataset re-derives the same child encodings every session — a pure
+// function of (local data, derived coins, instance shape, bounds) under the
+// public-coin model. The client therefore keeps core.BobSketch aggregates in
+// a byte-bounded LRU and subtracts them per session instead of re-encoding,
+// which is where the Bob-side decode spends most of its time. Sketches are
+// read-only after construction, so concurrent sessions of one Client share
+// them safely.
+//
+// An entry is keyed by (dataset, protocol, derived coins, shape, bounds) and
+// holds the newest sketch under that key. A session whose parent is the one
+// it covers subtracts it (hit). A session whose parent differs derives its
+// own sketch from the resident one (core.NextBobSketch) and puts it in the
+// entry's place, so a replica that adopts every result keeps one sketch per
+// key however many versions it goes through. The first sketch under a key
+// keeps no copy of its parent, so the first successor is built like it
+// (miss); successors retain theirs, charged to the cache's byte budget, and
+// from then on only the children that changed are re-encoded (patch).
 
-// bobFPSeed salts the parent-set fingerprint in sketch cache keys.
-const bobFPSeed = 0x626f626670 // "bobfp"
-
-// sketchProvider overrides where Bob sketches come from; the server's pull
-// path supplies (dataset, version, seed)-keyed sketches from its own encoding
-// cache. hit reports whether the sketch was served from memory.
-type sketchProvider func(kind core.DigestKind, coins hashing.Coins, bob [][]uint64, p core.Params, d, dHat int) (sk *core.BobSketch, hit bool)
-
-// orderedFP fingerprints the canonical parent set, sensitive to the parent
-// ordering: BobSketch.bobHashes aligns with parent indexes, so two inputs
-// holding the same child sets in different orders must never share a sketch.
-func orderedFP(bob [][]uint64) uint64 {
-	h := uint64(bobFPSeed)
-	for _, cs := range bob {
-		h = h*0x9E3779B97F4A7C15 + setutil.Hash(bobFPSeed, cs)
-	}
-	return h
-}
+// Sketch lookup outcomes: the decode span's "sketch" attribute and, with
+// miss for build, the event label of sosr_decodecache_events_total.
+const (
+	sketchHit   = "hit"
+	sketchPatch = "patch"
+	sketchBuild = "build"
+)
 
 // sosApply carries one sets-of-sets session's Bob state: the canonical local
-// parent, the resolved instance shape, and the fingerprint the sketch cache
-// keys on.
+// parent and the resolved instance shape.
 type sosApply struct {
 	c    *Client
 	name string
 	bob  [][]uint64
 	p    core.Params
-	fp   uint64
 	// sp is the session span decode children hang off; nil when untraced.
 	sp *obs.Span
 }
 
-func (c *Client) newSOSApply(name string, bob [][]uint64, p core.Params) *sosApply {
-	return &sosApply{c: c, name: name, bob: bob, p: p, fp: orderedFP(bob)}
-}
-
-// apply runs one cached Bob step: look up (or build) the sketch for this
+// apply runs one cached Bob step: look up (or derive) the sketch for this
 // exact decode shape and subtract it instead of re-encoding the local data.
 // An attempt that fails to decode is an expected protocol outcome (it drives
 // the replication/doubling retry loops), so the decode span records ok=false
@@ -65,7 +55,13 @@ func (a *sosApply) apply(coins hashing.Coins, body []byte, kind core.DigestKind,
 	dsp := a.sp.Child("decode")
 	dsp.SetInt("d", int64(d))
 	dsp.SetInt("dhat", int64(dHat))
-	sk := a.sketch(kind, coins, d, dHat)
+	sk, outcome, delta := a.sketch(kind, coins, d, dHat)
+	if sk != nil {
+		dsp.SetStr("sketch", outcome)
+		if outcome == sketchPatch {
+			dsp.SetInt("sketch_delta", int64(delta))
+		}
+	}
 	res, err := core.ApplyMsgCached(kind, coins, body, a.bob, a.p, d, dHat, sk)
 	if err == nil {
 		a.c.observePeels(res.PeelIterations)
@@ -76,45 +72,61 @@ func (a *sosApply) apply(coins hashing.Coins, body []byte, kind core.DigestKind,
 	return res, err
 }
 
-// sketch returns the Bob sketch for this decode shape, or nil when caching is
-// disabled (the plain re-encoding path is always a correct fallback).
-func (a *sosApply) sketch(kind core.DigestKind, coins hashing.Coins, d, dHat int) *core.BobSketch {
-	if a.c.sketchFor != nil {
-		sk, hit := a.c.sketchFor(kind, coins, a.bob, a.p, d, dHat)
-		a.c.observeDecodeCache(hit)
-		return sk
-	}
+// sketch returns the Bob sketch of the session's parent for this decode
+// shape and how it was come by, or nil when caching is disabled or the build
+// failed (the plain re-encoding path is always a correct fallback). delta is
+// the number of children a patch re-encoded.
+func (a *sosApply) sketch(kind core.DigestKind, coins hashing.Coins, d, dHat int) (sk *core.BobSketch, outcome string, delta int) {
 	cache := a.c.sketchCache()
 	if cache == nil {
-		return nil
+		return nil, "", 0
 	}
 	k := enccache.Key{
-		Dataset: a.name, Proto: "bob/" + sosProtoName(kind), Seed: coins.Master(),
+		Dataset: a.name, Proto: sosProtoName(kind), Extra: "bob", Seed: coins.Master(),
 		S: a.p.S, H: a.p.H, U: a.p.U, D: d, DHat: dHat,
-		Extra: fmt.Sprintf("fp=%016x,n=%d", a.fp, len(a.bob)),
 	}
-	v, hit, err := cache.GetOrComputeValue(k, func() (any, int64, error) {
-		sk, err := core.NewBobSketch(kind, coins, a.bob, a.p, d, dHat)
+	delta = -1
+	holds := func(v any) bool { return v.(*core.BobSketch).Holds(a.bob) }
+	v, hit, err := cache.GetOrComputeValue(k, holds, func(prev any) (any, int64, error) {
+		from, _ := prev.(*core.BobSketch)
+		next, n, err := core.NextBobSketch(from, kind, coins, a.bob, a.p, d, dHat)
 		if err != nil {
 			return nil, 0, err
 		}
-		return sk, sk.SizeBytes(), nil
+		delta = n
+		return next, next.SizeBytes(), nil
 	})
-	a.c.observeDecodeCache(hit)
 	if err != nil {
-		return nil
+		return nil, "", 0
 	}
-	sk, _ := v.(*core.BobSketch)
-	return sk
+	if sk = v.(*core.BobSketch); !hit && !holds(sk) {
+		// The lookup waited on a concurrent session's build under this key,
+		// and that session's parent is not this one's: its sketch is the
+		// predecessor of a private one.
+		if sk, delta, err = core.NextBobSketch(sk, kind, coins, a.bob, a.p, d, dHat); err != nil {
+			return nil, "", 0
+		}
+	}
+	switch {
+	case hit:
+		outcome = sketchHit
+	case delta >= 0:
+		outcome = sketchPatch
+	default:
+		outcome = sketchBuild
+	}
+	a.c.observeDecodeCache(outcome)
+	return sk, outcome, delta
 }
 
 // sketchCache lazily constructs the client's sketch cache, honoring
 // CacheBytes at first use (0 = enccache.DefaultMaxBytes, negative disables).
 func (c *Client) sketchCache() *enccache.Cache {
-	if c.CacheBytes < 0 {
-		return nil
-	}
-	c.cacheOnce.Do(func() { c.cache = enccache.New(c.CacheBytes) })
+	c.cacheOnce.Do(func() {
+		if c.cache == nil && c.CacheBytes >= 0 {
+			c.cache = enccache.New(c.CacheBytes)
+		}
+	})
 	return c.cache
 }
 

@@ -123,7 +123,8 @@ func TestClientSketchCacheDoubling(t *testing.T) {
 
 // TestPullSetsOfSets: server-to-server anti-entropy. A pull converges the
 // local dataset to the peer's; repeated pulls of an already-converged dataset
-// are empty diffs served from the version-keyed Bob-sketch cache.
+// are empty diffs served from the Bob sketch resident in the server's
+// encoding cache, and the pull after an update patches that sketch.
 func TestPullSetsOfSets(t *testing.T) {
 	aliceData, bobData := sosPair()
 	_, peerAddr, _ := startServer(t, func(s *Server) {
@@ -153,8 +154,16 @@ func TestPullSetsOfSets(t *testing.T) {
 		t.Fatalf("pull did not apply the difference: version %d, %v", v, err)
 	}
 
-	// Converged: the next pulls find nothing and leave the version alone, so
-	// the third pull subtracts the sketch the second one cached.
+	// Converged: the next pulls find nothing and leave the version alone. The
+	// second pull's parent is the first one's plus the applied difference; the
+	// first sketch kept no parent to diff against, so the second is built too
+	// — and keeps its own. The third pull subtracts the second's sketch.
+	sketchEvents := func(event string) float64 {
+		return registrySamples(t, local.Registry())[`sosr_decodecache_events_total{event="`+event+`"}`]
+	}
+	if sketchEvents("miss") != 1 || sketchEvents("patch") != 0 {
+		t.Fatalf("first pull: %v sketch builds, %v patches, want 1 and 0", sketchEvents("miss"), sketchEvents("patch"))
+	}
 	statsBefore := local.CacheStats()
 	for i := 0; i < 2; i++ {
 		res, _, err := local.PullSetsOfSets(context.Background(), "docs", peerAddr, cfg)
@@ -170,7 +179,24 @@ func TestPullSetsOfSets(t *testing.T) {
 	}
 	statsAfter := local.CacheStats()
 	if statsAfter.Hits <= statsBefore.Hits {
-		t.Fatalf("repeat pull did not reuse the version-keyed sketch: before %+v, after %+v", statsBefore, statsAfter)
+		t.Fatalf("repeat pull did not reuse the resident sketch: before %+v, after %+v", statsBefore, statsAfter)
+	}
+	if sketchEvents("miss") != 2 || sketchEvents("patch") != 0 || sketchEvents("hit") != 1 {
+		t.Fatalf("three pulls: %v builds, %v patches, %v hits, want 2, 0 and 1",
+			sketchEvents("miss"), sketchEvents("patch"), sketchEvents("hit"))
+	}
+	// A local update between pulls (one child swapped for another, so the
+	// derived shape and with it the key stay): the next pull patches the
+	// sketch by those two children and undoes the swap.
+	if err := local.UpdateSetsOfSets("docs", [][]uint64{{1 << 31, 1<<31 + 1}}, aliceData[:1]); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err = local.PullSetsOfSets(context.Background(), "docs", peerAddr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Added) != 1 || len(res.Removed) != 1 || sketchEvents("patch") != 1 || sketchEvents("miss") != 2 {
+		t.Fatalf("pull after an update: +%d -%d, %v patches, %v builds", len(res.Added), len(res.Removed), sketchEvents("patch"), sketchEvents("miss"))
 	}
 
 	// The local dataset now equals the peer's: a client holding the peer's

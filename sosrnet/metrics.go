@@ -178,11 +178,12 @@ func (s *Server) observeEncode(start time.Time) {
 //	                                       stale_redial (a parked one failed
 //	                                       before the session's first frame and
 //	                                       the session was replayed on a dial)
-//	sosr_decodecache_events_total{event}   sketch-cache lookups (hit|miss)
+//	sosr_decodecache_events_total{event}   sketch-cache lookups (hit|patch|miss)
 //	sosr_peel_iterations                   peel loop iterations per decode
 type clientMetrics struct {
 	conns [numConnEvents]*obs.Counter
 	hit   *obs.Counter
+	patch *obs.Counter
 	miss  *obs.Counter
 	peels *obs.Histogram
 }
@@ -214,12 +215,13 @@ func (c *Client) metrics() *clientMetrics {
 	}
 	c.metOnce.Do(func() {
 		events := c.Obs.Counter("sosr_decodecache_events_total",
-			"Bob-sketch cache lookups by outcome: hit (subtracted a memoized aggregate), miss (encoded and cached).", "event")
+			"Bob-sketch cache lookups by outcome: hit (subtracted the resident aggregate), patch (derived from the resident one by re-encoding only the changed children, and replaced it), miss (encoded every child and cached).", "event")
 		conns := c.Obs.Counter("sosr_client_connections_total",
 			"Client connection events: dial (opened), reuse (a session ran on a parked connection), stale_redial (a parked connection failed before the session's first frame; the session was replayed on a fresh one).", "event")
 		c.met = &clientMetrics{
-			hit:  events.With("hit"),
-			miss: events.With("miss"),
+			hit:   events.With(sketchHit),
+			patch: events.With(sketchPatch),
+			miss:  events.With("miss"),
 			peels: c.Obs.Histogram("sosr_peel_iterations",
 				"IBLT peel-loop iterations per successful decode.", peelBuckets).With(),
 		}
@@ -238,14 +240,17 @@ func (c *Client) countConn(event int) {
 }
 
 // observeDecodeCache records one sketch-cache lookup outcome.
-func (c *Client) observeDecodeCache(hit bool) {
+func (c *Client) observeDecodeCache(outcome string) {
 	m := c.metrics()
 	if m == nil {
 		return
 	}
-	if hit {
+	switch outcome {
+	case sketchHit:
 		m.hit.Inc()
-	} else {
+	case sketchPatch:
+		m.patch.Inc()
+	default:
 		m.miss.Inc()
 	}
 }

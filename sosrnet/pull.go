@@ -5,21 +5,17 @@ import (
 	"fmt"
 
 	"sosr"
-	"sosr/internal/core"
-	"sosr/internal/enccache"
-	"sosr/internal/hashing"
 )
 
 // PullSetsOfSets reconciles this server's hosted sets-of-sets dataset against
 // the same dataset on a peer server: the local dataset converges to the
-// peer's. The server plays Bob, and its Bob sketches are keyed on the
-// dataset's copy-on-write version in the shared encoding cache — repeated
-// pulls (anti-entropy sweeps, replica catch-up) between updates subtract a
-// memoized aggregate instead of re-encoding the hosted data every round.
+// peer's. The server plays Bob through the client's sketch path, with its own
+// encoding cache holding the sketches — repeated pulls (anti-entropy sweeps,
+// replica catch-up) between updates subtract the resident aggregate instead
+// of re-encoding the hosted data every round.
 //
-// On success the recovered difference is applied through UpdateSetsOfSets,
-// which bumps the dataset version; the next pull builds (and caches) one
-// fresh sketch. Sharded datasets pull shard-to-shard: the peer must host the
+// On success the recovered difference is applied through UpdateSetsOfSets;
+// the next pull patches the sketch by the children the update changed. Sharded datasets pull shard-to-shard: the peer must host the
 // same shard slice under the same topology (identity, epoch, fingerprint).
 func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg sosr.Config) (*sosr.Result, *NetStats, error) {
 	ds, err := s.lookup(name, KindSetsOfSets)
@@ -30,10 +26,9 @@ func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg 
 	cl := &Client{
 		Addr: peerAddr, Timeout: s.SessionTimeout, MaxFrame: s.MaxFrame,
 		Obs: s.Registry(),
-		// The client's own fingerprint-keyed cache is bypassed: version-keyed
-		// sketches in the server's encoding cache invalidate by mutation
-		// instead of aging out by LRU pressure.
-		CacheBytes: -1,
+		// Bob sketches live in the server's encoding cache (none when that is
+		// disabled), under the budget the Alice payloads share.
+		CacheBytes: -1, cache: s.encCache(),
 	}
 	defer cl.Close() // one pull, one connection: nothing to keep
 	if ds.shard != nil {
@@ -41,29 +36,6 @@ func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg 
 		cl.ShardCount = ds.shard.topo.NumShards()
 		cl.ShardEpoch = ds.shard.topo.Epoch()
 		cl.ShardFingerprint = ds.shard.topo.Fingerprint()
-	}
-	cl.sketchFor = func(kind core.DigestKind, coins hashing.Coins, bob [][]uint64, p core.Params, d, dHat int) (*core.BobSketch, bool) {
-		cache := s.encCache()
-		if cache == nil {
-			return nil, false
-		}
-		k := enccache.Key{
-			Dataset: name, Version: view.version,
-			Proto: "bob/" + sosProtoName(kind), Seed: coins.Master(),
-			S: p.S, H: p.H, U: p.U, D: d, DHat: dHat,
-		}
-		v, hit, err := cache.GetOrComputeValue(k, func() (any, int64, error) {
-			sk, err := core.NewBobSketch(kind, coins, bob, p, d, dHat)
-			if err != nil {
-				return nil, 0, err
-			}
-			return sk, sk.SizeBytes(), nil
-		})
-		if err != nil {
-			return nil, false
-		}
-		sk, _ := v.(*core.BobSketch)
-		return sk, hit
 	}
 	res, ns, err := cl.SetsOfSets(ctx, name, view.sos, cfg)
 	if err != nil {

@@ -25,12 +25,9 @@ type TwoWayResult struct {
 // leg so that both parties end with alice ∪ bob. One extra round carrying
 // exactly the child sets Alice lacked.
 func ReconcileSetsOfSetsTwoWay(alice, bob [][]uint64, cfg Config) (*TwoWayResult, error) {
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(alice), len(bob))
-	}
-	if p.H <= 0 {
-		p.H = maxChildLen(alice, bob)
+	p, err := sosShape(cfg, alice, bob)
+	if err != nil {
+		return nil, err
 	}
 	coins := hashing.NewCoins(cfg.Seed)
 	sess := transport.New()
