@@ -79,11 +79,8 @@ func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob []
 	for i, cs := range bob {
 		sk.bobHashes[i] = setutil.Hash(chs, cs)
 	}
-	w := cascadeWorkPool.Get().(*cascadeWork)
-	defer func() {
-		w.release()
-		cascadeWorkPool.Put(w)
-	}()
+	w := getWork()
+	defer putWork(w)
 	if prev != nil {
 		sk.bob = bob
 		if prev.bob != nil && prev.check(kind, coins, p, d, dHat) == nil {
@@ -96,30 +93,44 @@ func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob []
 			}
 		}
 	}
+	// A build lays every aggregate table in one arena, as CloneAll lays a
+	// successor's.
 	switch kind {
 	case DigestNaive:
-		sk.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), newNaiveCodec(p).width, 0, coins.Seed("naive/parent", 0))}
+		w.shapes = append(w.shapes[:0], iblt.Shape{Cells: iblt.CellsFor(2 * dHat), Width: newNaiveCodec(p).width, Seed: coins.Seed("naive/parent", 0)})
 	case DigestNested:
-		sk.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), newNestedCodec(coins, p, d).width, 0, coins.Seed("nested/parent", 0))}
+		w.shapes = append(w.shapes[:0], iblt.Shape{Cells: iblt.CellsFor(2 * dHat), Width: newNestedCodec(coins, p, d).width, Seed: coins.Seed("nested/parent", 0)})
 	case DigestCascade:
 		plan := newCascadePlan(coins, p, d)
 		sk.plan = plan
-		sk.tables = make([]*iblt.Table, 0, plan.t+1)
+		w.shapes = w.shapes[:0]
 		for i := 1; i <= plan.t; i++ {
-			sk.tables = append(sk.tables, iblt.New(plan.parentCells(i), plan.level[i-1].width, 0, plan.parentSeed(i)))
+			w.shapes = append(w.shapes, iblt.Shape{Cells: plan.parentCells(i), Width: plan.level[i-1].width, Seed: plan.parentSeed(i)})
 		}
 		if plan.star {
-			sk.tables = append(sk.tables, iblt.New(plan.starCells(), plan.starCodec.width, 0, plan.starSeed()))
+			w.shapes = append(w.shapes, iblt.Shape{Cells: plan.starCells(), Width: plan.starCodec.width, Seed: plan.starSeed()})
 		}
 	default:
 		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
 	}
+	sk.tables = iblt.NewAll(w.shapes)
 	sk.patch(w, nil, bob)
 	return sk, -1, nil
 }
 
-// setEncoder is what patch needs of the naive and child encoders.
-type setEncoder interface{ encode(cs []uint64) []byte }
+// setEncoder is what a table fill needs of the naive and child encoders.
+type setEncoder interface {
+	encode(cs []uint64) []byte
+	width() int
+}
+
+// table is the sketch's i-th aggregate, nil for a nil sketch: the plain path.
+func (sk *BobSketch) table(i int) *iblt.Table {
+	if sk == nil {
+		return nil
+	}
+	return sk.tables[i]
+}
 
 // patch deletes the encodings of gone from every aggregate table and inserts
 // those of come, on the workspace's encoders.
@@ -217,21 +228,5 @@ func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]u
 	if !sk.Holds(bob) {
 		return nil, fmt.Errorf("%w: Bob sketch built for another parent set", ErrBadDigest)
 	}
-	var res *Result
-	switch kind {
-	case DigestNaive:
-		res, err = naiveBob(coins, body, bob, newNaiveCodec(np), sk)
-	case DigestNested:
-		res, err = nestedBob(coins, body, bob, newNestedCodec(coins, np, d), sk)
-	case DigestCascade:
-		res, err = cascadeBob(coins, sk.plan, body, bob, sk)
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Attempts = 1
-	res.DUsed = d
-	return res, nil
+	return applyMsg(kind, coins, body, bob, np, d, sk)
 }

@@ -30,13 +30,15 @@ func CascadeKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]u
 	if d < 1 {
 		d = 1
 	}
-	plan := newCascadePlan(coins, p, d)
-
 	// --- Alice: build T_1..T_t (and T*), send all in one round. ---
-	msg := sess.Send(transport.Alice, "cascade-iblts", cascadeAliceMsg(plan, coins, alice))
+	payload, err := AliceMsg(DigestCascade, coins, alice, p, d, 0)
+	if err != nil {
+		return nil, err
+	}
+	msg := sess.Send(transport.Alice, "cascade-iblts", payload)
 
 	// --- Bob ---
-	res, err := cascadeBob(coins, plan, msg, bob, nil)
+	res, err := ApplyMsg(DigestCascade, coins, msg, bob, p, d, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -58,13 +60,20 @@ type cascadePlan struct {
 }
 
 func newCascadePlan(coins hashing.Coins, p Params, d int) *cascadePlan {
-	t, star := cascadeLevels(p, d)
-	plan := &cascadePlan{p: p, d: d, t: t, star: star, coins: coins, level: make([]childCodec, 0, t)}
-	for i := 1; i <= t; i++ {
-		plan.level = append(plan.level, newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p.H))
-	}
-	plan.starCodec = newNaiveCodec(p)
+	plan := new(cascadePlan)
+	plan.init(coins, p, d)
 	return plan
+}
+
+// init derives the plan of (coins, p, d) in place, keeping the level slice of
+// an earlier plan when it is long enough.
+func (pl *cascadePlan) init(coins hashing.Coins, p Params, d int) {
+	t, star := cascadeLevels(p, d)
+	*pl = cascadePlan{p: p, d: d, t: t, star: star, coins: coins, level: pl.level[:0]}
+	for i := 1; i <= t; i++ {
+		pl.level = append(pl.level, newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p.H))
+	}
+	pl.starCodec = newNaiveCodec(p)
 }
 
 func (pl *cascadePlan) parentSeed(i int) uint64 { return pl.coins.Seed("cascade/parent", i) }
@@ -109,28 +118,42 @@ func (pl *cascadePlan) msgSize() int {
 	return n + 8
 }
 
-// cascadeBob is Bob's side of Algorithm 2. All of its scratch lives in a
-// pooled workspace; the Result is copied out of it (assembleHashed, sortSets)
-// and shares no memory with it, with msg, or with bob's child slices beyond
-// what those copies read.
-func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint64, sk *BobSketch) (*Result, error) {
-	w := cascadeWorkPool.Get().(*cascadeWork)
-	res, err := w.run(coins, plan, msg, bob, sk)
+// getWork takes a workspace from the pool; putWork releases it and hands it
+// back. Every one-round encode and decode — Alice's three payloads, Bob's
+// three applies, a sketch build or patch — runs on exactly one.
+func getWork() *cascadeWork { return cascadeWorkPool.Get().(*cascadeWork) }
+
+func putWork(w *cascadeWork) {
 	w.release()
 	cascadeWorkPool.Put(w)
-	return res, err
 }
 
-var cascadeWorkPool = sync.Pool{New: func() any { return new(cascadeWork) }}
+var cascadeWorkPool = sync.Pool{New: func() any { return newCascadeWork() }}
 
-// cascadeWork is the scratch of one cascadeBob run: the split message, the
-// hash indexes, the reusable tables and the encoders. A hot decode (same
-// shape as the one before it on this workspace) finds every buffer already
-// large enough and allocates only its Result. Building or patching a Bob
-// sketch borrows the same workspace for its encoders and the parent diff.
-// Nothing in a released workspace refers to the caller's message or parent
-// set, so the pool pins no caller data.
+func newCascadeWork() *cascadeWork {
+	return &cascadeWork{
+		byHash:      make(map[uint64][]uint64),
+		removed:     make(map[uint64]bool),
+		outstanding: make(map[uint64]bool),
+		recovered:   make(map[uint64][]uint64),
+		tally:       make(map[uint64]int32),
+	}
+}
+
+// cascadeWork is the scratch of one one-round encode or decode, whichever the
+// protocol: the one parent table reshaped for every level, the child and
+// full-set encoders, and on Bob's side the split message, the hash indexes,
+// the packed parent diff and the recovered children. A hot call (same shape
+// as the one before it on this workspace) finds every buffer already large
+// enough and allocates only what it returns: Alice her payload, Bob his
+// Result, which is copied out (assembleHashed, sortSets) and shares no memory
+// with the workspace, with msg, or with bob's child slices beyond what those
+// copies read. Building or patching a Bob sketch borrows the same workspace
+// for its encoders and the parent diff. Nothing in a released workspace
+// refers to the caller's message or parent set, so the pool pins no caller
+// data.
 type cascadeWork struct {
+	plan        cascadePlan         // the cascade plan of a call that was not handed one
 	frames      [][]byte            // per-level table bodies, slices of the message
 	byHash      map[uint64][]uint64 // Bob's child set by its hash
 	removed     map[uint64]bool     // hashes of D_B, Bob's differing child sets
@@ -138,11 +161,13 @@ type cascadeWork struct {
 	recovered   map[uint64][]uint64 // Alice's child hash -> recovered set
 	dA, dB      [][]uint64          // recovered sets (in rec's arena) and Bob's differing sets
 	hashes      []uint64            // Bob's child hashes, computed here when no sketch has them
+	sorted      []uint64            // the parent verification hash's sorted child hashes
 	parent      iblt.Table          // one parent table, reshaped for every level
 	diff        iblt.PackedDiff
 	rec         childRecoverer
 	enc         childEncoder
 	star        naiveEncoder
+	shapes      []iblt.Shape     // a sketch build's table shapes
 	tally       map[uint64]int32 // diffParents: occurrences of a child hash in the old parent not yet matched
 	gone, come  [][]uint64       // diffParents: the children only the old, only the new parent holds
 
@@ -174,9 +199,6 @@ func (w *cascadeWork) release() {
 // child held twice by one parent and once by the other differs once. The
 // lists are valid until release.
 func (w *cascadeWork) diffParents(old, next *BobSketch) (gone, come [][]uint64) {
-	if w.tally == nil {
-		w.tally = make(map[uint64]int32, len(old.bobHashes))
-	}
 	for _, h := range old.bobHashes {
 		w.tally[h]++
 	}
@@ -201,6 +223,61 @@ func (w *cascadeWork) diffParents(old, next *BobSketch) (gone, come [][]uint64) 
 func (w *cascadeWork) encoder(codec childCodec) *childEncoder {
 	w.enc.reuse(codec)
 	return &w.enc
+}
+
+// parentHash is the package's parentHash with the sort done in the workspace.
+func (w *cascadeWork) parentHash(coins hashing.Coins, parent [][]uint64) (h uint64) {
+	h, w.sorted = parentHashScratch(w.sorted, coins, parent)
+	return h
+}
+
+// hashBob computes Bob's child hashes, or adopts a sketch's.
+func (w *cascadeWork) hashBob(chs uint64, bob [][]uint64, sk *BobSketch) {
+	w.bob = bob
+	if sk != nil {
+		w.bobHashes = sk.bobHashes
+		return
+	}
+	w.hashes = slices.Grow(w.hashes[:0], len(bob))[:len(bob)]
+	for i, cs := range bob {
+		w.hashes[i] = setutil.Hash(chs, cs)
+	}
+	w.bobHashes = w.hashes
+}
+
+// indexBob maps each of Bob's child hashes (hashBob) to its child set.
+func (w *cascadeWork) indexBob() {
+	for i, cs := range w.bob {
+		w.byHash[w.bobHashes[i]] = cs
+	}
+}
+
+// differing records the removed side of a level-1 (or only) parent diff: each
+// encoding's hash must be one of Bob's children, which joins D_B.
+func (w *cascadeWork) differing(codec childCodec) error {
+	for _, e := range w.diff.Removed {
+		h, err := codec.encHash(e)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrChildDecode, err)
+		}
+		cs, ok := w.byHash[h]
+		if !ok {
+			return fmt.Errorf("%w: removed encoding matches none of Bob's child sets", ErrChildDecode)
+		}
+		w.dB = append(w.dB, cs)
+		w.removed[h] = true
+	}
+	return nil
+}
+
+// result verifies Bob's reassembled parent against Alice's hash and copies
+// the outcome out of the workspace.
+func (w *cascadeWork) result(coins hashing.Coins, wantParent uint64) (*Result, error) {
+	final := assembleHashed(w.bob, w.bobHashes, w.dA, w.removed)
+	if w.parentHash(coins, final) != wantParent {
+		return nil, ErrVerify
+	}
+	return &Result{Recovered: final, Added: sortSets(w.dA), Removed: sortSets(w.dB), PeelIterations: w.peels + w.rec.peels}, nil
 }
 
 // loadParent parses a level's table body into the parent scratch and removes
@@ -258,7 +335,7 @@ func (w *cascadeWork) tryRecover(e []byte) error {
 	return nil
 }
 
-func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint64, sk *BobSketch) (*Result, error) {
+func (w *cascadeWork) runCascade(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint64, sk *BobSketch) (*Result, error) {
 	if len(msg) < 4+1+8 {
 		return nil, fmt.Errorf("core: short cascade message")
 	}
@@ -304,25 +381,8 @@ func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bo
 	wantParent := binary.LittleEndian.Uint64(msg[off:])
 
 	chs := childSeed(coins)
-	w.bob = bob
-	if sk != nil {
-		w.bobHashes = sk.bobHashes
-	} else {
-		w.hashes = slices.Grow(w.hashes[:0], len(bob))[:len(bob)]
-		for i, cs := range bob {
-			w.hashes[i] = setutil.Hash(chs, cs)
-		}
-		w.bobHashes = w.hashes
-	}
-	if w.byHash == nil {
-		w.byHash = make(map[uint64][]uint64, len(bob))
-		w.removed = make(map[uint64]bool)
-		w.outstanding = make(map[uint64]bool)
-		w.recovered = make(map[uint64][]uint64)
-	}
-	for i, cs := range bob {
-		w.byHash[w.bobHashes[i]] = cs
-	}
+	w.hashBob(chs, bob, sk)
+	w.indexBob()
 
 	// --- Level 1: delete all of Bob's encodings, find D_B and the full set
 	// of Alice's differing encodings. ---
@@ -338,17 +398,8 @@ func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bo
 		return nil, fmt.Errorf("%w: level 1: %v", ErrParentDecode, err)
 	}
 	w.peels += w.parent.PeelCount()
-	for _, e := range w.diff.Removed {
-		h, err := codec1.encHash(e)
-		if err != nil {
-			return nil, fmt.Errorf("%w: level 1: %v", ErrChildDecode, err)
-		}
-		cs, ok := w.byHash[h]
-		if !ok {
-			return nil, fmt.Errorf("%w: level 1 removed hash unknown", ErrChildDecode)
-		}
-		w.dB = append(w.dB, cs)
-		w.removed[h] = true
+	if err := w.differing(codec1); err != nil {
+		return nil, err
 	}
 	for _, e := range w.diff.Added {
 		hA, err := codec1.encHash(e)
@@ -431,14 +482,15 @@ func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bo
 			return nil, fmt.Errorf("%w: T*: unexpected negative keys", ErrParentDecode)
 		}
 		for _, e := range w.diff.Added {
-			cs, err := plan.starCodec.decode(e)
-			if err != nil {
+			var err error
+			if w.rec.merge, err = plan.starCodec.appendDecode(w.rec.merge[:0], e); err != nil {
 				return nil, fmt.Errorf("%w: T*: %v", ErrChildDecode, err)
 			}
-			h := setutil.Hash(chs, cs)
+			h := setutil.Hash(chs, w.rec.merge)
 			if _, done := w.recovered[h]; done {
 				continue
 			}
+			cs := w.rec.keep(w.rec.merge)
 			w.recovered[h] = cs
 			delete(w.outstanding, h)
 			w.dA = append(w.dA, cs)
@@ -448,11 +500,7 @@ func (w *cascadeWork) run(coins hashing.Coins, plan *cascadePlan, msg []byte, bo
 	if len(w.outstanding) != 0 {
 		return nil, fmt.Errorf("%w: %d child sets unrecovered", ErrChildDecode, len(w.outstanding))
 	}
-	final := assembleHashed(bob, w.bobHashes, w.dA, w.removed)
-	if parentHash(coins, final) != wantParent {
-		return nil, ErrVerify
-	}
-	return &Result{Recovered: final, Added: sortSets(w.dA), Removed: sortSets(w.dB), PeelIterations: w.peels + w.rec.peels}, nil
+	return w.result(coins, wantParent)
 }
 
 // CascadeUnknownD solves SSRU per Corollary 3.8: repeated doubling over d

@@ -9,16 +9,19 @@ import (
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
+	"sosr/internal/raceflag"
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
 	"sosr/internal/workload"
 )
 
-// Decode-side allocation budgets. PR 4 made Alice's encode allocation-free;
-// these tests pin the same discipline on Bob's receive paths. Budgets are
-// small multiples of the measured steady state (maps, result packing, and
-// per-recovered-set copies remain), so a regression back to per-level or
-// per-candidate churn fails loudly.
+// Allocation budgets of the one-round protocols. Every encode and decode runs
+// on one pooled workspace, so what a call allocates is what it returns:
+// Alice her payload, Bob his Result (the struct, the reassembled parent and
+// the two sorted difference lists, each an arena and a header slice). The
+// budgets sit one or two objects over that, so a regression back to a table
+// per level, an encoder per level or a slice per recovered child fails
+// loudly. They skip under the race detector, where sync.Pool sheds entries.
 
 func decodeWorkload(t testing.TB) (alice, bob [][]uint64, p Params) {
 	t.Helper()
@@ -31,8 +34,13 @@ func decodeWorkload(t testing.TB) (alice, bob [][]uint64, p Params) {
 	return alice, bob, np
 }
 
-func measureApply(t *testing.T, kind DigestKind, d int) float64 {
+// measureOneRound returns the allocations of one AliceMsg and of one ApplyMsg
+// at the benchmark's shape.
+func measureOneRound(t *testing.T, kind DigestKind, d int) (encode, decode float64) {
 	t.Helper()
+	if raceflag.Enabled {
+		t.Skip("sync.Pool sheds workspaces under the race detector")
+	}
 	alice, bob, p := decodeWorkload(t)
 	coins := hashing.NewCoins(42)
 	dHat := DHat(d, p.S)
@@ -43,35 +51,42 @@ func measureApply(t *testing.T, kind DigestKind, d int) float64 {
 	if _, err := ApplyMsg(kind, coins, msg, bob, p, d, dHat); err != nil {
 		t.Fatal(err)
 	}
-	return testing.AllocsPerRun(20, func() {
+	encode = testing.AllocsPerRun(20, func() {
+		if _, err := AliceMsg(kind, coins, alice, p, d, dHat); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode = testing.AllocsPerRun(20, func() {
 		if _, err := ApplyMsg(kind, coins, msg, bob, p, d, dHat); err != nil {
 			t.Fatal(err)
 		}
 	})
+	return encode, decode
 }
 
 func TestCascadeDecodeAllocBudget(t *testing.T) {
-	got := measureApply(t, DigestCascade, 32)
-	t.Logf("cascade ApplyMsg allocs/op: %.0f", got)
-	// ISSUE 7 acceptance: >=10x down from the 1449 of BENCH_pr6.
-	if got > 150 {
-		t.Fatalf("cascade decode allocates %.0f/op, budget 150", got)
+	enc, dec := measureOneRound(t, DigestCascade, 32)
+	t.Logf("cascade AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
+	// ISSUE 7 took the decode from 1449 to ≤ 150; the workspace leaves 7, and
+	// 1 of the encode's 45 (a table and an encoder per level).
+	if enc > 2 || dec > 9 {
+		t.Fatalf("cascade allocates %.0f/encode and %.0f/decode, budgets 2 and 9", enc, dec)
 	}
 }
 
 func TestNestedDecodeAllocBudget(t *testing.T) {
-	got := measureApply(t, DigestNested, 16)
-	t.Logf("nested ApplyMsg allocs/op: %.0f", got)
-	if got > 120 {
-		t.Fatalf("nested decode allocates %.0f/op, budget 120", got)
+	enc, dec := measureOneRound(t, DigestNested, 16)
+	t.Logf("nested AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
+	if enc > 2 || dec > 9 {
+		t.Fatalf("nested allocates %.0f/encode and %.0f/decode, budgets 2 and 9", enc, dec)
 	}
 }
 
 func TestNaiveDecodeAllocBudget(t *testing.T) {
-	got := measureApply(t, DigestNaive, 16)
-	t.Logf("naive ApplyMsg allocs/op: %.0f", got)
-	if got > 150 {
-		t.Fatalf("naive decode allocates %.0f/op, budget 150", got)
+	enc, dec := measureOneRound(t, DigestNaive, 16)
+	t.Logf("naive AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
+	if enc > 2 || dec > 9 {
+		t.Fatalf("naive allocates %.0f/encode and %.0f/decode, budgets 2 and 9", enc, dec)
 	}
 }
 
@@ -240,9 +255,13 @@ func TestApplyMsgCachedRejectsMismatch(t *testing.T) {
 
 // TestMRAlice3AllocBudget pins Theorem 3.9's matching step: Alice compares
 // each of her differing child sets with every one of Bob's sketches, and that
-// pair loop must not allocate — it merges into one scratch estimator instead
-// of cloning per pair (3 allocations × d̂² pairs before).
+// pair loop must not allocate — nor must anything per differing child: one
+// estimator is reset per child and merged, straight from Bob's bytes, into
+// one scratch; what the step allocates is the round it returns.
 func TestMRAlice3AllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool sheds workspaces under the race detector")
+	}
 	alice, bob, p := decodeWorkload(t) // 16 differing children on each side
 	coins := hashing.NewCoins(42)
 	dHat := DHat(16, p.S)
@@ -262,10 +281,52 @@ func TestMRAlice3AllocBudget(t *testing.T) {
 	run()
 	got := testing.AllocsPerRun(10, run)
 	t.Logf("MRAlice3 allocs/op: %.0f for %d (child, sketch) pairs", got, pairs)
-	// What remains is per call or per differing child (Bob's parsed sketches,
-	// Alice's hash table and index, one sketch and one payload per child);
-	// per pair it was 3 more.
-	if budget := float64(pairs); got > budget || pairs < 100 {
-		t.Fatalf("MRAlice3 allocates %.0f/op over %d pairs, budget %.0f", got, pairs, budget)
+	if got > 2 || pairs < 100 {
+		t.Fatalf("MRAlice3 allocates %.0f/op over %d pairs, budget 2", got, pairs)
+	}
+}
+
+// TestMultiRoundStepAllocBudgets: the other steps of Theorems 3.9/3.10 at the
+// benchmark's shape. Each allocates what it returns — a round's bytes; for
+// Bob's round 2 also the state and its D_B list; for the finish the Result —
+// where the finish was 393 objects (a matrix row per point and a solver per
+// pair), round 2 was 84 (an estimator per differing child) and round 3, 129.
+func TestMultiRoundStepAllocBudgets(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool sheds workspaces under the race detector")
+	}
+	alice, bob, p := decodeWorkload(t)
+	alice, bob = setutil.CanonicalSets(alice), setutil.CanonicalSets(bob)
+	coins := hashing.NewCoins(42)
+	probe := BuildChildDiffProbe(coins, bob, p)
+	dHat := EstimateChildDiff(probe, coins, alice, p)
+	msg1 := MRAlice1(coins, alice, dHat)
+	msg2, st, err := MRBob2(coins, bob, p, msg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg3, _, err := MRAlice3(coins, alice, p, 0, msg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"BuildChildDiffProbe", 2, func() error { BuildChildDiffProbe(coins, bob, p); return nil }},
+		{"EstimateChildDiff", 1, func() error { EstimateChildDiff(probe, coins, alice, p); return nil }},
+		{"MRAlice1", 2, func() error { MRAlice1(coins, alice, dHat); return nil }},
+		{"MRBob2", 4, func() error { _, _, err := MRBob2(coins, bob, p, msg1); return err }},
+		{"MRBobFinish", 9, func() error { _, err := MRBobFinish(coins, bob, st, msg3); return err }},
+	} {
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := testing.AllocsPerRun(10, func() { _ = tc.run() })
+		t.Logf("%s allocs/op: %.0f (budget %.0f)", tc.name, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s allocates %.0f objects, budget %.0f", tc.name, got, tc.budget)
+		}
 	}
 }

@@ -102,13 +102,17 @@ func ApplyDigest(digest []byte, coins hashing.Coins, bob [][]uint64) (*Result, e
 // p must be normalized and the bounds resolved (d ≥ 1; dHat is ignored by the
 // cascade kind, which derives its own level plan from d).
 func AliceMsg(kind DigestKind, coins hashing.Coins, alice [][]uint64, p Params, d, dHat int) ([]byte, error) {
+	w := getWork()
+	defer putWork(w)
 	switch kind {
 	case DigestNaive:
-		return naiveAliceMsg(coins, alice, p, dHat), nil
+		w.star.reuse(newNaiveCodec(p))
+		return w.aliceFlat(coins, alice, &w.star, iblt.CellsFor(2*dHat), coins.Seed("naive/parent", 0)), nil
 	case DigestNested:
-		return nestedAliceMsg(coins, alice, p, d, dHat), nil
+		return w.aliceFlat(coins, alice, w.encoder(newNestedCodec(coins, p, d)), iblt.CellsFor(2*dHat), coins.Seed("nested/parent", 0)), nil
 	case DigestCascade:
-		return cascadeAliceMsg(newCascadePlan(coins, p, d), coins, alice), nil
+		w.plan.init(coins, p, d)
+		return w.aliceCascade(&w.plan, coins, alice), nil
 	}
 	return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
 }
@@ -117,15 +121,29 @@ func AliceMsg(kind DigestKind, coins hashing.Coins, alice [][]uint64, p Params, 
 // (coins, p, d, dHat). The Result carries zero Stats; the caller owns
 // communication accounting.
 func ApplyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
+	return applyMsg(kind, coins, body, bob, p, d, nil)
+}
+
+// applyMsg runs Bob's side on a pooled workspace, subtracting sk's aggregates
+// when it is given one (already checked against this shape and parent).
+func applyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d int, sk *BobSketch) (*Result, error) {
+	w := getWork()
+	defer putWork(w)
 	var res *Result
 	var err error
 	switch kind {
 	case DigestNaive:
-		res, err = naiveBob(coins, body, bob, newNaiveCodec(p), nil)
+		res, err = w.runNaive(coins, body, bob, newNaiveCodec(p), sk)
 	case DigestNested:
-		res, err = nestedBob(coins, body, bob, newNestedCodec(coins, p, d), nil)
+		res, err = w.runNested(coins, body, bob, newNestedCodec(coins, p, d), sk)
 	case DigestCascade:
-		res, err = cascadeBob(coins, newCascadePlan(coins, p, d), body, bob, nil)
+		plan := &w.plan
+		if sk != nil {
+			plan = sk.plan
+		} else {
+			plan.init(coins, p, d)
+		}
+		res, err = w.runCascade(coins, plan, body, bob, sk)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
 	}
@@ -137,54 +155,45 @@ func ApplyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64,
 	return res, nil
 }
 
-// naiveAliceMsg builds the Theorem 3.3 payload.
-func naiveAliceMsg(coins hashing.Coins, alice [][]uint64, p Params, dHat int) []byte {
-	codec := newNaiveCodec(p)
-	enc := codec.encoder()
-	t := iblt.New(iblt.CellsFor(2*dHat), codec.width, 0, coins.Seed("naive/parent", 0))
+// aliceFlat builds the one-table payloads — Theorem 3.3's with the full-set
+// encoder, Algorithm 1's with the child encoder: every child encoding in one
+// parent table, then the parent verification hash.
+func (w *cascadeWork) aliceFlat(coins hashing.Coins, alice [][]uint64, enc setEncoder, cells int, seed uint64) []byte {
+	w.parent.Reshape(cells, enc.width(), 0, seed)
 	for _, cs := range alice {
-		t.Insert(enc.encode(cs))
+		w.parent.Insert(enc.encode(cs))
 	}
-	return append(t.Marshal(), u64le(parentHash(coins, alice))...)
+	payload := w.parent.AppendMarshal(make([]byte, 0, w.parent.SerializedSize()+8))
+	return binary.LittleEndian.AppendUint64(payload, w.parentHash(coins, alice))
 }
 
-// nestedAliceMsg builds the Algorithm 1 payload.
-func nestedAliceMsg(coins hashing.Coins, alice [][]uint64, p Params, d, dHat int) []byte {
-	codec := newNestedCodec(coins, p, d)
-	enc := codec.encoder()
-	parent := iblt.New(iblt.CellsFor(2*dHat), codec.width, 0, coins.Seed("nested/parent", 0))
-	for _, cs := range alice {
-		parent.Insert(enc.encode(cs))
-	}
-	return append(parent.Marshal(), u64le(parentHash(coins, alice))...)
-}
-
-// cascadeAliceMsg builds the Algorithm 2 payload (all levels plus T*).
-func cascadeAliceMsg(plan *cascadePlan, coins hashing.Coins, alice [][]uint64) []byte {
+// aliceCascade builds the Algorithm 2 payload (all levels plus T*), every
+// level in the one parent table.
+func (w *cascadeWork) aliceCascade(plan *cascadePlan, coins hashing.Coins, alice [][]uint64) []byte {
 	// Sized up front: a forest payload is ~1 MB, and growing it by doubling
 	// copies it several times over.
 	payload := make([]byte, 0, plan.msgSize())
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(plan.t))
 	for i := 1; i <= plan.t; i++ {
-		enc := plan.level[i-1].encoder()
-		ti := iblt.New(plan.parentCells(i), plan.level[i-1].width, 0, plan.parentSeed(i))
+		enc := w.encoder(plan.level[i-1])
+		w.parent.Reshape(plan.parentCells(i), plan.level[i-1].width, 0, plan.parentSeed(i))
 		for _, cs := range alice {
-			ti.Insert(enc.encode(cs))
+			w.parent.Insert(enc.encode(cs))
 		}
-		payload = appendFramedTable(payload, ti)
+		payload = appendFramedTable(payload, &w.parent)
 	}
 	if plan.star {
-		enc := plan.starCodec.encoder()
-		tStar := iblt.New(plan.starCells(), plan.starCodec.width, 0, plan.starSeed())
+		w.star.reuse(plan.starCodec)
+		w.parent.Reshape(plan.starCells(), plan.starCodec.width, 0, plan.starSeed())
 		for _, cs := range alice {
-			tStar.Insert(enc.encode(cs))
+			w.parent.Insert(w.star.encode(cs))
 		}
 		payload = append(payload, 1)
-		payload = appendFramedTable(payload, tStar)
+		payload = appendFramedTable(payload, &w.parent)
 	} else {
 		payload = append(payload, 0)
 	}
-	return append(payload, u64le(parentHash(coins, alice))...)
+	return binary.LittleEndian.AppendUint64(payload, w.parentHash(coins, alice))
 }
 
 // DigestSize reports the exact digest size for planning, without building it.

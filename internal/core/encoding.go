@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"sosr/internal/hashing"
@@ -79,33 +80,36 @@ func (e *naiveEncoder) reuse(c naiveCodec) {
 
 func (e *naiveEncoder) encode(cs []uint64) []byte { return e.c.encodeInto(e.buf, cs) }
 
-func (c naiveCodec) decode(buf []byte) ([]uint64, error) {
+func (e *naiveEncoder) width() int { return e.c.width }
+
+func (c naiveCodec) decode(buf []byte) ([]uint64, error) { return c.appendDecode(nil, buf) }
+
+// appendDecode appends the child set an encoding stands for to dst, so a
+// decode loop parses every recovered encoding into one scratch.
+func (c naiveCodec) appendDecode(dst []uint64, buf []byte) ([]uint64, error) {
 	if len(buf) != c.width {
 		return nil, fmt.Errorf("core: naive encoding width %d != %d", len(buf), c.width)
 	}
 	if c.bitmap {
-		var out []uint64
 		for i, b := range buf {
-			for bit := 0; bit < 8; bit++ {
-				if b&(1<<bit) != 0 {
-					out = append(out, uint64(i*8+bit))
-				}
+			for ; b != 0; b &= b - 1 {
+				dst = append(dst, uint64(i*8+bits.TrailingZeros8(b)))
 			}
 		}
-		return out, nil
+		return dst, nil
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	if n < 0 || n > c.p.H || 4+8*n > len(buf) {
 		return nil, fmt.Errorf("core: corrupt naive encoding (n=%d)", n)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[4+8*i:])
+	at := len(dst)
+	for i := 0; i < n; i++ {
+		dst = append(dst, binary.LittleEndian.Uint64(buf[4+8*i:]))
 	}
-	if !setutil.IsCanonical(out) {
+	if !setutil.IsCanonical(dst[at:]) {
 		return nil, fmt.Errorf("core: corrupt naive encoding (not canonical)")
 	}
-	return out, nil
+	return dst, nil
 }
 
 // childCodec builds Algorithm 1/2 style (child IBLT, hash) encodings at a
@@ -179,6 +183,8 @@ func (e *childEncoder) reuse(c childCodec) {
 	}
 }
 
+func (e *childEncoder) width() int { return e.c.width }
+
 func (e *childEncoder) encode(cs []uint64) []byte {
 	e.t.Reset()
 	for _, x := range cs {
@@ -229,7 +235,7 @@ type childRecoverer struct {
 	tb    iblt.Table // the current candidate's encoding
 	add   []uint64
 	rem   []uint64
-	merge []uint64
+	merge []uint64 // the candidate patched by the peeled difference, before it is kept
 	kept  []uint64 // arena of the verified recoveries handed out
 	peels int      // total child peel iterations (for observability)
 }
@@ -279,52 +285,11 @@ func (r *childRecoverer) recoverAgainst(wantHash uint64, candidate []uint64) ([]
 	if err != nil {
 		return nil, false
 	}
-	rec := r.applyDiff(candidate)
-	if setutil.Hash(r.c.hash, rec) != wantHash {
+	r.merge = setutil.AppendApplyDiff(r.merge[:0], candidate, r.add, r.rem)
+	if setutil.Hash(r.c.hash, r.merge) != wantHash {
 		return nil, false
 	}
-	return r.keep(rec), true
-}
-
-// applyDiff computes (candidate \ rem) ∪ add in canonical order into the
-// reused merge buffer — the allocation-free equivalent of setutil.ApplyDiff
-// for a canonical candidate.
-func (r *childRecoverer) applyDiff(candidate []uint64) []uint64 {
-	slices.Sort(r.add)
-	slices.Sort(r.rem)
-	out := r.merge[:0]
-	i, j, k := 0, 0, 0
-	for i < len(candidate) || j < len(r.add) {
-		var v uint64
-		switch {
-		case i >= len(candidate):
-			v = r.add[j]
-		case j >= len(r.add):
-			v = candidate[i]
-		case candidate[i] <= r.add[j]:
-			v = candidate[i]
-		default:
-			v = r.add[j]
-		}
-		inBase, inAdd := false, false
-		for i < len(candidate) && candidate[i] == v {
-			inBase = true
-			i++
-		}
-		for j < len(r.add) && r.add[j] == v {
-			inAdd = true
-			j++
-		}
-		for k < len(r.rem) && r.rem[k] < v {
-			k++
-		}
-		inRem := k < len(r.rem) && r.rem[k] == v
-		if inAdd || (inBase && !inRem) {
-			out = append(out, v)
-		}
-	}
-	r.merge = out
-	return out
+	return r.keep(r.merge), true
 }
 
 // recoverFromCandidates tries candidates in order (plus the empty set as a

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"sosr/internal/estimator"
 	"sosr/internal/hashing"
@@ -63,25 +64,91 @@ func MultiRoundUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob 
 // within a pair of child sets are at most 2h).
 func estParamsFor(p Params) estimator.Params { return estimator.CompactParams(2 * p.H) }
 
-// mrHashIBLT builds an IBLT of the parent's child-set hashes plus the
-// hash→child-set index rounds 1 and 3 both need.
-func mrHashIBLT(coins hashing.Coins, parent [][]uint64, cells int) (*iblt.Table, map[uint64][]uint64) {
-	t := iblt.NewUint64(cells, 0, coins.Seed("multiround/hash-iblt", 0))
+// mrWork is the scratch of one multi-round step (and of the child-diff probe
+// exchange): the two child-hash tables, the hash→child index, one estimator
+// reset per child set and one it is merged into, the per-pair decoder shared
+// with setrecon, and the arena recovered children are packed into. Each MR*
+// function runs on one pooled mrWork; what it returns — a round's bytes, the
+// state, the Result — is allocated for the caller and shares nothing with it.
+// release drops the references to the caller's parent set and message.
+type mrWork struct {
+	recv, own   iblt.Table          // the peer's child-hash table and this party's
+	byHash      map[uint64][]uint64 // this party's child set by its hash
+	added, gone []uint64            // the decoded hash difference: Alice's side, Bob's side
+	est, merged estimator.Estimator // one child set's sketch; the same merged with one of Bob's
+	lb          [][]byte            // Bob's L_B estimator encodings, slices of round 2
+	matches     []mrMatch
+	pair        iblt.Table     // Alice's per-pair table
+	set         setrecon.Work  // Bob's per-pair decodes
+	rec         childRecoverer // the arena Bob's recovered children are kept in
+	dA          [][]uint64
+	removed     map[uint64]bool
+	sorted      []uint64
+}
+
+// mrMatch is one of Alice's differing child sets with its closest partner in
+// L_B (-1: none), the estimated difference to it, and — once every match is
+// known and with them √d — how it travels: an IBLT of O(budget) cells, or
+// budget + 1 characteristic-polynomial evaluations.
+type mrMatch struct {
+	bi, di int
+	set    []uint64
+	hash   uint64
+	budget int
+	poly   bool
+}
+
+var mrWorkPool = sync.Pool{New: func() any {
+	return &mrWork{byHash: make(map[uint64][]uint64), removed: make(map[uint64]bool)}
+}}
+
+func getMRWork() *mrWork { return mrWorkPool.Get().(*mrWork) }
+
+func putMRWork(w *mrWork) {
+	w.release()
+	mrWorkPool.Put(w)
+}
+
+// release drops every reference to the finished step's inputs and empties the
+// collections, keeping their storage.
+func (w *mrWork) release() {
+	clear(w.byHash)
+	clear(w.removed)
+	clear(w.lb[:cap(w.lb)])
+	clear(w.matches[:cap(w.matches)])
+	clear(w.dA[:cap(w.dA)])
+	w.lb, w.matches, w.dA = w.lb[:0], w.matches[:0], w.dA[:0]
+	w.rec.forget()
+}
+
+// hashTable fills w.own with the parent's child-set hashes and, when index is
+// set, w.byHash with the hash→child-set map rounds 2 and 3 need.
+func (w *mrWork) hashTable(coins hashing.Coins, parent [][]uint64, cells int, index bool) {
+	w.own.Reshape(cells, iblt.WordWidth, 0, coins.Seed("multiround/hash-iblt", 0))
 	chs := childSeed(coins)
-	byHash := make(map[uint64][]uint64, len(parent))
 	for _, cs := range parent {
 		h := setutil.Hash(chs, cs)
-		byHash[h] = cs
-		t.InsertUint64(h)
+		if index {
+			w.byHash[h] = cs
+		}
+		w.own.InsertUint64(h)
 	}
-	return t, byHash
 }
 
 // MRAlice1 builds round 1: Alice's child-set-hash IBLT (2·d̂ cells) plus her
 // parent verification hash.
 func MRAlice1(coins hashing.Coins, alice [][]uint64, dHat int) []byte {
-	ta, _ := mrHashIBLT(coins, alice, iblt.CellsFor(2*dHat))
-	return append(ta.Marshal(), u64le(parentHash(coins, alice))...)
+	w := getMRWork()
+	defer putMRWork(w)
+	return w.alice1(coins, alice, dHat)
+}
+
+func (w *mrWork) alice1(coins hashing.Coins, alice [][]uint64, dHat int) []byte {
+	w.hashTable(coins, alice, iblt.CellsFor(2*dHat), false)
+	msg := w.own.AppendMarshal(make([]byte, 0, w.own.SerializedSize()+8))
+	var h uint64
+	h, w.sorted = parentHashScratch(w.sorted, coins, alice)
+	return binary.LittleEndian.AppendUint64(msg, h)
 }
 
 // MRBobState carries Bob's state from MRBob2 to MRBobFinish.
@@ -98,45 +165,48 @@ type MRBobState struct {
 // hash-IBLT cell count is taken from the received table so the parties need
 // not negotiate d̂ explicitly.
 func MRBob2(coins hashing.Coins, bob [][]uint64, p Params, msg1 []byte) ([]byte, *MRBobState, error) {
+	w := getMRWork()
+	defer putMRWork(w)
+	return w.bob2(coins, bob, p, msg1)
+}
+
+func (w *mrWork) bob2(coins hashing.Coins, bob [][]uint64, p Params, msg1 []byte) ([]byte, *MRBobState, error) {
 	if len(msg1) < 8 {
 		return nil, nil, fmt.Errorf("core: short multiround round 1")
 	}
 	wantParent := binary.LittleEndian.Uint64(msg1[len(msg1)-8:])
-	taRecv, err := iblt.Unmarshal(msg1[:len(msg1)-8])
-	if err != nil {
+	if err := w.recv.UnmarshalInto(msg1[:len(msg1)-8]); err != nil {
 		return nil, nil, err
 	}
-	tb, bobByHash := mrHashIBLT(coins, bob, taRecv.Cells())
-	tbBytes := tb.Marshal()
-	diffT := taRecv // consume the received copy
-	if err := diffT.Subtract(tb); err != nil {
+	w.hashTable(coins, bob, w.recv.Cells(), true)
+	if err := w.recv.Subtract(&w.own); err != nil { // consume the received copy
 		return nil, nil, err
 	}
-	_, bobDiffHashes, err := diffT.DecodeUint64()
-	if err != nil {
+	var err error
+	if w.added, w.gone, err = w.recv.AppendDecodeUint64(w.added[:0], w.gone[:0]); err != nil {
 		return nil, nil, fmt.Errorf("%w: hash IBLT: %v", ErrParentDecode, err)
 	}
 	// L_B: per differing child set of Bob's, (hash, estimator).
-	estParams := estParamsFor(p)
-	estSeed := coins.Seed("multiround/pair-est", 0)
-	dB := make([][]uint64, 0, len(bobDiffHashes))
-	round2 := make([]byte, 0, len(tbBytes)+len(bobDiffHashes)*64)
-	round2 = appendFramed(round2, tbBytes)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(bobDiffHashes)))
-	round2 = append(round2, cnt[:]...)
-	for _, h := range bobDiffHashes {
-		cs, ok := bobByHash[h]
+	estParams, estSeed := estParamsFor(p), coins.Seed("multiround/pair-est", 0)
+	w.est.Reset(estParams, estSeed)
+	estSize := w.est.SerializedSize()
+	dB := make([][]uint64, 0, len(w.gone))
+	round2 := make([]byte, 0, 4+w.own.SerializedSize()+4+len(w.gone)*(8+4+estSize))
+	round2 = appendFramedTable(round2, &w.own)
+	round2 = binary.LittleEndian.AppendUint32(round2, uint32(len(w.gone)))
+	for _, h := range w.gone {
+		cs, ok := w.byHash[h]
 		if !ok {
 			return nil, nil, fmt.Errorf("%w: unknown differing hash", ErrChildDecode)
 		}
 		dB = append(dB, cs)
-		est := estimator.New(estParams, estSeed)
+		w.est.Reset(estParams, estSeed)
 		for _, x := range cs {
-			est.Add(x, estimator.SideB)
+			w.est.Add(x, estimator.SideB)
 		}
-		round2 = append(round2, u64le(h)...)
-		round2 = appendFramed(round2, est.Marshal())
+		round2 = binary.LittleEndian.AppendUint64(round2, h)
+		round2 = binary.LittleEndian.AppendUint32(round2, uint32(estSize))
+		round2 = w.est.AppendMarshal(round2)
 	}
 	return round2, &MRBobState{WantParent: wantParent, DB: dB}, nil
 }
@@ -147,12 +217,17 @@ func MRBob2(coins hashing.Coins, bob [][]uint64, p Params, msg1 []byte) ([]byte,
 // derives the √d routing threshold from the estimator sum; the returned
 // dUsed reports the bound the routing actually used.
 func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 []byte) (round3 []byte, dUsed int, err error) {
+	w := getMRWork()
+	defer putMRWork(w)
+	return w.alice3(coins, alice, p, dTotal, msg2)
+}
+
+func (w *mrWork) alice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 []byte) (round3 []byte, dUsed int, err error) {
 	body2, n2, err := readFramed(msg2)
 	if err != nil {
 		return nil, 0, err
 	}
-	tbRecv, err := iblt.Unmarshal(body2)
-	if err != nil {
+	if err := w.recv.UnmarshalInto(body2); err != nil {
 		return nil, 0, err
 	}
 	rest := msg2[n2:]
@@ -163,11 +238,12 @@ func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 
 	rest = rest[4:]
 	// Every L_B entry occupies at least 12 bytes (8-byte hash + 4-byte
 	// frame length); reject counts the message cannot possibly hold before
-	// allocating — this parses untrusted network input on the server.
+	// anything is sized from them — this parses untrusted network input on
+	// the server. The estimators stay where they are, in the message: each
+	// is validated and folded in straight from its bytes when it is merged.
 	if lbCount > len(rest)/12 {
 		return nil, 0, fmt.Errorf("core: L_B count %d exceeds message size", lbCount)
 	}
-	lbEst := make([]*estimator.Estimator, lbCount)
 	for j := 0; j < lbCount; j++ {
 		if len(rest) < 8 {
 			return nil, 0, fmt.Errorf("core: truncated L_B entry")
@@ -178,52 +254,39 @@ func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 
 			return nil, 0, err
 		}
 		rest = rest[n:]
-		lbEst[j], err = estimator.Unmarshal(eb)
-		if err != nil {
-			return nil, 0, err
-		}
+		w.lb = append(w.lb, eb)
 	}
 	// Alice decodes the same hash difference to find her differing sets,
 	// rebuilding her table at the received table's size so a split deployment
 	// needs no extra negotiation.
-	ta, aliceByHash := mrHashIBLT(coins, alice, tbRecv.Cells())
-	if err := ta.Subtract(tbRecv); err != nil {
+	w.hashTable(coins, alice, w.recv.Cells(), true)
+	if err := w.own.Subtract(&w.recv); err != nil {
 		return nil, 0, err
 	}
-	aliceDiffHashes, _, err := ta.DecodeUint64()
-	if err != nil {
+	if w.added, w.gone, err = w.own.AppendDecodeUint64(w.added[:0], w.gone[:0]); err != nil {
 		return nil, 0, fmt.Errorf("%w: hash IBLT (Alice): %v", ErrParentDecode, err)
 	}
-	estParams := estParamsFor(p)
-	estSeed := coins.Seed("multiround/pair-est", 0)
-	type match struct {
-		bi   int
-		di   int
-		set  []uint64
-		hash uint64
-	}
-	matches := make([]match, 0, len(aliceDiffHashes))
+	estParams, estSeed := estParamsFor(p), coins.Seed("multiround/pair-est", 0)
 	sumDi := 0
-	var merged estimator.Estimator // scratch: one differing set's sketch merged with one of Bob's
-	for _, h := range aliceDiffHashes {
-		cs, ok := aliceByHash[h]
+	for _, h := range w.added {
+		cs, ok := w.byHash[h]
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: Alice differing hash unknown", ErrChildDecode)
 		}
 		// Build the per-set sketch once (O(|cs|)), then merge a copy with
 		// each of Bob's sketches in O(1) words — the paper's O(n + d̂²)
 		// matching cost.
-		base := estimator.New(estParams, estSeed)
+		w.est.Reset(estParams, estSeed)
 		for _, x := range cs {
-			base.Add(x, estimator.SideA)
+			w.est.Add(x, estimator.SideA)
 		}
 		bi, di := -1, math.MaxInt
-		for j, ebj := range lbEst {
-			merged.CopyFrom(base)
-			if err := merged.Merge(ebj); err != nil {
+		for j, eb := range w.lb {
+			w.merged.CopyFrom(&w.est)
+			if err := w.merged.MergeMarshaled(eb); err != nil {
 				return nil, 0, err
 			}
-			if est := int(merged.Estimate()); est < di {
+			if est := int(w.merged.Estimate()); est < di {
 				di, bi = est, j
 			}
 		}
@@ -231,39 +294,44 @@ func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 
 			// No differing partner at Bob's side (e.g. Bob's parent is a
 			// strict subset); reconcile against the empty set.
 			di = len(cs)
-			bi = -1
 		}
-		matches = append(matches, match{bi: bi, di: di, set: cs, hash: h})
+		w.matches = append(w.matches, mrMatch{bi: bi, di: di, set: cs, hash: h})
 		sumDi += di
 	}
 	if dTotal <= 0 {
 		dTotal = sumDi + 1
 	}
 	sqrtD := int(math.Sqrt(float64(dTotal)))
-	round3 = make([]byte, 4)
-	binary.LittleEndian.PutUint32(round3, uint32(len(matches)))
-	for _, m := range matches {
-		budget := m.di*EstimatorSafety + 2
-		budget = min(budget, mrPairBudgetCap(p))
-		var kind byte
-		var body []byte
-		if m.di >= sqrtD {
-			kind = 0
-			t := iblt.NewUint64(iblt.CellsFor(budget), 0, coins.Seed("multiround/pair-iblt", 0))
-			for _, x := range m.set {
-				t.InsertUint64(x)
-			}
-			body = t.Marshal()
-		} else {
-			kind = 1
-			body = setrecon.EncodeCharPoly(m.set, budget+1)
+	// Route each match — an IBLT at or above √d, evaluations below — and size
+	// the round before building it.
+	size := 4
+	for i := range w.matches {
+		m := &w.matches[i]
+		m.budget, m.poly = min(m.di*EstimatorSafety+2, mrPairBudgetCap(p)), m.di < sqrtD
+		body := iblt.SerializedSizeFor(iblt.CellsFor(m.budget), iblt.WordWidth, 0)
+		if m.poly {
+			body = setrecon.CharPolySize(m.budget + 1)
 		}
-		round3 = append(round3, kind)
-		var bi [4]byte
-		binary.LittleEndian.PutUint32(bi[:], uint32(int32(m.bi)))
-		round3 = append(round3, bi[:]...)
-		round3 = appendFramed(round3, body)
-		round3 = append(round3, u64le(m.hash)...)
+		size += 1 + 4 + 4 + body + 8
+	}
+	round3 = make([]byte, 0, size)
+	round3 = binary.LittleEndian.AppendUint32(round3, uint32(len(w.matches)))
+	for _, m := range w.matches {
+		if m.poly {
+			round3 = append(round3, 1)
+			round3 = binary.LittleEndian.AppendUint32(round3, uint32(int32(m.bi)))
+			round3 = binary.LittleEndian.AppendUint32(round3, uint32(setrecon.CharPolySize(m.budget+1)))
+			round3 = setrecon.AppendCharPoly(round3, m.set, m.budget+1)
+		} else {
+			round3 = append(round3, 0)
+			round3 = binary.LittleEndian.AppendUint32(round3, uint32(int32(m.bi)))
+			w.pair.Reshape(iblt.CellsFor(m.budget), iblt.WordWidth, 0, coins.Seed("multiround/pair-iblt", 0))
+			for _, x := range m.set {
+				w.pair.InsertUint64(x)
+			}
+			round3 = appendFramedTable(round3, &w.pair)
+		}
+		round3 = binary.LittleEndian.AppendUint64(round3, m.hash)
 	}
 	return round3, dTotal, nil
 }
@@ -272,17 +340,21 @@ func MRAlice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal int, msg2 
 // sets and assembling Bob's copy of her parent set. The Result carries zero
 // Stats; the caller owns communication accounting.
 func MRBobFinish(coins hashing.Coins, bob [][]uint64, st *MRBobState, msg3 []byte) (*Result, error) {
+	w := getMRWork()
+	defer putMRWork(w)
+	return w.bobFinish(coins, bob, st, msg3)
+}
+
+func (w *mrWork) bobFinish(coins hashing.Coins, bob [][]uint64, st *MRBobState, msg3 []byte) (*Result, error) {
 	if len(msg3) < 4 {
 		return nil, fmt.Errorf("core: short multiround round 3")
 	}
 	count := int(binary.LittleEndian.Uint32(msg3))
 	rest := msg3[4:]
 	chs := childSeed(coins)
-	removedHashes := make(map[uint64]bool, len(st.DB))
 	for _, cs := range st.DB {
-		removedHashes[setutil.Hash(chs, cs)] = true
+		w.removed[setutil.Hash(chs, cs)] = true
 	}
-	var dA [][]uint64
 	for i := 0; i < count; i++ {
 		if len(rest) < 5 {
 			return nil, fmt.Errorf("core: truncated round 3 entry")
@@ -307,43 +379,34 @@ func MRBobFinish(coins hashing.Coins, bob [][]uint64, st *MRBobState, msg3 []byt
 			}
 			candidate = st.DB[bi]
 		}
-		var rec []uint64
+		var add, rem []uint64
 		switch kind {
 		case 0:
-			t, err := iblt.Unmarshal(body)
-			if err != nil {
-				return nil, err
-			}
-			for _, x := range candidate {
-				t.DeleteUint64(x)
-			}
-			add, rem, err := t.DecodeUint64()
-			if err != nil {
+			if add, rem, err = w.set.DecodeIBLT(body, candidate); err != nil {
 				return nil, fmt.Errorf("%w: pair IBLT: %v", ErrChildDecode, err)
 			}
-			rec = setutil.ApplyDiff(candidate, add, rem)
 		case 1:
 			points := (len(body) - 8) / 8
-			add, rem, err := setrecon.DecodeCharPoly(body, candidate, points-1, coins.Seed("multiround/cz", i))
-			if err != nil {
+			if add, rem, err = w.set.DecodeCharPoly(body, candidate, points-1, coins.Seed("multiround/cz", i)); err != nil {
 				return nil, fmt.Errorf("%w: pair charpoly: %v", ErrChildDecode, err)
 			}
-			rec = setutil.ApplyDiff(candidate, add, rem)
 		default:
 			return nil, fmt.Errorf("core: unknown round 3 kind %d", kind)
 		}
-		if setutil.Hash(chs, rec) != wantHash {
+		w.rec.merge = setutil.AppendApplyDiff(w.rec.merge[:0], candidate, add, rem)
+		if setutil.Hash(chs, w.rec.merge) != wantHash {
 			return nil, fmt.Errorf("%w: pair recovery hash mismatch", ErrChildDecode)
 		}
-		dA = append(dA, rec)
+		w.dA = append(w.dA, w.rec.keep(w.rec.merge))
 	}
-	final := assemble(bob, dA, removedHashes, coins)
-	if parentHash(coins, final) != st.WantParent {
+	final := assemble(bob, w.dA, w.removed, coins)
+	var got uint64
+	if got, w.sorted = parentHashScratch(w.sorted, coins, final); got != st.WantParent {
 		return nil, ErrVerify
 	}
 	return &Result{
 		Recovered: final,
-		Added:     sortSets(dA),
+		Added:     sortSets(w.dA),
 		Removed:   sortSets(st.DB),
 	}, nil
 }

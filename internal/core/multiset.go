@@ -39,9 +39,33 @@ func IsMultTag(x uint64) (int, bool) {
 // inner multisets are grouped, and each group's packed set gains a MultTag
 // carrying the group count. Every child is a sub-slice of one arena.
 func EncodeMultisetParent(inner [][]uint64) ([][]uint64, error) {
+	return new(MultisetParentWork).Encode(inner)
+}
+
+// DecodeMultisetParent inverts EncodeMultisetParent, returning each distinct
+// inner multiset (sorted, a sub-slice of one arena) with its parent-level
+// count.
+func DecodeMultisetParent(parent [][]uint64) (inner [][]uint64, counts []int, err error) {
+	return new(MultisetParentWork).Decode(parent)
+}
+
+// MultisetParentWork is the arena and the headers one EncodeMultisetParent or
+// DecodeMultisetParent works in, for a caller that converts a collection per
+// session (forest reconciliation) and keeps the scratch between sessions.
+// The zero value is ready; what a method returns aliases the work and is
+// valid until its next call.
+type MultisetParentWork struct {
+	arena  []uint64
+	sets   [][]uint64
+	counts []int
+}
+
+// Encode is EncodeMultisetParent in the work's arena.
+func (w *MultisetParentWork) Encode(inner [][]uint64) ([][]uint64, error) {
 	// Each packed child is followed by one spare word for its tag.
-	arena := make([]uint64, 0, setutil.TotalSize(inner)+len(inner))
-	packed := make([][]uint64, len(inner))
+	arena := slices.Grow(w.arena[:0], setutil.TotalSize(inner)+len(inner))
+	packed := slices.Grow(w.sets[:0], len(inner))[:len(inner)]
+	w.arena, w.sets = arena, packed
 	for i, ms := range inner {
 		m := len(arena)
 		var err error
@@ -76,21 +100,28 @@ func EncodeMultisetParent(inner [][]uint64) ([][]uint64, error) {
 	return out, nil
 }
 
-// DecodeMultisetParent inverts EncodeMultisetParent, returning each distinct
-// inner multiset (sorted, a sub-slice of one arena) with its parent-level
-// count.
-func DecodeMultisetParent(parent [][]uint64) (inner [][]uint64, counts []int, err error) {
+// Decode is DecodeMultisetParent in the work's arena. A recovered collection
+// is the peer's to choose: a word whose count field exceeds what the packing
+// allows is refused (setrecon.ErrMultisetRange) before anything is expanded
+// or sized from it.
+func (w *MultisetParentWork) Decode(parent [][]uint64) (inner [][]uint64, counts []int, err error) {
 	total := 0
-	for _, cs := range parent {
+	for i, cs := range parent {
 		for _, x := range cs {
-			if _, isTag := IsMultTag(x); !isTag {
-				total += int(x >> 48)
+			if _, isTag := IsMultTag(x); isTag {
+				continue
 			}
+			k := int(x >> 48)
+			if k < 1 || k > setrecon.MaxMultiplicity {
+				return nil, nil, fmt.Errorf("core: child set %d: %w: multiplicity %d", i, setrecon.ErrMultisetRange, k)
+			}
+			total += k
 		}
 	}
-	arena := make([]uint64, 0, total)
-	inner = make([][]uint64, len(parent))
-	counts = make([]int, len(parent))
+	arena := slices.Grow(w.arena[:0], total)
+	inner = slices.Grow(w.sets[:0], len(parent))[:len(parent)]
+	counts = slices.Grow(w.counts[:0], len(parent))[:len(parent)]
+	w.arena, w.sets, w.counts = arena, inner, counts
 	for i, cs := range parent {
 		m, count := len(arena), -1
 		for _, x := range cs {

@@ -6,7 +6,6 @@ import (
 
 	"sosr/internal/estimator"
 	"sosr/internal/hashing"
-	"sosr/internal/iblt"
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
 )
@@ -21,78 +20,73 @@ func NaiveKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uin
 	if err != nil {
 		return nil, err
 	}
-	codec := newNaiveCodec(p)
 
 	// --- Alice --- (the table holds the full symmetric difference, up to
-	// 2·d̂ encodings; see naiveAliceMsg)
-	msg := sess.Send(transport.Alice, "naive-iblt", naiveAliceMsg(coins, alice, p, dHat))
+	// 2·d̂ encodings; see aliceFlat)
+	payload, err := AliceMsg(DigestNaive, coins, alice, p, 1, dHat)
+	if err != nil {
+		return nil, err
+	}
+	msg := sess.Send(transport.Alice, "naive-iblt", payload)
 
 	// --- Bob ---
-	res, err := naiveBob(coins, msg, bob, codec, nil)
+	res, err := ApplyMsg(DigestNaive, coins, msg, bob, p, 1, dHat)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats = sess.Stats()
-	res.Attempts = 1
 	res.DUsed = dHat
 	return res, nil
 }
 
-func naiveBob(coins hashing.Coins, msg []byte, bob [][]uint64, codec naiveCodec, sk *BobSketch) (*Result, error) {
+// runNaive is Bob's side of Theorem 3.3: the parent diff holds whole child
+// sets on both sides, so the removed ones are matched to Bob's own children
+// by hash and the added ones are Alice's, parsed into the recoverer's arena.
+func (w *cascadeWork) runNaive(coins hashing.Coins, msg []byte, bob [][]uint64, codec naiveCodec, sk *BobSketch) (*Result, error) {
 	if len(msg) < 8 {
 		return nil, fmt.Errorf("core: short naive message")
 	}
 	wantParent := binary.LittleEndian.Uint64(msg[len(msg)-8:])
-	var t iblt.Table
+	t := &w.parent
 	if err := t.UnmarshalInto(msg[:len(msg)-8]); err != nil {
 		return nil, err
 	}
 	if t.Width() != codec.width {
 		return nil, fmt.Errorf("%w: parent key width %d != %d", ErrParentDecode, t.Width(), codec.width)
 	}
+	chs := childSeed(coins)
+	w.hashBob(chs, bob, sk)
 	if sk != nil {
 		if err := t.Subtract(sk.tables[0]); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrParentDecode, err)
 		}
 	} else {
-		enc := codec.encoder()
+		w.star.reuse(codec)
 		for _, cs := range bob {
-			t.Delete(enc.encode(cs))
+			t.Delete(w.star.encode(cs))
 		}
 	}
-	var diff iblt.PackedDiff
-	if err := t.DecodePacked(&diff); err != nil {
+	if err := t.DecodePacked(&w.diff); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrParentDecode, err)
 	}
-	added := make([][]uint64, 0, len(diff.Added))
-	for _, enc := range diff.Added {
-		cs, err := codec.decode(enc)
-		if err != nil {
+	w.peels = t.PeelCount()
+	for _, enc := range w.diff.Added {
+		var err error
+		if w.rec.merge, err = codec.appendDecode(w.rec.merge[:0], enc); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrChildDecode, err)
 		}
-		added = append(added, cs)
+		w.dA = append(w.dA, w.rec.keep(w.rec.merge))
 	}
-	chs := childSeed(coins)
-	removedHashes := make(map[uint64]bool, len(diff.Removed))
-	removed := make([][]uint64, 0, len(diff.Removed))
-	for _, enc := range diff.Removed {
-		cs, err := codec.decode(enc)
-		if err != nil {
+	for _, enc := range w.diff.Removed {
+		var err error
+		if w.rec.merge, err = codec.appendDecode(w.rec.merge[:0], enc); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrChildDecode, err)
 		}
-		removed = append(removed, cs)
-		removedHashes[setutil.Hash(chs, cs)] = true
+		h := setutil.Hash(chs, w.rec.merge)
+		w.dB = append(w.dB, w.rec.keep(w.rec.merge))
+		w.removed[h] = true
 	}
-	recovered := assemble(bob, added, removedHashes, coins)
-	if parentHash(coins, recovered) != wantParent {
-		return nil, ErrVerify
-	}
-	return &Result{
-		Recovered:      recovered,
-		Added:          sortSets(added),
-		Removed:        sortSets(removed),
-		PeelIterations: t.PeelCount(),
-	}, nil
+	return w.result(coins, wantParent)
 }
 
 // NaiveUnknownD solves SSRU naively (Theorem 3.4): Bob first sends a
@@ -125,34 +119,33 @@ func estimateChildDiff(sess transport.Channel, coins hashing.Coins, alice, bob [
 // set-difference estimator over his child-set hashes, usable as a standalone
 // split-party message (see the digest API).
 func BuildChildDiffProbe(coins hashing.Coins, bob [][]uint64, p Params) []byte {
-	params := estimator.CompactParams(2 * p.S)
-	eb := estimator.New(params, coins.Seed("sos/childdiff-est", 0))
+	w := getMRWork()
+	defer putMRWork(w)
+	w.sketchChildHashes(coins, bob, p, estimator.SideB)
+	return w.est.Marshal()
+}
+
+// sketchChildHashes resets the workspace's estimator to the child-diff shape
+// and adds every child-set hash of parent on the given side.
+func (w *mrWork) sketchChildHashes(coins hashing.Coins, parent [][]uint64, p Params, side estimator.Side) {
+	w.est.Reset(estimator.CompactParams(2*p.S), coins.Seed("sos/childdiff-est", 0))
 	chs := childSeed(coins)
-	for _, cs := range bob {
-		eb.Add(setutil.Hash(chs, cs), estimator.SideB)
+	for _, cs := range parent {
+		w.est.Add(setutil.Hash(chs, cs), side)
 	}
-	return eb.Marshal()
 }
 
 // EstimateChildDiff is Alice's half: merge the probe with her own child-set
 // hashes and return a safe bound on the number of differing child sets. A
 // garbled probe degrades only the bound (worst case p.S), never correctness.
 func EstimateChildDiff(probe []byte, coins hashing.Coins, alice [][]uint64, p Params) int {
-	params := estimator.CompactParams(2 * p.S)
-	seed := coins.Seed("sos/childdiff-est", 0)
-	ebRecv, err := estimator.Unmarshal(probe)
-	if err != nil {
+	w := getMRWork()
+	defer putMRWork(w)
+	w.sketchChildHashes(coins, alice, p, estimator.SideA)
+	if err := w.est.MergeMarshaled(probe); err != nil {
 		return p.S
 	}
-	ea := estimator.New(params, seed)
-	chs := childSeed(coins)
-	for _, cs := range alice {
-		ea.Add(setutil.Hash(chs, cs), estimator.SideA)
-	}
-	if err := ea.Merge(ebRecv); err != nil {
-		return p.S
-	}
-	dHat := int(ea.Estimate())*EstimatorSafety + 2
+	dHat := int(w.est.Estimate())*EstimatorSafety + 2
 	if dHat > p.S*2 {
 		dHat = p.S * 2
 	}

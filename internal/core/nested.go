@@ -23,20 +23,21 @@ func NestedKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]ui
 	if err != nil {
 		return nil, err
 	}
-	codec := newNestedCodec(coins, p, d)
 
 	// --- Alice: build EA, insert into a parent holding the full encoding
-	// symmetric difference |EA ⊕ EB| ≤ 2·d̂, send (see nestedAliceMsg). ---
-	msg := sess.Send(transport.Alice, "nested-iblt", nestedAliceMsg(coins, alice, p, d, dHat))
+	// symmetric difference |EA ⊕ EB| ≤ 2·d̂, send (see aliceFlat). ---
+	payload, err := AliceMsg(DigestNested, coins, alice, p, d, dHat)
+	if err != nil {
+		return nil, err
+	}
+	msg := sess.Send(transport.Alice, "nested-iblt", payload)
 
 	// --- Bob ---
-	res, err := nestedBob(coins, msg, bob, codec, nil)
+	res, err := ApplyMsg(DigestNested, coins, msg, bob, p, d, dHat)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats = sess.Stats()
-	res.Attempts = 1
-	res.DUsed = d
 	return res, nil
 }
 
@@ -45,84 +46,41 @@ func newNestedCodec(coins hashing.Coins, p Params, d int) childCodec {
 	return newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d), p.H)
 }
 
-func nestedBob(coins hashing.Coins, msg []byte, bob [][]uint64, codec childCodec, sk *BobSketch) (*Result, error) {
+// runNested is Bob's side of Algorithm 1.
+func (w *cascadeWork) runNested(coins hashing.Coins, msg []byte, bob [][]uint64, codec childCodec, sk *BobSketch) (*Result, error) {
 	if len(msg) < 8 {
 		return nil, fmt.Errorf("core: short nested message")
 	}
 	wantParent := binary.LittleEndian.Uint64(msg[len(msg)-8:])
-	var parent iblt.Table
-	if err := parent.UnmarshalInto(msg[:len(msg)-8]); err != nil {
+	w.hashBob(codec.hash, bob, sk)
+	w.indexBob()
+	// Delete EB, decode to find EA \ EB (added) and EB \ EA (removed).
+	if err := w.loadParent(msg[:len(msg)-8], codec, sk.table(0), false); err != nil {
 		return nil, err
 	}
-	if parent.Width() != codec.width {
-		return nil, fmt.Errorf("%w: parent key width %d != %d", ErrParentDecode, parent.Width(), codec.width)
-	}
-	bobHashes := make([]uint64, len(bob))
-	for i, cs := range bob {
-		bobHashes[i] = codec.setHash(cs)
-	}
-	// Delete EB, decode to find EA \ EB (added) and EB \ EA (removed).
-	if sk != nil {
-		if err := parent.Subtract(sk.tables[0]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrParentDecode, err)
-		}
-	} else {
-		benc := codec.encoder()
-		for _, cs := range bob {
-			parent.Delete(benc.encode(cs))
-		}
-	}
-	var diff iblt.PackedDiff
-	if err := parent.DecodePacked(&diff); err != nil {
+	if err := w.parent.DecodePacked(&w.diff); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrParentDecode, err)
 	}
-
+	w.peels = w.parent.PeelCount()
 	// D_B: Bob's child sets whose hashes appear among the removed encodings.
-	byHash := make(map[uint64][]uint64, len(bob))
-	for i, cs := range bob {
-		byHash[bobHashes[i]] = cs
+	if err := w.differing(codec); err != nil {
+		return nil, err
 	}
-	removedHashes := make(map[uint64]bool, len(diff.Removed))
-	var dB [][]uint64
-	for _, enc := range diff.Removed {
-		h, err := codec.encHash(enc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrChildDecode, err)
-		}
-		cs, ok := byHash[h]
-		if !ok {
-			return nil, fmt.Errorf("%w: removed encoding matches none of Bob's child sets", ErrChildDecode)
-		}
-		dB = append(dB, cs)
-		removedHashes[h] = true
-	}
-
 	// For each of Alice's child IBLTs, attempt decoding against each IBLT in
 	// D_B (the O(d̂²) pair loop of Theorem 3.5).
-	rec := childRecoverer{c: codec}
-	var dA [][]uint64
-	for _, enc := range diff.Added {
-		hA, err := rec.decodeEnc(enc)
+	w.rec.c = codec
+	for _, enc := range w.diff.Added {
+		hA, err := w.rec.decodeEnc(enc)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrChildDecode, err)
 		}
-		r, ok := rec.recoverFromCandidates(hA, dB)
+		r, ok := w.rec.recoverFromCandidates(hA, w.dB)
 		if !ok {
 			return nil, fmt.Errorf("%w: no partner decodes child IBLT", ErrChildDecode)
 		}
-		dA = append(dA, r)
+		w.dA = append(w.dA, r)
 	}
-
-	recovered := assembleHashed(bob, bobHashes, dA, removedHashes)
-	if parentHash(coins, recovered) != wantParent {
-		return nil, ErrVerify
-	}
-	return &Result{
-		Recovered:      recovered,
-		Added:          sortSets(dA),
-		Removed:        sortSets(dB),
-		PeelIterations: parent.PeelCount() + rec.peels,
-	}, nil
+	return w.result(coins, wantParent)
 }
 
 // NestedUnknownD solves SSRU per Corollary 3.6: the Theorem 3.5 protocol is

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"sosr/internal/hashing"
 	"sosr/internal/raceflag"
 	"sosr/internal/setutil"
 	"sosr/internal/workload"
+	"sosr/internal/worktest"
 )
 
 // Tests for the pooled cascade workspace: what it saves, and that pooling
@@ -145,62 +148,273 @@ func TestReleasedWorkspacePinsNoCallerData(t *testing.T) {
 	c := usableCascade(t, 1, 32)
 	c.bob = setutil.CanonicalSets(c.bob) // one arena: one address range to look for
 	for _, sk := range []*BobSketch{c.sk, nil} {
-		w := new(cascadeWork)
-		if _, err := w.run(c.coins, newCascadePlan(c.coins, c.p, c.d), c.msg, c.bob, sk); err != nil {
+		w := newCascadeWork()
+		if _, err := w.runCascade(c.coins, newCascadePlan(c.coins, c.p, c.d), c.msg, c.bob, sk); err != nil {
 			t.Fatal(err)
 		}
 		w.release()
-
-		type span struct{ lo, hi uintptr }
-		caller := []span{{uintptr(unsafe.Pointer(&c.msg[0])), uintptr(unsafe.Pointer(&c.msg[0])) + uintptr(len(c.msg))}}
-		for _, cs := range c.bob {
-			if len(cs) > 0 {
-				lo := uintptr(unsafe.Pointer(&cs[0]))
-				caller = append(caller, span{lo, lo + uintptr(8*len(cs))})
-			}
-		}
+		caller := append(worktest.SpansOf(c.bob), worktest.SpanOf(c.msg))
 		if sk != nil {
-			lo := uintptr(unsafe.Pointer(&sk.bobHashes[0]))
-			caller = append(caller, span{lo, lo + uintptr(8*len(sk.bobHashes))})
+			caller = append(caller, worktest.SpanOf(sk.bobHashes))
 		}
-		inCaller := func(p uintptr) bool {
-			for _, s := range caller {
-				if p >= s.lo && p < s.hi {
-					return true
-				}
-			}
-			return false
-		}
-		var walk func(path string, v reflect.Value)
-		walk = func(path string, v reflect.Value) {
-			switch v.Kind() {
-			case reflect.Slice:
-				if v.Cap() > 0 && inCaller(v.Pointer()) {
-					t.Errorf("%s still points into caller data", path)
-				}
-				full := v.Slice3(0, v.Cap(), v.Cap()) // stale entries past len pin memory too
-				if k := full.Type().Elem().Kind(); k == reflect.Slice || k == reflect.Struct || k == reflect.Pointer {
-					for i := 0; i < full.Len(); i++ {
-						walk(path+"[]", full.Index(i))
-					}
-				}
-			case reflect.Map:
-				if v.Len() != 0 {
-					t.Errorf("%s holds %d entries after release", path, v.Len())
-				}
-			case reflect.Struct:
-				for i := 0; i < v.NumField(); i++ {
-					walk(path+"."+v.Type().Field(i).Name, v.Field(i))
-				}
-			case reflect.Pointer:
-				if !v.IsNil() {
-					walk(path, v.Elem())
-				}
-			}
-		}
-		walk("cascadeWork", reflect.ValueOf(w))
+		worktest.PinsNothing(t, "cascadeWork", w, caller...)
 		if w.bob != nil || w.bobHashes != nil {
 			t.Error("released workspace keeps the run's inputs")
 		}
 	}
+}
+
+// oneRound is one cold one-round exchange's inputs, for every kind.
+type oneRound struct {
+	kind       DigestKind
+	coins      hashing.Coins
+	p          Params
+	d, dHat    int
+	alice, bob [][]uint64
+	msg        []byte
+}
+
+// usableOneRound draws seeds until the exchange decodes.
+func usableOneRound(t testing.TB, kind DigestKind, from uint64, s, d int) *oneRound {
+	t.Helper()
+	for seed := from; seed < from+32; seed++ {
+		c := &oneRound{kind: kind, coins: hashing.NewCoins(seed), d: d}
+		c.alice, c.bob = workload.PlantedSetsOfSets(seed, s, 10, 1<<32, d)
+		c.alice, c.bob = setutil.CanonicalSets(c.alice), setutil.CanonicalSets(c.bob)
+		var err error
+		if c.p, err = (Params{S: s, H: 16, U: 1 << 32}).normalized(); err != nil {
+			t.Fatal(err)
+		}
+		c.dHat = DHat(d, c.p.S)
+		if c.msg, err = AliceMsg(kind, c.coins, c.alice, c.p, d, c.dHat); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.apply(); err == nil {
+			return c
+		}
+	}
+	t.Fatalf("kind %d: no seed decodes", kind)
+	return nil
+}
+
+func (c *oneRound) apply() (*Result, error) {
+	return ApplyMsg(c.kind, c.coins, c.msg, c.bob, c.p, c.d, c.dHat)
+}
+
+var oneRoundKinds = []DigestKind{DigestNaive, DigestNested, DigestCascade}
+
+// TestOneRoundWorkspaceResultsDoNotAlias: for every kind, a payload and a
+// Result survive later encodes and decodes of other inputs, of every kind, on
+// the same pooled workspaces.
+func TestOneRoundWorkspaceResultsDoNotAlias(t *testing.T) {
+	var others []*oneRound
+	for _, kind := range oneRoundKinds {
+		others = append(others, usableOneRound(t, kind, 100, 120, 8))
+	}
+	for _, kind := range oneRoundKinds {
+		c := usableOneRound(t, kind, 1, 200, 16)
+		res, err := c.apply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := bytes.Clone(c.msg)
+		snapshot := [3][][]uint64{setutil.CloneSets(res.Recovered), setutil.CloneSets(res.Added), setutil.CloneSets(res.Removed)}
+		for i := 0; i < 3; i++ {
+			for _, o := range others {
+				if _, err := AliceMsg(o.kind, o.coins, o.alice, o.p, o.d, o.dHat); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := o.apply(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !bytes.Equal(msg, c.msg) {
+			t.Fatalf("kind %d: a later encode changed an earlier payload", kind)
+		}
+		if !reflect.DeepEqual(snapshot, [3][][]uint64{res.Recovered, res.Added, res.Removed}) {
+			t.Fatalf("kind %d: a later decode changed an earlier Result", kind)
+		}
+		if !setutil.EqualSetOfSets(res.Recovered, c.alice) {
+			t.Fatalf("kind %d: decode did not recover Alice's parent set", kind)
+		}
+	}
+}
+
+// TestReleasedOneRoundWorkspacePinsNothing: after Alice's build and after
+// Bob's apply, of every kind, a released workspace points neither into the
+// parent set it read nor into the message.
+func TestReleasedOneRoundWorkspacePinsNothing(t *testing.T) {
+	for _, kind := range oneRoundKinds {
+		c := usableOneRound(t, kind, 1, 200, 16)
+		caller := append(append(worktest.SpansOf(c.alice), worktest.SpansOf(c.bob)...), worktest.SpanOf(c.msg))
+		w := newCascadeWork()
+		switch kind {
+		case DigestNaive:
+			w.star.reuse(newNaiveCodec(c.p))
+			w.aliceFlat(c.coins, c.alice, &w.star, 64, 1)
+		case DigestNested:
+			w.aliceFlat(c.coins, c.alice, w.encoder(newNestedCodec(c.coins, c.p, c.d)), 64, 1)
+		case DigestCascade:
+			w.plan.init(c.coins, c.p, c.d)
+			w.aliceCascade(&w.plan, c.coins, c.alice)
+		}
+		w.release()
+		worktest.PinsNothing(t, fmt.Sprintf("cascadeWork after Alice kind %d", kind), w, caller...)
+
+		var err error
+		switch kind {
+		case DigestNaive:
+			_, err = w.runNaive(c.coins, c.msg, c.bob, newNaiveCodec(c.p), nil)
+		case DigestNested:
+			_, err = w.runNested(c.coins, c.msg, c.bob, newNestedCodec(c.coins, c.p, c.d), nil)
+		case DigestCascade:
+			w.plan.init(c.coins, c.p, c.d)
+			_, err = w.runCascade(c.coins, &w.plan, c.msg, c.bob, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.release()
+		worktest.PinsNothing(t, fmt.Sprintf("cascadeWork after Bob kind %d", kind), w, caller...)
+	}
+}
+
+// TestConcurrentOneRoundExchanges: eight goroutines encode and decode every
+// kind at once, each call on its own pooled workspace. Run under -race.
+func TestConcurrentOneRoundExchanges(t *testing.T) {
+	var cases []*oneRound
+	for _, kind := range oneRoundKinds {
+		cases = append(cases, usableOneRound(t, kind, 1, 200, 16))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				c := cases[(g+i)%len(cases)]
+				msg, err := AliceMsg(c.kind, c.coins, c.alice, c.p, c.d, c.dHat)
+				if err != nil || !bytes.Equal(msg, c.msg) {
+					t.Errorf("kind %d: concurrent encode differs (err %v)", c.kind, err)
+					return
+				}
+				res, err := c.apply()
+				if err != nil || !setutil.EqualSetOfSets(res.Recovered, c.alice) {
+					t.Errorf("kind %d: concurrent decode wrong (err %v)", c.kind, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// multiRoundCase is one Theorem 3.10 exchange, round by round.
+type multiRoundCase struct {
+	coins            hashing.Coins
+	p                Params
+	alice, bob       [][]uint64
+	probe            []byte
+	dHat             int
+	msg1, msg2, msg3 []byte
+	st               *MRBobState
+}
+
+func newMultiRoundCase(seed uint64, s int) (*multiRoundCase, error) {
+	c := &multiRoundCase{coins: hashing.NewCoins(seed)}
+	c.alice, c.bob = workload.PlantedSetsOfSets(seed, s, 10, 1<<32, 16)
+	c.alice, c.bob = setutil.CanonicalSets(c.alice), setutil.CanonicalSets(c.bob)
+	var err error
+	if c.p, err = (Params{S: s, H: 16, U: 1 << 32}).normalized(); err != nil {
+		return nil, err
+	}
+	c.probe = BuildChildDiffProbe(c.coins, c.bob, c.p)
+	c.dHat = EstimateChildDiff(c.probe, c.coins, c.alice, c.p)
+	c.msg1 = MRAlice1(c.coins, c.alice, c.dHat)
+	if c.msg2, c.st, err = MRBob2(c.coins, c.bob, c.p, c.msg1); err != nil {
+		return nil, err
+	}
+	if c.msg3, _, err = MRAlice3(c.coins, c.alice, c.p, 0, c.msg2); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// TestMultiRoundWorkspace: every step's output survives the steps of another
+// exchange; a workspace released after any step points into neither parent
+// set nor any round's bytes; and the whole exchange runs race-clean from
+// eight goroutines.
+func TestMultiRoundWorkspace(t *testing.T) {
+	c, err := newMultiRoundCase(1, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := newMultiRoundCase(77, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MRBobFinish(c.coins, c.bob, c.st, c.msg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := [][]byte{bytes.Clone(c.probe), bytes.Clone(c.msg1), bytes.Clone(c.msg2), bytes.Clone(c.msg3)}
+	dB := setutil.CloneSets(c.st.DB)
+	snapshot := [3][][]uint64{setutil.CloneSets(res.Recovered), setutil.CloneSets(res.Added), setutil.CloneSets(res.Removed)}
+	for i := 0; i < 3; i++ {
+		if _, err := MRBobFinish(other.coins, other.bob, other.st, other.msg3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newMultiRoundCase(77, 120); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.EqualFunc(rounds, [][]byte{c.probe, c.msg1, c.msg2, c.msg3}, bytes.Equal) || !reflect.DeepEqual(dB, c.st.DB) {
+		t.Fatal("a later exchange changed an earlier round's bytes or state")
+	}
+	if !reflect.DeepEqual(snapshot, [3][][]uint64{res.Recovered, res.Added, res.Removed}) || !setutil.EqualSetOfSets(res.Recovered, c.alice) {
+		t.Fatal("a later exchange changed an earlier Result")
+	}
+
+	caller := append(worktest.SpansOf(c.alice), worktest.SpansOf(c.bob)...)
+	for _, b := range [][]byte{c.probe, c.msg1, c.msg2, c.msg3} {
+		caller = append(caller, worktest.SpanOf(b))
+	}
+	w := getMRWork()
+	steps := map[string]func() error{
+		"probe":     func() error { w.sketchChildHashes(c.coins, c.bob, c.p, 2); return nil },
+		"alice1":    func() error { w.alice1(c.coins, c.alice, c.dHat); return nil },
+		"bob2":      func() error { _, _, err := w.bob2(c.coins, c.bob, c.p, c.msg1); return err },
+		"alice3":    func() error { _, _, err := w.alice3(c.coins, c.alice, c.p, 0, c.msg2); return err },
+		"bobFinish": func() error { _, err := w.bobFinish(c.coins, c.bob, c.st, c.msg3); return err },
+	}
+	for name, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		w.release()
+		worktest.PinsNothing(t, "mrWork after "+name, w, caller...)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := []*multiRoundCase{c, other}[g%2]
+			for i := 0; i < 4; i++ {
+				again, err := newMultiRoundCase(c.coins.Master(), len(c.alice))
+				if err != nil || !bytes.Equal(again.msg3, c.msg3) {
+					t.Errorf("concurrent multi-round rounds differ (err %v)", err)
+					return
+				}
+				res, err := MRBobFinish(again.coins, again.bob, again.st, again.msg3)
+				if err != nil || !setutil.EqualSetOfSets(res.Recovered, c.alice) {
+					t.Errorf("concurrent multi-round result differs (err %v)", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

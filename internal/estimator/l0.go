@@ -113,19 +113,30 @@ type Estimator struct {
 
 // New creates an estimator with the given parameters and seed.
 func New(p Params, seed uint64) *Estimator {
+	e := new(Estimator)
+	e.Reset(p, seed)
+	return e
+}
+
+// Reset makes e an empty estimator with the given parameters and seed — what
+// New returns — reusing its storage when it is large enough, so one estimator
+// can sketch many sets in sequence (the per-child sketches of Theorem 3.9).
+// The zero Estimator is a valid target.
+func (e *Estimator) Reset(p Params, seed uint64) {
 	p = p.withDefaults()
 	wps := p.Buckets / groupsPerWord
-	e := &Estimator{
-		params:      p,
-		seed:        seed,
-		words:       make([]uint64, p.Replicas*p.Levels*p.Subreplicas*wps),
-		wordsPerSub: wps,
+	n := p.Replicas * p.Levels * p.Subreplicas * wps
+	e.params, e.seed, e.wordsPerSub = p, seed, wps
+	if cap(e.words) < n {
+		e.words = make([]uint64, n)
+	} else {
+		e.words = e.words[:n]
+		clear(e.words)
 	}
-	e.levelHashers = make([]hashing.Pairwise, p.Replicas)
+	e.levelHashers = e.levelHashers[:0]
 	for r := 0; r < p.Replicas; r++ {
-		e.levelHashers[r] = hashing.NewPairwise(seed ^ (0x11ee11<<8 + uint64(r)*0x9e3779b97f4a7c15))
+		e.levelHashers = append(e.levelHashers, hashing.NewPairwise(seed^(0x11ee11<<8+uint64(r)*0x9e3779b97f4a7c15)))
 	}
-	return e
 }
 
 // Params returns the (defaulted) parameters.
@@ -281,19 +292,47 @@ func (e *Estimator) SerializedSize() int {
 
 // Marshal serializes the estimator (parameters, seed, packed words).
 func (e *Estimator) Marshal() []byte {
+	return e.AppendMarshal(make([]byte, 0, e.SerializedSize()))
+}
+
+// AppendMarshal appends the Marshal encoding to dst and returns the extended
+// slice, so a message carrying many estimators is built in one buffer.
+func (e *Estimator) AppendMarshal(dst []byte) []byte {
 	p := e.params
-	buf := make([]byte, e.SerializedSize())
-	binary.LittleEndian.PutUint32(buf[0:], uint32(p.Levels))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(p.Buckets))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(p.Subreplicas))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(p.Replicas))
-	binary.LittleEndian.PutUint64(buf[16:], e.seed)
-	off := 24
+	dst = slices.Grow(dst, e.SerializedSize())
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Levels))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Buckets))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Subreplicas))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Replicas))
+	dst = binary.LittleEndian.AppendUint64(dst, e.seed)
 	for _, w := range e.words {
-		binary.LittleEndian.PutUint64(buf[off:], w)
-		off += 8
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return buf
+	return dst
+}
+
+// MergeMarshaled folds a serialized estimator into e straight from its
+// Marshal encoding: Merge(Unmarshal(buf)) without materialising the second
+// estimator. The header must declare e's own parameters and seed and the body
+// hold all its words, else ErrIncompatible — the check Merge makes — and e is
+// unchanged. Nothing is sized from the input.
+func (e *Estimator) MergeMarshaled(buf []byte) error {
+	if len(buf) < e.SerializedSize() {
+		return fmt.Errorf("%w: %d bytes, this shape serializes to %d", ErrIncompatible, len(buf), e.SerializedSize())
+	}
+	p := Params{
+		Levels:      int(binary.LittleEndian.Uint32(buf[0:])),
+		Buckets:     int(binary.LittleEndian.Uint32(buf[4:])),
+		Subreplicas: int(binary.LittleEndian.Uint32(buf[8:])),
+		Replicas:    int(binary.LittleEndian.Uint32(buf[12:])),
+	}
+	if p.withDefaults() != e.params || binary.LittleEndian.Uint64(buf[16:]) != e.seed {
+		return ErrIncompatible
+	}
+	for i := range e.words {
+		e.words[i] = (e.words[i] + binary.LittleEndian.Uint64(buf[24+8*i:])) & lowBitsMask
+	}
+	return nil
 }
 
 // Unmarshal parses an estimator serialized by Marshal.

@@ -328,6 +328,7 @@ func PowMod(base Poly, e uint64, m Poly) Poly {
 // coefficients, the leading 1 implied; other polynomials are dense slices,
 // trailing zeros allowed.
 type polyWork struct {
+	buf  []uint64 // backs everything below
 	prod []uint64 // 2n: product being reduced
 	pow  []uint64 // n: running power
 	a, b []uint64 // n+1 each: gcd operands
@@ -335,13 +336,24 @@ type polyWork struct {
 }
 
 func newPolyWork(n int) *polyWork {
-	buf := make([]uint64, 7*n+3)
+	w := new(polyWork)
+	w.size(n)
+	return w
+}
+
+// size cuts the buffers for degree n, keeping the backing array of an earlier
+// call when it is large enough.
+func (w *polyWork) size(n int) {
+	if cap(w.buf) < 7*n+3 {
+		w.buf = make([]uint64, 7*n+3)
+	}
+	buf := w.buf[:7*n+3]
 	cut := func(k int) []uint64 {
 		out := buf[:k:k]
 		buf = buf[k:]
 		return out
 	}
-	return &polyWork{prod: cut(2 * n), pow: cut(n), a: cut(n + 1), b: cut(n + 1), h: cut(n), f: cut(n + 1)}
+	w.prod, w.pow, w.a, w.b, w.h, w.f = cut(2*n), cut(n), cut(n+1), cut(n+1), cut(n), cut(n+1)
 }
 
 // mulMod sets dst (n words) to a·b mod m for monic m of degree n = len(m)
@@ -433,81 +445,126 @@ var ErrNotSplitting = errors.New("field: polynomial does not split into distinct
 // pseudo-random shifts derived from seed, so both parties of a protocol (and
 // reruns of a test) extract roots identically.
 func Roots(p Poly, seed uint64) ([]uint64, error) {
+	return new(Solver).Roots(p, seed)
+}
+
+// Solver is the scratch of a characteristic-polynomial decode — the linear
+// system of RecoverRational, its reduction to lowest terms, and Roots — kept
+// so that a caller decoding many pairs (Theorem 3.9's per-pair recoveries)
+// allocates for the first and reuses for the rest. The zero value is ready. A
+// Solver serves one call at a time, and what a method returns aliases the
+// Solver: it is valid until the next call of the same method.
+type Solver struct {
+	pw polyWork
+
+	// RecoverRational: the system row-major, then its solution.
+	mat, rhs, sol []uint64
+	pivot         []int
+	num, den      []uint64
+
+	// Roots: the factors still to split, the roots found, the shift stream.
+	fac, roots []uint64
+	state      uint64
+}
+
+// grown returns buf with length n, reallocating only when its capacity is
+// short. Contents are unspecified.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Roots is the package-level Roots on the Solver's scratch.
+func (s *Solver) Roots(p Poly, seed uint64) ([]uint64, error) {
 	p = p.Monic()
 	if len(p) == 0 {
 		return nil, ErrNotSplitting
 	}
 	n := len(p) - 1
-	roots := make([]uint64, 0, n)
+	s.roots = grown(s.roots, n)[:0]
 	if n == 0 {
-		return roots, nil
+		return s.roots, nil
 	}
 	// fac holds the monic factors still to split, laid end to end with their
 	// leading 1s implied: a factor of degree k is k words, and splitting it
 	// into degrees j and k-j overwrites it in place.
-	fac := make([]uint64, n)
-	copy(fac, p)
-	w := newPolyWork(n)
+	s.fac = grown(s.fac, n)
+	copy(s.fac, p)
+	s.pw.size(n)
 	// p splits into distinct linear factors iff it divides x^P - x, that is
 	// iff x^P ≡ x (mod p); otherwise it has a repeated or higher-degree
 	// factor. Degree 1 always passes: x ≡ -c (mod x + c) and (-c)^P = -c.
 	if n > 1 {
-		xP := w.h[:n]
-		w.powMod(xP, Poly{0, 1}, P, fac)
+		xP := s.pw.h[:n]
+		s.pw.powMod(xP, Poly{0, 1}, P, s.fac)
 		xP[1] = Sub(xP[1], 1)
 		if !Poly(xP).IsZero() {
 			return nil, ErrNotSplitting
 		}
 	}
-	state := seed ^ 0x726f6f7473 // "roots"
-	var split func(f []uint64) error
-	split = func(f []uint64) error {
-		d := len(f)
-		switch d {
-		case 0:
-			return nil
-		case 1:
-			// f = x + c  =>  root = -c.
-			roots = append(roots, Neg(f[0]))
-			return nil
-		}
-		full := append(append(w.f[:0], f...), 1) // f with its leading 1
-		for attempt := 0; attempt < 64; attempt++ {
-			state = state*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
-			a := Reduce(state ^ (state >> 29))
-			// g = gcd(f, (x+a)^((P-1)/2) - 1): each root r of f lands in g
-			// iff r+a is a quadratic residue, a 50/50 split per root.
-			h := w.h[:d]
-			w.powMod(h, Poly{a, 1}, (P-1)/2, f)
-			h[0] = Sub(h[0], 1)
-			g := w.gcd(full, h)
-			dg := len(g) - 1
-			if dg == 0 || dg == d {
-				continue
-			}
-			// quo = f / g, dividing in place: the quotient's coefficients
-			// replace the dividend's from the top down, the remainder is
-			// what stays below x^dg.
-			for i := d; i >= dg; i-- {
-				c := full[i]
-				for j, y := range g[:dg] {
-					full[i-dg+j] = Sub(full[i-dg+j], Mul(c, y))
-				}
-			}
-			if !Poly(full[:dg]).IsZero() {
-				return ErrNotSplitting
-			}
-			copy(f, g[:dg])
-			copy(f[dg:], full[dg:d])
-			if err := split(f[:dg]); err != nil {
-				return err
-			}
-			return split(f[dg:])
-		}
-		return ErrNotSplitting
-	}
-	if err := split(fac); err != nil {
+	s.state = seed ^ 0x726f6f7473 // "roots"
+	if err := s.split(s.fac); err != nil {
 		return nil, err
 	}
-	return roots, nil
+	return s.roots, nil
+}
+
+// split appends the roots of the monic factor f (leading 1 implied) to
+// s.roots, splitting it in place.
+func (s *Solver) split(f []uint64) error {
+	w := &s.pw
+	d := len(f)
+	switch d {
+	case 0:
+		return nil
+	case 1:
+		// f = x + c  =>  root = -c.
+		s.roots = append(s.roots, Neg(f[0]))
+		return nil
+	}
+	full := append(append(w.f[:0], f...), 1) // f with its leading 1
+	for attempt := 0; attempt < 64; attempt++ {
+		s.state = s.state*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
+		a := Reduce(s.state ^ (s.state >> 29))
+		// g = gcd(f, (x+a)^((P-1)/2) - 1): each root r of f lands in g
+		// iff r+a is a quadratic residue, a 50/50 split per root.
+		h := w.h[:d]
+		shift := [2]uint64{a, 1}
+		w.powMod(h, shift[:], (P-1)/2, f)
+		h[0] = Sub(h[0], 1)
+		g := w.gcd(full, h)
+		dg := len(g) - 1
+		if dg == 0 || dg == d {
+			continue
+		}
+		// quo = f / g, dividing in place: the quotient's coefficients
+		// replace the dividend's from the top down, the remainder is
+		// what stays below x^dg.
+		divideInPlace(full, g)
+		if !Poly(full[:dg]).IsZero() {
+			return ErrNotSplitting
+		}
+		copy(f, g[:dg])
+		copy(f[dg:], full[dg:d])
+		if err := s.split(f[:dg]); err != nil {
+			return err
+		}
+		return s.split(f[dg:])
+	}
+	return ErrNotSplitting
+}
+
+// divideInPlace divides f by the monic g (both dense, leading coefficients
+// included, deg f ≥ deg g): afterwards f[deg g:] is the quotient and
+// f[:deg g] the remainder.
+func divideInPlace(f, g []uint64) {
+	dg := len(g) - 1
+	for i := len(f) - 1; i >= dg; i-- {
+		c := f[i]
+		for j, y := range g[:dg] {
+			f[i-dg+j] = Sub(f[i-dg+j], Mul(c, y))
+		}
+	}
 }

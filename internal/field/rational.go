@@ -21,6 +21,13 @@ var ErrInterpolation = errors.New("field: rational interpolation failed")
 //
 // points and ratios must have the same length, at least degNum+degDen.
 func RecoverRational(points, ratios []uint64, degNum, degDen int) (num, den Poly, err error) {
+	return new(Solver).RecoverRational(points, ratios, degNum, degDen)
+}
+
+// RecoverRational is the package-level RecoverRational on the Solver's
+// scratch: the system is one flat row-major array, and the reduction to
+// lowest terms divides in place.
+func (s *Solver) RecoverRational(points, ratios []uint64, degNum, degDen int) (num, den Poly, err error) {
 	if len(points) != len(ratios) {
 		return nil, nil, ErrInterpolation
 	}
@@ -38,11 +45,11 @@ func RecoverRational(points, ratios []uint64, degNum, degDen int) (num, den Poly
 	// q_0..q_{degDen-1}. Equation per point z with ratio r:
 	//   Σ c_j z^j - r Σ q_j z^j = r z^degDen - z^degNum.
 	rows := len(points)
-	mat := make([][]uint64, rows)
-	rhs := make([]uint64, rows)
+	s.mat = grown(s.mat, rows*unknowns)
+	s.rhs = grown(s.rhs, rows)
 	for i := 0; i < rows; i++ {
 		z, r := points[i]%P, ratios[i]%P
-		row := make([]uint64, unknowns)
+		row := s.mat[i*unknowns : (i+1)*unknowns]
 		zp := uint64(1)
 		for j := 0; j < degNum; j++ {
 			row[j] = zp
@@ -55,92 +62,109 @@ func RecoverRational(points, ratios []uint64, degNum, degDen int) (num, den Poly
 			zp = Mul(zp, z)
 		}
 		zDen := zp
-		mat[i] = row
-		rhs[i] = Sub(Mul(r, zDen), zNum)
+		s.rhs[i] = Sub(Mul(r, zDen), zNum)
 	}
-	sol, ok := SolveLinearSystem(mat, rhs)
-	if !ok {
+	s.sol = grown(s.sol, unknowns)
+	s.pivot = grown(s.pivot, unknowns)
+	if !solveFlat(s.mat, s.rhs, s.sol, s.pivot) {
 		return nil, nil, ErrInterpolation
 	}
-	num = make(Poly, degNum+1)
-	copy(num, sol[:degNum])
-	num[degNum] = 1
-	den = make(Poly, degDen+1)
-	copy(den, sol[degNum:])
-	den[degDen] = 1
+	s.num = append(append(grown(s.num, degNum+1)[:0], s.sol[:degNum]...), 1)
+	s.den = append(append(grown(s.den, degDen+1)[:0], s.sol[degNum:]...), 1)
 	// Reduce to lowest terms: when the caller's degree bound exceeded the
-	// truth, num and den share a (monic) common factor.
-	g := GCD(num, den)
-	if g.Degree() > 0 {
-		num, _ = DivMod(num, g)
-		den, _ = DivMod(den, g)
+	// truth, num and den share a (monic) common factor. Both are monic, so
+	// are the quotients.
+	s.pw.size(max(degNum, degDen))
+	g := s.pw.gcd(s.num, s.den)
+	if dg := len(g) - 1; dg > 0 {
+		divideInPlace(s.num, g)
+		divideInPlace(s.den, g)
+		return s.num[dg:], s.den[dg:], nil
 	}
-	return num.Monic(), den.Monic(), nil
+	return s.num, s.den, nil
 }
 
 // SolveLinearSystem solves mat · x = rhs over GF(P) by Gaussian elimination
 // with partial pivoting, where mat has len(rhs) rows. The system may be
 // over- or under-determined: free variables are set to zero, and ok=false is
-// returned only if the system is inconsistent. mat and rhs are consumed.
+// returned only if the system is inconsistent. rhs is consumed.
 func SolveLinearSystem(mat [][]uint64, rhs []uint64) (sol []uint64, ok bool) {
-	rows := len(mat)
-	if rows == 0 {
+	if len(mat) == 0 {
 		return nil, true
 	}
 	cols := len(mat[0])
-	pivotRowOfCol := make([]int, cols)
-	for i := range pivotRowOfCol {
-		pivotRowOfCol[i] = -1
+	flat := make([]uint64, 0, len(mat)*cols)
+	for _, row := range mat {
+		flat = append(flat, row...)
+	}
+	sol = make([]uint64, cols)
+	if !solveFlat(flat, rhs, sol, make([]int, cols)) {
+		return nil, false
+	}
+	return sol, true
+}
+
+// solveFlat is SolveLinearSystem over a row-major matrix of len(rhs) rows and
+// len(sol) columns; pivot is scratch of len(sol). mat and rhs are consumed.
+func solveFlat(mat, rhs, sol []uint64, pivot []int) bool {
+	rows, cols := len(rhs), len(sol)
+	row := func(i int) []uint64 { return mat[i*cols : (i+1)*cols] }
+	for i := range pivot {
+		pivot[i] = -1
 	}
 	r := 0
 	for c := 0; c < cols && r < rows; c++ {
 		// Find pivot.
-		pivot := -1
+		p := -1
 		for i := r; i < rows; i++ {
-			if mat[i][c] != 0 {
-				pivot = i
+			if mat[i*cols+c] != 0 {
+				p = i
 				break
 			}
 		}
-		if pivot < 0 {
+		if p < 0 {
 			continue
 		}
-		mat[r], mat[pivot] = mat[pivot], mat[r]
-		rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-		inv := Inv(mat[r][c])
+		if p != r {
+			pr, rr := row(p), row(r)
+			for j := range rr {
+				rr[j], pr[j] = pr[j], rr[j]
+			}
+			rhs[r], rhs[p] = rhs[p], rhs[r]
+		}
+		rr := row(r)
+		inv := Inv(rr[c])
 		for j := c; j < cols; j++ {
-			mat[r][j] = Mul(mat[r][j], inv)
+			rr[j] = Mul(rr[j], inv)
 		}
 		rhs[r] = Mul(rhs[r], inv)
 		for i := 0; i < rows; i++ {
-			if i == r || mat[i][c] == 0 {
+			ri := row(i)
+			if i == r || ri[c] == 0 {
 				continue
 			}
-			f := mat[i][c]
+			f := ri[c]
 			for j := c; j < cols; j++ {
-				mat[i][j] = Sub(mat[i][j], Mul(f, mat[r][j]))
+				ri[j] = Sub(ri[j], Mul(f, rr[j]))
 			}
 			rhs[i] = Sub(rhs[i], Mul(f, rhs[r]))
 		}
-		pivotRowOfCol[c] = r
+		pivot[c] = r
 		r++
 	}
 	// Inconsistency check: a zero row with nonzero rhs.
 	for i := r; i < rows; i++ {
 		if rhs[i] != 0 {
-			return nil, false
+			return false
 		}
 	}
-	sol = make([]uint64, cols)
-	for c := 0; c < cols; c++ {
-		if pr := pivotRowOfCol[c]; pr >= 0 {
+	// Rows are in reduced echelon form, so with the free variables at zero
+	// each pivot variable is its row's right-hand side.
+	for c := range sol {
+		sol[c] = 0
+		if pr := pivot[c]; pr >= 0 {
 			sol[c] = rhs[pr]
 		}
 	}
-	// Verify (handles pivot rows that still reference free columns).
-	// After full reduction rows are in RREF, so substituting free vars = 0
-	// requires adjusting pivots by the free columns' coefficients — but those
-	// coefficients multiply zero, so sol as built already satisfies pivot
-	// rows. Nothing further to do.
-	return sol, true
+	return true
 }

@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
+	"sosr/internal/core"
 	"sosr/internal/hashing"
 	"sosr/internal/prng"
 )
@@ -49,16 +51,69 @@ func (f *Forest) Roots() []int {
 
 // Children returns the children adjacency lists, each ascending. The lists
 // are capacity-limited sub-slices of one array.
-func (f *Forest) Children() [][]int32 {
+func (f *Forest) Children() [][]int32 { return new(forestWork).childLists(f) }
+
+// forestWork is the scratch of one forest encode, apply, rebuild or
+// isomorphism test: child lists, the bottom-up order, signatures, the M_v
+// collection and its encoded parent, the interning table of CanonLabels, and
+// Rebuild's group tables. The entry points each run on one pooled forestWork;
+// what they return — payload bytes, the rebuilt forest, label slices — is
+// allocated for the caller, and a released workspace refers to no argument.
+type forestWork struct {
+	count, kidArena []int32
+	children        [][]int32
+	order           []int32
+	sigs, cs        []uint64
+	mvArena         []uint64
+	mv              [][]uint64
+	enc, dec        core.MultisetParentWork
+
+	// CanonLabels: shape i (a sorted child-label list) is
+	// shapes[shapeAt[i]:shapeAt[i+1]] and has label i+1.
+	intern      map[uint64]int32
+	shapes, ids []int32
+	shapeAt     []int32
+	rootsA      []int
+	rootsB      []int
+
+	// Rebuild.
+	bySig      map[uint64]int32
+	kids       [][]int32
+	kidIdx     []int32
+	childOccur []int
+	out        *Forest
+	next       int
+}
+
+var forestWorkPool = sync.Pool{New: func() any {
+	return &forestWork{intern: make(map[uint64]int32), bySig: make(map[uint64]int32)}
+}}
+
+func getForestWork() *forestWork { return forestWorkPool.Get().(*forestWork) }
+
+func putForestWork(w *forestWork) {
+	w.release()
+	forestWorkPool.Put(w)
+}
+
+func (w *forestWork) release() {
+	clear(w.intern)
+	clear(w.bySig)
+	w.shapes, w.shapeAt, w.out = w.shapes[:0], w.shapeAt[:0], nil
+}
+
+// childLists is Children into the workspace.
+func (w *forestWork) childLists(f *Forest) [][]int32 {
 	n := len(f.Parent)
-	out := make([][]int32, n)
-	count := make([]int32, n)
+	out := slices.Grow(w.children[:0], n)[:n]
+	count := slices.Grow(w.count[:0], n)[:n]
+	clear(count)
 	for _, p := range f.Parent {
 		if p >= 0 {
 			count[p]++
 		}
 	}
-	kids := make([]int32, n)
+	kids := slices.Grow(w.kidArena[:0], n)[:n]
 	at := int32(0)
 	for v, c := range count {
 		out[v] = kids[at : at : at+c]
@@ -69,13 +124,14 @@ func (f *Forest) Children() [][]int32 {
 			out[p] = append(out[p], int32(v))
 		}
 	}
+	w.children, w.count, w.kidArena = out, count, kids
 	return out
 }
 
 // bottomUp orders the vertices so that every child precedes its parent: a
 // breadth-first walk from the roots, reversed.
-func bottomUp(f *Forest, children [][]int32) []int32 {
-	order := make([]int32, 0, f.N())
+func (w *forestWork) bottomUp(f *Forest, children [][]int32) []int32 {
+	order := slices.Grow(w.order[:0], f.N())
 	for v, p := range f.Parent {
 		if p < 0 {
 			order = append(order, int32(v))
@@ -85,6 +141,7 @@ func bottomUp(f *Forest, children [][]int32) []int32 {
 		order = append(order, children[order[i]]...)
 	}
 	slices.Reverse(order)
+	w.order = order
 	return order
 }
 
@@ -228,35 +285,51 @@ func Perturb(f *Forest, k int, src *prng.Source) *Forest {
 // iff their rooted subtrees are isomorphic. Labels are shared across the
 // provided forests (joint interning), enabling exact isomorphism tests.
 func CanonLabels(forests ...*Forest) [][]int {
-	intern := map[string]int{}
+	w := getForestWork()
+	defer putForestWork(w)
 	out := make([][]int, len(forests))
-	var ids []int
-	var key []byte
 	for fi, f := range forests {
-		labels := make([]int, f.N())
-		children := f.Children()
-		for _, v := range bottomUp(f, children) {
-			ids = ids[:0]
-			for _, c := range children[v] {
-				ids = append(ids, labels[c])
-			}
-			slices.Sort(ids)
-			key = key[:0]
-			for _, id := range ids {
-				key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-			}
-			// The lookup converts key without copying it; only a label seen
-			// for the first time pays for its string.
-			id, ok := intern[string(key)]
-			if !ok {
-				id = len(intern) + 1
-				intern[string(key)] = id
-			}
-			labels[v] = id
-		}
-		out[fi] = labels
+		out[fi] = make([]int, f.N())
+		w.canonLabels(f, out[fi])
 	}
 	return out
+}
+
+// canonLabels labels f's vertices into labels, interning jointly with every
+// forest labelled on this workspace since it was taken. A shape — a vertex's
+// sorted child labels — is looked up by a hash of the list and confirmed
+// against the list itself, kept in one flat arena: no string per shape, and a
+// hash collision only moves the colliding shape to another key.
+func (w *forestWork) canonLabels(f *Forest, labels []int) {
+	if len(w.shapeAt) == 0 {
+		w.shapeAt = append(w.shapeAt, 0)
+	}
+	children := w.childLists(f)
+	for _, v := range w.bottomUp(f, children) {
+		ids := w.ids[:0]
+		for _, c := range children[v] {
+			ids = append(ids, int32(labels[c]))
+		}
+		slices.Sort(ids)
+		w.ids = ids
+		key := uint64(len(ids))
+		for _, id := range ids {
+			key = prng.Mix64(key ^ uint64(id))
+		}
+		for ; ; key = prng.Mix64(key + 1) {
+			id, seen := w.intern[key]
+			if !seen {
+				w.shapes = append(w.shapes, ids...)
+				w.shapeAt = append(w.shapeAt, int32(len(w.shapes)))
+				id = int32(len(w.shapeAt) - 1)
+				w.intern[key] = id
+			} else if !slices.Equal(w.shapes[w.shapeAt[id-1]:w.shapeAt[id]], ids) {
+				continue
+			}
+			labels[v] = int(id)
+			break
+		}
+	}
 }
 
 // IsIsomorphic decides rooted-forest isomorphism exactly: the multisets of
@@ -265,23 +338,23 @@ func IsIsomorphic(a, b *Forest) bool {
 	if a.N() != b.N() {
 		return false
 	}
-	labels := CanonLabels(a, b)
-	rootsA, rootsB := map[int]int{}, map[int]int{}
-	for _, r := range a.Roots() {
-		rootsA[labels[0][r]]++
-	}
-	for _, r := range b.Roots() {
-		rootsB[labels[1][r]]++
-	}
-	if len(rootsA) != len(rootsB) {
-		return false
-	}
-	for k, v := range rootsA {
-		if rootsB[k] != v {
-			return false
+	w := getForestWork()
+	defer putForestWork(w)
+	rootLabels := func(f *Forest, labels []int) []int {
+		labels = slices.Grow(labels[:0], f.N())[:f.N()]
+		w.canonLabels(f, labels)
+		roots := labels[:0] // a vertex's label is read before any root overwrites it
+		for v, p := range f.Parent {
+			if p < 0 {
+				roots = append(roots, labels[v])
+			}
 		}
+		slices.Sort(roots)
+		return roots
 	}
-	return true
+	w.rootsA = rootLabels(a, w.rootsA)
+	w.rootsB = rootLabels(b, w.rootsB)
+	return slices.Equal(w.rootsA, w.rootsB)
 }
 
 // EditDistanceUpperBound returns a quick upper bound on the number of edge
@@ -308,13 +381,14 @@ func EditDistanceUpperBound(a, b *Forest) int {
 // list of its children's signatures (the paper's "Θ(log n)-bit pairwise
 // independent hash of the isomorphism class label of the tree it roots").
 func HashSignatures(f *Forest, seed uint64) []uint64 {
-	return hashSignatures(f, f.Children(), seed)
+	var w forestWork
+	return w.hashSignatures(f, w.childLists(f), seed)
 }
 
-func hashSignatures(f *Forest, children [][]int32, seed uint64) []uint64 {
-	sigs := make([]uint64, f.N())
-	var cs []uint64
-	for _, v := range bottomUp(f, children) {
+func (w *forestWork) hashSignatures(f *Forest, children [][]int32, seed uint64) []uint64 {
+	sigs := slices.Grow(w.sigs[:0], f.N())[:f.N()]
+	cs := w.cs
+	for _, v := range w.bottomUp(f, children) {
 		cs = cs[:0]
 		for _, c := range children[v] {
 			cs = append(cs, sigs[c])
@@ -322,5 +396,6 @@ func hashSignatures(f *Forest, children [][]int32, seed uint64) []uint64 {
 		slices.Sort(cs)
 		sigs[v] = hashing.HashUint64s(seed, cs)
 	}
+	w.sigs, w.cs = sigs, cs
 	return sigs
 }

@@ -8,6 +8,7 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/hashing"
+	"sosr/internal/setutil"
 	"sosr/internal/transport"
 )
 
@@ -54,14 +55,15 @@ func childEntry(sig uint64) uint64 { return sig & sigMask }
 
 // VertexMultisets builds the M_v collection for a forest under sig.
 func VertexMultisets(f *Forest, sigs []uint64) [][]uint64 {
-	return vertexMultisets(f.Children(), sigs)
+	var w forestWork
+	return w.vertexMultisets(w.childLists(f), sigs)
 }
 
 // vertexMultisets packs every M_v into one arena: a vertex contributes its
 // own marked entry, and one entry to its parent's M_v if it has one.
-func vertexMultisets(children [][]int32, sigs []uint64) [][]uint64 {
-	arena := make([]uint64, 0, 2*len(children))
-	out := make([][]uint64, len(children))
+func (w *forestWork) vertexMultisets(children [][]int32, sigs []uint64) [][]uint64 {
+	arena := slices.Grow(w.mvArena[:0], 2*len(children))
+	out := slices.Grow(w.mv[:0], len(children))[:len(children)]
 	for v, kids := range children {
 		m := len(arena)
 		arena = append(arena, markParent(sigs[v]))
@@ -70,6 +72,7 @@ func vertexMultisets(children [][]int32, sigs []uint64) [][]uint64 {
 		}
 		out[v] = arena[m:len(arena):len(arena)]
 	}
+	w.mvArena, w.mv = arena, out
 	return out
 }
 
@@ -153,18 +156,24 @@ func Plan(a, b SideInfo, p ReconParams) (ReconParams, core.Params) {
 }
 
 // encodeSide computes a party's signature-collection parent set under the
-// shared coins.
-func encodeSide(coins hashing.Coins, f *Forest) ([][]uint64, error) {
-	children := f.Children()
-	sigs := hashSignatures(f, children, coins.Seed("forest/ahu", 0))
-	return core.EncodeMultisetParent(vertexMultisets(children, sigs))
+// shared coins, in the workspace.
+func (w *forestWork) encodeSide(coins hashing.Coins, f *Forest) ([][]uint64, error) {
+	children := w.childLists(f)
+	sigs := w.hashSignatures(f, children, coins.Seed("forest/ahu", 0))
+	return w.enc.Encode(w.vertexMultisets(children, sigs))
 }
 
 // AliceMsg builds Alice's Theorem 6.1 transmission — the cascaded signature
 // payload plus the vertex-count meta frame — from her forest and the planned
 // parameters. Split deployments ship both and apply them with Apply.
 func AliceMsg(coins hashing.Coins, fa *Forest, p ReconParams, params core.Params) (sig, meta []byte, err error) {
-	parentA, err := encodeSide(coins, fa)
+	w := getForestWork()
+	defer putForestWork(w)
+	return w.aliceMsg(coins, fa, p, params)
+}
+
+func (w *forestWork) aliceMsg(coins hashing.Coins, fa *Forest, p ReconParams, params core.Params) (sig, meta []byte, err error) {
+	parentA, err := w.encodeSide(coins, fa)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -177,15 +186,19 @@ func AliceMsg(coins hashing.Coins, fa *Forest, p ReconParams, params core.Params
 		return nil, nil, err
 	}
 	// n travels alongside so Bob can verify the rebuilt vertex count.
-	var m [8]byte
-	binary.LittleEndian.PutUint64(m[:], uint64(fa.N()))
-	return sig, m[:], nil
+	return sig, binary.LittleEndian.AppendUint64(nil, uint64(fa.N())), nil
 }
 
 // Apply runs Bob's Theorem 6.1 half: reconcile the signature collections and
 // rebuild a forest isomorphic to Alice's.
 func Apply(coins hashing.Coins, fb *Forest, p ReconParams, params core.Params, sigMsg, metaMsg []byte) (*Forest, error) {
-	parentB, err := encodeSide(coins, fb)
+	w := getForestWork()
+	defer putForestWork(w)
+	return w.apply(coins, fb, p, params, sigMsg, metaMsg)
+}
+
+func (w *forestWork) apply(coins hashing.Coins, fb *Forest, p ReconParams, params core.Params, sigMsg, metaMsg []byte) (*Forest, error) {
+	parentB, err := w.encodeSide(coins, fb)
 	if err != nil {
 		return nil, err
 	}
@@ -200,8 +213,13 @@ func Apply(coins hashing.Coins, fb *Forest, p ReconParams, params core.Params, s
 	if len(metaMsg) < 8 {
 		return nil, fmt.Errorf("%w: short meta message", ErrRebuild)
 	}
-	wantN := int(binary.LittleEndian.Uint64(metaMsg))
-	return Rebuild(res.Recovered, wantN)
+	// The vertex count is the peer's word; the shape both parties planned
+	// under bounds it, and with it what the rebuild may allocate.
+	wantN := binary.LittleEndian.Uint64(metaMsg)
+	if wantN > uint64(params.S) {
+		return nil, fmt.Errorf("%w: %d vertices claimed under a shape of %d", ErrRebuild, wantN, params.S)
+	}
+	return w.rebuild(res.Recovered, int(wantN))
 }
 
 // ReconAuto retries Recon with doubling budgets until Bob verifies, for
@@ -226,16 +244,22 @@ func ReconAuto(sess transport.Channel, coins hashing.Coins, fa, fb *Forest, maxB
 
 // Rebuild reconstructs a forest (up to isomorphism) from a recovered
 // collection of tagged M_v child sets produced by core.EncodeMultisetParent.
-// wantN, when positive, is verified against the rebuilt vertex count.
+// wantN is verified against the rebuilt vertex count.
 func Rebuild(parent [][]uint64, wantN int) (*Forest, error) {
+	w := getForestWork()
+	defer putForestWork(w)
+	return w.rebuild(parent, wantN)
+}
+
+func (w *forestWork) rebuild(parent [][]uint64, wantN int) (*Forest, error) {
 	// Each group is one distinct M_v, sorted: its child entries — repeated
 	// once per child — then the marked parent entry, which the mark bit puts
 	// last. counts[i] is the number of vertices carrying group i.
-	groups, counts, err := core.DecodeMultisetParent(parent)
+	groups, counts, err := w.dec.Decode(parent)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRebuild, err)
 	}
-	bySig := make(map[uint64]int32, len(groups))
+	bySig := w.bySig
 	totalVertices := 0
 	for i, mv := range groups {
 		last := len(mv) - 1
@@ -251,63 +275,71 @@ func Rebuild(parent [][]uint64, wantN int) (*Forest, error) {
 		}
 		bySig[sig] = int32(i)
 		groups[i] = mv[:last]
+		if counts[i] > wantN {
+			return nil, fmt.Errorf("%w: a group of %d vertices, want %d in all", ErrRebuild, counts[i], wantN)
+		}
 		totalVertices += counts[i]
 	}
-	if wantN > 0 && totalVertices != wantN {
+	if totalVertices != wantN {
 		return nil, fmt.Errorf("%w: rebuilt %d vertices, want %d", ErrRebuild, totalVertices, wantN)
 	}
 	// Resolve child entries to group indexes once, counting how often each
 	// group occurs as a child: its other vertices are roots.
-	kids := make([][]int32, len(groups))
-	kidArena := make([]int32, 0, totalVertices)
-	childOccur := make([]int, len(groups))
+	kids := slices.Grow(w.kids[:0], len(groups))[:len(groups)]
+	kidIdx := slices.Grow(w.kidIdx[:0], setutil.TotalSize(groups))
+	childOccur := slices.Grow(w.childOccur[:0], len(groups))[:len(groups)]
+	clear(childOccur)
+	w.kids, w.childOccur = kids, childOccur
 	for i, mv := range groups {
-		m := len(kidArena)
+		m := len(kidIdx)
 		for _, q := range mv {
 			gi, ok := bySig[q]
 			if !ok {
 				return nil, fmt.Errorf("%w: unknown child signature", ErrRebuild)
 			}
-			kidArena = append(kidArena, gi)
+			kidIdx = append(kidIdx, gi)
 			childOccur[gi] += counts[i]
 		}
-		kids[i] = kidArena[m:]
+		kids[i] = kidIdx[m:]
 	}
-	f := New(totalVertices)
-	next := 0
-	var build func(gi int32, parentIdx int, depth int) error
-	build = func(gi int32, parentIdx int, depth int) error {
-		if depth > totalVertices {
-			return fmt.Errorf("%w: cycle in signature graph", ErrRebuild)
-		}
-		if next >= totalVertices {
-			return fmt.Errorf("%w: vertex overflow", ErrRebuild)
-		}
-		v := next
-		next++
-		f.Parent[v] = int32(parentIdx)
-		for _, q := range kids[gi] {
-			if err := build(q, v, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	w.kidIdx = kidIdx
+	w.out, w.next = New(totalVertices), 0
 	for gi := range groups {
 		rootCount := counts[gi] - childOccur[gi]
 		if rootCount < 0 {
 			return nil, fmt.Errorf("%w: negative root count", ErrRebuild)
 		}
 		for r := 0; r < rootCount; r++ {
-			if err := build(int32(gi), -1, 1); err != nil {
+			if err := w.build(int32(gi), -1, 1); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if next != totalVertices {
-		return nil, fmt.Errorf("%w: built %d of %d vertices", ErrRebuild, next, totalVertices)
+	if w.next != totalVertices {
+		return nil, fmt.Errorf("%w: built %d of %d vertices", ErrRebuild, w.next, totalVertices)
 	}
-	return f, nil
+	return w.out, nil
+}
+
+// build adds one vertex of group gi under parentIdx to the forest being
+// rebuilt, and its subtree below it.
+func (w *forestWork) build(gi int32, parentIdx, depth int) error {
+	total := w.out.N()
+	if depth > total {
+		return fmt.Errorf("%w: cycle in signature graph", ErrRebuild)
+	}
+	if w.next >= total {
+		return fmt.Errorf("%w: vertex overflow", ErrRebuild)
+	}
+	v := w.next
+	w.next++
+	w.out.Parent[v] = int32(parentIdx)
+	for _, q := range w.kids[gi] {
+		if err := w.build(q, v, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // encodeParent is a package-internal alias of core.EncodeMultisetParent used

@@ -16,7 +16,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"sosr/internal/core"
 	"sosr/internal/graph"
@@ -47,21 +49,64 @@ type DegreeOrderParams struct {
 	D int
 }
 
+// graphWork is the scratch of one Alice build or one Bob apply of either §5
+// scheme: the degree order, the signature arena and its sorted parent, the
+// labelling, the relabelled adjacency rows the labelled edge set is read off,
+// the edge IBLT and its decoded difference, and (§5.2) Alice's signatures
+// unpacked. The exported entry points each run on one pooled graphWork; what
+// they return — payload bytes, the recovered graph — is allocated for the
+// caller. release drops the one reference to caller data a workspace can
+// hold, the §5.2 parent that points into the caller's NbrSide.
+type graphWork struct {
+	deg, order []int
+	sigArena   []uint64
+	sigs       [][]uint64 // §5.1: per-vertex signatures, in sigArena
+	parent     [][]uint64 // the signatures in canonical order: §5.1's, or (§5.2) the caller's packed ones
+	label      []int
+	rows       []uint64 // relabelled adjacency, upper triangle, one bit row per label
+	edges      []uint64 // the labelled edge set, canonical
+	table      iblt.Table
+	add, rem   []uint64
+	merged     []uint64 // Alice's labelled edge set, rebuilt
+	unpacked   []uint64 // §5.2: Alice's signatures as sorted multisets, end to end
+	unpackedAt []int    // signature i is unpacked[unpackedAt[i]:unpackedAt[i+1]]
+}
+
+var graphWorkPool = sync.Pool{New: func() any { return new(graphWork) }}
+
+func getGraphWork() *graphWork { return graphWorkPool.Get().(*graphWork) }
+
+func putGraphWork(w *graphWork) {
+	w.release()
+	graphWorkPool.Put(w)
+}
+
+func (w *graphWork) release() {
+	clear(w.parent[:cap(w.parent)])
+	w.parent = w.parent[:0]
+}
+
 // DegreeOrderSignatures computes the §5.1 signature scheme for g: top holds
 // the h highest-degree vertices (descending, ties broken by index), rest the
 // others in the same order, and sigs[i] is the signature of rest[i] — the
 // ascending ranks in top of the anchors it is adjacent to. The signatures are
 // capacity-limited sub-slices of one arena.
 func DegreeOrderSignatures(g *graph.Graph, h int) (top, rest []int, sigs [][]uint64) {
-	order, deg := degreeOrder(g)
+	return new(graphWork).degreeOrderSignatures(g, h)
+}
+
+// degreeOrderSignatures is DegreeOrderSignatures into the workspace: the
+// results alias it.
+func (w *graphWork) degreeOrderSignatures(g *graph.Graph, h int) (top, rest []int, sigs [][]uint64) {
+	order, deg := w.degreeOrder(g)
 	top, rest = order[:h], order[h:]
 	// Every signature entry is an edge into top, so top's degrees bound them.
 	total := 0
 	for _, t := range top {
 		total += deg[t]
 	}
-	arena := make([]uint64, 0, total)
-	sigs = make([][]uint64, len(rest))
+	arena := slices.Grow(w.sigArena[:0], total)
+	w.sigs = slices.Grow(w.sigs[:0], len(rest))[:len(rest)]
 	for i, v := range rest {
 		m := len(arena)
 		for j, t := range top {
@@ -69,18 +114,19 @@ func DegreeOrderSignatures(g *graph.Graph, h int) (top, rest []int, sigs [][]uin
 				arena = append(arena, uint64(j))
 			}
 		}
-		sigs[i] = arena[m:len(arena):len(arena)]
+		w.sigs[i] = arena[m:len(arena):len(arena)]
 	}
-	return top, rest, sigs
+	w.sigArena = arena
+	return top, rest, w.sigs
 }
 
 // degreeOrder returns vertices sorted by degree descending (index ascending
 // on ties), and the degrees.
-func degreeOrder(g *graph.Graph) (order, deg []int) {
-	deg = g.Degrees()
-	order = make([]int, g.N)
-	for i := range order {
-		order[i] = i
+func (w *graphWork) degreeOrder(g *graph.Graph) (order, deg []int) {
+	deg = slices.Grow(w.deg[:0], g.N)[:g.N]
+	order = slices.Grow(w.order[:0], g.N)[:g.N]
+	for v := range order {
+		deg[v], order[v] = g.Degree(v), v
 	}
 	slices.SortFunc(order, func(u, v int) int {
 		if deg[u] != deg[v] {
@@ -88,6 +134,7 @@ func degreeOrder(g *graph.Graph) (order, deg []int) {
 		}
 		return u - v
 	})
+	w.deg, w.order = deg, order
 	return order, deg
 }
 
@@ -100,13 +147,14 @@ func IsSeparated(g *graph.Graph, h, a, b int) bool {
 	if h < 1 || h >= g.N {
 		return false
 	}
-	order, deg := degreeOrder(g)
+	var w graphWork
+	order, deg := w.degreeOrder(g)
 	for i := 0; i+1 <= h && i+1 < g.N; i++ {
 		if deg[order[i]]-deg[order[i+1]] < a {
 			return false
 		}
 	}
-	_, _, sigs := DegreeOrderSignatures(g, h)
+	_, _, sigs := w.degreeOrderSignatures(g, h)
 	for i := range sigs {
 		for j := i + 1; j < len(sigs); j++ {
 			if setutil.SymmetricDiff(sigs[i], sigs[j]) < b {
@@ -178,22 +226,22 @@ func DegreeOrderSigShape(n int, p DegreeOrderParams) (core.Params, int) {
 // alone, for split-party deployments; DegreeOrderApply is Bob's half. The
 // payloads are byte-identical to what the in-process protocol sends.
 func DegreeOrderAlice(coins hashing.Coins, ga *graph.Graph, p DegreeOrderParams) (*GraphMsgs, error) {
+	w := getGraphWork()
+	defer putGraphWork(w)
+	return w.degreeOrderAlice(coins, ga, p)
+}
+
+func (w *graphWork) degreeOrderAlice(coins hashing.Coins, ga *graph.Graph, p DegreeOrderParams) (*GraphMsgs, error) {
 	n, h, d := ga.N, p.H, p.D
 	if h < 1 || h >= n {
 		return nil, fmt.Errorf("graphrecon: invalid h=%d", h)
 	}
-	topA, restA, sigsA := DegreeOrderSignatures(ga, h)
-	parentA, err := signatureParent(sigsA)
+	topA, restA, sigsA := w.degreeOrderSignatures(ga, h)
+	parentA, err := w.signatureParent(sigsA)
 	if err != nil {
 		return nil, err
 	}
-	labelA := degreeOrderLabeling(topA, restA, sigsA, parentA)
-	edgeSetA := labeledEdgeSet(ga, labelA)
-	edgeT := iblt.NewUint64(iblt.CellsFor(d), 0, coins.Seed("graphrecon/edges", 0))
-	for _, e := range edgeSetA {
-		edgeT.InsertUint64(e)
-	}
-	edgePayload := append(edgeT.Marshal(), u64le(setutil.Hash(coins.Seed("graphrecon/edgeverify", 0), edgeSetA))...)
+	edgePayload := w.edgePayload(coins, degreeEdgeLabels, ga, w.degreeOrderLabeling(topA, restA, sigsA, parentA), d)
 	sigParams, sigD := DegreeOrderSigShape(n, p)
 	sigMsg, err := core.AliceMsg(core.DigestCascade, coins.Sub("graphrecon/sig", 0), parentA, sigParams, sigD, 0)
 	if err != nil {
@@ -205,12 +253,18 @@ func DegreeOrderAlice(coins hashing.Coins, ga *graph.Graph, p DegreeOrderParams)
 // DegreeOrderApply runs Bob's Theorem 5.2 half against Alice's received
 // payloads, returning his copy of Alice's graph under Alice's labeling.
 func DegreeOrderApply(coins hashing.Coins, gb *graph.Graph, p DegreeOrderParams, sigMsg, edgeMsg []byte) (*graph.Graph, error) {
+	w := getGraphWork()
+	defer putGraphWork(w)
+	return w.degreeOrderApply(coins, gb, p, sigMsg, edgeMsg)
+}
+
+func (w *graphWork) degreeOrderApply(coins hashing.Coins, gb *graph.Graph, p DegreeOrderParams, sigMsg, edgeMsg []byte) (*graph.Graph, error) {
 	n, h, d := gb.N, p.H, p.D
 	if h < 1 || h >= n {
 		return nil, fmt.Errorf("graphrecon: invalid h=%d", h)
 	}
-	topB, restB, sigsB := DegreeOrderSignatures(gb, h)
-	parentB, err := signatureParent(sigsB)
+	topB, restB, sigsB := w.degreeOrderSignatures(gb, h)
+	parentB, err := w.signatureParent(sigsB)
 	if err != nil {
 		return nil, err
 	}
@@ -219,18 +273,19 @@ func DegreeOrderApply(coins hashing.Coins, gb *graph.Graph, p DegreeOrderParams,
 	if err != nil {
 		return nil, fmt.Errorf("graphrecon: signature reconciliation: %w", err)
 	}
-	labelB, err := bobDegreeOrderLabeling(topB, restB, sigsB, res.Recovered, d)
+	labelB, err := w.bobDegreeOrderLabeling(topB, restB, sigsB, res.Recovered, d)
 	if err != nil {
 		return nil, err
 	}
-	return applyEdgeRecon(edgeMsg, gb, labelB, n, coins)
+	return w.applyEdgeRecon(coins, degreeEdgeLabels, edgeMsg, gb, labelB)
 }
 
 // signatureParent sorts a graph's vertex signatures into a canonical parent
 // set, rejecting duplicate signatures (which violate separation). sigs itself
 // is left in vertex order.
-func signatureParent(sigs [][]uint64) ([][]uint64, error) {
-	parent := slices.Clone(sigs)
+func (w *graphWork) signatureParent(sigs [][]uint64) ([][]uint64, error) {
+	parent := append(w.parent[:0], sigs...)
+	w.parent = parent
 	setutil.SortSets(parent)
 	for i := 1; i < len(parent); i++ {
 		if slices.Equal(parent[i-1], parent[i]) {
@@ -242,8 +297,10 @@ func signatureParent(sigs [][]uint64) ([][]uint64, error) {
 
 // degreeOrderLabeling labels Alice's graph: top vertices get 0..h-1 by
 // degree rank; the rest get h + (lexicographic rank of their signature).
-func degreeOrderLabeling(top, rest []int, sigs, sortedSigs [][]uint64) []int {
-	label := make([]int, len(top)+len(rest))
+func (w *graphWork) degreeOrderLabeling(top, rest []int, sigs, sortedSigs [][]uint64) []int {
+	n := len(top) + len(rest)
+	label := slices.Grow(w.label[:0], n)[:n]
+	w.label = label
 	for j, v := range top {
 		label[v] = j
 	}
@@ -272,8 +329,9 @@ func sigRank(sorted [][]uint64, s []uint64) int {
 // his own degree rank; every other vertex matched to the unique signature of
 // Alice's within symmetric difference ≤ d (exact matches first), labeled by
 // that signature's lexicographic rank.
-func bobDegreeOrderLabeling(topB, restB []int, sigsB, aliceSigs [][]uint64, d int) ([]int, error) {
-	label := make([]int, len(topB)+len(restB))
+func (w *graphWork) bobDegreeOrderLabeling(topB, restB []int, sigsB, aliceSigs [][]uint64, d int) ([]int, error) {
+	label := slices.Grow(w.label[:0], len(topB)+len(restB))[:len(topB)+len(restB)]
+	w.label = label
 	for j, v := range topB {
 		label[v] = j
 	}
@@ -287,7 +345,7 @@ func bobDegreeOrderLabeling(topB, restB []int, sigsB, aliceSigs [][]uint64, d in
 		}
 		found := -1
 		for idx, sA := range aliceSigs {
-			if setutil.SymmetricDiff(sA, sB) <= d {
+			if setutil.DiffWithin(sA, sB, d) {
 				if found >= 0 {
 					return nil, fmt.Errorf("%w: ambiguous match for vertex %d", ErrNoConformingMatch, v)
 				}
@@ -302,18 +360,41 @@ func bobDegreeOrderLabeling(topB, restB []int, sigsB, aliceSigs [][]uint64, d in
 	return label, nil
 }
 
-// labeledEdgeSet returns the canonical set of edge keys of g under label.
-func labeledEdgeSet(g *graph.Graph, label []int) []uint64 {
-	out := make([]uint64, 0, g.EdgeCount())
+// labeledEdgeSet returns the canonical set of edge keys of g under label, in
+// the workspace. Each edge sets one bit of a relabelled adjacency matrix —
+// row the smaller label, column the larger — and the keys are read off the
+// rows in order, which is key order: nothing is sorted, and a non-injective
+// labelling that sends two edges to one key sets one bit twice.
+func (w *graphWork) labeledEdgeSet(g *graph.Graph, label []int) []uint64 {
+	m := 0 // labels in use: the rows, and columns, of the relabelled matrix
+	for _, l := range label {
+		m = max(m, l+1)
+	}
+	words := (m + 63) / 64
+	rows := slices.Grow(w.rows[:0], m*words)[:m*words]
+	clear(rows)
+	w.rows = rows
 	for u := 0; u < g.N; u++ {
 		g.EachNeighbor(u, func(v int) {
 			if u < v {
-				out = append(out, edgeKey(label[u], label[v]))
+				a, b := label[u], label[v]
+				if a > b {
+					a, b = b, a
+				}
+				rows[a*words+b/64] |= 1 << (b % 64)
 			}
 		})
 	}
-	slices.Sort(out)
-	return slices.Compact(out) // a non-injective labeling repeats keys
+	out := slices.Grow(w.edges[:0], g.EdgeCount())
+	for a := 0; a < m; a++ {
+		for wi, word := range rows[a*words : (a+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, edgeKey(a, wi*64+bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	w.edges = out
+	return out
 }
 
 // edgeKey packs an unordered label pair into a word (labels < 2^30 so the
@@ -330,30 +411,55 @@ func edgeFromKey(k uint64) (int, int) {
 	return int(k >> 30), int(k & ((1 << 30) - 1))
 }
 
+// edgeLabels names the coin roles of a scheme's edge exchange.
+type edgeLabels struct{ table, verify string }
+
+var (
+	degreeEdgeLabels = edgeLabels{"graphrecon/edges", "graphrecon/edgeverify"}
+	nbrEdgeLabels    = edgeLabels{"graphrecon/nbr-edges", "graphrecon/nbr-edgeverify"}
+)
+
+// edgePayload builds Alice's half of the edge exchange both §5 protocols end
+// with: an O(d)-cell IBLT of her labelled edges and their verification hash.
+func (w *graphWork) edgePayload(coins hashing.Coins, lbl edgeLabels, ga *graph.Graph, label []int, d int) []byte {
+	edges := w.labeledEdgeSet(ga, label)
+	w.table.Reshape(iblt.CellsFor(d), iblt.WordWidth, 0, coins.Seed(lbl.table, 0))
+	for _, e := range edges {
+		w.table.InsertUint64(e)
+	}
+	payload := w.table.AppendMarshal(make([]byte, 0, w.table.SerializedSize()+8))
+	return binary.LittleEndian.AppendUint64(payload, setutil.Hash(coins.Seed(lbl.verify, 0), edges))
+}
+
 // applyEdgeRecon finishes both §5 protocols: Bob deletes his labeled edges
 // from Alice's edge IBLT, decodes the difference, verifies, and materializes
 // Alice's labeled graph.
-func applyEdgeRecon(edgeMsg []byte, gb *graph.Graph, labelB []int, n int, coins hashing.Coins) (*graph.Graph, error) {
+func (w *graphWork) applyEdgeRecon(coins hashing.Coins, lbl edgeLabels, edgeMsg []byte, gb *graph.Graph, labelB []int) (*graph.Graph, error) {
 	if len(edgeMsg) < 8 {
 		return nil, fmt.Errorf("graphrecon: short edge message")
 	}
 	wantHash := binary.LittleEndian.Uint64(edgeMsg[len(edgeMsg)-8:])
-	t, err := iblt.Unmarshal(edgeMsg[:len(edgeMsg)-8])
-	if err != nil {
+	t := &w.table
+	if err := t.UnmarshalInto(edgeMsg[:len(edgeMsg)-8]); err != nil {
 		return nil, err
 	}
-	edgeSetB := labeledEdgeSet(gb, labelB)
+	if t.Width() != iblt.WordWidth {
+		return nil, fmt.Errorf("graphrecon: edge IBLT key width %d", t.Width())
+	}
+	edgeSetB := w.labeledEdgeSet(gb, labelB)
 	for _, e := range edgeSetB {
 		t.DeleteUint64(e)
 	}
-	add, rem, err := t.DecodeUint64()
-	if err != nil {
+	var err error
+	if w.add, w.rem, err = t.AppendDecodeUint64(w.add[:0], w.rem[:0]); err != nil {
 		return nil, fmt.Errorf("graphrecon: edge IBLT decode: %w", err)
 	}
-	edgesA := setutil.ApplyDiff(edgeSetB, add, rem)
-	if setutil.Hash(coins.Seed("graphrecon/edgeverify", 0), edgesA) != wantHash {
+	edgesA := setutil.AppendApplyDiff(slices.Grow(w.merged[:0], len(edgeSetB)+len(w.add)), edgeSetB, w.add, w.rem)
+	w.merged = edgesA
+	if setutil.Hash(coins.Seed(lbl.verify, 0), edgesA) != wantHash {
 		return nil, ErrVerify
 	}
+	n := gb.N
 	out := graph.New(n)
 	for _, k := range edgesA {
 		u, v := edgeFromKey(k)
@@ -363,10 +469,4 @@ func applyEdgeRecon(edgeMsg []byte, gb *graph.Graph, labelB []int, n int, coins 
 		out.AddEdge(u, v)
 	}
 	return out, nil
-}
-
-func u64le(x uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	return b[:]
 }

@@ -1,0 +1,58 @@
+package graphrecon
+
+import (
+	"testing"
+
+	"sosr/internal/graph"
+	"sosr/internal/hashing"
+	"sosr/internal/prng"
+)
+
+// FuzzDegreeOrderApply feeds arbitrary signature and edge payloads to Bob's
+// §5.1 half, which parses both into a reused workspace: a lying table header,
+// a key width that is not a word, an edge key past the vertex count or a
+// signature list of the wrong length must end in an error or a graph on n
+// vertices — never a panic, a label outside the relabelled matrix, or a spin.
+func FuzzDegreeOrderApply(f *testing.F) {
+	// A small instance keeps an execution fast; separation is a matter of
+	// luck at this size, so graphs are drawn until one exchange succeeds.
+	src := prng.New(31)
+	p := DegreeOrderParams{H: 14, D: 2}
+	coins := hashing.NewCoins(7)
+	var gb *graph.Graph
+	var msgs *GraphMsgs
+	for try := 0; ; try++ {
+		base := graph.Gnp(48, 0.5, src)
+		ga, _ := graph.Perturb(base, 1, src)
+		gb = base
+		var err error
+		if msgs, err = DegreeOrderAlice(coins, ga, p); err == nil {
+			if _, err = DegreeOrderApply(coins, gb, p, msgs.Sig, msgs.Edges); err == nil {
+				break
+			}
+		}
+		if try == 200 {
+			f.Fatalf("no small instance reconciles: %v", err)
+		}
+	}
+	mangle := func(msg []byte, add func(m []byte)) {
+		add(msg)
+		add(nil)
+		for _, cut := range []int{4, 12, 24, len(msg) / 2, len(msg) - 8, len(msg) - 1} {
+			add(msg[:cut])
+		}
+		for _, at := range []int{0, 4, 8, 13, 21, len(msg) / 3, len(msg) - 9, len(msg) - 1} {
+			flipped := append([]byte(nil), msg...)
+			flipped[at] ^= 0x04
+			add(flipped)
+		}
+	}
+	mangle(msgs.Sig, func(m []byte) { f.Add(m, msgs.Edges) })
+	mangle(msgs.Edges, func(m []byte) { f.Add(msgs.Sig, m) })
+	f.Fuzz(func(t *testing.T, sig, edges []byte) {
+		g, err := DegreeOrderApply(coins, gb, p, sig, edges)
+		if err == nil && (g == nil || g.N != gb.N) {
+			t.Fatal("no graph on n vertices without error")
+		}
+	})
+}

@@ -7,7 +7,6 @@ import (
 	"sosr/internal/core"
 	"sosr/internal/graph"
 	"sosr/internal/hashing"
-	"sosr/internal/iblt"
 	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
@@ -173,20 +172,25 @@ func NeighborhoodBudget(p NeighborhoodParams) int {
 // encoded side plus the negotiated maxSig; NeighborhoodApply is Bob's half.
 // The payloads are byte-identical to what the in-process protocol sends.
 func NeighborhoodAlice(coins hashing.Coins, ga *graph.Graph, p NeighborhoodParams, side *NbrSide, maxSig int) (*GraphMsgs, error) {
+	w := getGraphWork()
+	defer putGraphWork(w)
+	return w.neighborhoodAlice(coins, ga, p, side, maxSig)
+}
+
+func (w *graphWork) neighborhoodAlice(coins hashing.Coins, ga *graph.Graph, p NeighborhoodParams, side *NbrSide, maxSig int) (*GraphMsgs, error) {
 	n, d := ga.N, p.D
 	budget := NeighborhoodBudget(p)
-	packedA := side.Packed
-	parentA, err := signatureParent(packedA)
+	parentA, err := w.signatureParent(side.Packed)
 	if err != nil {
 		return nil, err
 	}
-	labelA := packedLabeling(packedA, parentA)
-	edgeSetA := labeledEdgeSet(ga, labelA)
-	edgeT := iblt.NewUint64(iblt.CellsFor(d), 0, coins.Seed("graphrecon/nbr-edges", 0))
-	for _, e := range edgeSetA {
-		edgeT.InsertUint64(e)
+	// Vertex v is labelled by the rank of its packed signature.
+	label := slices.Grow(w.label[:0], n)[:n]
+	w.label = label
+	for v, s := range side.Packed {
+		label[v] = sigRank(parentA, s)
 	}
-	edgePayload := append(edgeT.Marshal(), u64le(setutil.Hash(coins.Seed("graphrecon/nbr-edgeverify", 0), edgeSetA))...)
+	edgePayload := w.edgePayload(coins, nbrEdgeLabels, ga, label, d)
 	sigShape, _ := NeighborhoodSigShape(n, p, maxSig)
 	sigParams, err := sigShape.Normalized()
 	if err != nil {
@@ -203,10 +207,16 @@ func NeighborhoodAlice(coins hashing.Coins, ga *graph.Graph, p NeighborhoodParam
 // payloads: conforming labeling by closest signature, then labeled-edge
 // reconciliation.
 func NeighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParams, side *NbrSide, maxSig int, sigMsg, edgeMsg []byte) (*graph.Graph, error) {
+	w := getGraphWork()
+	defer putGraphWork(w)
+	return w.neighborhoodApply(coins, gb, p, side, maxSig, sigMsg, edgeMsg)
+}
+
+func (w *graphWork) neighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParams, side *NbrSide, maxSig int, sigMsg, edgeMsg []byte) (*graph.Graph, error) {
 	n, d := gb.N, p.D
 	budget := NeighborhoodBudget(p)
 	sigsB, packedB := side.Sigs, side.Packed
-	parentB, err := signatureParent(packedB)
+	parentB, err := w.signatureParent(packedB)
 	if err != nil {
 		return nil, err
 	}
@@ -220,9 +230,26 @@ func NeighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParam
 		return nil, fmt.Errorf("graphrecon: signature reconciliation: %w", err)
 	}
 
-	// Conforming labeling by closest signature.
+	// Conforming labeling by closest signature. Alice's recovered signatures
+	// are the peer's to choose: each is unpacked once, validated word by word
+	// (setrecon.ErrMultisetRange), into one arena, and held to the size a
+	// degree neighbourhood of an n-vertex graph can have. A vertex without
+	// an exact match is then compared with every one of them by a sorted
+	// merge that gives up once it has counted past 4d — no map per pair.
 	aliceSorted := res.Recovered // canonical order from core
-	labelB := make([]int, n)
+	w.unpacked, w.unpackedAt = w.unpacked[:0], append(w.unpackedAt[:0], 0)
+	for i, sA := range aliceSorted {
+		at := len(w.unpacked)
+		if w.unpacked, err = setrecon.AppendSetToMultiset(w.unpacked, sA); err != nil {
+			return nil, fmt.Errorf("graphrecon: recovered signature %d: %w", i, err)
+		}
+		if size := len(w.unpacked) - at; size >= n {
+			return nil, fmt.Errorf("graphrecon: recovered signature %d has %d entries on %d vertices", i, size, n)
+		}
+		w.unpackedAt = append(w.unpackedAt, len(w.unpacked))
+	}
+	labelB := slices.Grow(w.label[:0], n)[:n]
+	w.label = labelB
 	for v := 0; v < n; v++ {
 		sB := packedB[v]
 		r := sigRank(aliceSorted, sB)
@@ -231,8 +258,8 @@ func NeighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParam
 			continue
 		}
 		found := -1
-		for idx, sA := range aliceSorted {
-			if setrecon.MultisetSymDiff(setrecon.SetToMultiset(sA), sigsB[v]) <= 4*d {
+		for idx := range aliceSorted {
+			if setutil.DiffWithin(w.unpacked[w.unpackedAt[idx]:w.unpackedAt[idx+1]], sigsB[v], 4*d) {
 				if found >= 0 {
 					return nil, fmt.Errorf("%w: ambiguous match for vertex %d", ErrNoConformingMatch, v)
 				}
@@ -244,40 +271,7 @@ func NeighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParam
 		}
 		labelB[v] = found
 	}
-	return applyNeighborhoodEdges(edgeMsg, gb, labelB, n, coins)
-}
-
-func applyNeighborhoodEdges(edgeMsg []byte, gb *graph.Graph, labelB []int, n int, coins hashing.Coins) (*graph.Graph, error) {
-	// Identical to applyEdgeRecon but under the nbr verification label.
-	if len(edgeMsg) < 8 {
-		return nil, fmt.Errorf("graphrecon: short edge message")
-	}
-	wantHash := leU64(edgeMsg[len(edgeMsg)-8:])
-	t, err := iblt.Unmarshal(edgeMsg[:len(edgeMsg)-8])
-	if err != nil {
-		return nil, err
-	}
-	edgeSetB := labeledEdgeSet(gb, labelB)
-	for _, e := range edgeSetB {
-		t.DeleteUint64(e)
-	}
-	add, rem, err := t.DecodeUint64()
-	if err != nil {
-		return nil, fmt.Errorf("graphrecon: edge IBLT decode: %w", err)
-	}
-	edgesA := setutil.ApplyDiff(edgeSetB, add, rem)
-	if setutil.Hash(coins.Seed("graphrecon/nbr-edgeverify", 0), edgesA) != wantHash {
-		return nil, ErrVerify
-	}
-	out := graph.New(n)
-	for _, k := range edgesA {
-		u, v := edgeFromKey(k)
-		if u == v || u >= n || v >= n {
-			return nil, fmt.Errorf("graphrecon: corrupt edge key %d", k)
-		}
-		out.AddEdge(u, v)
-	}
-	return out, nil
+	return w.applyEdgeRecon(coins, nbrEdgeLabels, edgeMsg, gb, labelB)
 }
 
 // packSignatures converts per-vertex degree multisets into packed sets, all
@@ -296,15 +290,6 @@ func packSignatures(sigs [][]uint64) ([][]uint64, error) {
 	return out, nil
 }
 
-// packedLabeling labels vertex v by the rank of its packed signature.
-func packedLabeling(packed, sorted [][]uint64) []int {
-	label := make([]int, len(packed))
-	for v, s := range packed {
-		label[v] = sigRank(sorted, s)
-	}
-	return label
-}
-
 func maxChildSize(parents ...[][]uint64) int {
 	max := 1
 	for _, p := range parents {
@@ -315,12 +300,4 @@ func maxChildSize(parents ...[][]uint64) int {
 		}
 	}
 	return max
-}
-
-func leU64(b []byte) uint64 {
-	var x uint64
-	for i := 7; i >= 0; i-- {
-		x = x<<8 | uint64(b[i])
-	}
-	return x
 }

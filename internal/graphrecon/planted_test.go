@@ -87,12 +87,13 @@ func TestDegreeOrderLabelingConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	top, rest, sigs := DegreeOrderSignatures(g, h)
-	parent, err := signatureParent(sigs)
+	var alice, bob graphWork // one workspace per party: each holds its labelling
+	parent, err := alice.signatureParent(sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	labelA := degreeOrderLabeling(top, rest, sigs, parent)
-	labelB, err := bobDegreeOrderLabeling(top, rest, sigs, parent, 2)
+	labelA := alice.degreeOrderLabeling(top, rest, sigs, parent)
+	labelB, err := bob.bobDegreeOrderLabeling(top, rest, sigs, parent, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestLabeledEdgeSetRoundTrip(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 4)
 	label := []int{4, 3, 2, 1, 0}
-	keys := labeledEdgeSet(g, label)
+	keys := new(graphWork).labeledEdgeSet(g, label)
 	if len(keys) != 2 {
 		t.Fatalf("%d edge keys", len(keys))
 	}

@@ -58,21 +58,80 @@ func addmod61(a, b uint64) uint64 {
 	return s
 }
 
+// The FNV-1a offset basis and prime every byte-string and word hash starts
+// from and multiplies by.
+const (
+	fnvOffset uint64 = 0xcbf29ce484222325
+	fnvPrime  uint64 = 0x100000001b3
+)
+
 // HashBytes hashes an arbitrary byte string to 64 bits with the given seed.
 // It is a seeded FNV-1a variant finished with a strong mixer; equal
 // (seed, data) pairs always produce equal outputs on all platforms.
 func HashBytes(seed uint64, data []byte) uint64 {
-	h := seed ^ 0xcbf29ce484222325
+	h := seed ^ fnvOffset
 	for len(data) >= 8 {
 		v := binary.LittleEndian.Uint64(data)
-		h = (h ^ v) * 0x100000001b3
+		h = (h ^ v) * fnvPrime
 		h = bits.RotateLeft64(h, 29)
 		data = data[8:]
 	}
 	for _, b := range data {
-		h = (h ^ uint64(b)) * 0x100000001b3
+		h = (h ^ uint64(b)) * fnvPrime
 	}
 	return prng.Mix64(h ^ uint64(len(data)))
+}
+
+// HashBytes5 returns HashBytes(s0, data) … HashBytes(s4, data) from one pass
+// over data. The five chains are independent, so advancing them together a
+// word at a time yields exactly the words five separate calls would, while a
+// wide key (a child-IBLT encoding of several hundred bytes) is read once and
+// the multiplies of one chain overlap the others'. It is the fixed-arity form
+// an IBLT with the default four index hashes plus its checksum needs.
+func HashBytes5(s0, s1, s2, s3, s4 uint64, data []byte) (h0, h1, h2, h3, h4 uint64) {
+	const prime = fnvPrime
+	h0, h1, h2, h3, h4 = s0^fnvOffset, s1^fnvOffset, s2^fnvOffset, s3^fnvOffset, s4^fnvOffset
+	for len(data) >= 8 {
+		v := binary.LittleEndian.Uint64(data)
+		h0 = bits.RotateLeft64((h0^v)*prime, 29)
+		h1 = bits.RotateLeft64((h1^v)*prime, 29)
+		h2 = bits.RotateLeft64((h2^v)*prime, 29)
+		h3 = bits.RotateLeft64((h3^v)*prime, 29)
+		h4 = bits.RotateLeft64((h4^v)*prime, 29)
+		data = data[8:]
+	}
+	for _, b := range data {
+		v := uint64(b)
+		h0, h1, h2, h3, h4 = (h0^v)*prime, (h1^v)*prime, (h2^v)*prime, (h3^v)*prime, (h4^v)*prime
+	}
+	n := uint64(len(data))
+	return prng.Mix64(h0 ^ n), prng.Mix64(h1 ^ n), prng.Mix64(h2 ^ n), prng.Mix64(h3 ^ n), prng.Mix64(h4 ^ n)
+}
+
+// HashBytesMulti sets out[i] to HashBytes(seeds[i], data) for every seed, in
+// one pass over data like HashBytes5: the form for any number of seeds (an
+// IBLT whose received header declares another hash count).
+func HashBytesMulti(seeds, out []uint64, data []byte) {
+	const prime = fnvPrime
+	out = out[:len(seeds)]
+	for i, s := range seeds {
+		out[i] = s ^ fnvOffset
+	}
+	for len(data) >= 8 {
+		v := binary.LittleEndian.Uint64(data)
+		for i, h := range out {
+			out[i] = bits.RotateLeft64((h^v)*prime, 29)
+		}
+		data = data[8:]
+	}
+	for _, b := range data {
+		for i, h := range out {
+			out[i] = (h ^ uint64(b)) * prime
+		}
+	}
+	for i, h := range out {
+		out[i] = prng.Mix64(h ^ uint64(len(data)))
+	}
 }
 
 // HashWord hashes a single 64-bit word to 64 bits with the given seed. It is
@@ -81,8 +140,8 @@ func HashBytes(seed uint64, data []byte) uint64 {
 // produce byte-identical structures to the generic byte-string path without
 // materializing the encoding.
 func HashWord(seed, x uint64) uint64 {
-	h := seed ^ 0xcbf29ce484222325
-	h = (h ^ x) * 0x100000001b3
+	h := seed ^ fnvOffset
+	h = (h ^ x) * fnvPrime
 	h = bits.RotateLeft64(h, 29)
 	return prng.Mix64(h)
 }

@@ -165,7 +165,7 @@ func TestWideKeyKernelMatchesByteLoop(t *testing.T) {
 		ref := make([]byte, len(a.keySums)) // byte-loop model of a's key sums
 		refB := make([]byte, len(b.keySums))
 		xorRef := func(dst []byte, tab *Table, key []byte) {
-			for _, c := range tab.cellIndexes(key) {
+			for _, c := range refIndexes(tab, key) {
 				for i, x := range key {
 					dst[c*width+i] ^= x
 				}

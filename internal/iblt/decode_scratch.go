@@ -141,7 +141,14 @@ func (t *Table) DecodePacked(d *PackedDiff) error {
 	for len(queue) > 0 {
 		c := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		if !t.purable(c) {
+		sign := t.counts[c]
+		if sign != 1 && sign != -1 {
+			continue // cell changed since enqueued
+		}
+		// One pass over the cell's key sum gives the checksum that decides
+		// whether it is a key at all and, when it is, that key's cells.
+		idx, cs := t.keyHashes(t.keySums[c*t.width : (c+1)*t.width])
+		if cs != t.checks[c] {
 			continue
 		}
 		if t.peeled >= t.cells {
@@ -149,15 +156,15 @@ func (t *Table) DecodePacked(d *PackedDiff) error {
 			return ErrDecodeFailed
 		}
 		key := d.grab(t.keySums[c*t.width : (c+1)*t.width])
-		sign := t.counts[c]
 		t.peeled++
 		if sign == 1 {
 			d.Added = append(d.Added, key)
 		} else {
 			d.Removed = append(d.Removed, key)
 		}
-		cs := t.checksum(key)
-		for _, ci := range t.cellIndexes(key) {
+		// Remove the key from all its cells (adding it back when it was a
+		// deletion), which may create new pure cells.
+		for _, ci := range idx {
 			t.counts[ci] -= sign
 			t.xorKey(ci, key)
 			t.checks[ci] ^= cs

@@ -53,9 +53,10 @@ type Table struct {
 	counts  []int32
 	keySums []byte // cells * width bytes
 	checks  []uint64
-	idx     []int // per-table cell-index scratch, reused across updates/peels
-	queue   []int // per-table peel queue scratch, reused across decodes
-	peeled  int   // keys peeled by the most recent decode (PeelCount)
+	idx     []int    // per-table cell-index scratch, reused across updates/peels
+	hs      []uint64 // keyHashes' seed and hash scratch when k is not the default
+	queue   []int    // per-table peel queue scratch, reused across decodes
+	peeled  int      // keys peeled by the most recent decode (PeelCount)
 }
 
 const checksumSalt = 0x635f73756d5f6b65
@@ -65,22 +66,16 @@ const checksumSalt = 0x635f73756d5f6b65
 // from seed. cells and width must be positive; k defaults to
 // DefaultHashCount when 0.
 func New(cells, width, k int, seed uint64) *Table {
-	if k <= 0 {
-		k = DefaultHashCount
-	}
-	cells = RoundCells(cells, k)
-	if width <= 0 {
-		panic("iblt: non-positive key width")
-	}
+	sh := Shape{Cells: cells, Width: width, K: k, Seed: seed}.resolved()
 	return &Table{
-		k:       k,
-		cells:   cells,
-		width:   width,
-		seed:    seed,
-		counts:  make([]int32, cells),
-		keySums: make([]byte, cells*width),
-		checks:  make([]uint64, cells),
-		idx:     make([]int, 0, k),
+		k:       sh.K,
+		cells:   sh.Cells,
+		width:   sh.Width,
+		seed:    sh.Seed,
+		counts:  make([]int32, sh.Cells),
+		keySums: make([]byte, sh.Cells*sh.Width),
+		checks:  make([]uint64, sh.Cells),
+		idx:     make([]int, 0, sh.K),
 	}
 }
 
@@ -101,28 +96,52 @@ func (t *Table) HashCount() int { return t.k }
 // Seed returns the seed the table was built with.
 func (t *Table) Seed() uint64 { return t.seed }
 
-// cellIndexes computes the k distinct cells for a key, one per partition
-// (the paper's "partitioned hash table, with each hash function having m/k
-// cells"). The result lives in the table's reusable scratch buffer and is
-// valid until the next cellIndexes/cellIndexesWord call.
-func (t *Table) cellIndexes(key []byte) []int {
-	per := t.cells / t.k
+// indexSeed is the seed of the i-th index hash; the checksum hashes under
+// seed^checksumSalt.
+func (t *Table) indexSeed(i int) uint64 { return t.seed + uint64(i)*0x9e3779b97f4a7c15 + 1 }
+
+// keyHashes computes the k distinct cells for a key, one per partition (the
+// paper's "partitioned hash table, with each hash function having m/k
+// cells"), and the key's checksum. The k index hashes and the checksum are
+// independent seeded chains over the same bytes, so one interleaved pass
+// (hashing.HashBytes5 at the default k, HashBytesMulti otherwise) returns the
+// words k+1 separate HashBytes calls would: a wide key is read once, and no
+// cell index or checksum byte differs from a table built a hash at a time.
+// The indexes live in the table's reusable scratch buffer and are valid until
+// the next keyHashes/cellIndexesWord call.
+func (t *Table) keyHashes(key []byte) ([]int, uint64) {
+	per := uint64(t.cells / t.k)
+	if t.k == DefaultHashCount {
+		h0, h1, h2, h3, cs := hashing.HashBytes5(t.indexSeed(0), t.indexSeed(1), t.indexSeed(2), t.indexSeed(3), t.seed^checksumSalt, key)
+		p := int(per)
+		t.idx = append(t.idx[:0], int(h0%per), p+int(h1%per), 2*p+int(h2%per), 3*p+int(h3%per))
+		return t.idx, cs
+	}
+	// hs holds the k+1 seeds, then the k+1 hashes.
+	if n := 2 * (t.k + 1); cap(t.hs) < n {
+		t.hs = make([]uint64, n)
+	}
+	seeds, hs := t.hs[:t.k+1], t.hs[t.k+1:2*(t.k+1)]
+	for i := 0; i < t.k; i++ {
+		seeds[i] = t.indexSeed(i)
+	}
+	seeds[t.k] = t.seed ^ checksumSalt
+	hashing.HashBytesMulti(seeds, hs, key)
 	out := t.idx[:0]
 	for i := 0; i < t.k; i++ {
-		h := hashing.HashBytes(t.seed+uint64(i)*0x9e3779b97f4a7c15+1, key)
-		out = append(out, i*per+int(h%uint64(per)))
+		out = append(out, i*int(per)+int(hs[i]%per))
 	}
 	t.idx = out
-	return out
+	return out, hs[t.k]
 }
 
-// cellIndexesWord is cellIndexes for a word key, hashing the 8-byte value
-// directly (identical output to cellIndexes on the key's LE encoding).
+// cellIndexesWord is keyHashes' indexes for a word key, hashing the 8-byte
+// value directly (identical output to keyHashes on the key's LE encoding).
 func (t *Table) cellIndexesWord(x uint64) []int {
 	per := t.cells / t.k
 	out := t.idx[:0]
 	for i := 0; i < t.k; i++ {
-		h := hashing.HashWord(t.seed+uint64(i)*0x9e3779b97f4a7c15+1, x)
+		h := hashing.HashWord(t.indexSeed(i), x)
 		out = append(out, i*per+int(h%uint64(per)))
 	}
 	t.idx = out
@@ -149,8 +168,8 @@ func (t *Table) update(key []byte, delta int32) {
 	if len(key) != t.width {
 		panic(fmt.Sprintf("iblt: key width %d != table width %d", len(key), t.width))
 	}
-	cs := t.checksum(key) // one checksum per update, not one per hash copy
-	for _, c := range t.cellIndexes(key) {
+	idx, cs := t.keyHashes(key) // one pass over the key per update
+	for _, c := range idx {
 		t.counts[c] += delta
 		t.xorKey(c, key)
 		t.checks[c] ^= cs
@@ -203,34 +222,70 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
-// CloneAll deep-copies ts. The copies' cell arrays are carved out of one
-// allocation per array kind, so copying a whole family of tables (every level
-// of a sketch) costs six allocations however many tables there are. Each
-// copy's slices are capacity-limited to its own share.
+// Shape is the construction arguments of one table: New(Cells, Width, K, Seed).
+type Shape struct {
+	Cells, Width, K int
+	Seed            uint64
+}
+
+// NewAll creates one empty table per shape, each what New builds. The tables'
+// cell arrays are carved out of one allocation per array kind, so a whole
+// family of tables (every level of a sketch) costs six allocations however
+// many tables there are. Each table's slices are capacity-limited to its own
+// share.
+func NewAll(shapes []Shape) []*Table {
+	return newAll(len(shapes), func(i int) Shape { return shapes[i] })
+}
+
+// CloneAll deep-copies ts, laid out like NewAll.
 func CloneAll(ts []*Table) []*Table {
-	var cells, sums, ks int
-	for _, t := range ts {
-		cells, sums, ks = cells+t.cells, sums+len(t.keySums), ks+t.k
-	}
-	tabs := make([]Table, len(ts))
-	out := make([]*Table, len(ts))
-	counts := make([]int32, 0, cells)
-	keySums := make([]byte, 0, sums)
-	checks := make([]uint64, 0, cells)
-	idx := make([]int, ks)
+	out := newAll(len(ts), func(i int) Shape {
+		return Shape{Cells: ts[i].cells, Width: ts[i].width, K: ts[i].k, Seed: ts[i].seed}
+	})
 	for i, t := range ts {
-		c, s := len(counts), len(keySums)
-		counts = append(counts, t.counts...)
-		keySums = append(keySums, t.keySums...)
-		checks = append(checks, t.checks...)
+		copy(out[i].counts, t.counts)
+		copy(out[i].keySums, t.keySums)
+		copy(out[i].checks, t.checks)
+	}
+	return out
+}
+
+// resolved returns sh as New reads it: K defaulted, Cells rounded up to a
+// multiple of it.
+func (sh Shape) resolved() Shape {
+	if sh.K <= 0 {
+		sh.K = DefaultHashCount
+	}
+	if sh.Width <= 0 {
+		panic("iblt: non-positive key width")
+	}
+	sh.Cells = RoundCells(sh.Cells, sh.K)
+	return sh
+}
+
+func newAll(n int, shape func(i int) Shape) []*Table {
+	var cells, sums, ks int
+	for i := 0; i < n; i++ {
+		sh := shape(i).resolved()
+		cells, sums, ks = cells+sh.Cells, sums+sh.Cells*sh.Width, ks+sh.K
+	}
+	tabs := make([]Table, n)
+	out := make([]*Table, n)
+	counts := make([]int32, cells)
+	keySums := make([]byte, sums)
+	checks := make([]uint64, cells)
+	idx := make([]int, ks)
+	for i := range tabs {
+		sh := shape(i).resolved()
+		c, s := sh.Cells, sh.Cells*sh.Width
 		tabs[i] = Table{
-			k: t.k, cells: t.cells, width: t.width, seed: t.seed,
-			counts:  counts[c:len(counts):len(counts)],
-			keySums: keySums[s:len(keySums):len(keySums)],
-			checks:  checks[c:len(checks):len(checks)],
-			idx:     idx[:0:t.k],
+			k: sh.K, cells: c, width: sh.Width, seed: sh.Seed,
+			counts:  counts[:c:c],
+			keySums: keySums[:s:s],
+			checks:  checks[:c:c],
+			idx:     idx[:0:sh.K],
 		}
-		idx = idx[t.k:]
+		counts, keySums, checks, idx = counts[c:], keySums[s:], checks[c:], idx[sh.K:]
 		out[i] = &tabs[i]
 	}
 	return out
@@ -293,40 +348,12 @@ func (t *Table) IsEmpty() bool {
 // Decode runs the peeling process and returns the keys with net +1 counts
 // (added) and net -1 counts (removed). On a stall it returns what was peeled
 // so far along with ErrDecodeFailed; the table is consumed either way. Use
-// Clone first if the original must be preserved.
+// Clone first if the original must be preserved. It is DecodePacked into a
+// diff of its own, so the keys share one backing array.
 func (t *Table) Decode() (added, removed [][]byte, err error) {
-	queue := t.seedQueue()
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if !t.purable(c) {
-			continue // cell changed since enqueued
-		}
-		key := append([]byte(nil), t.keySums[c*t.width:(c+1)*t.width]...)
-		sign := t.counts[c]
-		t.peeled++
-		if sign == 1 {
-			added = append(added, key)
-		} else {
-			removed = append(removed, key)
-		}
-		// Remove the key from all its cells (adding it back when it was a
-		// deletion), which may create new pure cells.
-		cs := t.checksum(key)
-		for _, ci := range t.cellIndexes(key) {
-			t.counts[ci] -= sign
-			t.xorKey(ci, key)
-			t.checks[ci] ^= cs
-			if t.purable(ci) {
-				queue = append(queue, ci)
-			}
-		}
-	}
-	t.queue = queue[:0]
-	if !t.IsEmpty() {
-		return added, removed, ErrDecodeFailed
-	}
-	return added, removed, nil
+	var d PackedDiff
+	err = t.DecodePacked(&d)
+	return d.Added, d.Removed, err
 }
 
 // seedQueue fills the table's reusable peel queue with the initially pure

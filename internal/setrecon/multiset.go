@@ -67,23 +67,36 @@ func AppendMultisetToSet(dst, ms []uint64) ([]uint64, error) {
 }
 
 // SetToMultiset inverts MultisetToSet, returning a sorted multiset.
-func SetToMultiset(set []uint64) []uint64 {
+func SetToMultiset(set []uint64) ([]uint64, error) {
+	return AppendSetToMultiset(nil, set)
+}
+
+// AppendSetToMultiset appends the sorted multiset a packed set stands for to
+// dst, so a caller unpacking many sets fills one arena. A packed set that was
+// reconciled is the peer's to choose, and a word's count field is 16 bits
+// wide where the packing allows 12: every word must carry a multiplicity of 1
+// to MaxMultiplicity (its element then lies below MaxMultisetElement by
+// construction), else ErrMultisetRange — a crafted word does not get to
+// expand into 65 535 copies.
+func AppendSetToMultiset(dst, set []uint64) ([]uint64, error) {
 	n := 0
 	for _, p := range set {
-		n += int(p >> 48)
+		k := p >> 48
+		if k < 1 || k > MaxMultiplicity {
+			return nil, fmt.Errorf("%w: packed word %#x has multiplicity %d", ErrMultisetRange, p, k)
+		}
+		n += int(k)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
+	at := len(dst)
+	dst = slices.Grow(dst, n)
 	for _, p := range set {
 		x, k := UnpackCounted(p)
 		for ; k > 0; k-- {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[at:])
+	return dst, nil
 }
 
 // PackCounted packs (element, count) into one word inside the 2^60 universe.
@@ -129,5 +142,9 @@ func MultisetKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []ui
 	if err != nil {
 		return nil, nil, err
 	}
-	return SetToMultiset(res.Recovered), res, nil
+	rec, err := SetToMultiset(res.Recovered)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rec, res, nil
 }

@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"sosr/internal/estimator"
 	"sosr/internal/field"
@@ -76,13 +78,56 @@ func IBLTKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint64
 // that ship it over their own channel (the in-process protocol sends exactly
 // these bytes under the "iblt" label). ApplyIBLTMsg is the receiving half.
 func BuildIBLTMsg(coins hashing.Coins, alice []uint64, d int) []byte {
-	ta := iblt.NewUint64(iblt.CellsFor(d), 0, coins.Seed("setrecon/iblt", 0))
+	w := workPool.Get().(*Work)
+	defer workPool.Put(w)
+	ta := &w.table
+	ta.Reshape(iblt.CellsFor(d), iblt.WordWidth, 0, coins.Seed("setrecon/iblt", 0))
 	for _, x := range alice {
 		ta.InsertUint64(x)
 	}
 	buf := ta.AppendMarshal(make([]byte, 0, ta.SerializedSize()+8))
 	vh := setutil.Hash(coins.Seed(verifySeedLabel, 0), alice)
 	return binary.LittleEndian.AppendUint64(buf, vh)
+}
+
+// Work is the scratch of one encode or decode: the table a message is built
+// in or parsed into, the peel's result buffers, the estimator, and the
+// characteristic-polynomial solver with its point and ratio vectors. The
+// package's entry points each run on one pooled Work; a caller that decodes
+// many pairs in one call (core's Theorem 3.9 steps) holds a Work of its own
+// and calls the Decode methods directly. The zero value is ready. A Work
+// serves one call at a time and keeps no reference to any argument: tables
+// are loaded by copy, and what is kept is field elements and set elements.
+type Work struct {
+	table          iblt.Table
+	add, rem       []uint64
+	points, ratios []uint64
+	solver         field.Solver
+	est            estimator.Estimator
+}
+
+var workPool = sync.Pool{New: func() any { return new(Work) }}
+
+// DecodeIBLT parses a Marshal-encoded table of Alice's elements, deletes
+// Bob's, and peels: onlyA is SA \ SB, onlyB is SB \ SA. Both alias w and are
+// valid until its next decode.
+func (w *Work) DecodeIBLT(body []byte, bob []uint64) (onlyA, onlyB []uint64, err error) {
+	t := &w.table
+	if err := t.UnmarshalInto(body); err != nil {
+		return nil, nil, err
+	}
+	if t.Width() != iblt.WordWidth {
+		return nil, nil, fmt.Errorf("setrecon: unexpected key width %d", t.Width())
+	}
+	for _, x := range bob {
+		t.DeleteUint64(x)
+	}
+	// AppendDecodeUint64 bounds the peel, so a hostile table cannot spin.
+	w.add, w.rem, err = t.AppendDecodeUint64(w.add[:0], w.rem[:0])
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrDecode, err)
+	}
+	return w.add, w.rem, nil
 }
 
 // ApplyIBLTMsg runs Bob's half of the Corollary 2.2 protocol against a
@@ -93,20 +138,11 @@ func ApplyIBLTMsg(coins hashing.Coins, msg []byte, bob []uint64) (*Result, error
 		return nil, fmt.Errorf("setrecon: short message (%d bytes)", len(msg))
 	}
 	body, vhBytes := msg[:len(msg)-8], msg[len(msg)-8:]
-	var t iblt.Table
-	if err := t.UnmarshalInto(body); err != nil {
-		return nil, err
-	}
-	if t.Width() != iblt.WordWidth {
-		return nil, fmt.Errorf("setrecon: unexpected key width %d", t.Width())
-	}
-	for _, x := range bob {
-		t.DeleteUint64(x)
-	}
-	// AppendDecodeUint64 bounds the peel, so a hostile table cannot spin.
-	onlyA, onlyB, err := t.AppendDecodeUint64(nil, nil)
+	w := workPool.Get().(*Work)
+	defer workPool.Put(w)
+	onlyA, onlyB, err := w.DecodeIBLT(body, bob)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
+		return nil, err
 	}
 	recovered := setutil.ApplyDiff(bob, onlyA, onlyB)
 	want := binary.LittleEndian.Uint64(vhBytes)
@@ -144,29 +180,29 @@ func IBLTUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint
 // exactly these bytes under the "estimator" label). Split-party callers feed
 // it to DiffBoundFromEstimator on Alice's side.
 func BuildDiffEstimator(coins hashing.Coins, bob []uint64) []byte {
-	eb := estimator.New(estimator.Params{}, coins.Seed("setrecon/estimator", 0))
+	w := workPool.Get().(*Work)
+	defer workPool.Put(w)
+	w.est.Reset(estimator.Params{}, coins.Seed("setrecon/estimator", 0))
 	for _, x := range bob {
-		eb.Add(x, estimator.SideB)
+		w.est.Add(x, estimator.SideB)
 	}
-	return eb.Marshal()
+	return w.est.Marshal()
 }
 
 // DiffBoundFromEstimator is Alice's half of the unknown-d estimation: merge
 // the received probe with her own elements and return the safety-scaled
 // difference bound used to size the Corollary 2.2 transmission.
 func DiffBoundFromEstimator(coins hashing.Coins, probe []byte, alice []uint64) (int, error) {
-	ebRecv, err := estimator.Unmarshal(probe)
-	if err != nil {
-		return 0, err
-	}
-	ea := estimator.New(estimator.Params{}, coins.Seed("setrecon/estimator", 0))
+	w := workPool.Get().(*Work)
+	defer workPool.Put(w)
+	w.est.Reset(estimator.Params{}, coins.Seed("setrecon/estimator", 0))
 	for _, x := range alice {
-		ea.Add(x, estimator.SideA)
+		w.est.Add(x, estimator.SideA)
 	}
-	if err := ea.Merge(ebRecv); err != nil {
+	if err := w.est.MergeMarshaled(probe); err != nil {
 		return 0, err
 	}
-	return int(ea.Estimate())*EstimatorSafety + 4, nil
+	return int(w.est.Estimate())*EstimatorSafety + 4, nil
 }
 
 // CharPoly runs Theorem 2.3: Alice sends her set size and d+1 evaluations of
@@ -201,7 +237,9 @@ func ApplyCharPolyMsg(coins hashing.Coins, msg []byte, bob []uint64, d int) (*Re
 	if err := checkRange(bob); err != nil {
 		return nil, err
 	}
-	onlyA, onlyB, err := DecodeCharPoly(msg, bob, d, coins.Seed("setrecon/czroots", 0))
+	w := workPool.Get().(*Work)
+	defer workPool.Put(w)
+	onlyA, onlyB, err := w.DecodeCharPoly(msg, bob, d, coins.Seed("setrecon/czroots", 0))
 	if err != nil {
 		return nil, err
 	}
@@ -220,34 +258,33 @@ func CheckRange(xs []uint64) error { return checkRange(xs) }
 // by `points` evaluations of her characteristic polynomial at the reserved
 // points. Cost O(n · points), the paper's per-point evaluation strategy.
 func EncodeCharPoly(alice []uint64, points int) []byte {
-	if points < 1 {
-		points = 1
+	return AppendCharPoly(make([]byte, 0, CharPolySize(points)), alice, points)
+}
+
+// CharPolySize is the length of an EncodeCharPoly message of `points`
+// evaluations (at least one).
+func CharPolySize(points int) int { return 8 + 8*max(points, 1) }
+
+// AppendCharPoly appends EncodeCharPoly(alice, points) to dst, for messages
+// that carry one encoding per child set.
+func AppendCharPoly(dst []byte, alice []uint64, points int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(alice)))
+	for i := 0; i < max(points, 1); i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, field.EvalProduct(alice, field.EvalPoint(i)))
 	}
-	buf := make([]byte, 8+8*points)
-	binary.LittleEndian.PutUint64(buf, uint64(len(alice)))
-	for i := 0; i < points; i++ {
-		binary.LittleEndian.PutUint64(buf[8+8*i:], field.EvalProduct(alice, field.EvalPoint(i)))
-	}
-	return buf
+	return dst
 }
 
 // DecodeCharPoly is Bob's side of Theorem 2.3, also used per child set by
-// the multi-round sets-of-sets protocol (Theorem 3.9). msg must come from
-// EncodeCharPoly; d bounds the true difference.
-func DecodeCharPoly(msg []byte, bob []uint64, d int, rootSeed uint64) (onlyA, onlyB []uint64, err error) {
+// the multi-round sets-of-sets protocol (Theorem 3.9): rational recovery plus
+// root extraction. msg must come from EncodeCharPoly; d bounds the true
+// difference. onlyA and onlyB alias w and are valid until its next decode.
+func (w *Work) DecodeCharPoly(msg []byte, bob []uint64, d int, rootSeed uint64) (onlyA, onlyB []uint64, err error) {
 	if len(msg) < 8 || (len(msg)-8)%8 != 0 {
 		return nil, nil, fmt.Errorf("setrecon: malformed charpoly message (%d bytes)", len(msg))
 	}
 	sizeA := int(binary.LittleEndian.Uint64(msg))
-	evals := make([]uint64, (len(msg)-8)/8)
-	for i := range evals {
-		evals[i] = binary.LittleEndian.Uint64(msg[8+8*i:])
-	}
-	return charPolyDecode(sizeA, evals, bob, d, rootSeed)
-}
-
-// charPolyDecode implements rational recovery plus root extraction.
-func charPolyDecode(sizeA int, evals []uint64, bob []uint64, d int, rootSeed uint64) (onlyA, onlyB []uint64, err error) {
+	evals := (len(msg) - 8) / 8
 	delta := sizeA - len(bob)
 	abs := delta
 	if abs < 0 {
@@ -261,42 +298,45 @@ func charPolyDecode(sizeA int, evals []uint64, bob []uint64, d int, rootSeed uin
 	if delta < 0 {
 		degNum, degDen = degDen, degNum
 	}
-	if degNum+degDen > len(evals) {
+	if degNum+degDen > evals {
 		return nil, nil, ErrDecode
 	}
-	points := make([]uint64, len(evals))
-	ratios := make([]uint64, len(evals))
-	for i := range evals {
+	w.points = slices.Grow(w.points[:0], evals)[:evals]
+	w.ratios = slices.Grow(w.ratios[:0], evals)[:evals]
+	for i := range w.points {
 		z := field.EvalPoint(i)
 		chiB := field.EvalProduct(bob, z)
-		points[i] = z
-		ratios[i] = field.Mul(evals[i], field.Inv(chiB))
+		w.points[i] = z
+		w.ratios[i] = field.Mul(binary.LittleEndian.Uint64(msg[8+8*i:]), field.Inv(chiB))
 	}
-	num, den, err := field.RecoverRational(points, ratios, degNum, degDen)
+	num, den, err := w.solver.RecoverRational(w.points, w.ratios, degNum, degDen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrDecode, err)
 	}
-	rootsA, err := field.Roots(num, rootSeed)
+	// The solver's roots are valid until its next Roots call: copy each out.
+	roots, err := w.solver.Roots(num, rootSeed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: numerator: %v", ErrDecode, err)
 	}
-	rootsB, err := field.Roots(den, rootSeed^0xb0b)
+	w.add = append(w.add[:0], roots...)
+	roots, err = w.solver.Roots(den, rootSeed^0xb0b)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: denominator: %v", ErrDecode, err)
 	}
+	w.rem = append(w.rem[:0], roots...)
 	// Sanity: every denominator root must be one of Bob's elements, and all
 	// roots must be genuine universe elements.
-	for _, r := range rootsB {
+	for _, r := range w.rem {
 		if r >= field.EvalPointBase || !setutil.Contains(bob, r) {
 			return nil, nil, ErrVerify
 		}
 	}
-	for _, r := range rootsA {
+	for _, r := range w.add {
 		if r >= field.EvalPointBase {
 			return nil, nil, ErrVerify
 		}
 	}
-	return rootsA, rootsB, nil
+	return w.add, w.rem, nil
 }
 
 func checkRange(xs []uint64) error {

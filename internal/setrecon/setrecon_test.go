@@ -202,7 +202,7 @@ func TestEncodeDecodeCharPolyDirect(t *testing.T) {
 	alice := []uint64{1, 2, 3, 100}
 	bob := []uint64{1, 2, 3, 200}
 	msg := EncodeCharPoly(alice, 5)
-	onlyA, onlyB, err := DecodeCharPoly(msg, bob, 4, 9)
+	onlyA, onlyB, err := new(Work).DecodeCharPoly(msg, bob, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestEncodeDecodeCharPolyDirect(t *testing.T) {
 }
 
 func TestDecodeCharPolyMalformed(t *testing.T) {
-	if _, _, err := DecodeCharPoly([]byte{1, 2, 3}, nil, 1, 0); err == nil {
+	if _, _, err := new(Work).DecodeCharPoly([]byte{1, 2, 3}, nil, 1, 0); err == nil {
 		t.Fatal("expected malformed error")
 	}
 }
@@ -226,7 +226,10 @@ func TestMultisetRoundTrip(t *testing.T) {
 	if len(set) != 3 {
 		t.Fatalf("packed set size %d, want 3", len(set))
 	}
-	back := SetToMultiset(set)
+	back, err := SetToMultiset(set)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if MultisetSymDiff(ms, back) != 0 {
 		t.Fatalf("round trip changed multiset: %v -> %v", ms, back)
 	}

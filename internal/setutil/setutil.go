@@ -80,6 +80,28 @@ func SymmetricDiff(a, b []uint64) int {
 	return d + (len(a) - i) + (len(b) - j)
 }
 
+// DiffWithin reports whether |a ⊕ b| ≤ limit for sorted a and b — canonical
+// sets, or sorted multisets, whose equal elements pair off one for one. It is
+// SymmetricDiff stopped as soon as the count passes limit: a scan for the one
+// close candidate among many far ones dismisses each after a few elements.
+func DiffWithin(a, b []uint64, limit int) bool {
+	i, j, d := 0, 0, 0
+	for i < len(a) && j < len(b) && d <= limit {
+		switch {
+		case a[i] < b[j]:
+			d++
+			i++
+		case a[i] > b[j]:
+			d++
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return d+(len(a)-i)+(len(b)-j) <= limit
+}
+
 // Diff returns a \ b and b \ a for canonical sets.
 func Diff(a, b []uint64) (onlyA, onlyB []uint64) {
 	i, j := 0, 0
@@ -104,8 +126,70 @@ func Diff(a, b []uint64) (onlyA, onlyB []uint64) {
 // ApplyDiff returns base with `remove` taken out and `add` put in, in
 // canonical form. It is how Bob turns his own child set plus a decoded
 // difference into Alice's child set. Elements of remove not present in base
-// are ignored; duplicates in add are deduplicated.
+// are ignored; duplicates in add are deduplicated; an element in both add and
+// remove ends up present.
+//
+// A canonical base — every caller's case but a hand-built one — is merged
+// with the sorted differences in one linear pass: no re-sort of an already
+// sorted set, no map lookup per element. One allocation holds the result and,
+// past its end, the copies of add and remove that get sorted (neither
+// argument is modified). Any other base takes the general path.
 func ApplyDiff(base, add, remove []uint64) []uint64 {
+	if !IsCanonical(base) {
+		return applyDiffUnsorted(base, add, remove)
+	}
+	n := len(base) + len(add)
+	buf := make([]uint64, n+len(add)+len(remove))
+	a, r := buf[n:n+len(add)], buf[n+len(add):]
+	copy(a, add)
+	copy(r, remove)
+	out := mergeDiff(buf[:0], base, a, r)
+	return out[:len(out):len(out)]
+}
+
+// AppendApplyDiff appends ApplyDiff(base, add, remove) to dst, for decode
+// loops that keep one scratch: with a canonical base and room in dst for
+// len(base)+len(add) more elements it allocates nothing. It sorts add and
+// remove in place, and dst must not overlap any argument.
+func AppendApplyDiff(dst, base, add, remove []uint64) []uint64 {
+	if !IsCanonical(base) {
+		return append(dst, applyDiffUnsorted(base, add, remove)...)
+	}
+	return mergeDiff(dst, base, add, remove)
+}
+
+// mergeDiff is the linear merge behind ApplyDiff: base canonical, add and
+// remove sorted here, in place.
+func mergeDiff(dst, base, add, remove []uint64) []uint64 {
+	slices.Sort(add)
+	slices.Sort(remove)
+	i, j, k := 0, 0, 0
+	for i < len(base) || j < len(add) {
+		if j < len(add) && (i >= len(base) || add[j] <= base[i]) {
+			v := add[j]
+			for j < len(add) && add[j] == v {
+				j++
+			}
+			if i < len(base) && base[i] == v {
+				i++
+			}
+			dst = append(dst, v)
+			continue
+		}
+		v := base[i]
+		i++
+		for k < len(remove) && remove[k] < v {
+			k++
+		}
+		if k == len(remove) || remove[k] != v {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// applyDiffUnsorted is ApplyDiff for a base in any order, duplicates allowed.
+func applyDiffUnsorted(base, add, remove []uint64) []uint64 {
 	rm := make(map[uint64]struct{}, len(remove))
 	for _, x := range remove {
 		rm[x] = struct{}{}
@@ -228,12 +312,19 @@ func EqualSetOfSets(a, b [][]uint64) bool {
 // hash Alice sends so Bob can verify a recovered set of sets (paper §3.2,
 // amplification discussion).
 func HashSetOfSets(seed uint64, ss [][]uint64) uint64 {
-	hs := make([]uint64, len(ss))
+	h, _ := HashSetOfSetsScratch(nil, seed, ss)
+	return h
+}
+
+// HashSetOfSetsScratch is HashSetOfSets with the child hashes sorted in
+// scratch (grown when short, and returned for the next call).
+func HashSetOfSetsScratch(scratch []uint64, seed uint64, ss [][]uint64) (uint64, []uint64) {
+	hs := slices.Grow(scratch[:0], len(ss))[:len(ss)]
 	for i, s := range ss {
 		hs[i] = Hash(seed^0xa5a5a5a5a5a5a5a5, s)
 	}
 	slices.Sort(hs)
-	return hashing.HashUint64s(seed, hs)
+	return hashing.HashUint64s(seed, hs), hs
 }
 
 // TotalSize returns the sum of child set sizes (the paper's n).

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"sosr/internal/prng"
 )
 
 func TestCanonical(t *testing.T) {
@@ -245,4 +247,82 @@ func TestCanonicalSetsAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() { CanonicalSets(parent) }); got > 2 {
 		t.Fatalf("CanonicalSets allocates %.0f/op for 500 children, want ≤ 2", got)
 	}
+}
+
+// TestApplyDiffMatchesGeneralPath holds the linear merge a canonical base
+// takes to the general path (the whole of ApplyDiff before the merge existed)
+// on seeded random inputs: sorted and unsorted bases, duplicates in add,
+// elements in both add and remove, removals base does not hold, empty
+// arguments. Neither argument may be modified.
+func TestApplyDiffMatchesGeneralPath(t *testing.T) {
+	src := prng.New(0xd1ff)
+	draw := func(n int, span uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = src.Uint64n(span)
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		span := uint64(8 + src.Intn(200)) // a small universe makes every overlap likely
+		base := draw(src.Intn(40), span)
+		if trial%3 != 0 {
+			base = Canonical(base)
+		}
+		add, remove := draw(src.Intn(12), span), draw(src.Intn(12), span)
+		if len(add) > 0 && trial%4 == 0 {
+			add = append(add, add[0]) // a duplicate for certain
+		}
+		if len(add) > 0 && trial%5 == 0 {
+			remove = append(remove, add[len(add)-1]) // add ∩ remove for certain
+		}
+		baseIn, addIn, removeIn := Clone(base), Clone(add), Clone(remove)
+		got, want := ApplyDiff(base, add, remove), applyDiffUnsorted(base, add, remove)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ApplyDiff(%v, +%v, -%v) = %v, general path %v", trial, base, add, remove, got, want)
+		}
+		if !IsCanonical(got) {
+			t.Fatalf("trial %d: result %v not canonical", trial, got)
+		}
+		if !slices.Equal(base, baseIn) || !slices.Equal(add, addIn) || !slices.Equal(remove, removeIn) {
+			t.Fatalf("trial %d: ApplyDiff modified an argument", trial)
+		}
+		// The scratch form appends the same set after what dst holds, and may
+		// sort the differences it is given.
+		if got := AppendApplyDiff([]uint64{7}, base, addIn, removeIn); got[0] != 7 || !slices.Equal(got[1:], want) {
+			t.Fatalf("trial %d: AppendApplyDiff = %v, want 7 then %v", trial, got, want)
+		}
+	}
+	// An element both added and removed ends up present, in base or not.
+	if got := ApplyDiff([]uint64{1, 5, 9}, []uint64{5, 7}, []uint64{5, 7, 9}); !slices.Equal(got, []uint64{1, 5, 7}) {
+		t.Fatalf("add ∩ remove: got %v, want [1 5 7]", got)
+	}
+}
+
+// BenchmarkApplyDiff is the benchmark's set leg: 32 differences applied to a
+// canonical 20 000-element set, by the linear merge and by the general path
+// (every ApplyDiff before the merge existed).
+func BenchmarkApplyDiff(b *testing.B) {
+	src := prng.New(3)
+	base := make([]uint64, 20000)
+	for i := range base {
+		base[i] = src.Uint64n(1 << 60)
+	}
+	base = Canonical(base)
+	add, remove := make([]uint64, 16), make([]uint64, 16)
+	for i := range add {
+		add[i], remove[i] = src.Uint64n(1<<60), base[src.Intn(len(base))]
+	}
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ApplyDiff(base, add, remove)
+		}
+	})
+	b.Run("general", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			applyDiffUnsorted(base, add, remove)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package sosr
 
 import (
+	"errors"
 	"fmt"
 
 	"sosr/internal/core"
@@ -43,10 +44,16 @@ func ReconcileSetsOfMultisets(alice, bob [][]uint64, cfg Config) (*MultisetChild
 	if err != nil {
 		return nil, err
 	}
+	recovered, errR := unpackChildren(res.Recovered)
+	added, errA := unpackChildren(res.Added)
+	removed, errB := unpackChildren(res.Removed)
+	if err := errors.Join(errR, errA, errB); err != nil {
+		return nil, fmt.Errorf("sosr: recovered collection: %w", err)
+	}
 	return &MultisetChildResult{
-		Recovered: unpackChildren(res.Recovered),
-		Added:     unpackChildren(res.Added),
-		Removed:   unpackChildren(res.Removed),
+		Recovered: recovered,
+		Added:     added,
+		Removed:   removed,
 		Stats:     res.Stats,
 		Protocol:  res.Protocol,
 	}, nil
@@ -70,12 +77,15 @@ func packChildren(parent [][]uint64) ([][]uint64, error) {
 	return out, nil
 }
 
-func unpackChildren(parent [][]uint64) [][]uint64 {
+func unpackChildren(parent [][]uint64) ([][]uint64, error) {
 	out := make([][]uint64, len(parent))
 	for i, packed := range parent {
-		out[i] = setrecon.SetToMultiset(packed)
+		var err error
+		if out[i], err = setrecon.SetToMultiset(packed); err != nil {
+			return nil, fmt.Errorf("child %d: %w", i, err)
+		}
 	}
-	return out
+	return out, nil
 }
 
 func ones(n int) []int {

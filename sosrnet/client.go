@@ -13,6 +13,7 @@ import (
 	"sosr/internal/core"
 	"sosr/internal/enccache"
 	"sosr/internal/forest"
+	"sosr/internal/graph"
 	"sosr/internal/graphrecon"
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
@@ -387,43 +388,61 @@ func (c *Client) sets(ctx context.Context, name string, local []uint64, cfg sosr
 		return nil, nil, err
 	}
 	defer func() { c.finish(ctx, cc, err) }()
-	ep := cc.ep
-	coins := hashing.NewCoins(cfg.Seed)
-	var res *setrecon.Result
-	if cfg.UseCharPoly {
-		msg, err := recvOrServerError(ep, "charpoly")
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err = setrecon.ApplyCharPolyMsg(coins, msg, bob, cfg.KnownDiff)
-		if err != nil {
-			sendDone(ep, false, err, 1)
-			return nil, nil, err
-		}
-	} else {
-		if cfg.KnownDiff <= 0 {
-			if err := ep.SendFrame("estimator", setrecon.BuildDiffEstimator(coins, bob)); err != nil {
-				return nil, nil, err
-			}
-		}
-		msg, err := recvOrServerError(ep, "iblt")
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err = setrecon.ApplyIBLTMsg(coins, msg, bob)
-		if err != nil {
-			sendDone(ep, false, err, 1)
-			return nil, nil, err
-		}
+	res, err := applySet(cc.ep, hashing.NewCoins(cfg.Seed), bob, cfg.KnownDiff, cfg.UseCharPoly, sp)
+	if err != nil {
+		return nil, nil, err
 	}
-	sendDone(ep, true, nil, 1)
-	ns := netStats(ep, 1)
+	sendDone(cc.ep, true, nil, 1)
+	ns := netStats(cc.ep, 1)
 	return &sosr.SetResult{
 		Recovered: res.Recovered,
 		OnlyA:     res.OnlyA,
 		OnlyB:     res.OnlyB,
 		Stats:     ns.Protocol,
 	}, ns, nil
+}
+
+// applySet is Bob's side of a set or packed-multiset session after the
+// handshake: the estimator probe when d is unknown (the server's unknown-d
+// flow waits for it), then Alice's one payload, applied under a decode span.
+// A failed apply has told the server so; a success leaves the closing frame
+// to the caller.
+func applySet(ep *wire.Endpoint, coins hashing.Coins, bob []uint64, d int, charPoly bool, sp *obs.Span) (*setrecon.Result, error) {
+	label := "iblt"
+	if charPoly {
+		label = "charpoly"
+	} else if d <= 0 {
+		esp := sp.Child("estimate")
+		probe := setrecon.BuildDiffEstimator(coins, bob)
+		esp.Finish()
+		if err := ep.SendFrame("estimator", probe); err != nil {
+			return nil, err
+		}
+	}
+	msg, err := recvOrServerError(ep, label)
+	if err != nil {
+		return nil, err
+	}
+	dsp := sp.Child("decode")
+	var res *setrecon.Result
+	if charPoly {
+		res, err = setrecon.ApplyCharPolyMsg(coins, msg, bob, d)
+	} else {
+		res, err = setrecon.ApplyIBLTMsg(coins, msg, bob)
+	}
+	endDecode(dsp, err)
+	if err != nil {
+		sendDone(ep, false, err, 1)
+	}
+	return res, err
+}
+
+// endDecode closes a decode span. An attempt that fails to decode is an
+// expected protocol outcome (it drives the retry loops), so the span records
+// ok=false rather than a span error — only broken sessions flag traces.
+func endDecode(dsp *obs.Span, err error) {
+	dsp.SetBool("ok", err == nil)
+	dsp.Finish()
 }
 
 // Multiset reconciles a local multiset against the hosted multiset `name`
@@ -449,26 +468,19 @@ func (c *Client) multiset(ctx context.Context, name string, local []uint64, diff
 		return nil, nil, err
 	}
 	defer func() { c.finish(ctx, cc, err) }()
-	ep := cc.ep
-	coins := hashing.NewCoins(seed)
-	if diffBound <= 0 {
-		// The server's unknown-d flow waits for the probe; packed multisets
-		// estimate exactly like plain sets.
-		if err := ep.SendFrame("estimator", setrecon.BuildDiffEstimator(coins, packed)); err != nil {
-			return nil, nil, err
-		}
-	}
-	msg, err := recvOrServerError(ep, "iblt")
+	res, err := applySet(cc.ep, hashing.NewCoins(seed), packed, diffBound, false, sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := setrecon.ApplyIBLTMsg(coins, msg, packed)
+	// The recovered words are the server's: one outside the §3.4 packing
+	// fails the session (setrecon.ErrMultisetRange) instead of being expanded.
+	rec, err := setrecon.SetToMultiset(res.Recovered)
 	if err != nil {
-		sendDone(ep, false, err, 1)
+		sendDone(cc.ep, false, err, 1)
 		return nil, nil, err
 	}
-	sendDone(ep, true, nil, 1)
-	return setrecon.SetToMultiset(res.Recovered), netStats(ep, 1), nil
+	sendDone(cc.ep, true, nil, 1)
+	return rec, netStats(cc.ep, 1), nil
 }
 
 // SetsOfSets reconciles a local parent set against the hosted sets-of-sets
@@ -523,7 +535,7 @@ func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, 
 		if acc.D > 0 {
 			res, attempts, err = ap.replicatedOneShot(ep, coins, acc, core.DigestNaive, "naive-iblt")
 		} else {
-			if err = ep.SendFrame("childdiff-estimator", core.BuildChildDiffProbe(coins, bob, p)); err != nil {
+			if err = ap.sendChildDiffProbe(ep, coins); err != nil {
 				return nil, nil, err
 			}
 			res, attempts, err = ap.oneShot(ep, coins, 1, 0, core.DigestNaive, "naive-iblt")
@@ -573,6 +585,15 @@ func parseProtocol(s string) sosr.Protocol {
 	return sosr.ProtocolAuto
 }
 
+// sendChildDiffProbe builds Bob's unknown-d̂ probe under an estimate span and
+// sends it.
+func (a *sosApply) sendChildDiffProbe(ep *wire.Endpoint, coins hashing.Coins) error {
+	esp := a.sp.Child("estimate")
+	probe := core.BuildChildDiffProbe(coins, a.bob, a.p)
+	esp.Finish()
+	return ep.SendFrame("childdiff-estimator", probe)
+}
+
 // oneShot consumes a single one-round payload. It stays on the uncached
 // apply path: the naive unknown-d flow reaches here, where the server derives
 // dHat from the probe — the client cannot key a sketch on a bound it never
@@ -585,8 +606,7 @@ func (a *sosApply) oneShot(ep *wire.Endpoint, coins hashing.Coins, d, dHat int, 
 	dsp := a.sp.Child("decode")
 	dsp.SetInt("d", int64(d))
 	res, err := core.ApplyMsg(kind, coins, body, a.bob, a.p, d, dHat)
-	dsp.SetBool("ok", err == nil)
-	dsp.Finish()
+	endDecode(dsp, err)
 	if err != nil {
 		sendDone(ep, false, err, 1)
 		return nil, 0, err
@@ -663,7 +683,7 @@ func (a *sosApply) multiRound(ep *wire.Endpoint, coins hashing.Coins, acc *accep
 	attempts := acc.Replicas
 	if acc.D <= 0 {
 		attempts = 1
-		if err := ep.SendFrame("childdiff-estimator", core.BuildChildDiffProbe(coins, bob, p)); err != nil {
+		if err := a.sendChildDiffProbe(ep, coins); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -703,8 +723,7 @@ func (a *sosApply) multiRound(ep *wire.Endpoint, coins hashing.Coins, acc *accep
 		dsp := a.sp.Child("decode")
 		dsp.SetInt("round", int64(r+1))
 		res, err := core.MRBobFinish(c, bob, st, msg3)
-		dsp.SetBool("ok", err == nil)
-		dsp.Finish()
+		endDecode(dsp, err)
 		if err != nil {
 			if ferr := retryOrFail(err); ferr != nil {
 				return nil, 0, ferr
@@ -775,27 +794,21 @@ func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg s
 	if err != nil {
 		return nil, nil, err
 	}
-	var recovered *sosr.GraphResult
-	switch h.Scheme {
-	case "degree":
-		g, err := graphrecon.DegreeOrderApply(coins, gb, graphrecon.DegreeOrderParams{H: h.TopH, D: d}, sig, edges)
-		if err != nil {
-			sendDone(ep, false, err, 1)
-			return nil, nil, err
-		}
-		recovered = &sosr.GraphResult{Recovered: fromGraph(g)}
-	case "neighborhood":
-		g, err := graphrecon.NeighborhoodApply(coins, gb, graphrecon.NeighborhoodParams{M: h.M, D: d}, side, acc.MaxSig, sig, edges)
-		if err != nil {
-			sendDone(ep, false, err, 1)
-			return nil, nil, err
-		}
-		recovered = &sosr.GraphResult{Recovered: fromGraph(g)}
+	dsp := sp.Child("decode")
+	var g *graph.Graph
+	if h.Scheme == "degree" {
+		g, err = graphrecon.DegreeOrderApply(coins, gb, graphrecon.DegreeOrderParams{H: h.TopH, D: d}, sig, edges)
+	} else {
+		g, err = graphrecon.NeighborhoodApply(coins, gb, graphrecon.NeighborhoodParams{M: h.M, D: d}, side, acc.MaxSig, sig, edges)
+	}
+	endDecode(dsp, err)
+	if err != nil {
+		sendDone(ep, false, err, 1)
+		return nil, nil, err
 	}
 	sendDone(ep, true, nil, 1)
 	ns := netStats(ep, 1)
-	recovered.Stats = ns.Protocol
-	return recovered, ns, nil
+	return &sosr.GraphResult{Recovered: fromGraph(g), Stats: ns.Protocol}, ns, nil
 }
 
 // Forest reconciles a local rooted forest against the hosted forest `name`:
@@ -840,7 +853,9 @@ func (c *Client) forest(ctx context.Context, name string, local sosr.Forest, cfg
 		if err != nil {
 			return nil, nil, err
 		}
+		dsp := sp.Child("decode")
 		rec, applyErr = forest.Apply(att, fb, rp, params, sig, meta)
+		endDecode(dsp, applyErr)
 		return rec, applyErr, nil
 	}
 	if cfg.MaxEdits > 0 {

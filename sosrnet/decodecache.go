@@ -48,9 +48,6 @@ type sosApply struct {
 
 // apply runs one cached Bob step: look up (or derive) the sketch for this
 // exact decode shape and subtract it instead of re-encoding the local data.
-// An attempt that fails to decode is an expected protocol outcome (it drives
-// the replication/doubling retry loops), so the decode span records ok=false
-// rather than a span error — only genuinely broken sessions flag traces.
 func (a *sosApply) apply(coins hashing.Coins, body []byte, kind core.DigestKind, d, dHat int) (*core.Result, error) {
 	dsp := a.sp.Child("decode")
 	dsp.SetInt("d", int64(d))
@@ -67,8 +64,7 @@ func (a *sosApply) apply(coins hashing.Coins, body []byte, kind core.DigestKind,
 		a.c.observePeels(res.PeelIterations)
 		dsp.SetInt("peels", int64(res.PeelIterations))
 	}
-	dsp.SetBool("ok", err == nil)
-	dsp.Finish()
+	endDecode(dsp, err)
 	return res, err
 }
 

@@ -1074,8 +1074,7 @@ func (s *Server) serveSet(ep *wire.Endpoint, coins hashing.Coins, view dsView, h
 	if err := s.accept(ep, &acceptMsg{Kind: h.Kind, D: h.D}); err != nil {
 		return nil, variant, detail, err
 	}
-	switch variant {
-	case "charpoly":
+	if variant == "charpoly" {
 		// EncodeCharPoly is seed-independent: memoize on (dataset, d) only.
 		body := s.cachedMsg(view, "charpoly", 0, h.D, tr, func() []byte {
 			return setrecon.EncodeCharPoly(alice, h.D+1)
@@ -1083,33 +1082,29 @@ func (s *Server) serveSet(ep *wire.Endpoint, coins hashing.Coins, view dsView, h
 		if err := ep.SendFrame("charpoly", body); err != nil {
 			return nil, variant, detail, err
 		}
-	case "iblt-unknown":
-		esp := tr.child("estimate")
-		probe, err := ep.RecvExpect("estimator")
-		if err != nil {
+	} else {
+		d := h.D
+		if variant == "iblt-unknown" {
+			esp := tr.child("estimate")
+			probe, err := ep.RecvExpect("estimator")
+			if err != nil {
+				esp.Fail(err)
+				esp.Finish()
+				return nil, variant, detail, err
+			}
+			d, err = setrecon.DiffBoundFromEstimator(coins, probe, alice)
+			esp.SetInt("d", int64(d))
 			esp.Fail(err)
 			esp.Finish()
-			return nil, variant, detail, err
+			if err != nil {
+				sendErrorFrame(ep, err)
+				return nil, variant, detail, err
+			}
+			tr.bounds(d, d)
+			tr.audit(d, setCellBytes)
 		}
-		d, err := setrecon.DiffBoundFromEstimator(coins, probe, alice)
-		esp.SetInt("d", int64(d))
-		esp.Fail(err)
-		esp.Finish()
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, variant, detail, err
-		}
-		tr.bounds(d, d)
-		tr.audit(d, setCellBytes)
 		body := s.cachedMsg(view, "set-iblt", coins.Master(), d, tr, func() []byte {
 			return setrecon.BuildIBLTMsg(coins, alice, d)
-		})
-		if err := ep.SendFrame("iblt", body); err != nil {
-			return nil, variant, detail, err
-		}
-	default:
-		body := s.cachedMsg(view, "set-iblt", coins.Master(), h.D, tr, func() []byte {
-			return setrecon.BuildIBLTMsg(coins, alice, h.D)
 		})
 		if err := ep.SendFrame("iblt", body); err != nil {
 			return nil, variant, detail, err
@@ -1385,7 +1380,11 @@ func (s *Server) serveMultiRound(ep *wire.Endpoint, coins hashing.Coins, view ds
 		default:
 			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
 		}
+		esp := tr.child("encode")
+		esp.SetStr("proto", "mr3")
 		round3, _, err := core.MRAlice3(c, alice, pl.p, pl.d, payload)
+		esp.Fail(err)
+		esp.Finish()
 		if err != nil {
 			sendErrorFrame(ep, err)
 			return nil, err
@@ -1433,12 +1432,15 @@ func (s *Server) serveGraph(ep *wire.Endpoint, coins hashing.Coins, view dsView,
 		d = 1
 	}
 	tr.bounds(d, d)
+	acc := &acceptMsg{Kind: KindGraph, D: d}
+	var frames [][]byte
+	var err error
 	switch h.Scheme {
 	case "degree":
 		sigShape, sigD := graphrecon.DegreeOrderSigShape(ga.N, graphrecon.DegreeOrderParams{H: h.TopH, D: d})
 		tr.audit(core.DHat(sigD, sigShape.S), core.CellBytes(core.DigestCascade, sigShape, sigD))
 		// Both frames come from one encode pass; memoize them together.
-		frames, err := s.cachedFrames(view, "graph-degree", coins.Master(), d,
+		frames, err = s.cachedFrames(view, "graph-degree", coins.Master(), d,
 			fmt.Sprintf("h=%d", h.TopH), tr, func() ([][]byte, error) {
 				msgs, err := graphrecon.DegreeOrderAlice(coins, ga, graphrecon.DegreeOrderParams{H: h.TopH, D: d})
 				if err != nil {
@@ -1446,61 +1448,44 @@ func (s *Server) serveGraph(ep *wire.Endpoint, coins hashing.Coins, view dsView,
 				}
 				return [][]byte{msgs.Sig, msgs.Edges}, nil
 			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := s.accept(ep, &acceptMsg{Kind: KindGraph, D: d}); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("edge-iblt", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
 	case "neighborhood":
 		// The side encoding fixes maxSig (part of the accept message and the
 		// cache key), so it runs uncached; the expensive IBLT frames behind
 		// it are memoized.
-		sideA, err := graphrecon.NeighborhoodEncode(ga, h.M)
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
+		var sideA *graphrecon.NbrSide
+		if sideA, err = graphrecon.NeighborhoodEncode(ga, h.M); err != nil {
+			break
 		}
-		maxSig := max(sideA.MaxSig, h.MaxSig, 1)
+		acc.MaxSig = max(sideA.MaxSig, h.MaxSig, 1)
 		p := graphrecon.NeighborhoodParams{M: h.M, D: d, SigBudget: h.SigBudget}
 		if budget := graphrecon.NeighborhoodBudget(p); budget > s.maxBound() {
-			err := fmt.Errorf("%w: signature budget %d exceeds server bound %d", ErrUnsupported, budget, s.maxBound())
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
+			err = fmt.Errorf("%w: signature budget %d exceeds server bound %d", ErrUnsupported, budget, s.maxBound())
+			break
 		}
-		sigShape, sigD := graphrecon.NeighborhoodSigShape(ga.N, p, maxSig)
+		sigShape, sigD := graphrecon.NeighborhoodSigShape(ga.N, p, acc.MaxSig)
 		tr.audit(core.DHat(sigD, sigShape.S), core.CellBytes(core.DigestCascade, sigShape, sigD))
-		frames, err := s.cachedFrames(view, "graph-nbr", coins.Master(), d,
-			fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, maxSig, h.SigBudget), tr, func() ([][]byte, error) {
-				msgs, err := graphrecon.NeighborhoodAlice(coins, ga, p, sideA, maxSig)
+		frames, err = s.cachedFrames(view, "graph-nbr", coins.Master(), d,
+			fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, acc.MaxSig, h.SigBudget), tr, func() ([][]byte, error) {
+				msgs, err := graphrecon.NeighborhoodAlice(coins, ga, p, sideA, acc.MaxSig)
 				if err != nil {
 					return nil, err
 				}
 				return [][]byte{msgs.Sig, msgs.Edges}, nil
 			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := s.accept(ep, &acceptMsg{Kind: KindGraph, D: d, MaxSig: maxSig}); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("edge-iblt", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
 	default:
-		err := fmt.Errorf("%w: graph scheme %q", ErrUnsupported, h.Scheme)
+		err = fmt.Errorf("%w: graph scheme %q", ErrUnsupported, h.Scheme)
+	}
+	if err != nil {
 		sendErrorFrame(ep, err)
+		return nil, proto, detail, err
+	}
+	if err := s.accept(ep, acc); err != nil {
+		return nil, proto, detail, err
+	}
+	if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
+		return nil, proto, detail, err
+	}
+	if err := ep.SendFrame("edge-iblt", frames[1]); err != nil {
 		return nil, proto, detail, err
 	}
 	done, err := recvDone(ep)
