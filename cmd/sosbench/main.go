@@ -38,15 +38,10 @@ var (
 	seed       = flag.Uint64("seed", 1, "master seed")
 	sFlag      = flag.Int("s", 48, "child sets per parent (Table 1 regime)")
 	hFlag      = flag.Int("h", 16384, "columns / max child size (Table 1 regime; the paper's ordering needs large u)")
-	jsonFlag   = flag.Bool("json", false, "run the perf suite and print a machine-readable JSON report instead of the experiments")
 )
 
 func main() {
 	flag.Parse()
-	if *jsonFlag {
-		runPerfJSON()
-		return
-	}
 	run := map[string]func(){
 		"table1":       table1,
 		"figure1":      figure1,

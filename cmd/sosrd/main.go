@@ -160,17 +160,94 @@ func loadDatasets(path string) ([]fileDataset, error) {
 	return f.Datasets, nil
 }
 
-func hostDataset(srv *sosrnet.Server, d fileDataset) error {
+// hostDataset hosts one file entry; with a topology, shard index's slice of it.
+func hostDataset(srv *sosrnet.Server, d fileDataset, topo *shardmap.Topology, index int) error {
+	sharded := topo != nil
 	switch sosrnet.Kind(d.Kind) {
 	case sosrnet.KindSet:
+		if sharded {
+			return srv.HostSetsShard(d.Name, d.Elems, topo, index)
+		}
 		return srv.HostSets(d.Name, d.Elems)
 	case sosrnet.KindMultiset:
+		if sharded {
+			return srv.HostMultisetShard(d.Name, d.Elems, topo, index)
+		}
 		return srv.HostMultiset(d.Name, d.Elems)
 	case sosrnet.KindSetsOfSets:
+		if sharded {
+			return srv.HostSetsOfSetsShard(d.Name, d.Parents, topo, index)
+		}
 		return srv.HostSetsOfSets(d.Name, d.Parents)
-	default:
-		return fmt.Errorf("dataset %q: unsupported kind %q", d.Name, d.Kind)
 	}
+	if sharded {
+		return fmt.Errorf("dataset %q: unsupported sharded kind %q", d.Name, d.Kind)
+	}
+	return fmt.Errorf("dataset %q: unsupported kind %q", d.Name, d.Kind)
+}
+
+// loadReplica returns the local replica a sync subcommand reconciles: the
+// generated demo replica, or the entry called name in a replica file.
+func loadReplica(cmd, name, path string, demo bool) (local fileDataset) {
+	switch {
+	case demo:
+		_, local = demoData()
+	case path != "":
+		sets, err := loadDatasets(path)
+		if err != nil {
+			fatal("loading replica failed", "err", err.Error())
+		}
+		for _, ds := range sets {
+			if ds.Name == name {
+				local = ds
+			}
+		}
+		if local.Name == "" {
+			fatal(cmd+": replica file has no such dataset", "dataset", name)
+		}
+	default:
+		fatal(cmd + ": pass -replica file.json or -demo-replica")
+	}
+	return local
+}
+
+// reconciler is what sync and shard-sync drive: a sosrnet.Client or a
+// sosrshard.Client, whose methods differ in the stats they report.
+type reconciler[S any] interface {
+	Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, S, error)
+	Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, S, error)
+	SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, S, error)
+}
+
+// reconcile runs one sync of the given kind and returns the stem of its
+// "recovered ..." line with the session's stats (and, for sets of sets, the
+// attempts it took).
+func reconcile[S any](ctx context.Context, cmd string, c reconciler[S], kind, name string, local fileDataset, set sosr.SetConfig, sos sosr.Config) (summary string, attempts int, st S) {
+	var err error
+	switch sosrnet.Kind(kind) {
+	case sosrnet.KindSet:
+		var res *sosr.SetResult
+		if res, st, err = c.Sets(ctx, name, local.Elems, set); err == nil {
+			summary = fmt.Sprintf("recovered %d elements (+%d -%d)", len(res.Recovered), len(res.OnlyA), len(res.OnlyB))
+		}
+	case sosrnet.KindMultiset:
+		var rec []uint64
+		if rec, st, err = c.Multiset(ctx, name, local.Elems, set.KnownDiff, set.Seed); err == nil {
+			summary = fmt.Sprintf("recovered %d multiset elements", len(rec))
+		}
+	case sosrnet.KindSetsOfSets:
+		var res *sosr.Result
+		if res, st, err = c.SetsOfSets(ctx, name, local.Parents, sos); err == nil {
+			summary = fmt.Sprintf("recovered %d child sets (+%d -%d) via %v", len(res.Recovered), len(res.Added), len(res.Removed), res.Protocol)
+			attempts = res.Attempts
+		}
+	default:
+		fatal(cmd+": unsupported kind", "kind", kind)
+	}
+	if err != nil {
+		fatal(cmd+" failed", "err", err.Error())
+	}
+	return summary, attempts, st
 }
 
 // demoData returns the generated demo pair: the hosted side and a perturbed
@@ -246,7 +323,7 @@ func cmdServe(args []string) {
 			logger.Info("dataset already recovered from the store; file copy ignored", "dataset", d.Name)
 			continue
 		}
-		if err := hostDataset(srv, d); err != nil {
+		if err := hostDataset(srv, d, nil, 0); err != nil {
 			fatal("hosting dataset failed", "dataset", d.Name, "err", err.Error())
 		}
 		logger.Info("hosting dataset", "dataset", d.Name, "kind", d.Kind)
@@ -426,7 +503,7 @@ func cmdShardServe(args []string) {
 			logger.Info("dataset slice already recovered from the store; file copy ignored", "dataset", d.Name)
 			continue
 		}
-		if err := hostDatasetShard(srv, d, topo, *index); err != nil {
+		if err := hostDataset(srv, d, topo, *index); err != nil {
 			fatal("hosting shard failed", "dataset", d.Name, "err", err.Error())
 		}
 		logger.Info("hosting dataset shard", "dataset", d.Name, "kind", d.Kind,
@@ -447,19 +524,6 @@ func cmdShardServe(args []string) {
 		ln = &stallListener{Listener: ln, delay: *stall}
 	}
 	runServer(srv, ln, ops, st)
-}
-
-func hostDatasetShard(srv *sosrnet.Server, d fileDataset, topo *shardmap.Topology, index int) error {
-	switch sosrnet.Kind(d.Kind) {
-	case sosrnet.KindSet:
-		return srv.HostSetsShard(d.Name, d.Elems, topo, index)
-	case sosrnet.KindMultiset:
-		return srv.HostMultisetShard(d.Name, d.Elems, topo, index)
-	case sosrnet.KindSetsOfSets:
-		return srv.HostSetsOfSetsShard(d.Name, d.Parents, topo, index)
-	default:
-		return fmt.Errorf("dataset %q: unsupported sharded kind %q", d.Name, d.Kind)
-	}
 }
 
 // parseTopology builds the replicated topology from the CLI syntax: shards
@@ -562,56 +626,12 @@ func cmdShardSync(args []string) {
 		ctx = obs.ContextWithSpan(ctx, syncSpan)
 	}
 
-	var local fileDataset
-	switch {
-	case *demoReplica:
-		_, local = demoData()
-	case *replica != "":
-		sets, err := loadDatasets(*replica)
-		if err != nil {
-			fatal("loading replica failed", "err", err.Error())
-		}
-		for _, ds := range sets {
-			if ds.Name == *name {
-				local = ds
-			}
-		}
-		if local.Name == "" {
-			fatal("shard-sync: replica file has no such dataset", "dataset", *name)
-		}
-	default:
-		fatal("shard-sync: pass -replica file.json or -demo-replica")
-	}
-
-	switch sosrnet.Kind(*kind) {
-	case sosrnet.KindSet:
-		res, st, err := c.Sets(ctx, *name, local.Elems, sosr.SetConfig{Seed: *seed, KnownDiff: *d})
-		if err != nil {
-			fatal("shard-sync failed", "err", err.Error())
-		}
-		fmt.Printf("recovered %d elements (+%d -%d) across %d shards\n",
-			len(res.Recovered), len(res.OnlyA), len(res.OnlyB), topo.NumShards())
-		printShardStats(st)
-	case sosrnet.KindMultiset:
-		rec, st, err := c.Multiset(ctx, *name, local.Elems, *d, *seed)
-		if err != nil {
-			fatal("shard-sync failed", "err", err.Error())
-		}
-		fmt.Printf("recovered %d multiset elements across %d shards\n", len(rec), topo.NumShards())
-		printShardStats(st)
-	case sosrnet.KindSetsOfSets:
-		res, st, err := c.SetsOfSets(ctx, *name, local.Parents, sosr.Config{
-			Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d,
-		})
-		if err != nil {
-			fatal("shard-sync failed", "err", err.Error())
-		}
-		fmt.Printf("recovered %d child sets (+%d -%d) via %v across %d shards\n",
-			len(res.Recovered), len(res.Added), len(res.Removed), res.Protocol, topo.NumShards())
-		printShardStats(st)
-	default:
-		fatal("shard-sync: unsupported kind", "kind", *kind)
-	}
+	local := loadReplica("shard-sync", *name, *replica, *demoReplica)
+	summary, _, st := reconcile(ctx, "shard-sync", c, *kind, *name, local,
+		sosr.SetConfig{Seed: *seed, KnownDiff: *d},
+		sosr.Config{Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d})
+	fmt.Printf("%s across %d shards\n", summary, topo.NumShards())
+	printShardStats(st)
 	if syncSpan != nil {
 		syncSpan.Finish()
 		fmt.Printf("trace: id=%s\n", syncSpan.TraceID())
@@ -654,59 +674,19 @@ func cmdSync(args []string) {
 		fatal("sync: -name is required")
 	}
 
-	var local fileDataset
-	switch {
-	case *demoReplica:
-		_, local = demoData()
-	case *replica != "":
-		sets, err := loadDatasets(*replica)
-		if err != nil {
-			fatal("loading replica failed", "err", err.Error())
-		}
-		for _, ds := range sets {
-			if ds.Name == *name {
-				local = ds
-			}
-		}
-		if local.Name == "" {
-			fatal("sync: replica file has no such dataset", "dataset", *name)
-		}
-	default:
-		fatal("sync: pass -replica file.json or -demo-replica")
-	}
-
+	local := loadReplica("sync", *name, *replica, *demoReplica)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	c := sosrnet.Dial(*addr)
 	defer c.Close()
-	switch sosrnet.Kind(*kind) {
-	case sosrnet.KindSet:
-		res, ns, err := c.Sets(ctx, *name, local.Elems, sosr.SetConfig{Seed: *seed, KnownDiff: *d, UseCharPoly: *charpoly})
-		if err != nil {
-			fatal("sync failed", "err", err.Error())
-		}
-		fmt.Printf("recovered %d elements (+%d -%d)\n", len(res.Recovered), len(res.OnlyA), len(res.OnlyB))
-		printStats(ns)
-	case sosrnet.KindMultiset:
-		rec, ns, err := c.Multiset(ctx, *name, local.Elems, *d, *seed)
-		if err != nil {
-			fatal("sync failed", "err", err.Error())
-		}
-		fmt.Printf("recovered %d multiset elements\n", len(rec))
-		printStats(ns)
-	case sosrnet.KindSetsOfSets:
-		res, ns, err := c.SetsOfSets(ctx, *name, local.Parents, sosr.Config{
-			Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d,
-		})
-		if err != nil {
-			fatal("sync failed", "err", err.Error())
-		}
-		fmt.Printf("recovered %d child sets (+%d -%d) via %v in %d attempt(s)\n",
-			len(res.Recovered), len(res.Added), len(res.Removed), res.Protocol, res.Attempts)
-		printStats(ns)
-	default:
-		fatal("sync: unsupported kind", "kind", *kind)
+	summary, attempts, ns := reconcile(ctx, "sync", c, *kind, *name, local,
+		sosr.SetConfig{Seed: *seed, KnownDiff: *d, UseCharPoly: *charpoly},
+		sosr.Config{Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d})
+	if attempts > 0 {
+		summary += fmt.Sprintf(" in %d attempt(s)", attempts)
 	}
+	fmt.Println(summary)
+	printStats(ns)
 }
 
 func parseProtocolFlag(s string) sosr.Protocol {
@@ -737,7 +717,7 @@ func cmdDemo() {
 	hosted, replica := demoData()
 	srv := sosrnet.NewServer()
 	srv.Logger = logger
-	if err := hostDataset(srv, hosted); err != nil {
+	if err := hostDataset(srv, hosted, nil, 0); err != nil {
 		fatal("hosting demo dataset failed", "err", err.Error())
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -6,8 +6,8 @@ import (
 	"sosr/internal/hashing"
 )
 
-// Package-level decode benchmarks, mirroring the cmd/sosbench perf-suite rows
-// so CI's bench smoke exercises the Bob hot paths without the network stack.
+// Package-level decode benchmarks, so CI's bench smoke exercises the Bob hot
+// paths without the network stack.
 
 func benchApply(b *testing.B, kind DigestKind, d int, cached bool) {
 	alice, bob, p := decodeWorkload(b)

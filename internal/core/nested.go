@@ -93,9 +93,14 @@ func NestedUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]
 	})
 }
 
-// maxDoublingAttempts caps the doubling loops; 2^31 differences is far past
-// any representable instance.
-const maxDoublingAttempts = 31
+// MaxDoublingAttempts caps the doubling loops, in process and on the wire;
+// 2^31 differences is far past any representable instance.
+const MaxDoublingAttempts = 31
+
+// DoublingTooBig is the doubling loops' give-up rule: a failed attempt at
+// bound d ends the loop once d has outgrown any difference the instance shape
+// can represent.
+func DoublingTooBig(d int, p Params) bool { return d > 4*p.S*p.H }
 
 // doublingLoop implements the paper's "standard repeated doubling trick"
 // shared by Corollaries 3.6 and 3.8: run the known-d protocol at d = 2^k
@@ -104,7 +109,7 @@ const maxDoublingAttempts = 31
 func doublingLoop(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params,
 	attempt func(sess transport.Channel, coins hashing.Coins, d int) (*Result, error)) (*Result, error) {
 	var lastErr error
-	for k := 0; k < maxDoublingAttempts; k++ {
+	for k := 0; k < MaxDoublingAttempts; k++ {
 		d := 1 << k
 		attCoins := coins.Sub("doubling-attempt", k)
 		res, err := attempt(sess, attCoins, d)
@@ -117,7 +122,7 @@ func doublingLoop(sess transport.Channel, coins hashing.Coins, alice, bob [][]ui
 		}
 		lastErr = err
 		sess.Send(transport.Bob, "retry", []byte{0})
-		if tooBig := d > 4*p.S*p.H; tooBig {
+		if DoublingTooBig(d, p) {
 			break
 		}
 	}

@@ -2,15 +2,12 @@ package sosrnet
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"sosr/internal/core"
 	"sosr/internal/enccache"
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
-	"sosr/internal/setrecon"
-	"sosr/internal/setutil"
 	"sosr/internal/store"
 )
 
@@ -77,47 +74,24 @@ func (s *Server) CacheStats() enccache.Stats {
 	return c.Stats()
 }
 
-// cachedMsg memoizes a seed+bound-keyed payload whose builder cannot fail
-// (set IBLTs, charpoly evaluations, multiround round 1). Builder runs — the
-// cache misses that actually encode — are observed into the encode stage
-// histogram and get an "encode" span, so both reflect real work, not
-// replayed bytes; the session trace tallies the lookup either way.
-func (s *Server) cachedMsg(view dsView, proto string, seed uint64, d int, tr *sessTrace, build func() []byte) []byte {
-	built := false
-	timed := func() []byte {
-		built = true
-		sp := tr.child("encode")
-		sp.SetStr("proto", proto)
-		sp.SetInt("d", int64(d))
-		t0 := time.Now()
-		body := build()
-		s.observeEncode(t0)
-		sp.Finish()
-		return body
-	}
-	var body []byte
-	if cache := s.encCache(); cache == nil {
-		body = timed()
-	} else {
-		body, _ = cache.GetOrCompute(enccache.Key{
-			Dataset: view.name, Version: view.version, Proto: proto, Seed: seed, D: d,
-		}, func() ([]byte, error) { return timed(), nil })
-	}
-	tr.cacheEvent(!built)
-	return body
-}
-
-// cachedFrames memoizes a composite (multi-frame) payload whose builder may
-// fail (graph and forest Alice sides, which emit signature + edge/meta frames
-// from one encode pass). extra pins builder inputs with no dedicated key
-// field. Builder runs are observed into the encode stage histogram.
-func (s *Server) cachedFrames(view dsView, proto string, seed uint64, d int, extra string, tr *sessTrace, build func() ([][]byte, error)) ([][]byte, error) {
+// memo returns Alice's frames for one attempt of the session in rec: from the
+// payload cache when the key is resident (the session's view supplies its
+// dataset and version), from build otherwise. Builder runs — the cache misses
+// that actually encode — are observed into the encode stage histogram and get
+// an "encode" span, so both reflect real work, not replayed bytes; the session
+// trace tallies the lookup either way. The frames are shared: callers must not
+// write to them.
+func (s *Server) memo(rec *sessionRecord, k enccache.Key, build func() ([][]byte, error)) ([][]byte, error) {
+	k.Dataset, k.Version = rec.view.name, rec.view.version
 	built := false
 	timed := func() ([][]byte, error) {
 		built = true
-		sp := tr.child("encode")
-		sp.SetStr("proto", proto)
-		sp.SetInt("d", int64(d))
+		sp := rec.tr.child("encode")
+		sp.SetStr("proto", k.Proto)
+		sp.SetInt("d", int64(k.D))
+		if k.DHat != 0 {
+			sp.SetInt("dhat", int64(k.DHat))
+		}
 		t0 := time.Now()
 		frames, err := build()
 		s.observeEncode(t0)
@@ -130,64 +104,10 @@ func (s *Server) cachedFrames(view dsView, proto string, seed uint64, d int, ext
 	if cache := s.encCache(); cache == nil {
 		frames, err = timed()
 	} else {
-		frames, err = cache.GetOrComputeFrames(enccache.Key{
-			Dataset: view.name, Version: view.version, Proto: proto, Seed: seed, D: d, Extra: extra,
-		}, timed)
+		frames, err = cache.GetOrComputeFrames(k, timed)
 	}
-	tr.cacheEvent(!built)
+	rec.tr.cacheEvent(!built)
 	return frames, err
-}
-
-// sosProtoName maps a digest kind to its cache-key protocol name.
-func sosProtoName(kind core.DigestKind) string {
-	switch kind {
-	case core.DigestNaive:
-		return "naive"
-	case core.DigestNested:
-		return "nested"
-	case core.DigestCascade:
-		return "cascade"
-	}
-	return fmt.Sprintf("kind-%d", kind)
-}
-
-// sosAliceMsg returns the one-round sets-of-sets payload for the session's
-// snapshot, memoized and incrementally maintained.
-func (s *Server) sosAliceMsg(view dsView, kind core.DigestKind, coins hashing.Coins, p core.Params, d, dHat int, tr *sessTrace) ([]byte, error) {
-	proto := sosProtoName(kind)
-	built := false
-	timed := func(run func() ([]byte, error)) ([]byte, error) {
-		built = true
-		sp := tr.child("encode")
-		sp.SetStr("proto", proto)
-		sp.SetInt("d", int64(d))
-		sp.SetInt("dhat", int64(dHat))
-		t0 := time.Now()
-		body, err := run()
-		s.observeEncode(t0)
-		sp.Fail(err)
-		sp.Finish()
-		return body, err
-	}
-	var body []byte
-	var err error
-	if cache := s.encCache(); cache == nil {
-		body, err = timed(func() ([]byte, error) {
-			return core.AliceMsg(kind, coins, view.sos, p, d, dHat)
-		})
-	} else {
-		k := enccache.Key{
-			Dataset: view.name, Version: view.version, Proto: proto,
-			Seed: coins.Master(), S: p.S, H: p.H, U: p.U, D: d, DHat: dHat,
-		}
-		body, err = cache.GetOrCompute(k, func() ([]byte, error) {
-			return timed(func() ([]byte, error) {
-				return view.ds.oneRoundBody(kind, coins, view, p, d, dHat)
-			})
-		})
-	}
-	tr.cacheEvent(!built)
-	return body, err
 }
 
 // oneRoundBody builds the payload for a cache miss. When the session's
@@ -305,130 +225,10 @@ func (d *dataset) dropLive(lk liveKey) {
 // On a sharded dataset the mutation routes through the shard map first: only
 // child sets this shard owns are applied (and validated), so one logical
 // update can be broadcast verbatim to every shard server and each applies
-// exactly its slice. A mutation that owns nothing here is a no-op (no
-// version bump, caches stay warm).
+// exactly its slice. A mutation that owns nothing here — like an empty one —
+// is a no-op (no version bump, nothing journaled, caches stay warm).
 func (s *Server) UpdateSetsOfSets(name string, add, remove [][]uint64) error {
-	return s.updateSetsOfSets(name, add, remove, nil)
-}
-
-// updateSetsOfSets is UpdateSetsOfSets with a trace span: the admin endpoint
-// passes its request span so the WAL append lands in the request's trace.
-func (s *Server) updateSetsOfSets(name string, add, remove [][]uint64, sp *obs.Span) error {
-	ds, err := s.lookup(name, KindSetsOfSets)
-	if err != nil {
-		return err
-	}
-	addC, removeC := setutil.CanonicalSets(add), setutil.CanonicalSets(remove)
-	if ds.shard != nil {
-		addC = ds.shard.topo.OwnedSets(ds.shard.index, addC)
-		removeC = ds.shard.topo.OwnedSets(ds.shard.index, removeC)
-		if len(addC) == 0 && len(removeC) == 0 {
-			return nil
-		}
-	}
-
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	next, err := ds.stageSOS(addC, removeC)
-	if err != nil {
-		return fmt.Errorf("sosrnet: %w in %q", err, name)
-	}
-	compact, err := s.walAppend(name, ds, &store.Update{
-		Version: ds.version + 1, AddSets: addC, RemoveSets: removeC,
-	}, sp)
-	if err != nil {
-		return err
-	}
-	ds.commitSOS(next, addC, removeC)
-	if compact {
-		s.compactLocked(name, ds)
-	}
-	return nil
-}
-
-// stageSOS validates a canonical, shard-filtered sets-of-sets mutation
-// against the hosted parent and builds the next parent slice, touching no
-// state. Caller holds d.mu. Only the mutation is hash-indexed, so the pass
-// over a large hosted parent hashes each child once and allocates
-// O(|update|), not O(|sos|).
-func (d *dataset) stageSOS(addC, removeC [][]uint64) ([][]uint64, error) {
-	const memberSeed = 0xd15717c7 // same salt Validate uses for dedup
-	rmByHash := make(map[uint64][]int, len(removeC))
-	for i, cs := range removeC {
-		h := setutil.Hash(memberSeed, cs)
-		rmByHash[h] = append(rmByHash[h], i)
-	}
-	// dupAdd is the first add equal to an earlier add or to a child that
-	// stays hosted.
-	dupAdd := len(addC)
-	addByHash := make(map[uint64][]int, len(addC))
-	for i, cs := range addC {
-		h := setutil.Hash(memberSeed, cs)
-		for _, j := range addByHash[h] {
-			if setutil.Equal(cs, addC[j]) {
-				dupAdd = min(dupAdd, i)
-			}
-		}
-		addByHash[h] = append(addByHash[h], i)
-	}
-	taken := make([]bool, len(removeC))
-	next := make([][]uint64, 0, len(d.sos)+len(addC))
-outer:
-	for _, cs := range d.sos {
-		h := setutil.Hash(memberSeed, cs)
-		for _, i := range rmByHash[h] {
-			if !taken[i] && setutil.Equal(cs, removeC[i]) {
-				taken[i] = true
-				continue outer
-			}
-		}
-		for _, i := range addByHash[h] {
-			if setutil.Equal(cs, addC[i]) {
-				dupAdd = min(dupAdd, i)
-			}
-		}
-		next = append(next, cs)
-	}
-	for i, ok := range taken {
-		if !ok {
-			return nil, fmt.Errorf("remove[%d] is not hosted", i)
-		}
-	}
-	if dupAdd < len(addC) {
-		return nil, fmt.Errorf("add[%d] already hosted", dupAdd)
-	}
-	return append(next, addC...), nil
-}
-
-// commitSOS installs a staged sets-of-sets mutation: infallible by
-// construction (stageSOS validated it), so it can run after the WAL append
-// without ever leaving the journal ahead of a failed commit. Caller holds
-// d.mu.
-func (d *dataset) commitSOS(next [][]uint64, addC, removeC [][]uint64) {
-	// Patch every live digest; a patch failure (which staging should
-	// preclude) drops that digest rather than serving corrupt bytes.
-	for lk, dig := range d.live {
-		ok := true
-		for _, cs := range removeC {
-			if dig.Remove(cs) != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, cs := range addC {
-				if dig.Add(cs) != nil {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			d.dropLive(lk)
-		}
-	}
-	d.sos = next
-	d.version++
+	return s.update(name, KindSetsOfSets, &store.Update{AddSets: add, RemoveSets: remove}, nil)
 }
 
 // UpdateSets applies a live mutation to a hosted set dataset (KindSet):
@@ -437,46 +237,9 @@ func (d *dataset) commitSOS(next [][]uint64, addC, removeC [][]uint64) {
 // retires all cached payloads for the old contents. On a sharded dataset only
 // the elements this shard owns are applied (broadcast one logical update to
 // every shard server; each takes its slice), and an update owning nothing
-// here is a no-op.
+// here — like an empty one — is a no-op.
 func (s *Server) UpdateSets(name string, add, remove []uint64) error {
-	return s.updateSets(name, add, remove, nil)
-}
-
-// updateSets is UpdateSets with a trace span (see updateSetsOfSets).
-func (s *Server) updateSets(name string, add, remove []uint64, sp *obs.Span) error {
-	ds, err := s.lookup(name, KindSet)
-	if err != nil {
-		return err
-	}
-	if err := setrecon.CheckRange(add); err != nil {
-		return err
-	}
-	if ds.shard != nil {
-		add = ds.shard.topo.OwnedElems(ds.shard.index, add)
-		remove = ds.shard.topo.OwnedElems(ds.shard.index, remove)
-		if len(add) == 0 && len(remove) == 0 {
-			return nil
-		}
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	compact, err := s.walAppend(name, ds, &store.Update{
-		Version: ds.version + 1, Add: add, Remove: remove,
-	}, sp)
-	if err != nil {
-		return err
-	}
-	ds.set = ds.stageSet(add, remove)
-	ds.version++
-	if compact {
-		s.compactLocked(name, ds)
-	}
-	return nil
-}
-
-// stageSet computes the next canonical set contents. Caller holds d.mu.
-func (d *dataset) stageSet(add, remove []uint64) []uint64 {
-	return setutil.ApplyDiff(d.set, add, remove)
+	return s.update(name, KindSet, &store.Update{Add: add, Remove: remove}, nil)
 }
 
 // UpdateMultisets applies a live mutation to a hosted multiset dataset
@@ -487,110 +250,76 @@ func (d *dataset) stageSet(add, remove []uint64) []uint64 {
 // cached payloads for the old contents; the next session re-packs and serves
 // the fresh multiset. On a sharded dataset ownership follows the element
 // value (matching HostMultisetShard), broadcast updates apply per-shard
-// slices, and an update owning nothing here is a no-op.
+// slices, and an update owning nothing here — like an empty one — is a no-op.
 func (s *Server) UpdateMultisets(name string, add, remove []uint64) error {
-	return s.updateMultisets(name, add, remove, nil)
+	return s.update(name, KindMultiset, &store.Update{Add: add, Remove: remove}, nil)
 }
 
-// updateMultisets is UpdateMultisets with a trace span (see updateSetsOfSets).
-func (s *Server) updateMultisets(name string, add, remove []uint64, sp *obs.Span) error {
-	ds, err := s.lookup(name, KindMultiset)
+// update is the live-mutation path under every Update* and the admin endpoint
+// (whose request span sp parents the journal append). up is the caller's to
+// give away: it is rewritten in place and journaled.
+func (s *Server) update(name string, kind Kind, up *store.Update, sp *obs.Span) error {
+	ds, err := s.lookup(name, kind)
 	if err != nil {
 		return err
 	}
-	// Range-check before ownership filtering (mirroring UpdateSets), so a
-	// malformed broadcast mutation is rejected identically on every shard
-	// instead of applying on the shards that happen not to own the bad
-	// element.
-	for _, x := range add {
-		if x > setrecon.MaxMultisetElement {
-			return fmt.Errorf("%w: element %d", setrecon.ErrMultisetRange, x)
+	return s.apply(name, ds, up, false, sp)
+}
+
+// apply is the one mutation skeleton. The dataset's kind range-checks the
+// mutation and narrows it to the canonical slice this shard owns; if nothing
+// is left nothing happens — no version bump, nothing journaled, caches stay
+// warm. What is left goes stage → journal → commit under the dataset lock, so
+// WAL order is version order, nothing is journaled that staging refused, and
+// nothing commits that is not durable. Recovery replays the journal through
+// here too: an entry was prepared before it was appended and carries the
+// version it produced, so replay skips the preparation and the append.
+func (s *Server) apply(name string, ds *dataset, up *store.Update, replay bool, sp *obs.Span) error {
+	k := ds.k
+	if k.stage == nil {
+		return fmt.Errorf("%w: kind %q takes no updates", ErrUnsupported, k.kind)
+	}
+	if !replay {
+		if err := k.prepare(up, ds.shard); err != nil {
+			return err
+		}
+		if len(up.Add)+len(up.Remove)+len(up.AddSets)+len(up.RemoveSets) == 0 {
+			return nil
 		}
 	}
-	if ds.shard != nil {
-		add = ds.shard.topo.OwnedElems(ds.shard.index, add)
-		remove = ds.shard.topo.OwnedElems(ds.shard.index, remove)
-	}
-	if len(add) == 0 && len(remove) == 0 {
-		return nil
-	}
-
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	packed, err := ds.stageMultiset(add, remove)
+	if !replay {
+		up.Version = ds.version + 1
+	} else if up.Version != ds.version+1 {
+		return fmt.Errorf("update version %d after %d", up.Version, ds.version)
+	}
+	next, err := k.stage(&ds.contents, up)
 	if err != nil {
 		return fmt.Errorf("sosrnet: %w in %q", err, name)
 	}
-	compact, err := s.walAppend(name, ds, &store.Update{
-		Version: ds.version + 1, Add: add, Remove: remove,
-	}, sp)
-	if err != nil {
-		return err
+	compact := false
+	if !replay {
+		if compact, err = s.walAppend(name, up, sp); err != nil {
+			return err
+		}
 	}
-	ds.set = packed
-	ds.version++
+	if k.commit != nil {
+		k.commit(ds, up)
+	}
+	ds.contents, ds.version = next, up.Version
 	if compact {
 		s.compactLocked(name, ds)
 	}
 	return nil
 }
 
-// stageMultiset validates a shard-filtered multiset mutation against the
-// hosted packing and returns the next packed contents, touching no state.
-// Caller holds d.mu. Only the mutation is indexed: hosted words it does not
-// name pass through untouched.
-func (d *dataset) stageMultiset(add, remove []uint64) ([]uint64, error) {
-	delta := make(map[uint64]int64, len(add)+len(remove))
-	for _, x := range remove {
-		delta[x]--
-	}
-	for _, x := range add {
-		delta[x]++
-	}
-	// restage folds x's staged change into its hosted multiplicity k and
-	// appends what remains of it to packed.
-	restage := func(packed []uint64, x, k uint64) ([]uint64, error) {
-		next := int64(k) + delta[x]
-		switch {
-		case next < 0:
-			return nil, fmt.Errorf("remove of element %d exceeds its multiplicity %d", x, k)
-		case next > int64(setrecon.MaxMultiplicity):
-			return nil, fmt.Errorf("%w: element %d would reach multiplicity %d", setrecon.ErrMultisetRange, x, next)
-		case next > 0:
-			packed = append(packed, setrecon.PackCounted(x, uint64(next)))
-		}
-		return packed, nil
-	}
-	packed := make([]uint64, 0, len(d.set)+len(delta))
-	var err error
-	for _, w := range d.set {
-		x, k := setrecon.UnpackCounted(w)
-		if _, staged := delta[x]; !staged {
-			packed = append(packed, w)
-			continue
-		}
-		if packed, err = restage(packed, x, k); err != nil {
-			return nil, err
-		}
-		delete(delta, x)
-	}
-	for x := range delta { // elements not hosted yet
-		if packed, err = restage(packed, x, 0); err != nil {
-			return nil, err
-		}
-	}
-	slices.Sort(packed)
-	return packed, nil
-}
-
 // DatasetVersion reports the current version of a hosted dataset (0 until
 // the first update).
 func (s *Server) DatasetVersion(name string) (uint64, error) {
-	s.mu.Lock()
-	ds, ok := s.datasets[name]
-	s.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+	ds, err := s.byName(name)
+	if err != nil {
+		return 0, err
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()

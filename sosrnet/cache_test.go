@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sosr"
 	"sosr/internal/setutil"
+	"sosr/internal/shardmap"
+	"sosr/internal/store"
 )
 
 // TestCacheConcurrentSessionsEncodeOnce: many concurrent sessions against
@@ -501,5 +504,142 @@ func TestGraphForestCacheParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingStore counts the WAL appends a server makes.
+type countingStore struct {
+	*store.Mem
+	appends atomic.Int64
+}
+
+func (c *countingStore) AppendUpdate(name string, up *store.Update) (bool, error) {
+	c.appends.Add(1)
+	return c.Mem.AppendUpdate(name, up)
+}
+
+// TestEmptyUpdateIsANoOp pins the rule the one update path states once: a
+// mutation with nothing in it — as given, or after the shard's ownership
+// filter — touches nothing. No version bump, no journal append (an fsync on a
+// disk store), and the payload cache stays warm: the same session is a miss
+// before and a hit after. Every kind that takes updates, hosted unsharded and
+// as a shard. UpdateSets and UpdateSetsOfSets on an unsharded dataset used to
+// journal the empty mutation and retire every cached payload.
+func TestEmptyUpdateIsANoOp(t *testing.T) {
+	ctx := context.Background()
+	topo := mustTopo(t, 1, "e0:1", "e1:2")
+	const index = 0
+	// An element and a child set the other shard owns.
+	foreign := uint64(9_000_000)
+	for topo.Owner(foreign) == index {
+		foreign++
+	}
+	foreignSet := []uint64{9_100_000, 9_100_001}
+	for len(topo.OwnedSets(index, [][]uint64{foreignSet})) != 0 {
+		foreignSet[1]++
+	}
+	setA, setB := setPair()
+	bagA, bagB := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 40}, []uint64{1, 1, 2, 2, 5, 9, 9, 40, 41}
+	sosA, sosB := sosPair()
+	for _, tc := range []struct {
+		kind    Kind
+		host    func(s *Server, topo *shardmap.Topology) error
+		update  func(s *Server, elems []uint64, sets [][]uint64) error
+		session func(c *Client, topo *shardmap.Topology) error
+	}{
+		{KindSet,
+			func(s *Server, topo *shardmap.Topology) error {
+				if topo != nil {
+					return s.HostSetsShard("x", setA, topo, index)
+				}
+				return s.HostSets("x", setA)
+			},
+			func(s *Server, elems []uint64, _ [][]uint64) error { return s.UpdateSets("x", elems, elems) },
+			func(c *Client, topo *shardmap.Topology) error {
+				local := setB
+				if topo != nil {
+					local = topo.OwnedElems(index, setB)
+				}
+				_, _, err := c.Sets(ctx, "x", local, sosr.SetConfig{Seed: 5, KnownDiff: 24})
+				return err
+			}},
+		{KindMultiset,
+			func(s *Server, topo *shardmap.Topology) error {
+				if topo != nil {
+					return s.HostMultisetShard("x", bagA, topo, index)
+				}
+				return s.HostMultiset("x", bagA)
+			},
+			func(s *Server, elems []uint64, _ [][]uint64) error { return s.UpdateMultisets("x", elems, elems) },
+			func(c *Client, topo *shardmap.Topology) error {
+				local := bagB
+				if topo != nil {
+					local = topo.OwnedElems(index, bagB)
+				}
+				_, _, err := c.Multiset(ctx, "x", local, 24, 5)
+				return err
+			}},
+		{KindSetsOfSets,
+			func(s *Server, topo *shardmap.Topology) error {
+				if topo != nil {
+					return s.HostSetsOfSetsShard("x", sosA, topo, index)
+				}
+				return s.HostSetsOfSets("x", sosA)
+			},
+			func(s *Server, _ []uint64, sets [][]uint64) error { return s.UpdateSetsOfSets("x", sets, sets) },
+			func(c *Client, topo *shardmap.Topology) error {
+				local := sosB
+				if topo != nil {
+					local = topo.OwnedSets(index, setutil.CanonicalSets(sosB))
+				}
+				_, _, err := c.SetsOfSets(ctx, "x", local, sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24})
+				return err
+			}},
+	} {
+		for _, shard := range []*shardmap.Topology{nil, topo} {
+			name := fmt.Sprintf("%s sharded=%v", tc.kind, shard != nil)
+			st := &countingStore{Mem: store.NewMem()}
+			srv, addr, _ := startServer(t, func(s *Server) {
+				s.UseStore(st)
+				if err := tc.host(s, shard); err != nil {
+					t.Fatal(err)
+				}
+			})
+			c := Dial(addr)
+			if shard != nil {
+				c = shardClient(addr, shard, index)
+			}
+			if err := tc.session(c, shard); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			warm := srv.CacheStats()
+			if err := tc.update(srv, nil, nil); err != nil {
+				t.Fatalf("%s: empty update: %v", name, err)
+			}
+			if err := tc.update(srv, []uint64{}, [][]uint64{}); err != nil {
+				t.Fatalf("%s: empty update: %v", name, err)
+			}
+			if shard != nil {
+				if err := tc.update(srv, []uint64{foreign}, [][]uint64{foreignSet}); err != nil {
+					t.Fatalf("%s: update owning nothing here: %v", name, err)
+				}
+			}
+			if v, err := srv.DatasetVersion("x"); err != nil || v != 0 {
+				t.Errorf("%s: version %d (%v) after empty updates, want 0", name, v, err)
+			}
+			if n := st.appends.Load(); n != 0 {
+				t.Errorf("%s: %d journal appends for empty updates", name, n)
+			}
+			if got := srv.CacheStats(); got != warm {
+				t.Errorf("%s: cache stats moved: %+v -> %+v", name, warm, got)
+			}
+			if err := tc.session(c, shard); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := srv.CacheStats(); got.Hits != warm.Hits+1 || got.Misses != warm.Misses {
+				t.Errorf("%s: the session after the empty updates was not a cache hit: %+v -> %+v", name, warm, got)
+			}
+			c.Close()
+		}
 	}
 }

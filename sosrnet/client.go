@@ -190,17 +190,80 @@ func (c *Client) dialConn(ctx context.Context) (*clientConn, error) {
 	cc := &clientConn{conn: conn, ep: wire.NewEndpoint(conn, transport.Bob)}
 	cc.sever = func() { _ = conn.Close() }
 	cc.ep.SetMaxPayload(c.MaxFrame)
-	cc.ep.StartReadAhead()
 	return cc, nil
 }
 
-// open starts a session: it takes a parked connection or dials one, arms the
-// session's deadline and cancellation, and runs the handshake. On success the
-// caller owns the connection and must hand it to finish on every exit path;
-// on error nothing is left open.
-func (c *Client) open(ctx context.Context, h *helloMsg, sp *obs.Span) (*clientConn, *acceptMsg, error) {
+// clientSession is one session's state on the client: what the generic
+// wrapper (session) and Bob's attempt loop (runFlow) share with the kind's
+// own code. The hello and the accept live in it, so a session allocates one
+// record for both.
+type clientSession struct {
+	c     *Client
+	ctx   context.Context
+	sp    *obs.Span // session span; nil when untraced
+	coins hashing.Coins
+	h     helloMsg
+	acc   acceptMsg
+	cc    *clientConn // nil until open succeeds
+	ep    *wire.Endpoint
+	ns    *NetStats // set by done
+}
+
+// session runs one client session of any kind. It opens the session span — a
+// child of the caller's context span when one is present (the sosrshard
+// fan-out propagates one per shard attempt), otherwise a sampled root from
+// c.Trace; nil, and free, when tracing is off — lets body fill the hello, open
+// the connection (cs.open) and run Bob's side, then closes the books: the
+// connection parked or closed by how the session ended, a severed connection
+// re-labelled as the cancellation it was, the span finished with the
+// accounting the caller gets (read from the same NetStats value, so a trace
+// root's wire bytes equal the reported Stats by construction). body's last
+// step on success is cs.done.
+func session[R any](ctx context.Context, c *Client, name string, kind Kind, seed uint64, body func(cs *clientSession) (R, error)) (R, *NetStats, error) {
+	sp := obs.SpanFromContext(ctx).Child("client/session")
+	if sp == nil {
+		sp = c.Trace.StartRoot("client/session")
+	}
+	sp.SetStr("dataset", name)
+	sp.SetStr("kind", string(kind))
+	sp.SetStr("server", c.Addr)
+	cs := &clientSession{c: c, ctx: ctx, sp: sp, coins: hashing.NewCoins(seed)}
+	cs.h = helloMsg{Dataset: name, Kind: kind, Seed: seed}
+	res, err := body(cs)
+	if cs.cc != nil {
+		c.finish(ctx, cs.cc, err)
+	}
+	err = ctxErr(ctx, err)
+	if ns := cs.ns; ns != nil {
+		sp.SetInt("proto_bytes", int64(ns.Protocol.TotalBytes))
+		sp.SetInt("wire_in", ns.WireIn)
+		sp.SetInt("wire_out", ns.WireOut)
+		sp.SetInt("overhead", ns.Overhead)
+		sp.SetInt("attempts", int64(ns.Attempts))
+		sp.SetInt("rounds", int64(ns.Protocol.Rounds))
+	}
+	sp.Fail(err)
+	sp.Finish()
+	return res, cs.ns, err
+}
+
+// done closes a successful session: the client's report goes to the server and
+// the session's accounting is fixed. It returns the protocol stats for the
+// result.
+func (cs *clientSession) done(attempts int) sosr.Stats {
+	sendDone(cs.ep, true, nil, attempts)
+	cs.ns = netStats(cs.ep, attempts)
+	return cs.ns.Protocol
+}
+
+// open starts the session on the wire: it takes a parked connection or dials
+// one, arms the session's deadline and cancellation, and runs the handshake
+// with cs.h, leaving the server's answer in cs.acc. On success the session
+// owns the connection until finish; on error nothing is left open.
+func (cs *clientSession) open() error {
+	c, ctx := cs.c, cs.ctx
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	cc := c.takeIdle()
 	reused := cc != nil
@@ -208,7 +271,7 @@ func (c *Client) open(ctx context.Context, h *helloMsg, sp *obs.Span) (*clientCo
 		if cc == nil {
 			var err error
 			if cc, err = c.dialConn(ctx); err != nil {
-				return nil, nil, err
+				return err
 			}
 		}
 		if c.Timeout > 0 {
@@ -219,12 +282,13 @@ func (c *Client) open(ctx context.Context, h *helloMsg, sp *obs.Span) (*clientCo
 		if ctx.Done() != nil {
 			cc.stop = context.AfterFunc(ctx, cc.sever)
 		}
-		acc, err := c.hello(cc.ep, h, sp)
+		err := cs.hello(cc.ep)
 		if err == nil {
 			if reused {
 				c.countConn(connReuse)
 			}
-			return cc, acc, nil
+			cs.cc, cs.ep = cc, cc.ep
+			return nil
 		}
 		// The server may close a parked connection (idle timer, restart) just
 		// as this hello is written; the connection then fails before the
@@ -234,7 +298,7 @@ func (c *Client) open(ctx context.Context, h *helloMsg, sp *obs.Span) (*clientCo
 		stale := reused && cc.ep.Err() != nil && cc.ep.BytesRead() == 0 && ctx.Err() == nil
 		c.finish(ctx, cc, err)
 		if !stale {
-			return nil, nil, err
+			return err
 		}
 		c.countConn(connStaleRedial)
 		cc, reused = nil, false
@@ -280,24 +344,37 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-func (c *Client) hello(ep *wire.Endpoint, h *helloMsg, sp *obs.Span) (*acceptMsg, error) {
+// hello sends cs.h and reads the server's answer into cs.acc. The accept is
+// checked as the server checks a hello (checkAccept) before anything is sized
+// from it; one that fails is refused to the server's face.
+func (cs *clientSession) hello(ep *wire.Endpoint) error {
+	c, h := cs.c, &cs.h
 	h.V = protoVersion
 	h.ShardID, h.ShardCount, h.ShardEpoch, h.ShardSet = c.ShardID, c.ShardCount, c.ShardEpoch, c.ShardFingerprint
-	if sp != nil {
-		h.TraceID, h.SpanID = uint64(sp.TraceID()), uint64(sp.ID())
+	if cs.sp != nil {
+		h.TraceID, h.SpanID = uint64(cs.sp.TraceID()), uint64(cs.sp.ID())
 	}
 	if err := ep.SendFrame(lblHello, marshalCtl(h)); err != nil {
-		return nil, err
+		return err
 	}
+	// A fresh connection starts reading only now (a parked one never stopped).
+	// A server at its session cap refuses at accept and closes: a reader that
+	// met that close before the hello was out would close the connection under
+	// the write, and the refusal would be reported as a write error.
+	ep.StartReadAhead()
 	payload, err := recvOrServerError(ep, lblAccept)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var acc acceptMsg
-	if err := json.Unmarshal(payload, &acc); err != nil {
-		return nil, fmt.Errorf("sosrnet: malformed accept frame: %v", err)
+	cs.acc = acceptMsg{}
+	if err := json.Unmarshal(payload, &cs.acc); err != nil {
+		return fmt.Errorf("sosrnet: malformed accept frame: %v", err)
 	}
-	return &acc, nil
+	if err := checkAccept(h, &cs.acc); err != nil {
+		sendDone(ep, false, err, 0)
+		return err
+	}
+	return nil
 }
 
 // sendDone reports the client's view; the protocol stats mirror the
@@ -329,112 +406,84 @@ func netStats(ep *wire.Endpoint, attempts int) *NetStats {
 	}
 }
 
-// startSpan opens a session's client span: a child of the caller's context
-// span when one is present (the sosrshard fan-out propagates one per shard
-// attempt), otherwise a sampled root from c.Trace. Nil — and free — when
-// tracing is off.
-func (c *Client) startSpan(ctx context.Context, name string, kind Kind) *obs.Span {
-	sp := obs.SpanFromContext(ctx).Child("client/session")
-	if sp == nil {
-		sp = c.Trace.StartRoot("client/session")
-	}
-	sp.SetStr("dataset", name)
-	sp.SetStr("kind", string(kind))
-	sp.SetStr("server", c.Addr)
-	return sp
-}
-
-// finishSpan closes a session span with the accounting the session returns.
-// The byte attributes are read from the same NetStats value the caller hands
-// back, so a trace root's wire bytes equal the reported Stats exactly — by
-// construction, not by a parallel tally.
-func (c *Client) finishSpan(sp *obs.Span, ns *NetStats, err error) {
-	if sp == nil {
-		return
-	}
-	if ns != nil {
-		sp.SetInt("proto_bytes", int64(ns.Protocol.TotalBytes))
-		sp.SetInt("wire_in", ns.WireIn)
-		sp.SetInt("wire_out", ns.WireOut)
-		sp.SetInt("overhead", ns.Overhead)
-		sp.SetInt("attempts", int64(ns.Attempts))
-		sp.SetInt("rounds", int64(ns.Protocol.Rounds))
-	}
-	sp.Fail(err)
-	sp.Finish()
-}
-
 // Sets reconciles a local set against the hosted set `name`: the client ends
 // up with the server's set. cfg mirrors sosr.ReconcileSets. Cancelling ctx
 // severs the session.
 func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindSet)
-	res, ns, err := c.sets(ctx, name, local, cfg, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return res, ns, err
-}
-
-func (c *Client) sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig, sp *obs.Span) (_ *sosr.SetResult, _ *NetStats, err error) {
-	if cfg.UseCharPoly && cfg.KnownDiff <= 0 {
-		return nil, nil, errors.New("sosrnet: UseCharPoly requires KnownDiff > 0")
-	}
-	bob := setutil.Canonical(local)
-	cc, _, err := c.open(ctx, &helloMsg{
-		Dataset: name, Kind: KindSet, Seed: cfg.Seed,
-		D: cfg.KnownDiff, CharPoly: cfg.UseCharPoly,
-	}, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { c.finish(ctx, cc, err) }()
-	res, err := applySet(cc.ep, hashing.NewCoins(cfg.Seed), bob, cfg.KnownDiff, cfg.UseCharPoly, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	sendDone(cc.ep, true, nil, 1)
-	ns := netStats(cc.ep, 1)
-	return &sosr.SetResult{
-		Recovered: res.Recovered,
-		OnlyA:     res.OnlyA,
-		OnlyB:     res.OnlyB,
-		Stats:     ns.Protocol,
-	}, ns, nil
-}
-
-// applySet is Bob's side of a set or packed-multiset session after the
-// handshake: the estimator probe when d is unknown (the server's unknown-d
-// flow waits for it), then Alice's one payload, applied under a decode span.
-// A failed apply has told the server so; a success leaves the closing frame
-// to the caller.
-func applySet(ep *wire.Endpoint, coins hashing.Coins, bob []uint64, d int, charPoly bool, sp *obs.Span) (*setrecon.Result, error) {
-	label := "iblt"
-	if charPoly {
-		label = "charpoly"
-	} else if d <= 0 {
-		esp := sp.Child("estimate")
-		probe := setrecon.BuildDiffEstimator(coins, bob)
-		esp.Finish()
-		if err := ep.SendFrame("estimator", probe); err != nil {
+	return session(ctx, c, name, KindSet, cfg.Seed, func(cs *clientSession) (*sosr.SetResult, error) {
+		if cfg.UseCharPoly && cfg.KnownDiff <= 0 {
+			return nil, errors.New("sosrnet: UseCharPoly requires KnownDiff > 0")
+		}
+		ap := &setApply{cs: cs, bob: setutil.Canonical(local)}
+		cs.h.D, cs.h.CharPoly = cfg.KnownDiff, cfg.UseCharPoly
+		if err := ap.run(); err != nil {
 			return nil, err
 		}
+		res := ap.res
+		return &sosr.SetResult{Recovered: res.Recovered, OnlyA: res.OnlyA, OnlyB: res.OnlyB, Stats: cs.done(1)}, nil
+	})
+}
+
+// Multiset reconciles a local multiset against the hosted multiset `name`
+// via the §3.4 packing; diffBound bounds the packed-set difference (pass 2×
+// the multiset edit distance), mirroring sosr.ReconcileMultisets. diffBound
+// ≤ 0 runs the estimator variant over the packed sets (a wire-only
+// extension; the in-process API requires a known bound).
+func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, *NetStats, error) {
+	return session(ctx, c, name, KindMultiset, seed, func(cs *clientSession) ([]uint64, error) {
+		packed, err := setrecon.MultisetToSet(local)
+		if err != nil {
+			return nil, err
+		}
+		ap := &setApply{cs: cs, bob: packed}
+		cs.h.D = diffBound
+		if err := ap.run(); err != nil {
+			return nil, err
+		}
+		// The recovered words are the server's: one outside the §3.4 packing
+		// fails the session (setrecon.ErrMultisetRange) instead of being expanded.
+		rec, err := setrecon.SetToMultiset(ap.res.Recovered)
+		if err != nil {
+			sendDone(cs.ep, false, err, 1)
+			return nil, err
+		}
+		cs.done(1)
+		return rec, nil
+	})
+}
+
+// setApply is Bob's side of a set or packed-multiset session: the estimator
+// probe when d is unknown (the server's unknown-d flow waits for it), then
+// Alice's one payload.
+type setApply struct {
+	cs  *clientSession
+	bob []uint64 // canonical local set, or the canonical packing of the local multiset
+	res *setrecon.Result
+}
+
+// run opens the session and runs the row the hello selects.
+func (a *setApply) run() error {
+	cs := a.cs
+	if err := cs.open(); err != nil {
+		return err
 	}
-	msg, err := recvOrServerError(ep, label)
-	if err != nil {
-		return nil, err
-	}
-	dsp := sp.Child("decode")
-	var res *setrecon.Result
-	if charPoly {
-		res, err = setrecon.ApplyCharPolyMsg(coins, msg, bob, d)
+	_, err := cs.runFlow(cs.h.setFlow(), a)
+	return err
+}
+
+func (a *setApply) probe(coins hashing.Coins) []byte {
+	return setrecon.BuildDiffEstimator(coins, a.bob)
+}
+
+func (a *setApply) apply(_ int, coins hashing.Coins, frames [2][]byte) (err error) {
+	dsp := a.cs.sp.Child("decode")
+	if a.cs.h.CharPoly {
+		a.res, err = setrecon.ApplyCharPolyMsg(coins, frames[0], a.bob, a.cs.h.D)
 	} else {
-		res, err = setrecon.ApplyIBLTMsg(coins, msg, bob)
+		a.res, err = setrecon.ApplyIBLTMsg(coins, frames[0], a.bob)
 	}
 	endDecode(dsp, err)
-	if err != nil {
-		sendDone(ep, false, err, 1)
-	}
-	return res, err
+	return err
 }
 
 // endDecode closes a decode span. An attempt that fails to decode is an
@@ -445,296 +494,126 @@ func endDecode(dsp *obs.Span, err error) {
 	dsp.Finish()
 }
 
-// Multiset reconciles a local multiset against the hosted multiset `name`
-// via the §3.4 packing; diffBound bounds the packed-set difference (pass 2×
-// the multiset edit distance), mirroring sosr.ReconcileMultisets. diffBound
-// ≤ 0 runs the estimator variant over the packed sets (a wire-only
-// extension; the in-process API requires a known bound).
-func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindMultiset)
-	rec, ns, err := c.multiset(ctx, name, local, diffBound, seed, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return rec, ns, err
-}
+// noProbe is embedded by the kinds whose flows never open with a probe.
+type noProbe struct{}
 
-func (c *Client) multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64, sp *obs.Span) (_ []uint64, _ *NetStats, err error) {
-	packed, err := setrecon.MultisetToSet(local)
-	if err != nil {
-		return nil, nil, err
-	}
-	cc, _, err := c.open(ctx, &helloMsg{Dataset: name, Kind: KindMultiset, Seed: seed, D: diffBound}, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { c.finish(ctx, cc, err) }()
-	res, err := applySet(cc.ep, hashing.NewCoins(seed), packed, diffBound, false, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The recovered words are the server's: one outside the §3.4 packing
-	// fails the session (setrecon.ErrMultisetRange) instead of being expanded.
-	rec, err := setrecon.SetToMultiset(res.Recovered)
-	if err != nil {
-		sendDone(cc.ep, false, err, 1)
-		return nil, nil, err
-	}
-	sendDone(cc.ep, true, nil, 1)
-	return rec, netStats(cc.ep, 1), nil
-}
+func (noProbe) probe(hashing.Coins) []byte { return nil }
 
 // SetsOfSets reconciles a local parent set against the hosted sets-of-sets
 // `name`, mirroring sosr.ReconcileSetsOfSets (all four protocol families,
 // known- and unknown-d variants). Cancelling ctx severs the session.
 func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindSetsOfSets)
-	res, ns, err := c.setsOfSets(ctx, name, local, cfg, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return res, ns, err
+	return session(ctx, c, name, KindSetsOfSets, cfg.Seed, func(cs *clientSession) (*sosr.Result, error) {
+		bob := setutil.CanonicalSets(local)
+		bobH := maxChildLen(bob)
+		h, acc := &cs.h, &cs.acc
+		h.D, h.Protocol, h.DHat, h.Replicas = cfg.KnownDiff, cfg.Protocol.String(), cfg.KnownChildDiff, cfg.Replicas
+		h.S, h.H, h.U, h.CS, h.CH, h.Validate = cfg.MaxChildSets, cfg.MaxChildSize, cfg.Universe, len(bob), bobH, cfg.Validate
+		if err := cs.open(); err != nil {
+			return nil, err
+		}
+		ap := &sosApply{cs: cs, name: name, bob: bob, fam: sosFamilyOf(acc.Protocol)}
+		err := ap.check(bobH, cfg.Validate)
+		if err != nil {
+			return nil, err
+		}
+		var attempts int
+		if ap.fl = ap.fam.flow(acc.D); ap.fl == nil {
+			attempts, err = ap.multiRound()
+		} else {
+			attempts, err = cs.runFlow(ap.fl, ap)
+		}
+		if err != nil {
+			return nil, err
+		}
+		res := ap.res
+		return &sosr.Result{
+			Recovered: res.Recovered, Added: res.Added, Removed: res.Removed,
+			Stats: cs.done(attempts), Attempts: attempts, Protocol: ap.fam.proto,
+		}, nil
+	})
 }
 
-func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config, sp *obs.Span) (_ *sosr.Result, _ *NetStats, err error) {
-	bob := setutil.CanonicalSets(local)
-	bobH := maxChildLen(bob)
-	cc, acc, err := c.open(ctx, &helloMsg{
-		Dataset: name, Kind: KindSetsOfSets, Seed: cfg.Seed,
-		D: cfg.KnownDiff, Protocol: cfg.Protocol.String(), DHat: cfg.KnownChildDiff,
-		Replicas: cfg.Replicas, S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe,
-		CS: len(bob), CH: bobH, Validate: cfg.Validate,
-	}, sp)
-	if err != nil {
-		return nil, nil, err
+// check resolves the accepted plan against Bob's own data before anything is
+// encoded under it: the protocol must be one of the families, and the accepted
+// shape — it sizes Bob's encoders too — must cover his data whether the bound
+// came from his own config or from the peer. A refusal is reported to the
+// server.
+func (a *sosApply) check(bobH int, validate bool) (err error) {
+	acc, ep := &a.cs.acc, a.cs.ep
+	if a.fam == nil {
+		return fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
 	}
-	defer func() { c.finish(ctx, cc, err) }()
-	ep := cc.ep
-	p, err := core.Params{S: acc.S, H: acc.H, U: acc.U}.Normalized()
-	if err != nil {
-		return nil, nil, err
+	if a.p, err = (core.Params{S: acc.S, H: acc.H, U: acc.U}).Normalized(); err != nil {
+		return err
 	}
-	// The accepted shape sizes Bob's encoders too: it must cover his data
-	// whether the bound came from his own config or from the peer.
-	if len(bob) > p.S || bobH > p.H {
-		err := fmt.Errorf("%w: local replica (%d child sets, largest %d) exceeds the accepted shape s=%d h=%d",
-			core.ErrInvalidInstance, len(bob), bobH, p.S, p.H)
+	if len(a.bob) > a.p.S || bobH > a.p.H {
+		err = fmt.Errorf("%w: local replica (%d child sets, largest %d) exceeds the accepted shape s=%d h=%d",
+			core.ErrInvalidInstance, len(a.bob), bobH, a.p.S, a.p.H)
+	} else if validate {
+		err = core.Validate(a.bob, a.p)
+	}
+	if err != nil {
 		sendDone(ep, false, err, 0)
-		return nil, nil, err
 	}
-	if cfg.Validate {
-		if err := core.Validate(bob, p); err != nil {
-			sendDone(ep, false, err, 0)
-			return nil, nil, err
-		}
-	}
-	coins := hashing.NewCoins(cfg.Seed)
-	ap := &sosApply{c: c, name: name, bob: bob, p: p, sp: sp}
-	var res *core.Result
-	var attempts int
-	switch acc.Protocol {
-	case "naive":
-		if acc.D > 0 {
-			res, attempts, err = ap.replicatedOneShot(ep, coins, acc, core.DigestNaive, "naive-iblt")
-		} else {
-			if err = ap.sendChildDiffProbe(ep, coins); err != nil {
-				return nil, nil, err
-			}
-			res, attempts, err = ap.oneShot(ep, coins, 1, 0, core.DigestNaive, "naive-iblt")
-		}
-	case "nested":
-		if acc.D > 0 {
-			res, attempts, err = ap.replicatedOneShot(ep, coins, acc, core.DigestNested, "nested-iblt")
-		} else {
-			res, attempts, err = ap.doubling(ep, coins, core.DigestNested, "nested-iblt")
-		}
-	case "cascade":
-		if acc.D > 0 {
-			res, attempts, err = ap.replicatedOneShot(ep, coins, acc, core.DigestCascade, "cascade-iblts")
-		} else {
-			res, attempts, err = ap.doubling(ep, coins, core.DigestCascade, "cascade-iblts")
-		}
-	case "multiround":
-		res, attempts, err = ap.multiRound(ep, coins, acc)
-	default:
-		err = fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	ns := netStats(ep, attempts)
-	return &sosr.Result{
-		Recovered: res.Recovered,
-		Added:     res.Added,
-		Removed:   res.Removed,
-		Stats:     ns.Protocol,
-		Attempts:  attempts,
-		Protocol:  parseProtocol(acc.Protocol),
-	}, ns, nil
+	return err
 }
 
-func parseProtocol(s string) sosr.Protocol {
-	switch s {
-	case "naive":
-		return sosr.ProtocolNaive
-	case "nested":
-		return sosr.ProtocolNested
-	case "cascade":
-		return sosr.ProtocolCascade
-	case "multiround":
-		return sosr.ProtocolMultiRound
-	}
-	return sosr.ProtocolAuto
-}
-
-// sendChildDiffProbe builds Bob's unknown-d̂ probe under an estimate span and
-// sends it.
-func (a *sosApply) sendChildDiffProbe(ep *wire.Endpoint, coins hashing.Coins) error {
-	esp := a.sp.Child("estimate")
-	probe := core.BuildChildDiffProbe(coins, a.bob, a.p)
-	esp.Finish()
-	return ep.SendFrame("childdiff-estimator", probe)
-}
-
-// oneShot consumes a single one-round payload. It stays on the uncached
-// apply path: the naive unknown-d flow reaches here, where the server derives
-// dHat from the probe — the client cannot key a sketch on a bound it never
-// learns. Peel metrics are still observed.
-func (a *sosApply) oneShot(ep *wire.Endpoint, coins hashing.Coins, d, dHat int, kind core.DigestKind, label string) (*core.Result, int, error) {
-	body, err := recvOrServerError(ep, label)
-	if err != nil {
-		return nil, 0, err
-	}
-	dsp := a.sp.Child("decode")
-	dsp.SetInt("d", int64(d))
-	res, err := core.ApplyMsg(kind, coins, body, a.bob, a.p, d, dHat)
-	endDecode(dsp, err)
-	if err != nil {
-		sendDone(ep, false, err, 1)
-		return nil, 0, err
-	}
-	a.c.observePeels(res.PeelIterations)
-	sendDone(ep, true, nil, 1)
-	return res, 1, nil
-}
-
-// replicatedOneShot mirrors core.Replicated: up to Replicas attempts with
-// fresh per-attempt coins, requesting each retry with a control frame. Each
-// attempt subtracts the cached Bob sketch for its derived coins.
-func (a *sosApply) replicatedOneShot(ep *wire.Endpoint, coins hashing.Coins, acc *acceptMsg, kind core.DigestKind, label string) (*core.Result, int, error) {
-	var lastErr error
-	for r := 0; r < acc.Replicas; r++ {
-		body, err := recvOrServerError(ep, label)
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := a.apply(coins.Sub("replica", r), body, kind, acc.D, acc.DHat)
-		if err == nil {
-			sendDone(ep, true, nil, r+1)
-			return res, r + 1, nil
-		}
-		lastErr = err
-		if r+1 < acc.Replicas {
-			if err := ep.SendFrame(lblRetry, nil); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	err := fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
-	sendDone(ep, false, err, acc.Replicas)
-	return nil, 0, err
-}
-
-// doubling mirrors core's doublingLoop: attempt k applies the d = 2^k
-// payload, answering with the protocol "ack"/"retry" frames the in-process
-// run records. Each attempt's (coins, d, dHat) triple keys its own cached
-// sketch.
-func (a *sosApply) doubling(ep *wire.Endpoint, coins hashing.Coins, kind core.DigestKind, label string) (*core.Result, int, error) {
-	var lastErr error
-	for k := 0; k < maxDoublingAttempts; k++ {
-		d := 1 << k
-		body, err := recvOrServerError(ep, label)
-		if err != nil {
-			if lastErr != nil {
-				return nil, 0, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
-			}
-			return nil, 0, err
-		}
-		res, err := a.apply(coins.Sub("doubling-attempt", k), body, kind, d, core.DHat(d, a.p.S))
-		if err == nil {
-			if err := ep.SendFrame("ack", []byte{1}); err != nil {
-				return nil, 0, err
-			}
-			sendDone(ep, true, nil, k+1)
-			return res, k + 1, nil
-		}
-		lastErr = err
-		if err := ep.SendFrame("retry", []byte{0}); err != nil {
-			return nil, 0, err
-		}
-	}
-	return nil, 0, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+func (a *sosApply) probe(coins hashing.Coins) []byte {
+	return core.BuildChildDiffProbe(coins, a.bob, a.p)
 }
 
 // multiRound mirrors the Theorem 3.9/3.10 client side, with the §3.2
 // replication loop when d is known. Multi-round payloads depend on
 // interactive per-session state, so this path is uncached; peel metrics are
 // still observed.
-func (a *sosApply) multiRound(ep *wire.Endpoint, coins hashing.Coins, acc *acceptMsg) (*core.Result, int, error) {
-	bob, p := a.bob, a.p
+func (a *sosApply) multiRound() (int, error) {
+	cs, bob, p := a.cs, a.bob, a.p
+	ep, acc := cs.ep, &cs.acc
 	attempts := acc.Replicas
 	if acc.D <= 0 {
 		attempts = 1
-		if err := a.sendChildDiffProbe(ep, coins); err != nil {
-			return nil, 0, err
+		if err := cs.sendProbe("childdiff-estimator", a); err != nil {
+			return 0, err
 		}
 	}
-	var lastErr error
 	for r := 0; r < attempts; r++ {
-		c := coins
+		c := cs.coins
 		if acc.D > 0 {
-			c = coins.Sub("replica", r)
-		}
-		retryOrFail := func(cause error) error {
-			lastErr = cause
-			if r+1 < attempts {
-				return ep.SendFrame(lblRetry, nil)
-			}
-			err := fmt.Errorf("%w: %v", ErrGaveUp, cause)
-			sendDone(ep, false, err, attempts)
-			return nil
+			c = c.Sub("replica", r)
 		}
 		msg1, err := recvOrServerError(ep, "hash-iblt")
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		round2, st, err := core.MRBob2(c, bob, p, msg1)
 		if err != nil {
-			if ferr := retryOrFail(err); ferr != nil {
-				return nil, 0, ferr
+			if err := cs.retry(replicated, r, attempts, err); err != nil {
+				return 0, err
 			}
 			continue
 		}
 		if err := ep.SendFrame("hash-iblt+estimators", round2); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		msg3, err := recvOrServerError(ep, "pair-payloads")
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		dsp := a.sp.Child("decode")
+		dsp := cs.sp.Child("decode")
 		dsp.SetInt("round", int64(r+1))
-		res, err := core.MRBobFinish(c, bob, st, msg3)
+		a.res, err = core.MRBobFinish(c, bob, st, msg3)
 		endDecode(dsp, err)
 		if err != nil {
-			if ferr := retryOrFail(err); ferr != nil {
-				return nil, 0, ferr
+			if err := cs.retry(replicated, r, attempts, err); err != nil {
+				return 0, err
 			}
 			continue
 		}
-		a.c.observePeels(res.PeelIterations)
-		sendDone(ep, true, nil, r+1)
-		return res, r + 1, nil
+		cs.c.observePeels(a.res.PeelIterations)
+		return r + 1, nil
 	}
-	return nil, 0, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+	return 0, ErrGaveUp
 }
 
 // Graph reconciles a local graph against the hosted graph `name`: the client
@@ -742,73 +621,62 @@ func (a *sosApply) multiRound(ep *wire.Endpoint, coins hashing.Coins, acc *accep
 // sosr.ReconcileGraphs (degree-ordering and degree-neighborhood schemes).
 // Cancelling ctx severs the session.
 func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig) (*sosr.GraphResult, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindGraph)
-	res, ns, err := c.graph(ctx, name, local, cfg, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return res, ns, err
+	return session(ctx, c, name, KindGraph, cfg.Seed, func(cs *clientSession) (*sosr.GraphResult, error) {
+		gb, err := buildGraph(local.N, local.Edges)
+		if err != nil {
+			return nil, err
+		}
+		ap := &graphApply{cs: cs, gb: gb}
+		h := &cs.h
+		h.D, h.N = max(cfg.MaxEdits, 1), gb.N
+		switch cfg.Scheme {
+		case sosr.SchemeDegreeOrdering:
+			if cfg.TopDegrees < 1 {
+				return nil, errors.New("sosrnet: SchemeDegreeOrdering requires TopDegrees (h)")
+			}
+			h.Scheme, h.TopH = "degree", cfg.TopDegrees
+		case sosr.SchemeDegreeNeighborhood:
+			if cfg.DegreeThreshold < 1 {
+				return nil, errors.New("sosrnet: SchemeDegreeNeighborhood requires DegreeThreshold (m)")
+			}
+			h.Scheme, h.M = "neighborhood", cfg.DegreeThreshold
+			if ap.side, err = graphrecon.NeighborhoodEncode(gb, h.M); err != nil {
+				return nil, err
+			}
+			h.MaxSig = ap.side.MaxSig
+		default:
+			return nil, fmt.Errorf("%w: graph scheme %d has no wire protocol (use the in-process API)", ErrUnsupported, cfg.Scheme)
+		}
+		if err := cs.open(); err != nil {
+			return nil, err
+		}
+		if _, err := cs.runFlow(&flowGraph, ap); err != nil {
+			return nil, err
+		}
+		return &sosr.GraphResult{Recovered: sosr.Graph{N: ap.g.N, Edges: ap.g.Edges()}, Stats: cs.done(1)}, nil
+	})
 }
 
-func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig, sp *obs.Span) (_ *sosr.GraphResult, _ *NetStats, err error) {
-	gb := toGraph(local)
-	d := cfg.MaxEdits
-	if d < 1 {
-		d = 1
-	}
-	h := &helloMsg{Dataset: name, Kind: KindGraph, Seed: cfg.Seed, D: d, N: gb.N}
-	switch cfg.Scheme {
-	case sosr.SchemeDegreeOrdering:
-		if cfg.TopDegrees < 1 {
-			return nil, nil, errors.New("sosrnet: SchemeDegreeOrdering requires TopDegrees (h)")
-		}
-		h.Scheme = "degree"
-		h.TopH = cfg.TopDegrees
-	case sosr.SchemeDegreeNeighborhood:
-		if cfg.DegreeThreshold < 1 {
-			return nil, nil, errors.New("sosrnet: SchemeDegreeNeighborhood requires DegreeThreshold (m)")
-		}
-		h.Scheme = "neighborhood"
-		h.M = cfg.DegreeThreshold
-	default:
-		return nil, nil, fmt.Errorf("%w: graph scheme %d has no wire protocol (use the in-process API)", ErrUnsupported, cfg.Scheme)
-	}
-	var side *graphrecon.NbrSide
-	if h.Scheme == "neighborhood" {
-		if side, err = graphrecon.NeighborhoodEncode(gb, cfg.DegreeThreshold); err != nil {
-			return nil, nil, err
-		}
-		h.MaxSig = side.MaxSig
-	}
-	cc, acc, err := c.open(ctx, h, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { c.finish(ctx, cc, err) }()
-	ep := cc.ep
-	coins := hashing.NewCoins(cfg.Seed)
-	sig, err := recvOrServerError(ep, "cascade-iblts")
-	if err != nil {
-		return nil, nil, err
-	}
-	edges, err := recvOrServerError(ep, "edge-iblt")
-	if err != nil {
-		return nil, nil, err
-	}
-	dsp := sp.Child("decode")
-	var g *graph.Graph
-	if h.Scheme == "degree" {
-		g, err = graphrecon.DegreeOrderApply(coins, gb, graphrecon.DegreeOrderParams{H: h.TopH, D: d}, sig, edges)
+// graphApply is Bob's side of a graph session; side is set by the
+// neighbourhood scheme alone.
+type graphApply struct {
+	noProbe
+	cs   *clientSession
+	gb   *graph.Graph
+	side *graphrecon.NbrSide
+	g    *graph.Graph
+}
+
+func (a *graphApply) apply(_ int, coins hashing.Coins, frames [2][]byte) (err error) {
+	h := &a.cs.h
+	dsp := a.cs.sp.Child("decode")
+	if a.side == nil {
+		a.g, err = graphrecon.DegreeOrderApply(coins, a.gb, graphrecon.DegreeOrderParams{H: h.TopH, D: h.D}, frames[0], frames[1])
 	} else {
-		g, err = graphrecon.NeighborhoodApply(coins, gb, graphrecon.NeighborhoodParams{M: h.M, D: d}, side, acc.MaxSig, sig, edges)
+		a.g, err = graphrecon.NeighborhoodApply(coins, a.gb, graphrecon.NeighborhoodParams{M: h.M, D: h.D}, a.side, a.cs.acc.MaxSig, frames[0], frames[1])
 	}
 	endDecode(dsp, err)
-	if err != nil {
-		sendDone(ep, false, err, 1)
-		return nil, nil, err
-	}
-	sendDone(ep, true, nil, 1)
-	ns := netStats(ep, 1)
-	return &sosr.GraphResult{Recovered: fromGraph(g), Stats: ns.Protocol}, ns, nil
+	return err
 }
 
 // Forest reconciles a local rooted forest against the hosted forest `name`:
@@ -816,85 +684,41 @@ func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg s
 // sosr.ReconcileForests (known-budget and auto-doubling variants).
 // Cancelling ctx severs the session.
 func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig) (*sosr.ForestResult, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindForest)
-	res, ns, err := c.forest(ctx, name, local, cfg, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return res, ns, err
+	return session(ctx, c, name, KindForest, cfg.Seed, func(cs *clientSession) (*sosr.ForestResult, error) {
+		fb := &forest.Forest{Parent: append([]int32(nil), local.Parent...)}
+		if err := fb.Validate(); err != nil {
+			return nil, err
+		}
+		ap := &forestApply{cs: cs, fb: fb, info: forest.Measure(fb)}
+		h := &cs.h
+		h.D, h.Sigma = cfg.MaxEdits, cfg.Depth
+		h.N, h.Depth, h.MaxChild = ap.info.N, ap.info.Depth, ap.info.MaxChild
+		if err := cs.open(); err != nil {
+			return nil, err
+		}
+		attempts, err := cs.runFlow(h.forestFlow(), ap)
+		if err != nil {
+			return nil, err
+		}
+		return &sosr.ForestResult{Recovered: sosr.Forest{Parent: ap.rec.Parent}, Stats: cs.done(attempts)}, nil
+	})
 }
 
-func (c *Client) forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig, sp *obs.Span) (_ *sosr.ForestResult, _ *NetStats, err error) {
-	fb := toForest(local)
-	if err := fb.Validate(); err != nil {
-		return nil, nil, err
-	}
-	info := forest.Measure(fb)
-	cc, acc, err := c.open(ctx, &helloMsg{
-		Dataset: name, Kind: KindForest, Seed: cfg.Seed,
-		D: cfg.MaxEdits, Sigma: cfg.Depth,
-		N: info.N, Depth: info.Depth, MaxChild: info.MaxChild,
-	}, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { c.finish(ctx, cc, err) }()
-	ep := cc.ep
-	infoA := forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}
-	coins := hashing.NewCoins(cfg.Seed)
-	// recvAttempt separates connection failures (commErr, which end the
-	// session) from reconciliation failures (applyErr, which drive the
-	// doubling retry loop).
-	recvAttempt := func(att hashing.Coins, rp forest.ReconParams, params core.Params) (rec *forest.Forest, applyErr, commErr error) {
-		sig, err := recvOrServerError(ep, "cascade-iblts")
-		if err != nil {
-			return nil, nil, err
-		}
-		meta, err := recvOrServerError(ep, "forest-meta")
-		if err != nil {
-			return nil, nil, err
-		}
-		dsp := sp.Child("decode")
-		rec, applyErr = forest.Apply(att, fb, rp, params, sig, meta)
-		endDecode(dsp, applyErr)
-		return rec, applyErr, nil
-	}
-	if cfg.MaxEdits > 0 {
-		rp, params := forest.Plan(infoA, info, forest.ReconParams{Sigma: cfg.Depth, D: cfg.MaxEdits})
-		rec, applyErr, commErr := recvAttempt(coins, rp, params)
-		if commErr != nil {
-			return nil, nil, commErr
-		}
-		if applyErr != nil {
-			sendDone(ep, false, applyErr, 1)
-			return nil, nil, applyErr
-		}
-		sendDone(ep, true, nil, 1)
-		ns := netStats(ep, 1)
-		return &sosr.ForestResult{Recovered: sosr.Forest{Parent: rec.Parent}, Stats: ns.Protocol}, ns, nil
-	}
-	var lastErr error
-	for budget, k := 16, 0; budget <= acc.MaxBudget; budget, k = budget*2, k+1 {
-		att := coins.Sub("forest-attempt", k)
-		rp, params := forest.Plan(infoA, info, forest.ReconParams{Sigma: 1, D: 1, Budget: budget})
-		rec, applyErr, commErr := recvAttempt(att, rp, params)
-		if commErr != nil {
-			if lastErr != nil {
-				return nil, nil, fmt.Errorf("%w (last attempt: %v)", commErr, lastErr)
-			}
-			return nil, nil, commErr
-		}
-		if applyErr == nil {
-			if err := ep.SendFrame("ack", []byte{1}); err != nil {
-				return nil, nil, err
-			}
-			sendDone(ep, true, nil, k+1)
-			ns := netStats(ep, k+1)
-			return &sosr.ForestResult{Recovered: sosr.Forest{Parent: rec.Parent}, Stats: ns.Protocol}, ns, nil
-		}
-		lastErr = applyErr
-		if err := ep.SendFrame("retry", []byte{0}); err != nil {
-			return nil, nil, err
-		}
-	}
-	return nil, nil, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+// forestApply is Bob's side of a forest session: attempt k plans, from both
+// parties' side info, exactly as the server's forestPlan.build does.
+type forestApply struct {
+	noProbe
+	cs   *clientSession
+	fb   *forest.Forest
+	info forest.SideInfo
+	rec  *forest.Forest
+}
+
+func (a *forestApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err error) {
+	acc := &a.cs.acc
+	rp, params := forest.Plan(forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}, a.info, a.cs.h.forestAsk(k))
+	dsp := a.cs.sp.Child("decode")
+	a.rec, err = forest.Apply(coins, a.fb, rp, params, frames[0], frames[1])
+	endDecode(dsp, err)
+	return err
 }

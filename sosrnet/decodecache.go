@@ -4,7 +4,6 @@ import (
 	"sosr/internal/core"
 	"sosr/internal/enccache"
 	"sosr/internal/hashing"
-	"sosr/internal/obs"
 )
 
 // Client-side decode caching: the Bob twin of the server's Alice encoding
@@ -36,49 +35,68 @@ const (
 )
 
 // sosApply carries one sets-of-sets session's Bob state: the canonical local
-// parent and the resolved instance shape.
+// parent, the family and row the accept resolved to, the instance shape, and
+// the result of the attempt that succeeded.
 type sosApply struct {
-	c    *Client
+	cs   *clientSession
 	name string
 	bob  [][]uint64
+	fam  *sosFamily
+	fl   *flow // nil for multi-round
 	p    core.Params
-	// sp is the session span decode children hang off; nil when untraced.
-	sp *obs.Span
+	res  *core.Result
 }
 
-// apply runs one cached Bob step: look up (or derive) the sketch for this
-// exact decode shape and subtract it instead of re-encoding the local data.
-func (a *sosApply) apply(coins hashing.Coins, body []byte, kind core.DigestKind, d, dHat int) (*core.Result, error) {
-	dsp := a.sp.Child("decode")
+// apply runs one cached Bob step under the bounds attempt k was encoded with
+// (the mirror of the server's sosPlan.attemptBounds): look up (or derive) the
+// sketch for this exact decode shape and subtract it instead of re-encoding
+// the local data.
+func (a *sosApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err error) {
+	d, dHat := a.cs.acc.D, a.cs.acc.DHat
+	switch {
+	case a.fl.sched == doubling:
+		d, dHat = 1<<k, core.DHat(1<<k, a.p.S)
+	case a.fl.probe != "":
+		// The shot after a probe is sized by the server's estimate of d̂,
+		// which Bob never learns: there is no bound to key a sketch on, and
+		// the apply re-encodes.
+		d, dHat = 1, 0
+	}
+	dsp := a.cs.sp.Child("decode")
 	dsp.SetInt("d", int64(d))
 	dsp.SetInt("dhat", int64(dHat))
-	sk, outcome, delta := a.sketch(kind, coins, d, dHat)
-	if sk != nil {
-		dsp.SetStr("sketch", outcome)
-		if outcome == sketchPatch {
-			dsp.SetInt("sketch_delta", int64(delta))
+	var sk *core.BobSketch
+	if dHat > 0 {
+		var outcome string
+		var delta int
+		if sk, outcome, delta = a.sketch(coins, d, dHat); sk != nil {
+			dsp.SetStr("sketch", outcome)
+			if outcome == sketchPatch {
+				dsp.SetInt("sketch_delta", int64(delta))
+			}
 		}
 	}
-	res, err := core.ApplyMsgCached(kind, coins, body, a.bob, a.p, d, dHat, sk)
+	a.res, err = core.ApplyMsgCached(a.fam.digest, coins, frames[0], a.bob, a.p, d, dHat, sk)
 	if err == nil {
-		a.c.observePeels(res.PeelIterations)
-		dsp.SetInt("peels", int64(res.PeelIterations))
+		a.cs.c.observePeels(a.res.PeelIterations)
+		dsp.SetInt("peels", int64(a.res.PeelIterations))
 	}
 	endDecode(dsp, err)
-	return res, err
+	return err
 }
 
 // sketch returns the Bob sketch of the session's parent for this decode
 // shape and how it was come by, or nil when caching is disabled or the build
 // failed (the plain re-encoding path is always a correct fallback). delta is
 // the number of children a patch re-encoded.
-func (a *sosApply) sketch(kind core.DigestKind, coins hashing.Coins, d, dHat int) (sk *core.BobSketch, outcome string, delta int) {
-	cache := a.c.sketchCache()
+func (a *sosApply) sketch(coins hashing.Coins, d, dHat int) (sk *core.BobSketch, outcome string, delta int) {
+	kind := a.fam.digest
+	cache := a.cs.c.sketchCache()
 	if cache == nil {
 		return nil, "", 0
 	}
 	k := enccache.Key{
-		Dataset: a.name, Proto: sosProtoName(kind), Extra: "bob", Seed: coins.Master(),
+		Dataset: a.name, Proto: a.fam.name, Extra: "bob", Seed: coins.Master(),
 		S: a.p.S, H: a.p.H, U: a.p.U, D: d, DHat: dHat,
 	}
 	delta = -1
@@ -111,7 +129,7 @@ func (a *sosApply) sketch(kind core.DigestKind, coins hashing.Coins, d, dHat int
 	default:
 		outcome = sketchBuild
 	}
-	a.c.observeDecodeCache(outcome)
+	a.cs.c.observeDecodeCache(outcome)
 	return sk, outcome, delta
 }
 

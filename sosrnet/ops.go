@@ -10,9 +10,8 @@ import (
 	"sort"
 	"strings"
 
-	"sosr/internal/hashing"
 	"sosr/internal/obs"
-	"sosr/internal/setutil"
+	"sosr/internal/store"
 )
 
 // DatasetInfo is one hosted dataset's read-only operational summary, as
@@ -38,35 +37,6 @@ type DatasetInfo struct {
 // across processes and restarts.
 const contentHashSeed = 0x5e7c0de
 
-// contentHashLocked digests the dataset's contents (not its version or
-// shard binding). Caller holds ds.mu.
-func contentHashLocked(ds *dataset) string {
-	var h uint64
-	switch ds.kind {
-	case KindSet, KindMultiset:
-		h = setutil.Hash(contentHashSeed, ds.set)
-	case KindSetsOfSets:
-		h = setutil.HashSetOfSets(contentHashSeed, ds.sos)
-	case KindGraph:
-		// Pack each undirected edge into one word; canonicalize so the
-		// digest is independent of adjacency insertion order.
-		edges := ds.g.Edges()
-		packed := make([]uint64, 0, len(edges))
-		for _, e := range edges {
-			packed = append(packed, uint64(e[0])<<32|uint64(uint32(e[1])))
-		}
-		h = setutil.Hash(contentHashSeed, setutil.Canonical(packed))
-	case KindForest:
-		// Positional: the parent array is the content.
-		words := make([]uint64, len(ds.f.Parent))
-		for i, p := range ds.f.Parent {
-			words[i] = uint64(uint32(p))
-		}
-		h = hashing.HashUint64s(contentHashSeed, words)
-	}
-	return fmt.Sprintf("%016x", h)
-}
-
 // Datasets returns a snapshot of every hosted dataset, sorted by name.
 func (s *Server) Datasets() []DatasetInfo {
 	s.mu.Lock()
@@ -77,25 +47,17 @@ func (s *Server) Datasets() []DatasetInfo {
 	s.mu.Unlock()
 	out := make([]DatasetInfo, 0, len(byName))
 	for name, ds := range byName {
-		di := DatasetInfo{Name: name, Kind: ds.kind}
+		di := DatasetInfo{Name: name, Kind: ds.k.kind}
 		if ds.shard != nil {
 			di.ShardIndex = ds.shard.index
 			di.ShardCount = ds.shard.topo.NumShards()
 			di.ShardEpoch = ds.shard.topo.Epoch()
 		}
+		// The hash digests the contents, not the version or shard binding.
 		ds.mu.Lock()
 		di.Version = ds.version
-		switch ds.kind {
-		case KindSet, KindMultiset:
-			di.Items = len(ds.set)
-		case KindSetsOfSets:
-			di.Items = len(ds.sos)
-		case KindGraph:
-			di.Items = ds.g.EdgeCount()
-		case KindForest:
-			di.Items = len(ds.f.Parent)
-		}
-		di.ContentHash = contentHashLocked(ds)
+		di.Items = ds.k.items(&ds.contents)
+		di.ContentHash = fmt.Sprintf("%016x", ds.k.hash(&ds.contents))
 		ds.mu.Unlock()
 		out = append(out, di)
 	}
@@ -146,10 +108,10 @@ func (s *Server) OpsHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(s.Datasets())
 	})
-	mux.HandleFunc("POST /admin/host", s.authorized(s.adminHost))
-	mux.HandleFunc("POST /admin/update", s.authorized(s.adminUpdate))
-	mux.HandleFunc("POST /admin/drop", s.authorized(s.adminDrop))
-	mux.HandleFunc("POST /admin/snapshot", s.authorized(s.adminSnapshot))
+	mux.HandleFunc("POST /admin/host", admin(s, http.StatusBadRequest, s.adminHost))
+	mux.HandleFunc("POST /admin/update", admin(s, http.StatusBadRequest, s.adminUpdate))
+	mux.HandleFunc("POST /admin/drop", admin(s, http.StatusInternalServerError, s.adminDrop))
+	mux.HandleFunc("POST /admin/snapshot", admin(s, http.StatusInternalServerError, s.adminSnapshot))
 	mux.HandleFunc("/debug/traces", s.authorized(s.debugTraces))
 	// The default-mux pprof registrations are skipped by using a private mux;
 	// wire the handlers in explicitly.
@@ -249,119 +211,70 @@ func adminJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// adminErr maps an admin failure to a status: unknown dataset is 404,
-// everything else (validation, duplicate host, store trouble) is 400 unless
-// the caller picked a harsher default.
-func adminErr(w http.ResponseWriter, err error, fallback int) {
-	code := fallback
-	if errors.Is(err, ErrUnknownDataset) {
-		code = http.StatusNotFound
-	}
-	adminJSON(w, code, map[string]string{"error": err.Error()})
+// admin wraps one admin call as an authorized handler: it decodes the JSON
+// body, runs do, and answers with do's error — unknown dataset is 404,
+// everything else (validation, duplicate host, store trouble) fallback — or
+// with the name do returns and that dataset's post-call version (none for
+// whole-server snapshots and drops).
+func admin[Req any](s *Server, fallback int, do func(req *Req) (name string, err error)) http.HandlerFunc {
+	return s.authorized(func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			adminJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+			return
+		}
+		name, err := do(&req)
+		if err != nil {
+			code := fallback
+			if errors.Is(err, ErrUnknownDataset) {
+				code = http.StatusNotFound
+			}
+			adminJSON(w, code, map[string]string{"error": err.Error()})
+			return
+		}
+		v, _ := s.DatasetVersion(name)
+		adminJSON(w, http.StatusOK, adminOK{Name: name, Version: v})
+	})
 }
 
-func adminDecode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		adminJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-		return false
+func (s *Server) adminHost(req *adminHostReq) (string, error) {
+	k := kindOf(req.Kind)
+	if k == nil || !k.admin {
+		return "", fmt.Errorf("%w: kind %q cannot be hosted over the admin surface", ErrUnsupported, req.Kind)
 	}
-	return true
+	return req.Name, s.host(k, &store.Record{Name: req.Name, Elems: req.Elems, Parents: req.Parents}, nil)
 }
 
-func (s *Server) adminHost(w http.ResponseWriter, r *http.Request) {
-	var req adminHostReq
-	if !adminDecode(w, r, &req) {
-		return
-	}
-	var err error
-	switch req.Kind {
-	case KindSet:
-		err = s.HostSets(req.Name, req.Elems)
-	case KindMultiset:
-		err = s.HostMultiset(req.Name, req.Elems)
-	case KindSetsOfSets:
-		err = s.HostSetsOfSets(req.Name, req.Parents)
-	default:
-		err = fmt.Errorf("%w: kind %q cannot be hosted over the admin surface", ErrUnsupported, req.Kind)
-	}
+func (s *Server) adminUpdate(req *adminUpdateReq) (string, error) {
+	ds, err := s.byName(req.Name)
 	if err != nil {
-		adminErr(w, err, http.StatusBadRequest)
-		return
-	}
-	adminJSON(w, http.StatusOK, adminOK{Name: req.Name})
-}
-
-func (s *Server) adminUpdate(w http.ResponseWriter, r *http.Request) {
-	var req adminUpdateReq
-	if !adminDecode(w, r, &req) {
-		return
-	}
-	s.mu.Lock()
-	ds := s.datasets[req.Name]
-	s.mu.Unlock()
-	if ds == nil {
-		adminErr(w, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Name), http.StatusNotFound)
-		return
+		return "", err
 	}
 	// Admin mutations get their own root trace: a "commit" child wraps the
 	// staged commit and the WAL append lands as its "store/append" child, so
 	// a slow durable write shows up in /debug/traces like any slow session.
 	sp := s.Trace.StartRoot("admin/update")
 	sp.SetStr("dataset", req.Name)
-	sp.SetStr("kind", string(ds.kind))
+	sp.SetStr("kind", string(ds.k.kind))
 	csp := sp.Child("commit")
-	var err error
-	switch ds.kind {
-	case KindSet:
-		err = s.updateSets(req.Name, req.Add, req.Remove, csp)
-	case KindMultiset:
-		err = s.updateMultisets(req.Name, req.Add, req.Remove, csp)
-	case KindSetsOfSets:
-		err = s.updateSetsOfSets(req.Name, req.AddSets, req.RemoveSets, csp)
-	default:
-		err = fmt.Errorf("%w: kind %q takes no updates", ErrUnsupported, ds.kind)
-	}
+	// The hosted dataset's kind picks which field pair applies.
+	err = s.update(req.Name, ds.k.kind, &store.Update{
+		Add: req.Add, Remove: req.Remove, AddSets: req.AddSets, RemoveSets: req.RemoveSets,
+	}, csp)
 	csp.Fail(err)
 	csp.Finish()
 	sp.Fail(err)
 	sp.Finish()
-	if err != nil {
-		adminErr(w, err, http.StatusBadRequest)
-		return
-	}
-	v, _ := s.DatasetVersion(req.Name)
-	adminJSON(w, http.StatusOK, adminOK{Name: req.Name, Version: v})
+	return req.Name, err
 }
 
-func (s *Server) adminDrop(w http.ResponseWriter, r *http.Request) {
-	var req adminNameReq
-	if !adminDecode(w, r, &req) {
-		return
-	}
-	if err := s.DropDataset(req.Name); err != nil {
-		adminErr(w, err, http.StatusInternalServerError)
-		return
-	}
-	adminJSON(w, http.StatusOK, adminOK{Name: req.Name})
+func (s *Server) adminDrop(req *adminNameReq) (string, error) {
+	return req.Name, s.DropDataset(req.Name)
 }
 
-func (s *Server) adminSnapshot(w http.ResponseWriter, r *http.Request) {
-	var req adminNameReq
-	if !adminDecode(w, r, &req) {
-		return
-	}
+func (s *Server) adminSnapshot(req *adminNameReq) (string, error) {
 	if req.Name == "" {
-		if err := s.SnapshotAll(); err != nil {
-			adminErr(w, err, http.StatusInternalServerError)
-			return
-		}
-		adminJSON(w, http.StatusOK, adminOK{})
-		return
+		return "", s.SnapshotAll()
 	}
-	if err := s.SnapshotDataset(req.Name); err != nil {
-		adminErr(w, err, http.StatusInternalServerError)
-		return
-	}
-	v, _ := s.DatasetVersion(req.Name)
-	adminJSON(w, http.StatusOK, adminOK{Name: req.Name, Version: v})
+	return req.Name, s.SnapshotDataset(req.Name)
 }

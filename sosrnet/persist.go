@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"sosr/internal/core"
-	"sosr/internal/forest"
-	"sosr/internal/graph"
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
 	"sosr/internal/shardmap"
@@ -77,7 +75,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		// replaying the WAL suffix afterwards patches them through the same
 		// commit path live updates use, keeping digest and contents in step.
 		rs.Digests += s.restoreDigests(ds, rec.Record)
-		replayed, err := s.replay(ds, rec.Updates)
+		replayed, err := s.replay(rec.Record.Name, ds, rec.Updates)
 		rs.Replayed += replayed
 		if err != nil {
 			s.logger().Warn("recovery: replay stopped early",
@@ -97,7 +95,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		// a fresh snapshot so the WAL restarts empty.
 		if replayed > 0 || rec.TruncatedWAL || err != nil {
 			ds.mu.Lock()
-			snapErr := st.SaveSnapshot(recordLocked(rec.Record.Name, ds))
+			snapErr := s.saveLocked(rec.Record.Name, ds)
 			ds.mu.Unlock()
 			if snapErr != nil {
 				return rs, fmt.Errorf("sosrnet: compacting %q after recovery: %w", rec.Record.Name, snapErr)
@@ -108,37 +106,11 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	return rs, nil
 }
 
-// replay applies recovered WAL entries through the same staging logic the
-// live update path uses (shard filtering already happened before the entries
-// were persisted). Returns how many applied.
-func (s *Server) replay(ds *dataset, ups []*store.Update) (int, error) {
+// replay applies recovered WAL entries through the mutation skeleton the live
+// path uses (Server.apply). Returns how many applied.
+func (s *Server) replay(name string, ds *dataset, ups []*store.Update) (int, error) {
 	for i, up := range ups {
-		ds.mu.Lock()
-		if up.Version != ds.version+1 {
-			ds.mu.Unlock()
-			return i, fmt.Errorf("update version %d after %d", up.Version, ds.version)
-		}
-		var err error
-		switch ds.kind {
-		case KindSet:
-			ds.set, err = ds.stageSet(up.Add, up.Remove), nil
-			ds.version++
-		case KindMultiset:
-			var packed []uint64
-			if packed, err = ds.stageMultiset(up.Add, up.Remove); err == nil {
-				ds.set = packed
-				ds.version++
-			}
-		case KindSetsOfSets:
-			var next [][]uint64
-			if next, err = ds.stageSOS(up.AddSets, up.RemoveSets); err == nil {
-				ds.commitSOS(next, up.AddSets, up.RemoveSets)
-			}
-		default:
-			err = fmt.Errorf("kind %s takes no updates", ds.kind)
-		}
-		ds.mu.Unlock()
-		if err != nil {
+		if err := s.apply(name, ds, up, true, nil); err != nil {
 			return i, err
 		}
 	}
@@ -149,8 +121,8 @@ func (s *Server) replay(ds *dataset, ups []*store.Update) (int, error) {
 // that fails validation is skipped with a warning — the digest rebuilds
 // lazily on its next use, nothing is lost but a warm start.
 func (s *Server) restoreDigests(ds *dataset, rec *store.Record) int {
-	if ds.kind != KindSetsOfSets {
-		return 0
+	if ds.k.commit == nil {
+		return 0 // a kind with no commit step maintains no digests
 	}
 	n := 0
 	for _, d := range rec.Digests {
@@ -179,18 +151,25 @@ func (s *Server) restoreDigests(ds *dataset, rec *store.Record) int {
 // SnapshotDataset persists a fresh snapshot of one dataset, compacting its
 // WAL. No-op without a store.
 func (s *Server) SnapshotDataset(name string) error {
-	s.mu.Lock()
-	st := s.store
-	ds := s.datasets[name]
-	s.mu.Unlock()
-	if ds == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	if st == nil {
-		return nil
+	ds, err := s.byName(name)
+	if err != nil {
+		return err
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	return s.saveLocked(name, ds)
+}
+
+// saveLocked writes the dataset's current state to the attached store as a
+// fresh snapshot, which compacts its WAL. Caller holds ds.mu. No-op without a
+// store.
+func (s *Server) saveLocked(name string, ds *dataset) error {
+	s.mu.Lock()
+	st := s.store
+	s.mu.Unlock()
+	if st == nil {
+		return nil
+	}
 	return st.SaveSnapshot(recordLocked(name, ds))
 }
 
@@ -232,12 +211,12 @@ func (s *Server) DropDataset(name string) error {
 	return st.Drop(name)
 }
 
-// walAppend journals one staged mutation before it commits. Caller holds
-// ds.mu (so WAL order is version order) and must abort the commit on error.
+// walAppend journals one staged mutation before it commits. Caller holds the
+// dataset's lock (so WAL order is version order) and must abort the commit on error.
 // Returns with the entry durable; if the store asks for compaction the
 // caller snapshots right after its commit via compactLocked. sp, when
 // non-nil, parents a "store/append" span covering the durable write.
-func (s *Server) walAppend(name string, ds *dataset, up *store.Update, sp *obs.Span) (compact bool, err error) {
+func (s *Server) walAppend(name string, up *store.Update, sp *obs.Span) (compact bool, err error) {
 	s.mu.Lock()
 	st := s.store
 	s.mu.Unlock()
@@ -260,13 +239,7 @@ func (s *Server) walAppend(name string, ds *dataset, up *store.Update, sp *obs.S
 // ds.mu; a failure is logged, not returned — the mutation it trails already
 // committed durably, compaction is an optimization.
 func (s *Server) compactLocked(name string, ds *dataset) {
-	s.mu.Lock()
-	st := s.store
-	s.mu.Unlock()
-	if st == nil {
-		return
-	}
-	if err := st.SaveSnapshot(recordLocked(name, ds)); err != nil {
+	if err := s.saveLocked(name, ds); err != nil {
 		s.logger().Warn("WAL compaction failed", "dataset", name, "err", err.Error())
 	}
 }
@@ -274,18 +247,8 @@ func (s *Server) compactLocked(name string, ds *dataset) {
 // recordLocked renders the dataset's current state as a store record,
 // including the serialized live digests. Caller holds ds.mu.
 func recordLocked(name string, ds *dataset) *store.Record {
-	rec := &store.Record{Name: name, Kind: string(ds.kind), Version: ds.version}
-	switch ds.kind {
-	case KindSet, KindMultiset:
-		rec.Elems = ds.set
-	case KindSetsOfSets:
-		rec.Parents = ds.sos
-	case KindGraph:
-		rec.N = ds.g.N
-		rec.Edges = ds.g.Edges()
-	case KindForest:
-		rec.Parent = ds.f.Parent
-	}
+	rec := &store.Record{Name: name, Kind: string(ds.k.kind), Version: ds.version}
+	ds.k.encode(&ds.contents, rec)
 	if ds.shard != nil {
 		topo := ds.shard.topo
 		shards := make([][]string, topo.NumShards())
@@ -313,44 +276,26 @@ func recordLocked(name string, ds *dataset) *store.Record {
 }
 
 // datasetFromRecord rebuilds an in-memory dataset from its snapshot record.
-// Contents were canonicalized before they were persisted, so they host as-is.
+// Contents were canonicalized before they were persisted, so they are decoded
+// as they are.
 func datasetFromRecord(rec *store.Record) (*dataset, error) {
-	ds := &dataset{kind: Kind(rec.Kind), version: rec.Version}
-	switch ds.kind {
-	case KindSet, KindMultiset:
-		ds.set = rec.Elems
-	case KindSetsOfSets:
-		ds.sos = rec.Parents
-	case KindGraph:
-		g := graph.New(rec.N)
-		for _, e := range rec.Edges {
-			if e[0] < 0 || e[0] >= rec.N || e[1] < 0 || e[1] >= rec.N {
-				return nil, fmt.Errorf("edge (%d,%d) outside %d vertices", e[0], e[1], rec.N)
-			}
-			if e[0] != e[1] {
-				g.AddEdge(e[0], e[1])
-			}
-		}
-		ds.g = g
-	case KindForest:
-		f := &forest.Forest{Parent: rec.Parent}
-		if err := f.Validate(); err != nil {
-			return nil, err
-		}
-		ds.f = f
-		ds.fi = forest.Measure(f)
-	default:
+	k := kindOf(Kind(rec.Kind))
+	if k == nil {
 		return nil, fmt.Errorf("unknown kind %q", rec.Kind)
 	}
+	data, err := k.decode(rec)
+	if err != nil {
+		return nil, err
+	}
+	ds := &dataset{k: k, version: rec.Version, contents: data}
 	if rec.Shard != nil {
 		topo, err := shardmap.NewTopology(rec.Shard.Epoch, rec.Shard.Shards)
 		if err != nil {
 			return nil, fmt.Errorf("rebuilding topology: %w", err)
 		}
-		if rec.Shard.Index < 0 || rec.Shard.Index >= topo.NumShards() {
-			return nil, fmt.Errorf("shard index %d outside [0, %d)", rec.Shard.Index, topo.NumShards())
+		if ds.shard, err = checkShard(topo, rec.Shard.Index); err != nil {
+			return nil, err
 		}
-		ds.shard = &shardState{topo: topo, index: rec.Shard.Index}
 	}
 	return ds, nil
 }

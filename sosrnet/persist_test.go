@@ -48,39 +48,30 @@ func aliceProbe(t *testing.T, addr string, h helloMsg) (label string, payload []
 
 // restoreProbes is the cross-protocol matrix the restore tests replay: every
 // cached one-shot Alice path (IBLT set, charpoly, multiset, and the naive /
-// nested / cascade / multiround sets-of-sets encoders).
-func restoreProbes() map[string]helloMsg {
-	return map[string]helloMsg{
-		"set-iblt":   {Dataset: "ids", Kind: KindSet, Seed: 7, D: 16},
-		"charpoly":   {Dataset: "ids", Kind: KindSet, Seed: 7, D: 12, CharPoly: true},
-		"multiset":   {Dataset: "bag", Kind: KindMultiset, Seed: 3, D: 8},
-		"naive":      {Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "naive", D: 4},
-		"nested":     {Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "nested", D: 4},
-		"cascade":    {Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "cascade", D: 4},
-		"multiround": {Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "multiround", D: 4},
-		// Explicit shape: the live-digest key is then version-independent, so
-		// this probe exercises the restored-and-WAL-patched incremental digest
-		// rather than a fresh encode.
-		"cascade-live": {Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "cascade", D: 4, S: 64, H: 8},
+// nested / cascade / multiround sets-of-sets encoders) — the probes of the
+// conformance fixtures of the kinds that take updates.
+func restoreProbes(t testing.TB) map[string]helloMsg {
+	probes := map[string]helloMsg{}
+	for _, fx := range conformanceFixtures(t) {
+		if fx.update != nil {
+			for pname, h := range fx.probes {
+				probes[pname] = h
+			}
+		}
 	}
+	return probes
 }
 
-// seedDatasets hosts the three updatable kinds and applies the same update
-// schedule the restore tests expect.
+// seedDatasets hosts the conformance fixtures of the three updatable kinds
+// ("ids", "bag", "docs"); the restore tests apply their own update schedules.
 func seedDatasets(t *testing.T, srv *Server) {
 	t.Helper()
-	if err := srv.HostSets("ids", seqSet(100, 400)); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.HostMultiset("bag", []uint64{1, 1, 2, 3, 3, 3, 9}); err != nil {
-		t.Fatal(err)
-	}
-	parents := make([][]uint64, 0, 40)
-	for i := uint64(0); i < 40; i++ {
-		parents = append(parents, []uint64{i * 10, i*10 + 1, i*10 + 2})
-	}
-	if err := srv.HostSetsOfSets("docs", parents); err != nil {
-		t.Fatal(err)
+	for _, fx := range conformanceFixtures(t) {
+		if fx.update != nil {
+			if err := fx.host(srv); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -123,11 +114,11 @@ func TestRestoreEquivalence(t *testing.T) {
 	// the second probe must come after a version bump. Snapshot so the digest
 	// persists, then update once more so recovery must patch the restored
 	// digest through WAL replay — the stale-digest trap.
-	aliceProbe(t, addrA, restoreProbes()["cascade-live"])
+	aliceProbe(t, addrA, restoreProbes(t)["cascade-live"])
 	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9050, 9051}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	aliceProbe(t, addrA, restoreProbes()["cascade-live"])
+	aliceProbe(t, addrA, restoreProbes(t)["cascade-live"])
 	if err := srvA.SnapshotDataset("docs"); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +129,7 @@ func TestRestoreEquivalence(t *testing.T) {
 	wantVersions := map[string]uint64{}
 	wantPayload := map[string][]byte{}
 	wantLabel := map[string]string{}
-	for pname, h := range restoreProbes() {
+	for pname, h := range restoreProbes(t) {
 		wantLabel[pname], wantPayload[pname] = aliceProbe(t, addrA, h)
 	}
 	for _, name := range []string{"ids", "bag", "docs"} {
@@ -194,7 +185,7 @@ func TestRestoreEquivalence(t *testing.T) {
 			t.Fatalf("%s: dataset summary diverged after restore:\n got %+v\nwant %+v", di.Name, di, want)
 		}
 	}
-	for pname, h := range restoreProbes() {
+	for pname, h := range restoreProbes(t) {
 		label, payload := aliceProbe(t, addrB, h)
 		if label != wantLabel[pname] {
 			t.Fatalf("%s: restored server sent %q, want %q", pname, label, wantLabel[pname])
@@ -396,7 +387,7 @@ func TestRecoverDiscardsFormat1Digest(t *testing.T) {
 	go func() { serveErr <- srvA.Serve(ln) }()
 	// Admit the live digest (second miss of its key, across a version bump)
 	// and snapshot it.
-	live := restoreProbes()["cascade-live"]
+	live := restoreProbes(t)["cascade-live"]
 	aliceProbe(t, ln.Addr().String(), live)
 	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9050, 9051}}, nil); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,430 @@
+package sosrnet
+
+import (
+	"errors"
+	"fmt"
+
+	"sosr/internal/core"
+	"sosr/internal/enccache"
+	"sosr/internal/forest"
+	"sosr/internal/graphrecon"
+	"sosr/internal/hashing"
+	"sosr/internal/obs"
+	"sosr/internal/setrecon"
+)
+
+// The server's plans, one per kind: what a hello resolves to (the `plan`
+// column of the kind table) and the arithmetic serveFlow calls back for —
+// the bound an estimator probe yields, the payload of attempt k, the rule
+// that ends a schedule. Each plan also records on the session trace what its
+// payload may scale with, so the bound audit reads every kind alike.
+
+// ---- set / multiset ----
+
+// setPlan serves a set, or a multiset as its packed set.
+type setPlan struct {
+	rec *sessionRecord
+	fl  *flow
+	d   int // the hello's bound, or the estimate from Bob's probe
+}
+
+func planSet(_ *Server, rec *sessionRecord, _ *acceptMsg) (alicePlan, error) {
+	h, tr := &rec.h, &rec.tr
+	pl := &setPlan{rec: rec, fl: h.setFlow(), d: h.D}
+	rec.proto = "iblt"
+	tr.bounds(h.D, h.D)
+	tr.audit(h.D, setCellBytes)
+	switch pl.fl {
+	case &flowSetCharPoly:
+		rec.proto = "charpoly"
+		tr.audit(h.D, 8) // one field element per difference
+		if h.D <= 0 {
+			return pl, errors.New("charpoly requires a positive difference bound")
+		}
+		// Encoding costs O(n·d) field evaluations before any byte is sent;
+		// bound the work by the hosted set, not just MaxBound — a difference
+		// beyond this is cheaper over the IBLT path anyway.
+		if limit := 4*len(rec.view.set) + 1024; h.D > limit {
+			return pl, fmt.Errorf("%w: charpoly bound %d exceeds work limit %d for this dataset (use the IBLT variant)", ErrUnsupported, h.D, limit)
+		}
+	case &flowSetUnknownD:
+		rec.proto = "iblt-unknown"
+	}
+	return pl, nil
+}
+
+func (pl *setPlan) detail() string        { return fmt.Sprintf("d=%d", pl.rec.h.D) }
+func (pl *setPlan) serve(s *Server) error { return s.serveFlow(pl.rec, pl.fl, pl) }
+
+func (pl *setPlan) estimate(probe []byte, esp *obs.Span) (err error) {
+	rec := pl.rec
+	pl.d, err = setrecon.DiffBoundFromEstimator(rec.coins, probe, rec.view.set)
+	esp.SetInt("d", int64(pl.d))
+	if err == nil {
+		rec.tr.bounds(pl.d, pl.d)
+		rec.tr.audit(pl.d, setCellBytes)
+	}
+	return err
+}
+
+func (pl *setPlan) build(s *Server, _ int, coins hashing.Coins) ([][]byte, error) {
+	alice, d := pl.rec.view.set, pl.d
+	if pl.fl == &flowSetCharPoly {
+		// EncodeCharPoly is seed-independent: memoize on (dataset, d) only.
+		return s.memo(pl.rec, enccache.Key{Proto: "charpoly", D: d}, func() ([][]byte, error) {
+			return [][]byte{setrecon.EncodeCharPoly(alice, d+1)}, nil
+		})
+	}
+	return s.memo(pl.rec, enccache.Key{Proto: "set-iblt", Seed: coins.Master(), D: d}, func() ([][]byte, error) {
+		return [][]byte{setrecon.BuildIBLTMsg(coins, alice, d)}, nil
+	})
+}
+
+// ---- sets of sets ----
+
+// sosPlan is the server-resolved sets-of-sets session shape.
+type sosPlan struct {
+	rec      *sessionRecord
+	fam      *sosFamily
+	fl       *flow // nil for multi-round
+	p        core.Params
+	d        int
+	dHat     int // the hello's or the default for d; an unknown-d naive session serves its estimate instead
+	replicas int
+}
+
+// cellBytes is the audit's cost of one differing child set under this plan
+// at difference bound d.
+func (pl *sosPlan) cellBytes(d int) int {
+	if pl.fam.digest == 0 {
+		return core.MultiRoundCellBytes(pl.p)
+	}
+	return core.CellBytes(pl.fam.digest, pl.p, d)
+}
+
+func planSOS(_ *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
+	h, alice := &rec.h, rec.view.sos
+	pl := &sosPlan{rec: rec, d: h.D, replicas: h.Replicas, dHat: h.DHat}
+	name := h.Protocol
+	if name == "" || name == "auto" {
+		name = "multiround"
+		if pl.d > 0 {
+			name = "cascade"
+		}
+	}
+	// Until the protocol name resolves the label is a fixed one, so hostile
+	// hellos cannot mint unbounded metric series.
+	rec.proto = "invalid"
+	if pl.fam = sosFamilyOf(name); pl.fam == nil {
+		return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
+	}
+	// A derived bound covers the hosted data by construction; an explicit
+	// one must, because every encoder below sizes its buffers and count
+	// widths from it.
+	S, H := h.S, h.H
+	if S <= 0 {
+		S = max(len(alice), h.CS, 1)
+	} else if len(alice) > S {
+		return nil, fmt.Errorf("%w: hosted dataset has %d child sets, hello bounds s=%d", core.ErrInvalidInstance, len(alice), S)
+	}
+	if H <= 0 {
+		H = max(maxChildLen(alice), h.CH, 1)
+	} else if m := maxChildLen(alice); m > H {
+		return nil, fmt.Errorf("%w: hosted dataset has a child set of %d elements, hello bounds h=%d", core.ErrInvalidInstance, m, H)
+	}
+	var err error
+	if pl.p, err = (core.Params{S: S, H: H, U: h.U}).Normalized(); err != nil {
+		return nil, err
+	}
+	if pl.replicas <= 0 {
+		pl.replicas = 3
+	}
+	if pl.dHat <= 0 {
+		pl.dHat = core.DHat(max(pl.d, 1), pl.p.S)
+	}
+	rec.proto, pl.fl = pl.fam.name, pl.fam.flow(pl.d)
+	rec.tr.bounds(pl.d, pl.dHat)
+	rec.tr.audit(pl.dHat, pl.cellBytes(pl.d))
+	if h.Validate {
+		if err := core.Validate(alice, pl.p); err != nil {
+			return pl, err
+		}
+	}
+	acc.Protocol, acc.DHat, acc.Replicas = pl.fam.name, pl.dHat, pl.replicas
+	acc.S, acc.H, acc.U = pl.p.S, pl.p.H, pl.p.U
+	return pl, nil
+}
+
+func (pl *sosPlan) detail() string {
+	return fmt.Sprintf("d=%d d̂=%d s=%d h=%d", pl.d, pl.dHat, pl.p.S, pl.p.H)
+}
+
+func (pl *sosPlan) serve(s *Server) error {
+	if pl.fl == nil {
+		return pl.serveMultiRound(s)
+	}
+	return s.serveFlow(pl.rec, pl.fl, pl)
+}
+
+// attemptBounds is what attempt k encodes under: the plan's bounds when d is
+// known, d = 2^k when doubling, and the probe's d̂ at d = 1 for the single
+// shot that follows one.
+func (pl *sosPlan) attemptBounds(k int) (d, dHat int) {
+	switch {
+	case pl.fl.sched == doubling:
+		return 1 << k, core.DHat(1<<k, pl.p.S)
+	case pl.fl.probe != "":
+		return 1, pl.dHat
+	}
+	return pl.d, pl.dHat
+}
+
+// estimate resolves d̂ from Bob's child-difference probe (Theorem 3.4).
+func (pl *sosPlan) estimate(probe []byte, esp *obs.Span) error {
+	rec := pl.rec
+	pl.dHat = core.EstimateChildDiff(probe, rec.coins, rec.view.sos, pl.p)
+	esp.SetInt("dhat", int64(pl.dHat))
+	return nil
+}
+
+// build returns the one-round payload of attempt k for the session's
+// snapshot, memoized and — while the snapshot is current — incrementally
+// maintained (dataset.oneRoundBody). Each attempt re-records the bounds; the
+// surviving values are the attempt the client acked, or the last one tried.
+func (pl *sosPlan) build(s *Server, k int, coins hashing.Coins) ([][]byte, error) {
+	rec, kind, p := pl.rec, pl.fam.digest, pl.p
+	d, dHat := pl.attemptBounds(k)
+	// Doubling gives up before its cap once the attempt that just failed, at
+	// d/2, had outgrown the instance (core's rule) — or the server's own
+	// bound, so endless client retries cannot inflate allocations.
+	if pl.fl.sched == doubling && k > 0 && (core.DoublingTooBig(d/2, p) || d/2 > s.maxBound()) {
+		return nil, fmt.Errorf("%w: doubling bound %d exceeds instance size", ErrGaveUp, d/2)
+	}
+	rec.tr.bounds(d, dHat)
+	rec.tr.audit(dHat, pl.cellBytes(d))
+	key := enccache.Key{Proto: pl.fam.name, Seed: coins.Master(), S: p.S, H: p.H, U: p.U, D: d, DHat: dHat}
+	return s.memo(rec, key, func() ([][]byte, error) {
+		var body []byte
+		var err error
+		if s.encCache() == nil {
+			// Caching is off altogether: no live digest either.
+			body, err = core.AliceMsg(kind, coins, rec.view.sos, p, d, dHat)
+		} else {
+			body, err = rec.view.ds.oneRoundBody(kind, coins, rec.view, p, d, dHat)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{body}, nil
+	})
+}
+
+// serveMultiRound runs Theorem 3.9 (known d, replicated) or 3.10 (unknown d,
+// probe first) over the wire, the only genuinely multi-round flow.
+func (pl *sosPlan) serveMultiRound(s *Server) error {
+	rec := pl.rec
+	ep, coins, alice, tr := rec.ep, rec.coins, rec.view.sos, &rec.tr
+	attempts := pl.replicas
+	dHat := pl.dHat
+	if pl.d <= 0 {
+		attempts = 1
+		if err := rec.recvProbe("childdiff-estimator", pl); err != nil {
+			return err
+		}
+		dHat = pl.dHat
+		tr.bounds(pl.d, dHat)
+		tr.audit(dHat, pl.cellBytes(pl.d))
+	}
+	for r := 0; r < attempts; r++ {
+		c := coins
+		if pl.d > 0 {
+			c = coins.Sub("replica", r)
+			dHat = core.DHat(pl.d, pl.p.S)
+			tr.bounds(pl.d, dHat)
+		}
+		round1, err := s.memo(rec, enccache.Key{Proto: "mr1", Seed: c.Master(), D: dHat}, func() ([][]byte, error) {
+			return [][]byte{core.MRAlice1(c, alice, dHat)}, nil
+		})
+		if err != nil {
+			return err
+		}
+		if err := ep.SendFrame("hash-iblt", round1[0]); err != nil {
+			return err
+		}
+		got, payload, err := ep.RecvFrame()
+		if err != nil {
+			return err
+		}
+		switch got {
+		case lblRetry:
+			continue
+		case lblDone:
+			rec.done, err = parseDone(payload)
+			return err
+		case "hash-iblt+estimators":
+		default:
+			return fmt.Errorf("sosrnet: unexpected frame %q", got)
+		}
+		esp := tr.child("encode")
+		esp.SetStr("proto", "mr3")
+		round3, _, err := core.MRAlice3(c, alice, pl.p, pl.d, payload)
+		esp.Fail(err)
+		esp.Finish()
+		if err != nil {
+			sendErrorFrame(ep, err)
+			return err
+		}
+		if err := ep.SendFrame("pair-payloads", round3); err != nil {
+			return err
+		}
+		got, payload, err = ep.RecvFrame()
+		if err != nil {
+			return err
+		}
+		switch got {
+		case lblDone:
+			rec.done, err = parseDone(payload)
+			return err
+		case lblRetry:
+		default:
+			return fmt.Errorf("sosrnet: unexpected frame %q", got)
+		}
+	}
+	err := fmt.Errorf("%w: %d attempts", ErrGaveUp, attempts)
+	sendErrorFrame(ep, err)
+	return err
+}
+
+// ---- graph ----
+
+// graphPlan serves one of the two graph schemes. Both reconcile the vertex
+// signatures as a sets-of-sets cascade and then the labelled edges, and audit
+// against the signature shape.
+type graphPlan struct {
+	noEstimate
+	rec  *sessionRecord      // its accept holds the resolved d and, for the neighbourhood scheme, maxSig
+	side *graphrecon.NbrSide // neighbourhood scheme: Alice's side encoding
+}
+
+func planGraph(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
+	h, ga := &rec.h, rec.view.g
+	pl := &graphPlan{rec: rec}
+	// The scheme is the protocol label; anything unresolved maps to a fixed
+	// label so hostile hellos cannot mint unbounded metric series.
+	rec.proto = "invalid"
+	if h.Scheme == "degree" || h.Scheme == "neighborhood" {
+		rec.proto = h.Scheme
+	}
+	if h.N != ga.N {
+		return pl, fmt.Errorf("vertex count mismatch: client %d, dataset %d", h.N, ga.N)
+	}
+	acc.D = max(h.D, 1)
+	rec.tr.bounds(acc.D, acc.D)
+	var sigShape core.Params
+	var sigD int
+	switch h.Scheme {
+	case "degree":
+		sigShape, sigD = graphrecon.DegreeOrderSigShape(ga.N, graphrecon.DegreeOrderParams{H: h.TopH, D: acc.D})
+	case "neighborhood":
+		// The side encoding fixes maxSig (part of the accept message and the
+		// cache key), so it runs uncached; the expensive IBLT frames behind
+		// it are memoized.
+		var err error
+		if pl.side, err = graphrecon.NeighborhoodEncode(ga, h.M); err != nil {
+			return pl, err
+		}
+		acc.MaxSig = max(pl.side.MaxSig, h.MaxSig, 1)
+		p := pl.nbrParams()
+		if budget := graphrecon.NeighborhoodBudget(p); budget > s.maxBound() {
+			return pl, fmt.Errorf("%w: signature budget %d exceeds server bound %d", ErrUnsupported, budget, s.maxBound())
+		}
+		sigShape, sigD = graphrecon.NeighborhoodSigShape(ga.N, p, acc.MaxSig)
+	default:
+		return pl, fmt.Errorf("%w: graph scheme %q", ErrUnsupported, h.Scheme)
+	}
+	rec.tr.audit(core.DHat(sigD, sigShape.S), core.CellBytes(core.DigestCascade, sigShape, sigD))
+	return pl, nil
+}
+
+func (pl *graphPlan) nbrParams() graphrecon.NeighborhoodParams {
+	return graphrecon.NeighborhoodParams{M: pl.rec.h.M, D: pl.rec.acc.D, SigBudget: pl.rec.h.SigBudget}
+}
+
+func (pl *graphPlan) detail() string        { return fmt.Sprintf("d=%d", pl.rec.h.D) }
+func (pl *graphPlan) serve(s *Server) error { return s.serveFlow(pl.rec, &flowGraph, pl) }
+
+// build encodes both frames in one pass and memoizes them together.
+func (pl *graphPlan) build(s *Server, _ int, coins hashing.Coins) ([][]byte, error) {
+	h, acc, ga := &pl.rec.h, &pl.rec.acc, pl.rec.view.g
+	key := enccache.Key{Proto: "graph-degree", Seed: coins.Master(), D: acc.D, Extra: fmt.Sprintf("h=%d", h.TopH)}
+	if pl.side != nil {
+		key.Proto, key.Extra = "graph-nbr", fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, acc.MaxSig, h.SigBudget)
+	}
+	return s.memo(pl.rec, key, func() ([][]byte, error) {
+		var msgs *graphrecon.GraphMsgs
+		var err error
+		if pl.side != nil {
+			msgs, err = graphrecon.NeighborhoodAlice(coins, ga, pl.nbrParams(), pl.side, acc.MaxSig)
+		} else {
+			msgs, err = graphrecon.DegreeOrderAlice(coins, ga, graphrecon.DegreeOrderParams{H: h.TopH, D: acc.D})
+		}
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{msgs.Sig, msgs.Edges}, nil
+	})
+}
+
+// ---- forest ----
+
+// forestPlan serves a forest at a known edit bound, or — d unknown — by
+// verified doubling over the signature budget, up to the accepted cap.
+type forestPlan struct {
+	noEstimate
+	rec *sessionRecord
+}
+
+func planForest(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
+	h, fi := &rec.h, rec.view.fi
+	rec.proto = "forest"
+	acc.N, acc.Depth, acc.MaxChild, acc.MaxBudget = fi.N, fi.Depth, fi.MaxChild, h.MaxBudget
+	if acc.MaxBudget <= 0 || acc.MaxBudget > s.maxBound() {
+		acc.MaxBudget = min(1<<20, s.maxBound())
+	}
+	return &forestPlan{rec: rec}, nil
+}
+
+func (pl *forestPlan) detail() string {
+	return fmt.Sprintf("d=%d sigma=%d", pl.rec.h.D, pl.rec.h.Sigma)
+}
+func (pl *forestPlan) serve(s *Server) error {
+	return s.serveFlow(pl.rec, pl.rec.h.forestFlow(), pl)
+}
+
+func (pl *forestPlan) build(s *Server, k int, coins hashing.Coins) ([][]byte, error) {
+	rec, h := pl.rec, &pl.rec.h
+	// The client's side info; the server's was measured at hosting.
+	infoB := forest.SideInfo{N: h.N, Depth: h.Depth, MaxChild: h.MaxChild}
+	proto, ask := "forest", h.forestAsk(k)
+	rec.tr.bounds(h.D, h.D)
+	if h.D <= 0 {
+		proto = "forest-auto"
+		rec.tr.bounds(1, ask.Budget)
+	}
+	rp, params := forest.Plan(rec.view.fi, infoB, ask)
+	rec.tr.audit(core.DHat(rp.Budget, params.S), core.CellBytes(core.DigestCascade, params, rp.Budget))
+	if rp.Budget > s.maxBound() {
+		return nil, fmt.Errorf("%w: forest budget %d exceeds server bound %d", ErrUnsupported, rp.Budget, s.maxBound())
+	}
+	// The forest plan — and therefore the payload — depends on the client's
+	// side info, which has no dedicated cache-key field; it rides in Extra.
+	key := enccache.Key{Proto: proto, Seed: coins.Master(), D: ask.D,
+		Extra: fmt.Sprintf("n=%d,dep=%d,mc=%d,sigma=%d,budget=%d", infoB.N, infoB.Depth, infoB.MaxChild, ask.Sigma, ask.Budget)}
+	return s.memo(rec, key, func() ([][]byte, error) {
+		sig, meta, err := forest.AliceMsg(coins, rec.view.f, rp, params)
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{sig, meta}, nil
+	})
+}

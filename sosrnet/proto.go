@@ -96,14 +96,18 @@ var (
 	ErrBusy = errors.New("sosrnet: server busy")
 )
 
-// Error codes carried in ctl/error frames so clients can classify a
-// rejection without string matching.
-const (
-	codeMisroute   = "misroute"
-	codeStaleEpoch = "stale_epoch"
-	codeBusy       = "busy"
-	codeInstance   = "invalid_instance"
-)
+// errorCodes classifies the rejections clients dispatch on: the code a
+// ctl/error frame carries for each sentinel, so errors.Is works across the
+// wire without string matching.
+var errorCodes = []struct {
+	code string
+	err  error
+}{
+	{"stale_epoch", ErrStaleEpoch},
+	{"misroute", ErrMisrouted},
+	{"busy", ErrBusy},
+	{"invalid_instance", core.ErrInvalidInstance},
+}
 
 // helloMsg opens a session. Zero fields are omitted; kind-specific fields
 // are meaningful only for their kind.
@@ -212,7 +216,7 @@ type doneMsg struct {
 }
 
 // errorMsg reports a server-side failure. Code, when present, classifies the
-// rejection machine-readably (codeMisroute, codeStaleEpoch).
+// rejection machine-readably (see errorCodes).
 type errorMsg struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
@@ -227,39 +231,30 @@ func marshalCtl(v any) []byte {
 	return b
 }
 
-// sendErrorFrame best-effort reports err to the peer, attaching a machine-
-// readable code for the rejection classes clients dispatch on.
+// sendErrorFrame best-effort reports err to the peer, with its code when it
+// is one of the classified rejections.
 func sendErrorFrame(ep *wire.Endpoint, err error) {
 	em := errorMsg{Error: err.Error()}
-	switch {
-	case errors.Is(err, ErrStaleEpoch):
-		em.Code = codeStaleEpoch
-	case errors.Is(err, ErrMisrouted):
-		em.Code = codeMisroute
-	case errors.Is(err, ErrBusy):
-		em.Code = codeBusy
-	case errors.Is(err, core.ErrInvalidInstance):
-		em.Code = codeInstance
+	for _, ec := range errorCodes {
+		if errors.Is(err, ec.err) {
+			em.Code = ec.code
+			break
+		}
 	}
 	_ = ep.SendFrame(lblError, marshalCtl(em))
 }
 
-// serverError decodes a ctl/error payload, re-materializing the sentinel for
-// coded rejections so errors.Is works across the wire.
+// serverError decodes a ctl/error payload, re-materializing the sentinel of a
+// coded rejection.
 func serverError(payload []byte) error {
 	var em errorMsg
 	if json.Unmarshal(payload, &em) != nil || em.Error == "" {
 		return fmt.Errorf("%w: unreadable error frame", ErrServer)
 	}
-	switch em.Code {
-	case codeStaleEpoch:
-		return fmt.Errorf("%w: %w: %s", ErrServer, ErrStaleEpoch, em.Error)
-	case codeMisroute:
-		return fmt.Errorf("%w: %w: %s", ErrServer, ErrMisrouted, em.Error)
-	case codeBusy:
-		return fmt.Errorf("%w: %w: %s", ErrServer, ErrBusy, em.Error)
-	case codeInstance:
-		return fmt.Errorf("%w: %w: %s", ErrServer, core.ErrInvalidInstance, em.Error)
+	for _, ec := range errorCodes {
+		if em.Code == ec.code {
+			return fmt.Errorf("%w: %w: %s", ErrServer, ec.err, em.Error)
+		}
 	}
 	return fmt.Errorf("%w: %s", ErrServer, em.Error)
 }
@@ -280,9 +275,70 @@ func recvOrServerError(ep *wire.Endpoint, label string) ([]byte, error) {
 	return payload, nil
 }
 
-// tooBigDoubling mirrors core's doubling give-up rule (the bound has
-// outgrown any representable difference for the instance shape).
-func tooBigDoubling(d, s, h int) bool { return d > 4*s*h }
+// maxHelloReplicas caps the replication factor either party may name (each
+// replica is one server-built payload and one client decode).
+const maxHelloReplicas = 64
 
-// maxDoublingAttempts mirrors core's cap.
-const maxDoublingAttempts = 31
+// boundedField is one peer-supplied number that sizes an allocation.
+type boundedField struct {
+	name string
+	v    int
+}
+
+// checkBounded rejects a control message whose numeric parameters are negative
+// or exceed bound, before any of them can size an allocation.
+func checkBounded(msg string, bound, replicas int, fields []boundedField) error {
+	for _, f := range fields {
+		if f.v < 0 || f.v > bound {
+			return fmt.Errorf("%w: %s field %s=%d outside [0, %d]", ErrUnsupported, msg, f.name, f.v, bound)
+		}
+	}
+	if replicas < 0 || replicas > maxHelloReplicas {
+		return fmt.Errorf("%w: replicas=%d outside [0, %d]", ErrUnsupported, replicas, maxHelloReplicas)
+	}
+	return nil
+}
+
+// checkHello is the server's entrance check on a client's hello.
+func checkHello(h *helloMsg, bound int) error {
+	err := checkBounded("hello", bound, h.Replicas, []boundedField{
+		{"d", h.D}, {"dhat", h.DHat}, {"s", h.S}, {"h", h.H},
+		{"cs", h.CS}, {"ch", h.CH}, {"toph", h.TopH}, {"m", h.M},
+		{"n", h.N}, {"sigbudget", h.SigBudget}, {"maxsig", h.MaxSig},
+		{"sigma", h.Sigma}, {"budget", h.Budget}, {"maxbudget", h.MaxBudget},
+		{"depth", h.Depth}, {"maxchild", h.MaxChild},
+		{"shardcnt", h.ShardCount},
+	})
+	if err == nil && h.ShardCount == 0 && (h.ShardID != 0 || h.ShardEpoch != 0) {
+		err = fmt.Errorf("%w: shard identity without a shard count", ErrUnsupported)
+	}
+	return err
+}
+
+// checkAccept is the client's entrance check on the server's answer to h, the
+// mirror of checkHello: the accept sizes Bob's sketches and plans, so it must
+// speak this version about this kind, return unchanged every parameter the
+// hello pinned, and keep what the server resolved within the bound a default
+// server applies to a client's own fields.
+func checkAccept(h *helloMsg, acc *acceptMsg) error {
+	if acc.V != protoVersion || acc.Kind != h.Kind {
+		return fmt.Errorf("%w: accept speaks version %d about kind %q (want %d, %q)", ErrUnsupported, acc.V, acc.Kind, protoVersion, h.Kind)
+	}
+	for _, f := range []struct {
+		name      string
+		sent, got uint64
+	}{
+		{"d", uint64(h.D), uint64(acc.D)}, {"dhat", uint64(h.DHat), uint64(acc.DHat)},
+		{"replicas", uint64(h.Replicas), uint64(acc.Replicas)},
+		{"s", uint64(h.S), uint64(acc.S)}, {"h", uint64(h.H), uint64(acc.H)}, {"u", h.U, acc.U},
+	} {
+		if f.sent != 0 && f.got != f.sent {
+			return fmt.Errorf("%w: accept changed %s from %d to %d", ErrUnsupported, f.name, f.sent, f.got)
+		}
+	}
+	return checkBounded("accept", DefaultMaxBound, acc.Replicas, []boundedField{
+		{"d", acc.D}, {"dhat", acc.DHat}, {"s", acc.S}, {"h", acc.H},
+		{"maxsig", acc.MaxSig}, {"n", acc.N}, {"depth", acc.Depth},
+		{"maxchild", acc.MaxChild}, {"maxbudget", acc.MaxBudget},
+	})
+}

@@ -14,13 +14,8 @@ import (
 	"sosr"
 	"sosr/internal/core"
 	"sosr/internal/enccache"
-	"sosr/internal/forest"
-	"sosr/internal/graph"
-	"sosr/internal/graphrecon"
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
-	"sosr/internal/setrecon"
-	"sosr/internal/setutil"
 	"sosr/internal/shardmap"
 	"sosr/internal/store"
 	"sosr/internal/transport"
@@ -107,12 +102,6 @@ type Server struct {
 	// endpoints (/admin/*, /debug/*) behind "Authorization: Bearer <token>".
 	// /metrics, /healthz, /readyz, and /datasets stay open for scrapers.
 	AdminToken string
-	// BoundEnvelope flags sessions whose bound ratio — the server's payload
-	// bytes ÷ (differing keys its bound allows × table-cell bytes of one such
-	// key) — blows past it: the session span gains bound_exceeded=true and a
-	// Warn log is emitted (the ratio itself always feeds sosr_bound_ratio).
-	// 0 means DefaultBoundEnvelope; negative disables flagging.
-	BoundEnvelope float64
 
 	mu       sync.Mutex
 	datasets map[string]*dataset
@@ -145,23 +134,16 @@ type shardState struct {
 	index int
 }
 
-// owns reports whether this shard owns a top-level element key.
-func (ss *shardState) owns(x uint64) bool { return ss.topo.Owner(x) == ss.index }
-
-// dataset is one hosted dataset. The data fields are copy-on-write: sessions
+// dataset is one hosted dataset. Its contents are copy-on-write: sessions
 // snapshot them (with the version) under mu at session start, updates swap
-// in fresh slices, so in-flight sessions keep a consistent view.
+// in a fresh value, so in-flight sessions keep a consistent view.
 type dataset struct {
-	kind  Kind
+	k     *kindEntry
 	shard *shardState // nil for unsharded datasets
 
 	mu      sync.Mutex
 	version uint64
-	set     []uint64   // KindSet: canonical; KindMultiset: canonical packed form
-	sos     [][]uint64 // KindSetsOfSets: canonical child sets
-	g       *graph.Graph
-	f       *forest.Forest
-	fi      forest.SideInfo
+	contents
 	// live holds the incrementally maintained one-round digests for this
 	// dataset, keyed by the exact encoding parameters; dataset updates patch
 	// each in O(update) so the next session snapshots the new encoding
@@ -178,11 +160,7 @@ type dsView struct {
 	name    string
 	version uint64
 	ds      *dataset
-	set     []uint64
-	sos     [][]uint64
-	g       *graph.Graph
-	f       *forest.Forest
-	fi      forest.SideInfo
+	contents
 }
 
 // checkRoute rejects sessions whose shard coordinates do not match the slice
@@ -223,10 +201,7 @@ func (d *dataset) checkRoute(h *helloMsg) error {
 func (d *dataset) view(name string) dsView {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return dsView{
-		name: name, version: d.version, ds: d,
-		set: d.set, sos: d.sos, g: d.g, f: d.f, fi: d.fi,
-	}
+	return dsView{name: name, version: d.version, ds: d, contents: d.contents}
 }
 
 // DefaultMaxBound is the default cap on client-supplied bounds (difference
@@ -256,10 +231,6 @@ const idleConnTimeout = 90 * time.Second
 // table sized by s is flagged from s ≈ 250 up.
 const DefaultBoundEnvelope = 32
 
-// maxHelloReplicas caps the client-requested replication factor (each
-// replica is one server-built payload).
-const maxHelloReplicas = 64
-
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
@@ -276,34 +247,6 @@ func (s *Server) maxBound() int {
 	return DefaultMaxBound
 }
 
-// checkHello rejects hellos whose numeric parameters are negative or exceed
-// the server's bound, before any of them can size an allocation.
-func (s *Server) checkHello(h *helloMsg) error {
-	bound := s.maxBound()
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"d", h.D}, {"dhat", h.DHat}, {"s", h.S}, {"h", h.H},
-		{"cs", h.CS}, {"ch", h.CH}, {"toph", h.TopH}, {"m", h.M},
-		{"n", h.N}, {"sigbudget", h.SigBudget}, {"maxsig", h.MaxSig},
-		{"sigma", h.Sigma}, {"budget", h.Budget}, {"maxbudget", h.MaxBudget},
-		{"depth", h.Depth}, {"maxchild", h.MaxChild},
-		{"shardcnt", h.ShardCount},
-	} {
-		if f.v < 0 || f.v > bound {
-			return fmt.Errorf("%w: hello field %s=%d outside [0, %d]", ErrUnsupported, f.name, f.v, bound)
-		}
-	}
-	if h.Replicas < 0 || h.Replicas > maxHelloReplicas {
-		return fmt.Errorf("%w: replicas=%d outside [0, %d]", ErrUnsupported, h.Replicas, maxHelloReplicas)
-	}
-	if h.ShardCount == 0 && (h.ShardID != 0 || h.ShardEpoch != 0) {
-		return fmt.Errorf("%w: shard identity without a shard count", ErrUnsupported)
-	}
-	return nil
-}
-
 // discardLogger swallows records when no Logger is configured, keeping every
 // log call site unconditional.
 var discardLogger = slog.New(slog.DiscardHandler)
@@ -315,53 +258,55 @@ func (s *Server) logger() *slog.Logger {
 	return discardLogger
 }
 
-func (s *Server) host(name string, ds *dataset) error {
-	if name == "" {
+// host canonicalises, validates and hosts one dataset of kind k, given as a
+// record of API input: the full logical contents, of which a non-nil ss keeps
+// the slice its shard owns.
+func (s *Server) host(k *kindEntry, in *store.Record, ss *shardState) error {
+	if in.Name == "" {
 		return errors.New("sosrnet: empty dataset name")
 	}
+	if k.canon != nil {
+		if err := k.canon(in, ss); err != nil {
+			return err
+		}
+	}
+	data, err := k.decode(in)
+	if err != nil {
+		return err
+	}
+	ds := &dataset{k: k, shard: ss, contents: data}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.datasets[name]; dup {
-		return fmt.Errorf("sosrnet: dataset %q already hosted", name)
+	if _, dup := s.datasets[in.Name]; dup {
+		return fmt.Errorf("sosrnet: dataset %q already hosted", in.Name)
 	}
 	// Snapshot-before-host: the dataset is acknowledged only once its initial
 	// snapshot is durable, so a crash right after Host* cannot lose it.
 	if s.store != nil {
-		if err := s.store.SaveSnapshot(recordLocked(name, ds)); err != nil {
-			return fmt.Errorf("sosrnet: persisting dataset %q: %w", name, err)
+		if err := s.store.SaveSnapshot(recordLocked(in.Name, ds)); err != nil {
+			return fmt.Errorf("sosrnet: persisting dataset %q: %w", in.Name, err)
 		}
 	}
-	s.datasets[name] = ds
+	s.datasets[in.Name] = ds
 	return nil
 }
 
-// HostSets hosts a set (any order, duplicates ignored). Elements must fit
-// the 2^60 universe so every protocol variant can serve it.
-func (s *Server) HostSets(name string, elems []uint64) error {
-	canon := setutil.Canonical(elems)
-	if err := setrecon.CheckRange(canon); err != nil {
-		return err
-	}
-	return s.host(name, &dataset{kind: KindSet, set: canon})
-}
-
-// HostMultiset hosts a multiset (slice with repeats). Elements must be
-// < 2^48 with per-element multiplicity < 2^12 (the §3.4 packing).
-func (s *Server) HostMultiset(name string, elems []uint64) error {
-	packed, err := setrecon.MultisetToSet(elems)
+// hostShard hosts shard index's slice of a logical dataset. Passing the full
+// logical contents and passing the owned slice are equivalent — ownership
+// filtering is idempotent — and every replica of shard index hosts the
+// identical slice. Sessions must present matching shard coordinates in their
+// hello, so a fan-out client dialing the wrong instance is rejected at the
+// handshake, and a live update applies only the owned slice of a broadcast
+// mutation.
+func (s *Server) hostShard(k *kindEntry, in *store.Record, topo *shardmap.Topology, index int) error {
+	ss, err := checkShard(topo, index)
 	if err != nil {
 		return err
 	}
-	return s.host(name, &dataset{kind: KindMultiset, set: packed})
+	return s.host(k, in, ss)
 }
 
-// HostSetsOfSets hosts a parent set of child sets. Child sets may be passed
-// unsorted; each is stored in canonical order.
-func (s *Server) HostSetsOfSets(name string, parent [][]uint64) error {
-	return s.host(name, &dataset{kind: KindSetsOfSets, sos: setutil.CanonicalSets(parent)})
-}
-
-// checkShard validates a shard-hosting request.
+// checkShard validates a dataset's shard binding.
 func checkShard(topo *shardmap.Topology, index int) (*shardState, error) {
 	if topo == nil {
 		return nil, errors.New("sosrnet: nil topology")
@@ -372,6 +317,24 @@ func checkShard(topo *shardmap.Topology, index int) (*shardState, error) {
 	return &shardState{topo: topo, index: index}, nil
 }
 
+// HostSets hosts a set (any order, duplicates ignored). Elements must fit
+// the 2^60 universe so every protocol variant can serve it.
+func (s *Server) HostSets(name string, elems []uint64) error {
+	return s.host(&setKind, &store.Record{Name: name, Elems: elems}, nil)
+}
+
+// HostMultiset hosts a multiset (slice with repeats). Elements must be
+// < 2^48 with per-element multiplicity < 2^12 (the §3.4 packing).
+func (s *Server) HostMultiset(name string, elems []uint64) error {
+	return s.host(&multisetKind, &store.Record{Name: name, Elems: elems}, nil)
+}
+
+// HostSetsOfSets hosts a parent set of child sets. Child sets may be passed
+// unsorted; each is stored in canonical order.
+func (s *Server) HostSetsOfSets(name string, parent [][]uint64) error {
+	return s.host(&sosKind, &store.Record{Name: name, Parents: parent}, nil)
+}
+
 // HostSetsShard hosts shard index's slice of a logical set dataset: the
 // elements of elems that the topology assigns to this index (passing the
 // full logical set and the owned slice are equivalent — ownership filtering
@@ -380,30 +343,14 @@ func checkShard(topo *shardmap.Topology, index int) (*shardState, error) {
 // fan-out client dialing the wrong instance is rejected at the handshake, and
 // live UpdateSets calls apply only the owned slice of a broadcast mutation.
 func (s *Server) HostSetsShard(name string, elems []uint64, topo *shardmap.Topology, index int) error {
-	ss, err := checkShard(topo, index)
-	if err != nil {
-		return err
-	}
-	canon := setutil.Canonical(topo.OwnedElems(index, elems))
-	if err := setrecon.CheckRange(canon); err != nil {
-		return err
-	}
-	return s.host(name, &dataset{kind: KindSet, set: canon, shard: ss})
+	return s.hostShard(&setKind, &store.Record{Name: name, Elems: elems}, topo, index)
 }
 
 // HostMultisetShard hosts shard index's slice of a logical multiset dataset.
 // Ownership follows the element value, so every occurrence of one element
 // lands on the same shard and the §3.4 packing stays shard-local.
 func (s *Server) HostMultisetShard(name string, elems []uint64, topo *shardmap.Topology, index int) error {
-	ss, err := checkShard(topo, index)
-	if err != nil {
-		return err
-	}
-	packed, err := setrecon.MultisetToSet(topo.OwnedElems(index, elems))
-	if err != nil {
-		return err
-	}
-	return s.host(name, &dataset{kind: KindMultiset, set: packed, shard: ss})
+	return s.hostShard(&multisetKind, &store.Record{Name: name, Elems: elems}, topo, index)
 }
 
 // HostSetsOfSetsShard hosts shard index's slice of a logical sets-of-sets
@@ -412,41 +359,37 @@ func (s *Server) HostMultisetShard(name string, elems []uint64, topo *shardmap.T
 // (shardmap.ChildKey is a protocol constant), so each shard pair reconciles
 // an exact partition of the parent-level difference.
 func (s *Server) HostSetsOfSetsShard(name string, parent [][]uint64, topo *shardmap.Topology, index int) error {
-	ss, err := checkShard(topo, index)
-	if err != nil {
-		return err
-	}
-	// Ownership is decided on canonical children; the owned ones are then
-	// packed on their own, so the shard does not pin the whole parent's arena.
-	owned := setutil.CanonicalSets(topo.OwnedSets(index, setutil.CanonicalSets(parent)))
-	return s.host(name, &dataset{kind: KindSetsOfSets, sos: owned, shard: ss})
+	return s.hostShard(&sosKind, &store.Record{Name: name, Parents: parent}, topo, index)
 }
 
 // HostGraph hosts an undirected simple graph.
 func (s *Server) HostGraph(name string, g sosr.Graph) error {
-	return s.host(name, &dataset{kind: KindGraph, g: toGraph(g)})
+	return s.host(&graphKind, &store.Record{Name: name, N: g.N, Edges: g.Edges}, nil)
 }
 
 // HostForest hosts a rooted forest.
 func (s *Server) HostForest(name string, f sosr.Forest) error {
-	inner := toForest(f)
-	if err := inner.Validate(); err != nil {
-		return err
-	}
-	return s.host(name, &dataset{kind: KindForest, f: inner, fi: forest.Measure(inner)})
+	return s.host(&forestKind, &store.Record{Name: name, Parent: append([]int32(nil), f.Parent...)}, nil)
 }
 
-func (s *Server) lookup(name string, kind Kind) (*dataset, error) {
+// byName returns the hosted dataset of that name, whatever its kind.
+func (s *Server) byName(name string) (*dataset, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ds, ok := s.datasets[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	if ds.kind != kind {
-		return nil, fmt.Errorf("%w: %q is %s, not %s", ErrUnknownDataset, name, ds.kind, kind)
-	}
 	return ds, nil
+}
+
+// lookup returns the hosted dataset of that name and kind.
+func (s *Server) lookup(name string, kind Kind) (*dataset, error) {
+	ds, err := s.byName(name)
+	if err == nil && ds.k.kind != kind {
+		return nil, fmt.Errorf("%w: %q is %s, not %s", ErrUnknownDataset, name, ds.k.kind, kind)
+	}
+	return ds, err
 }
 
 // ListenAndServe listens on addr ("host:port") and serves until Close or
@@ -599,20 +542,12 @@ func (s *Server) reject(sid uint64, remote, reason string, err error, tid obs.Tr
 	lg.Warn("handshake rejected", args...)
 }
 
-func (s *Server) boundEnvelope() float64 {
-	if s.BoundEnvelope != 0 {
-		return s.BoundEnvelope
-	}
-	return DefaultBoundEnvelope
-}
-
-// sessTrace carries one session's tracing state down the serve paths: the
-// session span, the transfer-stage span the per-stage children hang off,
-// the resolved difference bounds, and the encode-cache outcomes. A nil
-// *sessTrace (or one holding nil spans) is fully inert, so untraced
-// sessions pay only nil checks.
+// sessTrace is what a session's plan records as it serves: the
+// transfer-stage span the per-stage children hang off (nil, and every child
+// of it inert, when the session is untraced), the resolved difference
+// bounds, and the encode-cache outcomes. The bounds and tallies are kept on
+// every session: they feed sosr_bound_ratio, traced or not.
 type sessTrace struct {
-	sp    *obs.Span // session span (root or joined)
 	stage *obs.Span // "transfer" span, parent of estimate/encode children
 	d     int       // resolved difference bound
 	dHat  int       // resolved d̂ (== d for set/graph/forest kinds)
@@ -630,11 +565,7 @@ type sessTrace struct {
 // audit records what the server's payload may scale with. Flows that resolve
 // their bound more than once (doubling, estimated d) re-record it; the last
 // attempt's stands, and earlier, smaller attempts add at most its size again.
-func (t *sessTrace) audit(keys, cellBytes int) {
-	if t != nil {
-		t.keys, t.cellBytes = keys, cellBytes
-	}
-}
+func (t *sessTrace) audit(keys, cellBytes int) { t.keys, t.cellBytes = keys, cellBytes }
 
 // boundRatio is the server's payload per unit of the session's bound, 0 when
 // the session never resolved one.
@@ -646,25 +577,13 @@ func (t *sessTrace) boundRatio(aliceBytes int) float64 {
 }
 
 // child opens a stage span under the transfer span.
-func (t *sessTrace) child(name string) *obs.Span {
-	if t == nil {
-		return nil
-	}
-	return t.stage.Child(name)
-}
+func (t *sessTrace) child(name string) *obs.Span { return t.stage.Child(name) }
 
 // bounds records the session's resolved (d, d̂).
-func (t *sessTrace) bounds(d, dHat int) {
-	if t != nil {
-		t.d, t.dHat = d, dHat
-	}
-}
+func (t *sessTrace) bounds(d, dHat int) { t.d, t.dHat = d, dHat }
 
 // cacheEvent tallies one encode-cache consultation.
 func (t *sessTrace) cacheEvent(hit bool) {
-	if t == nil {
-		return
-	}
 	if hit {
 		t.hits++
 	} else {
@@ -688,14 +607,23 @@ type sessionRecord struct {
 	sid uint64
 	// start is the accept for the session that opened the connection and the
 	// arrival of the hello for every later one.
-	start  time.Time
-	h      helloMsg
-	sp     *obs.Span // session span; nil when untraced
-	tr     sessTrace
-	proto  string
-	detail string
-	done   *doneMsg
-	err    error
+	start time.Time
+	h     helloMsg
+	sp    *obs.Span // session span; nil when untraced
+	tr    sessTrace
+	// What dispatch hands the session's plan: Alice's endpoint, the dataset
+	// snapshot and the public coins of the hello's seed.
+	ep    *wire.Endpoint
+	view  dsView
+	coins hashing.Coins
+	// proto is the protocol label of the session's metrics and log record,
+	// plan what the kind's table entry resolved the hello to (nil when it
+	// could not) and acc the answer the client was sent.
+	proto string
+	plan  alicePlan
+	acc   acceptMsg
+	done  *doneMsg
+	err   error
 }
 
 // handle serves one connection: sessions one after the other, each admitted,
@@ -844,7 +772,7 @@ func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*datas
 	if h.V != protoVersion {
 		return refuse(rejectVersion, fmt.Errorf("protocol version %d unsupported (want %d)", h.V, protoVersion))
 	}
-	if err := s.checkHello(h); err != nil {
+	if err := checkHello(h, s.maxBound()); err != nil {
 		return refuse(rejectBound, err)
 	}
 	ds, err := s.lookup(h.Dataset, h.Kind)
@@ -870,14 +798,11 @@ func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*datas
 		rec.sp = s.Trace.StartRoot("server/session")
 	}
 	rec.sp.ChildAt("hello", rec.start).Finish()
-	// The carrier itself is always threaded so bound resolution and cache
-	// tallies feed sosr_bound_ratio on every session; its spans stay nil
-	// (and cost nothing) when the session is untraced.
-	rec.tr.sp = rec.sp
 	return ds, true
 }
 
-// dispatch serves the session's protocol frames, leaving the outcome in rec.
+// dispatch resolves the session's plan through its kind's table entry, answers
+// the hello and serves the protocol frames, leaving the outcome in rec.
 func (s *Server) dispatch(c *srvConn, rec *sessionRecord, ds *dataset) {
 	h, ep, tr := &rec.h, c.ep, &rec.tr
 	// Handshake validated: pipeline the client's remaining frames (probes,
@@ -885,22 +810,14 @@ func (s *Server) dispatch(c *srvConn, rec *sessionRecord, ds *dataset) {
 	// next session) so they decode off the socket while payloads are built.
 	// Started once per connection.
 	ep.StartReadAhead()
-	view := ds.view(h.Dataset)
-	coins := hashing.NewCoins(h.Seed)
+	rec.ep, rec.view, rec.coins = ep, ds.view(h.Dataset), hashing.NewCoins(h.Seed)
 	serveStart := time.Now()
 	tr.stage = rec.sp.Child("transfer")
-	switch h.Kind {
-	case KindSet, KindMultiset:
-		rec.done, rec.proto, rec.detail, rec.err = s.serveSet(ep, coins, view, h, tr)
-	case KindSetsOfSets:
-		rec.done, rec.proto, rec.detail, rec.err = s.serveSOS(ep, coins, view, h, tr)
-	case KindGraph:
-		rec.done, rec.proto, rec.detail, rec.err = s.serveGraph(ep, coins, view, h, tr)
-	case KindForest:
-		rec.done, rec.proto, rec.detail, rec.err = s.serveForest(ep, coins, view, h, tr)
-	default:
-		rec.err = fmt.Errorf("%w: kind %q", ErrUnsupported, h.Kind)
+	rec.acc = acceptMsg{V: protoVersion, Kind: h.Kind, D: h.D}
+	if rec.plan, rec.err = ds.k.plan(s, rec, &rec.acc); rec.err != nil {
 		sendErrorFrame(ep, rec.err)
+	} else if rec.err = ep.SendFrame(lblAccept, marshalCtl(&rec.acc)); rec.err == nil {
+		rec.err = rec.plan.serve(s)
 	}
 	if errors.Is(rec.err, core.ErrInvalidInstance) {
 		s.reject(rec.sid, c.remote, rejectInstance, rec.err, rec.traceID())
@@ -946,7 +863,7 @@ func (s *Server) account(c *srvConn, rec *sessionRecord) {
 	exceeded := false
 	if ratio > 0 {
 		m.boundRatio.Observe(ratio)
-		exceeded = s.boundEnvelope() > 0 && ratio > s.boundEnvelope()
+		exceeded = ratio > DefaultBoundEnvelope
 	}
 	tid := rec.traceID()
 	if sp != nil {
@@ -998,8 +915,8 @@ func (s *Server) account(c *srvConn, rec *sessionRecord) {
 	if tid != 0 {
 		args = append(args, "trace_id", tid.String(), "span_id", sp.ID().String())
 	}
-	if rec.detail != "" {
-		args = append(args, "detail", rec.detail)
+	if rec.plan != nil {
+		args = append(args, "detail", rec.plan.detail())
 	}
 	if rec.err != nil {
 		args = append(args, "err", rec.err.Error())
@@ -1015,21 +932,6 @@ func (s *Server) account(c *srvConn, rec *sessionRecord) {
 	lg.Info("session finished", args...)
 }
 
-// accept sends the resolved parameters.
-func (s *Server) accept(ep *wire.Endpoint, acc *acceptMsg) error {
-	acc.V = protoVersion
-	return ep.SendFrame(lblAccept, marshalCtl(acc))
-}
-
-// recvDone consumes the client's closing report.
-func recvDone(ep *wire.Endpoint) (*doneMsg, error) {
-	payload, err := ep.RecvExpect(lblDone)
-	if err != nil {
-		return nil, err
-	}
-	return parseDone(payload)
-}
-
 // parseDone decodes an already-received done payload.
 func parseDone(payload []byte) (*doneMsg, error) {
 	var d doneMsg
@@ -1037,584 +939,4 @@ func parseDone(payload []byte) (*doneMsg, error) {
 		return nil, fmt.Errorf("sosrnet: malformed done frame: %v", err)
 	}
 	return &d, nil
-}
-
-// ---- set / multiset ----
-
-// setCellBytes is one cell of a plain set's IBLT: an 8-byte element, a count
-// and a checksum.
-const setCellBytes = 8 + 4 + 8
-
-func (s *Server) serveSet(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
-	alice := view.set
-	variant := "iblt"
-	detail := fmt.Sprintf("d=%d", h.D)
-	tr.bounds(h.D, h.D)
-	tr.audit(h.D, setCellBytes)
-	switch {
-	case h.CharPoly:
-		variant = "charpoly"
-		tr.audit(h.D, 8) // one field element per difference
-		if h.D <= 0 {
-			err := errors.New("charpoly requires a positive difference bound")
-			sendErrorFrame(ep, err)
-			return nil, variant, detail, err
-		}
-		// Encoding costs O(n·d) field evaluations before any byte is sent;
-		// bound the work by the hosted set, not just MaxBound — a difference
-		// beyond this is cheaper over the IBLT path anyway.
-		if limit := 4*len(alice) + 1024; h.D > limit {
-			err := fmt.Errorf("%w: charpoly bound %d exceeds work limit %d for this dataset (use the IBLT variant)", ErrUnsupported, h.D, limit)
-			sendErrorFrame(ep, err)
-			return nil, variant, detail, err
-		}
-	case h.D <= 0:
-		variant = "iblt-unknown"
-	}
-	if err := s.accept(ep, &acceptMsg{Kind: h.Kind, D: h.D}); err != nil {
-		return nil, variant, detail, err
-	}
-	if variant == "charpoly" {
-		// EncodeCharPoly is seed-independent: memoize on (dataset, d) only.
-		body := s.cachedMsg(view, "charpoly", 0, h.D, tr, func() []byte {
-			return setrecon.EncodeCharPoly(alice, h.D+1)
-		})
-		if err := ep.SendFrame("charpoly", body); err != nil {
-			return nil, variant, detail, err
-		}
-	} else {
-		d := h.D
-		if variant == "iblt-unknown" {
-			esp := tr.child("estimate")
-			probe, err := ep.RecvExpect("estimator")
-			if err != nil {
-				esp.Fail(err)
-				esp.Finish()
-				return nil, variant, detail, err
-			}
-			d, err = setrecon.DiffBoundFromEstimator(coins, probe, alice)
-			esp.SetInt("d", int64(d))
-			esp.Fail(err)
-			esp.Finish()
-			if err != nil {
-				sendErrorFrame(ep, err)
-				return nil, variant, detail, err
-			}
-			tr.bounds(d, d)
-			tr.audit(d, setCellBytes)
-		}
-		body := s.cachedMsg(view, "set-iblt", coins.Master(), d, tr, func() []byte {
-			return setrecon.BuildIBLTMsg(coins, alice, d)
-		})
-		if err := ep.SendFrame("iblt", body); err != nil {
-			return nil, variant, detail, err
-		}
-	}
-	done, err := recvDone(ep)
-	return done, variant, detail, err
-}
-
-// ---- sets of sets ----
-
-// sosPlan is the server-resolved sets-of-sets session shape.
-type sosPlan struct {
-	proto    string
-	p        core.Params
-	d        int
-	dHat     int
-	replicas int
-}
-
-// cellBytes is the audit's cost of one differing child set under this plan
-// at difference bound d.
-func (pl *sosPlan) cellBytes(d int) int {
-	switch pl.proto {
-	case "naive":
-		return core.CellBytes(core.DigestNaive, pl.p, d)
-	case "nested":
-		return core.CellBytes(core.DigestNested, pl.p, d)
-	case "cascade":
-		return core.CellBytes(core.DigestCascade, pl.p, d)
-	}
-	return core.MultiRoundCellBytes(pl.p)
-}
-
-func resolveSOS(h *helloMsg, alice [][]uint64) (*sosPlan, error) {
-	pl := &sosPlan{d: h.D}
-	pl.proto = h.Protocol
-	if pl.proto == "" || pl.proto == "auto" {
-		if pl.d > 0 {
-			pl.proto = "cascade"
-		} else {
-			pl.proto = "multiround"
-		}
-	}
-	switch pl.proto {
-	case "naive", "nested", "cascade", "multiround":
-	default:
-		return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
-	}
-	// A derived bound covers the hosted data by construction; an explicit
-	// one must, because every encoder below sizes its buffers and count
-	// widths from it.
-	S := h.S
-	if S <= 0 {
-		S = max(len(alice), h.CS, 1)
-	} else if len(alice) > S {
-		return nil, fmt.Errorf("%w: hosted dataset has %d child sets, hello bounds s=%d", core.ErrInvalidInstance, len(alice), S)
-	}
-	H := h.H
-	if H <= 0 {
-		H = max(maxChildLen(alice), h.CH, 1)
-	} else if m := maxChildLen(alice); m > H {
-		return nil, fmt.Errorf("%w: hosted dataset has a child set of %d elements, hello bounds h=%d", core.ErrInvalidInstance, m, H)
-	}
-	p, err := core.Params{S: S, H: H, U: h.U}.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	pl.p = p
-	pl.replicas = h.Replicas
-	if pl.replicas <= 0 {
-		pl.replicas = 3
-	}
-	pl.dHat = h.DHat
-	if pl.dHat <= 0 {
-		pl.dHat = core.DHat(max(pl.d, 1, 1), p.S)
-	}
-	return pl, nil
-}
-
-func (s *Server) serveSOS(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
-	alice := view.sos
-	pl, err := resolveSOS(h, alice)
-	if err != nil {
-		sendErrorFrame(ep, err)
-		// The client-supplied protocol name did not resolve; a fixed label
-		// keeps hostile hellos from minting unbounded metric series.
-		return nil, "invalid", "", err
-	}
-	tr.bounds(pl.d, pl.dHat)
-	tr.audit(pl.dHat, pl.cellBytes(pl.d))
-	detail := fmt.Sprintf("d=%d d̂=%d s=%d h=%d", pl.d, pl.dHat, pl.p.S, pl.p.H)
-	if h.Validate {
-		if err := core.Validate(alice, pl.p); err != nil {
-			sendErrorFrame(ep, err)
-			return nil, pl.proto, detail, err
-		}
-	}
-	acc := &acceptMsg{
-		Kind: KindSetsOfSets, Protocol: pl.proto, D: pl.d, DHat: pl.dHat,
-		Replicas: pl.replicas, S: pl.p.S, H: pl.p.H, U: pl.p.U,
-	}
-	if err := s.accept(ep, acc); err != nil {
-		return nil, pl.proto, detail, err
-	}
-	var done *doneMsg
-	switch pl.proto {
-	case "naive":
-		if pl.d > 0 {
-			done, err = s.serveReplicatedOneShot(ep, coins, view, pl, core.DigestNaive, "naive-iblt", tr)
-		} else {
-			// Theorem 3.4: probe, then a single Theorem 3.3 shot.
-			esp := tr.child("estimate")
-			var probe []byte
-			if probe, err = ep.RecvExpect("childdiff-estimator"); err != nil {
-				esp.Fail(err)
-				esp.Finish()
-				break
-			}
-			dHat := core.EstimateChildDiff(probe, coins, alice, pl.p)
-			esp.SetInt("dhat", int64(dHat))
-			esp.Finish()
-			tr.bounds(1, dHat)
-			tr.audit(dHat, pl.cellBytes(1))
-			var body []byte
-			if body, err = s.sosAliceMsg(view, core.DigestNaive, coins, pl.p, 1, dHat, tr); err != nil {
-				sendErrorFrame(ep, err)
-				break
-			}
-			if err = ep.SendFrame("naive-iblt", body); err != nil {
-				break
-			}
-			done, err = recvDone(ep)
-		}
-	case "nested":
-		if pl.d > 0 {
-			done, err = s.serveReplicatedOneShot(ep, coins, view, pl, core.DigestNested, "nested-iblt", tr)
-		} else {
-			done, err = s.serveDoubling(ep, coins, view, pl.p, core.DigestNested, "nested-iblt", tr)
-		}
-	case "cascade":
-		if pl.d > 0 {
-			done, err = s.serveReplicatedOneShot(ep, coins, view, pl, core.DigestCascade, "cascade-iblts", tr)
-		} else {
-			done, err = s.serveDoubling(ep, coins, view, pl.p, core.DigestCascade, "cascade-iblts", tr)
-		}
-	case "multiround":
-		done, err = s.serveMultiRound(ep, coins, view, pl, tr)
-	}
-	return done, pl.proto, detail, err
-}
-
-// serveReplicatedOneShot runs the §3.2 replication loop for a one-round
-// protocol: each attempt r uses fresh coins; the client answers ctl/done on
-// success (or final failure) and ctl/retry to request the next attempt.
-func (s *Server) serveReplicatedOneShot(ep *wire.Endpoint, coins hashing.Coins, view dsView, pl *sosPlan, kind core.DigestKind, label string, tr *sessTrace) (*doneMsg, error) {
-	for r := 0; r < pl.replicas; r++ {
-		c := coins.Sub("replica", r)
-		body, err := s.sosAliceMsg(view, kind, c, pl.p, pl.d, pl.dHat, tr)
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, err
-		}
-		if err := ep.SendFrame(label, body); err != nil {
-			return nil, err
-		}
-		got, payload, err := ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case lblDone:
-			return parseDone(payload)
-		case lblRetry:
-			continue
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-	}
-	err := fmt.Errorf("%w: %d replicas", ErrGaveUp, pl.replicas)
-	sendErrorFrame(ep, err)
-	return nil, err
-}
-
-// serveDoubling runs the Corollary 3.6/3.8 repeated-doubling loop: attempt k
-// uses d = 2^k with fresh coins; the client acknowledges each attempt with a
-// protocol "ack"/"retry" frame (the same 1-byte messages the in-process run
-// records) and closes with ctl/done.
-func (s *Server) serveDoubling(ep *wire.Endpoint, coins hashing.Coins, view dsView, p core.Params, kind core.DigestKind, label string, tr *sessTrace) (*doneMsg, error) {
-	for k := 0; k < maxDoublingAttempts; k++ {
-		d := 1 << k
-		att := coins.Sub("doubling-attempt", k)
-		// Each attempt re-records the bounds; the surviving values are the
-		// attempt the client acked (or the last one tried).
-		tr.bounds(d, core.DHat(d, p.S))
-		tr.audit(core.DHat(d, p.S), core.CellBytes(kind, p, d))
-		body, err := s.sosAliceMsg(view, kind, att, p, d, core.DHat(d, p.S), tr)
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, err
-		}
-		if err := ep.SendFrame(label, body); err != nil {
-			return nil, err
-		}
-		got, _, err := ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case "ack":
-			return recvDone(ep)
-		case "retry":
-			// Give up when the bound outgrows the instance — or the server's
-			// own cap, so endless client retries cannot inflate allocations.
-			if tooBigDoubling(d, p.S, p.H) || d > s.maxBound() {
-				err := fmt.Errorf("%w: doubling bound %d exceeds instance size", ErrGaveUp, d)
-				sendErrorFrame(ep, err)
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-	}
-	err := fmt.Errorf("%w: doubling attempts exhausted", ErrGaveUp)
-	sendErrorFrame(ep, err)
-	return nil, err
-}
-
-// serveMultiRound runs Theorem 3.9 (known d, replicated) or 3.10 (unknown d,
-// probe first) over the wire, the only genuinely multi-round flow.
-func (s *Server) serveMultiRound(ep *wire.Endpoint, coins hashing.Coins, view dsView, pl *sosPlan, tr *sessTrace) (*doneMsg, error) {
-	alice := view.sos
-	attempts := pl.replicas
-	dHat := pl.dHat
-	if pl.d <= 0 {
-		attempts = 1
-		esp := tr.child("estimate")
-		probe, err := ep.RecvExpect("childdiff-estimator")
-		if err != nil {
-			esp.Fail(err)
-			esp.Finish()
-			return nil, err
-		}
-		dHat = core.EstimateChildDiff(probe, coins, alice, pl.p)
-		esp.SetInt("dhat", int64(dHat))
-		esp.Finish()
-		tr.bounds(pl.d, dHat)
-		tr.audit(dHat, pl.cellBytes(pl.d))
-	}
-	for r := 0; r < attempts; r++ {
-		c := coins
-		if pl.d > 0 {
-			c = coins.Sub("replica", r)
-			dHat = core.DHat(pl.d, pl.p.S)
-			tr.bounds(pl.d, dHat)
-		}
-		round1 := s.cachedMsg(view, "mr1", c.Master(), dHat, tr, func() []byte {
-			return core.MRAlice1(c, alice, dHat)
-		})
-		if err := ep.SendFrame("hash-iblt", round1); err != nil {
-			return nil, err
-		}
-		got, payload, err := ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case lblRetry:
-			continue
-		case lblDone:
-			return parseDone(payload)
-		case "hash-iblt+estimators":
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-		esp := tr.child("encode")
-		esp.SetStr("proto", "mr3")
-		round3, _, err := core.MRAlice3(c, alice, pl.p, pl.d, payload)
-		esp.Fail(err)
-		esp.Finish()
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, err
-		}
-		if err := ep.SendFrame("pair-payloads", round3); err != nil {
-			return nil, err
-		}
-		got, payload, err = ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case lblDone:
-			return parseDone(payload)
-		case lblRetry:
-			continue
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-	}
-	err := fmt.Errorf("%w: %d attempts", ErrGaveUp, attempts)
-	sendErrorFrame(ep, err)
-	return nil, err
-}
-
-// ---- graph ----
-
-func (s *Server) serveGraph(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
-	ga := view.g
-	// The scheme is the protocol label; anything unresolved maps to a fixed
-	// label so hostile hellos cannot mint unbounded metric series.
-	proto := "invalid"
-	switch h.Scheme {
-	case "degree", "neighborhood":
-		proto = h.Scheme
-	}
-	detail := fmt.Sprintf("d=%d", h.D)
-	if h.N != ga.N {
-		err := fmt.Errorf("vertex count mismatch: client %d, dataset %d", h.N, ga.N)
-		sendErrorFrame(ep, err)
-		return nil, proto, detail, err
-	}
-	d := h.D
-	if d < 1 {
-		d = 1
-	}
-	tr.bounds(d, d)
-	acc := &acceptMsg{Kind: KindGraph, D: d}
-	var frames [][]byte
-	var err error
-	switch h.Scheme {
-	case "degree":
-		sigShape, sigD := graphrecon.DegreeOrderSigShape(ga.N, graphrecon.DegreeOrderParams{H: h.TopH, D: d})
-		tr.audit(core.DHat(sigD, sigShape.S), core.CellBytes(core.DigestCascade, sigShape, sigD))
-		// Both frames come from one encode pass; memoize them together.
-		frames, err = s.cachedFrames(view, "graph-degree", coins.Master(), d,
-			fmt.Sprintf("h=%d", h.TopH), tr, func() ([][]byte, error) {
-				msgs, err := graphrecon.DegreeOrderAlice(coins, ga, graphrecon.DegreeOrderParams{H: h.TopH, D: d})
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{msgs.Sig, msgs.Edges}, nil
-			})
-	case "neighborhood":
-		// The side encoding fixes maxSig (part of the accept message and the
-		// cache key), so it runs uncached; the expensive IBLT frames behind
-		// it are memoized.
-		var sideA *graphrecon.NbrSide
-		if sideA, err = graphrecon.NeighborhoodEncode(ga, h.M); err != nil {
-			break
-		}
-		acc.MaxSig = max(sideA.MaxSig, h.MaxSig, 1)
-		p := graphrecon.NeighborhoodParams{M: h.M, D: d, SigBudget: h.SigBudget}
-		if budget := graphrecon.NeighborhoodBudget(p); budget > s.maxBound() {
-			err = fmt.Errorf("%w: signature budget %d exceeds server bound %d", ErrUnsupported, budget, s.maxBound())
-			break
-		}
-		sigShape, sigD := graphrecon.NeighborhoodSigShape(ga.N, p, acc.MaxSig)
-		tr.audit(core.DHat(sigD, sigShape.S), core.CellBytes(core.DigestCascade, sigShape, sigD))
-		frames, err = s.cachedFrames(view, "graph-nbr", coins.Master(), d,
-			fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, acc.MaxSig, h.SigBudget), tr, func() ([][]byte, error) {
-				msgs, err := graphrecon.NeighborhoodAlice(coins, ga, p, sideA, acc.MaxSig)
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{msgs.Sig, msgs.Edges}, nil
-			})
-	default:
-		err = fmt.Errorf("%w: graph scheme %q", ErrUnsupported, h.Scheme)
-	}
-	if err != nil {
-		sendErrorFrame(ep, err)
-		return nil, proto, detail, err
-	}
-	if err := s.accept(ep, acc); err != nil {
-		return nil, proto, detail, err
-	}
-	if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-		return nil, proto, detail, err
-	}
-	if err := ep.SendFrame("edge-iblt", frames[1]); err != nil {
-		return nil, proto, detail, err
-	}
-	done, err := recvDone(ep)
-	return done, proto, detail, err
-}
-
-// ---- forest ----
-
-func (s *Server) serveForest(ep *wire.Endpoint, coins hashing.Coins, ds dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
-	const proto = "forest"
-	infoB := forest.SideInfo{N: h.N, Depth: h.Depth, MaxChild: h.MaxChild}
-	maxBudget := h.MaxBudget
-	if maxBudget <= 0 || maxBudget > s.maxBound() {
-		maxBudget = min(1<<20, s.maxBound())
-	}
-	detail := fmt.Sprintf("d=%d sigma=%d", h.D, h.Sigma)
-	acc := &acceptMsg{
-		Kind: KindForest, D: h.D,
-		N: ds.fi.N, Depth: ds.fi.Depth, MaxChild: ds.fi.MaxChild, MaxBudget: maxBudget,
-	}
-	if err := s.accept(ep, acc); err != nil {
-		return nil, proto, detail, err
-	}
-	// The forest plan — and therefore the payload — depends on the client's
-	// side info, which has no dedicated cache-key field; it rides in Extra.
-	planExtra := func(sigma, budget int) string {
-		return fmt.Sprintf("n=%d,dep=%d,mc=%d,sigma=%d,budget=%d", infoB.N, infoB.Depth, infoB.MaxChild, sigma, budget)
-	}
-	if h.D > 0 {
-		tr.bounds(h.D, h.D)
-		rp, params := forest.Plan(ds.fi, infoB, forest.ReconParams{Sigma: h.Sigma, D: h.D, Budget: h.Budget})
-		tr.audit(core.DHat(rp.Budget, params.S), core.CellBytes(core.DigestCascade, params, rp.Budget))
-		if rp.Budget > s.maxBound() {
-			err := fmt.Errorf("%w: forest budget %d exceeds server bound %d", ErrUnsupported, rp.Budget, s.maxBound())
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		frames, err := s.cachedFrames(ds, "forest", coins.Master(), h.D,
-			planExtra(h.Sigma, h.Budget), tr, func() ([][]byte, error) {
-				sig, meta, err := forest.AliceMsg(coins, ds.f, rp, params)
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{sig, meta}, nil
-			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("forest-meta", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
-		done, err := recvDone(ep)
-		return done, proto, detail, err
-	}
-	// Auto: verified doubling over the budget (Corollary 3.8 applied to
-	// forests), with per-attempt coins and protocol ack/retry frames.
-	for budget, k := 16, 0; budget <= maxBudget; budget, k = budget*2, k+1 {
-		att := coins.Sub("forest-attempt", k)
-		rp, params := forest.Plan(ds.fi, infoB, forest.ReconParams{Sigma: 1, D: 1, Budget: budget})
-		tr.bounds(1, budget)
-		tr.audit(core.DHat(rp.Budget, params.S), core.CellBytes(core.DigestCascade, params, rp.Budget))
-		frames, err := s.cachedFrames(ds, "forest-auto", att.Master(), 1,
-			planExtra(1, budget), tr, func() ([][]byte, error) {
-				sig, meta, err := forest.AliceMsg(att, ds.f, rp, params)
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{sig, meta}, nil
-			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("forest-meta", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
-		got, _, err := ep.RecvFrame()
-		if err != nil {
-			return nil, proto, detail, err
-		}
-		switch got {
-		case "ack":
-			done, err := recvDone(ep)
-			return done, proto, detail, err
-		case "retry":
-		default:
-			return nil, proto, detail, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-	}
-	err := fmt.Errorf("%w: forest budget exceeded %d", ErrGaveUp, maxBudget)
-	sendErrorFrame(ep, err)
-	return nil, proto, detail, err
-}
-
-// ---- helpers ----
-
-func maxChildLen(parent [][]uint64) int {
-	m := 1
-	for _, cs := range parent {
-		if len(cs) > m {
-			m = len(cs)
-		}
-	}
-	return m
-}
-
-// toGraph converts the public edge-list form into the internal bitset graph
-// (mirrors sosr.Graph's own conversion).
-func toGraph(g sosr.Graph) *graph.Graph {
-	out := graph.New(g.N)
-	for _, e := range g.Edges {
-		if e[0] != e[1] {
-			out.AddEdge(e[0], e[1])
-		}
-	}
-	return out
-}
-
-func fromGraph(g *graph.Graph) sosr.Graph {
-	return sosr.Graph{N: g.N, Edges: g.Edges()}
-}
-
-func toForest(f sosr.Forest) *forest.Forest {
-	return &forest.Forest{Parent: append([]int32(nil), f.Parent...)}
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"log/slog"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sosr"
 	"sosr/internal/core"
@@ -130,6 +132,101 @@ func TestHostileAcceptShapeRejected(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHostileAcceptRefused plays a server that answers a well-formed hello of
+// every kind with an accept no honest server sends: another version or kind,
+// a parameter the hello pinned come back changed, or a resolved size beyond
+// the bound a default server holds a client to. The client sizes Bob's
+// sketches, signature tables and plans from the accept, so it must refuse
+// before allocating anything — classified as ErrUnsupported, and told to the
+// server with a done{ok:false} — as the server does for a hostile hello.
+// Before the check, dhat = 2^21 made a two-child reconcile allocate 384 MB and
+// fail as "short naive message".
+func TestHostileAcceptRefused(t *testing.T) {
+	ctx := context.Background()
+	bobSet := seqSet(0, 50)
+	bobSOS := [][]uint64{{1, 2, 3}, {7, 8}}
+	bobGraph := sosr.RandomGraph(40, 0.3, 5)
+	bobForest := sosr.RandomForest(40, 0.2, 5)
+	sets := func(c *Client) error {
+		_, _, err := c.Sets(ctx, "x", bobSet, sosr.SetConfig{Seed: 1, KnownDiff: 16})
+		return err
+	}
+	multiset := func(c *Client) error {
+		_, _, err := c.Multiset(ctx, "x", bobSet, 16, 1)
+		return err
+	}
+	sos := func(c *Client) error {
+		_, _, err := c.SetsOfSets(ctx, "x", bobSOS, sosr.Config{Seed: 1, Protocol: sosr.ProtocolNaive, KnownDiff: 1, MaxChildSize: 8})
+		return err
+	}
+	graph := func(c *Client) error {
+		_, _, err := c.Graph(ctx, "x", bobGraph, sosr.GraphConfig{Seed: 1, Scheme: sosr.SchemeDegreeNeighborhood, MaxEdits: 1, DegreeThreshold: 30})
+		return err
+	}
+	forest := func(c *Client) error {
+		_, _, err := c.Forest(ctx, "x", bobForest, sosr.ForestConfig{Seed: 1})
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		acc  acceptMsg
+		run  func(c *Client) error
+	}{
+		{"set: another version", acceptMsg{V: protoVersion + 1, Kind: KindSet, D: 16}, sets},
+		{"set: pinned d changed", acceptMsg{V: protoVersion, Kind: KindSet, D: 1 << 19}, sets},
+		{"multiset: another kind", acceptMsg{V: protoVersion, Kind: KindSet, D: 16}, multiset},
+		{"sos: dhat beyond the bound", acceptMsg{V: protoVersion, Kind: KindSetsOfSets, Protocol: "naive", D: 1, DHat: 1 << 21, Replicas: 1, S: 2, H: 8}, sos},
+		{"sos: s beyond the bound", acceptMsg{V: protoVersion, Kind: KindSetsOfSets, Protocol: "naive", D: 1, DHat: 1, Replicas: 1, S: 1 << 28, H: 8}, sos},
+		{"sos: pinned h changed", acceptMsg{V: protoVersion, Kind: KindSetsOfSets, Protocol: "naive", D: 1, DHat: 1, Replicas: 1, S: 2, H: 1 << 12}, sos},
+		{"sos: replicas beyond the cap", acceptMsg{V: protoVersion, Kind: KindSetsOfSets, Protocol: "naive", D: 1, DHat: 1, Replicas: 1 << 16, S: 2, H: 8}, sos},
+		{"graph: maxsig beyond the bound", acceptMsg{V: protoVersion, Kind: KindGraph, D: 1, MaxSig: 1 << 28}, graph},
+		{"forest: n beyond the bound", acceptMsg{V: protoVersion, Kind: KindForest, N: 1 << 28, Depth: 4, MaxChild: 4, MaxBudget: 64}, forest},
+		{"forest: negative budget cap", acceptMsg{V: protoVersion, Kind: KindForest, N: 40, Depth: 4, MaxChild: 4, MaxBudget: -1}, forest},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan *doneMsg, 1)
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			ep := wire.NewEndpoint(conn, transport.Alice)
+			if _, err := ep.RecvExpect(lblHello); err != nil {
+				return
+			}
+			if ep.SendFrame(lblAccept, marshalCtl(&tc.acc)) != nil {
+				return
+			}
+			if done, err := recvDone(ep); err == nil {
+				served <- done
+			}
+		}()
+		c := Dial(ln.Addr().String())
+		c.Timeout = 5 * time.Second // an accept taken at its word waits for a payload that never comes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = tc.run(c)
+		runtime.ReadMemStats(&after)
+		c.Close()
+		done := <-served
+		ln.Close()
+		if !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s: got %v, want ErrUnsupported", tc.name, err)
+		}
+		if done == nil || done.OK || done.Error == "" {
+			t.Errorf("%s: the server was told %+v, want a done{ok:false} naming the refusal", tc.name, done)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: the session allocated %d bytes on the accept's word", tc.name, grew)
+		}
 	}
 }
 

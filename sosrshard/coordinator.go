@@ -70,23 +70,40 @@ func (co *Coordinator) Server(shard, replica int) *sosrnet.Server {
 	return co.servers[shard][replica]
 }
 
-// eachServer runs fn for every (shard, replica) server, annotating errors.
-func (co *Coordinator) eachServer(fn func(i int, srv *sosrnet.Server) error) error {
+// eachServer runs fn on every replica server of every shard, in (shard,
+// replica) order, and annotates the first error with where it happened.
+// touched, when non-nil, narrows the sweep to the shards owning a part of a
+// routed mutation — the others keep their versions and caches — and each of
+// those counts as one routed update.
+func (co *Coordinator) eachServer(touched func(i int) bool, fn func(i int, srv *sosrnet.Server) error) error {
 	for i, reps := range co.servers {
+		if touched != nil && !touched(i) {
+			continue
+		}
 		for j, srv := range reps {
 			if err := fn(i, srv); err != nil {
 				return fmt.Errorf("sosrshard: shard %d replica %d (%s): %w",
 					i, j, co.topo.Replicas(i)[j], err)
 			}
 		}
+		if touched != nil {
+			co.countUpdate(i)
+		}
 	}
 	return nil
+}
+
+// route sends each owning shard its part of a mutation split by ownership.
+func route[P any](co *Coordinator, add, remove [][]P, apply func(srv *sosrnet.Server, add, remove []P) error) error {
+	return co.eachServer(
+		func(i int) bool { return len(add[i])+len(remove[i]) > 0 },
+		func(i int, srv *sosrnet.Server) error { return apply(srv, add[i], remove[i]) })
 }
 
 // HostSets hosts a logical set dataset: every replica server keeps its
 // shard's owned slice under the same name.
 func (co *Coordinator) HostSets(name string, elems []uint64) error {
-	return co.eachServer(func(i int, srv *sosrnet.Server) error {
+	return co.eachServer(nil, func(i int, srv *sosrnet.Server) error {
 		return srv.HostSetsShard(name, elems, co.topo, i)
 	})
 }
@@ -94,7 +111,7 @@ func (co *Coordinator) HostSets(name string, elems []uint64) error {
 // HostMultiset hosts a logical multiset dataset; occurrences follow their
 // element value to one shard.
 func (co *Coordinator) HostMultiset(name string, elems []uint64) error {
-	return co.eachServer(func(i int, srv *sosrnet.Server) error {
+	return co.eachServer(nil, func(i int, srv *sosrnet.Server) error {
 		return srv.HostMultisetShard(name, elems, co.topo, i)
 	})
 }
@@ -102,59 +119,30 @@ func (co *Coordinator) HostMultiset(name string, elems []uint64) error {
 // HostSetsOfSets hosts a logical sets-of-sets dataset; child sets follow
 // their canonical identity hash to one shard.
 func (co *Coordinator) HostSetsOfSets(name string, parent [][]uint64) error {
-	return co.eachServer(func(i int, srv *sosrnet.Server) error {
+	return co.eachServer(nil, func(i int, srv *sosrnet.Server) error {
 		return srv.HostSetsOfSetsShard(name, parent, co.topo, i)
 	})
-}
-
-// updateShards applies a pre-split mutation to every replica of each owning
-// shard, skipping shards owning no part of it (their versions and caches
-// stay).
-func (co *Coordinator) updateShards(touched func(i int) bool, apply func(i int, srv *sosrnet.Server) error) error {
-	for i, reps := range co.servers {
-		if !touched(i) {
-			continue
-		}
-		for j, srv := range reps {
-			if err := apply(i, srv); err != nil {
-				return fmt.Errorf("sosrshard: shard %d replica %d (%s): %w",
-					i, j, co.topo.Replicas(i)[j], err)
-			}
-		}
-		co.countUpdate(i)
-	}
-	return nil
 }
 
 // UpdateSets routes a logical set mutation to every replica of the owning
 // shards.
 func (co *Coordinator) UpdateSets(name string, add, remove []uint64) error {
-	addParts := co.topo.SplitElems(add)
-	rmParts := co.topo.SplitElems(remove)
-	return co.updateShards(
-		func(i int) bool { return len(addParts[i]) > 0 || len(rmParts[i]) > 0 },
-		func(i int, srv *sosrnet.Server) error { return srv.UpdateSets(name, addParts[i], rmParts[i]) },
-	)
+	return route(co, co.topo.SplitElems(add), co.topo.SplitElems(remove),
+		func(srv *sosrnet.Server, add, remove []uint64) error { return srv.UpdateSets(name, add, remove) })
 }
 
 // UpdateMultisets routes a logical multiset mutation (add/remove
 // occurrences) to every replica of the owning shards.
 func (co *Coordinator) UpdateMultisets(name string, add, remove []uint64) error {
-	addParts := co.topo.SplitElems(add)
-	rmParts := co.topo.SplitElems(remove)
-	return co.updateShards(
-		func(i int) bool { return len(addParts[i]) > 0 || len(rmParts[i]) > 0 },
-		func(i int, srv *sosrnet.Server) error { return srv.UpdateMultisets(name, addParts[i], rmParts[i]) },
-	)
+	return route(co, co.topo.SplitElems(add), co.topo.SplitElems(remove),
+		func(srv *sosrnet.Server, add, remove []uint64) error { return srv.UpdateMultisets(name, add, remove) })
 }
 
 // UpdateSetsOfSets routes a logical sets-of-sets mutation to every replica
 // of the shards owning the touched child sets.
 func (co *Coordinator) UpdateSetsOfSets(name string, add, remove [][]uint64) error {
-	addParts := co.topo.SplitSets(setutil.CanonicalSets(add))
-	rmParts := co.topo.SplitSets(setutil.CanonicalSets(remove))
-	return co.updateShards(
-		func(i int) bool { return len(addParts[i]) > 0 || len(rmParts[i]) > 0 },
-		func(i int, srv *sosrnet.Server) error { return srv.UpdateSetsOfSets(name, addParts[i], rmParts[i]) },
-	)
+	return route(co, co.topo.SplitSets(setutil.CanonicalSets(add)), co.topo.SplitSets(setutil.CanonicalSets(remove)),
+		func(srv *sosrnet.Server, add, remove [][]uint64) error {
+			return srv.UpdateSetsOfSets(name, add, remove)
+		})
 }

@@ -124,7 +124,7 @@ type Stats struct {
 	Shards []ShardStats
 }
 
-func (st *Stats) add(index int, id string, oc *shardOutcome) {
+func (st *Stats) add(index int, id string, oc *shardWin) {
 	ns := oc.ns
 	st.Protocol.Rounds += ns.Protocol.Rounds
 	st.Protocol.TotalBytes += ns.Protocol.TotalBytes
@@ -170,9 +170,6 @@ type Client struct {
 	// server-reported errors fail fast — every replica hosts the identical
 	// slice and would answer the same.
 	RetryBackoff time.Duration
-	// MaxAttempts bounds sessions per shard per reconcile, hedges included
-	// (0 = max(2, replicas)).
-	MaxAttempts int
 	// PerShardDiff, when set, drops the caller's logical difference bound
 	// from each shard session so every shard derives its own d̂ (the strata
 	// estimator for sets/multisets, the child-difference probe or doubling
@@ -314,25 +311,62 @@ func (c *Client) logger() *slog.Logger {
 	return discardLogger
 }
 
-// startSpan opens one reconcile's root span — a child of the caller's
-// context span when one is present, a sampled root from c.Trace otherwise —
-// and is nil (free) when tracing is off.
-func (c *Client) startSpan(ctx context.Context, name string, kind string) *obs.Span {
+// shardSeed derives the public-coin seed for one shard's session from the
+// logical seed and the canonical shard identity, so distinct shards run
+// independent hash families and reordered-but-identical topologies derive
+// identical per-shard seeds. It doubles as the rendezvous key for replica
+// ordering: distinct logical seeds spread shard primaries across replicas.
+func (c *Client) shardSeed(topo *shardmap.Topology, seed uint64, index int) uint64 {
+	return hashing.NewCoins(seed).Seed("shard/"+topo.ShardID(index), topo.NumShards())
+}
+
+// reconcile is the one fan-out under every Client method: split the local
+// replica by ownership, run one session per shard (fanOut), and merge the
+// per-shard results, with the merged Stats itemizing the winning sessions in
+// shard order. run reconciles one shard's part against one replica under the
+// shard's derived seed. The whole is traced under a "shard/reconcile" root — a
+// child of the caller's context span when one is present, a sampled root from
+// c.Trace otherwise — whose byte attributes come from the Stats value the
+// caller gets, so they equal the itemized report exactly. On a stale-epoch
+// rejection with a Refresh hook configured the topology is re-resolved and
+// the fan-out rerun once, re-splitting from scratch: the new topology may
+// partition differently.
+func reconcile[P, R any](ctx context.Context, c *Client, name, kind string, seed uint64,
+	split func(topo *shardmap.Topology) [][]P,
+	run func(ctx context.Context, cl *sosrnet.Client, part []P, seed uint64) (R, *sosrnet.NetStats, error),
+	merge func(parts []R, stats *Stats) R) (R, *Stats, error) {
 	sp := obs.SpanFromContext(ctx).Child("shard/reconcile")
 	if sp == nil {
 		sp = c.Trace.StartRoot("shard/reconcile")
 	}
 	sp.SetStr("dataset", name)
 	sp.SetStr("kind", kind)
-	return sp
-}
-
-// finishSpan closes a reconcile root with the merged accounting: the byte
-// attributes come from the same Stats value the caller returns, so the trace
-// root's wire bytes equal the reported itemized Stats exactly.
-func (c *Client) finishSpan(sp *obs.Span, stats *Stats, err error) {
-	if sp == nil {
-		return
+	ctx = obs.ContextWithSpan(ctx, sp)
+	fan := func() (res R, _ *Stats, err error) {
+		st, err := c.state()
+		if err != nil {
+			return res, nil, err
+		}
+		parts := split(st.topo)
+		outs, err := fanOut(ctx, c, st, seed, func(ctx context.Context, i int, cl *sosrnet.Client, seed uint64) (R, *sosrnet.NetStats, error) {
+			return run(ctx, cl, parts[i], seed)
+		})
+		if err != nil {
+			return res, nil, err
+		}
+		stats := &Stats{}
+		results := make([]R, len(outs))
+		for i := range outs {
+			results[i] = outs[i].res
+			stats.add(i, st.topo.ShardID(i), &outs[i].shardWin)
+		}
+		return merge(results, stats), stats, nil
+	}
+	res, stats, err := fan()
+	if err != nil && c.Refresh != nil && errors.Is(err, sosrnet.ErrStaleEpoch) {
+		if err = c.refresh(ctx, err); err == nil {
+			res, stats, err = fan()
+		}
 	}
 	if stats != nil {
 		sp.SetInt("proto_bytes", int64(stats.Protocol.TotalBytes))
@@ -345,57 +379,31 @@ func (c *Client) finishSpan(sp *obs.Span, stats *Stats, err error) {
 	}
 	sp.Fail(err)
 	sp.Finish()
+	return res, stats, err
 }
 
-// shardSeed derives the public-coin seed for one shard's session from the
-// logical seed and the canonical shard identity, so distinct shards run
-// independent hash families and reordered-but-identical topologies derive
-// identical per-shard seeds. It doubles as the rendezvous key for replica
-// ordering: distinct logical seeds spread shard primaries across replicas.
-func (c *Client) shardSeed(topo *shardmap.Topology, seed uint64, index int) uint64 {
-	return hashing.NewCoins(seed).Seed("shard/"+topo.ShardID(index), topo.NumShards())
-}
-
-// withRefresh runs one split-and-fan-out against the current topology; on a
-// stale-epoch rejection with a Refresh hook configured it re-resolves the
-// topology, swaps it in, and reruns once (the new topology may partition
-// differently, so the rerun re-splits from scratch).
-func withRefresh[R any](ctx context.Context, c *Client, run func(st *state) (R, *Stats, error)) (R, *Stats, error) {
-	var zero R
-	st, err := c.state()
-	if err != nil {
-		return zero, nil, err
-	}
-	res, stats, err := run(st)
-	if err == nil || c.Refresh == nil || !errors.Is(err, sosrnet.ErrStaleEpoch) {
-		return res, stats, err
-	}
+// refresh re-resolves the topology after the stale-epoch rejection cause and
+// swaps it in.
+func (c *Client) refresh(ctx context.Context, cause error) error {
 	if m := c.metrics(); m != nil {
 		m.refreshes.Inc()
 	}
 	c.logger().Warn("stale topology epoch; refreshing and retrying",
-		"epoch", st.topo.Epoch(), "err", err.Error(),
+		"epoch", c.Topology().Epoch(), "err", cause.Error(),
 		"trace_id", obs.SpanFromContext(ctx).TraceID().String())
-	topo, rerr := c.Refresh(ctx)
-	if rerr != nil {
-		return zero, nil, fmt.Errorf("sosrshard: topology refresh failed (%v) after: %w", rerr, err)
+	topo, err := c.Refresh(ctx)
+	if err != nil {
+		return fmt.Errorf("sosrshard: topology refresh failed (%v) after: %w", err, cause)
 	}
-	if serr := c.SetTopology(topo); serr != nil {
-		return zero, nil, serr
-	}
-	if st, err = c.state(); err != nil {
-		return zero, nil, err
-	}
-	return run(st)
+	return c.SetTopology(topo)
 }
 
 // shardFn runs one shard's session against one replica's client, with the
 // shard's derived session seed.
-type shardFn func(ctx context.Context, shard int, cl *sosrnet.Client, seed uint64) (any, *sosrnet.NetStats, error)
+type shardFn[R any] func(ctx context.Context, shard int, cl *sosrnet.Client, seed uint64) (R, *sosrnet.NetStats, error)
 
-// shardOutcome is one shard's winning session plus its attempt accounting.
-type shardOutcome struct {
-	res       any
+// shardWin is one shard's winning session and its attempt accounting.
+type shardWin struct {
 	ns        *sosrnet.NetStats
 	replica   string
 	attempts  int
@@ -404,11 +412,17 @@ type shardOutcome struct {
 	hedgeWin  bool
 }
 
+// shardOutcome is one shard's result with how it was won.
+type shardOutcome[R any] struct {
+	res R
+	shardWin
+}
+
 // attemptResult carries one replica session's result into the engine.
-type attemptResult struct {
+type attemptResult[R any] struct {
 	viaHedge bool
 	replica  string
-	res      any
+	res      R
 	ns       *sosrnet.NetStats
 	err      error
 }
@@ -439,12 +453,10 @@ func retryable(err error) bool {
 // an optional hedge racing a second replica against a straggling first. The
 // first success cancels every other in-flight attempt (severing its
 // connection); a non-retryable error fails the shard immediately.
-func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64, fn func(ctx context.Context, cl *sosrnet.Client) (any, *sosrnet.NetStats, error)) (*shardOutcome, error) {
+func runShard[R any](ctx context.Context, c *Client, st *state, shard int, key uint64, fn shardFn[R]) (out shardOutcome[R], err error) {
 	order := st.topo.ReplicaOrder(shard, key)
-	maxAttempts := c.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = max(2, len(order))
-	}
+	// Sessions per shard per reconcile, hedges included.
+	maxAttempts := max(2, len(order))
 	backoff := c.RetryBackoff
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
@@ -458,7 +470,7 @@ func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64,
 	tid := fsp.TraceID()
 	// Buffered to maxAttempts: a cancelled loser's goroutine can always
 	// deliver its result and exit, even after runShard has returned.
-	results := make(chan attemptResult, maxAttempts)
+	results := make(chan attemptResult[R], maxAttempts)
 	launched, pending := 0, 0
 	launch := func(viaHedge bool) {
 		cl := st.clients[shard][order[launched%len(order)]]
@@ -470,7 +482,7 @@ func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64,
 			asp.SetStr("replica", cl.Addr)
 			asp.SetInt("attempt", int64(attempt))
 			asp.SetBool("hedge", viaHedge)
-			res, ns, err := fn(obs.ContextWithSpan(actx, asp), cl)
+			res, ns, err := fn(obs.ContextWithSpan(actx, asp), shard, cl, key)
 			// A loser cancelled because another attempt won is an expected
 			// outcome, not a failure worth flagging the whole trace for.
 			if err != nil && actx.Err() != nil {
@@ -479,12 +491,11 @@ func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64,
 				asp.Fail(err)
 			}
 			asp.Finish()
-			results <- attemptResult{viaHedge: viaHedge, replica: cl.Addr, res: res, ns: ns, err: err}
+			results <- attemptResult[R]{viaHedge: viaHedge, replica: cl.Addr, res: res, ns: ns, err: err}
 		}()
 	}
 	launch(false)
 	m := c.metrics()
-	out := &shardOutcome{}
 	var hedgeCh <-chan time.Time
 	if c.HedgeDelay > 0 && len(order) > 1 {
 		ht := time.NewTimer(c.HedgeDelay)
@@ -502,7 +513,7 @@ func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64,
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return out, ctx.Err()
 		case r := <-results:
 			pending--
 			if r.err == nil {
@@ -520,7 +531,7 @@ func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64,
 			}
 			lastErr = r.err
 			if !retryable(r.err) {
-				return nil, r.err
+				return out, r.err
 			}
 			out.failovers++
 			if m != nil {
@@ -534,7 +545,7 @@ func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64,
 				backoffCh = backoffT.C
 			}
 			if pending == 0 && backoffCh == nil {
-				return nil, fmt.Errorf("sosrshard: %d replica attempts failed: %w", launched, lastErr)
+				return out, fmt.Errorf("sosrshard: %d replica attempts failed: %w", launched, lastErr)
 			}
 		case <-backoffCh:
 			backoffCh, backoffT = nil, nil
@@ -562,10 +573,10 @@ func (c *Client) runShard(ctx context.Context, st *state, shard int, key uint64,
 // latency (failover and hedge waits included), the fan-out's straggler
 // spread (slowest minus fastest — the wall-clock cost sharding adds over the
 // slowest shard alone), and the fan-out outcome.
-func (c *Client) fanOut(ctx context.Context, st *state, seed uint64, fn shardFn) ([]*shardOutcome, error) {
+func fanOut[R any](ctx context.Context, c *Client, st *state, seed uint64, fn shardFn[R]) ([]shardOutcome[R], error) {
 	m := c.metrics()
 	n := st.topo.NumShards()
-	outs := make([]*shardOutcome, n)
+	outs := make([]shardOutcome[R], n)
 	errs := make([]error, n)
 	durs := make([]time.Duration, n)
 	var wg sync.WaitGroup
@@ -578,10 +589,7 @@ func (c *Client) fanOut(ctx context.Context, st *state, seed uint64, fn shardFn)
 			fsp := obs.SpanFromContext(ctx).Child("shard/fanout")
 			fsp.SetInt("shard", int64(i))
 			fsp.SetStr("shard_id", st.topo.ShardID(i))
-			outs[i], errs[i] = c.runShard(obs.ContextWithSpan(ctx, fsp), st, i, key,
-				func(actx context.Context, cl *sosrnet.Client) (any, *sosrnet.NetStats, error) {
-					return fn(actx, i, cl, key)
-				})
+			outs[i], errs[i] = runShard(obs.ContextWithSpan(ctx, fsp), c, st, i, key, fn)
 			fsp.Fail(errs[i])
 			fsp.Finish()
 			durs[i] = time.Since(t0)
@@ -589,17 +597,10 @@ func (c *Client) fanOut(ctx context.Context, st *state, seed uint64, fn shardFn)
 	}
 	wg.Wait()
 	if m != nil {
-		fastest, slowest := durs[0], durs[0]
 		for i, d := range durs {
 			m.session.With(strconv.Itoa(i)).Observe(d.Seconds())
-			if d < fastest {
-				fastest = d
-			}
-			if d > slowest {
-				slowest = d
-			}
 		}
-		m.straggler.Observe((slowest - fastest).Seconds())
+		m.straggler.Observe((slices.Max(durs) - slices.Min(durs)).Seconds())
 	}
 	var firstErr error
 	for i, err := range errs {
@@ -625,42 +626,32 @@ func (c *Client) fanOut(ctx context.Context, st *state, seed uint64, fn shardFn)
 // (cfg.KnownDiff must bound the whole logical difference — any single shard
 // may own all of it — unless PerShardDiff lets each shard estimate its own).
 func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, *Stats, error) {
-	sp := c.startSpan(ctx, name, "set")
-	ctx = obs.ContextWithSpan(ctx, sp)
 	canon := setutil.Canonical(local)
-	res, stats, err := withRefresh(ctx, c, func(st *state) (*sosr.SetResult, *Stats, error) {
-		parts := st.topo.SplitElems(canon)
-		outs, err := c.fanOut(ctx, st, cfg.Seed, func(actx context.Context, i int, cl *sosrnet.Client, seed uint64) (any, *sosrnet.NetStats, error) {
+	if c.PerShardDiff && !cfg.UseCharPoly {
+		cfg.KnownDiff = 0
+	}
+	return reconcile(ctx, c, name, "set", cfg.Seed,
+		func(topo *shardmap.Topology) [][]uint64 { return topo.SplitElems(canon) },
+		func(ctx context.Context, cl *sosrnet.Client, part []uint64, seed uint64) (*sosr.SetResult, *sosrnet.NetStats, error) {
 			sc := cfg
 			sc.Seed = seed
-			if c.PerShardDiff && !sc.UseCharPoly {
-				sc.KnownDiff = 0
+			return cl.Sets(ctx, name, part, sc)
+		},
+		func(parts []*sosr.SetResult, stats *Stats) *sosr.SetResult {
+			merged := &sosr.SetResult{Stats: stats.Protocol}
+			for _, res := range parts {
+				merged.Recovered = append(merged.Recovered, res.Recovered...)
+				merged.OnlyA = append(merged.OnlyA, res.OnlyA...)
+				merged.OnlyB = append(merged.OnlyB, res.OnlyB...)
 			}
-			return unpack3(cl.Sets(actx, name, parts[i], sc))
+			// Shards partition the element space, so the merged slices are
+			// disjoint; sorting restores the canonical order an unsharded run
+			// reports.
+			slices.Sort(merged.Recovered)
+			slices.Sort(merged.OnlyA)
+			slices.Sort(merged.OnlyB)
+			return merged
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		merged := &sosr.SetResult{}
-		stats := &Stats{}
-		for i, oc := range outs {
-			res := oc.res.(*sosr.SetResult)
-			merged.Recovered = append(merged.Recovered, res.Recovered...)
-			merged.OnlyA = append(merged.OnlyA, res.OnlyA...)
-			merged.OnlyB = append(merged.OnlyB, res.OnlyB...)
-			stats.add(i, st.topo.ShardID(i), oc)
-		}
-		// Shards partition the element space, so the merged slices are
-		// disjoint; sorting restores the canonical order an unsharded run
-		// reports.
-		slices.Sort(merged.Recovered)
-		slices.Sort(merged.OnlyA)
-		slices.Sort(merged.OnlyB)
-		merged.Stats = stats.Protocol
-		return merged, stats, nil
-	})
-	c.finishSpan(sp, stats, err)
-	return res, stats, err
 }
 
 // Multiset reconciles a local multiset against the sharded hosted multiset
@@ -670,31 +661,19 @@ func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr
 // bounds the packed-set difference per shard; pass the logical bound, or set
 // PerShardDiff to let each shard estimate its own.
 func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, *Stats, error) {
-	sp := c.startSpan(ctx, name, "multiset")
-	ctx = obs.ContextWithSpan(ctx, sp)
-	res, stats, err := withRefresh(ctx, c, func(st *state) ([]uint64, *Stats, error) {
-		parts := st.topo.SplitElems(local)
-		outs, err := c.fanOut(ctx, st, seed, func(actx context.Context, i int, cl *sosrnet.Client, sseed uint64) (any, *sosrnet.NetStats, error) {
-			d := diffBound
-			if c.PerShardDiff {
-				d = 0
-			}
-			return unpack3(cl.Multiset(actx, name, parts[i], d, sseed))
+	if c.PerShardDiff {
+		diffBound = 0
+	}
+	return reconcile(ctx, c, name, "multiset", seed,
+		func(topo *shardmap.Topology) [][]uint64 { return topo.SplitElems(local) },
+		func(ctx context.Context, cl *sosrnet.Client, part []uint64, seed uint64) ([]uint64, *sosrnet.NetStats, error) {
+			return cl.Multiset(ctx, name, part, diffBound, seed)
+		},
+		func(parts [][]uint64, _ *Stats) []uint64 {
+			merged := slices.Concat(parts...)
+			slices.Sort(merged)
+			return merged
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		var merged []uint64
-		stats := &Stats{}
-		for i, oc := range outs {
-			merged = append(merged, oc.res.([]uint64)...)
-			stats.add(i, st.topo.ShardID(i), oc)
-		}
-		slices.Sort(merged)
-		return merged, stats, nil
-	})
-	c.finishSpan(sp, stats, err)
-	return res, stats, err
 }
 
 // SetsOfSets reconciles a local parent set against the sharded hosted
@@ -705,47 +684,27 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 // cfg.KnownDiff must bound the whole logical difference, or set PerShardDiff
 // to let each shard derive its own bound.
 func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, *Stats, error) {
-	sp := c.startSpan(ctx, name, "sos")
-	ctx = obs.ContextWithSpan(ctx, sp)
 	canon := setutil.CanonicalSets(local)
-	res, stats, err := withRefresh(ctx, c, func(st *state) (*sosr.Result, *Stats, error) {
-		parts := st.topo.SplitSets(canon)
-		outs, err := c.fanOut(ctx, st, cfg.Seed, func(actx context.Context, i int, cl *sosrnet.Client, seed uint64) (any, *sosrnet.NetStats, error) {
+	if c.PerShardDiff {
+		cfg.KnownDiff = 0
+	}
+	return reconcile(ctx, c, name, "sos", cfg.Seed,
+		func(topo *shardmap.Topology) [][][]uint64 { return topo.SplitSets(canon) },
+		func(ctx context.Context, cl *sosrnet.Client, part [][]uint64, seed uint64) (*sosr.Result, *sosrnet.NetStats, error) {
 			sc := cfg
 			sc.Seed = seed
-			if c.PerShardDiff {
-				sc.KnownDiff = 0
+			return cl.SetsOfSets(ctx, name, part, sc)
+		},
+		func(parts []*sosr.Result, stats *Stats) *sosr.Result {
+			merged := &sosr.Result{Protocol: parts[0].Protocol, Stats: stats.Protocol, Attempts: stats.Attempts}
+			for _, res := range parts {
+				merged.Recovered = append(merged.Recovered, res.Recovered...)
+				merged.Added = append(merged.Added, res.Added...)
+				merged.Removed = append(merged.Removed, res.Removed...)
 			}
-			return unpack3(cl.SetsOfSets(actx, name, parts[i], sc))
+			setutil.SortSets(merged.Recovered)
+			setutil.SortSets(merged.Added)
+			setutil.SortSets(merged.Removed)
+			return merged
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		merged := &sosr.Result{Protocol: outs[0].res.(*sosr.Result).Protocol}
-		stats := &Stats{}
-		for i, oc := range outs {
-			res := oc.res.(*sosr.Result)
-			merged.Recovered = append(merged.Recovered, res.Recovered...)
-			merged.Added = append(merged.Added, res.Added...)
-			merged.Removed = append(merged.Removed, res.Removed...)
-			stats.add(i, st.topo.ShardID(i), oc)
-		}
-		setutil.SortSets(merged.Recovered)
-		setutil.SortSets(merged.Added)
-		setutil.SortSets(merged.Removed)
-		merged.Stats = stats.Protocol
-		merged.Attempts = stats.Attempts
-		return merged, stats, nil
-	})
-	c.finishSpan(sp, stats, err)
-	return res, stats, err
-}
-
-// unpack3 adapts a typed (result, stats, error) return to the engine's
-// untyped attempt signature without a nil-interface pitfall on error.
-func unpack3[R any](res R, ns *sosrnet.NetStats, err error) (any, *sosrnet.NetStats, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ns, nil
 }

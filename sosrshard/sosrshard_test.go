@@ -452,10 +452,9 @@ func TestReplicatedCoordinatorKeepsReplicasIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	logical := setutil.ApplyDiff(alice, []uint64{80_001, 80_002, 80_003}, []uint64{alice[0]})
-	// Every replica of every shard serves the identical updated slice: run
-	// one fan-out pinned to each replica column via MaxAttempts=1 after
-	// forcing the rendezvous choice with different seeds until both columns
-	// have served, then simply reconcile twice and compare winners' results.
+	// Every replica of every shard serves the identical updated slice:
+	// different seeds move the rendezvous choice until both columns have
+	// served, and every winner's result must be the same.
 	want := setutil.Canonical(logical)
 	for seed := uint64(0); seed < 4; seed++ {
 		// Per-shard coins hash the ephemeral listen addresses, so any run may
