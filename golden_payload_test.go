@@ -29,7 +29,11 @@ import (
 // keys are child encodings (core/nested, core/cascade, forest/sig,
 // graphrecon/degree-sig, graphrecon/nbr-sig). The other ten — stand-alone
 // tables, naive keys, char-poly, packings, orders and Bob's results — still
-// carry their PR 12 hashes.
+// carry their PR 12 hashes. Sizing the two signature collections at their true
+// h (PR 19, protoVersion 4) moved exactly forest/sig and graphrecon/nbr-sig:
+// fewer cascade levels and a T*; the meta frame, the edge tables and Bob's
+// results did not move, and no persisted byte depends on either shape. The
+// control frames of the same revision are pinned in sosrnet/ctl_test.go.
 var goldenPayloads = map[string]string{
 	"core/cascade":             "ec2fa5de98b271a301142ce3e0eaa498ba1bd264fe7addc0bf885e8abfb0f7c2",
 	"core/multiset-parent":     "7c701af2ea5e39c5d3a022761f734ceafeddc4bdce5f8cfa19b1653bd1a526e9",
@@ -37,13 +41,13 @@ var goldenPayloads = map[string]string{
 	"core/nested":              "4cf4963e86585d8075dc5013c2505877108f4041a4985e7b58e05c6162876b7b",
 	"field/roots-order":        "cdf4ff6f5cd7158602e64a83ffea27431cbdcd462fb07c700060634a4128dc11",
 	"forest/meta":              "dcd6e9b82ebb172375dd3040d193dc146c388390ead62c09c17b74782bce9691",
-	"forest/sig":               "c50f1ac4a16e767e05bade5292b99ba427efca949f617708577a3d8923a8fa82",
+	"forest/sig":               "a84779175eb686e9350f26bfa47e2ce2d249e59a0c3f002c7ba0c905df523e4e",
 	"graphrecon/degree-edges":  "ab17d5bd7a040f644398e1071eef9eb1920303cadb3f426ed79ca0705e6a4cb4",
 	"graphrecon/degree-result": "38681f8380eea2298e5bcfd364da09be1ad335dbd54cf06f186e59f647f3a4fc",
 	"graphrecon/degree-sig":    "4c59346095b66d8f0f0258f48aa30b75af5b6c919289a36bffa67f8cbe5b1a9c",
 	"graphrecon/nbr-edges":     "ab0c557b4c66a8b87adeac78c3e66e982d1e882e31ff2aa74198bd04b7f70c42",
 	"graphrecon/nbr-result":    "bfad4be05e8e78b20d97427235f1b7f59ffc5595fca325294d618cba155eb4d6",
-	"graphrecon/nbr-sig":       "9b97ec1474eb59d0b5175a435efc1d3129530996d9bd2df2cfa9973bdf3a1bc0",
+	"graphrecon/nbr-sig":       "5c57d89a5cce4c0e9b52f72e8abdc7e2820ec00cd976eeb8d4517e677bf28563",
 	"setrecon/charpoly":        "957c7edf6bbb42595acd874be32e099bbcac0604c4d924ddb2b3fc2edc213ab8",
 	"setrecon/multiset":        "14590b9d95d1a486fe3d2dd4f1136d9e7b4214768412db71d7f66239f80105c3",
 }

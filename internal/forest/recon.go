@@ -107,8 +107,10 @@ type SideInfo struct {
 	N int
 	// Depth is the maximum vertices on a root-to-leaf path.
 	Depth int
-	// MaxChild bounds any encoded M_v child set: one marked parent entry,
-	// one entry per child, one multiplicity tag.
+	// MaxChild is the size of the party's largest encoded M_v child set: one
+	// marked parent entry, one entry per child, one multiplicity tag. It is a
+	// count of what the party holds, not an allowance: the larger of the two
+	// parties' values is the h of the shape they reconcile under (see Plan).
 	MaxChild int
 }
 
@@ -130,6 +132,19 @@ func Measure(f *Forest) SideInfo {
 // Plan resolves the shared reconciliation parameters from both parties'
 // infos: defaulted ReconParams plus the sets-of-sets shape the signature
 // collections reconcile under.
+//
+// The shape rule: S is the two vertex counts together (every M_v of either
+// party may differ) and H is the larger MaxChild, exactly — the largest child
+// set either party holds, which is all Params.Fits asks of a shape and all the
+// cascade sizes from it: a recovered child set is one of Alice's, so it is no
+// larger than her MaxChild, and Bob's candidates are his own. The difference
+// budget is no part of H. It bounds how many elements differ, which is d of
+// Theorem 3.7, not how large a child set can be, which is h; adding it to H
+// (as this function did up to protocol version 3, with twice the budget) makes
+// min(d, h) = d always, and the cascade then sends ⌈log₂ budget⌉ levels where
+// the theorem sends ⌈log₂ h⌉ and the final table T* of full encodings — some
+// 2.3 times the bytes at n = 600, σ = 16, d = 3, for no failure probability
+// anyone can name (TestFailureGuard holds both halves).
 func Plan(a, b SideInfo, p ReconParams) (ReconParams, core.Params) {
 	if p.D < 1 {
 		p.D = 1
@@ -144,15 +159,13 @@ func Plan(a, b SideInfo, p ReconParams) (ReconParams, core.Params) {
 	if p.Budget <= 0 {
 		// Each edit re-signs at most σ ancestors; each re-signed vertex
 		// changes its own M_v and its parent's, costing ≲4 packed elements
-		// plus multiplicity-tag churn. Callers wanting certainty can pass a
-		// larger Budget or use ReconAuto's verified doubling.
+		// plus multiplicity-tag churn: the theorem's worst case, d edits each
+		// at the bottom of a path of depth σ. Callers wanting certainty can
+		// pass a larger Budget; callers who need no a-priori guarantee use
+		// ReconAuto's verified doubling and pay for the difference they have.
 		p.Budget = 4*p.D*(p.Sigma+2) + 16
 	}
-	maxChild := a.MaxChild
-	if b.MaxChild > maxChild {
-		maxChild = b.MaxChild
-	}
-	return p, core.Params{S: a.N + b.N, H: maxChild + 2*p.Budget, U: 0}
+	return p, core.Params{S: a.N + b.N, H: max(a.MaxChild, b.MaxChild), U: 0}
 }
 
 // encodeSide computes a party's signature-collection parent set under the

@@ -153,9 +153,16 @@ func NeighborhoodEncode(g *graph.Graph, m int) (*NbrSide, error) {
 // the packed signature collections of two n-vertex graphs reconcile under,
 // given the negotiated maximum packed signature size: what sizes the cascade
 // payload of Theorem 5.6.
+//
+// The shape rule is forest.Plan's: S = n signatures a side, and H = maxSig
+// exactly, the largest packed signature either party holds (each sends its own
+// maximum and both take the larger). The budget bounds how many packed
+// elements differ — d of Theorem 3.7 — and is no part of h: with it added
+// (twice, up to protocol version 3) min(d, h) was always d and the 10·d·m
+// budget bought ⌈log₂ budget⌉ cascade levels, 2.8 MB at G(128, ½), m = 96,
+// where ⌈log₂ h⌉ levels and T* are 0.66 MB (TestNeighborhoodFailureGuard).
 func NeighborhoodSigShape(n int, p NeighborhoodParams, maxSig int) (core.Params, int) {
-	budget := NeighborhoodBudget(p)
-	return core.Params{S: n, H: maxSig + 2*budget, U: 0}, budget
+	return core.Params{S: n, H: maxSig, U: 0}, NeighborhoodBudget(p)
 }
 
 // NeighborhoodBudget resolves the signature-reconciliation budget (SigBudget

@@ -168,7 +168,7 @@ func TestEnvelopeFlagsPayloadThatGrowsWithS(t *testing.T) {
 		if err := c.ep.SendFrame("naive-iblt", make([]byte, payloadBytes)); err != nil {
 			t.Fatal(err)
 		}
-		rec := &sessionRecord{sid: 1, proto: "naive", done: &doneMsg{OK: true}}
+		rec := &sessionRecord{sid: 1, proto: "naive", done: doneMsg{OK: true}, closed: true}
 		rec.h.Kind = KindSetsOfSets
 		rec.tr.bounds(d, core.DHat(d, s))
 		rec.tr.audit(core.DHat(d, s), core.CellBytes(core.DigestNaive, p, d))

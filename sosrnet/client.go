@@ -2,7 +2,6 @@ package sosrnet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -141,6 +140,10 @@ type clientConn struct {
 	// session's context (nil when that context cannot be cancelled).
 	sever func()
 	stop  func() bool
+	// The connection's control plane: the scratch its control frames are
+	// encoded in and the closing report of its current session.
+	ctl  []byte
+	done doneMsg
 }
 
 // discard retires the connection for good.
@@ -251,7 +254,7 @@ func session[R any](ctx context.Context, c *Client, name string, kind Kind, seed
 // the session's accounting is fixed. It returns the protocol stats for the
 // result.
 func (cs *clientSession) done(attempts int) sosr.Stats {
-	sendDone(cs.ep, true, nil, attempts)
+	cs.cc.sendDone(true, nil, attempts)
 	cs.ns = netStats(cs.ep, attempts)
 	return cs.ns.Protocol
 }
@@ -282,7 +285,7 @@ func (cs *clientSession) open() error {
 		if ctx.Done() != nil {
 			cc.stop = context.AfterFunc(ctx, cc.sever)
 		}
-		err := cs.hello(cc.ep)
+		err := cs.hello(cc)
 		if err == nil {
 			if reused {
 				c.countConn(connReuse)
@@ -347,14 +350,15 @@ func ctxErr(ctx context.Context, err error) error {
 // hello sends cs.h and reads the server's answer into cs.acc. The accept is
 // checked as the server checks a hello (checkAccept) before anything is sized
 // from it; one that fails is refused to the server's face.
-func (cs *clientSession) hello(ep *wire.Endpoint) error {
-	c, h := cs.c, &cs.h
+func (cs *clientSession) hello(cc *clientConn) error {
+	c, h, ep := cs.c, &cs.h, cc.ep
 	h.V = protoVersion
 	h.ShardID, h.ShardCount, h.ShardEpoch, h.ShardSet = c.ShardID, c.ShardCount, c.ShardEpoch, c.ShardFingerprint
 	if cs.sp != nil {
 		h.TraceID, h.SpanID = uint64(cs.sp.TraceID()), uint64(cs.sp.ID())
 	}
-	if err := ep.SendFrame(lblHello, marshalCtl(h)); err != nil {
+	cc.ctl = appendCtl(cc.ctl[:0], helloFields, h)
+	if err := ep.SendFrame(lblHello, cc.ctl); err != nil {
 		return err
 	}
 	// A fresh connection starts reading only now (a parked one never stopped).
@@ -366,12 +370,11 @@ func (cs *clientSession) hello(ep *wire.Endpoint) error {
 	if err != nil {
 		return err
 	}
-	cs.acc = acceptMsg{}
-	if err := json.Unmarshal(payload, &cs.acc); err != nil {
+	if err := parseCtl(acceptFields, payload, &cs.acc); err != nil {
 		return fmt.Errorf("sosrnet: malformed accept frame: %v", err)
 	}
 	if err := checkAccept(h, &cs.acc); err != nil {
-		sendDone(ep, false, err, 0)
+		cc.sendDone(false, err, 0)
 		return err
 	}
 	return nil
@@ -379,13 +382,14 @@ func (cs *clientSession) hello(ep *wire.Endpoint) error {
 
 // sendDone reports the client's view; the protocol stats mirror the
 // endpoint's recorder.
-func sendDone(ep *wire.Endpoint, ok bool, cause error, attempts int) {
-	st := ep.Stats()
-	d := doneMsg{OK: ok, Rounds: st.Rounds, Bytes: st.TotalBytes, Messages: st.Messages, Attempts: attempts}
+func (cc *clientConn) sendDone(ok bool, cause error, attempts int) {
+	st := cc.ep.Stats()
+	cc.done = doneMsg{OK: ok, Rounds: st.Rounds, Bytes: st.TotalBytes, Messages: st.Messages, Attempts: attempts}
 	if cause != nil {
-		d.Error = cause.Error()
+		cc.done.Error = cause.Error()
 	}
-	_ = ep.SendFrame(lblDone, marshalCtl(&d))
+	cc.ctl = appendCtl(cc.ctl[:0], doneFields, &cc.done)
+	_ = cc.ep.SendFrame(lblDone, cc.ctl)
 }
 
 func netStats(ep *wire.Endpoint, attempts int) *NetStats {
@@ -444,7 +448,7 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 		// fails the session (setrecon.ErrMultisetRange) instead of being expanded.
 		rec, err := setrecon.SetToMultiset(ap.res.Recovered)
 		if err != nil {
-			sendDone(cs.ep, false, err, 1)
+			cs.cc.sendDone(false, err, 1)
 			return nil, err
 		}
 		cs.done(1)
@@ -507,7 +511,12 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 		bob := setutil.CanonicalSets(local)
 		bobH := maxChildLen(bob)
 		h, acc := &cs.h, &cs.acc
-		h.D, h.Protocol, h.DHat, h.Replicas = cfg.KnownDiff, cfg.Protocol.String(), cfg.KnownChildDiff, cfg.Replicas
+		h.D, h.DHat, h.Replicas = cfg.KnownDiff, cfg.KnownChildDiff, cfg.Replicas
+		if cfg.Protocol != sosr.ProtocolAuto {
+			if h.Protocol = cfg.Protocol.String(); sosFamilyOf(h.Protocol) == nil {
+				return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
+			}
+		}
 		h.S, h.H, h.U, h.CS, h.CH, h.Validate = cfg.MaxChildSets, cfg.MaxChildSize, cfg.Universe, len(bob), bobH, cfg.Validate
 		if err := cs.open(); err != nil {
 			return nil, err
@@ -540,7 +549,7 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 // came from his own config or from the peer. A refusal is reported to the
 // server.
 func (a *sosApply) check(bobH int, validate bool) (err error) {
-	acc, ep := &a.cs.acc, a.cs.ep
+	acc := &a.cs.acc
 	if a.fam == nil {
 		return fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
 	}
@@ -554,7 +563,7 @@ func (a *sosApply) check(bobH int, validate bool) (err error) {
 		err = core.Validate(a.bob, a.p)
 	}
 	if err != nil {
-		sendDone(ep, false, err, 0)
+		a.cs.cc.sendDone(false, err, 0)
 	}
 	return err
 }

@@ -176,7 +176,7 @@ func TestCraftedMultisetWordFailsSession(t *testing.T) {
 			if _, err := ep.RecvExpect(lblHello); err != nil {
 				return
 			}
-			if ep.SendFrame(lblAccept, marshalCtl(&acceptMsg{V: protoVersion, Kind: KindMultiset, D: 8})) != nil {
+			if ep.SendFrame(lblAccept, appendCtl(nil, acceptFields, &acceptMsg{V: protoVersion, Kind: KindMultiset, D: 8})) != nil {
 				return
 			}
 			// BuildIBLTMsg's bytes, built by hand: any server can.

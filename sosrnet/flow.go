@@ -9,7 +9,6 @@ import (
 	"sosr/internal/forest"
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
-	"sosr/internal/wire"
 )
 
 // Every wire protocol but the multi-round one has the same shape, the one
@@ -227,11 +226,12 @@ func (s *Server) serveFlow(rec *sessionRecord, fl *flow, a aliceRound) error {
 		}
 		switch {
 		case got == lblDone && fl.sched != doubling:
-			rec.done, err = parseDone(payload)
-			return err
+			return rec.close(payload)
 		case got == "ack" && fl.sched == doubling:
-			rec.done, err = recvDone(ep)
-			return err
+			if payload, err = ep.RecvExpect(lblDone); err != nil {
+				return err
+			}
+			return rec.close(payload)
 		case got == lblRetry && fl.sched == replicated, got == "retry" && fl.sched == doubling:
 		default:
 			return fmt.Errorf("sosrnet: unexpected frame %q", got)
@@ -314,15 +314,6 @@ func (cs *clientSession) retry(sched schedule, k, limit int, cause error) error 
 	case sched == replicated:
 		cause = fmt.Errorf("%w: %v", ErrGaveUp, cause)
 	}
-	sendDone(cs.ep, false, cause, limit)
+	cs.cc.sendDone(false, cause, limit)
 	return cause
-}
-
-// recvDone consumes the client's closing report.
-func recvDone(ep *wire.Endpoint) (*doneMsg, error) {
-	payload, err := ep.RecvExpect(lblDone)
-	if err != nil {
-		return nil, err
-	}
-	return parseDone(payload)
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // FuzzHandshake throws raw bytes at the server's connection handler: whatever
-// arrives instead of a hello — torn frames, wrong labels, hostile JSON,
-// absurd shard coordinates or shapes — or after a served session, where the
-// handler waits for the next hello of the same connection, it must reject or
-// finish and return, never panic and never hang past its deadlines. Datasets of every kind are
-// hosted so a structurally valid hello exercises each serving path's
-// parameter validation too.
+// arrives instead of a hello — torn frames, wrong labels, fields the codec
+// refuses, a v3 peer's JSON, absurd shard coordinates or shapes — or after a
+// served session, where the handler waits for the next hello of the same
+// connection, it must reject or finish and return, never panic and never hang
+// past its deadlines. Datasets of every kind are hosted so a structurally
+// valid hello exercises each serving path's parameter validation too.
 func FuzzHandshake(f *testing.F) {
 	srv := NewServer()
 	srv.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -47,7 +47,7 @@ func FuzzHandshake(f *testing.F) {
 	// Seed corpus: one well-formed hello per kind (the fuzzer mutates from
 	// real frames, not just noise), plus malformed starters.
 	hello := func(h helloMsg) []byte {
-		frame, err := wire.AppendFrame(nil, lblHello, marshalCtl(&h))
+		frame, err := wire.AppendFrame(nil, lblHello, appendCtl(nil, helloFields, &h))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -63,23 +63,27 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "ids", Kind: KindSet, Seed: 1, D: 1 << 40}))
 	f.Add(hello(helloMsg{V: 99, Dataset: "ids", Kind: KindSet}))
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "ids", Kind: KindSet, ShardID: 1, ShardCount: 3, ShardSet: 2, ShardEpoch: 7}))
-	badJSON, err := wire.AppendFrame(nil, lblHello, []byte(`{"v":2,"dataset":`))
-	if err != nil {
-		f.Fatal(err)
+	for _, payload := range []string{
+		`{"v":3,"dataset":"docs","kind":"sos","seed":9,"d":6,"protocol":"cascade"}`, // a v3 peer
+		`{"v":2,"dataset":`,
+		"\x01\x04\x02\x09",            // a kind no table holds
+		"\x01\x04\x02\x01\x03\x40ids", // a longer name announced than sent
+		"\x02\x01\x01\x04",            // the version out of its place
+	} {
+		frame, err := wire.AppendFrame(nil, lblHello, []byte(payload))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
 	}
-	f.Add(badJSON)
-	wrongLabel, err := wire.AppendFrame(nil, "ctl/done", []byte(`{}`))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(wrongLabel)
 	// Whole conversations, so the fuzzer also mutates what follows a served
 	// session on the same connection: the closing done, a second session, and
 	// bytes that are neither.
-	done, err := wire.AppendFrame(nil, lblDone, marshalCtl(&doneMsg{OK: true, Rounds: 1, Bytes: 348, Messages: 1, Attempts: 1}))
+	done, err := wire.AppendFrame(nil, lblDone, appendCtl(nil, doneFields, &doneMsg{OK: true, Rounds: 1, Bytes: 348, Messages: 1, Attempts: 1}))
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(done) // a wrong label where the hello belongs
 	session := append(hello(helloMsg{V: protoVersion, Dataset: "ids", Kind: KindSet, Seed: 7, D: 8}), done...)
 	f.Add(session)
 	f.Add(append(append([]byte(nil), session...), session...))

@@ -312,9 +312,9 @@ func endToEndWireBytes(t *testing.T, cacheBytes int64) {
 		OK: true, Rounds: want.Stats.Rounds, Bytes: want.Stats.TotalBytes,
 		Messages: want.Stats.Messages, Attempts: 1,
 	}
-	expectedOverhead := int64(wire.FrameSize(lblHello, len(marshalCtl(&hello))) +
-		wire.FrameSize(lblAccept, len(marshalCtl(&accept))) +
-		wire.FrameSize(lblDone, len(marshalCtl(&done))) +
+	expectedOverhead := int64(wire.FrameSize(lblHello, len(appendCtl(nil, helloFields, &hello))) +
+		wire.FrameSize(lblAccept, len(appendCtl(nil, acceptFields, &accept))) +
+		wire.FrameSize(lblDone, len(appendCtl(nil, doneFields, &done))) +
 		wire.Overhead("cascade-iblts"))
 	if ns.Overhead != expectedOverhead {
 		t.Fatalf("overhead %d, reconstructed %d", ns.Overhead, expectedOverhead)

@@ -32,7 +32,7 @@ func aliceProbe(t *testing.T, addr string, h helloMsg) (label string, payload []
 	defer conn.Close()
 	ep := wire.NewEndpoint(conn, transport.Bob)
 	h.V = protoVersion
-	if err := ep.SendFrame(lblHello, marshalCtl(&h)); err != nil {
+	if err := ep.SendFrame(lblHello, appendCtl(nil, helloFields, &h)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := recvOrServerError(ep, lblAccept); err != nil {
@@ -42,7 +42,7 @@ func aliceProbe(t *testing.T, addr string, h helloMsg) (label string, payload []
 	if err != nil {
 		t.Fatalf("probe %v: reading payload: %v", h, err)
 	}
-	_ = ep.SendFrame(lblDone, marshalCtl(&doneMsg{OK: true, Rounds: 1}))
+	_ = ep.SendFrame(lblDone, appendCtl(nil, doneFields, &doneMsg{OK: true, Rounds: 1}))
 	return label, payload
 }
 

@@ -106,7 +106,7 @@ func planSOS(_ *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
 	h, alice := &rec.h, rec.view.sos
 	pl := &sosPlan{rec: rec, d: h.D, replicas: h.Replicas, dHat: h.DHat}
 	name := h.Protocol
-	if name == "" || name == "auto" {
+	if name == "" {
 		name = "multiround"
 		if pl.d > 0 {
 			name = "cascade"
@@ -259,8 +259,7 @@ func (pl *sosPlan) serveMultiRound(s *Server) error {
 		case lblRetry:
 			continue
 		case lblDone:
-			rec.done, err = parseDone(payload)
-			return err
+			return rec.close(payload)
 		case "hash-iblt+estimators":
 		default:
 			return fmt.Errorf("sosrnet: unexpected frame %q", got)
@@ -283,8 +282,7 @@ func (pl *sosPlan) serveMultiRound(s *Server) error {
 		}
 		switch got {
 		case lblDone:
-			rec.done, err = parseDone(payload)
-			return err
+			return rec.close(payload)
 		case lblRetry:
 		default:
 			return fmt.Errorf("sosrnet: unexpected frame %q", got)
@@ -309,10 +307,10 @@ type graphPlan struct {
 func planGraph(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
 	h, ga := &rec.h, rec.view.g
 	pl := &graphPlan{rec: rec}
-	// The scheme is the protocol label; anything unresolved maps to a fixed
-	// label so hostile hellos cannot mint unbounded metric series.
+	// The scheme — one of graphSchemes, the hello's parser saw to that — is the
+	// protocol label.
 	rec.proto = "invalid"
-	if h.Scheme == "degree" || h.Scheme == "neighborhood" {
+	if h.Scheme != "" {
 		rec.proto = h.Scheme
 	}
 	if h.N != ga.N {

@@ -35,9 +35,10 @@
 package sosrnet
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sosr/internal/core"
 	"sosr/internal/wire"
@@ -70,7 +71,12 @@ const (
 // v3: child-IBLT keys inside parent tables lost their per-key shape header
 // and carry H-derived count widths, so every nested, cascade, graph and
 // forest payload differs from v2's.
-const protoVersion = 3
+// v4: the signature collections of forests and of the degree-neighbourhood
+// graph scheme reconcile under their true shape (h = the largest child set
+// either party holds, where v3 added twice the difference budget), so both
+// signature payloads differ from v3's; and the control frames (hello, accept,
+// done, error) are a fixed binary encoding where they were JSON.
+const protoVersion = 4
 
 // Package errors.
 var (
@@ -109,13 +115,13 @@ var errorCodes = []struct {
 	{"invalid_instance", core.ErrInvalidInstance},
 }
 
-// helloMsg opens a session. Zero fields are omitted; kind-specific fields
-// are meaningful only for their kind.
+// helloMsg opens a session. Kind-specific fields are meaningful only for
+// their kind.
 type helloMsg struct {
-	V       int    `json:"v"`
-	Dataset string `json:"dataset"`
-	Kind    Kind   `json:"kind"`
-	Seed    uint64 `json:"seed"`
+	V       int
+	Kind    Kind
+	Dataset string
+	Seed    uint64
 
 	// ShardID/ShardCount identify which slice of a sharded logical dataset
 	// the client believes this server hosts (0 count = unsharded). ShardID is
@@ -130,125 +136,399 @@ type helloMsg struct {
 	// topology's monotonic epoch; a mismatch is rejected as stale_epoch,
 	// distinguishable from a structural misroute so clients re-resolve
 	// instead of failing over.
-	ShardID    uint64 `json:"shardid,omitempty"`
-	ShardCount int    `json:"shardcnt,omitempty"`
-	ShardSet   uint64 `json:"shardset,omitempty"`
-	ShardEpoch uint64 `json:"shardepoch,omitempty"`
+	ShardID    uint64
+	ShardCount int
+	ShardSet   uint64
+	ShardEpoch uint64
 
 	// TraceID/SpanID propagate the client's trace context (see internal/obs)
 	// so the server's stage spans join the same distributed trace as the
 	// client session that opened the connection. Zero means the client did
-	// not sample this session; both fields are omitted from the JSON then,
-	// so unsampled hellos are byte-identical to pre-trace ones and
-	// protoVersion is unchanged (decoders ignore unknown fields).
-	TraceID uint64 `json:"traceid,omitempty"`
-	SpanID  uint64 `json:"spanid,omitempty"`
+	// not sample this session; like every zero field they are then left off
+	// the wire, so an unsampled hello is byte-identical to an untraced one.
+	TraceID uint64
+	SpanID  uint64
 
 	// D is the known difference bound (kind-specific meaning: set/multiset
 	// symmetric-difference bound, sets-of-sets total element differences,
 	// graph edge edits, forest edge edits). 0 selects the unknown-d variant
 	// where one exists.
-	D int `json:"d,omitempty"`
+	D int
 
 	// Set.
-	CharPoly bool `json:"charpoly,omitempty"`
+	CharPoly bool
 
 	// Sets of sets.
-	Protocol string `json:"protocol,omitempty"`
-	DHat     int    `json:"dhat,omitempty"`
-	Replicas int    `json:"replicas,omitempty"`
-	S        int    `json:"s,omitempty"` // explicit shape (0 = derive)
-	H        int    `json:"h,omitempty"`
-	U        uint64 `json:"u,omitempty"`
-	CS       int    `json:"cs,omitempty"` // client-side derived shape lower bounds
-	CH       int    `json:"ch,omitempty"`
-	Validate bool   `json:"validate,omitempty"`
+	Protocol string // a sosFamilies name; "" = the default for d
+	DHat     int
+	Replicas int
+	S        int // explicit shape (0 = derive)
+	H        int
+	U        uint64
+	CS       int // client-side derived shape lower bounds
+	CH       int
+	Validate bool
 
 	// Graph.
-	Scheme    string `json:"scheme,omitempty"` // "degree" | "neighborhood"
-	TopH      int    `json:"toph,omitempty"`
-	M         int    `json:"m,omitempty"`
-	N         int    `json:"n,omitempty"`
-	SigBudget int    `json:"sigbudget,omitempty"`
-	MaxSig    int    `json:"maxsig,omitempty"` // client's largest packed signature
+	Scheme    string // a graphSchemes name
+	TopH      int
+	M         int
+	N         int
+	SigBudget int
+	MaxSig    int // client's largest packed signature
 
 	// Forest (client side-info for forest.Plan).
-	Sigma     int `json:"sigma,omitempty"`
-	Budget    int `json:"budget,omitempty"`
-	MaxBudget int `json:"maxbudget,omitempty"`
-	Depth     int `json:"depth,omitempty"`
-	MaxChild  int `json:"maxchild,omitempty"`
+	Sigma     int
+	Budget    int
+	MaxBudget int
+	Depth     int
+	MaxChild  int
 }
 
 // acceptMsg answers a hello with the server-resolved session parameters.
 type acceptMsg struct {
-	V    int  `json:"v"`
-	Kind Kind `json:"kind"`
+	V    int
+	Kind Kind
 
-	D int `json:"d,omitempty"`
+	D int
 
 	// Sets of sets.
-	Protocol string `json:"protocol,omitempty"`
-	DHat     int    `json:"dhat,omitempty"`
-	Replicas int    `json:"replicas,omitempty"`
-	S        int    `json:"s,omitempty"`
-	H        int    `json:"h,omitempty"`
-	U        uint64 `json:"u,omitempty"`
+	Protocol string
+	DHat     int
+	Replicas int
+	S        int
+	H        int
+	U        uint64
 
 	// Graph.
-	MaxSig int `json:"maxsig,omitempty"`
+	MaxSig int
 
 	// Forest: the server's side info, combined client-side via forest.Plan.
-	N         int `json:"n,omitempty"`
-	Depth     int `json:"depth,omitempty"`
-	MaxChild  int `json:"maxchild,omitempty"`
-	MaxBudget int `json:"maxbudget,omitempty"`
+	N         int
+	Depth     int
+	MaxChild  int
+	MaxBudget int
 }
 
 // doneMsg closes a session with the client's view of the run.
 type doneMsg struct {
-	OK       bool   `json:"ok"`
-	Error    string `json:"error,omitempty"`
-	Rounds   int    `json:"rounds"`
-	Bytes    int    `json:"bytes"`
-	Messages int    `json:"messages"`
-	Attempts int    `json:"attempts,omitempty"`
+	OK       bool
+	Error    string
+	Rounds   int
+	Bytes    int
+	Messages int
+	Attempts int
 }
 
 // errorMsg reports a server-side failure. Code, when present, classifies the
 // rejection machine-readably (see errorCodes).
 type errorMsg struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
+	Error string
+	Code  string
 }
 
-func marshalCtl(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// All control messages are plain structs; this cannot fail.
-		panic(fmt.Sprintf("sosrnet: control marshal: %v", err))
+// The control frames' wire form (since v4; JSON before). A message is its
+// non-zero fields in ascending tag order, each a tag byte and a uvarint: a
+// number's value, 1 for a set flag, the code of an enumerated name (its
+// position, from 1, in the table that defines the names), or a string's
+// length with the bytes after it. Zero fields are left out and nothing else
+// is allowed in — parseCtl refuses an unknown, repeated or out-of-order tag,
+// a varint longer than it need be, an explicit zero, bytes after the last
+// field — so a message has exactly one encoding, and what parses re-encodes
+// to the bytes it came from.
+//
+// Each message is declared once, as a table of its fields. The encoder, the
+// parser and the entrance checks on a peer's message (which numbers size an
+// allocation and must be bounded, which the accept must return as the hello
+// set them) all read that table.
+
+// ctlField is one field of control message M.
+type ctlField[M any] struct {
+	tag  byte
+	name string // in refusals
+	// at returns the field's address in m: *int, *uint64, *bool or *string.
+	at func(m *M) any
+	// enum lists the names a *string field may hold.
+	enum []string
+	// max bounds an *int field that sizes an allocation: perSession, or a cap
+	// of the field's own. 0 for a field that sizes nothing.
+	max int
+	// pin, in the accept's table, is the hello field this one answers: when
+	// the hello set it, the accept must return it unchanged.
+	pin func(h *helloMsg) any
+}
+
+// perSession is the max of a field held to the bound of the end that checks
+// it: Server.MaxBound for a hello, DefaultMaxBound for an accept.
+const perSession = -1
+
+// maxHelloReplicas caps the replication factor either party may name (each
+// replica is one server-built payload and one client decode).
+const maxHelloReplicas = 64
+
+// The names the enumerated fields carry, in code order: the kind table's, the
+// sets-of-sets families', the graph schemes'.
+var (
+	kindNames    = namesOf(kinds, func(k *kindEntry) string { return string(k.kind) })
+	familyNames  = namesOf(sosFamilies, func(f sosFamily) string { return f.name })
+	graphSchemes = []string{"degree", "neighborhood"}
+)
+
+func namesOf[T any](table []T, name func(T) string) []string {
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = name(e)
 	}
-	return b
+	return names
+}
+
+var helloFields = []ctlField[helloMsg]{
+	{tag: 1, name: "v", at: func(h *helloMsg) any { return &h.V }},
+	{tag: 2, name: "kind", at: func(h *helloMsg) any { return (*string)(&h.Kind) }, enum: kindNames},
+	{tag: 3, name: "dataset", at: func(h *helloMsg) any { return &h.Dataset }},
+	{tag: 4, name: "seed", at: func(h *helloMsg) any { return &h.Seed }},
+	{tag: 5, name: "shardid", at: func(h *helloMsg) any { return &h.ShardID }},
+	{tag: 6, name: "shardcnt", at: func(h *helloMsg) any { return &h.ShardCount }, max: perSession},
+	{tag: 7, name: "shardset", at: func(h *helloMsg) any { return &h.ShardSet }},
+	{tag: 8, name: "shardepoch", at: func(h *helloMsg) any { return &h.ShardEpoch }},
+	{tag: 9, name: "traceid", at: func(h *helloMsg) any { return &h.TraceID }},
+	{tag: 10, name: "spanid", at: func(h *helloMsg) any { return &h.SpanID }},
+	{tag: 11, name: "d", at: func(h *helloMsg) any { return &h.D }, max: perSession},
+	{tag: 12, name: "charpoly", at: func(h *helloMsg) any { return &h.CharPoly }},
+	{tag: 13, name: "protocol", at: func(h *helloMsg) any { return &h.Protocol }, enum: familyNames},
+	{tag: 14, name: "dhat", at: func(h *helloMsg) any { return &h.DHat }, max: perSession},
+	{tag: 15, name: "replicas", at: func(h *helloMsg) any { return &h.Replicas }, max: maxHelloReplicas},
+	{tag: 16, name: "s", at: func(h *helloMsg) any { return &h.S }, max: perSession},
+	{tag: 17, name: "h", at: func(h *helloMsg) any { return &h.H }, max: perSession},
+	{tag: 18, name: "u", at: func(h *helloMsg) any { return &h.U }},
+	{tag: 19, name: "cs", at: func(h *helloMsg) any { return &h.CS }, max: perSession},
+	{tag: 20, name: "ch", at: func(h *helloMsg) any { return &h.CH }, max: perSession},
+	{tag: 21, name: "validate", at: func(h *helloMsg) any { return &h.Validate }},
+	{tag: 22, name: "scheme", at: func(h *helloMsg) any { return &h.Scheme }, enum: graphSchemes},
+	{tag: 23, name: "toph", at: func(h *helloMsg) any { return &h.TopH }, max: perSession},
+	{tag: 24, name: "m", at: func(h *helloMsg) any { return &h.M }, max: perSession},
+	{tag: 25, name: "n", at: func(h *helloMsg) any { return &h.N }, max: perSession},
+	{tag: 26, name: "sigbudget", at: func(h *helloMsg) any { return &h.SigBudget }, max: perSession},
+	{tag: 27, name: "maxsig", at: func(h *helloMsg) any { return &h.MaxSig }, max: perSession},
+	{tag: 28, name: "sigma", at: func(h *helloMsg) any { return &h.Sigma }, max: perSession},
+	{tag: 29, name: "budget", at: func(h *helloMsg) any { return &h.Budget }, max: perSession},
+	{tag: 30, name: "maxbudget", at: func(h *helloMsg) any { return &h.MaxBudget }, max: perSession},
+	{tag: 31, name: "depth", at: func(h *helloMsg) any { return &h.Depth }, max: perSession},
+	{tag: 32, name: "maxchild", at: func(h *helloMsg) any { return &h.MaxChild }, max: perSession},
+}
+
+var acceptFields = []ctlField[acceptMsg]{
+	{tag: 1, name: "v", at: func(a *acceptMsg) any { return &a.V }},
+	{tag: 2, name: "kind", at: func(a *acceptMsg) any { return (*string)(&a.Kind) }, enum: kindNames},
+	{tag: 3, name: "d", at: func(a *acceptMsg) any { return &a.D }, max: perSession, pin: func(h *helloMsg) any { return &h.D }},
+	{tag: 4, name: "protocol", at: func(a *acceptMsg) any { return &a.Protocol }, enum: familyNames},
+	{tag: 5, name: "dhat", at: func(a *acceptMsg) any { return &a.DHat }, max: perSession, pin: func(h *helloMsg) any { return &h.DHat }},
+	{tag: 6, name: "replicas", at: func(a *acceptMsg) any { return &a.Replicas }, max: maxHelloReplicas, pin: func(h *helloMsg) any { return &h.Replicas }},
+	{tag: 7, name: "s", at: func(a *acceptMsg) any { return &a.S }, max: perSession, pin: func(h *helloMsg) any { return &h.S }},
+	{tag: 8, name: "h", at: func(a *acceptMsg) any { return &a.H }, max: perSession, pin: func(h *helloMsg) any { return &h.H }},
+	{tag: 9, name: "u", at: func(a *acceptMsg) any { return &a.U }, pin: func(h *helloMsg) any { return &h.U }},
+	{tag: 10, name: "maxsig", at: func(a *acceptMsg) any { return &a.MaxSig }, max: perSession},
+	{tag: 11, name: "n", at: func(a *acceptMsg) any { return &a.N }, max: perSession},
+	{tag: 12, name: "depth", at: func(a *acceptMsg) any { return &a.Depth }, max: perSession},
+	{tag: 13, name: "maxchild", at: func(a *acceptMsg) any { return &a.MaxChild }, max: perSession},
+	{tag: 14, name: "maxbudget", at: func(a *acceptMsg) any { return &a.MaxBudget }, max: perSession},
+}
+
+var doneFields = []ctlField[doneMsg]{
+	{tag: 1, name: "ok", at: func(d *doneMsg) any { return &d.OK }},
+	{tag: 2, name: "error", at: func(d *doneMsg) any { return &d.Error }},
+	{tag: 3, name: "rounds", at: func(d *doneMsg) any { return &d.Rounds }},
+	{tag: 4, name: "bytes", at: func(d *doneMsg) any { return &d.Bytes }},
+	{tag: 5, name: "messages", at: func(d *doneMsg) any { return &d.Messages }},
+	{tag: 6, name: "attempts", at: func(d *doneMsg) any { return &d.Attempts }},
+}
+
+var errorFields = []ctlField[errorMsg]{
+	{tag: 1, name: "error", at: func(e *errorMsg) any { return &e.Error }},
+	{tag: 2, name: "code", at: func(e *errorMsg) any { return &e.Code }},
+}
+
+// appendCtl appends m's encoding to dst. Calling through the table makes m
+// escape: a message that is encoded per session lives in its connection's or
+// its session's record, not on the stack.
+func appendCtl[M any](dst []byte, fields []ctlField[M], m *M) []byte {
+	for i := range fields {
+		f := &fields[i]
+		var v uint64
+		var text string
+		switch p := f.at(m).(type) {
+		case *int:
+			v = uint64(*p)
+		case *uint64:
+			v = *p
+		case *bool:
+			if *p {
+				v = 1
+			}
+		case *string:
+			switch {
+			case f.enum == nil:
+				text, v = *p, uint64(len(*p))
+			case *p != "":
+				if v = uint64(slices.Index(f.enum, *p) + 1); v == 0 {
+					// Both ends resolve names through the tables before they
+					// put one in a message.
+					panic(fmt.Sprintf("sosrnet: control field %s: no code for %q", f.name, *p))
+				}
+			}
+		}
+		if v != 0 {
+			dst = append(binary.AppendUvarint(append(dst, f.tag), v), text...)
+		}
+	}
+	return dst
+}
+
+// parseCtl decodes b into m, every field of which it sets (the absent ones to
+// zero), and refuses any b that appendCtl would not have produced. A string
+// field that already holds the bytes on the wire keeps its string, so
+// re-parsing a repeated message into the same record allocates nothing.
+func parseCtl[M any](fields []ctlField[M], b []byte, m *M) error {
+	for i := range fields {
+		f := &fields[i]
+		var v uint64
+		if len(b) > 0 && b[0] == f.tag {
+			var n int
+			if v, n = binary.Uvarint(b[1:]); n <= 0 || v == 0 || n > 1 && b[n] == 0 {
+				return fmt.Errorf("field %s: not a canonical non-zero varint", f.name)
+			}
+			b = b[1+n:]
+		}
+		switch p := f.at(m).(type) {
+		case *int:
+			*p = int(v)
+		case *uint64:
+			*p = v
+		case *bool:
+			if v > 1 {
+				return fmt.Errorf("field %s: flag %d", f.name, v)
+			}
+			*p = v == 1
+		case *string:
+			switch {
+			case f.enum != nil:
+				if v > uint64(len(f.enum)) {
+					return fmt.Errorf("field %s: unknown code %d", f.name, v)
+				}
+				if *p = ""; v > 0 {
+					*p = f.enum[v-1]
+				}
+			case v > uint64(len(b)):
+				return fmt.Errorf("field %s: %d bytes announced, %d left", f.name, v, len(b))
+			default:
+				if *p != string(b[:v]) { // the comparison does not allocate
+					*p = string(b[:v])
+				}
+				b = b[v:]
+			}
+		}
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("unknown, repeated or out-of-order tag %d", b[0])
+	}
+	return nil
+}
+
+// fieldNum reads a numeric field through the address its table entry gave.
+func fieldNum(p any) uint64 {
+	if p, ok := p.(*int); ok {
+		return uint64(*p)
+	}
+	return *p.(*uint64)
+}
+
+// checkBounded rejects a control message in which a number that sizes an
+// allocation is negative or exceeds its bound, before any of them is used.
+func checkBounded[M any](msg string, fields []ctlField[M], m *M, bound int) error {
+	for i := range fields {
+		f := &fields[i]
+		limit := f.max
+		if limit == perSession {
+			limit = bound
+		}
+		if limit == 0 {
+			continue
+		}
+		if v := *f.at(m).(*int); v < 0 || v > limit {
+			return fmt.Errorf("%w: %s field %s=%d outside [0, %d]", ErrUnsupported, msg, f.name, v, limit)
+		}
+	}
+	return nil
+}
+
+// checkHello is the server's entrance check on a client's hello.
+func checkHello(h *helloMsg, bound int) error {
+	err := checkBounded("hello", helloFields, h, bound)
+	if err == nil && h.ShardCount == 0 && (h.ShardID != 0 || h.ShardEpoch != 0) {
+		err = fmt.Errorf("%w: shard identity without a shard count", ErrUnsupported)
+	}
+	return err
+}
+
+// checkAccept is the client's entrance check on the server's answer to h, the
+// mirror of checkHello: the accept sizes Bob's sketches and plans, so it must
+// speak this version about this kind, return unchanged every parameter the
+// hello pinned, and keep what the server resolved within the bound a default
+// server applies to a client's own fields.
+func checkAccept(h *helloMsg, acc *acceptMsg) error {
+	if acc.V != protoVersion || acc.Kind != h.Kind {
+		return fmt.Errorf("%w: accept speaks version %d about kind %q (want %d, %q)", ErrUnsupported, acc.V, acc.Kind, protoVersion, h.Kind)
+	}
+	for i := range acceptFields {
+		f := &acceptFields[i]
+		if f.pin == nil {
+			continue
+		}
+		if sent, got := fieldNum(f.pin(h)), fieldNum(f.at(acc)); sent != 0 && got != sent {
+			return fmt.Errorf("%w: accept changed %s from %d to %d", ErrUnsupported, f.name, sent, got)
+		}
+	}
+	return checkBounded("accept", acceptFields, acc, DefaultMaxBound)
+}
+
+// helloVersion reads the protocol version a hello declares, ahead of parsing
+// it, so that a peer of another revision is told so whatever else its hello
+// holds: the version is the first field of every binary hello, and a hello in
+// JSON is of version 3, the last to send one. ok is false for bytes that are
+// neither.
+func helloVersion(hello []byte) (v uint64, ok bool) {
+	switch {
+	case len(hello) == 0:
+	case hello[0] == '{':
+		return 3, true
+	case hello[0] == helloFields[0].tag:
+		v, n := binary.Uvarint(hello[1:])
+		return v, n > 0
+	}
+	return 0, false
 }
 
 // sendErrorFrame best-effort reports err to the peer, with its code when it
 // is one of the classified rejections.
 func sendErrorFrame(ep *wire.Endpoint, err error) {
-	em := errorMsg{Error: err.Error()}
+	em := &errorMsg{Error: err.Error()}
 	for _, ec := range errorCodes {
 		if errors.Is(err, ec.err) {
 			em.Code = ec.code
 			break
 		}
 	}
-	_ = ep.SendFrame(lblError, marshalCtl(em))
+	_ = ep.SendFrame(lblError, appendCtl(nil, errorFields, em))
 }
 
 // serverError decodes a ctl/error payload, re-materializing the sentinel of a
 // coded rejection.
 func serverError(payload []byte) error {
 	var em errorMsg
-	if json.Unmarshal(payload, &em) != nil || em.Error == "" {
+	if parseCtl(errorFields, payload, &em) != nil || em.Error == "" {
+		if len(payload) > 0 && payload[0] == '{' {
+			return fmt.Errorf("%w: error frame in JSON: the server speaks protocol version 3 or older, this client %d", ErrServer, protoVersion)
+		}
 		return fmt.Errorf("%w: unreadable error frame", ErrServer)
 	}
 	for _, ec := range errorCodes {
@@ -273,72 +553,4 @@ func recvOrServerError(ep *wire.Endpoint, label string) ([]byte, error) {
 		return nil, fmt.Errorf("sosrnet: expected frame %q, got %q", label, got)
 	}
 	return payload, nil
-}
-
-// maxHelloReplicas caps the replication factor either party may name (each
-// replica is one server-built payload and one client decode).
-const maxHelloReplicas = 64
-
-// boundedField is one peer-supplied number that sizes an allocation.
-type boundedField struct {
-	name string
-	v    int
-}
-
-// checkBounded rejects a control message whose numeric parameters are negative
-// or exceed bound, before any of them can size an allocation.
-func checkBounded(msg string, bound, replicas int, fields []boundedField) error {
-	for _, f := range fields {
-		if f.v < 0 || f.v > bound {
-			return fmt.Errorf("%w: %s field %s=%d outside [0, %d]", ErrUnsupported, msg, f.name, f.v, bound)
-		}
-	}
-	if replicas < 0 || replicas > maxHelloReplicas {
-		return fmt.Errorf("%w: replicas=%d outside [0, %d]", ErrUnsupported, replicas, maxHelloReplicas)
-	}
-	return nil
-}
-
-// checkHello is the server's entrance check on a client's hello.
-func checkHello(h *helloMsg, bound int) error {
-	err := checkBounded("hello", bound, h.Replicas, []boundedField{
-		{"d", h.D}, {"dhat", h.DHat}, {"s", h.S}, {"h", h.H},
-		{"cs", h.CS}, {"ch", h.CH}, {"toph", h.TopH}, {"m", h.M},
-		{"n", h.N}, {"sigbudget", h.SigBudget}, {"maxsig", h.MaxSig},
-		{"sigma", h.Sigma}, {"budget", h.Budget}, {"maxbudget", h.MaxBudget},
-		{"depth", h.Depth}, {"maxchild", h.MaxChild},
-		{"shardcnt", h.ShardCount},
-	})
-	if err == nil && h.ShardCount == 0 && (h.ShardID != 0 || h.ShardEpoch != 0) {
-		err = fmt.Errorf("%w: shard identity without a shard count", ErrUnsupported)
-	}
-	return err
-}
-
-// checkAccept is the client's entrance check on the server's answer to h, the
-// mirror of checkHello: the accept sizes Bob's sketches and plans, so it must
-// speak this version about this kind, return unchanged every parameter the
-// hello pinned, and keep what the server resolved within the bound a default
-// server applies to a client's own fields.
-func checkAccept(h *helloMsg, acc *acceptMsg) error {
-	if acc.V != protoVersion || acc.Kind != h.Kind {
-		return fmt.Errorf("%w: accept speaks version %d about kind %q (want %d, %q)", ErrUnsupported, acc.V, acc.Kind, protoVersion, h.Kind)
-	}
-	for _, f := range []struct {
-		name      string
-		sent, got uint64
-	}{
-		{"d", uint64(h.D), uint64(acc.D)}, {"dhat", uint64(h.DHat), uint64(acc.DHat)},
-		{"replicas", uint64(h.Replicas), uint64(acc.Replicas)},
-		{"s", uint64(h.S), uint64(acc.S)}, {"h", uint64(h.H), uint64(acc.H)}, {"u", h.U, acc.U},
-	} {
-		if f.sent != 0 && f.got != f.sent {
-			return fmt.Errorf("%w: accept changed %s from %d to %d", ErrUnsupported, f.name, f.sent, f.got)
-		}
-	}
-	return checkBounded("accept", DefaultMaxBound, acc.Replicas, []boundedField{
-		{"d", acc.D}, {"dhat", acc.DHat}, {"s", acc.S}, {"h", acc.H},
-		{"maxsig", acc.MaxSig}, {"n", acc.N}, {"depth", acc.Depth},
-		{"maxchild", acc.MaxChild}, {"maxbudget", acc.MaxBudget},
-	})
 }

@@ -2,7 +2,6 @@ package sosrnet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -598,6 +597,12 @@ type srvConn struct {
 	ep     *wire.Endpoint
 	remote string
 	seq    int // 1 for the session that opened the connection
+	// The connection's control plane: the scratch its accepts are encoded in,
+	// and the dataset name of its last hello — a client that keeps a connection
+	// mostly asks for the same dataset again, and its next hello then parses
+	// without allocating the name anew.
+	ctl     []byte
+	dataset string
 }
 
 // sessionRecord is what one session leaves behind, beyond the connection it
@@ -618,12 +623,14 @@ type sessionRecord struct {
 	coins hashing.Coins
 	// proto is the protocol label of the session's metrics and log record,
 	// plan what the kind's table entry resolved the hello to (nil when it
-	// could not) and acc the answer the client was sent.
-	proto string
-	plan  alicePlan
-	acc   acceptMsg
-	done  *doneMsg
-	err   error
+	// could not) and acc the answer the client was sent. done is the client's
+	// closing report once closed says it arrived.
+	proto  string
+	plan   alicePlan
+	acc    acceptMsg
+	done   doneMsg
+	closed bool
+	err    error
 }
 
 // handle serves one connection: sessions one after the other, each admitted,
@@ -669,7 +676,7 @@ func (s *Server) session(c *srvConn) bool {
 	// The session's books are closed either way: its frame buffers go back to
 	// the pool, and a next session starts its byte counts from zero.
 	c.ep.EndSession()
-	return rec.err == nil && rec.done != nil && c.ep.Err() == nil
+	return rec.err == nil && rec.closed && c.ep.Err() == nil
 }
 
 // awaitHello parks a connection between two sessions until the next hello
@@ -765,13 +772,20 @@ func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*datas
 		s.reject(rec.sid, c.remote, reason, err, obs.TraceID(h.TraceID))
 		return nil, false
 	}
-	if err := json.Unmarshal(hello, h); err != nil {
+	// The version is read ahead of the rest: what else a hello of another
+	// revision holds — v3's is JSON — is not this parser's to judge.
+	switch v, declared := helloVersion(hello); {
+	case !declared:
+		return refuse(rejectMalformed, errors.New("malformed hello: no protocol version leads it"))
+	case v != protoVersion:
+		return refuse(rejectVersion, fmt.Errorf("protocol version %d unsupported (want %d)", v, protoVersion))
+	}
+	h.Dataset = c.dataset
+	if err := parseCtl(helloFields, hello, h); err != nil {
 		*h = helloMsg{} // whatever a torn hello filled in is not to be trusted
 		return refuse(rejectMalformed, fmt.Errorf("malformed hello: %v", err))
 	}
-	if h.V != protoVersion {
-		return refuse(rejectVersion, fmt.Errorf("protocol version %d unsupported (want %d)", h.V, protoVersion))
-	}
+	c.dataset = h.Dataset
 	if err := checkHello(h, s.maxBound()); err != nil {
 		return refuse(rejectBound, err)
 	}
@@ -816,8 +830,11 @@ func (s *Server) dispatch(c *srvConn, rec *sessionRecord, ds *dataset) {
 	rec.acc = acceptMsg{V: protoVersion, Kind: h.Kind, D: h.D}
 	if rec.plan, rec.err = ds.k.plan(s, rec, &rec.acc); rec.err != nil {
 		sendErrorFrame(ep, rec.err)
-	} else if rec.err = ep.SendFrame(lblAccept, marshalCtl(&rec.acc)); rec.err == nil {
-		rec.err = rec.plan.serve(s)
+	} else {
+		c.ctl = appendCtl(c.ctl[:0], acceptFields, &rec.acc)
+		if rec.err = ep.SendFrame(lblAccept, c.ctl); rec.err == nil {
+			rec.err = rec.plan.serve(s)
+		}
 	}
 	if errors.Is(rec.err, core.ErrInvalidInstance) {
 		s.reject(rec.sid, c.remote, rejectInstance, rec.err, rec.traceID())
@@ -852,7 +869,7 @@ func (s *Server) account(c *srvConn, rec *sessionRecord) {
 	switch {
 	case rec.err != nil:
 		status = "error"
-	case rec.done != nil && !rec.done.OK:
+	case rec.closed && !rec.done.OK:
 		status = "client_failed"
 	}
 	m.sessions.With(string(h.Kind), rec.proto, status).Inc()
@@ -921,7 +938,7 @@ func (s *Server) account(c *srvConn, rec *sessionRecord) {
 	if rec.err != nil {
 		args = append(args, "err", rec.err.Error())
 	}
-	if done := rec.done; done != nil {
+	if done := &rec.done; rec.closed {
 		args = append(args,
 			"client_rounds", done.Rounds, "client_bytes", done.Bytes,
 			"client_msgs", done.Messages, "attempts", done.Attempts)
@@ -932,11 +949,12 @@ func (s *Server) account(c *srvConn, rec *sessionRecord) {
 	lg.Info("session finished", args...)
 }
 
-// parseDone decodes an already-received done payload.
-func parseDone(payload []byte) (*doneMsg, error) {
-	var d doneMsg
-	if err := json.Unmarshal(payload, &d); err != nil {
-		return nil, fmt.Errorf("sosrnet: malformed done frame: %v", err)
+// close takes the client's closing report from an already-received done
+// payload.
+func (rec *sessionRecord) close(payload []byte) error {
+	if err := parseCtl(doneFields, payload, &rec.done); err != nil {
+		return fmt.Errorf("sosrnet: malformed done frame: %v", err)
 	}
-	return &d, nil
+	rec.closed = true
+	return nil
 }

@@ -17,6 +17,16 @@ import (
 	"sosr/internal/wire"
 )
 
+// recvDone plays a server reading the client's closing report.
+func recvDone(ep *wire.Endpoint) (*doneMsg, error) {
+	payload, err := ep.RecvExpect(lblDone)
+	if err != nil {
+		return nil, err
+	}
+	done := new(doneMsg)
+	return done, parseCtl(doneFields, payload, done)
+}
+
 // logMessages collects every record's message, for asserting what a session
 // did and did not log.
 type logMessages struct {
@@ -120,7 +130,7 @@ func TestHostileAcceptShapeRejected(t *testing.T) {
 			served <- err
 			return
 		}
-		served <- ep.SendFrame(lblAccept, marshalCtl(&acceptMsg{
+		served <- ep.SendFrame(lblAccept, appendCtl(nil, acceptFields, &acceptMsg{
 			V: protoVersion, Kind: KindSetsOfSets, Protocol: "naive",
 			D: 4, DHat: 4, Replicas: 1, S: len(bob), H: 2,
 		}))
@@ -202,7 +212,7 @@ func TestHostileAcceptRefused(t *testing.T) {
 			if _, err := ep.RecvExpect(lblHello); err != nil {
 				return
 			}
-			if ep.SendFrame(lblAccept, marshalCtl(&tc.acc)) != nil {
+			if ep.SendFrame(lblAccept, appendCtl(nil, acceptFields, &tc.acc)) != nil {
 				return
 			}
 			if done, err := recvDone(ep); err == nil {
@@ -230,9 +240,11 @@ func TestHostileAcceptRefused(t *testing.T) {
 	}
 }
 
-// TestPreviousProtocolVersionRefused: v2 peers build child keys with per-key
-// headers, so their payloads cannot be decoded; they must be told so at the
-// handshake rather than discover it as a decode failure.
+// TestPreviousProtocolVersionRefused: a peer of the previous revision builds
+// payloads this one cannot decode (v2's child keys carried per-key headers,
+// v3's signature collections twice the budget in h); it must be told so at
+// the handshake rather than discover it as a decode failure. The hello here
+// is binary; TestV3PeersAreVersionRejects sends v3's own JSON.
 func TestPreviousProtocolVersionRefused(t *testing.T) {
 	alice, _ := sosPair()
 	_, addr, _ := startServer(t, func(s *Server) {
@@ -247,11 +259,91 @@ func TestPreviousProtocolVersionRefused(t *testing.T) {
 	defer conn.Close()
 	ep := wire.NewEndpoint(conn, transport.Bob)
 	hello := helloMsg{V: protoVersion - 1, Dataset: "docs", Kind: KindSetsOfSets, Seed: 1, Protocol: "cascade", D: 8}
-	if err := ep.SendFrame(lblHello, marshalCtl(&hello)); err != nil {
+	if err := ep.SendFrame(lblHello, appendCtl(nil, helloFields, &hello)); err != nil {
 		t.Fatal(err)
 	}
 	_, err = recvOrServerError(ep, lblAccept)
-	if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 2 unsupported (want 3)") {
+	if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 3 unsupported (want 4)") {
 		t.Fatalf("got %v, want the version refusal", err)
 	}
+}
+
+// TestV3PeersAreVersionRejects: the control frames were JSON up to v3, so a v3
+// peer's bytes do not parse at all here. Each end must still see the skew for
+// what it is. A v3 client's hello (its own bytes, written out by hand) counts
+// as a version reject with both versions in the log line, not as a malformed
+// hello; and a client whose hello a v3 server could not read — that server's
+// answer is a JSON error frame — returns an error that says so.
+func TestV3PeersAreVersionRejects(t *testing.T) {
+	const v3Hello = `{"v":3,"dataset":"docs","kind":"sos","seed":1,"d":8,"protocol":"cascade"}`
+	const v3Error = `{"error":"malformed hello: invalid character '\\x01' looking for beginning of value"}`
+
+	t.Run("v3 client", func(t *testing.T) {
+		alice, _ := sosPair()
+		var mu sync.Mutex
+		var rejected []string
+		srv, addr, _ := startServer(t, func(s *Server) {
+			s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+				if r.Message != "handshake rejected" {
+					return
+				}
+				r.Attrs(func(a slog.Attr) bool {
+					if a.Key == "err" {
+						mu.Lock()
+						rejected = append(rejected, a.Value.String())
+						mu.Unlock()
+					}
+					return true
+				})
+			}})
+			if err := s.HostSetsOfSets("docs", alice); err != nil {
+				t.Fatal(err)
+			}
+		})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		ep := wire.NewEndpoint(conn, transport.Bob)
+		if err := ep.SendFrame(lblHello, []byte(v3Hello)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recvOrServerError(ep, lblAccept); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 3 unsupported (want 4)") {
+			t.Fatalf("got %v, want the version refusal", err)
+		}
+		rejects := srv.metrics().rejects
+		waitFor(t, "version reject counted", func() bool { return rejects.With(rejectVersion).Value() == 1 })
+		if n := rejects.With(rejectMalformed).Value(); n != 0 {
+			t.Fatalf("%d malformed rejects counted for a v3 hello", n)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(rejected) != 1 || !strings.Contains(rejected[0], "version 3") || !strings.Contains(rejected[0], "want 4") {
+			t.Fatalf("reject log lines %q, want one naming versions 3 and 4", rejected)
+		}
+	})
+
+	t.Run("v3 server", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			ep := wire.NewEndpoint(conn, transport.Alice)
+			if _, err := ep.RecvExpect(lblHello); err == nil {
+				_ = ep.SendFrame(lblError, []byte(v3Error))
+			}
+		}()
+		_, _, err = Dial(ln.Addr().String()).Sets(context.Background(), "ids", seqSet(0, 50), sosr.SetConfig{Seed: 1, KnownDiff: 8})
+		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version") || strings.Contains(err.Error(), "unreadable") {
+			t.Fatalf("got %v, want an error naming the protocol version skew", err)
+		}
+	})
 }
