@@ -1,5 +1,7 @@
 // Command sosbench regenerates the paper's evaluation artifacts and the
-// supporting experiments (see DESIGN.md §3 and EXPERIMENTS.md):
+// supporting experiments (README's "Dataset kinds" and "Package map" say where
+// each protocol lives; PAPER.md names the paper whose Table 1, Figure 1 and §5
+// graph results these reproduce):
 //
 //	sosbench -experiment table1      # Table 1: the four SSRK protocols
 //	sosbench -experiment figure1     # Figure 1: ambiguous two-way merge
@@ -294,7 +296,7 @@ func separation() {
 		fmt.Printf("%-8d %-8.2f %6.0f%% (best h=%d)\n", n, 0.5, rate*100, bestH)
 	}
 	fmt.Println("Theorem 5.3 needs n far beyond laptop scale; the degree-ordering experiments therefore")
-	fmt.Println("use planted separated graphs (see DESIGN.md substitutions).")
+	fmt.Println("use planted separated graphs (sosr.PlantedSeparatedGraph; the paper's §5, see PAPER.md).")
 }
 
 // neighborhood runs the §5.2 scheme on honest G(n, 1/2) (E12).

@@ -136,12 +136,17 @@ func usage() {
 	os.Exit(2)
 }
 
-// fileDataset is one entry of the -data / -replica JSON format.
+// fileDataset is one entry of the -data / -replica JSON format: elems for a
+// set or multiset, parents for sets of sets, n and edges for a graph, parent
+// (each vertex's parent, -1 for a root) for a forest.
 type fileDataset struct {
 	Name    string     `json:"name"`
 	Kind    string     `json:"kind"`
 	Elems   []uint64   `json:"elems,omitempty"`
 	Parents [][]uint64 `json:"parents,omitempty"`
+	N       int        `json:"n,omitempty"`
+	Edges   [][2]int   `json:"edges,omitempty"`
+	Parent  []int32    `json:"parent,omitempty"`
 }
 
 type datasetsFile struct {
@@ -179,6 +184,14 @@ func hostDataset(srv *sosrnet.Server, d fileDataset, topo *shardmap.Topology, in
 			return srv.HostSetsOfSetsShard(d.Name, d.Parents, topo, index)
 		}
 		return srv.HostSetsOfSets(d.Name, d.Parents)
+	case sosrnet.KindGraph:
+		if !sharded {
+			return srv.HostGraph(d.Name, sosr.Graph{N: d.N, Edges: d.Edges})
+		}
+	case sosrnet.KindForest:
+		if !sharded {
+			return srv.HostForest(d.Name, sosr.Forest{Parent: d.Parent})
+		}
 	}
 	if sharded {
 		return fmt.Errorf("dataset %q: unsupported sharded kind %q", d.Name, d.Kind)

@@ -27,14 +27,8 @@ import (
 // to change retains it. One built with no predecessor does not: most parents
 // never change, and the copy would double what their holder keeps for them.
 type BobSketch struct {
-	kind  DigestKind
-	p     Params
-	d     int
-	dHat  int
-	coins hashing.Coins // aggregates are only valid under these coins
-
-	plan      *cascadePlan  // DigestCascade: the sizes and seeds of this shape, derived once
-	tables    []*iblt.Table // aggregates of enc(cs) over Bob's children. naive/nested: [0]; cascade: levels, then T* when the plan has one
+	plan      plan          // the shape the aggregates were built for, derived once; they are only valid under its coins
+	tables    []*iblt.Table // one aggregate of enc(cs) over Bob's children per plan table
 	bobHashes []uint64      // per-child-set hash under childSeed(coins), in parent order
 	bob       [][]uint64    // the canonical parent set the aggregates cover; nil when not retained
 }
@@ -63,17 +57,11 @@ func NewBobSketch(kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params
 // A successor (prev non-nil) retains bob, so that its own successor can be
 // patched: bob must then stay unmodified for as long as the sketch is used.
 func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params, d, dHat int) (sk *BobSketch, delta int, err error) {
-	p, err = p.normalized()
+	p, d, dHat, err = resolve(p, d, dHat)
 	if err != nil {
 		return nil, 0, err
 	}
-	if d < 1 {
-		d = 1
-	}
-	if dHat <= 0 {
-		dHat = DHat(d, p.S)
-	}
-	sk = &BobSketch{kind: kind, p: p, d: d, dHat: dHat, coins: coins}
+	sk = &BobSketch{}
 	chs := childSeed(coins)
 	sk.bobHashes = make([]uint64, len(bob))
 	for i, cs := range bob {
@@ -86,42 +74,26 @@ func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob []
 		if prev.bob != nil && prev.check(kind, coins, p, d, dHat) == nil {
 			gone, come := w.diffParents(prev, sk)
 			if delta = len(gone) + len(come); delta < len(bob) {
-				sk.plan = prev.plan
+				sk.plan = prev.plan // read-only: the table list is shared
 				sk.tables = iblt.CloneAll(prev.tables)
 				sk.patch(w, gone, come)
 				return sk, delta, nil
 			}
 		}
 	}
+	if err := sk.plan.init(kind, coins, p, d, dHat); err != nil {
+		return nil, 0, err
+	}
 	// A build lays every aggregate table in one arena, as CloneAll lays a
 	// successor's.
-	switch kind {
-	case DigestNaive:
-		w.shapes = append(w.shapes[:0], iblt.Shape{Cells: iblt.CellsFor(2 * dHat), Width: newNaiveCodec(p).width, Seed: coins.Seed("naive/parent", 0)})
-	case DigestNested:
-		w.shapes = append(w.shapes[:0], iblt.Shape{Cells: iblt.CellsFor(2 * dHat), Width: newNestedCodec(coins, p, d).width, Seed: coins.Seed("nested/parent", 0)})
-	case DigestCascade:
-		plan := newCascadePlan(coins, p, d)
-		sk.plan = plan
-		w.shapes = w.shapes[:0]
-		for i := 1; i <= plan.t; i++ {
-			w.shapes = append(w.shapes, iblt.Shape{Cells: plan.parentCells(i), Width: plan.level[i-1].width, Seed: plan.parentSeed(i)})
-		}
-		if plan.star {
-			w.shapes = append(w.shapes, iblt.Shape{Cells: plan.starCells(), Width: plan.starCodec.width, Seed: plan.starSeed()})
-		}
-	default:
-		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
+	w.shapes = w.shapes[:0]
+	for i := range sk.plan.tables {
+		ts := &sk.plan.tables[i]
+		w.shapes = append(w.shapes, iblt.Shape{Cells: ts.cells, Width: ts.width, Seed: ts.seed})
 	}
 	sk.tables = iblt.NewAll(w.shapes)
 	sk.patch(w, nil, bob)
 	return sk, -1, nil
-}
-
-// setEncoder is what a table fill needs of the naive and child encoders.
-type setEncoder interface {
-	encode(cs []uint64) []byte
-	width() int
 }
 
 // table is the sketch's i-th aggregate, nil for a nil sketch: the plain path.
@@ -135,27 +107,13 @@ func (sk *BobSketch) table(i int) *iblt.Table {
 // patch deletes the encodings of gone from every aggregate table and inserts
 // those of come, on the workspace's encoders.
 func (sk *BobSketch) patch(w *cascadeWork, gone, come [][]uint64) {
-	apply := func(t *iblt.Table, e setEncoder) {
+	for i, t := range sk.tables {
+		e := w.encoder(&sk.plan.tables[i])
 		for _, cs := range gone {
 			t.Delete(e.encode(cs))
 		}
 		for _, cs := range come {
 			t.Insert(e.encode(cs))
-		}
-	}
-	switch sk.kind {
-	case DigestNaive:
-		w.star.reuse(newNaiveCodec(sk.p))
-		apply(sk.tables[0], &w.star)
-	case DigestNested:
-		apply(sk.tables[0], w.encoder(newNestedCodec(sk.coins, sk.p, sk.d)))
-	case DigestCascade:
-		for i, codec := range sk.plan.level {
-			apply(sk.tables[i], w.encoder(codec))
-		}
-		if sk.plan.star {
-			w.star.reuse(sk.plan.starCodec)
-			apply(sk.tables[sk.plan.t], &w.star)
 		}
 	}
 }
@@ -169,7 +127,7 @@ func (sk *BobSketch) Holds(bob [][]uint64) bool {
 	if len(bob) > 0 && len(sk.bob) > 0 && &bob[0] == &sk.bob[0] {
 		return true // the very slice the sketch retains
 	}
-	chs := childSeed(sk.coins)
+	chs := childSeed(sk.plan.coins)
 	for i, cs := range bob {
 		if setutil.Hash(chs, cs) != sk.bobHashes[i] {
 			return false
@@ -192,10 +150,8 @@ func (sk *BobSketch) SizeBytes() int64 {
 // mismatched sketch would silently corrupt the subtraction, so it is an error,
 // never a fallback.
 func (sk *BobSketch) check(kind DigestKind, coins hashing.Coins, p Params, d, dHat int) error {
-	if sk.kind != kind || sk.p != p || sk.d != d || sk.coins != coins {
-		return fmt.Errorf("%w: Bob sketch shape mismatch", ErrBadDigest)
-	}
-	if kind != DigestCascade && sk.dHat != dHat {
+	pl := &sk.plan
+	if pl.kind != kind || pl.p != p || pl.d != d || pl.coins != coins || pl.sizedByHat && pl.dHat != dHat {
 		return fmt.Errorf("%w: Bob sketch shape mismatch", ErrBadDigest)
 	}
 	return nil
@@ -228,5 +184,7 @@ func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]u
 	if !sk.Holds(bob) {
 		return nil, fmt.Errorf("%w: Bob sketch built for another parent set", ErrBadDigest)
 	}
-	return applyMsg(kind, coins, body, bob, np, d, sk)
+	w := getWork()
+	defer putWork(w)
+	return w.run(&sk.plan, body, bob, sk)
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math/bits"
-
+	"sosr/internal/hashing"
 	"sosr/internal/iblt"
 )
 
@@ -18,14 +17,6 @@ import (
 // key: a 4-byte count and an 8-byte checksum.
 const cellOverhead = 4 + 8
 
-// cascadeLevels is Algorithm 2's shape for (p, d): t = ⌈log₂ min(d, h)⌉
-// cascading levels (at least one), and whether the final table T* of full
-// encodings is present.
-func cascadeLevels(p Params, d int) (t int, star bool) {
-	t = max(bits.Len(uint(min(d, p.H)-1)), 1)
-	return t, d >= p.H
-}
-
 // childWidth is the width of a (child IBLT, hash) key with the given cell
 // count for child sets of at most maxLen elements.
 func childWidth(cells, maxLen int) int {
@@ -36,30 +27,23 @@ func childWidth(cells, maxLen int) int {
 // occupies when it appears once in every table of a one-round protocol: one
 // full encoding (naive), one (child IBLT, hash) key (nested), or one key per
 // cascade level plus a full encoding when T* is present. It allocates
-// nothing. 0 for an unknown kind or an invalid shape.
+// nothing (the plan is derived on a pooled workspace). 0 for an unknown kind
+// or an invalid shape.
 func CellBytes(kind DigestKind, p Params, d int) int {
-	p, err := p.normalized()
+	p, d, dHat, err := resolve(p, d, 0)
 	if err != nil {
 		return 0
 	}
-	d = max(d, 1)
-	switch kind {
-	case DigestNaive:
-		return newNaiveCodec(p).width + cellOverhead
-	case DigestNested:
-		return childWidth(iblt.CellsFor(d), p.H) + cellOverhead
-	case DigestCascade:
-		t, star := cascadeLevels(p, d)
-		n := 0
-		for i := 1; i <= t; i++ {
-			n += childWidth(iblt.CellsTight(1<<i), p.H) + cellOverhead
-		}
-		if star {
-			n += newNaiveCodec(p).width + cellOverhead
-		}
-		return n
+	w := getWork()
+	defer putWork(w)
+	if w.plan.init(kind, hashing.Coins{}, p, d, dHat) != nil {
+		return 0
 	}
-	return 0
+	n := 0
+	for i := range w.plan.tables {
+		n += w.plan.tables[i].width + cellOverhead
+	}
+	return n
 }
 
 // MultiRoundCellBytes is CellBytes for the multi-round protocol (Theorem

@@ -1,14 +1,33 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
+	"sosr/internal/prng"
+	"sosr/internal/setutil"
 )
 
-// Unit tests for Algorithm 2's planning arithmetic (levels, star inclusion,
-// cell schedules) independent of full protocol runs.
+// Unit tests for the plan arithmetic (Algorithm 2's levels and star inclusion,
+// cell schedules, message and digest sizes) independent of full protocol runs.
+
+func mustPlan(t testing.TB, kind DigestKind, coins hashing.Coins, p Params, d, dHat int) *plan {
+	t.Helper()
+	p, d, dHat, err := resolve(p, d, dHat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := new(plan)
+	if err := pl.init(kind, coins, p, d, dHat); err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
 
 func TestCascadePlanLevels(t *testing.T) {
 	coins := hashing.NewCoins(1)
@@ -28,56 +47,176 @@ func TestCascadePlanLevels(t *testing.T) {
 		{16, 16, 4, true},   // boundary d == h
 	}
 	for _, c := range cases {
-		plan := newCascadePlan(coins, Params{S: 64, H: c.h, U: 1 << 30}, c.d)
-		if plan.t != c.wantT {
-			t.Errorf("d=%d h=%d: t=%d want %d", c.d, c.h, plan.t, c.wantT)
+		plan := mustPlan(t, DigestCascade, coins, Params{S: 64, H: c.h, U: 1 << 30}, c.d, 0)
+		gotT, star := plan.levels()
+		if gotT != c.wantT {
+			t.Errorf("d=%d h=%d: t=%d want %d", c.d, c.h, gotT, c.wantT)
 		}
-		if plan.star != c.wantStar {
-			t.Errorf("d=%d h=%d: star=%v want %v", c.d, c.h, plan.star, c.wantStar)
+		if star != c.wantStar {
+			t.Errorf("d=%d h=%d: star=%v want %v", c.d, c.h, star, c.wantStar)
 		}
-		if len(plan.level) != plan.t {
-			t.Errorf("d=%d: %d codecs for %d levels", c.d, len(plan.level), plan.t)
+		for i, ts := range plan.tables {
+			if ts.full != (star && i == gotT) {
+				t.Errorf("d=%d: table %d of %d full=%v", c.d, i+1, len(plan.tables), ts.full)
+			}
 		}
 	}
 }
 
 func TestCascadePlanCellsShrink(t *testing.T) {
 	coins := hashing.NewCoins(2)
-	plan := newCascadePlan(coins, Params{S: 256, H: 512, U: 1 << 30}, 128)
+	plan := mustPlan(t, DigestCascade, coins, Params{S: 256, H: 512, U: 1 << 30}, 128, 0)
+	levels, _ := plan.levels()
 	prev := 1 << 30
-	for i := 2; i <= plan.t; i++ {
-		c := plan.parentCells(i)
+	for i := 1; i < levels; i++ {
+		c := plan.tables[i].cells
 		if c > prev {
-			t.Fatalf("parent cells grew at level %d: %d > %d", i, c, prev)
+			t.Fatalf("parent cells grew at level %d: %d > %d", i+1, c, prev)
 		}
 		prev = c
 	}
 	// Child codec widths are non-decreasing (low levels share the minimum
 	// cell floor) and grow geometrically overall.
-	for i := 1; i < plan.t; i++ {
-		if plan.level[i].width < plan.level[i-1].width {
+	for i := 1; i < levels; i++ {
+		if plan.tables[i].width < plan.tables[i-1].width {
 			t.Fatalf("child width decreased at level %d", i+1)
 		}
 	}
-	if plan.level[plan.t-1].width <= 2*plan.level[0].width {
+	if plan.tables[levels-1].width <= 2*plan.tables[0].width {
 		t.Fatal("top-level child width did not grow geometrically")
 	}
 }
 
-func TestCascadePlanDeterministic(t *testing.T) {
+// planShapes are the instance shapes the plan table below ranges over: d
+// below, at and far above h; a naive key that is a bitmap and one that is a
+// list; child counts of 1, 2 and 4 bytes.
+var planShapes = []struct {
+	name       string
+	p          Params
+	d, dHat    int
+	bitmap     bool // the naive key is a universe bitmap
+	countBytes int  // bytes of a child-IBLT cell count
+}{
+	{"d<h", Params{S: 32, H: 64, U: 1 << 30}, 10, 0, false, 1},
+	{"d=h", Params{S: 32, H: 16, U: 1 << 30}, 16, 0, false, 1},
+	{"d>>h", Params{S: 32, H: 8, U: 1 << 30}, 1000, 0, false, 1},
+	{"d=1", Params{S: 8, H: 8}, 1, 0, false, 1},
+	{"explicit-dhat", Params{S: 64, H: 12, U: 1 << 32}, 24, 7, false, 1},
+	{"bitmap", Params{S: 16, H: 64, U: 128}, 6, 0, true, 1},
+	{"count2", Params{S: 8, H: 300, U: 1 << 10}, 4, 0, true, 2},
+	{"count4", Params{S: 8, H: 70000, U: 1 << 10}, 4, 0, true, 4},
+}
+
+// cellBytesReference is CellBytes as it was written out per kind before the
+// plan: the closed forms the sum over plan tables must equal.
+func cellBytesReference(kind DigestKind, p Params, d int) int {
+	switch kind {
+	case DigestNaive:
+		return newNaiveCodec(p).width + cellOverhead
+	case DigestNested:
+		return childWidth(iblt.CellsFor(d), p.H) + cellOverhead
+	}
+	t, star := cascadeLevels(p, d)
+	n := 0
+	for i := 1; i <= t; i++ {
+		n += childWidth(iblt.CellsTight(1<<i), p.H) + cellOverhead
+	}
+	if star {
+		n += newNaiveCodec(p).width + cellOverhead
+	}
+	return n
+}
+
+// TestPlanTable: for every kind and shape, everything sized or laid out by
+// the plan agrees with what is actually built from it.
+func TestPlanTable(t *testing.T) {
 	coins := hashing.NewCoins(3)
-	a := newCascadePlan(coins, Params{S: 32, H: 64, U: 1 << 30}, 10)
-	b := newCascadePlan(coins, Params{S: 32, H: 64, U: 1 << 30}, 10)
-	if a.t != b.t || a.star != b.star {
-		t.Fatal("plans differ across constructions")
-	}
-	for i := range a.level {
-		if a.level[i].seed != b.level[i].seed || a.level[i].cells != b.level[i].cells {
-			t.Fatalf("level %d codec differs", i+1)
+	for _, kind := range oneRoundKinds {
+		for _, sh := range planShapes {
+			p, d, dHat, err := resolve(sh.p, sh.d, sh.dHat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("kind %d %s", kind, sh.name)
+			pl := mustPlan(t, kind, coins, p, d, dHat)
+			if again := mustPlan(t, kind, coins, p, d, dHat); !reflect.DeepEqual(pl, again) {
+				t.Errorf("%s: plans of equal inputs differ", name)
+			}
+			for i, ts := range pl.tables {
+				if ts.full && ts.naive.bitmap != sh.bitmap || !ts.full && ts.child.countBytes != sh.countBytes {
+					t.Errorf("%s: table %d: bitmap %v, child count width %d", name, i+1, ts.naive.bitmap, ts.child.countBytes)
+				}
+			}
+
+			src := prng.New(uint64(kind)<<8 | uint64(len(sh.name)))
+			live, err := NewIncrementalDigest(kind, coins, p, d, dHat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var parent [][]uint64
+			for step := 0; step < 24; step++ {
+				if len(parent) > 0 && (src.Intn(3) == 0 || len(parent) == min(p.S, 12)) {
+					i := src.Intn(len(parent))
+					if err := live.Remove(parent[i]); err != nil {
+						t.Fatal(err)
+					}
+					parent = slices.Delete(parent, i, i+1)
+					continue
+				}
+				cs := freshChild(src, 1+src.Intn(min(p.H, 6)))
+				for i := range cs {
+					cs[i] %= p.U
+				}
+				cs = setutil.Canonical(cs)
+				if live.Add(cs) == nil {
+					parent = append(parent, cs)
+				}
+			}
+			parent = setutil.CanonicalSets(parent)
+
+			msg, err := AliceMsg(kind, coins, parent, p, d, dHat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(msg) != pl.msgSize() {
+				t.Errorf("%s: len(AliceMsg) = %d, plan.msgSize() = %d", name, len(msg), pl.msgSize())
+			}
+			if !bytes.Equal(live.SnapshotMsg(), msg) {
+				t.Errorf("%s: SnapshotMsg differs from AliceMsg after an add/remove stream", name)
+			}
+			digest, err := BuildDigest(kind, coins, parent, sh.p, sh.d, sh.dHat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size, err := DigestSize(kind, sh.p, sh.d, sh.dHat); err != nil || size != len(digest) {
+				t.Errorf("%s: DigestSize = %d (%v), len(BuildDigest) = %d", name, size, err, len(digest))
+			}
+			if !bytes.Equal(live.Snapshot(), digest) {
+				t.Errorf("%s: Snapshot differs from BuildDigest", name)
+			}
+
+			sum := 0
+			for _, ts := range pl.tables {
+				sum += ts.width + 12
+			}
+			if got, ref := CellBytes(kind, sh.p, sh.d), cellBytesReference(kind, p, d); got != sum || got != ref {
+				t.Errorf("%s: CellBytes = %d, Σ(width+12) = %d, closed form %d", name, got, sum, ref)
+			}
+			sk, err := NewBobSketch(kind, coins, parent, sh.p, sh.d, sh.dHat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sk.tables) != len(pl.tables) || len(live.tables) != len(pl.tables) || len(live.encs) != len(pl.tables) {
+				t.Errorf("%s: %d sketch aggregates and %d digest tables for %d plan tables", name, len(sk.tables), len(live.tables), len(pl.tables))
+			}
+			for i, ts := range pl.tables {
+				for _, tab := range []*iblt.Table{sk.tables[i], live.tables[i]} {
+					if tab.Cells() != iblt.RoundCells(ts.cells, 0) || tab.Width() != ts.width || tab.Seed() != ts.seed {
+						t.Errorf("%s: table %d is not the plan's shape", name, i+1)
+					}
+				}
+			}
 		}
-	}
-	if a.parentSeed(1) != b.parentSeed(1) || a.starSeed() != b.starSeed() {
-		t.Fatal("seeds differ")
 	}
 }
 

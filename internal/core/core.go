@@ -16,6 +16,15 @@
 //   - MultiRound (Theorems 3.9/3.10): three or four rounds, estimator-based
 //     pair matching, per-pair IBLT or characteristic-polynomial recovery.
 //
+// The three one-round families are one construction (§3.2 grows Theorem 3.3
+// into 3.5 into 3.7), held as one plan (plan.go): the ordered parent tables
+// both parties derive from (kind, coins, p, d, d̂) — each keyed by whole child
+// sets or by (child IBLT, hash) pairs — with the message layout and transport
+// label. Alice's build, Bob's one decode, Bob's sketch, the live digest and
+// the size and bound arithmetic are loops over a plan's tables. plan.init is
+// the only code that asks which theorem it serves, so a cell rule, coin label
+// or key codec changes there and nowhere else.
+//
 // All cross-party data moves through transport.Session as serialized bytes;
 // the Stats on each Result are therefore honest measurements.
 package core

@@ -252,8 +252,7 @@ func TestCascadeStarPath(t *testing.T) {
 	// d >= h forces the T* table (Algorithm 2's final stage).
 	p := Params{S: 12, H: 8, U: testU}
 	alice, bob := makeInstance(91, p.S, 6, p.U, 16)
-	plan := newCascadePlan(hashing.NewCoins(1), p, 16)
-	if !plan.star {
+	if _, star := mustPlan(t, DigestCascade, hashing.NewCoins(1), p, 16, 0).levels(); !star {
 		t.Fatal("expected star table in plan")
 	}
 	sess := transport.New()

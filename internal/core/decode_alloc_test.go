@@ -90,6 +90,20 @@ func TestNaiveDecodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCellBytesAllocationFree: the bound audit calls CellBytes once per
+// served session, on the hot path; it derives its plan on a pooled workspace.
+func TestCellBytesAllocationFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool sheds workspaces under the race detector")
+	}
+	_, _, p := decodeWorkload(t)
+	for _, kind := range oneRoundKinds {
+		if got := testing.AllocsPerRun(20, func() { CellBytes(kind, p, 32) }); got != 0 {
+			t.Errorf("kind %d: CellBytes allocates %.0f objects", kind, got)
+		}
+	}
+}
+
 func TestNested3DecodeAllocBudget(t *testing.T) {
 	alice := [][][]uint64{
 		{{1, 2}, {3, 4, 5}},

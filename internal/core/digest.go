@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"sosr/internal/hashing"
-	"sosr/internal/iblt"
 )
 
 // Split-party digests. The in-process protocol functions simulate both
@@ -36,41 +35,56 @@ var digestMagic = [4]byte{'S', 'O', 'S', '2'}
 // disagree with the receiver's configuration.
 var ErrBadDigest = errors.New("core: malformed or incompatible digest")
 
-// BuildDigest computes Alice's one-message payload for the given protocol.
-// The digest embeds the instance parameters and difference bounds so Bob
-// only needs the digest plus the shared seed.
-func BuildDigest(kind DigestKind, coins hashing.Coins, alice [][]uint64, p Params, d, dHat int) ([]byte, error) {
+// digestHdrLen is the self-describing header BuildDigest puts before the
+// payload: magic, kind, then S, H, U, d and d̂ as 8-byte words.
+const digestHdrLen = 4 + 1 + 8 + 8 + 8 + 8 + 8
+
+// appendDigest frames body as a digest.
+func appendDigest(kind DigestKind, p Params, d, dHat int, body []byte) []byte {
+	out := make([]byte, digestHdrLen, digestHdrLen+len(body))
+	copy(out, digestMagic[:])
+	out[4] = byte(kind)
+	binary.LittleEndian.PutUint64(out[5:], uint64(p.S))
+	binary.LittleEndian.PutUint64(out[13:], uint64(p.H))
+	binary.LittleEndian.PutUint64(out[21:], p.U)
+	binary.LittleEndian.PutUint64(out[29:], uint64(d))
+	binary.LittleEndian.PutUint64(out[37:], uint64(dHat))
+	return append(out, body...)
+}
+
+// resolve fills the defaults every digest entry point shares: a normalized
+// shape, d ≥ 1, and d̂ = min(d, s) when none is given.
+func resolve(p Params, d, dHat int) (Params, int, int, error) {
 	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
 	if d < 1 {
 		d = 1
 	}
 	if dHat <= 0 {
 		dHat = DHat(d, p.S)
 	}
+	return p, d, dHat, err
+}
+
+// BuildDigest computes Alice's one-message payload for the given protocol.
+// The digest embeds the instance parameters and difference bounds so Bob
+// only needs the digest plus the shared seed.
+func BuildDigest(kind DigestKind, coins hashing.Coins, alice [][]uint64, p Params, d, dHat int) ([]byte, error) {
+	p, d, dHat, err := resolve(p, d, dHat)
+	if err != nil {
+		return nil, err
+	}
 	body, err := AliceMsg(kind, coins, alice, p, d, dHat)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 4+1+8+8+8+8+8)
-	copy(hdr, digestMagic[:])
-	hdr[4] = byte(kind)
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(p.S))
-	binary.LittleEndian.PutUint64(hdr[13:], uint64(p.H))
-	binary.LittleEndian.PutUint64(hdr[21:], p.U)
-	binary.LittleEndian.PutUint64(hdr[29:], uint64(d))
-	binary.LittleEndian.PutUint64(hdr[37:], uint64(dHat))
-	return append(hdr, body...), nil
+	return appendDigest(kind, p, d, dHat, body), nil
 }
 
 // ApplyDigest runs Bob's side against a received digest, returning his
 // reconstruction of Alice's parent set. coins must be built from the same
 // seed Alice used.
 func ApplyDigest(digest []byte, coins hashing.Coins, bob [][]uint64) (*Result, error) {
-	const hdrLen = 4 + 1 + 8 + 8 + 8 + 8 + 8
-	if len(digest) < hdrLen || string(digest[:4]) != string(digestMagic[:]) {
+	if len(digest) < digestHdrLen || string(digest[:4]) != string(digestMagic[:]) {
 		return nil, ErrBadDigest
 	}
 	kind := DigestKind(digest[4])
@@ -91,7 +105,7 @@ func ApplyDigest(digest []byte, coins hashing.Coins, bob [][]uint64) (*Result, e
 	if err := p.Fits(bob); err != nil {
 		return nil, err
 	}
-	return ApplyMsg(kind, coins, digest[hdrLen:], bob, p, d, dHat)
+	return ApplyMsg(kind, coins, digest[digestHdrLen:], bob, p, d, dHat)
 }
 
 // AliceMsg builds the raw one-round payload for kind — exactly the bytes the
@@ -104,120 +118,34 @@ func ApplyDigest(digest []byte, coins hashing.Coins, bob [][]uint64) (*Result, e
 func AliceMsg(kind DigestKind, coins hashing.Coins, alice [][]uint64, p Params, d, dHat int) ([]byte, error) {
 	w := getWork()
 	defer putWork(w)
-	switch kind {
-	case DigestNaive:
-		w.star.reuse(newNaiveCodec(p))
-		return w.aliceFlat(coins, alice, &w.star, iblt.CellsFor(2*dHat), coins.Seed("naive/parent", 0)), nil
-	case DigestNested:
-		return w.aliceFlat(coins, alice, w.encoder(newNestedCodec(coins, p, d)), iblt.CellsFor(2*dHat), coins.Seed("nested/parent", 0)), nil
-	case DigestCascade:
-		w.plan.init(coins, p, d)
-		return w.aliceCascade(&w.plan, coins, alice), nil
+	if err := w.plan.init(kind, coins, p, d, dHat); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
+	return w.alice(&w.plan, alice), nil
 }
 
 // ApplyMsg runs Bob's side of an AliceMsg payload built under the same
 // (coins, p, d, dHat). The Result carries zero Stats; the caller owns
 // communication accounting.
 func ApplyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
-	return applyMsg(kind, coins, body, bob, p, d, nil)
-}
-
-// applyMsg runs Bob's side on a pooled workspace, subtracting sk's aggregates
-// when it is given one (already checked against this shape and parent).
-func applyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d int, sk *BobSketch) (*Result, error) {
 	w := getWork()
 	defer putWork(w)
-	var res *Result
-	var err error
-	switch kind {
-	case DigestNaive:
-		res, err = w.runNaive(coins, body, bob, newNaiveCodec(p), sk)
-	case DigestNested:
-		res, err = w.runNested(coins, body, bob, newNestedCodec(coins, p, d), sk)
-	case DigestCascade:
-		plan := &w.plan
-		if sk != nil {
-			plan = sk.plan
-		} else {
-			plan.init(coins, p, d)
-		}
-		res, err = w.runCascade(coins, plan, body, bob, sk)
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
-	}
-	if err != nil {
+	if err := w.plan.init(kind, coins, p, d, dHat); err != nil {
 		return nil, err
 	}
-	res.Attempts = 1
-	res.DUsed = d
-	return res, nil
-}
-
-// aliceFlat builds the one-table payloads — Theorem 3.3's with the full-set
-// encoder, Algorithm 1's with the child encoder: every child encoding in one
-// parent table, then the parent verification hash.
-func (w *cascadeWork) aliceFlat(coins hashing.Coins, alice [][]uint64, enc setEncoder, cells int, seed uint64) []byte {
-	w.parent.Reshape(cells, enc.width(), 0, seed)
-	for _, cs := range alice {
-		w.parent.Insert(enc.encode(cs))
-	}
-	payload := w.parent.AppendMarshal(make([]byte, 0, w.parent.SerializedSize()+8))
-	return binary.LittleEndian.AppendUint64(payload, w.parentHash(coins, alice))
-}
-
-// aliceCascade builds the Algorithm 2 payload (all levels plus T*), every
-// level in the one parent table.
-func (w *cascadeWork) aliceCascade(plan *cascadePlan, coins hashing.Coins, alice [][]uint64) []byte {
-	// Sized up front: a forest payload is ~1 MB, and growing it by doubling
-	// copies it several times over.
-	payload := make([]byte, 0, plan.msgSize())
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(plan.t))
-	for i := 1; i <= plan.t; i++ {
-		enc := w.encoder(plan.level[i-1])
-		w.parent.Reshape(plan.parentCells(i), plan.level[i-1].width, 0, plan.parentSeed(i))
-		for _, cs := range alice {
-			w.parent.Insert(enc.encode(cs))
-		}
-		payload = appendFramedTable(payload, &w.parent)
-	}
-	if plan.star {
-		w.star.reuse(plan.starCodec)
-		w.parent.Reshape(plan.starCells(), plan.starCodec.width, 0, plan.starSeed())
-		for _, cs := range alice {
-			w.parent.Insert(w.star.encode(cs))
-		}
-		payload = append(payload, 1)
-		payload = appendFramedTable(payload, &w.parent)
-	} else {
-		payload = append(payload, 0)
-	}
-	return binary.LittleEndian.AppendUint64(payload, w.parentHash(coins, alice))
+	return w.run(&w.plan, body, bob, nil)
 }
 
 // DigestSize reports the exact digest size for planning, without building it.
 func DigestSize(kind DigestKind, p Params, d, dHat int) (int, error) {
-	p, err := p.normalized()
+	p, d, dHat, err := resolve(p, d, dHat)
 	if err != nil {
 		return 0, err
 	}
-	if d < 1 {
-		d = 1
+	w := getWork()
+	defer putWork(w)
+	if err := w.plan.init(kind, hashing.Coins{}, p, d, dHat); err != nil {
+		return 0, err
 	}
-	if dHat <= 0 {
-		dHat = DHat(d, p.S)
-	}
-	const hdrLen = 4 + 1 + 8 + 8 + 8 + 8 + 8
-	switch kind {
-	case DigestNaive:
-		codec := newNaiveCodec(p)
-		return hdrLen + iblt.SerializedSizeFor(iblt.CellsFor(2*dHat), codec.width, 0) + 8, nil
-	case DigestNested:
-		codec := newNestedCodec(hashing.NewCoins(0), p, d)
-		return hdrLen + iblt.SerializedSizeFor(iblt.CellsFor(2*dHat), codec.width, 0) + 8, nil
-	case DigestCascade:
-		return hdrLen + newCascadePlan(hashing.NewCoins(0), p, d).msgSize(), nil
-	}
-	return 0, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
+	return digestHdrLen + w.plan.msgSize(), nil
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
+	"time"
 
 	"sosr/internal/hashing"
+	"sosr/internal/setutil"
 )
 
 // FuzzApplyMsg feeds arbitrary payloads to Bob's one-round entry point for
@@ -11,16 +15,14 @@ import (
 // bodies with an error — never panic, index out of range, or loop — even when
 // widths, level counts, or framing lie about themselves.
 func FuzzApplyMsg(f *testing.F) {
-	coins := hashing.NewCoins(21)
-	alice := [][]uint64{{1, 2, 3}, {9}, {20, 22}}
-	bob := [][]uint64{{1, 2, 3}, {9, 10}, {31}}
+	coins, alice, bob := hashing.NewCoins(21), fuzzAlice, fuzzBob
 	// The kind byte's high nibble picks the instance shape, so the fuzzer
 	// reaches every child count width (1, 2 and 4 bytes); the first eleven
 	// seeds predate the widths and stay on shape 0.
 	// The wide shapes take a small universe so naive keys stay a 128-byte
 	// bitmap instead of an 8·H-byte list per cell.
 	var shapes []Params
-	for _, p := range []Params{{S: 8, H: 8}, {S: 8, H: 300, U: 1 << 10}, {S: 8, H: 70000, U: 1 << 10}} {
+	for _, p := range fuzzShapes {
 		np, err := p.normalized()
 		if err != nil {
 			f.Fatal(err)
@@ -29,7 +31,7 @@ func FuzzApplyMsg(f *testing.F) {
 	}
 	const d = 4
 	dHat := DHat(d, shapes[0].S)
-	for _, kind := range []DigestKind{DigestNaive, DigestNested, DigestCascade} {
+	for _, kind := range oneRoundKinds {
 		msg, err := AliceMsg(kind, coins, alice, shapes[0], d, dHat)
 		if err != nil {
 			f.Fatal(err)
@@ -64,22 +66,103 @@ func FuzzApplyMsg(f *testing.F) {
 			f.Add(sel, msg[1:])
 		}
 	}
+	// One sketch per (kind, shape), built outside the fuzz body.
+	sketches := map[DigestKind][]*BobSketch{}
+	for _, kind := range oneRoundKinds {
+		for _, np := range shapes {
+			sk, err := NewBobSketch(kind, coins, bob, np, d, dHat)
+			if err != nil {
+				f.Fatal(err)
+			}
+			sketches[kind] = append(sketches[kind], sk)
+		}
+	}
 	f.Fuzz(func(t *testing.T, sel byte, body []byte) {
-		kind, np := DigestKind(sel&0x0f), shapes[int(sel>>4)%len(shapes)]
-		res, err := ApplyMsg(kind, coins, body, bob, np, d, dHat)
+		kind, si := DigestKind(sel&0x0f), int(sel>>4)%len(shapes)
+		res, err := ApplyMsg(kind, coins, body, bob, shapes[si], d, dHat)
 		if err == nil && res == nil {
 			t.Fatal("nil result without error")
 		}
 		// The cached path must be exactly as robust.
-		if kind == DigestCascade {
-			sk, err := NewBobSketch(DigestCascade, coins, bob, np, d, dHat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err = ApplyMsgCached(DigestCascade, coins, body, bob, np, d, dHat, sk)
+		if sks := sketches[kind]; sks != nil {
+			res, err = ApplyMsgCached(kind, coins, body, bob, shapes[si], d, dHat, sks[si])
 			if err == nil && res == nil {
 				t.Fatal("nil cached result without error")
 			}
 		}
 	})
+}
+
+// The fuzz targets' parties, and their instance shapes: every child count
+// width (1, 2 and 4 bytes), list and bitmap naive keys.
+var (
+	fuzzAlice = [][]uint64{{1, 2, 3}, {9}, {20, 22}}
+	fuzzBob   = [][]uint64{{1, 2, 3}, {9, 10}, {31}}
+)
+
+var fuzzShapes = []Params{{S: 8, H: 8}, {S: 8, H: 300, U: 1 << 10}, {S: 8, H: 70000, U: 1 << 10}}
+
+// FuzzApplyDigest feeds arbitrary digests to ApplyDigest, so S, H, U, d and d̂
+// in the 45-byte header are the attacker's: never a panic, never a nil result
+// without an error.
+func FuzzApplyDigest(f *testing.F) {
+	coins, alice, bob := hashing.NewCoins(21), fuzzAlice, fuzzBob
+	for _, kind := range oneRoundKinds {
+		for _, p := range fuzzShapes {
+			for _, d := range []int{1, 4, 40} {
+				digest, err := BuildDigest(kind, coins, alice, p, d, 0)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(digest)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, digest []byte) {
+		res, err := ApplyDigest(digest, coins, bob)
+		if err == nil && res == nil {
+			t.Fatal("nil result without error")
+		}
+	})
+}
+
+// TestHostileDigestHeaders: an honest body of each kind under a header whose
+// S, H, U, d or d̂ is enormous ends as an error or a verified result before
+// anything sized by the header is allocated — the table's own key-width check
+// comes first — so each takes microseconds, not the gigabytes a 2⁴⁰-element
+// list key would.
+func TestHostileDigestHeaders(t *testing.T) {
+	coins, alice, bob := hashing.NewCoins(21), fuzzAlice, fuzzBob
+	fields := []struct {
+		name string
+		off  int
+		val  uint64
+	}{{"S", 5, 1 << 40}, {"H", 13, 1 << 40}, {"U", 21, 1 << 59}, {"d", 29, 1 << 39}, {"dHat", 37, 1 << 39}}
+	var slowest time.Duration
+	defer func() { t.Logf("slowest hostile header: %v", slowest) }()
+	for _, kind := range oneRoundKinds {
+		honest, err := BuildDigest(kind, coins, alice, Params{S: 8, H: 8}, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mask := 1; mask < 1<<len(fields); mask++ {
+			digest, name := bytes.Clone(honest), ""
+			for i, fl := range fields {
+				if mask&(1<<i) != 0 {
+					binary.LittleEndian.PutUint64(digest[fl.off:], fl.val)
+					name += fl.name + " "
+				}
+			}
+			start := time.Now()
+			res, err := ApplyDigest(digest, coins, bob)
+			took := time.Since(start)
+			slowest = max(slowest, took)
+			if err == nil && !setutil.EqualSetOfSets(res.Recovered, alice) {
+				t.Errorf("kind %d, hostile %s: a wrong result without error", kind, name)
+			}
+			if took > 50*time.Millisecond {
+				t.Errorf("kind %d, hostile %s: took %v — something was sized by the header", kind, name, took)
+			}
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -21,19 +20,10 @@ import (
 // sorts child hashes; the builder tracks the multiset of child hashes and
 // re-derives that hash in O(s log s) at Snapshot time.
 type IncrementalDigest struct {
-	kind  DigestKind
-	coins hashing.Coins
-	p     Params
-	d     int
-	dHat  int
-
-	naiveCodec naiveCodec
-	childCdc   childCodec
-	plan       *cascadePlan
-	// enc holds one reusable encoder per table, so updates encode each child
+	plan plan
+	// encs holds one reusable encoder per table, so updates encode each child
 	// set without per-call table/buffer allocations.
-	naiveEnc *naiveEncoder
-	childEnc []*childEncoder
+	encs []setEncoder
 
 	// chSeed/verSeed/parSeed are the hash-role seeds hoisted out of the
 	// per-update path (Coins.Seed hashes its label per call).
@@ -41,7 +31,7 @@ type IncrementalDigest struct {
 	verSeed uint64
 	parSeed uint64
 
-	tables []*iblt.Table // naive/nested: [0]; cascade: levels then optional star
+	tables []*iblt.Table // one per plan table
 	// hashes tracks child identity (dedup); vHashes tracks the
 	// verification-role hashes that HashSetOfSets combines.
 	hashes  map[uint64]int
@@ -52,49 +42,24 @@ type IncrementalDigest struct {
 // NewIncrementalDigest creates an empty builder for the given one-round
 // protocol digest. Parameters mirror BuildDigest.
 func NewIncrementalDigest(kind DigestKind, coins hashing.Coins, p Params, d, dHat int) (*IncrementalDigest, error) {
-	p, err := p.normalized()
+	p, d, dHat, err := resolve(p, d, dHat)
 	if err != nil {
 		return nil, err
 	}
-	if d < 1 {
-		d = 1
-	}
-	if dHat <= 0 {
-		dHat = DHat(d, p.S)
-	}
 	b := &IncrementalDigest{
-		kind:    kind,
-		coins:   coins,
-		p:       p,
-		d:       d,
-		dHat:    dHat,
 		chSeed:  childSeed(coins),
 		parSeed: coins.Seed(parentVerifyLabel, 0),
 		hashes:  map[uint64]int{},
 		vHashes: map[uint64]int{},
 	}
 	b.verSeed = b.parSeed ^ 0xa5a5a5a5a5a5a5a5
-	switch kind {
-	case DigestNaive:
-		b.naiveCodec = newNaiveCodec(p)
-		b.naiveEnc = b.naiveCodec.encoder()
-		b.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), b.naiveCodec.width, 0, coins.Seed("naive/parent", 0))}
-	case DigestNested:
-		b.childCdc = newNestedCodec(coins, p, d)
-		b.childEnc = []*childEncoder{b.childCdc.encoder()}
-		b.tables = []*iblt.Table{iblt.New(iblt.CellsFor(2*dHat), b.childCdc.width, 0, coins.Seed("nested/parent", 0))}
-	case DigestCascade:
-		b.plan = newCascadePlan(coins, p, d)
-		for i := 1; i <= b.plan.t; i++ {
-			b.childEnc = append(b.childEnc, b.plan.level[i-1].encoder())
-			b.tables = append(b.tables, iblt.New(b.plan.parentCells(i), b.plan.level[i-1].width, 0, b.plan.parentSeed(i)))
-		}
-		if b.plan.star {
-			b.naiveEnc = b.plan.starCodec.encoder()
-			b.tables = append(b.tables, iblt.New(b.plan.starCells(), b.plan.starCodec.width, 0, b.plan.starSeed()))
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
+	if err := b.plan.init(kind, coins, p, d, dHat); err != nil {
+		return nil, err
+	}
+	for i := range b.plan.tables {
+		ts := &b.plan.tables[i]
+		b.encs = append(b.encs, ts.newEncoder())
+		b.tables = append(b.tables, iblt.New(ts.cells, ts.width, 0, ts.seed))
 	}
 	return b, nil
 }
@@ -148,14 +113,14 @@ func (b *IncrementalDigest) Remove(cs []uint64) error {
 func (b *IncrementalDigest) Len() int { return b.count }
 
 func (b *IncrementalDigest) checkChild(cs []uint64) error {
-	if len(cs) > b.p.H {
-		return fmt.Errorf("%w: child has %d elements, H=%d", ErrInvalidInstance, len(cs), b.p.H)
+	if len(cs) > b.plan.p.H {
+		return fmt.Errorf("%w: child has %d elements, H=%d", ErrInvalidInstance, len(cs), b.plan.p.H)
 	}
 	if !setutil.IsCanonical(cs) {
 		return fmt.Errorf("%w: child not canonical", ErrInvalidInstance)
 	}
 	for _, x := range cs {
-		if x >= b.p.U {
+		if x >= b.plan.p.U {
 			return fmt.Errorf("%w: element %d outside universe", ErrInvalidInstance, x)
 		}
 	}
@@ -163,24 +128,12 @@ func (b *IncrementalDigest) checkChild(cs []uint64) error {
 }
 
 func (b *IncrementalDigest) update(cs []uint64, insert bool) {
-	apply := func(t *iblt.Table, enc []byte) {
+	for i, t := range b.tables {
+		enc := b.encs[i].encode(cs)
 		if insert {
 			t.Insert(enc)
 		} else {
 			t.Delete(enc)
-		}
-	}
-	switch b.kind {
-	case DigestNaive:
-		apply(b.tables[0], b.naiveEnc.encode(cs))
-	case DigestNested:
-		apply(b.tables[0], b.childEnc[0].encode(cs))
-	case DigestCascade:
-		for i := 1; i <= b.plan.t; i++ {
-			apply(b.tables[i-1], b.childEnc[i-1].encode(cs))
-		}
-		if b.plan.star {
-			apply(b.tables[len(b.tables)-1], b.naiveEnc.encode(cs))
 		}
 	}
 }
@@ -204,37 +157,15 @@ func (b *IncrementalDigest) parentHashNow() uint64 {
 // servers ship under the protocol's transport label. Snapshot adds the
 // self-describing digest header around exactly these bytes.
 func (b *IncrementalDigest) SnapshotMsg() []byte {
-	var body []byte
-	switch b.kind {
-	case DigestNaive, DigestNested:
-		body = append(b.tables[0].Marshal(), u64le(b.parentHashNow())...)
-	case DigestCascade:
-		body = make([]byte, 0, b.plan.msgSize())
-		body = binary.LittleEndian.AppendUint32(body, uint32(b.plan.t))
-		for i := 0; i < b.plan.t; i++ {
-			body = appendFramedTable(body, b.tables[i])
-		}
-		if b.plan.star {
-			body = append(body, 1)
-			body = appendFramedTable(body, b.tables[len(b.tables)-1])
-		} else {
-			body = append(body, 0)
-		}
-		body = append(body, u64le(b.parentHashNow())...)
+	body := b.plan.appendHead(make([]byte, 0, b.plan.msgSize()))
+	for i, t := range b.tables {
+		body = b.plan.appendTable(body, i, t)
 	}
-	return body
+	return b.plan.appendTail(body, b.parentHashNow())
 }
 
 // Snapshot emits the current digest, byte-identical to
 // BuildDigest(kind, coins, currentParent, p, d, dHat).
 func (b *IncrementalDigest) Snapshot() []byte {
-	hdr := make([]byte, 4+1+8+8+8+8+8)
-	copy(hdr, digestMagic[:])
-	hdr[4] = byte(b.kind)
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(b.p.S))
-	binary.LittleEndian.PutUint64(hdr[13:], uint64(b.p.H))
-	binary.LittleEndian.PutUint64(hdr[21:], b.p.U)
-	binary.LittleEndian.PutUint64(hdr[29:], uint64(b.d))
-	binary.LittleEndian.PutUint64(hdr[37:], uint64(b.dHat))
-	return append(hdr, b.SnapshotMsg()...)
+	return appendDigest(b.plan.kind, b.plan.p, b.plan.d, b.plan.dHat, b.SnapshotMsg())
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"sosr/internal/estimator"
 	"sosr/internal/hashing"
@@ -16,77 +15,12 @@ import (
 // vector-keyed IBLT of O(d̂) cells. One round, O(d̂ · min(h log u, u)) bits,
 // O(n) time, success probability 1 - 1/poly(d̂).
 func NaiveKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, dHat int) (*Result, error) {
-	p, err := p.normalized()
+	res, err := knownD(DigestNaive, sess, coins, alice, bob, p, 1, dHat)
 	if err != nil {
 		return nil, err
 	}
-
-	// --- Alice --- (the table holds the full symmetric difference, up to
-	// 2·d̂ encodings; see aliceFlat)
-	payload, err := AliceMsg(DigestNaive, coins, alice, p, 1, dHat)
-	if err != nil {
-		return nil, err
-	}
-	msg := sess.Send(transport.Alice, "naive-iblt", payload)
-
-	// --- Bob ---
-	res, err := ApplyMsg(DigestNaive, coins, msg, bob, p, 1, dHat)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
 	res.DUsed = dHat
 	return res, nil
-}
-
-// runNaive is Bob's side of Theorem 3.3: the parent diff holds whole child
-// sets on both sides, so the removed ones are matched to Bob's own children
-// by hash and the added ones are Alice's, parsed into the recoverer's arena.
-func (w *cascadeWork) runNaive(coins hashing.Coins, msg []byte, bob [][]uint64, codec naiveCodec, sk *BobSketch) (*Result, error) {
-	if len(msg) < 8 {
-		return nil, fmt.Errorf("core: short naive message")
-	}
-	wantParent := binary.LittleEndian.Uint64(msg[len(msg)-8:])
-	t := &w.parent
-	if err := t.UnmarshalInto(msg[:len(msg)-8]); err != nil {
-		return nil, err
-	}
-	if t.Width() != codec.width {
-		return nil, fmt.Errorf("%w: parent key width %d != %d", ErrParentDecode, t.Width(), codec.width)
-	}
-	chs := childSeed(coins)
-	w.hashBob(chs, bob, sk)
-	if sk != nil {
-		if err := t.Subtract(sk.tables[0]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrParentDecode, err)
-		}
-	} else {
-		w.star.reuse(codec)
-		for _, cs := range bob {
-			t.Delete(w.star.encode(cs))
-		}
-	}
-	if err := t.DecodePacked(&w.diff); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrParentDecode, err)
-	}
-	w.peels = t.PeelCount()
-	for _, enc := range w.diff.Added {
-		var err error
-		if w.rec.merge, err = codec.appendDecode(w.rec.merge[:0], enc); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrChildDecode, err)
-		}
-		w.dA = append(w.dA, w.rec.keep(w.rec.merge))
-	}
-	for _, enc := range w.diff.Removed {
-		var err error
-		if w.rec.merge, err = codec.appendDecode(w.rec.merge[:0], enc); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrChildDecode, err)
-		}
-		h := setutil.Hash(chs, w.rec.merge)
-		w.dB = append(w.dB, w.rec.keep(w.rec.merge))
-		w.removed[h] = true
-	}
-	return w.result(coins, wantParent)
 }
 
 // NaiveUnknownD solves SSRU naively (Theorem 3.4): Bob first sends a

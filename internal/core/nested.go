@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"sosr/internal/hashing"
-	"sosr/internal/iblt"
 	"sosr/internal/transport"
 )
 
@@ -19,68 +17,7 @@ import (
 // d bounds the total element differences; dHat the number of differing child
 // sets (pass DHat(d, p.S) when no better bound is known).
 func NestedKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-
-	// --- Alice: build EA, insert into a parent holding the full encoding
-	// symmetric difference |EA ⊕ EB| ≤ 2·d̂, send (see aliceFlat). ---
-	payload, err := AliceMsg(DigestNested, coins, alice, p, d, dHat)
-	if err != nil {
-		return nil, err
-	}
-	msg := sess.Send(transport.Alice, "nested-iblt", payload)
-
-	// --- Bob ---
-	res, err := ApplyMsg(DigestNested, coins, msg, bob, p, d, dHat)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	return res, nil
-}
-
-// newNestedCodec is the child codec of Algorithm 1: O(d)-cell child IBLTs.
-func newNestedCodec(coins hashing.Coins, p Params, d int) childCodec {
-	return newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d), p.H)
-}
-
-// runNested is Bob's side of Algorithm 1.
-func (w *cascadeWork) runNested(coins hashing.Coins, msg []byte, bob [][]uint64, codec childCodec, sk *BobSketch) (*Result, error) {
-	if len(msg) < 8 {
-		return nil, fmt.Errorf("core: short nested message")
-	}
-	wantParent := binary.LittleEndian.Uint64(msg[len(msg)-8:])
-	w.hashBob(codec.hash, bob, sk)
-	w.indexBob()
-	// Delete EB, decode to find EA \ EB (added) and EB \ EA (removed).
-	if err := w.loadParent(msg[:len(msg)-8], codec, sk.table(0), false); err != nil {
-		return nil, err
-	}
-	if err := w.parent.DecodePacked(&w.diff); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrParentDecode, err)
-	}
-	w.peels = w.parent.PeelCount()
-	// D_B: Bob's child sets whose hashes appear among the removed encodings.
-	if err := w.differing(codec); err != nil {
-		return nil, err
-	}
-	// For each of Alice's child IBLTs, attempt decoding against each IBLT in
-	// D_B (the O(d̂²) pair loop of Theorem 3.5).
-	w.rec.c = codec
-	for _, enc := range w.diff.Added {
-		hA, err := w.rec.decodeEnc(enc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrChildDecode, err)
-		}
-		r, ok := w.rec.recoverFromCandidates(hA, w.dB)
-		if !ok {
-			return nil, fmt.Errorf("%w: no partner decodes child IBLT", ErrChildDecode)
-		}
-		w.dA = append(w.dA, r)
-	}
-	return w.result(coins, wantParent)
+	return knownD(DigestNested, sess, coins, alice, bob, p, d, dHat)
 }
 
 // NestedUnknownD solves SSRU per Corollary 3.6: the Theorem 3.5 protocol is

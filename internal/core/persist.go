@@ -181,5 +181,6 @@ type PersistKey struct {
 
 // Key returns the digest's persistence identity.
 func (b *IncrementalDigest) Key() PersistKey {
-	return PersistKey{Kind: b.kind, Seed: b.coins.Master(), S: b.p.S, H: b.p.H, U: b.p.U, D: b.d, DHat: b.dHat}
+	pl := &b.plan
+	return PersistKey{Kind: pl.kind, Seed: pl.coins.Master(), S: pl.p.S, H: pl.p.H, U: pl.p.U, D: pl.d, DHat: pl.dHat}
 }

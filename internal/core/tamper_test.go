@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"sosr/internal/hashing"
+	"sosr/internal/iblt"
 	"sosr/internal/prng"
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
@@ -126,5 +129,83 @@ func TestTamperNested3(t *testing.T) {
 		if err == nil && !Equal3(res.Recovered, alice) {
 			t.Fatalf("depth-3 tampering silently wrong (trial %d)", trial)
 		}
+	}
+}
+
+// TestStarFlagLie: the star flag is the peer's word, the table list Bob
+// indexes is the plan's. A cascade message that announces T* where (p, d)
+// derive none — with a well-formed star table of the right key width spliced
+// in — or none where they derive one is a classified refusal before any table
+// is parsed, with and without a sketch. The first used to index past the
+// sketch's aggregates.
+func TestStarFlagLie(t *testing.T) {
+	coins := hashing.NewCoins(77)
+	p, err := Params{S: 12, H: 16, U: 1 << 40}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, bob := makeInstance(91, p.S, 12, p.U, 4)
+	for _, tc := range []struct {
+		name string
+		d    int
+		lie  func(msg []byte, star []byte) []byte
+	}{
+		{"star announced at d < h", 4, func(msg, star []byte) []byte {
+			hash := msg[len(msg)-8:]
+			out := append(bytes.Clone(msg[:len(msg)-9]), 1)
+			return append(appendFramed(out, star), hash...)
+		}},
+		{"star denied at d >= h, table dropped", 32, func(msg, star []byte) []byte {
+			hash := msg[len(msg)-8:]
+			out := append(bytes.Clone(msg[:len(msg)-8-len(star)-4-1]), 0)
+			return append(out, hash...)
+		}},
+		{"star denied at d >= h, table left", 32, func(msg, star []byte) []byte {
+			out := bytes.Clone(msg)
+			out[len(msg)-8-len(star)-4-1] = 0
+			return out
+		}},
+	} {
+		dHat := DHat(tc.d, p.S)
+		msg, err := AliceMsg(DigestCascade, coins, alice, p, tc.d, dHat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec := newNaiveCodec(p)
+		table := iblt.New(iblt.CellsFor(4), codec.width, 0, coins.Seed("cascade/star", 0))
+		for _, cs := range alice {
+			table.Insert(codec.encode(cs))
+		}
+		lying := tc.lie(msg, table.Marshal())
+		sk := mustSketch(t, DigestCascade, coins, bob, p, tc.d)
+		for _, cached := range []*BobSketch{nil, sk} {
+			res, err := ApplyMsgCached(DigestCascade, coins, lying, bob, p, tc.d, dHat, cached)
+			if !errors.Is(err, ErrParentDecode) || res != nil {
+				t.Errorf("%s (sketch %v): result %v, err %v; want a refusal wrapping ErrParentDecode", tc.name, cached != nil, res != nil, err)
+			}
+			if _, err := ApplyMsgCached(DigestCascade, coins, msg, bob, p, tc.d, dHat, cached); err != nil && errors.Is(err, ErrBadDigest) {
+				t.Errorf("%s (sketch %v): the honest message is refused: %v", tc.name, cached != nil, err)
+			}
+		}
+	}
+}
+
+// TestRunRefusesForeignSketch: a sketch with another table count than the
+// plan's is ErrBadDigest, not an index.
+func TestRunRefusesForeignSketch(t *testing.T) {
+	coins := hashing.NewCoins(78)
+	p, err := Params{S: 12, H: 16, U: 1 << 40}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, bob := makeInstance(92, p.S, 12, p.U, 4)
+	msg, err := AliceMsg(DigestCascade, coins, alice, p, 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newCascadeWork()
+	res, err := w.run(mustPlan(t, DigestCascade, coins, p, 32, 0), msg, bob, mustSketch(t, DigestCascade, coins, bob, p, 4))
+	if !errors.Is(err, ErrBadDigest) || res != nil {
+		t.Fatalf("result %v, err %v; want ErrBadDigest", res != nil, err)
 	}
 }

@@ -149,7 +149,7 @@ func TestReleasedWorkspacePinsNoCallerData(t *testing.T) {
 	c.bob = setutil.CanonicalSets(c.bob) // one arena: one address range to look for
 	for _, sk := range []*BobSketch{c.sk, nil} {
 		w := newCascadeWork()
-		if _, err := w.runCascade(c.coins, newCascadePlan(c.coins, c.p, c.d), c.msg, c.bob, sk); err != nil {
+		if _, err := w.run(mustPlan(t, DigestCascade, c.coins, c.p, c.d, 0), c.msg, c.bob, sk); err != nil {
 			t.Fatal(err)
 		}
 		w.release()
@@ -249,29 +249,19 @@ func TestReleasedOneRoundWorkspacePinsNothing(t *testing.T) {
 		c := usableOneRound(t, kind, 1, 200, 16)
 		caller := append(append(worktest.SpansOf(c.alice), worktest.SpansOf(c.bob)...), worktest.SpanOf(c.msg))
 		w := newCascadeWork()
-		switch kind {
-		case DigestNaive:
-			w.star.reuse(newNaiveCodec(c.p))
-			w.aliceFlat(c.coins, c.alice, &w.star, 64, 1)
-		case DigestNested:
-			w.aliceFlat(c.coins, c.alice, w.encoder(newNestedCodec(c.coins, c.p, c.d)), 64, 1)
-		case DigestCascade:
-			w.plan.init(c.coins, c.p, c.d)
-			w.aliceCascade(&w.plan, c.coins, c.alice)
+		if err := w.plan.init(kind, c.coins, c.p, c.d, c.dHat); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.alice(&w.plan, c.alice), c.msg) {
+			t.Fatalf("kind %d: alice on a fresh workspace differs from AliceMsg", kind)
 		}
 		w.release()
 		worktest.PinsNothing(t, fmt.Sprintf("cascadeWork after Alice kind %d", kind), w, caller...)
 
-		var err error
-		switch kind {
-		case DigestNaive:
-			_, err = w.runNaive(c.coins, c.msg, c.bob, newNaiveCodec(c.p), nil)
-		case DigestNested:
-			_, err = w.runNested(c.coins, c.msg, c.bob, newNestedCodec(c.coins, c.p, c.d), nil)
-		case DigestCascade:
-			w.plan.init(c.coins, c.p, c.d)
-			_, err = w.runCascade(c.coins, &w.plan, c.msg, c.bob, nil)
+		if err := w.plan.init(kind, c.coins, c.p, c.d, c.dHat); err != nil {
+			t.Fatal(err)
 		}
+		_, err := w.run(&w.plan, c.msg, c.bob, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

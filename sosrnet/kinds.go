@@ -37,9 +37,6 @@ type contents struct {
 // kindEntry is one row of the kind table.
 type kindEntry struct {
 	kind Kind
-	// admin marks the kinds whose contents fit the elems|parents fields that
-	// /admin/host requests (and sosrd's -data files) carry.
-	admin bool
 
 	// canon rewrites an API caller's input in rec into what decode hosts and
 	// the store persists — a canonical copy, only the slice own's shard owns
@@ -89,7 +86,7 @@ func kindOf(kind Kind) *kindEntry {
 }
 
 var setKind = kindEntry{
-	kind: KindSet, admin: true,
+	kind: KindSet,
 	canon: func(rec *store.Record, own *shardState) error {
 		rec.Elems = setutil.Canonical(own.ownedElems(rec.Elems))
 		// The 2^60 universe, so every protocol variant can serve the set.
@@ -115,7 +112,7 @@ var setKind = kindEntry{
 // element value, so every occurrence of one element lands on the same shard
 // and the packing stays shard-local.
 var multisetKind = kindEntry{
-	kind: KindMultiset, admin: true,
+	kind: KindMultiset,
 	canon: func(rec *store.Record, own *shardState) (err error) {
 		rec.Elems, err = setrecon.MultisetToSet(own.ownedElems(rec.Elems))
 		return err
@@ -135,7 +132,7 @@ var multisetKind = kindEntry{
 }
 
 var sosKind = kindEntry{
-	kind: KindSetsOfSets, admin: true,
+	kind: KindSetsOfSets,
 	canon: func(rec *store.Record, own *shardState) error {
 		rec.Parents = own.ownedCanonicalSets(rec.Parents)
 		return nil

@@ -73,7 +73,7 @@ func (s *Server) Datasets() []DatasetInfo {
 //	/readyz               readiness: 200 once recovery finished, 503 while
 //	                      recovering or draining for shutdown
 //	/datasets             read-only JSON dataset summary with content hashes
-//	/admin/host           POST {name,kind,elems|parents}: host a dataset
+//	/admin/host           POST {name,kind,elems|parents|n,edges|parent}: host a dataset
 //	/admin/update         POST {name,add,remove|add_sets,remove_sets}
 //	/admin/drop           POST {name}: unhost + remove persisted state
 //	/admin/snapshot       POST {name} ("" = all): snapshot, compacting the WAL
@@ -173,14 +173,17 @@ func (s *Server) debugTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// adminHostReq is the POST /admin/host body; elems feeds sets and multisets,
-// parents feeds sets of sets (graphs and forests are hosted programmatically,
-// not over the admin surface).
+// adminHostReq is the POST /admin/host body, the store.Record field group of
+// the kind it names: elems feeds sets and multisets, parents sets of sets,
+// n and edges graphs, parent (each vertex's parent, -1 for a root) forests.
 type adminHostReq struct {
 	Name    string     `json:"name"`
 	Kind    Kind       `json:"kind"`
 	Elems   []uint64   `json:"elems,omitempty"`
 	Parents [][]uint64 `json:"parents,omitempty"`
+	N       int        `json:"n,omitempty"`
+	Edges   [][2]int   `json:"edges,omitempty"`
+	Parent  []int32    `json:"parent,omitempty"`
 }
 
 // adminUpdateReq is the POST /admin/update body; the hosted dataset's kind
@@ -239,10 +242,12 @@ func admin[Req any](s *Server, fallback int, do func(req *Req) (name string, err
 
 func (s *Server) adminHost(req *adminHostReq) (string, error) {
 	k := kindOf(req.Kind)
-	if k == nil || !k.admin {
-		return "", fmt.Errorf("%w: kind %q cannot be hosted over the admin surface", ErrUnsupported, req.Kind)
+	if k == nil {
+		return "", fmt.Errorf("%w: kind %q", ErrUnsupported, req.Kind)
 	}
-	return req.Name, s.host(k, &store.Record{Name: req.Name, Elems: req.Elems, Parents: req.Parents}, nil)
+	return req.Name, s.host(k, &store.Record{
+		Name: req.Name, Elems: req.Elems, Parents: req.Parents, N: req.N, Edges: req.Edges, Parent: req.Parent,
+	}, nil)
 }
 
 func (s *Server) adminUpdate(req *adminUpdateReq) (string, error) {

@@ -1,8 +1,11 @@
 package sosrnet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net"
 	"runtime"
@@ -13,6 +16,9 @@ import (
 
 	"sosr"
 	"sosr/internal/core"
+	"sosr/internal/hashing"
+	"sosr/internal/iblt"
+	"sosr/internal/setutil"
 	"sosr/internal/transport"
 	"sosr/internal/wire"
 )
@@ -139,6 +145,120 @@ func TestHostileAcceptShapeRejected(t *testing.T) {
 		sosr.Config{Seed: 5, Protocol: sosr.ProtocolNaive, KnownDiff: 4})
 	if !errors.Is(err, core.ErrInvalidInstance) {
 		t.Fatalf("got %v, want ErrInvalidInstance", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHostileStarFlagRefused plays a server that accepts an honest cascade
+// hello at d < h — no T* in the plan both ends derive — and then sends, for
+// every attempt of the first session, a payload whose star flag says T*
+// follows, with a well-formed star table behind it. The client decodes a
+// known-d session through a sketch from the first one on, and the sketch has
+// no aggregate for a table the plan does not have: the lie must end as a
+// classified error once the attempts are spent (it used to index past the
+// sketch and take the process down), and an honest session from the same
+// Client must then succeed.
+func TestHostileStarFlagRefused(t *testing.T) {
+	alice, bob := sosPair()
+	const d, replicas = 4, 3 // children hold up to 8 elements: d < h
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// serve plays one session; a lying one answers every attempt with the
+	// spliced payload and expects ctl/retry, then the closing done{ok:false}.
+	serve := func(lie bool) error {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		ep := wire.NewEndpoint(conn, transport.Alice)
+		payload, err := ep.RecvExpect(lblHello)
+		if err != nil {
+			return err
+		}
+		var h helloMsg
+		if err := parseCtl(helloFields, payload, &h); err != nil {
+			return err
+		}
+		p, err := core.Params{S: max(len(alice), h.CS), H: max(maxChildLen(alice), h.CH)}.Normalized()
+		if err != nil {
+			return err
+		}
+		dHat := core.DHat(h.D, p.S)
+		if err := ep.SendFrame(lblAccept, appendCtl(nil, acceptFields, &acceptMsg{
+			V: protoVersion, Kind: KindSetsOfSets, Protocol: "cascade",
+			D: h.D, DHat: dHat, Replicas: replicas, S: p.S, H: p.H, U: p.U,
+		})); err != nil {
+			return err
+		}
+		for k := 0; k < replicas; k++ {
+			coins := hashing.NewCoins(h.Seed).Sub("replica", k)
+			msg, err := core.AliceMsg(core.DigestCascade, coins, alice, p, h.D, dHat)
+			if err != nil {
+				return err
+			}
+			if lie {
+				// T* as a d ≥ h plan lays it out: Alice's children as
+				// list keys, behind flag 1, before the parent hash.
+				star := iblt.New(iblt.CellsFor(4), 4+8*p.H, 0, coins.Seed("cascade/star", 0))
+				key := make([]byte, star.Width())
+				for _, cs := range alice {
+					clear(key)
+					binary.LittleEndian.PutUint32(key, uint32(len(cs)))
+					for i, x := range cs {
+						binary.LittleEndian.PutUint64(key[4+8*i:], x)
+					}
+					star.Insert(key)
+				}
+				hash := msg[len(msg)-8:]
+				lying := append(bytes.Clone(msg[:len(msg)-9]), 1)
+				lying = binary.LittleEndian.AppendUint32(lying, uint32(star.SerializedSize()))
+				msg = append(star.AppendMarshal(lying), hash...)
+			}
+			if err := ep.SendFrame("cascade-iblts", msg); err != nil {
+				return err
+			}
+			label, _, err := ep.RecvFrame()
+			switch {
+			case err != nil:
+				return err
+			case !lie && label == lblDone:
+				return nil
+			case lie && label == lblRetry && k+1 < replicas, lie && label == lblDone && k+1 == replicas:
+			default:
+				return fmt.Errorf("attempt %d: client answered %q", k, label)
+			}
+		}
+		return nil
+	}
+	served := make(chan error, 1)
+	go func() {
+		err := serve(true)
+		if err == nil {
+			err = serve(false)
+		}
+		served <- err
+	}()
+
+	c := Dial(ln.Addr().String())
+	defer c.Close()
+	c.Timeout = 10 * time.Second
+	cfg := sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: d}
+	res, _, err := c.SetsOfSets(context.Background(), "docs", bob, cfg)
+	if !errors.Is(err, ErrGaveUp) || !strings.Contains(err.Error(), "star flag") || res != nil {
+		t.Fatalf("lying server: result %v, err %v; want ErrGaveUp naming the star flag", res != nil, err)
+	}
+	// d = 4 is far below the pair's true difference: the honest session runs
+	// at a bound that covers it.
+	cfg.KnownDiff = 24
+	res, _, err = c.SetsOfSets(context.Background(), "docs", bob, cfg)
+	if err != nil || !setutil.EqualSetOfSets(res.Recovered, setutil.CanonicalSets(alice)) {
+		t.Fatalf("honest session after the lying one: %v", err)
 	}
 	if err := <-served; err != nil {
 		t.Fatal(err)
