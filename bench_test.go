@@ -42,7 +42,7 @@ func table1Instance(seed uint64, sh table1Shape, d int) (alice, bob [][]uint64, 
 }
 
 // benchProtocol runs one Table 1 row for a protocol at difference d.
-func benchProtocol(b *testing.B, d int, run func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error) {
+func benchProtocol(b *testing.B, d int, run func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error) {
 	alice, bob, p := table1Instance(uint64(d)*977+13, table1Default, d)
 	coins := hashing.NewCoins(uint64(d) * 31)
 	var bytes, rounds, fails int
@@ -69,25 +69,25 @@ func BenchmarkTable1(b *testing.B) {
 	for _, d := range []int{2, 8, 32} {
 		d := d
 		b.Run(fmt.Sprintf("naive/d=%d", d), func(b *testing.B) {
-			benchProtocol(b, d, func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
+			benchProtocol(b, d, func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
 				_, err := core.NaiveKnownD(sess, coins, alice, bob, p, core.DHat(d, p.S))
 				return err
 			})
 		})
 		b.Run(fmt.Sprintf("nested/d=%d", d), func(b *testing.B) {
-			benchProtocol(b, d, func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
+			benchProtocol(b, d, func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
 				_, err := core.NestedKnownD(sess, coins, alice, bob, p, d, core.DHat(d, p.S))
 				return err
 			})
 		})
 		b.Run(fmt.Sprintf("cascade/d=%d", d), func(b *testing.B) {
-			benchProtocol(b, d, func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
+			benchProtocol(b, d, func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
 				_, err := core.CascadeKnownD(sess, coins, alice, bob, p, d)
 				return err
 			})
 		})
 		b.Run(fmt.Sprintf("multiround/d=%d", d), func(b *testing.B) {
-			benchProtocol(b, d, func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
+			benchProtocol(b, d, func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params) error {
 				_, err := core.MultiRoundKnownD(sess, coins, alice, bob, p, d)
 				return err
 			})
@@ -242,16 +242,16 @@ func BenchmarkEstimator(b *testing.B) {
 func BenchmarkUnknownD(b *testing.B) {
 	const d = 12
 	alice, bob, p := table1Instance(991, table1Default, d)
-	cases := map[string]func(sess transport.Channel, coins hashing.Coins) error{
-		"nested-doubling": func(sess transport.Channel, coins hashing.Coins) error {
+	cases := map[string]func(sess *transport.Session, coins hashing.Coins) error{
+		"nested-doubling": func(sess *transport.Session, coins hashing.Coins) error {
 			_, err := core.NestedUnknownD(sess, coins, alice, bob, p)
 			return err
 		},
-		"cascade-doubling": func(sess transport.Channel, coins hashing.Coins) error {
+		"cascade-doubling": func(sess *transport.Session, coins hashing.Coins) error {
 			_, err := core.CascadeUnknownD(sess, coins, alice, bob, p)
 			return err
 		},
-		"multiround-4round": func(sess transport.Channel, coins hashing.Coins) error {
+		"multiround-4round": func(sess *transport.Session, coins hashing.Coins) error {
 			_, err := core.MultiRoundUnknownD(sess, coins, alice, bob, p)
 			return err
 		},

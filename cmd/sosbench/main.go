@@ -74,23 +74,23 @@ func main() {
 
 type protoRun struct {
 	name string
-	run  func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error
+	run  func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error
 }
 
 var protocols = []protoRun{
-	{"naive (Thm 3.3)", func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
+	{"naive (Thm 3.3)", func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
 		_, err := core.NaiveKnownD(sess, coins, alice, bob, p, core.DHat(d, p.S))
 		return err
 	}},
-	{"nested (Thm 3.5)", func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
+	{"nested (Thm 3.5)", func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
 		_, err := core.NestedKnownD(sess, coins, alice, bob, p, d, core.DHat(d, p.S))
 		return err
 	}},
-	{"cascade (Thm 3.7)", func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
+	{"cascade (Thm 3.7)", func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
 		_, err := core.CascadeKnownD(sess, coins, alice, bob, p, d)
 		return err
 	}},
-	{"multiround (Thm 3.9)", func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
+	{"multiround (Thm 3.9)", func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p core.Params, d int) error {
 		_, err := core.MultiRoundKnownD(sess, coins, alice, bob, p, d)
 		return err
 	}},
@@ -239,17 +239,17 @@ func unknownD() {
 	fmt.Printf("%-26s %10s %8s\n", "variant", "bytes", "rounds")
 	cases := []struct {
 		name string
-		run  func(sess transport.Channel, coins hashing.Coins) error
+		run  func(sess *transport.Session, coins hashing.Coins) error
 	}{
-		{"nested doubling (Cor 3.6)", func(sess transport.Channel, c hashing.Coins) error {
+		{"nested doubling (Cor 3.6)", func(sess *transport.Session, c hashing.Coins) error {
 			_, err := core.NestedUnknownD(sess, c, alice, bob, p)
 			return err
 		}},
-		{"cascade doubling (Cor 3.8)", func(sess transport.Channel, c hashing.Coins) error {
+		{"cascade doubling (Cor 3.8)", func(sess *transport.Session, c hashing.Coins) error {
 			_, err := core.CascadeUnknownD(sess, c, alice, bob, p)
 			return err
 		}},
-		{"multiround 4-round (Thm 3.10)", func(sess transport.Channel, c hashing.Coins) error {
+		{"multiround 4-round (Thm 3.10)", func(sess *transport.Session, c hashing.Coins) error {
 			_, err := core.MultiRoundUnknownD(sess, c, alice, bob, p)
 			return err
 		}},

@@ -57,15 +57,15 @@ type traceConfig struct {
 //	  "datasets": [{"name": "ids", "kind": "set", "elems": [1, 2, 3]}]
 //	}
 type serverConfig struct {
-	Addr        string        `json:"addr,omitempty"`
-	OpsAddr     string        `json:"ops_addr,omitempty"`
-	DataDir     string        `json:"data_dir,omitempty"`
-	LogLevel    string        `json:"log_level,omitempty"`
-	MaxSessions int           `json:"max_sessions,omitempty"`
-	WAL         walConfig     `json:"wal,omitempty"`
-	Ops         opsConfig     `json:"ops,omitempty"`
-	Trace       traceConfig   `json:"trace,omitempty"`
-	Datasets    []fileDataset `json:"datasets,omitempty"`
+	Addr        string          `json:"addr,omitempty"`
+	OpsAddr     string          `json:"ops_addr,omitempty"`
+	DataDir     string          `json:"data_dir,omitempty"`
+	LogLevel    string          `json:"log_level,omitempty"`
+	MaxSessions int             `json:"max_sessions,omitempty"`
+	WAL         walConfig       `json:"wal,omitempty"`
+	Ops         opsConfig       `json:"ops,omitempty"`
+	Trace       traceConfig     `json:"trace,omitempty"`
+	Datasets    []*store.Record `json:"datasets,omitempty"`
 }
 
 // loadServerConfig reads and decodes a config file; unknown fields are

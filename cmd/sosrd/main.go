@@ -1,12 +1,15 @@
-// Command sosrd is the sosr reconciliation daemon and its client: a server
-// hosts named datasets (sets, multisets, sets of sets) loaded from a JSON
-// file or generated as a demo workload, and serves concurrent one-way
-// reconciliation sessions over TCP; the sync subcommand reconciles a local
+// Command sosrd is the sosr reconciliation daemon and its client. It has two
+// roles and one body for each: serve hosts named datasets (any of the five
+// kinds) loaded from a JSON file or generated as a demo workload and serves
+// concurrent one-way reconciliation sessions over TCP; sync reconciles a local
 // replica against a hosted dataset, printing the same protocol Stats the
-// in-process library reports plus the measured wire bytes.
+// in-process library reports plus the measured wire bytes. Either takes -shards
+// to do its job for a partitioned dataset; shard-serve and shard-sync are the
+// same two bodies with -shards required.
 //
 //	sosrd serve -addr :7075 -demo                 # host generated demo datasets
 //	sosrd serve -addr :7075 -data datasets.json   # host datasets from a file
+//	sosrd serve -config sosrd.json                # the same knobs, and datasets, from a file
 //	sosrd sync  -addr host:7075 -name docs -kind sos -protocol cascade -d 24 -replica replica.json
 //	sosrd demo                                    # serve+sync in one process over loopback
 //
@@ -33,8 +36,9 @@
 // Sharded deployments partition every hosted dataset across N shards with a
 // deterministic topology over the address list (internal/shardmap). Shards
 // are comma-separated; replicas of one shard are pipe-separated within the
-// shard's entry. Each shard-serve instance keeps only the slice its shard
-// owns, every replica of a shard keeps the identical slice, and shard-sync
+// shard's entry. Each serving instance keeps only the slice its shard owns
+// (sets, multisets and sets of sets partition; a graph or a forest is refused),
+// every replica of a shard keeps the identical slice, and a sync with -shards
 // fans one logical reconcile out over all shards — failing over between
 // replicas and optionally hedging slow ones — then merges the recovered
 // shards:
@@ -51,12 +55,15 @@
 // without talking to each other, and sessions carrying wrong shard
 // coordinates or a stale -epoch are rejected at the handshake.
 //
-// The datasets file maps names to data:
+// The datasets file maps names to data; an entry is a store.Record in its JSON
+// form, the same one /admin/host takes as its body:
 //
 //	{"datasets": [
 //	  {"name": "ids",  "kind": "set",      "elems": [1, 2, 3]},
 //	  {"name": "bag",  "kind": "multiset", "elems": [1, 1, 2]},
-//	  {"name": "docs", "kind": "sos",      "parents": [[1, 2], [3]]}
+//	  {"name": "docs", "kind": "sos",      "parents": [[1, 2], [3]]},
+//	  {"name": "g",    "kind": "graph",    "n": 4, "edges": [[0, 1], [1, 2]]},
+//	  {"name": "f",    "kind": "forest",   "parent": [-1, 0, 0]}
 //	]}
 //
 // A replica file for sync holds one entry of the matching kind.
@@ -74,7 +81,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -110,15 +116,11 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
-	switch os.Args[1] {
-	case "serve":
-		cmdServe(os.Args[2:])
-	case "sync":
-		cmdSync(os.Args[2:])
-	case "shard-serve":
-		cmdShardServe(os.Args[2:])
-	case "shard-sync":
-		cmdShardSync(os.Args[2:])
+	switch cmd := os.Args[1]; cmd {
+	case "serve", "shard-serve":
+		cmdServe(cmd, os.Args[2:])
+	case "sync", "shard-sync":
+		cmdSync(cmd, os.Args[2:])
 	case "demo":
 		cmdDemo()
 	default:
@@ -129,82 +131,38 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   sosrd serve       [-addr :7075] [-config file.json] [-demo | -data file.json] [-data-dir dir] [-max-sessions N] [-ops-addr 127.0.0.1:7076] [-admin-token T] [-trace-sample 0.1] [-trace-slow 250ms] [-trace-ring N] [-log-level info]
-  sosrd sync        -addr host:7075 -name NAME -kind set|multiset|sos [flags]
-  sosrd shard-serve -shards 'a:7075|a2:7075,b:7075,...' -index I [-replica-index J] [-epoch E] [-listen addr] [-stall 0s] [-demo | -data file.json] [-data-dir dir] [-ops-addr addr] [-admin-token T] [-trace-sample R] [-trace-slow D] [-trace-ring N] [-log-level info]
-  sosrd shard-sync  -shards 'a:7075|a2:7075,b:7075,...' -name NAME -kind set|multiset|sos [-epoch E] [-hedge 0s] [-per-shard-d] [-trace] [-dump-metrics] [flags]
+                    [-shards 'a:7075|a2:7075,b:7075,...' -index I [-replica-index J] [-epoch E] [-listen addr]]
+  sosrd sync        -addr host:7075 -name NAME -kind set|multiset|sos [-trace] [-dump-metrics] [flags]
+                    [-shards 'a:7075|a2:7075,b:7075,...' [-epoch E] [-hedge 0s] [-per-shard-d]]
+  sosrd shard-serve serve, with -shards required
+  sosrd shard-sync  sync, with -shards required
   sosrd demo`)
 	os.Exit(2)
 }
 
-// fileDataset is one entry of the -data / -replica JSON format: elems for a
-// set or multiset, parents for sets of sets, n and edges for a graph, parent
-// (each vertex's parent, -1 for a root) for a forest.
-type fileDataset struct {
-	Name    string     `json:"name"`
-	Kind    string     `json:"kind"`
-	Elems   []uint64   `json:"elems,omitempty"`
-	Parents [][]uint64 `json:"parents,omitempty"`
-	N       int        `json:"n,omitempty"`
-	Edges   [][2]int   `json:"edges,omitempty"`
-	Parent  []int32    `json:"parent,omitempty"`
-}
-
-type datasetsFile struct {
-	Datasets []fileDataset `json:"datasets"`
-}
-
-func loadDatasets(path string) ([]fileDataset, error) {
+// loadDatasets reads a -data / -replica file: {"datasets": [record, ...]}, each
+// entry a store.Record in its JSON form.
+func loadDatasets(path string) ([]*store.Record, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f datasetsFile
+	var f struct {
+		Datasets []*store.Record `json:"datasets"`
+	}
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return f.Datasets, nil
 }
 
-// hostDataset hosts one file entry; with a topology, shard index's slice of it.
-func hostDataset(srv *sosrnet.Server, d fileDataset, topo *shardmap.Topology, index int) error {
-	sharded := topo != nil
-	switch sosrnet.Kind(d.Kind) {
-	case sosrnet.KindSet:
-		if sharded {
-			return srv.HostSetsShard(d.Name, d.Elems, topo, index)
-		}
-		return srv.HostSets(d.Name, d.Elems)
-	case sosrnet.KindMultiset:
-		if sharded {
-			return srv.HostMultisetShard(d.Name, d.Elems, topo, index)
-		}
-		return srv.HostMultiset(d.Name, d.Elems)
-	case sosrnet.KindSetsOfSets:
-		if sharded {
-			return srv.HostSetsOfSetsShard(d.Name, d.Parents, topo, index)
-		}
-		return srv.HostSetsOfSets(d.Name, d.Parents)
-	case sosrnet.KindGraph:
-		if !sharded {
-			return srv.HostGraph(d.Name, sosr.Graph{N: d.N, Edges: d.Edges})
-		}
-	case sosrnet.KindForest:
-		if !sharded {
-			return srv.HostForest(d.Name, sosr.Forest{Parent: d.Parent})
-		}
-	}
-	if sharded {
-		return fmt.Errorf("dataset %q: unsupported sharded kind %q", d.Name, d.Kind)
-	}
-	return fmt.Errorf("dataset %q: unsupported kind %q", d.Name, d.Kind)
-}
-
-// loadReplica returns the local replica a sync subcommand reconciles: the
-// generated demo replica, or the entry called name in a replica file.
-func loadReplica(cmd, name, path string, demo bool) (local fileDataset) {
+// loadReplica returns the local replica a sync reconciles: the generated demo
+// replica, or the entry called name in a replica file.
+func loadReplica(cmd, name, path string, demo bool) *store.Record {
 	switch {
 	case demo:
-		_, local = demoData()
+		_, local := demoData()
+		return local
 	case path != "":
 		sets, err := loadDatasets(path)
 		if err != nil {
@@ -212,20 +170,17 @@ func loadReplica(cmd, name, path string, demo bool) (local fileDataset) {
 		}
 		for _, ds := range sets {
 			if ds.Name == name {
-				local = ds
+				return ds
 			}
 		}
-		if local.Name == "" {
-			fatal(cmd+": replica file has no such dataset", "dataset", name)
-		}
-	default:
-		fatal(cmd + ": pass -replica file.json or -demo-replica")
+		fatal(cmd+": replica file has no such dataset", "dataset", name)
 	}
-	return local
+	fatal(cmd + ": pass -replica file.json or -demo-replica")
+	return nil
 }
 
-// reconciler is what sync and shard-sync drive: a sosrnet.Client or a
-// sosrshard.Client, whose methods differ in the stats they report.
+// reconciler is what sync drives: a sosrnet.Client or a sosrshard.Client, whose
+// methods differ in the stats they report.
 type reconciler[S any] interface {
 	Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, S, error)
 	Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, S, error)
@@ -235,7 +190,7 @@ type reconciler[S any] interface {
 // reconcile runs one sync of the given kind and returns the stem of its
 // "recovered ..." line with the session's stats (and, for sets of sets, the
 // attempts it took).
-func reconcile[S any](ctx context.Context, cmd string, c reconciler[S], kind, name string, local fileDataset, set sosr.SetConfig, sos sosr.Config) (summary string, attempts int, st S) {
+func reconcile[S any](ctx context.Context, cmd string, c reconciler[S], kind, name string, local *store.Record, set sosr.SetConfig, sos sosr.Config) (summary string, attempts int, st S) {
 	var err error
 	switch sosrnet.Kind(kind) {
 	case sosrnet.KindSet:
@@ -265,19 +220,26 @@ func reconcile[S any](ctx context.Context, cmd string, c reconciler[S], kind, na
 
 // demoData returns the generated demo pair: the hosted side and a perturbed
 // replica (what a demo client would hold).
-func demoData() (hosted, replica fileDataset) {
+func demoData() (hosted, replica *store.Record) {
 	alice, bob := workload.PlantedSetsOfSets(17, 120, 10, 1<<32, 20)
-	return fileDataset{Name: "docs", Kind: "sos", Parents: alice},
-		fileDataset{Name: "docs", Kind: "sos", Parents: bob}
+	return &store.Record{Name: "docs", Kind: store.KindSetsOfSets, Parents: alice},
+		&store.Record{Name: "docs", Kind: store.KindSetsOfSets, Parents: bob}
 }
 
-func cmdServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", "", "listen address (default :7075)")
+// cmdServe is serve and shard-serve: it hosts the datasets of -demo, -data or
+// -config — with -shards, the slice of each that shard -index owns, rejecting
+// sessions routed for any other slice or carrying a different -epoch — on top
+// of whatever -data-dir recovered, and serves them until SIGINT/SIGTERM.
+func cmdServe(cmd string, args []string) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	addr, shards, epoch := linkFlags(fs, "", "listen address (default :7075; with -shards, the -shards replica at -index/-replica-index)")
+	fs.StringVar(addr, "listen", "", "another name for -addr")
 	configPath := fs.String("config", "", "JSON config file; explicit flags override its values")
-	data := fs.String("data", "", "datasets JSON file")
+	index := fs.Int("index", -1, "this instance's shard position in -shards")
+	replicaIdx := fs.Int("replica-index", 0, "this instance's replica position within its shard's entry")
+	data := fs.String("data", "", "datasets JSON file (with -shards: the full logical datasets; the owned slice is kept)")
 	demo := fs.Bool("demo", false, "host a generated demo sets-of-sets dataset named \"docs\"")
-	dataDir := fs.String("data-dir", "", "durable store directory: snapshots + WAL, crash recovery on boot, snapshot on SIGTERM")
+	dataDir := fs.String("data-dir", "", "durable store directory: snapshots + WAL (and the shard binding), crash recovery on boot, snapshot on SIGTERM")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent session cap; excess hellos get the busy error (0 = unlimited)")
 	opsAddr := fs.String("ops-addr", "", "private ops listener address (/metrics, /healthz, /readyz, /datasets, /admin/*, /debug/*); empty disables")
 	adminToken := fs.String("admin-token", "", "bearer token required on /admin/* and /debug/* ops routes (empty = open)")
@@ -294,7 +256,7 @@ func cmdServe(args []string) {
 			fatal("loading config failed", "err", err.Error())
 		}
 	}
-	cfg.Addr = pick(*addr, pick(cfg.Addr, ":7075"))
+	cfg.Addr = pick(*addr, cfg.Addr)
 	cfg.OpsAddr = pick(*opsAddr, cfg.OpsAddr)
 	cfg.DataDir = pick(*dataDir, cfg.DataDir)
 	cfg.LogLevel = pick(*logLevel, pick(cfg.LogLevel, "info"))
@@ -312,6 +274,26 @@ func cmdServe(args []string) {
 
 	srv := sosrnet.NewServer()
 	srv.Logger = logger
+	// topo stays nil for an unsharded server, which hosts every dataset whole.
+	var topo *shardmap.Topology
+	defaultAddr := ":7075"
+	if *shards != "" || cmd == "shard-serve" {
+		var err error
+		if topo, err = parseTopology(*shards, *epoch); err != nil {
+			fatal("bad -shards list", "err", err.Error())
+		}
+		if *index < 0 || *index >= topo.NumShards() {
+			fatal(cmd+": -index outside shard list", "index", *index, "shards", topo.NumShards())
+		}
+		replicas := topo.Replicas(*index)
+		if *replicaIdx < 0 || *replicaIdx >= len(replicas) {
+			fatal(cmd+": -replica-index outside the shard's replica list",
+				"replica_index", *replicaIdx, "replicas", len(replicas))
+		}
+		defaultAddr = replicas[*replicaIdx]
+		srv.Logger = logger.With("shard", *index, "replica", *replicaIdx)
+	}
+	cfg.Addr = pick(cfg.Addr, defaultAddr)
 	srv.MaxConcurrentSessions = cfg.MaxSessions
 	srv.AdminToken = cfg.Ops.AdminToken
 	srv.Trace = newTracer(cfg.Trace, *traceSlow)
@@ -321,7 +303,7 @@ func cmdServe(args []string) {
 	switch {
 	case *demo:
 		hosted, _ := demoData()
-		sets = []fileDataset{hosted}
+		sets = []*store.Record{hosted}
 	case *data != "":
 		var err error
 		if sets, err = loadDatasets(*data); err != nil {
@@ -329,17 +311,10 @@ func cmdServe(args []string) {
 		}
 	}
 	if len(sets) == 0 && cfg.DataDir == "" {
-		fatal("serve: pass -demo, -data file.json, datasets in -config, or -data-dir with persisted state")
+		fatal(cmd + ": pass -demo, -data file.json, datasets in -config, or -data-dir with persisted state")
 	}
-	for _, d := range sets {
-		if _, err := srv.DatasetVersion(d.Name); err == nil {
-			logger.Info("dataset already recovered from the store; file copy ignored", "dataset", d.Name)
-			continue
-		}
-		if err := hostDataset(srv, d, nil, 0); err != nil {
-			fatal("hosting dataset failed", "dataset", d.Name, "err", err.Error())
-		}
-		logger.Info("hosting dataset", "dataset", d.Name, "kind", d.Kind)
+	if err := hostAll(srv, sets, topo, *index); err != nil {
+		fatal("hosting dataset failed", "err", err.Error())
 	}
 	srv.SetReady(true)
 
@@ -349,6 +324,29 @@ func cmdServe(args []string) {
 		fatal("listen failed", "addr", cfg.Addr, "err", err.Error())
 	}
 	runServer(srv, ln, ops, st)
+}
+
+// hostAll hosts the datasets a file or the demo generator supplied — with a
+// topology, shard index's slice of each — except those the store already
+// recovered: a persisted record carries its shard binding, so a recovered slice
+// is already filtered and bound, and the file copy is redundant.
+func hostAll(srv *sosrnet.Server, sets []*store.Record, topo *shardmap.Topology, index int) error {
+	for _, d := range sets {
+		if _, err := srv.DatasetVersion(d.Name); err == nil {
+			logger.Info("dataset already recovered from the store; file copy ignored", "dataset", d.Name)
+			continue
+		}
+		if err := srv.Host(d, topo, index); err != nil {
+			return fmt.Errorf("dataset %q: %w", d.Name, err)
+		}
+		if topo == nil {
+			logger.Info("hosting dataset", "dataset", d.Name, "kind", d.Kind)
+		} else {
+			logger.Info("hosting dataset shard", "dataset", d.Name, "kind", d.Kind,
+				"shard", index, "shards", topo.NumShards(), "epoch", topo.Epoch())
+		}
+	}
+	return nil
 }
 
 // newTracer builds a serving command's tracer from its knobs. The tracer is
@@ -452,91 +450,12 @@ func runServer(srv *sosrnet.Server, ln net.Listener, ops *http.Server, st *store
 	<-drained
 }
 
-// cmdShardServe hosts one shard's slice of every dataset: the instance at
-// shard -index, replica -replica-index keeps the elements / child sets the
-// topology assigns to its shard and rejects sessions routed for any other
-// slice or carrying a different -epoch.
-func cmdShardServe(args []string) {
-	fs := flag.NewFlagSet("shard-serve", flag.ExitOnError)
-	shards := fs.String("shards", "", "shard topology: comma-separated shards, pipe-separated replicas per shard (same on every instance)")
-	index := fs.Int("index", -1, "this instance's shard position in -shards")
-	replicaIdx := fs.Int("replica-index", 0, "this instance's replica position within its shard's entry")
-	epoch := fs.Uint64("epoch", 0, "topology epoch; clients carrying a different epoch are told to re-resolve")
-	listen := fs.String("listen", "", "listen address override (default: the -shards replica at -index/-replica-index)")
-	stall := fs.Duration("stall", 0, "artificial delay before reading each accepted session (fault injection for hedging demos/tests)")
-	data := fs.String("data", "", "datasets JSON file (full logical datasets; the owned slice is kept)")
-	demo := fs.Bool("demo", false, "host the generated demo dataset's owned slice")
-	dataDir := fs.String("data-dir", "", "durable store directory: the owned slices and shard binding persist across restarts")
-	maxSessions := fs.Int("max-sessions", 0, "concurrent session cap; excess hellos get the busy error (0 = unlimited)")
-	opsAddr := fs.String("ops-addr", "", "private ops listener address (/metrics, /healthz, /readyz, /datasets, /admin/*, /debug/*); empty disables")
-	adminToken := fs.String("admin-token", "", "bearer token required on /admin/* and /debug/* ops routes (empty = open)")
-	traceSample := fs.Float64("trace-sample", 0, "probability a session starts a server-rooted trace, 0..1 (client-opened traces are always recorded)")
-	traceSlow := fs.Duration("trace-slow", 0, "capture traces slower than this in the flagged ring (0 disables slow capture)")
-	traceRing := fs.Int("trace-ring", 0, "retained traces per ring, recent and flagged separately (0 = 256)")
-	logLevel := fs.String("log-level", "info", "log threshold: debug, info, warn, error")
-	fs.Parse(args)
-	setLogLevel(*logLevel)
-
-	topo, err := parseTopology(*shards, *epoch)
-	if err != nil {
-		fatal("bad -shards list", "err", err.Error())
-	}
-	if *index < 0 || *index >= topo.NumShards() {
-		fatal("shard-serve: -index outside shard list", "index", *index, "shards", topo.NumShards())
-	}
-	replicas := topo.Replicas(*index)
-	if *replicaIdx < 0 || *replicaIdx >= len(replicas) {
-		fatal("shard-serve: -replica-index outside the shard's replica list",
-			"replica_index", *replicaIdx, "replicas", len(replicas))
-	}
-	srv := sosrnet.NewServer()
-	srv.Logger = logger.With("shard", *index, "replica", *replicaIdx)
-	srv.MaxConcurrentSessions = *maxSessions
-	srv.AdminToken = *adminToken
-	srv.Trace = newTracer(traceConfig{Sample: *traceSample, Ring: *traceRing}, *traceSlow)
-	st := openStore(srv, &serverConfig{DataDir: *dataDir})
-	var sets []fileDataset
-	switch {
-	case *demo:
-		hosted, _ := demoData()
-		sets = []fileDataset{hosted}
-	case *data != "":
-		if sets, err = loadDatasets(*data); err != nil {
-			fatal("loading datasets failed", "err", err.Error())
-		}
-	default:
-		if *dataDir == "" {
-			fatal("shard-serve: pass -demo, -data file.json, or -data-dir with persisted slices")
-		}
-	}
-	for _, d := range sets {
-		// The persisted record carries the shard binding, so a recovered
-		// slice is already filtered and bound — the file copy is redundant.
-		if _, err := srv.DatasetVersion(d.Name); err == nil {
-			logger.Info("dataset slice already recovered from the store; file copy ignored", "dataset", d.Name)
-			continue
-		}
-		if err := hostDataset(srv, d, topo, *index); err != nil {
-			fatal("hosting shard failed", "dataset", d.Name, "err", err.Error())
-		}
-		logger.Info("hosting dataset shard", "dataset", d.Name, "kind", d.Kind,
-			"shard", *index, "shards", topo.NumShards(), "epoch", topo.Epoch())
-	}
-	srv.SetReady(true)
-	addr := replicas[*replicaIdx]
-	if *listen != "" {
-		addr = *listen
-	}
-	ops := startOps(srv, *opsAddr)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal("listen failed", "addr", addr, "err", err.Error())
-	}
-	if *stall > 0 {
-		logger.Warn("stall fault injection active", "stall", stall.String())
-		ln = &stallListener{Listener: ln, delay: *stall}
-	}
-	runServer(srv, ln, ops, st)
+// linkFlags declares the flags both roles name the other end by: one address,
+// or a shard topology and its epoch.
+func linkFlags(fs *flag.FlagSet, addrDefault, addrUsage string) (addr, shards *string, epoch *uint64) {
+	return fs.String("addr", addrDefault, addrUsage),
+		fs.String("shards", "", "shard topology: comma-separated shards, pipe-separated replicas per shard (the same list on every instance and client)"),
+		fs.Uint64("epoch", 0, "topology epoch; a client carrying another than the serving instances' is told to re-resolve")
 }
 
 // parseTopology builds the replicated topology from the CLI syntax: shards
@@ -561,90 +480,71 @@ func parseTopology(list string, epoch uint64) (*shardmap.Topology, error) {
 	return shardmap.NewTopology(epoch, shards)
 }
 
-// stallListener delays the first read of every accepted connection —
-// fault injection that makes an instance a deterministic straggler so
-// hedged requests measurably win.
-type stallListener struct {
-	net.Listener
-	delay time.Duration
-}
-
-func (l *stallListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &stallConn{Conn: c, delay: l.delay}, nil
-}
-
-type stallConn struct {
-	net.Conn
-	delay time.Duration
-	once  sync.Once
-}
-
-func (c *stallConn) Read(p []byte) (int, error) {
-	c.once.Do(func() { time.Sleep(c.delay) })
-	return c.Conn.Read(p)
-}
-
-// cmdShardSync fans one logical reconcile out over every shard — failing
-// over between a shard's replicas and optionally hedging stragglers — and
-// merges the recovered slices, printing the aggregated byte report plus the
-// per-shard itemization.
-func cmdShardSync(args []string) {
-	fs := flag.NewFlagSet("shard-sync", flag.ExitOnError)
-	shards := fs.String("shards", "", "shard topology: comma-separated shards, pipe-separated replicas per shard")
-	epoch := fs.Uint64("epoch", 0, "topology epoch (must match the serving instances)")
+// cmdSync is sync and shard-sync: one reconcile of a local replica against
+// the dataset hosted at -addr, or — with -shards — fanned out over every shard,
+// failing over between a shard's replicas and optionally hedging stragglers,
+// with the recovered slices merged and the byte report itemized per shard.
+func cmdSync(cmd string, args []string) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	addr, shards, epoch := linkFlags(fs, "127.0.0.1:7075", "server address (without -shards)")
 	name := fs.String("name", "", "dataset name")
 	kind := fs.String("kind", "sos", "dataset kind: set, multiset or sos")
 	replica := fs.String("replica", "", "local replica JSON file (omit with -demo-replica)")
-	demoReplica := fs.Bool("demo-replica", false, "use the generated demo replica (pairs with shard-serve -demo)")
+	demoReplica := fs.Bool("demo-replica", false, "use the generated demo replica (pairs with serve -demo)")
 	protocol := fs.String("protocol", "auto", "sets-of-sets protocol: auto, naive, nested, cascade, multiround")
-	seed := fs.Uint64("seed", 42, "shared public-coin seed")
-	d := fs.Int("d", 0, "known difference bound for the whole logical dataset (0 = unknown-d variant)")
-	hedge := fs.Duration("hedge", 0, "straggler delay before racing a second replica of a slow shard (0 disables hedging)")
-	perShardD := fs.Bool("per-shard-d", false, "drop -d per shard so each shard estimates its own difference bound")
-	dumpMetrics := fs.Bool("dump-metrics", false, "print the client's Prometheus metrics (failover/hedge counters) to stdout after the sync")
-	trace := fs.Bool("trace", false, "trace the sync end to end and print its trace id; every shard server records the same trace (see /debug/traces?id=...)")
+	seed := fs.Uint64("seed", 42, "shared public-coin seed (must match across runs to be comparable)")
+	d := fs.Int("d", 0, "known difference bound, with -shards for the whole logical dataset (0 = unknown-d variant)")
+	charpoly := fs.Bool("charpoly", false, "set kind: use the characteristic-polynomial protocol")
+	hedge := fs.Duration("hedge", 0, "with -shards: straggler delay before racing a second replica of a slow shard (0 disables hedging)")
+	perShardD := fs.Bool("per-shard-d", false, "with -shards: drop -d per shard so each shard estimates its own difference bound")
+	dumpMetrics := fs.Bool("dump-metrics", false, "print the client's Prometheus metrics (connection, failover and hedge counters) to stdout after the sync")
+	trace := fs.Bool("trace", false, "trace the sync end to end and print its trace id; every server it reaches records the same trace (see /debug/traces?id=...)")
 	fs.Parse(args)
 	if *name == "" {
-		fatal("shard-sync: -name is required")
+		fatal(cmd + ": -name is required")
 	}
-	topo, err := parseTopology(*shards, *epoch)
-	if err != nil {
-		fatal("bad -shards list", "err", err.Error())
-	}
-	c, err := sosrshard.Dial(topo)
-	if err != nil {
-		fatal("dialing shards failed", "err", err.Error())
-	}
-	defer c.Close()
-	c.HedgeDelay = *hedge
-	c.PerShardDiff = *perShardD
-	c.Logger = logger
+	local := loadReplica(cmd, *name, *replica, *demoReplica)
+	set := sosr.SetConfig{Seed: *seed, KnownDiff: *d, UseCharPoly: *charpoly}
+	sos := sosr.Config{Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d}
 	reg := obs.NewRegistry()
-	c.Obs = reg
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// With -trace, root the whole sync under one always-sampled span: the
-	// fan-out, every per-shard attempt, and each shard server's stage spans
-	// share its trace id, printed at the end for /debug/traces?id= lookups.
+	// fan-out, every per-shard attempt, and each server's stage spans share
+	// its trace id, printed at the end for /debug/traces?id= lookups.
 	var syncSpan *obs.Span
 	if *trace {
 		tr := &obs.Tracer{SampleRate: 1}
-		syncSpan = tr.StartRoot("shard-sync")
+		syncSpan = tr.StartRoot(cmd)
 		ctx = obs.ContextWithSpan(ctx, syncSpan)
 	}
 
-	local := loadReplica("shard-sync", *name, *replica, *demoReplica)
-	summary, _, st := reconcile(ctx, "shard-sync", c, *kind, *name, local,
-		sosr.SetConfig{Seed: *seed, KnownDiff: *d},
-		sosr.Config{Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d})
-	fmt.Printf("%s across %d shards\n", summary, topo.NumShards())
-	printShardStats(st)
+	if *shards == "" && cmd != "shard-sync" {
+		c := sosrnet.Dial(*addr)
+		defer c.Close()
+		c.Obs = reg
+		summary, attempts, ns := reconcile(ctx, cmd, c, *kind, *name, local, set, sos)
+		if attempts > 0 {
+			summary += fmt.Sprintf(" in %d attempt(s)", attempts)
+		}
+		fmt.Println(summary)
+		printStats(ns)
+	} else {
+		topo, err := parseTopology(*shards, *epoch)
+		if err != nil {
+			fatal("bad -shards list", "err", err.Error())
+		}
+		c, err := sosrshard.Dial(topo)
+		if err != nil {
+			fatal("dialing shards failed", "err", err.Error())
+		}
+		defer c.Close()
+		c.HedgeDelay, c.PerShardDiff, c.Logger, c.Obs = *hedge, *perShardD, logger, reg
+		summary, _, st := reconcile(ctx, cmd, c, *kind, *name, local, set, sos)
+		fmt.Printf("%s across %d shards\n", summary, topo.NumShards())
+		printShardStats(st)
+	}
 	if syncSpan != nil {
 		syncSpan.Finish()
 		fmt.Printf("trace: id=%s\n", syncSpan.TraceID())
@@ -669,37 +569,6 @@ func printShardStats(st *sosrshard.Stats) {
 		fmt.Printf("  shard %d via %-21s bytes=%-6d overhead=%-4d sessions=%d attempts=%d\n",
 			sh.Index, sh.Replica, sh.Net.Protocol.TotalBytes, sh.Net.Overhead, sh.Attempts, sh.Net.Attempts)
 	}
-}
-
-func cmdSync(args []string) {
-	fs := flag.NewFlagSet("sync", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:7075", "server address")
-	name := fs.String("name", "", "dataset name")
-	kind := fs.String("kind", "sos", "dataset kind: set, multiset or sos")
-	replica := fs.String("replica", "", "local replica JSON file (omit with -demo-replica)")
-	demoReplica := fs.Bool("demo-replica", false, "use the generated demo replica (pairs with serve -demo)")
-	protocol := fs.String("protocol", "auto", "sets-of-sets protocol: auto, naive, nested, cascade, multiround")
-	seed := fs.Uint64("seed", 42, "shared public-coin seed (must match across runs to be comparable)")
-	d := fs.Int("d", 0, "known difference bound (0 = unknown-d variant)")
-	charpoly := fs.Bool("charpoly", false, "set kind: use the characteristic-polynomial protocol")
-	fs.Parse(args)
-	if *name == "" {
-		fatal("sync: -name is required")
-	}
-
-	local := loadReplica("sync", *name, *replica, *demoReplica)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	c := sosrnet.Dial(*addr)
-	defer c.Close()
-	summary, attempts, ns := reconcile(ctx, "sync", c, *kind, *name, local,
-		sosr.SetConfig{Seed: *seed, KnownDiff: *d, UseCharPoly: *charpoly},
-		sosr.Config{Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d})
-	if attempts > 0 {
-		summary += fmt.Sprintf(" in %d attempt(s)", attempts)
-	}
-	fmt.Println(summary)
-	printStats(ns)
 }
 
 func parseProtocolFlag(s string) sosr.Protocol {
@@ -728,9 +597,12 @@ func printStats(ns *sosrnet.NetStats) {
 // accounting predicts.
 func cmdDemo() {
 	hosted, replica := demoData()
+	// Hosting canonicalises the record in place; the in-process run below
+	// wants the data as generated.
+	alice := hosted.Parents
 	srv := sosrnet.NewServer()
 	srv.Logger = logger
-	if err := hostDataset(srv, hosted, nil, 0); err != nil {
+	if err := srv.Host(hosted, nil, 0); err != nil {
 		fatal("hosting demo dataset failed", "err", err.Error())
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -748,7 +620,7 @@ func cmdDemo() {
 	logger.Info("demo server listening", "addr", ln.Addr().String())
 
 	cfg := sosr.Config{Seed: 42, Protocol: sosr.ProtocolCascade, KnownDiff: 40}
-	want, err := sosr.ReconcileSetsOfSets(hosted.Parents, replica.Parents, cfg)
+	want, err := sosr.ReconcileSetsOfSets(alice, replica.Parents, cfg)
 	if err != nil {
 		fatal("in-process reconcile failed", "err", err.Error())
 	}

@@ -5,6 +5,7 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/hashing"
+	"sosr/internal/setutil"
 	"sosr/internal/transport"
 )
 
@@ -45,11 +46,11 @@ type Result3 struct {
 func ReconcileSetsOfSetsOfSets(alice, bob [][][]uint64, cfg Config3) (*Result3, error) {
 	// The data's own shape: what a zero bound derives, and what a set bound
 	// must cover (the encoders size their count fields from the shape).
-	data := core.Params3{G: maxLen(len(alice), len(bob)), S: 1, H: 1}
+	data := core.Params3{G: max(len(alice), len(bob), 1), S: 1, H: 1}
 	for _, gp := range [][][][]uint64{alice, bob} {
 		for _, group := range gp {
 			data.S = max(data.S, len(group))
-			data.H = max(data.H, maxChildLen(group))
+			data.H = max(data.H, setutil.MaxChildLen(group))
 		}
 	}
 	p := core.Params3{G: cfg.MaxGroups, S: cfg.MaxChildSets, H: cfg.MaxChildSize}
@@ -90,7 +91,7 @@ func ReconcileSetsOfSetsOfSets(alice, bob [][][]uint64, cfg Config3) (*Result3, 
 		Recovered:     res.Recovered,
 		AddedGroups:   res.AddedGroups,
 		RemovedGroups: res.RemovedGroups,
-		Stats:         statsFrom(sess.Stats()),
+		Stats:         sess.Stats(),
 		Attempts:      attempts,
 	}, nil
 }

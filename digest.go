@@ -5,6 +5,7 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/hashing"
+	"sosr/internal/setutil"
 )
 
 // Split-party deployment. ReconcileSetsOfSets simulates both parties in one
@@ -106,10 +107,10 @@ func (b *DigestBuilder) Snapshot() []byte { return b.inner.Snapshot() }
 func BuildDiffProbe(bob [][]uint64, cfg Config) []byte {
 	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
 	if p.S <= 0 {
-		p.S = maxLen(len(bob), 1)
+		p.S = max(len(bob), 1)
 	}
 	if p.H <= 0 {
-		p.H = maxChildLen(bob)
+		p.H = setutil.MaxChildLen(bob)
 	}
 	return core.BuildChildDiffProbe(hashing.NewCoins(cfg.Seed), bob, p)
 }
@@ -121,10 +122,10 @@ func BuildDiffProbe(bob [][]uint64, cfg Config) []byte {
 func EstimateDiffFromProbe(probe []byte, alice [][]uint64, cfg Config) int {
 	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
 	if p.S <= 0 {
-		p.S = maxLen(len(alice), 1)
+		p.S = max(len(alice), 1)
 	}
 	if p.H <= 0 {
-		p.H = maxChildLen(alice)
+		p.H = setutil.MaxChildLen(alice)
 	}
 	return core.EstimateChildDiff(probe, hashing.NewCoins(cfg.Seed), alice, p)
 }

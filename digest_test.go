@@ -3,6 +3,7 @@ package sosr
 import (
 	"testing"
 
+	"sosr/internal/setutil"
 	"sosr/internal/workload"
 )
 
@@ -106,7 +107,7 @@ func TestDigestOneToMany(t *testing.T) {
 	alice, bob1 := workload.PlantedSetsOfSets(31, 12, 16, 1<<40, 4)
 	_, bob2 := workload.PlantedSetsOfSets(31, 12, 16, 1<<40, 2)
 	// The shape covers every party: planted insertions grow a child past 16.
-	cfg := Config{Seed: 41, MaxChildSets: 12, MaxChildSize: maxChildLen(alice, bob1, bob2), KnownDiff: 4, Protocol: ProtocolCascade}
+	cfg := Config{Seed: 41, MaxChildSets: 12, MaxChildSize: setutil.MaxChildLen(alice, bob1, bob2), KnownDiff: 4, Protocol: ProtocolCascade}
 	digest, err := BuildDigest(alice, cfg)
 	if err != nil {
 		t.Fatal(err)

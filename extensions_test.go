@@ -3,6 +3,7 @@ package sosr
 import (
 	"testing"
 
+	"sosr/internal/setutil"
 	"sosr/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func TestReconcileSetsOfSetsOfSetsEqual(t *testing.T) {
 func TestReconcileSetsOfSetsTwoWay(t *testing.T) {
 	alice, bob := workload.PlantedSetsOfSets(31, 12, 16, 1<<40, 6)
 	d := SetsOfSetsDistance(alice, bob)
-	h := maxChildLen(alice, bob) // a planted insertion grows a child past 16
+	h := setutil.MaxChildLen(alice, bob) // a planted insertion grows a child past 16
 	for _, proto := range []Protocol{ProtocolNested, ProtocolCascade, ProtocolMultiRound} {
 		res, err := ReconcileSetsOfSetsTwoWay(alice, bob, Config{
 			Seed: 3, MaxChildSets: 12, MaxChildSize: h, KnownDiff: d, Protocol: proto,

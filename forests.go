@@ -64,7 +64,7 @@ func ReconcileForests(alice, bob Forest, cfg ForestConfig) (*ForestResult, error
 	if err != nil {
 		return nil, err
 	}
-	return &ForestResult{Recovered: Forest{Parent: rec.Parent}, Stats: statsFrom(st)}, nil
+	return &ForestResult{Recovered: Forest{Parent: rec.Parent}, Stats: st}, nil
 }
 
 // ForestsIsomorphic decides rooted-forest isomorphism exactly (AHU canonical

@@ -111,7 +111,7 @@ func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GraphResult{Recovered: fromInternal(rec), Stats: statsFrom(st)}, nil
+	return &GraphResult{Recovered: fromInternal(rec), Stats: st}, nil
 }
 
 // GraphsIsomorphic runs the Theorem 4.1 communication protocol on tiny
@@ -119,7 +119,7 @@ func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
 func GraphsIsomorphic(alice, bob Graph, seed uint64) (bool, Stats, error) {
 	sess := transport.New()
 	iso, st, err := graphrecon.IsomorphismTest(sess, hashing.NewCoins(seed), alice.toInternal(), bob.toInternal())
-	return iso, statsFrom(st), err
+	return iso, st, err
 }
 
 // GraphsExactlyIsomorphic decides isomorphism locally and exactly

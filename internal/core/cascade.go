@@ -22,7 +22,7 @@ import (
 // full child-set encodings for the stragglers. One round,
 // O(d log min(d,h) log u + d log s) bits, success probability Ω(1)
 // (amplify with Replicated, or use CascadeUnknownD's verified doubling).
-func CascadeKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d int) (*Result, error) {
+func CascadeKnownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, d int) (*Result, error) {
 	return knownD(DigestCascade, sess, coins, alice, bob, p, max(d, 1), 0)
 }
 
@@ -156,8 +156,8 @@ func (w *cascadeWork) indexBob() {
 
 // CascadeUnknownD solves SSRU per Corollary 3.8: repeated doubling over d
 // with per-attempt coins and Bob acknowledgements (O(log d) rounds).
-func CascadeUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
-	return doublingLoop(sess, coins, alice, bob, p, func(sess transport.Channel, att hashing.Coins, d int) (*Result, error) {
+func CascadeUnknownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
+	return doublingLoop(sess, coins, alice, bob, p, func(sess *transport.Session, att hashing.Coins, d int) (*Result, error) {
 		return CascadeKnownD(sess, att, alice, bob, p, d)
 	})
 }

@@ -248,12 +248,12 @@ func TestChildCodecRecoverAgainst(t *testing.T) {
 	codec := newChildCodec(coins, "test/child", 0, 16, 8)
 	aliceSet := []uint64{1, 2, 3, 4}
 	bobSet := []uint64{1, 2, 3, 9}
-	var ta iblt.Table
-	h, err := codec.decodeInto(&ta, codec.encode(aliceSet))
+	r := childRecoverer{c: codec}
+	h, err := r.decodeEnc(codec.encode(aliceSet))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := codec.recoverAgainst(&ta, h, bobSet)
+	rec, ok := r.recoverAgainst(h, bobSet)
 	if !ok {
 		t.Fatal("recovery failed")
 	}
@@ -262,10 +262,10 @@ func TestChildCodecRecoverAgainst(t *testing.T) {
 	}
 	// A wrong candidate fails the hash check; empty fallback recovers
 	// standalone sets.
-	if _, ok := codec.recoverAgainst(&ta, h, []uint64{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000}); ok {
+	if _, ok := r.recoverAgainst(h, []uint64{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000}); ok {
 		t.Fatal("wrong candidate accepted")
 	}
-	rec2, ok := codec.recoverFromCandidates(&ta, h, nil)
+	rec2, ok := r.recoverFromCandidates(h, nil)
 	if !ok || len(rec2) != 4 {
 		t.Fatal("empty-set fallback failed")
 	}

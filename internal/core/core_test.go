@@ -352,7 +352,7 @@ func TestBobHasExtraChild(t *testing.T) {
 
 func TestReplicatedRecoversFromFlakyAttempts(t *testing.T) {
 	calls := 0
-	res, err := Replicated(transport.New(), hashing.NewCoins(1), 5, func(sess transport.Channel, coins hashing.Coins) (*Result, error) {
+	res, err := Replicated(transport.New(), hashing.NewCoins(1), 5, func(sess *transport.Session, coins hashing.Coins) (*Result, error) {
 		calls++
 		if calls < 3 {
 			return nil, ErrParentDecode
@@ -368,7 +368,7 @@ func TestReplicatedRecoversFromFlakyAttempts(t *testing.T) {
 }
 
 func TestReplicatedGivesUp(t *testing.T) {
-	_, err := Replicated(transport.New(), hashing.NewCoins(1), 2, func(sess transport.Channel, coins hashing.Coins) (*Result, error) {
+	_, err := Replicated(transport.New(), hashing.NewCoins(1), 2, func(sess *transport.Session, coins hashing.Coins) (*Result, error) {
 		return nil, ErrVerify
 	})
 	if !errors.Is(err, ErrGaveUp) {

@@ -303,19 +303,3 @@ func (r *childRecoverer) recoverFromCandidates(wantHash uint64, candidates [][]u
 	}
 	return r.recoverAgainst(wantHash, nil)
 }
-
-// recoverAgainst is the one-shot form of childRecoverer.recoverAgainst; hot
-// loops should hold a childRecoverer instead.
-func (c childCodec) recoverAgainst(ta *iblt.Table, wantHash uint64, candidate []uint64) ([]uint64, bool) {
-	r := childRecoverer{c: c}
-	r.ta.CopyFrom(ta)
-	return r.recoverAgainst(wantHash, candidate)
-}
-
-// recoverFromCandidates is the one-shot form of
-// childRecoverer.recoverFromCandidates.
-func (c childCodec) recoverFromCandidates(ta *iblt.Table, wantHash uint64, candidates [][]uint64) ([]uint64, bool) {
-	r := childRecoverer{c: c}
-	r.ta.CopyFrom(ta)
-	return r.recoverFromCandidates(wantHash, candidates)
-}

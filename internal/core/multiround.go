@@ -32,7 +32,7 @@ import (
 // The per-round payloads are built and applied by the exported MR* step
 // functions, so split-party deployments (sosrnet) exchange exactly the bytes
 // the in-process run records.
-func MultiRoundKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d int) (*Result, error) {
+func MultiRoundKnownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, d int) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
@@ -48,7 +48,7 @@ func MultiRoundKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []
 // Alice bounds the number of differing child sets; the per-pair element
 // differences are bounded by the round-2 estimators, so no global d is
 // needed.
-func MultiRoundUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
+func MultiRoundUnknownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
@@ -307,7 +307,7 @@ func (w *mrWork) alice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal 
 	size := 4
 	for i := range w.matches {
 		m := &w.matches[i]
-		m.budget, m.poly = min(m.di*EstimatorSafety+2, mrPairBudgetCap(p)), m.di < sqrtD
+		m.budget, m.poly = min(m.di*setrecon.EstimatorSafety+2, mrPairBudgetCap(p)), m.di < sqrtD
 		body := iblt.SerializedSizeFor(iblt.CellsFor(m.budget), iblt.WordWidth, 0)
 		if m.poly {
 			body = setrecon.CharPolySize(m.budget + 1)
@@ -413,7 +413,7 @@ func (w *mrWork) bobFinish(coins hashing.Coins, bob [][]uint64, st *MRBobState, 
 
 // multiRound composes the MR* steps over the channel (the co-simulated
 // deployment of Theorems 3.9/3.10).
-func multiRound(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, dTotal, dHat int) (*Result, error) {
+func multiRound(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, dTotal, dHat int) (*Result, error) {
 	msg1 := sess.Send(transport.Alice, "hash-iblt", MRAlice1(coins, alice, dHat))
 	round2, st, err := MRBob2(coins, bob, p, msg1)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"sosr/internal/estimator"
 	"sosr/internal/hashing"
+	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
 )
@@ -14,7 +15,7 @@ import (
 // all possible child sets, and the parent sets are reconciled with a single
 // vector-keyed IBLT of O(d̂) cells. One round, O(d̂ · min(h log u, u)) bits,
 // O(n) time, success probability 1 - 1/poly(d̂).
-func NaiveKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, dHat int) (*Result, error) {
+func NaiveKnownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, dHat int) (*Result, error) {
 	res, err := knownD(DigestNaive, sess, coins, alice, bob, p, 1, dHat)
 	if err != nil {
 		return nil, err
@@ -27,7 +28,7 @@ func NaiveKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uin
 // set-difference estimator over his child-set hashes; Alice uses the merged
 // estimate (scaled for safety) as d̂ and runs the Theorem 3.3 protocol. Two
 // rounds.
-func NaiveUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
+func NaiveUnknownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
@@ -44,7 +45,7 @@ func NaiveUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]u
 // estimateChildDiff runs the shared round-0 exchange: Bob sends an estimator
 // over his child-set hashes; Alice merges her own and returns a safe bound
 // on the number of differing child sets.
-func estimateChildDiff(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) int {
+func estimateChildDiff(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params) int {
 	msg := sess.Send(transport.Bob, "childdiff-estimator", BuildChildDiffProbe(coins, bob, p))
 	return EstimateChildDiff(msg, coins, alice, p)
 }
@@ -79,16 +80,12 @@ func EstimateChildDiff(probe []byte, coins hashing.Coins, alice [][]uint64, p Pa
 	if err := w.est.MergeMarshaled(probe); err != nil {
 		return p.S
 	}
-	dHat := int(w.est.Estimate())*EstimatorSafety + 2
+	dHat := int(w.est.Estimate())*setrecon.EstimatorSafety + 2
 	if dHat > p.S*2 {
 		dHat = p.S * 2
 	}
 	return dHat
 }
-
-// EstimatorSafety scales estimator outputs used as difference bounds,
-// absorbing Theorem 3.1's constant-factor slack.
-const EstimatorSafety = 4
 
 func u64le(x uint64) []byte {
 	var b [8]byte

@@ -16,7 +16,7 @@ import (
 //
 // d bounds the total element differences; dHat the number of differing child
 // sets (pass DHat(d, p.S) when no better bound is known).
-func NestedKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
+func NestedKnownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
 	return knownD(DigestNested, sess, coins, alice, bob, p, d, dHat)
 }
 
@@ -24,8 +24,8 @@ func NestedKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]ui
 // retried with d = 1, 2, 4, ... (fresh public coins per attempt) until Bob
 // verifies Alice's parent hash; Bob acknowledges each attempt, giving the
 // O(log d) rounds of the corollary.
-func NestedUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
-	return doublingLoop(sess, coins, alice, bob, p, func(sess transport.Channel, att hashing.Coins, d int) (*Result, error) {
+func NestedUnknownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
+	return doublingLoop(sess, coins, alice, bob, p, func(sess *transport.Session, att hashing.Coins, d int) (*Result, error) {
 		return NestedKnownD(sess, att, alice, bob, p, d, DHat(d, p.S))
 	})
 }
@@ -43,8 +43,8 @@ func DoublingTooBig(d int, p Params) bool { return d > 4*p.S*p.H }
 // shared by Corollaries 3.6 and 3.8: run the known-d protocol at d = 2^k
 // with per-attempt coins until it succeeds, with Bob acknowledging each
 // attempt so the rounds are counted honestly.
-func doublingLoop(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params,
-	attempt func(sess transport.Channel, coins hashing.Coins, d int) (*Result, error)) (*Result, error) {
+func doublingLoop(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params,
+	attempt func(sess *transport.Session, coins hashing.Coins, d int) (*Result, error)) (*Result, error) {
 	var lastErr error
 	for k := 0; k < MaxDoublingAttempts; k++ {
 		d := 1 << k
@@ -74,8 +74,8 @@ func doublingLoop(sess transport.Channel, coins hashing.Coins, alice, bob [][]ui
 // session's round accounting (consecutive same-sender messages share a
 // round); running lazily with early stop makes the recorded bytes a lower
 // bound on the parallel variant's.
-func Replicated(sess transport.Channel, coins hashing.Coins, replicas int,
-	attempt func(sess transport.Channel, coins hashing.Coins) (*Result, error)) (*Result, error) {
+func Replicated(sess *transport.Session, coins hashing.Coins, replicas int,
+	attempt func(sess *transport.Session, coins hashing.Coins) (*Result, error)) (*Result, error) {
 	if replicas < 1 {
 		replicas = 1
 	}

@@ -242,7 +242,7 @@ func grandparentHash(coins hashing.Coins, gp [][][]uint64, gc groupCodec) uint64
 // "IBLTs of IBLTs of IBLTs" sketched at the end of §3.2. Communication is
 // O(d_group · d_child · d · log u) — one more multiplicative difference
 // factor than Algorithm 1, the expected cost of one more level of recursion.
-func Nested3KnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][][]uint64, p Params3, b Bounds3) (*Result3, error) {
+func Nested3KnownD(sess *transport.Session, coins hashing.Coins, alice, bob [][][]uint64, p Params3, b Bounds3) (*Result3, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err

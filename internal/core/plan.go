@@ -418,7 +418,7 @@ func (w *cascadeWork) recoverKey(ts *tableSpec, chs uint64, e []byte) error {
 // knownD is the in-process run of a plan, the one body under NaiveKnownD,
 // NestedKnownD and CascadeKnownD: Alice builds the message, the channel
 // carries it under the plan's label, Bob applies it.
-func knownD(kind DigestKind, sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
+func knownD(kind DigestKind, sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err

@@ -32,12 +32,12 @@ type TwoWayResult struct {
 }
 
 // OneWayProtocol abstracts the underlying one-way run for TwoWay.
-type OneWayProtocol func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64) (*Result, error)
+type OneWayProtocol func(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64) (*Result, error)
 
 // TwoWay runs a mutual reconciliation on top of the given one-way protocol:
 // both parties end holding alice ∪ bob (as sets of child sets). One extra
 // round (Bob → Alice) carrying the child sets Alice lacks.
-func TwoWay(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, oneWay OneWayProtocol) (*TwoWayResult, error) {
+func TwoWay(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, oneWay OneWayProtocol) (*TwoWayResult, error) {
 	res, err := oneWay(sess, coins, alice, bob)
 	if err != nil {
 		return nil, err

@@ -268,35 +268,6 @@ func (c *Cache) getOrCompute(k Key, fresh func(*entry) bool, build func(prev *en
 	return built, false, nil
 }
 
-// Get returns the cached single-frame payload for k without computing
-// anything. Multi-frame entries report a miss (use GetFrames) without
-// counting a hit or refreshing their LRU position.
-func (c *Cache) Get(k Key) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok || len(el.Value.(*entry).frames) != 1 {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry).frames[0], true
-}
-
-// GetFrames returns the cached payload frames for k without computing
-// anything. Opaque-value entries (GetOrComputeValue) report a miss.
-func (c *Cache) GetFrames(k Key) ([][]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok || el.Value.(*entry).val != nil {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry).frames, true
-}
-
 // insert stores a built entry, in place of the key's resident one if there
 // is one, and evicts from the LRU tail until the byte bound holds. Oversized
 // payloads (> half the bound) are not retained — one giant value must not

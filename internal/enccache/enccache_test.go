@@ -33,6 +33,22 @@ func TestGetOrComputeCachesAndHits(t *testing.T) {
 	}
 }
 
+// resident looks k up without ever adding to the cache: a hit returns the
+// cached frames and never runs the builder, and the builder's error — which it
+// reports ok = false by — is not cached.
+func resident(t *testing.T, c *Cache, k Key) (frames [][]byte, ok bool) {
+	t.Helper()
+	ok = true
+	frames, err := c.GetOrComputeFrames(k, func() ([][]byte, error) {
+		ok = false
+		return nil, errors.New("not resident")
+	})
+	if ok != (err == nil) {
+		t.Fatalf("lookup of %+v: builder ran = %v, err = %v", k, !ok, err)
+	}
+	return frames, ok
+}
+
 func TestVersionChangeMissesWithoutInvalidation(t *testing.T) {
 	c := New(1 << 20)
 	k1 := key(1)
@@ -47,7 +63,7 @@ func TestVersionChangeMissesWithoutInvalidation(t *testing.T) {
 	}
 	// The stale v1 entry is still resident (bounded by LRU), never served
 	// for the new version.
-	if got, ok := c.Get(k1); !ok || string(got) != "v1" {
+	if got, ok := resident(t, c, k1); !ok || string(got[0]) != "v1" {
 		t.Fatal("old version entry lost prematurely")
 	}
 }
@@ -73,10 +89,10 @@ func TestLRUEvictionBoundsBytes(t *testing.T) {
 		t.Fatalf("bound enforced but no evictions counted: %+v", st)
 	}
 	// Most recent keys survive; the earliest were evicted.
-	if _, ok := c.Get(key(49)); !ok {
+	if _, ok := resident(t, c, key(49)); !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok := c.Get(key(0)); ok {
+	if _, ok := resident(t, c, key(0)); ok {
 		t.Fatal("oldest entry survived a full wrap")
 	}
 }
@@ -245,12 +261,12 @@ func TestGetOrComputeFramesCachesCompositeValues(t *testing.T) {
 	if st.Entries != 1 || st.Bytes != int64(len("sig-frame")+len("edge-frame")+len("meta")) {
 		t.Fatalf("composite size accounting wrong: %+v", st)
 	}
-	if frames, ok := c.GetFrames(k); !ok || len(frames) != 3 {
-		t.Fatalf("GetFrames miss for resident composite entry")
+	if frames, ok := resident(t, c, k); !ok || len(frames) != 3 {
+		t.Fatalf("resident composite entry missed")
 	}
-	// The single-frame Get must not hand back a composite value.
-	if _, ok := c.Get(k); ok {
-		t.Fatal("Get returned a multi-frame entry as a single payload")
+	// The single-frame lookup must not hand back a composite value.
+	if got, err := c.GetOrCompute(k, func() ([]byte, error) { return nil, errors.New("built") }); err == nil || got != nil {
+		t.Fatalf("GetOrCompute returned a multi-frame entry as a single payload: %q, %v", got, err)
 	}
 }
 
@@ -310,7 +326,7 @@ func TestCompositeEvictionUsesTotalSize(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1: %+v", st.Evictions, st)
 	}
-	if _, ok := c.GetFrames(mk(0)); ok {
+	if _, ok := resident(t, c, mk(0)); ok {
 		t.Fatal("LRU tail survived eviction")
 	}
 }
@@ -337,12 +353,12 @@ func TestGetOrComputeValueCachesAndEvicts(t *testing.T) {
 	if st := c.Stats(); st.Bytes != 400 || st.Entries != 1 {
 		t.Fatalf("stats after value insert: %+v", st)
 	}
-	// Value entries must not leak through the frame accessors.
-	if _, ok := c.Get(k); ok {
-		t.Fatal("Get returned an opaque value entry")
+	// Value entries must not leak through the frame lookups.
+	if got, err := c.GetOrCompute(k, func() ([]byte, error) { return nil, errors.New("built") }); err == nil || got != nil {
+		t.Fatalf("GetOrCompute returned an opaque value entry: %q, %v", got, err)
 	}
-	if _, ok := c.GetFrames(k); ok {
-		t.Fatal("GetFrames returned an opaque value entry")
+	if frames, _ := resident(t, c, k); len(frames) != 0 {
+		t.Fatalf("GetOrComputeFrames returned an opaque value entry as %d frames", len(frames))
 	}
 	// Values share the byte budget with frames: two more 400-byte values push
 	// the first out.

@@ -79,7 +79,7 @@ func (w *forestWork) vertexMultisets(children [][]int32, sigs []uint64) [][]uint
 // Recon runs the Theorem 6.1 protocol: one round (plus the shared
 // sets-of-sets transmission), O(dσ log dσ log n) bits. Bob ends with a
 // forest isomorphic to Alice's.
-func Recon(sess transport.Channel, coins hashing.Coins, fa, fb *Forest, p ReconParams) (*Forest, transport.Stats, error) {
+func Recon(sess *transport.Session, coins hashing.Coins, fa, fb *Forest, p ReconParams) (*Forest, transport.Stats, error) {
 	p, params := Plan(Measure(fa), Measure(fb), p)
 
 	// --- Alice ---
@@ -238,7 +238,7 @@ func (w *forestWork) apply(coins hashing.Coins, fb *Forest, p ReconParams, param
 // ReconAuto retries Recon with doubling budgets until Bob verifies, for
 // callers without a good d·σ bound (the Corollary 3.8 doubling applied to
 // forests). Bob acknowledges each attempt.
-func ReconAuto(sess transport.Channel, coins hashing.Coins, fa, fb *Forest, maxBudget int) (*Forest, transport.Stats, error) {
+func ReconAuto(sess *transport.Session, coins hashing.Coins, fa, fb *Forest, maxBudget int) (*Forest, transport.Stats, error) {
 	if maxBudget <= 0 {
 		maxBudget = 1 << 20
 	}

@@ -24,6 +24,7 @@ import (
 	"sosr/internal/graph"
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
+	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
 )
@@ -52,24 +53,25 @@ type DegreeOrderParams struct {
 // graphWork is the scratch of one Alice build or one Bob apply of either §5
 // scheme: the degree order, the signature arena and its sorted parent, the
 // labelling, the relabelled adjacency rows the labelled edge set is read off,
-// the edge IBLT and its decoded difference, and (§5.2) Alice's signatures
-// unpacked. The exported entry points each run on one pooled graphWork; what
-// they return — payload bytes, the recovered graph — is allocated for the
-// caller. release drops the one reference to caller data a workspace can
-// hold, the §5.2 parent that points into the caller's NbrSide.
+// the edge IBLT Alice builds and the set-reconciliation workspace Bob decodes it
+// on, and (§5.2) Alice's signatures unpacked. The exported entry points each run
+// on one pooled graphWork; what they return — payload bytes, the recovered
+// graph — is allocated for the caller. release drops the one reference to
+// caller data a workspace can hold, the §5.2 parent that points into the
+// caller's NbrSide.
 type graphWork struct {
 	deg, order []int
 	sigArena   []uint64
 	sigs       [][]uint64 // §5.1: per-vertex signatures, in sigArena
 	parent     [][]uint64 // the signatures in canonical order: §5.1's, or (§5.2) the caller's packed ones
 	label      []int
-	rows       []uint64 // relabelled adjacency, upper triangle, one bit row per label
-	edges      []uint64 // the labelled edge set, canonical
-	table      iblt.Table
-	add, rem   []uint64
-	merged     []uint64 // Alice's labelled edge set, rebuilt
-	unpacked   []uint64 // §5.2: Alice's signatures as sorted multisets, end to end
-	unpackedAt []int    // signature i is unpacked[unpackedAt[i]:unpackedAt[i+1]]
+	rows       []uint64      // relabelled adjacency, upper triangle, one bit row per label
+	edges      []uint64      // the labelled edge set, canonical
+	table      iblt.Table    // Alice's edge IBLT
+	dec        setrecon.Work // Bob's decode of it
+	merged     []uint64      // Alice's labelled edge set, rebuilt
+	unpacked   []uint64      // §5.2: Alice's signatures as sorted multisets, end to end
+	unpackedAt []int         // signature i is unpacked[unpackedAt[i]:unpackedAt[i+1]]
 }
 
 var graphWorkPool = sync.Pool{New: func() any { return new(graphWork) }}
@@ -184,7 +186,7 @@ func MaxSeparatedH(g *graph.Graph, a, b, hMax int) int {
 // signature tables and the labeled-edge IBLT together; Bob recovers Alice's
 // signatures, derives the conforming labeling, and reconciles the labeled
 // edges. Returns Bob's copy of Alice's graph under Alice's labeling.
-func DegreeOrderingRecon(sess transport.Channel, coins hashing.Coins, ga, gb *graph.Graph, p DegreeOrderParams) (*graph.Graph, transport.Stats, error) {
+func DegreeOrderingRecon(sess *transport.Session, coins hashing.Coins, ga, gb *graph.Graph, p DegreeOrderParams) (*graph.Graph, transport.Stats, error) {
 	if ga.N != gb.N {
 		return nil, transport.Stats{}, fmt.Errorf("graphrecon: vertex count mismatch")
 	}
@@ -431,30 +433,21 @@ func (w *graphWork) edgePayload(coins hashing.Coins, lbl edgeLabels, ga *graph.G
 	return binary.LittleEndian.AppendUint64(payload, setutil.Hash(coins.Seed(lbl.verify, 0), edges))
 }
 
-// applyEdgeRecon finishes both §5 protocols: Bob deletes his labeled edges
-// from Alice's edge IBLT, decodes the difference, verifies, and materializes
-// Alice's labeled graph.
+// applyEdgeRecon finishes both §5 protocols, which close with set
+// reconciliation of the labelled edges (Corollary 2.2): Bob decodes Alice's
+// edge IBLT against his labelled edges, verifies the result, and materializes
+// Alice's labelled graph.
 func (w *graphWork) applyEdgeRecon(coins hashing.Coins, lbl edgeLabels, edgeMsg []byte, gb *graph.Graph, labelB []int) (*graph.Graph, error) {
 	if len(edgeMsg) < 8 {
 		return nil, fmt.Errorf("graphrecon: short edge message")
 	}
 	wantHash := binary.LittleEndian.Uint64(edgeMsg[len(edgeMsg)-8:])
-	t := &w.table
-	if err := t.UnmarshalInto(edgeMsg[:len(edgeMsg)-8]); err != nil {
-		return nil, err
-	}
-	if t.Width() != iblt.WordWidth {
-		return nil, fmt.Errorf("graphrecon: edge IBLT key width %d", t.Width())
-	}
 	edgeSetB := w.labeledEdgeSet(gb, labelB)
-	for _, e := range edgeSetB {
-		t.DeleteUint64(e)
+	add, rem, err := w.dec.DecodeIBLT(edgeMsg[:len(edgeMsg)-8], edgeSetB)
+	if err != nil {
+		return nil, fmt.Errorf("graphrecon: edge IBLT: %w", err)
 	}
-	var err error
-	if w.add, w.rem, err = t.AppendDecodeUint64(w.add[:0], w.rem[:0]); err != nil {
-		return nil, fmt.Errorf("graphrecon: edge IBLT decode: %w", err)
-	}
-	edgesA := setutil.AppendApplyDiff(slices.Grow(w.merged[:0], len(edgeSetB)+len(w.add)), edgeSetB, w.add, w.rem)
+	edgesA := setutil.AppendApplyDiff(slices.Grow(w.merged[:0], len(edgeSetB)+len(add)), edgeSetB, add, rem)
 	w.merged = edgesA
 	if setutil.Hash(coins.Seed(lbl.verify, 0), edgesA) != wantHash {
 		return nil, ErrVerify

@@ -34,9 +34,6 @@ type NeighborhoodParams struct {
 	M int
 	// D bounds the total number of edge changes between the two graphs.
 	D int
-	// SigBudget bounds the total packed-element changes across all
-	// signatures (the paper's O(d·pn)); 0 derives 10·D·M + 16.
-	SigBudget int
 }
 
 // DegreeSignature returns v's degree-neighborhood multiset (sorted).
@@ -93,7 +90,7 @@ func AreNeighborhoodsDisjoint(g *graph.Graph, m, k int) bool {
 // a set of multisets via the cascading protocol, closest-signature matching
 // with the 2d threshold, and labeled-edge reconciliation in the same round.
 // Returns Bob's copy of Alice's graph under Alice's labeling.
-func NeighborhoodRecon(sess transport.Channel, coins hashing.Coins, ga, gb *graph.Graph, p NeighborhoodParams) (*graph.Graph, transport.Stats, error) {
+func NeighborhoodRecon(sess *transport.Session, coins hashing.Coins, ga, gb *graph.Graph, p NeighborhoodParams) (*graph.Graph, transport.Stats, error) {
 	if ga.N != gb.N {
 		return nil, transport.Stats{}, fmt.Errorf("graphrecon: vertex count mismatch")
 	}
@@ -146,7 +143,7 @@ func NeighborhoodEncode(g *graph.Graph, m int) (*NbrSide, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &NbrSide{Sigs: sigs, Packed: packed, MaxSig: maxChildSize(packed)}, nil
+	return &NbrSide{Sigs: sigs, Packed: packed, MaxSig: setutil.MaxChildLen(packed)}, nil
 }
 
 // NeighborhoodSigShape returns the sets-of-sets shape and difference bound
@@ -165,15 +162,11 @@ func NeighborhoodSigShape(n int, p NeighborhoodParams, maxSig int) (core.Params,
 	return core.Params{S: n, H: maxSig, U: 0}, NeighborhoodBudget(p)
 }
 
-// NeighborhoodBudget resolves the signature-reconciliation budget (SigBudget
-// or the 10·d·m + 16 default) — exported so the sosrnet server can bound it
-// before building payloads.
-func NeighborhoodBudget(p NeighborhoodParams) int {
-	if p.SigBudget > 0 {
-		return p.SigBudget
-	}
-	return 10*p.D*p.M + 16
-}
+// NeighborhoodBudget is the signature-reconciliation budget, a bound on the
+// packed-element changes across all signatures (the paper's O(d·pn)):
+// 10·d·m + 16 — exported so the sosrnet server can bound it before building
+// payloads.
+func NeighborhoodBudget(p NeighborhoodParams) int { return 10*p.D*p.M + 16 }
 
 // NeighborhoodAlice builds Alice's Theorem 5.6 transmission from her
 // encoded side plus the negotiated maxSig; NeighborhoodApply is Bob's half.
@@ -295,16 +288,4 @@ func packSignatures(sigs [][]uint64) ([][]uint64, error) {
 		out[v] = arena[at:len(arena):len(arena)]
 	}
 	return out, nil
-}
-
-func maxChildSize(parents ...[][]uint64) int {
-	max := 1
-	for _, p := range parents {
-		for _, cs := range p {
-			if len(cs) > max {
-				max = len(cs)
-			}
-		}
-	}
-	return max
 }

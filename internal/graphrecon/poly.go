@@ -66,7 +66,7 @@ func evalIndexPoly(code uint64, nbits int, r, q uint64) uint64 {
 // IsomorphismTest runs the Theorem 4.1 protocol: Alice sends (r, p_A(r));
 // Bob reports isomorphism iff p_B(r) matches. O(log q) bits; false positives
 // with probability O(n²/q).
-func IsomorphismTest(sess transport.Channel, coins hashing.Coins, ga, gb *graph.Graph) (bool, transport.Stats, error) {
+func IsomorphismTest(sess *transport.Session, coins hashing.Coins, ga, gb *graph.Graph) (bool, transport.Stats, error) {
 	if ga.N > 8 || gb.N > 8 {
 		return false, transport.Stats{}, ErrTooLarge
 	}
@@ -109,7 +109,7 @@ type PolyReconParams struct {
 // (in deterministic order), adopting the first whose canonical polynomial
 // matches. O(d log n) bits of communication; O(n^(2d)) computation — tiny
 // graphs only.
-func PolyRecon(sess transport.Channel, coins hashing.Coins, ga, gb *graph.Graph, p PolyReconParams) (*graph.Graph, transport.Stats, error) {
+func PolyRecon(sess *transport.Session, coins hashing.Coins, ga, gb *graph.Graph, p PolyReconParams) (*graph.Graph, transport.Stats, error) {
 	if ga.N > 6 || gb.N > 6 {
 		return nil, transport.Stats{}, ErrTooLarge
 	}

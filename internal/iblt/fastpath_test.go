@@ -84,12 +84,12 @@ func TestWordUpdateAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		x := src.Uint64()
 		tbl.InsertUint64(x)
-		tbl.RemoveUint64(x)
+		tbl.DeleteUint64(x)
 	}); n != 0 {
 		t.Fatalf("word insert+remove allocates %.1f times per op, want 0", n)
 	}
 	if !tbl.IsEmpty() {
-		t.Fatal("RemoveUint64 did not cancel InsertUint64")
+		t.Fatal("DeleteUint64 did not cancel InsertUint64")
 	}
 }
 

@@ -207,9 +207,6 @@ func (t *Table) InsertUint64(x uint64) { t.updateWord(x, 1) }
 // DeleteUint64 removes a word key.
 func (t *Table) DeleteUint64(x uint64) { t.updateWord(x, -1) }
 
-// RemoveUint64 is an alias for DeleteUint64.
-func (t *Table) RemoveUint64(x uint64) { t.DeleteUint64(x) }
-
 // Clone returns a deep copy.
 func (t *Table) Clone() *Table {
 	out := &Table{
@@ -639,27 +636,6 @@ func CellsTight(d int) int {
 		c = 8
 	}
 	return c
-}
-
-// Entries returns the multiset of (count, key) currently visible per cell;
-// intended for diagnostics and tests only.
-func (t *Table) Entries() []CellView {
-	out := make([]CellView, t.cells)
-	for c := 0; c < t.cells; c++ {
-		out[c] = CellView{
-			Count:    t.counts[c],
-			KeySum:   append([]byte(nil), t.keySums[c*t.width:(c+1)*t.width]...),
-			Checksum: t.checks[c],
-		}
-	}
-	return out
-}
-
-// CellView is a read-only snapshot of one cell.
-type CellView struct {
-	Count    int32
-	KeySum   []byte
-	Checksum uint64
 }
 
 // FuzzSeededKey is a helper for property tests: produces a deterministic

@@ -258,12 +258,12 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestEntriesSnapshot(t *testing.T) {
+func TestInsertTouchesHashCountCells(t *testing.T) {
 	a := NewUint64(8, 0, 1)
 	a.InsertUint64(42)
 	nonzero := 0
-	for _, cv := range a.Entries() {
-		if cv.Count != 0 {
+	for _, count := range a.counts {
+		if count != 0 {
 			nonzero++
 		}
 	}

@@ -129,7 +129,7 @@ func MultisetSymDiff(a, b []uint64) int {
 // difference using the IBLT protocol. Note that a multiplicity change turns
 // into two packed-set differences, so callers should pass 2·d_multiset when
 // converting a multiset bound.
-func MultisetKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint64, d int) ([]uint64, *Result, error) {
+func MultisetKnownD(sess *transport.Session, coins hashing.Coins, alice, bob []uint64, d int) ([]uint64, *Result, error) {
 	sa, err := MultisetToSet(alice)
 	if err != nil {
 		return nil, nil, err

@@ -60,7 +60,7 @@ const verifySeedLabel = "setrecon/verify"
 // IBLTKnownD runs Corollary 2.2: Alice encodes her set into an O(d)-cell
 // IBLT plus a verification hash and sends it; Bob deletes his elements,
 // peels, and applies the difference. alice and bob must be canonical sets.
-func IBLTKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint64, d int) (*Result, error) {
+func IBLTKnownD(sess *transport.Session, coins hashing.Coins, alice, bob []uint64, d int) (*Result, error) {
 	// --- Alice ---
 	msg := sess.Send(transport.Alice, "iblt", BuildIBLTMsg(coins, alice, d))
 
@@ -163,7 +163,7 @@ const EstimatorSafety = 4
 // IBLTUnknownD runs Corollary 3.2: Bob sends a set-difference estimator,
 // Alice queries the merged estimator to bound d, then the Corollary 2.2
 // protocol runs with that bound. Two rounds.
-func IBLTUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint64) (*Result, error) {
+func IBLTUnknownD(sess *transport.Session, coins hashing.Coins, alice, bob []uint64) (*Result, error) {
 	// --- Bob: round 1 ---
 	msg := sess.Send(transport.Bob, "estimator", BuildDiffEstimator(coins, bob))
 
@@ -210,7 +210,7 @@ func DiffBoundFromEstimator(coins hashing.Coins, probe []byte, alice []uint64) (
 // rational function χA/χB, factors numerator and denominator, and applies
 // the difference. Succeeds with probability 1 whenever the true difference
 // is at most d. Elements must be < 2^60.
-func CharPoly(sess transport.Channel, coins hashing.Coins, alice, bob []uint64, d int) (*Result, error) {
+func CharPoly(sess *transport.Session, coins hashing.Coins, alice, bob []uint64, d int) (*Result, error) {
 	if d < 0 {
 		d = 0
 	}

@@ -327,6 +327,18 @@ func HashSetOfSetsScratch(scratch []uint64, seed uint64, ss [][]uint64) (uint64,
 	return hashing.HashUint64s(seed, hs), hs
 }
 
+// MaxChildLen is the size of the largest child set of the given parents, at
+// least 1: the h a shape derived from the data itself takes.
+func MaxChildLen(parents ...[][]uint64) int {
+	m := 1
+	for _, parent := range parents {
+		for _, cs := range parent {
+			m = max(m, len(cs))
+		}
+	}
+	return m
+}
+
 // TotalSize returns the sum of child set sizes (the paper's n).
 func TotalSize(ss [][]uint64) int {
 	n := 0

@@ -59,34 +59,39 @@ type DigestState struct {
 	Data    []byte
 }
 
-// Record is one dataset's full persisted state. Exactly one content field
-// group is meaningful, selected by Kind: Elems (set: canonical; multiset:
-// packed counted form), Parents (sos), N+Edges (graph), Parent (forest).
+// Record is one dataset's contents and persisted state, and the JSON form a
+// dataset has wherever one is written down: an /admin/host body, an entry of a
+// sosrd -data, -replica or -config file. Exactly one content field group is
+// meaningful, selected by Kind: Elems (set: canonical; multiset: packed counted
+// form once hosted, the elements with repeats as input), Parents (sos), N+Edges
+// (graph), Parent (forest: each vertex's parent, -1 for a root). Version, Shard
+// and Digests are the server's to set: no body or file can.
 type Record struct {
-	Name    string
-	Kind    string
-	Version uint64
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	Version uint64 `json:"-"`
 
-	Elems   []uint64
-	Parents [][]uint64
-	N       int
-	Edges   [][2]int
-	Parent  []int32
+	Elems   []uint64   `json:"elems,omitempty"`
+	Parents [][]uint64 `json:"parents,omitempty"`
+	N       int        `json:"n,omitempty"`
+	Edges   [][2]int   `json:"edges,omitempty"`
+	Parent  []int32    `json:"parent,omitempty"`
 
-	Shard   *ShardBinding
-	Digests []DigestState
+	Shard   *ShardBinding `json:"-"`
+	Digests []DigestState `json:"-"`
 }
 
-// Update is one WAL entry: a mutation that took the dataset to Version.
-// Add/Remove carry elements for set/multiset datasets, AddSets/RemoveSets
-// child sets for sets-of-sets; the lists are the post-shard-filter slices
-// that were actually applied, so replay needs no topology.
+// Update is one mutation — a WAL entry, and the JSON form of an /admin/update
+// body — that took the dataset to Version. Add/Remove carry elements for
+// set/multiset datasets, AddSets/RemoveSets child sets for sets-of-sets; in the
+// WAL the lists are the post-shard-filter slices that were actually applied, so
+// replay needs no topology.
 type Update struct {
-	Version    uint64
-	Add        []uint64
-	Remove     []uint64
-	AddSets    [][]uint64
-	RemoveSets [][]uint64
+	Version    uint64     `json:"-"`
+	Add        []uint64   `json:"add,omitempty"`
+	Remove     []uint64   `json:"remove,omitempty"`
+	AddSets    [][]uint64 `json:"add_sets,omitempty"`
+	RemoveSets [][]uint64 `json:"remove_sets,omitempty"`
 }
 
 // Recovered is one dataset as Load returns it: the newest snapshot plus the

@@ -35,29 +35,13 @@ type Msg struct {
 	Bytes int
 }
 
-// Channel abstracts the two-party link every protocol engine writes to: a
-// sequence of labeled frames, each attributed to a sender, with honest byte
-// and round accounting. Two implementations exist:
-//
-//   - *Session (this package): both parties co-simulated in one process; Send
-//     returns the receiver's copy immediately.
-//   - wire.Endpoint (internal/wire): one party per machine over a framed
-//     net.Conn; Send with the local role writes a frame, Send with the remote
-//     role reads the peer's authoritative frame off the socket.
-//
-// Protocol engines must treat the returned bytes — not sender-local state —
-// as what the receiving party observed.
-type Channel interface {
-	// Send transmits a labeled payload from the given role and returns the
-	// bytes as the receiving party sees them.
-	Send(from Role, label string, payload []byte) []byte
-	// Stats summarizes the traffic so far.
-	Stats() Stats
-	// Rounds returns the paper-convention round count so far.
-	Rounds() int
-}
-
-// Session records a protocol run's communication.
+// Session is the two-party link every in-process protocol driver writes to:
+// both parties co-simulated in one process, a sequence of labeled messages,
+// each attributed to a sender, with honest byte and round accounting. Drivers
+// must treat the bytes Send returns — not sender-local state — as what the
+// receiving party observed. (A wire.Endpoint, one party per machine over a
+// framed net.Conn, mirrors its frames into a Session through Record, so both
+// report the same Stats.)
 type Session struct {
 	msgs      []Msg
 	rounds    int

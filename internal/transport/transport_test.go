@@ -86,9 +86,6 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
-// Session must satisfy the Channel interface engines are written against.
-var _ Channel = (*Session)(nil)
-
 func TestRecordingSessionDeliversTamperedBytes(t *testing.T) {
 	s := NewRecording()
 	s.SetTamper(func(label string, payload []byte) []byte {

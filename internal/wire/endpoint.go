@@ -8,23 +8,20 @@ import (
 	"sosr/internal/transport"
 )
 
-// Endpoint is one party's end of a framed connection, adapting it to
-// transport.Channel: Send with the local role writes a frame; Send with the
-// remote role reads the peer's next frame (the payload argument must be nil —
-// a real deployment cannot fabricate the remote party's bytes) and verifies
-// its label. Protocol frames are mirrored into an embedded Session so
-// Stats()/Rounds() report exactly what the in-process simulation would;
-// control frames ("ctl/...") count only toward WireBytes.
+// Endpoint is one party's end of a framed connection: SendFrame writes a
+// labelled frame, RecvFrame and RecvExpect read the peer's next one. Protocol
+// frames are mirrored into an embedded transport.Session so Stats() reports
+// exactly what the in-process simulation would; control frames ("ctl/...")
+// count only toward WireBytes.
 //
 // A connection may carry several sessions one after the other: EndSession
 // closes one session's books, so the next starts from zero and reports what
 // a session on a connection of its own would.
 //
-// transport.Channel has no error returns, so I/O failures follow the
-// bufio.Writer model: the first error sticks, subsequent operations are
-// no-ops returning empty payloads, and callers check Err() (the
-// error-returning SendFrame/RecvFrame API is preferred for drivers). An
-// Endpoint is not safe for concurrent use; one session at a time owns it.
+// I/O failures follow the bufio.Writer model: the first error sticks,
+// subsequent operations fail with it without touching the connection, and
+// Err() reports it. An Endpoint is not safe for concurrent use; one session at
+// a time owns it.
 type Endpoint struct {
 	rw         io.ReadWriter
 	local      transport.Role
@@ -96,9 +93,6 @@ func (e *Endpoint) SetMaxPayload(n int) {
 	}
 	e.maxPayload = n
 }
-
-// Local returns the role this endpoint plays.
-func (e *Endpoint) Local() transport.Role { return e.local }
 
 // remote returns the peer's role.
 func (e *Endpoint) remote() transport.Role {
@@ -328,37 +322,10 @@ func (e *Endpoint) RecvExpect(label string) ([]byte, error) {
 	return payload, nil
 }
 
-// Send implements transport.Channel. from == Local() transmits payload;
-// any other role receives the peer's next frame under the given label (pass
-// payload == nil — the remote party's bytes come off the socket, not from
-// this process).
-func (e *Endpoint) Send(from transport.Role, label string, payload []byte) []byte {
-	if from == e.local {
-		if e.SendFrame(label, payload) != nil {
-			return nil
-		}
-		return payload
-	}
-	if payload != nil {
-		e.fail(fmt.Errorf("wire: Send(%v, %q) with non-nil payload on a %v endpoint", from, label, e.local))
-		return nil
-	}
-	body, err := e.RecvExpect(label)
-	if err != nil {
-		return nil
-	}
-	return body
-}
-
-// Stats implements transport.Channel: the protocol-frame traffic, matching
-// the in-process Session accounting frame-for-frame.
+// Stats is the protocol-frame traffic, matching the in-process Session
+// accounting frame-for-frame.
 func (e *Endpoint) Stats() transport.Stats { return e.rec.Stats() }
-
-// Rounds implements transport.Channel.
-func (e *Endpoint) Rounds() int { return e.rec.Rounds() }
 
 // Messages exposes the recorded protocol frames (label/size/sender), for
 // overhead audits and logs.
 func (e *Endpoint) Messages() []transport.Msg { return e.rec.Messages() }
-
-var _ transport.Channel = (*Endpoint)(nil)

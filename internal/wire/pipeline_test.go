@@ -163,7 +163,7 @@ func TestEndSessionRestartsAccounting(t *testing.T) {
 			t.Fatalf("session %d accounts %+v, the first %+v", n, got, first)
 		}
 	}
-	if in, out := bob.WireBytes(); in != 0 || out != 0 || bob.Stats().Messages != 0 || bob.Rounds() != 0 {
+	if in, out := bob.WireBytes(); in != 0 || out != 0 || bob.Stats().Messages != 0 || bob.Stats().Rounds != 0 {
 		t.Fatal("EndSession left accounting behind")
 	}
 	for i, fb := range bob.held {

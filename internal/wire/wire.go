@@ -1,6 +1,6 @@
 // Package wire implements the framed byte codec the sosrnet client/server
-// speak over a net.Conn, plus an Endpoint adapting one side of such a
-// connection to transport.Channel.
+// speak over a net.Conn, plus an Endpoint: one party's end of such a
+// connection, with the in-process transport's accounting.
 //
 // Every message travels as one frame:
 //

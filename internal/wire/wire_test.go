@@ -140,14 +140,15 @@ func TestEndpointChannelConversation(t *testing.T) {
 	done := make(chan []byte, 1)
 	go func() {
 		// Bob's side: receive Alice's frame, answer with an ack.
-		got := bob.Send(transport.Alice, "iblt", nil)
-		bob.Send(transport.Bob, "ack", []byte{1})
+		got, _ := bob.RecvExpect("iblt")
+		got = bytes.Clone(got)
+		_ = bob.SendFrame("ack", []byte{1})
 		done <- got
 	}()
-	if sent := alice.Send(transport.Alice, "iblt", []byte{5, 6, 7}); sent == nil {
-		t.Fatalf("alice send failed: %v", alice.Err())
+	if err := alice.SendFrame("iblt", []byte{5, 6, 7}); err != nil {
+		t.Fatalf("alice send failed: %v", err)
 	}
-	ackRecv := alice.Send(transport.Bob, "ack", nil)
+	ackRecv, _ := alice.RecvExpect("ack")
 	got := <-done
 	if !bytes.Equal(got, []byte{5, 6, 7}) {
 		t.Fatalf("bob received %v", got)
@@ -203,16 +204,13 @@ func TestEndpointLabelMismatchSticks(t *testing.T) {
 	if bob.Err() == nil {
 		t.Fatal("error did not stick")
 	}
-	// Subsequent channel ops are dead but must not panic or block.
-	if got := bob.Send(transport.Alice, "iblt", nil); got != nil {
-		t.Fatalf("poisoned endpoint returned %v", got)
+	// Subsequent operations are dead but must not panic or block: nothing
+	// else is coming down the pipe, so a read that touched it would hang.
+	if got, err := bob.RecvExpect("iblt"); got != nil || err == nil {
+		t.Fatalf("poisoned endpoint returned %v, %v", got, err)
 	}
-}
-
-func TestEndpointRemoteSendRequiresNilPayload(t *testing.T) {
-	alice, _ := endpointPair(t)
-	if got := alice.Send(transport.Bob, "x", []byte{1}); got != nil || alice.Err() == nil {
-		t.Fatal("fabricating remote bytes must fail")
+	if err := bob.SendFrame("ack", []byte{1}); err == nil {
+		t.Fatal("poisoned endpoint wrote a frame")
 	}
 }
 

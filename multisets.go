@@ -6,6 +6,7 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/setrecon"
+	"sosr/internal/setutil"
 )
 
 // Sets of multisets (§3.4): child collections may contain repeated
@@ -37,7 +38,7 @@ func ReconcileSetsOfMultisets(alice, bob [][]uint64, cfg Config) (*MultisetChild
 		return nil, fmt.Errorf("sosr: bob: %w", err)
 	}
 	if cfg.MaxChildSize <= 0 {
-		cfg.MaxChildSize = maxChildLen(packA, packB)
+		cfg.MaxChildSize = setutil.MaxChildLen(packA, packB)
 	}
 	cfg.Universe = 0 // packed words use the full range
 	res, err := ReconcileSetsOfSets(packA, packB, cfg)

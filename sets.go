@@ -61,7 +61,7 @@ func ReconcileSets(alice, bob []uint64, cfg SetConfig) (*SetResult, error) {
 		Recovered: res.Recovered,
 		OnlyA:     res.OnlyA,
 		OnlyB:     res.OnlyB,
-		Stats:     statsFrom(res.Stats),
+		Stats:     res.Stats,
 	}, nil
 }
 
@@ -75,7 +75,7 @@ func ReconcileMultisets(alice, bob []uint64, diffBound int, seed uint64) ([]uint
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return recovered, statsFrom(res.Stats), nil
+	return recovered, res.Stats, nil
 }
 
 // SetDifference returns |a ⊕ b| computed locally (ground truth for sizing

@@ -5,6 +5,7 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/hashing"
+	"sosr/internal/setutil"
 	"sosr/internal/transport"
 )
 
@@ -125,7 +126,7 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 	d := cfg.KnownDiff
 	dHat := cfg.KnownChildDiff
 	if dHat <= 0 {
-		dHat = core.DHat(maxInt(d, 1), p.S)
+		dHat = core.DHat(max(d, 1), p.S)
 	}
 
 	sess := transport.New()
@@ -133,7 +134,7 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 	switch proto {
 	case ProtocolNaive:
 		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
+			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
 				return core.NaiveKnownD(sess, c, alice, bob, p, dHat)
 			})
 		} else {
@@ -141,7 +142,7 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 		}
 	case ProtocolNested:
 		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
+			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
 				return core.NestedKnownD(sess, c, alice, bob, p, d, dHat)
 			})
 		} else {
@@ -149,7 +150,7 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 		}
 	case ProtocolCascade:
 		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
+			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
 				return core.CascadeKnownD(sess, c, alice, bob, p, d)
 			})
 		} else {
@@ -157,7 +158,7 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 		}
 	case ProtocolMultiRound:
 		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
+			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
 				return core.MultiRoundKnownD(sess, c, alice, bob, p, d)
 			})
 		} else {
@@ -173,7 +174,7 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 		Recovered: res.Recovered,
 		Added:     res.Added,
 		Removed:   res.Removed,
-		Stats:     statsFrom(res.Stats),
+		Stats:     res.Stats,
 		Attempts:  res.Attempts,
 		Protocol:  proto,
 	}, nil
@@ -191,10 +192,10 @@ func SetsOfSetsDistance(a, b [][]uint64) int { return core.Distance(a, b) }
 func sosShape(cfg Config, alice, bob [][]uint64) (core.Params, error) {
 	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
 	if p.S <= 0 {
-		p.S = maxLen(len(alice), len(bob))
+		p.S = max(len(alice), len(bob), 1)
 	}
 	if p.H <= 0 {
-		p.H = maxChildLen(alice, bob)
+		p.H = setutil.MaxChildLen(alice, bob)
 	}
 	if cfg.MaxChildSets > 0 || cfg.MaxChildSize > 0 {
 		for _, parent := range [][][]uint64{alice, bob} {
@@ -204,33 +205,4 @@ func sosShape(cfg Config, alice, bob [][]uint64) (core.Params, error) {
 		}
 	}
 	return p, nil
-}
-
-func maxLen(a, b int) int {
-	if a > b {
-		return a
-	}
-	if b < 1 {
-		return 1
-	}
-	return b
-}
-
-func maxChildLen(ps ...[][]uint64) int {
-	m := 1
-	for _, p := range ps {
-		for _, cs := range p {
-			if len(cs) > m {
-				m = len(cs)
-			}
-		}
-	}
-	return m
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -37,23 +37,9 @@ import (
 // MaxElement is the largest allowed universe element (2^60 - 1).
 const MaxElement uint64 = 1<<60 - 1
 
-// Stats summarizes a protocol run's communication. Rounds counts messages,
-// with consecutive same-sender messages merged (the paper's "in parallel"
-// convention); bytes are fully-serialized wire sizes.
-type Stats struct {
-	Rounds     int
-	TotalBytes int
-	AliceBytes int
-	BobBytes   int
-	Messages   int
-}
-
-func statsFrom(st transport.Stats) Stats {
-	return Stats{
-		Rounds:     st.Rounds,
-		TotalBytes: st.TotalBytes,
-		AliceBytes: st.AliceBytes,
-		BobBytes:   st.BobBytes,
-		Messages:   st.Messages,
-	}
-}
+// Stats summarizes a protocol run's communication: Rounds, TotalBytes,
+// AliceBytes, BobBytes, Messages. Rounds counts messages, with consecutive
+// same-sender messages merged (the paper's "in parallel" convention); bytes are
+// fully-serialized wire sizes. It is the measured transport's own summary, not
+// a copy of it.
+type Stats = transport.Stats

@@ -82,7 +82,7 @@ func TestUpdateSetsOfSetsServesFreshDigest(t *testing.T) {
 		}
 	})
 	cfg := sosr.Config{Seed: 9, Protocol: sosr.ProtocolCascade, KnownDiff: 24,
-		MaxChildSets: len(alice) + 2, MaxChildSize: maxChildLen(alice) + 2}
+		MaxChildSets: len(alice) + 2, MaxChildSize: setutil.MaxChildLen(alice) + 2}
 	c := Dial(addr)
 	c.Timeout = 60 * time.Second
 

@@ -396,17 +396,8 @@ func netStats(ep *wire.Endpoint, attempts int) *NetStats {
 	st := ep.Stats()
 	in, out := ep.WireBytes()
 	return &NetStats{
-		Protocol: sosr.Stats{
-			Rounds:     st.Rounds,
-			TotalBytes: st.TotalBytes,
-			AliceBytes: st.AliceBytes,
-			BobBytes:   st.BobBytes,
-			Messages:   st.Messages,
-		},
-		WireIn:   in,
-		WireOut:  out,
-		Overhead: in + out - int64(st.TotalBytes),
-		Attempts: attempts,
+		Protocol: st, WireIn: in, WireOut: out,
+		Overhead: in + out - int64(st.TotalBytes), Attempts: attempts,
 	}
 }
 
@@ -509,7 +500,7 @@ func (noProbe) probe(hashing.Coins) []byte { return nil }
 func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, *NetStats, error) {
 	return session(ctx, c, name, KindSetsOfSets, cfg.Seed, func(cs *clientSession) (*sosr.Result, error) {
 		bob := setutil.CanonicalSets(local)
-		bobH := maxChildLen(bob)
+		bobH := setutil.MaxChildLen(bob)
 		h, acc := &cs.h, &cs.acc
 		h.D, h.DHat, h.Replicas = cfg.KnownDiff, cfg.KnownChildDiff, cfg.Replicas
 		if cfg.Protocol != sosr.ProtocolAuto {

@@ -87,7 +87,7 @@ func (h *helloMsg) forestAsk(k int) forest.ReconParams {
 	if h.D <= 0 {
 		return forest.ReconParams{Sigma: 1, D: 1, Budget: 16 << k}
 	}
-	return forest.ReconParams{Sigma: h.Sigma, D: h.D, Budget: h.Budget}
+	return forest.ReconParams{Sigma: h.Sigma, D: h.D}
 }
 
 // sosFamily is one sets-of-sets protocol family: its name on the wire, in

@@ -366,15 +366,6 @@ func stageMultiset(c *contents, up *store.Update) (contents, error) {
 	return contents{set: packed}, nil
 }
 
-// maxChildLen is the largest child set of parent, at least 1.
-func maxChildLen(parent [][]uint64) int {
-	m := 1
-	for _, cs := range parent {
-		m = max(m, len(cs))
-	}
-	return m
-}
-
 // setCellBytes is one cell of a plain set's IBLT: an 8-byte element, a count
 // and a checksum.
 const setCellBytes = 8 + 4 + 8

@@ -299,13 +299,13 @@ func endToEndWireBytes(t *testing.T, cacheBytes int64) {
 	hello := helloMsg{
 		V: protoVersion, Dataset: "docs", Kind: KindSetsOfSets, Seed: cfg.Seed,
 		D: cfg.KnownDiff, Protocol: "cascade",
-		CS: len(bob), CH: maxChildLen(bob),
+		CS: len(bob), CH: setutil.MaxChildLen(bob),
 	}
 	accept := acceptMsg{
 		V: protoVersion, Kind: KindSetsOfSets, Protocol: "cascade",
 		D: cfg.KnownDiff, DHat: 24, Replicas: 3,
 		S: max(len(alice), len(bob), 1),
-		H: max(maxChildLen(alice), maxChildLen(bob), 1),
+		H: setutil.MaxChildLen(alice, bob),
 		U: setutil.MaxElement + 1,
 	}
 	done := doneMsg{

@@ -73,8 +73,8 @@ func (s *Server) Datasets() []DatasetInfo {
 //	/readyz               readiness: 200 once recovery finished, 503 while
 //	                      recovering or draining for shutdown
 //	/datasets             read-only JSON dataset summary with content hashes
-//	/admin/host           POST {name,kind,elems|parents|n,edges|parent}: host a dataset
-//	/admin/update         POST {name,add,remove|add_sets,remove_sets}
+//	/admin/host           POST a store.Record {name,kind,elems|parents|n,edges|parent}: host a dataset
+//	/admin/update         POST {name} + a store.Update {add,remove|add_sets,remove_sets}
 //	/admin/drop           POST {name}: unhost + remove persisted state
 //	/admin/snapshot       POST {name} ("" = all): snapshot, compacting the WAL
 //	/debug/traces         recent + flagged (slow/errored) trace summaries;
@@ -173,29 +173,6 @@ func (s *Server) debugTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// adminHostReq is the POST /admin/host body, the store.Record field group of
-// the kind it names: elems feeds sets and multisets, parents sets of sets,
-// n and edges graphs, parent (each vertex's parent, -1 for a root) forests.
-type adminHostReq struct {
-	Name    string     `json:"name"`
-	Kind    Kind       `json:"kind"`
-	Elems   []uint64   `json:"elems,omitempty"`
-	Parents [][]uint64 `json:"parents,omitempty"`
-	N       int        `json:"n,omitempty"`
-	Edges   [][2]int   `json:"edges,omitempty"`
-	Parent  []int32    `json:"parent,omitempty"`
-}
-
-// adminUpdateReq is the POST /admin/update body; the hosted dataset's kind
-// picks which field pair applies.
-type adminUpdateReq struct {
-	Name       string     `json:"name"`
-	Add        []uint64   `json:"add,omitempty"`
-	Remove     []uint64   `json:"remove,omitempty"`
-	AddSets    [][]uint64 `json:"add_sets,omitempty"`
-	RemoveSets [][]uint64 `json:"remove_sets,omitempty"`
-}
-
 // adminNameReq is the POST /admin/drop and /admin/snapshot body.
 type adminNameReq struct {
 	Name string `json:"name"`
@@ -240,17 +217,19 @@ func admin[Req any](s *Server, fallback int, do func(req *Req) (name string, err
 	})
 }
 
-func (s *Server) adminHost(req *adminHostReq) (string, error) {
-	k := kindOf(req.Kind)
-	if k == nil {
-		return "", fmt.Errorf("%w: kind %q", ErrUnsupported, req.Kind)
-	}
-	return req.Name, s.host(k, &store.Record{
-		Name: req.Name, Elems: req.Elems, Parents: req.Parents, N: req.N, Edges: req.Edges, Parent: req.Parent,
-	}, nil)
+// adminHost hosts the request body, which is the record: a store.Record in
+// its JSON form, whose server-owned fields no body can set.
+func (s *Server) adminHost(rec *store.Record) (string, error) {
+	return rec.Name, s.Host(rec, nil, 0)
 }
 
-func (s *Server) adminUpdate(req *adminUpdateReq) (string, error) {
+// adminUpdate applies the request body, which is the mutation — a store.Update
+// in its JSON form — beside the name of the dataset it addresses; the hosted
+// dataset's kind picks which field pair applies.
+func (s *Server) adminUpdate(req *struct {
+	adminNameReq
+	store.Update
+}) (string, error) {
 	ds, err := s.byName(req.Name)
 	if err != nil {
 		return "", err
@@ -262,10 +241,7 @@ func (s *Server) adminUpdate(req *adminUpdateReq) (string, error) {
 	sp.SetStr("dataset", req.Name)
 	sp.SetStr("kind", string(ds.k.kind))
 	csp := sp.Child("commit")
-	// The hosted dataset's kind picks which field pair applies.
-	err = s.update(req.Name, ds.k.kind, &store.Update{
-		Add: req.Add, Remove: req.Remove, AddSets: req.AddSets, RemoveSets: req.RemoveSets,
-	}, csp)
+	err = s.apply(req.Name, ds, &req.Update, false, csp)
 	csp.Fail(err)
 	csp.Finish()
 	sp.Fail(err)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestOpsAdminSurface(t *testing.T) {
 
 	// Host remotely, then reconcile over the data port.
 	if code, body := postAdmin(t, ops.URL+"/admin/host",
-		adminHostReq{Name: "ids", Kind: KindSet, Elems: alice}); code != http.StatusOK {
+		store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}); code != http.StatusOK {
 		t.Fatalf("/admin/host: %d %v", code, body)
 	}
 	c := Dial(addr)
@@ -110,7 +111,7 @@ func TestOpsAdminSurface(t *testing.T) {
 		t.Fatal("/datasets: empty content hash")
 	}
 	add, remove := []uint64{1_000_001, 1_000_002}, []uint64{alice[0]}
-	code, body := postAdmin(t, ops.URL+"/admin/update", adminUpdateReq{Name: "ids", Add: add, Remove: remove})
+	code, body := postAdmin(t, ops.URL+"/admin/update", map[string]any{"name": "ids", "add": add, "remove": remove})
 	if code != http.StatusOK || body["version"].(float64) != 1 {
 		t.Fatalf("/admin/update: %d %v", code, body)
 	}
@@ -148,17 +149,34 @@ func TestOpsAdminSurface(t *testing.T) {
 		t.Fatalf("post-drop session: want server-reported unknown dataset, got %v", err)
 	}
 
+	// The request body is the record, minus what is the server's to set: a
+	// body naming a version, a shard binding or digests hosts at version 0,
+	// unsharded, as if it had not.
+	resp, err := http.Post(ops.URL+"/admin/host", "application/json", strings.NewReader(
+		`{"name":"owned","kind":"set","elems":[1,2,3],"version":9,`+
+			`"shard":{"Index":1,"Epoch":2,"Shards":[["a:1"],["b:1"]]},"digests":[{"Kind":1,"Data":"AAAA"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if di := getDatasets(t, ops.URL)["owned"]; resp.StatusCode != http.StatusOK || di.Items != 3 || di.Version != 0 || di.ShardCount != 0 {
+		t.Fatalf("a body carrying version, shard and digests: status %d, hosted as %+v", resp.StatusCode, di)
+	}
+	if code, body := postAdmin(t, ops.URL+"/admin/update", map[string]any{"name": "owned", "add": []uint64{4}, "version": 40}); code != http.StatusOK || body["version"].(float64) != 1 {
+		t.Fatalf("an update body carrying a version: %d %v", code, body)
+	}
+
 	// Error mapping: unknown names 404, bad kinds and bodies 400.
-	if code, _ := postAdmin(t, ops.URL+"/admin/update", adminUpdateReq{Name: "ids", Add: add}); code != http.StatusNotFound {
+	if code, _ := postAdmin(t, ops.URL+"/admin/update", map[string]any{"name": "ids", "add": add}); code != http.StatusNotFound {
 		t.Fatalf("update of dropped dataset: got %d, want 404", code)
 	}
 	if code, _ := postAdmin(t, ops.URL+"/admin/drop", adminNameReq{Name: "ids"}); code != http.StatusNotFound {
 		t.Fatalf("double drop: got %d, want 404", code)
 	}
-	if code, _ := postAdmin(t, ops.URL+"/admin/host", adminHostReq{Name: "g", Kind: "hypergraph"}); code != http.StatusBadRequest {
+	if code, _ := postAdmin(t, ops.URL+"/admin/host", store.Record{Name: "g", Kind: "hypergraph"}); code != http.StatusBadRequest {
 		t.Fatalf("hosting an unknown kind over admin: got %d, want 400", code)
 	}
-	resp, err := http.Post(ops.URL+"/admin/host", "application/json", bytes.NewReader([]byte("{")))
+	resp, err = http.Post(ops.URL+"/admin/host", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +186,19 @@ func TestOpsAdminSurface(t *testing.T) {
 	}
 }
 
-// TestOpsAdminHostsGraphsAndForests: the two kinds whose contents are not
-// elems or parents go through /admin/host like the others — the request's
-// field group lands in the store.Record the kind table decodes — so a dataset
-// hosted over the admin surface hashes like one hosted through the API,
-// reconciles over the data port, and a record the kind's decode refuses (an
-// edge outside the vertex range, a cyclic parent array) is a 400 carrying the
-// decode error.
+// TestOpsAdminHostsGraphsAndForests: every kind goes through /admin/host the
+// same way — the request body is the store.Record the kind table decodes — so a
+// dataset hosted over the admin surface hashes like one hosted through the
+// typed API, reconciles over the data port, and a record the kind refuses (an
+// element outside the universe, an edge outside the vertex range, a cyclic
+// parent array) is a 400 carrying the kind's error. (It began with the two
+// kinds whose contents are not elems or parents, hence the name.)
 func TestOpsAdminHostsGraphsAndForests(t *testing.T) {
+	setA, setB := setPair()
+	bagA := append(seqSet(0, 200), 7, 7, 9)
+	bagB := append(seqSet(0, 200), 7, 11, 11)
+	bagWant := slices.Sorted(slices.Values(bagA))
+	sosA, sosB := sosPair()
 	base, h, err := sosr.PlantedSeparatedGraph(600, 2, 0.4, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -186,15 +209,46 @@ func TestOpsAdminHostsGraphsAndForests(t *testing.T) {
 	ctx := context.Background()
 	for _, row := range []struct {
 		kind      Kind
-		req, bad  adminHostReq
+		req, bad  store.Record // bad: a record the kind refuses, where it can refuse one
 		badErr    string
 		hostAPI   func(s *Server) error
 		reconcile func(c *Client) (ok bool, err error)
 	}{
 		{
+			kind:    KindSet,
+			req:     store.Record{Elems: setA},
+			bad:     store.Record{Elems: []uint64{1, 1 << 61}},
+			badErr:  "universe bound",
+			hostAPI: func(s *Server) error { return s.HostSets("data", setA) },
+			reconcile: func(c *Client) (bool, error) {
+				res, _, err := c.Sets(ctx, "data", setB, sosr.SetConfig{Seed: 3, KnownDiff: 16})
+				return err == nil && reflect.DeepEqual(res.Recovered, setutil.Canonical(setA)), err
+			},
+		},
+		{
+			kind:    KindMultiset,
+			req:     store.Record{Elems: bagA},
+			bad:     store.Record{Elems: []uint64{1, 1 << 50}},
+			badErr:  "out of range",
+			hostAPI: func(s *Server) error { return s.HostMultiset("data", bagA) },
+			reconcile: func(c *Client) (bool, error) {
+				rec, _, err := c.Multiset(ctx, "data", bagB, 16, 4)
+				return err == nil && slices.Equal(rec, bagWant), err
+			},
+		},
+		{
+			kind:    KindSetsOfSets,
+			req:     store.Record{Parents: sosA},
+			hostAPI: func(s *Server) error { return s.HostSetsOfSets("data", sosA) },
+			reconcile: func(c *Client) (bool, error) {
+				res, _, err := c.SetsOfSets(ctx, "data", sosB, sosr.Config{Seed: 5, KnownDiff: 24})
+				return err == nil && setutil.EqualSetOfSets(res.Recovered, setutil.CanonicalSets(sosA)), err
+			},
+		},
+		{
 			kind:    KindGraph,
-			req:     adminHostReq{N: ga.N, Edges: ga.Edges},
-			bad:     adminHostReq{N: 3, Edges: [][2]int{{0, 1}, {1, 3}}},
+			req:     store.Record{N: ga.N, Edges: ga.Edges},
+			bad:     store.Record{N: 3, Edges: [][2]int{{0, 1}, {1, 3}}},
 			badErr:  "edge (1,3) outside 3 vertices",
 			hostAPI: func(s *Server) error { return s.HostGraph("data", ga) },
 			reconcile: func(c *Client) (bool, error) {
@@ -204,8 +258,8 @@ func TestOpsAdminHostsGraphsAndForests(t *testing.T) {
 		},
 		{
 			kind:    KindForest,
-			req:     adminHostReq{Parent: fa.Parent},
-			bad:     adminHostReq{Parent: []int32{1, 2, 0}},
+			req:     store.Record{Parent: fa.Parent},
+			bad:     store.Record{Parent: []int32{1, 2, 0}},
 			badErr:  "cycle",
 			hostAPI: func(s *Server) error { return s.HostForest("data", fa) },
 			reconcile: func(c *Client) (bool, error) {
@@ -216,7 +270,7 @@ func TestOpsAdminHostsGraphsAndForests(t *testing.T) {
 	} {
 		srv, addr, _ := startServer(t, func(s *Server) { s.UseStore(store.NewMem()) })
 		ops := httptest.NewServer(srv.OpsHandler())
-		row.req.Name, row.req.Kind = "data", row.kind
+		row.req.Name, row.req.Kind = "data", string(row.kind)
 		if code, body := postAdmin(t, ops.URL+"/admin/host", row.req); code != http.StatusOK {
 			t.Fatalf("%s: /admin/host: %d %v", row.kind, code, body)
 		}
@@ -231,13 +285,15 @@ func TestOpsAdminHostsGraphsAndForests(t *testing.T) {
 		if ok, err := row.reconcile(Dial(addr)); !ok {
 			t.Errorf("%s: reconcile against the admin-hosted dataset: recovered wrong data or failed: %v", row.kind, err)
 		}
-		row.bad.Name, row.bad.Kind = "bad", row.kind
-		code, body := postAdmin(t, ops.URL+"/admin/host", row.bad)
-		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, row.badErr) {
-			t.Errorf("%s: malformed record: got %d %v, want 400 naming %q", row.kind, code, body, row.badErr)
-		}
-		if _, listed := getDatasets(t, ops.URL)["bad"]; listed {
-			t.Errorf("%s: the refused record is hosted", row.kind)
+		if row.badErr != "" {
+			row.bad.Name, row.bad.Kind = "bad", string(row.kind)
+			code, body := postAdmin(t, ops.URL+"/admin/host", row.bad)
+			if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, row.badErr) {
+				t.Errorf("%s: malformed record: got %d %v, want 400 naming %q", row.kind, code, body, row.badErr)
+			}
+			if _, listed := getDatasets(t, ops.URL)["bad"]; listed {
+				t.Errorf("%s: the refused record is hosted", row.kind)
+			}
 		}
 		ops.Close()
 	}

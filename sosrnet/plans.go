@@ -11,6 +11,7 @@ import (
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
 	"sosr/internal/setrecon"
+	"sosr/internal/setutil"
 )
 
 // The server's plans, one per kind: what a hello resolves to (the `plan`
@@ -128,8 +129,8 @@ func planSOS(_ *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
 		return nil, fmt.Errorf("%w: hosted dataset has %d child sets, hello bounds s=%d", core.ErrInvalidInstance, len(alice), S)
 	}
 	if H <= 0 {
-		H = max(maxChildLen(alice), h.CH, 1)
-	} else if m := maxChildLen(alice); m > H {
+		H = max(setutil.MaxChildLen(alice), h.CH)
+	} else if m := setutil.MaxChildLen(alice); m > H {
 		return nil, fmt.Errorf("%w: hosted dataset has a child set of %d elements, hello bounds h=%d", core.ErrInvalidInstance, m, H)
 	}
 	var err error
@@ -345,7 +346,7 @@ func planGraph(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error)
 }
 
 func (pl *graphPlan) nbrParams() graphrecon.NeighborhoodParams {
-	return graphrecon.NeighborhoodParams{M: pl.rec.h.M, D: pl.rec.acc.D, SigBudget: pl.rec.h.SigBudget}
+	return graphrecon.NeighborhoodParams{M: pl.rec.h.M, D: pl.rec.acc.D}
 }
 
 func (pl *graphPlan) detail() string        { return fmt.Sprintf("d=%d", pl.rec.h.D) }
@@ -356,7 +357,7 @@ func (pl *graphPlan) build(s *Server, _ int, coins hashing.Coins) ([][]byte, err
 	h, acc, ga := &pl.rec.h, &pl.rec.acc, pl.rec.view.g
 	key := enccache.Key{Proto: "graph-degree", Seed: coins.Master(), D: acc.D, Extra: fmt.Sprintf("h=%d", h.TopH)}
 	if pl.side != nil {
-		key.Proto, key.Extra = "graph-nbr", fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, acc.MaxSig, h.SigBudget)
+		key.Proto, key.Extra = "graph-nbr", fmt.Sprintf("m=%d,sig=%d", h.M, acc.MaxSig)
 	}
 	return s.memo(pl.rec, key, func() ([][]byte, error) {
 		var msgs *graphrecon.GraphMsgs
@@ -383,12 +384,9 @@ type forestPlan struct {
 }
 
 func planForest(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
-	h, fi := &rec.h, rec.view.fi
+	fi := rec.view.fi
 	rec.proto = "forest"
-	acc.N, acc.Depth, acc.MaxChild, acc.MaxBudget = fi.N, fi.Depth, fi.MaxChild, h.MaxBudget
-	if acc.MaxBudget <= 0 || acc.MaxBudget > s.maxBound() {
-		acc.MaxBudget = min(1<<20, s.maxBound())
-	}
+	acc.N, acc.Depth, acc.MaxChild, acc.MaxBudget = fi.N, fi.Depth, fi.MaxChild, min(1<<20, s.maxBound())
 	return &forestPlan{rec: rec}, nil
 }
 

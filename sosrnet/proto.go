@@ -170,19 +170,16 @@ type helloMsg struct {
 	Validate bool
 
 	// Graph.
-	Scheme    string // a graphSchemes name
-	TopH      int
-	M         int
-	N         int
-	SigBudget int
-	MaxSig    int // client's largest packed signature
+	Scheme string // a graphSchemes name
+	TopH   int
+	M      int
+	N      int
+	MaxSig int // client's largest packed signature
 
 	// Forest (client side-info for forest.Plan).
-	Sigma     int
-	Budget    int
-	MaxBudget int
-	Depth     int
-	MaxChild  int
+	Sigma    int
+	Depth    int
+	MaxChild int
 }
 
 // acceptMsg answers a hello with the server-resolved session parameters.
@@ -282,6 +279,9 @@ func namesOf[T any](table []T, name func(T) string) []string {
 	return names
 }
 
+// Tags 26, 29 and 30 stay unassigned while protoVersion is 4: they named three
+// budgets no client ever set, and a v4 peer that did would now be refused as
+// malformed rather than misread.
 var helloFields = []ctlField[helloMsg]{
 	{tag: 1, name: "v", at: func(h *helloMsg) any { return &h.V }},
 	{tag: 2, name: "kind", at: func(h *helloMsg) any { return (*string)(&h.Kind) }, enum: kindNames},
@@ -308,11 +308,8 @@ var helloFields = []ctlField[helloMsg]{
 	{tag: 23, name: "toph", at: func(h *helloMsg) any { return &h.TopH }, max: perSession},
 	{tag: 24, name: "m", at: func(h *helloMsg) any { return &h.M }, max: perSession},
 	{tag: 25, name: "n", at: func(h *helloMsg) any { return &h.N }, max: perSession},
-	{tag: 26, name: "sigbudget", at: func(h *helloMsg) any { return &h.SigBudget }, max: perSession},
 	{tag: 27, name: "maxsig", at: func(h *helloMsg) any { return &h.MaxSig }, max: perSession},
 	{tag: 28, name: "sigma", at: func(h *helloMsg) any { return &h.Sigma }, max: perSession},
-	{tag: 29, name: "budget", at: func(h *helloMsg) any { return &h.Budget }, max: perSession},
-	{tag: 30, name: "maxbudget", at: func(h *helloMsg) any { return &h.MaxBudget }, max: perSession},
 	{tag: 31, name: "depth", at: func(h *helloMsg) any { return &h.Depth }, max: perSession},
 	{tag: 32, name: "maxchild", at: func(h *helloMsg) any { return &h.MaxChild }, max: perSession},
 }

@@ -257,59 +257,68 @@ func (s *Server) logger() *slog.Logger {
 	return discardLogger
 }
 
-// host canonicalises, validates and hosts one dataset of kind k, given as a
-// record of API input: the full logical contents, of which a non-nil ss keeps
-// the slice its shard owns.
-func (s *Server) host(k *kindEntry, in *store.Record, ss *shardState) error {
-	if in.Name == "" {
+// Host hosts the dataset rec describes — its Name, its Kind and that kind's
+// field group; Version, Shard and Digests are not read — and is the one way in:
+// the typed Host* wrappers, /admin/host and sosrd's data files all land here,
+// and the kind table takes it from there. The contents are canonicalised (rec's
+// field group is rewritten in place) and validated. With a topology, rec is the
+// full logical dataset and the server keeps the slice shard index owns:
+// passing the full contents and passing the owned slice are equivalent —
+// ownership filtering is idempotent — and every replica of shard index hosts
+// the identical slice. Sessions must then present matching shard coordinates in
+// their hello, so a fan-out client dialing the wrong instance is rejected at
+// the handshake, and a live update applies only the owned slice of a broadcast
+// mutation. A kind the table cannot partition is refused as ErrUnsupported
+// rather than hosted whole on every shard. A nil topology hosts the whole
+// dataset, unsharded.
+func (s *Server) Host(rec *store.Record, topo *shardmap.Topology, index int) error {
+	k := kindOf(Kind(rec.Kind))
+	if k == nil {
+		return fmt.Errorf("%w: kind %q", ErrUnsupported, rec.Kind)
+	}
+	if rec.Name == "" {
 		return errors.New("sosrnet: empty dataset name")
 	}
-	if k.canon != nil {
-		if err := k.canon(in, ss); err != nil {
+	var ss *shardState
+	if topo != nil {
+		// canon is where ownership is applied: a kind without one has no rule
+		// for which shard holds what.
+		if k.canon == nil {
+			return fmt.Errorf("%w: a %s dataset cannot be sharded", ErrUnsupported, k.kind)
+		}
+		var err error
+		if ss, err = checkShard(topo, index); err != nil {
 			return err
 		}
 	}
-	data, err := k.decode(in)
+	if k.canon != nil {
+		if err := k.canon(rec, ss); err != nil {
+			return err
+		}
+	}
+	data, err := k.decode(rec)
 	if err != nil {
 		return err
 	}
 	ds := &dataset{k: k, shard: ss, contents: data}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.datasets[in.Name]; dup {
-		return fmt.Errorf("sosrnet: dataset %q already hosted", in.Name)
+	if _, dup := s.datasets[rec.Name]; dup {
+		return fmt.Errorf("sosrnet: dataset %q already hosted", rec.Name)
 	}
 	// Snapshot-before-host: the dataset is acknowledged only once its initial
-	// snapshot is durable, so a crash right after Host* cannot lose it.
+	// snapshot is durable, so a crash right after hosting cannot lose it.
 	if s.store != nil {
-		if err := s.store.SaveSnapshot(recordLocked(in.Name, ds)); err != nil {
-			return fmt.Errorf("sosrnet: persisting dataset %q: %w", in.Name, err)
+		if err := s.store.SaveSnapshot(recordLocked(rec.Name, ds)); err != nil {
+			return fmt.Errorf("sosrnet: persisting dataset %q: %w", rec.Name, err)
 		}
 	}
-	s.datasets[in.Name] = ds
+	s.datasets[rec.Name] = ds
 	return nil
-}
-
-// hostShard hosts shard index's slice of a logical dataset. Passing the full
-// logical contents and passing the owned slice are equivalent — ownership
-// filtering is idempotent — and every replica of shard index hosts the
-// identical slice. Sessions must present matching shard coordinates in their
-// hello, so a fan-out client dialing the wrong instance is rejected at the
-// handshake, and a live update applies only the owned slice of a broadcast
-// mutation.
-func (s *Server) hostShard(k *kindEntry, in *store.Record, topo *shardmap.Topology, index int) error {
-	ss, err := checkShard(topo, index)
-	if err != nil {
-		return err
-	}
-	return s.host(k, in, ss)
 }
 
 // checkShard validates a dataset's shard binding.
 func checkShard(topo *shardmap.Topology, index int) (*shardState, error) {
-	if topo == nil {
-		return nil, errors.New("sosrnet: nil topology")
-	}
 	if index < 0 || index >= topo.NumShards() {
 		return nil, fmt.Errorf("sosrnet: shard index %d outside [0, %d)", index, topo.NumShards())
 	}
@@ -319,37 +328,32 @@ func checkShard(topo *shardmap.Topology, index int) (*shardState, error) {
 // HostSets hosts a set (any order, duplicates ignored). Elements must fit
 // the 2^60 universe so every protocol variant can serve it.
 func (s *Server) HostSets(name string, elems []uint64) error {
-	return s.host(&setKind, &store.Record{Name: name, Elems: elems}, nil)
+	return s.HostSetsShard(name, elems, nil, 0)
 }
 
 // HostMultiset hosts a multiset (slice with repeats). Elements must be
 // < 2^48 with per-element multiplicity < 2^12 (the §3.4 packing).
 func (s *Server) HostMultiset(name string, elems []uint64) error {
-	return s.host(&multisetKind, &store.Record{Name: name, Elems: elems}, nil)
+	return s.HostMultisetShard(name, elems, nil, 0)
 }
 
 // HostSetsOfSets hosts a parent set of child sets. Child sets may be passed
 // unsorted; each is stored in canonical order.
 func (s *Server) HostSetsOfSets(name string, parent [][]uint64) error {
-	return s.host(&sosKind, &store.Record{Name: name, Parents: parent}, nil)
+	return s.HostSetsOfSetsShard(name, parent, nil, 0)
 }
 
 // HostSetsShard hosts shard index's slice of a logical set dataset: the
-// elements of elems that the topology assigns to this index (passing the
-// full logical set and the owned slice are equivalent — ownership filtering
-// is idempotent). Every replica of shard index hosts the identical slice.
-// Sessions must present matching shard coordinates in their hello, so a
-// fan-out client dialing the wrong instance is rejected at the handshake, and
-// live UpdateSets calls apply only the owned slice of a broadcast mutation.
+// elements of elems that the topology assigns to this index (see Host).
 func (s *Server) HostSetsShard(name string, elems []uint64, topo *shardmap.Topology, index int) error {
-	return s.hostShard(&setKind, &store.Record{Name: name, Elems: elems}, topo, index)
+	return s.Host(&store.Record{Name: name, Kind: store.KindSet, Elems: elems}, topo, index)
 }
 
 // HostMultisetShard hosts shard index's slice of a logical multiset dataset.
 // Ownership follows the element value, so every occurrence of one element
 // lands on the same shard and the §3.4 packing stays shard-local.
 func (s *Server) HostMultisetShard(name string, elems []uint64, topo *shardmap.Topology, index int) error {
-	return s.hostShard(&multisetKind, &store.Record{Name: name, Elems: elems}, topo, index)
+	return s.Host(&store.Record{Name: name, Kind: store.KindMultiset, Elems: elems}, topo, index)
 }
 
 // HostSetsOfSetsShard hosts shard index's slice of a logical sets-of-sets
@@ -358,17 +362,17 @@ func (s *Server) HostMultisetShard(name string, elems []uint64, topo *shardmap.T
 // (shardmap.ChildKey is a protocol constant), so each shard pair reconciles
 // an exact partition of the parent-level difference.
 func (s *Server) HostSetsOfSetsShard(name string, parent [][]uint64, topo *shardmap.Topology, index int) error {
-	return s.hostShard(&sosKind, &store.Record{Name: name, Parents: parent}, topo, index)
+	return s.Host(&store.Record{Name: name, Kind: store.KindSetsOfSets, Parents: parent}, topo, index)
 }
 
 // HostGraph hosts an undirected simple graph.
 func (s *Server) HostGraph(name string, g sosr.Graph) error {
-	return s.host(&graphKind, &store.Record{Name: name, N: g.N, Edges: g.Edges}, nil)
+	return s.Host(&store.Record{Name: name, Kind: store.KindGraph, N: g.N, Edges: g.Edges}, nil, 0)
 }
 
 // HostForest hosts a rooted forest.
 func (s *Server) HostForest(name string, f sosr.Forest) error {
-	return s.host(&forestKind, &store.Record{Name: name, Parent: append([]int32(nil), f.Parent...)}, nil)
+	return s.Host(&store.Record{Name: name, Kind: store.KindForest, Parent: append([]int32(nil), f.Parent...)}, nil, 0)
 }
 
 // byName returns the hosted dataset of that name, whatever its kind.

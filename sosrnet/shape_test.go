@@ -18,6 +18,7 @@ import (
 	"sosr/internal/core"
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
+	"sosr/internal/obs"
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
 	"sosr/internal/wire"
@@ -185,7 +186,7 @@ func TestHostileStarFlagRefused(t *testing.T) {
 		if err := parseCtl(helloFields, payload, &h); err != nil {
 			return err
 		}
-		p, err := core.Params{S: max(len(alice), h.CS), H: max(maxChildLen(alice), h.CH)}.Normalized()
+		p, err := core.Params{S: max(len(alice), h.CS), H: max(setutil.MaxChildLen(alice), h.CH)}.Normalized()
 		if err != nil {
 			return err
 		}
@@ -466,4 +467,150 @@ func TestV3PeersAreVersionRejects(t *testing.T) {
 			t.Fatalf("got %v, want an error naming the protocol version skew", err)
 		}
 	})
+}
+
+// TestEveryHelloFieldHasASetter: a field of the hello that no Client method
+// assigns has one value in use, zero, and is an option nobody can set — or,
+// worse, one only a peer built some other way could set, with the two ends
+// then planning from different numbers. A fake server records the hello of
+// every kind of session a sharded, traced Client can open and refuses it; the
+// fields that were non-zero in at least one of them must be all of helloFields.
+func TestEveryHelloFieldHasASetter(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var hellos [][]byte
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			ep := wire.NewEndpoint(conn, transport.Alice)
+			if hello, err := ep.RecvExpect(lblHello); err == nil {
+				mu.Lock()
+				hellos = append(hellos, bytes.Clone(hello))
+				mu.Unlock()
+				sendErrorFrame(ep, errors.New("recorded"))
+			}
+			conn.Close()
+		}
+	}()
+
+	c := Dial(ln.Addr().String())
+	c.Timeout = 10 * time.Second
+	c.ShardID, c.ShardCount, c.ShardEpoch, c.ShardFingerprint = 0xfeed, 3, 7, 0xbeef
+	c.Trace = &obs.Tracer{SampleRate: 1}
+	ctx := context.Background()
+	set, sos := seqSet(0, 50), [][]uint64{{1, 2, 3}, {7, 8}}
+	g, f := sosr.RandomGraph(40, 0.3, 5), sosr.RandomForest(40, 0.2, 5)
+	var errs []error
+	note := func(err error) { errs = append(errs, err) }
+	for _, cfg := range []sosr.SetConfig{{Seed: 1, KnownDiff: 16}, {Seed: 1, KnownDiff: 16, UseCharPoly: true}, {Seed: 1}} {
+		_, _, err := c.Sets(ctx, "x", set, cfg)
+		note(err)
+	}
+	_, _, err = c.Multiset(ctx, "x", set, 16, 1)
+	note(err)
+	for _, p := range []sosr.Protocol{sosr.ProtocolNaive, sosr.ProtocolNested, sosr.ProtocolCascade, sosr.ProtocolMultiRound} {
+		_, _, err := c.SetsOfSets(ctx, "x", sos, sosr.Config{
+			Seed: 1, MaxChildSets: 4, MaxChildSize: 8, Universe: 1 << 20, Protocol: p,
+			KnownDiff: 2, KnownChildDiff: 2, Replicas: 2, Validate: true,
+		})
+		note(err)
+	}
+	for _, cfg := range []sosr.GraphConfig{
+		{Seed: 1, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 1, TopDegrees: 6},
+		{Seed: 1, Scheme: sosr.SchemeDegreeNeighborhood, MaxEdits: 1, DegreeThreshold: 30},
+	} {
+		_, _, err := c.Graph(ctx, "x", g, cfg)
+		note(err)
+	}
+	for _, cfg := range []sosr.ForestConfig{{Seed: 1, MaxEdits: 2, Depth: 5}, {Seed: 1}} {
+		_, _, err := c.Forest(ctx, "x", f, cfg)
+		note(err)
+	}
+	c.Close()
+	ln.Close()
+	<-served
+	for i, err := range errs {
+		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "recorded") {
+			t.Fatalf("session %d: got %v, want the fake server's refusal", i, err)
+		}
+	}
+	if len(hellos) != len(errs) {
+		t.Fatalf("%d hellos recorded for %d sessions", len(hellos), len(errs))
+	}
+
+	isSet := func(p any) bool {
+		switch p := p.(type) {
+		case *int:
+			return *p != 0
+		case *uint64:
+			return *p != 0
+		case *bool:
+			return *p
+		}
+		return *p.(*string) != ""
+	}
+	nonZero := make(map[string]bool)
+	for _, raw := range hellos {
+		var h helloMsg
+		if err := parseCtl(helloFields, raw, &h); err != nil {
+			t.Fatalf("a Client's own hello does not parse: %v", err)
+		}
+		for i := range helloFields {
+			fld := &helloFields[i]
+			nonZero[fld.name] = nonZero[fld.name] || isSet(fld.at(&h))
+		}
+	}
+	for i := range helloFields {
+		if name := helloFields[i].name; !nonZero[name] {
+			t.Errorf("hello field %s (tag %d) was zero in every session a Client can open: nothing sets it", name, helloFields[i].tag)
+		}
+	}
+	if len(helloFields) != 29 {
+		t.Errorf("helloFields has %d rows, want the 29 of protocol version 4", len(helloFields))
+	}
+}
+
+// TestRetiredHelloTagsAreMalformed: tags 26, 29 and 30 were hello fields no
+// client ever set (sigbudget, budget, maxbudget); a hello that carries one is
+// now refused whole, as any unknown tag is — counted as a malformed reject — and
+// the server goes on serving honest sessions.
+func TestRetiredHelloTagsAreMalformed(t *testing.T) {
+	alice, bob := setPair()
+	srv, addr, _ := startServer(t, func(s *Server) {
+		if err := s.HostSets("ids", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rejects := srv.metrics().rejects.With(rejectMalformed)
+	for i, tag := range []byte{26, 29, 30} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := wire.NewEndpoint(conn, transport.Bob)
+		// An honest set hello's fields end at tag 11 (d): the retired tag
+		// behind them is in ascending order, as the parser demands.
+		hello := appendCtl(nil, helloFields, &helloMsg{V: protoVersion, Kind: KindSet, Dataset: "ids", Seed: 1, D: 16})
+		if err := ep.SendFrame(lblHello, append(hello, tag, 5)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = recvOrServerError(ep, lblAccept)
+		conn.Close()
+		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "malformed hello") || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {
+			t.Fatalf("tag %d: got %v, want a malformed-hello refusal naming the tag", tag, err)
+		}
+		waitFor(t, "malformed reject counted", func() bool { return rejects.Value() == uint64(i+1) })
+		res, _, err := Dial(addr).Sets(context.Background(), "ids", bob, sosr.SetConfig{Seed: 1, KnownDiff: 16})
+		if err != nil || !setutil.Equal(res.Recovered, setutil.Canonical(alice)) {
+			t.Fatalf("honest session after the tag-%d hello: %v", tag, err)
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"sosr"
 	"sosr/internal/setutil"
 	"sosr/internal/shardmap"
+	"sosr/internal/store"
 )
 
 // mustTopo builds a single-replica topology over ids at the given epoch.
@@ -323,5 +324,42 @@ func TestShardedMultisetHostAndUpdate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got2, wantRec2) {
 		t.Fatalf("post-update sharded multiset recovered %v, want %v", got2, wantRec2)
+	}
+}
+
+// TestHostShardsOnlyPartitionedKinds: Host partitions a dataset through its
+// kind's canon, and a kind without one has no rule for which shard holds what.
+// Hosting a graph or a forest with a topology must be refused — not hosted
+// whole on every shard, each of which would then serve the entire dataset to a
+// fan-out that merges the slices — while the same call without one hosts it,
+// and a kind the table does partition is hosted either way.
+func TestHostShardsOnlyPartitionedKinds(t *testing.T) {
+	topo := mustTopo(t, 3, "s0:1", "s1:2", "s2:3")
+	g, f := sosr.RandomGraph(30, 0.3, 5), sosr.RandomForest(30, 0.2, 5)
+	for _, row := range []struct {
+		rec       store.Record
+		shardable bool
+	}{
+		{store.Record{Kind: store.KindSet, Elems: seqSet(0, 90)}, true},
+		{store.Record{Kind: store.KindMultiset, Elems: append(seqSet(0, 90), 7, 7)}, true},
+		{store.Record{Kind: store.KindSetsOfSets, Parents: [][]uint64{{1, 2}, {3}, {4, 5, 6}}}, true},
+		{store.Record{Kind: store.KindGraph, N: g.N, Edges: g.Edges}, false},
+		{store.Record{Kind: store.KindForest, Parent: f.Parent}, false},
+	} {
+		srv := NewServer()
+		sharded, whole := row.rec, row.rec
+		sharded.Name, whole.Name = "sharded", "whole"
+		err := srv.Host(&sharded, topo, 1)
+		switch {
+		case row.shardable && err != nil:
+			t.Errorf("%s: hosting shard 1 of 3: %v", row.rec.Kind, err)
+		case !row.shardable && !errors.Is(err, ErrUnsupported):
+			t.Errorf("%s: hosting with a topology: got %v, want ErrUnsupported", row.rec.Kind, err)
+		case !row.shardable && len(srv.Datasets()) != 0:
+			t.Errorf("%s: the refused record is hosted: %+v", row.rec.Kind, srv.Datasets())
+		}
+		if err := srv.Host(&whole, nil, 0); err != nil {
+			t.Errorf("%s: hosting unsharded: %v", row.rec.Kind, err)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func ReconcileSetsOfSetsTwoWay(alice, bob [][]uint64, cfg Config) (*TwoWayResult
 		proto = ProtocolCascade
 	}
 	d := cfg.KnownDiff
-	oneWay := func(sess transport.Channel, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
+	oneWay := func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
 		switch proto {
 		case ProtocolNaive:
 			if d > 0 {
@@ -60,7 +60,7 @@ func ReconcileSetsOfSetsTwoWay(alice, bob [][]uint64, cfg Config) (*TwoWayResult
 			return core.CascadeUnknownD(sess, c, a, b, p)
 		}
 	}
-	res, err := core.TwoWay(sess, coins, alice, bob, func(sess transport.Channel, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
+	res, err := core.TwoWay(sess, coins, alice, bob, func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
 		return oneWay(sess, c, a, b)
 	})
 	if err != nil {
@@ -70,7 +70,7 @@ func ReconcileSetsOfSetsTwoWay(alice, bob [][]uint64, cfg Config) (*TwoWayResult
 		Union:   res.Union,
 		ToAlice: res.ToAlice,
 		ToBob:   res.ToBob,
-		Stats:   statsFrom(res.Stats),
+		Stats:   res.Stats,
 	}, nil
 }
 
