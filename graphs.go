@@ -17,12 +17,12 @@ type Graph struct {
 	Edges [][2]int
 }
 
+// toInternal serves the helpers that have no error to return: a malformed
+// graph panics there. The protocols validate (graph.FromEdges).
 func (g Graph) toInternal() *graph.Graph {
-	out := graph.New(g.N)
-	for _, e := range g.Edges {
-		if e[0] != e[1] {
-			out.AddEdge(e[0], e[1])
-		}
+	out, err := graph.FromEdges(g.N, g.Edges)
+	if err != nil {
+		panic(err)
 	}
 	return out
 }
@@ -78,7 +78,14 @@ type GraphResult struct {
 // ReconcileGraphs runs one-way unlabeled graph reconciliation: Bob (second
 // argument) ends with a graph isomorphic to Alice's.
 func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
-	ga, gb := alice.toInternal(), bob.toInternal()
+	ga, err := graph.FromEdges(alice.N, alice.Edges)
+	if err != nil {
+		return nil, err
+	}
+	gb, err := graph.FromEdges(bob.N, bob.Edges)
+	if err != nil {
+		return nil, err
+	}
 	coins := hashing.NewCoins(cfg.Seed)
 	sess := transport.New()
 	d := cfg.MaxEdits
@@ -87,7 +94,6 @@ func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
 	}
 	var rec *graph.Graph
 	var st transport.Stats
-	var err error
 	switch cfg.Scheme {
 	case SchemeDegreeOrdering:
 		if cfg.TopDegrees < 1 {
@@ -117,9 +123,15 @@ func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
 // GraphsIsomorphic runs the Theorem 4.1 communication protocol on tiny
 // graphs (n ≤ 8): O(log n) bits, one-sided error O(2^-40).
 func GraphsIsomorphic(alice, bob Graph, seed uint64) (bool, Stats, error) {
-	sess := transport.New()
-	iso, st, err := graphrecon.IsomorphismTest(sess, hashing.NewCoins(seed), alice.toInternal(), bob.toInternal())
-	return iso, st, err
+	ga, err := graph.FromEdges(alice.N, alice.Edges)
+	if err != nil {
+		return false, Stats{}, err
+	}
+	gb, err := graph.FromEdges(bob.N, bob.Edges)
+	if err != nil {
+		return false, Stats{}, err
+	}
+	return graphrecon.IsomorphismTest(transport.New(), hashing.NewCoins(seed), ga, gb)
 }
 
 // GraphsExactlyIsomorphic decides isomorphism locally and exactly

@@ -34,6 +34,26 @@ func New(n int) *Graph {
 	return &Graph{N: n, adj: adj}
 }
 
+// FromEdges builds the graph on n vertices with the given edge list — the
+// validating way in for a graph that comes from outside the program. Self-loops
+// and duplicate edges are ignored; a negative n or an edge outside the vertex
+// range is refused.
+func FromEdges(n int, edges [][2]int) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: %d vertices", n)
+	}
+	g := New(n)
+	for _, e := range edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) outside %d vertices", e[0], e[1], n)
+		}
+		if e[0] != e[1] {
+			g.AddEdge(e[0], e[1])
+		}
+	}
+	return g, nil
+}
+
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	out := New(g.N)

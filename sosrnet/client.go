@@ -51,12 +51,12 @@ type NetStats struct {
 // Client keeps at most as many as it ever ran sessions at once. Anything else
 // (a rejected handshake, a server error frame, a decode failure, a timeout,
 // cancellation) closes the connection as a connection per session would. A
-// parked connection the server has meanwhile closed is noticed and dropped
-// when it is taken; if the close races the new hello, the session is replayed
-// once on a fresh connection — the server only reads during a session, so
-// that is safe — and a failure on a fresh connection is reported as it is.
-// Close releases the parked connections; a Client that is dropped without it
-// keeps them until the server's idle timer closes them.
+// parked connection the server has meanwhile closed is found when the next
+// session's hello fails on it before any frame of that session arrives: the
+// session is replayed once on a fresh connection — the server only reads
+// during a session, so that is safe — and a failure on a fresh connection is
+// reported as it is. Close releases the parked connections; a Client that is
+// dropped without it keeps them until the server's idle timer closes them.
 //
 // A Client is safe for concurrent use.
 type Client struct {
@@ -128,11 +128,10 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// clientConn is one connection to the server with Bob's endpoint on it and
-// pipelined reads: the server's next frame is decoded off the socket while
-// the client is still applying the previous one. It carries one session at a
-// time; between sessions it sits in Client.idle, its reader goroutine waiting
-// for a frame header and holding no buffer.
+// clientConn is one connection to the server with Bob's endpoint on it. It
+// carries one session at a time, on that session's goroutine; between
+// sessions it sits in Client.idle, where nothing reads it and it holds no
+// buffer.
 type clientConn struct {
 	conn net.Conn
 	ep   *wire.Endpoint
@@ -148,32 +147,24 @@ type clientConn struct {
 
 // discard retires the connection for good.
 func (cc *clientConn) discard() {
-	cc.ep.StopReadAhead()
 	_ = cc.conn.Close()
 	cc.ep.EndSession()
 }
 
-// takeIdle returns the most recently parked connection that is still quiet,
-// or nil. A parked connection's reader is blocked on the socket, so a server
-// that has closed it (idle timer, shutdown) shows as a pending delivery and
-// the connection is dropped here rather than tried.
+// takeIdle returns the most recently parked connection as it is, or nil.
+// Nothing reads a parked connection, so one the server has closed meanwhile
+// (idle timer, shutdown) is found by the hello that fails on it (open).
 func (c *Client) takeIdle() *clientConn {
-	for {
-		c.mu.Lock()
-		n := len(c.idle)
-		if n == 0 {
-			c.mu.Unlock()
-			return nil
-		}
-		cc := c.idle[n-1]
-		c.idle[n-1] = nil
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		if !cc.ep.Pending() {
-			return cc
-		}
-		cc.discard()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.idle)
+	if n == 0 {
+		return nil
 	}
+	cc := c.idle[n-1]
+	c.idle[n-1] = nil
+	c.idle = c.idle[:n-1]
+	return cc
 }
 
 // dialConn opens a fresh connection.
@@ -293,11 +284,11 @@ func (cs *clientSession) open() error {
 			cs.cc, cs.ep = cc, cc.ep
 			return nil
 		}
-		// The server may close a parked connection (idle timer, restart) just
-		// as this hello is written; the connection then fails before the
-		// session's first frame arrives. Sessions only read on the server, so
-		// the hello is replayed once on a fresh connection, whose failures are
-		// the caller's to see.
+		// The server may have closed a parked connection (idle timer, restart)
+		// at any time since the last session, or just as this hello is written;
+		// either way the connection fails before the session's first frame
+		// arrives. Sessions only read on the server, so the hello is replayed
+		// once on a fresh connection, whose failures are the caller's to see.
 		stale := reused && cc.ep.Err() != nil && cc.ep.BytesRead() == 0 && ctx.Err() == nil
 		c.finish(ctx, cc, err)
 		if !stale {
@@ -361,11 +352,6 @@ func (cs *clientSession) hello(cc *clientConn) error {
 	if err := ep.SendFrame(lblHello, cc.ctl); err != nil {
 		return err
 	}
-	// A fresh connection starts reading only now (a parked one never stopped).
-	// A server at its session cap refuses at accept and closes: a reader that
-	// met that close before the hello was out would close the connection under
-	// the write, and the refusal would be reported as a write error.
-	ep.StartReadAhead()
 	payload, err := recvOrServerError(ep, lblAccept)
 	if err != nil {
 		return err
@@ -622,7 +608,7 @@ func (a *sosApply) multiRound() (int, error) {
 // Cancelling ctx severs the session.
 func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig) (*sosr.GraphResult, *NetStats, error) {
 	return session(ctx, c, name, KindGraph, cfg.Seed, func(cs *clientSession) (*sosr.GraphResult, error) {
-		gb, err := buildGraph(local.N, local.Edges)
+		gb, err := graph.FromEdges(local.N, local.Edges)
 		if err != nil {
 			return nil, err
 		}

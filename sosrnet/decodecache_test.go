@@ -121,6 +121,30 @@ func TestClientSketchCacheDoubling(t *testing.T) {
 	}
 }
 
+// TestPullCarriesSessionDeadline: a pull is a session this server runs, under
+// the deadline it gives the sessions it serves — a server left at its defaults
+// pulls from a stalled peer for DefaultSessionTimeout, not for ever.
+func TestPullCarriesSessionDeadline(t *testing.T) {
+	for _, row := range []struct{ set, want time.Duration }{
+		{0, DefaultSessionTimeout},
+		{-1, 0}, // no deadline, by request
+		{3 * time.Second, 3 * time.Second},
+	} {
+		s := NewServer()
+		s.SessionTimeout = row.set
+		if err := s.HostSetsOfSets("docs", [][]uint64{{1, 2}}); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := s.lookup("docs", KindSetsOfSets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.pullClient(ds, "peer:1").Timeout; got != row.want {
+			t.Errorf("SessionTimeout %v: the pull's client has Timeout %v, want %v", row.set, got, row.want)
+		}
+	}
+}
+
 // TestPullSetsOfSets: server-to-server anti-entropy. A pull converges the
 // local dataset to the peer's; repeated pulls of an already-converged dataset
 // are empty diffs served from the Bob sketch resident in the server's

@@ -153,7 +153,7 @@ var sosKind = kindEntry{
 var graphKind = kindEntry{
 	kind: KindGraph,
 	decode: func(rec *store.Record) (contents, error) {
-		g, err := buildGraph(rec.N, rec.Edges)
+		g, err := graph.FromEdges(rec.N, rec.Edges)
 		return contents{g: g}, err
 	},
 	encode: func(c *contents, rec *store.Record) { rec.N, rec.Edges = c.g.N, c.g.Edges() },
@@ -217,21 +217,6 @@ func (ss *shardState) ownedCanonicalSets(parent [][]uint64) [][]uint64 {
 		return canon
 	}
 	return setutil.CanonicalSets(ss.topo.OwnedSets(ss.index, canon))
-}
-
-// buildGraph builds the internal bitset graph from the public edge-list form,
-// ignoring self-loops and refusing an edge outside the vertex range.
-func buildGraph(n int, edges [][2]int) (*graph.Graph, error) {
-	g := graph.New(n)
-	for _, e := range edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, fmt.Errorf("sosrnet: edge (%d,%d) outside %d vertices", e[0], e[1], n)
-		}
-		if e[0] != e[1] {
-			g.AddEdge(e[0], e[1])
-		}
-	}
-	return g, nil
 }
 
 // stageSOS validates a canonical, shard-filtered sets-of-sets mutation

@@ -15,17 +15,23 @@
 // client closes with "ctl/done" carrying its view of the session so the
 // server can log both sides' accounting.
 //
-// A connection carries sessions one after the other, never two at once. After
-// a cleanly finished session the client keeps the connection and opens its
-// next session on it with a new hello; the server, having read the done,
-// waits for that hello (holding no session slot while it does) and closes
-// the connection when none comes for idleConnTimeout. Nothing on the wire
-// marks a connection as reusable: a peer that closes after "done" is simply
-// never reused, and anything but a clean finish (a rejected handshake, an
-// error frame, a failed decode, a timeout) ends the connection with the
-// session. Each session accounts for itself — byte counts, stats, session
-// ID, metrics, trace spans and log record are per session, whichever
-// connection carried it.
+// A connection carries sessions one after the other, never two at once, and
+// within a session the ends take turns: the paper counts rounds, and no flow
+// has one end writing while the other does (the one exchange that does is the
+// busy refusal, which a server at its session cap writes before it reads the
+// hello). So each end of a connection is one goroutine, which reads when it
+// needs the peer's next frame; nothing reads ahead of it or beside it. After a
+// cleanly finished session the client keeps the connection and opens its next
+// session on it with a new hello; the server, having read the done, waits for
+// that hello (holding no session slot while it does) and closes the connection
+// when none comes for idleConnTimeout — which the client, reading nothing
+// between sessions, finds out when its next hello fails, and answers with one
+// replay on a fresh connection. Nothing on the wire marks a connection as
+// reusable: a peer that closes after "done" is simply never reused, and
+// anything but a clean finish (a rejected handshake, an error frame, a failed
+// decode, a timeout) ends the connection with the session. Each session
+// accounts for itself — byte counts, stats, session ID, metrics, trace spans
+// and log record are per session, whichever connection carried it.
 //
 // Framing (magic, version, label, length, checksum) lives in internal/wire;
 // control frames ("ctl/...") are excluded from protocol Stats and reported

@@ -22,22 +22,9 @@ func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg 
 	if err != nil {
 		return nil, nil, err
 	}
-	view := ds.view(name)
-	cl := &Client{
-		Addr: peerAddr, Timeout: s.SessionTimeout, MaxFrame: s.MaxFrame,
-		Obs: s.Registry(),
-		// Bob sketches live in the server's encoding cache (none when that is
-		// disabled), under the budget the Alice payloads share.
-		CacheBytes: -1, cache: s.encCache(),
-	}
+	cl := s.pullClient(ds, peerAddr)
 	defer cl.Close() // one pull, one connection: nothing to keep
-	if ds.shard != nil {
-		cl.ShardID = ds.shard.topo.ShardIDHash(ds.shard.index)
-		cl.ShardCount = ds.shard.topo.NumShards()
-		cl.ShardEpoch = ds.shard.topo.Epoch()
-		cl.ShardFingerprint = ds.shard.topo.Fingerprint()
-	}
-	res, ns, err := cl.SetsOfSets(ctx, name, view.sos, cfg)
+	res, ns, err := cl.SetsOfSets(ctx, name, ds.view(name).sos, cfg)
 	if err != nil {
 		return nil, ns, err
 	}
@@ -47,4 +34,24 @@ func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg 
 		}
 	}
 	return res, ns, nil
+}
+
+// pullClient is the client a pull of ds runs on. Its sessions get the deadline
+// this server gives the ones it serves, so a stalled peer ends a pull even
+// when the caller's context has no deadline.
+func (s *Server) pullClient(ds *dataset, peerAddr string) *Client {
+	cl := &Client{
+		Addr: peerAddr, Timeout: s.sessionTimeout(), MaxFrame: s.MaxFrame,
+		Obs: s.Registry(),
+		// Bob sketches live in the server's encoding cache (none when that is
+		// disabled), under the budget the Alice payloads share.
+		CacheBytes: -1, cache: s.encCache(),
+	}
+	if ds.shard != nil {
+		cl.ShardID = ds.shard.topo.ShardIDHash(ds.shard.index)
+		cl.ShardCount = ds.shard.topo.NumShards()
+		cl.ShardEpoch = ds.shard.topo.Epoch()
+		cl.ShardFingerprint = ds.shard.topo.Fingerprint()
+	}
+	return cl
 }

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -50,13 +51,71 @@ func idleConns(s *Server) int {
 	return len(s.idle)
 }
 
+// pipeListener is an in-memory net.Listener: dial hands Accept one end of a
+// net.Pipe. A net.Pipe write blocks until the peer reads, so a flow in which
+// both ends write at once deadlocks here where a socket buffer would hide it.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case conn := <-l.conns:
+		return conn, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+func (l *pipeListener) dial(context.Context, string) (net.Conn, error) {
+	client, server := net.Pipe()
+	select {
+	case l.conns <- server:
+		return client, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
 // TestReuseSequentialSessionsEveryKind runs several sessions of every dataset
 // kind over one Client: one dial in all, and the n-th session of a kind
 // reports exactly what the first did — the in-process protocol stats plus the
 // same itemised framing — while the listener sees exactly the bytes the
 // sessions reported. Results are checked only after every session has run,
 // so one that aliased a (since reused) frame buffer would show.
+//
+// The transport is a row. Over net.Pipe nothing is buffered, so the in-memory
+// row is also the proof that every flow is ping-pong — it runs every row of
+// the flow table, where TCP runs one per kind — and a flow that is not fails
+// by the client's timeout. The one exchange that leans on a socket buffer, the
+// busy refusal (admit writes its error frame before it reads the hello), stays
+// on TCP in TestMaxConcurrentSessionsBusy.
 func TestReuseSequentialSessionsEveryKind(t *testing.T) {
+	t.Run("tcp", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reuseSequentialSessions(t, ln, nil)
+	})
+	t.Run("pipe", func(t *testing.T) {
+		ln := newPipeListener()
+		reuseSequentialSessions(t, ln, ln.dial)
+	})
+}
+
+// reuseSequentialSessions serves on ln and reaches it through dial (nil: TCP to
+// ln's address).
+func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Context, string) (net.Conn, error)) {
 	setA, setB := setPair()
 	multiA := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 9, 9, 40}
 	multiB := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41}
@@ -69,59 +128,106 @@ func TestReuseSequentialSessionsEveryKind(t *testing.T) {
 	fa := sosr.RandomForest(120, 0.15, 51)
 	fb := sosr.PerturbForest(fa, 3, 52)
 	var finished atomic.Int64
-	_, addr, ln := startServer(t, func(s *Server) {
-		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
-			if r.Message == "session finished" {
-				finished.Add(1)
-			}
-		}})
-		for _, err := range []error{
-			s.HostSets("ids", setA), s.HostMultiset("bag", multiA), s.HostSetsOfSets("docs", sosA),
-			s.HostGraph("net", ga), s.HostForest("tree", fa),
-		} {
-			if err != nil {
-				t.Fatal(err)
-			}
+	srv := NewServer()
+	srv.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+		if r.Message == "session finished" {
+			finished.Add(1)
 		}
-	})
+	}})
+	for _, err := range []error{
+		srv.HostSets("ids", setA), srv.HostMultiset("bag", multiA), srv.HostSetsOfSets("docs", sosA),
+		srv.HostGraph("net", ga), srv.HostForest("tree", fa),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := &countingListener{Listener: ln}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(cl) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
 	ctx := context.Background()
-	c := Dial(addr)
+	c := Dial(ln.Addr().String())
 	defer c.Close()
-	dials := countDials(c)
-
-	setCfg := sosr.SetConfig{Seed: 7, KnownDiff: 16}
-	sosCfg := sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24}
-	nestedCfg := sosr.Config{Seed: 4, Protocol: sosr.ProtocolNested} // doubling: several attempts, acks
-	graphCfg := sosr.GraphConfig{Seed: 14, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 2, TopDegrees: topH}
-	forestCfg := sosr.ForestConfig{Seed: 53, MaxEdits: 3}
-	wantSet, err1 := sosr.ReconcileSets(setA, setB, setCfg)
-	wantMulti, wantMultiStats, err2 := sosr.ReconcileMultisets(multiA, multiB, 16, 3)
-	wantSOS, err3 := sosr.ReconcileSetsOfSets(sosA, sosB, sosCfg)
-	wantNested, err4 := sosr.ReconcileSetsOfSets(sosA, sosB, nestedCfg)
-	wantGraph, err5 := sosr.ReconcileGraphs(ga, gb, graphCfg)
-	wantForest, err6 := sosr.ReconcileForests(fa, fb, forestCfg)
-	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
-		t.Fatal(err)
+	c.Timeout = time.Minute // a flow in which both ends write at once ends here
+	var dials atomic.Int64
+	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		dials.Add(1)
+		if dial != nil {
+			return dial(ctx, addr)
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
 	}
 
 	type outcome struct {
 		ns    *NetStats
 		check func() error // run after all sessions
 	}
-	kinds := []struct {
+	type row struct {
 		name string
 		want sosr.Stats
 		run  func() (outcome, error)
-	}{
-		{"set", wantSet.Stats, func() (outcome, error) {
-			res, ns, err := c.Sets(ctx, "ids", setB, setCfg)
+	}
+	setRow := func(name string, cfg sosr.SetConfig) row {
+		want, err := sosr.ReconcileSets(setA, setB, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.Sets(ctx, "ids", setB, cfg)
 			return outcome{ns, func() error {
-				if !reflect.DeepEqual(res.Recovered, setutil.Canonical(setA)) || !reflect.DeepEqual(res.OnlyA, wantSet.OnlyA) {
+				if !reflect.DeepEqual(res.Recovered, setutil.Canonical(setA)) || !reflect.DeepEqual(res.OnlyA, want.OnlyA) {
 					return errors.New("wrong set recovered")
 				}
 				return nil
 			}}, err
-		}},
+		}}
+	}
+	sosRow := func(name string, cfg sosr.Config) row {
+		want, err := sosr.ReconcileSetsOfSets(sosA, sosB, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.SetsOfSets(ctx, "docs", sosB, cfg)
+			return outcome{ns, func() error {
+				if !reflect.DeepEqual(res.Recovered, want.Recovered) || !reflect.DeepEqual(res.Added, want.Added) ||
+					!reflect.DeepEqual(res.Removed, want.Removed) || res.Attempts != want.Attempts {
+					return errors.New("wrong parent set recovered")
+				}
+				return nil
+			}}, err
+		}}
+	}
+	forestRow := func(name string, cfg sosr.ForestConfig) row {
+		want, err := sosr.ReconcileForests(fa, fb, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.Forest(ctx, "tree", fb, cfg)
+			return outcome{ns, func() error {
+				if !sosr.ForestsIsomorphic(res.Recovered, fa) {
+					return errors.New("wrong forest recovered")
+				}
+				return nil
+			}}, err
+		}}
+	}
+	graphCfg := sosr.GraphConfig{Seed: 14, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 2, TopDegrees: topH}
+	wantMulti, wantMultiStats, err1 := sosr.ReconcileMultisets(multiA, multiB, 16, 3)
+	wantGraph, err2 := sosr.ReconcileGraphs(ga, gb, graphCfg)
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	kinds := []row{
+		setRow("set", sosr.SetConfig{Seed: 7, KnownDiff: 16}),
 		{"multiset", wantMultiStats, func() (outcome, error) {
 			rec, ns, err := c.Multiset(ctx, "bag", multiB, 16, 3)
 			return outcome{ns, func() error {
@@ -131,25 +237,8 @@ func TestReuseSequentialSessionsEveryKind(t *testing.T) {
 				return nil
 			}}, err
 		}},
-		{"sos/cascade", wantSOS.Stats, func() (outcome, error) {
-			res, ns, err := c.SetsOfSets(ctx, "docs", sosB, sosCfg)
-			return outcome{ns, func() error {
-				if !reflect.DeepEqual(res.Recovered, wantSOS.Recovered) || !reflect.DeepEqual(res.Added, wantSOS.Added) ||
-					!reflect.DeepEqual(res.Removed, wantSOS.Removed) {
-					return errors.New("wrong parent set recovered")
-				}
-				return nil
-			}}, err
-		}},
-		{"sos/nested-doubling", wantNested.Stats, func() (outcome, error) {
-			res, ns, err := c.SetsOfSets(ctx, "docs", sosB, nestedCfg)
-			return outcome{ns, func() error {
-				if !reflect.DeepEqual(res.Recovered, wantNested.Recovered) || res.Attempts != wantNested.Attempts {
-					return errors.New("wrong parent set recovered")
-				}
-				return nil
-			}}, err
-		}},
+		sosRow("sos/cascade", sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24}),
+		sosRow("sos/nested-doubling", sosr.Config{Seed: 4, Protocol: sosr.ProtocolNested}), // several attempts, acks
 		{"graph", wantGraph.Stats, func() (outcome, error) {
 			res, ns, err := c.Graph(ctx, "net", gb, graphCfg)
 			return outcome{ns, func() error {
@@ -159,15 +248,19 @@ func TestReuseSequentialSessionsEveryKind(t *testing.T) {
 				return nil
 			}}, err
 		}},
-		{"forest", wantForest.Stats, func() (outcome, error) {
-			res, ns, err := c.Forest(ctx, "tree", fb, forestCfg)
-			return outcome{ns, func() error {
-				if !sosr.ForestsIsomorphic(res.Recovered, fa) {
-					return errors.New("wrong forest recovered")
-				}
-				return nil
-			}}, err
-		}},
+		forestRow("forest", sosr.ForestConfig{Seed: 53, MaxEdits: 3}),
+	}
+	if dial != nil { // the in-memory row: the rest of the flow table
+		kinds = append(kinds,
+			setRow("set/unknown-d", sosr.SetConfig{Seed: 8}),
+			sosRow("sos/naive", sosr.Config{Seed: 1, Protocol: sosr.ProtocolNaive, KnownDiff: 24}),
+			sosRow("sos/naive-probe", sosr.Config{Seed: 2, Protocol: sosr.ProtocolNaive}),
+			sosRow("sos/nested", sosr.Config{Seed: 3, Protocol: sosr.ProtocolNested, KnownDiff: 24}),
+			sosRow("sos/cascade-doubling", sosr.Config{Seed: 6, Protocol: sosr.ProtocolCascade}),
+			sosRow("sos/multiround", sosr.Config{Seed: 7, Protocol: sosr.ProtocolMultiRound, KnownDiff: 24}),
+			sosRow("sos/multiround-4", sosr.Config{Seed: 8, Protocol: sosr.ProtocolMultiRound}),
+			forestRow("forest/auto", sosr.ForestConfig{Seed: 63}),
+		)
 	}
 	const rounds = 4
 	var checks []func() error
@@ -203,149 +296,98 @@ func TestReuseSequentialSessionsEveryKind(t *testing.T) {
 	if got := dials.Load(); got != 1 {
 		t.Fatalf("%d sequential sessions dialed %d times, want once", rounds*len(kinds), got)
 	}
-	if got := ln.accepted.Load(); got != 1 {
+	if got := cl.accepted.Load(); got != 1 {
 		t.Fatalf("server accepted %d connections, want 1", got)
 	}
 	// The server reads each closing ctl/done after the client has its
 	// result; once it has logged the last session, the listener's count is
-	// final: TCP bytes == Σ (in-process Stats + itemised framing).
+	// final: transport bytes == Σ (in-process Stats + itemised framing).
 	waitFor(t, "server to finish the last session", func() bool { return finished.Load() == int64(rounds*len(kinds)) })
-	if tcp := ln.n.Load(); tcp != reported {
-		t.Fatalf("listener counted %d TCP bytes, the sessions reported %d", tcp, reported)
+	if got := cl.n.Load(); got != reported {
+		t.Fatalf("listener counted %d bytes, the sessions reported %d", got, reported)
 	}
 }
 
-// TestStaleIdleConnFoundDeadWhenTaken: the server drops the idle connection;
-// by the time the next session takes it, its reader has seen the close, so
-// the session simply dials — no error, no replay.
-func TestStaleIdleConnFoundDeadWhenTaken(t *testing.T) {
-	alice, bob := setPair()
-	srv, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostSets("ids", alice); err != nil {
-			t.Fatal(err)
-		}
-	})
-	c := Dial(addr)
-	defer c.Close()
-	c.Obs = obs.NewRegistry()
-	dials := countDials(c)
-	cfg := sosr.SetConfig{Seed: 7, KnownDiff: 16}
-	if _, _, err := c.Sets(context.Background(), "ids", bob, cfg); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "connection to go idle on the server", func() bool { return idleConns(srv) == 1 })
-	closeIdleConns(srv)
-	waitFor(t, "parked connection to notice the close", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.idle) == 1 && c.idle[0].ep.Pending()
-	})
-	res, _, err := c.Sets(context.Background(), "ids", bob, cfg)
-	if err != nil {
-		t.Fatalf("session after the server dropped the idle connection: %v", err)
-	}
-	if !reflect.DeepEqual(res.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("wrong set recovered")
-	}
-	if got := dials.Load(); got != 2 {
-		t.Fatalf("dialed %d times, want 2 (one per live connection)", got)
-	}
-	ev := clientConnEvents(t, c)
-	if ev["dial"] != 2 || ev["stale_redial"] != 0 || ev["reuse"] != 0 {
-		t.Fatalf("connection events %v, want dial=2 only", ev)
-	}
-}
-
-// heldEOFConn holds back a read error until the next write, reproducing the
-// race in which the server closes a parked connection just as the client
-// writes the next hello: the connection looks quiet when it is taken.
-type heldEOFConn struct {
+// beforeWriteConn runs before, once, ahead of the next write. Only the session
+// goroutine touches a client connection, so the field needs no lock.
+type beforeWriteConn struct {
 	net.Conn
-	mu      sync.Mutex
-	written chan struct{} // closed by the next Write
+	before func()
 }
 
-func (c *heldEOFConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if err != nil {
-		c.mu.Lock()
-		w := c.written
-		c.mu.Unlock()
-		<-w
+func (c *beforeWriteConn) Write(p []byte) (int, error) {
+	if f := c.before; f != nil {
+		c.before = nil
+		f()
 	}
-	return n, err
-}
-
-func (c *heldEOFConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	select {
-	case <-c.written:
-	default:
-		close(c.written)
-	}
-	c.mu.Unlock()
 	return c.Conn.Write(p)
 }
 
-// arm makes the next read error wait for a write issued after now.
-func (c *heldEOFConn) arm() {
-	c.mu.Lock()
-	c.written = make(chan struct{})
-	c.mu.Unlock()
-}
-
-// TestStaleIdleConnReplayedOnce: the close races the hello. The reused
-// connection fails before the session's first frame, the session is replayed
-// on a fresh dial and succeeds; the caller sees no error, the metrics see a
-// stale_redial.
+// TestStaleIdleConnReplayedOnce: the server drops a parked connection — long
+// before the client's next session takes it, or as that session's hello is
+// written. Either way nothing reads a parked connection, so the hello is what
+// finds it dead: the reused connection fails before the session's first frame,
+// the session is replayed on a fresh dial and succeeds; the caller sees no
+// error, the metrics see a stale_redial.
 func TestStaleIdleConnReplayedOnce(t *testing.T) {
-	alice, bob := setPair()
-	srv, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostSets("ids", alice); err != nil {
-			t.Fatal(err)
-		}
-	})
-	c := Dial(addr)
-	defer c.Close()
-	c.Obs = obs.NewRegistry()
-	var conns []*heldEOFConn
-	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		hc := &heldEOFConn{Conn: conn, written: make(chan struct{})}
-		close(hc.written)
-		conns = append(conns, hc)
-		return hc, nil
-	}
-	cfg := sosr.SetConfig{Seed: 7, KnownDiff: 16}
-	if _, _, err := c.Sets(context.Background(), "ids", bob, cfg); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "connection to go idle on the server", func() bool { return idleConns(srv) == 1 })
-	conns[0].arm()
-	closeIdleConns(srv)
-	waitFor(t, "server to drop the connection", func() bool { return idleConns(srv) == 0 })
-	for n := 2; n <= 3; n++ { // the replay, then a plain reuse of the fresh connection
-		res, ns, err := c.Sets(context.Background(), "ids", bob, cfg)
-		if err != nil {
-			t.Fatalf("session %d: %v", n, err)
-		}
-		if !reflect.DeepEqual(res.Recovered, setutil.Canonical(alice)) {
-			t.Fatal("wrong set recovered")
-		}
-		if ns.Attempts != 1 {
-			t.Fatalf("a replayed hello must not show as a protocol attempt: %+v", ns)
-		}
-	}
-	if len(conns) != 2 {
-		t.Fatalf("dialed %d times, want 2", len(conns))
-	}
-	ev := clientConnEvents(t, c)
-	if ev["dial"] != 2 || ev["stale_redial"] != 1 || ev["reuse"] != 1 {
-		t.Fatalf("connection events %v, want dial=2 stale_redial=1 reuse=1", ev)
+	for _, tc := range []struct {
+		name    string
+		atHello bool
+	}{
+		{"closed long before it is taken", false},
+		{"closed as the hello is written", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alice, bob := setPair()
+			srv, addr, _ := startServer(t, func(s *Server) {
+				if err := s.HostSets("ids", alice); err != nil {
+					t.Fatal(err)
+				}
+			})
+			c := Dial(addr)
+			defer c.Close()
+			c.Obs = obs.NewRegistry()
+			var conns []*beforeWriteConn
+			c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+				var d net.Dialer
+				conn, err := d.DialContext(ctx, "tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				conns = append(conns, &beforeWriteConn{Conn: conn})
+				return conns[len(conns)-1], nil
+			}
+			cfg := sosr.SetConfig{Seed: 7, KnownDiff: 16}
+			if _, _, err := c.Sets(context.Background(), "ids", bob, cfg); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "connection to go idle on the server", func() bool { return idleConns(srv) == 1 })
+			if tc.atHello {
+				conns[0].before = func() { closeIdleConns(srv) }
+			} else {
+				closeIdleConns(srv)
+				waitFor(t, "server to drop the connection", func() bool { return idleConns(srv) == 0 })
+			}
+			for n := 2; n <= 3; n++ { // the replay, then a plain reuse of the fresh connection
+				res, ns, err := c.Sets(context.Background(), "ids", bob, cfg)
+				if err != nil {
+					t.Fatalf("session %d: %v", n, err)
+				}
+				if !reflect.DeepEqual(res.Recovered, setutil.Canonical(alice)) {
+					t.Fatal("wrong set recovered")
+				}
+				if ns.Attempts != 1 {
+					t.Fatalf("a replayed hello must not show as a protocol attempt: %+v", ns)
+				}
+			}
+			if len(conns) != 2 {
+				t.Fatalf("dialed %d times, want 2", len(conns))
+			}
+			ev := clientConnEvents(t, c)
+			if ev["dial"] != 2 || ev["stale_redial"] != 1 || ev["reuse"] != 1 {
+				t.Fatalf("connection events %v, want dial=2 stale_redial=1 reuse=1", ev)
+			}
+		})
 	}
 }
 
@@ -438,6 +480,73 @@ func TestReuseConcurrentSessionsShareClient(t *testing.T) {
 	if p := parked(c); p > workers || p < 1 {
 		t.Fatalf("%d connections parked after %d workers", p, workers)
 	}
+}
+
+// TestOneGoroutinePerConnection: a session is one goroutine on each end, so
+// a parked connection costs the process its server handler and nothing else —
+// no goroutine of the client's, none of the transport's.
+func TestOneGoroutinePerConnection(t *testing.T) {
+	alice, bob := setPair()
+	srv, addr, _ := startServer(t, func(s *Server) {
+		if err := s.HostSets("ids", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Goroutines of earlier tests may still be winding down: the baseline is
+	// the count once it has stopped moving.
+	base := runtime.NumGoroutine()
+	for settled := 0; settled < 10; settled++ {
+		time.Sleep(5 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, settled = n, 0
+		}
+	}
+	c := Dial(addr)
+	defer c.Close()
+	const workers, each = 8, 3
+	// Every worker's first dial waits for the others', so all eight hold a
+	// connection at once and none borrows a parked one.
+	var dials atomic.Int64
+	var allDialed sync.WaitGroup
+	allDialed.Add(workers)
+	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		if dials.Add(1) <= workers {
+			allDialed.Done()
+			allDialed.Wait()
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, _, err := c.Sets(context.Background(), "ids", bob, sosr.SetConfig{Seed: 7, KnownDiff: 16}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, p := dials.Load(), parked(c); got != workers || p != workers {
+		t.Fatalf("%d dials, %d connections parked, want %d of each", got, p, workers)
+	}
+	waitFor(t, "every connection to go idle on the server", func() bool { return idleConns(srv) == workers })
+	settle := func(what string, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want %d (baseline %d)", what, runtime.NumGoroutine(), want, base)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	settle("eight parked connections", base+workers)
+	c.Close()
+	settle("after Client.Close", base)
 }
 
 // TestIdleConnsHoldNoSessionSlot: with a cap of one concurrent session, a

@@ -62,8 +62,8 @@ type Server struct {
 	// SessionTimeout bounds a whole session — from accept for the session
 	// that opens a connection, from the arrival of its hello for every later
 	// one — severing stalled or malicious connections that would otherwise
-	// pin a goroutine forever. 0 means DefaultSessionTimeout; negative
-	// disables the deadline.
+	// pin a goroutine forever. A pull from a peer (PullSetsOfSets) runs under
+	// it too. 0 means DefaultSessionTimeout; negative disables the deadline.
 	SessionTimeout time.Duration
 	// HelloTimeout bounds the wait for the opening hello frame of a fresh
 	// connection. A connection that dribbles (or never sends) its handshake
@@ -209,6 +209,17 @@ const DefaultMaxBound = 1 << 20
 
 // DefaultSessionTimeout is the default whole-session deadline.
 const DefaultSessionTimeout = 5 * time.Minute
+
+// sessionTimeout is the whole-session deadline in force, for the sessions the
+// server serves and the ones it runs as a client (pull): SessionTimeout,
+// DefaultSessionTimeout when that is zero, and zero — none — when it is
+// negative.
+func (s *Server) sessionTimeout() time.Duration {
+	if s.SessionTimeout == 0 {
+		return DefaultSessionTimeout
+	}
+	return max(s.SessionTimeout, 0)
+}
 
 // DefaultHelloTimeout is the default deadline for the opening hello frame.
 const DefaultHelloTimeout = 10 * time.Second
@@ -643,9 +654,6 @@ type sessionRecord struct {
 func (s *Server) handle(conn net.Conn) {
 	c := &srvConn{conn: conn, remote: conn.RemoteAddr().String(), ep: wire.NewEndpoint(conn, transport.Alice)}
 	c.ep.SetMaxPayload(s.MaxFrame)
-	// The accept-loop goroutine closes conn right after handle returns, which
-	// retires a reader blocked mid-read.
-	defer c.ep.StopReadAhead()
 	for c.seq = 1; s.session(c); c.seq++ {
 	}
 }
@@ -719,11 +727,8 @@ func helloFailure(err error) string {
 // hello that ended its idle wait). slot reports whether a
 // MaxConcurrentSessions slot was claimed, which the caller gives back.
 func (s *Server) admit(c *srvConn, rec *sessionRecord, hello []byte) (_ []byte, slot, ok bool) {
-	timeout := s.SessionTimeout
-	if timeout == 0 {
-		timeout = DefaultSessionTimeout
-	}
-	deadline := time.Time{} // a negative timeout clears what the idle wait set
+	timeout := s.sessionTimeout()
+	deadline := time.Time{} // no timeout clears what the idle wait set
 	if timeout > 0 {
 		deadline = rec.start.Add(timeout)
 	}
@@ -751,7 +756,7 @@ func (s *Server) admit(c *srvConn, rec *sessionRecord, hello []byte) (_ []byte, 
 	if helloTimeout == 0 {
 		helloTimeout = DefaultHelloTimeout
 	}
-	tighter := helloTimeout > 0 && (timeout <= 0 || helloTimeout < timeout)
+	tighter := helloTimeout > 0 && (timeout == 0 || helloTimeout < timeout)
 	if tighter {
 		_ = c.conn.SetReadDeadline(rec.start.Add(helloTimeout))
 	}
@@ -823,11 +828,6 @@ func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*datas
 // the hello and serves the protocol frames, leaving the outcome in rec.
 func (s *Server) dispatch(c *srvConn, rec *sessionRecord, ds *dataset) {
 	h, ep, tr := &rec.h, c.ep, &rec.tr
-	// Handshake validated: pipeline the client's remaining frames (probes,
-	// acks, done — and, on a connection the client keeps, the hello of its
-	// next session) so they decode off the socket while payloads are built.
-	// Started once per connection.
-	ep.StartReadAhead()
 	rec.ep, rec.view, rec.coins = ep, ds.view(h.Dataset), hashing.NewCoins(h.Seed)
 	serveStart := time.Now()
 	tr.stage = rec.sp.Child("transfer")

@@ -614,3 +614,39 @@ func TestRetiredHelloTagsAreMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedGraphRefusedEveryWayIn: a graph from outside the program — an
+// edge past the vertex range, a negative vertex, a negative vertex count — is
+// the same error (graph.FromEdges) through the in-process API, Server.HostGraph
+// and Client.Graph, before anything is indexed or dialed.
+func TestMalformedGraphRefusedEveryWayIn(t *testing.T) {
+	good := sosr.Graph{N: 2, Edges: [][2]int{{0, 1}}}
+	cfg := sosr.GraphConfig{Seed: 1, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 1, TopDegrees: 1}
+	c := Dial("unused")
+	c.dial = func(context.Context, string) (net.Conn, error) {
+		t.Error("a malformed graph reached the network")
+		return nil, errors.New("no network in this test")
+	}
+	for _, row := range []struct {
+		bad  sosr.Graph
+		want string
+	}{
+		{sosr.Graph{N: 2, Edges: [][2]int{{0, 5}}}, "edge (0,5) outside 2 vertices"},
+		{sosr.Graph{N: 3, Edges: [][2]int{{0, 1}, {-1, 2}}}, "edge (-1,2) outside 3 vertices"},
+		{sosr.Graph{N: -1}, "-1 vertices"},
+	} {
+		_, errAlice := sosr.ReconcileGraphs(row.bad, good, cfg)
+		_, errBob := sosr.ReconcileGraphs(good, row.bad, cfg)
+		_, _, errIso := sosr.GraphsIsomorphic(row.bad, good, 1)
+		errHost := NewServer().HostGraph("g", row.bad)
+		_, _, errClient := c.Graph(context.Background(), "g", row.bad, cfg)
+		for way, err := range map[string]error{
+			"ReconcileGraphs (alice)": errAlice, "ReconcileGraphs (bob)": errBob, "GraphsIsomorphic": errIso,
+			"Server.HostGraph": errHost, "Client.Graph": errClient,
+		} {
+			if err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Errorf("%+v through %s: %v, want an error naming %q", row.bad, way, err, row.want)
+			}
+		}
+	}
+}
