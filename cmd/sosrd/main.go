@@ -383,7 +383,7 @@ func openStore(srv *sosrnet.Server, cfg *serverConfig) *store.Disk {
 		fatal("crash recovery failed", "dir", cfg.DataDir, "err", err.Error())
 	}
 	logger.Info("store recovered", "dir", cfg.DataDir, "datasets", rs.Datasets,
-		"replayed", rs.Replayed, "truncated_wals", rs.Truncated, "digests", rs.Digests)
+		"replayed", rs.Replayed, "truncated_wals", rs.Truncated)
 	return st
 }
 

@@ -95,10 +95,10 @@ func TestOneRecordEveryWayIn(t *testing.T) {
 	}
 }
 
-// TestFilesCannotSetServerOwnedFields: a record's version, shard binding and
-// digests are the server's. No file can set them — and where a file is held to
-// its schema, -config's, trying to is the unknown field it would be for any
-// other made-up name.
+// TestFilesCannotSetServerOwnedFields: a record's version and shard binding are
+// the server's, and it has no digests at all. No file can set them — and where
+// a file is held to its schema, -config's, trying to is the unknown field it
+// would be for any other made-up name.
 func TestFilesCannotSetServerOwnedFields(t *testing.T) {
 	for _, field := range []string{`"version": 9`, `"shard": {"Index": 1}`, `"digests": [{"Kind": 1}]`} {
 		entry := `{"name": "ids", "kind": "set", "elems": [1, 2, 3], ` + field + `}`
@@ -111,7 +111,7 @@ func TestFilesCannotSetServerOwnedFields(t *testing.T) {
 		if err != nil || len(sets) != 1 {
 			t.Fatalf("-data with %s in a dataset: %v", field, err)
 		}
-		if rec := sets[0]; rec.Version != 0 || rec.Shard != nil || rec.Digests != nil {
+		if rec := sets[0]; rec.Version != 0 || rec.Shard != nil {
 			t.Errorf("-data with %s in a dataset set a server-owned field: %+v", field, rec)
 		}
 	}

@@ -43,11 +43,6 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendBlock(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // ---- reader ----
 
 type reader struct {
@@ -174,18 +169,17 @@ func (r *reader) str() string {
 	return s
 }
 
-func (r *reader) block() []byte {
+// skipBlock steps over one length-prefixed block.
+func (r *reader) skipBlock() {
 	n := r.count(1)
 	if r.err != nil {
-		return nil
+		return
 	}
 	if len(r.buf) < n {
 		r.fail("truncated block")
-		return nil
+		return
 	}
-	b := append([]byte(nil), r.buf[:n]...)
 	r.buf = r.buf[n:]
-	return b
 }
 
 // ---- Record ----
@@ -230,18 +224,9 @@ func marshalRecord(rec *Record) ([]byte, error) {
 	} else {
 		out = append(out, 0)
 	}
-	out = binary.AppendUvarint(out, uint64(len(rec.Digests)))
-	for _, d := range rec.Digests {
-		out = append(out, d.Kind)
-		out = binary.LittleEndian.AppendUint64(out, d.Seed)
-		out = binary.AppendUvarint(out, uint64(d.S))
-		out = binary.AppendUvarint(out, uint64(d.H))
-		out = binary.LittleEndian.AppendUint64(out, d.U)
-		out = binary.AppendUvarint(out, uint64(d.D))
-		out = binary.AppendUvarint(out, uint64(d.DHat))
-		out = appendBlock(out, d.Data)
-	}
-	return out, nil
+	// Format 1 ends in a list of serialized digests; the store keeps nothing
+	// derived from the contents, so the list is always empty.
+	return append(out, 0), nil
 }
 
 func unmarshalRecord(buf []byte) (*Record, error) {
@@ -293,19 +278,19 @@ func unmarshalRecord(buf []byte) (*Record, error) {
 		}
 		rec.Shard = sb
 	}
+	// An older writer may have filled the digest list: each entry is a kind
+	// byte, seed, s, h, u, d, d̂ and a blob. Their framing is checked so the
+	// truncation and trailing-bytes checks still hold; nothing is kept.
 	nd := r.count(1)
-	if nd > 0 {
-		rec.Digests = make([]DigestState, 0, nd)
-	}
 	for i := 0; i < nd && r.err == nil; i++ {
-		d := DigestState{Kind: r.byte(), Seed: r.u64()}
-		d.S = int(r.uvarint())
-		d.H = int(r.uvarint())
-		d.U = r.u64()
-		d.D = int(r.uvarint())
-		d.DHat = int(r.uvarint())
-		d.Data = r.block()
-		rec.Digests = append(rec.Digests, d)
+		r.byte()
+		r.u64()
+		r.uvarint()
+		r.uvarint()
+		r.u64()
+		r.uvarint()
+		r.uvarint()
+		r.skipBlock()
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -368,14 +353,6 @@ func cloneRecord(rec *Record) *Record {
 			sb.Shards = append(sb.Shards, append([]string(nil), reps...))
 		}
 		out.Shard = &sb
-	}
-	out.Digests = nil
-	if len(rec.Digests) > 0 {
-		out.Digests = make([]DigestState, len(rec.Digests))
-		for i, d := range rec.Digests {
-			d.Data = append([]byte(nil), d.Data...)
-			out.Digests[i] = d
-		}
 	}
 	return &out
 }

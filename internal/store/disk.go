@@ -82,11 +82,23 @@ type Disk struct {
 	dss map[string]*dsFiles
 }
 
-// dsFiles is one dataset's open state.
+// dsFiles is one dataset's open state. walErr, once set, refuses appends
+// until a snapshot resets the WAL: a failed append could not be rolled back,
+// so the bytes past walSize are unknown.
 type dsFiles struct {
 	dir     string
-	wal     *os.File
+	wal     walFile
 	walSize int64
+	walErr  error
+}
+
+// walFile is the WAL handle as AppendUpdate uses it; *os.File is one, and a
+// test wraps it to inject a failed write or fsync.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // Open prepares root (creating it if needed) and returns the store. Nothing
@@ -147,7 +159,7 @@ func (d *Disk) files(name string, create bool) (*dsFiles, error) {
 	return df, nil
 }
 
-func (d *Disk) sync(f *os.File) error {
+func (d *Disk) sync(f interface{ Sync() error }) error {
 	if d.opt.NoSync {
 		return nil
 	}
@@ -219,17 +231,23 @@ func (d *Disk) SaveSnapshot(rec *Record) error {
 	} else if err := os.Truncate(filepath.Join(df.dir, "wal"), 0); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	df.walSize = 0
+	df.walSize, df.walErr = 0, nil
 	d.met.snapshot(len(buf), time.Since(t0))
 	return nil
 }
 
-// AppendUpdate durably appends one mutation to the dataset's WAL.
+// AppendUpdate durably appends one mutation to the dataset's WAL. On a failed
+// write or fsync the WAL is cut back to its last acknowledged frame, so the
+// caller, which does not commit, can journal the next mutation at the same
+// version.
 func (d *Disk) AppendUpdate(name string, up *Update) (bool, error) {
 	t0 := time.Now()
 	df, err := d.files(name, false)
 	if err != nil {
 		return false, err
+	}
+	if df.walErr != nil {
+		return false, fmt.Errorf("store: WAL of %q refuses appends until the next snapshot: %w", name, df.walErr)
 	}
 	if df.wal == nil {
 		f, err := os.OpenFile(filepath.Join(df.dir, "wal"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
@@ -248,10 +266,18 @@ func (d *Disk) AppendUpdate(name string, up *Update) (bool, error) {
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	frame = append(frame, body...)
-	if _, err := df.wal.Write(frame); err != nil {
-		return false, err
+	_, err = df.wal.Write(frame)
+	if err == nil {
+		err = d.sync(df.wal)
 	}
-	if err := d.sync(df.wal); err != nil {
+	if err != nil {
+		rerr := df.wal.Truncate(df.walSize)
+		if rerr == nil {
+			rerr = d.sync(df.wal)
+		}
+		if rerr != nil {
+			df.walErr = fmt.Errorf("rolling back a failed append: %w", rerr)
+		}
 		return false, err
 	}
 	df.walSize += int64(len(frame))

@@ -1,9 +1,9 @@
 // Package store persists hosted datasets so a restarted server re-converges
 // for O(d̂) instead of re-hosting from flat files with a cold cache: each
 // dataset is an atomic, checksummed snapshot (contents + kind + shard
-// binding + version + live incremental-digest state) plus an append-only,
-// fsynced WAL of mutations, replayed on boot and compacted into a fresh
-// snapshot past a size threshold.
+// binding + version) plus an append-only, fsynced WAL of mutations, replayed
+// on boot and compacted into a fresh snapshot past a size threshold. Nothing
+// on disk depends on a wire encoding.
 //
 // Two backends implement the Store interface: Mem (a process-local map — the
 // pre-persistence behavior, useful for tests and ephemeral instances) and
@@ -45,27 +45,14 @@ type ShardBinding struct {
 	Shards [][]string // per shard: its replica addresses
 }
 
-// DigestState is one serialized live incremental digest: the persistence key
-// (core.PersistKey fields) plus the core.IncrementalDigest MarshalBinary
-// blob. Restoring is optional — a digest that fails to restore is simply
-// rebuilt on demand — but a restored one makes the first post-restart
-// session as cheap as the pre-crash ones.
-type DigestState struct {
-	Kind    uint8
-	Seed    uint64
-	S, H    int
-	U       uint64
-	D, DHat int
-	Data    []byte
-}
-
 // Record is one dataset's contents and persisted state, and the JSON form a
 // dataset has wherever one is written down: an /admin/host body, an entry of a
 // sosrd -data, -replica or -config file. Exactly one content field group is
 // meaningful, selected by Kind: Elems (set: canonical; multiset: packed counted
 // form once hosted, the elements with repeats as input), Parents (sos), N+Edges
-// (graph), Parent (forest: each vertex's parent, -1 for a root). Version, Shard
-// and Digests are the server's to set: no body or file can.
+// (graph), Parent (forest: each vertex's parent, -1 for a root). Version and
+// Shard are the server's to set: no body or file can. Nothing derived from the
+// contents is a field: every payload is rebuilt from them.
 type Record struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`
@@ -77,8 +64,7 @@ type Record struct {
 	Edges   [][2]int   `json:"edges,omitempty"`
 	Parent  []int32    `json:"parent,omitempty"`
 
-	Shard   *ShardBinding `json:"-"`
-	Digests []DigestState `json:"-"`
+	Shard *ShardBinding `json:"-"`
 }
 
 // Update is one mutation — a WAL entry, and the JSON form of an /admin/update

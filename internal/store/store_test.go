@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"hash/crc64"
 	"log/slog"
 	"os"
@@ -21,12 +23,12 @@ func testRecord(name string) *Record {
 			Index: 1, Epoch: 7,
 			Shards: [][]string{{"a:1", "a2:1"}, {"b:1"}},
 		},
-		Digests: []DigestState{{Kind: 2, Seed: 42, S: 64, H: 8, U: 1 << 60, D: 6, DHat: 24, Data: []byte{1, 2, 3, 4}}},
 	}
 }
 
-func TestRecordCodecRoundTrip(t *testing.T) {
-	recs := []*Record{
+// codecRecords are one record of every kind, plus an empty one.
+func codecRecords() []*Record {
+	return []*Record{
 		testRecord("docs"),
 		{Name: "ids", Kind: KindSet, Version: 1, Elems: []uint64{1, 5, 9}},
 		{Name: "bag", Kind: KindMultiset, Elems: []uint64{1 << 12, 2 << 12}},
@@ -34,7 +36,24 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		{Name: "f", Kind: KindForest, Parent: []int32{-1, 0, 0, 2}},
 		{Name: "empty", Kind: KindSet},
 	}
-	for _, rec := range recs {
+}
+
+// codecUpdates are WAL entries of both content shapes, plus an empty one.
+func codecUpdates() []*Update {
+	return []*Update{
+		{Version: 4, Add: []uint64{1, 2}, Remove: []uint64{3}},
+		{Version: 9, AddSets: [][]uint64{{1, 2}, {}}, RemoveSets: [][]uint64{{7}}},
+		{Version: 1},
+	}
+}
+
+// parentDocsBody is marshalRecord(testRecord("docs")) as the parent commit
+// wrote it, when the record still carried one serialized live digest
+// ({Kind 2, Seed 42, S 64, H 8, U 1<<60, D 6, DHat 24, Data 01020304}).
+const parentDocsBody = "0104646f637303736f7303000000000000000303010000000000000002000000000000000300000000000000010900000000000000020400000000000000070000000000000001010700000000000000020203613a310461323a310103623a3101022a000000000000004008000000000000001006180401020304"
+
+func TestRecordCodecRoundTrip(t *testing.T) {
+	for _, rec := range codecRecords() {
 		body, err := marshalRecord(rec)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", rec.Name, err)
@@ -58,13 +77,74 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 // normalize maps nil and empty slices together (codec does not distinguish).
 func normalize(r *Record) *Record { return cloneRecord(r) }
 
-func TestUpdateCodecRoundTrip(t *testing.T) {
-	ups := []*Update{
-		{Version: 4, Add: []uint64{1, 2}, Remove: []uint64{3}},
-		{Version: 9, AddSets: [][]uint64{{1, 2}, {}}, RemoveSets: [][]uint64{{7}}},
-		{Version: 1},
+// TestParentSnapshotWithDigests: a snapshot body whose digest list an older
+// writer filled decodes to the same record without it, every truncation of it
+// fails, and re-encoding it changes nothing but the list, now empty.
+func TestParentSnapshotWithDigests(t *testing.T) {
+	body, err := hex.DecodeString(parentDocsBody)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, up := range ups {
+	got, err := unmarshalRecord(body)
+	if err != nil {
+		t.Fatalf("parent body: %v", err)
+	}
+	if want := testRecord("docs"); !reflect.DeepEqual(normalize(got), normalize(want)) {
+		t.Fatalf("parent body decodes to\n %+v\nwant %+v", got, want)
+	}
+	for i := 0; i < len(body); i++ {
+		if _, err := unmarshalRecord(body[:i]); err == nil {
+			t.Fatalf("parent body truncated to %d bytes still unmarshals", i)
+		}
+	}
+	again, err := marshalRecord(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := len(again) - 1
+	if again[list] != 0 || !bytes.Equal(again[:list], body[:list]) || body[list] != 1 {
+		t.Fatalf("re-encoding moved more than the digest list:\n%x\n%x", again, body)
+	}
+}
+
+// FuzzStoreCodec: no snapshot or WAL body panics the decoders, and whatever
+// decodes re-encodes to bytes that decode to the same value.
+func FuzzStoreCodec(f *testing.F) {
+	for _, rec := range codecRecords() {
+		body, err := marshalRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, up := range codecUpdates() {
+		f.Add(marshalUpdate(up))
+	}
+	parent, err := hex.DecodeString(parentDocsBody)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if rec, err := unmarshalRecord(body); err == nil {
+			again, err := marshalRecord(rec)
+			if err != nil {
+				t.Fatalf("decoded record does not re-encode: %v", err)
+			}
+			if got, err := unmarshalRecord(again); err != nil || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("record re-decodes to %+v (%v), want %+v", got, err, rec)
+			}
+		}
+		if up, err := unmarshalUpdate(body); err == nil {
+			if got, err := unmarshalUpdate(marshalUpdate(up)); err != nil || !reflect.DeepEqual(got, up) {
+				t.Fatalf("update re-decodes to %+v (%v), want %+v", got, err, up)
+			}
+		}
+	})
+}
+
+func TestUpdateCodecRoundTrip(t *testing.T) {
+	for i, up := range codecUpdates() {
 		body := marshalUpdate(up)
 		got, err := unmarshalUpdate(body)
 		if err != nil {
@@ -410,6 +490,123 @@ func TestDiskCompactionSignal(t *testing.T) {
 	compact, err = st.AppendUpdate("ids", &Update{Version: v, Add: []uint64{v}})
 	if err != nil || compact {
 		t.Fatalf("WAL size not reset by snapshot: compact=%v err=%v", compact, err)
+	}
+}
+
+// faultyWAL wraps a dataset's WAL handle: its next Write stops after half the
+// frame, or its next Sync fails, or its next Truncate does.
+type faultyWAL struct {
+	walFile
+	halfWrite, failSync, failTruncate bool
+}
+
+var errInjected = errors.New("injected fault")
+
+func (w *faultyWAL) Write(p []byte) (int, error) {
+	if w.halfWrite {
+		w.halfWrite = false
+		n, _ := w.walFile.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return w.walFile.Write(p)
+}
+
+func (w *faultyWAL) Sync() error {
+	if w.failSync {
+		w.failSync = false
+		return errInjected
+	}
+	return w.walFile.Sync()
+}
+
+func (w *faultyWAL) Truncate(size int64) error {
+	if w.failTruncate {
+		w.failTruncate = false
+		return errInjected
+	}
+	return w.walFile.Truncate(size)
+}
+
+// walWithFault opens a store holding "ids" at version 1 with v2 journaled,
+// and wraps its WAL handle.
+func walWithFault(t *testing.T, fault faultyWAL) *Disk {
+	t.Helper()
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if err := st.SaveSnapshot(&Record{Name: "ids", Kind: KindSet, Version: 1, Elems: []uint64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendUpdate("ids", &Update{Version: 2, Add: []uint64{2}}); err != nil {
+		t.Fatal(err)
+	}
+	df := st.dss["ids"]
+	fault.walFile = df.wal
+	df.wal = &fault
+	return st
+}
+
+// TestDiskFailedAppendRollsBack: an append whose fsync fails after a full
+// write, or whose write stops half way, leaves no bytes behind. The server does
+// not commit it, so the next acknowledged update reuses its version, and
+// recovery must replay that one, not the failed one and not a gap.
+func TestDiskFailedAppendRollsBack(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault faultyWAL
+	}{
+		{"fsync-fails-after-full-write", faultyWAL{failSync: true}},
+		{"write-stops-half-way", faultyWAL{halfWrite: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := walWithFault(t, tc.fault)
+			if _, err := st.AppendUpdate("ids", &Update{Version: 3, Add: []uint64{666}}); !errors.Is(err, errInjected) {
+				t.Fatalf("faulty append: err = %v, want the injected fault", err)
+			}
+			if _, err := st.AppendUpdate("ids", &Update{Version: 3, Add: []uint64{42}}); err != nil {
+				t.Fatalf("append after a rolled-back one: %v", err)
+			}
+			recs, err := st.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Update
+			for _, up := range recs[0].Updates {
+				got = append(got, *up)
+			}
+			want := []Update{{Version: 2, Add: []uint64{2}}, {Version: 3, Add: []uint64{42}}}
+			if recs[0].TruncatedWAL || !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered truncated=%v updates %+v, want %+v", recs[0].TruncatedWAL, got, want)
+			}
+		})
+	}
+}
+
+// TestDiskFailedRollbackRefusesAppends: when the cut after a failed append
+// fails too, the WAL's tail is unknown, so it takes no append until a snapshot
+// resets it.
+func TestDiskFailedRollbackRefusesAppends(t *testing.T) {
+	st := walWithFault(t, faultyWAL{failSync: true, failTruncate: true})
+	if _, err := st.AppendUpdate("ids", &Update{Version: 3, Add: []uint64{666}}); !errors.Is(err, errInjected) {
+		t.Fatalf("faulty append: err = %v, want the injected fault", err)
+	}
+	if _, err := st.AppendUpdate("ids", &Update{Version: 3, Add: []uint64{42}}); err == nil {
+		t.Fatal("a WAL with an unknown tail took an append")
+	}
+	if err := st.SaveSnapshot(&Record{Name: "ids", Kind: KindSet, Version: 2, Elems: []uint64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendUpdate("ids", &Update{Version: 3, Add: []uint64{42}}); err != nil {
+		t.Fatalf("append after the snapshot: %v", err)
+	}
+	recs, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recs[0]; got.Record.Version != 2 || len(got.Updates) != 1 || got.Updates[0].Add[0] != 42 {
+		t.Fatalf("recovered version %d with updates %+v, want v2 then v3 add=[42]", got.Record.Version, got.Updates)
 	}
 }
 

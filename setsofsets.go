@@ -98,75 +98,11 @@ type Result struct {
 // argument) recovers Alice's parent set of child sets. Child sets may be
 // passed unsorted; each must be duplicate-free within the parent.
 func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
-	p, err := sosShape(cfg, alice, bob)
+	run, proto, err := oneWay(cfg, alice, bob)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Validate {
-		if err := core.Validate(alice, p); err != nil {
-			return nil, err
-		}
-		if err := core.Validate(bob, p); err != nil {
-			return nil, err
-		}
-	}
-	coins := hashing.NewCoins(cfg.Seed)
-	proto := cfg.Protocol
-	if proto == ProtocolAuto {
-		if cfg.KnownDiff > 0 {
-			proto = ProtocolCascade
-		} else {
-			proto = ProtocolMultiRound
-		}
-	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 3
-	}
-	d := cfg.KnownDiff
-	dHat := cfg.KnownChildDiff
-	if dHat <= 0 {
-		dHat = core.DHat(max(d, 1), p.S)
-	}
-
-	sess := transport.New()
-	var res *core.Result
-	switch proto {
-	case ProtocolNaive:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
-				return core.NaiveKnownD(sess, c, alice, bob, p, dHat)
-			})
-		} else {
-			res, err = core.NaiveUnknownD(sess, coins, alice, bob, p)
-		}
-	case ProtocolNested:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
-				return core.NestedKnownD(sess, c, alice, bob, p, d, dHat)
-			})
-		} else {
-			res, err = core.NestedUnknownD(sess, coins, alice, bob, p)
-		}
-	case ProtocolCascade:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
-				return core.CascadeKnownD(sess, c, alice, bob, p, d)
-			})
-		} else {
-			res, err = core.CascadeUnknownD(sess, coins, alice, bob, p)
-		}
-	case ProtocolMultiRound:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
-				return core.MultiRoundKnownD(sess, c, alice, bob, p, d)
-			})
-		} else {
-			res, err = core.MultiRoundUnknownD(sess, coins, alice, bob, p)
-		}
-	default:
-		return nil, fmt.Errorf("sosr: unknown protocol %v", proto)
-	}
+	res, err := run(transport.New(), hashing.NewCoins(cfg.Seed), alice, bob)
 	if err != nil {
 		return nil, err
 	}
@@ -184,6 +120,74 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 // sets: the minimum-cost child matching under symmetric-difference costs
 // (§3.1). Local computation, O(s³) — for sizing, testing and experiments.
 func SetsOfSetsDistance(a, b [][]uint64) int { return core.Distance(a, b) }
+
+// oneWay resolves cfg against an instance — its shape, Validate, the protocol
+// Auto picks, d̂ and the replication of known-d runs — into the one-way run
+// that ReconcileSetsOfSets executes and ReconcileSetsOfSetsTwoWay extends.
+func oneWay(cfg Config, alice, bob [][]uint64) (core.OneWayProtocol, Protocol, error) {
+	p, err := sosShape(cfg, alice, bob)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cfg.Validate {
+		if err := core.Validate(alice, p); err != nil {
+			return nil, 0, err
+		}
+		if err := core.Validate(bob, p); err != nil {
+			return nil, 0, err
+		}
+	}
+	d := cfg.KnownDiff
+	proto := cfg.Protocol
+	if proto == ProtocolAuto {
+		proto = ProtocolMultiRound
+		if d > 0 {
+			proto = ProtocolCascade
+		}
+	}
+	if proto < ProtocolNaive || proto > ProtocolMultiRound {
+		return nil, 0, fmt.Errorf("sosr: unknown protocol %v", proto)
+	}
+	dHat := cfg.KnownChildDiff
+	if dHat <= 0 {
+		dHat = core.DHat(max(d, 1), p.S)
+	}
+	run := func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
+		switch proto {
+		case ProtocolNaive:
+			if d > 0 {
+				return core.NaiveKnownD(sess, c, a, b, p, dHat)
+			}
+			return core.NaiveUnknownD(sess, c, a, b, p)
+		case ProtocolNested:
+			if d > 0 {
+				return core.NestedKnownD(sess, c, a, b, p, d, dHat)
+			}
+			return core.NestedUnknownD(sess, c, a, b, p)
+		case ProtocolCascade:
+			if d > 0 {
+				return core.CascadeKnownD(sess, c, a, b, p, d)
+			}
+			return core.CascadeUnknownD(sess, c, a, b, p)
+		}
+		if d > 0 {
+			return core.MultiRoundKnownD(sess, c, a, b, p, d)
+		}
+		return core.MultiRoundUnknownD(sess, c, a, b, p)
+	}
+	if d <= 0 {
+		return run, proto, nil
+	}
+	replicas := cfg.Replicas
+	if replicas <= 0 {
+		replicas = 3
+	}
+	return func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
+		return core.Replicated(sess, c, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
+			return run(sess, c, a, b)
+		})
+	}, proto, nil
+}
 
 // sosShape resolves the instance shape of a run: the bounds cfg sets, and for
 // those it leaves zero the parties' own sizes. A bound set below either

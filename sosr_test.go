@@ -147,6 +147,21 @@ func TestReconcileSetsOfSetsValidate(t *testing.T) {
 	}
 }
 
+// TestTwoWayHonoursValidate: the two-way call runs the one-way call's
+// dispatch, so Validate refuses a non-canonical child before any table is
+// built, with the same error the one-way call returns.
+func TestTwoWayHonoursValidate(t *testing.T) {
+	alice := [][]uint64{{1, 2}, {4, 3}}
+	bob := [][]uint64{{1, 2}}
+	cfg := Config{Seed: 1, Validate: true, KnownDiff: 2, Protocol: ProtocolNaive}
+	if _, err := ReconcileSetsOfSets(alice, bob, cfg); !errors.Is(err, core.ErrInvalidInstance) {
+		t.Fatalf("one-way: err = %v, want ErrInvalidInstance", err)
+	}
+	if _, err := ReconcileSetsOfSetsTwoWay(alice, bob, cfg); !errors.Is(err, core.ErrInvalidInstance) {
+		t.Fatalf("two-way: err = %v, want ErrInvalidInstance", err)
+	}
+}
+
 // TestReconcileSetsOfSetsUndersizedShape: a shape bound set below either
 // party's data is refused as core.ErrInvalidInstance with Validate off — the
 // naive protocol used to index past its fixed-width key — by every protocol,

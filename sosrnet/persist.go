@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sosr/internal/core"
-	"sosr/internal/hashing"
 	"sosr/internal/obs"
 	"sosr/internal/shardmap"
 	"sosr/internal/store"
@@ -20,8 +18,10 @@ import (
 // into a fresh snapshot inline. Recover replays snapshot + WAL through the
 // same staging logic the live path uses, so a restarted server reaches the
 // byte-identical state — including dataset versions, which keep enccache
-// keys truthful across the restart, and live incremental digests, restored
-// from their serialized linear state instead of O(|parent|) rebuilds.
+// keys truthful across the restart. The store keeps contents, version and
+// shard binding, nothing derived from them: every payload is a function of
+// the contents and the public coins, so a hot key's live digest comes back
+// after a restart the way it does after hosting, re-encoded and re-admitted.
 
 // UseStore attaches a persistence backend. Set it before hosting datasets or
 // serving; datasets hosted earlier are not retroactively persisted.
@@ -43,7 +43,6 @@ type RecoveryStats struct {
 	Datasets  int // datasets restored
 	Replayed  int // WAL entries applied on top of snapshots
 	Truncated int // datasets whose damaged WAL tail was cut off
-	Digests   int // live incremental digests restored
 }
 
 // Recover loads every persisted dataset from the attached store, replays its
@@ -71,10 +70,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			s.logger().Warn("recovery: skipping dataset", "dataset", rec.Record.Name, "err", err.Error())
 			continue
 		}
-		// Digests first: they were serialized at the snapshot's version, and
-		// replaying the WAL suffix afterwards patches them through the same
-		// commit path live updates use, keeping digest and contents in step.
-		rs.Digests += s.restoreDigests(ds, rec.Record)
 		replayed, err := s.replay(rec.Record.Name, ds, rec.Updates)
 		rs.Replayed += replayed
 		if err != nil {
@@ -115,37 +110,6 @@ func (s *Server) replay(name string, ds *dataset, ups []*store.Update) (int, err
 		}
 	}
 	return len(ups), nil
-}
-
-// restoreDigests rebuilds the persisted live incremental digests. A blob
-// that fails validation is skipped with a warning — the digest rebuilds
-// lazily on its next use, nothing is lost but a warm start.
-func (s *Server) restoreDigests(ds *dataset, rec *store.Record) int {
-	if ds.k.commit == nil {
-		return 0 // a kind with no commit step maintains no digests
-	}
-	n := 0
-	for _, d := range rec.Digests {
-		p, err := core.Params{S: d.S, H: d.H, U: d.U}.Normalized()
-		if err == nil {
-			var dig *core.IncrementalDigest
-			dig, err = core.RestoreIncrementalDigest(
-				core.DigestKind(d.Kind), hashing.NewCoins(d.Seed), p, d.D, d.DHat, d.Data)
-			if err == nil {
-				ds.mu.Lock()
-				ds.admitLive(liveKey{
-					kind: core.DigestKind(d.Kind), seed: d.Seed,
-					s: p.S, h: p.H, u: p.U, d: d.D, dHat: d.DHat,
-				}, dig)
-				ds.mu.Unlock()
-				n++
-				continue
-			}
-		}
-		s.logger().Warn("recovery: discarding persisted digest",
-			"dataset", rec.Name, "err", err.Error())
-	}
-	return n
 }
 
 // SnapshotDataset persists a fresh snapshot of one dataset, compacting its
@@ -244,8 +208,8 @@ func (s *Server) compactLocked(name string, ds *dataset) {
 	}
 }
 
-// recordLocked renders the dataset's current state as a store record,
-// including the serialized live digests. Caller holds ds.mu.
+// recordLocked renders the dataset's current state as a store record. Caller
+// holds ds.mu.
 func recordLocked(name string, ds *dataset) *store.Record {
 	rec := &store.Record{Name: name, Kind: string(ds.k.kind), Version: ds.version}
 	ds.k.encode(&ds.contents, rec)
@@ -256,21 +220,6 @@ func recordLocked(name string, ds *dataset) *store.Record {
 			shards[i] = topo.Replicas(i)
 		}
 		rec.Shard = &store.ShardBinding{Index: ds.shard.index, Epoch: topo.Epoch(), Shards: shards}
-	}
-	for _, lk := range ds.liveOrder {
-		dig, ok := ds.live[lk]
-		if !ok {
-			continue
-		}
-		blob, err := dig.MarshalBinary()
-		if err != nil {
-			continue
-		}
-		rec.Digests = append(rec.Digests, store.DigestState{
-			Kind: byte(lk.kind), Seed: lk.seed,
-			S: lk.s, H: lk.h, U: lk.u, D: lk.d, DHat: lk.dHat,
-			Data: blob,
-		})
 	}
 	return rec
 }

@@ -77,8 +77,8 @@ func seedDatasets(t *testing.T, srv *Server) {
 
 // TestRestoreEquivalence is the tentpole's correctness core: a server
 // restored from snapshot + WAL serves byte-identical Alice payloads across
-// every cached protocol, at the same dataset versions, with its live
-// digests restored and then patched by the replayed suffix.
+// every cached protocol, at the same dataset versions, its payloads rebuilt
+// from the recovered contents.
 func TestRestoreEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
@@ -111,9 +111,9 @@ func TestRestoreEquivalence(t *testing.T) {
 
 	// Warm a live incremental digest: a key is promoted on its second cache
 	// miss, and same-version repeats are absorbed by the payload cache, so
-	// the second probe must come after a version bump. Snapshot so the digest
-	// persists, then update once more so recovery must patch the restored
-	// digest through WAL replay — the stale-digest trap.
+	// the second probe must come after a version bump. Snapshot, then update
+	// once more, so the restarted server (which keeps no digest) must send
+	// what the patched live digest sends.
 	aliceProbe(t, addrA, restoreProbes(t)["cascade-live"])
 	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9050, 9051}}, nil); err != nil {
 		t.Fatal(err)
@@ -167,9 +167,6 @@ func TestRestoreEquivalence(t *testing.T) {
 	})
 	if rs.Datasets != 3 {
 		t.Fatalf("recovered %d datasets, want 3 (%+v)", rs.Datasets, rs)
-	}
-	if rs.Digests == 0 {
-		t.Fatalf("no live digests restored (%+v)", rs)
 	}
 	if rs.Replayed == 0 {
 		t.Fatalf("no WAL entries replayed (%+v)", rs)
@@ -362,103 +359,5 @@ func TestSnapshotAllCompactsWALs(t *testing.T) {
 		if got := srv2.Datasets()[i].Name; got != want {
 			t.Fatalf("dataset %d: %s, want %s", i, got, want)
 		}
-	}
-}
-
-// TestRecoverDiscardsFormat1Digest is the upgrade path: a snapshot written
-// before the compact child encodings carries format-1 digest blobs. Recovery
-// must refuse them by format (with a warning, not an error), keep the
-// dataset, and rebuild the digest lazily so the next session's payload is the
-// one a never-restarted server would send.
-func TestRecoverDiscardsFormat1Digest(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := NewServer()
-	srvA.UseStore(st)
-	seedDatasets(t, srvA)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srvA.Serve(ln) }()
-	// Admit the live digest (second miss of its key, across a version bump)
-	// and snapshot it.
-	live := restoreProbes(t)["cascade-live"]
-	aliceProbe(t, ln.Addr().String(), live)
-	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9050, 9051}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, want := aliceProbe(t, ln.Addr().String(), live)
-	if err := srvA.SnapshotDataset("docs"); err != nil {
-		t.Fatal(err)
-	}
-	srvA.Close()
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-
-	// Rewrite the snapshot as its pre-upgrade self: same framing, format 1.
-	recs, err := st.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	downgraded := 0
-	for _, r := range recs {
-		for i := range r.Record.Digests {
-			r.Record.Digests[i].Data[0] = 1
-			downgraded++
-		}
-		if err := st.SaveSnapshot(r.Record); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if downgraded == 0 {
-		t.Fatal("no digest was persisted; the test would prove nothing")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var discarded []string
-	st2, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	var rs RecoveryStats
-	_, addrB, _ := startServer(t, func(s *Server) {
-		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
-			if r.Message == "recovery: discarding persisted digest" {
-				r.Attrs(func(a slog.Attr) bool {
-					if a.Key == "err" {
-						discarded = append(discarded, a.Value.String())
-					}
-					return true
-				})
-			}
-		}})
-		s.UseStore(st2)
-		var err error
-		if rs, err = s.Recover(); err != nil {
-			t.Fatalf("Recover: %v", err)
-		}
-	})
-	if rs.Datasets != 3 || rs.Digests != 0 {
-		t.Fatalf("recovery stats %+v, want 3 datasets and no restored digest", rs)
-	}
-	if len(discarded) != downgraded {
-		t.Fatalf("%d discard warnings for %d format-1 digests", len(discarded), downgraded)
-	}
-	for _, msg := range discarded {
-		if !strings.Contains(msg, "format") {
-			t.Fatalf("digest discarded for %q, want a format refusal", msg)
-		}
-	}
-	if _, got := aliceProbe(t, addrB, live); !bytes.Equal(got, want) {
-		t.Fatalf("payload after discarding the digest differs (%d vs %d bytes)", len(got), len(want))
 	}
 }

@@ -196,6 +196,43 @@ func (d *shardDeployment) waitSessions(t *testing.T, total int64) {
 	}
 }
 
+// restartCounters waits until the servers have finished the given number of
+// sessions, then zeroes every listener's byte counter, so a parity check sees
+// the next fan-out alone.
+func (d *shardDeployment) restartCounters(t *testing.T, sessions int64) {
+	t.Helper()
+	d.waitSessions(t, sessions)
+	for _, lns := range d.allLn {
+		for _, ln := range lns {
+			ln.n.Store(0)
+		}
+	}
+}
+
+// sweepSeeds is how many seeds a one-shot test sweeps.
+const sweepSeeds = 4
+
+// sweep runs a one-shot reconcile under seed, seed+100, … until one succeeds.
+// The shard seeds, and with them every shard's coins and rendezvous primary,
+// hash the OS-assigned listen ports, and a set or multiset session is one
+// shot, correct with probability 1 − 1/poly: no fixed seed passes for every
+// port. So the test asserts what holds for every coin. run fails the test on a
+// wrong set and returns nil on a right one; sweep fails it on any error but
+// the classified decode error, and when no seed of the sweep succeeds.
+func sweep(t *testing.T, seed uint64, run func(seed uint64) error) {
+	t.Helper()
+	for k := uint64(0); k < sweepSeeds; k++ {
+		err := run(seed + 100*k)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, setrecon.ErrDecode) {
+			t.Fatalf("seed %d: %v", seed+100*k, err)
+		}
+	}
+	t.Fatalf("no seed of the sweep from %d decoded", seed)
+}
+
 // checkAggregateParity verifies the itemized byte report: per shard, the
 // listener-measured TCP bytes equal that shard's protocol bytes plus its
 // framing overhead; in aggregate, total TCP bytes equal the summed Stats
@@ -308,17 +345,26 @@ func TestShardedSetsMatchesSingleInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("sharded fan-out did not recover the full logical set")
-	}
-	if !reflect.DeepEqual(got.OnlyA, want.OnlyA) || !reflect.DeepEqual(got.OnlyB, want.OnlyB) {
-		t.Fatal("sharded difference set diverges from the single-instance run")
-	}
-	d.waitSessions(t, 3)
+	var st *Stats
+	runs := int64(0)
+	sweep(t, cfg.Seed, func(seed uint64) error {
+		d.restartCounters(t, 3*runs)
+		runs++
+		cfg.Seed = seed
+		var got *sosr.SetResult
+		var err error
+		if got, st, err = d.client.Sets(ctx, "ids", bob, cfg); err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+			t.Fatal("sharded fan-out did not recover the full logical set")
+		}
+		if !reflect.DeepEqual(got.OnlyA, want.OnlyA) || !reflect.DeepEqual(got.OnlyB, want.OnlyB) {
+			t.Fatal("sharded difference set diverges from the single-instance run")
+		}
+		return nil
+	})
+	d.waitSessions(t, 3*runs)
 	d.checkAggregateParity(t, st)
 }
 
@@ -336,14 +382,22 @@ func TestShardedMultisetMatchesSingleInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := d.client.Multiset(ctx, "bag", bob, 24, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, wantRec) {
-		t.Fatalf("sharded multiset recovered %v, want %v", got, wantRec)
-	}
-	d.waitSessions(t, 3)
+	var st *Stats
+	runs := int64(0)
+	sweep(t, 3, func(seed uint64) error {
+		d.restartCounters(t, 3*runs)
+		runs++
+		var got []uint64
+		var err error
+		if got, st, err = d.client.Multiset(ctx, "bag", bob, 24, seed); err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, wantRec) {
+			t.Fatalf("sharded multiset recovered %v, want %v", got, wantRec)
+		}
+		return nil
+	})
+	d.waitSessions(t, 3*runs)
 	d.checkAggregateParity(t, st)
 }
 
@@ -364,21 +418,24 @@ func TestPerShardDiffEstimation(t *testing.T) {
 	d.client.PerShardDiff = true
 	// The logical bound passed here is deliberately absurd: with PerShardDiff
 	// it must be ignored in favor of each shard's own estimate.
-	got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: 19, KnownDiff: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("per-shard estimation did not recover the full logical set")
-	}
-	checkStatsParity(t, st)
-	// The unknown-d protocol runs the strata estimator per shard, so every
-	// shard reports at least one attempt.
-	for i, sh := range st.Shards {
-		if sh.Net.Attempts < 1 {
-			t.Fatalf("shard %d reports no attempts", i)
+	sweep(t, 19, func(seed uint64) error {
+		got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 1})
+		if err != nil {
+			return err
 		}
-	}
+		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+			t.Fatal("per-shard estimation did not recover the full logical set")
+		}
+		checkStatsParity(t, st)
+		// The unknown-d protocol runs the strata estimator per shard, so every
+		// shard reports at least one attempt.
+		for i, sh := range st.Shards {
+			if sh.Net.Attempts < 1 {
+				t.Fatalf("shard %d reports no attempts", i)
+			}
+		}
+		return nil
+	})
 }
 
 // TestCoordinatorUpdatesVisibleToFanOut: a logical mutation routed by the
@@ -457,28 +514,20 @@ func TestReplicatedCoordinatorKeepsReplicasIdentical(t *testing.T) {
 	// served, and every winner's result must be the same.
 	want := setutil.Canonical(logical)
 	for seed := uint64(0); seed < 4; seed++ {
-		// Per-shard coins hash the ephemeral listen addresses, so any run may
-		// draw an unlucky peel (≈1 in 2000 sessions at these sizes); like
-		// every caller of a randomised protocol, retry it with fresh coins.
-		var got *sosr.SetResult
-		var st *Stats
-		var err error
-		for attempt := uint64(0); attempt < 3; attempt++ {
-			got, st, err = d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed + 100*attempt, KnownDiff: 16})
-			if !errors.Is(err, setrecon.ErrDecode) {
-				break
+		sweep(t, seed, func(seed uint64) error {
+			got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 16})
+			if err != nil {
+				return err
 			}
-		}
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got.Recovered, want) {
-			t.Fatalf("seed %d: replicas disagree on the updated slice", seed)
-		}
-		if st.Failovers != 0 || st.Hedges != 0 {
-			t.Fatalf("seed %d: unexpected failovers/hedges in a healthy deployment: %+v", seed, st)
-		}
-		checkStatsParity(t, st)
+			if !reflect.DeepEqual(got.Recovered, want) {
+				t.Fatalf("seed %d: replicas disagree on the updated slice", seed)
+			}
+			if st.Failovers != 0 || st.Hedges != 0 {
+				t.Fatalf("seed %d: unexpected failovers/hedges in a healthy deployment: %+v", seed, st)
+			}
+			checkStatsParity(t, st)
+			return nil
+		})
 	}
 	// Distinct seeds spread primaries: across the seeds above, both replica
 	// columns of at least one shard should have served traffic.
@@ -565,34 +614,26 @@ func TestFailoverMidSession(t *testing.T) {
 	// the client after the handshake bytes are already in flight, so the
 	// failure is an IO error on an established session, not a refused dial.
 	d.client.RetryBackoff = time.Millisecond
-	// Per-shard coins hash the ephemeral listen address, so any run may draw
-	// an unlucky peel at KnownDiff 8 (≈1 in 300 here); like every caller of
-	// a randomised protocol, retry it with fresh coins. The seed also picks
-	// the rendezvous primary, so the kill moves with it.
-	var got *sosr.SetResult
-	var st *Stats
-	var err error
-	for attempt := uint64(0); attempt < 3; attempt++ {
-		cfg.Seed = 3 + 100*attempt
+	// The seed picks the rendezvous primary, so the kill moves with it.
+	sweep(t, cfg.Seed, func(seed uint64) error {
+		cfg.Seed = seed
 		for _, ln := range d.allLn[0] {
 			ln.killAfter.Store(0)
 		}
 		d.allLn[0][d.primary(0, cfg.Seed)].killAfter.Store(1)
-		got, st, err = d.client.Sets(ctx, "ids", bob, cfg)
-		if !errors.Is(err, setrecon.ErrDecode) {
-			break
+		got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
+		if err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("failover reconcile did not recover the hosted set")
-	}
-	if st.Failovers == 0 {
-		t.Fatal("no failover recorded despite a dead primary")
-	}
-	checkStatsParity(t, st)
+		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+			t.Fatal("failover reconcile did not recover the hosted set")
+		}
+		if st.Failovers == 0 {
+			t.Fatal("no failover recorded despite a dead primary")
+		}
+		checkStatsParity(t, st)
+		return nil
+	})
 }
 
 // TestHedgedRequestBeatsStalledPrimary is the tail-latency acceptance test: a
@@ -610,36 +651,40 @@ func TestHedgedRequestBeatsStalledPrimary(t *testing.T) {
 	if err := d.co.HostSets("ids", alice); err != nil {
 		t.Fatal(err)
 	}
-	cfg := sosr.SetConfig{Seed: 9, KnownDiff: 8}
-	// Stall the rendezvous primary long enough that the hedge must win.
-	p := d.primary(0, cfg.Seed)
-	d.allLn[0][p].stall.Store(int64(2 * time.Second))
 	d.client.HedgeDelay = 20 * time.Millisecond
 	reg := obs.NewRegistry()
 	d.client.Obs = reg
-
-	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("hedged reconcile did not recover the hosted set")
-	}
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("hedges=%d hedgeWins=%d, want 1/1 (stalled primary must lose)", st.Hedges, st.HedgeWins)
-	}
-	if winner := st.Shards[0].Replica; winner == d.topo.Replicas(0)[p] {
-		t.Fatalf("stalled primary %s reported as the winner", winner)
-	}
-	checkStatsParity(t, st)
+	runs := 0
+	sweep(t, 9, func(seed uint64) error {
+		// Stall the rendezvous primary long enough that the hedge must win.
+		p := d.primary(0, seed)
+		d.allLn[0][p].stall.Store(int64(2 * time.Second))
+		d.allLn[0][1-p].stall.Store(0)
+		runs++
+		got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 8})
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+			t.Fatal("hedged reconcile did not recover the hosted set")
+		}
+		if st.Hedges != 1 || st.HedgeWins != 1 {
+			t.Fatalf("hedges=%d hedgeWins=%d, want 1/1 (stalled primary must lose)", st.Hedges, st.HedgeWins)
+		}
+		if winner := st.Shards[0].Replica; winner == d.topo.Replicas(0)[p] {
+			t.Fatalf("stalled primary %s reported as the winner", winner)
+		}
+		checkStatsParity(t, st)
+		return nil
+	})
 
 	// The win is exported: scrape the client registry over HTTP exactly as a
 	// deployment would.
 	ops := httptest.NewServer(reg.Handler())
 	defer ops.Close()
 	samples := scrape(t, ops.URL)
-	if v := samples[`sosr_shard_hedges_total{outcome="launched"}`]; v != 1 {
-		t.Fatalf("hedges launched counter %v, want 1", v)
+	if v := samples[`sosr_shard_hedges_total{outcome="launched"}`]; v != float64(runs) {
+		t.Fatalf("hedges launched counter %v, want one per run (%d)", v, runs)
 	}
 	if v := samples[`sosr_shard_hedges_total{outcome="win"}`]; v < 1 {
 		t.Fatalf("hedge-win counter %v, want >= 1", v)
@@ -683,20 +728,24 @@ func TestStaleEpochRefresh(t *testing.T) {
 		refreshed.Add(1)
 		return topo2, nil
 	}
-	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("post-refresh reconcile did not recover the hosted set")
-	}
+	sweep(t, cfg.Seed, func(seed uint64) error {
+		cfg.Seed = seed
+		got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+			t.Fatal("post-refresh reconcile did not recover the hosted set")
+		}
+		checkStatsParity(t, st)
+		return nil
+	})
 	if refreshed.Load() != 1 {
 		t.Fatalf("Refresh called %d times, want 1", refreshed.Load())
 	}
 	if d.client.Topology().Epoch() != 2 {
 		t.Fatalf("client topology epoch %d after refresh, want 2", d.client.Topology().Epoch())
 	}
-	checkStatsParity(t, st)
 	var sb strings.Builder
 	if err := reg.WriteProm(&sb); err != nil {
 		t.Fatal(err)
@@ -705,9 +754,14 @@ func TestStaleEpochRefresh(t *testing.T) {
 		t.Fatalf("refresh counter missing:\n%s", sb.String())
 	}
 	// The next reconcile uses the refreshed topology without another call.
-	if _, _, err := d.client.Sets(ctx, "ids", bob, cfg); err != nil {
-		t.Fatalf("reconcile after refresh: %v", err)
-	}
+	sweep(t, cfg.Seed, func(seed uint64) error {
+		cfg.Seed = seed
+		got, _, err := d.client.Sets(ctx, "ids", bob, cfg)
+		if err == nil && !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+			t.Fatal("reconcile after refresh did not recover the hosted set")
+		}
+		return err
+	})
 	if refreshed.Load() != 1 {
 		t.Fatalf("Refresh re-called on a fresh topology (%d calls)", refreshed.Load())
 	}

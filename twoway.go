@@ -21,48 +21,15 @@ type TwoWayResult struct {
 	Stats          Stats
 }
 
-// ReconcileSetsOfSetsTwoWay runs a one-way protocol (per cfg) and a return
-// leg so that both parties end with alice ∪ bob. One extra round carrying
-// exactly the child sets Alice lacked.
+// ReconcileSetsOfSetsTwoWay runs the one-way run ReconcileSetsOfSets would
+// (per cfg) and a return leg so that both parties end with alice ∪ bob. One
+// extra round carrying exactly the child sets Alice lacked.
 func ReconcileSetsOfSetsTwoWay(alice, bob [][]uint64, cfg Config) (*TwoWayResult, error) {
-	p, err := sosShape(cfg, alice, bob)
+	run, _, err := oneWay(cfg, alice, bob)
 	if err != nil {
 		return nil, err
 	}
-	coins := hashing.NewCoins(cfg.Seed)
-	sess := transport.New()
-	proto := cfg.Protocol
-	if proto == ProtocolAuto {
-		proto = ProtocolCascade
-	}
-	d := cfg.KnownDiff
-	oneWay := func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
-		switch proto {
-		case ProtocolNaive:
-			if d > 0 {
-				return core.NaiveKnownD(sess, c, a, b, p, core.DHat(d, p.S))
-			}
-			return core.NaiveUnknownD(sess, c, a, b, p)
-		case ProtocolNested:
-			if d > 0 {
-				return core.NestedKnownD(sess, c, a, b, p, d, core.DHat(d, p.S))
-			}
-			return core.NestedUnknownD(sess, c, a, b, p)
-		case ProtocolMultiRound:
-			if d > 0 {
-				return core.MultiRoundKnownD(sess, c, a, b, p, d)
-			}
-			return core.MultiRoundUnknownD(sess, c, a, b, p)
-		default:
-			if d > 0 {
-				return core.CascadeKnownD(sess, c, a, b, p, d)
-			}
-			return core.CascadeUnknownD(sess, c, a, b, p)
-		}
-	}
-	res, err := core.TwoWay(sess, coins, alice, bob, func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
-		return oneWay(sess, c, a, b)
-	})
+	res, err := core.TwoWay(transport.New(), hashing.NewCoins(cfg.Seed), alice, bob, run)
 	if err != nil {
 		return nil, err
 	}
