@@ -173,70 +173,3 @@ func BenchmarkAblationNaiveEncoding(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkDepth3 measures the future-work depth-3 recursion.
-func BenchmarkDepth3(b *testing.B) {
-	alice, bob := depth3Instance(21, 6, 8, 12, 4)
-	d := core.Distance3(alice, bob)
-	coins := hashing.NewCoins(23)
-	var bytes, fails int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess := transport.New()
-		if _, err := core.Nested3KnownD(sess, coins.Sub("i", i), alice, bob,
-			core.Params3{G: 6, S: 8, H: 12}, core.Bounds3{D: d}); err != nil {
-			fails++
-		}
-		bytes += sess.TotalBytes()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(bytes)/float64(b.N), "wire-B")
-	b.ReportMetric(float64(fails)/float64(b.N), "failures")
-}
-
-// depth3Instance plants a grandparent pair (mirrors the core test helper).
-func depth3Instance(seed uint64, g, s, h, d int) (alice, bob [][][]uint64) {
-	src := prng.New(seed)
-	used := map[uint64]bool{}
-	next := func() uint64 {
-		for {
-			x := src.Uint64() % (1 << 40)
-			if !used[x] {
-				used[x] = true
-				return x
-			}
-		}
-	}
-	bob = make([][][]uint64, g)
-	for gi := range bob {
-		bob[gi] = make([][]uint64, s)
-		for si := range bob[gi] {
-			var cs []uint64
-			for j := 0; j < h/2+src.Intn(h/2+1); j++ {
-				cs = append(cs, next())
-			}
-			bob[gi][si] = canonical(cs)
-		}
-	}
-	alice = make([][][]uint64, g)
-	for gi := range bob {
-		alice[gi] = make([][]uint64, s)
-		for si := range bob[gi] {
-			alice[gi][si] = append([]uint64(nil), bob[gi][si]...)
-		}
-	}
-	for e := 0; e < d; e++ {
-		gi, si := src.Intn(g), src.Intn(s)
-		alice[gi][si] = canonical(append(append([]uint64(nil), alice[gi][si]...), next()))
-	}
-	return alice, bob
-}
-
-func canonical(xs []uint64) []uint64 {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	return xs
-}

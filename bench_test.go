@@ -365,8 +365,11 @@ func BenchmarkPolyGraph(b *testing.B) {
 	gb, _ := graphPerturbInternal(base, 2, src)
 	coins := hashing.NewCoins(3)
 	for i := 0; i < b.N; i++ {
-		sess := transport.New()
-		if _, _, err := graphrecon.PolyRecon(sess, coins, base, gb, graphrecon.PolyReconParams{D: 2}); err != nil {
+		msg, err := graphrecon.PolyAlice(coins, base, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := graphrecon.PolyApply(gb, 2, msg); err != nil {
 			b.Fatal(err)
 		}
 	}

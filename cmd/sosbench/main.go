@@ -44,32 +44,30 @@ var (
 
 func main() {
 	flag.Parse()
-	run := map[string]func(){
-		"table1":       table1,
-		"figure1":      figure1,
-		"iblt":         ibltThreshold,
-		"estimator":    estimatorCompare,
-		"crossover":    crossover,
-		"unknownd":     unknownD,
-		"graphs":       graphs,
-		"separation":   separation,
-		"neighborhood": neighborhood,
-		"forest":       forests,
-		"depth3":       depth3,
+	// One list, in the order -experiment all runs it: the usage above names
+	// exactly these.
+	experiments := []struct {
+		name string
+		run  func()
+	}{
+		{"table1", table1}, {"figure1", figure1}, {"iblt", ibltThreshold}, {"estimator", estimatorCompare},
+		{"crossover", crossover}, {"unknownd", unknownD}, {"graphs", graphs}, {"separation", separation},
+		{"neighborhood", neighborhood}, {"forest", forests},
 	}
-	if *experiment == "all" {
-		for _, name := range []string{"table1", "figure1", "iblt", "estimator", "crossover", "unknownd", "graphs", "separation", "neighborhood", "forest", "depth3"} {
-			fmt.Printf("\n════ %s ════\n", name)
-			run[name]()
+	ran := false
+	for _, e := range experiments {
+		if *experiment == "all" {
+			fmt.Printf("\n════ %s ════\n", e.name)
+		} else if *experiment != e.name {
+			continue
 		}
-		return
+		e.run()
+		ran = true
 	}
-	f, ok := run[*experiment]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
-	f()
 }
 
 type protoRun struct {
@@ -344,64 +342,4 @@ func forests() {
 		fmt.Printf("%-8d %-6d %-6d %12d %10v\n", n, d, sigma, sess.TotalBytes(), ok)
 	}
 	fmt.Println("Theorem 6.1: O(dσ log(dσ) log n) bits — driven by d·σ, nearly flat in n.")
-}
-
-// depth3 exercises the §3.2 future-work recursion: sets of sets of sets.
-func depth3() {
-	src := prng.New(*seed + 11)
-	used := map[uint64]bool{}
-	next := func() uint64 {
-		for {
-			x := src.Uint64() % (1 << 40)
-			if !used[x] {
-				used[x] = true
-				return x
-			}
-		}
-	}
-	g, sCount, hSize := 8, 8, 12
-	bob := make([][][]uint64, g)
-	for gi := range bob {
-		bob[gi] = make([][]uint64, sCount)
-		for si := range bob[gi] {
-			var cs []uint64
-			for j := 0; j < hSize; j++ {
-				cs = append(cs, next())
-			}
-			for i := 1; i < len(cs); i++ {
-				for k := i; k > 0 && cs[k] < cs[k-1]; k-- {
-					cs[k], cs[k-1] = cs[k-1], cs[k]
-				}
-			}
-			bob[gi][si] = cs
-		}
-	}
-	alice := make([][][]uint64, g)
-	for gi := range bob {
-		alice[gi] = make([][]uint64, sCount)
-		for si := range bob[gi] {
-			alice[gi][si] = append([]uint64(nil), bob[gi][si]...)
-		}
-	}
-	fmt.Printf("%-8s %12s %10s\n", "d", "wire bytes", "ok")
-	for _, d := range []int{1, 2, 4, 8} {
-		for e := 0; e < d; e++ {
-			gi, si := src.Intn(g), src.Intn(sCount)
-			cs := append([]uint64(nil), alice[gi][si]...)
-			cs = append(cs, next())
-			for i := 1; i < len(cs); i++ {
-				for k := i; k > 0 && cs[k] < cs[k-1]; k-- {
-					cs[k], cs[k-1] = cs[k-1], cs[k]
-				}
-			}
-			alice[gi][si] = cs
-		}
-		dTrue := core.Distance3(alice, bob)
-		sess := transport.New()
-		res, err := core.Nested3KnownD(sess, hashing.NewCoins(*seed+uint64(d)), alice, bob,
-			core.Params3{G: g, S: sCount, H: hSize + 8}, core.Bounds3{D: dTrue})
-		ok := err == nil && core.Equal3(res.Recovered, alice)
-		fmt.Printf("%-8d %12d %10v\n", dTrue, sess.TotalBytes(), ok)
-	}
-	fmt.Println("§3.2 future work: one more recursion level costs one more multiplicative difference factor.")
 }

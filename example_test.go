@@ -40,40 +40,6 @@ func ExampleReconcileSetsOfSets() {
 	// rounds: 1
 }
 
-// Split-party deployment: Alice serializes a digest, Bob applies it on
-// another machine — the only shared state is the seed.
-func ExampleBuildDigest() {
-	cfg := sosr.Config{Seed: 42, MaxChildSets: 4, MaxChildSize: 4, KnownDiff: 2, Protocol: sosr.ProtocolNested}
-	alice := [][]uint64{{1, 2}, {5, 6, 7}}
-	bob := [][]uint64{{1, 2}, {5, 6, 8}}
-
-	digest, err := sosr.BuildDigest(alice, cfg) // machine A
-	if err != nil {
-		panic(err)
-	}
-	res, err := sosr.ApplyDigest(digest, bob, cfg) // machine B
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("recovered:", res.Recovered)
-	// Output:
-	// recovered: [[1 2] [5 6 7]]
-}
-
-// Two-way reconciliation leaves both parties with the union (well-defined
-// for sets of sets, unlike unlabeled graphs — see FindFigure1Example).
-func ExampleReconcileSetsOfSetsTwoWay() {
-	alice := [][]uint64{{1, 2}, {7, 8}}
-	bob := [][]uint64{{1, 2}, {30}}
-	res, err := sosr.ReconcileSetsOfSetsTwoWay(alice, bob, sosr.Config{Seed: 3, KnownDiff: 3, Protocol: sosr.ProtocolNested})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("union:", res.Union)
-	// Output:
-	// union: [[1 2] [7 8] [30]]
-}
-
 // Forest reconciliation: Bob recovers a forest isomorphic to Alice's.
 func ExampleReconcileForests() {
 	alice := sosr.Forest{Parent: []int32{-1, 0, 0, 1}} // one tree
@@ -98,28 +64,4 @@ func ExampleReconcileSetsOfMultisets() {
 	fmt.Println("recovered:", res.Recovered)
 	// Output:
 	// recovered: [[5 5 5]]
-}
-
-// The unknown-difference split-party flow: Bob's probe, Alice's estimate,
-// then a digest sized to the estimate.
-func ExampleBuildDiffProbe() {
-	cfg := sosr.Config{Seed: 8, MaxChildSets: 4, MaxChildSize: 4, Protocol: sosr.ProtocolNested}
-	alice := [][]uint64{{1, 2}, {9, 10}}
-	bob := [][]uint64{{1, 2}, {9, 11}}
-
-	probe := sosr.BuildDiffProbe(bob, cfg) // machine B → A
-	dHat := sosr.EstimateDiffFromProbe(probe, alice, cfg)
-	cfg.KnownDiff = 2 * dHat // element bound from the child bound (≤ 2h per child)
-	cfg.KnownChildDiff = dHat
-	digest, err := sosr.BuildDigest(alice, cfg) // machine A → B
-	if err != nil {
-		panic(err)
-	}
-	res, err := sosr.ApplyDigest(digest, bob, cfg)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("recovered:", res.Recovered)
-	// Output:
-	// recovered: [[1 2] [9 10]]
 }

@@ -1,6 +1,7 @@
 package sosr
 
 import (
+	"errors"
 	"fmt"
 
 	"sosr/internal/graph"
@@ -48,7 +49,8 @@ const (
 	// ~pn more communication.
 	SchemeDegreeNeighborhood
 	// SchemePolynomial is §4 (Theorem 4.3): unlimited-computation canonical
-	// polynomial protocol. Tiny graphs only (n ≤ 6), exponential time.
+	// polynomial protocol, one 24-byte message. Tiny graphs only (n ≤ 6),
+	// exponential time.
 	SchemePolynomial
 )
 
@@ -109,8 +111,7 @@ func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
 		rec, st, err = graphrecon.NeighborhoodRecon(sess, coins, ga, gb,
 			graphrecon.NeighborhoodParams{M: m, D: d})
 	case SchemePolynomial:
-		rec, st, err = graphrecon.PolyRecon(sess, coins, ga, gb,
-			graphrecon.PolyReconParams{D: d})
+		rec, st, err = graphrecon.PolyRecon(sess, coins, ga, gb, d)
 	default:
 		return nil, fmt.Errorf("sosr: unknown graph scheme %d", cfg.Scheme)
 	}
@@ -121,7 +122,8 @@ func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
 }
 
 // GraphsIsomorphic runs the Theorem 4.1 communication protocol on tiny
-// graphs (n ≤ 8): O(log n) bits, one-sided error O(2^-40).
+// graphs (n ≤ 8): SchemePolynomial's one message at d = 0, so Bob's only
+// candidate is his own graph. 24 bytes, one-sided error below 2^-35.
 func GraphsIsomorphic(alice, bob Graph, seed uint64) (bool, Stats, error) {
 	ga, err := graph.FromEdges(alice.N, alice.Edges)
 	if err != nil {
@@ -131,7 +133,15 @@ func GraphsIsomorphic(alice, bob Graph, seed uint64) (bool, Stats, error) {
 	if err != nil {
 		return false, Stats{}, err
 	}
-	return graphrecon.IsomorphismTest(transport.New(), hashing.NewCoins(seed), ga, gb)
+	if ga.N != gb.N {
+		return false, Stats{}, nil
+	}
+	sess := transport.New()
+	_, _, err = graphrecon.PolyRecon(sess, hashing.NewCoins(seed), ga, gb, 0)
+	if errors.Is(err, graphrecon.ErrNoCandidate) {
+		return false, sess.Stats(), nil
+	}
+	return err == nil, sess.Stats(), err
 }
 
 // GraphsExactlyIsomorphic decides isomorphism locally and exactly

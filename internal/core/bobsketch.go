@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
@@ -57,8 +58,10 @@ func NewBobSketch(kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params
 // A successor (prev non-nil) retains bob, so that its own successor can be
 // patched: bob must then stay unmodified for as long as the sketch is used.
 func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params, d, dHat int) (sk *BobSketch, delta int, err error) {
-	p, d, dHat, err = resolve(p, d, dHat)
-	if err != nil {
+	w := getWork()
+	defer putWork(w)
+	// The workspace's plan resolves the shape prev is checked against.
+	if err := w.plan.init(kind, coins, p, d, dHat); err != nil {
 		return nil, 0, err
 	}
 	sk = &BobSketch{}
@@ -67,11 +70,10 @@ func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob []
 	for i, cs := range bob {
 		sk.bobHashes[i] = setutil.Hash(chs, cs)
 	}
-	w := getWork()
-	defer putWork(w)
 	if prev != nil {
 		sk.bob = bob
-		if prev.bob != nil && prev.check(kind, coins, p, d, dHat) == nil {
+		pl := &w.plan
+		if prev.bob != nil && prev.check(kind, coins, pl.p, pl.d, pl.dHat) == nil {
 			gone, come := w.diffParents(prev, sk)
 			if delta = len(gone) + len(come); delta < len(bob) {
 				sk.plan = prev.plan // read-only: the table list is shared
@@ -81,9 +83,8 @@ func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob []
 			}
 		}
 	}
-	if err := sk.plan.init(kind, coins, p, d, dHat); err != nil {
-		return nil, 0, err
-	}
+	sk.plan = w.plan
+	sk.plan.tables = slices.Clone(w.plan.tables)
 	// A build lays every aggregate table in one arena, as CloneAll lays a
 	// successor's.
 	w.shapes = w.shapes[:0]

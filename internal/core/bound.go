@@ -30,13 +30,9 @@ func childWidth(cells, maxLen int) int {
 // nothing (the plan is derived on a pooled workspace). 0 for an unknown kind
 // or an invalid shape.
 func CellBytes(kind DigestKind, p Params, d int) int {
-	p, d, dHat, err := resolve(p, d, 0)
-	if err != nil {
-		return 0
-	}
 	w := getWork()
 	defer putWork(w)
-	if w.plan.init(kind, hashing.Coins{}, p, d, dHat) != nil {
+	if w.plan.init(kind, hashing.Coins{}, p, d, 0) != nil {
 		return 0
 	}
 	n := 0

@@ -162,13 +162,8 @@ func CascadeUnknownD(sess *transport.Session, coins hashing.Coins, alice, bob []
 	})
 }
 
-func appendFramed(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
-}
-
-// appendFramedTable is appendFramed(dst, t.Marshal()) without the
-// intermediate copy of the table.
+// appendFramedTable appends t's serialization after its 4-byte length, the
+// framing readFramed cuts.
 func appendFramedTable(dst []byte, t *iblt.Table) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.SerializedSize()))
 	return t.AppendMarshal(dst)

@@ -14,14 +14,10 @@ import (
 )
 
 // Unit tests for the plan arithmetic (Algorithm 2's levels and star inclusion,
-// cell schedules, message and digest sizes) independent of full protocol runs.
+// cell schedules, message sizes) independent of full protocol runs.
 
 func mustPlan(t testing.TB, kind DigestKind, coins hashing.Coins, p Params, d, dHat int) *plan {
 	t.Helper()
-	p, d, dHat, err := resolve(p, d, dHat)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pl := new(plan)
 	if err := pl.init(kind, coins, p, d, dHat); err != nil {
 		t.Fatal(err)
@@ -128,20 +124,19 @@ func cellBytesReference(kind DigestKind, p Params, d int) int {
 }
 
 // TestPlanTable: for every kind and shape, everything sized or laid out by
-// the plan agrees with what is actually built from it.
+// the plan agrees with what is actually built from it. Every entry point is
+// handed the shape as written — zero universe, zero d̂ — and resolves it in
+// the plan.
 func TestPlanTable(t *testing.T) {
 	coins := hashing.NewCoins(3)
 	for _, kind := range oneRoundKinds {
 		for _, sh := range planShapes {
-			p, d, dHat, err := resolve(sh.p, sh.d, sh.dHat)
-			if err != nil {
-				t.Fatal(err)
-			}
 			name := fmt.Sprintf("kind %d %s", kind, sh.name)
-			pl := mustPlan(t, kind, coins, p, d, dHat)
-			if again := mustPlan(t, kind, coins, p, d, dHat); !reflect.DeepEqual(pl, again) {
+			pl := mustPlan(t, kind, coins, sh.p, sh.d, sh.dHat)
+			if again := mustPlan(t, kind, coins, sh.p, sh.d, sh.dHat); !reflect.DeepEqual(pl, again) {
 				t.Errorf("%s: plans of equal inputs differ", name)
 			}
+			p := pl.p
 			for i, ts := range pl.tables {
 				if ts.full && ts.naive.bitmap != sh.bitmap || !ts.full && ts.child.countBytes != sh.countBytes {
 					t.Errorf("%s: table %d: bitmap %v, child count width %d", name, i+1, ts.naive.bitmap, ts.child.countBytes)
@@ -149,7 +144,7 @@ func TestPlanTable(t *testing.T) {
 			}
 
 			src := prng.New(uint64(kind)<<8 | uint64(len(sh.name)))
-			live, err := NewIncrementalDigest(kind, coins, p, d, dHat)
+			live, err := NewIncrementalDigest(kind, coins, sh.p, sh.d, sh.dHat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +169,7 @@ func TestPlanTable(t *testing.T) {
 			}
 			parent = setutil.CanonicalSets(parent)
 
-			msg, err := AliceMsg(kind, coins, parent, p, d, dHat)
+			msg, err := AliceMsg(kind, coins, parent, sh.p, sh.d, sh.dHat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,22 +179,15 @@ func TestPlanTable(t *testing.T) {
 			if !bytes.Equal(live.SnapshotMsg(), msg) {
 				t.Errorf("%s: SnapshotMsg differs from AliceMsg after an add/remove stream", name)
 			}
-			digest, err := BuildDigest(kind, coins, parent, sh.p, sh.d, sh.dHat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if size, err := DigestSize(kind, sh.p, sh.d, sh.dHat); err != nil || size != len(digest) {
-				t.Errorf("%s: DigestSize = %d (%v), len(BuildDigest) = %d", name, size, err, len(digest))
-			}
-			if !bytes.Equal(live.Snapshot(), digest) {
-				t.Errorf("%s: Snapshot differs from BuildDigest", name)
+			if res, err := ApplyMsg(kind, coins, msg, parent, sh.p, sh.d, sh.dHat); err != nil || !setutil.EqualSetOfSets(res.Recovered, parent) {
+				t.Errorf("%s: ApplyMsg of the plan's message: %v", name, err)
 			}
 
 			sum := 0
 			for _, ts := range pl.tables {
 				sum += ts.width + 12
 			}
-			if got, ref := CellBytes(kind, sh.p, sh.d), cellBytesReference(kind, p, d); got != sum || got != ref {
+			if got, ref := CellBytes(kind, sh.p, sh.d), cellBytesReference(kind, p, pl.d); got != sum || got != ref {
 				t.Errorf("%s: CellBytes = %d, Σ(width+12) = %d, closed form %d", name, got, sum, ref)
 			}
 			sk, err := NewBobSketch(kind, coins, parent, sh.p, sh.d, sh.dHat)
@@ -233,7 +221,7 @@ func TestChildCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != codec.setHash(cs) {
+	if h != setutil.Hash(codec.hash, cs) {
 		t.Fatal("hash mismatch")
 	}
 	// The embedded IBLT holds exactly the child elements.

@@ -10,7 +10,8 @@ import (
 // TestChildCountWidthBoundaries walks the child-size bound across the count
 // width steps (1 byte below 256, 2 below 65 536, else 4). At each H a child of
 // exactly H elements — the largest count any cell can reach — must encode,
-// the payload must be exactly DigestSize, and Bob must recover Alice's parent.
+// the payload must be exactly the plan's msgSize, and Bob must recover Alice's
+// parent.
 func TestChildCountWidthBoundaries(t *testing.T) {
 	for _, tc := range []struct{ h, countBytes int }{
 		{10, 1}, {255, 1}, {256, 2}, {65535, 2}, {65536, 4},
@@ -30,18 +31,14 @@ func TestChildCountWidthBoundaries(t *testing.T) {
 		const d = 2
 		for _, kind := range []DigestKind{DigestNaive, DigestNested, DigestCascade} {
 			coins := hashing.NewCoins(uint64(tc.h))
-			digest, err := BuildDigest(kind, coins, alice, p, d, 0)
+			msg, err := AliceMsg(kind, coins, alice, p, d, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			size, err := DigestSize(kind, p, d, 0)
-			if err != nil {
-				t.Fatal(err)
+			if size := mustPlan(t, kind, coins, p, d, 0).msgSize(); len(msg) != size {
+				t.Fatalf("H=%d kind %d: payload %d bytes, plan.msgSize %d", tc.h, kind, len(msg), size)
 			}
-			if len(digest) != size {
-				t.Fatalf("H=%d kind %d: digest %d bytes, DigestSize %d", tc.h, kind, len(digest), size)
-			}
-			res, err := ApplyDigest(digest, coins, bob)
+			res, err := ApplyMsg(kind, coins, msg, bob, p, d, 0)
 			if err != nil {
 				t.Fatalf("H=%d kind %d: %v", tc.h, kind, err)
 			}
@@ -58,16 +55,14 @@ func TestChildCountWidthBoundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !slices.Equal(inc.Snapshot(), digest) {
-				t.Fatalf("H=%d kind %d: incremental snapshot differs from BuildDigest", tc.h, kind)
+			if !slices.Equal(inc.SnapshotMsg(), msg) {
+				t.Fatalf("H=%d kind %d: incremental snapshot differs from AliceMsg", tc.h, kind)
 			}
-			np, _ := p.normalized()
-			sk, err := NewBobSketch(kind, coins, bob, np, d, 0)
+			sk, err := NewBobSketch(kind, coins, bob, p, d, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			const hdrLen = 4 + 1 + 8 + 8 + 8 + 8 + 8
-			if _, err := ApplyMsgCached(kind, coins, digest[hdrLen:], bob, np, d, 0, sk); err != nil {
+			if _, err := ApplyMsgCached(kind, coins, msg, bob, p, d, 0, sk); err != nil {
 				t.Fatalf("H=%d kind %d: cached apply: %v", tc.h, kind, err)
 			}
 		}

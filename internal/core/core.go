@@ -181,13 +181,9 @@ const parentVerifyLabel = "core/parentverify"
 // (Coins.Seed hashes its label string on each call).
 func childSeed(coins hashing.Coins) uint64 { return coins.Seed(childHashLabel, 0) }
 
-func parentHash(coins hashing.Coins, parent [][]uint64) uint64 {
-	h, _ := parentHashScratch(nil, coins, parent)
-	return h
-}
-
-// parentHashScratch is parentHash sorting the child hashes in scratch, which
-// it returns (grown when short) for the workspace to keep.
+// parentHashScratch is the whole-parent verification hash, sorting the child
+// hashes in scratch, which it returns (grown when short) for the workspace to
+// keep.
 func parentHashScratch(scratch []uint64, coins hashing.Coins, parent [][]uint64) (uint64, []uint64) {
 	return setutil.HashSetOfSetsScratch(scratch, coins.Seed(parentVerifyLabel, 0), parent)
 }

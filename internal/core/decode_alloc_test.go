@@ -11,7 +11,6 @@ import (
 	"sosr/internal/iblt"
 	"sosr/internal/raceflag"
 	"sosr/internal/setutil"
-	"sosr/internal/transport"
 	"sosr/internal/workload"
 )
 
@@ -101,36 +100,6 @@ func TestCellBytesAllocationFree(t *testing.T) {
 		if got := testing.AllocsPerRun(20, func() { CellBytes(kind, p, 32) }); got != 0 {
 			t.Errorf("kind %d: CellBytes allocates %.0f objects", kind, got)
 		}
-	}
-}
-
-func TestNested3DecodeAllocBudget(t *testing.T) {
-	alice := [][][]uint64{
-		{{1, 2}, {3, 4, 5}},
-		{{10, 11}, {12}},
-		{{20, 30}, {40, 50}, {60}},
-	}
-	bob := [][][]uint64{
-		{{1, 2}, {3, 4, 5}},
-		{{10, 11}, {12, 13}},
-		{{20, 30}, {40, 50}, {60}},
-	}
-	p := Params3{G: 8, S: 8, H: 8}
-	b := Bounds3{D: 4}
-	coins := hashing.NewCoins(9)
-	run := func() {
-		sess := transport.New()
-		if _, err := Nested3KnownD(sess, coins, alice, bob, p, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run()
-	got := testing.AllocsPerRun(10, run)
-	t.Logf("nested3 round-trip allocs/op: %.0f", got)
-	// Bounds the whole Alice+Bob round trip; the pre-scratch decode alone was
-	// far beyond this.
-	if got > 700 {
-		t.Fatalf("nested3 round trip allocates %.0f/op, budget 700", got)
 	}
 }
 

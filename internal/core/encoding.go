@@ -80,8 +80,6 @@ func (e *naiveEncoder) reuse(c naiveCodec) {
 
 func (e *naiveEncoder) encode(cs []uint64) []byte { return e.c.encodeInto(e.buf, cs) }
 
-func (e *naiveEncoder) width() int { return e.c.width }
-
 func (c naiveCodec) decode(buf []byte) ([]uint64, error) { return c.appendDecode(nil, buf) }
 
 // appendDecode appends the child set an encoding stands for to dst, so a
@@ -183,8 +181,6 @@ func (e *childEncoder) reuse(c childCodec) {
 	}
 }
 
-func (e *childEncoder) width() int { return e.c.width }
-
 func (e *childEncoder) encode(cs []uint64) []byte {
 	e.t.Reset()
 	for _, x := range cs {
@@ -207,9 +203,6 @@ func (c childCodec) decodeInto(t *iblt.Table, buf []byte) (uint64, error) {
 	}
 	return binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil
 }
-
-// setHash returns the hash this codec attaches to a child set.
-func (c childCodec) setHash(cs []uint64) uint64 { return setutil.Hash(c.hash, cs) }
 
 // encHash reads the attached set hash off a fixed-width encoding without
 // parsing the embedded table (enough for encodings that are only matched by

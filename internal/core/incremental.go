@@ -13,12 +13,12 @@ import (
 // set insertions and removals, so a live system can keep its digest current
 // in O(update) instead of rebuilding over the whole parent set per sync.
 // IBLT linearity makes this exact: inserting/deleting an encoding into every
-// table is precisely what a from-scratch build would have done, so Snapshot
-// is byte-identical to BuildDigest over the current parent set.
+// table is precisely what a from-scratch build would have done, so SnapshotMsg
+// is byte-identical to AliceMsg over the current parent set.
 //
 // The only non-linear component is the whole-parent verification hash, which
 // sorts child hashes; the builder tracks the multiset of child hashes and
-// re-derives that hash in O(s log s) at Snapshot time.
+// re-derives that hash in O(s log s) at snapshot time.
 type IncrementalDigest struct {
 	plan plan
 	// encs holds one reusable encoder per table, so updates encode each child
@@ -40,12 +40,8 @@ type IncrementalDigest struct {
 }
 
 // NewIncrementalDigest creates an empty builder for the given one-round
-// protocol digest. Parameters mirror BuildDigest.
+// protocol digest. Parameters mirror AliceMsg.
 func NewIncrementalDigest(kind DigestKind, coins hashing.Coins, p Params, d, dHat int) (*IncrementalDigest, error) {
-	p, d, dHat, err := resolve(p, d, dHat)
-	if err != nil {
-		return nil, err
-	}
 	b := &IncrementalDigest{
 		chSeed:  childSeed(coins),
 		parSeed: coins.Seed(parentVerifyLabel, 0),
@@ -152,20 +148,13 @@ func (b *IncrementalDigest) parentHashNow() uint64 {
 	return hashing.HashUint64s(b.parSeed, hs)
 }
 
-// SnapshotMsg emits the current raw one-round payload, byte-identical to
+// SnapshotMsg emits the current one-round payload, byte-identical to
 // AliceMsg(kind, coins, currentParent, p, d, dHat) — the form split-party
-// servers ship under the protocol's transport label. Snapshot adds the
-// self-describing digest header around exactly these bytes.
+// servers ship under the protocol's transport label.
 func (b *IncrementalDigest) SnapshotMsg() []byte {
 	body := b.plan.appendHead(make([]byte, 0, b.plan.msgSize()))
 	for i, t := range b.tables {
 		body = b.plan.appendTable(body, i, t)
 	}
 	return b.plan.appendTail(body, b.parentHashNow())
-}
-
-// Snapshot emits the current digest, byte-identical to
-// BuildDigest(kind, coins, currentParent, p, d, dHat).
-func (b *IncrementalDigest) Snapshot() []byte {
-	return appendDigest(b.plan.kind, b.plan.p, b.plan.d, b.plan.dHat, b.SnapshotMsg())
 }

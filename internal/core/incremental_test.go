@@ -22,11 +22,11 @@ func TestIncrementalMatchesBatchDigest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		batch, err := BuildDigest(kind, coins, alice, p, 4, 0)
+		batch, err := AliceMsg(kind, coins, alice, p, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(b.Snapshot(), batch) {
+		if !bytes.Equal(b.SnapshotMsg(), batch) {
 			t.Fatalf("kind %d: incremental snapshot differs from batch digest", kind)
 		}
 	}
@@ -54,11 +54,11 @@ func TestIncrementalAddRemoveCancels(t *testing.T) {
 	if err := b.Remove(transient); err != nil {
 		t.Fatal(err)
 	}
-	want, err := BuildDigest(DigestNested, coins, base, p, 3, 0)
+	want, err := AliceMsg(DigestNested, coins, base, p, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b.Snapshot(), want) {
+	if !bytes.Equal(b.SnapshotMsg(), want) {
 		t.Fatal("transient add/remove left residue in digest")
 	}
 	if b.Len() != 2 {
@@ -79,7 +79,7 @@ func TestIncrementalSnapshotApplies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := ApplyDigest(b.Snapshot(), coins, bob)
+	res, err := ApplyMsg(DigestCascade, coins, b.SnapshotMsg(), bob, p, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestIncrementalSnapshotApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutated := append(setutil.CloneSets(alice[1:]), newChild)
-	res2, err := ApplyDigest(b.Snapshot(), coins, bob)
+	res2, err := ApplyMsg(DigestCascade, coins, b.SnapshotMsg(), bob, p, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,6 @@ func TestSnapshotMsgMatchesAliceMsg(t *testing.T) {
 		}
 		if !bytes.Equal(b.SnapshotMsg(), want2) {
 			t.Fatalf("kind %d: post-mutation SnapshotMsg differs from fresh AliceMsg", kind)
-		}
-		if !bytes.Equal(b.Snapshot()[len(b.Snapshot())-len(want2):], want2) {
-			t.Fatalf("kind %d: Snapshot does not embed SnapshotMsg", kind)
 		}
 	}
 }

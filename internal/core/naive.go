@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"sosr/internal/estimator"
 	"sosr/internal/hashing"
 	"sosr/internal/setrecon"
@@ -51,8 +49,8 @@ func estimateChildDiff(sess *transport.Session, coins hashing.Coins, alice, bob 
 }
 
 // BuildChildDiffProbe is Bob's half of the unknown-d̂ estimation: a
-// set-difference estimator over his child-set hashes, usable as a standalone
-// split-party message (see the digest API).
+// set-difference estimator over his child-set hashes, the probe an unknown-d
+// session opens with.
 func BuildChildDiffProbe(coins hashing.Coins, bob [][]uint64, p Params) []byte {
 	w := getMRWork()
 	defer putMRWork(w)
@@ -85,10 +83,4 @@ func EstimateChildDiff(probe []byte, coins hashing.Coins, alice [][]uint64, p Pa
 		dHat = p.S * 2
 	}
 	return dHat
-}
-
-func u64le(x uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	return b[:]
 }

@@ -49,8 +49,17 @@ type plan struct {
 }
 
 // init derives the plan in place, keeping the table slice of an earlier plan
-// when it is long enough. p must be normalized and the bounds resolved.
+// when it is long enough. Every entry point resolves its shape here: p is
+// normalized, d raised to at least 1, and d̂ ≤ 0 defaulted to min(d, s).
 func (pl *plan) init(kind DigestKind, coins hashing.Coins, p Params, d, dHat int) error {
+	p, err := p.normalized()
+	if err != nil {
+		return err
+	}
+	d = max(d, 1)
+	if dHat <= 0 {
+		dHat = DHat(d, p.S)
+	}
 	*pl = plan{kind: kind, coins: coins, p: p, d: d, dHat: dHat, tables: pl.tables[:0]}
 	switch kind {
 	case DigestNaive:
@@ -419,10 +428,6 @@ func (w *cascadeWork) recoverKey(ts *tableSpec, chs uint64, e []byte) error {
 // NestedKnownD and CascadeKnownD: Alice builds the message, the channel
 // carries it under the plan's label, Bob applies it.
 func knownD(kind DigestKind, sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
 	w := getWork()
 	defer putWork(w)
 	if err := w.plan.init(kind, coins, p, d, dHat); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"reflect"
 	"slices"
 	"testing"
@@ -21,7 +22,7 @@ func sketchCells(sk *BobSketch) [][]byte {
 	}
 	var hs []byte
 	for _, h := range sk.bobHashes {
-		hs = append(hs, u64le(h)...)
+		hs = binary.LittleEndian.AppendUint64(hs, h)
 	}
 	return append(out, hs)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -121,17 +122,6 @@ func TestTamperEmptyPayloads(t *testing.T) {
 	}
 }
 
-func TestTamperNested3(t *testing.T) {
-	alice, bob := makeInstance3(77, 4, 4, 8, 3)
-	p3 := Params3{G: 4, S: 4, H: 8}
-	for trial := 0; trial < 10; trial++ {
-		res, err := Nested3KnownD(tamperedSession(uint64(trial)+1), hashing.NewCoins(8), alice, bob, p3, Bounds3{D: 3})
-		if err == nil && !Equal3(res.Recovered, alice) {
-			t.Fatalf("depth-3 tampering silently wrong (trial %d)", trial)
-		}
-	}
-}
-
 // TestStarFlagLie: the star flag is the peer's word, the table list Bob
 // indexes is the plan's. A cascade message that announces T* where (p, d)
 // derive none — with a well-formed star table of the right key width spliced
@@ -153,7 +143,8 @@ func TestStarFlagLie(t *testing.T) {
 		{"star announced at d < h", 4, func(msg, star []byte) []byte {
 			hash := msg[len(msg)-8:]
 			out := append(bytes.Clone(msg[:len(msg)-9]), 1)
-			return append(appendFramed(out, star), hash...)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(star)))
+			return append(append(out, star...), hash...)
 		}},
 		{"star denied at d >= h, table dropped", 32, func(msg, star []byte) []byte {
 			hash := msg[len(msg)-8:]

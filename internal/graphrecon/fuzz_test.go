@@ -1,6 +1,9 @@
 package graphrecon
 
 import (
+	"encoding/binary"
+	"errors"
+	"math/bits"
 	"testing"
 
 	"sosr/internal/graph"
@@ -53,6 +56,44 @@ func FuzzDegreeOrderApply(f *testing.F) {
 		g, err := DegreeOrderApply(coins, gb, p, sig, edges)
 		if err == nil && (g == nil || g.N != gb.N) {
 			t.Fatal("no graph on n vertices without error")
+		}
+	})
+}
+
+// FuzzPolyApply feeds arbitrary poly-recon messages to Bob's Theorem 4.3
+// half. The modulus is the peer's number: q = 0 used to divide by zero, a q
+// other than Bob's or an r at or past it evaluated under the peer's field. Any
+// message must end in ErrBadPolyMsg, ErrNoCandidate, or a graph on n vertices
+// within d flips of Bob's — never a panic.
+func FuzzPolyApply(f *testing.F) {
+	src := prng.New(41)
+	ga := graph.Gnp(5, 0.5, src)
+	gb, _ := graph.Perturb(ga, 1, src)
+	coins := hashing.NewCoins(9)
+	for d := 0; d <= 3; d++ {
+		msg, err := PolyAlice(coins, ga, d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(msg, uint8(d))
+		for _, field := range []int{0, 8, 16} {
+			for _, word := range []uint64{0, 1, ^uint64(0), binary.LittleEndian.Uint64(msg)} {
+				hostile := append([]byte(nil), msg...)
+				binary.LittleEndian.PutUint64(hostile[field:], word)
+				f.Add(hostile, uint8(d))
+			}
+		}
+		f.Add(msg[:PolyMsgSize-1], uint8(d))
+		f.Add(append(msg, 0), uint8(d))
+	}
+	f.Fuzz(func(t *testing.T, msg []byte, d uint8) {
+		flips := int(d % 4)
+		g, err := PolyApply(gb, flips, msg)
+		switch {
+		case err != nil && !errors.Is(err, ErrBadPolyMsg) && !errors.Is(err, ErrNoCandidate):
+			t.Fatalf("unclassified error %v", err)
+		case err == nil && (g == nil || g.N != gb.N || bits.OnesCount64(graph.Code(g)^graph.Code(gb)) > flips):
+			t.Fatal("no graph within d flips of Bob's without error")
 		}
 	})
 }

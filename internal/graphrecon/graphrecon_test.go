@@ -1,7 +1,9 @@
 package graphrecon
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/big"
 	"testing"
 
 	"sosr/internal/graph"
@@ -158,19 +160,26 @@ func TestAreNeighborhoodsDisjointNegative(t *testing.T) {
 	}
 }
 
-func TestIsomorphismTestPositive(t *testing.T) {
-	src := prng.New(21)
-	g := graph.Gnp(7, 0.5, src)
-	h := g.Relabel(src.Perm(7))
+// isomorphic runs Theorem 4.1 as the d = 0 case of Theorem 4.3's steps.
+func isomorphic(t *testing.T, coins hashing.Coins, ga, gb *graph.Graph) (bool, transport.Stats) {
+	t.Helper()
 	sess := transport.New()
-	iso, stats, err := IsomorphismTest(sess, hashing.NewCoins(5), g, h)
-	if err != nil {
+	_, _, err := PolyRecon(sess, coins, ga, gb, 0)
+	if err != nil && !errors.Is(err, ErrNoCandidate) {
 		t.Fatal(err)
 	}
+	return err == nil, sess.Stats()
+}
+
+func TestIsomorphismTestPositive(t *testing.T) {
+	src := prng.New(21)
+	g := graph.Gnp(8, 0.5, src)
+	h := g.Relabel(src.Perm(8))
+	iso, stats := isomorphic(t, hashing.NewCoins(5), g, h)
 	if !iso {
 		t.Fatal("isomorphic pair rejected")
 	}
-	if stats.Rounds != 1 || stats.TotalBytes != 24 {
+	if stats.Rounds != 1 || stats.TotalBytes != PolyMsgSize {
 		t.Fatalf("stats = %+v", stats)
 	}
 }
@@ -179,20 +188,26 @@ func TestIsomorphismTestNegative(t *testing.T) {
 	src := prng.New(22)
 	g := graph.Gnp(7, 0.5, src)
 	h, _ := graph.Perturb(g, 1, src)
-	sess := transport.New()
-	iso, _, err := IsomorphismTest(sess, hashing.NewCoins(6), g, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iso {
-		t.Fatal("non-isomorphic pair accepted")
+	if iso, stats := isomorphic(t, hashing.NewCoins(6), g, h); iso || stats.TotalBytes != PolyMsgSize {
+		t.Fatalf("non-isomorphic pair: iso=%v stats=%+v", iso, stats)
 	}
 }
 
+// TestIsomorphismTestTooLarge: the tiny-graph limits are n ≤ 8 at d = 0 and
+// n ≤ 6 above, on both sides of the message.
 func TestIsomorphismTestTooLarge(t *testing.T) {
-	g := graph.New(20)
-	if _, _, err := IsomorphismTest(transport.New(), hashing.NewCoins(1), g, g); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v", err)
+	coins := hashing.NewCoins(1)
+	for _, c := range []struct{ n, d int }{{9, 0}, {20, 0}, {7, 1}} {
+		g := graph.New(c.n)
+		if _, err := PolyAlice(coins, g, c.d); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("n=%d d=%d: PolyAlice err = %v", c.n, c.d, err)
+		}
+		if _, err := PolyApply(g, c.d, make([]byte, PolyMsgSize)); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("n=%d d=%d: PolyApply err = %v", c.n, c.d, err)
+		}
+	}
+	if _, err := PolyAlice(coins, graph.New(8), 0); err != nil {
+		t.Errorf("n=8 d=0: %v", err)
 	}
 }
 
@@ -203,7 +218,7 @@ func TestPolyRecon(t *testing.T) {
 		gb, _ := graph.Perturb(g, d, src)
 		ga := g.Relabel(src.Perm(6)) // Alice holds an unlabeled copy
 		sess := transport.New()
-		rec, stats, err := PolyRecon(sess, hashing.NewCoins(uint64(d)), ga, gb, PolyReconParams{D: d})
+		rec, stats, err := PolyRecon(sess, hashing.NewCoins(uint64(d)), ga, gb, d)
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -211,7 +226,7 @@ func TestPolyRecon(t *testing.T) {
 			t.Fatalf("d=%d: recovered graph not isomorphic", d)
 		}
 		// O(d log n) bits: constant-size message here.
-		if stats.TotalBytes != 24 {
+		if stats.TotalBytes != PolyMsgSize {
 			t.Fatalf("bytes = %d", stats.TotalBytes)
 		}
 	}
@@ -222,9 +237,75 @@ func TestPolyReconNoCandidate(t *testing.T) {
 	g := graph.Gnp(6, 0.5, src)
 	gb, _ := graph.Perturb(g, 4, src) // more perturbation than D allows
 	sess := transport.New()
-	_, _, err := PolyRecon(sess, hashing.NewCoins(2), g, gb, PolyReconParams{D: 1})
-	if err == nil {
-		t.Fatal("expected no-candidate failure")
+	_, _, err := PolyRecon(sess, hashing.NewCoins(2), g, gb, 1)
+	if !errors.Is(err, ErrNoCandidate) {
+		t.Fatalf("err = %v, want ErrNoCandidate", err)
+	}
+}
+
+// TestPolyShapeSaturates: n^(2d+3) outgrows 64 bits at n = 6 from d = 11 on
+// (6^25 > 2^64). The modulus saturates at the largest 64-bit prime instead of
+// wrapping, d is capped at the vertex pairs, and the protocol still runs there.
+func TestPolyShapeSaturates(t *testing.T) {
+	const maxPrime = 1<<64 - 59
+	if !new(big.Int).SetUint64(maxPrime).ProbablyPrime(32) {
+		t.Fatal("2^64 − 59 is not prime")
+	}
+	for _, c := range []struct{ n, d, flips int }{{6, 11, 11}, {6, 15, 15}, {6, 1000, 15}} {
+		flips, q, err := PolyShape(c.n, c.d)
+		if err != nil || flips != c.flips || q != maxPrime {
+			t.Errorf("PolyShape(%d, %d) = %d, %d, %v; want %d, 2^64−59", c.n, c.d, flips, q, err, c.flips)
+		}
+	}
+	pow := uint64(1)
+	for range 23 {
+		pow *= 6
+	}
+	if _, q, _ := PolyShape(6, 10); q < pow || q == maxPrime {
+		t.Errorf("PolyShape(6, 10): q = %d, want the prime after 6^23 = %d", q, pow)
+	}
+	if flips, _, _ := PolyShape(5, 1<<30); flips != 10 {
+		t.Errorf("PolyShape(5, 2^30): flips = %d, want the 10 vertex pairs", flips)
+	}
+	src := prng.New(25)
+	g := graph.Gnp(6, 0.5, src)
+	gb, _ := graph.Perturb(g, 2, src)
+	rec, _, err := PolyRecon(transport.New(), hashing.NewCoins(11), g, gb, 11)
+	if err != nil || !graph.TinyIsomorphic(rec, g) {
+		t.Fatalf("n=6 d=11: err %v", err)
+	}
+}
+
+// TestPolyApplyRefusesHostileMessages: the modulus is Bob's to derive; a
+// message whose q is zero or another prime, whose r or value is not below q,
+// or whose length is not 24 is refused as ErrBadPolyMsg before any division.
+func TestPolyApplyRefusesHostileMessages(t *testing.T) {
+	g := graph.Gnp(6, 0.5, prng.New(26))
+	msg, err := PolyAlice(hashing.NewCoins(3), g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, q, _ := PolyShape(6, 2)
+	for name, c := range map[string]struct {
+		at   int
+		word uint64
+	}{
+		"q=0":       {0, 0},
+		"q other":   {0, NextPrime(q + 1)},
+		"r=q":       {8, q},
+		"r max":     {8, ^uint64(0)},
+		"value ≥ q": {16, q},
+	} {
+		bad := append([]byte(nil), msg...)
+		binary.LittleEndian.PutUint64(bad[c.at:], c.word)
+		if _, err := PolyApply(g, 2, bad); !errors.Is(err, ErrBadPolyMsg) {
+			t.Errorf("%s: err = %v, want ErrBadPolyMsg", name, err)
+		}
+	}
+	for _, bad := range [][]byte{nil, msg[:23], append(append([]byte(nil), msg...), 0)} {
+		if _, err := PolyApply(g, 2, bad); !errors.Is(err, ErrBadPolyMsg) {
+			t.Errorf("%d bytes: err = %v, want ErrBadPolyMsg", len(bad), err)
+		}
 	}
 }
 

@@ -96,13 +96,71 @@ type Result struct {
 
 // ReconcileSetsOfSets runs the paper's primary contribution: Bob (second
 // argument) recovers Alice's parent set of child sets. Child sets may be
-// passed unsorted; each must be duplicate-free within the parent.
+// passed unsorted; each must be duplicate-free within the parent. cfg resolves
+// against the instance — its shape, Validate, the protocol Auto picks, d̂ and
+// the replication of known-d runs — before anything is encoded.
 func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
-	run, proto, err := oneWay(cfg, alice, bob)
+	p, err := sosShape(cfg, alice, bob)
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(transport.New(), hashing.NewCoins(cfg.Seed), alice, bob)
+	if cfg.Validate {
+		if err := core.Validate(alice, p); err != nil {
+			return nil, err
+		}
+		if err := core.Validate(bob, p); err != nil {
+			return nil, err
+		}
+	}
+	d := cfg.KnownDiff
+	proto := cfg.Protocol
+	if proto == ProtocolAuto {
+		proto = ProtocolMultiRound
+		if d > 0 {
+			proto = ProtocolCascade
+		}
+	}
+	if proto < ProtocolNaive || proto > ProtocolMultiRound {
+		return nil, fmt.Errorf("sosr: unknown protocol %v", proto)
+	}
+	dHat := cfg.KnownChildDiff
+	if dHat <= 0 {
+		dHat = core.DHat(max(d, 1), p.S)
+	}
+	run := func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
+		switch proto {
+		case ProtocolNaive:
+			if d > 0 {
+				return core.NaiveKnownD(sess, c, alice, bob, p, dHat)
+			}
+			return core.NaiveUnknownD(sess, c, alice, bob, p)
+		case ProtocolNested:
+			if d > 0 {
+				return core.NestedKnownD(sess, c, alice, bob, p, d, dHat)
+			}
+			return core.NestedUnknownD(sess, c, alice, bob, p)
+		case ProtocolCascade:
+			if d > 0 {
+				return core.CascadeKnownD(sess, c, alice, bob, p, d)
+			}
+			return core.CascadeUnknownD(sess, c, alice, bob, p)
+		}
+		if d > 0 {
+			return core.MultiRoundKnownD(sess, c, alice, bob, p, d)
+		}
+		return core.MultiRoundUnknownD(sess, c, alice, bob, p)
+	}
+	sess, coins := transport.New(), hashing.NewCoins(cfg.Seed)
+	var res *core.Result
+	if d > 0 {
+		replicas := cfg.Replicas
+		if replicas <= 0 {
+			replicas = 3
+		}
+		res, err = core.Replicated(sess, coins, replicas, run)
+	} else {
+		res, err = run(sess, coins)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -120,74 +178,6 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 // sets: the minimum-cost child matching under symmetric-difference costs
 // (§3.1). Local computation, O(s³) — for sizing, testing and experiments.
 func SetsOfSetsDistance(a, b [][]uint64) int { return core.Distance(a, b) }
-
-// oneWay resolves cfg against an instance — its shape, Validate, the protocol
-// Auto picks, d̂ and the replication of known-d runs — into the one-way run
-// that ReconcileSetsOfSets executes and ReconcileSetsOfSetsTwoWay extends.
-func oneWay(cfg Config, alice, bob [][]uint64) (core.OneWayProtocol, Protocol, error) {
-	p, err := sosShape(cfg, alice, bob)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cfg.Validate {
-		if err := core.Validate(alice, p); err != nil {
-			return nil, 0, err
-		}
-		if err := core.Validate(bob, p); err != nil {
-			return nil, 0, err
-		}
-	}
-	d := cfg.KnownDiff
-	proto := cfg.Protocol
-	if proto == ProtocolAuto {
-		proto = ProtocolMultiRound
-		if d > 0 {
-			proto = ProtocolCascade
-		}
-	}
-	if proto < ProtocolNaive || proto > ProtocolMultiRound {
-		return nil, 0, fmt.Errorf("sosr: unknown protocol %v", proto)
-	}
-	dHat := cfg.KnownChildDiff
-	if dHat <= 0 {
-		dHat = core.DHat(max(d, 1), p.S)
-	}
-	run := func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
-		switch proto {
-		case ProtocolNaive:
-			if d > 0 {
-				return core.NaiveKnownD(sess, c, a, b, p, dHat)
-			}
-			return core.NaiveUnknownD(sess, c, a, b, p)
-		case ProtocolNested:
-			if d > 0 {
-				return core.NestedKnownD(sess, c, a, b, p, d, dHat)
-			}
-			return core.NestedUnknownD(sess, c, a, b, p)
-		case ProtocolCascade:
-			if d > 0 {
-				return core.CascadeKnownD(sess, c, a, b, p, d)
-			}
-			return core.CascadeUnknownD(sess, c, a, b, p)
-		}
-		if d > 0 {
-			return core.MultiRoundKnownD(sess, c, a, b, p, d)
-		}
-		return core.MultiRoundUnknownD(sess, c, a, b, p)
-	}
-	if d <= 0 {
-		return run, proto, nil
-	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 3
-	}
-	return func(sess *transport.Session, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
-		return core.Replicated(sess, c, replicas, func(sess *transport.Session, c hashing.Coins) (*core.Result, error) {
-			return run(sess, c, a, b)
-		})
-	}, proto, nil
-}
 
 // sosShape resolves the instance shape of a run: the bounds cfg sets, and for
 // those it leaves zero the parties' own sizes. A bound set below either

@@ -13,17 +13,19 @@
 //   - ReconcileSetsOfSets — the paper's primary contribution, with four
 //     selectable protocols (Theorems 3.3, 3.5, 3.7, 3.9 and their unknown-d
 //     variants).
-//   - ReconcileGraphs / GraphsIsomorphic — random-graph reconciliation via
-//     the degree-ordering (§5.1) or degree-neighborhood (§5.2) signature
-//     schemes, plus the exponential tiny-graph protocols of §4.
+//   - ReconcileGraphs — random-graph reconciliation via the degree-ordering
+//     (§5.1) or degree-neighborhood (§5.2) signature schemes, or the
+//     exponential tiny-graph polynomial protocol of §4 (Theorem 4.3);
+//     GraphsIsomorphic is that protocol at d = 0 (Theorem 4.1).
 //   - ReconcileForests — rooted-forest reconciliation (§6).
 //
 // All protocols are one-way: "Bob" (the second argument) ends up with
 // "Alice's" data. They simulate both parties in-process while forcing every
 // cross-party byte through a measured transport, so the Stats on each result
 // are honest serialized-communication numbers. Both parties share public
-// coins derived from Config.Seed; two real machines running this code with
-// the same seed and parameters would exchange exactly the recorded bytes.
+// coins derived from Config.Seed. Package sosrnet serves the same protocols
+// over TCP: its client and server exchange exactly the recorded bytes plus an
+// itemised framing.
 //
 // Elements are uint64 values below 2^60 (the universe embeds into
 // GF(2^61−1) with reserved space for the characteristic-polynomial

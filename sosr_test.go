@@ -147,26 +147,10 @@ func TestReconcileSetsOfSetsValidate(t *testing.T) {
 	}
 }
 
-// TestTwoWayHonoursValidate: the two-way call runs the one-way call's
-// dispatch, so Validate refuses a non-canonical child before any table is
-// built, with the same error the one-way call returns.
-func TestTwoWayHonoursValidate(t *testing.T) {
-	alice := [][]uint64{{1, 2}, {4, 3}}
-	bob := [][]uint64{{1, 2}}
-	cfg := Config{Seed: 1, Validate: true, KnownDiff: 2, Protocol: ProtocolNaive}
-	if _, err := ReconcileSetsOfSets(alice, bob, cfg); !errors.Is(err, core.ErrInvalidInstance) {
-		t.Fatalf("one-way: err = %v, want ErrInvalidInstance", err)
-	}
-	if _, err := ReconcileSetsOfSetsTwoWay(alice, bob, cfg); !errors.Is(err, core.ErrInvalidInstance) {
-		t.Fatalf("two-way: err = %v, want ErrInvalidInstance", err)
-	}
-}
-
 // TestReconcileSetsOfSetsUndersizedShape: a shape bound set below either
 // party's data is refused as core.ErrInvalidInstance with Validate off — the
 // naive protocol used to index past its fixed-width key — by every protocol,
-// known d or not, and by the entry points that share the shape; bounds left
-// zero are derived from the data as before.
+// known d or not; bounds left zero are derived from the data as before.
 func TestReconcileSetsOfSetsUndersizedShape(t *testing.T) {
 	alice := [][]uint64{{1, 2, 3, 4, 5, 6}, {10, 11}}
 	bob := [][]uint64{{1, 2, 3, 4, 5}, {10, 11}}
@@ -196,31 +180,6 @@ func TestReconcileSetsOfSetsUndersizedShape(t *testing.T) {
 				}
 			}
 		}
-	}
-	small := Config{Seed: 5, Protocol: ProtocolNaive, KnownDiff: 4, MaxChildSize: 3}
-	if _, err := ReconcileSetsOfSetsTwoWay(alice, bob, small); !errors.Is(err, core.ErrInvalidInstance) {
-		t.Errorf("two-way: err = %v, want ErrInvalidInstance", err)
-	}
-	if _, err := BuildDigest(alice, small); !errors.Is(err, core.ErrInvalidInstance) {
-		t.Errorf("BuildDigest: err = %v, want ErrInvalidInstance", err)
-	}
-	fits := Config{Seed: 5, Protocol: ProtocolNaive, KnownDiff: 4, MaxChildSets: 2, MaxChildSize: 5}
-	digest, err := BuildDigest(bob, fits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyDigest(digest, alice, fits); !errors.Is(err, core.ErrInvalidInstance) {
-		t.Errorf("ApplyDigest over a larger replica: err = %v, want ErrInvalidInstance", err)
-	}
-	groupsA, groupsB := [][][]uint64{alice, {{7}}}, [][][]uint64{bob}
-	for _, cfg := range []Config3{{MaxGroups: 1}, {MaxChildSets: 1}, {MaxChildSize: 5}} {
-		cfg.KnownDiff = 4
-		if _, err := ReconcileSetsOfSetsOfSets(groupsA, groupsB, cfg); !errors.Is(err, core.ErrInvalidInstance) {
-			t.Errorf("depth-3 %+v: err = %v, want ErrInvalidInstance", cfg, err)
-		}
-	}
-	if _, err := ReconcileSetsOfSetsOfSets(groupsA, groupsB, Config3{KnownDiff: 12, MaxGroups: 2, MaxChildSets: 2, MaxChildSize: 6}); err != nil {
-		t.Errorf("depth-3 exact shape: %v", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"sosr"
 	"sosr/internal/core"
+	"sosr/internal/hashing"
 	"sosr/internal/iblt"
 	"sosr/internal/obs"
 	"sosr/internal/transport"
@@ -180,11 +181,12 @@ func TestEnvelopeFlagsPayloadThatGrowsWithS(t *testing.T) {
 	var prevHealthy, prevGrowing float64
 	everFlagged := false
 	for s := 200; s <= 3200; s *= 2 {
-		healthyBytes, err := core.DigestSize(core.DigestNaive, core.Params{S: s, H: 10, U: 1 << 32}, d, 0)
+		// An empty parent: the payload's size is the plan's, not the data's.
+		healthyMsg, err := core.AliceMsg(core.DigestNaive, hashing.Coins{}, nil, core.Params{S: s, H: 10, U: 1 << 32}, d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		healthy, hFlag := audited(s, healthyBytes)
+		healthy, hFlag := audited(s, len(healthyMsg))
 		growing, gFlag := audited(s, iblt.SerializedSizeFor(iblt.CellsFor(2*s), cell-12, 0))
 		t.Logf("s=%4d: healthy ratio %.2f flagged=%v, table sized by s: ratio %.2f flagged=%v", s, healthy, hFlag, growing, gFlag)
 		if hFlag || healthy > DefaultBoundEnvelope/4 {

@@ -604,8 +604,8 @@ func (a *sosApply) multiRound() (int, error) {
 
 // Graph reconciles a local graph against the hosted graph `name`: the client
 // ends up with a graph isomorphic to the server's. cfg mirrors
-// sosr.ReconcileGraphs (degree-ordering and degree-neighborhood schemes).
-// Cancelling ctx severs the session.
+// sosr.ReconcileGraphs (degree-ordering, degree-neighborhood and polynomial
+// schemes). Cancelling ctx severs the session.
 func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig) (*sosr.GraphResult, *NetStats, error) {
 	return session(ctx, c, name, KindGraph, cfg.Seed, func(cs *clientSession) (*sosr.GraphResult, error) {
 		gb, err := graph.FromEdges(local.N, local.Edges)
@@ -630,13 +630,18 @@ func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg s
 				return nil, err
 			}
 			h.MaxSig = ap.side.MaxSig
+		case sosr.SchemePolynomial:
+			if _, _, err := graphrecon.PolyShape(gb.N, h.D); err != nil {
+				return nil, err
+			}
+			h.Scheme = "polynomial"
 		default:
-			return nil, fmt.Errorf("%w: graph scheme %d has no wire protocol (use the in-process API)", ErrUnsupported, cfg.Scheme)
+			return nil, fmt.Errorf("%w: graph scheme %d", ErrUnsupported, cfg.Scheme)
 		}
 		if err := cs.open(); err != nil {
 			return nil, err
 		}
-		if _, err := cs.runFlow(&flowGraph, ap); err != nil {
+		if _, err := cs.runFlow(h.graphFlow(), ap); err != nil {
 			return nil, err
 		}
 		return &sosr.GraphResult{Recovered: sosr.Graph{N: ap.g.N, Edges: ap.g.Edges()}, Stats: cs.done(1)}, nil
@@ -656,9 +661,12 @@ type graphApply struct {
 func (a *graphApply) apply(_ int, coins hashing.Coins, frames [2][]byte) (err error) {
 	h := &a.cs.h
 	dsp := a.cs.sp.Child("decode")
-	if a.side == nil {
+	switch {
+	case h.graphFlow() == &flowGraphPoly:
+		a.g, err = graphrecon.PolyApply(a.gb, h.D, frames[0])
+	case a.side == nil:
 		a.g, err = graphrecon.DegreeOrderApply(coins, a.gb, graphrecon.DegreeOrderParams{H: h.TopH, D: h.D}, frames[0], frames[1])
-	} else {
+	default:
 		a.g, err = graphrecon.NeighborhoodApply(coins, a.gb, graphrecon.NeighborhoodParams{M: h.M, D: h.D}, a.side, a.cs.acc.MaxSig, frames[0], frames[1])
 	}
 	endDecode(dsp, err)

@@ -64,14 +64,24 @@ func (h *helloMsg) setFlow() *flow {
 	return &flowSetIBLT
 }
 
-// Graphs (both schemes send a signature cascade and an edge table) and
-// forests (known edit bound, or Corollary 3.8's doubling applied to the
-// signature budget: attempt k plans for a budget of 16·2^k):
+// Graphs (both §5 schemes send a signature cascade and an edge table; the §4
+// polynomial scheme one 24-byte evaluation) and forests (known edit bound, or
+// Corollary 3.8's doubling applied to the signature budget: attempt k plans
+// for a budget of 16·2^k):
 var (
 	flowGraph      = flow{labels: [2]string{"cascade-iblts", "edge-iblt"}}
+	flowGraphPoly  = flow{labels: [2]string{"poly-recon"}}
 	flowForest     = flow{labels: [2]string{"cascade-iblts", "forest-meta"}}
 	flowForestAuto = flow{labels: [2]string{"cascade-iblts", "forest-meta"}, sched: doubling, coins: "forest-attempt"}
 )
+
+// graphFlow is the row a graph hello selects.
+func (h *helloMsg) graphFlow() *flow {
+	if h.Scheme == "polynomial" {
+		return &flowGraphPoly
+	}
+	return &flowGraph
+}
 
 // forestFlow is the row a forest hello selects, and forestAsk what attempt k
 // of it plans for (forest.Plan resolves the rest from both parties' side

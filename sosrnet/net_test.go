@@ -405,6 +405,56 @@ func TestGraphOverTCPNeighborhood(t *testing.T) {
 	t.Fatal("no disjoint base graph found")
 }
 
+// TestGraphOverTCPPolynomial: the §4 scheme is one 24-byte poly-recon frame
+// on the graph kind. The client recovers a graph isomorphic to the server's,
+// and the TCP bytes are the in-process Stats plus the framing of hello,
+// accept, that frame and done, itemised.
+func TestGraphOverTCPPolynomial(t *testing.T) {
+	ga := sosr.RandomGraph(6, 0.5, 31)
+	gb := sosr.PerturbGraph(ga, 2, 32)
+	cfg := sosr.GraphConfig{Seed: 33, Scheme: sosr.SchemePolynomial, MaxEdits: 2}
+	want, err := sosr.ReconcileGraphs(ga, gb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.TotalBytes != 24 {
+		t.Fatalf("in-process poly-recon sent %d bytes, want 24", want.Stats.TotalBytes)
+	}
+	var finished atomic.Int64
+	_, addr, cl := startServer(t, func(s *Server) {
+		if err := s.HostGraph("tiny", ga); err != nil {
+			t.Fatal(err)
+		}
+		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+			if r.Message == "session finished" {
+				finished.Add(1)
+			}
+		}})
+	})
+	got, ns, err := Dial(addr).Graph(context.Background(), "tiny", gb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sosr.GraphsExactlyIsomorphic(got.Recovered, ga) {
+		t.Fatal("recovered graph not isomorphic to the server's")
+	}
+	checkNetStats(t, ns, want.Stats)
+	hello := helloMsg{V: protoVersion, Dataset: "tiny", Kind: KindGraph, Seed: cfg.Seed, D: 2, Scheme: "polynomial", N: gb.N}
+	accept := acceptMsg{V: protoVersion, Kind: KindGraph, D: 2}
+	done := doneMsg{OK: true, Rounds: 1, Bytes: 24, Messages: 1, Attempts: 1}
+	framing := int64(wire.FrameSize(lblHello, len(appendCtl(nil, helloFields, &hello))) +
+		wire.FrameSize(lblAccept, len(appendCtl(nil, acceptFields, &accept))) +
+		wire.Overhead("poly-recon") +
+		wire.FrameSize(lblDone, len(appendCtl(nil, doneFields, &done))))
+	if ns.Overhead != framing {
+		t.Fatalf("overhead %d, itemised %d", ns.Overhead, framing)
+	}
+	waitFor(t, "server to finish the session", func() bool { return finished.Load() == 1 })
+	if tcp := cl.n.Load(); tcp != 24+framing {
+		t.Fatalf("TCP bytes %d != 24 + framing %d", tcp, framing)
+	}
+}
+
 func TestForestOverTCP(t *testing.T) {
 	fa := sosr.RandomForest(120, 0.15, 51)
 	fb := sosr.PerturbForest(fa, 3, 52)

@@ -296,9 +296,10 @@ func (pl *sosPlan) serveMultiRound(s *Server) error {
 
 // ---- graph ----
 
-// graphPlan serves one of the two graph schemes. Both reconcile the vertex
-// signatures as a sets-of-sets cascade and then the labelled edges, and audit
-// against the signature shape.
+// graphPlan serves one of the three graph schemes. The two §5 schemes
+// reconcile the vertex signatures as a sets-of-sets cascade and then the
+// labelled edges, and audit against the signature shape; the §4 polynomial
+// scheme sends one fixed-size evaluation.
 type graphPlan struct {
 	noEstimate
 	rec  *sessionRecord      // its accept holds the resolved d and, for the neighbourhood scheme, maxSig
@@ -324,6 +325,12 @@ func planGraph(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error)
 	switch h.Scheme {
 	case "degree":
 		sigShape, sigD = graphrecon.DegreeOrderSigShape(ga.N, graphrecon.DegreeOrderParams{H: h.TopH, D: acc.D})
+	case "polynomial":
+		// Theorem 4.3's message is PolyMsgSize bytes whatever d: the audit's
+		// unit is that message.
+		rec.tr.audit(1, graphrecon.PolyMsgSize)
+		_, _, err := graphrecon.PolyShape(ga.N, acc.D)
+		return pl, err
 	case "neighborhood":
 		// The side encoding fixes maxSig (part of the accept message and the
 		// cache key), so it runs uncached; the expensive IBLT frames behind
@@ -350,21 +357,32 @@ func (pl *graphPlan) nbrParams() graphrecon.NeighborhoodParams {
 }
 
 func (pl *graphPlan) detail() string        { return fmt.Sprintf("d=%d", pl.rec.h.D) }
-func (pl *graphPlan) serve(s *Server) error { return s.serveFlow(pl.rec, &flowGraph, pl) }
+func (pl *graphPlan) serve(s *Server) error { return s.serveFlow(pl.rec, pl.rec.h.graphFlow(), pl) }
 
-// build encodes both frames in one pass and memoizes them together.
+// build encodes the scheme's frames in one pass and memoizes them together.
 func (pl *graphPlan) build(s *Server, _ int, coins hashing.Coins) ([][]byte, error) {
 	h, acc, ga := &pl.rec.h, &pl.rec.acc, pl.rec.view.g
-	key := enccache.Key{Proto: "graph-degree", Seed: coins.Master(), D: acc.D, Extra: fmt.Sprintf("h=%d", h.TopH)}
-	if pl.side != nil {
+	poly := h.graphFlow() == &flowGraphPoly
+	key := enccache.Key{Proto: "graph-poly", Seed: coins.Master(), D: acc.D}
+	switch {
+	case pl.side != nil:
 		key.Proto, key.Extra = "graph-nbr", fmt.Sprintf("m=%d,sig=%d", h.M, acc.MaxSig)
+	case !poly:
+		key.Proto, key.Extra = "graph-degree", fmt.Sprintf("h=%d", h.TopH)
 	}
 	return s.memo(pl.rec, key, func() ([][]byte, error) {
 		var msgs *graphrecon.GraphMsgs
 		var err error
-		if pl.side != nil {
+		switch {
+		case poly:
+			var msg []byte
+			if msg, err = graphrecon.PolyAlice(coins, ga, acc.D); err != nil {
+				return nil, err
+			}
+			return [][]byte{msg}, nil
+		case pl.side != nil:
 			msgs, err = graphrecon.NeighborhoodAlice(coins, ga, pl.nbrParams(), pl.side, acc.MaxSig)
-		} else {
+		default:
 			msgs, err = graphrecon.DegreeOrderAlice(coins, ga, graphrecon.DegreeOrderParams{H: h.TopH, D: acc.D})
 		}
 		if err != nil {

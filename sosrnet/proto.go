@@ -274,7 +274,7 @@ const maxHelloReplicas = 64
 var (
 	kindNames    = namesOf(kinds, func(k *kindEntry) string { return string(k.kind) })
 	familyNames  = namesOf(sosFamilies, func(f sosFamily) string { return f.name })
-	graphSchemes = []string{"degree", "neighborhood"}
+	graphSchemes = []string{"degree", "neighborhood", "polynomial"}
 )
 
 func namesOf[T any](table []T, name func(T) string) []string {

@@ -125,6 +125,8 @@ func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Co
 		t.Fatal(err)
 	}
 	ga, gb := sosr.PerturbGraph(base, 1, 12), sosr.PerturbGraph(base, 1, 13)
+	tinyA := sosr.RandomGraph(6, 0.5, 31) // the §4 scheme's tiny-graph limit
+	tinyB := sosr.PerturbGraph(tinyA, 2, 32)
 	fa := sosr.RandomForest(120, 0.15, 51)
 	fb := sosr.PerturbForest(fa, 3, 52)
 	var finished atomic.Int64
@@ -136,7 +138,7 @@ func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Co
 	}})
 	for _, err := range []error{
 		srv.HostSets("ids", setA), srv.HostMultiset("bag", multiA), srv.HostSetsOfSets("docs", sosA),
-		srv.HostGraph("net", ga), srv.HostForest("tree", fa),
+		srv.HostGraph("net", ga), srv.HostGraph("tiny", tinyA), srv.HostForest("tree", fa),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -220,10 +222,23 @@ func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Co
 			}}, err
 		}}
 	}
-	graphCfg := sosr.GraphConfig{Seed: 14, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 2, TopDegrees: topH}
-	wantMulti, wantMultiStats, err1 := sosr.ReconcileMultisets(multiA, multiB, 16, 3)
-	wantGraph, err2 := sosr.ReconcileGraphs(ga, gb, graphCfg)
-	if err := errors.Join(err1, err2); err != nil {
+	graphRow := func(name, dataset string, alice, bob sosr.Graph, cfg sosr.GraphConfig) row {
+		want, err := sosr.ReconcileGraphs(alice, bob, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.Graph(ctx, dataset, bob, cfg)
+			return outcome{ns, func() error {
+				if !sosr.GraphsExactlyIsomorphic(res.Recovered, alice) {
+					return errors.New("wrong graph recovered")
+				}
+				return nil
+			}}, err
+		}}
+	}
+	wantMulti, wantMultiStats, err := sosr.ReconcileMultisets(multiA, multiB, 16, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := []row{
@@ -239,15 +254,7 @@ func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Co
 		}},
 		sosRow("sos/cascade", sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24}),
 		sosRow("sos/nested-doubling", sosr.Config{Seed: 4, Protocol: sosr.ProtocolNested}), // several attempts, acks
-		{"graph", wantGraph.Stats, func() (outcome, error) {
-			res, ns, err := c.Graph(ctx, "net", gb, graphCfg)
-			return outcome{ns, func() error {
-				if !sosr.GraphsExactlyIsomorphic(res.Recovered, ga) {
-					return errors.New("wrong graph recovered")
-				}
-				return nil
-			}}, err
-		}},
+		graphRow("graph", "net", ga, gb, sosr.GraphConfig{Seed: 14, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 2, TopDegrees: topH}),
 		forestRow("forest", sosr.ForestConfig{Seed: 53, MaxEdits: 3}),
 	}
 	if dial != nil { // the in-memory row: the rest of the flow table
@@ -259,6 +266,7 @@ func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Co
 			sosRow("sos/cascade-doubling", sosr.Config{Seed: 6, Protocol: sosr.ProtocolCascade}),
 			sosRow("sos/multiround", sosr.Config{Seed: 7, Protocol: sosr.ProtocolMultiRound, KnownDiff: 24}),
 			sosRow("sos/multiround-4", sosr.Config{Seed: 8, Protocol: sosr.ProtocolMultiRound}),
+			graphRow("graph/polynomial", "tiny", tinyA, tinyB, sosr.GraphConfig{Seed: 33, Scheme: sosr.SchemePolynomial, MaxEdits: 2}),
 			forestRow("forest/auto", sosr.ForestConfig{Seed: 63}),
 		)
 	}

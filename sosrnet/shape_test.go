@@ -16,6 +16,7 @@ import (
 
 	"sosr"
 	"sosr/internal/core"
+	"sosr/internal/graphrecon"
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
 	"sosr/internal/obs"
@@ -266,6 +267,72 @@ func TestHostileStarFlagRefused(t *testing.T) {
 	}
 }
 
+// TestHostilePolyFrameRefused plays a server that answers a polynomial graph
+// hello with a poly-recon frame no honest server sends. Bob derives the
+// modulus from his own (n, d): a frame whose q is zero (which used to divide
+// by zero in the client), another prime, or whose r or value is not below q
+// ends the session with graphrecon.ErrBadPolyMsg, and the server is told.
+func TestHostilePolyFrameRefused(t *testing.T) {
+	bob := sosr.RandomGraph(6, 0.5, 7)
+	const d = 2
+	_, q, err := graphrecon.PolyShape(bob.N, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		q, r, v uint64
+	}{
+		{"q=0", 0, 1, 1},
+		{"another prime", graphrecon.NextPrime(q + 1), 1, 1},
+		{"r=q", q, q, 1},
+		{"r=2^64-1", q, ^uint64(0), 1},
+		{"value=q", q, 1, q},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan *doneMsg, 1)
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			ep := wire.NewEndpoint(conn, transport.Alice)
+			payload, err := ep.RecvExpect(lblHello)
+			var h helloMsg
+			if err != nil || parseCtl(helloFields, payload, &h) != nil {
+				return
+			}
+			frame := binary.LittleEndian.AppendUint64(nil, tc.q)
+			frame = binary.LittleEndian.AppendUint64(frame, tc.r)
+			frame = binary.LittleEndian.AppendUint64(frame, tc.v)
+			if ep.SendFrame(lblAccept, appendCtl(nil, acceptFields, &acceptMsg{V: protoVersion, Kind: KindGraph, D: h.D})) != nil ||
+				ep.SendFrame("poly-recon", frame) != nil {
+				return
+			}
+			if done, err := recvDone(ep); err == nil {
+				served <- done
+			}
+		}()
+		c := Dial(ln.Addr().String())
+		c.Timeout = 5 * time.Second
+		res, _, err := c.Graph(context.Background(), "tiny", bob, sosr.GraphConfig{Seed: 1, Scheme: sosr.SchemePolynomial, MaxEdits: d})
+		c.Close()
+		done := <-served
+		ln.Close()
+		if !errors.Is(err, graphrecon.ErrBadPolyMsg) || res != nil {
+			t.Errorf("%s: result %v, err %v; want graphrecon.ErrBadPolyMsg", tc.name, res != nil, err)
+		}
+		if done == nil || done.OK || done.Error == "" {
+			t.Errorf("%s: the server was told %+v, want a done{ok:false} naming the refusal", tc.name, done)
+		}
+	}
+}
+
 // TestHostileAcceptRefused plays a server that answers a well-formed hello of
 // every kind with an accept no honest server sends: another version or kind,
 // a parameter the hello pinned come back changed, or a resolved size beyond
@@ -434,7 +501,12 @@ func TestV3PeersAreVersionRejects(t *testing.T) {
 			t.Fatalf("got %v, want the version refusal", err)
 		}
 		rejects := srv.metrics().rejects
-		waitFor(t, "version reject counted", func() bool { return rejects.With(rejectVersion).Value() == 1 })
+		// reject counts before it logs: wait for the log line too.
+		waitFor(t, "version reject counted and logged", func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return rejects.With(rejectVersion).Value() == 1 && len(rejected) > 0
+		})
 		if n := rejects.With(rejectMalformed).Value(); n != 0 {
 			t.Fatalf("%d malformed rejects counted for a v3 hello", n)
 		}
