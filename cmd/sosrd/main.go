@@ -33,10 +33,9 @@
 // Logs are structured (log/slog, text format, stderr); -log-level picks the
 // threshold (debug, info, warn, error).
 //
-// Sharded deployments partition every hosted dataset across N shards with a
-// deterministic topology over the address list (internal/shardmap). Shards
-// are comma-separated; replicas of one shard are pipe-separated within the
-// shard's entry. Each serving instance keeps only the slice its shard owns
+// Sharded deployments partition every hosted dataset across N shards
+// (internal/shardmap). Shards are comma-separated; replicas of one shard are
+// pipe-separated within the shard's entry. Each serving instance keeps only the slice its shard owns
 // (sets, multisets and sets of sets partition; a graph or a forest is refused),
 // every replica of a shard keeps the identical slice, and a sync with -shards
 // fans one logical reconcile out over all shards — failing over between
@@ -50,10 +49,13 @@
 //	sosrd shard-sync  -shards 'h1:7075|h4:7075,h2:7075,h3:7075' -name docs -kind sos -d 24 -replica replica.json
 //
 // Every instance receives the same -shards list and the full logical
-// datasets; shard identity is canonical (order-insensitive), ownership
-// filtering is deterministic, so the instances agree on the partition
-// without talking to each other, and sessions carrying wrong shard
-// coordinates or a stale -epoch are rejected at the handshake.
+// datasets. A shard is its position in that list: what it owns, its coins
+// and its identity follow from the position and the shard count, so the
+// instances agree on the partition without talking to each other, a replica
+// may move to another address (its shard's -data-dir comes along), and the
+// same list in another shard order is another deployment. Sessions carrying
+// another position, another shard count or a stale -epoch are rejected at the
+// handshake.
 //
 // The datasets file maps names to data; an entry is a store.Record in its JSON
 // form, the same one /admin/host takes as its body:
@@ -454,7 +456,7 @@ func runServer(srv *sosrnet.Server, ln net.Listener, ops *http.Server, st *store
 // or a shard topology and its epoch.
 func linkFlags(fs *flag.FlagSet, addrDefault, addrUsage string) (addr, shards *string, epoch *uint64) {
 	return fs.String("addr", addrDefault, addrUsage),
-		fs.String("shards", "", "shard topology: comma-separated shards, pipe-separated replicas per shard (the same list on every instance and client)"),
+		fs.String("shards", "", "shard topology: comma-separated shards, pipe-separated replicas per shard (the same shards in the same order on every instance and client: a shard is its position)"),
 		fs.Uint64("epoch", 0, "topology epoch; a client carrying another than the serving instances' is told to re-resolve")
 }
 

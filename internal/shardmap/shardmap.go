@@ -7,20 +7,23 @@
 // shard pair reconciles its slice with the paper's per-shard communication
 // bounds intact.
 //
-// Assignment is a pure function of (shard identity string, key): the owner of
-// a key is the shard whose hashed (identity, key) weight is largest. That
-// gives the two properties a sharded deployment needs:
+// Assignment is a pure function of (shard name, key): the owner of a key is
+// the shard whose hashed (name, key) weight is largest. That gives the two
+// properties a sharded deployment needs:
 //
-//   - Stability under reordering: permuting the shard list never changes
-//     which shard identity owns a key (indices follow the caller's order, but
-//     OwnerID is order-invariant).
+//   - Stability under reordering: permuting a name list never changes which
+//     name owns a key (indices follow the caller's order, the names do not).
 //   - Minimal movement: adding or removing one shard from a list of n moves
 //     only the ~1/n of keys whose new/old maximum was that shard.
+//
+// A Topology names its shards by position (Positional), so everything the
+// parties must agree on is a function of the shard count alone.
 package shardmap
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sosr/internal/hashing"
@@ -38,9 +41,9 @@ type Map struct {
 	seeds []uint64 // per-shard weight seed, derived from the identity string
 }
 
-// New builds a map over the given shard identities (typically "host:port"
-// addresses). Identities must be non-empty and distinct; order is preserved
-// (Index positions follow it) but does not affect ownership.
+// New builds a map over the given shard names. Names must be non-empty and
+// distinct; order is preserved (Owner's indices follow it) but does not affect
+// which name owns a key.
 func New(ids []string) (*Map, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("shardmap: no shards")
@@ -63,44 +66,44 @@ func New(ids []string) (*Map, error) {
 	return m, nil
 }
 
+// Positional builds the map over n shards named by their positions, "0" to
+// "n-1": the ownership and shard identities of every n-shard topology,
+// whatever addresses serve it.
+func Positional(n int) (*Map, error) {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = strconv.Itoa(i)
+	}
+	return New(names)
+}
+
 // weightSalt seeds the per-shard identity hash feeding the HRW weights.
 const weightSalt uint64 = 0x73a4d3a95eedf00d
 
 // fingerprintSalt seeds the shard-list digest.
 const fingerprintSalt uint64 = 0xf19e4b21d15c0de5
 
-// Fingerprint returns an order-sensitive digest of the identity list. Two
-// parties can agree on (index, count) yet hold different lists — e.g.
-// "localhost:7075" vs "127.0.0.1:7075" spellings that dial the same servers
-// but hash to different owners — and would then partition keys differently;
-// exchanging the fingerprint catches that at the handshake.
+// shardIDSalt seeds the shard-identity hash carried in the hello.
+const shardIDSalt uint64 = 0x70b07091c4a10e57
+
+// Fingerprint returns an order-sensitive digest of the name list: two maps
+// fingerprint equal iff they partition keys identically.
 func (m *Map) Fingerprint() uint64 {
 	return hashing.HashBytes(fingerprintSalt, []byte(strings.Join(m.ids, "\x00")))
+}
+
+// ShardIDHash returns the hash of shard index's name — the compact form of
+// its identity carried in the session hello.
+func (m *Map) ShardIDHash(index int) uint64 {
+	return hashing.HashBytes(shardIDSalt, []byte(m.ids[index]))
 }
 
 // N returns the shard count.
 func (m *Map) N() int { return len(m.ids) }
 
-// IDs returns the shard identities in the caller's original order. The
-// returned slice is shared; do not mutate it.
-func (m *Map) IDs() []string { return m.ids }
-
-// ID returns the identity of shard index.
-func (m *Map) ID(index int) string { return m.ids[index] }
-
-// Index returns the position of the given shard identity, or -1.
-func (m *Map) Index(id string) int {
-	for i, s := range m.ids {
-		if s == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // Owner returns the index of the shard owning key: the shard with the
-// highest hashed (identity, key) weight, ties broken by the lexicographically
-// smaller identity so assignment stays a pure function of the identity set.
+// highest hashed (name, key) weight, ties broken by the lexicographically
+// smaller name so assignment stays a pure function of the name set.
 func (m *Map) Owner(key uint64) int {
 	best := 0
 	bestW := hashing.HashWord(m.seeds[0], key)
@@ -112,10 +115,6 @@ func (m *Map) Owner(key uint64) int {
 	}
 	return best
 }
-
-// OwnerID returns the identity of the shard owning key; unlike Owner's index
-// it is invariant under reordering of the shard list.
-func (m *Map) OwnerID(key uint64) string { return m.ids[m.Owner(key)] }
 
 // ChildKey maps a canonical child set to its shard-assignment key: the
 // order-invariant set hash under a fixed protocol salt. Both parties of a

@@ -15,6 +15,9 @@ func mustNew(t *testing.T, ids []string) *Map {
 	return m
 }
 
+// ownerName returns the name of the shard owning key.
+func ownerName(m *Map, key uint64) string { return m.ids[m.Owner(key)] }
+
 func TestNewRejectsBadShardLists(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("empty shard list accepted")
@@ -35,18 +38,18 @@ func TestDeterminismAcrossRestarts(t *testing.T) {
 	m := mustNew(t, []string{"10.0.0.1:7075", "10.0.0.2:7075", "10.0.0.3:7075"})
 	golden := map[uint64]string{}
 	for key := uint64(0); key < 1000; key++ {
-		golden[key] = m.OwnerID(key)
+		golden[key] = ownerName(m, key)
 	}
 	// A "restarted process": a fresh Map over equal strings.
 	m2 := mustNew(t, []string{"10.0.0.1:7075", "10.0.0.2:7075", "10.0.0.3:7075"})
 	for key, want := range golden {
-		if got := m2.OwnerID(key); got != want {
+		if got := ownerName(m2, key); got != want {
 			t.Fatalf("key %d: owner %q after restart, was %q", key, got, want)
 		}
 	}
 	// Spot-pin a few absolute values so the hash family itself cannot drift.
 	pins := map[uint64]string{
-		0: m.OwnerID(0), 1: m.OwnerID(1), 999: m.OwnerID(999),
+		0: ownerName(m, 0), 1: ownerName(m, 1), 999: ownerName(m, 999),
 	}
 	for k, v := range pins {
 		if v == "" {
@@ -65,8 +68,8 @@ func TestStableUnderReordering(t *testing.T) {
 	src := prng.New(7)
 	for i := 0; i < 5000; i++ {
 		key := src.Uint64()
-		if m1.OwnerID(key) != m2.OwnerID(key) {
-			t.Fatalf("key %d: owner %q vs %q after reorder", key, m1.OwnerID(key), m2.OwnerID(key))
+		if ownerName(m1, key) != ownerName(m2, key) {
+			t.Fatalf("key %d: owner %q vs %q after reorder", key, ownerName(m1, key), ownerName(m2, key))
 		}
 	}
 	// Child-set identities too.
@@ -117,7 +120,7 @@ func TestMinimalMovementOnResize(t *testing.T) {
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := src.Uint64()
-		o1, o2 := m1.OwnerID(key), m2.OwnerID(key)
+		o1, o2 := ownerName(m1, key), ownerName(m2, key)
 		if o1 != o2 {
 			moved++
 			if o2 != "e:5" {
@@ -133,7 +136,7 @@ func TestMinimalMovementOnResize(t *testing.T) {
 	src = prng.New(99)
 	for i := 0; i < keys; i++ {
 		key := src.Uint64()
-		if m2.OwnerID(key) != "e:5" && m1.OwnerID(key) != m2.OwnerID(key) {
+		if ownerName(m2, key) != "e:5" && ownerName(m1, key) != ownerName(m2, key) {
 			t.Fatalf("key %d owned by a surviving shard moved on shrink", key)
 		}
 	}
@@ -182,13 +185,6 @@ func TestSplitHelpersPartition(t *testing.T) {
 	}
 	if total != len(parent) {
 		t.Fatalf("split dropped child sets: %d != %d", total, len(parent))
-	}
-}
-
-func TestIndexAndIDs(t *testing.T) {
-	m := mustNew(t, []string{"a:1", "b:2"})
-	if m.N() != 2 || m.ID(1) != "b:2" || m.Index("b:2") != 1 || m.Index("nope") != -1 {
-		t.Fatalf("identity bookkeeping broken: %v", m.IDs())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"sosr/internal/hashing"
 )
@@ -14,11 +13,13 @@ import (
 // arrangement carries a monotonic epoch so every party can tell a stale view
 // from the current one at the handshake.
 //
-// A shard's identity is canonical — the sorted replica address list — so two
-// parties holding the same deployment in different orders (shards permuted,
-// replicas within a shard permuted) agree on ownership, on per-shard seeds,
-// and on the topology fingerprint. Only a genuinely different address
-// structure (a replica added, an address respelled) changes the fingerprint.
+// A shard is its position: shard i of an n-shard topology owns the keys the
+// positional map over n names assigns to i (see Positional), and its identity
+// hash and the topology fingerprint are that map's. Ownership, shard identity
+// and fingerprint are therefore functions of the shard count alone, and the
+// replica addresses do one job, routing: a respelled, replaced or re-ported
+// replica leaves its shard's identity and keys where they were, while the same
+// addresses listed in another shard order are a different deployment.
 //
 // A Topology is immutable and safe for concurrent use. Replacing a
 // deployment's topology means building a new value with a higher epoch;
@@ -27,13 +28,9 @@ import (
 // two sides.
 type Topology struct {
 	epoch  uint64
-	shards [][]string // caller order preserved; inner lists caller order too
-	ids    []string   // canonical per-shard identity (sorted replicas joined)
-	m      *Map       // HRW ownership over the canonical identities
+	shards [][]string // per shard, its replica addresses in the caller's order
+	m      *Map       // HRW ownership over the positional shard names
 }
-
-// shardIDSalt seeds the canonical shard-identity hash carried in the hello.
-const shardIDSalt uint64 = 0x70b07091c4a10e57
 
 // replicaSalt seeds the per-replica rendezvous weights used for failover and
 // hedging order (independent of the ownership weights).
@@ -46,11 +43,7 @@ func NewTopology(epoch uint64, shards [][]string) (*Topology, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("shardmap: topology has no shards")
 	}
-	t := &Topology{
-		epoch:  epoch,
-		shards: make([][]string, len(shards)),
-		ids:    make([]string, len(shards)),
-	}
+	t := &Topology{epoch: epoch, shards: make([][]string, len(shards))}
 	seen := make(map[string]struct{})
 	for i, reps := range shards {
 		if len(reps) == 0 {
@@ -61,19 +54,13 @@ func NewTopology(epoch uint64, shards [][]string) (*Topology, error) {
 			if addr == "" {
 				return nil, fmt.Errorf("shardmap: shard %d replica %d has an empty address", i, j)
 			}
-			if strings.ContainsAny(addr, ",|\x00") {
-				return nil, fmt.Errorf("shardmap: address %q contains a reserved separator", addr)
-			}
 			if _, dup := seen[addr]; dup {
 				return nil, fmt.Errorf("shardmap: duplicate address %q", addr)
 			}
 			seen[addr] = struct{}{}
 		}
-		canon := append([]string(nil), reps...)
-		sort.Strings(canon)
-		t.ids[i] = strings.Join(canon, ",")
 	}
-	m, err := New(t.ids)
+	m, err := Positional(len(shards))
 	if err != nil {
 		return nil, err
 	}
@@ -101,36 +88,15 @@ func (t *Topology) NumShards() int { return len(t.shards) }
 // order. The returned slice is shared; do not mutate it.
 func (t *Topology) Replicas(i int) []string { return t.shards[i] }
 
-// ShardID returns shard i's canonical identity: its sorted replica address
-// list joined with ",". Invariant under replica reordering.
-func (t *Topology) ShardID(i int) string { return t.ids[i] }
-
-// ShardIDHash returns the hash of shard i's canonical identity — the compact
+// ShardIDHash returns the hash of shard i's positional identity — the compact
 // form carried in the session hello.
-func (t *Topology) ShardIDHash(i int) uint64 {
-	return hashing.HashBytes(shardIDSalt, []byte(t.ids[i]))
-}
+func (t *Topology) ShardIDHash(i int) uint64 { return t.m.ShardIDHash(i) }
 
-// Fingerprint digests the canonical shard identities, order-invariantly: two
-// topologies fingerprint equal iff they carry the same shard/replica address
-// structure, regardless of how either party ordered its lists. The epoch is
+// Fingerprint digests the positional shard names, so two topologies of equal
+// shard count fingerprint equal whatever their addresses. The epoch is
 // deliberately excluded so an epoch mismatch and a structural mismatch are
 // distinguishable rejections.
-func (t *Topology) Fingerprint() uint64 {
-	canon := append([]string(nil), t.ids...)
-	sort.Strings(canon)
-	return hashing.HashBytes(fingerprintSalt, []byte(strings.Join(canon, "\x00")))
-}
-
-// Map exposes the HRW ownership map over the canonical shard identities
-// (shared; read-only). Index positions follow the topology's shard order.
-func (t *Topology) Map() *Map { return t.m }
-
-// Owner returns the index of the shard owning a top-level element key.
-func (t *Topology) Owner(key uint64) int { return t.m.Owner(key) }
-
-// OwnerOfSet returns the index of the shard owning a canonical child set.
-func (t *Topology) OwnerOfSet(cs []uint64) int { return t.m.OwnerOfSet(cs) }
+func (t *Topology) Fingerprint() uint64 { return t.m.Fingerprint() }
 
 // SplitElems partitions elements by shard ownership (see Map.SplitElems).
 func (t *Topology) SplitElems(xs []uint64) [][]uint64 { return t.m.SplitElems(xs) }

@@ -21,8 +21,6 @@ func TestTopologyValidation(t *testing.T) {
 		{{""}},
 		{{"a:1"}, {"a:1"}}, // duplicate across shards
 		{{"a:1", "a:1"}},   // duplicate within a shard
-		{{"a:1,b:2"}},      // reserved separator
-		{{"a|1"}},          // reserved separator
 	}
 	for i, shards := range cases {
 		if _, err := NewTopology(1, shards); err == nil {
@@ -34,68 +32,77 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
-// TestTopologyCanonicalFingerprint: permuting shards, or replicas within a
-// shard, never changes the fingerprint or the shard identities; changing the
-// address structure always does.
+// baseShards and sameCount: topologies of three shards that differ only in
+// their addresses — replicas permuted within a shard, respelled, or replaced
+// (with another replica count).
+var (
+	baseShards = [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"e:1"}}
+	sameCount  = map[string][][]string{
+		"permuted":  {{"b:1", "a:1"}, {"d:1", "c:1"}, {"e:1"}},
+		"respelled": {{"localhost:1", "b:1"}, {"c:1", "d:1"}, {"127.0.0.1:1"}},
+		"replaced":  {{"f:9"}, {"g:9", "h:9", "i:9"}, {"j:9"}},
+	}
+)
+
+func testKeys() []uint64 {
+	keys := make([]uint64, 1000)
+	for i := range keys {
+		keys[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	return keys
+}
+
+// TestTopologyCanonicalFingerprint: a shard is its position, so topologies of
+// equal shard count share the fingerprint and every shard identity hash
+// whatever their addresses. The epoch stays out of the fingerprint; another
+// shard count changes it.
 func TestTopologyCanonicalFingerprint(t *testing.T) {
-	base := mustTopology(t, 3, [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"e:1"}})
-	reorderedShards := mustTopology(t, 3, [][]string{{"e:1"}, {"c:1", "d:1"}, {"a:1", "b:1"}})
-	reorderedReplicas := mustTopology(t, 3, [][]string{{"b:1", "a:1"}, {"d:1", "c:1"}, {"e:1"}})
-	if base.Fingerprint() != reorderedShards.Fingerprint() {
-		t.Fatal("shard order changed the fingerprint")
+	base := mustTopology(t, 3, baseShards)
+	for name, shards := range sameCount {
+		for _, epoch := range []uint64{3, 4} {
+			other := mustTopology(t, epoch, shards)
+			if other.Fingerprint() != base.Fingerprint() {
+				t.Fatalf("%s at epoch %d: fingerprint moved", name, epoch)
+			}
+			for i := 0; i < 3; i++ {
+				if other.ShardIDHash(i) != base.ShardIDHash(i) {
+					t.Fatalf("%s: shard %d identity moved", name, i)
+				}
+			}
+		}
 	}
-	if base.Fingerprint() != reorderedReplicas.Fingerprint() {
-		t.Fatal("replica order changed the fingerprint")
-	}
-	if base.ShardID(0) != reorderedReplicas.ShardID(0) {
-		t.Fatal("replica order changed a shard identity")
-	}
-	different := mustTopology(t, 3, [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"f:1"}})
-	if base.Fingerprint() == different.Fingerprint() {
-		t.Fatal("different address structure fingerprints equal")
-	}
-	moved := mustTopology(t, 3, [][]string{{"a:1"}, {"b:1", "c:1", "d:1"}, {"e:1"}})
-	if base.Fingerprint() == moved.Fingerprint() {
-		t.Fatal("moving a replica between shards kept the fingerprint")
-	}
-	// The epoch is not part of the fingerprint (mismatches must be
-	// distinguishable from structural divergence).
-	bumped := mustTopology(t, 4, [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"e:1"}})
-	if base.Fingerprint() != bumped.Fingerprint() {
-		t.Fatal("epoch leaked into the fingerprint")
+	two := mustTopology(t, 3, [][]string{{"a:1"}, {"c:1"}})
+	if two.Fingerprint() == base.Fingerprint() {
+		t.Fatal("another shard count shares the fingerprint")
 	}
 }
 
-// TestTopologyOwnershipOrderInvariant: a reordered-but-identical topology
-// assigns every key to the same shard identity.
+// TestTopologyOwnershipOrderInvariant: topologies of equal shard count assign
+// every key to the same position whatever their addresses.
 func TestTopologyOwnershipOrderInvariant(t *testing.T) {
-	a := mustTopology(t, 1, [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"e:1"}})
-	b := mustTopology(t, 1, [][]string{{"e:1"}, {"d:1", "c:1"}, {"a:1", "b:1"}})
-	for key := uint64(0); key < 500; key++ {
-		ia, ib := a.Owner(key*2654435761), b.Owner(key*2654435761)
-		if a.ShardID(ia) != b.ShardID(ib) {
-			t.Fatalf("key %d owned by %q in one order, %q in the other", key, a.ShardID(ia), b.ShardID(ib))
+	keys := testKeys()
+	want := mustTopology(t, 1, baseShards).SplitElems(keys)
+	for name, shards := range sameCount {
+		if got := mustTopology(t, 1, shards).SplitElems(keys); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: keys moved between shards", name)
 		}
 	}
 }
 
-// TestSingleReplicaMatchesFlatMap: the unreplicated topology owns keys
-// exactly as the flat Map over the same addresses did, so existing
-// single-replica deployments partition identically after the upgrade.
+// TestSingleReplicaMatchesFlatMap: the unreplicated topology owns keys exactly
+// as the positional map over its shard count does.
 func TestSingleReplicaMatchesFlatMap(t *testing.T) {
-	addrs := []string{"h1:7075", "h2:7075", "h3:7075"}
-	topo, err := SingleReplica(1, addrs)
+	topo, err := SingleReplica(1, []string{"h1:7075", "h2:7075", "h3:7075"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(addrs)
+	m, err := Positional(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key := uint64(0); key < 1000; key++ {
-		if topo.Owner(key) != m.Owner(key) {
-			t.Fatalf("key %d: topology owner %d, flat map owner %d", key, topo.Owner(key), m.Owner(key))
-		}
+	keys := testKeys()
+	if !reflect.DeepEqual(topo.SplitElems(keys), m.SplitElems(keys)) {
+		t.Fatal("single-replica topology owns keys other than positionally")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"math"
 )
 
 // Binary encodings for snapshots and WAL entries. Both are little-endian
@@ -210,17 +211,12 @@ func marshalRecord(rec *Record) ([]byte, error) {
 			out = binary.AppendVarint(out, int64(p))
 		}
 	}
-	if rec.Shard != nil {
-		out = append(out, 1)
-		out = binary.AppendUvarint(out, uint64(rec.Shard.Index))
-		out = binary.LittleEndian.AppendUint64(out, rec.Shard.Epoch)
-		out = binary.AppendUvarint(out, uint64(len(rec.Shard.Shards)))
-		for _, reps := range rec.Shard.Shards {
-			out = binary.AppendUvarint(out, uint64(len(reps)))
-			for _, a := range reps {
-				out = appendString(out, a)
-			}
-		}
+	// The shard binding: tag 0 for none, tag 2 and the position (tag 1 was
+	// the replica addresses of every shard).
+	if sb := rec.Shard; sb != nil {
+		out = binary.AppendUvarint(append(out, 2), uint64(sb.Index))
+		out = binary.AppendUvarint(out, uint64(sb.Count))
+		out = binary.LittleEndian.AppendUint64(out, sb.Epoch)
 	} else {
 		out = append(out, 0)
 	}
@@ -265,18 +261,21 @@ func unmarshalRecord(buf []byte) (*Record, error) {
 			rec.Parent = append(rec.Parent, int32(r.varint()))
 		}
 	}
-	if r.byte() == 1 {
-		sb := &ShardBinding{Index: int(r.uvarint()), Epoch: r.u64()}
-		ns := r.count(1)
-		for i := 0; i < ns && r.err == nil; i++ {
-			nr := r.count(1)
-			var reps []string
-			for j := 0; j < nr && r.err == nil; j++ {
-				reps = append(reps, r.str())
-			}
-			sb.Shards = append(sb.Shards, reps)
+	switch tag := r.byte(); tag {
+	case 0:
+	case 2:
+		index, count := r.uvarint(), r.uvarint()
+		rec.Shard = &ShardBinding{Index: int(index), Count: int(count), Epoch: r.u64()}
+		if r.err == nil && (index >= count || count > math.MaxInt32) {
+			r.fail("shard %d of %d", index, count)
 		}
-		rec.Shard = sb
+	case 1:
+		// Its slice was cut by address-keyed ownership, which no longer
+		// decides what a shard holds; hosting the logical dataset again keeps
+		// the slice the position owns.
+		return nil, fmt.Errorf("%w: shard binding names replica addresses, and shards are positions now: re-host the dataset from its logical data", ErrCorrupt)
+	default:
+		r.fail("unknown shard binding tag %d", tag)
 	}
 	// An older writer may have filled the digest list: each entry is a kind
 	// byte, seed, s, h, u, d, d̂ and a blob. Their framing is checked so the
@@ -348,10 +347,6 @@ func cloneRecord(rec *Record) *Record {
 	out.Parent = append([]int32(nil), rec.Parent...)
 	if rec.Shard != nil {
 		sb := *rec.Shard
-		sb.Shards = nil
-		for _, reps := range rec.Shard.Shards {
-			sb.Shards = append(sb.Shards, append([]string(nil), reps...))
-		}
 		out.Shard = &sb
 	}
 	return &out

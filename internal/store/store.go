@@ -37,12 +37,14 @@ var (
 	ErrCorrupt = errors.New("store: corrupt record")
 )
 
-// ShardBinding pins a persisted dataset to one shard of a replicated
-// topology; the exact inputs shardmap.NewTopology takes.
+// ShardBinding pins a persisted dataset to one shard of a partitioned
+// deployment: its position among Count shards at Epoch. A shard is its
+// position, so no replica address is part of it, and a shard restarted from
+// its store on another address serves the slice it served before.
 type ShardBinding struct {
-	Index  int
-	Epoch  uint64
-	Shards [][]string // per shard: its replica addresses
+	Index int
+	Count int
+	Epoch uint64
 }
 
 // Record is one dataset's contents and persisted state, and the JSON form a

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -19,10 +20,7 @@ func testRecord(name string) *Record {
 		Kind:    KindSetsOfSets,
 		Version: 3,
 		Parents: [][]uint64{{1, 2, 3}, {9}, {4, 7}},
-		Shard: &ShardBinding{
-			Index: 1, Epoch: 7,
-			Shards: [][]string{{"a:1", "a2:1"}, {"b:1"}},
-		},
+		Shard:   &ShardBinding{Index: 1, Count: 2, Epoch: 7},
 	}
 }
 
@@ -47,10 +45,17 @@ func codecUpdates() []*Update {
 	}
 }
 
-// parentDocsBody is marshalRecord(testRecord("docs")) as the parent commit
-// wrote it, when the record still carried one serialized live digest
+// parentDocsBody is testRecord("docs") unsharded, as a writer that still
+// persisted live digests wrote it, carrying one
 // ({Kind 2, Seed 42, S 64, H 8, U 1<<60, D 6, DHat 24, Data 01020304}).
-const parentDocsBody = "0104646f637303736f7303000000000000000303010000000000000002000000000000000300000000000000010900000000000000020400000000000000070000000000000001010700000000000000020203613a310461323a310103623a3101022a000000000000004008000000000000001006180401020304"
+const parentDocsBody = "0104646f637303736f73030000000000000003030100000000000000020000000000000003000000000000000109000000000000000204000000000000000700000000000000" +
+	"00" + "01022a000000000000004008000000000000001006180401020304"
+
+// parentShardedBody is a sharded record as a writer that bound shards to
+// replica addresses wrote it: testRecord("docs") at shard 1 of
+// [["a:1", "a2:1"], ["b:1"]], epoch 7.
+const parentShardedBody = "0104646f637303736f73030000000000000003030100000000000000020000000000000003000000000000000109000000000000000204000000000000000700000000000000" +
+	"01010700000000000000020203613a310461323a310103623a31" + "00"
 
 func TestRecordCodecRoundTrip(t *testing.T) {
 	for _, rec := range codecRecords() {
@@ -89,7 +94,9 @@ func TestParentSnapshotWithDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parent body: %v", err)
 	}
-	if want := testRecord("docs"); !reflect.DeepEqual(normalize(got), normalize(want)) {
+	want := testRecord("docs")
+	want.Shard = nil
+	if !reflect.DeepEqual(normalize(got), normalize(want)) {
 		t.Fatalf("parent body decodes to\n %+v\nwant %+v", got, want)
 	}
 	for i := 0; i < len(body); i++ {
@@ -107,6 +114,56 @@ func TestParentSnapshotWithDigests(t *testing.T) {
 	}
 }
 
+// TestParentShardBindingRefused: a snapshot bound to its shard by replica
+// addresses holds a slice that address-keyed ownership cut, so it is refused as
+// corrupt with the remedy in the message, and Load skips it with a warning
+// while the store's other datasets load.
+func TestParentShardBindingRefused(t *testing.T) {
+	body, err := hex.DecodeString(parentShardedBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unmarshalRecord(body); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "re-host the dataset from its logical data") {
+		t.Fatalf("address-bound snapshot: got %v, want ErrCorrupt naming the remedy", err)
+	}
+
+	root := t.TempDir()
+	st, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSnapshot(&Record{Name: "ok", Kind: KindSet, Elems: []uint64{2}}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	dir := filepath.Join(root, dsDirName("docs"))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	file := append(append([]byte{}, snapMagic[:]...), body...)
+	file = binary.LittleEndian.AppendUint64(file, crc64.Checksum(body, crcTable))
+	if err := os.WriteFile(filepath.Join(dir, "snap"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warned bool
+	logger := slog.New(slog.NewTextHandler(writerFunc(func(p []byte) (int, error) {
+		warned = warned || bytes.Contains(p, []byte("re-host the dataset"))
+		return len(p), nil
+	}), nil))
+	st2, err := Open(root, Options{Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	recs, err := st2.Load()
+	if err != nil {
+		t.Fatalf("load failed outright: %v", err)
+	}
+	if len(recs) != 1 || recs[0].Record.Name != "ok" || !warned {
+		t.Fatalf("loaded %d records, warned=%v: want only the unsharded one and a warning", len(recs), warned)
+	}
+}
+
 // FuzzStoreCodec: no snapshot or WAL body panics the decoders, and whatever
 // decodes re-encodes to bytes that decode to the same value.
 func FuzzStoreCodec(f *testing.F) {
@@ -120,11 +177,13 @@ func FuzzStoreCodec(f *testing.F) {
 	for _, up := range codecUpdates() {
 		f.Add(marshalUpdate(up))
 	}
-	parent, err := hex.DecodeString(parentDocsBody)
-	if err != nil {
-		f.Fatal(err)
+	for _, h := range []string{parentDocsBody, parentShardedBody} {
+		parent, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(parent)
 	}
-	f.Add(parent)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if rec, err := unmarshalRecord(body); err == nil {
 			again, err := marshalRecord(rec)

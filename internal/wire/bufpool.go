@@ -13,8 +13,9 @@ import (
 // is dropped by the garbage collector like any other sync.Pool content.
 
 // Buffer classes are powers of two from 512 B (control frames) to 512 MiB,
-// which covers DefaultMaxPayload plus framing; a larger frame (a raised
-// MaxFrame) gets a buffer of its own that no pool keeps.
+// which covers DefaultMaxPayload plus framing and so every frame an endpoint
+// receives; a larger frame, which only a send can be, gets a buffer of its own
+// that no pool keeps.
 const (
 	minBufShift = 9
 	maxBufShift = 29

@@ -26,11 +26,10 @@ import (
 // when it needs the peer's next frame and nothing reads for it. The package
 // starts no goroutine and nothing here is safe for concurrent use.
 type Endpoint struct {
-	rw         io.ReadWriter
-	local      transport.Role
-	rec        *transport.Session
-	maxPayload int
-	err        error
+	rw    io.ReadWriter
+	local transport.Role
+	rec   *transport.Session
+	err   error
 	// bytesIn/bytesOut are the single source of wire-byte truth: every other
 	// report (NetStats, session logs, /metrics) derives from them.
 	bytesIn  int64
@@ -60,15 +59,7 @@ const heldFrames = 4
 // NewEndpoint wraps one side of a framed connection. local is the role this
 // process plays (the sosrnet server is Alice, the client Bob).
 func NewEndpoint(rw io.ReadWriter, local transport.Role) *Endpoint {
-	return &Endpoint{rw: rw, local: local, rec: transport.New(), maxPayload: DefaultMaxPayload}
-}
-
-// SetMaxPayload bounds accepted frame payloads (≤ 0 restores the default).
-func (e *Endpoint) SetMaxPayload(n int) {
-	if n <= 0 {
-		n = DefaultMaxPayload
-	}
-	e.maxPayload = n
+	return &Endpoint{rw: rw, local: local, rec: transport.New()}
 }
 
 // remote returns the peer's role.
@@ -160,7 +151,8 @@ func (e *Endpoint) label(b []byte) string {
 }
 
 // RecvFrame reads the peer's next frame off the connection, recording protocol
-// frames in the stats mirror. The body buffer is taken from the pool only
+// frames in the stats mirror. A frame announcing a payload over
+// DefaultMaxPayload is refused before anything is sized for it. The body buffer is taken from the pool only
 // after the header has arrived. The returned payload is backed by that pooled
 // buffer: it stays valid for the next three receives and at most until
 // EndSession, then the buffer is reused — retain a copy to hold it longer.
@@ -168,7 +160,7 @@ func (e *Endpoint) RecvFrame() (label string, payload []byte, err error) {
 	if e.err != nil {
 		return "", nil, e.err
 	}
-	labelLen, payloadLen, n, err := readHeader(e.rw, &e.hdr, e.maxPayload)
+	labelLen, payloadLen, n, err := readHeader(e.rw, &e.hdr, DefaultMaxPayload)
 	e.bytesIn += int64(n)
 	if err != nil {
 		return "", nil, e.fail(err)

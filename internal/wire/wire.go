@@ -43,9 +43,10 @@ const crcLen = 4
 // MaxLabel is the longest permitted frame label.
 const MaxLabel = 255
 
-// DefaultMaxPayload bounds accepted frame payloads unless a reader overrides
-// it — large enough for any realistic IBLT cascade, small enough that a
-// hostile length field cannot OOM the peer.
+// DefaultMaxPayload bounds the frame payloads an Endpoint accepts (ReadFrame
+// takes its own bound) — large enough for any realistic IBLT cascade, small
+// enough that a hostile length field cannot OOM the peer. It checks outside
+// input and is not a knob.
 const DefaultMaxPayload = 1 << 28
 
 // CtlPrefix marks session-control labels, excluded from protocol Stats.

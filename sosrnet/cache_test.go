@@ -531,7 +531,7 @@ func TestEmptyUpdateIsANoOp(t *testing.T) {
 	const index = 0
 	// An element and a child set the other shard owns.
 	foreign := uint64(9_000_000)
-	for topo.Owner(foreign) == index {
+	for len(topo.OwnedElems(index, []uint64{foreign})) != 0 {
 		foreign++
 	}
 	foreignSet := []uint64{9_100_000, 9_100_001}

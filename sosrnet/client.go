@@ -65,17 +65,15 @@ type Client struct {
 	// Timeout bounds each whole session (dial, or taking a parked
 	// connection, through the closing frame) when positive.
 	Timeout time.Duration
-	// MaxFrame bounds accepted frame payloads (0 = wire.DefaultMaxPayload).
-	MaxFrame int
 	// ShardID/ShardCount/ShardEpoch/ShardFingerprint are sent with every
-	// hello when ShardCount > 0: the canonical shard-identity hash
-	// (shardmap.Topology.ShardIDHash) of the slice the client believes Addr
-	// hosts, the topology's shard count, its epoch, and its order-invariant
-	// fingerprint (shardmap.Topology.Fingerprint). A structural mismatch
-	// with the server's configuration fails the handshake with ErrMisrouted;
-	// an epoch mismatch alone fails it with ErrStaleEpoch (both wrapped in
-	// ErrServer). The sosrshard fan-out client sets these; leave zero for
-	// unsharded datasets.
+	// hello when ShardCount > 0: the identity hash of the shard position the
+	// client believes Addr serves (shardmap.Topology.ShardIDHash), the
+	// topology's shard count, its epoch, and its fingerprint
+	// (shardmap.Topology.Fingerprint). None of them reads an address: a shard
+	// is its position. Another position or count than the server's fails the
+	// handshake with ErrMisrouted; an epoch mismatch alone fails it with
+	// ErrStaleEpoch (both wrapped in ErrServer). The sosrshard fan-out client
+	// sets these; leave zero for unsharded datasets.
 	ShardID          uint64
 	ShardCount       int
 	ShardEpoch       uint64
@@ -183,7 +181,6 @@ func (c *Client) dialConn(ctx context.Context) (*clientConn, error) {
 	c.countConn(connDial)
 	cc := &clientConn{conn: conn, ep: wire.NewEndpoint(conn, transport.Bob)}
 	cc.sever = func() { _ = conn.Close() }
-	cc.ep.SetMaxPayload(c.MaxFrame)
 	return cc, nil
 }
 

@@ -34,8 +34,8 @@ var (
 )
 
 const (
-	goldenHelloHex  = "010402030304646f637304070b200d0313c801140a"
-	goldenAcceptHex = "01040203032004030520060307c801080a09808080808080808010"
+	goldenHelloHex  = "010502030304646f637304070b200d0313c801140a"
+	goldenAcceptHex = "01050203032004030520060307c801080a09808080808080808010"
 	goldenDoneHex   = "0101030104d5840405010601"
 )
 

@@ -13,7 +13,7 @@ import (
 
 // FuzzHandshake throws raw bytes at the server's connection handler: whatever
 // arrives instead of a hello — torn frames, wrong labels, fields the codec
-// refuses, a v3 peer's JSON, absurd shard coordinates or shapes — or after a
+// refuses, a hello in JSON, absurd shard coordinates or shapes — or after a
 // served session, where the handler waits for the next hello of the same
 // connection, it must reject or finish and return, never panic and never hang
 // past its deadlines. Datasets of every kind are hosted so a structurally
@@ -64,7 +64,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(hello(helloMsg{V: 99, Dataset: "ids", Kind: KindSet}))
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "ids", Kind: KindSet, ShardID: 1, ShardCount: 3, ShardSet: 2, ShardEpoch: 7}))
 	for _, payload := range []string{
-		`{"v":3,"dataset":"docs","kind":"sos","seed":9,"d":6,"protocol":"cascade"}`, // a v3 peer
+		`{"v":3,"dataset":"docs","kind":"sos","seed":9,"d":6,"protocol":"cascade"}`, // JSON, as revisions before v4 sent
 		`{"v":2,"dataset":`,
 		"\x01\x04\x02\x09",            // a kind no table holds
 		"\x01\x04\x02\x01\x03\x40ids", // a longer name announced than sent

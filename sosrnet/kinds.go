@@ -204,7 +204,7 @@ func (ss *shardState) ownedElems(xs []uint64) []uint64 {
 	if ss == nil {
 		return xs
 	}
-	return ss.topo.OwnedElems(ss.index, xs)
+	return ss.m.OwnedElems(ss.Index, xs)
 }
 
 // ownedCanonicalSets returns canonical copies of the child sets of parent that
@@ -216,7 +216,7 @@ func (ss *shardState) ownedCanonicalSets(parent [][]uint64) [][]uint64 {
 	if ss == nil {
 		return canon
 	}
-	return setutil.CanonicalSets(ss.topo.OwnedSets(ss.index, canon))
+	return setutil.CanonicalSets(ss.m.OwnedSets(ss.Index, canon))
 }
 
 // stageSOS validates a canonical, shard-filtered sets-of-sets mutation

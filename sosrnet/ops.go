@@ -48,10 +48,8 @@ func (s *Server) Datasets() []DatasetInfo {
 	out := make([]DatasetInfo, 0, len(byName))
 	for name, ds := range byName {
 		di := DatasetInfo{Name: name, Kind: ds.k.kind}
-		if ds.shard != nil {
-			di.ShardIndex = ds.shard.index
-			di.ShardCount = ds.shard.topo.NumShards()
-			di.ShardEpoch = ds.shard.topo.Epoch()
+		if ss := ds.shard; ss != nil {
+			di.ShardIndex, di.ShardCount, di.ShardEpoch = ss.Index, ss.Count, ss.Epoch
 		}
 		// The hash digests the contents, not the version or shard binding.
 		ds.mu.Lock()

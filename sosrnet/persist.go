@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sosr/internal/obs"
-	"sosr/internal/shardmap"
 	"sosr/internal/store"
 )
 
@@ -214,12 +213,8 @@ func recordLocked(name string, ds *dataset) *store.Record {
 	rec := &store.Record{Name: name, Kind: string(ds.k.kind), Version: ds.version}
 	ds.k.encode(&ds.contents, rec)
 	if ds.shard != nil {
-		topo := ds.shard.topo
-		shards := make([][]string, topo.NumShards())
-		for i := range shards {
-			shards[i] = topo.Replicas(i)
-		}
-		rec.Shard = &store.ShardBinding{Index: ds.shard.index, Epoch: topo.Epoch(), Shards: shards}
+		sb := ds.shard.ShardBinding
+		rec.Shard = &sb
 	}
 	return rec
 }
@@ -238,11 +233,7 @@ func datasetFromRecord(rec *store.Record) (*dataset, error) {
 	}
 	ds := &dataset{k: k, version: rec.Version, contents: data}
 	if rec.Shard != nil {
-		topo, err := shardmap.NewTopology(rec.Shard.Epoch, rec.Shard.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("rebuilding topology: %w", err)
-		}
-		if ds.shard, err = checkShard(topo, rec.Shard.Index); err != nil {
+		if ds.shard, err = newShardState(*rec.Shard); err != nil {
 			return nil, err
 		}
 	}

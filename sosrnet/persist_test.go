@@ -10,9 +10,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"sosr"
 	"sosr/internal/setutil"
+	"sosr/internal/shardmap"
 	"sosr/internal/store"
 	"sosr/internal/transport"
 	"sosr/internal/wire"
@@ -202,6 +204,76 @@ func TestRestoreEquivalence(t *testing.T) {
 	want := setutil.ApplyDiff(seqSet(100, 400), []uint64{5000, 5001}, []uint64{100})
 	if !reflect.DeepEqual(got.Recovered, want) {
 		t.Fatal("reconcile against restored server recovered the wrong set")
+	}
+}
+
+// TestShardRestartsOnNewAddress: a persisted slice is bound to its shard's
+// position, not to the address it was served from. Shard 1 of two hosts its
+// slice on a Disk store and serves it; the server closes, a fresh one recovers
+// the store on another listener, and a client whose topology names the new
+// address reconciles the recovered slice.
+func TestShardRestartsOnNewAddress(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	alice, bob := setPair()
+	const index = 1
+	cfg := sosr.SetConfig{Seed: 11, KnownDiff: 16}
+	syncShard := func(addr string, topo *shardmap.Topology) (*sosr.SetResult, error) {
+		c := shardClient(addr, topo, index)
+		defer c.Close()
+		c.Timeout = 30 * time.Second
+		got, _, err := c.Sets(ctx, "ids", setutil.Canonical(topo.OwnedElems(index, bob)), cfg)
+		return got, err
+	}
+
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA := NewServer()
+	srvA.UseStore(st)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srvA.Serve(ln) }()
+	before := mustTopo(t, 1, "shard0.example:7075", ln.Addr().String())
+	if err := srvA.HostSetsShard("ids", alice, before, index); err != nil {
+		t.Fatal(err)
+	}
+	want, err := syncShard(ln.Addr().String(), before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA.Close()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	_, addr, _ := startServer(t, func(s *Server) {
+		s.UseStore(st2)
+		if rs, err := s.Recover(); err != nil || rs.Datasets != 1 {
+			t.Fatalf("Recover: %+v, %v", rs, err)
+		}
+	})
+	if addr == ln.Addr().String() {
+		t.Fatal("the restarted shard listens where the first one did")
+	}
+	got, err := syncShard(addr, mustTopo(t, 1, "shard0.example:7075", addr))
+	if err != nil {
+		t.Fatalf("restarted shard on a new address: %v", err)
+	}
+	if !reflect.DeepEqual(got.Recovered, want.Recovered) {
+		t.Fatal("the restarted shard serves another slice than before")
 	}
 }
 

@@ -72,8 +72,8 @@ const (
 )
 
 // protoVersion is the handshake version; bumped on incompatible changes.
-// v2: shard coordinates became (canonical shard-identity hash, count, epoch,
-// order-invariant fingerprint) — replacing the positional shard index.
+// v2: shard coordinates became (shard-identity hash, count, epoch,
+// fingerprint) — replacing the bare shard index.
 // v3: child-IBLT keys inside parent tables lost their per-key shape header
 // and carry H-derived count widths, so every nested, cascade, graph and
 // forest payload differs from v2's.
@@ -82,7 +82,11 @@ const (
 // either party holds, where v3 added twice the difference budget), so both
 // signature payloads differ from v3's; and the control frames (hello, accept,
 // done, error) are a fixed binary encoding where they were JSON.
-const protoVersion = 4
+// v5: a shard is its position — ownership, the shard's coins and the hello's
+// shardid and shardset derive from (position, shard count), no longer from
+// the replica addresses — so every sharded session partitions and hashes
+// differently from v4's; unsharded payloads are unchanged.
+const protoVersion = 5
 
 // Package errors.
 var (
@@ -96,12 +100,14 @@ var (
 	ErrUnsupported = errors.New("sosrnet: unsupported configuration")
 	// ErrGaveUp indicates the session exhausted its retry attempts.
 	ErrGaveUp = errors.New("sosrnet: exhausted retry attempts")
-	// ErrMisrouted indicates the client's shard coordinates (identity, count,
-	// topology fingerprint) do not match the slice this server hosts.
+	// ErrMisrouted indicates the client's shard coordinates (position
+	// identity, count, topology fingerprint) do not match the slice this
+	// server hosts — another position, another count, or the same addresses
+	// listed in another shard order.
 	ErrMisrouted = errors.New("sosrnet: misrouted shard session")
 	// ErrStaleEpoch indicates the client's topology epoch differs from the
-	// server's while the address structure matches — the client should
-	// re-resolve the topology and retry, not treat the shard as broken.
+	// server's — the client should re-resolve the topology and retry, not
+	// treat the shard as broken.
 	ErrStaleEpoch = errors.New("sosrnet: stale topology epoch")
 	// ErrBusy indicates the server is at its concurrent-session cap; the
 	// dataset is fine, retry after a backoff (or on another replica).
@@ -130,18 +136,15 @@ type helloMsg struct {
 	Seed    uint64
 
 	// ShardID/ShardCount identify which slice of a sharded logical dataset
-	// the client believes this server hosts (0 count = unsharded). ShardID is
-	// the hash of the shard's canonical identity (its sorted replica address
-	// list), so reordered-but-identical topologies route correctly while a
-	// fan-out client that dials the wrong instance fails loudly at the
-	// handshake instead of reconciling a wrong slice. ShardSet is the
-	// topology's order-invariant fingerprint: identity and count can match
-	// while the overall address structure differs in spelling ("localhost"
-	// vs "127.0.0.1" dialing the same servers) and therefore in how it
-	// partitions keys; the fingerprint catches that too. ShardEpoch is the
-	// topology's monotonic epoch; a mismatch is rejected as stale_epoch,
-	// distinguishable from a structural misroute so clients re-resolve
-	// instead of failing over.
+	// the client believes this server hosts (0 count = unsharded). A shard is
+	// its position: ShardID hashes the position's name, so a fan-out client
+	// that dials the wrong instance — or holds the shard list in another
+	// order — fails loudly at the handshake instead of reconciling a wrong
+	// slice, while a respelled or replaced replica address changes nothing.
+	// ShardSet is the topology fingerprint, which the count already implies.
+	// ShardEpoch is the topology's monotonic epoch; a mismatch is rejected as
+	// stale_epoch, distinguishable from a structural misroute so clients
+	// re-resolve instead of failing over.
 	ShardID    uint64
 	ShardCount int
 	ShardSet   uint64
@@ -230,7 +233,7 @@ type errorMsg struct {
 	Code  string
 }
 
-// The control frames' wire form (since v4; JSON before). A message is its
+// The control frames' wire form (since v4). A message is its
 // non-zero fields in ascending tag order, each a tag byte and a uvarint: a
 // number's value, 1 for a set flag, the code of an enumerated name (its
 // position, from 1, in the table that defines the names), or a string's
@@ -285,9 +288,6 @@ func namesOf[T any](table []T, name func(T) string) []string {
 	return names
 }
 
-// Tags 26, 29 and 30 stay unassigned while protoVersion is 4: they named three
-// budgets no client ever set, and a v4 peer that did would now be refused as
-// malformed rather than misread.
 var helloFields = []ctlField[helloMsg]{
 	{tag: 1, name: "v", at: func(h *helloMsg) any { return &h.V }},
 	{tag: 2, name: "kind", at: func(h *helloMsg) any { return (*string)(&h.Kind) }, enum: kindNames},
@@ -496,19 +496,14 @@ func checkAccept(h *helloMsg, acc *acceptMsg) error {
 
 // helloVersion reads the protocol version a hello declares, ahead of parsing
 // it, so that a peer of another revision is told so whatever else its hello
-// holds: the version is the first field of every binary hello, and a hello in
-// JSON is of version 3, the last to send one. ok is false for bytes that are
-// neither.
+// holds: the version is the first field of every hello. ok is false for bytes
+// that do not start with one.
 func helloVersion(hello []byte) (v uint64, ok bool) {
-	switch {
-	case len(hello) == 0:
-	case hello[0] == '{':
-		return 3, true
-	case hello[0] == helloFields[0].tag:
-		v, n := binary.Uvarint(hello[1:])
-		return v, n > 0
+	if len(hello) == 0 || hello[0] != helloFields[0].tag {
+		return 0, false
 	}
-	return 0, false
+	v, n := binary.Uvarint(hello[1:])
+	return v, n > 0
 }
 
 // sendErrorFrame best-effort reports err to the peer, with its code when it
@@ -529,9 +524,6 @@ func sendErrorFrame(ep *wire.Endpoint, err error) {
 func serverError(payload []byte) error {
 	var em errorMsg
 	if parseCtl(errorFields, payload, &em) != nil || em.Error == "" {
-		if len(payload) > 0 && payload[0] == '{' {
-			return fmt.Errorf("%w: error frame in JSON: the server speaks protocol version 3 or older, this client %d", ErrServer, protoVersion)
-		}
 		return fmt.Errorf("%w: unreadable error frame", ErrServer)
 	}
 	for _, ec := range errorCodes {

@@ -15,8 +15,9 @@ import (
 // of re-encoding the hosted data every round.
 //
 // On success the recovered difference is applied through UpdateSetsOfSets;
-// the next pull patches the sketch by the children the update changed. Sharded datasets pull shard-to-shard: the peer must host the
-// same shard slice under the same topology (identity, epoch, fingerprint).
+// the next pull patches the sketch by the children the update changed. Sharded
+// datasets pull shard-to-shard: the peer must host the same shard position of
+// the same shard count at the same epoch.
 func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg sosr.Config) (*sosr.Result, *NetStats, error) {
 	ds, err := s.lookup(name, KindSetsOfSets)
 	if err != nil {
@@ -41,17 +42,14 @@ func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg 
 // when the caller's context has no deadline.
 func (s *Server) pullClient(ds *dataset, peerAddr string) *Client {
 	cl := &Client{
-		Addr: peerAddr, Timeout: s.sessionTimeout(), MaxFrame: s.MaxFrame,
-		Obs: s.Registry(),
+		Addr: peerAddr, Timeout: s.sessionTimeout(), Obs: s.Registry(),
 		// Bob sketches live in the server's encoding cache (none when that is
 		// disabled), under the budget the Alice payloads share.
 		CacheBytes: -1, cache: s.encCache(),
 	}
-	if ds.shard != nil {
-		cl.ShardID = ds.shard.topo.ShardIDHash(ds.shard.index)
-		cl.ShardCount = ds.shard.topo.NumShards()
-		cl.ShardEpoch = ds.shard.topo.Epoch()
-		cl.ShardFingerprint = ds.shard.topo.Fingerprint()
+	if ss := ds.shard; ss != nil {
+		cl.ShardID, cl.ShardCount = ss.m.ShardIDHash(ss.Index), ss.Count
+		cl.ShardEpoch, cl.ShardFingerprint = ss.Epoch, ss.m.Fingerprint()
 	}
 	return cl
 }

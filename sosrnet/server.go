@@ -51,8 +51,6 @@ type Server struct {
 	// private registry, created lazily — read it with Registry(). Several
 	// servers may share one registry; their series merge.
 	Obs *obs.Registry
-	// MaxFrame bounds accepted frame payloads (0 = wire.DefaultMaxPayload).
-	MaxFrame int
 	// MaxBound caps every client-supplied size and difference bound before
 	// any allocation happens — a hostile hello cannot make the server build
 	// structures for a fabricated d or instance shape. 0 means
@@ -126,11 +124,25 @@ type Server struct {
 }
 
 // shardState pins a hosted dataset to one shard of a partitioned logical
-// dataset: the replicated topology every party shares and this server's shard
-// index in it. Immutable after hosting.
+// dataset: its binding — position, shard count and topology epoch, what the
+// store persists — and the positional map over the count
+// (shardmap.Positional), whose ownership and identities are the shard's. No
+// address is part of it. Immutable after hosting.
 type shardState struct {
-	topo  *shardmap.Topology
-	index int
+	store.ShardBinding
+	m *shardmap.Map
+}
+
+// newShardState checks a shard binding and derives its ownership.
+func newShardState(sb store.ShardBinding) (*shardState, error) {
+	if sb.Index < 0 || sb.Index >= sb.Count {
+		return nil, fmt.Errorf("sosrnet: shard index %d outside [0, %d)", sb.Index, sb.Count)
+	}
+	m, err := shardmap.Positional(sb.Count)
+	if err != nil {
+		return nil, err
+	}
+	return &shardState{ShardBinding: sb, m: m}, nil
 }
 
 // dataset is one hosted dataset. Its contents are copy-on-write: sessions
@@ -163,9 +175,9 @@ type dsView struct {
 }
 
 // checkRoute rejects sessions whose shard coordinates do not match the slice
-// this server hosts: a sharded dataset demands the exact canonical shard
-// identity, count, and topology fingerprint it was hosted with; an unsharded
-// dataset demands none. The epoch is checked first and separately — a client
+// this server hosts: a sharded dataset demands the positional shard identity,
+// count and topology fingerprint it was hosted with; an unsharded dataset
+// demands none. The epoch is checked first and separately — a client
 // holding yesterday's topology gets ErrStaleEpoch (re-resolve and retry),
 // never a structural ErrMisrouted (fail over / fail loudly).
 func (d *dataset) checkRoute(h *helloMsg) error {
@@ -176,21 +188,21 @@ func (d *dataset) checkRoute(h *helloMsg) error {
 		}
 		return nil
 	}
-	topo := d.shard.topo
+	ss := d.shard
 	if h.ShardCount == 0 {
 		return fmt.Errorf("%w: dataset %q is a shard of %d (client sent no shard coordinates)",
-			ErrMisrouted, h.Dataset, topo.NumShards())
+			ErrMisrouted, h.Dataset, ss.Count)
 	}
-	if h.ShardEpoch != topo.Epoch() {
+	if h.ShardEpoch != ss.Epoch {
 		return fmt.Errorf("%w: dataset %q is at topology epoch %d, client at %d",
-			ErrStaleEpoch, h.Dataset, topo.Epoch(), h.ShardEpoch)
+			ErrStaleEpoch, h.Dataset, ss.Epoch, h.ShardEpoch)
 	}
-	if h.ShardCount != topo.NumShards() || h.ShardID != topo.ShardIDHash(d.shard.index) {
-		return fmt.Errorf("%w: dataset %q is shard %q (%d shards), client asked for a different slice (%d shards)",
-			ErrMisrouted, h.Dataset, topo.ShardID(d.shard.index), topo.NumShards(), h.ShardCount)
+	if h.ShardCount != ss.Count || h.ShardID != ss.m.ShardIDHash(ss.Index) {
+		return fmt.Errorf("%w: dataset %q is shard %d of %d, client asked for a different slice (%d shards)",
+			ErrMisrouted, h.Dataset, ss.Index, ss.Count, h.ShardCount)
 	}
-	if h.ShardSet != topo.Fingerprint() {
-		return fmt.Errorf("%w: dataset %q topology fingerprint mismatch (the address structures differ, so the partitions would too)",
+	if h.ShardSet != ss.m.Fingerprint() {
+		return fmt.Errorf("%w: dataset %q topology fingerprint mismatch (the partitions would differ)",
 			ErrMisrouted, h.Dataset)
 	}
 	return nil
@@ -298,7 +310,7 @@ func (s *Server) Host(rec *store.Record, topo *shardmap.Topology, index int) err
 			return fmt.Errorf("%w: a %s dataset cannot be sharded", ErrUnsupported, k.kind)
 		}
 		var err error
-		if ss, err = checkShard(topo, index); err != nil {
+		if ss, err = newShardState(store.ShardBinding{Index: index, Count: topo.NumShards(), Epoch: topo.Epoch()}); err != nil {
 			return err
 		}
 	}
@@ -326,14 +338,6 @@ func (s *Server) Host(rec *store.Record, topo *shardmap.Topology, index int) err
 	}
 	s.datasets[rec.Name] = ds
 	return nil
-}
-
-// checkShard validates a dataset's shard binding.
-func checkShard(topo *shardmap.Topology, index int) (*shardState, error) {
-	if index < 0 || index >= topo.NumShards() {
-		return nil, fmt.Errorf("sosrnet: shard index %d outside [0, %d)", index, topo.NumShards())
-	}
-	return &shardState{topo: topo, index: index}, nil
 }
 
 // HostSets hosts a set (any order, duplicates ignored). Elements must fit
@@ -653,7 +657,6 @@ type sessionRecord struct {
 // the client leaves, the idle timer fires or the server closes.
 func (s *Server) handle(conn net.Conn) {
 	c := &srvConn{conn: conn, remote: conn.RemoteAddr().String(), ep: wire.NewEndpoint(conn, transport.Alice)}
-	c.ep.SetMaxPayload(s.MaxFrame)
 	for c.seq = 1; s.session(c); c.seq++ {
 	}
 }
@@ -782,7 +785,7 @@ func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*datas
 		return nil, false
 	}
 	// The version is read ahead of the rest: what else a hello of another
-	// revision holds — v3's is JSON — is not this parser's to judge.
+	// revision holds is not this parser's to judge.
 	switch v, declared := helloVersion(hello); {
 	case !declared:
 		return refuse(rejectMalformed, errors.New("malformed hello: no protocol version leads it"))

@@ -429,10 +429,10 @@ func TestHostileAcceptRefused(t *testing.T) {
 }
 
 // TestPreviousProtocolVersionRefused: a peer of the previous revision builds
-// payloads this one cannot decode (v2's child keys carried per-key headers,
-// v3's signature collections twice the budget in h); it must be told so at
-// the handshake rather than discover it as a decode failure. The hello here
-// is binary; TestV3PeersAreVersionRejects sends v3's own JSON.
+// payloads this one cannot decode (v4 partitioned and drew shard coins by
+// replica address); it must be told so at the handshake rather than discover
+// it as a decode failure. TestV4PeersAreVersionRejects checks how each end
+// counts and reports the skew.
 func TestPreviousProtocolVersionRefused(t *testing.T) {
 	alice, _ := sosPair()
 	_, addr, _ := startServer(t, func(s *Server) {
@@ -451,56 +451,61 @@ func TestPreviousProtocolVersionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = recvOrServerError(ep, lblAccept)
-	if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 3 unsupported (want 4)") {
+	if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 4 unsupported (want 5)") {
 		t.Fatalf("got %v, want the version refusal", err)
 	}
 }
 
-// TestV3PeersAreVersionRejects: the control frames were JSON up to v3, so a v3
-// peer's bytes do not parse at all here. Each end must still see the skew for
-// what it is. A v3 client's hello (its own bytes, written out by hand) counts
-// as a version reject with both versions in the log line, not as a malformed
-// hello; and a client whose hello a v3 server could not read — that server's
-// answer is a JSON error frame — returns an error that says so.
-func TestV3PeersAreVersionRejects(t *testing.T) {
-	const v3Hello = `{"v":3,"dataset":"docs","kind":"sos","seed":1,"d":8,"protocol":"cascade"}`
-	const v3Error = `{"error":"malformed hello: invalid character '\\x01' looking for beginning of value"}`
-
-	t.Run("v3 client", func(t *testing.T) {
-		alice, _ := sosPair()
-		var mu sync.Mutex
-		var rejected []string
-		srv, addr, _ := startServer(t, func(s *Server) {
-			s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
-				if r.Message != "handshake rejected" {
-					return
-				}
-				r.Attrs(func(a slog.Attr) bool {
-					if a.Key == "err" {
-						mu.Lock()
-						rejected = append(rejected, a.Value.String())
-						mu.Unlock()
-					}
-					return true
-				})
-			}})
-			if err := s.HostSetsOfSets("docs", alice); err != nil {
-				t.Fatal(err)
+// TestV4PeersAreVersionRejects: each end of a skew with the previous revision
+// sees it for what it is. A v4 client's hello counts as a version reject with
+// both versions in the log line, not as a malformed hello; a v4 server's
+// refusal of this client's hello is an error frame this client reads, naming
+// the skew. A hello in JSON, which only revisions before v4 sent, leads with
+// no version and is malformed.
+func TestV4PeersAreVersionRejects(t *testing.T) {
+	alice, _ := sosPair()
+	var mu sync.Mutex
+	var rejected []string
+	srv, addr, _ := startServer(t, func(s *Server) {
+		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+			if r.Message != "handshake rejected" {
+				return
 			}
-		})
+			r.Attrs(func(a slog.Attr) bool {
+				if a.Key == "err" {
+					mu.Lock()
+					rejected = append(rejected, a.Value.String())
+					mu.Unlock()
+				}
+				return true
+			})
+		}})
+		if err := s.HostSetsOfSets("docs", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rejects := srv.metrics().rejects
+	// hello sends one hello frame on a fresh connection and returns what the
+	// server answered.
+	hello := func(t *testing.T, b []byte) error {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
 		ep := wire.NewEndpoint(conn, transport.Bob)
-		if err := ep.SendFrame(lblHello, []byte(v3Hello)); err != nil {
+		if err := ep.SendFrame(lblHello, b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := recvOrServerError(ep, lblAccept); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 3 unsupported (want 4)") {
+		_, err = recvOrServerError(ep, lblAccept)
+		return err
+	}
+
+	t.Run("v4 client", func(t *testing.T) {
+		v4 := helloMsg{V: 4, Dataset: "docs", Kind: KindSetsOfSets, Seed: 1, Protocol: "cascade", D: 8, ShardID: 9, ShardCount: 3}
+		if err := hello(t, appendCtl(nil, helloFields, &v4)); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 4 unsupported (want 5)") {
 			t.Fatalf("got %v, want the version refusal", err)
 		}
-		rejects := srv.metrics().rejects
 		// reject counts before it logs: wait for the log line too.
 		waitFor(t, "version reject counted and logged", func() bool {
 			mu.Lock()
@@ -508,16 +513,16 @@ func TestV3PeersAreVersionRejects(t *testing.T) {
 			return rejects.With(rejectVersion).Value() == 1 && len(rejected) > 0
 		})
 		if n := rejects.With(rejectMalformed).Value(); n != 0 {
-			t.Fatalf("%d malformed rejects counted for a v3 hello", n)
+			t.Fatalf("%d malformed rejects counted for a v4 hello", n)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if len(rejected) != 1 || !strings.Contains(rejected[0], "version 3") || !strings.Contains(rejected[0], "want 4") {
-			t.Fatalf("reject log lines %q, want one naming versions 3 and 4", rejected)
+		if len(rejected) != 1 || !strings.Contains(rejected[0], "version 4") || !strings.Contains(rejected[0], "want 5") {
+			t.Fatalf("reject log lines %q, want one naming versions 4 and 5", rejected)
 		}
 	})
 
-	t.Run("v3 server", func(t *testing.T) {
+	t.Run("v4 server", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -531,13 +536,21 @@ func TestV3PeersAreVersionRejects(t *testing.T) {
 			defer conn.Close()
 			ep := wire.NewEndpoint(conn, transport.Alice)
 			if _, err := ep.RecvExpect(lblHello); err == nil {
-				_ = ep.SendFrame(lblError, []byte(v3Error))
+				sendErrorFrame(ep, fmt.Errorf("protocol version %d unsupported (want 4)", protoVersion))
 			}
 		}()
 		_, _, err = Dial(ln.Addr().String()).Sets(context.Background(), "ids", seqSet(0, 50), sosr.SetConfig{Seed: 1, KnownDiff: 8})
-		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version") || strings.Contains(err.Error(), "unreadable") {
+		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 5 unsupported (want 4)") {
 			t.Fatalf("got %v, want an error naming the protocol version skew", err)
 		}
+	})
+
+	t.Run("json hello", func(t *testing.T) {
+		const v3Hello = `{"v":3,"dataset":"docs","kind":"sos","seed":1,"d":8,"protocol":"cascade"}`
+		if err := hello(t, []byte(v3Hello)); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "malformed hello") {
+			t.Fatalf("got %v, want the malformed refusal", err)
+		}
+		waitFor(t, "malformed reject counted", func() bool { return rejects.With(rejectMalformed).Value() == 1 })
 	})
 }
 
@@ -646,7 +659,7 @@ func TestEveryHelloFieldHasASetter(t *testing.T) {
 		}
 	}
 	if len(helloFields) != 29 {
-		t.Errorf("helloFields has %d rows, want the 29 of protocol version 4", len(helloFields))
+		t.Errorf("helloFields has %d rows, want 29", len(helloFields))
 	}
 }
 

@@ -93,21 +93,24 @@ func TestShardedSetHostServesOwnedSlice(t *testing.T) {
 	if errors.Is(err, ErrMisrouted) {
 		t.Fatalf("stale epoch also flagged as misrouted: %v", err)
 	}
-	// This shard's identity matches but another shard's addresses differ: the
-	// fingerprint disagrees, so the partitions would too — rejected.
-	skewed := mustTopo(t, 3, "s0:1", "s1:2", "elsewhere:9")
-	wrong = shardClient(addr, skewed, index)
-	if _, _, err := wrong.Sets(ctx, "ids", bobSlice, cfg); !errors.Is(err, ErrMisrouted) || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("mismatched topology fingerprint accepted: %v", err)
+	// Another shard's address differs: addresses only route, so the shard
+	// count and this position are all that identify the slice — accepted.
+	skewed := shardClient(addr, mustTopo(t, 3, "s0:1", "s1:2", "elsewhere:9"), index)
+	skewed.Timeout = 30 * time.Second
+	if _, _, err := skewed.Sets(ctx, "ids", bobSlice, cfg); err != nil {
+		t.Fatalf("a topology differing in another shard's address rejected: %v", err)
 	}
-	// The same topology spelled in a different shard order is the same
-	// topology: canonical identity and fingerprint make the handshake
-	// order-insensitive.
-	reordered := mustTopo(t, 3, "s2:3", "s0:1", "s1:2")
-	same := shardClient(addr, reordered, 2) // "s1:2" sits at position 2 now
-	same.Timeout = 30 * time.Second
-	if _, _, err := same.Sets(ctx, "ids", bobSlice, cfg); err != nil {
-		t.Fatalf("reordered-but-identical topology rejected: %v", err)
+	// The same addresses in another shard order are another deployment: the
+	// client that finds "s1:2" at position 2 asks it for position 2's slice.
+	reordered := shardClient(addr, mustTopo(t, 3, "s2:3", "s0:1", "s1:2"), 2)
+	if _, _, err := reordered.Sets(ctx, "ids", bobSlice, cfg); !errors.Is(err, ErrMisrouted) {
+		t.Fatalf("reordered topology: %v, want ErrMisrouted", err)
+	}
+	// A fingerprint of another shard list is refused even at this position.
+	forged := shardClient(addr, topo, index)
+	forged.ShardFingerprint++
+	if _, _, err := forged.Sets(ctx, "ids", bobSlice, cfg); !errors.Is(err, ErrMisrouted) || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("mismatched topology fingerprint: %v", err)
 	}
 	// No shard coordinates against a sharded dataset.
 	if _, _, err := Dial(addr).Sets(ctx, "ids", bobSlice, cfg); !errors.Is(err, ErrMisrouted) {
@@ -157,7 +160,7 @@ func TestShardedSetsOfSetsHostServesOwnedSlice(t *testing.T) {
 }
 
 // TestReplicatedShardHostsIdenticalSlice: every replica of one shard hosts
-// the identical slice under the same canonical identity, and a client
+// the identical slice under the same positional identity, and a client
 // carrying that shard's coordinates reconciles byte-identically against
 // either replica.
 func TestReplicatedShardHostsIdenticalSlice(t *testing.T) {
@@ -228,7 +231,7 @@ func TestShardedUpdatesRouteToOwner(t *testing.T) {
 	// removal owned by whichever shard owns alice[0].
 	adds := []uint64{}
 	for x := uint64(50_000_000); len(adds) < topo.NumShards(); x++ {
-		if topo.Owner(x) == len(adds) {
+		if len(topo.OwnedElems(len(adds), []uint64{x})) == 1 {
 			adds = append(adds, x)
 		}
 	}
@@ -246,7 +249,7 @@ func TestShardedUpdatesRouteToOwner(t *testing.T) {
 		if err := sh.srv.UpdateSets("ids", nil, []uint64{other + 2}); err != nil {
 			t.Fatalf("shard %d no-op update: %v", i, err)
 		}
-		if topo.Owner(other+2) != i {
+		if len(topo.OwnedElems(i, []uint64{other + 2})) == 0 {
 			if v, _ := sh.srv.DatasetVersion("ids"); v != 1 {
 				t.Fatalf("shard %d: update owning nothing bumped version to %d", i, v)
 			}
@@ -298,7 +301,7 @@ func TestShardedMultisetHostAndUpdate(t *testing.T) {
 	// owned occurrences.
 	adds := []uint64{}
 	for x := uint64(100); len(adds) < 2; x++ {
-		if topo.Owner(x) == len(adds) {
+		if len(topo.OwnedElems(len(adds), []uint64{x})) == 1 {
 			adds = append(adds, x)
 		}
 	}

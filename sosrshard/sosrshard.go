@@ -30,12 +30,14 @@
 //     (Σ shard protocol bytes + Σ shard framing == total TCP bytes of the
 //     winning sessions, the same parity the unsharded wire protocol keeps).
 //
-// Every session carries its shard coordinates — canonical shard-identity
-// hash, shard count, topology epoch, and the order-invariant topology
+// A shard is its position in the topology: its slice of the keys, its public
+// coins and its identity derive from (position, shard count, epoch) alone, and
+// the replica addresses only route. Every session carries those coordinates —
+// the positional shard-identity hash, shard count, topology epoch and
 // fingerprint — in the hello. A server hosting a different slice rejects the
-// handshake (ErrMisrouted), so a client configured with a wrong address list
-// fails loudly instead of quietly reconciling the wrong slice; a server at a
-// different epoch rejects with ErrStaleEpoch, and a Client with a Refresh
+// handshake (ErrMisrouted), so a client holding the shard list in another
+// order fails loudly instead of quietly reconciling the wrong slice; a server
+// at a different epoch rejects with ErrStaleEpoch, and a Client with a Refresh
 // hook re-resolves the topology and retries once, self-healing across
 // rollouts.
 package sosrshard
@@ -82,8 +84,6 @@ const DefaultRetryBackoff = 25 * time.Millisecond
 
 // ShardStats itemizes one shard's share of a fanned-out reconciliation.
 type ShardStats struct {
-	// ID is the shard's canonical identity (its sorted replica address list).
-	ID string
 	// Index is the shard's position in the topology.
 	Index int
 	// Replica is the address of the replica that served the winning session.
@@ -124,7 +124,7 @@ type Stats struct {
 	Shards []ShardStats
 }
 
-func (st *Stats) add(index int, id string, oc *shardWin) {
+func (st *Stats) add(index int, oc *shardWin) {
 	ns := oc.ns
 	st.Protocol.Rounds += ns.Protocol.Rounds
 	st.Protocol.TotalBytes += ns.Protocol.TotalBytes
@@ -143,7 +143,7 @@ func (st *Stats) add(index int, id string, oc *shardWin) {
 		st.HedgeWins++
 	}
 	st.Shards = append(st.Shards, ShardStats{
-		ID: id, Index: index, Replica: oc.replica, Attempts: oc.attempts, Net: *ns,
+		Index: index, Replica: oc.replica, Attempts: oc.attempts, Net: *ns,
 	})
 }
 
@@ -156,8 +156,6 @@ func (st *Stats) add(index int, id string, oc *shardWin) {
 type Client struct {
 	// Timeout bounds each per-replica session (dial through close).
 	Timeout time.Duration
-	// MaxFrame bounds accepted frame payloads per session.
-	MaxFrame int
 	// HedgeDelay, when positive and the shard has more than one replica,
 	// races a second replica after the first has been in flight this long,
 	// taking whichever session finishes first — the classic tail-latency
@@ -211,9 +209,9 @@ type Client struct {
 }
 
 // Dial returns a client for the given topology. The topology must match the
-// deployment's — every server verifies the canonical shard identity, epoch,
-// and fingerprint against the session hello. No connection is made until a
-// reconcile method runs.
+// deployment's — every server verifies the positional shard identity, count,
+// epoch and fingerprint against the session hello. No connection is made
+// until a reconcile method runs.
 func Dial(topo *Topology) (*Client, error) {
 	if topo == nil {
 		return nil, errors.New("sosrshard: nil topology")
@@ -288,7 +286,6 @@ func (c *Client) state() (*state, error) {
 				cls[i][j] = &sosrnet.Client{
 					Addr:             addr,
 					Timeout:          c.Timeout,
-					MaxFrame:         c.MaxFrame,
 					Obs:              c.Obs,
 					ShardID:          topo.ShardIDHash(i),
 					ShardCount:       topo.NumShards(),
@@ -312,12 +309,12 @@ func (c *Client) logger() *slog.Logger {
 }
 
 // shardSeed derives the public-coin seed for one shard's session from the
-// logical seed and the canonical shard identity, so distinct shards run
-// independent hash families and reordered-but-identical topologies derive
-// identical per-shard seeds. It doubles as the rendezvous key for replica
-// ordering: distinct logical seeds spread shard primaries across replicas.
-func (c *Client) shardSeed(topo *shardmap.Topology, seed uint64, index int) uint64 {
-	return hashing.NewCoins(seed).Seed("shard/"+topo.ShardID(index), topo.NumShards())
+// logical seed and the shard's position, so distinct shards run independent
+// hash families and no address enters the coins. It doubles as the rendezvous
+// key for replica ordering: distinct logical seeds spread shard primaries
+// across replicas.
+func shardSeed(seed uint64, index int) uint64 {
+	return hashing.NewCoins(seed).Seed("shard", index)
 }
 
 // reconcile is the one fan-out under every Client method: split the local
@@ -358,7 +355,7 @@ func reconcile[P, R any](ctx context.Context, c *Client, name, kind string, seed
 		results := make([]R, len(outs))
 		for i := range outs {
 			results[i] = outs[i].res
-			stats.add(i, st.topo.ShardID(i), &outs[i].shardWin)
+			stats.add(i, &outs[i].shardWin)
 		}
 		return merge(results, stats), stats, nil
 	}
@@ -585,10 +582,9 @@ func fanOut[R any](ctx context.Context, c *Client, st *state, seed uint64, fn sh
 		go func(i int) {
 			defer wg.Done()
 			t0 := time.Now()
-			key := c.shardSeed(st.topo, seed, i)
+			key := shardSeed(seed, i)
 			fsp := obs.SpanFromContext(ctx).Child("shard/fanout")
 			fsp.SetInt("shard", int64(i))
-			fsp.SetStr("shard_id", st.topo.ShardID(i))
 			outs[i], errs[i] = runShard(obs.ContextWithSpan(ctx, fsp), c, st, i, key, fn)
 			fsp.Fail(errs[i])
 			fsp.Finish()
@@ -605,7 +601,7 @@ func fanOut[R any](ctx context.Context, c *Client, st *state, seed uint64, fn sh
 	var firstErr error
 	for i, err := range errs {
 		if err != nil {
-			firstErr = fmt.Errorf("sosrshard: shard %d (%s): %w", i, st.topo.ShardID(i), err)
+			firstErr = fmt.Errorf("sosrshard: shard %d: %w", i, err)
 			break
 		}
 	}

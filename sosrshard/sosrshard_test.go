@@ -16,7 +16,6 @@ import (
 
 	"sosr"
 	"sosr/internal/obs"
-	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
 	"sosr/internal/workload"
 	"sosr/sosrnet"
@@ -179,7 +178,7 @@ func (d *shardDeployment) topoAt(t *testing.T, epoch uint64) *Topology {
 // under the given logical seed (the rendezvous order key is the derived
 // per-shard session seed).
 func (d *shardDeployment) primary(shard int, seed uint64) int {
-	key := d.client.shardSeed(d.topo, seed, shard)
+	key := shardSeed(seed, shard)
 	return d.topo.ReplicaOrder(shard, key)[0]
 }
 
@@ -194,43 +193,6 @@ func (d *shardDeployment) waitSessions(t *testing.T, total int64) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// restartCounters waits until the servers have finished the given number of
-// sessions, then zeroes every listener's byte counter, so a parity check sees
-// the next fan-out alone.
-func (d *shardDeployment) restartCounters(t *testing.T, sessions int64) {
-	t.Helper()
-	d.waitSessions(t, sessions)
-	for _, lns := range d.allLn {
-		for _, ln := range lns {
-			ln.n.Store(0)
-		}
-	}
-}
-
-// sweepSeeds is how many seeds a one-shot test sweeps.
-const sweepSeeds = 4
-
-// sweep runs a one-shot reconcile under seed, seed+100, … until one succeeds.
-// The shard seeds, and with them every shard's coins and rendezvous primary,
-// hash the OS-assigned listen ports, and a set or multiset session is one
-// shot, correct with probability 1 − 1/poly: no fixed seed passes for every
-// port. So the test asserts what holds for every coin. run fails the test on a
-// wrong set and returns nil on a right one; sweep fails it on any error but
-// the classified decode error, and when no seed of the sweep succeeds.
-func sweep(t *testing.T, seed uint64, run func(seed uint64) error) {
-	t.Helper()
-	for k := uint64(0); k < sweepSeeds; k++ {
-		err := run(seed + 100*k)
-		if err == nil {
-			return
-		}
-		if !errors.Is(err, setrecon.ErrDecode) {
-			t.Fatalf("seed %d: %v", seed+100*k, err)
-		}
-	}
-	t.Fatalf("no seed of the sweep from %d decoded", seed)
 }
 
 // checkAggregateParity verifies the itemized byte report: per shard, the
@@ -345,26 +307,17 @@ func TestShardedSetsMatchesSingleInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st *Stats
-	runs := int64(0)
-	sweep(t, cfg.Seed, func(seed uint64) error {
-		d.restartCounters(t, 3*runs)
-		runs++
-		cfg.Seed = seed
-		var got *sosr.SetResult
-		var err error
-		if got, st, err = d.client.Sets(ctx, "ids", bob, cfg); err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-			t.Fatal("sharded fan-out did not recover the full logical set")
-		}
-		if !reflect.DeepEqual(got.OnlyA, want.OnlyA) || !reflect.DeepEqual(got.OnlyB, want.OnlyB) {
-			t.Fatal("sharded difference set diverges from the single-instance run")
-		}
-		return nil
-	})
-	d.waitSessions(t, 3*runs)
+	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+		t.Fatal("sharded fan-out did not recover the full logical set")
+	}
+	if !reflect.DeepEqual(got.OnlyA, want.OnlyA) || !reflect.DeepEqual(got.OnlyB, want.OnlyB) {
+		t.Fatal("sharded difference set diverges from the single-instance run")
+	}
+	d.waitSessions(t, 3)
 	d.checkAggregateParity(t, st)
 }
 
@@ -382,22 +335,14 @@ func TestShardedMultisetMatchesSingleInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st *Stats
-	runs := int64(0)
-	sweep(t, 3, func(seed uint64) error {
-		d.restartCounters(t, 3*runs)
-		runs++
-		var got []uint64
-		var err error
-		if got, st, err = d.client.Multiset(ctx, "bag", bob, 24, seed); err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(got, wantRec) {
-			t.Fatalf("sharded multiset recovered %v, want %v", got, wantRec)
-		}
-		return nil
-	})
-	d.waitSessions(t, 3*runs)
+	got, st, err := d.client.Multiset(ctx, "bag", bob, 24, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, wantRec) {
+		t.Fatalf("sharded multiset recovered %v, want %v", got, wantRec)
+	}
+	d.waitSessions(t, 3)
 	d.checkAggregateParity(t, st)
 }
 
@@ -418,24 +363,21 @@ func TestPerShardDiffEstimation(t *testing.T) {
 	d.client.PerShardDiff = true
 	// The logical bound passed here is deliberately absurd: with PerShardDiff
 	// it must be ignored in favor of each shard's own estimate.
-	sweep(t, 19, func(seed uint64) error {
-		got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 1})
-		if err != nil {
-			return err
+	got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: 19, KnownDiff: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+		t.Fatal("per-shard estimation did not recover the full logical set")
+	}
+	checkStatsParity(t, st)
+	// The unknown-d protocol runs the strata estimator per shard, so every
+	// shard reports at least one attempt.
+	for i, sh := range st.Shards {
+		if sh.Net.Attempts < 1 {
+			t.Fatalf("shard %d reports no attempts", i)
 		}
-		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-			t.Fatal("per-shard estimation did not recover the full logical set")
-		}
-		checkStatsParity(t, st)
-		// The unknown-d protocol runs the strata estimator per shard, so every
-		// shard reports at least one attempt.
-		for i, sh := range st.Shards {
-			if sh.Net.Attempts < 1 {
-				t.Fatalf("shard %d reports no attempts", i)
-			}
-		}
-		return nil
-	})
+	}
 }
 
 // TestCoordinatorUpdatesVisibleToFanOut: a logical mutation routed by the
@@ -473,9 +415,9 @@ func TestCoordinatorUpdatesVisibleToFanOut(t *testing.T) {
 		t.Fatal("fan-out after coordinator update diverges from single-instance run over updated data")
 	}
 	// Only the shards owning a touched child were bumped.
-	bumped := map[int]bool{
-		d.topo.OwnerOfSet(setutil.Canonical(added)): true,
-		d.topo.OwnerOfSet(removed):                  true,
+	bumped := map[int]bool{}
+	for i, part := range d.topo.SplitSets([][]uint64{setutil.Canonical(added), removed}) {
+		bumped[i] = len(part) > 0
 	}
 	for i, srv := range d.servers {
 		v, err := srv.DatasetVersion("docs")
@@ -514,20 +456,17 @@ func TestReplicatedCoordinatorKeepsReplicasIdentical(t *testing.T) {
 	// served, and every winner's result must be the same.
 	want := setutil.Canonical(logical)
 	for seed := uint64(0); seed < 4; seed++ {
-		sweep(t, seed, func(seed uint64) error {
-			got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 16})
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(got.Recovered, want) {
-				t.Fatalf("seed %d: replicas disagree on the updated slice", seed)
-			}
-			if st.Failovers != 0 || st.Hedges != 0 {
-				t.Fatalf("seed %d: unexpected failovers/hedges in a healthy deployment: %+v", seed, st)
-			}
-			checkStatsParity(t, st)
-			return nil
-		})
+		got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 16})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got.Recovered, want) {
+			t.Fatalf("seed %d: replicas disagree on the updated slice", seed)
+		}
+		if st.Failovers != 0 || st.Hedges != 0 {
+			t.Fatalf("seed %d: unexpected failovers/hedges in a healthy deployment: %+v", seed, st)
+		}
+		checkStatsParity(t, st)
 	}
 	// Distinct seeds spread primaries: across the seeds above, both replica
 	// columns of at least one shard should have served traffic.
@@ -614,26 +553,18 @@ func TestFailoverMidSession(t *testing.T) {
 	// the client after the handshake bytes are already in flight, so the
 	// failure is an IO error on an established session, not a refused dial.
 	d.client.RetryBackoff = time.Millisecond
-	// The seed picks the rendezvous primary, so the kill moves with it.
-	sweep(t, cfg.Seed, func(seed uint64) error {
-		cfg.Seed = seed
-		for _, ln := range d.allLn[0] {
-			ln.killAfter.Store(0)
-		}
-		d.allLn[0][d.primary(0, cfg.Seed)].killAfter.Store(1)
-		got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-			t.Fatal("failover reconcile did not recover the hosted set")
-		}
-		if st.Failovers == 0 {
-			t.Fatal("no failover recorded despite a dead primary")
-		}
-		checkStatsParity(t, st)
-		return nil
-	})
+	d.allLn[0][d.primary(0, cfg.Seed)].killAfter.Store(1)
+	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+		t.Fatal("failover reconcile did not recover the hosted set")
+	}
+	if st.Failovers == 0 {
+		t.Fatal("no failover recorded despite a dead primary")
+	}
+	checkStatsParity(t, st)
 }
 
 // TestHedgedRequestBeatsStalledPrimary is the tail-latency acceptance test: a
@@ -654,40 +585,35 @@ func TestHedgedRequestBeatsStalledPrimary(t *testing.T) {
 	d.client.HedgeDelay = 20 * time.Millisecond
 	reg := obs.NewRegistry()
 	d.client.Obs = reg
-	runs := 0
-	sweep(t, 9, func(seed uint64) error {
-		// Stall the rendezvous primary long enough that the hedge must win.
-		p := d.primary(0, seed)
-		d.allLn[0][p].stall.Store(int64(2 * time.Second))
-		d.allLn[0][1-p].stall.Store(0)
-		runs++
-		got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 8})
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-			t.Fatal("hedged reconcile did not recover the hosted set")
-		}
-		if st.Hedges != 1 || st.HedgeWins != 1 {
-			t.Fatalf("hedges=%d hedgeWins=%d, want 1/1 (stalled primary must lose)", st.Hedges, st.HedgeWins)
-		}
-		if winner := st.Shards[0].Replica; winner == d.topo.Replicas(0)[p] {
-			t.Fatalf("stalled primary %s reported as the winner", winner)
-		}
-		checkStatsParity(t, st)
-		return nil
-	})
+	// Stall the rendezvous primary long enough that the hedge must win.
+	const seed = 9
+	p := d.primary(0, seed)
+	d.allLn[0][p].stall.Store(int64(2 * time.Second))
+	got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+		t.Fatal("hedged reconcile did not recover the hosted set")
+	}
+	if st.Hedges != 1 || st.HedgeWins != 1 {
+		t.Fatalf("hedges=%d hedgeWins=%d, want 1/1 (stalled primary must lose)", st.Hedges, st.HedgeWins)
+	}
+	if winner := st.Shards[0].Replica; winner == d.topo.Replicas(0)[p] {
+		t.Fatalf("stalled primary %s reported as the winner", winner)
+	}
+	checkStatsParity(t, st)
 
 	// The win is exported: scrape the client registry over HTTP exactly as a
 	// deployment would.
 	ops := httptest.NewServer(reg.Handler())
 	defer ops.Close()
 	samples := scrape(t, ops.URL)
-	if v := samples[`sosr_shard_hedges_total{outcome="launched"}`]; v != float64(runs) {
-		t.Fatalf("hedges launched counter %v, want one per run (%d)", v, runs)
+	if v := samples[`sosr_shard_hedges_total{outcome="launched"}`]; v != 1 {
+		t.Fatalf("hedges launched counter %v, want 1", v)
 	}
-	if v := samples[`sosr_shard_hedges_total{outcome="win"}`]; v < 1 {
-		t.Fatalf("hedge-win counter %v, want >= 1", v)
+	if v := samples[`sosr_shard_hedges_total{outcome="win"}`]; v != 1 {
+		t.Fatalf("hedge-win counter %v, want 1", v)
 	}
 }
 
@@ -728,18 +654,14 @@ func TestStaleEpochRefresh(t *testing.T) {
 		refreshed.Add(1)
 		return topo2, nil
 	}
-	sweep(t, cfg.Seed, func(seed uint64) error {
-		cfg.Seed = seed
-		got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-			t.Fatal("post-refresh reconcile did not recover the hosted set")
-		}
-		checkStatsParity(t, st)
-		return nil
-	})
+	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+		t.Fatal("post-refresh reconcile did not recover the hosted set")
+	}
+	checkStatsParity(t, st)
 	if refreshed.Load() != 1 {
 		t.Fatalf("Refresh called %d times, want 1", refreshed.Load())
 	}
@@ -754,25 +676,23 @@ func TestStaleEpochRefresh(t *testing.T) {
 		t.Fatalf("refresh counter missing:\n%s", sb.String())
 	}
 	// The next reconcile uses the refreshed topology without another call.
-	sweep(t, cfg.Seed, func(seed uint64) error {
-		cfg.Seed = seed
-		got, _, err := d.client.Sets(ctx, "ids", bob, cfg)
-		if err == nil && !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-			t.Fatal("reconcile after refresh did not recover the hosted set")
-		}
-		return err
-	})
+	if got, _, err = d.client.Sets(ctx, "ids", bob, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
+		t.Fatal("reconcile after refresh did not recover the hosted set")
+	}
 	if refreshed.Load() != 1 {
 		t.Fatalf("Refresh re-called on a fresh topology (%d calls)", refreshed.Load())
 	}
 }
 
-// TestReorderedTopologyAccepted: the same deployment spelled in a different
-// shard order is the same topology — canonical identities and fingerprints
-// make the handshake and the partition order-insensitive, so a reordered
-// client reconciles successfully (the old world rejected this; the redesign
-// makes spelling irrelevant).
-func TestReorderedTopologyAccepted(t *testing.T) {
+// TestReorderedTopologyRefused: a shard is its position, so the same
+// addresses listed in another shard order are a different deployment — every
+// server would be asked for another position's slice — and the handshake
+// refuses it as misrouted, as it does a topology of another shard count over
+// the same addresses.
+func TestReorderedTopologyRefused(t *testing.T) {
 	ctx := context.Background()
 	alice, bob := workload.PlantedSetsOfSets(29, 30, 6, 1<<32, 8)
 	d := startShards(t, 3)
@@ -780,45 +700,38 @@ func TestReorderedTopologyAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sosr.Config{Seed: 1, Protocol: sosr.ProtocolCascade, KnownDiff: 24}
-	want, _, err := d.client.SetsOfSets(ctx, "docs", bob, cfg)
-	if err != nil {
+	if _, _, err := d.client.SetsOfSets(ctx, "docs", bob, cfg); err != nil {
 		t.Fatal(err)
 	}
-	lists := [][]string{d.topo.Replicas(2), d.topo.Replicas(0), d.topo.Replicas(1)}
-	reordered, err := NewTopology(1, lists)
-	if err != nil {
-		t.Fatal(err)
+	for name, lists := range map[string][][]string{
+		"reordered": {d.topo.Replicas(2), d.topo.Replicas(0), d.topo.Replicas(1)},
+		"merged": {
+			append(append([]string{}, d.topo.Replicas(0)...), d.topo.Replicas(1)...),
+			d.topo.Replicas(2),
+		},
+	} {
+		topo, err := NewTopology(1, lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Timeout = 30 * time.Second
+		if _, _, err := c.SetsOfSets(ctx, "docs", bob, cfg); !errors.Is(err, sosrnet.ErrMisrouted) {
+			t.Fatalf("%s topology not rejected as misrouted: %v", name, err)
+		}
 	}
-	rc, err := Dial(reordered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.Timeout = 30 * time.Second
-	got, _, err := rc.SetsOfSets(ctx, "docs", bob, cfg)
-	if err != nil {
-		t.Fatalf("reordered-but-identical topology rejected: %v", err)
-	}
-	if !setutil.EqualSetOfSets(got.Recovered, want.Recovered) {
-		t.Fatal("reordered client recovered a different parent set")
-	}
+}
 
-	// A structurally different topology over the same addresses is a
-	// different partition and must still fail the handshake.
-	merged := [][]string{
-		append(append([]string{}, d.topo.Replicas(0)...), d.topo.Replicas(1)...),
-		d.topo.Replicas(2),
-	}
-	skewTopo, err := NewTopology(1, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Dial(skewTopo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Timeout = 30 * time.Second
-	if _, _, err := sc.SetsOfSets(ctx, "docs", bob, cfg); !errors.Is(err, sosrnet.ErrMisrouted) {
-		t.Fatalf("structurally different topology not rejected as misrouted: %v", err)
+// TestShardCoinsArePositional: a shard's coins read the logical seed and the
+// shard's position, nothing else, so topologies of equal shard count draw the
+// same coins whatever their addresses; distinct positions and seeds draw
+// distinct coins.
+func TestShardCoinsArePositional(t *testing.T) {
+	if shardSeed(42, 0) == shardSeed(42, 1) || shardSeed(42, 1) == shardSeed(43, 1) {
+		t.Fatal("shard coins collide across positions or seeds")
 	}
 }
 
