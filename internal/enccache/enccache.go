@@ -11,10 +11,21 @@
 // mutations are handled by versioning, not explicit invalidation: the
 // dataset's current version is part of every key, so stale entries simply
 // stop being referenced and age out of the LRU.
+//
+// Sessions that draw fresh coins ask for every key once, so an entry built
+// for a key nothing held waits in a probation segment, capped at an eighth
+// of the budget or its newest entry. The next lookup of its key moves it
+// into the main LRU, and eviction takes the probation tail before the main
+// one: one-shot payloads hold at most an eighth of the budget, or a single
+// entry, and give way to each other before an entry asked for twice does.
+// Probation remembers the keys it drops, without their payloads, up to a
+// budget's worth of what they held; a key rebuilt while remembered goes
+// straight to main. Keys asked for in turn whose payloads fit in seven
+// eighths of the budget therefore all hit from their third round on, however
+// far they exceed probation's eighth.
 package enccache
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -44,48 +55,92 @@ type Key struct {
 
 // Stats reports cache effectiveness counters.
 type Stats struct {
-	Hits      uint64 // lookups served from memory
-	Misses    uint64 // lookups that ran the builder
-	Shared    uint64 // lookups that piggybacked on an in-flight build
-	Evictions uint64 // entries pushed out by the byte bound
-	Entries   int    // resident entries
-	Bytes     int64  // resident payload bytes
+	Hits       uint64 // lookups served from memory
+	Misses     uint64 // lookups that ran the builder
+	Shared     uint64 // lookups that piggybacked on an in-flight build
+	Evictions  uint64 // entries pushed out by the byte bound
+	Promotions uint64 // lookups that proved a key probation held or dropped
+	Entries    int    // resident entries
+	Bytes      int64  // resident payload bytes
 }
 
-// Cache is a byte-bounded LRU of encoded payloads, safe for concurrent use.
+// Cache is a byte-bounded, two-segment LRU of encoded payloads, safe for
+// concurrent use.
 type Cache struct {
-	mu        sync.Mutex
-	maxBytes  int64
-	bytes     int64
-	ll        *list.List // front = most recently used; values are *entry
-	entries   map[Key]*list.Element
-	inflight  map[Key]*call
-	hits      uint64
-	misses    uint64
-	shared    uint64
-	evictions uint64
+	mu         sync.Mutex
+	maxBytes   int64
+	main       segment // entries looked up since they were built
+	probation  segment // entries not looked up since they were built
+	entries    map[Key]*entry
+	ghost      segment // keys probation dropped; bytes is what they held
+	ghosts     map[Key]*entry
+	inflight   map[Key]*call
+	hits       uint64
+	misses     uint64
+	shared     uint64
+	evictions  uint64
+	promotions uint64
 }
 
-// entry is one resident value: a payload of one or more frames, or an opaque
-// decoded value (val non-nil, frames nil). Single-frame payloads (sets,
+// probationShare is the fraction of the byte budget (1/probationShare) the
+// probation segment may hold beyond its newest entry.
+const probationShare = 8
+
+// value is what a builder produced: a payload of one or more frames, or an
+// opaque decoded value (val non-nil, frames nil). Single-frame payloads (sets,
 // one-round sos digests), composite payloads (graph sig + edge frames, forest
 // sig + meta frames), and decode-side values (Bob sketches) share the same
-// LRU byte budget; the shape is part of what the builder produced, not of the
+// byte budget; the shape is part of what the builder produced, not of the
 // key.
-type entry struct {
-	key    Key
+type value struct {
 	frames [][]byte
 	val    any
-	size   int64
 }
+
+// entry is one key linked into a segment's ring. Entries are read and written
+// only under the cache's lock — lookups return a copy of the value — so an
+// entry probation drops becomes a ghost in place: its value goes, its key and
+// size stay.
+type entry struct {
+	key Key
+	value
+	size       int64
+	prev, next *entry
+	seg        *segment
+}
+
+// segment is a ring of entries through a sentinel, most recently used first.
+type segment struct {
+	root  entry
+	n     int
+	bytes int64
+}
+
+func (s *segment) init() { s.root.prev, s.root.next = &s.root, &s.root }
+
+func (s *segment) pushFront(e *entry) {
+	e.seg, e.prev, e.next = s, &s.root, s.root.next
+	e.next.prev = e
+	s.root.next = e
+	s.n++
+	s.bytes += e.size
+}
+
+func (s *segment) remove(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.seg, e.prev, e.next = nil, nil, nil
+	s.n--
+	s.bytes -= e.size
+}
+
+// back is the least recently used entry; the segment must not be empty.
+func (s *segment) back() *entry { return s.root.prev }
 
 // call is one in-flight build other lookups can wait on.
 type call struct {
-	done   chan struct{}
-	frames [][]byte
-	val    any
-	size   int64
-	err    error
+	done chan struct{}
+	value
+	err error
 }
 
 func framesSize(frames [][]byte) int64 {
@@ -107,12 +162,16 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	return &Cache{
+	c := &Cache{
 		maxBytes: maxBytes,
-		ll:       list.New(),
-		entries:  make(map[Key]*list.Element),
+		entries:  make(map[Key]*entry),
+		ghosts:   make(map[Key]*entry),
 		inflight: make(map[Key]*call),
 	}
+	c.main.init()
+	c.probation.init()
+	c.ghost.init()
+	return c
 }
 
 // GetOrCompute returns the single-frame payload for k, running build at most
@@ -145,17 +204,11 @@ func (c *Cache) GetOrCompute(k Key, build func() ([]byte, error)) ([]byte, error
 // under one key so a hit replays the entire Alice side of the session. The
 // returned slices are shared — callers must not mutate them.
 func (c *Cache) GetOrComputeFrames(k Key, build func() ([][]byte, error)) ([][]byte, error) {
-	e, _, err := c.getOrCompute(k, nil, func(*entry) (*entry, error) {
+	v, _, err := c.getOrCompute(k, nil, func(any) (value, int64, error) {
 		frames, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return &entry{frames: frames, size: framesSize(frames)}, nil
+		return value{frames: frames}, framesSize(frames), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return e.frames, nil
+	return v.frames, err
 }
 
 // GetOrComputeValue returns the opaque decoded value for k, running build at
@@ -174,58 +227,50 @@ func (c *Cache) GetOrComputeFrames(k Key, build func() ([][]byte, error)) ([][]b
 // which current may also reject; the caller checks. nil current accepts any
 // resident value.
 func (c *Cache) GetOrComputeValue(k Key, current func(val any) bool, build func(prev any) (any, int64, error)) (val any, hit bool, err error) {
-	var fresh func(*entry) bool
-	if current != nil {
-		fresh = func(e *entry) bool { return current(e.val) }
-	}
-	e, hit, err := c.getOrCompute(k, fresh, func(prev *entry) (*entry, error) {
-		var pv any
-		if prev != nil {
-			pv = prev.val
-		}
-		v, size, err := build(pv)
-		if err != nil {
-			return nil, err
-		}
-		return &entry{val: v, size: size}, nil
+	v, hit, err := c.getOrCompute(k, current, func(prev any) (value, int64, error) {
+		val, size, err := build(prev)
+		return value{val: val}, size, err
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return e.val, hit, nil
+	return v.val, hit, err
 }
 
 // getOrCompute is the shared lookup/coalesce/insert path. build returns a
-// keyless entry (frames or val plus size) that getOrCompute stores. A
-// resident entry that fresh (when non-nil) rejects counts as a miss and is
-// passed to build, whose result replaces it. fresh is caller code and runs
-// without the lock; whatever became resident meanwhile is still replaced.
-func (c *Cache) getOrCompute(k Key, fresh func(*entry) bool, build func(prev *entry) (*entry, error)) (e *entry, hit bool, err error) {
-	var prev *entry
+// value and its size, which getOrCompute stores. Finding a resident entry
+// moves it to the front of the main LRU, out of probation if it was there,
+// whether or not it is then served. A resident value that fresh (when
+// non-nil) rejects counts as a miss and is passed to build as prev (nil when
+// nothing is resident), whose result replaces it. fresh is caller code and
+// runs without the lock; whatever became resident meanwhile is still
+// replaced.
+func (c *Cache) getOrCompute(k Key, fresh func(val any) bool, build func(prev any) (value, int64, error)) (v value, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		prev = el.Value.(*entry)
-		c.ll.MoveToFront(el)
+	prev := c.entries[k]
+	if prev != nil {
+		v = prev.value
+		if prev != c.main.root.next {
+			if prev.seg == &c.probation {
+				c.promotions++
+			}
+			prev.seg.remove(prev)
+			c.main.pushFront(prev)
+		}
 	}
 	hit = prev != nil
 	if hit && fresh != nil {
 		c.mu.Unlock()
-		hit = fresh(prev)
+		hit = fresh(v.val)
 		c.mu.Lock()
 	}
 	if hit {
 		c.hits++
 		c.mu.Unlock()
-		return prev, true, nil
+		return v, true, nil
 	}
 	if cl, ok := c.inflight[k]; ok {
 		c.shared++
 		c.mu.Unlock()
 		<-cl.done
-		if cl.err != nil {
-			return nil, false, cl.err
-		}
-		return &entry{key: k, frames: cl.frames, val: cl.val, size: cl.size}, false, nil
+		return cl.value, false, cl.err
 	}
 	cl := &call{done: make(chan struct{})}
 	c.inflight[k] = cl
@@ -247,9 +292,9 @@ func (c *Cache) getOrCompute(k Key, fresh func(*entry) bool, build func(prev *en
 			c.mu.Unlock()
 		}
 	}()
-	built, err := build(prev)
+	built, size, err := build(v.val)
 	if err == nil {
-		cl.frames, cl.val, cl.size = built.frames, built.val, built.size
+		cl.value = built
 	}
 	cl.err = err
 	completed = true
@@ -258,52 +303,77 @@ func (c *Cache) getOrCompute(k Key, fresh func(*entry) bool, build func(prev *en
 	c.mu.Lock()
 	delete(c.inflight, k)
 	if cl.err == nil {
-		built.key = k
-		c.insert(built)
+		c.insert(&entry{key: k, value: built, size: size})
 	}
 	c.mu.Unlock()
-	if cl.err != nil {
-		return nil, false, cl.err
-	}
-	return built, false, nil
+	return cl.value, false, cl.err
 }
 
-// insert stores a built entry, in place of the key's resident one if there
-// is one, and evicts from the LRU tail until the byte bound holds. Oversized
-// payloads (> half the bound) are not retained — one giant value must not
-// flush the whole working set — and the value they would have replaced goes
-// too: it is stale. Caller holds mu.
+// insert stores a built entry: in place of the key's resident one, in that
+// one's segment; in main if probation dropped the key and still remembers
+// it; or else as the newest entry of probation. Probation then evicts its own
+// tail down to a 1/probationShare share of the bound or its newest entry, and
+// while the bound is exceeded the rest of probation goes before the main
+// tail. Oversized payloads (> half the bound) are not retained — one giant
+// value must not flush the whole working set — and the value they would have
+// replaced goes too: it is stale. Caller holds mu.
 func (c *Cache) insert(ne *entry) {
-	el, ok := c.entries[ne.key]
+	seg := &c.probation
+	if old := c.entries[ne.key]; old != nil {
+		seg = old.seg
+		seg.remove(old)
+	}
 	if ne.size > c.maxBytes/2 {
-		if ok {
-			c.ll.Remove(el)
-			delete(c.entries, ne.key)
-			c.bytes -= el.Value.(*entry).size
-		}
+		delete(c.entries, ne.key)
 		return
 	}
-	if ok {
-		// The list element gets a new entry rather than new fields: lookups
-		// that returned the old one read it without the lock.
-		c.bytes += ne.size - el.Value.(*entry).size
-		el.Value = ne
-		c.ll.MoveToFront(el)
-	} else {
-		c.entries[ne.key] = c.ll.PushFront(ne)
-		c.bytes += ne.size
+	if g := c.ghosts[ne.key]; g != nil {
+		// Asked for again within a budget's worth of dropped payloads: a
+		// plain LRU would still hold it.
+		c.ghost.remove(g)
+		delete(c.ghosts, ne.key)
+		c.promotions++
+		seg = &c.main
 	}
-	for c.bytes > c.maxBytes {
-		tail := c.ll.Back()
-		if tail == nil {
-			break
+	c.entries[ne.key] = ne
+	seg.pushFront(ne)
+	for c.probation.n > 1 && c.probation.bytes > c.maxBytes/probationShare {
+		c.evict(&c.probation)
+	}
+	for c.main.bytes+c.probation.bytes > c.maxBytes {
+		// No entry exceeds half the bound, so past it with probation down to
+		// its newest entry, main is not empty.
+		if c.probation.n > 1 {
+			c.evict(&c.probation)
+		} else {
+			c.evict(&c.main)
 		}
-		e := tail.Value.(*entry)
-		c.ll.Remove(tail)
-		delete(c.entries, e.key)
-		c.bytes -= e.size
-		c.evictions++
 	}
+}
+
+// evict drops the least recently used entry of seg; one probation drops
+// becomes a ghost. Caller holds mu.
+func (c *Cache) evict(seg *segment) {
+	e := seg.back()
+	seg.remove(e)
+	delete(c.entries, e.key)
+	c.evictions++
+	if seg == &c.probation {
+		c.remember(e)
+	}
+}
+
+// remember keeps e's key and size without its value, forgetting the oldest
+// ghosts while the bytes they held would exceed the bound. Caller holds mu.
+func (c *Cache) remember(e *entry) {
+	e.value = value{}
+	for c.ghost.n > 0 && c.ghost.bytes+e.size > c.maxBytes {
+		g := c.ghost.back()
+		c.ghost.remove(g)
+		delete(c.ghosts, g.key)
+	}
+	c.ghosts[e.key] = e
+	c.ghost.pushFront(e)
 }
 
 // Stats returns a snapshot of the effectiveness counters.
@@ -311,11 +381,12 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Shared:    c.shared,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Bytes:     c.bytes,
+		Hits:       c.hits,
+		Misses:     c.misses,
+		Shared:     c.shared,
+		Evictions:  c.evictions,
+		Promotions: c.promotions,
+		Entries:    len(c.entries),
+		Bytes:      c.main.bytes + c.probation.bytes,
 	}
 }

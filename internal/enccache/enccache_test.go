@@ -14,6 +14,8 @@ func key(i int) Key {
 	return Key{Dataset: "ds", Version: 1, Proto: "cascade", Seed: uint64(i), S: 10, H: 10, U: 100, D: 4, DHat: 4}
 }
 
+// TestGetOrComputeCachesAndHits: the built entry waits in probation, and the
+// next lookup is a hit that moves it to main; only that one is a promotion.
 func TestGetOrComputeCachesAndHits(t *testing.T) {
 	c := New(1 << 20)
 	builds := 0
@@ -23,12 +25,15 @@ func TestGetOrComputeCachesAndHits(t *testing.T) {
 		if err != nil || !bytes.Equal(got, []byte("payload")) {
 			t.Fatalf("lookup %d: %q, %v", i, got, err)
 		}
+		if inMain(c, key(1)) != (i > 0) {
+			t.Fatalf("lookup %d: in main = %v", i, i == 0)
+		}
 	}
 	if builds != 1 {
 		t.Fatalf("builder ran %d times, want 1", builds)
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 4 || st.Entries != 1 {
+	if st.Misses != 1 || st.Hits != 4 || st.Entries != 1 || st.Promotions != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -97,6 +102,9 @@ func TestLRUEvictionBoundsBytes(t *testing.T) {
 	}
 }
 
+// TestOversizedPayloadNotRetained: half the bound is the largest entry kept,
+// in probation too, where it is kept alone; a larger one is not retained and
+// leaves every other entry where it was.
 func TestOversizedPayloadNotRetained(t *testing.T) {
 	c := New(1024)
 	big := make([]byte, 600) // > maxBytes/2
@@ -106,6 +114,23 @@ func TestOversizedPayloadNotRetained(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("oversized payload retained: %+v", st)
+	}
+	for range 2 {
+		if _, err := c.GetOrCompute(key(2), sized(300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.GetOrCompute(key(3), sized(512)); err != nil {
+		t.Fatal(err)
+	}
+	if n, bytes := checkSegments(t, c); n != 1 || bytes != 512 || !inMain(c, key(2)) {
+		t.Fatalf("half the bound not kept beside a proven entry: probation %d entries of %d bytes", n, bytes)
+	}
+	if _, err := c.GetOrCompute(key(1), func() ([]byte, error) { return big, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Bytes != 812 || st.Evictions != 0 {
+		t.Fatalf("an oversized payload moved the cache: %+v", st)
 	}
 }
 
@@ -301,7 +326,8 @@ func TestCompositeEvictionUsesTotalSize(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("oversized composite retained: %+v", st)
 	}
-	// Two 40-byte composites exceed the bound; the older one must be evicted.
+	// Two 40-byte composites, each looked up again so that both leave
+	// probation, fit; a third exceeds the bound and evicts the older one.
 	mk := func(i int) Key { return Key{Proto: "c", Seed: uint64(i)} }
 	for i := 0; i < 2; i++ {
 		if _, err := c.GetOrComputeFrames(mk(i), func() ([][]byte, error) {
@@ -309,9 +335,12 @@ func TestCompositeEvictionUsesTotalSize(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if _, ok := resident(t, c, mk(i)); !ok {
+			t.Fatalf("composite %d not resident", i)
+		}
 	}
 	st := c.Stats()
-	if st.Entries != 2 || st.Bytes != 80 {
+	if st.Entries != 2 || st.Bytes != 80 || st.Promotions != 2 {
 		t.Fatalf("two composites should fit: %+v", st)
 	}
 	if _, err := c.GetOrComputeFrames(mk(2), func() ([][]byte, error) {
@@ -360,13 +389,15 @@ func TestGetOrComputeValueCachesAndEvicts(t *testing.T) {
 	if frames, _ := resident(t, c, k); len(frames) != 0 {
 		t.Fatalf("GetOrComputeFrames returned an opaque value entry as %d frames", len(frames))
 	}
-	// Values share the byte budget with frames: two more 400-byte values push
-	// the first out.
+	// Values share the byte budget with frames: two more 400-byte values,
+	// each looked up twice so that it leaves probation, push the first out.
 	for i := 0; i < 2; i++ {
 		k2 := k
 		k2.Seed = uint64(100 + i)
-		if _, _, err := c.GetOrComputeValue(k2, nil, build); err != nil {
-			t.Fatal(err)
+		for range 2 {
+			if _, _, err := c.GetOrComputeValue(k2, nil, build); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if _, hit, _ := c.GetOrComputeValue(k, nil, build); hit {
@@ -392,9 +423,9 @@ func TestGetOrComputeValueErrorNotCached(t *testing.T) {
 
 // TestGetOrComputeValueReplacesStale: a resident value the caller rejects is
 // a miss whose build sees it as the predecessor; the successor takes its
-// place under the same key with the byte count re-accounted, an oversized
-// successor leaves nothing behind, and a lookup that piggybacks on another
-// caller's build gets that caller's value to judge for itself.
+// place under the same key with the byte count re-accounted and in main, an
+// oversized successor leaves nothing behind, and a lookup that piggybacks on
+// another caller's build gets that caller's value to judge for itself.
 func TestGetOrComputeValueReplacesStale(t *testing.T) {
 	c := New(1000)
 	k := Key{Dataset: "ds", Proto: "bob/cascade", Seed: 7}
@@ -429,6 +460,27 @@ func TestGetOrComputeValueReplacesStale(t *testing.T) {
 		t.Fatalf("oversized successor left its stale predecessor resident: %+v", st)
 	}
 
+	// A stale value replaced straight out of probation proves its key: the
+	// successor goes to main, where one-shot keys do not reach it.
+	k2 := Key{Dataset: "ds", Proto: "bob/cascade", Seed: 8}
+	if _, _, err := c.GetOrComputeValue(k2, is(1), next(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if v, hit, err := c.GetOrComputeValue(k2, is(2), next(2, 100)); err != nil || hit || v != 2 {
+		t.Fatalf("stale lookup from probation: %v %v %v", v, hit, err)
+	}
+	if st := c.Stats(); !inMain(c, k2) || st.Promotions != 2 {
+		t.Fatalf("stale replacement not promoted: %+v", st)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := c.GetOrCompute(key(i), sized(400)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, hit, _ := c.GetOrComputeValue(k2, is(2), next(3, 100)); !hit || v != 2 {
+		t.Fatalf("one-shot keys displaced the replaced value: %v %v", v, hit)
+	}
+
 	// Two callers wanting different values under one key: the second waits on
 	// the first's build and is handed a value its own check rejects.
 	started, release := make(chan struct{}), make(chan struct{})
@@ -458,5 +510,175 @@ func TestGetOrComputeValueReplacesStale(t *testing.T) {
 	close(release)
 	if a, b := <-done, <-done; a != 4 || b != 4 {
 		t.Fatalf("coalesced lookups returned %v and %v, want the one build's value", a, b)
+	}
+}
+
+// checkSegments verifies the three rings against the maps and the byte
+// counts, and returns probation's entries and bytes.
+func checkSegments(t *testing.T, c *Cache) (probN int, probBytes int64) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	count := func(s *segment, m map[Key]*entry) {
+		n, bytes := 0, int64(0)
+		for e := s.root.next; e != &s.root; e = e.next {
+			if e.next.prev != e || e.seg != s || m[e.key] != e {
+				t.Fatalf("entry %+v is not linked where the map says", e.key)
+			}
+			n++
+			bytes += e.size
+		}
+		if n != s.n || bytes != s.bytes {
+			t.Fatalf("segment holds %d entries of %d bytes, counted %d of %d", n, bytes, s.n, s.bytes)
+		}
+	}
+	count(&c.main, c.entries)
+	count(&c.probation, c.entries)
+	count(&c.ghost, c.ghosts)
+	if n, total := c.main.n+c.probation.n, c.main.bytes+c.probation.bytes; n != len(c.entries) || total > c.maxBytes {
+		t.Fatalf("rings hold %d entries of %d bytes; map %d, bound %d", n, total, len(c.entries), c.maxBytes)
+	}
+	if c.ghost.n != len(c.ghosts) || c.ghost.n > 1 && c.ghost.bytes > c.maxBytes {
+		t.Fatalf("%d dropped keys of %d bytes remembered; map %d, bound %d", c.ghost.n, c.ghost.bytes, len(c.ghosts), c.maxBytes)
+	}
+	for k, g := range c.ghosts {
+		if c.entries[k] != nil || g.frames != nil || g.val != nil {
+			t.Fatalf("key %+v remembered as dropped is resident or kept its payload", k)
+		}
+	}
+	return c.probation.n, c.probation.bytes
+}
+
+// inMain reports whether k is resident in the main segment, without the
+// lookup that would itself promote it.
+func inMain(c *Cache, k Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[k]
+	return e != nil && e.seg == &c.main
+}
+
+func sized(n int) func() ([]byte, error) {
+	return func() ([]byte, error) { return make([]byte, n), nil }
+}
+
+// TestOneShotFloodKeepsProvenEntry: keys asked for once — a session's fresh
+// coins — only ever displace each other. A proven entry, the least recently
+// used one in the cache, survives ten thousand of them of every size up to
+// half the bound, and probation never holds more than an eighth of the bound
+// unless it is a single entry.
+func TestOneShotFloodKeepsProvenEntry(t *testing.T) {
+	const maxBytes = 8000
+	c := New(maxBytes)
+	proven := Key{Dataset: "hot", Proto: "cascade"}
+	for range 2 {
+		if _, err := c.GetOrCompute(proven, sized(1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		if _, err := c.GetOrCompute(key(i), sized(1+i*7919%(maxBytes/2))); err != nil {
+			t.Fatal(err)
+		}
+		if n, bytes := checkSegments(t, c); n > 1 && bytes > maxBytes/8 {
+			t.Fatalf("after %d one-shot keys probation holds %d entries of %d bytes", i+1, n, bytes)
+		}
+		if !inMain(c, proven) {
+			t.Fatalf("one-shot key %d displaced the proven entry", i)
+		}
+	}
+	st := c.Stats()
+	if st.Promotions != 1 || st.Hits != 1 || st.Misses != 10_001 || st.Evictions != uint64(10_001-st.Entries) {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestCycledKeysHitAfterWarmup: keys asked for in turn whose payloads fill
+// half the bound, four times what probation holds, are all served from memory
+// from the third round on. Those probation dropped before their second
+// request are remembered, so their rebuild goes straight to main.
+func TestCycledKeysHitAfterWarmup(t *testing.T) {
+	const maxBytes, n = 8000, 40
+	c := New(maxBytes)
+	for round := 0; round < 5; round++ {
+		before := c.Stats()
+		for i := 0; i < n; i++ {
+			if _, err := c.GetOrCompute(key(i), sized(maxBytes/2/n)); err != nil {
+				t.Fatal(err)
+			}
+			checkSegments(t, c)
+		}
+		if st := c.Stats(); round >= 2 && st.Misses != before.Misses {
+			t.Fatalf("round %d: %d of %d lookups missed (%+v)", round, st.Misses-before.Misses, n, st)
+		}
+	}
+	// Forty misses in the first round, then the thirty probation dropped.
+	if st := c.Stats(); st.Promotions != n || st.Entries != n || st.Misses != 70 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestCacheAllocBudget: the segments are rings through the entries
+// themselves, so keeping an entry allocates nothing beyond the entry a
+// builder returns: a hit, a promotion out of probation, an in-place
+// replacement, a one-shot insert that evicts (the entry it evicts stays as a
+// ghost) and a rebuild of a ghost's key are all free.
+func TestCacheAllocBudget(t *testing.T) {
+	const runs = 100
+	c := New(1 << 30)
+	keys := make([]Key, runs+1)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	insert := func(e *entry) {
+		c.mu.Lock()
+		c.insert(e)
+		c.mu.Unlock()
+	}
+	for _, k := range keys {
+		insert(&entry{key: k, size: 1})
+	}
+	unbuilt := func() ([][]byte, error) { return nil, errors.New("not resident") }
+	next := 0
+	lookup := func() {
+		if _, err := c.GetOrComputeFrames(keys[next], unbuilt); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if n := testing.AllocsPerRun(runs, lookup); n != 0 || c.Stats().Promotions != runs+1 {
+		t.Errorf("a promotion allocates %.0f objects (%+v)", n, c.Stats())
+	}
+	next = 0
+	if n := testing.AllocsPerRun(runs, lookup); n != 0 {
+		t.Errorf("a hit allocates %.0f objects", n)
+	}
+	fresh := make([]*entry, runs+1)
+	for i := range fresh {
+		fresh[i] = &entry{key: keys[i], size: 2}
+	}
+	next = 0
+	if n := testing.AllocsPerRun(runs, func() { insert(fresh[next]); next++ }); n != 0 {
+		t.Errorf("an in-place replacement allocates %.0f objects", n)
+	}
+
+	c = New(1000)
+	for i := range fresh {
+		fresh[i] = &entry{key: key(runs + 1 + i), size: 200}
+	}
+	next = 0
+	if n := testing.AllocsPerRun(runs, func() { insert(fresh[next]); next++ }); n != 0 || c.Stats().Evictions != runs {
+		t.Errorf("a one-shot insert allocates %.0f objects (%+v)", n, c.Stats())
+	}
+	// The five entries probation dropped last are the ghosts a 1000-byte
+	// bound keeps of 200-byte entries.
+	before := c.Stats().Promotions
+	rebuilt := make([]*entry, 5)
+	for i := range rebuilt {
+		rebuilt[i] = &entry{key: fresh[runs-1-i].key, size: 1}
+	}
+	next = 0
+	if n := testing.AllocsPerRun(4, func() { insert(rebuilt[next]); next++ }); n != 0 || c.Stats().Promotions != before+5 {
+		t.Errorf("a rebuild of a ghost's key allocates %.0f objects (%+v)", n, c.Stats())
 	}
 }

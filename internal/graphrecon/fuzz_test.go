@@ -38,23 +38,43 @@ func FuzzDegreeOrderApply(f *testing.F) {
 			f.Fatalf("no small instance reconciles: %v", err)
 		}
 	}
-	mangle := func(msg []byte, add func(m []byte)) {
-		add(msg)
-		add(nil)
-		for _, cut := range []int{4, 12, 24, len(msg) / 2, len(msg) - 8, len(msg) - 1} {
-			add(msg[:cut])
-		}
-		for _, at := range []int{0, 4, 8, 13, 21, len(msg) / 3, len(msg) - 9, len(msg) - 1} {
-			flipped := append([]byte(nil), msg...)
-			flipped[at] ^= 0x04
-			add(flipped)
-		}
-	}
 	mangle(msgs.Sig, func(m []byte) { f.Add(m, msgs.Edges) })
 	mangle(msgs.Edges, func(m []byte) { f.Add(msgs.Sig, m) })
 	f.Fuzz(func(t *testing.T, sig, edges []byte) {
 		g, err := DegreeOrderApply(coins, gb, p, sig, edges)
 		if err == nil && (g == nil || g.N != gb.N) {
+			t.Fatal("no graph on n vertices without error")
+		}
+	})
+}
+
+// mangle seeds a fuzz corpus with msg, nothing, msg cut short at several
+// points, and msg with one bit flipped at several offsets.
+func mangle(msg []byte, add func(m []byte)) {
+	add(msg)
+	add(nil)
+	for _, cut := range []int{4, 12, 24, len(msg) / 2, len(msg) - 8, len(msg) - 1} {
+		add(msg[:cut])
+	}
+	for _, at := range []int{0, 4, 8, 13, 21, len(msg) / 3, len(msg) - 9, len(msg) - 1} {
+		flipped := append([]byte(nil), msg...)
+		flipped[at] ^= 0x04
+		add(flipped)
+	}
+}
+
+// FuzzNeighborhoodApply feeds arbitrary signature and edge payloads to Bob's
+// §5.2 half: the signature payload is a cascade digest of packed multisets,
+// whose recovered words, sizes and closest matches are the peer's to choose,
+// and the edge payload is read against the labelling they give. Any pair must
+// end in an error or a graph on n vertices — never a panic.
+func FuzzNeighborhoodApply(f *testing.F) {
+	c := newNbrCase(f, 32)
+	mangle(c.msgs.Sig, func(m []byte) { f.Add(m, c.msgs.Edges) })
+	mangle(c.msgs.Edges, func(m []byte) { f.Add(c.msgs.Sig, m) })
+	f.Fuzz(func(t *testing.T, sig, edges []byte) {
+		g, err := NeighborhoodApply(c.coins, c.gb, c.p, c.sideB, c.maxSig, sig, edges)
+		if err == nil && (g == nil || g.N != c.gb.N) {
 			t.Fatal("no graph on n vertices without error")
 		}
 	})

@@ -70,6 +70,56 @@ func TestCacheConcurrentSessionsEncodeOnce(t *testing.T) {
 	}
 }
 
+// TestOneShotSessionsKeepProvenPayload: sessions that draw fresh coins ask
+// for every payload once. Against a cache that holds three payloads, a
+// client that keeps its seed is served from memory after any number of them:
+// its payload was asked for twice, and one-shot payloads displace only each
+// other. A plain LRU evicted it after the third.
+func TestOneShotSessionsKeepProvenPayload(t *testing.T) {
+	alice, bob := setPair()
+	cfg := sosr.SetConfig{Seed: 5, KnownDiff: 24}
+	want, err := sosr.ReconcileSets(alice, bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, _ := startServer(t, func(s *Server) {
+		s.CacheBytes = 3 * int64(want.Stats.AliceBytes)
+		if err := s.HostSets("ids", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ctx := context.Background()
+	fixed, fresh := Dial(addr), Dial(addr)
+	t.Cleanup(func() { fixed.Close(); fresh.Close() })
+	for range 2 {
+		if _, _, err := fixed.Sets(ctx, "ids", bob, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 8 {
+		if _, _, err := fresh.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: uint64(100 + i), KnownDiff: 24}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.CacheStats()
+	if _, ns, err := fixed.Sets(ctx, "ids", bob, cfg); err != nil {
+		t.Fatal(err)
+	} else {
+		checkNetStats(t, ns, want.Stats)
+	}
+	after := srv.CacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("eight one-shot sessions evicted the fixed-seed payload: %+v -> %+v", before, after)
+	}
+	if after.Promotions != 1 || after.Evictions < 7 {
+		t.Fatalf("stats %+v: want the fixed seed's one promotion and the one-shot payloads evicting each other", after)
+	}
+	samples := registrySamples(t, srv.Registry())
+	if got := samples[`sosr_enccache_events_total{event="promote"}`]; got != 1 {
+		t.Fatalf("promote counter %v, want 1", got)
+	}
+}
+
 // TestUpdateSetsOfSetsServesFreshDigest: a mutation between two sessions
 // must yield the post-update payload — never a stale one — and the updated
 // bytes must equal a from-scratch in-process run over the updated parent

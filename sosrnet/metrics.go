@@ -21,7 +21,7 @@ import (
 //	sosr_wire_bytes_total{proto,dir}           connection bytes, framing included
 //	sosr_protocol_bytes_total{proto,party}     protocol-frame payload bytes
 //	sosr_stage_seconds{stage}                  hello|encode|transfer|done latency
-//	sosr_enccache_events_total{event}          hit|miss|shared|evict
+//	sosr_enccache_events_total{event}          hit|miss|shared|evict|promote
 //	sosr_enccache_bytes / sosr_enccache_entries
 //	sosr_dataset_version{dataset,shard}        copy-on-write version counter
 //	sosr_dataset_items{dataset,shard}          elements/children/edges/nodes hosted
@@ -102,13 +102,14 @@ func (s *Server) metrics() *serverMetrics {
 		m.stageDone = m.stage.With("done")
 
 		r.CounterFunc("sosr_enccache_events_total",
-			"Encoding-cache lookups by outcome: hit, miss, shared (coalesced onto an in-flight build), evict.",
+			"Encoding-cache lookups by outcome: hit, miss, shared (coalesced onto an in-flight build), evict, promote (a key asked for again after its payload was built).",
 			[]string{"event"}, func(emit func(v float64, lvs ...string)) {
 				st := s.CacheStats()
 				emit(float64(st.Hits), "hit")
 				emit(float64(st.Misses), "miss")
 				emit(float64(st.Shared), "shared")
 				emit(float64(st.Evictions), "evict")
+				emit(float64(st.Promotions), "promote")
 			})
 		r.GaugeFunc("sosr_enccache_bytes", "Resident encoding-cache payload bytes.",
 			nil, func(emit func(v float64, lvs ...string)) {
