@@ -23,6 +23,18 @@
 // straight to main. Keys asked for in turn whose payloads fit in seven
 // eighths of the budget therefore all hit from their third round on, however
 // far they exceed probation's eighth.
+//
+// A miss allocates only what its builder returns. The call that coalesces
+// lookups is the one the previous miss finished with, unless a lookup waited
+// on that one — a waiter reads the result out of its call after the build, so
+// a call a waiter has seen is never reused — and its channel is made only
+// when a lookup does wait. The entry that keeps a built value is one the cache
+// dropped earlier (a ghost forgotten, a main entry evicted, a stale value
+// replaced by an oversized one), from a list of at most sixteen, so entries
+// are allocated only until the ghosts have held a budget's worth of bytes. On
+// the cold_kinds_tcp benchmark, where every session misses both caches, the
+// calls and channels took about 26 objects off the 322 of an operation and the
+// entries about 12 (seed 1, 2 vCPU, medians of 20-second runs).
 package enccache
 
 import (
@@ -33,24 +45,27 @@ import (
 // Key identifies one exact Alice-side encoding. Seed must already encode any
 // per-attempt derivation (replica index, doubling step) — callers pass the
 // derived coins' master seed, not the session seed.
+//
+// The strings come first and the numbers after them: a lookup hashes the
+// numbers as one run of memory, which takes a quarter off a hit.
 type Key struct {
 	// Dataset and Version pin the exact data snapshot that was encoded.
 	Dataset string
-	Version uint64
 	// Proto names the payload flavor ("cascade", "nested", "naive",
 	// "set-iblt", "charpoly", "mr1", ...).
 	Proto string
+	// Extra pins any remaining builder inputs that have no dedicated field
+	// (e.g. the client-supplied side info a forest plan depends on). Callers
+	// must render every such input into this string; two sessions whose
+	// payloads could differ must never share a key.
+	Extra   string
+	Version uint64 // see Dataset
 	// Seed is the derived public-coin master for this attempt.
 	Seed uint64
 	// S, H, U, D, DHat pin the instance shape and difference bounds.
 	S, H    int
 	U       uint64
 	D, DHat int
-	// Extra pins any remaining builder inputs that have no dedicated field
-	// (e.g. the client-supplied side info a forest plan depends on). Callers
-	// must render every such input into this string; two sessions whose
-	// payloads could differ must never share a key.
-	Extra string
 }
 
 // Stats reports cache effectiveness counters.
@@ -75,6 +90,9 @@ type Cache struct {
 	ghost      segment // keys probation dropped; bytes is what they held
 	ghosts     map[Key]*entry
 	inflight   map[Key]*call
+	spare      *call  // a finished call no lookup waited on
+	free       *entry // dropped entries, linked through next
+	nfree      int
 	hits       uint64
 	misses     uint64
 	shared     uint64
@@ -85,6 +103,13 @@ type Cache struct {
 // probationShare is the fraction of the byte budget (1/probationShare) the
 // probation segment may hold beyond its newest entry.
 const probationShare = 8
+
+// maxFree bounds the dropped entries kept for later inserts. A miss drops
+// about one entry for the one it inserts, but in bursts: a large ghost makes
+// the ghost ring forget many small ones at once. On cold_kinds_tcp a bound of
+// 1 kept a fifth of the objects this one saves, 8 four fifths, and 32 no more
+// than 16 (seed 1, 2 vCPU).
+const maxFree = 16
 
 // value is what a builder produced: a payload of one or more frames, or an
 // opaque decoded value (val non-nil, frames nil). Single-frame payloads (sets,
@@ -100,7 +125,8 @@ type value struct {
 // entry is one key linked into a segment's ring. Entries are read and written
 // only under the cache's lock — lookups return a copy of the value — so an
 // entry probation drops becomes a ghost in place: its value goes, its key and
-// size stay.
+// size stay; and an entry the cache drops altogether is reused by a later
+// insert.
 type entry struct {
 	key Key
 	value
@@ -136,7 +162,9 @@ func (s *segment) remove(e *entry) {
 // back is the least recently used entry; the segment must not be empty.
 func (s *segment) back() *entry { return s.root.prev }
 
-// call is one in-flight build other lookups can wait on.
+// call is one in-flight build other lookups can wait on. The first lookup that
+// waits makes done, under the lock, and the result is stored in the call only
+// for those that wait; a call nobody waited on is kept for the next miss.
 type call struct {
 	done chan struct{}
 	value
@@ -266,13 +294,20 @@ func (c *Cache) getOrCompute(k Key, fresh func(val any) bool, build func(prev an
 		c.mu.Unlock()
 		return v, true, nil
 	}
-	if cl, ok := c.inflight[k]; ok {
+	if cl := c.inflight[k]; cl != nil {
 		c.shared++
+		if cl.done == nil {
+			cl.done = make(chan struct{})
+		}
 		c.mu.Unlock()
 		<-cl.done
 		return cl.value, false, cl.err
 	}
-	cl := &call{done: make(chan struct{})}
+	cl := c.spare
+	if cl == nil {
+		cl = new(call)
+	}
+	c.spare = nil
 	c.inflight[k] = cl
 	c.misses++
 	c.mu.Unlock()
@@ -285,58 +320,73 @@ func (c *Cache) getOrCompute(k Key, fresh func(val any) bool, build func(prev an
 	completed := false
 	defer func() {
 		if !completed {
-			cl.err = fmt.Errorf("enccache: builder panicked for %q/%s", k.Dataset, k.Proto)
-			close(cl.done)
-			c.mu.Lock()
-			delete(c.inflight, k)
-			c.mu.Unlock()
+			c.finish(k, cl, value{}, 0, fmt.Errorf("enccache: builder panicked for %q/%s", k.Dataset, k.Proto))
 		}
 	}()
 	built, size, err := build(v.val)
-	if err == nil {
-		cl.value = built
-	}
-	cl.err = err
 	completed = true
-	close(cl.done)
-
-	c.mu.Lock()
-	delete(c.inflight, k)
-	if cl.err == nil {
-		c.insert(&entry{key: k, value: built, size: size})
+	if err != nil {
+		built = value{}
 	}
-	c.mu.Unlock()
-	return cl.value, false, cl.err
+	c.finish(k, cl, built, size, err)
+	return built, false, err
 }
 
-// insert stores a built entry: in place of the key's resident one, in that
-// one's segment; in main if probation dropped the key and still remembers
-// it; or else as the newest entry of probation. Probation then evicts its own
-// tail down to a 1/probationShare share of the bound or its newest entry, and
-// while the bound is exceeded the rest of probation goes before the main
-// tail. Oversized payloads (> half the bound) are not retained — one giant
-// value must not flush the whole working set — and the value they would have
-// replaced goes too: it is stale. Caller holds mu.
-func (c *Cache) insert(ne *entry) {
-	seg := &c.probation
-	if old := c.entries[ne.key]; old != nil {
-		seg = old.seg
-		seg.remove(old)
+// finish completes the build cl ran for k: a value is stored, the key is
+// deregistered, and the result goes to the lookups that wait on cl — or, when
+// none did, cl is kept for the next miss. No waiter can find cl once it is
+// deregistered, so a call is reused only if no lookup ever saw it.
+func (c *Cache) finish(k Key, cl *call, built value, size int64, err error) {
+	c.mu.Lock()
+	delete(c.inflight, k)
+	if err == nil {
+		c.insert(k, built, size)
 	}
-	if ne.size > c.maxBytes/2 {
-		delete(c.entries, ne.key)
+	if cl.done != nil {
+		cl.value, cl.err = built, err
+		close(cl.done)
+	} else {
+		c.spare = cl
+	}
+	c.mu.Unlock()
+}
+
+// insert stores a built value: in place of the key's resident entry, in that
+// one's segment; in main, in its ghost, if probation dropped the key and still
+// remembers it; or else as the newest entry of probation. Probation then
+// evicts its own tail down to a 1/probationShare share of the bound or its
+// newest entry, and while the bound is exceeded the rest of probation goes
+// before the main tail. Oversized payloads (> half the bound) are not
+// retained — one giant value must not flush the whole working set — and the
+// value they would have replaced goes too: it is stale. Caller holds mu.
+func (c *Cache) insert(k Key, v value, size int64) {
+	seg := &c.probation
+	e := c.entries[k]
+	if e != nil {
+		seg = e.seg
+		seg.remove(e)
+	}
+	if size > c.maxBytes/2 {
+		if e != nil {
+			delete(c.entries, k)
+			c.recycle(e)
+		}
 		return
 	}
-	if g := c.ghosts[ne.key]; g != nil {
+	if g := c.ghosts[k]; g != nil {
 		// Asked for again within a budget's worth of dropped payloads: a
 		// plain LRU would still hold it.
 		c.ghost.remove(g)
-		delete(c.ghosts, ne.key)
+		delete(c.ghosts, k)
 		c.promotions++
-		seg = &c.main
+		seg, e = &c.main, g
 	}
-	c.entries[ne.key] = ne
-	seg.pushFront(ne)
+	if e == nil {
+		e = c.newEntry(k)
+	}
+	e.value, e.size = v, size
+	c.entries[k] = e
+	seg.pushFront(e)
 	for c.probation.n > 1 && c.probation.bytes > c.maxBytes/probationShare {
 		c.evict(&c.probation)
 	}
@@ -360,6 +410,8 @@ func (c *Cache) evict(seg *segment) {
 	c.evictions++
 	if seg == &c.probation {
 		c.remember(e)
+	} else {
+		c.recycle(e)
 	}
 }
 
@@ -371,9 +423,33 @@ func (c *Cache) remember(e *entry) {
 		g := c.ghost.back()
 		c.ghost.remove(g)
 		delete(c.ghosts, g.key)
+		c.recycle(g)
 	}
 	c.ghosts[e.key] = e
 	c.ghost.pushFront(e)
+}
+
+// newEntry returns an unlinked entry for k, a dropped one if any is kept.
+// Caller holds mu.
+func (c *Cache) newEntry(k Key) *entry {
+	e := c.free
+	if e == nil {
+		return &entry{key: k}
+	}
+	c.free, c.nfree = e.next, c.nfree-1
+	e.next, e.key = nil, k
+	return e
+}
+
+// recycle keeps an entry the cache no longer links anywhere, up to maxFree of
+// them, for newEntry. Nothing outside the lock reads an entry, so nothing
+// sees it again. Caller holds mu.
+func (c *Cache) recycle(e *entry) {
+	if c.nfree < maxFree {
+		*e = entry{next: c.free}
+		c.free = e
+		c.nfree++
+	}
 }
 
 // Stats returns a snapshot of the effectiveness counters.

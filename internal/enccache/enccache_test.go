@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -546,6 +547,16 @@ func checkSegments(t *testing.T, c *Cache) (probN int, probBytes int64) {
 			t.Fatalf("key %+v remembered as dropped is resident or kept its payload", k)
 		}
 	}
+	n := 0
+	for e := c.free; e != nil; e = e.next {
+		if e.key != (Key{}) || e.frames != nil || e.val != nil || e.seg != nil {
+			t.Fatalf("a kept entry still holds %+v", e.key)
+		}
+		n++
+	}
+	if n != c.nfree || n > maxFree {
+		t.Fatalf("%d entries kept, counted %d, bound %d", n, c.nfree, maxFree)
+	}
 	return c.probation.n, c.probation.bytes
 }
 
@@ -619,10 +630,12 @@ func TestCycledKeysHitAfterWarmup(t *testing.T) {
 }
 
 // TestCacheAllocBudget: the segments are rings through the entries
-// themselves, so keeping an entry allocates nothing beyond the entry a
-// builder returns: a hit, a promotion out of probation, an in-place
-// replacement, a one-shot insert that evicts (the entry it evicts stays as a
-// ghost) and a rebuild of a ghost's key are all free.
+// themselves, a finished call nobody waited on serves the next miss, and an
+// entry the cache drops serves a later insert, so a lookup allocates nothing
+// beyond what its builder returns: a hit, a promotion out of probation, an
+// in-place replacement, a rebuild of a ghost's key, a miss that fails and — once
+// the ghost ring has forgotten an entry — a miss that builds and evicts are
+// all free. A miss nobody waits on makes no channel.
 func TestCacheAllocBudget(t *testing.T) {
 	const runs = 100
 	c := New(1 << 30)
@@ -630,15 +643,16 @@ func TestCacheAllocBudget(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(i)
 	}
-	insert := func(e *entry) {
+	insert := func(k Key, size int64) {
 		c.mu.Lock()
-		c.insert(e)
+		c.insert(k, value{}, size)
 		c.mu.Unlock()
 	}
 	for _, k := range keys {
-		insert(&entry{key: k, size: 1})
+		insert(k, 1)
 	}
-	unbuilt := func() ([][]byte, error) { return nil, errors.New("not resident") }
+	errUnbuilt := errors.New("not resident")
+	unbuilt := func() ([][]byte, error) { return nil, errUnbuilt }
 	next := 0
 	lookup := func() {
 		if _, err := c.GetOrComputeFrames(keys[next], unbuilt); err != nil {
@@ -653,32 +667,192 @@ func TestCacheAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, lookup); n != 0 {
 		t.Errorf("a hit allocates %.0f objects", n)
 	}
-	fresh := make([]*entry, runs+1)
-	for i := range fresh {
-		fresh[i] = &entry{key: keys[i], size: 2}
-	}
 	next = 0
-	if n := testing.AllocsPerRun(runs, func() { insert(fresh[next]); next++ }); n != 0 {
+	if n := testing.AllocsPerRun(runs, func() { insert(keys[next], 2); next++ }); n != 0 {
 		t.Errorf("an in-place replacement allocates %.0f objects", n)
 	}
+	next = runs + 1
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := c.GetOrComputeFrames(key(next), unbuilt); err == nil {
+			t.Fatal("a failed build was served")
+		}
+		next++
+	}); n != 0 {
+		t.Errorf("a miss that fails allocates %.0f objects", n)
+	}
+	if c.spare == nil || c.spare.done != nil {
+		t.Errorf("the call of a miss nobody waited on is not kept, or made a channel: %+v", c.spare)
+	}
 
+	// A 1000-byte bound keeps five ghosts of 200-byte entries, so from the
+	// seventh miss on, each one reuses the entry the one before forgot. Each
+	// miss evicts the one before it: probation holds 125 bytes or one entry.
 	c = New(1000)
-	for i := range fresh {
-		fresh[i] = &entry{key: key(runs + 1 + i), size: 200}
+	payload := [][]byte{make([]byte, 200)}
+	built := func() ([][]byte, error) { return payload, nil }
+	miss := func() {
+		if _, err := c.GetOrComputeFrames(key(next), built); err != nil {
+			t.Fatal(err)
+		}
+		next++
 	}
+	for range 6 {
+		miss()
+	}
+	before := c.Stats()
+	if n := testing.AllocsPerRun(runs, miss); n != 0 || c.Stats().Misses != before.Misses+runs+1 || c.Stats().Evictions != before.Evictions+runs+1 {
+		t.Errorf("a miss that evicts allocates %.0f objects beyond its payload (%+v)", n, c.Stats())
+	}
+	if c.spare == nil || c.spare.done != nil || c.nfree == 0 {
+		t.Errorf("misses nobody waited on made a channel or kept no entry: spare %+v, %d free", c.spare, c.nfree)
+	}
+	// The five entries probation dropped last are the ghosts.
+	before = c.Stats()
+	last := next - 2
 	next = 0
-	if n := testing.AllocsPerRun(runs, func() { insert(fresh[next]); next++ }); n != 0 || c.Stats().Evictions != runs {
-		t.Errorf("a one-shot insert allocates %.0f objects (%+v)", n, c.Stats())
-	}
-	// The five entries probation dropped last are the ghosts a 1000-byte
-	// bound keeps of 200-byte entries.
-	before := c.Stats().Promotions
-	rebuilt := make([]*entry, 5)
-	for i := range rebuilt {
-		rebuilt[i] = &entry{key: fresh[runs-1-i].key, size: 1}
-	}
-	next = 0
-	if n := testing.AllocsPerRun(4, func() { insert(rebuilt[next]); next++ }); n != 0 || c.Stats().Promotions != before+5 {
+	if n := testing.AllocsPerRun(4, func() { insert(key(last-next), 1); next++ }); n != 0 || c.Stats().Promotions != before.Promotions+5 {
 		t.Errorf("a rebuild of a ghost's key allocates %.0f objects (%+v)", n, c.Stats())
 	}
+	checkSegments(t, c)
+}
+
+// TestConcurrentOutcomesUnderChurn: goroutines look up a few keys, with new
+// versions of them coming in turn, in a cache small enough to keep evicting,
+// while the builders succeed, fail and panic in turn. A lookup that ran a
+// build gets that build's own value, error or panic; every other lookup gets
+// the value or error of a finished build of its key — never a build that
+// another of its key's builds had followed before the lookup began, since
+// builds of one key run one after the other. No call a lookup was seen
+// waiting on is kept for reuse, the rings hold their invariants throughout,
+// and every lookup is counted once: a hit, a miss or a shared one. Run it
+// under -race too: a waiter reads its call without the lock.
+func TestConcurrentOutcomesUnderChurn(t *testing.T) {
+	const workers, lookups, keys = 8, 240, 3
+	c := New(64)
+	type record struct {
+		dataset  string
+		start    int64 // on clock
+		done, ok bool
+	}
+	var (
+		clock, builds atomic.Int64
+		mu            sync.Mutex
+		records       = map[int64]record{}
+	)
+	lookup := func(w, j int) {
+		k := Key{Dataset: fmt.Sprintf("k%d.v%d", j%keys, j/(4*keys)), Proto: "cascade"}
+		start := clock.Add(1)
+		own := int64(-1)
+		panicked := false
+		got, err := func() ([]byte, error) {
+			defer func() {
+				if recover() != nil {
+					panicked = true
+				}
+			}()
+			return c.GetOrCompute(k, func() ([]byte, error) {
+				id := builds.Add(1)
+				own = id
+				mu.Lock()
+				records[id] = record{dataset: k.Dataset, start: clock.Add(1)}
+				mu.Unlock()
+				time.Sleep(200 * time.Microsecond)
+				mu.Lock()
+				records[id] = record{dataset: k.Dataset, start: records[id].start, done: true, ok: id%3 == 0}
+				mu.Unlock()
+				switch id % 3 {
+				case 0:
+					return fmt.Appendf(nil, "%d %s %*s", id, k.Dataset, id%16, ""), nil
+				case 1:
+					return nil, fmt.Errorf("%d %s failed", id, k.Dataset)
+				}
+				panic("builder exploded")
+			})
+		}()
+		end := clock.Add(1)
+		var id int64
+		var dataset string
+		switch {
+		case own >= 0 && own%3 == 2:
+			if !panicked {
+				t.Errorf("lookup %d/%d: its builder panicked, the lookup did not (%q, %v)", w, j, got, err)
+			}
+			return
+		case panicked:
+			t.Errorf("lookup %d/%d: panicked without running a build", w, j)
+			return
+		case err == nil:
+			fmt.Sscanf(string(got), "%d %s", &id, &dataset)
+		case strings.Contains(err.Error(), "builder panicked"):
+			if own >= 0 || !strings.Contains(err.Error(), fmt.Sprintf("%q", k.Dataset)) {
+				t.Errorf("lookup %d/%d of %s (own build %d): %v", w, j, k.Dataset, own, err)
+			}
+			return
+		default:
+			fmt.Sscanf(err.Error(), "%d %s", &id, &dataset)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		rec, found := records[id]
+		switch {
+		case !found || !rec.done || dataset != k.Dataset || rec.dataset != k.Dataset || rec.ok != (err == nil) || rec.start > end:
+			t.Errorf("lookup %d/%d of %s got build %d's %q, %v (record %+v)", w, j, k.Dataset, id, got, err, rec)
+		case own >= 0 && own != id:
+			t.Errorf("lookup %d/%d ran build %d and got build %d's result", w, j, own, id)
+		}
+		for later, r := range records {
+			if r.dataset == k.Dataset && rec.start < r.start && r.start < start {
+				t.Errorf("lookup %d/%d of %s got build %d's result, but build %d had followed it", w, j, k.Dataset, id, later)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range lookups {
+				lookup(w, j)
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	// A failed check below ends the test once the lookups have, unless a
+	// broken cache has wedged them.
+	defer func() {
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+		}
+	}()
+	seen := map[*call]bool{}
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		case <-time.After(20 * time.Microsecond):
+		}
+		checkSegments(t, c)
+		c.mu.Lock()
+		for _, cl := range c.inflight {
+			if cl.done != nil {
+				seen[cl] = true
+			}
+		}
+		reused := seen[c.spare]
+		c.mu.Unlock()
+		if reused {
+			t.Fatal("a call a lookup waited on was kept for reuse")
+		}
+	}
+	st := c.Stats()
+	if st.Hits+st.Misses+st.Shared != workers*lookups || st.Misses != uint64(builds.Load()) {
+		t.Fatalf("%d lookups, %d builds, counted %+v", workers*lookups, builds.Load(), st)
+	}
+	if st.Shared == 0 || len(seen) == 0 {
+		t.Fatalf("no lookup waited on another's build (%d calls seen waited on): %+v", len(seen), st)
+	}
+	t.Logf("%d builds, %d calls seen waited on: %+v", builds.Load(), len(seen), st)
 }

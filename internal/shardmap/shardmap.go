@@ -131,10 +131,32 @@ func (m *Map) OwnerOfSet(cs []uint64) int { return m.Owner(ChildKey(cs)) }
 // the elements shard i owns. Used to split sets and multisets (a multiset
 // occurrence follows its element value, so all copies land on one shard).
 func (m *Map) SplitElems(xs []uint64) [][]uint64 {
-	out := make([][]uint64, len(m.ids))
-	for _, x := range xs {
-		i := m.Owner(x)
-		out[i] = append(out[i], x)
+	return split(len(m.ids), xs, m.Owner)
+}
+
+// split partitions xs among n shards by owner: out[i] holds, in input order,
+// the xs shard i owns (nil when it owns none). It finds every owner once and
+// counts each shard's share, then carves the parts out of one backing slice,
+// each capped at its share so that appending to one part after the split
+// never writes into the next.
+func split[T any](n int, xs []T, owner func(T) int) [][]T {
+	scratch := make([]int, len(xs)+n)
+	owners, shares := scratch[:len(xs)], scratch[len(xs):]
+	for j, x := range xs {
+		owners[j] = owner(x)
+		shares[owners[j]]++
+	}
+	backing := make([]T, len(xs))
+	out := make([][]T, n)
+	start := 0
+	for i, share := range shares {
+		if share > 0 {
+			out[i] = backing[start : start : start+share]
+		}
+		start += share
+	}
+	for j, o := range owners {
+		out[o] = append(out[o], xs[j])
 	}
 	return out
 }
@@ -154,12 +176,7 @@ func (m *Map) OwnedElems(index int, xs []uint64) []uint64 {
 // SplitSets partitions child sets by child-identity ownership: out[i] holds,
 // in input order, the child sets shard i owns.
 func (m *Map) SplitSets(parent [][]uint64) [][][]uint64 {
-	out := make([][][]uint64, len(m.ids))
-	for _, cs := range parent {
-		i := m.OwnerOfSet(cs)
-		out[i] = append(out[i], cs)
-	}
-	return out
+	return split(len(m.ids), parent, m.OwnerOfSet)
 }
 
 // OwnedSets filters parent down to the child sets shard index owns,

@@ -1,6 +1,7 @@
 package shardmap
 
 import (
+	"reflect"
 	"testing"
 
 	"sosr/internal/prng"
@@ -185,6 +186,45 @@ func TestSplitHelpersPartition(t *testing.T) {
 	}
 	if total != len(parent) {
 		t.Fatalf("split dropped child sets: %d != %d", total, len(parent))
+	}
+}
+
+// TestSplitAllocBudget: a split is three objects whatever its size — the
+// owners, the parts and one backing array they are carved from — where
+// growing each part by append cost about ten per part. The parts keep input
+// order, a shard that owns nothing gets nil, and each part is capped at its
+// length, so appending to one never overwrites the next.
+func TestSplitAllocBudget(t *testing.T) {
+	m := mustNew(t, []string{"a:1", "b:2", "c:3"})
+	src := prng.New(9)
+	parent := make([][]uint64, 400)
+	for i := range parent {
+		parent[i] = []uint64{src.Uint64(), uint64(i)}
+	}
+	if n := testing.AllocsPerRun(20, func() { m.SplitSets(parent) }); n != 3 {
+		t.Errorf("SplitSets of %d child sets allocates %.0f objects, want 3", len(parent), n)
+	}
+	parts := m.SplitSets(parent)
+	for i, part := range parts {
+		if want := m.OwnedSets(i, parent); !reflect.DeepEqual(part, want) || cap(part) != len(part) {
+			t.Fatalf("part %d: %d sets of capacity %d, want the %d OwnedSets returns in order", i, len(part), cap(part), len(want))
+		}
+	}
+	next := parts[1][0]
+	_ = append(parts[0], []uint64{1})
+	if !reflect.DeepEqual(parts[1][0], next) {
+		t.Fatal("appending to one part overwrote the next")
+	}
+	elems := []uint64{src.Uint64()}
+	split := m.SplitElems(elems)
+	for i, part := range split {
+		if m.Owner(elems[0]) == i {
+			if !reflect.DeepEqual(part, elems) {
+				t.Fatalf("owner's part %v, want %v", part, elems)
+			}
+		} else if part != nil {
+			t.Fatalf("shard %d owns nothing but got %v", i, part)
+		}
 	}
 }
 

@@ -36,12 +36,16 @@ type Endpoint struct {
 	bytesOut int64
 
 	// hdr receives each frame header, so an endpoint waiting on an idle
-	// connection holds these ten bytes and no buffer. labels remembers the
-	// last few distinct labels received: a conversation repeats a handful of
-	// them, and a label already seen costs no string allocation.
-	hdr    [headerLen]byte
-	labels [4]string
-	lnext  int
+	// connection holds these ten bytes and no buffer. labels keeps the
+	// distinct labels received, the first maxLabels of them, and never evicts
+	// one: the vocabulary is closed — sosrnet's flows use about twenty labels
+	// between them, control frames included — so once a label has arrived, no
+	// frame that carries it allocates a string, however a connection
+	// interleaves the kinds. A label past the bound, which only a hostile peer
+	// sends, is allocated and not kept.
+	hdr     [headerLen]byte
+	labels  [maxLabels]string
+	nlabels int
 
 	// held is the ring of delivered frames: RecvFrame parks each frame's
 	// buffer here and returns to the pool the one that rotates out, so a
@@ -55,6 +59,10 @@ type Endpoint struct {
 // concurrently held payloads any protocol flow needs (graph/forest signature
 // + edge/meta frames).
 const heldFrames = 4
+
+// maxLabels bounds an endpoint's table of received labels, above the
+// vocabulary of every flow sosrnet runs.
+const maxLabels = 32
 
 // NewEndpoint wraps one side of a framed connection. local is the role this
 // process plays (the sosrnet server is Alice, the client Bob).
@@ -136,17 +144,19 @@ func (e *Endpoint) SendFrame(label string, payload []byte) error {
 	return nil
 }
 
-// label returns b as a string, reusing the string of a recently received
-// equal label.
+// label returns b as a string, reusing the string of an equal label received
+// before.
 func (e *Endpoint) label(b []byte) string {
-	for _, l := range e.labels {
+	for _, l := range e.labels[:e.nlabels] {
 		if l == string(b) { // the comparison does not allocate
 			return l
 		}
 	}
 	l := string(b)
-	e.labels[e.lnext] = l
-	e.lnext = (e.lnext + 1) % len(e.labels)
+	if e.nlabels < len(e.labels) {
+		e.labels[e.nlabels] = l
+		e.nlabels++
+	}
 	return l
 }
 

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"sosr/internal/raceflag"
 	"sosr/internal/transport"
@@ -115,6 +117,88 @@ func TestWarmEndpointFrameAllocs(t *testing.T) {
 	}
 	if bytesPer > 4096 {
 		t.Fatalf("%.0f B allocated per send+receive of a 64 KiB frame: a payload-sized buffer is not pooled", bytesPer)
+	}
+}
+
+// flowVocabulary is every label sosrnet's flows send, both directions,
+// control frames included.
+var flowVocabulary = []string{
+	"iblt", "charpoly", "estimator", "cascade-iblts", "edge-iblt", "poly-recon",
+	"forest-meta", "naive-iblt", "childdiff-estimator", "nested-iblt",
+	"hash-iblt+estimators", "hash-iblt", "pair-payloads", "ack", "retry",
+	"ctl/hello", "ctl/accept", "ctl/error", "ctl/done", "ctl/retry",
+}
+
+// TestRecvLabelsAllocationFree: an endpoint keeps every label it has received,
+// so once each label of the flow vocabulary has arrived, a frame carrying any
+// of them, in whatever order one connection interleaves the kinds, allocates
+// no string: the label returned is the one first received. Ten thousand
+// distinct labels from a hostile peer leave the table at its bound and the
+// vocabulary in it.
+func TestRecvLabelsAllocationFree(t *testing.T) {
+	const runs = 50
+	var stream bytes.Buffer
+	payload := []byte{1, 2, 3}
+	// Each round sends the whole vocabulary, stepping through it by a stride
+	// coprime to its 20 labels, a different stride each round.
+	strides := []int{1, 3, 7, 9, 11, 13, 17, 19}
+	order := func(r, i int) string {
+		return flowVocabulary[i*strides[r%len(strides)]%len(flowVocabulary)]
+	}
+	for r := 0; r <= runs+1; r++ {
+		for i := range flowVocabulary {
+			if _, err := WriteFrame(&stream, order(r, i), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ep := NewEndpoint(readWriter{&stream}, transport.Alice)
+	first := map[string]*byte{}
+	round := 0
+	recvRound := func() {
+		for i := range flowVocabulary {
+			want := order(round, i)
+			got, p, err := ep.RecvFrame()
+			if err != nil || got != want || !bytes.Equal(p, payload) {
+				t.Fatalf("round %d: got %q %v (%v), want %q", round, got, p, err, want)
+			}
+			if round == 0 {
+				first[got] = unsafe.StringData(got)
+			} else if unsafe.StringData(got) != first[got] {
+				t.Fatalf("round %d: label %q allocated again", round, got)
+			}
+		}
+		ep.EndSession()
+		round++
+	}
+	recvRound()
+	allocs := testing.AllocsPerRun(runs, recvRound)
+	// The race detector makes sync.Pool shed frame buffers; the labels are
+	// still checked one by one above.
+	if allocs != 0 && !raceflag.Enabled {
+		t.Fatalf("a session receiving the whole vocabulary allocates %.0f objects, want 0", allocs)
+	}
+
+	for i := range 10_000 {
+		label := fmt.Sprintf("hostile-%d", i)
+		if _, err := WriteFrame(&stream, label, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := ep.RecvFrame(); err != nil || got != label {
+			t.Fatalf("hostile label %d came back as %q (%v)", i, got, err)
+		}
+		ep.EndSession()
+	}
+	if ep.nlabels != maxLabels {
+		t.Fatalf("the label table holds %d labels after a hostile flood, bound %d", ep.nlabels, maxLabels)
+	}
+	for _, l := range flowVocabulary {
+		if _, err := WriteFrame(&stream, l, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := ep.RecvFrame(); err != nil || unsafe.StringData(got) != first[l] {
+			t.Fatalf("label %q not kept through a hostile flood (%v)", l, err)
+		}
 	}
 }
 

@@ -56,23 +56,27 @@ func TestSetsOfSetsSessionAllocsIndependentOfS(t *testing.T) {
 // together, per leg of the benchmark's cold_kinds_tcp cycle at its shapes:
 // fresh public coins, so the server's payload cache and the client's sketch
 // cache both miss and every encode and decode runs. Each budget is 15 % over
-// the most the leg measured in ten runs (in comments, with what it measured
-// while the control frames were JSON — some 20 objects a session — and before
-// the encodes and decodes moved onto pooled workspaces). What is left is the
-// session's spans-off bookkeeping, the result, the cache entries and the
-// canonical copy of the input; per table, per level, per pair, per point or
-// per control field, nothing.
+// the most the leg measured in ten runs. The comments give that range, then
+// what the leg measured before the caches reused the calls nobody waited on
+// and the connections kept every label they received, at the budgets'
+// previous ratchet, while the control frames were JSON — some 20 objects a
+// session — and before the encodes and decodes moved onto pooled
+// workspaces. What is left is the session's spans-off bookkeeping, the
+// result, the cache entries (reused only once a ghost ring has forgotten a
+// budget's worth of bytes, which this test does not reach) and the canonical
+// copy of the input; per table, per level, per pair, per point, per control
+// field or per label, nothing.
 var coldLegBudgets = map[string]float64{
-	"set-iblt":       22, // 18–19, was 39, was 62
-	"set-charpoly":   26, // 21–22, was 42, was 97
-	"set-estimator":  25, // 19–21, was 43, was 74
-	"multiset":       20, // 17, was 38, was 54
-	"sos-naive":      40, // 33–34, was 57, was 112
-	"sos-nested":     40, // 33–34, was 58, was 125
-	"sos-cascade":    44, // 37–38, was 61, was 125
-	"sos-multiround": 34, // 27–29, was 51, was 763
-	"graph-degree":   30, // 25–26, was 48, was 94
-	"forest":         40, // 33–34, was 55, was 168
+	"set-iblt":       18, // 15, was 17, was 18–19, was 39, was 62
+	"set-charpoly":   21, // 18, was 20, was 21–22, was 42, was 97
+	"set-estimator":  21, // 16–18, was 18–20, was 19–21, was 43, was 74
+	"multiset":       17, // 14, was 16, was 17, was 38, was 54
+	"sos-naive":      33, // 28, was 32–33, was 33–34, was 57, was 112
+	"sos-nested":     34, // 28–29, was 33, was 33–34, was 58, was 125
+	"sos-cascade":    34, // 28–29, was 32–33, was 37–38, was 61, was 125
+	"sos-multiround": 29, // 24–25, was 26–27, was 27–29, was 51, was 763
+	"graph-degree":   28, // 23–24, was 25, was 25–26, was 48, was 94
+	"forest":         36, // 31, was 32–33, was 33–34, was 55, was 168
 }
 
 func TestColdSessionAllocBudgets(t *testing.T) {
@@ -167,7 +171,7 @@ func TestColdSessionAllocBudgets(t *testing.T) {
 			t.Errorf("%s: a cold session allocates %.0f objects, budget %.0f", leg.name, got, coldLegBudgets[leg.name])
 		}
 	}
-	t.Logf("cycle total %.0f allocs (was 490, was 1 674)", total)
+	t.Logf("cycle total %.0f allocs (was 253, was 490, was 1 674)", total)
 }
 
 // TestCtlCodecAllocationFree: the control plane of a reused connection

@@ -634,11 +634,11 @@ func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr
 			return cl.Sets(ctx, name, part, sc)
 		},
 		func(parts []*sosr.SetResult, stats *Stats) *sosr.SetResult {
-			merged := &sosr.SetResult{Stats: stats.Protocol}
-			for _, res := range parts {
-				merged.Recovered = append(merged.Recovered, res.Recovered...)
-				merged.OnlyA = append(merged.OnlyA, res.OnlyA...)
-				merged.OnlyB = append(merged.OnlyB, res.OnlyB...)
+			merged := &sosr.SetResult{
+				Stats:     stats.Protocol,
+				Recovered: concat(parts, func(r *sosr.SetResult) []uint64 { return r.Recovered }),
+				OnlyA:     concat(parts, func(r *sosr.SetResult) []uint64 { return r.OnlyA }),
+				OnlyB:     concat(parts, func(r *sosr.SetResult) []uint64 { return r.OnlyB }),
 			}
 			// Shards partition the element space, so the merged slices are
 			// disjoint; sorting restores the canonical order an unsharded run
@@ -692,15 +692,35 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 			return cl.SetsOfSets(ctx, name, part, sc)
 		},
 		func(parts []*sosr.Result, stats *Stats) *sosr.Result {
-			merged := &sosr.Result{Protocol: parts[0].Protocol, Stats: stats.Protocol, Attempts: stats.Attempts}
-			for _, res := range parts {
-				merged.Recovered = append(merged.Recovered, res.Recovered...)
-				merged.Added = append(merged.Added, res.Added...)
-				merged.Removed = append(merged.Removed, res.Removed...)
+			merged := &sosr.Result{
+				Protocol:  parts[0].Protocol,
+				Stats:     stats.Protocol,
+				Attempts:  stats.Attempts,
+				Recovered: concat(parts, func(r *sosr.Result) [][]uint64 { return r.Recovered }),
+				Added:     concat(parts, func(r *sosr.Result) [][]uint64 { return r.Added }),
+				Removed:   concat(parts, func(r *sosr.Result) [][]uint64 { return r.Removed }),
 			}
 			setutil.SortSets(merged.Recovered)
 			setutil.SortSets(merged.Added)
 			setutil.SortSets(merged.Removed)
 			return merged
 		})
+}
+
+// concat joins one field of every shard's result into a slice sized for all
+// of them, nil when they are all empty (as appending them one by one leaves
+// it).
+func concat[R any, T any](parts []R, field func(R) []T) []T {
+	n := 0
+	for _, p := range parts {
+		n += len(field(p))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, field(p)...)
+	}
+	return out
 }
