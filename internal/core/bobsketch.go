@@ -31,7 +31,7 @@ type BobSketch struct {
 	plan      plan          // the shape the aggregates were built for, derived once; they are only valid under its coins
 	tables    []*iblt.Table // one aggregate of enc(cs) over Bob's children per plan table
 	bobHashes []uint64      // per-child-set hash under childSeed(coins), in parent order
-	bob       [][]uint64    // the canonical parent set the aggregates cover; nil when not retained
+	bob       [][]uint64    // the sketch's own copy of the parent set the aggregates cover; nil when not retained
 }
 
 // NewBobSketch precomputes Bob's aggregate encodings of parent set bob for
@@ -55,8 +55,9 @@ func NewBobSketch(kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params
 // and delta is -1. Either way the result equals NewBobSketch(bob) cell for
 // cell, and prev is not modified.
 //
-// A successor (prev non-nil) retains bob, so that its own successor can be
-// patched: bob must then stay unmodified for as long as the sketch is used.
+// A successor (prev non-nil) retains a copy of bob, packed in one arena, so
+// that its own successor can be patched; Parent returns it. bob itself is
+// read only during the call.
 func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob [][]uint64, p Params, d, dHat int) (sk *BobSketch, delta int, err error) {
 	w := getWork()
 	defer putWork(w)
@@ -71,7 +72,7 @@ func NextBobSketch(prev *BobSketch, kind DigestKind, coins hashing.Coins, bob []
 		sk.bobHashes[i] = setutil.Hash(chs, cs)
 	}
 	if prev != nil {
-		sk.bob = bob
+		sk.bob = setutil.CanonicalSets(bob) // bob is canonical: a packed copy
 		pl := &w.plan
 		if prev.bob != nil && prev.check(kind, coins, pl.p, pl.d, pl.dHat) == nil {
 			gone, come := w.diffParents(prev, sk)
@@ -118,6 +119,12 @@ func (sk *BobSketch) patch(w *cascadeWork, gone, come [][]uint64) {
 		}
 	}
 }
+
+// Parent is the copy of its parent set a successor retains, nil for a sketch
+// built with no predecessor. It is read-only. A caller that decodes against it
+// instead of an equal parent of its own lets Holds answer from the slice
+// itself rather than by hashing every child.
+func (sk *BobSketch) Parent() [][]uint64 { return sk.bob }
 
 // Holds reports whether bob is the parent set the sketch covers: the same
 // child sets (by hash) in the same order, bobHashes being indexed by it.

@@ -54,9 +54,9 @@ func newCascadeWork() *cascadeWork {
 // the packed parent diff and the recovered children. A hot call (same shape
 // as the one before it on this workspace) finds every buffer already large
 // enough and allocates only what it returns: Alice her payload, Bob his
-// Result, which run copies out (assembleHashed, sortSets) and which shares no
-// memory with the workspace, with msg, or with bob's child slices beyond what
-// those copies read. Building or patching a Bob sketch borrows the same workspace
+// Result, which run copies out (packResult) and which shares no memory with
+// the workspace, with msg, or with bob's child slices beyond what that copy
+// reads. Building or patching a Bob sketch borrows the same workspace
 // for its encoders and the parent diff. Nothing in a released workspace
 // refers to the caller's message or parent set, so the pool pins no caller
 // data.

@@ -188,66 +188,53 @@ func parentHashScratch(scratch []uint64, coins hashing.Coins, parent [][]uint64)
 	return setutil.HashSetOfSetsScratch(scratch, coins.Seed(parentVerifyLabel, 0), parent)
 }
 
-// assemble computes Bob's final parent set: his own children minus the
-// removed ones, plus Alice's recovered children; result in canonical order.
-func assemble(bob [][]uint64, added [][]uint64, removedHashes map[uint64]bool, coins hashing.Coins) [][]uint64 {
-	chs := childSeed(coins)
-	hashes := make([]uint64, len(bob))
+// packResult is a decode's Result. Recovered is Bob's final parent set — his
+// children whose hash is not in removed, plus Alice's recovered children
+// (added) — and Added and Removed are added and dB, each in canonical order.
+// All three are copied into one element arena and cut from one header slice,
+// capacity-capped: a Result is two allocations besides itself whatever the
+// parent size, shares no memory with its inputs, and an append to one of its
+// slices or children never writes into another.
+func packResult(bob [][]uint64, bobHashes []uint64, removed map[uint64]bool, added, dB [][]uint64) *Result {
+	total := 2*setutil.TotalSize(added) + setutil.TotalSize(dB)
+	kept := 0
 	for i, cs := range bob {
-		hashes[i] = setutil.Hash(chs, cs)
-	}
-	return assembleHashed(bob, hashes, added, removedHashes)
-}
-
-// assembleHashed is assemble with Bob's child hashes precomputed (the hot
-// receive paths hoist them). The result is packed into one element arena plus
-// one header slice — two allocations regardless of parent size — so assembly
-// no longer dominates the decode allocation budget.
-func assembleHashed(bob [][]uint64, bobHashes []uint64, added [][]uint64, removedHashes map[uint64]bool) [][]uint64 {
-	total, n := 0, 0
-	for i, cs := range bob {
-		if !removedHashes[bobHashes[i]] {
+		if !removed[bobHashes[i]] {
 			total += len(cs)
-			n++
+			kept++
 		}
 	}
-	for _, cs := range added {
-		total += len(cs)
-		n++
-	}
 	arena := make([]uint64, 0, total)
-	out := make([][]uint64, 0, n)
+	heads := make([][]uint64, 0, kept+2*len(added)+len(dB))
 	pack := func(cs []uint64) {
 		m := len(arena)
 		arena = append(arena, cs...)
-		out = append(out, arena[m:len(arena):len(arena)])
+		heads = append(heads, arena[m:len(arena):len(arena)])
+	}
+	// cut returns the headers packed since from, sorted and capped.
+	cut := func(from int) [][]uint64 {
+		part := heads[from:len(heads):len(heads)]
+		slices.SortFunc(part, slices.Compare)
+		return part
 	}
 	for i, cs := range bob {
-		if !removedHashes[bobHashes[i]] {
+		if !removed[bobHashes[i]] {
 			pack(cs)
 		}
 	}
 	for _, cs := range added {
 		pack(cs)
 	}
-	slices.SortFunc(out, slices.Compare)
-	return out
-}
-
-// sortSets returns a canonical-ordered deep copy (helper for results), packed
-// like assembleHashed.
-func sortSets(ss [][]uint64) [][]uint64 {
-	total := 0
-	for _, cs := range ss {
-		total += len(cs)
+	res := &Result{Recovered: cut(0)}
+	n := len(heads)
+	for _, cs := range added {
+		pack(cs)
 	}
-	arena := make([]uint64, 0, total)
-	out := make([][]uint64, 0, len(ss))
-	for _, cs := range ss {
-		m := len(arena)
-		arena = append(arena, cs...)
-		out = append(out, arena[m:len(arena):len(arena)])
+	res.Added = cut(n)
+	n = len(heads)
+	for _, cs := range dB {
+		pack(cs)
 	}
-	slices.SortFunc(out, slices.Compare)
-	return out
+	res.Removed = cut(n)
+	return res
 }

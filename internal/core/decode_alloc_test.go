@@ -16,11 +16,12 @@ import (
 
 // Allocation budgets of the one-round protocols. Every encode and decode runs
 // on one pooled workspace, so what a call allocates is what it returns:
-// Alice her payload, Bob his Result (the struct, the reassembled parent and
-// the two sorted difference lists, each an arena and a header slice). The
-// budgets sit one or two objects over that, so a regression back to a table
-// per level, an encoder per level or a slice per recovered child fails
-// loudly. They skip under the race detector, where sync.Pool sheds entries.
+// Alice her payload, Bob his Result (the struct, and the reassembled parent
+// and the two sorted difference lists in one arena and one header slice; they
+// were an arena and a header slice each, 7 objects). The budgets sit one
+// object over that, so a regression back to a table per level, an encoder per
+// level, a slice per recovered child or an arena per list fails loudly. They
+// skip under the race detector, where sync.Pool sheds entries.
 
 func decodeWorkload(t testing.TB) (alice, bob [][]uint64, p Params) {
 	t.Helper()
@@ -66,26 +67,27 @@ func measureOneRound(t *testing.T, kind DigestKind, d int) (encode, decode float
 func TestCascadeDecodeAllocBudget(t *testing.T) {
 	enc, dec := measureOneRound(t, DigestCascade, 32)
 	t.Logf("cascade AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
-	// ISSUE 7 took the decode from 1449 to ≤ 150; the workspace leaves 7, and
-	// 1 of the encode's 45 (a table and an encoder per level).
-	if enc > 2 || dec > 9 {
-		t.Fatalf("cascade allocates %.0f/encode and %.0f/decode, budgets 2 and 9", enc, dec)
+	// The decode went from 1449 to ≤ 150, to 7 on the workspace, to 3 with one
+	// arena per Result; the encode from 45 (a table and an encoder per level)
+	// to 1.
+	if enc > 2 || dec > 4 {
+		t.Fatalf("cascade allocates %.0f/encode and %.0f/decode, budgets 2 and 4", enc, dec)
 	}
 }
 
 func TestNestedDecodeAllocBudget(t *testing.T) {
 	enc, dec := measureOneRound(t, DigestNested, 16)
 	t.Logf("nested AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
-	if enc > 2 || dec > 9 {
-		t.Fatalf("nested allocates %.0f/encode and %.0f/decode, budgets 2 and 9", enc, dec)
+	if enc > 2 || dec > 4 {
+		t.Fatalf("nested allocates %.0f/encode and %.0f/decode, budgets 2 and 4", enc, dec)
 	}
 }
 
 func TestNaiveDecodeAllocBudget(t *testing.T) {
 	enc, dec := measureOneRound(t, DigestNaive, 16)
 	t.Logf("naive AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
-	if enc > 2 || dec > 9 {
-		t.Fatalf("naive allocates %.0f/encode and %.0f/decode, budgets 2 and 9", enc, dec)
+	if enc > 2 || dec > 4 {
+		t.Fatalf("naive allocates %.0f/encode and %.0f/decode, budgets 2 and 4", enc, dec)
 	}
 }
 
@@ -271,9 +273,10 @@ func TestMRAlice3AllocBudget(t *testing.T) {
 
 // TestMultiRoundStepAllocBudgets: the other steps of Theorems 3.9/3.10 at the
 // benchmark's shape. Each allocates what it returns — a round's bytes; for
-// Bob's round 2 also the state and its D_B list; for the finish the Result —
-// where the finish was 393 objects (a matrix row per point and a solver per
-// pair), round 2 was 84 (an estimator per differing child) and round 3, 129.
+// Bob's round 2 also the state and its D_B list; for the finish the Result,
+// packed like a one-round decode's — where the finish was 393 objects (a
+// matrix row per point and a solver per pair), then 8 (an arena per list),
+// round 2 was 84 (an estimator per differing child) and round 3, 129.
 func TestMultiRoundStepAllocBudgets(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds workspaces under the race detector")
@@ -301,7 +304,7 @@ func TestMultiRoundStepAllocBudgets(t *testing.T) {
 		{"EstimateChildDiff", 1, func() error { EstimateChildDiff(probe, coins, alice, p); return nil }},
 		{"MRAlice1", 2, func() error { MRAlice1(coins, alice, dHat); return nil }},
 		{"MRBob2", 4, func() error { _, _, err := MRBob2(coins, bob, p, msg1); return err }},
-		{"MRBobFinish", 9, func() error { _, err := MRBobFinish(coins, bob, st, msg3); return err }},
+		{"MRBobFinish", 4, func() error { _, err := MRBobFinish(coins, bob, st, msg3); return err }},
 	} {
 		if err := tc.run(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sosr/internal/estimator"
@@ -83,6 +84,7 @@ type mrWork struct {
 	rec         childRecoverer // the arena Bob's recovered children are kept in
 	dA          [][]uint64
 	removed     map[uint64]bool
+	hashes      []uint64 // Bob's child hashes, for the Result's packing
 	sorted      []uint64
 }
 
@@ -399,16 +401,16 @@ func (w *mrWork) bobFinish(coins hashing.Coins, bob [][]uint64, st *MRBobState, 
 		}
 		w.dA = append(w.dA, w.rec.keep(w.rec.merge))
 	}
-	final := assemble(bob, w.dA, w.removed, coins)
+	w.hashes = slices.Grow(w.hashes[:0], len(bob))[:len(bob)]
+	for i, cs := range bob {
+		w.hashes[i] = setutil.Hash(chs, cs)
+	}
+	res := packResult(bob, w.hashes, w.removed, w.dA, st.DB)
 	var got uint64
-	if got, w.sorted = parentHashScratch(w.sorted, coins, final); got != st.WantParent {
+	if got, w.sorted = parentHashScratch(w.sorted, coins, res.Recovered); got != st.WantParent {
 		return nil, ErrVerify
 	}
-	return &Result{
-		Recovered: final,
-		Added:     sortSets(w.dA),
-		Removed:   sortSets(st.DB),
-	}, nil
+	return res, nil
 }
 
 // multiRound composes the MR* steps over the channel (the co-simulated

@@ -354,13 +354,13 @@ func (w *cascadeWork) run(pl *plan, msg []byte, bob [][]uint64, sk *BobSketch) (
 	if len(w.outstanding) != 0 {
 		return nil, fmt.Errorf("%w: %d child sets unrecovered", ErrChildDecode, len(w.outstanding))
 	}
-	final := assembleHashed(w.bob, w.bobHashes, w.dA, w.removed)
-	if w.parentHash(pl.coins, final) != wantParent {
+	// Copied out: the Result shares no memory with the workspace or bob.
+	res := packResult(w.bob, w.bobHashes, w.removed, w.dA, w.dB)
+	if w.parentHash(pl.coins, res.Recovered) != wantParent {
 		return nil, ErrVerify
 	}
-	// Copied out: the Result shares no memory with the workspace.
-	return &Result{Recovered: final, Added: sortSets(w.dA), Removed: sortSets(w.dB),
-		Attempts: 1, DUsed: pl.d, PeelIterations: w.peels + w.rec.peels}, nil
+	res.Attempts, res.DUsed, res.PeelIterations = 1, pl.d, w.peels+w.rec.peels
+	return res, nil
 }
 
 // differing records the first table's negative keys as D_B. A whole child set

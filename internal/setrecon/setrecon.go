@@ -144,16 +144,31 @@ func ApplyIBLTMsg(coins hashing.Coins, msg []byte, bob []uint64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	recovered := setutil.ApplyDiff(bob, onlyA, onlyB)
+	res := newResult(bob, onlyA, onlyB)
 	want := binary.LittleEndian.Uint64(vhBytes)
-	if setutil.Hash(coins.Seed(verifySeedLabel, 0), recovered) != want {
+	if setutil.Hash(coins.Seed(verifySeedLabel, 0), res.Recovered) != want {
 		return nil, ErrVerify
 	}
-	return &Result{
-		Recovered: recovered,
-		OnlyA:     setutil.Canonical(onlyA),
-		OnlyB:     setutil.Canonical(onlyB),
-	}, nil
+	return res, nil
+}
+
+// newResult is an apply's Result: Recovered is bob with the decoded
+// difference applied, OnlyA and OnlyB the difference in canonical form. The
+// three are cut from one allocation, capacity-capped, so the Result shares no
+// memory with its inputs and an append to one of its slices never writes into
+// another. It sorts onlyA and onlyB in place.
+func newResult(bob, onlyA, onlyB []uint64) *Result {
+	slices.Sort(onlyA)
+	onlyA = slices.Compact(onlyA)
+	slices.Sort(onlyB)
+	onlyB = slices.Compact(onlyB)
+	buf := make([]uint64, len(bob)+2*len(onlyA)+len(onlyB))
+	rec := setutil.AppendApplyDiff(buf[:0], bob, onlyA, onlyB)
+	rest := buf[len(rec):]
+	a := rest[:copy(rest, onlyA)]
+	rest = rest[len(a):]
+	b := rest[:copy(rest, onlyB)]
+	return &Result{Recovered: rec[:len(rec):len(rec)], OnlyA: a[:len(a):len(a)], OnlyB: b[:len(b):len(b)]}
 }
 
 // EstimatorSafety scales estimator outputs before they are used as
@@ -243,11 +258,7 @@ func ApplyCharPolyMsg(coins hashing.Coins, msg []byte, bob []uint64, d int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Recovered: setutil.ApplyDiff(bob, onlyA, onlyB),
-		OnlyA:     setutil.Canonical(onlyA),
-		OnlyB:     setutil.Canonical(onlyB),
-	}, nil
+	return newResult(bob, onlyA, onlyB), nil
 }
 
 // CheckRange verifies every element fits the 2^60 universe the

@@ -52,17 +52,31 @@ func (c *workCase) check(t testing.TB, what string, res *Result, err error) {
 	}
 }
 
-// TestWorkResultsDoNotAlias: a Result of either apply survives later applies,
-// encodes and estimator exchanges with other inputs on the pooled Works.
+// TestWorkResultsDoNotAlias: a Result of either apply survives appends to
+// each of its slices (they are cut from one array), the caller overwriting
+// the set it passed, and later applies, encodes and estimator exchanges with
+// other inputs on the pooled Works.
 func TestWorkResultsDoNotAlias(t *testing.T) {
 	c, other := newWorkCase(1, 2000, 16), newWorkCase(2, 500, 8)
-	viaIBLT, err := ApplyIBLTMsg(c.coins, c.iblt, c.bob)
+	mine := setutil.Clone(c.bob)
+	viaIBLT, err := ApplyIBLTMsg(c.coins, c.iblt, mine)
 	c.check(t, "iblt", viaIBLT, err)
-	viaPoly, err := ApplyCharPolyMsg(c.coins, c.cpoly, c.bob, c.d)
+	viaPoly, err := ApplyCharPolyMsg(c.coins, c.cpoly, mine, c.d)
 	c.check(t, "charpoly", viaPoly, err)
 	snapshot := []Result{*viaIBLT, *viaPoly}
 	for i := range snapshot {
 		snapshot[i].Recovered, snapshot[i].OnlyA, snapshot[i].OnlyB = setutil.Clone(snapshot[i].Recovered), setutil.Clone(snapshot[i].OnlyA), setutil.Clone(snapshot[i].OnlyB)
+	}
+	for _, res := range []*Result{viaIBLT, viaPoly} {
+		if len(res.OnlyA) == 0 || len(res.OnlyB) == 0 {
+			t.Fatal("no difference to check")
+		}
+		for _, s := range [][]uint64{res.Recovered, res.OnlyA, res.OnlyB} {
+			_ = append(s, 1<<61)
+		}
+	}
+	for i := range mine {
+		mine[i] = 1<<61 + uint64(i)
 	}
 	for i := 0; i < 3; i++ {
 		res, err := ApplyIBLTMsg(other.coins, other.iblt, other.bob)
@@ -119,10 +133,11 @@ func TestConcurrentApplies(t *testing.T) {
 
 // TestApplyAllocBudgets: at the benchmark's shapes (n = 20 000, d = 32 over
 // the IBLT; n = 2 000, d = 16 over the characteristic polynomial) an apply
-// allocates its Result — the recovered set, the two sorted differences, the
-// struct — and nothing per cell, per point or per root: the IBLT apply was
-// 22 objects and the char-poly apply 57 before the pooled Work. The encodes
-// and the estimator exchange allocate the bytes they return.
+// allocates its Result — the struct, and the recovered set and the two sorted
+// differences cut from one array — and nothing per cell, per point or per
+// root: the IBLT apply was 22 objects and the char-poly apply 57 before the
+// pooled Work, and both were 4 with an array per list. The encodes and the
+// estimator exchange allocate the bytes they return.
 func TestApplyAllocBudgets(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds Works under the race detector")
@@ -134,8 +149,8 @@ func TestApplyAllocBudgets(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"ApplyIBLTMsg", 6, func() error { _, err := ApplyIBLTMsg(big.coins, big.iblt, big.bob); return err }},
-		{"ApplyCharPolyMsg", 6, func() error { _, err := ApplyCharPolyMsg(small.coins, small.cpoly, small.bob, small.d); return err }},
+		{"ApplyIBLTMsg", 3, func() error { _, err := ApplyIBLTMsg(big.coins, big.iblt, big.bob); return err }},
+		{"ApplyCharPolyMsg", 3, func() error { _, err := ApplyCharPolyMsg(small.coins, small.cpoly, small.bob, small.d); return err }},
 		{"BuildIBLTMsg", 2, func() error { BuildIBLTMsg(big.coins, big.alice, 32); return nil }},
 		{"BuildDiffEstimator", 2, func() error { BuildDiffEstimator(big.coins, big.bob); return nil }},
 		{"DiffBoundFromEstimator", 1, func() error { _, err := DiffBoundFromEstimator(big.coins, probe, big.alice); return err }},

@@ -51,6 +51,27 @@ func CanonicalSets(parent [][]uint64) [][]uint64 {
 	return out
 }
 
+// CanonicalView returns xs itself when it is already canonical and
+// Canonical(xs) otherwise: a caller that only reads the set for the length of
+// a call pays for a copy only when the input needs one.
+func CanonicalView(xs []uint64) []uint64 {
+	if IsCanonical(xs) {
+		return xs
+	}
+	return Canonical(xs)
+}
+
+// CanonicalSetsView is CanonicalView for a parent set: parent itself when
+// every child set is canonical, CanonicalSets(parent) otherwise.
+func CanonicalSetsView(parent [][]uint64) [][]uint64 {
+	for _, cs := range parent {
+		if !IsCanonical(cs) {
+			return CanonicalSets(parent)
+		}
+	}
+	return parent
+}
+
 // IsCanonical reports whether xs is strictly increasing.
 func IsCanonical(xs []uint64) bool {
 	for i := 1; i < len(xs); i++ {

@@ -239,6 +239,30 @@ func TestCanonicalSetsIsolation(t *testing.T) {
 	}
 }
 
+// TestCanonicalViews: canonical input comes back as the very slice, with
+// nothing allocated; input with one child out of order (or one unsorted set)
+// comes back as a canonical copy, and the input is left as it was.
+func TestCanonicalViews(t *testing.T) {
+	set := []uint64{1, 4, 9}
+	parent := [][]uint64{{1, 2}, {}, {5}}
+	if got := CanonicalView(set); &got[0] != &set[0] {
+		t.Fatal("CanonicalView copied a canonical set")
+	}
+	if got := CanonicalSetsView(parent); &got[0] != &parent[0] {
+		t.Fatal("CanonicalSetsView copied a canonical parent")
+	}
+	if n := testing.AllocsPerRun(10, func() { CanonicalView(set); CanonicalSetsView(parent) }); n != 0 {
+		t.Fatalf("views of canonical input allocate %.0f objects", n)
+	}
+	unsorted, messy := []uint64{4, 1, 4}, [][]uint64{{1, 2}, {3, 3, 2}}
+	if got := CanonicalView(unsorted); !slices.Equal(got, []uint64{1, 4}) || !slices.Equal(unsorted, []uint64{4, 1, 4}) {
+		t.Fatalf("CanonicalView(%v) = %v", unsorted, got)
+	}
+	if got := CanonicalSetsView(messy); !slices.Equal(got[1], []uint64{2, 3}) || &got[0][0] == &messy[0][0] || !slices.Equal(messy[1], []uint64{3, 3, 2}) {
+		t.Fatalf("CanonicalSetsView(%v) = %v", messy, got)
+	}
+}
+
 func TestCanonicalSetsAllocs(t *testing.T) {
 	parent := make([][]uint64, 500)
 	for i := range parent {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
+	"math/bits"
 )
 
 // Binary encodings for snapshots and WAL entries. Both are little-endian
@@ -302,15 +303,39 @@ func unmarshalRecord(buf []byte) (*Record, error) {
 
 // ---- Update ----
 
+// marshalUpdate encodes up into a buffer of exactly its length: one
+// allocation, however many elements and sets it carries.
 func marshalUpdate(up *Update) []byte {
-	out := []byte{walFormat}
-	out = binary.LittleEndian.AppendUint64(out, up.Version)
-	out = appendU64s(out, up.Add)
-	out = appendU64s(out, up.Remove)
-	out = appendSets(out, up.AddSets)
-	out = appendSets(out, up.RemoveSets)
-	return out
+	return appendUpdate(make([]byte, 0, updateSize(up)), up)
 }
+
+// appendUpdate appends up's encoding to dst.
+func appendUpdate(dst []byte, up *Update) []byte {
+	dst = append(dst, walFormat)
+	dst = binary.LittleEndian.AppendUint64(dst, up.Version)
+	dst = appendU64s(dst, up.Add)
+	dst = appendU64s(dst, up.Remove)
+	dst = appendSets(dst, up.AddSets)
+	return appendSets(dst, up.RemoveSets)
+}
+
+// updateSize is the length of up's encoding.
+func updateSize(up *Update) int {
+	return 1 + 8 + u64sSize(up.Add) + u64sSize(up.Remove) + setsSize(up.AddSets) + setsSize(up.RemoveSets)
+}
+
+func u64sSize(xs []uint64) int { return uvarintSize(uint64(len(xs))) + 8*len(xs) }
+
+func setsSize(ss [][]uint64) int {
+	n := uvarintSize(uint64(len(ss)))
+	for _, s := range ss {
+		n += u64sSize(s)
+	}
+	return n
+}
+
+// uvarintSize is the length of binary.AppendUvarint's encoding of x.
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func unmarshalUpdate(buf []byte) (*Update, error) {
 	r := &reader{buf: buf}

@@ -261,11 +261,12 @@ func (d *Disk) AppendUpdate(name string, up *Update) (bool, error) {
 		}
 		df.wal, df.walSize = f, st.Size()
 	}
-	body := marshalUpdate(up)
-	frame := make([]byte, 0, walHeaderLen+len(body))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	frame = append(frame, body...)
+	// The frame is the header and the body in one buffer of exactly its
+	// length: the body is encoded in place, the header filled in after it.
+	frame := appendUpdate(make([]byte, walHeaderLen, walHeaderLen+updateSize(up)), up)
+	body := frame[walHeaderLen:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	_, err = df.wal.Write(frame)
 	if err == nil {
 		err = d.sync(df.wal)

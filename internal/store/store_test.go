@@ -220,6 +220,32 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalUpdateAllocBudget: a WAL record is sized before it is encoded,
+// so encoding one is one allocation of exactly its length, where growing it
+// from one byte took eight for the churn-shaped update below. The other
+// updates put counts of one, two and three varint bytes through the sizing.
+func TestMarshalUpdateAllocBudget(t *testing.T) {
+	sets := func(n, size int) [][]uint64 {
+		ss := make([][]uint64, n)
+		for i := range ss {
+			ss[i] = make([]uint64, size)
+		}
+		return ss
+	}
+	churn := &Update{Version: 1 << 40, AddSets: sets(4, 10), RemoveSets: sets(4, 10)}
+	ups := append(codecUpdates(), churn,
+		&Update{Version: 3, Add: make([]uint64, 200), Remove: make([]uint64, 20000)},
+		&Update{AddSets: sets(130, 127), RemoveSets: sets(2, 16400)})
+	for i, up := range ups {
+		if body := marshalUpdate(up); len(body) != cap(body) || len(body) != updateSize(up) {
+			t.Errorf("update %d: %d bytes in a buffer of %d, sized %d", i, len(body), cap(body), updateSize(up))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { marshalUpdate(churn) }); n != 1 {
+		t.Fatalf("encoding a churn update allocates %.0f objects, want 1", n)
+	}
+}
+
 // exerciseStore runs the shared backend contract: snapshot, updates, load,
 // compaction retirement, drop.
 func exerciseStore(t *testing.T, st Store) {

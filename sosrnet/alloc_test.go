@@ -2,6 +2,7 @@ package sosrnet
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"sosr"
@@ -9,17 +10,24 @@ import (
 	"sosr/internal/workload"
 )
 
-// TestSetsOfSetsSessionAllocsIndependentOfS: the client canonicalises Bob's
-// parent set into one arena, so a hot session — payload and sketch both cache
-// hits — allocates the same handful of objects at 2 000 children as at 200.
-// AllocsPerRun counts the serving goroutines' allocations too; they do not
-// depend on s either. (Per-child canonicalisation cost ~3 allocations a
-// child: +5 400 between these two sizes.) The count itself is budgeted: with
-// the connection reused, frame buffers pooled, the cascade decode on a pooled
-// workspace and the control frames encoded into and parsed out of the
-// connection's own memory, a hot session is its result, its two session
-// records and little else — 15 objects on both ends together, where JSON
-// control frames made it 44 and a connection per session 208.
+// TestSetsOfSetsSessionAllocsIndependentOfS: the client reads Bob's canonical
+// parent set in place, so a hot session — payload and sketch both cache hits
+// — allocates the same objects at 2 000 children as at 200. AllocsPerRun
+// counts the serving goroutines' allocations too; they do not depend on s
+// either. (Per-child canonicalisation cost ~3 allocations a child: +5 400
+// between these two sizes.) The count itself is budgeted: with the connection
+// reused, frame buffers pooled, the cascade decode on a pooled workspace, the
+// control frames encoded into and parsed out of the connection's own memory,
+// the session records kept by the connection (server) and the kind's apply
+// (client), and the result packed once, a hot session is its result and
+// nothing else — 6 objects on both ends together: core's Result with its one
+// arena and one header slice, the apply, the sosr.Result and the NetStats.
+// It was 15 with a record, a plan and an apply apart, a copy of the input
+// and an arena per list; 44 with JSON control frames and 208 with a
+// connection per session. The collector is held off while counting: a
+// collection empties the sync.Pools, and refilling them costs objects at a
+// rate set by the bytes a session allocates, which at s = 2 000 — ten times
+// the result — shows as a fraction of an object per session.
 func TestSetsOfSetsSessionAllocsIndependentOfS(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds buffers and workspaces under the race detector")
@@ -40,15 +48,16 @@ func TestSetsOfSetsSessionAllocsIndependentOfS(t *testing.T) {
 			}
 		}
 		run() // fill both caches
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(20, run)
 	}
 	small, large := session(200), session(2000)
 	t.Logf("hot cascade session allocs/op: s=200 %.0f, s=2000 %.0f", small, large)
-	if large > small+40 {
-		t.Fatalf("session allocations grow with s: %.0f at s=200, %.0f at s=2000", small, large)
+	if large != small {
+		t.Fatalf("session allocations depend on s: %.0f at s=200, %.0f at s=2000", small, large)
 	}
-	if small > 30 {
-		t.Fatalf("hot cascade session allocates %.0f objects at s=200, budget 30", small)
+	if small > 7 {
+		t.Fatalf("hot cascade session allocates %.0f objects, budget 7", small)
 	}
 }
 
@@ -57,26 +66,27 @@ func TestSetsOfSetsSessionAllocsIndependentOfS(t *testing.T) {
 // fresh public coins, so the server's payload cache and the client's sketch
 // cache both miss and every encode and decode runs. Each budget is 15 % over
 // the most the leg measured in ten runs. The comments give that range, then
-// what the leg measured before the caches reused the calls nobody waited on
-// and the connections kept every label they received, at the budgets'
-// previous ratchet, while the control frames were JSON — some 20 objects a
-// session — and before the encodes and decodes moved onto pooled
-// workspaces. What is left is the session's spans-off bookkeeping, the
-// result, the cache entries (reused only once a ghost ring has forgotten a
-// budget's worth of bytes, which this test does not reach) and the canonical
-// copy of the input; per table, per level, per pair, per point, per control
-// field or per label, nothing.
+// what the leg measured before each result was packed once, the input read
+// in place and the session records kept by the apply and the connection; at
+// the budgets' previous ratchet, before the caches reused the calls nobody
+// waited on and the connections kept every label they received; while the
+// control frames were JSON — some 20 objects a session — and before the
+// encodes and decodes moved onto pooled workspaces. What is left is the
+// session's spans-off bookkeeping, the result and the cache entries (reused
+// only once a ghost ring has forgotten a budget's worth of bytes, which this
+// test does not reach); per table, per level, per pair, per point, per
+// control field or per label, nothing.
 var coldLegBudgets = map[string]float64{
-	"set-iblt":       18, // 15, was 17, was 18–19, was 39, was 62
-	"set-charpoly":   21, // 18, was 20, was 21–22, was 42, was 97
-	"set-estimator":  21, // 16–18, was 18–20, was 19–21, was 43, was 74
-	"multiset":       17, // 14, was 16, was 17, was 38, was 54
-	"sos-naive":      33, // 28, was 32–33, was 33–34, was 57, was 112
-	"sos-nested":     34, // 28–29, was 33, was 33–34, was 58, was 125
-	"sos-cascade":    34, // 28–29, was 32–33, was 37–38, was 61, was 125
-	"sos-multiround": 29, // 24–25, was 26–27, was 27–29, was 51, was 763
-	"graph-degree":   28, // 23–24, was 25, was 25–26, was 48, was 94
-	"forest":         36, // 31, was 32–33, was 33–34, was 55, was 168
+	"set-iblt":       11, // 8–9, was 15, was 17, was 18–19, was 39, was 62
+	"set-charpoly":   15, // 12–13, was 18, was 20, was 21–22, was 42, was 97
+	"set-estimator":  13, // 9–11, was 16–18, was 18–20, was 19–21, was 43, was 74
+	"multiset":       12, // 9–10, was 14, was 16, was 17, was 38, was 54
+	"sos-naive":      23, // 19–20, was 28, was 32–33, was 33–34, was 57, was 112
+	"sos-nested":     23, // 19–20, was 28–29, was 33, was 33–34, was 58, was 125
+	"sos-cascade":    23, // 19–20, was 28–29, was 32–33, was 37–38, was 61, was 125
+	"sos-multiround": 18, // 14–15, was 24–25, was 26–27, was 27–29, was 51, was 763
+	"graph-degree":   23, // 20, was 23–24, was 25, was 25–26, was 48, was 94
+	"forest":         28, // 23–24, was 31, was 32–33, was 33–34, was 55, was 168
 }
 
 func TestColdSessionAllocBudgets(t *testing.T) {
@@ -171,7 +181,7 @@ func TestColdSessionAllocBudgets(t *testing.T) {
 			t.Errorf("%s: a cold session allocates %.0f objects, budget %.0f", leg.name, got, coldLegBudgets[leg.name])
 		}
 	}
-	t.Logf("cycle total %.0f allocs (was 253, was 490, was 1 674)", total)
+	t.Logf("cycle total %.0f allocs (was 227, was 253, was 490, was 1 674)", total)
 }
 
 // TestCtlCodecAllocationFree: the control plane of a reused connection

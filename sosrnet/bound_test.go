@@ -174,8 +174,9 @@ func TestEnvelopeFlagsPayloadThatGrowsWithS(t *testing.T) {
 		rec.tr.bounds(d, core.DHat(d, s))
 		rec.tr.audit(core.DHat(d, s), core.CellBytes(core.DigestNaive, p, d))
 		before := len(warns.all())
+		ratio = rec.tr.boundRatio(c.ep.Stats().AliceBytes) // read before account clears the record
 		srv.account(c, rec)
-		return rec.tr.boundRatio(c.ep.Stats().AliceBytes), len(warns.all()) > before
+		return ratio, len(warns.all()) > before
 	}
 	cell := core.CellBytes(core.DigestNaive, core.Params{S: 1, H: 10, U: 1 << 32}, d)
 	var prevHealthy, prevGrowing float64

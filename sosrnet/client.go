@@ -186,8 +186,8 @@ func (c *Client) dialConn(ctx context.Context) (*clientConn, error) {
 
 // clientSession is one session's state on the client: what the generic
 // wrapper (session) and Bob's attempt loop (runFlow) share with the kind's
-// own code. The hello and the accept live in it, so a session allocates one
-// record for both.
+// own code. The hello and the accept live in it, and it lives in the kind's
+// apply struct, so a session allocates one record for all three.
 type clientSession struct {
 	c     *Client
 	ctx   context.Context
@@ -200,17 +200,17 @@ type clientSession struct {
 	ns    *NetStats // set by done
 }
 
-// session runs one client session of any kind. It opens the session span — a
-// child of the caller's context span when one is present (the sosrshard
-// fan-out propagates one per shard attempt), otherwise a sampled root from
-// c.Trace; nil, and free, when tracing is off — lets body fill the hello, open
-// the connection (cs.open) and run Bob's side, then closes the books: the
-// connection parked or closed by how the session ended, a severed connection
-// re-labelled as the cancellation it was, the span finished with the
-// accounting the caller gets (read from the same NetStats value, so a trace
-// root's wire bytes equal the reported Stats by construction). body's last
-// step on success is cs.done.
-func session[R any](ctx context.Context, c *Client, name string, kind Kind, seed uint64, body func(cs *clientSession) (R, error)) (R, *NetStats, error) {
+// session runs one client session of any kind on cs, the record embedded in
+// the kind's apply struct. It opens the session span — a child of the
+// caller's context span when one is present (the sosrshard fan-out propagates
+// one per shard attempt), otherwise a sampled root from c.Trace; nil, and
+// free, when tracing is off — lets body fill the hello, open the connection
+// (cs.open) and run Bob's side, then closes the books: the connection parked
+// or closed by how the session ended, a severed connection re-labelled as the
+// cancellation it was, the span finished with the accounting the caller gets
+// (read from the same NetStats value, so a trace root's wire bytes equal the
+// reported Stats by construction). body's last step on success is cs.done.
+func session[R any](ctx context.Context, c *Client, cs *clientSession, name string, kind Kind, seed uint64, body func() (R, error)) (R, *NetStats, error) {
 	sp := obs.SpanFromContext(ctx).Child("client/session")
 	if sp == nil {
 		sp = c.Trace.StartRoot("client/session")
@@ -218,9 +218,9 @@ func session[R any](ctx context.Context, c *Client, name string, kind Kind, seed
 	sp.SetStr("dataset", name)
 	sp.SetStr("kind", string(kind))
 	sp.SetStr("server", c.Addr)
-	cs := &clientSession{c: c, ctx: ctx, sp: sp, coins: hashing.NewCoins(seed)}
+	*cs = clientSession{c: c, ctx: ctx, sp: sp, coins: hashing.NewCoins(seed)}
 	cs.h = helloMsg{Dataset: name, Kind: kind, Seed: seed}
-	res, err := body(cs)
+	res, err := body()
 	if cs.cc != nil {
 		c.finish(ctx, cs.cc, err)
 	}
@@ -385,20 +385,22 @@ func netStats(ep *wire.Endpoint, attempts int) *NetStats {
 }
 
 // Sets reconciles a local set against the hosted set `name`: the client ends
-// up with the server's set. cfg mirrors sosr.ReconcileSets. Cancelling ctx
-// severs the session.
+// up with the server's set. cfg mirrors sosr.ReconcileSets. local is read only
+// during the call, in place when it is already canonical, and the result
+// shares no memory with it. Cancelling ctx severs the session.
 func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, *NetStats, error) {
-	return session(ctx, c, name, KindSet, cfg.Seed, func(cs *clientSession) (*sosr.SetResult, error) {
+	ap := &setApply{}
+	return session(ctx, c, &ap.clientSession, name, KindSet, cfg.Seed, func() (*sosr.SetResult, error) {
 		if cfg.UseCharPoly && cfg.KnownDiff <= 0 {
 			return nil, errors.New("sosrnet: UseCharPoly requires KnownDiff > 0")
 		}
-		ap := &setApply{cs: cs, bob: setutil.Canonical(local)}
-		cs.h.D, cs.h.CharPoly = cfg.KnownDiff, cfg.UseCharPoly
+		ap.bob = setutil.CanonicalView(local)
+		ap.h.D, ap.h.CharPoly = cfg.KnownDiff, cfg.UseCharPoly
 		if err := ap.run(); err != nil {
 			return nil, err
 		}
 		res := ap.res
-		return &sosr.SetResult{Recovered: res.Recovered, OnlyA: res.OnlyA, OnlyB: res.OnlyB, Stats: cs.done(1)}, nil
+		return &sosr.SetResult{Recovered: res.Recovered, OnlyA: res.OnlyA, OnlyB: res.OnlyB, Stats: ap.done(1)}, nil
 	})
 }
 
@@ -408,13 +410,14 @@ func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr
 // ≤ 0 runs the estimator variant over the packed sets (a wire-only
 // extension; the in-process API requires a known bound).
 func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, *NetStats, error) {
-	return session(ctx, c, name, KindMultiset, seed, func(cs *clientSession) ([]uint64, error) {
+	ap := &setApply{}
+	return session(ctx, c, &ap.clientSession, name, KindMultiset, seed, func() ([]uint64, error) {
 		packed, err := setrecon.MultisetToSet(local)
 		if err != nil {
 			return nil, err
 		}
-		ap := &setApply{cs: cs, bob: packed}
-		cs.h.D = diffBound
+		ap.bob = packed
+		ap.h.D = diffBound
 		if err := ap.run(); err != nil {
 			return nil, err
 		}
@@ -422,10 +425,10 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 		// fails the session (setrecon.ErrMultisetRange) instead of being expanded.
 		rec, err := setrecon.SetToMultiset(ap.res.Recovered)
 		if err != nil {
-			cs.cc.sendDone(false, err, 1)
+			ap.cc.sendDone(false, err, 1)
 			return nil, err
 		}
-		cs.done(1)
+		ap.done(1)
 		return rec, nil
 	})
 }
@@ -434,18 +437,17 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 // probe when d is unknown (the server's unknown-d flow waits for it), then
 // Alice's one payload.
 type setApply struct {
-	cs  *clientSession
+	clientSession
 	bob []uint64 // canonical local set, or the canonical packing of the local multiset
 	res *setrecon.Result
 }
 
 // run opens the session and runs the row the hello selects.
 func (a *setApply) run() error {
-	cs := a.cs
-	if err := cs.open(); err != nil {
+	if err := a.open(); err != nil {
 		return err
 	}
-	_, err := cs.runFlow(cs.h.setFlow(), a)
+	_, err := a.runFlow(a.h.setFlow(), a)
 	return err
 }
 
@@ -454,9 +456,9 @@ func (a *setApply) probe(coins hashing.Coins) []byte {
 }
 
 func (a *setApply) apply(_ int, coins hashing.Coins, frames [2][]byte) (err error) {
-	dsp := a.cs.sp.Child("decode")
-	if a.cs.h.CharPoly {
-		a.res, err = setrecon.ApplyCharPolyMsg(coins, frames[0], a.bob, a.cs.h.D)
+	dsp := a.sp.Child("decode")
+	if a.h.CharPoly {
+		a.res, err = setrecon.ApplyCharPolyMsg(coins, frames[0], a.bob, a.h.D)
 	} else {
 		a.res, err = setrecon.ApplyIBLTMsg(coins, frames[0], a.bob)
 	}
@@ -479,23 +481,26 @@ func (noProbe) probe(hashing.Coins) []byte { return nil }
 
 // SetsOfSets reconciles a local parent set against the hosted sets-of-sets
 // `name`, mirroring sosr.ReconcileSetsOfSets (all four protocol families,
-// known- and unknown-d variants). Cancelling ctx severs the session.
+// known- and unknown-d variants). local is read only during the call, in
+// place when every child set is already canonical, and the result shares no
+// memory with it. Cancelling ctx severs the session.
 func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, *NetStats, error) {
-	return session(ctx, c, name, KindSetsOfSets, cfg.Seed, func(cs *clientSession) (*sosr.Result, error) {
-		bob := setutil.CanonicalSets(local)
-		bobH := setutil.MaxChildLen(bob)
-		h, acc := &cs.h, &cs.acc
+	ap := &sosApply{name: name}
+	return session(ctx, c, &ap.clientSession, name, KindSetsOfSets, cfg.Seed, func() (*sosr.Result, error) {
+		ap.bob = setutil.CanonicalSetsView(local)
+		bobH := setutil.MaxChildLen(ap.bob)
+		h, acc := &ap.h, &ap.acc
 		h.D, h.DHat, h.Replicas = cfg.KnownDiff, cfg.KnownChildDiff, cfg.Replicas
 		if cfg.Protocol != sosr.ProtocolAuto {
 			if h.Protocol = cfg.Protocol.String(); sosFamilyOf(h.Protocol) == nil {
 				return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
 			}
 		}
-		h.S, h.H, h.U, h.CS, h.CH, h.Validate = cfg.MaxChildSets, cfg.MaxChildSize, cfg.Universe, len(bob), bobH, cfg.Validate
-		if err := cs.open(); err != nil {
+		h.S, h.H, h.U, h.CS, h.CH, h.Validate = cfg.MaxChildSets, cfg.MaxChildSize, cfg.Universe, len(ap.bob), bobH, cfg.Validate
+		if err := ap.open(); err != nil {
 			return nil, err
 		}
-		ap := &sosApply{cs: cs, name: name, bob: bob, fam: sosFamilyOf(acc.Protocol)}
+		ap.fam = sosFamilyOf(acc.Protocol)
 		err := ap.check(bobH, cfg.Validate)
 		if err != nil {
 			return nil, err
@@ -504,7 +509,7 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 		if ap.fl = ap.fam.flow(acc.D); ap.fl == nil {
 			attempts, err = ap.multiRound()
 		} else {
-			attempts, err = cs.runFlow(ap.fl, ap)
+			attempts, err = ap.runFlow(ap.fl, ap)
 		}
 		if err != nil {
 			return nil, err
@@ -512,7 +517,7 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 		res := ap.res
 		return &sosr.Result{
 			Recovered: res.Recovered, Added: res.Added, Removed: res.Removed,
-			Stats: cs.done(attempts), Attempts: attempts, Protocol: ap.fam.proto,
+			Stats: ap.done(attempts), Attempts: attempts, Protocol: ap.fam.proto,
 		}, nil
 	})
 }
@@ -523,7 +528,7 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 // came from his own config or from the peer. A refusal is reported to the
 // server.
 func (a *sosApply) check(bobH int, validate bool) (err error) {
-	acc := &a.cs.acc
+	acc := &a.acc
 	if a.fam == nil {
 		return fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
 	}
@@ -537,7 +542,7 @@ func (a *sosApply) check(bobH int, validate bool) (err error) {
 		err = core.Validate(a.bob, a.p)
 	}
 	if err != nil {
-		a.cs.cc.sendDone(false, err, 0)
+		a.cc.sendDone(false, err, 0)
 	}
 	return err
 }
@@ -551,7 +556,7 @@ func (a *sosApply) probe(coins hashing.Coins) []byte {
 // interactive per-session state, so this path is uncached; peel metrics are
 // still observed.
 func (a *sosApply) multiRound() (int, error) {
-	cs, bob, p := a.cs, a.bob, a.p
+	cs, bob, p := &a.clientSession, a.bob, a.p
 	ep, acc := cs.ep, &cs.acc
 	attempts := acc.Replicas
 	if acc.D <= 0 {
@@ -604,13 +609,14 @@ func (a *sosApply) multiRound() (int, error) {
 // sosr.ReconcileGraphs (degree-ordering, degree-neighborhood and polynomial
 // schemes). Cancelling ctx severs the session.
 func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig) (*sosr.GraphResult, *NetStats, error) {
-	return session(ctx, c, name, KindGraph, cfg.Seed, func(cs *clientSession) (*sosr.GraphResult, error) {
+	ap := &graphApply{}
+	return session(ctx, c, &ap.clientSession, name, KindGraph, cfg.Seed, func() (*sosr.GraphResult, error) {
 		gb, err := graph.FromEdges(local.N, local.Edges)
 		if err != nil {
 			return nil, err
 		}
-		ap := &graphApply{cs: cs, gb: gb}
-		h := &cs.h
+		ap.gb = gb
+		h := &ap.h
 		h.D, h.N = max(cfg.MaxEdits, 1), gb.N
 		switch cfg.Scheme {
 		case sosr.SchemeDegreeOrdering:
@@ -635,13 +641,13 @@ func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg s
 		default:
 			return nil, fmt.Errorf("%w: graph scheme %d", ErrUnsupported, cfg.Scheme)
 		}
-		if err := cs.open(); err != nil {
+		if err := ap.open(); err != nil {
 			return nil, err
 		}
-		if _, err := cs.runFlow(h.graphFlow(), ap); err != nil {
+		if _, err := ap.runFlow(h.graphFlow(), ap); err != nil {
 			return nil, err
 		}
-		return &sosr.GraphResult{Recovered: sosr.Graph{N: ap.g.N, Edges: ap.g.Edges()}, Stats: cs.done(1)}, nil
+		return &sosr.GraphResult{Recovered: sosr.Graph{N: ap.g.N, Edges: ap.g.Edges()}, Stats: ap.done(1)}, nil
 	})
 }
 
@@ -649,22 +655,22 @@ func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg s
 // neighbourhood scheme alone.
 type graphApply struct {
 	noProbe
-	cs   *clientSession
+	clientSession
 	gb   *graph.Graph
 	side *graphrecon.NbrSide
 	g    *graph.Graph
 }
 
 func (a *graphApply) apply(_ int, coins hashing.Coins, frames [2][]byte) (err error) {
-	h := &a.cs.h
-	dsp := a.cs.sp.Child("decode")
+	h := &a.h
+	dsp := a.sp.Child("decode")
 	switch {
 	case h.graphFlow() == &flowGraphPoly:
 		a.g, err = graphrecon.PolyApply(a.gb, h.D, frames[0])
 	case a.side == nil:
 		a.g, err = graphrecon.DegreeOrderApply(coins, a.gb, graphrecon.DegreeOrderParams{H: h.TopH, D: h.D}, frames[0], frames[1])
 	default:
-		a.g, err = graphrecon.NeighborhoodApply(coins, a.gb, graphrecon.NeighborhoodParams{M: h.M, D: h.D}, a.side, a.cs.acc.MaxSig, frames[0], frames[1])
+		a.g, err = graphrecon.NeighborhoodApply(coins, a.gb, graphrecon.NeighborhoodParams{M: h.M, D: h.D}, a.side, a.acc.MaxSig, frames[0], frames[1])
 	}
 	endDecode(dsp, err)
 	return err
@@ -675,23 +681,24 @@ func (a *graphApply) apply(_ int, coins hashing.Coins, frames [2][]byte) (err er
 // sosr.ReconcileForests (known-budget and auto-doubling variants).
 // Cancelling ctx severs the session.
 func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig) (*sosr.ForestResult, *NetStats, error) {
-	return session(ctx, c, name, KindForest, cfg.Seed, func(cs *clientSession) (*sosr.ForestResult, error) {
+	ap := &forestApply{}
+	return session(ctx, c, &ap.clientSession, name, KindForest, cfg.Seed, func() (*sosr.ForestResult, error) {
 		fb := &forest.Forest{Parent: append([]int32(nil), local.Parent...)}
 		if err := fb.Validate(); err != nil {
 			return nil, err
 		}
-		ap := &forestApply{cs: cs, fb: fb, info: forest.Measure(fb)}
-		h := &cs.h
+		ap.fb, ap.info = fb, forest.Measure(fb)
+		h := &ap.h
 		h.D, h.Sigma = cfg.MaxEdits, cfg.Depth
 		h.N, h.Depth, h.MaxChild = ap.info.N, ap.info.Depth, ap.info.MaxChild
-		if err := cs.open(); err != nil {
+		if err := ap.open(); err != nil {
 			return nil, err
 		}
-		attempts, err := cs.runFlow(h.forestFlow(), ap)
+		attempts, err := ap.runFlow(h.forestFlow(), ap)
 		if err != nil {
 			return nil, err
 		}
-		return &sosr.ForestResult{Recovered: sosr.Forest{Parent: ap.rec.Parent}, Stats: cs.done(attempts)}, nil
+		return &sosr.ForestResult{Recovered: sosr.Forest{Parent: ap.rec.Parent}, Stats: ap.done(attempts)}, nil
 	})
 }
 
@@ -699,16 +706,16 @@ func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg
 // parties' side info, exactly as the server's forestPlan.build does.
 type forestApply struct {
 	noProbe
-	cs   *clientSession
+	clientSession
 	fb   *forest.Forest
 	info forest.SideInfo
 	rec  *forest.Forest
 }
 
 func (a *forestApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err error) {
-	acc := &a.cs.acc
-	rp, params := forest.Plan(forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}, a.info, a.cs.h.forestAsk(k))
-	dsp := a.cs.sp.Child("decode")
+	acc := &a.acc
+	rp, params := forest.Plan(forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}, a.info, a.h.forestAsk(k))
+	dsp := a.sp.Child("decode")
 	a.rec, err = forest.Apply(coins, a.fb, rp, params, frames[0], frames[1])
 	endDecode(dsp, err)
 	return err

@@ -34,17 +34,19 @@ const (
 	sketchBuild = "build"
 )
 
-// sosApply carries one sets-of-sets session's Bob state: the canonical local
-// parent, the family and row the accept resolved to, the instance shape, and
-// the result of the attempt that succeeded.
+// sosApply carries one sets-of-sets session's Bob state: the session record,
+// the canonical local parent, the family and row the accept resolved to, the
+// instance shape, and the result of the attempt that succeeded.
 type sosApply struct {
-	cs   *clientSession
+	clientSession
 	name string
-	bob  [][]uint64
-	fam  *sosFamily
-	fl   *flow // nil for multi-round
-	p    core.Params
-	res  *core.Result
+	// bob is the caller's parent, read in place, or a canonical copy of it; a
+	// sketch that retains an equal copy of its own replaces it (sketch).
+	bob [][]uint64
+	fam *sosFamily
+	fl  *flow // nil for multi-round
+	p   core.Params
+	res *core.Result
 }
 
 // apply runs one cached Bob step under the bounds attempt k was encoded with
@@ -52,7 +54,7 @@ type sosApply struct {
 // sketch for this exact decode shape and subtract it instead of re-encoding
 // the local data.
 func (a *sosApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err error) {
-	d, dHat := a.cs.acc.D, a.cs.acc.DHat
+	d, dHat := a.acc.D, a.acc.DHat
 	switch {
 	case a.fl.sched == doubling:
 		d, dHat = 1<<k, core.DHat(1<<k, a.p.S)
@@ -62,7 +64,7 @@ func (a *sosApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err erro
 		// the apply re-encodes.
 		d, dHat = 1, 0
 	}
-	dsp := a.cs.sp.Child("decode")
+	dsp := a.sp.Child("decode")
 	dsp.SetInt("d", int64(d))
 	dsp.SetInt("dhat", int64(dHat))
 	var sk *core.BobSketch
@@ -78,7 +80,7 @@ func (a *sosApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err erro
 	}
 	a.res, err = core.ApplyMsgCached(a.fam.digest, coins, frames[0], a.bob, a.p, d, dHat, sk)
 	if err == nil {
-		a.cs.c.observePeels(a.res.PeelIterations)
+		a.c.observePeels(a.res.PeelIterations)
 		dsp.SetInt("peels", int64(a.res.PeelIterations))
 	}
 	endDecode(dsp, err)
@@ -91,7 +93,7 @@ func (a *sosApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err erro
 // the number of children a patch re-encoded.
 func (a *sosApply) sketch(coins hashing.Coins, d, dHat int) (sk *core.BobSketch, outcome string, delta int) {
 	kind := a.fam.digest
-	cache := a.cs.c.sketchCache()
+	cache := a.c.sketchCache()
 	if cache == nil {
 		return nil, "", 0
 	}
@@ -100,6 +102,7 @@ func (a *sosApply) sketch(coins hashing.Coins, d, dHat int) (sk *core.BobSketch,
 		S: a.p.S, H: a.p.H, U: a.p.U, D: d, DHat: dHat,
 	}
 	delta = -1
+	built := false
 	holds := func(v any) bool { return v.(*core.BobSketch).Holds(a.bob) }
 	v, hit, err := cache.GetOrComputeValue(k, holds, func(prev any) (any, int64, error) {
 		from, _ := prev.(*core.BobSketch)
@@ -107,13 +110,13 @@ func (a *sosApply) sketch(coins hashing.Coins, d, dHat int) (sk *core.BobSketch,
 		if err != nil {
 			return nil, 0, err
 		}
-		delta = n
+		built, delta = true, n
 		return next, next.SizeBytes(), nil
 	})
 	if err != nil {
 		return nil, "", 0
 	}
-	if sk = v.(*core.BobSketch); !hit && !holds(sk) {
+	if sk = v.(*core.BobSketch); !hit && !built && !holds(sk) {
 		// The lookup waited on a concurrent session's build under this key,
 		// and that session's parent is not this one's: its sketch is the
 		// predecessor of a private one.
@@ -129,7 +132,13 @@ func (a *sosApply) sketch(coins hashing.Coins, d, dHat int) (sk *core.BobSketch,
 	default:
 		outcome = sketchBuild
 	}
-	a.cs.c.observeDecodeCache(outcome)
+	a.c.observeDecodeCache(outcome)
+	// A sketch that retains its parent holds a private copy equal to a.bob:
+	// decoding against that copy lets ApplyMsgCached's Holds recognise the
+	// slice instead of hashing every child again.
+	if p := sk.Parent(); p != nil {
+		a.bob = p
+	}
 	return sk, outcome, delta
 }
 

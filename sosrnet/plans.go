@@ -18,7 +18,8 @@ import (
 // column of the kind table) and the arithmetic serveFlow calls back for —
 // the bound an estimator probe yields, the payload of attempt k, the rule
 // that ends a schedule. Each plan also records on the session trace what its
-// payload may scale with, so the bound audit reads every kind alike.
+// payload may scale with, so the bound audit reads every kind alike. A plan
+// lives in its field of the session record, which its connection reuses.
 
 // ---- set / multiset ----
 
@@ -31,7 +32,8 @@ type setPlan struct {
 
 func planSet(_ *Server, rec *sessionRecord, _ *acceptMsg) (alicePlan, error) {
 	h, tr := &rec.h, &rec.tr
-	pl := &setPlan{rec: rec, fl: h.setFlow(), d: h.D}
+	pl := &rec.set
+	*pl = setPlan{rec: rec, fl: h.setFlow(), d: h.D}
 	rec.proto = "iblt"
 	tr.bounds(h.D, h.D)
 	tr.audit(h.D, setCellBytes)
@@ -105,7 +107,8 @@ func (pl *sosPlan) cellBytes(d int) int {
 
 func planSOS(_ *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
 	h, alice := &rec.h, rec.view.sos
-	pl := &sosPlan{rec: rec, d: h.D, replicas: h.Replicas, dHat: h.DHat}
+	pl := &rec.sos
+	*pl = sosPlan{rec: rec, d: h.D, replicas: h.Replicas, dHat: h.DHat}
 	name := h.Protocol
 	if name == "" {
 		name = "multiround"
@@ -308,7 +311,8 @@ type graphPlan struct {
 
 func planGraph(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
 	h, ga := &rec.h, rec.view.g
-	pl := &graphPlan{rec: rec}
+	pl := &rec.graph
+	*pl = graphPlan{rec: rec}
 	// The scheme — one of graphSchemes, the hello's parser saw to that — is the
 	// protocol label.
 	rec.proto = "invalid"
@@ -405,7 +409,8 @@ func planForest(s *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error
 	fi := rec.view.fi
 	rec.proto = "forest"
 	acc.N, acc.Depth, acc.MaxChild, acc.MaxBudget = fi.N, fi.Depth, fi.MaxChild, min(1<<20, s.maxBound())
-	return &forestPlan{rec: rec}, nil
+	rec.forest = forestPlan{rec: rec}
+	return &rec.forest, nil
 }
 
 func (pl *forestPlan) detail() string {

@@ -622,11 +622,17 @@ type srvConn struct {
 	// without allocating the name anew.
 	ctl     []byte
 	dataset string
+	// rec is the record of the session the connection is carrying. Its
+	// sessions run one after the other, so they share it: each starts from a
+	// zero record, and account clears it when it closes the books, so an idle
+	// connection pins no dataset snapshot, plan or span.
+	rec sessionRecord
 }
 
 // sessionRecord is what one session leaves behind, beyond the connection it
 // ran on and the endpoint's counters. account derives the metrics, the span
-// attributes and the log record from it, so the three cannot disagree.
+// attributes and the log record from it, so the three cannot disagree. Every
+// kind's plan is a field of it, so resolving one allocates nothing.
 type sessionRecord struct {
 	sid uint64
 	// start is the accept for the session that opened the connection and the
@@ -650,6 +656,11 @@ type sessionRecord struct {
 	done   doneMsg
 	closed bool
 	err    error
+	// The plans plan points at: the one of the session's kind is set.
+	set    setPlan
+	sos    sosPlan
+	graph  graphPlan
+	forest forestPlan
 }
 
 // handle serves one connection: sessions one after the other, each admitted,
@@ -671,7 +682,8 @@ func (s *Server) session(c *srvConn) bool {
 			return false
 		}
 	}
-	rec := &sessionRecord{sid: s.sid.Add(1), start: time.Now(), proto: "unknown"}
+	rec := &c.rec
+	*rec = sessionRecord{sid: s.sid.Add(1), start: time.Now(), proto: "unknown"}
 	m := s.metrics()
 	m.active.Add(1)
 	defer m.active.Add(-1)
@@ -687,11 +699,12 @@ func (s *Server) session(c *srvConn) bool {
 		return false
 	}
 	s.dispatch(c, rec, ds)
+	clean := rec.err == nil && rec.closed
 	s.account(c, rec)
 	// The session's books are closed either way: its frame buffers go back to
 	// the pool, and a next session starts its byte counts from zero.
 	c.ep.EndSession()
-	return rec.err == nil && rec.closed && c.ep.Err() == nil
+	return clean && c.ep.Err() == nil
 }
 
 // awaitHello parks a connection between two sessions until the next hello
@@ -860,9 +873,18 @@ func (rec *sessionRecord) traceID() obs.TraceID {
 	return obs.TraceID(rec.h.TraceID)
 }
 
-// account closes a served session: metrics, span attributes and the log
-// record, all read off the one sessionRecord and the endpoint's counters.
+// account closes a served session's books — metrics, span attributes and the
+// log record (report) — and then clears its record, which the connection
+// keeps for its next session: an idle connection holds no dataset snapshot,
+// plan or span.
 func (s *Server) account(c *srvConn, rec *sessionRecord) {
+	s.report(c, rec)
+	*rec = sessionRecord{}
+}
+
+// report derives a served session's metrics, span attributes and log record,
+// all read off the one sessionRecord and the endpoint's counters.
+func (s *Server) report(c *srvConn, rec *sessionRecord) {
 	m, h, tr, sp := s.metrics(), &rec.h, &rec.tr, rec.sp
 	dur := time.Since(rec.start)
 	m.stageDone.Observe(dur.Seconds())

@@ -270,11 +270,13 @@ type state struct {
 	clients [][]*sosrnet.Client
 }
 
-func (c *Client) state() (*state, error) {
+// state returns the current view by value: a fan-out copies it into each
+// shard's goroutine, and nothing of it is allocated per reconcile.
+func (c *Client) state() (state, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.topo == nil {
-		return nil, errors.New("sosrshard: client has no topology")
+		return state{}, errors.New("sosrshard: client has no topology")
 	}
 	if c.clients == nil {
 		topo := c.topo
@@ -296,7 +298,7 @@ func (c *Client) state() (*state, error) {
 		}
 		c.clients = cls
 	}
-	return &state{topo: c.topo, clients: c.clients}, nil
+	return state{topo: c.topo, clients: c.clients}, nil
 }
 
 var discardLogger = slog.New(slog.DiscardHandler)
@@ -345,17 +347,17 @@ func reconcile[P, R any](ctx context.Context, c *Client, name, kind string, seed
 			return res, nil, err
 		}
 		parts := split(st.topo)
-		outs, err := fanOut(ctx, c, st, seed, func(ctx context.Context, i int, cl *sosrnet.Client, seed uint64) (R, *sosrnet.NetStats, error) {
+		runs, err := fanOut(ctx, c, st, seed, func(ctx context.Context, i int, cl *sosrnet.Client, seed uint64) (R, *sosrnet.NetStats, error) {
 			return run(ctx, cl, parts[i], seed)
 		})
 		if err != nil {
 			return res, nil, err
 		}
-		stats := &Stats{}
-		results := make([]R, len(outs))
-		for i := range outs {
-			results[i] = outs[i].res
-			stats.add(i, &outs[i].shardWin)
+		stats := &Stats{Shards: make([]ShardStats, 0, len(runs))}
+		results := make([]R, len(runs))
+		for i := range runs {
+			results[i] = runs[i].res
+			stats.add(i, &runs[i].shardWin)
 		}
 		return merge(results, stats), stats, nil
 	}
@@ -415,6 +417,15 @@ type shardOutcome[R any] struct {
 	shardWin
 }
 
+// shardRun is one shard's engine in a fan-out: its outcome or error, and its
+// wall-clock time, failover and hedge waits included. A fan-out keeps all of
+// its shards' in one slice.
+type shardRun[R any] struct {
+	shardOutcome[R]
+	err error
+	dur time.Duration
+}
+
 // attemptResult carries one replica session's result into the engine.
 type attemptResult[R any] struct {
 	viaHedge bool
@@ -450,7 +461,7 @@ func retryable(err error) bool {
 // an optional hedge racing a second replica against a straggling first. The
 // first success cancels every other in-flight attempt (severing its
 // connection); a non-retryable error fails the shard immediately.
-func runShard[R any](ctx context.Context, c *Client, st *state, shard int, key uint64, fn shardFn[R]) (out shardOutcome[R], err error) {
+func runShard[R any](ctx context.Context, c *Client, st state, shard int, key uint64, fn shardFn[R]) (out shardOutcome[R], err error) {
 	order := st.topo.ReplicaOrder(shard, key)
 	// Sessions per shard per reconcile, hedges included.
 	maxAttempts := max(2, len(order))
@@ -570,37 +581,38 @@ func runShard[R any](ctx context.Context, c *Client, st *state, shard int, key u
 // latency (failover and hedge waits included), the fan-out's straggler
 // spread (slowest minus fastest — the wall-clock cost sharding adds over the
 // slowest shard alone), and the fan-out outcome.
-func fanOut[R any](ctx context.Context, c *Client, st *state, seed uint64, fn shardFn[R]) ([]shardOutcome[R], error) {
+func fanOut[R any](ctx context.Context, c *Client, st state, seed uint64, fn shardFn[R]) ([]shardRun[R], error) {
 	m := c.metrics()
-	n := st.topo.NumShards()
-	outs := make([]shardOutcome[R], n)
-	errs := make([]error, n)
-	durs := make([]time.Duration, n)
+	runs := make([]shardRun[R], st.topo.NumShards())
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range runs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			r := &runs[i]
 			t0 := time.Now()
 			key := shardSeed(seed, i)
 			fsp := obs.SpanFromContext(ctx).Child("shard/fanout")
 			fsp.SetInt("shard", int64(i))
-			outs[i], errs[i] = runShard(obs.ContextWithSpan(ctx, fsp), c, st, i, key, fn)
-			fsp.Fail(errs[i])
+			r.shardOutcome, r.err = runShard(obs.ContextWithSpan(ctx, fsp), c, st, i, key, fn)
+			fsp.Fail(r.err)
 			fsp.Finish()
-			durs[i] = time.Since(t0)
+			r.dur = time.Since(t0)
 		}(i)
 	}
 	wg.Wait()
 	if m != nil {
-		for i, d := range durs {
+		lo, hi := runs[0].dur, runs[0].dur
+		for i := range runs {
+			d := runs[i].dur
 			m.session.With(strconv.Itoa(i)).Observe(d.Seconds())
+			lo, hi = min(lo, d), max(hi, d)
 		}
-		m.straggler.Observe((slices.Max(durs) - slices.Min(durs)).Seconds())
+		m.straggler.Observe((hi - lo).Seconds())
 	}
 	var firstErr error
-	for i, err := range errs {
-		if err != nil {
+	for i := range runs {
+		if err := runs[i].err; err != nil {
 			firstErr = fmt.Errorf("sosrshard: shard %d: %w", i, err)
 			break
 		}
@@ -612,7 +624,7 @@ func fanOut[R any](ctx context.Context, c *Client, st *state, seed uint64, fn sh
 		}
 		m.fanouts.With(status).Inc()
 	}
-	return outs, firstErr
+	return runs, firstErr
 }
 
 // Sets reconciles a local set against the sharded hosted set `name`: the
@@ -621,8 +633,10 @@ func fanOut[R any](ctx context.Context, c *Client, st *state, seed uint64, fn sh
 // unsharded reconcile of the whole set would recover. cfg applies per shard
 // (cfg.KnownDiff must bound the whole logical difference — any single shard
 // may own all of it — unless PerShardDiff lets each shard estimate its own).
+// local is read only during the call, in place when it is already canonical,
+// and the result shares no memory with it.
 func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, *Stats, error) {
-	canon := setutil.Canonical(local)
+	canon := setutil.CanonicalView(local)
 	if c.PerShardDiff && !cfg.UseCharPoly {
 		cfg.KnownDiff = 0
 	}
@@ -678,9 +692,11 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 // Recovered/Added/Removed (in canonical lexicographic child-set order) equal
 // an unsharded reconcile of the whole parent. cfg applies per shard;
 // cfg.KnownDiff must bound the whole logical difference, or set PerShardDiff
-// to let each shard derive its own bound.
+// to let each shard derive its own bound. local is read only during the call,
+// in place when every child set is already canonical, and the result shares
+// no memory with it.
 func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, *Stats, error) {
-	canon := setutil.CanonicalSets(local)
+	canon := setutil.CanonicalSetsView(local)
 	if c.PerShardDiff {
 		cfg.KnownDiff = 0
 	}
