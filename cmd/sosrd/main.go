@@ -505,9 +505,13 @@ func cmdSync(cmd string, args []string) {
 	if *name == "" {
 		fatal(cmd + ": -name is required")
 	}
+	proto, err := parseProtocolFlag(*protocol)
+	if err != nil {
+		fatal(cmd+": unsupported protocol", "err", err.Error())
+	}
 	local := loadReplica(cmd, *name, *replica, *demoReplica)
 	set := sosr.SetConfig{Seed: *seed, KnownDiff: *d, UseCharPoly: *charpoly}
-	sos := sosr.Config{Seed: *seed, Protocol: parseProtocolFlag(*protocol), KnownDiff: *d}
+	sos := sosr.Config{Seed: *seed, Protocol: proto, KnownDiff: *d}
 	reg := obs.NewRegistry()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -573,19 +577,16 @@ func printShardStats(st *sosrshard.Stats) {
 	}
 }
 
-func parseProtocolFlag(s string) sosr.Protocol {
-	switch s {
-	case "naive":
-		return sosr.ProtocolNaive
-	case "nested":
-		return sosr.ProtocolNested
-	case "cascade":
-		return sosr.ProtocolCascade
-	case "multiround":
-		return sosr.ProtocolMultiRound
-	default:
-		return sosr.ProtocolAuto
+// parseProtocolFlag looks -protocol up among the protocols' own names.
+func parseProtocolFlag(s string) (sosr.Protocol, error) {
+	var names []string
+	for p := sosr.ProtocolAuto; p <= sosr.ProtocolMultiRound; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+		names = append(names, p.String())
 	}
+	return 0, fmt.Errorf("unknown protocol %q, want one of %s", s, strings.Join(names, ", "))
 }
 
 func printStats(ns *sosrnet.NetStats) {

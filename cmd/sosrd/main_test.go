@@ -116,3 +116,18 @@ func TestFilesCannotSetServerOwnedFields(t *testing.T) {
 		}
 	}
 }
+
+// TestProtocolFlag: -protocol takes exactly the names the protocols print,
+// and a typo is refused rather than run as auto.
+func TestProtocolFlag(t *testing.T) {
+	for p := sosr.ProtocolAuto; p <= sosr.ProtocolMultiRound; p++ {
+		if got, err := parseProtocolFlag(p.String()); got != p || err != nil {
+			t.Errorf("-protocol %s: got %v, %v", p, got, err)
+		}
+	}
+	for _, typo := range []string{"cascde", "multi-round", ""} {
+		if _, err := parseProtocolFlag(typo); err == nil || !strings.Contains(err.Error(), "auto, naive, nested, cascade, multiround") {
+			t.Errorf("-protocol %q: got %v, want a refusal listing the valid names", typo, err)
+		}
+	}
+}

@@ -120,7 +120,8 @@ var (
 	// ErrInvalidInstance indicates malformed input (non-canonical or
 	// duplicate child sets, or size bounds exceeded).
 	ErrInvalidInstance = errors.New("core: invalid sets-of-sets instance")
-	// ErrGaveUp indicates a doubling/replicated run exhausted its attempts.
+	// ErrGaveUp indicates a doubling/replicated run exhausted its attempts;
+	// the error returned with it also wraps the last attempt's cause.
 	ErrGaveUp = errors.New("core: exhausted retry attempts")
 )
 

@@ -63,7 +63,7 @@ func doublingLoop(sess *transport.Session, coins hashing.Coins, alice, bob [][]u
 			break
 		}
 	}
-	return nil, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+	return nil, fmt.Errorf("%w: %w", ErrGaveUp, lastErr)
 }
 
 // Replicated amplifies any known-d protocol's success probability by
@@ -89,5 +89,5 @@ func Replicated(sess *transport.Session, coins hashing.Coins, replicas int,
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+	return nil, fmt.Errorf("%w: %w", ErrGaveUp, lastErr)
 }

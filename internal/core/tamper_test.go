@@ -200,3 +200,41 @@ func TestRunRefusesForeignSketch(t *testing.T) {
 		t.Fatalf("result %v, err %v; want ErrBadDigest", res != nil, err)
 	}
 }
+
+// TestGiveUpKeepsCause: a replicated or a doubling run whose every attempt is
+// tampered gives up with ErrGaveUp and still carries the class of the last
+// attempt's failure.
+func TestGiveUpKeepsCause(t *testing.T) {
+	p := Params{S: 12, H: 16, U: 1 << 40}
+	alice, bob := makeInstance(57, p.S, 12, p.U, 3)
+	coins := hashing.NewCoins(7)
+	runs := map[string]func(sess *transport.Session) (*Result, error){
+		"replicated": func(sess *transport.Session) (*Result, error) {
+			return Replicated(sess, coins, 3, func(sess *transport.Session, c hashing.Coins) (*Result, error) {
+				return CascadeKnownD(sess, c, alice, bob, p, 3)
+			})
+		},
+		"doubling": func(sess *transport.Session) (*Result, error) { return CascadeUnknownD(sess, coins, alice, bob, p) },
+	}
+	for _, tc := range []struct {
+		name   string
+		cause  error
+		tamper func(label string, payload []byte) []byte
+	}{
+		{"payload emptied", ErrParentDecode, func(string, []byte) []byte { return nil }},
+		{"hash flipped", ErrVerify, func(_ string, payload []byte) []byte {
+			if len(payload) > 0 {
+				payload[len(payload)-1] ^= 1 // Alice's message ends with her parent hash
+			}
+			return payload
+		}},
+	} {
+		for name, run := range runs {
+			sess := transport.New()
+			sess.SetTamper(tc.tamper)
+			if _, err := run(sess); !errors.Is(err, ErrGaveUp) || !errors.Is(err, tc.cause) {
+				t.Errorf("%s, %s: err %v; want ErrGaveUp wrapping %v", name, tc.name, err, tc.cause)
+			}
+		}
+	}
+}
