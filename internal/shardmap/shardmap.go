@@ -37,8 +37,9 @@ const childSalt uint64 = 0xc41d5e7a551671d5
 // Map assigns keys to a fixed list of shards. The zero value is unusable;
 // construct with New. A Map is immutable and safe for concurrent use.
 type Map struct {
-	ids   []string
-	seeds []uint64 // per-shard weight seed, derived from the identity string
+	ids         []string
+	seeds       []uint64 // per-shard weight seed, derived from the identity string
+	fingerprint uint64   // digest of ids, computed once by New
 }
 
 // New builds a map over the given shard names. Names must be non-empty and
@@ -63,6 +64,7 @@ func New(ids []string) (*Map, error) {
 		seen[id] = struct{}{}
 		m.seeds[i] = hashing.HashBytes(weightSalt, []byte(id))
 	}
+	m.fingerprint = hashing.HashBytes(fingerprintSalt, []byte(strings.Join(m.ids, "\x00")))
 	return m, nil
 }
 
@@ -87,10 +89,9 @@ const fingerprintSalt uint64 = 0xf19e4b21d15c0de5
 const shardIDSalt uint64 = 0x70b07091c4a10e57
 
 // Fingerprint returns an order-sensitive digest of the name list: two maps
-// fingerprint equal iff they partition keys identically.
-func (m *Map) Fingerprint() uint64 {
-	return hashing.HashBytes(fingerprintSalt, []byte(strings.Join(m.ids, "\x00")))
-}
+// fingerprint equal iff they partition keys identically. It is computed once,
+// when the map is built, so a handshake that checks it allocates nothing.
+func (m *Map) Fingerprint() uint64 { return m.fingerprint }
 
 // ShardIDHash returns the hash of shard index's name — the compact form of
 // its identity carried in the session hello.

@@ -1,9 +1,10 @@
 package shardmap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sosr/internal/hashing"
 )
@@ -114,24 +115,25 @@ func (t *Topology) OwnedSets(i int, parent [][]uint64) [][]uint64 { return t.m.O
 // for the given key: the highest-weight replica first. Distinct keys (session
 // seeds) spread primaries across replicas, so steady-state load balances
 // while any one key's order stays deterministic on every client.
+//
+// A one-replica shard's order is shared and allocates nothing; callers must
+// not mutate the returned slice.
 func (t *Topology) ReplicaOrder(i int, key uint64) []int {
 	reps := t.shards[i]
-	order := make([]int, len(reps))
-	for j := range order {
-		order[j] = j
-	}
 	if len(reps) == 1 {
-		return order
+		return onlyReplica
 	}
+	order := make([]int, len(reps))
 	w := make([]uint64, len(reps))
 	for j, addr := range reps {
+		order[j] = j
 		w[j] = hashing.HashWord(hashing.HashBytes(replicaSalt, []byte(addr)), key)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if w[order[a]] != w[order[b]] {
-			return w[order[a]] > w[order[b]]
-		}
-		return reps[order[a]] < reps[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(w[b], w[a]), cmp.Compare(reps[a], reps[b]))
 	})
 	return order
 }
+
+// onlyReplica is the replica order of every one-replica shard.
+var onlyReplica = []int{0}

@@ -132,3 +132,21 @@ func TestReplicaOrder(t *testing.T) {
 		t.Fatalf("64 keys used only primaries %v — load not spreading", seenPrimary)
 	}
 }
+
+// TestDerivedIdentityAllocationFree: what a session reads of a topology per
+// handshake is computed when the topology is built. The fingerprint is a
+// field, and a one-replica shard's replica order is one shared slice.
+func TestDerivedIdentityAllocationFree(t *testing.T) {
+	topo := mustTopology(t, 1, [][]string{{"a:1"}, {"b:1"}})
+	var sink uint64
+	n := testing.AllocsPerRun(50, func() {
+		sink += topo.Fingerprint()
+		sink += uint64(topo.ReplicaOrder(1, sink)[0])
+	})
+	if n != 0 {
+		t.Fatalf("a fingerprint and a one-replica order allocate %.0f objects, want 0", n)
+	}
+	if order := topo.ReplicaOrder(0, 7); !reflect.DeepEqual(order, []int{0}) {
+		t.Fatalf("one-replica order %v, want [0]", order)
+	}
+}

@@ -19,38 +19,10 @@ func BenchmarkShardedReconcile(b *testing.B) {
 	alice, bob := workload.PlantedSetsOfSets(17, 200, 10, 1<<32, 16)
 	for _, shards := range []int{1, 3} {
 		b.Run(fmt.Sprintf("%dshards", shards), func(b *testing.B) {
-			addrs := make([]string, shards)
-			servers := make([]*sosrnet.Server, shards)
-			for i := range servers {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				servers[i] = sosrnet.NewServer()
-				addrs[i] = ln.Addr().String()
-				go servers[i].Serve(ln)
-				defer servers[i].Close()
-			}
-			topo, err := SingleReplica(1, addrs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			groups := make([][]*sosrnet.Server, len(servers))
-			for i, srv := range servers {
-				groups[i] = []*sosrnet.Server{srv}
-			}
-			co, err := NewCoordinator(topo, groups)
-			if err != nil {
-				b.Fatal(err)
-			}
+			client, co := startQuiet(b, shards, 1)
 			if err := co.HostSetsOfSets("docs", alice); err != nil {
 				b.Fatal(err)
 			}
-			client, err := Dial(topo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			client.Timeout = 60 * time.Second
 			cfg := sosr.Config{Seed: 7, Protocol: sosr.ProtocolCascade, KnownDiff: 32}
 			if _, _, err := client.SetsOfSets(context.Background(), "docs", bob, cfg); err != nil {
 				b.Fatal(err)
@@ -64,4 +36,42 @@ func BenchmarkShardedReconcile(b *testing.B) {
 			}
 		})
 	}
+}
+
+// startQuiet builds a shards × replicas loopback deployment at epoch 1 whose
+// servers log nothing, so what a measurement counts is the fan-out and its
+// sessions rather than a test's log handler (startReplicated counts every
+// server's session log line).
+func startQuiet(tb testing.TB, shards, replicas int) (*Client, *Coordinator) {
+	tb.Helper()
+	lists := make([][]string, shards)
+	groups := make([][]*sosrnet.Server, shards)
+	for i := range groups {
+		for range replicas {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				tb.Fatal(err)
+			}
+			srv := sosrnet.NewServer()
+			go srv.Serve(ln)
+			tb.Cleanup(func() { srv.Close() })
+			lists[i] = append(lists[i], ln.Addr().String())
+			groups[i] = append(groups[i], srv)
+		}
+	}
+	topo, err := NewTopology(1, lists)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	co, err := NewCoordinator(topo, groups)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client, err := Dial(topo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client.Timeout = 60 * time.Second
+	tb.Cleanup(func() { client.Close() })
+	return client, co
 }

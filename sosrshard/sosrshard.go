@@ -20,15 +20,18 @@
 //   - Coordinator hosts a logical dataset across every replica server of
 //     every shard and routes live Update* mutations to all replicas of the
 //     owning shard(s).
-//   - Client fans a reconcile out as one concurrent session per shard.
-//     Within a shard it tries replicas in rendezvous order (keyed on the
-//     per-shard session seed, so steady-state load spreads): a dial or
-//     connection failure fails over to the next replica after a short
-//     backoff, and an optional hedge timer races a second replica against a
-//     straggling first, taking whichever answers first. The per-shard
-//     results merge into a single result with one itemized Stats report
-//     (Σ shard protocol bytes + Σ shard framing == total TCP bytes of the
-//     winning sessions, the same parity the unsharded wire protocol keeps).
+//   - Client fans a reconcile out as one concurrent session per shard:
+//     every shard but the last on a goroutine of its own, the last on the
+//     caller's. Within a shard the attempts run one after another on that
+//     goroutine, trying replicas in rendezvous order (keyed on the per-shard
+//     session seed, so steady-state load spreads): a dial or connection
+//     failure fails over to the next replica after a short backoff. An
+//     optional hedge is the only attempt that runs beside another: it races
+//     a second replica against a straggling first, taking whichever answers
+//     first. The per-shard results merge into a single result with one
+//     itemized Stats report (Σ shard protocol bytes + Σ shard framing ==
+//     total TCP bytes of the winning sessions, the same parity the unsharded
+//     wire protocol keeps).
 //
 // A shard is its position in the topology: its slice of the keys, its public
 // coins and its identity derive from (position, shard count, epoch) alone, and
@@ -43,6 +46,7 @@
 package sosrshard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -148,19 +152,23 @@ func (st *Stats) add(index int, oc *shardWin) {
 }
 
 // Client reconciles local replicas against a sharded deployment: one
-// concurrent fan-out session per shard, replicas tried in rendezvous order
-// with failover and optional hedging, results merged. Configure the fields
-// before the first reconcile. Methods are safe for concurrent use. The
+// concurrent fan-out session per shard, the last shard's on the caller's
+// goroutine; within a shard, replicas tried one at a time in rendezvous order
+// with failover, and an optional hedge the only concurrent attempt; results
+// merged. A caller's cancel severs the sessions in flight. Configure the
+// fields before the first reconcile. Methods are safe for concurrent use. The
 // per-replica session clients keep their connections between reconciles (see
 // sosrnet.Client); Close releases them.
 type Client struct {
 	// Timeout bounds each per-replica session (dial through close).
 	Timeout time.Duration
 	// HedgeDelay, when positive and the shard has more than one replica,
-	// races a second replica after the first has been in flight this long,
+	// races a second replica after an attempt has been in flight this long,
 	// taking whichever session finishes first — the classic tail-latency
-	// cut. The loser is cancelled and its bytes discarded. 0 disables
-	// hedging.
+	// cut. The loser is cancelled, its connection severed and its bytes
+	// discarded. A hedge is the only attempt that overlaps another, and at
+	// most one is launched per shard per reconcile; without it a shard's
+	// attempts run serially on its goroutine. 0 disables hedging.
 	HedgeDelay time.Duration
 	// RetryBackoff is the pause before a failover attempt dials the next
 	// replica (0 = DefaultRetryBackoff). Only connection-level failures
@@ -270,8 +278,8 @@ type state struct {
 	clients [][]*sosrnet.Client
 }
 
-// state returns the current view by value: a fan-out copies it into each
-// shard's goroutine, and nothing of it is allocated per reconcile.
+// state returns the current view by value: a fan-out hands it to every
+// shard, and nothing of it is allocated per reconcile.
 func (c *Client) state() (state, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -411,22 +419,17 @@ type shardWin struct {
 	hedgeWin  bool
 }
 
-// shardOutcome is one shard's result with how it was won.
-type shardOutcome[R any] struct {
+// shardRun is one shard's part of a fan-out: its result and how it was won,
+// or its error, and its wall-clock time, failover and hedge waits included. A
+// fan-out keeps all of its shards' in one slice.
+type shardRun[R any] struct {
 	res R
 	shardWin
-}
-
-// shardRun is one shard's engine in a fan-out: its outcome or error, and its
-// wall-clock time, failover and hedge waits included. A fan-out keeps all of
-// its shards' in one slice.
-type shardRun[R any] struct {
-	shardOutcome[R]
 	err error
 	dur time.Duration
 }
 
-// attemptResult carries one replica session's result into the engine.
+// attemptResult carries one replica session's result.
 type attemptResult[R any] struct {
 	viaHedge bool
 	replica  string
@@ -456,126 +459,146 @@ func retryable(err error) bool {
 		errors.Is(err, syscall.EPIPE)
 }
 
-// runShard drives one shard's session to a winner: replicas in rendezvous
-// order for this shard's key, failover with backoff on retryable errors, and
-// an optional hedge racing a second replica against a straggling first. The
-// first success cancels every other in-flight attempt (severing its
-// connection); a non-retryable error fails the shard immediately.
-func runShard[R any](ctx context.Context, c *Client, st state, shard int, key uint64, fn shardFn[R]) (out shardOutcome[R], err error) {
-	order := st.topo.ReplicaOrder(shard, key)
+// shardTry is what one shard's attempts share: its replica clients, their
+// rendezvous order for the shard's key, and the fan-out span every attempt is
+// a child of.
+type shardTry[R any] struct {
+	c     *Client
+	cls   []*sosrnet.Client
+	order []int
+	shard int
+	key   uint64
+	fn    shardFn[R]
+	fsp   *obs.Span
+}
+
+// attempt runs the shard's n-th session (from 1) on the next replica in
+// rendezvous order, under its own "shard/attempt" span, so a trace shows
+// exactly which replicas were asked — first try, failover, hedge — and which
+// one won.
+func (s *shardTry[R]) attempt(ctx context.Context, n int, viaHedge bool) attemptResult[R] {
+	cl := s.cls[s.order[(n-1)%len(s.order)]]
+	asp := s.fsp.Child("shard/attempt")
+	asp.SetStr("replica", cl.Addr)
+	asp.SetInt("attempt", int64(n))
+	asp.SetBool("hedge", viaHedge)
+	res, ns, err := s.fn(obs.ContextWithSpan(ctx, asp), s.shard, cl, s.key)
+	// A loser cancelled because another attempt won is an expected
+	// outcome, not a failure worth flagging the whole trace for.
+	if err != nil && ctx.Err() != nil {
+		asp.SetBool("cancelled", true)
+	} else {
+		asp.Fail(err)
+	}
+	asp.Finish()
+	return attemptResult[R]{viaHedge: viaHedge, replica: cl.Addr, res: res, ns: ns, err: err}
+}
+
+// failover records a retryable attempt failure: the shard's failover counter
+// and a warning log line.
+func (s *shardTry[R]) failover(out *shardRun[R], r *attemptResult[R]) {
+	out.failovers++
+	if m := s.c.metrics(); m != nil {
+		m.failovers.With(strconv.Itoa(s.shard)).Inc()
+	}
+	s.c.logger().Warn("shard replica attempt failed; failing over",
+		"shard", s.shard, "replica", r.replica, "attempts", out.attempts,
+		"err", r.err.Error(), "trace_id", s.fsp.TraceID().String())
+}
+
+// runShard drives one shard's session to a winner on the calling goroutine,
+// under the caller's ctx: replicas in rendezvous order for this shard's key,
+// one attempt at a time, failing over after a backoff on retryable errors; a
+// non-retryable error fails the shard immediately. A caller's cancel reaches
+// an attempt through its session, which severs its connection, and the
+// backoff wait. Only a shard that can hedge races two attempts (see race).
+func runShard[R any](ctx context.Context, c *Client, st state, shard int, key uint64, fn shardFn[R], out *shardRun[R]) error {
+	s := shardTry[R]{c: c, cls: st.clients[shard], order: st.topo.ReplicaOrder(shard, key),
+		shard: shard, key: key, fn: fn, fsp: obs.SpanFromContext(ctx)}
 	// Sessions per shard per reconcile, hedges included.
-	maxAttempts := max(2, len(order))
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// The fan-out put this shard's span in ctx; every replica attempt —
-	// first try, failover, hedge — becomes its own child, so a trace shows
-	// exactly which replicas were asked and which one won.
-	fsp := obs.SpanFromContext(ctx)
-	tid := fsp.TraceID()
-	// Buffered to maxAttempts: a cancelled loser's goroutine can always
-	// deliver its result and exit, even after runShard has returned.
-	results := make(chan attemptResult[R], maxAttempts)
-	launched, pending := 0, 0
-	launch := func(viaHedge bool) {
-		cl := st.clients[shard][order[launched%len(order)]]
-		launched++
-		pending++
-		attempt := launched
-		go func() {
-			asp := fsp.Child("shard/attempt")
-			asp.SetStr("replica", cl.Addr)
-			asp.SetInt("attempt", int64(attempt))
-			asp.SetBool("hedge", viaHedge)
-			res, ns, err := fn(obs.ContextWithSpan(actx, asp), shard, cl, key)
-			// A loser cancelled because another attempt won is an expected
-			// outcome, not a failure worth flagging the whole trace for.
-			if err != nil && actx.Err() != nil {
-				asp.SetBool("cancelled", true)
-			} else {
-				asp.Fail(err)
-			}
-			asp.Finish()
-			results <- attemptResult[R]{viaHedge: viaHedge, replica: cl.Addr, res: res, ns: ns, err: err}
-		}()
-	}
-	launch(false)
-	m := c.metrics()
-	var hedgeCh <-chan time.Time
-	if c.HedgeDelay > 0 && len(order) > 1 {
-		ht := time.NewTimer(c.HedgeDelay)
-		defer ht.Stop()
-		hedgeCh = ht.C
-	}
-	var backoffT *time.Timer
-	var backoffCh <-chan time.Time
-	defer func() {
-		if backoffT != nil {
-			backoffT.Stop()
-		}
-	}()
-	var lastErr error
+	maxAttempts := max(2, len(s.order))
+	canHedge := c.HedgeDelay > 0 && len(s.order) > 1
 	for {
+		var r attemptResult[R]
+		if canHedge && !out.hedged && out.attempts+2 <= maxAttempts {
+			r = s.race(ctx, out)
+		} else {
+			out.attempts++
+			r = s.attempt(ctx, out.attempts, false)
+		}
+		if r.err == nil {
+			out.res, out.ns, out.replica = r.res, r.ns, r.replica
+			out.hedgeWin = out.hedged && r.viaHedge
+			if m := c.metrics(); m != nil && out.hedged {
+				outcome := "loss"
+				if r.viaHedge {
+					outcome = "win"
+				}
+				m.hedges.With(outcome).Inc()
+			}
+			return nil
+		}
+		if !retryable(r.err) {
+			return r.err
+		}
+		s.failover(out, &r)
+		if out.attempts >= maxAttempts {
+			return fmt.Errorf("sosrshard: %d replica attempts failed: %w", out.attempts, r.err)
+		}
+		t := time.NewTimer(cmp.Or(max(c.RetryBackoff, 0), DefaultRetryBackoff))
 		select {
 		case <-ctx.Done():
-			return out, ctx.Err()
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				out.res, out.ns, out.replica = r.res, r.ns, r.replica
-				out.attempts = launched
-				out.hedgeWin = out.hedged && r.viaHedge
-				if m != nil && out.hedged {
-					if r.viaHedge {
-						m.hedges.With("win").Inc()
-					} else {
-						m.hedges.With("loss").Inc()
-					}
-				}
-				return out, nil
-			}
-			lastErr = r.err
-			if !retryable(r.err) {
-				return out, r.err
-			}
-			out.failovers++
-			if m != nil {
-				m.failovers.With(strconv.Itoa(shard)).Inc()
-			}
-			c.logger().Warn("shard replica attempt failed; failing over",
-				"shard", shard, "replica", r.replica, "attempts", launched,
-				"err", r.err.Error(), "trace_id", tid.String())
-			if launched < maxAttempts && backoffCh == nil {
-				backoffT = time.NewTimer(backoff)
-				backoffCh = backoffT.C
-			}
-			if pending == 0 && backoffCh == nil {
-				return out, fmt.Errorf("sosrshard: %d replica attempts failed: %w", launched, lastErr)
-			}
-		case <-backoffCh:
-			backoffCh, backoffT = nil, nil
-			if launched < maxAttempts {
-				launch(false)
-			}
-		case <-hedgeCh:
-			hedgeCh = nil
-			if pending > 0 && launched < maxAttempts {
-				out.hedged = true
-				if m != nil {
-					m.hedges.With("launched").Inc()
-				}
-				c.logger().Info("hedging straggling shard with a second replica",
-					"shard", shard, "trace_id", tid.String())
-				launch(true)
-			}
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
 		}
 	}
 }
 
-// fanOut runs one session engine per shard concurrently and returns the
+// race runs the shard's next attempt, and when it is still in flight after
+// HedgeDelay, a hedge on the next replica beside it. The first success wins
+// and cancels the other, severing its connection. A retryable failure while
+// the other is still in flight fails over to it; race returns the success, a
+// non-retryable failure, or the last failure. It is the one place a shard's
+// attempts overlap, so only a shard that can hedge pays for a cancel context,
+// a result channel and attempt goroutines.
+func (s *shardTry[R]) race(ctx context.Context, out *shardRun[R]) attemptResult[R] {
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Buffered for both attempts: a cancelled loser can always deliver its
+	// result and exit, even after race has returned.
+	results := make(chan attemptResult[R], 2)
+	// Each attempt goroutine gets its own copy of s, so that s itself stays
+	// on the stack of a shard that never races.
+	launch := func(st shardTry[R], viaHedge bool) {
+		out.attempts++
+		go func(n int) { results <- st.attempt(actx, n, viaHedge) }(out.attempts)
+	}
+	launch(*s, false)
+	ht := time.NewTimer(s.c.HedgeDelay)
+	defer ht.Stop()
+	for pending := 1; ; {
+		select {
+		case <-ht.C:
+			out.hedged = true
+			if m := s.c.metrics(); m != nil {
+				m.hedges.With("launched").Inc()
+			}
+			s.c.logger().Info("hedging straggling shard with a second replica",
+				"shard", s.shard, "trace_id", s.fsp.TraceID().String())
+			launch(*s, true)
+			pending++
+		case r := <-results:
+			if pending--; r.err == nil || pending == 0 || !retryable(r.err) {
+				return r
+			}
+			s.failover(out, &r)
+		}
+	}
+}
+
+// fanOut runs every shard's attempts concurrently — the last shard on the
+// caller's goroutine, each other shard on one of its own — and returns the
 // per-shard winning outcomes, or the first shard error (annotated with the
 // shard). With a registry configured it records every shard's wall-clock
 // latency (failover and hedge waits included), the fan-out's straggler
@@ -584,22 +607,23 @@ func runShard[R any](ctx context.Context, c *Client, st state, shard int, key ui
 func fanOut[R any](ctx context.Context, c *Client, st state, seed uint64, fn shardFn[R]) ([]shardRun[R], error) {
 	m := c.metrics()
 	runs := make([]shardRun[R], st.topo.NumShards())
-	var wg sync.WaitGroup
-	for i := range runs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := &runs[i]
-			t0 := time.Now()
-			key := shardSeed(seed, i)
-			fsp := obs.SpanFromContext(ctx).Child("shard/fanout")
-			fsp.SetInt("shard", int64(i))
-			r.shardOutcome, r.err = runShard(obs.ContextWithSpan(ctx, fsp), c, st, i, key, fn)
-			fsp.Fail(r.err)
-			fsp.Finish()
-			r.dur = time.Since(t0)
-		}(i)
+	run := func(i int) {
+		r := &runs[i]
+		t0 := time.Now()
+		fsp := obs.SpanFromContext(ctx).Child("shard/fanout")
+		fsp.SetInt("shard", int64(i))
+		r.err = runShard(obs.ContextWithSpan(ctx, fsp), c, st, i, shardSeed(seed, i), fn, r)
+		fsp.Fail(r.err)
+		fsp.Finish()
+		r.dur = time.Since(t0)
 	}
+	last := len(runs) - 1
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for i := range last {
+		go func() { defer wg.Done(); run(i) }()
+	}
+	run(last)
 	wg.Wait()
 	if m != nil {
 		lo, hi := runs[0].dur, runs[0].dur

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -614,6 +615,56 @@ func TestHedgedRequestBeatsStalledPrimary(t *testing.T) {
 	}
 	if v := samples[`sosr_shard_hedges_total{outcome="win"}`]; v != 1 {
 		t.Fatalf("hedge-win counter %v, want 1", v)
+	}
+}
+
+// TestCancelledFanOutReturnsPromptly: a caller's cancel ends a fan-out over
+// stalled shards at once, hedged or not — each session severs its connection
+// — with context.Canceled, and leaves none of the fan-out's goroutines behind.
+// The stall outlasts the one-second bound, so only a severed session returns
+// within it.
+func TestCancelledFanOutReturnsPromptly(t *testing.T) {
+	alice := make([]uint64, 0, 200)
+	for x := uint64(1000); x < 1200; x++ {
+		alice = append(alice, x)
+	}
+	bob := append(append([]uint64{}, alice[2:]...), 90_001)
+	const stall = 1500 * time.Millisecond
+	for _, hedge := range []time.Duration{0, 10 * time.Millisecond} {
+		t.Run("hedge="+hedge.String(), func(t *testing.T) {
+			d := startReplicated(t, 2, 2)
+			if err := d.co.HostSets("ids", alice); err != nil {
+				t.Fatal(err)
+			}
+			d.client.HedgeDelay = hedge
+			for _, lns := range d.allLn {
+				for _, ln := range lns {
+					ln.stall.Store(int64(stall))
+				}
+			}
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(50*time.Millisecond, cancel)
+			t0 := time.Now()
+			_, _, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: 5, KnownDiff: 8})
+			if took := time.Since(t0); took > time.Second {
+				t.Fatalf("a fan-out cancelled at 50 ms returned after %v", took)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled fan-out returned %v, want context.Canceled", err)
+			}
+			// The servers' goroutines sleep out the stall on their severed
+			// connections; the fan-out's own, hedges included, must be gone
+			// by the time those are.
+			deadline := time.Now().Add(stall + 5*time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the cancelled fan-out, %d before", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
