@@ -118,7 +118,7 @@ func TestGoldenPayloads(t *testing.T) {
 			inner[i] = append(inner[i], s2.Uint64n(50))
 		}
 	}
-	mp, err := core.EncodeMultisetParent(inner)
+	mp, err := new(core.MultisetParentWork).Encode(inner)
 	must(err)
 	got["core/multiset-parent"] = sha(setsBytes(mp))
 

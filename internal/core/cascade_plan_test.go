@@ -199,7 +199,11 @@ func TestPlanTable(t *testing.T) {
 			}
 			for i, ts := range pl.tables {
 				for _, tab := range []*iblt.Table{sk.tables[i], live.tables[i]} {
-					if tab.Cells() != iblt.RoundCells(ts.cells, 0) || tab.Width() != ts.width || tab.Seed() != ts.seed {
+					// A table of the plan's hash count and seed is one Bob's
+					// parse accepts.
+					var back iblt.Table
+					if tab.Cells() != iblt.RoundCells(ts.cells, 0) || tab.Width() != ts.width ||
+						back.UnmarshalInto(tab.AppendMarshal(nil), iblt.DefaultHashCount, ts.seed) != nil {
 						t.Errorf("%s: table %d is not the plan's shape", name, i+1)
 					}
 				}
@@ -274,21 +278,21 @@ func TestNaiveCodecChoice(t *testing.T) {
 	}
 	// Round trips.
 	cs := []uint64{3, 17, 90}
-	got, err := small.decode(small.encode(cs))
+	got, err := small.appendDecode(nil, small.encode(cs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[2] != 90 {
 		t.Fatalf("bitmap round trip %v", got)
 	}
-	got2, err := big.decode(big.encode([]uint64{5, 6}))
+	got2, err := big.appendDecode(nil, big.encode([]uint64{5, 6}))
 	if err != nil || len(got2) != 2 {
 		t.Fatalf("list round trip %v %v", got2, err)
 	}
 	// Corrupt list length must be rejected.
 	enc := big.encode([]uint64{5})
 	enc[0] = 0xFF
-	if _, err := big.decode(enc); err == nil {
+	if _, err := big.appendDecode(nil, enc); err == nil {
 		t.Fatal("corrupt count accepted")
 	}
 }

@@ -178,7 +178,7 @@ func TestBobSketchSubtractionBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if string(deleted.Marshal()) != string(subtracted.Marshal()) {
+	if string(deleted.AppendMarshal(nil)) != string(subtracted.AppendMarshal(nil)) {
 		t.Fatal("delete-loop table and subtract-aggregate table marshal differently")
 	}
 }

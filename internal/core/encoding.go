@@ -80,8 +80,6 @@ func (e *naiveEncoder) reuse(c naiveCodec) {
 
 func (e *naiveEncoder) encode(cs []uint64) []byte { return e.c.encodeInto(e.buf, cs) }
 
-func (c naiveCodec) decode(buf []byte) ([]uint64, error) { return c.appendDecode(nil, buf) }
-
 // appendDecode appends the child set an encoding stands for to dst, so a
 // decode loop parses every recovered encoding into one scratch.
 func (c naiveCodec) appendDecode(dst []uint64, buf []byte) ([]uint64, error) {

@@ -177,7 +177,7 @@ func (w *mrWork) bob2(coins hashing.Coins, bob [][]uint64, p Params, msg1 []byte
 		return nil, nil, fmt.Errorf("core: short multiround round 1")
 	}
 	wantParent := binary.LittleEndian.Uint64(msg1[len(msg1)-8:])
-	if err := w.recv.UnmarshalInto(msg1[:len(msg1)-8]); err != nil {
+	if err := w.recv.UnmarshalInto(msg1[:len(msg1)-8], iblt.DefaultHashCount, coins.Seed("multiround/hash-iblt", 0)); err != nil {
 		return nil, nil, err
 	}
 	w.hashTable(coins, bob, w.recv.Cells(), true)
@@ -229,7 +229,7 @@ func (w *mrWork) alice3(coins hashing.Coins, alice [][]uint64, p Params, dTotal 
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := w.recv.UnmarshalInto(body2); err != nil {
+	if err := w.recv.UnmarshalInto(body2, iblt.DefaultHashCount, coins.Seed("multiround/hash-iblt", 0)); err != nil {
 		return nil, 0, err
 	}
 	rest := msg2[n2:]
@@ -384,7 +384,7 @@ func (w *mrWork) bobFinish(coins hashing.Coins, bob [][]uint64, st *MRBobState, 
 		var add, rem []uint64
 		switch kind {
 		case 0:
-			if add, rem, err = w.set.DecodeIBLT(body, candidate); err != nil {
+			if add, rem, err = w.set.DecodeIBLT(body, coins.Seed("multiround/pair-iblt", 0), candidate); err != nil {
 				return nil, fmt.Errorf("%w: pair IBLT: %v", ErrChildDecode, err)
 			}
 		case 1:

@@ -18,8 +18,9 @@ import (
 // element differences — the bounds change only by constant factors.
 
 // multTagPrefix occupies the count field of a packed word with the reserved
-// value 0xFFF, which EncodeMultisetParent guarantees no real packed element
-// uses (inner multiplicities are capped one below setrecon.MaxMultiplicity).
+// value 0xFFF, which MultisetParentWork.Encode guarantees no real packed
+// element uses (inner multiplicities are capped one below
+// setrecon.MaxMultiplicity).
 const multTagPrefix = uint64(setrecon.MaxMultiplicity) << 48
 
 // MultTag returns the parent-multiplicity tag element for count k.
@@ -34,24 +35,9 @@ func IsMultTag(x uint64) (int, bool) {
 	return 0, false
 }
 
-// EncodeMultisetParent converts a parent multiset of inner multisets into a
-// canonical set of distinct child sets: each inner multiset is packed, equal
-// inner multisets are grouped, and each group's packed set gains a MultTag
-// carrying the group count. Every child is a sub-slice of one arena.
-func EncodeMultisetParent(inner [][]uint64) ([][]uint64, error) {
-	return new(MultisetParentWork).Encode(inner)
-}
-
-// DecodeMultisetParent inverts EncodeMultisetParent, returning each distinct
-// inner multiset (sorted, a sub-slice of one arena) with its parent-level
-// count.
-func DecodeMultisetParent(parent [][]uint64) (inner [][]uint64, counts []int, err error) {
-	return new(MultisetParentWork).Decode(parent)
-}
-
-// MultisetParentWork is the arena and the headers one EncodeMultisetParent or
-// DecodeMultisetParent works in, for a caller that converts a collection per
-// session (forest reconciliation) and keeps the scratch between sessions.
+// MultisetParentWork converts between a parent multiset of inner multisets
+// and its set of child sets, in an arena and headers kept between calls, for
+// a caller that converts a collection per session (forest reconciliation).
 // The zero value is ready; what a method returns aliases the work and is
 // valid until its next call.
 type MultisetParentWork struct {
@@ -60,7 +46,10 @@ type MultisetParentWork struct {
 	counts []int
 }
 
-// Encode is EncodeMultisetParent in the work's arena.
+// Encode converts a parent multiset of inner multisets into a canonical set
+// of distinct child sets: each inner multiset is packed, equal inner
+// multisets are grouped, and each group's packed set gains a MultTag carrying
+// the group count. Every child is a sub-slice of the work's arena.
 func (w *MultisetParentWork) Encode(inner [][]uint64) ([][]uint64, error) {
 	// Each packed child is followed by one spare word for its tag.
 	arena := slices.Grow(w.arena[:0], setutil.TotalSize(inner)+len(inner))
@@ -100,8 +89,9 @@ func (w *MultisetParentWork) Encode(inner [][]uint64) ([][]uint64, error) {
 	return out, nil
 }
 
-// Decode is DecodeMultisetParent in the work's arena. A recovered collection
-// is the peer's to choose: a word whose count field exceeds what the packing
+// Decode inverts Encode, returning each distinct inner multiset (sorted, a
+// sub-slice of the work's arena) with its parent-level count. A recovered
+// collection is the peer's to choose: a word whose count field exceeds what the packing
 // allows is refused (setrecon.ErrMultisetRange) before anything is expanded
 // or sized from it.
 func (w *MultisetParentWork) Decode(parent [][]uint64) (inner [][]uint64, counts []int, err error) {

@@ -15,14 +15,14 @@ func TestEncodeDecodeMultisetParent(t *testing.T) {
 		{5},
 		{},
 	}
-	parent, err := EncodeMultisetParent(inner)
+	parent, err := new(MultisetParentWork).Encode(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(parent) != 3 {
 		t.Fatalf("distinct groups = %d, want 3", len(parent))
 	}
-	back, counts, err := DecodeMultisetParent(parent)
+	back, counts, err := new(MultisetParentWork).Decode(parent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestReconcileMultisetOfMultisets(t *testing.T) {
 	// cascading protocol, decode.
 	aliceInner := [][]uint64{{1, 1, 2}, {1, 1, 2}, {7, 8}, {9}}
 	bobInner := [][]uint64{{1, 1, 2}, {1, 1, 2}, {7, 8, 8}, {9}}
-	alice, err := EncodeMultisetParent(aliceInner)
+	alice, err := new(MultisetParentWork).Encode(aliceInner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := EncodeMultisetParent(bobInner)
+	bob, err := new(MultisetParentWork).Encode(bobInner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestReconcileMultisetOfMultisets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, counts, err := DecodeMultisetParent(res.Recovered)
+	back, counts, err := new(MultisetParentWork).Decode(res.Recovered)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,7 +275,7 @@ func (w *cascadeWork) alice(pl *plan, alice [][]uint64) []byte {
 // by the plan, and the plan may come from a peer's header. The table's
 // encoder is returned for what the caller removes next.
 func (w *cascadeWork) load(ts *tableSpec, i int, agg *iblt.Table) (setEncoder, error) {
-	if err := w.parent.UnmarshalInto(w.frames[i]); err != nil {
+	if err := w.parent.UnmarshalInto(w.frames[i], iblt.DefaultHashCount, ts.seed); err != nil {
 		return nil, err
 	}
 	if w.parent.Width() != ts.width {

@@ -18,7 +18,7 @@ import (
 func sketchCells(sk *BobSketch) [][]byte {
 	out := make([][]byte, 0, len(sk.tables)+1)
 	for _, t := range sk.tables {
-		out = append(out, t.Marshal())
+		out = append(out, t.AppendMarshal(nil))
 	}
 	var hs []byte
 	for _, h := range sk.bobHashes {

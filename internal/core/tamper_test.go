@@ -167,7 +167,7 @@ func TestStarFlagLie(t *testing.T) {
 		for _, cs := range alice {
 			table.Insert(codec.encode(cs))
 		}
-		lying := tc.lie(msg, table.Marshal())
+		lying := tc.lie(msg, table.AppendMarshal(nil))
 		sk := mustSketch(t, DigestCascade, coins, bob, p, tc.d)
 		for _, cached := range []*BobSketch{nil, sk} {
 			res, err := ApplyMsgCached(DigestCascade, coins, lying, bob, p, tc.d, dHat, cached)

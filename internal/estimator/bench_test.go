@@ -16,7 +16,8 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkMerge(b *testing.B) {
-	// The Appendix A claim: merging is word-wise addition plus a mask.
+	// The Appendix A claim: merging is word-wise addition plus a mask, here
+	// straight from the peer's encoding as every protocol merges.
 	x := New(Params{}, 3)
 	y := New(Params{}, 3)
 	src := prng.New(4)
@@ -24,9 +25,10 @@ func BenchmarkMerge(b *testing.B) {
 		x.Add(src.Uint64(), SideA)
 		y.Add(src.Uint64(), SideB)
 	}
+	enc := y.Marshal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := x.Clone().Merge(y); err != nil {
+		if err := x.MergeMarshaled(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,18 +56,13 @@ func BenchmarkStrataAdd(b *testing.B) {
 }
 
 func BenchmarkStrataEstimate(b *testing.B) {
-	sa := NewStrata(32, 0, 9)
-	sb := NewStrata(32, 0, 9)
+	s := NewStrata(32, 0, 9)
 	src := prng.New(10)
-	for i := 0; i < 256; i++ {
-		sa.Add(src.Uint64(), SideA)
-		sb.Add(src.Uint64(), SideB)
-	}
-	if err := sa.Merge(sb); err != nil {
-		b.Fatal(err)
+	for i := 0; i < 512; i++ {
+		s.Add(src.Uint64(), Side(1+i%2))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sa.Estimate()
+		_ = s.Estimate()
 	}
 }

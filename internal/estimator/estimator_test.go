@@ -1,13 +1,15 @@
 package estimator
 
 import (
+	"bytes"
 	"testing"
 
 	"sosr/internal/prng"
 )
 
-// buildPair populates two merged estimators representing sets with exactly d
-// differing elements and `common` shared elements.
+// buildPair populates two estimators representing sets with exactly d
+// differing elements and `common` shared elements, and merges Bob's into
+// Alice's through its encoding, as every protocol does.
 func buildPair(t *testing.T, d, common int, seed uint64) *Estimator {
 	t.Helper()
 	params := Params{}
@@ -37,7 +39,7 @@ func buildPair(t *testing.T, d, common int, seed uint64) *Estimator {
 			eb.Add(x, SideB)
 		}
 	}
-	if err := ea.Merge(eb); err != nil {
+	if err := ea.MergeMarshaled(eb.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	return ea
@@ -84,11 +86,11 @@ func TestEstimateConstantFactor(t *testing.T) {
 func TestMergeIncompatible(t *testing.T) {
 	a := New(Params{}, 1)
 	b := New(Params{}, 2)
-	if err := a.Merge(b); err == nil {
+	if err := a.MergeMarshaled(b.Marshal()); err == nil {
 		t.Fatal("expected seed mismatch")
 	}
 	c := New(Params{Levels: 10}, 1)
-	if err := a.Merge(c); err == nil {
+	if err := a.MergeMarshaled(c.Marshal()); err == nil {
 		t.Fatal("expected params mismatch")
 	}
 }
@@ -102,14 +104,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if len(buf) != e.SerializedSize() {
 		t.Fatalf("size %d != %d", len(buf), e.SerializedSize())
 	}
-	back, err := Unmarshal(buf)
-	if err != nil {
+	// Merged into an empty estimator of the same shape, the encoding is the
+	// estimator again.
+	back := New(Params{Levels: 12, Buckets: 63, Subreplicas: 2, Replicas: 3}, 77)
+	if err := back.MergeMarshaled(buf); err != nil {
 		t.Fatal(err)
 	}
-	if back.Estimate() != e.Estimate() {
-		t.Fatal("estimate changed over round trip")
+	if !bytes.Equal(back.Marshal(), buf) || back.Estimate() != e.Estimate() {
+		t.Fatal("estimator changed over round trip")
 	}
-	if _, err := Unmarshal(buf[:10]); err == nil {
+	if err := back.MergeMarshaled(buf[:10]); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
@@ -134,7 +138,7 @@ func TestPaddingBitInvariant(t *testing.T) {
 		a.Add(src.Uint64(), SideA)
 		b.Add(src.Uint64(), SideB)
 	}
-	if err := a.Merge(b); err != nil {
+	if err := a.MergeMarshaled(b.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range a.words {
@@ -181,55 +185,20 @@ func TestStrataExact(t *testing.T) {
 
 func TestStrataConstantFactor(t *testing.T) {
 	for _, d := range []int{32, 256, 2048} {
-		sa := NewStrata(32, 0, uint64(d))
-		sb := NewStrata(32, 0, uint64(d))
+		s := NewStrata(32, 0, uint64(d))
 		src := prng.New(uint64(d) * 3)
 		for i := 0; i < 500; i++ {
 			x := src.Uint64()
-			sa.Add(x, SideA)
-			sb.Add(x, SideB)
+			s.Add(x, SideA)
+			s.Add(x, SideB)
 		}
 		for i := 0; i < d; i++ {
-			x := src.Uint64()
-			if i%2 == 0 {
-				sa.Add(x, SideA)
-			} else {
-				sb.Add(x, SideB)
-			}
+			s.Add(src.Uint64(), Side(1+i%2))
 		}
-		if err := sa.Merge(sb); err != nil {
-			t.Fatal(err)
-		}
-		got := float64(sa.Estimate())
+		got := float64(s.Estimate())
 		if got < float64(d)/8 || got > float64(d)*8 {
 			t.Errorf("d=%d: strata estimate %.0f outside 8x", d, got)
 		}
-	}
-}
-
-func TestStrataMarshalRoundTrip(t *testing.T) {
-	s := NewStrata(16, 40, 5)
-	for x := uint64(0); x < 50; x++ {
-		s.Add(x, SideA)
-	}
-	buf := s.Marshal()
-	if len(buf) != s.SerializedSize() {
-		t.Fatalf("size %d != %d", len(buf), s.SerializedSize())
-	}
-	back, err := UnmarshalStrata(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Estimate() != s.Estimate() {
-		t.Fatal("estimate changed over round trip")
-	}
-}
-
-func TestStrataMergeIncompatible(t *testing.T) {
-	a := NewStrata(16, 40, 1)
-	b := NewStrata(16, 40, 2)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("expected mismatch")
 	}
 }
 

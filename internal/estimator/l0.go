@@ -139,12 +139,6 @@ func (e *Estimator) Reset(p Params, seed uint64) {
 	}
 }
 
-// Params returns the (defaulted) parameters.
-func (e *Estimator) Params() Params { return e.params }
-
-// Seed returns the construction seed.
-func (e *Estimator) Seed() uint64 { return e.seed }
-
 func (e *Estimator) subWords(r, l, s int) []uint64 {
 	p := e.params
 	base := ((r*p.Levels+l)*p.Subreplicas + s) * e.wordsPerSub
@@ -193,37 +187,14 @@ func (e *Estimator) Add(x uint64, side Side) {
 // parameters or seeds.
 var ErrIncompatible = errors.New("estimator: incompatible estimators")
 
-// Clone returns an independent copy (used to merge one sketch against many
-// counterparts, the Theorem 3.9 matching step).
-func (e *Estimator) Clone() *Estimator {
-	out := &Estimator{}
-	out.CopyFrom(e)
-	return out
-}
-
 // CopyFrom makes e an independent copy of src, reusing e's storage when it is
-// large enough — the scratch-reuse form of Clone for loops that merge one
-// sketch against many counterparts.
+// large enough, for loops that merge one sketch against many counterparts
+// (the Theorem 3.9 matching step).
 func (e *Estimator) CopyFrom(src *Estimator) {
 	words, hashers := e.words[:0], e.levelHashers[:0]
 	*e = *src
 	e.words = append(words, src.words...)
 	e.levelHashers = append(hashers, src.levelHashers...)
-}
-
-// Merge folds other into e. This is the O(1)-per-word merge of Appendix A:
-// each word is added then masked; because every bucket keeps a zero padding
-// bit, bucket sums cannot carry into their neighbors, and the mask reduces
-// every bucket mod 4 and restores the padding.
-func (e *Estimator) Merge(other *Estimator) error {
-	if other == nil || e.params != other.params || e.seed != other.seed {
-		return ErrIncompatible
-	}
-	for i := range e.words {
-		s := e.words[i] + other.words[i]
-		e.words[i] = s & lowBitsMask
-	}
-	return nil
 }
 
 // nonzeroBuckets counts buckets with nonzero value in a packed word slice,
@@ -312,10 +283,13 @@ func (e *Estimator) AppendMarshal(dst []byte) []byte {
 }
 
 // MergeMarshaled folds a serialized estimator into e straight from its
-// Marshal encoding: Merge(Unmarshal(buf)) without materialising the second
-// estimator. The header must declare e's own parameters and seed and the body
-// hold all its words, else ErrIncompatible — the check Merge makes — and e is
-// unchanged. Nothing is sized from the input.
+// Marshal encoding, without materialising the second estimator. This is the
+// O(1)-per-word merge of Appendix A: each word is added then masked; because
+// every bucket keeps a zero padding bit, bucket sums cannot carry into their
+// neighbors, and the mask reduces every bucket mod 4 and restores the
+// padding. The header must declare e's own parameters and seed and the body
+// hold all its words, else ErrIncompatible, and e is unchanged. Nothing is
+// sized from the input.
 func (e *Estimator) MergeMarshaled(buf []byte) error {
 	if len(buf) < e.SerializedSize() {
 		return fmt.Errorf("%w: %d bytes, this shape serializes to %d", ErrIncompatible, len(buf), e.SerializedSize())
@@ -330,51 +304,12 @@ func (e *Estimator) MergeMarshaled(buf []byte) error {
 		return ErrIncompatible
 	}
 	for i := range e.words {
-		e.words[i] = (e.words[i] + binary.LittleEndian.Uint64(buf[24+8*i:])) & lowBitsMask
+		// The peer's padding bits are masked off first: set, they would carry
+		// a bucket's sum into its neighbour.
+		o := binary.LittleEndian.Uint64(buf[24+8*i:]) & lowBitsMask
+		e.words[i] = (e.words[i] + o) & lowBitsMask
 	}
 	return nil
-}
-
-// Unmarshal parses an estimator serialized by Marshal.
-func Unmarshal(buf []byte) (*Estimator, error) {
-	if len(buf) < 24 {
-		return nil, fmt.Errorf("estimator: truncated header (%d bytes)", len(buf))
-	}
-	p := Params{
-		Levels:      int(binary.LittleEndian.Uint32(buf[0:])),
-		Buckets:     int(binary.LittleEndian.Uint32(buf[4:])),
-		Subreplicas: int(binary.LittleEndian.Uint32(buf[8:])),
-		Replicas:    int(binary.LittleEndian.Uint32(buf[12:])),
-	}
-	seed := binary.LittleEndian.Uint64(buf[16:])
-	// Validate the claimed shape against the buffer before allocating, so a
-	// corrupt header cannot trigger a giant allocation. Multiply stepwise
-	// with intermediate bounds so the product cannot overflow.
-	pd := p.withDefaults()
-	limit := int64(len(buf))
-	words := int64(1)
-	for _, f := range []int{pd.Replicas, pd.Levels, pd.Subreplicas, pd.Buckets / groupsPerWord} {
-		if f <= 0 || int64(f) > limit {
-			return nil, fmt.Errorf("estimator: implausible header shape for %d bytes", len(buf))
-		}
-		words *= int64(f)
-		if words > limit {
-			return nil, fmt.Errorf("estimator: implausible header shape for %d bytes", len(buf))
-		}
-	}
-	if need := 24 + words*8; int64(len(buf)) < need {
-		return nil, fmt.Errorf("estimator: truncated body (%d < %d)", len(buf), need)
-	}
-	e := New(p, seed)
-	if len(buf) < e.SerializedSize() {
-		return nil, fmt.Errorf("estimator: truncated body (%d < %d)", len(buf), e.SerializedSize())
-	}
-	off := 24
-	for i := range e.words {
-		e.words[i] = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	return e, nil
 }
 
 // CompactParams returns parameters sized for differences up to maxDiff,

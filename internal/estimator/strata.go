@@ -1,8 +1,6 @@
 package estimator
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/bits"
 
 	"sosr/internal/hashing"
@@ -21,8 +19,6 @@ import (
 // experiment E5 measures.
 type Strata struct {
 	strata []*iblt.Table
-	cells  int
-	seed   uint64
 	hasher hashing.Pairwise
 }
 
@@ -41,8 +37,6 @@ func NewStrata(strataCount, cells int, seed uint64) *Strata {
 	}
 	s := &Strata{
 		strata: make([]*iblt.Table, strataCount),
-		cells:  cells,
-		seed:   seed,
 		hasher: hashing.NewPairwise(seed ^ 0x5742a7a),
 	}
 	for i := range s.strata {
@@ -74,31 +68,6 @@ func (s *Strata) Add(x uint64, side Side) {
 	}
 }
 
-// Merge folds other into s.
-func (s *Strata) Merge(other *Strata) error {
-	if other == nil || len(s.strata) != len(other.strata) || s.seed != other.seed || s.cells != other.cells {
-		return ErrIncompatible
-	}
-	for i := range s.strata {
-		// Subtract is XOR/negate composition; for merging two halves of the
-		// same logical difference we need addition, which for IBLTs is
-		// Subtract of a negated table. Since sides were already encoded as
-		// insert/delete, plain cell-wise addition = Subtract of negation.
-		if err := s.strata[i].Subtract(negated(other.strata[i])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// negated returns a copy of t with all counts negated (keySums and checksums
-// are XOR-based and therefore unchanged).
-func negated(t *iblt.Table) *iblt.Table {
-	nt := t.Clone()
-	nt.Negate()
-	return nt
-}
-
 // Estimate decodes strata from sparsest to densest, accumulating decoded
 // difference counts; at the first stratum i that fails to decode it returns
 // 2^(i+1) times the count accumulated so far ([14] §4.2).
@@ -114,76 +83,12 @@ func (s *Strata) Estimate() uint64 {
 	return count
 }
 
-// SerializedSize returns the exact Marshal size in bytes.
+// SerializedSize returns the size of the strata on the wire in bytes: a
+// 16-byte header, then each stratum's IBLT behind a 4-byte length.
 func (s *Strata) SerializedSize() int {
 	n := 4 + 4 + 8
 	for _, t := range s.strata {
 		n += 4 + t.SerializedSize()
 	}
 	return n
-}
-
-// Marshal serializes the estimator.
-func (s *Strata) Marshal() []byte {
-	buf := make([]byte, 0, s.SerializedSize())
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(s.strata)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(s.cells))
-	binary.LittleEndian.PutUint64(hdr[8:], s.seed)
-	buf = append(buf, hdr[:]...)
-	for _, t := range s.strata {
-		tb := t.Marshal()
-		var sz [4]byte
-		binary.LittleEndian.PutUint32(sz[:], uint32(len(tb)))
-		buf = append(buf, sz[:]...)
-		buf = append(buf, tb...)
-	}
-	return buf
-}
-
-// UnmarshalStrata parses a strata estimator serialized by Marshal.
-func UnmarshalStrata(buf []byte) (*Strata, error) {
-	if len(buf) < 16 {
-		return nil, fmt.Errorf("estimator: truncated strata header")
-	}
-	count := int(binary.LittleEndian.Uint32(buf[0:]))
-	cells := int(binary.LittleEndian.Uint32(buf[4:]))
-	seed := binary.LittleEndian.Uint64(buf[8:])
-	// Mirror NewStrata's defaulting, then reject shapes the buffer cannot
-	// possibly hold BEFORE allocating (a corrupt header must not trigger a
-	// giant allocation).
-	effCount, effCells := count, cells
-	if effCount <= 0 {
-		effCount = 32
-	}
-	if effCells <= 0 {
-		effCells = DefaultStrataCells
-	}
-	// Per-factor bounds first, so the product below cannot overflow.
-	if effCount > len(buf) || effCells > len(buf) {
-		return nil, fmt.Errorf("estimator: strata header claims %d strata x %d cells for %d bytes", effCount, effCells, len(buf))
-	}
-	perStratum := int64(4) + int64(iblt.SerializedSizeFor(effCells, 8, 3))
-	if need := 16 + int64(effCount)*perStratum; int64(len(buf)) < need {
-		return nil, fmt.Errorf("estimator: strata header claims %d strata x %d cells for %d bytes", effCount, effCells, len(buf))
-	}
-	s := NewStrata(count, cells, seed)
-	off := 16
-	for i := 0; i < count; i++ {
-		if len(buf) < off+4 {
-			return nil, fmt.Errorf("estimator: truncated stratum %d", i)
-		}
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		if len(buf) < off+n {
-			return nil, fmt.Errorf("estimator: truncated stratum %d body", i)
-		}
-		t, err := iblt.Unmarshal(buf[off : off+n])
-		if err != nil {
-			return nil, err
-		}
-		s.strata[i] = t
-		off += n
-	}
-	return s, nil
 }

@@ -64,13 +64,12 @@ func BenchmarkRecoverRational16(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		z := EvalPoint(i)
 		points = append(points, z)
-		ratios = append(ratios, Mul(num.Eval(z), Inv(den.Eval(z))))
+		ratios = append(ratios, Mul(horner(num, z), Inv(horner(den, z))))
 	}
+	var s Solver
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts := append([]uint64(nil), points...)
-		rts := append([]uint64(nil), ratios...)
-		if _, _, err := RecoverRational(pts, rts, 8, 8); err != nil {
+		if _, _, err := s.RecoverRational(points, ratios, 8, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

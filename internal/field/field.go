@@ -115,90 +115,8 @@ func (p Poly) Normalize() Poly {
 	return p[:n]
 }
 
-// Degree returns the degree of p, with -1 for the zero polynomial.
-func (p Poly) Degree() int {
-	q := p.Normalize()
-	return len(q) - 1
-}
-
 // IsZero reports whether p is the zero polynomial.
 func (p Poly) IsZero() bool { return len(p.Normalize()) == 0 }
-
-// Clone returns a copy of p.
-func (p Poly) Clone() Poly {
-	out := make(Poly, len(p))
-	copy(out, p)
-	return out
-}
-
-// Eval evaluates p at x via Horner's rule.
-func (p Poly) Eval(x uint64) uint64 {
-	acc := uint64(0)
-	for i := len(p) - 1; i >= 0; i-- {
-		acc = Add(Mul(acc, x), p[i])
-	}
-	return acc
-}
-
-// AddPoly returns p + q.
-func AddPoly(p, q Poly) Poly {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	out := make(Poly, n)
-	for i := range out {
-		var a, b uint64
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		out[i] = Add(a, b)
-	}
-	return out.Normalize()
-}
-
-// SubPoly returns p - q.
-func SubPoly(p, q Poly) Poly {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	out := make(Poly, n)
-	for i := range out {
-		var a, b uint64
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		out[i] = Sub(a, b)
-	}
-	return out.Normalize()
-}
-
-// MulPoly returns p * q (schoolbook; degrees in this codebase are O(d), the
-// set-difference bound, so quadratic multiplication matches the paper's
-// stated O(d^2)-ish subroutine costs).
-func MulPoly(p, q Poly) Poly {
-	p, q = p.Normalize(), q.Normalize()
-	if len(p) == 0 || len(q) == 0 {
-		return nil
-	}
-	out := make(Poly, len(p)+len(q)-1)
-	for i, a := range p {
-		if a == 0 {
-			continue
-		}
-		for j, b := range q {
-			out[i+j] = Add(out[i+j], Mul(a, b))
-		}
-	}
-	return out.Normalize()
-}
 
 // Scale returns c * p.
 func (p Poly) Scale(c uint64) Poly {
@@ -220,49 +138,6 @@ func (p Poly) Monic() Poly {
 		return q
 	}
 	return q.Scale(Inv(lead))
-}
-
-// DivMod returns quotient and remainder of p / q. It panics if q is zero.
-func DivMod(p, q Poly) (quo, rem Poly) {
-	q = q.Normalize()
-	if len(q) == 0 {
-		panic("field: division by zero polynomial")
-	}
-	rem = p.Clone().Normalize()
-	dq := len(q) - 1
-	leadInv := Inv(q[dq])
-	if len(rem)-1 < dq {
-		return nil, rem
-	}
-	quo = make(Poly, len(rem)-dq)
-	for len(rem)-1 >= dq {
-		dr := len(rem) - 1
-		c := Mul(rem[dr], leadInv)
-		quo[dr-dq] = c
-		for i := 0; i <= dq; i++ {
-			rem[dr-dq+i] = Sub(rem[dr-dq+i], Mul(c, q[i]))
-		}
-		rem = rem.Normalize()
-		if len(rem) == 0 {
-			break
-		}
-	}
-	return quo.Normalize(), rem
-}
-
-// Mod returns p mod q.
-func Mod(p, q Poly) Poly {
-	_, r := DivMod(p, q)
-	return r
-}
-
-// GCD returns the monic greatest common divisor of p and q.
-func GCD(p, q Poly) Poly {
-	a, b := p.Normalize(), q.Normalize()
-	for len(b) != 0 {
-		a, b = b, Mod(a, b)
-	}
-	return a.Monic()
 }
 
 // FromRoots returns the monic polynomial ∏ (x - r) over the given roots —
@@ -293,37 +168,9 @@ func EvalProduct(set []uint64, x uint64) uint64 {
 	return acc
 }
 
-// Derivative returns p'.
-func (p Poly) Derivative() Poly {
-	q := p.Normalize()
-	if len(q) <= 1 {
-		return nil
-	}
-	out := make(Poly, len(q)-1)
-	for i := 1; i < len(q); i++ {
-		out[i-1] = Mul(q[i], uint64(i)%P)
-	}
-	return out.Normalize()
-}
-
-// PowMod returns base^e mod m for polynomials. It panics if m is zero.
-func PowMod(base Poly, e uint64, m Poly) Poly {
-	m = m.Monic()
-	if len(m) == 0 {
-		panic("field: division by zero polynomial")
-	}
-	if e == 0 {
-		return Poly{1}
-	}
-	n := len(m) - 1
-	out := make(Poly, n)
-	newPolyWork(n).powMod(out, Mod(base, m), e, m[:n])
-	return out.Normalize()
-}
-
-// polyWork is the scratch one Roots (or PowMod) call computes in: every
-// intermediate polynomial lives in a buffer sized once from the degree, so
-// the 61 squarings of a modular power and the Euclidean steps of a gcd
+// polyWork is the scratch one Roots or RecoverRational call computes in:
+// every intermediate polynomial lives in a buffer sized once from the degree,
+// so the 61 squarings of a modular power and the Euclidean steps of a gcd
 // allocate nothing. Inside it a monic polynomial of degree n is its n low
 // coefficients, the leading 1 implied; other polynomials are dense slices,
 // trailing zeros allowed.
@@ -333,12 +180,6 @@ type polyWork struct {
 	pow  []uint64 // n: running power
 	a, b []uint64 // n+1 each: gcd operands
 	h, f []uint64 // n and n+1: Roots' power and dividend
-}
-
-func newPolyWork(n int) *polyWork {
-	w := new(polyWork)
-	w.size(n)
-	return w
 }
 
 // size cuts the buffers for degree n, keeping the backing array of an earlier

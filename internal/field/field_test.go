@@ -2,6 +2,7 @@ package field
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,98 +106,88 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestPolyEvalHorner(t *testing.T) {
-	// p(x) = 3 + 2x + x^2 at x=5 -> 3 + 10 + 25 = 38.
-	p := Poly{3, 2, 1}
-	if got := p.Eval(5); got != 38 {
-		t.Fatalf("eval = %d, want 38", got)
-	}
-}
-
 func TestPolyArithmetic(t *testing.T) {
-	p := Poly{1, 2, 3}
-	q := Poly{4, 5}
-	sum := AddPoly(p, q)
-	if sum.Eval(7) != Add(p.Eval(7), q.Eval(7)) {
-		t.Fatal("AddPoly mismatch")
-	}
-	prod := MulPoly(p, q)
-	if prod.Eval(7) != Mul(p.Eval(7), q.Eval(7)) {
-		t.Fatal("MulPoly mismatch")
-	}
-	diff := SubPoly(p, q)
-	if diff.Eval(7) != Sub(p.Eval(7), q.Eval(7)) {
-		t.Fatal("SubPoly mismatch")
+	// mulMod at a root r of m is multiplication of the values at r.
+	roots := []uint64{2, 9, 1 << 50}
+	m := FromRoots(roots)
+	var w polyWork
+	w.size(3)
+	p, q := Poly{1, 2, 3}, Poly{4, 5}
+	got := make([]uint64, 3)
+	w.mulMod(got, p, q, m[:3])
+	for _, r := range roots {
+		if horner(got, r) != Mul(horner(p, r), horner(q, r)) {
+			t.Fatalf("p·q mod m at %d = %d, want %d", r, horner(got, r), Mul(horner(p, r), horner(q, r)))
+		}
 	}
 }
 
 func TestPolyDivMod(t *testing.T) {
+	// divideInPlace leaves f = quo·g + rem with deg rem < deg g, checked by
+	// evaluation.
 	src := prng.New(4)
 	for trial := 0; trial < 100; trial++ {
-		p := randPoly(src, 1+src.Intn(8))
-		q := randPoly(src, 1+src.Intn(4))
-		if q.IsZero() {
-			continue
+		g := FromRoots([]uint64{src.Uint64() % P, src.Uint64() % P, src.Uint64() % P}[:1+src.Intn(3)])
+		f := make(Poly, len(g)+src.Intn(6))
+		for i := range f {
+			f[i] = src.Uint64() % P
 		}
-		quo, rem := DivMod(p, q)
-		// p == quo*q + rem and deg rem < deg q.
-		back := AddPoly(MulPoly(quo, q), rem)
-		if !polyEqual(back, p.Normalize()) {
-			t.Fatalf("divmod identity failed: p=%v q=%v quo=%v rem=%v", p, q, quo, rem)
-		}
-		if rem.Degree() >= q.Degree() && !rem.IsZero() {
-			t.Fatalf("remainder degree %d >= divisor degree %d", rem.Degree(), q.Degree())
+		div := slices.Clone(f)
+		divideInPlace(div, g)
+		dg := len(g) - 1
+		rem, quo := div[:dg], div[dg:]
+		for x := uint64(1); x < 4; x++ {
+			if want := horner(f, x); Add(Mul(horner(quo, x), horner(g, x)), horner(rem, x)) != want {
+				t.Fatalf("divmod identity failed: f=%v g=%v quo=%v rem=%v", f, g, quo, rem)
+			}
 		}
 	}
 }
 
 func TestGCD(t *testing.T) {
-	// gcd((x-1)(x-2), (x-2)(x-3)) = (x-2).
+	// gcd((x-1)(x-2), (x-2)(x-3)) = (x-2), and gcd((x-1)(x-2), 3(x-3)) = 1.
+	var w polyWork
+	w.size(2)
 	a := FromRoots([]uint64{1, 2})
-	b := FromRoots([]uint64{2, 3})
-	g := GCD(a, b)
-	want := FromRoots([]uint64{2})
-	if !polyEqual(g, want) {
-		t.Fatalf("gcd = %v, want %v", g, want)
+	for _, c := range []struct{ b, want Poly }{
+		{FromRoots([]uint64{2, 3}), FromRoots([]uint64{2})},
+		{FromRoots([]uint64{3}).Scale(3), Poly{1}},
+	} {
+		if g := w.gcd(a, c.b); !polyEqual(g, c.want) {
+			t.Fatalf("gcd(%v, %v) = %v, want %v", a, c.b, g, c.want)
+		}
 	}
 }
 
 func TestFromRootsAndEvalProduct(t *testing.T) {
 	roots := []uint64{10, 20, 30, 40}
 	p := FromRoots(roots)
-	if p.Degree() != 4 {
-		t.Fatalf("degree = %d", p.Degree())
+	if len(p) != 5 || p[4] != 1 {
+		t.Fatalf("FromRoots = %v, want monic of degree 4", p)
 	}
 	for _, r := range roots {
-		if p.Eval(r) != 0 {
+		if horner(p, r) != 0 {
 			t.Fatalf("p(%d) != 0", r)
 		}
 	}
 	for x := uint64(100); x < 110; x++ {
-		if p.Eval(x) != EvalProduct(roots, x) {
+		if horner(p, x) != EvalProduct(roots, x) {
 			t.Fatalf("EvalProduct mismatch at %d", x)
 		}
 	}
 }
 
-func TestDerivative(t *testing.T) {
-	// (x^3 + 2x)' = 3x^2 + 2.
-	p := Poly{0, 2, 0, 1}
-	d := p.Derivative()
-	want := Poly{2, 0, 3}
-	if !polyEqual(d, want) {
-		t.Fatalf("derivative = %v", d)
-	}
-}
-
 func TestPowMod(t *testing.T) {
+	// x^P ≡ x at every root by Fermat: verify x^P mod m by evaluation at the
+	// roots of m.
 	m := FromRoots([]uint64{7, 9})
-	// x^(P) mod m should equal x mod m by Fermat on the roots... verify via
-	// evaluation at the roots: (r)^P = r.
-	xp := PowMod(Poly{0, 1}, P, m)
+	var w polyWork
+	w.size(2)
+	xp := make([]uint64, 2)
+	w.powMod(xp, Poly{0, 1}, P, m[:2])
 	for _, r := range []uint64{7, 9} {
-		if xp.Eval(r) != r {
-			t.Fatalf("x^P(r) = %d, want %d", xp.Eval(r), r)
+		if horner(xp, r) != r {
+			t.Fatalf("x^P(r) = %d, want %d", horner(xp, r), r)
 		}
 	}
 }
@@ -247,35 +238,36 @@ func TestRootsLarger(t *testing.T) {
 func TestRootsRejectsNonSplitting(t *testing.T) {
 	// x^2 + 1 may or may not split mod P; pick (x-1)^2 which has a repeated
 	// root and must be rejected.
-	p := MulPoly(FromRoots([]uint64{1}), FromRoots([]uint64{1}))
+	p := FromRoots([]uint64{1, 1})
 	if _, err := Roots(p, 1); err == nil {
 		t.Fatal("expected ErrNotSplitting for repeated root")
 	}
 }
 
+// solve runs solveFlat on a row-major system of len(rhs) rows and cols
+// columns.
+func solve(mat, rhs []uint64, cols int) ([]uint64, bool) {
+	sol := make([]uint64, cols)
+	return sol, solveFlat(mat, rhs, sol, make([]int, cols))
+}
+
 func TestSolveLinearSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10  => x = 1, y = 3.
-	mat := [][]uint64{{2, 1}, {1, 3}}
-	rhs := []uint64{5, 10}
-	sol, ok := SolveLinearSystem(mat, rhs)
+	sol, ok := solve([]uint64{2, 1, 1, 3}, []uint64{5, 10}, 2)
 	if !ok || sol[0] != 1 || sol[1] != 3 {
 		t.Fatalf("sol = %v ok=%v", sol, ok)
 	}
 }
 
 func TestSolveLinearSystemInconsistent(t *testing.T) {
-	mat := [][]uint64{{1, 1}, {2, 2}}
-	rhs := []uint64{1, 3}
-	if _, ok := SolveLinearSystem(mat, rhs); ok {
+	if _, ok := solve([]uint64{1, 1, 2, 2}, []uint64{1, 3}, 2); ok {
 		t.Fatal("expected inconsistency")
 	}
 }
 
 func TestSolveLinearSystemUnderdetermined(t *testing.T) {
 	// x + y = 4 with free y: y = 0, x = 4.
-	mat := [][]uint64{{1, 1}}
-	rhs := []uint64{4}
-	sol, ok := SolveLinearSystem(mat, rhs)
+	sol, ok := solve([]uint64{1, 1}, []uint64{4}, 2)
 	if !ok {
 		t.Fatal("expected consistent")
 	}
@@ -292,9 +284,9 @@ func TestRecoverRationalExact(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		z := EvalPoint(i)
 		points = append(points, z)
-		ratios = append(ratios, Mul(num.Eval(z), Inv(den.Eval(z))))
+		ratios = append(ratios, Mul(horner(num, z), Inv(horner(den, z))))
 	}
-	gotN, gotD, err := RecoverRational(points, ratios, 2, 1)
+	gotN, gotD, err := new(Solver).RecoverRational(points, ratios, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +304,9 @@ func TestRecoverRationalOverbounded(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		z := EvalPoint(i)
 		points = append(points, z)
-		ratios = append(ratios, Mul(num.Eval(z), Inv(den.Eval(z))))
+		ratios = append(ratios, Mul(horner(num, z), Inv(horner(den, z))))
 	}
-	gotN, gotD, err := RecoverRational(points, ratios, 4, 4)
+	gotN, gotD, err := new(Solver).RecoverRational(points, ratios, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +324,14 @@ func TestEvalPointDisjointFromUniverse(t *testing.T) {
 	}
 }
 
-func randPoly(src *prng.Source, deg int) Poly {
-	p := make(Poly, deg+1)
-	for i := range p {
-		p[i] = src.Uint64() % P
+// horner evaluates p at x, the oracle the field's kernels are checked
+// against.
+func horner(p Poly, x uint64) uint64 {
+	acc := uint64(0)
+	for i := len(p) - 1; i >= 0; i-- {
+		acc = Add(Mul(acc, x), p[i])
 	}
-	return p.Normalize()
+	return acc
 }
 
 func polyEqual(a, b Poly) bool {
@@ -373,17 +367,29 @@ func sameRootSet(a, b []uint64) bool {
 }
 
 // TestPowModMatchesRepeatedMultiplication checks the in-place kernel against
-// the allocating DivMod/MulPoly it replaced, over bases longer than, equal to
-// and shorter than the modulus, and a non-monic modulus.
+// repeated multiplication in evaluation form: for m with n distinct roots and r
+// one of them, (b^e mod m)(r) = b(r)^e, and n such values fix a remainder of
+// degree below n. Bases run shorter than and as long as the modulus.
 func TestPowModMatchesRepeatedMultiplication(t *testing.T) {
-	m := FromRoots([]uint64{3, 11, 500, 1 << 40, 77}).Scale(9)
-	for _, base := range []Poly{{5}, {4, 1}, {1, 2, 3, 4, 5}, {9, 8, 7, 6, 5, 4, 3, 2}} {
-		want := Poly{1}
-		for e := uint64(0); e < 40; e++ {
-			if got := PowMod(base, e, m); !polyEqual(got, want) {
-				t.Fatalf("PowMod(%v, %d) = %v, want %v", base, e, got, want)
+	roots := []uint64{3, 11, 500, 1 << 40, 77}
+	m := FromRoots(roots)
+	n := len(roots)
+	var w polyWork
+	w.size(n)
+	got := make([]uint64, n)
+	for _, base := range []Poly{{5}, {4, 1}, {1, 2, 3, 4, 5}} {
+		want := make([]uint64, n)
+		for i, r := range roots {
+			want[i] = horner(base, r)
+		}
+		for e := uint64(1); e < 40; e++ {
+			w.powMod(got, base, e, m[:n])
+			for i, r := range roots {
+				if horner(got, r) != want[i] {
+					t.Fatalf("(%v)^%d mod m at %d = %d, want %d", base, e, r, horner(got, r), want[i])
+				}
+				want[i] = Mul(want[i], horner(base, r))
 			}
-			want = Mod(MulPoly(want, base), m)
 		}
 	}
 }
@@ -399,7 +405,7 @@ func TestRootsRejectsIrreducibleAndKeepsInput(t *testing.T) {
 		t.Fatalf("x^2 - %d reported as splitting", c)
 	}
 	p := FromRoots([]uint64{10, 20, 30, 40, 50})
-	before := p.Clone()
+	before := slices.Clone(p)
 	if _, err := Roots(p, 3); err != nil {
 		t.Fatal(err)
 	}

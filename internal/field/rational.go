@@ -17,16 +17,10 @@ var ErrInterpolation = errors.New("field: rational interpolation failed")
 // O((degNum+degDen)^3) — the paper's O(d^3) interpolation step. When the true
 // difference is smaller than the caller's bound the system is
 // underdetermined; any solution then shares a common factor with the truth,
-// which the final gcd reduction removes.
+// which the final gcd reduction removes. The system is one flat row-major
+// array on the Solver's scratch, and the reduction divides in place.
 //
 // points and ratios must have the same length, at least degNum+degDen.
-func RecoverRational(points, ratios []uint64, degNum, degDen int) (num, den Poly, err error) {
-	return new(Solver).RecoverRational(points, ratios, degNum, degDen)
-}
-
-// RecoverRational is the package-level RecoverRational on the Solver's
-// scratch: the system is one flat row-major array, and the reduction to
-// lowest terms divides in place.
 func (s *Solver) RecoverRational(points, ratios []uint64, degNum, degDen int) (num, den Poly, err error) {
 	if len(points) != len(ratios) {
 		return nil, nil, ErrInterpolation
@@ -84,28 +78,11 @@ func (s *Solver) RecoverRational(points, ratios []uint64, degNum, degDen int) (n
 	return s.num, s.den, nil
 }
 
-// SolveLinearSystem solves mat · x = rhs over GF(P) by Gaussian elimination
-// with partial pivoting, where mat has len(rhs) rows. The system may be
-// over- or under-determined: free variables are set to zero, and ok=false is
-// returned only if the system is inconsistent. rhs is consumed.
-func SolveLinearSystem(mat [][]uint64, rhs []uint64) (sol []uint64, ok bool) {
-	if len(mat) == 0 {
-		return nil, true
-	}
-	cols := len(mat[0])
-	flat := make([]uint64, 0, len(mat)*cols)
-	for _, row := range mat {
-		flat = append(flat, row...)
-	}
-	sol = make([]uint64, cols)
-	if !solveFlat(flat, rhs, sol, make([]int, cols)) {
-		return nil, false
-	}
-	return sol, true
-}
-
-// solveFlat is SolveLinearSystem over a row-major matrix of len(rhs) rows and
-// len(sol) columns; pivot is scratch of len(sol). mat and rhs are consumed.
+// solveFlat solves mat · sol = rhs over GF(P) by Gaussian elimination with
+// partial pivoting, mat row-major with len(rhs) rows and len(sol) columns;
+// pivot is scratch of len(sol). The system may be over- or under-determined:
+// free variables are set to zero, and it reports false only if the system is
+// inconsistent. mat and rhs are consumed.
 func solveFlat(mat, rhs, sol []uint64, pivot []int) bool {
 	rows, cols := len(rhs), len(sol)
 	row := func(i int) []uint64 { return mat[i*cols : (i+1)*cols] }

@@ -49,14 +49,10 @@ func (f *Forest) Roots() []int {
 	return out
 }
 
-// Children returns the children adjacency lists, each ascending. The lists
-// are capacity-limited sub-slices of one array.
-func (f *Forest) Children() [][]int32 { return new(forestWork).childLists(f) }
-
 // forestWork is the scratch of one forest encode, apply, rebuild or
 // isomorphism test: child lists, the bottom-up order, signatures, the M_v
-// collection and its encoded parent, the interning table of CanonLabels, and
-// Rebuild's group tables. The entry points each run on one pooled forestWork;
+// collection and its encoded parent, the interning table of canonLabels, and
+// rebuild's group tables. The entry points each run on one pooled forestWork;
 // what they return — payload bytes, the rebuilt forest, label slices — is
 // allocated for the caller, and a released workspace refers to no argument.
 type forestWork struct {
@@ -68,7 +64,7 @@ type forestWork struct {
 	mv              [][]uint64
 	enc, dec        core.MultisetParentWork
 
-	// CanonLabels: shape i (a sorted child-label list) is
+	// canonLabels: shape i (a sorted child-label list) is
 	// shapes[shapeAt[i]:shapeAt[i+1]] and has label i+1.
 	intern      map[uint64]int32
 	shapes, ids []int32
@@ -76,7 +72,7 @@ type forestWork struct {
 	rootsA      []int
 	rootsB      []int
 
-	// Rebuild.
+	// rebuild.
 	bySig      map[uint64]int32
 	kids       [][]int32
 	kidIdx     []int32
@@ -102,7 +98,8 @@ func (w *forestWork) release() {
 	w.shapes, w.shapeAt, w.out = w.shapes[:0], w.shapeAt[:0], nil
 }
 
-// childLists is Children into the workspace.
+// childLists returns the children adjacency lists, each ascending, as
+// capacity-limited sub-slices of one array in the workspace.
 func (w *forestWork) childLists(f *Forest) [][]int32 {
 	n := len(f.Parent)
 	out := slices.Grow(w.children[:0], n)[:n]
@@ -201,17 +198,6 @@ func (f *Forest) Depth() int {
 	return max
 }
 
-// EdgeCount returns the number of (directed) edges.
-func (f *Forest) EdgeCount() int {
-	c := 0
-	for _, p := range f.Parent {
-		if p >= 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // RootOf returns the root of v's tree.
 func (f *Forest) RootOf(v int) int {
 	for f.Parent[v] >= 0 {
@@ -281,20 +267,6 @@ func Perturb(f *Forest, k int, src *prng.Source) *Forest {
 	return out
 }
 
-// CanonLabels computes interned AHU labels: two vertices get equal labels
-// iff their rooted subtrees are isomorphic. Labels are shared across the
-// provided forests (joint interning), enabling exact isomorphism tests.
-func CanonLabels(forests ...*Forest) [][]int {
-	w := getForestWork()
-	defer putForestWork(w)
-	out := make([][]int, len(forests))
-	for fi, f := range forests {
-		out[fi] = make([]int, f.N())
-		w.canonLabels(f, out[fi])
-	}
-	return out
-}
-
 // canonLabels labels f's vertices into labels, interning jointly with every
 // forest labelled on this workspace since it was taken. A shape — a vertex's
 // sorted child labels — is looked up by a hash of the list and confirmed
@@ -355,34 +327,6 @@ func IsIsomorphic(a, b *Forest) bool {
 	w.rootsA = rootLabels(a, w.rootsA)
 	w.rootsB = rootLabels(b, w.rootsB)
 	return slices.Equal(w.rootsA, w.rootsB)
-}
-
-// EditDistanceUpperBound returns a quick upper bound on the number of edge
-// edits between two forests over the same vertex set (labeled comparison) —
-// used by workloads to sanity-check perturbations.
-func EditDistanceUpperBound(a, b *Forest) int {
-	if a.N() != b.N() {
-		panic("forest: size mismatch")
-	}
-	d := 0
-	for v := range a.Parent {
-		if a.Parent[v] != b.Parent[v] {
-			d++
-			if a.Parent[v] >= 0 && b.Parent[v] >= 0 {
-				d++ // one delete plus one insert
-			}
-		}
-	}
-	return d
-}
-
-// HashSignatures computes 64-bit AHU hash signatures for every vertex under
-// seed: a leaf hashes the empty list; an internal vertex hashes the sorted
-// list of its children's signatures (the paper's "Θ(log n)-bit pairwise
-// independent hash of the isomorphism class label of the tree it roots").
-func HashSignatures(f *Forest, seed uint64) []uint64 {
-	var w forestWork
-	return w.hashSignatures(f, w.childLists(f), seed)
 }
 
 func (w *forestWork) hashSignatures(f *Forest, children [][]int32, seed uint64) []uint64 {

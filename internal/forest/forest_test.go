@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"slices"
 	"testing"
 
 	"sosr/internal/hashing"
@@ -42,15 +43,12 @@ func TestRootsChildrenDepth(t *testing.T) {
 	if len(roots) != 3 || roots[0] != 0 || roots[1] != 4 || roots[2] != 5 {
 		t.Fatalf("roots = %v", roots)
 	}
-	ch := f.Children()
+	ch := new(forestWork).childLists(f)
 	if len(ch[0]) != 2 || len(ch[2]) != 1 {
 		t.Fatal("children wrong")
 	}
 	if f.Depth() != 3 {
 		t.Fatalf("depth = %d, want 3", f.Depth())
-	}
-	if f.EdgeCount() != 3 {
-		t.Fatalf("edges = %d", f.EdgeCount())
 	}
 	if f.RootOf(3) != 0 || f.RootOf(4) != 4 {
 		t.Fatal("RootOf wrong")
@@ -74,7 +72,7 @@ func TestPerturbPreservesForest(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if EditDistanceUpperBound(f, g) == 0 {
+	if slices.Equal(f.Parent, g.Parent) {
 		t.Fatal("perturbation did nothing")
 	}
 }
@@ -116,7 +114,7 @@ func TestHashSignaturesStructural(t *testing.T) {
 	f.Parent[1] = 0
 	f.Parent[2] = 0
 	f.Parent[4] = 3
-	sigs := HashSignatures(f, 42)
+	sigs := hashSignatures(f, 42)
 	if sigs[1] != sigs[2] || sigs[1] != sigs[4] {
 		t.Fatal("leaf signatures differ")
 	}
@@ -124,13 +122,13 @@ func TestHashSignaturesStructural(t *testing.T) {
 		t.Fatal("distinct subtree shapes share a signature")
 	}
 	// Same forest, same seed → same signatures; different seed → different.
-	sigs2 := HashSignatures(f, 42)
+	sigs2 := hashSignatures(f, 42)
 	for i := range sigs {
 		if sigs[i] != sigs2[i] {
 			t.Fatal("signatures not deterministic")
 		}
 	}
-	sigs3 := HashSignatures(f, 43)
+	sigs3 := hashSignatures(f, 43)
 	if sigs3[0] == sigs[0] {
 		t.Fatal("seed ignored")
 	}
@@ -140,8 +138,9 @@ func TestVertexMultisets(t *testing.T) {
 	f := New(3)
 	f.Parent[1] = 0
 	f.Parent[2] = 0
-	sigs := HashSignatures(f, 7)
-	ms := VertexMultisets(f, sigs)
+	sigs := hashSignatures(f, 7)
+	var w forestWork
+	ms := w.vertexMultisets(w.childLists(f), sigs)
 	if len(ms) != 3 {
 		t.Fatal("wrong count")
 	}
@@ -157,12 +156,12 @@ func TestRebuildRoundTrip(t *testing.T) {
 	src := prng.New(5)
 	for trial := 0; trial < 15; trial++ {
 		f := Random(40+src.Intn(60), 0.15, src)
-		sigs := HashSignatures(f, 99)
+		sigs := hashSignatures(f, 99)
 		parent, err := encodeForTest(f, sigs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rebuilt, err := Rebuild(parent, f.N())
+		rebuilt, err := rebuild(parent, f.N())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +176,11 @@ func TestRebuildRoundTrip(t *testing.T) {
 
 func TestRebuildWrongCount(t *testing.T) {
 	f := chain(5)
-	parent, err := encodeForTest(f, HashSignatures(f, 1))
+	parent, err := encodeForTest(f, hashSignatures(f, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Rebuild(parent, 7); err == nil {
+	if _, err := rebuild(parent, 7); err == nil {
 		t.Fatal("vertex count mismatch not detected")
 	}
 }
@@ -261,8 +260,32 @@ func TestReconCommunicationScalesWithDSigma(t *testing.T) {
 
 // encodeForTest mirrors the protocol's Alice-side encoding.
 func encodeForTest(f *Forest, sigs []uint64) ([][]uint64, error) {
-	return coreEncode(VertexMultisets(f, sigs))
+	var w forestWork
+	return w.enc.Encode(w.vertexMultisets(w.childLists(f), sigs))
 }
 
-// coreEncode is a thin alias so tests read naturally.
-func coreEncode(inner [][]uint64) ([][]uint64, error) { return encodeParent(inner) }
+// rebuild is Bob's rebuild on a pooled workspace, as apply runs it.
+func rebuild(parent [][]uint64, wantN int) (*Forest, error) {
+	w := getForestWork()
+	defer putForestWork(w)
+	return w.rebuild(parent, wantN)
+}
+
+// hashSignatures is the protocol's signature pass on a fresh workspace.
+func hashSignatures(f *Forest, seed uint64) []uint64 {
+	var w forestWork
+	return w.hashSignatures(f, w.childLists(f), seed)
+}
+
+// canonLabels labels the forests on one workspace, interning jointly, as
+// IsIsomorphic does.
+func canonLabels(forests ...*Forest) [][]int {
+	w := getForestWork()
+	defer putForestWork(w)
+	out := make([][]int, len(forests))
+	for i, f := range forests {
+		out[i] = make([]int, f.N())
+		w.canonLabels(f, out[i])
+	}
+	return out
+}

@@ -53,12 +53,6 @@ func markParent(sig uint64) uint64 { return 1<<47 | (sig & sigMask) }
 // childEntry is a child's signature entry.
 func childEntry(sig uint64) uint64 { return sig & sigMask }
 
-// VertexMultisets builds the M_v collection for a forest under sig.
-func VertexMultisets(f *Forest, sigs []uint64) [][]uint64 {
-	var w forestWork
-	return w.vertexMultisets(w.childLists(f), sigs)
-}
-
 // vertexMultisets packs every M_v into one arena: a vertex contributes its
 // own marked entry, and one entry to its parent's M_v if it has one.
 func (w *forestWork) vertexMultisets(children [][]int32, sigs []uint64) [][]uint64 {
@@ -255,15 +249,9 @@ func ReconAuto(sess *transport.Session, coins hashing.Coins, fa, fb *Forest, max
 	return nil, sess.Stats(), fmt.Errorf("%w: %v", ErrBudget, lastErr)
 }
 
-// Rebuild reconstructs a forest (up to isomorphism) from a recovered
-// collection of tagged M_v child sets produced by core.EncodeMultisetParent.
+// rebuild reconstructs a forest (up to isomorphism) from a recovered
+// collection of tagged M_v child sets produced by core.MultisetParentWork.
 // wantN is verified against the rebuilt vertex count.
-func Rebuild(parent [][]uint64, wantN int) (*Forest, error) {
-	w := getForestWork()
-	defer putForestWork(w)
-	return w.rebuild(parent, wantN)
-}
-
 func (w *forestWork) rebuild(parent [][]uint64, wantN int) (*Forest, error) {
 	// Each group is one distinct M_v, sorted: its child entries — repeated
 	// once per child — then the marked parent entry, which the mark bit puts
@@ -354,7 +342,3 @@ func (w *forestWork) build(gi int32, parentIdx, depth int) error {
 	}
 	return nil
 }
-
-// encodeParent is a package-internal alias of core.EncodeMultisetParent used
-// by tests.
-func encodeParent(inner [][]uint64) ([][]uint64, error) { return core.EncodeMultisetParent(inner) }

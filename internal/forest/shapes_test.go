@@ -141,7 +141,7 @@ func TestCanonLabelsSharedIntern(t *testing.T) {
 	// Joint interning: labels comparable across forests.
 	a := chain(3)
 	b := chain(3)
-	labels := CanonLabels(a, b)
+	labels := canonLabels(a, b)
 	if labels[0][0] != labels[1][0] {
 		t.Fatal("identical subtrees got different labels across forests")
 	}

@@ -12,15 +12,15 @@ import (
 	"sosr/internal/worktest"
 )
 
-// canonLabelsByString is CanonLabels as it was: a shape is interned as the
+// canonLabelsByString is canonLabels as it was: a shape is interned as the
 // string of its sorted child labels.
 func canonLabelsByString(forests ...*Forest) [][]int {
 	intern := map[string]int{}
 	out := make([][]int, len(forests))
 	for fi, f := range forests {
 		labels := make([]int, f.N())
-		children := f.Children()
 		var w forestWork
+		children := w.childLists(f)
 		for _, v := range w.bottomUp(f, children) {
 			var ids []int
 			for _, c := range children[v] {
@@ -55,7 +55,7 @@ func TestCanonLabelsMatchStringInterning(t *testing.T) {
 		if trial%2 == 0 {
 			b = shuffle(a, src) // isomorphic by construction
 		}
-		got, want := CanonLabels(a, b), canonLabelsByString(a, b)
+		got, want := canonLabels(a, b), canonLabelsByString(a, b)
 		if !slices.Equal(got[0], want[0]) || !slices.Equal(got[1], want[1]) {
 			t.Fatalf("trial %d: labels differ from string interning", trial)
 		}

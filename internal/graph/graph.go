@@ -144,13 +144,6 @@ func (g *Graph) EachNeighbor(u int, f func(v int)) {
 	}
 }
 
-// Neighbors returns the sorted neighbor list of u.
-func (g *Graph) Neighbors(u int) []int {
-	out := make([]int, 0, g.Degree(u))
-	g.EachNeighbor(u, func(v int) { out = append(out, v) })
-	return out
-}
-
 // Equal reports whether two graphs are identical as labeled graphs.
 func (g *Graph) Equal(o *Graph) bool {
 	if g.N != o.N {
@@ -233,21 +226,6 @@ func Perturb(g *Graph, k int, src *prng.Source) (*Graph, [][2]int) {
 		flips = append(flips, key)
 	}
 	return out, flips
-}
-
-// EditDistanceLabeled returns the number of edge differences between two
-// labeled graphs on the same vertex set.
-func EditDistanceLabeled(a, b *Graph) int {
-	if a.N != b.N {
-		panic("graph: size mismatch")
-	}
-	d := 0
-	for i := range a.adj {
-		for j := range a.adj[i] {
-			d += bits.OnesCount64(a.adj[i][j] ^ b.adj[i][j])
-		}
-	}
-	return d / 2
 }
 
 // String returns a compact textual form (for diagnostics).

@@ -88,17 +88,12 @@ func (w *graphWork) release() {
 	w.parent = w.parent[:0]
 }
 
-// DegreeOrderSignatures computes the §5.1 signature scheme for g: top holds
+// degreeOrderSignatures computes the §5.1 signature scheme for g: top holds
 // the h highest-degree vertices (descending, ties broken by index), rest the
 // others in the same order, and sigs[i] is the signature of rest[i] — the
 // ascending ranks in top of the anchors it is adjacent to. The signatures are
-// capacity-limited sub-slices of one arena.
-func DegreeOrderSignatures(g *graph.Graph, h int) (top, rest []int, sigs [][]uint64) {
-	return new(graphWork).degreeOrderSignatures(g, h)
-}
-
-// degreeOrderSignatures is DegreeOrderSignatures into the workspace: the
-// results alias it.
+// capacity-limited sub-slices of one arena in the workspace, and the results
+// alias it.
 func (w *graphWork) degreeOrderSignatures(g *graph.Graph, h int) (top, rest []int, sigs [][]uint64) {
 	order, deg := w.degreeOrder(g)
 	top, rest = order[:h], order[h:]
@@ -443,7 +438,7 @@ func (w *graphWork) applyEdgeRecon(coins hashing.Coins, lbl edgeLabels, edgeMsg 
 	}
 	wantHash := binary.LittleEndian.Uint64(edgeMsg[len(edgeMsg)-8:])
 	edgeSetB := w.labeledEdgeSet(gb, labelB)
-	add, rem, err := w.dec.DecodeIBLT(edgeMsg[:len(edgeMsg)-8], edgeSetB)
+	add, rem, err := w.dec.DecodeIBLT(edgeMsg[:len(edgeMsg)-8], coins.Seed(lbl.table, 0), edgeSetB)
 	if err != nil {
 		return nil, fmt.Errorf("graphrecon: edge IBLT: %w", err)
 	}

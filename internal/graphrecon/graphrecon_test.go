@@ -9,6 +9,7 @@ import (
 	"sosr/internal/graph"
 	"sosr/internal/hashing"
 	"sosr/internal/prng"
+	"sosr/internal/setrecon"
 	"sosr/internal/transport"
 )
 
@@ -35,7 +36,7 @@ func TestDegreeOrderSignatures(t *testing.T) {
 		g.AddEdge(0, v)
 	}
 	g.AddEdge(1, 2)
-	top, rest, sigs := DegreeOrderSignatures(g, 2)
+	top, rest, sigs := new(graphWork).degreeOrderSignatures(g, 2)
 	if top[0] != 0 {
 		t.Fatalf("top[0] = %d, want hub", top[0])
 	}
@@ -105,19 +106,36 @@ func TestNeighborhoodSignatures(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	// Degrees: 0:2 1:2 2:3 3:1.
-	sig0 := DegreeSignature(g, 0, 3)
-	if len(sig0) != 2 || sig0[0] != 2 || sig0[1] != 3 {
-		t.Fatalf("sig(0) = %v", sig0)
-	}
-	// Threshold cuts high degrees.
-	sig0cut := DegreeSignature(g, 0, 2)
-	if len(sig0cut) != 1 || sig0cut[0] != 2 {
-		t.Fatalf("sig(0) with m=2 = %v", sig0cut)
-	}
 	all := AllDegreeSignatures(g, 3)
 	if len(all) != 4 {
 		t.Fatal("wrong signature count")
 	}
+	if sig0 := all[0]; len(sig0) != 2 || sig0[0] != 2 || sig0[1] != 3 {
+		t.Fatalf("sig(0) = %v", sig0)
+	}
+	if sig2 := all[2]; len(sig2) != 3 || sig2[0] != 1 || sig2[1] != 2 || sig2[2] != 2 {
+		t.Fatalf("sig(2) = %v", sig2)
+	}
+	// Threshold cuts high degrees.
+	if sig0cut := AllDegreeSignatures(g, 2)[0]; len(sig0cut) != 1 || sig0cut[0] != 2 {
+		t.Fatalf("sig(0) with m=2 = %v", sig0cut)
+	}
+}
+
+// areNeighborhoodsDisjoint checks Definition 5.4 for all vertex pairs: every
+// two distinct vertices' degree neighborhoods (threshold m) differ in at
+// least k multiset elements. The Theorem 5.6 tests sample base graphs with
+// it.
+func areNeighborhoodsDisjoint(g *graph.Graph, m, k int) bool {
+	sigs := AllDegreeSignatures(g, m)
+	for i := 0; i < g.N; i++ {
+		for j := i + 1; j < g.N; j++ {
+			if setrecon.MultisetSymDiff(sigs[i], sigs[j]) < k {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestNeighborhoodRecon(t *testing.T) {
@@ -131,7 +149,7 @@ func TestNeighborhoodRecon(t *testing.T) {
 		p := 0.5
 		g := graph.Gnp(n, p, src)
 		m := int(p * float64(n) * 1.5)
-		if !AreNeighborhoodsDisjoint(g, m, 8*d+1) {
+		if !areNeighborhoodsDisjoint(g, m, 8*d+1) {
 			continue
 		}
 		ga, _ := graph.Perturb(g, 1, src)
@@ -155,7 +173,7 @@ func TestAreNeighborhoodsDisjointNegative(t *testing.T) {
 	// Two isolated vertices have identical (empty) neighborhoods.
 	g := graph.New(4)
 	g.AddEdge(0, 1)
-	if AreNeighborhoodsDisjoint(g, 4, 1) {
+	if areNeighborhoodsDisjoint(g, 4, 1) {
 		t.Fatal("claimed disjoint despite identical empty signatures")
 	}
 }

@@ -32,7 +32,7 @@ func TestNeighborhoodFailureGuard(t *testing.T) {
 	failed, bytes := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		base := graph.Gnp(n, 0.5, src)
-		for !AreNeighborhoodsDisjoint(base, m, 8*d+1) {
+		for !areNeighborhoodsDisjoint(base, m, 8*d+1) {
 			base = graph.Gnp(n, 0.5, src)
 		}
 		ga, _ := graph.Perturb(base, d, src)

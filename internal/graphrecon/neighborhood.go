@@ -36,18 +36,6 @@ type NeighborhoodParams struct {
 	D int
 }
 
-// DegreeSignature returns v's degree-neighborhood multiset (sorted).
-func DegreeSignature(g *graph.Graph, v, m int) []uint64 {
-	out := make([]uint64, 0, g.Degree(v))
-	g.EachNeighbor(v, func(w int) {
-		if deg := g.Degree(w); deg <= m {
-			out = append(out, uint64(deg))
-		}
-	})
-	slices.Sort(out)
-	return out
-}
-
 // AllDegreeSignatures computes every vertex's signature, as capacity-limited
 // sub-slices of one arena.
 func AllDegreeSignatures(g *graph.Graph, m int) [][]uint64 {
@@ -69,21 +57,6 @@ func AllDegreeSignatures(g *graph.Graph, m int) [][]uint64 {
 		out[v] = arena[at:len(arena):len(arena)]
 	}
 	return out
-}
-
-// AreNeighborhoodsDisjoint checks Definition 5.4 for all vertex pairs: every
-// two distinct vertices' degree neighborhoods (threshold m) differ in at
-// least k multiset elements.
-func AreNeighborhoodsDisjoint(g *graph.Graph, m, k int) bool {
-	sigs := AllDegreeSignatures(g, m)
-	for i := 0; i < g.N; i++ {
-		for j := i + 1; j < g.N; j++ {
-			if setrecon.MultisetSymDiff(sigs[i], sigs[j]) < k {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // NeighborhoodRecon runs the Theorem 5.6 protocol: signatures reconciled as

@@ -86,7 +86,7 @@ func TestDegreeOrderLabelingConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, rest, sigs := DegreeOrderSignatures(g, h)
+	top, rest, sigs := new(graphWork).degreeOrderSignatures(g, h)
 	var alice, bob graphWork // one workspace per party: each holds its labelling
 	parent, err := alice.signatureParent(sigs)
 	if err != nil {

@@ -178,11 +178,6 @@ func (c Coins) Seed(label string, index int) uint64 {
 	return prng.Mix64(h ^ prng.Mix64(uint64(index)*0x9e3779b97f4a7c15+1))
 }
 
-// Pairwise derives a pairwise-independent function for (label, index).
-func (c Coins) Pairwise(label string, index int) Pairwise {
-	return NewPairwise(c.Seed(label, index))
-}
-
 // Sub derives child coins for a labeled sub-protocol, so nested protocol
 // invocations (e.g. per-level IBLTs in Algorithm 2) get independent streams.
 func (c Coins) Sub(label string, index int) Coins {

@@ -115,8 +115,8 @@ func TestCoinsIndependentRoles(t *testing.T) {
 
 func TestCoinsPairwiseUsable(t *testing.T) {
 	c := NewCoins(3)
-	h := c.Pairwise("role", 2)
-	if h.Hash(5) != c.Pairwise("role", 2).Hash(5) {
+	h := NewPairwise(c.Seed("role", 2))
+	if h.Hash(5) != NewPairwise(NewCoins(3).Seed("role", 2)).Hash(5) {
 		t.Fatal("pairwise derivation not reproducible")
 	}
 }

@@ -54,10 +54,12 @@ func BenchmarkMarshalUnmarshal(b *testing.B) {
 	for i := uint64(0); i < 300; i++ {
 		t.InsertUint64(i * 31)
 	}
+	var buf []byte
+	var back Table
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := t.Marshal()
-		if _, err := Unmarshal(buf); err != nil {
+		buf = t.AppendMarshal(buf[:0])
+		if err := back.UnmarshalInto(buf, DefaultHashCount, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

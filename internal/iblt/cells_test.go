@@ -37,7 +37,7 @@ func goldenTables() []*Table {
 func TestMarshalGolden(t *testing.T) {
 	h := sha256.New()
 	for _, tab := range goldenTables() {
-		buf := tab.Marshal()
+		buf := tab.AppendMarshal(nil)
 		if len(buf) != tab.SerializedSize() {
 			t.Fatalf("Marshal is %d bytes, SerializedSize %d", len(buf), tab.SerializedSize())
 		}

@@ -57,8 +57,8 @@ func (t *Table) CopyFrom(src *Table) {
 	copy(t.checks, src.checks)
 }
 
-// parseHeader validates a Marshal header and the buffer length against the
-// claimed shape before any allocation can be sized from hostile input.
+// parseHeader validates an AppendMarshal header and the buffer length against
+// the claimed shape before any allocation can be sized from hostile input.
 func parseHeader(buf []byte) (k, cells, width int, seed uint64, err error) {
 	if len(buf) < headerSize {
 		return 0, 0, 0, 0, fmt.Errorf("iblt: truncated header (%d bytes)", len(buf))
@@ -82,13 +82,19 @@ func parseHeader(buf []byte) (k, cells, width int, seed uint64, err error) {
 	return k, cells, width, seed, nil
 }
 
-// UnmarshalInto parses a table serialized by Marshal into t, reusing t's
-// storage (the decode-side analogue of AppendMarshal). On error t is left
-// unchanged.
-func (t *Table) UnmarshalInto(buf []byte) error {
-	k, cells, width, seed, err := parseHeader(buf)
+// UnmarshalInto parses a table serialized by AppendMarshal into t, reusing
+// t's storage. k and seed are the hash count and seed the receiver's plan
+// builds the table with: the public coins fix both, so a header declaring
+// others is refused before anything is sized from it — a peer that re-heads a
+// table with k = cells would otherwise have every key hashed k times. On
+// error t is left unchanged.
+func (t *Table) UnmarshalInto(buf []byte, k int, seed uint64) error {
+	hk, cells, width, hseed, err := parseHeader(buf)
 	if err != nil {
 		return err
+	}
+	if hk != k || hseed != seed {
+		return fmt.Errorf("iblt: table of k=%d seed=%#x, the plan's is k=%d seed=%#x", hk, hseed, k, seed)
 	}
 	t.Reshape(cells, width, k, seed)
 	return t.LoadCells(buf[headerSize:t.SerializedSize()], marshalCountBytes)

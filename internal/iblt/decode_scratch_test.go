@@ -2,6 +2,7 @@ package iblt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"sosr/internal/prng"
@@ -10,26 +11,39 @@ import (
 // Decode-side scratch reuse: steady-state decode loops must be allocation
 // free, mirroring the encode-side guarantees in fastpath_test.go.
 
+// TestUnmarshalIntoMatchesUnmarshal: a table encoded and parsed back into a
+// dirty scratch of another shape is its source again, cell for cell, and
+// peels to the source's keys.
 func TestUnmarshalIntoMatchesUnmarshal(t *testing.T) {
 	src := prng.New(31)
 	orig := NewUint64(CellsFor(32), 0, 5)
-	for i := 0; i < 200; i++ {
-		orig.InsertUint64(src.Uint64())
+	keys := make([]uint64, 200)
+	for i := range keys {
+		keys[i] = src.Uint64()
+		orig.InsertUint64(keys[i])
 	}
-	buf := orig.Marshal()
-	fresh, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := orig.AppendMarshal(nil)
 	var reused Table
 	// Pre-dirty the scratch with a different shape to prove Reshape clears it.
 	reused.Reshape(128, 24, 0, 99)
 	reused.Insert(make([]byte, 24))
-	if err := reused.UnmarshalInto(buf); err != nil {
+	if err := reused.UnmarshalInto(buf, DefaultHashCount, 5); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fresh.Marshal(), reused.Marshal()) {
-		t.Fatal("UnmarshalInto state diverges from Unmarshal")
+	if reused.k != orig.k || reused.cells != orig.cells || reused.width != orig.width || reused.seed != orig.seed ||
+		!slices.Equal(reused.counts, orig.counts) || !bytes.Equal(reused.keySums, orig.keySums) || !slices.Equal(reused.checks, orig.checks) {
+		t.Fatal("UnmarshalInto state diverges from the source table")
+	}
+	small := NewUint64(CellsFor(4), 0, 5)
+	for _, x := range keys[:3] {
+		small.InsertUint64(x)
+	}
+	if err := reused.UnmarshalInto(small.AppendMarshal(nil), DefaultHashCount, 5); err != nil {
+		t.Fatal(err)
+	}
+	added, removed, err := reused.AppendDecodeUint64(nil, nil)
+	if err != nil || len(removed) != 0 || !sameSet(added, keys[:3]) {
+		t.Fatalf("round trip peels %v/%v (%v), want %v", added, removed, err, keys[:3])
 	}
 }
 
@@ -39,13 +53,13 @@ func TestUnmarshalIntoAllocationFree(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		orig.InsertUint64(src.Uint64())
 	}
-	buf := orig.Marshal()
+	buf := orig.AppendMarshal(nil)
 	var scratch Table
-	if err := scratch.UnmarshalInto(buf); err != nil {
+	if err := scratch.UnmarshalInto(buf, DefaultHashCount, 9); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := scratch.UnmarshalInto(buf); err != nil {
+		if err := scratch.UnmarshalInto(buf, DefaultHashCount, 9); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -187,14 +201,14 @@ func TestDecodePackedBoundedOnCorruptTable(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		tab.InsertUint64(uint64(i))
 	}
-	buf := tab.Marshal()
+	buf := tab.AppendMarshal(nil)
 	// Corrupt every checksum so purability checks misfire unpredictably.
 	for c := 0; c < tab.Cells(); c++ {
 		off := headerSize + c*(4+WordWidth+8) + 4 + WordWidth
 		buf[off] ^= 0xff
 	}
 	var mangled Table
-	if err := mangled.UnmarshalInto(buf); err != nil {
+	if err := mangled.UnmarshalInto(buf, DefaultHashCount, 2); err != nil {
 		t.Fatal(err)
 	}
 	var d PackedDiff
@@ -226,12 +240,12 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 	var cp Table
 	cp.CopyFrom(orig)
-	if !bytes.Equal(orig.Marshal(), cp.Marshal()) {
+	if !bytes.Equal(orig.AppendMarshal(nil), cp.AppendMarshal(nil)) {
 		t.Fatal("CopyFrom state diverges from source")
 	}
 	// Mutating the copy must not touch the original.
 	cp.InsertUint64(42)
-	if bytes.Equal(orig.Marshal(), cp.Marshal()) {
+	if bytes.Equal(orig.AppendMarshal(nil), cp.AppendMarshal(nil)) {
 		t.Fatal("CopyFrom aliases source storage")
 	}
 }

@@ -27,7 +27,7 @@ func TestWordPathMatchesBytePath(t *testing.T) {
 			slow.Insert(buf[:])
 		}
 	}
-	if !bytes.Equal(fast.Marshal(), slow.Marshal()) {
+	if !bytes.Equal(fast.AppendMarshal(nil), slow.AppendMarshal(nil)) {
 		t.Fatal("word-key fast path diverges from byte-key path")
 	}
 }
@@ -113,7 +113,7 @@ func TestAppendMarshalReuse(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		tbl.InsertUint64(i * 977)
 	}
-	want := tbl.Marshal()
+	want := tbl.AppendMarshal(nil)
 	buf := make([]byte, 0, tbl.SerializedSize())
 	if got := tbl.AppendMarshal(buf[:0]); !bytes.Equal(got, want) {
 		t.Fatal("AppendMarshal diverges from Marshal")
@@ -137,32 +137,7 @@ func TestResetReusable(t *testing.T) {
 		fresh.InsertUint64(i)
 		reused.InsertUint64(i)
 	}
-	if !bytes.Equal(fresh.Marshal(), reused.Marshal()) {
+	if !bytes.Equal(fresh.AppendMarshal(nil), reused.AppendMarshal(nil)) {
 		t.Fatal("Reset table diverges from a fresh table")
-	}
-}
-
-// TestNegateMatchesSerializedNegation: Negate flips counts exactly like the
-// old marshal/flip/unmarshal round trip the strata merge used.
-func TestNegateMatchesSerializedNegation(t *testing.T) {
-	tbl := NewUint64(64, 0, 17)
-	for i := uint64(0); i < 30; i++ {
-		tbl.InsertUint64(i * 3)
-	}
-	neg := tbl.Clone()
-	neg.Negate()
-	buf := tbl.Marshal()
-	cellBytes := 4 + tbl.Width() + 8
-	for c := 0; c < tbl.Cells(); c++ {
-		off := headerSize + c*cellBytes
-		v := int32(binary.LittleEndian.Uint32(buf[off:]))
-		binary.LittleEndian.PutUint32(buf[off:], uint32(-v))
-	}
-	want, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(neg.Marshal(), want.Marshal()) {
-		t.Fatal("Negate diverges from serialized negation")
 	}
 }

@@ -2,6 +2,8 @@ package iblt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"sosr/internal/prng"
@@ -9,7 +11,20 @@ import (
 
 // Robustness tests: corrupted or malicious serialized tables must never
 // panic — they either fail to parse, fail to decode, or decode to keys that
-// downstream verification hashes reject.
+// downstream verification hashes reject. They parse the way every decoder
+// does, through UnmarshalInto on one reused table with the hash count and
+// seed of its plan, and a refused buffer must leave that table as it was.
+
+// unmarshalChecked parses buf into into and fails t if a refusal changed it.
+func unmarshalChecked(t *testing.T, into *Table, buf []byte, k int, seed uint64) error {
+	t.Helper()
+	before := into.AppendMarshal(nil)
+	err := into.UnmarshalInto(buf, k, seed)
+	if err != nil && !bytes.Equal(into.AppendMarshal(nil), before) {
+		t.Fatalf("a refused table (%v) changed the receiver", err)
+	}
+	return err
+}
 
 func TestUnmarshalCorruptionNeverPanics(t *testing.T) {
 	src := prng.New(1)
@@ -17,39 +32,52 @@ func TestUnmarshalCorruptionNeverPanics(t *testing.T) {
 	for i := uint64(0); i < 20; i++ {
 		base.InsertUint64(i * 977)
 	}
-	buf := base.Marshal()
+	buf := base.AppendMarshal(nil)
+	into := NewUint64(8, 0, 7)
 	for trial := 0; trial < 500; trial++ {
 		corrupt := append([]byte(nil), buf...)
 		// Flip 1-8 random bytes.
 		for f := 0; f <= src.Intn(8); f++ {
 			corrupt[src.Intn(len(corrupt))] ^= byte(1 + src.Intn(255))
 		}
-		tab, err := Unmarshal(corrupt)
-		if err != nil {
+		if unmarshalChecked(t, into, corrupt, DefaultHashCount, 7) != nil {
 			continue
 		}
 		// Decoding a corrupt table must not panic; errors are fine.
-		_, _, _ = tab.Decode()
+		var work Table
+		work.CopyFrom(into)
+		_, _, _ = work.Decode()
 	}
 }
 
 func TestUnmarshalRandomGarbageNeverPanics(t *testing.T) {
 	src := prng.New(2)
+	into := NewUint64(8, 0, 3)
 	for trial := 0; trial < 500; trial++ {
 		n := src.Intn(256)
 		buf := make([]byte, n)
 		for i := range buf {
 			buf[i] = byte(src.Uint64())
 		}
-		tab, err := Unmarshal(buf)
-		if err != nil {
+		// Half the time the header carries the expected hash count and seed,
+		// so the garbage reaches the shape checks and the cells.
+		if n >= headerSize && trial%2 == 0 {
+			binary.LittleEndian.PutUint32(buf[0:], DefaultHashCount)
+			binary.LittleEndian.PutUint32(buf[4:], uint32(DefaultHashCount*(1+src.Intn(8))))
+			binary.LittleEndian.PutUint32(buf[8:], uint32(1+src.Intn(8)))
+			binary.LittleEndian.PutUint64(buf[12:], 3)
+		}
+		if unmarshalChecked(t, into, buf, DefaultHashCount, 3) != nil {
 			continue
 		}
-		_, _, _ = tab.Decode()
+		var work Table
+		work.CopyFrom(into)
+		_, _, _ = work.Decode()
 	}
 }
 
 func TestUnmarshalHostileHeader(t *testing.T) {
+	into := NewUint64(8, 0, 7)
 	// Headers claiming absurd sizes must be rejected, not allocated.
 	hostile := make([]byte, 20)
 	// k=1, cells=2^31-ish, width=2^31-ish.
@@ -57,8 +85,25 @@ func TestUnmarshalHostileHeader(t *testing.T) {
 	for i := 4; i < 12; i++ {
 		hostile[i] = 0xff
 	}
-	if _, err := Unmarshal(hostile); err == nil {
+	if unmarshalChecked(t, into, hostile, 1, 0) == nil {
 		t.Fatal("hostile header accepted")
+	}
+	// A valid table re-headed with k = cells, or with a foreign seed, is
+	// refused before it is shaped: the plan fixes both.
+	valid := NewUint64(32, 0, 7)
+	valid.InsertUint64(42)
+	buf := valid.AppendMarshal(nil)
+	if err := unmarshalChecked(t, into, buf, DefaultHashCount, 7); err != nil {
+		t.Fatal(err)
+	}
+	wide := slices.Clone(buf)
+	binary.LittleEndian.PutUint32(wide[0:], uint32(valid.Cells()))
+	foreign := slices.Clone(buf)
+	binary.LittleEndian.PutUint64(foreign[12:], 8)
+	for name, b := range map[string][]byte{"k = cells": wide, "foreign seed": foreign} {
+		if unmarshalChecked(t, into, b, DefaultHashCount, 7) == nil {
+			t.Fatalf("%s: re-headed table accepted", name)
+		}
 	}
 }
 
@@ -70,16 +115,16 @@ func TestSubtractedCorruptTablesDecodeSafely(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.InsertUint64(src.Uint64())
 	}
-	buf := a.Marshal()
+	buf := a.AppendMarshal(nil)
 	for i := 40; i < len(buf); i += 7 {
 		buf[i] ^= 0x55
 	}
-	b, err := Unmarshal(buf)
-	if err != nil {
+	var b Table
+	if err := b.UnmarshalInto(buf, DefaultHashCount, 9); err != nil {
 		t.Skip("corruption made table unparseable (fine)")
 	}
 	c := NewUint64(32, 0, 9)
-	if err := c.Subtract(b); err != nil {
+	if err := c.Subtract(&b); err != nil {
 		return
 	}
 	_, _, _ = c.Decode() // must terminate without panic

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"sosr/internal/hashing"
-	"sosr/internal/prng"
 )
 
 // DefaultHashCount is the number of hash functions (k in the paper); 4 gives
@@ -89,12 +88,6 @@ func (t *Table) Cells() int { return t.cells }
 
 // Width returns the key width in bytes.
 func (t *Table) Width() int { return t.width }
-
-// HashCount returns k.
-func (t *Table) HashCount() int { return t.k }
-
-// Seed returns the seed the table was built with.
-func (t *Table) Seed() uint64 { return t.seed }
 
 // indexSeed is the seed of the i-th index hash; the checksum hashes under
 // seed^checksumSalt.
@@ -297,15 +290,6 @@ func (t *Table) Reset() {
 	clear(t.checks)
 }
 
-// Negate flips the sign of every count in place (keySums and checksums are
-// XOR-based and unchanged). Subtracting a negated table is cell-wise
-// addition, which is how two halves of one logical difference merge.
-func (t *Table) Negate() {
-	for i := range t.counts {
-		t.counts[i] = -t.counts[i]
-	}
-}
-
 // Subtract folds other into t cell-by-cell (t -= other). After Alice's table
 // is subtracted by Bob's, decoding yields SA\SB as added keys and SB\SA as
 // removed keys. Tables must have identical shape and seed.
@@ -451,14 +435,14 @@ func (t *Table) AppendDecodeUint64(added, removed []uint64) (a, r []uint64, err 
 	return added, removed, nil
 }
 
-// SerializedSize returns the exact number of bytes Marshal produces for a
+// SerializedSize returns the exact number of bytes AppendMarshal adds for a
 // table of this shape: a fixed header plus (4 + width + 8) bytes per cell.
 func (t *Table) SerializedSize() int {
 	return headerSize + CellsSize(t.cells, t.width, t.k, marshalCountBytes)
 }
 
-// SerializedSizeFor computes the Marshal size for a hypothetical table, used
-// by protocols when budgeting communication.
+// SerializedSizeFor computes the AppendMarshal size for a hypothetical table,
+// used by protocols when budgeting communication.
 func SerializedSizeFor(cells, width, k int) int {
 	return headerSize + CellsSize(cells, width, k, marshalCountBytes)
 }
@@ -488,19 +472,15 @@ func RoundCells(cells, k int) int {
 
 const (
 	headerSize        = 4 + 4 + 4 + 8 // k, cells, width, seed
-	marshalCountBytes = 4             // Marshal keeps every int32 count
+	marshalCountBytes = 4             // AppendMarshal keeps every int32 count
 )
 
-// Marshal serializes the table. The layout is fixed-width so an encoding of
-// a child IBLT can be XORed inside a parent table: equal-shaped empty tables
-// serialize to equal bytes, and every field is position-stable.
-func (t *Table) Marshal() []byte {
-	return t.AppendMarshal(make([]byte, 0, t.SerializedSize()))
-}
-
-// AppendMarshal appends the Marshal encoding — the shape header, then the
+// AppendMarshal appends the table's encoding — the shape header, then the
 // cells with 4-byte counts — to dst and returns the extended slice, letting
-// encode loops reuse one buffer across many tables.
+// encode loops reuse one buffer across many tables. The layout is fixed-width
+// so an encoding of a child IBLT can be XORed inside a parent table:
+// equal-shaped empty tables serialize to equal bytes, and every field is
+// position-stable.
 func (t *Table) AppendMarshal(dst []byte) []byte {
 	dst = grow(dst, t.SerializedSize())
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.k))
@@ -591,22 +571,6 @@ func (t *Table) LoadCells(buf []byte, countBytes int) error {
 	return nil
 }
 
-// Unmarshal parses a table serialized by Marshal. The claimed shape is
-// validated against the actual buffer BEFORE any allocation (see
-// parseHeader), so a corrupt or hostile header cannot trigger a giant
-// allocation.
-func Unmarshal(buf []byte) (*Table, error) {
-	k, cells, width, seed, err := parseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	t := New(cells, width, k, seed)
-	if err := t.LoadCells(buf[headerSize:t.SerializedSize()], marshalCountBytes); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // CellsFor returns the recommended number of cells for decoding a set
 // difference of at most d keys with good probability at practical sizes.
 // Theorem 2.1 says O(d) cells suffice; the constant here (2 plus slack for
@@ -636,18 +600,4 @@ func CellsTight(d int) int {
 		c = 8
 	}
 	return c
-}
-
-// FuzzSeededKey is a helper for property tests: produces a deterministic
-// pseudo-random key of the table's width from a word.
-func (t *Table) FuzzSeededKey(x uint64) []byte {
-	key := make([]byte, t.width)
-	s := x
-	for i := 0; i < t.width; i += 8 {
-		v := prng.SplitMix64(&s)
-		for j := 0; j < 8 && i+j < t.width; j++ {
-			key[i+j] = byte(v >> (8 * j))
-		}
-	}
-	return key
 }

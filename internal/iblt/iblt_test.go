@@ -98,12 +98,12 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		keys = append(keys, k)
 		tab.Insert(k)
 	}
-	buf := tab.Marshal()
+	buf := tab.AppendMarshal(nil)
 	if len(buf) != tab.SerializedSize() {
 		t.Fatalf("marshal size %d != %d", len(buf), tab.SerializedSize())
 	}
-	back, err := Unmarshal(buf)
-	if err != nil {
+	var back Table
+	if err := back.UnmarshalInto(buf, 4, 99); err != nil {
 		t.Fatal(err)
 	}
 	added, removed, err := back.Decode()
@@ -123,14 +123,29 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2, 3}); err == nil {
+	var back Table
+	if err := back.UnmarshalInto([]byte{1, 2, 3}, DefaultHashCount, 1); err == nil {
 		t.Fatal("expected truncated header error")
 	}
 	tab := NewUint64(16, 0, 1)
-	buf := tab.Marshal()
-	if _, err := Unmarshal(buf[:len(buf)-4]); err == nil {
+	buf := tab.AppendMarshal(nil)
+	if err := back.UnmarshalInto(buf[:len(buf)-4], DefaultHashCount, 1); err == nil {
 		t.Fatal("expected truncated body error")
 	}
+}
+
+// FuzzSeededKey produces a deterministic pseudo-random key of the table's
+// width from a word, for property tests.
+func (t *Table) FuzzSeededKey(x uint64) []byte {
+	key := make([]byte, t.width)
+	s := x
+	for i := 0; i < t.width; i += 8 {
+		v := prng.SplitMix64(&s)
+		for j := 0; j < 8 && i+j < t.width; j++ {
+			key[i+j] = byte(v >> (8 * j))
+		}
+	}
+	return key
 }
 
 func TestVectorKeys(t *testing.T) {
@@ -267,8 +282,8 @@ func TestInsertTouchesHashCountCells(t *testing.T) {
 			nonzero++
 		}
 	}
-	if nonzero != a.HashCount() {
-		t.Fatalf("expected %d nonzero cells, got %d", a.HashCount(), nonzero)
+	if nonzero != a.k {
+		t.Fatalf("expected %d nonzero cells, got %d", a.k, nonzero)
 	}
 }
 

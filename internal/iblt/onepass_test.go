@@ -150,7 +150,7 @@ func TestNewAllAndCloneAllMatchNew(t *testing.T) {
 	shapes := []Shape{{Cells: 10, Width: 8, Seed: 1}, {Cells: 33, Width: 51, K: 3, Seed: 2}, {Cells: 1, Width: 272, K: 5, Seed: 3}, {Cells: 64, Width: 8, K: 4, Seed: 4}}
 	all := NewAll(shapes)
 	for i, sh := range shapes {
-		if want := New(sh.Cells, sh.Width, sh.K, sh.Seed); !bytes.Equal(all[i].Marshal(), want.Marshal()) {
+		if want := New(sh.Cells, sh.Width, sh.K, sh.Seed); !bytes.Equal(all[i].AppendMarshal(nil), want.AppendMarshal(nil)) {
 			t.Fatalf("table %d: NewAll differs from New(%+v)", i, sh)
 		}
 	}

@@ -259,9 +259,6 @@ func (c *Counter) Value() uint64 { return c.n.Load() }
 // Gauge is a float64 that can go up and down, safe for concurrent use.
 type Gauge struct{ bits atomic.Uint64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds d (negative to subtract).
 func (g *Gauge) Add(d float64) {
 	for {

@@ -16,7 +16,7 @@ func TestExpositionGolden(t *testing.T) {
 	sessions.With("sos", "ok").Add(3)
 	sessions.With("set", "error").Inc()
 	temp := r.Gauge("test_temperature", "A label-free gauge.")
-	temp.With().Set(36.5)
+	temp.With().Add(36.5)
 	lat := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, "stage")
 	h := lat.With("hello")
 	h.Observe(0.005)

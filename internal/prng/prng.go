@@ -113,18 +113,3 @@ func (r *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle performs a Fisher–Yates shuffle of n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Fork returns a new independent Source derived from this one. Forked sources
-// are used when a sub-task needs its own stream without perturbing the parent
-// stream's sequence.
-func (r *Source) Fork() *Source {
-	return New(r.Uint64())
-}

@@ -97,37 +97,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	src := New(15)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	orig := append([]int(nil), xs...)
-	src.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 45 {
-		t.Fatal("shuffle lost elements")
-	}
-	same := true
-	for i := range xs {
-		if xs[i] != orig[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("shuffle did nothing (vanishingly unlikely)")
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	a := New(1)
-	fork := a.Fork()
-	if a.Uint64() == fork.Uint64() {
-		t.Fatal("fork mirrors parent")
-	}
-}
-
 func TestBool(t *testing.T) {
 	src := New(17)
 	trues := 0

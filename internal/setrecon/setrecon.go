@@ -108,12 +108,12 @@ type Work struct {
 
 var workPool = sync.Pool{New: func() any { return new(Work) }}
 
-// DecodeIBLT parses a Marshal-encoded table of Alice's elements, deletes
-// Bob's, and peels: onlyA is SA \ SB, onlyB is SB \ SA. Both alias w and are
-// valid until its next decode.
-func (w *Work) DecodeIBLT(body []byte, bob []uint64) (onlyA, onlyB []uint64, err error) {
+// DecodeIBLT parses an encoded table of Alice's elements, built with seed and
+// DefaultHashCount, deletes Bob's, and peels: onlyA is SA \ SB, onlyB is
+// SB \ SA. Both alias w and are valid until its next decode.
+func (w *Work) DecodeIBLT(body []byte, seed uint64, bob []uint64) (onlyA, onlyB []uint64, err error) {
 	t := &w.table
-	if err := t.UnmarshalInto(body); err != nil {
+	if err := t.UnmarshalInto(body, iblt.DefaultHashCount, seed); err != nil {
 		return nil, nil, err
 	}
 	if t.Width() != iblt.WordWidth {
@@ -140,7 +140,7 @@ func ApplyIBLTMsg(coins hashing.Coins, msg []byte, bob []uint64) (*Result, error
 	body, vhBytes := msg[:len(msg)-8], msg[len(msg)-8:]
 	w := workPool.Get().(*Work)
 	defer workPool.Put(w)
-	onlyA, onlyB, err := w.DecodeIBLT(body, bob)
+	onlyA, onlyB, err := w.DecodeIBLT(body, coins.Seed("setrecon/iblt", 0), bob)
 	if err != nil {
 		return nil, err
 	}

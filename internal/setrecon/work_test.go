@@ -100,7 +100,7 @@ func TestWorkPinsNoCallerData(t *testing.T) {
 	c := newWorkCase(3, 2000, 16)
 	caller := []worktest.Span{worktest.SpanOf(c.alice), worktest.SpanOf(c.bob), worktest.SpanOf(c.iblt), worktest.SpanOf(c.cpoly)}
 	w := new(Work)
-	if _, _, err := w.DecodeIBLT(c.iblt[:len(c.iblt)-8], c.bob); err != nil {
+	if _, _, err := w.DecodeIBLT(c.iblt[:len(c.iblt)-8], c.coins.Seed("setrecon/iblt", 0), c.bob); err != nil {
 		t.Fatal(err)
 	}
 	worktest.PinsNothing(t, "Work after DecodeIBLT", w, caller...)

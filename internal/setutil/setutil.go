@@ -1,6 +1,6 @@
 // Package setutil provides canonical-set helpers shared by every protocol:
 // sorting/deduplication, symmetric differences, applying a decoded difference
-// to a set, canonical serialization, and order-invariant set hashing.
+// to a set, and order-invariant set hashing.
 //
 // Throughout the repository a "set" is a []uint64 in canonical form: strictly
 // increasing, no duplicates. The paper's universe of size u maps to the
@@ -9,7 +9,6 @@
 package setutil
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"sosr/internal/hashing"
@@ -123,27 +122,6 @@ func DiffWithin(a, b []uint64, limit int) bool {
 	return d+(len(a)-i)+(len(b)-j) <= limit
 }
 
-// Diff returns a \ b and b \ a for canonical sets.
-func Diff(a, b []uint64) (onlyA, onlyB []uint64) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			onlyA = append(onlyA, a[i])
-			i++
-		case a[i] > b[j]:
-			onlyB = append(onlyB, b[j])
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	onlyA = append(onlyA, a[i:]...)
-	onlyB = append(onlyB, b[j:]...)
-	return onlyA, onlyB
-}
-
 // ApplyDiff returns base with `remove` taken out and `add` put in, in
 // canonical form. It is how Bob turns his own child set plus a decoded
 // difference into Alice's child set. Elements of remove not present in base
@@ -243,35 +221,6 @@ func Equal(a, b []uint64) bool {
 func Contains(a []uint64, x uint64) bool {
 	_, found := slices.BinarySearch(a, x)
 	return found
-}
-
-// Encode serializes a canonical set as a length-prefixed little-endian word
-// list. The inverse is Decode.
-func Encode(xs []uint64) []byte {
-	buf := make([]byte, 4+8*len(xs))
-	binary.LittleEndian.PutUint32(buf, uint32(len(xs)))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[4+8*i:], x)
-	}
-	return buf
-}
-
-// Decode parses a set serialized by Encode. It returns the set and the number
-// of bytes consumed, or ok=false on malformed input.
-func Decode(buf []byte) (xs []uint64, n int, ok bool) {
-	if len(buf) < 4 {
-		return nil, 0, false
-	}
-	m := int(binary.LittleEndian.Uint32(buf))
-	need := 4 + 8*m
-	if m < 0 || len(buf) < need {
-		return nil, 0, false
-	}
-	xs = make([]uint64, m)
-	for i := 0; i < m; i++ {
-		xs[i] = binary.LittleEndian.Uint64(buf[4+8*i:])
-	}
-	return xs, need, true
 }
 
 // Hash returns an order-invariant hash of the canonical set under seed; it is

@@ -99,9 +99,6 @@ func (m *Map) ShardIDHash(index int) uint64 {
 	return hashing.HashBytes(shardIDSalt, []byte(m.ids[index]))
 }
 
-// N returns the shard count.
-func (m *Map) N() int { return len(m.ids) }
-
 // Owner returns the index of the shard owning key: the shard with the
 // highest hashed (name, key) weight, ties broken by the lexicographically
 // smaller name so assignment stays a pure function of the name set.

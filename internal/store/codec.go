@@ -303,12 +303,6 @@ func unmarshalRecord(buf []byte) (*Record, error) {
 
 // ---- Update ----
 
-// marshalUpdate encodes up into a buffer of exactly its length: one
-// allocation, however many elements and sets it carries.
-func marshalUpdate(up *Update) []byte {
-	return appendUpdate(make([]byte, 0, updateSize(up)), up)
-}
-
 // appendUpdate appends up's encoding to dst.
 func appendUpdate(dst []byte, up *Update) []byte {
 	dst = append(dst, walFormat)

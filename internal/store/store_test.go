@@ -698,3 +698,9 @@ func TestDiskFailedRollbackRefusesAppends(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// marshalUpdate encodes up as the WAL frames it: one buffer of exactly its
+// length.
+func marshalUpdate(up *Update) []byte {
+	return appendUpdate(make([]byte, 0, updateSize(up)), up)
+}

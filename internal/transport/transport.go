@@ -43,13 +43,11 @@ type Msg struct {
 // framed net.Conn, mirrors its frames into a Session through Record, so both
 // report the same Stats.)
 type Session struct {
-	msgs      []Msg
-	rounds    int
-	last      Role
-	started   bool
-	keepBytes bool
-	payloads  [][]byte
-	tamper    func(label string, payload []byte) []byte
+	msgs    []Msg
+	rounds  int
+	last    Role
+	started bool
+	tamper  func(label string, payload []byte) []byte
 }
 
 // SetTamper installs a function applied to every payload in transit,
@@ -62,10 +60,6 @@ func (s *Session) SetTamper(fn func(label string, payload []byte) []byte) {
 
 // New returns an empty session.
 func New() *Session { return &Session{} }
-
-// NewRecording returns a session that additionally retains payload copies
-// (for tests that inspect or tamper with the transcript).
-func NewRecording() *Session { return &Session{keepBytes: true} }
 
 // Record notes a transmitted message's metadata without carrying its bytes.
 // Wire endpoints mirror their frames through this so Stats/Rounds match the
@@ -80,10 +74,9 @@ func (s *Session) Record(from Role, label string, size int) {
 }
 
 // Reset empties the session for the next conversation on the same link,
-// keeping its message storage (and whether it records payloads).
+// keeping its message storage.
 func (s *Session) Reset() {
-	clear(s.payloads)
-	*s = Session{msgs: s.msgs[:0], payloads: s.payloads[:0], keepBytes: s.keepBytes, tamper: s.tamper}
+	*s = Session{msgs: s.msgs[:0], tamper: s.tamper}
 }
 
 // Send transmits payload from the given role and returns the bytes as the
@@ -96,29 +89,7 @@ func (s *Session) Send(from Role, label string, payload []byte) []byte {
 	if s.tamper != nil {
 		recv = s.tamper(label, recv)
 	}
-	if s.keepBytes {
-		// Record a separate copy of the transmitted (post-tamper) bytes so a
-		// test mutating Payload(i) cannot retroactively change what the
-		// receiver saw — but the receiver still gets the tampered payload.
-		stored := make([]byte, len(recv))
-		copy(stored, recv)
-		s.payloads = append(s.payloads, stored)
-	}
 	return recv
-}
-
-// Rounds returns the number of rounds so far.
-func (s *Session) Rounds() int { return s.rounds }
-
-// Messages returns the recorded message metadata.
-func (s *Session) Messages() []Msg { return append([]Msg(nil), s.msgs...) }
-
-// Payload returns the i-th recorded payload (only on recording sessions).
-func (s *Session) Payload(i int) []byte {
-	if !s.keepBytes {
-		panic("transport: payloads not recorded")
-	}
-	return s.payloads[i]
 }
 
 // TotalBytes returns the total bytes transmitted in both directions.
@@ -139,15 +110,6 @@ func (s *Session) BytesFrom(r Role) int {
 		}
 	}
 	return n
-}
-
-// Breakdown returns bytes per message label (for reporting).
-func (s *Session) Breakdown() map[string]int {
-	out := make(map[string]int)
-	for _, m := range s.msgs {
-		out[m.Label] += m.Bytes
-	}
-	return out
 }
 
 // Stats is a compact summary of a finished protocol run.

@@ -212,7 +212,3 @@ func (e *Endpoint) RecvExpect(label string) ([]byte, error) {
 // Stats is the protocol-frame traffic, matching the in-process Session
 // accounting frame-for-frame.
 func (e *Endpoint) Stats() transport.Stats { return e.rec.Stats() }
-
-// Messages exposes the recorded protocol frames (label/size/sender), for
-// overhead audits and logs.
-func (e *Endpoint) Messages() []transport.Msg { return e.rec.Messages() }

@@ -54,7 +54,7 @@ func TestEndpointRecvReusesRing(t *testing.T) {
 	var stream bytes.Buffer
 	const frames = 4 * heldFrames
 	for i := 0; i < frames; i++ {
-		if _, err := WriteFrame(&stream, "iblt", bytes.Repeat([]byte{byte(i)}, 512)); err != nil {
+		if _, err := writeFrame(&stream, "iblt", bytes.Repeat([]byte{byte(i)}, 512)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestRecvLabelsAllocationFree(t *testing.T) {
 	}
 	for r := 0; r <= runs+1; r++ {
 		for i := range flowVocabulary {
-			if _, err := WriteFrame(&stream, order(r, i), payload); err != nil {
+			if _, err := writeFrame(&stream, order(r, i), payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -181,7 +181,7 @@ func TestRecvLabelsAllocationFree(t *testing.T) {
 
 	for i := range 10_000 {
 		label := fmt.Sprintf("hostile-%d", i)
-		if _, err := WriteFrame(&stream, label, payload); err != nil {
+		if _, err := writeFrame(&stream, label, payload); err != nil {
 			t.Fatal(err)
 		}
 		if got, _, err := ep.RecvFrame(); err != nil || got != label {
@@ -193,7 +193,7 @@ func TestRecvLabelsAllocationFree(t *testing.T) {
 		t.Fatalf("the label table holds %d labels after a hostile flood, bound %d", ep.nlabels, maxLabels)
 	}
 	for _, l := range flowVocabulary {
-		if _, err := WriteFrame(&stream, l, payload); err != nil {
+		if _, err := writeFrame(&stream, l, payload); err != nil {
 			t.Fatal(err)
 		}
 		if got, _, err := ep.RecvFrame(); err != nil || unsafe.StringData(got) != first[l] {

@@ -101,15 +101,6 @@ func AppendFrame(dst []byte, label string, payload []byte) ([]byte, error) {
 	return append(dst, cb[:]...), nil
 }
 
-// WriteFrame encodes one frame to w, returning the bytes written.
-func WriteFrame(w io.Writer, label string, payload []byte) (int, error) {
-	buf, err := AppendFrame(make([]byte, 0, FrameSize(label, len(payload))), label, payload)
-	if err != nil {
-		return 0, err
-	}
-	return w.Write(buf)
-}
-
 // ReadFrame decodes one frame from r. maxPayload ≤ 0 means
 // DefaultMaxPayload. It returns the label, the payload, and the total bytes
 // consumed. Truncated streams surface io.ErrUnexpectedEOF (or io.EOF when no

@@ -11,10 +11,19 @@ import (
 	"sosr/internal/transport"
 )
 
+// writeFrame writes one AppendFrame frame to w, returning the bytes written.
+func writeFrame(w io.Writer, label string, payload []byte) (int, error) {
+	buf, err := AppendFrame(nil, label, payload)
+	if err != nil {
+		return 0, err
+	}
+	return w.Write(buf)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	n, err := WriteFrame(&buf, "iblt", payload)
+	n, err := writeFrame(&buf, "iblt", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, "ack", nil); err != nil {
+	if _, err := writeFrame(&buf, "ack", nil); err != nil {
 		t.Fatal(err)
 	}
 	label, payload, _, err := ReadFrame(&buf, 0)
@@ -46,7 +55,7 @@ func TestFrameLabelTooLong(t *testing.T) {
 	for i := range long {
 		long[i] = 'x'
 	}
-	if _, err := WriteFrame(io.Discard, string(long), nil); !errors.Is(err, ErrTooLarge) {
+	if _, err := writeFrame(io.Discard, string(long), nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized label accepted: %v", err)
 	}
 }
@@ -121,7 +130,7 @@ func TestOverheadAccounting(t *testing.T) {
 		t.Fatalf("Overhead = %d", Overhead("iblt"))
 	}
 	var buf bytes.Buffer
-	n, _ := WriteFrame(&buf, "estimator", make([]byte, 100))
+	n, _ := writeFrame(&buf, "estimator", make([]byte, 100))
 	if n != 100+Overhead("estimator") {
 		t.Fatalf("FrameSize mismatch: %d", n)
 	}

@@ -1,15 +1,10 @@
 // Package workload generates the paper's motivating inputs (§1): planted
 // sets-of-sets instances with exact ground-truth distance, binary relational
-// databases whose unlabeled rows are sets of column indices, and shingled
-// document collections with exact/near/fresh duplicates. The experiment
+// databases whose unlabeled rows are sets of column indices. The experiment
 // harness and examples build on these.
 package workload
 
 import (
-	"fmt"
-	"strings"
-
-	"sosr/internal/hashing"
 	"sosr/internal/prng"
 	"sosr/internal/setutil"
 )
@@ -127,99 +122,3 @@ func FlipBits(db *Database, k int, src *prng.Source) *Database {
 
 // SetsOfSets exposes the database as a parent set for reconciliation.
 func (db *Database) SetsOfSets() [][]uint64 { return db.Rows }
-
-// Document is a text whose reconciliation signature is its shingle set.
-type Document struct {
-	ID   string
-	Text string
-}
-
-// Shingles returns the k-word shingle hash set of a document (§1's "blocks
-// of k words of a document are hashed into numbers"), with hashes confined
-// to the 2^60 universe so every protocol applies.
-func Shingles(text string, k int, seed uint64) []uint64 {
-	words := strings.Fields(text)
-	if len(words) == 0 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	var out []uint64
-	if len(words) < k {
-		out = append(out, hashing.HashBytes(seed, []byte(strings.Join(words, " ")))%(1<<60))
-	}
-	for i := 0; i+k <= len(words); i++ {
-		sh := strings.Join(words[i:i+k], " ")
-		out = append(out, hashing.HashBytes(seed, []byte(sh))%(1<<60))
-	}
-	return setutil.Canonical(out)
-}
-
-// Corpus is a collection of documents.
-type Corpus struct {
-	Docs    []Document
-	Shingle int
-	Seed    uint64
-}
-
-// SetsOfSets returns the shingle sets of all documents; duplicate shingle
-// sets (exact duplicate documents) are deduplicated, matching the paper's
-// set-of-sets model.
-func (c *Corpus) SetsOfSets() [][]uint64 {
-	var out [][]uint64
-	seen := map[uint64]bool{}
-	for _, d := range c.Docs {
-		s := Shingles(d.Text, c.Shingle, c.Seed)
-		h := setutil.Hash(0xd0c, s)
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
-		out = append(out, s)
-	}
-	return out
-}
-
-// RandomCorpus generates docCount pseudo-text documents of ~wordsPer words.
-func RandomCorpus(seed uint64, docCount, wordsPer, shingle int) *Corpus {
-	src := prng.New(seed)
-	c := &Corpus{Shingle: shingle, Seed: seed ^ 0x5417}
-	for i := 0; i < docCount; i++ {
-		c.Docs = append(c.Docs, Document{
-			ID:   fmt.Sprintf("doc-%03d", i),
-			Text: randomText(src, wordsPer),
-		})
-	}
-	return c
-}
-
-// EditDocument returns a near-duplicate: `edits` random word substitutions.
-func EditDocument(d Document, edits int, src *prng.Source) Document {
-	words := strings.Fields(d.Text)
-	for e := 0; e < edits && len(words) > 0; e++ {
-		words[src.Intn(len(words))] = randomWord(src)
-	}
-	return Document{ID: d.ID + "'", Text: strings.Join(words, " ")}
-}
-
-func randomText(src *prng.Source, n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(randomWord(src))
-	}
-	return b.String()
-}
-
-func randomWord(src *prng.Source) string {
-	const letters = "abcdefghijklmnopqrstuvwxyz"
-	n := 3 + src.Intn(6)
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		b.WriteByte(letters[src.Intn(len(letters))])
-	}
-	return b.String()
-}

@@ -73,59 +73,3 @@ func TestFlipBitsAvoidsDuplicateRows(t *testing.T) {
 		seen[h] = true
 	}
 }
-
-func TestShingles(t *testing.T) {
-	s := Shingles("the quick brown fox", 2, 9)
-	if len(s) != 3 { // 3 bigrams
-		t.Fatalf("shingle count %d", len(s))
-	}
-	if !setutil.IsCanonical(s) {
-		t.Fatal("not canonical")
-	}
-	for _, x := range s {
-		if x >= 1<<60 {
-			t.Fatal("shingle outside universe")
-		}
-	}
-	// Same text, same seed → same shingles.
-	if !setutil.Equal(s, Shingles("the quick brown fox", 2, 9)) {
-		t.Fatal("not deterministic")
-	}
-	// Short text still yields a signature.
-	if len(Shingles("single", 4, 9)) != 1 {
-		t.Fatal("short doc shingle missing")
-	}
-	if len(Shingles("", 3, 9)) != 0 {
-		t.Fatal("empty doc nonempty shingles")
-	}
-}
-
-func TestCorpusNearDuplicates(t *testing.T) {
-	src := prng.New(11)
-	c := RandomCorpus(7, 10, 60, 3)
-	base := c.SetsOfSets()
-	if len(base) != 10 {
-		t.Fatalf("corpus size %d", len(base))
-	}
-	// Edit one document slightly: the set-of-sets distance should be small
-	// relative to the document's shingle count.
-	edited := &Corpus{Docs: append([]Document(nil), c.Docs...), Shingle: c.Shingle, Seed: c.Seed}
-	edited.Docs[0] = EditDocument(edited.Docs[0], 2, src)
-	d := core.Distance(edited.SetsOfSets(), base)
-	if d == 0 {
-		t.Fatal("edit changed nothing")
-	}
-	// Two word edits touch at most 2·shingle window positions each.
-	if d > 2*2*3 {
-		t.Fatalf("edit distance %d too large", d)
-	}
-}
-
-func TestEditDocumentPreservesLength(t *testing.T) {
-	src := prng.New(13)
-	d := Document{ID: "x", Text: "a b c d e"}
-	e := EditDocument(d, 1, src)
-	if len(e.Text) == 0 || e.ID != "x'" {
-		t.Fatal("edit broken")
-	}
-}

@@ -185,7 +185,7 @@ func TestCraftedMultisetWordFailsSession(t *testing.T) {
 			for _, x := range alice {
 				tab.InsertUint64(x)
 			}
-			msg := binary.LittleEndian.AppendUint64(tab.Marshal(), setutil.Hash(coins.Seed("setrecon/verify", 0), alice))
+			msg := binary.LittleEndian.AppendUint64(tab.AppendMarshal(nil), setutil.Hash(coins.Seed("setrecon/verify", 0), alice))
 			if ep.SendFrame("iblt", msg) != nil {
 				return
 			}
