@@ -43,7 +43,8 @@ type traceConfig struct {
 }
 
 // serverConfig is the sosrd serve -config file: the same knobs as the
-// flags, plus datasets to host inline. Explicit flags override file values.
+// flags, and the one place to keep the admin token out of argv. Explicit
+// flags override file values; datasets come from -data.
 //
 //	{
 //	  "addr": ":7075",
@@ -53,19 +54,17 @@ type traceConfig struct {
 //	  "max_sessions": 256,
 //	  "wal": {"compact_bytes": 4194304},
 //	  "ops": {"admin_token": "s3cret"},
-//	  "trace": {"sample": 0.1, "slow": "250ms", "ring": 512},
-//	  "datasets": [{"name": "ids", "kind": "set", "elems": [1, 2, 3]}]
+//	  "trace": {"sample": 0.1, "slow": "250ms", "ring": 512}
 //	}
 type serverConfig struct {
-	Addr        string          `json:"addr,omitempty"`
-	OpsAddr     string          `json:"ops_addr,omitempty"`
-	DataDir     string          `json:"data_dir,omitempty"`
-	LogLevel    string          `json:"log_level,omitempty"`
-	MaxSessions int             `json:"max_sessions,omitempty"`
-	WAL         walConfig       `json:"wal,omitempty"`
-	Ops         opsConfig       `json:"ops,omitempty"`
-	Trace       traceConfig     `json:"trace,omitempty"`
-	Datasets    []*store.Record `json:"datasets,omitempty"`
+	Addr        string      `json:"addr,omitempty"`
+	OpsAddr     string      `json:"ops_addr,omitempty"`
+	DataDir     string      `json:"data_dir,omitempty"`
+	LogLevel    string      `json:"log_level,omitempty"`
+	MaxSessions int         `json:"max_sessions,omitempty"`
+	WAL         walConfig   `json:"wal,omitempty"`
+	Ops         opsConfig   `json:"ops,omitempty"`
+	Trace       traceConfig `json:"trace,omitempty"`
 }
 
 // loadServerConfig reads and decodes a config file; unknown fields are

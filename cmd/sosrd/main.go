@@ -9,9 +9,8 @@
 //
 //	sosrd serve -addr :7075 -demo                 # host generated demo datasets
 //	sosrd serve -addr :7075 -data datasets.json   # host datasets from a file
-//	sosrd serve -config sosrd.json                # the same knobs, and datasets, from a file
+//	sosrd serve -config sosrd.json -demo          # the flags' knobs from a file
 //	sosrd sync  -addr host:7075 -name docs -kind sos -protocol cascade -d 24 -replica replica.json
-//	sosrd demo                                    # serve+sync in one process over loopback
 //
 // With -data-dir the hosted datasets are durable: hosting writes an atomic
 // checksummed snapshot, every update is fsynced to a per-dataset WAL before
@@ -123,8 +122,6 @@ func main() {
 		cmdServe(cmd, os.Args[2:])
 	case "sync", "shard-sync":
 		cmdSync(cmd, os.Args[2:])
-	case "demo":
-		cmdDemo()
 	default:
 		usage()
 	}
@@ -133,12 +130,11 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   sosrd serve       [-addr :7075] [-config file.json] [-demo | -data file.json] [-data-dir dir] [-max-sessions N] [-ops-addr 127.0.0.1:7076] [-admin-token T] [-trace-sample 0.1] [-trace-slow 250ms] [-trace-ring N] [-log-level info]
-                    [-shards 'a:7075|a2:7075,b:7075,...' -index I [-replica-index J] [-epoch E] [-listen addr]]
+                    [-shards 'a:7075|a2:7075,b:7075,...' -index I [-replica-index J] [-epoch E]]
   sosrd sync        -addr host:7075 -name NAME -kind set|multiset|sos [-trace] [-dump-metrics] [flags]
                     [-shards 'a:7075|a2:7075,b:7075,...' [-epoch E] [-hedge 0s] [-per-shard-d]]
   sosrd shard-serve serve, with -shards required
-  sosrd shard-sync  sync, with -shards required
-  sosrd demo`)
+  sosrd shard-sync  sync, with -shards required`)
 	os.Exit(2)
 }
 
@@ -228,14 +224,13 @@ func demoData() (hosted, replica *store.Record) {
 		&store.Record{Name: "docs", Kind: store.KindSetsOfSets, Parents: bob}
 }
 
-// cmdServe is serve and shard-serve: it hosts the datasets of -demo, -data or
-// -config — with -shards, the slice of each that shard -index owns, rejecting
+// cmdServe is serve and shard-serve: it hosts the datasets of -demo or -data —
+// with -shards, the slice of each that shard -index owns, rejecting
 // sessions routed for any other slice or carrying a different -epoch — on top
 // of whatever -data-dir recovered, and serves them until SIGINT/SIGTERM.
 func cmdServe(cmd string, args []string) {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	addr, shards, epoch := linkFlags(fs, "", "listen address (default :7075; with -shards, the -shards replica at -index/-replica-index)")
-	fs.StringVar(addr, "listen", "", "another name for -addr")
 	configPath := fs.String("config", "", "JSON config file; explicit flags override its values")
 	index := fs.Int("index", -1, "this instance's shard position in -shards")
 	replicaIdx := fs.Int("replica-index", 0, "this instance's replica position within its shard's entry")
@@ -301,7 +296,7 @@ func cmdServe(cmd string, args []string) {
 	srv.Trace = newTracer(cfg.Trace, *traceSlow)
 	st := openStore(srv, cfg)
 
-	sets := cfg.Datasets
+	var sets []*store.Record
 	switch {
 	case *demo:
 		hosted, _ := demoData()
@@ -313,7 +308,7 @@ func cmdServe(cmd string, args []string) {
 		}
 	}
 	if len(sets) == 0 && cfg.DataDir == "" {
-		fatal(cmd + ": pass -demo, -data file.json, datasets in -config, or -data-dir with persisted state")
+		fatal(cmd + ": pass -demo, -data file.json, or -data-dir with persisted state")
 	}
 	if err := hostAll(srv, sets, topo, *index); err != nil {
 		fatal("hosting dataset failed", "err", err.Error())
@@ -593,54 +588,4 @@ func printStats(ns *sosrnet.NetStats) {
 	fmt.Printf("protocol: rounds=%d bytes=%d (server=%d client=%d) msgs=%d\n",
 		ns.Protocol.Rounds, ns.Protocol.TotalBytes, ns.Protocol.AliceBytes, ns.Protocol.BobBytes, ns.Protocol.Messages)
 	fmt.Printf("wire:     in=%dB out=%dB overhead=%dB\n", ns.WireIn, ns.WireOut, ns.Overhead)
-}
-
-// cmdDemo runs server and client in one process over loopback: the fastest
-// proof that the hosted data travels as exactly the bytes the paper's
-// accounting predicts.
-func cmdDemo() {
-	hosted, replica := demoData()
-	// Hosting canonicalises the record in place; the in-process run below
-	// wants the data as generated.
-	alice := hosted.Parents
-	srv := sosrnet.NewServer()
-	srv.Logger = logger
-	if err := srv.Host(hosted, nil, 0); err != nil {
-		fatal("hosting demo dataset failed", "err", err.Error())
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal("listen failed", "err", err.Error())
-	}
-	go srv.Serve(ln)
-	defer func() {
-		// Graceful: let the server finish reading the session's closing
-		// report (and log it) before tearing down.
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-	logger.Info("demo server listening", "addr", ln.Addr().String())
-
-	cfg := sosr.Config{Seed: 42, Protocol: sosr.ProtocolCascade, KnownDiff: 40}
-	want, err := sosr.ReconcileSetsOfSets(alice, replica.Parents, cfg)
-	if err != nil {
-		fatal("in-process reconcile failed", "err", err.Error())
-	}
-	client := sosrnet.Dial(ln.Addr().String())
-	defer client.Close()
-	res, ns, err := client.SetsOfSets(context.Background(), "docs", replica.Parents, cfg)
-	if err != nil {
-		fatal("demo sync failed", "err", err.Error())
-	}
-	fmt.Printf("recovered %d child sets (+%d added, -%d removed) over TCP\n",
-		len(res.Recovered), len(res.Added), len(res.Removed))
-	printStats(ns)
-	fmt.Printf("in-process simulation predicts %d payload bytes; the wire moved %d payload bytes (+%dB framing)\n",
-		want.Stats.TotalBytes, ns.Protocol.TotalBytes, ns.Overhead)
-	if want.Stats.TotalBytes == ns.Protocol.TotalBytes {
-		fmt.Println("byte-exact: two real machines exchange exactly the bytes the paper's accounting predicts")
-	} else {
-		fatal("wire payload diverged from the in-process prediction")
-	}
 }

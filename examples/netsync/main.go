@@ -6,6 +6,8 @@
 // hundred bytes of framing.
 //
 //	go run ./examples/netsync
+//
+// It exits non-zero unless the two byte counts match.
 package main
 
 import (
@@ -76,11 +78,13 @@ func main() {
 		ns.WireIn+ns.WireOut, ns.Protocol.TotalBytes, ns.Overhead)
 
 	// The same configuration simulated in-process predicts the wire payload
-	// byte for byte.
+	// byte for byte; anything else is a failure.
 	sim, err := sosr.ReconcileSetsOfSets(corpus, replica, sosr.Config{Seed: 1234, KnownDiff: d})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("in-process simulation: %d bytes — %s\n", sim.Stats.TotalBytes,
-		map[bool]string{true: "byte-exact match", false: "MISMATCH"}[sim.Stats.TotalBytes == ns.Protocol.TotalBytes])
+	if sim.Stats.TotalBytes != ns.Protocol.TotalBytes {
+		log.Fatalf("in-process simulation: %d bytes — MISMATCH with the wire's %d", sim.Stats.TotalBytes, ns.Protocol.TotalBytes)
+	}
+	fmt.Printf("in-process simulation: %d bytes — byte-exact match\n", sim.Stats.TotalBytes)
 }

@@ -64,7 +64,7 @@ type GraphConfig struct {
 	// (paper model: each side is ≤ d/2 edits from a common base graph).
 	MaxEdits int
 	// TopDegrees is h for SchemeDegreeOrdering (use PlantedSeparatedGraph's
-	// returned h, or MaxSeparatedTop on the base graph).
+	// returned h).
 	TopDegrees int
 	// DegreeThreshold is m (≈ p·n) for SchemeDegreeNeighborhood.
 	DegreeThreshold int
@@ -171,12 +171,6 @@ func PlantedSeparatedGraph(n, d int, p float64, seed uint64) (Graph, int, error)
 		return Graph{}, 0, err
 	}
 	return fromInternal(g), h, nil
-}
-
-// MaxSeparatedTop returns the largest h ≤ hMax for which g is
-// (h, a, b)-separated (Definition 5.1), or 0.
-func MaxSeparatedTop(g Graph, a, b, hMax int) int {
-	return graphrecon.MaxSeparatedH(g.toInternal(), a, b, hMax)
 }
 
 // NeighborhoodDisjointness returns the minimum pairwise degree-neighborhood

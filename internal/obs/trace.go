@@ -238,8 +238,6 @@ type Tracer struct {
 	// MaxTraces bounds each of the two rings (recent, flagged);
 	// default 256.
 	MaxTraces int
-	// MaxSpans bounds the spans retained per trace; default 512.
-	MaxSpans int
 
 	seed atomic.Uint64
 
@@ -298,12 +296,9 @@ func (t *Tracer) maxTraces() int {
 	return 256
 }
 
-func (t *Tracer) maxSpans() int {
-	if t.MaxSpans > 0 {
-		return t.MaxSpans
-	}
-	return 512
-}
+// maxSpans bounds the spans retained per trace; the rest are counted as
+// dropped.
+const maxSpans = 512
 
 // StartRoot begins a new trace if the sampling decision passes, returning
 // nil (and allocating nothing) otherwise.
@@ -363,7 +358,7 @@ func (t *Tracer) finishSpan(sp *Span) {
 			t.recent = t.recent[1:]
 		}
 	}
-	if len(e.spans) >= t.maxSpans() {
+	if len(e.spans) >= maxSpans {
 		e.dropped++
 	} else {
 		e.spans = append(e.spans, sp)

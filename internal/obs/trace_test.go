@@ -153,15 +153,15 @@ func TestSlowCapture(t *testing.T) {
 }
 
 func TestMaxSpansDropCount(t *testing.T) {
-	tr := &Tracer{SampleRate: 1, MaxSpans: 2}
+	tr := &Tracer{SampleRate: 1}
 	root := tr.StartRoot("s")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxSpans+3; i++ {
 		root.Child("c").Finish()
 	}
 	root.Finish()
 	d := tr.Get(root.TraceID())
-	if d.Spans != 2 || d.Dropped != 4 {
-		t.Fatalf("spans=%d dropped=%d, want 2/4", d.Spans, d.Dropped)
+	if d.Spans != maxSpans || d.Dropped != 4 {
+		t.Fatalf("spans=%d dropped=%d, want %d/4", d.Spans, d.Dropped, maxSpans)
 	}
 }
 

@@ -125,11 +125,12 @@ func MultisetSymDiff(a, b []uint64) int {
 	return d
 }
 
-// MultisetKnownD reconciles multisets with a known bound d on the packed-set
-// difference using the IBLT protocol. Note that a multiplicity change turns
-// into two packed-set differences, so callers should pass 2·d_multiset when
-// converting a multiset bound.
-func MultisetKnownD(sess *transport.Session, coins hashing.Coins, alice, bob []uint64, d int) ([]uint64, *Result, error) {
+// Multiset reconciles multisets over their packed sets: the IBLT protocol with
+// d bounding the packed-set difference, or, when d ≤ 0, the estimator protocol
+// (IBLTUnknownD) that the wire runs for an unknown bound. Note that a
+// multiplicity change turns into two packed-set differences, so callers should
+// pass 2·d_multiset when converting a multiset bound.
+func Multiset(sess *transport.Session, coins hashing.Coins, alice, bob []uint64, d int) ([]uint64, *Result, error) {
 	sa, err := MultisetToSet(alice)
 	if err != nil {
 		return nil, nil, err
@@ -138,7 +139,12 @@ func MultisetKnownD(sess *transport.Session, coins hashing.Coins, alice, bob []u
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := IBLTKnownD(sess, coins, sa, sb, d)
+	var res *Result
+	if d > 0 {
+		res, err = IBLTKnownD(sess, coins, sa, sb, d)
+	} else {
+		res, err = IBLTUnknownD(sess, coins, sa, sb)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -250,16 +250,18 @@ func TestMultisetKnownD(t *testing.T) {
 	bob := []uint64{1, 2, 2, 3, 3}
 	// Packed-set difference: counts of 1 differ (2 vs 1): 2 entries; counts
 	// of 2 differ: 2 entries; counts of 3 differ: 2 entries => 6.
-	sess := transport.New()
-	got, res, err := MultisetKnownD(sess, hashing.NewCoins(11), alice, bob, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MultisetSymDiff(got, alice) != 0 {
-		t.Fatalf("recovered %v, want %v", got, alice)
-	}
-	if res.Stats.Rounds != 1 {
-		t.Fatalf("rounds = %d", res.Stats.Rounds)
+	// d ≤ 0 runs the estimator round first.
+	for d, rounds := range map[int]int{6: 1, 0: 2} {
+		got, res, err := Multiset(transport.New(), hashing.NewCoins(11), alice, bob, d)
+		if err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		if MultisetSymDiff(got, alice) != 0 {
+			t.Fatalf("d=%d: recovered %v, want %v", d, got, alice)
+		}
+		if res.Stats.Rounds != rounds {
+			t.Fatalf("d=%d: rounds = %d, want %d", d, res.Stats.Rounds, rounds)
+		}
 	}
 }
 

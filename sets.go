@@ -67,11 +67,13 @@ func ReconcileSets(alice, bob []uint64, cfg SetConfig) (*SetResult, error) {
 
 // ReconcileMultisets reconciles multisets (slices with repeats) via the
 // §3.4 (element, count) packing. diffBound bounds the packed-set difference;
-// pass 2× the multiset edit distance when converting a multiset bound.
-// Elements must be < 2^48 with per-element multiplicity < 2^12.
+// pass 2× the multiset edit distance when converting a multiset bound. When
+// diffBound ≤ 0 the two-round estimator-based protocol runs over the packed
+// sets instead (Corollary 3.2), as for ReconcileSets. Elements must be < 2^48
+// with per-element multiplicity < 2^12.
 func ReconcileMultisets(alice, bob []uint64, diffBound int, seed uint64) ([]uint64, Stats, error) {
 	sess := transport.New()
-	recovered, res, err := setrecon.MultisetKnownD(sess, hashing.NewCoins(seed), alice, bob, diffBound)
+	recovered, res, err := setrecon.Multiset(sess, hashing.NewCoins(seed), alice, bob, diffBound)
 	if err != nil {
 		return nil, Stats{}, err
 	}

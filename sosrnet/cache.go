@@ -249,7 +249,7 @@ func (s *Server) UpdateSets(name string, add, remove []uint64) error {
 // limit — rejects the whole mutation atomically. The version bump retires all
 // cached payloads for the old contents; the next session re-packs and serves
 // the fresh multiset. On a sharded dataset ownership follows the element
-// value (matching HostMultisetShard), broadcast updates apply per-shard
+// value (as hosting it does), broadcast updates apply per-shard
 // slices, and an update owning nothing here — like an empty one — is a no-op.
 func (s *Server) UpdateMultisets(name string, add, remove []uint64) error {
 	return s.update(name, KindMultiset, &store.Update{Add: add, Remove: remove}, nil)

@@ -600,7 +600,7 @@ func TestEmptyUpdateIsANoOp(t *testing.T) {
 		{KindSet,
 			func(s *Server, topo *shardmap.Topology) error {
 				if topo != nil {
-					return s.HostSetsShard("x", setA, topo, index)
+					return s.Host(&store.Record{Name: "x", Kind: store.KindSet, Elems: setA}, topo, index)
 				}
 				return s.HostSets("x", setA)
 			},
@@ -616,7 +616,7 @@ func TestEmptyUpdateIsANoOp(t *testing.T) {
 		{KindMultiset,
 			func(s *Server, topo *shardmap.Topology) error {
 				if topo != nil {
-					return s.HostMultisetShard("x", bagA, topo, index)
+					return s.Host(&store.Record{Name: "x", Kind: store.KindMultiset, Elems: bagA}, topo, index)
 				}
 				return s.HostMultiset("x", bagA)
 			},
@@ -632,7 +632,7 @@ func TestEmptyUpdateIsANoOp(t *testing.T) {
 		{KindSetsOfSets,
 			func(s *Server, topo *shardmap.Topology) error {
 				if topo != nil {
-					return s.HostSetsOfSetsShard("x", sosA, topo, index)
+					return s.Host(&store.Record{Name: "x", Kind: store.KindSetsOfSets, Parents: sosA}, topo, index)
 				}
 				return s.HostSetsOfSets("x", sosA)
 			},

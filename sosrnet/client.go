@@ -58,6 +58,9 @@ type NetStats struct {
 // reported as it is. Close releases the parked connections; a Client that is
 // dropped without it keeps them until the server's idle timer closes them.
 //
+// A method's config means what it means in process: a negative difference
+// bound, shape, replica count or depth is unset, and goes on the hello as 0.
+//
 // A Client is safe for concurrent use.
 type Client struct {
 	// Addr is the server's "host:port".
@@ -96,7 +99,7 @@ type Client struct {
 	CacheBytes int64
 
 	cacheOnce sync.Once
-	cache     *enccache.Cache // preset by the server pull path, which keeps Bob sketches in its encoding cache
+	cache     *enccache.Cache
 	metOnce   sync.Once
 	met       *clientMetrics
 	// dial, when non-nil, replaces the TCP dial — tests use it to count and
@@ -395,7 +398,7 @@ func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr
 			return nil, errors.New("sosrnet: UseCharPoly requires KnownDiff > 0")
 		}
 		ap.bob = setutil.CanonicalView(local)
-		ap.h.D, ap.h.CharPoly = cfg.KnownDiff, cfg.UseCharPoly
+		ap.h.D, ap.h.CharPoly = max(cfg.KnownDiff, 0), cfg.UseCharPoly
 		if err := ap.run(); err != nil {
 			return nil, err
 		}
@@ -407,8 +410,7 @@ func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr
 // Multiset reconciles a local multiset against the hosted multiset `name`
 // via the §3.4 packing; diffBound bounds the packed-set difference (pass 2×
 // the multiset edit distance), mirroring sosr.ReconcileMultisets. diffBound
-// ≤ 0 runs the estimator variant over the packed sets (a wire-only
-// extension; the in-process API requires a known bound).
+// ≤ 0 runs the estimator variant over the packed sets, as in process.
 func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, *NetStats, error) {
 	ap := &setApply{}
 	return session(ctx, c, &ap.clientSession, name, KindMultiset, seed, func() ([]uint64, error) {
@@ -417,7 +419,7 @@ func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diff
 			return nil, err
 		}
 		ap.bob = packed
-		ap.h.D = diffBound
+		ap.h.D = max(diffBound, 0)
 		if err := ap.run(); err != nil {
 			return nil, err
 		}
@@ -490,13 +492,13 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 		ap.bob = setutil.CanonicalSetsView(local)
 		bobH := setutil.MaxChildLen(ap.bob)
 		h, acc := &ap.h, &ap.acc
-		h.D, h.DHat, h.Replicas = cfg.KnownDiff, cfg.KnownChildDiff, cfg.Replicas
+		h.D, h.DHat, h.Replicas = max(cfg.KnownDiff, 0), max(cfg.KnownChildDiff, 0), max(cfg.Replicas, 0)
 		if cfg.Protocol != sosr.ProtocolAuto {
 			if h.Protocol = cfg.Protocol.String(); sosFamilyOf(h.Protocol) == nil {
 				return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
 			}
 		}
-		h.S, h.H, h.U, h.CS, h.CH, h.Validate = cfg.MaxChildSets, cfg.MaxChildSize, cfg.Universe, len(ap.bob), bobH, cfg.Validate
+		h.S, h.H, h.U, h.CS, h.CH, h.Validate = max(cfg.MaxChildSets, 0), max(cfg.MaxChildSize, 0), cfg.Universe, len(ap.bob), bobH, cfg.Validate
 		if err := ap.open(); err != nil {
 			return nil, err
 		}
@@ -689,7 +691,7 @@ func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg
 		}
 		ap.fb, ap.info = fb, forest.Measure(fb)
 		h := &ap.h
-		h.D, h.Sigma = cfg.MaxEdits, cfg.Depth
+		h.D, h.Sigma = max(cfg.MaxEdits, 0), max(cfg.Depth, 0)
 		h.N, h.Depth, h.MaxChild = ap.info.N, ap.info.Depth, ap.info.MaxChild
 		if err := ap.open(); err != nil {
 			return nil, err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sosr"
+	"sosr/internal/store"
 )
 
 // trackedConn counts exactly one close per underlying connection, however
@@ -62,7 +63,7 @@ func TestSessionClosesConnOnEveryPath(t *testing.T) {
 		if err := s.HostSets("plain", alice); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.HostSetsShard("ids", alice, topo, 0); err != nil {
+		if err := s.Host(&store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}, topo, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -146,7 +146,7 @@ func (a *sosApply) sketch(coins hashing.Coins, d, dHat int) (sk *core.BobSketch,
 // CacheBytes at first use (0 = enccache.DefaultMaxBytes, negative disables).
 func (c *Client) sketchCache() *enccache.Cache {
 	c.cacheOnce.Do(func() {
-		if c.cache == nil && c.CacheBytes >= 0 {
+		if c.CacheBytes >= 0 {
 			c.cache = enccache.New(c.CacheBytes)
 		}
 	})

@@ -239,7 +239,7 @@ func TestShardRestartsOnNewAddress(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srvA.Serve(ln) }()
 	before := mustTopo(t, 1, "shard0.example:7075", ln.Addr().String())
-	if err := srvA.HostSetsShard("ids", alice, before, index); err != nil {
+	if err := srvA.Host(&store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}, before, index); err != nil {
 		t.Fatal(err)
 	}
 	want, err := syncShard(ln.Addr().String(), before)

@@ -1,6 +1,7 @@
 package sosrnet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -60,8 +61,8 @@ type Server struct {
 	// SessionTimeout bounds a whole session — from accept for the session
 	// that opens a connection, from the arrival of its hello for every later
 	// one — severing stalled or malicious connections that would otherwise
-	// pin a goroutine forever. A pull from a peer (PullSetsOfSets) runs under
-	// it too. 0 means DefaultSessionTimeout; negative disables the deadline.
+	// pin a goroutine forever. 0 means DefaultSessionTimeout; negative
+	// disables the deadline.
 	SessionTimeout time.Duration
 	// HelloTimeout bounds the wait for the opening hello frame of a fresh
 	// connection. A connection that dribbles (or never sends) its handshake
@@ -222,17 +223,6 @@ const DefaultMaxBound = 1 << 20
 // DefaultSessionTimeout is the default whole-session deadline.
 const DefaultSessionTimeout = 5 * time.Minute
 
-// sessionTimeout is the whole-session deadline in force, for the sessions the
-// server serves and the ones it runs as a client (pull): SessionTimeout,
-// DefaultSessionTimeout when that is zero, and zero — none — when it is
-// negative.
-func (s *Server) sessionTimeout() time.Duration {
-	if s.SessionTimeout == 0 {
-		return DefaultSessionTimeout
-	}
-	return max(s.SessionTimeout, 0)
-}
-
 // DefaultHelloTimeout is the default deadline for the opening hello frame.
 const DefaultHelloTimeout = 10 * time.Second
 
@@ -343,41 +333,19 @@ func (s *Server) Host(rec *store.Record, topo *shardmap.Topology, index int) err
 // HostSets hosts a set (any order, duplicates ignored). Elements must fit
 // the 2^60 universe so every protocol variant can serve it.
 func (s *Server) HostSets(name string, elems []uint64) error {
-	return s.HostSetsShard(name, elems, nil, 0)
+	return s.Host(&store.Record{Name: name, Kind: store.KindSet, Elems: elems}, nil, 0)
 }
 
 // HostMultiset hosts a multiset (slice with repeats). Elements must be
 // < 2^48 with per-element multiplicity < 2^12 (the §3.4 packing).
 func (s *Server) HostMultiset(name string, elems []uint64) error {
-	return s.HostMultisetShard(name, elems, nil, 0)
+	return s.Host(&store.Record{Name: name, Kind: store.KindMultiset, Elems: elems}, nil, 0)
 }
 
 // HostSetsOfSets hosts a parent set of child sets. Child sets may be passed
 // unsorted; each is stored in canonical order.
 func (s *Server) HostSetsOfSets(name string, parent [][]uint64) error {
-	return s.HostSetsOfSetsShard(name, parent, nil, 0)
-}
-
-// HostSetsShard hosts shard index's slice of a logical set dataset: the
-// elements of elems that the topology assigns to this index (see Host).
-func (s *Server) HostSetsShard(name string, elems []uint64, topo *shardmap.Topology, index int) error {
-	return s.Host(&store.Record{Name: name, Kind: store.KindSet, Elems: elems}, topo, index)
-}
-
-// HostMultisetShard hosts shard index's slice of a logical multiset dataset.
-// Ownership follows the element value, so every occurrence of one element
-// lands on the same shard and the §3.4 packing stays shard-local.
-func (s *Server) HostMultisetShard(name string, elems []uint64, topo *shardmap.Topology, index int) error {
-	return s.Host(&store.Record{Name: name, Kind: store.KindMultiset, Elems: elems}, topo, index)
-}
-
-// HostSetsOfSetsShard hosts shard index's slice of a logical sets-of-sets
-// dataset: the child sets whose canonical identity hash the topology assigns
-// to this index. Both parties derive the same owner for the same child set
-// (shardmap.ChildKey is a protocol constant), so each shard pair reconciles
-// an exact partition of the parent-level difference.
-func (s *Server) HostSetsOfSetsShard(name string, parent [][]uint64, topo *shardmap.Topology, index int) error {
-	return s.Host(&store.Record{Name: name, Kind: store.KindSetsOfSets, Parents: parent}, topo, index)
+	return s.Host(&store.Record{Name: name, Kind: store.KindSetsOfSets, Parents: parent}, nil, 0)
 }
 
 // HostGraph hosts an undirected simple graph.
@@ -408,16 +376,6 @@ func (s *Server) lookup(name string, kind Kind) (*dataset, error) {
 		return nil, fmt.Errorf("%w: %q is %s, not %s", ErrUnknownDataset, name, ds.k.kind, kind)
 	}
 	return ds, err
-}
-
-// ListenAndServe listens on addr ("host:port") and serves until Close or
-// Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts sessions on ln until Close or Shutdown. It returns nil after
@@ -743,8 +701,9 @@ func helloFailure(err error) string {
 // hello that ended its idle wait). slot reports whether a
 // MaxConcurrentSessions slot was claimed, which the caller gives back.
 func (s *Server) admit(c *srvConn, rec *sessionRecord, hello []byte) (_ []byte, slot, ok bool) {
-	timeout := s.sessionTimeout()
-	deadline := time.Time{} // no timeout clears what the idle wait set
+	// A negative timeout is none, and no deadline clears what the idle wait set.
+	timeout := cmp.Or(s.SessionTimeout, DefaultSessionTimeout)
+	deadline := time.Time{}
 	if timeout > 0 {
 		deadline = rec.start.Add(timeout)
 	}
@@ -772,7 +731,7 @@ func (s *Server) admit(c *srvConn, rec *sessionRecord, hello []byte) (_ []byte, 
 	if helloTimeout == 0 {
 		helloTimeout = DefaultHelloTimeout
 	}
-	tighter := helloTimeout > 0 && (timeout == 0 || helloTimeout < timeout)
+	tighter := helloTimeout > 0 && (timeout <= 0 || helloTimeout < timeout)
 	if tighter {
 		_ = c.conn.SetReadDeadline(rec.start.Add(helloTimeout))
 	}

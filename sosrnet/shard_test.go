@@ -44,7 +44,7 @@ func TestShardedSetHostServesOwnedSlice(t *testing.T) {
 	alice, bob := setPair()
 	const index = 1
 	_, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostSetsShard("ids", alice, topo, index); err != nil {
+		if err := s.Host(&store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}, topo, index); err != nil {
 			t.Fatal(err)
 		}
 		// Unsharded dataset on the same server, to prove the misroute check
@@ -135,7 +135,7 @@ func TestShardedSetsOfSetsHostServesOwnedSlice(t *testing.T) {
 	alice, bob := sosPair()
 	for index := 0; index < topo.NumShards(); index++ {
 		_, addr, _ := startServer(t, func(s *Server) {
-			if err := s.HostSetsOfSetsShard("docs", alice, topo, index); err != nil {
+			if err := s.Host(&store.Record{Name: "docs", Kind: store.KindSetsOfSets, Parents: alice}, topo, index); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -177,7 +177,7 @@ func TestReplicatedShardHostsIdenticalSlice(t *testing.T) {
 	var addrs []string
 	for range topo.Replicas(index) {
 		_, addr, _ := startServer(t, func(s *Server) {
-			if err := s.HostSetsShard("ids", alice, topo, index); err != nil {
+			if err := s.Host(&store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}, topo, index); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -221,7 +221,7 @@ func TestShardedUpdatesRouteToOwner(t *testing.T) {
 	for i := range shards {
 		i := i
 		srv, addr, _ := startServer(t, func(s *Server) {
-			if err := s.HostSetsShard("ids", alice, topo, i); err != nil {
+			if err := s.Host(&store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}, topo, i); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -279,7 +279,7 @@ func TestShardedMultisetHostAndUpdate(t *testing.T) {
 	bob := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41}
 	const index = 0
 	srv, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostMultisetShard("bag", alice, topo, index); err != nil {
+		if err := s.Host(&store.Record{Name: "bag", Kind: store.KindMultiset, Elems: alice}, topo, index); err != nil {
 			t.Fatal(err)
 		}
 	})

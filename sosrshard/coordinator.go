@@ -8,6 +8,7 @@ import (
 	"sosr/internal/obs"
 	"sosr/internal/setutil"
 	"sosr/internal/shardmap"
+	"sosr/internal/store"
 	"sosr/sosrnet"
 )
 
@@ -62,14 +63,6 @@ func NewCoordinator(topo *shardmap.Topology, servers [][]*sosrnet.Server) (*Coor
 	return &Coordinator{topo: topo, servers: cp}, nil
 }
 
-// Topology exposes the coordinator's topology (shared; read-only).
-func (co *Coordinator) Topology() *shardmap.Topology { return co.topo }
-
-// Server returns the server hosting replica `replica` of shard `shard`.
-func (co *Coordinator) Server(shard, replica int) *sosrnet.Server {
-	return co.servers[shard][replica]
-}
-
 // eachServer runs fn on every replica server of every shard, in (shard,
 // replica) order, and annotates the first error with where it happened.
 // touched, when non-nil, narrows the sweep to the shards owning a part of a
@@ -100,28 +93,31 @@ func route[P any](co *Coordinator, add, remove [][]P, apply func(srv *sosrnet.Se
 		func(i int, srv *sosrnet.Server) error { return apply(srv, add[i], remove[i]) })
 }
 
+// host hosts the logical dataset rec on every replica server, each keeping
+// its shard's owned slice under rec's name (sosrnet.Server.Host).
+func (co *Coordinator) host(rec store.Record) error {
+	return co.eachServer(nil, func(i int, srv *sosrnet.Server) error {
+		r := rec // Host canonicalises its record in place
+		return srv.Host(&r, co.topo, i)
+	})
+}
+
 // HostSets hosts a logical set dataset: every replica server keeps its
 // shard's owned slice under the same name.
 func (co *Coordinator) HostSets(name string, elems []uint64) error {
-	return co.eachServer(nil, func(i int, srv *sosrnet.Server) error {
-		return srv.HostSetsShard(name, elems, co.topo, i)
-	})
+	return co.host(store.Record{Name: name, Kind: store.KindSet, Elems: elems})
 }
 
 // HostMultiset hosts a logical multiset dataset; occurrences follow their
 // element value to one shard.
 func (co *Coordinator) HostMultiset(name string, elems []uint64) error {
-	return co.eachServer(nil, func(i int, srv *sosrnet.Server) error {
-		return srv.HostMultisetShard(name, elems, co.topo, i)
-	})
+	return co.host(store.Record{Name: name, Kind: store.KindMultiset, Elems: elems})
 }
 
 // HostSetsOfSets hosts a logical sets-of-sets dataset; child sets follow
 // their canonical identity hash to one shard.
 func (co *Coordinator) HostSetsOfSets(name string, parent [][]uint64) error {
-	return co.eachServer(nil, func(i int, srv *sosrnet.Server) error {
-		return srv.HostSetsOfSetsShard(name, parent, co.topo, i)
-	})
+	return co.host(store.Record{Name: name, Kind: store.KindSetsOfSets, Parents: parent})
 }
 
 // UpdateSets routes a logical set mutation to every replica of the owning

@@ -16,7 +16,6 @@ import (
 //	sosr_shard_fanouts_total{status}    fanned-out reconciles (ok|error)
 //	sosr_shard_failovers_total{shard}   replica attempts lost to conn errors
 //	sosr_shard_hedges_total{outcome}    hedge races (launched|win|loss)
-//	sosr_shard_refreshes_total          topology re-resolves after stale epoch
 //	sosr_shard_updates_total{shard}     routed coordinator mutations per shard
 type clientMetrics struct {
 	session   *obs.HistogramVec
@@ -24,7 +23,6 @@ type clientMetrics struct {
 	fanouts   *obs.CounterVec
 	failovers *obs.CounterVec
 	hedges    *obs.CounterVec
-	refreshes *obs.Counter
 }
 
 func (c *Client) metrics() *clientMetrics {
@@ -45,8 +43,6 @@ func (c *Client) metrics() *clientMetrics {
 				"Replica attempts that failed with a connection-level error and failed over.", "shard"),
 			hedges: r.Counter("sosr_shard_hedges_total",
 				"Hedged replica races by outcome: launched (timer fired, second replica raced), win (the hedge answered first), loss (the original did).", "outcome"),
-			refreshes: r.Counter("sosr_shard_refreshes_total",
-				"Topology re-resolves triggered by stale-epoch rejections.").With(),
 		}
 	})
 	return c.met

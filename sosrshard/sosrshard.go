@@ -40,13 +40,12 @@
 // fingerprint — in the hello. A server hosting a different slice rejects the
 // handshake (ErrMisrouted), so a client holding the shard list in another
 // order fails loudly instead of quietly reconciling the wrong slice; a server
-// at a different epoch rejects with ErrStaleEpoch, and a Client with a Refresh
-// hook re-resolves the topology and retries once, self-healing across
-// rollouts.
+// at a different epoch rejects with ErrStaleEpoch, which a reconcile returns
+// as it is: the caller re-resolves the topology, adopts it with
+// Client.SetTopology and retries.
 package sosrshard
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -82,9 +81,8 @@ func SingleReplica(epoch uint64, addrs []string) (*Topology, error) {
 	return shardmap.SingleReplica(epoch, addrs)
 }
 
-// DefaultRetryBackoff is the pause before a failover attempt dials the next
-// replica when Client.RetryBackoff is unset.
-const DefaultRetryBackoff = 25 * time.Millisecond
+// retryBackoff is the pause before a failover attempt dials the next replica.
+const retryBackoff = 25 * time.Millisecond
 
 // ShardStats itemizes one shard's share of a fanned-out reconciliation.
 type ShardStats struct {
@@ -170,12 +168,6 @@ type Client struct {
 	// most one is launched per shard per reconcile; without it a shard's
 	// attempts run serially on its goroutine. 0 disables hedging.
 	HedgeDelay time.Duration
-	// RetryBackoff is the pause before a failover attempt dials the next
-	// replica (0 = DefaultRetryBackoff). Only connection-level failures
-	// (dial refused, reset, EOF mid-session) fail over; protocol and
-	// server-reported errors fail fast — every replica hosts the identical
-	// slice and would answer the same.
-	RetryBackoff time.Duration
 	// PerShardDiff, when set, drops the caller's logical difference bound
 	// from each shard session so every shard derives its own d̂ (the strata
 	// estimator for sets/multisets, the child-difference probe or doubling
@@ -184,11 +176,6 @@ type Client struct {
 	// to the shard's actual slice instead. Ignored for charpoly sessions,
 	// which require an explicit bound.
 	PerShardDiff bool
-	// Refresh, when set, is called after a stale-epoch rejection to
-	// re-resolve the topology (from whatever the deployment uses as its
-	// source of truth); the reconcile then re-splits and retries once
-	// against the new topology.
-	Refresh func(ctx context.Context) (*Topology, error)
 	// Obs, when set before the first reconcile, receives fan-out metrics:
 	// per-shard session latency, straggler spread, fan-out outcomes,
 	// failover and hedge counters (see metrics.go), and the per-replica
@@ -203,9 +190,9 @@ type Client struct {
 	// the per-shard client and server stage spans under them. A span already
 	// in the caller's context takes precedence over sampling.
 	Trace *obs.Tracer
-	// Logger, when set, receives fan-out event logs (replica failover, hedge
-	// launches, topology refreshes), each line carrying the reconcile's
-	// trace_id so logs correlate with /debug/traces. Nil discards them.
+	// Logger, when set, receives fan-out event logs (replica failovers and
+	// hedge launches), each line carrying the reconcile's trace_id so logs
+	// correlate with /debug/traces. Nil discards them.
 	Logger *slog.Logger
 
 	obsOnce sync.Once
@@ -227,17 +214,12 @@ func Dial(topo *Topology) (*Client, error) {
 	return &Client{topo: topo}, nil
 }
 
-// Topology returns the client's current topology (shared; read-only).
-func (c *Client) Topology() *Topology {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.topo
-}
-
-// SetTopology swaps the client's topology — the self-healing path after an
-// epoch bump. In-flight fan-outs finish against the topology they started
-// with; per-replica session clients (and their warm sketch caches) are
-// rebuilt lazily, and the old ones give up the connections they had parked.
+// SetTopology swaps the client's topology — the way back after an
+// ErrStaleEpoch rejection: the caller re-resolves the topology from whatever
+// the deployment keeps as its source of truth and retries. In-flight fan-outs
+// finish against the topology they started with; per-replica session clients
+// (and their warm sketch caches) are rebuilt lazily, and the old ones give up
+// the connections they had parked.
 func (c *Client) SetTopology(topo *Topology) error {
 	if topo == nil {
 		return errors.New("sosrshard: nil topology")
@@ -334,10 +316,7 @@ func shardSeed(seed uint64, index int) uint64 {
 // shard's derived seed. The whole is traced under a "shard/reconcile" root — a
 // child of the caller's context span when one is present, a sampled root from
 // c.Trace otherwise — whose byte attributes come from the Stats value the
-// caller gets, so they equal the itemized report exactly. On a stale-epoch
-// rejection with a Refresh hook configured the topology is re-resolved and
-// the fan-out rerun once, re-splitting from scratch: the new topology may
-// partition differently.
+// caller gets, so they equal the itemized report exactly.
 func reconcile[P, R any](ctx context.Context, c *Client, name, kind string, seed uint64,
 	split func(topo *shardmap.Topology) [][]P,
 	run func(ctx context.Context, cl *sosrnet.Client, part []P, seed uint64) (R, *sosrnet.NetStats, error),
@@ -370,11 +349,6 @@ func reconcile[P, R any](ctx context.Context, c *Client, name, kind string, seed
 		return merge(results, stats), stats, nil
 	}
 	res, stats, err := fan()
-	if err != nil && c.Refresh != nil && errors.Is(err, sosrnet.ErrStaleEpoch) {
-		if err = c.refresh(ctx, err); err == nil {
-			res, stats, err = fan()
-		}
-	}
 	if stats != nil {
 		sp.SetInt("proto_bytes", int64(stats.Protocol.TotalBytes))
 		sp.SetInt("wire_in", stats.WireIn)
@@ -387,22 +361,6 @@ func reconcile[P, R any](ctx context.Context, c *Client, name, kind string, seed
 	sp.Fail(err)
 	sp.Finish()
 	return res, stats, err
-}
-
-// refresh re-resolves the topology after the stale-epoch rejection cause and
-// swaps it in.
-func (c *Client) refresh(ctx context.Context, cause error) error {
-	if m := c.metrics(); m != nil {
-		m.refreshes.Inc()
-	}
-	c.logger().Warn("stale topology epoch; refreshing and retrying",
-		"epoch", c.Topology().Epoch(), "err", cause.Error(),
-		"trace_id", obs.SpanFromContext(ctx).TraceID().String())
-	topo, err := c.Refresh(ctx)
-	if err != nil {
-		return fmt.Errorf("sosrshard: topology refresh failed (%v) after: %w", err, cause)
-	}
-	return c.SetTopology(topo)
 }
 
 // shardFn runs one shard's session against one replica's client, with the
@@ -545,7 +503,7 @@ func runShard[R any](ctx context.Context, c *Client, st state, shard int, key ui
 		if out.attempts >= maxAttempts {
 			return fmt.Errorf("sosrshard: %d replica attempts failed: %w", out.attempts, r.err)
 		}
-		t := time.NewTimer(cmp.Or(max(c.RetryBackoff, 0), DefaultRetryBackoff))
+		t := time.NewTimer(retryBackoff)
 		select {
 		case <-ctx.Done():
 			t.Stop()

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -506,7 +505,6 @@ func TestFailoverRecoversExactDifference(t *testing.T) {
 		d.all[i][p].Close()
 		d.allLn[i][p].Close()
 	}
-	d.client.RetryBackoff = time.Millisecond
 	got, st, err := d.client.SetsOfSets(ctx, "docs", bob, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +551,6 @@ func TestFailoverMidSession(t *testing.T) {
 	// Sever the primary's connections mid-session: the replica dies under
 	// the client after the handshake bytes are already in flight, so the
 	// failure is an IO error on an established session, not a refused dial.
-	d.client.RetryBackoff = time.Millisecond
 	d.allLn[0][d.primary(0, cfg.Seed)].killAfter.Store(1)
 	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
 	if err != nil {
@@ -669,8 +666,9 @@ func TestCancelledFanOutReturnsPromptly(t *testing.T) {
 }
 
 // TestStaleEpochRefresh: a client holding yesterday's topology is rejected
-// with ErrStaleEpoch; with a Refresh hook it re-resolves, re-splits, and the
-// reconcile succeeds against the new epoch transparently.
+// with ErrStaleEpoch, reconcile after reconcile — nothing retries behind the
+// caller's back. The caller refreshes: it adopts the new topology with
+// SetTopology, and the retry re-splits and lands on the new epoch.
 func TestStaleEpochRefresh(t *testing.T) {
 	ctx := context.Background()
 	alice := make([]uint64, 0, 300)
@@ -691,51 +689,22 @@ func TestStaleEpochRefresh(t *testing.T) {
 	}
 	cfg := sosr.SetConfig{Seed: 21, KnownDiff: 8}
 
-	// Without a Refresh hook: the stale client is told exactly why.
-	if _, _, err := d.client.Sets(ctx, "ids", bob, cfg); !errors.Is(err, sosrnet.ErrStaleEpoch) {
-		t.Fatalf("stale client not rejected with ErrStaleEpoch: %v", err)
+	for range 2 {
+		if _, _, err := d.client.Sets(ctx, "ids", bob, cfg); !errors.Is(err, sosrnet.ErrStaleEpoch) {
+			t.Fatalf("stale client not rejected with ErrStaleEpoch: %v", err)
+		}
 	}
-
-	// With a Refresh hook: one transparent re-resolve and the reconcile
-	// lands on the new epoch.
-	var refreshed atomic.Int64
-	reg := obs.NewRegistry()
-	d.client.Obs = reg
-	d.client.Refresh = func(ctx context.Context) (*Topology, error) {
-		refreshed.Add(1)
-		return topo2, nil
+	if err := d.client.SetTopology(topo2); err != nil {
+		t.Fatal(err)
 	}
 	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("post-refresh reconcile did not recover the hosted set")
+		t.Fatal("reconcile after SetTopology did not recover the hosted set")
 	}
 	checkStatsParity(t, st)
-	if refreshed.Load() != 1 {
-		t.Fatalf("Refresh called %d times, want 1", refreshed.Load())
-	}
-	if d.client.Topology().Epoch() != 2 {
-		t.Fatalf("client topology epoch %d after refresh, want 2", d.client.Topology().Epoch())
-	}
-	var sb strings.Builder
-	if err := reg.WriteProm(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "sosr_shard_refreshes_total 1") {
-		t.Fatalf("refresh counter missing:\n%s", sb.String())
-	}
-	// The next reconcile uses the refreshed topology without another call.
-	if got, _, err = d.client.Sets(ctx, "ids", bob, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("reconcile after refresh did not recover the hosted set")
-	}
-	if refreshed.Load() != 1 {
-		t.Fatalf("Refresh re-called on a fresh topology (%d calls)", refreshed.Load())
-	}
 }
 
 // TestReorderedTopologyRefused: a shard is its position, so the same

@@ -64,7 +64,6 @@ func TestTracedFailoverSingleTrace(t *testing.T) {
 	d.all[killedShard][deadReplica].Close()
 	d.allLn[killedShard][deadReplica].Close()
 
-	d.client.RetryBackoff = time.Millisecond
 	d.client.Trace = &obs.Tracer{SampleRate: 1}
 	got, st, err := d.client.SetsOfSets(ctx, "docs", bob, cfg)
 	if err != nil {
