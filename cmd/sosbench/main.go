@@ -1,25 +1,21 @@
-// Command sosbench regenerates the paper's evaluation artifacts and the
-// supporting experiments (README's "Dataset kinds" and "Package map" say where
-// each protocol lives; PAPER.md names the paper whose Table 1, Figure 1 and §5
-// graph results these reproduce):
+// Command sosbench regenerates the evaluation artifacts of the paper PAPER.md
+// names (Table 1, Figure 1, the §5 graph results) and supporting experiments:
 //
-//	sosbench -experiment table1       # Table 1: the four SSRK protocols
+//	sosbench -experiment table1       # Table 1: the four SSRK protocols, and their failure curve
 //	sosbench -experiment figure1      # Figure 1: ambiguous two-way merge
 //	sosbench -experiment iblt         # E3: IBLT decode over d × cells per key × k
-//	sosbench -experiment sets         # E4, E14: set and multiset reconciliation
+//	sosbench -experiment sets         # E4, E14: sets, multisets and sets of multisets
 //	sosbench -experiment estimator    # E5: Thm 3.1 estimator vs strata [14]
 //	sosbench -experiment crossover    # E7: nested vs cascade over d
 //	sosbench -experiment unknownd     # E9: unknown-d variants
-//	sosbench -experiment graphs       # E10, E11: polynomial and degree-ordering schemes
+//	sosbench -experiment graphs       # E10, E11: polynomial, isomorphism and degree-ordering schemes
 //	sosbench -experiment separation   # E11b: honest G(n,p) separation rate
 //	sosbench -experiment neighborhood # E12: degree-neighborhood scheme
 //	sosbench -experiment forest       # E13: forest reconciliation
-//	sosbench -experiment all          # everything
+//	sosbench -experiment all          # everything, in this order (the default)
 //
-// Every protocol row runs the public entry point a caller would (the sosr
-// package's Reconcile* functions) once per trial, on coins from its config's
-// Seed, and counts the trials that came back ok, came back wrong (a result
-// without an error that is not Alice's data; must be 0), or failed.
+// -trials multiplies every experiment's repetitions and -seed draws them. A
+// protocol experiment is rows of one grid, measured by one runner (measure).
 package main
 
 import (
@@ -27,7 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"text/tabwriter"
@@ -42,70 +41,55 @@ import (
 	"sosr/internal/workload"
 )
 
-// experiments is the list -experiment all runs, in order; the usage above
-// names exactly these.
-var experiments = []struct {
-	name string
-	run  func(*bench)
-}{
-	{"table1", (*bench).table1}, {"figure1", (*bench).figure1}, {"iblt", (*bench).iblt},
-	{"sets", (*bench).sets}, {"estimator", (*bench).estimator}, {"crossover", (*bench).crossover},
-	{"unknownd", (*bench).unknownD}, {"graphs", (*bench).graphs}, {"separation", (*bench).separation},
-	{"neighborhood", (*bench).neighborhood}, {"forest", (*bench).forest},
-}
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, grid); err != nil {
 		fmt.Fprintln(os.Stderr, "sosbench:", err)
 		os.Exit(2)
 	}
 }
 
-// run parses args and writes the selected experiments to w.
-func run(args []string, w io.Writer) error {
+// run parses args and writes the selected experiments of groups to w.
+func run(args []string, w io.Writer, groups []group) error {
 	fs := flag.NewFlagSet("sosbench", flag.ContinueOnError)
 	fs.SetOutput(w)
 	experiment := fs.String("experiment", "all", "which experiment to run (table1, figure1, iblt, sets, estimator, crossover, unknownd, graphs, separation, neighborhood, forest, all)")
-	trials := fs.Int("trials", 5, "trials per configuration")
+	trials := fs.Int("trials", 1, "multiplies every experiment's repetitions (a grid row's coins per instance)")
 	seed := fs.Uint64("seed", 1, "master seed")
-	s := fs.Int("s", 48, "child sets per parent (Table 1 regime)")
-	h := fs.Int("h", 16384, "columns / max child size (Table 1 regime; the paper's ordering needs large u)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
 		return err
 	}
 	if *trials < 1 {
 		return fmt.Errorf("-trials %d: want at least 1", *trials)
 	}
-	b := &bench{w: tabwriter.NewWriter(w, 0, 0, 2, ' ', 0), trials: *trials, seed: *seed, s: *s, h: *h}
-	ran := false
-	for _, e := range experiments {
+	if *experiment != "all" && !slices.ContainsFunc(groups, func(g group) bool { return g.name == *experiment }) {
+		return fmt.Errorf("unknown experiment %q", *experiment)
+	}
+	b := &bench{w: tabwriter.NewWriter(w, 0, 0, 2, ' ', 0), trials: *trials, seed: *seed}
+	for _, g := range groups {
 		if *experiment == "all" {
-			b.printf("\n════ %s ════\n", e.name)
-		} else if *experiment != e.name {
+			b.printf("\n════ %s ════\n", g.name)
+		} else if *experiment != g.name {
 			continue
 		}
-		e.run(b)
+		if g.run != nil {
+			g.run(b)
+		} else {
+			b.runGroup(g)
+		}
 		if err := b.w.Flush(); err != nil {
 			return err
 		}
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
 	return nil
 }
 
-// bench is one run's settings and its output: every line goes through one
-// tabwriter, so tab-separated rows align under their header.
+// bench is one run's settings and the tabwriter that aligns its tables.
 type bench struct {
 	w      *tabwriter.Writer
 	trials int
 	seed   uint64
-	s, h   int
 }
 
 func (b *bench) printf(format string, args ...any) { fmt.Fprintf(b.w, format, args...) }
@@ -113,139 +97,213 @@ func (b *bench) printf(format string, args ...any) { fmt.Fprintf(b.w, format, ar
 // row prints one tab-separated line.
 func (b *bench) row(cells ...any) { b.printf(strings.Repeat("%v\t", len(cells)-1)+"%v\n", cells...) }
 
-// header prints a protocol table's header: cols, then the columns result
-// ends every row with.
-func (b *bench) header(cols ...any) {
-	b.row(append(cols, "wire bytes", "rounds", "time", "ok", "wrong")...)
+// session is one reconcile: its cost and reported attempts, or its failure.
+type session struct {
+	bytes, rounds, attempts int
+	wrong                   bool // a result without an error that is not Alice's data; must never happen
+	class                   string
 }
 
-// result prints a protocol row: cells, then t's means per returned result,
-// mean time per trial, and counts.
-func (b *bench) result(t tally, cells ...any) {
-	n := max(t.ok+t.wrong, 1)
-	b.row(append(cells, t.meanBytes(), fmt.Sprintf("%.1f", float64(t.rounds)/float64(n)),
-		(t.elapsed / time.Duration(t.trials)).Round(time.Microsecond), fmt.Sprintf("%d/%d", t.ok, t.trials), t.wrong)...)
+// point is a row measured at one d: instance notes, sessions, time and sums.
+type point struct {
+	notes                                                []string
+	sessions                                             []session
+	elapsed                                              time.Duration
+	ok, wrong, failed, bytes, rounds, attempts, reported int
+	classes                                              map[string]int
 }
 
-// tally is one row's trials: those that came back ok, came back wrong, or
-// failed, and the communication and time of those that came back.
-type tally struct {
-	trials, ok, wrong, bytes, rounds int
-	elapsed                          time.Duration
-}
-
-// meanBytes is the mean wire bytes of the trials that returned a result.
-func (t tally) meanBytes() int { return t.bytes / max(t.ok+t.wrong, 1) }
-
-// measure runs one row: trial i on coins seed+i. Only run is timed; the
-// check it returns says whether Bob's result is Alice's data.
-func (b *bench) measure(seed uint64, run func(seed uint64) (sosr.Stats, func() bool, error)) tally {
-	t := tally{trials: b.trials}
-	for i := 0; i < b.trials; i++ {
-		start := time.Now()
-		st, right, err := run(seed + uint64(i))
-		t.elapsed += time.Since(start)
-		if err != nil {
-			continue
-		}
-		t.bytes += st.TotalBytes
-		t.rounds += st.Rounds
-		if right() {
-			t.ok++
-		} else {
-			t.wrong++
+// measure runs r at d. Instance i is drawn from seed, d and i alone, its
+// coins from the instance: rows of one shape meet the same sessions' inputs.
+func (r row) measure(seed uint64, d, trials int) point {
+	p := point{classes: map[string]int{}}
+	for i := range r.instances {
+		inst := prng.Mix64(seed + uint64(d)<<32 + uint64(i))
+		note, reconcile := r.draw(inst, d)
+		p.notes = append(p.notes, note)
+		for c := range r.coins * trials {
+			start := time.Now()
+			st, attempts, right, err := reconcile(prng.Mix64(inst) + uint64(c))
+			p.elapsed += time.Since(start)
+			s := session{bytes: st.TotalBytes, rounds: st.Rounds, attempts: attempts, wrong: err == nil && !right}
+			switch {
+			case err != nil:
+				s = session{class: class.ReplaceAllString(err.Error(), "$1")}
+				p.failed++
+				p.classes[s.class]++
+			case s.wrong:
+				p.wrong++
+			default:
+				p.ok++
+			}
+			p.sessions = append(p.sessions, s)
+			p.bytes, p.rounds, p.attempts, p.reported = p.bytes+s.bytes, p.rounds+s.rounds, p.attempts+s.attempts, p.reported+min(s.attempts, 1)
 		}
 	}
-	return t
+	return p
 }
 
-// sos measures sosr.ReconcileSetsOfSets under cfg; a result is right when it
-// holds exactly Alice's child sets.
-func (b *bench) sos(seed uint64, alice, bob [][]uint64, cfg sosr.Config) tally {
-	return b.measure(seed, func(seed uint64) (sosr.Stats, func() bool, error) {
-		cfg.Seed = seed
-		res, err := sosr.ReconcileSetsOfSets(alice, bob, cfg)
-		if err != nil {
-			return sosr.Stats{}, nil, err
-		}
-		return res.Stats, func() bool { return setutil.EqualSetOfSets(res.Recovered, alice) }, nil
-	})
-}
-
-// graph measures sosr.ReconcileGraphs under cfg; a result is right when it is
-// isomorphic to Alice's graph.
-func (b *bench) graph(seed uint64, alice, bob sosr.Graph, cfg sosr.GraphConfig) tally {
-	return b.measure(seed, func(seed uint64) (sosr.Stats, func() bool, error) {
-		cfg.Seed = seed
-		res, err := sosr.ReconcileGraphs(alice, bob, cfg)
-		if err != nil {
-			return sosr.Stats{}, nil, err
-		}
-		return res.Stats, func() bool { return sosr.GraphsExactlyIsomorphic(res.Recovered, alice) }, nil
-	})
-}
-
-// database returns the Table 1 instance: Bob's random binary database of s
-// rows over h columns, and Alice's copy with d bits flipped.
-func database(seed, flipSeed uint64, s, h, d int) (alice, bob [][]uint64) {
-	db := workload.RandomDatabase(seed, s, h, 0.5, nil)
-	return workload.FlipBits(db, d, prng.New(flipSeed)).SetsOfSets(), db.SetsOfSets()
-}
-
-// table1 regenerates Table 1 empirically on the binary-database regime, with
-// one replica per session so ok is the per-session success rate. The paper
-// asserts the communication order naive > nested > cascade > multiround at
-// large u and small d, and computation naive < nested < cascade ≈ multiround
-// (multiround pays rounds instead of bytes); the order printed after the
-// table is the one the rows measured.
-func (b *bench) table1() {
-	s, h := b.s, b.h
-	b.printf("Table 1 regime: s=%d child sets, h=u=%d columns, density 0.5, n≈%d\n", s, h, s*h/2)
-	b.header("protocol", "d")
-	rows := []struct {
-		name  string
-		proto sosr.Protocol
-		u     uint64
-	}{
-		{"naive (Thm 3.3)", sosr.ProtocolNaive, uint64(h)},
-		{"nested (Thm 3.5)", sosr.ProtocolNested, uint64(h)},
-		{"cascade (Thm 3.7)", sosr.ProtocolCascade, uint64(h)},
-		{"multiround (Thm 3.9)", sosr.ProtocolMultiRound, uint64(h)},
-		{"naive list (u=2^40)", sosr.ProtocolNaive, 1 << 40}, // the element-list child encoding
+// draw builds the instance seeded inst at d, a note on it, and the call that
+// reconciles it under a coin seed and judges the result against Alice's data:
+// the one place sosbench calls a public entry point. tell is 0 on blind rows.
+func (r row) draw(inst uint64, d int) (string, func(coins uint64) (sosr.Stats, int, bool, error)) {
+	tell := 1
+	if r.blind {
+		tell = 0
 	}
-	var orders []string
-	for _, d := range []int{2, 4, 8, 16} {
-		alice, bob := database(b.seed+uint64(d), b.seed^uint64(d)*7, s, h, d)
-		type measured struct {
-			name  string
-			bytes int
-		}
-		var order []measured
-		for _, r := range rows {
-			cfg := sosr.Config{MaxChildSets: s, MaxChildSize: h, Universe: r.u, Protocol: r.proto, KnownDiff: d, Replicas: 1}
-			t := b.sos(b.seed+uint64(d)*31, alice, bob, cfg)
-			b.result(t, r.name, d)
-			if t.ok+t.wrong > 0 {
-				name, _, _ := strings.Cut(r.name, " (")
-				order = append(order, measured{name, t.meanBytes()})
+	switch r.entry {
+	case setsOfSets, setsOfMultisets:
+		db := workload.RandomDatabase(inst, r.s, r.h, 0.5, nil)
+		alice, bob := workload.FlipBits(db, d, prng.New(inst+1)).SetsOfSets(), db.SetsOfSets()
+		if r.entry == setsOfSets {
+			return "", func(coins uint64) (sosr.Stats, int, bool, error) {
+				res, err := sosr.ReconcileSetsOfSets(alice, bob, sosr.Config{Seed: coins, MaxChildSets: r.s, MaxChildSize: r.h, Universe: r.u,
+					Protocol: r.proto, KnownDiff: tell * d, Replicas: r.replicas})
+				if err != nil {
+					return sosr.Stats{}, 0, false, err
+				}
+				return res.Stats, res.Attempts, setutil.EqualSetOfSets(res.Recovered, alice), nil
 			}
 		}
-		slices.SortStableFunc(order, func(x, y measured) int { return x.bytes - y.bytes })
-		var parts []string
-		for _, m := range order {
-			parts = append(parts, fmt.Sprintf("%s %d", m.name, m.bytes))
+		for i := range alice {
+			alice[i], bob[i] = append(alice[i], alice[i][:len(alice[i])/2]...), append(bob[i], bob[i][:len(bob[i])/2]...)
 		}
-		orders = append(orders, fmt.Sprintf("  d=%d: %s", d, strings.Join(parts, " < ")))
+		dist := sosr.SetsOfMultisetsDistance(alice, bob)
+		return fmt.Sprintf("distance %d", dist), func(coins uint64) (sosr.Stats, int, bool, error) {
+			res, err := sosr.ReconcileSetsOfMultisets(alice, bob, sosr.Config{Seed: coins, MaxChildSets: r.s, Protocol: r.proto,
+				KnownDiff: tell * 2 * dist, Replicas: r.replicas})
+			if err != nil {
+				return sosr.Stats{}, 0, false, err
+			}
+			return res.Stats, 0, sosr.SetsOfMultisetsDistance(res.Recovered, alice) == 0, nil
+		}
+	case sets, multisets:
+		src := prng.New(inst)
+		var alice, bob []uint64
+		for i := range r.n + d {
+			x, k := src.Uint64()%(1<<47), 1
+			if r.entry == multisets {
+				k += src.Intn(3)
+			}
+			for side, set := range []*[]uint64{&alice, &bob} {
+				if i < r.n || i%2 == side {
+					*set = append(*set, slices.Repeat([]uint64{x}, k)...)
+				}
+			}
+		}
+		diff, want := sosr.SetDifference(alice, bob), slices.Sorted(slices.Values(alice))
+		if r.entry == multisets {
+			return fmt.Sprintf("%d elements", len(alice)), func(coins uint64) (sosr.Stats, int, bool, error) {
+				rec, st, err := sosr.ReconcileMultisets(alice, bob, tell*2*diff, coins)
+				return st, 0, slices.Equal(slices.Sorted(slices.Values(rec)), want), err
+			}
+		}
+		want = slices.Compact(want)
+		return "", func(coins uint64) (sosr.Stats, int, bool, error) {
+			res, err := sosr.ReconcileSets(alice, bob, sosr.SetConfig{Seed: coins, KnownDiff: tell * diff, UseCharPoly: r.charPoly})
+			if err != nil {
+				return sosr.Stats{}, 0, false, err
+			}
+			return res.Stats, 0, slices.Equal(res.Recovered, want), nil
+		}
+	case graphs, isomorphism:
+		cfg, note := sosr.GraphConfig{Scheme: r.scheme, MaxEdits: d}, ""
+		base, err := sosr.RandomGraph(r.n, 0.5, inst), error(nil)
+		switch r.scheme {
+		case sosr.SchemeDegreeOrdering:
+			base, cfg.TopDegrees, err = sosr.PlantedSeparatedGraph(r.n, d, 0.4, inst)
+			note = fmt.Sprintf("h=%d, edges %d B", cfg.TopDegrees, 8*len(base.Edges))
+		case sosr.SchemeDegreeNeighborhood:
+			cfg.DegreeThreshold = r.n * 3 / 4
+			note = fmt.Sprintf("disjoint %d", sosr.NeighborhoodDisjointness(base, cfg.DegreeThreshold))
+		}
+		if err != nil {
+			panic(fmt.Sprintf("grid row %s: %v", r.name, err))
+		}
+		alice, bob := sosr.PerturbGraph(base, d-d/2, inst+1), sosr.PerturbGraph(base, d/2, inst+2)
+		if r.entry == isomorphism {
+			perm, relabelled := prng.New(inst+3).Perm(r.n), sosr.Graph{N: r.n}
+			for _, e := range bob.Edges {
+				relabelled.Edges = append(relabelled.Edges, [2]int{perm[e[0]], perm[e[1]]})
+			}
+			exact := sosr.GraphsExactlyIsomorphic(alice, relabelled)
+			return note, func(coins uint64) (sosr.Stats, int, bool, error) {
+				iso, st, err := sosr.GraphsIsomorphic(alice, relabelled, coins)
+				return st, 0, iso == exact, err
+			}
+		}
+		return note, func(coins uint64) (sosr.Stats, int, bool, error) {
+			cfg.Seed = coins
+			res, err := sosr.ReconcileGraphs(alice, bob, cfg)
+			if err != nil {
+				return sosr.Stats{}, 0, false, err
+			}
+			return res.Stats, 0, sosr.GraphsExactlyIsomorphic(res.Recovered, alice), nil
+		}
 	}
-	b.printf("\nMeasured communication, ascending (bytes):\n%s\n", strings.Join(orders, "\n"))
+	alice := sosr.RandomForest(r.n, 0.2, inst)
+	bob := sosr.PerturbForest(alice, d, inst+1)
+	sigma := max(alice.Depth(), bob.Depth())
+	return fmt.Sprintf("σ=%d", sigma), func(coins uint64) (sosr.Stats, int, bool, error) {
+		res, err := sosr.ReconcileForests(alice, bob, sosr.ForestConfig{Seed: coins, MaxEdits: tell * d, Depth: sigma})
+		if err != nil {
+			return sosr.Stats{}, 0, false, err
+		}
+		return res.Stats, 0, sosr.ForestsIsomorphic(res.Recovered, alice), nil
+	}
+}
+
+// class reduces a failure's message to the last core class it names (the
+// cause the others wrap), or leaves it whole: the sentinels are internal.
+var class = regexp.MustCompile(`^.*(parent IBLT decode failed|child set recovery failed|failed verification|exhausted retry attempts).*$`)
+
+// meanBytes is the mean wire bytes of the sessions that returned a result.
+func (p point) meanBytes() int { return p.bytes / max(p.ok+p.wrong, 1) }
+
+// wilson is the 95 % Wilson score interval on the failure rate.
+func (p point) wilson() (lo, hi float64) {
+	rate, z2 := float64(p.failed)/float64(len(p.sessions)), 1.96*1.96/float64(len(p.sessions))
+	mid, half := (rate+z2/2)/(1+z2), math.Sqrt(z2*rate*(1-rate)+z2*z2/4)/(1+z2)
+	return max(mid-half, 0), min(mid+half, 1)
+}
+
+// runGroup prints one line a point of g's rows, then g's note.
+func (b *bench) runGroup(g group) {
+	b.row("row", "shape", "first instance", "d", "wire bytes", "B/d", "rounds", "attempts", "time", "ok", "wrong", "failed", "fail 95% CI", "failure classes")
+	for _, r := range g.rows {
+		shape := fmt.Sprintf("n=%d", r.n)
+		if r.s > 0 {
+			shape = fmt.Sprintf("s=%d h=%d u=%d", r.s, r.h, r.u)
+		}
+		for _, d := range r.ds {
+			p := r.measure(b.seed, d, b.trials)
+			lo, hi := p.wilson()
+			var classes []string
+			for _, c := range slices.Sorted(maps.Keys(p.classes)) {
+				classes = append(classes, fmt.Sprintf("%s %d", c, p.classes[c]))
+			}
+			b.row(r.name, shape, p.notes[0], d, p.meanBytes(), div(p.meanBytes(), d),
+				div(p.rounds, p.ok+p.wrong), div(p.attempts, p.reported),
+				(p.elapsed / time.Duration(len(p.sessions))).Round(time.Microsecond), fmt.Sprintf("%d/%d", p.ok, len(p.sessions)),
+				p.wrong, p.failed, fmt.Sprintf("%.2f–%.2f%%", 100*lo, 100*hi), strings.Join(classes, "; "))
+		}
+	}
+	b.printf("%s\n", g.note)
+}
+
+// div is x/y as a cell, or "-" when y is 0.
+func div(x, y int) string {
+	if y == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", float64(x)/float64(y))
 }
 
 // figure1 prints a concrete witness for Figure 1.
 func (b *bench) figure1() {
 	w, err := sosr.FindFigure1Example(5)
 	if err != nil {
-		b.printf("%v\n", err)
-		return
+		panic(err) // a witness exists on five vertices
 	}
 	b.printf("Figure 1 witness (5 vertices): merging unlabeled graphs is ambiguous.\nG1 edges: %v\nG2 edges: %v\n", w.G1.Edges, w.G2.Edges)
 	b.printf("Merge X: add %v to G1 and %v to G2 -> isomorphic results %v\n", w.AddG1X, w.AddG2X, w.MergeX.Edges)
@@ -255,11 +313,10 @@ func (b *bench) figure1() {
 }
 
 // iblt sweeps Theorem 2.1's constants (E3): d keys into d × ratio cells
-// under k hash functions, 40 decodes per trial.
+// under k hash functions, 200 decodes a point times -trials.
 func (b *bench) iblt() {
 	b.row("d", "cells/d", "k", "cells", "wire bytes", "decoded")
-	src := prng.New(b.seed)
-	reps := 40 * b.trials
+	src, reps := prng.New(b.seed), 200*b.trials
 	for _, d := range []int{4, 16, 64, 256} {
 		for _, ratio := range []float64{1.25, 1.5, 2, 3} {
 			for _, k := range []int{3, 4, 5} {
@@ -277,69 +334,11 @@ func (b *bench) iblt() {
 			}
 		}
 	}
-	b.printf("Theorem 2.1: an O(d)-cell table decodes d keys whp; the protocols size tables by iblt.CellsFor(d) = 2d+10, k = 4.\n")
+	b.printf("Theorem 2.1: an O(d)-cell table decodes d keys whp; the protocols size tables by iblt.CellsFor(d) = max(2d+10, 16), k = 4: affine in d.\n")
 }
 
-// sets compares Corollary 2.2 (IBLT), Theorem 2.3 (characteristic
-// polynomial) and Corollary 3.2 (estimator, then IBLT) on n = 2^14 sets (E4),
-// and §3.4's multisets (E14).
-func (b *bench) sets() {
-	const n = 1 << 14
-	b.header("protocol", "n", "d")
-	for _, d := range []int{4, 32, 256} {
-		src := prng.New(b.seed + uint64(d))
-		var alice, bob []uint64
-		for i := 0; i < n+d; i++ {
-			x := src.Uint64() % (1 << 59)
-			if i < n || i%2 == 0 {
-				alice = append(alice, x)
-			}
-			if i < n || i%2 == 1 {
-				bob = append(bob, x)
-			}
-		}
-		want := setutil.Canonical(alice)
-		for _, r := range []struct {
-			name string
-			cfg  sosr.SetConfig
-		}{{"IBLT (Cor 2.2)", sosr.SetConfig{KnownDiff: d}}, {"charpoly (Thm 2.3)", sosr.SetConfig{KnownDiff: d, UseCharPoly: true}},
-			{"estimator+IBLT (Cor 3.2)", sosr.SetConfig{}}} {
-			if r.cfg.UseCharPoly && d > 32 { // cubic root finding
-				continue
-			}
-			t := b.measure(b.seed+uint64(d), func(seed uint64) (sosr.Stats, func() bool, error) {
-				r.cfg.Seed = seed
-				res, err := sosr.ReconcileSets(alice, bob, r.cfg)
-				if err != nil {
-					return sosr.Stats{}, nil, err
-				}
-				return res.Stats, func() bool { return slices.Equal(res.Recovered, want) }, nil
-			})
-			b.result(t, r.name, n, d)
-		}
-	}
-	// Multisets: 2 000 elements repeated 1–3 times, and 8 more on Alice's side.
-	src := prng.New(b.seed + 8)
-	var alice, bob []uint64
-	for i := 0; i < 2008; i++ {
-		x := src.Uint64() % (1 << 40)
-		for r := 1 + src.Intn(3); r > 0 && i < 2000; r-- {
-			alice, bob = append(alice, x), append(bob, x)
-		}
-		if i >= 2000 {
-			alice = append(alice, x)
-		}
-	}
-	want := slices.Sorted(slices.Values(alice))
-	t := b.measure(b.seed+5, func(seed uint64) (sosr.Stats, func() bool, error) {
-		rec, st, err := sosr.ReconcileMultisets(alice, bob, 16, seed)
-		return st, func() bool { return slices.Equal(slices.Sorted(slices.Values(rec)), want) }, err
-	})
-	b.result(t, "multiset (§3.4)", len(alice), 8)
-}
-
-// estimator measures the accuracy and size of the Theorem 3.1 estimator at
-// several parameterisations, against the strata estimator of [14] (E5).
+// estimator measures the Theorem 3.1 estimator's accuracy and size against the
+// strata estimator of [14] (E5): five sketches a point times -trials.
 func (b *bench) estimator() {
 	b.row("estimator", "d", "mean estimate", "mean error ×", "sketch bytes")
 	type sketch interface {
@@ -347,83 +346,27 @@ func (b *bench) estimator() {
 		Estimate() uint64
 		SerializedSize() int
 	}
-	type variant struct {
-		name string
-		make func(seed uint64) sketch
+	variants := map[string]func(seed uint64) sketch{"strata [14]": func(seed uint64) sketch { return estimator.NewStrata(32, 0, seed) }}
+	for _, p := range []estimator.Params{{Replicas: 1, Buckets: 63}, {Replicas: 3, Buckets: 63}, {Replicas: 3, Buckets: 126}, {Replicas: 5, Buckets: 63}} {
+		variants[fmt.Sprintf("l0 r=%d b=%d (Thm 3.1)", p.Replicas, p.Buckets)] = func(seed uint64) sketch { return estimator.New(p, seed) }
 	}
-	variants := []variant{{"strata [14]", func(seed uint64) sketch { return estimator.NewStrata(32, 0, seed) }}}
-	for _, p := range []estimator.Params{{Replicas: 3, Buckets: 63}, {Replicas: 1, Buckets: 63}, {Replicas: 5, Buckets: 63}, {Replicas: 3, Buckets: 126}} {
-		variants = append(variants, variant{fmt.Sprintf("l0 r=%d b=%d (Thm 3.1)", p.Replicas, p.Buckets),
-			func(seed uint64) sketch { return estimator.New(p, seed) }})
-	}
-	src := prng.New(b.seed + 3)
+	src, n := prng.New(b.seed+3), 5*b.trials
 	for _, d := range []int{8, 64, 512, 4096} {
-		for _, v := range variants {
+		for _, name := range slices.Sorted(maps.Keys(variants)) {
 			sum, errSum := uint64(0), 0.0
-			for t := 0; t < b.trials; t++ {
-				e := v.make(uint64(t))
-				for k := 0; k < d; k++ {
+			for range n {
+				e := variants[name](src.Uint64())
+				for k := range d {
 					e.Add(src.Uint64(), estimator.Side(1+k%2))
 				}
 				est := e.Estimate()
 				sum += est
 				errSum += max(float64(est)/float64(d), float64(d)/float64(max(est, 1)))
 			}
-			b.row(v.name, d, sum/uint64(b.trials), fmt.Sprintf("%.2f", errSum/float64(b.trials)), v.make(0).SerializedSize())
+			b.row(name, d, sum/uint64(n), fmt.Sprintf("%.2f", errSum/float64(n)), variants[name](0).SerializedSize())
 		}
 	}
 	b.printf("The paper's estimator drops the O(log u) strata factor.\n")
-}
-
-// crossover sweeps d for nested vs cascade (E7).
-func (b *bench) crossover() {
-	s, h := 96, 96
-	b.header("protocol", "d")
-	for _, d := range []int{2, 4, 8, 16, 32, 64} {
-		alice, bob := database(b.seed+uint64(d), b.seed+uint64(d)*3, s, h, d)
-		for _, proto := range []sosr.Protocol{sosr.ProtocolNested, sosr.ProtocolCascade} {
-			cfg := sosr.Config{MaxChildSets: s, MaxChildSize: h, Universe: uint64(h), Protocol: proto, KnownDiff: d, Replicas: 1}
-			b.result(b.sos(b.seed+uint64(d), alice, bob, cfg), proto, d)
-		}
-	}
-	b.printf("Theorem 3.5 is O(d̂·d log u); Theorem 3.7 is O(d log d log u): cascade wins once d is large.\n")
-}
-
-// unknownD compares the unknown-d variants (E9).
-func (b *bench) unknownD() {
-	s, h, d := b.s, b.h, 12
-	alice, bob := database(b.seed+99, b.seed+100, s, h, d)
-	b.printf("true d=%d (hidden from protocols)\n", d)
-	b.header("variant")
-	for _, r := range []struct {
-		name  string
-		proto sosr.Protocol
-	}{{"naive estimator (Thm 3.4)", sosr.ProtocolNaive}, {"nested doubling (Cor 3.6)", sosr.ProtocolNested},
-		{"cascade doubling (Cor 3.8)", sosr.ProtocolCascade}, {"multiround 4-round (Thm 3.10)", sosr.ProtocolMultiRound}} {
-		cfg := sosr.Config{MaxChildSets: s, MaxChildSize: h, Universe: uint64(h), Protocol: r.proto}
-		b.result(b.sos(b.seed+7, alice, bob, cfg), r.name)
-	}
-}
-
-// graphs runs Theorem 4.3's polynomial scheme on a 6-vertex graph (E10) and
-// the degree-ordering scheme on planted separated graphs (E11).
-func (b *bench) graphs() {
-	b.header("scheme", "n", "d", "h", "raw edges B")
-	base := sosr.RandomGraph(6, 0.5, b.seed+4)
-	t := b.graph(b.seed+3, base, sosr.PerturbGraph(base, 2, b.seed+5), sosr.GraphConfig{Scheme: sosr.SchemePolynomial, MaxEdits: 2})
-	b.result(t, "polynomial (Thm 4.3)", 6, 2, "-", len(base.Edges)*8)
-	for _, n := range []int{480, 960} {
-		d := 2
-		g, h, err := sosr.PlantedSeparatedGraph(n, d, 0.4, b.seed+uint64(n))
-		if err != nil {
-			b.printf("n=%d: %v\n", n, err)
-			continue
-		}
-		ga, gb := sosr.PerturbGraph(g, 1, b.seed+uint64(n)+1), sosr.PerturbGraph(g, 1, b.seed+uint64(n)+2)
-		t := b.graph(b.seed+2, ga, gb, sosr.GraphConfig{Scheme: sosr.SchemeDegreeOrdering, MaxEdits: d, TopDegrees: h})
-		b.result(t, "degree ordering (Thm 5.2)", n, d, h, len(ga.Edges)*8)
-	}
-	b.printf("Theorem 5.2: O(d(log d log h + log n)) bits — constant in n, far below shipping the edges.\n")
 }
 
 // separation measures how often honest G(n, p) is separated (E11b): the gap
@@ -437,47 +380,4 @@ func (b *bench) separation() {
 	}
 	b.printf("Theorem 5.3 needs n far beyond laptop scale; the degree-ordering experiments therefore\n" +
 		"use planted separated graphs (sosr.PlantedSeparatedGraph; the paper's §5, see PAPER.md).\n")
-}
-
-// neighborhood runs the §5.2 scheme on honest G(n, 1/2) (E12).
-func (b *bench) neighborhood() {
-	b.header("n", "disjoint", "supports d")
-	for _, n := range []int{128, 256} {
-		m := n * 3 / 4
-		g := sosr.RandomGraph(n, 0.5, b.seed+6+uint64(n))
-		k := sosr.NeighborhoodDisjointness(g, m)
-		d := min((k-1)/8, 2)
-		if d < 1 {
-			b.printf("%d\t%d\tinsufficient disjointness\n", n, k)
-			continue
-		}
-		ga, gb := sosr.PerturbGraph(g, d/2+d%2, b.seed+uint64(n)+1), sosr.PerturbGraph(g, d/2, b.seed+uint64(n)+2)
-		t := b.graph(b.seed+8, ga, gb, sosr.GraphConfig{Scheme: sosr.SchemeDegreeNeighborhood, MaxEdits: d, DegreeThreshold: m})
-		b.result(t, n, k, d)
-	}
-	b.printf("Theorem 5.6 costs ~O(dpn·polylog) bits — heavier than §5.1 but valid at honest laptop-scale n.\n")
-}
-
-// forest reconciles forests with a known bound and by doubling (E13).
-func (b *bench) forest() {
-	b.header("n", "d", "σ", "bound (0: doubling)")
-	for _, n := range []int{200, 600, 1800} {
-		d := 3
-		fa := sosr.RandomForest(n, 0.2, b.seed+7+uint64(n))
-		fb := sosr.PerturbForest(fa, d, b.seed+8+uint64(n))
-		sigma := max(fa.Depth(), fb.Depth())
-		for _, bound := range []int{d, 0} {
-			cfg := sosr.ForestConfig{MaxEdits: bound, Depth: sigma}
-			t := b.measure(b.seed+9, func(seed uint64) (sosr.Stats, func() bool, error) {
-				cfg.Seed = seed
-				res, err := sosr.ReconcileForests(fa, fb, cfg)
-				if err != nil {
-					return sosr.Stats{}, nil, err
-				}
-				return res.Stats, func() bool { return sosr.ForestsIsomorphic(res.Recovered, fa) }, nil
-			})
-			b.result(t, n, d, sigma, bound)
-		}
-	}
-	b.printf("Theorem 6.1: O(dσ log(dσ) log n) bits — driven by d·σ, nearly flat in n.\n")
 }

@@ -16,9 +16,10 @@ type Protocol int
 const (
 	// ProtocolAuto picks Cascade for known d, the fewest bytes measured in
 	// one round, and MultiRound for unknown d, the fewest rounds: it is not
-	// the fewest bytes there (sosbench -experiment unknownd, true d = 12:
-	// multi-round sends 49 728 B in 4 rounds, cascade doubling 31 968 B in
-	// 8). ROADMAP item 8 replaces this rule with a measured crossover.
+	// the fewest bytes there (the unknownd rows of cmd/sosbench's grid, true
+	// d = 12, mean of five instances: multi-round sends 45 084 B in 4 rounds,
+	// cascade doubling 24 746 B in 7.2). ROADMAP item 8 replaces this rule
+	// with a measured crossover.
 	ProtocolAuto Protocol = iota
 	// ProtocolNaive treats child sets as opaque items (Theorems 3.3/3.4):
 	// simplest and fastest, O(d̂·min(h log u, u)) bits.
