@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"regexp"
 	"strconv"
 	"strings"
@@ -143,30 +144,35 @@ func TestTable1(t *testing.T) {
 	for _, d := range table1Ds() {
 		naive, nested := meanBytes(t, "naive (Thm 3.3)", table1Shape, d), meanBytes(t, "nested (Thm 3.5)", table1Shape, d)
 		cascade, multi := meanBytes(t, "cascade (Thm 3.7)", table1Shape, d), meanBytes(t, "multiround (Thm 3.9)", table1Shape, d)
-		// At (48, 16384) naive is the most expensive and cascade the cheapest
-		// one-round protocol at every d. Multi-round costs more than cascade up
-		// to d = 8 and passes nested from d = 8; at d = 16 its bytes depend on
-		// the instance (33 059–41 090 B over six) and straddle cascade's 40 333.
-		if naive <= max(nested, cascade, multi) || cascade >= nested {
-			t.Errorf("(48, 16384) d=%d: naive %d, nested %d, cascade %d, multiround %d: want cascade < nested < naive, naive the most", d, naive, nested, cascade, multi)
-		}
-		if d <= 8 && multi <= cascade {
-			t.Errorf("(48, 16384) d=%d: multiround %d ≤ cascade %d", d, multi, cascade)
-		}
-		if (d >= 8) != (multi < nested) {
-			t.Errorf("(48, 16384) d=%d: multiround %d against nested %d: want it below from d = 8 on", d, multi, nested)
+		// At (48, 16384) the order is cascade < nested < multiround < naive at
+		// every d. Until protoVersion 6 multi-round passed nested from d = 8
+		// and straddled cascade at d = 16; version 6 shrank a child-IBLT cell
+		// from 18 to 8 bytes (2-byte count and key sum at h = u = 16384,
+		// 4-byte checksum), so nested and cascade fell by half, while
+		// multi-round, whose pair tables keep 4-byte counts and 8-byte key
+		// sums and whose estimators did not move, fell 2–5 %.
+		if !(cascade < nested && nested < multi && multi < naive) {
+			t.Errorf("(48, 16384) d=%d: naive %d, nested %d, cascade %d, multiround %d: want cascade < nested < multiround < naive", d, naive, nested, cascade, multi)
 		}
 	}
 	for _, d := range dsTable1 {
 		naive, nested := meanBytes(t, "naive", failureShape, d), meanBytes(t, "nested", failureShape, d)
 		cascade, multi := meanBytes(t, "cascade", failureShape, d), meanBytes(t, "multiround", failureShape, d)
-		// At (16, 1024) naive's bitmap children are cheapest at every d, and
-		// multi-round undercuts cascade from d = 8.
-		if naive >= min(nested, cascade, multi) {
-			t.Errorf("(16, 1024) d=%d: naive %d is not the cheapest (nested %d, cascade %d, multiround %d)", d, naive, nested, cascade, multi)
+		// At (16, 1024) cascade is cheapest up to d = 4 and naive's 128-byte
+		// bitmap children from d = 8, and multi-round costs more than cascade
+		// at every d. Until protoVersion 6 naive was cheapest at every d and
+		// multi-round undercut cascade from d = 8: version 6 cut naive's
+		// per-cell overhead from 12 to 5 bytes but cascade's child cells from
+		// 18 to 8 bytes (2-byte counts at h = 1024).
+		cheapest := naive
+		if d <= 4 {
+			cheapest = cascade
 		}
-		if (d >= 8) != (multi < cascade) {
-			t.Errorf("(16, 1024) d=%d: multiround %d against cascade %d: want it below from d = 8 on", d, multi, cascade)
+		if cheapest != min(naive, nested, cascade, multi) {
+			t.Errorf("(16, 1024) d=%d: naive %d, nested %d, cascade %d, multiround %d: want %s the cheapest", d, naive, nested, cascade, multi, map[bool]string{true: "cascade", false: "naive"}[d <= 4])
+		}
+		if multi <= cascade {
+			t.Errorf("(16, 1024) d=%d: multiround %d ≤ cascade %d", d, multi, cascade)
 		}
 	}
 }
@@ -193,35 +199,66 @@ func slope(xs, ys []float64) float64 {
 	return sxy / sxx
 }
 
+// parentCell is one cell of a parent table keyed by (child IBLT, hash) pairs
+// at both Table 1 shapes: a 1-byte count (s < 256), the key — the child
+// table's cells of a 2-byte count (h ≥ 256), a 2-byte key sum (u ≤ 2^16) and
+// a 4-byte checksum, then the 8-byte set hash — and a 4-byte checksum.
+func parentCell(childCells int) int { return 1 + iblt.CellsSize(childCells, 2, 0, 2) + 8 + 4 }
+
+// nestedBytes is Theorem 3.5's message at d (d̂ = d): one table of
+// CellsFor(2d) cells keyed by CellsFor(d)-cell child tables, and the 8-byte
+// parent hash.
+func nestedBytes(d int) int {
+	return iblt.RoundCells(iblt.CellsFor(2*d), 0)*parentCell(iblt.CellsFor(d)) + 8
+}
+
+// cascadeBytes is Algorithm 2's message at d < h (no T*): t = ⌈log₂ d⌉
+// levels, level 1 of CellsFor(2d) cells and level i of CellsFor(max(min(
+// 9d/2^(i+1), d), 2)), keyed by CellsTight(2^i)-cell child tables, and the
+// 8-byte parent hash.
+func cascadeBytes(d int) int {
+	n := 8
+	for i := 1; i <= max(bits.Len(uint(d-1)), 1); i++ {
+		cells := iblt.CellsFor(2 * d)
+		if i > 1 {
+			cells = iblt.CellsFor(max(min((9*d)>>(i+1), d), 2))
+		}
+		n += iblt.RoundCells(cells, 0) * parentCell(iblt.CellsTight(1<<i))
+	}
+	return n
+}
+
 // TestScalingLaws pins how bytes grow: exact laws where a table's size is a
 // formula of d, and log-log slopes over d with the tolerance the theorem
 // leaves.
 func TestScalingLaws(t *testing.T) {
-	// Nested and cascade size every table from d alone: the same bytes at
-	// both shapes.
+	// Nested and cascade size every table from d alone, and their cell
+	// widths from the bytes s, h and u need, which are the same at both
+	// shapes: one message of the plan's size at both.
 	for _, c := range []struct {
 		name, big string
-		bytes     map[int]int
+		bytes     func(d int) int
 	}{
-		{"nested", "nested (Thm 3.5)", map[int]int{2: 6188, 4: 10668, 8: 23084, 16: 61740}},
-		{"cascade", "cascade (Thm 3.7)", map[int]int{2: 3317, 4: 7933, 8: 18053, 16: 40333}},
+		{"nested", "nested (Thm 3.5)", nestedBytes},
+		{"cascade", "cascade (Thm 3.7)", cascadeBytes},
 	} {
 		for _, d := range table1Ds() {
 			at16, at48 := meanBytes(t, c.name, failureShape, d), meanBytes(t, c.big, table1Shape, d)
-			if at16 != c.bytes[d] || at48 != c.bytes[d] {
-				t.Errorf("%s d=%d: %d B at (16, 1024), %d B at (48, 16384), want %d at both", c.name, d, at16, at48, c.bytes[d])
+			if want := c.bytes(d); at16 != want || at48 != want {
+				t.Errorf("%s d=%d: %d B at (16, 1024), %d B at (48, 16384), want %d at both", c.name, d, at16, at48, want)
 			}
 		}
 	}
-	// Naive sends one parent table of iblt.CellsFor(2d̂) cells, each an h-bit
-	// bitmap, and 8 B besides: affine in d, not linear.
+	// Naive sends one parent table of iblt.CellsFor(2d̂) cells, each a 1-byte
+	// count, an h-bit bitmap and a 4-byte checksum, and 8 B besides: affine in
+	// d, not linear.
 	for _, c := range []struct {
 		name     string
 		shape, h int
 		ds       []int
 	}{{"naive (Thm 3.3)", table1Shape, 16384, table1Ds()}, {"naive", failureShape, 1024, dsTable1}} {
 		for _, d := range c.ds {
-			if got, want := meanBytes(t, c.name, c.shape, d), iblt.SerializedSizeFor(iblt.CellsFor(2*d), c.h/8, 0)+8; got != want {
+			if got, want := meanBytes(t, c.name, c.shape, d), iblt.CellsSize(iblt.CellsFor(2*d), c.h/8, 0, 1)+8; got != want {
 				t.Errorf("naive at h=%d d=%d: %d B, want %d", c.h, d, got, want)
 			}
 		}

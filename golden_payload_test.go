@@ -32,22 +32,29 @@ import (
 // carry their PR 12 hashes. Sizing the two signature collections at their true
 // h (PR 19, protoVersion 4) moved exactly forest/sig and graphrecon/nbr-sig:
 // fewer cascade levels and a T*; the meta frame, the edge tables and Bob's
-// results did not move, and no persisted byte depends on either shape. The
-// control frames of the same revision are pinned in sosrnet/ctl_test.go.
+// results did not move, and no persisted byte depends on either shape. Cells
+// that carry only what their plan needs (protoVersion 6: 32-bit checksums,
+// parent counts sized by s, child key sums sized by u, no table headers in a
+// one-round message) moved exactly the eight payloads that carry a table:
+// core/naive, core/nested, core/cascade, forest/sig and the four
+// graphrecon/*-edges and *-sig entries. The other seven — the multiset
+// packing, the root order, the forest meta frame, char-poly, the multiset
+// payload and Bob's two results — kept their hashes. The control frames of the
+// same revision are pinned in sosrnet/ctl_test.go.
 var goldenPayloads = map[string]string{
-	"core/cascade":             "ec2fa5de98b271a301142ce3e0eaa498ba1bd264fe7addc0bf885e8abfb0f7c2",
+	"core/cascade":             "8b6a7b6324b9f60aba3f67d32b89706931c9e86b730a29a17d4aac06cee7503a",
 	"core/multiset-parent":     "7c701af2ea5e39c5d3a022761f734ceafeddc4bdce5f8cfa19b1653bd1a526e9",
-	"core/naive":               "f04e516e58c75c652c4303c88f5699f01702a6f6af571be94e54063e2c890a52",
-	"core/nested":              "4cf4963e86585d8075dc5013c2505877108f4041a4985e7b58e05c6162876b7b",
+	"core/naive":               "67173a5531a205dc58c51cdc4c504dd72ba5660d617a8fbdbb4b318449de9c93",
+	"core/nested":              "e97a65d6f1addfacac3af421e1162d46b23d14dbe7c581eb231bb02c90f3050c",
 	"field/roots-order":        "cdf4ff6f5cd7158602e64a83ffea27431cbdcd462fb07c700060634a4128dc11",
 	"forest/meta":              "dcd6e9b82ebb172375dd3040d193dc146c388390ead62c09c17b74782bce9691",
-	"forest/sig":               "a84779175eb686e9350f26bfa47e2ce2d249e59a0c3f002c7ba0c905df523e4e",
-	"graphrecon/degree-edges":  "ab17d5bd7a040f644398e1071eef9eb1920303cadb3f426ed79ca0705e6a4cb4",
+	"forest/sig":               "1eeebf1861b5d39751d6ac64cae3e8d0471dc1f38a2f10889fa04d3688c265b3",
+	"graphrecon/degree-edges":  "55518790cf8dabe44d0726ed5d50ecccbcc2a741f5066290304332572c118af8",
 	"graphrecon/degree-result": "38681f8380eea2298e5bcfd364da09be1ad335dbd54cf06f186e59f647f3a4fc",
-	"graphrecon/degree-sig":    "4c59346095b66d8f0f0258f48aa30b75af5b6c919289a36bffa67f8cbe5b1a9c",
-	"graphrecon/nbr-edges":     "ab0c557b4c66a8b87adeac78c3e66e982d1e882e31ff2aa74198bd04b7f70c42",
+	"graphrecon/degree-sig":    "f038bc0fa0d2cd3b753187e6fbccc1c1145b3c89c9478a1d8d1ee5b30e3b3df4",
+	"graphrecon/nbr-edges":     "0422cf23f81f2dc1f0a83cf0ac7f2eb7ff00454ca232dae7ab8095c2ac26f7c7",
 	"graphrecon/nbr-result":    "bfad4be05e8e78b20d97427235f1b7f59ffc5595fca325294d618cba155eb4d6",
-	"graphrecon/nbr-sig":       "5c57d89a5cce4c0e9b52f72e8abdc7e2820ec00cd976eeb8d4517e677bf28563",
+	"graphrecon/nbr-sig":       "57adfbd674fb40eba9824c6157c64daed54049bcf05d82fd6127d49670d34063",
 	"setrecon/charpoly":        "957c7edf6bbb42595acd874be32e099bbcac0604c4d924ddb2b3fc2edc213ab8",
 	"setrecon/multiset":        "14590b9d95d1a486fe3d2dd4f1136d9e7b4214768412db71d7f66239f80105c3",
 }

@@ -173,14 +173,14 @@ func (sk *BobSketch) check(kind DigestKind, coins hashing.Coins, p Params, d, dH
 // is subtracted; nil sk falls back to the plain path. The recovered
 // difference is identical either way.
 func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d, dHat int, sk *BobSketch) (*Result, error) {
+	if sk == nil {
+		return ApplyMsg(kind, coins, body, bob, p, d, dHat)
+	}
 	if d < 1 {
 		d = 1
 	}
 	if dHat <= 0 {
 		dHat = DHat(d, p.S)
-	}
-	if sk == nil {
-		return ApplyMsg(kind, coins, body, bob, p, d, dHat)
 	}
 	np, err := p.normalized()
 	if err != nil {

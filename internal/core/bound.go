@@ -13,16 +13,6 @@ import (
 // healthy encoder, the cells-per-key slack of the tables, whatever the
 // protocol, and grows with s only if an encoder starts sizing by the data.
 
-// cellOverhead is what a serialized parent-table cell carries besides its
-// key: a 4-byte count and an 8-byte checksum.
-const cellOverhead = 4 + 8
-
-// childWidth is the width of a (child IBLT, hash) key with the given cell
-// count for child sets of at most maxLen elements.
-func childWidth(cells, maxLen int) int {
-	return iblt.CellsSize(cells, iblt.WordWidth, 0, countBytesFor(maxLen)) + 8
-}
-
 // CellBytes returns the bytes of parent-table cells one differing child set
 // occupies when it appears once in every table of a one-round protocol: one
 // full encoding (naive), one (child IBLT, hash) key (nested), or one key per
@@ -37,16 +27,17 @@ func CellBytes(kind DigestKind, p Params, d int) int {
 	}
 	n := 0
 	for i := range w.plan.tables {
-		n += w.plan.tables[i].width + cellOverhead
+		n += w.plan.tableBytes(i, 1, 1)
 	}
 	return n
 }
 
 // MultiRoundCellBytes is CellBytes for the multi-round protocol (Theorem
 // 3.9): per differing child set Alice sends a cell of the hash table and at
-// most one pair table sized for a whole child set on each side.
+// most one pair table sized for a whole child set on each side, both
+// Marshal'd (4-byte counts).
 func MultiRoundCellBytes(p Params) int {
-	return iblt.WordWidth + cellOverhead + iblt.SerializedSizeFor(iblt.CellsFor(mrPairBudgetCap(p)), iblt.WordWidth, 0)
+	return iblt.CellsSize(1, iblt.WordWidth, 1, 4) + iblt.SerializedSizeFor(iblt.CellsFor(mrPairBudgetCap(p)), iblt.WordWidth, 0)
 }
 
 // mrPairBudgetCap bounds a round-3 pair payload: two child sets differ in at

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -160,22 +158,4 @@ func CascadeUnknownD(sess *transport.Session, coins hashing.Coins, alice, bob []
 	return doublingLoop(sess, coins, alice, bob, p, func(sess *transport.Session, att hashing.Coins, d int) (*Result, error) {
 		return CascadeKnownD(sess, att, alice, bob, p, d)
 	})
-}
-
-// appendFramedTable appends t's serialization after its 4-byte length, the
-// framing readFramed cuts.
-func appendFramedTable(dst []byte, t *iblt.Table) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.SerializedSize()))
-	return t.AppendMarshal(dst)
-}
-
-func readFramed(buf []byte) (body []byte, consumed int, err error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("core: truncated frame")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if len(buf) < 4+n {
-		return nil, 0, fmt.Errorf("core: truncated frame body (%d < %d)", len(buf)-4, n)
-	}
-	return buf[4 : 4+n], 4 + n, nil
 }

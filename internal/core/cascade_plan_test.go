@@ -25,6 +25,16 @@ func mustPlan(t testing.TB, kind DigestKind, coins hashing.Coins, p Params, d, d
 	return pl
 }
 
+// levels splits a cascade plan's tables into its t cascading levels and
+// whether T* closes them.
+func (pl *plan) levels() (t int, star bool) {
+	star = pl.tables[len(pl.tables)-1].full
+	if star {
+		return len(pl.tables) - 1, true
+	}
+	return len(pl.tables), false
+}
+
 func TestCascadePlanLevels(t *testing.T) {
 	coins := hashing.NewCoins(1)
 	cases := []struct {
@@ -85,40 +95,51 @@ func TestCascadePlanCellsShrink(t *testing.T) {
 
 // planShapes are the instance shapes the plan table below ranges over: d
 // below, at and far above h; a naive key that is a bitmap and one that is a
-// list; child counts of 1, 2 and 4 bytes.
+// list; child counts of 1, 2 and 4 bytes; parent counts of 1 and 2 bytes;
+// child key sums of 1 to 8 bytes.
 var planShapes = []struct {
-	name       string
-	p          Params
-	d, dHat    int
-	bitmap     bool // the naive key is a universe bitmap
-	countBytes int  // bytes of a child-IBLT cell count
+	name        string
+	p           Params
+	d, dHat     int
+	bitmap      bool // the naive key is a universe bitmap
+	countBytes  int  // bytes of a child-IBLT cell count
+	sumBytes    int  // bytes of a child-IBLT key sum
+	parentCount int  // bytes of a parent-table cell count
 }{
-	{"d<h", Params{S: 32, H: 64, U: 1 << 30}, 10, 0, false, 1},
-	{"d=h", Params{S: 32, H: 16, U: 1 << 30}, 16, 0, false, 1},
-	{"d>>h", Params{S: 32, H: 8, U: 1 << 30}, 1000, 0, false, 1},
-	{"d=1", Params{S: 8, H: 8}, 1, 0, false, 1},
-	{"explicit-dhat", Params{S: 64, H: 12, U: 1 << 32}, 24, 7, false, 1},
-	{"bitmap", Params{S: 16, H: 64, U: 128}, 6, 0, true, 1},
-	{"count2", Params{S: 8, H: 300, U: 1 << 10}, 4, 0, true, 2},
-	{"count4", Params{S: 8, H: 70000, U: 1 << 10}, 4, 0, true, 4},
+	{"d<h", Params{S: 32, H: 64, U: 1 << 30}, 10, 0, false, 1, 4, 1},
+	{"d=h", Params{S: 32, H: 16, U: 1 << 30}, 16, 0, false, 1, 4, 1},
+	{"d>>h", Params{S: 32, H: 8, U: 1 << 30}, 1000, 0, false, 1, 4, 1},
+	{"d=1", Params{S: 8, H: 8}, 1, 0, false, 1, 8, 1},
+	{"explicit-dhat", Params{S: 64, H: 12, U: 1 << 32}, 24, 7, false, 1, 4, 1},
+	{"bitmap", Params{S: 16, H: 64, U: 128}, 6, 0, true, 1, 1, 1},
+	{"count2", Params{S: 8, H: 300, U: 1 << 10}, 4, 0, true, 2, 2, 1},
+	{"count4", Params{S: 8, H: 70000, U: 1 << 10}, 4, 0, true, 4, 2, 1},
+	{"parents2", Params{S: 300, H: 8, U: 1<<40 + 1}, 6, 0, false, 1, 6, 2},
 }
 
-// cellBytesReference is CellBytes as it was written out per kind before the
-// plan: the closed forms the sum over plan tables must equal.
+// cellBytesReference is CellBytes written out per kind: the closed forms the
+// sum over plan tables must equal. A parent cell is a count of the bytes S
+// needs, the key and a 4-byte checksum; a child-IBLT key is its cells (a
+// count of the bytes h needs, a key sum of the bytes u needs, a 4-byte
+// checksum) and an 8-byte set hash.
 func cellBytesReference(kind DigestKind, p Params, d int) int {
+	parent := func(key int) int { return countBytesFor(p.S) + key + 4 }
+	child := func(cells int) int {
+		return parent(iblt.RoundCells(cells, 0)*(countBytesFor(p.H)+sumBytesFor(p.U)+4) + 8)
+	}
 	switch kind {
 	case DigestNaive:
-		return newNaiveCodec(p).width + cellOverhead
+		return parent(newNaiveCodec(p).width)
 	case DigestNested:
-		return childWidth(iblt.CellsFor(d), p.H) + cellOverhead
+		return child(iblt.CellsFor(d))
 	}
 	t, star := cascadeLevels(p, d)
 	n := 0
 	for i := 1; i <= t; i++ {
-		n += childWidth(iblt.CellsTight(1<<i), p.H) + cellOverhead
+		n += child(iblt.CellsTight(1 << i))
 	}
 	if star {
-		n += newNaiveCodec(p).width + cellOverhead
+		n += parent(newNaiveCodec(p).width)
 	}
 	return n
 }
@@ -138,9 +159,12 @@ func TestPlanTable(t *testing.T) {
 			}
 			p := pl.p
 			for i, ts := range pl.tables {
-				if ts.full && ts.naive.bitmap != sh.bitmap || !ts.full && ts.child.countBytes != sh.countBytes {
-					t.Errorf("%s: table %d: bitmap %v, child count width %d", name, i+1, ts.naive.bitmap, ts.child.countBytes)
+				if ts.full && ts.naive.bitmap != sh.bitmap || !ts.full && (ts.child.countBytes != sh.countBytes || ts.child.sumBytes != sh.sumBytes) {
+					t.Errorf("%s: table %d: bitmap %v, child count width %d, key-sum width %d", name, i+1, ts.naive.bitmap, ts.child.countBytes, ts.child.sumBytes)
 				}
+			}
+			if pl.countBytes != sh.parentCount {
+				t.Errorf("%s: parent count width %d, want %d", name, pl.countBytes, sh.parentCount)
 			}
 
 			src := prng.New(uint64(kind)<<8 | uint64(len(sh.name)))
@@ -183,12 +207,19 @@ func TestPlanTable(t *testing.T) {
 				t.Errorf("%s: ApplyMsg of the plan's message: %v", name, err)
 			}
 
-			sum := 0
+			// One cell per table is what CellBytes counts; the message is
+			// every table's cells and the parent hash.
+			sum, size := 0, 8
 			for _, ts := range pl.tables {
-				sum += ts.width + 12
+				cell := pl.countBytes + ts.width + 4
+				sum += cell
+				size += iblt.RoundCells(ts.cells, 0) * cell
 			}
 			if got, ref := CellBytes(kind, sh.p, sh.d), cellBytesReference(kind, p, pl.d); got != sum || got != ref {
-				t.Errorf("%s: CellBytes = %d, Σ(width+12) = %d, closed form %d", name, got, sum, ref)
+				t.Errorf("%s: CellBytes = %d, Σ one cell = %d, closed form %d", name, got, sum, ref)
+			}
+			if pl.msgSize() != size {
+				t.Errorf("%s: msgSize = %d, Σ cells × cell bytes + 8 = %d", name, pl.msgSize(), size)
 			}
 			sk, err := NewBobSketch(kind, coins, parent, sh.p, sh.d, sh.dHat)
 			if err != nil {
@@ -199,11 +230,11 @@ func TestPlanTable(t *testing.T) {
 			}
 			for i, ts := range pl.tables {
 				for _, tab := range []*iblt.Table{sk.tables[i], live.tables[i]} {
-					// A table of the plan's hash count and seed is one Bob's
-					// parse accepts.
+					// A table of the plan's shape, hash count and seed is one
+					// Bob's load can subtract.
 					var back iblt.Table
-					if tab.Cells() != iblt.RoundCells(ts.cells, 0) || tab.Width() != ts.width ||
-						back.UnmarshalInto(tab.AppendMarshal(nil), iblt.DefaultHashCount, ts.seed) != nil {
+					back.Reshape(ts.cells, ts.width, 0, ts.seed)
+					if back.Subtract(tab) != nil {
 						t.Errorf("%s: table %d is not the plan's shape", name, i+1)
 					}
 				}
@@ -214,7 +245,7 @@ func TestPlanTable(t *testing.T) {
 
 func TestChildCodecRoundTrip(t *testing.T) {
 	coins := hashing.NewCoins(6)
-	codec := newChildCodec(coins, "test/child", 0, 16, 8)
+	codec := newChildCodec(coins, "test/child", 0, 16, Params{H: 8, U: 1 << 60})
 	cs := []uint64{5, 9, 1 << 40}
 	enc := codec.encode(cs)
 	if len(enc) != codec.width {
@@ -237,7 +268,7 @@ func TestChildCodecRoundTrip(t *testing.T) {
 
 func TestChildCodecRecoverAgainst(t *testing.T) {
 	coins := hashing.NewCoins(5)
-	codec := newChildCodec(coins, "test/child", 0, 16, 8)
+	codec := newChildCodec(coins, "test/child", 0, 16, Params{H: 8, U: 1 << 60})
 	aliceSet := []uint64{1, 2, 3, 4}
 	bobSet := []uint64{1, 2, 3, 9}
 	r := childRecoverer{c: codec}
@@ -294,5 +325,45 @@ func TestNaiveCodecChoice(t *testing.T) {
 	enc[0] = 0xFF
 	if _, err := big.appendDecode(nil, enc); err == nil {
 		t.Fatal("corrupt count accepted")
+	}
+}
+
+// TestBenchShapeMsgSize pins the cascade message of the three sets-of-sets
+// benchmark shapes to the layout formula — per table, cells × (parent count +
+// key + 4-byte checksum), and the 8-byte parent hash — and holds CellBytes,
+// the bound audit's per-key factor, to the same cells: one cell of each
+// table, as the message lays them out. Until protoVersion 6 the three were
+// 65 941, 17 157 and 65 941 B.
+func TestBenchShapeMsgSize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Params
+		d    int
+		want int
+	}{
+		{"hot_sos_tcp", Params{S: 200, H: 10}, 32, 50036},
+		{"churn_sos_disk", Params{S: 2000, H: 10, U: 1 << 32}, 8, 9360},
+		// Each of the two shards holds about 1 000 of the 2 000 children: any
+		// s from 256 to 65 535 takes 2-byte parent counts.
+		{"shard_sos_fanout (per shard)", Params{S: 1000, H: 10}, 32, 50352},
+	} {
+		pl := mustPlan(t, DigestCascade, hashing.NewCoins(1), tc.p, tc.d, 0)
+		p := pl.p
+		formula, cells := 8, 0
+		for _, ts := range pl.tables {
+			key := newNaiveCodec(p).width
+			if !ts.full {
+				key = iblt.RoundCells(ts.child.cells, 0)*(countBytesFor(p.H)+sumBytesFor(p.U)+4) + 8
+			}
+			cell := countBytesFor(p.S) + key + 4
+			formula += iblt.RoundCells(ts.cells, 0) * cell
+			cells += cell
+		}
+		if got := pl.msgSize(); got != tc.want || got != formula {
+			t.Errorf("%s: msgSize %d, formula %d, pinned %d", tc.name, got, formula, tc.want)
+		}
+		if got := CellBytes(DigestCascade, tc.p, tc.d); got != cells {
+			t.Errorf("%s: CellBytes %d, the message's cells %d", tc.name, got, cells)
+		}
 	}
 }

@@ -70,22 +70,29 @@ func TestChildCountWidthBoundaries(t *testing.T) {
 }
 
 // TestChildEncodingSize pins the layout the savings come from: cells ×
-// (count + 8-byte key sum + 8-byte checksum) + the 8-byte set hash, with no
-// per-key header.
+// (count + key sum + 4-byte checksum) + the 8-byte set hash, with no per-key
+// header, the count as wide as h needs and the key sum as wide as u needs.
 func TestChildEncodingSize(t *testing.T) {
 	coins := hashing.NewCoins(1)
-	for _, tc := range []struct{ cells, h, want int }{
-		{8, 10, 8*(1+16) + 8},    // cascade level 1 and 2 at bench parameters
-		{16, 10, 16*(1+16) + 8},  // level 3
-		{32, 10, 32*(1+16) + 8},  // level 4
-		{8, 300, 8*(2+16) + 8},   // 2-byte counts
-		{8, 70000, 8*(4+16) + 8}, // 4-byte counts
-		{9, 10, 12*(1+16) + 8},   // cells round up to a multiple of k
+	for _, tc := range []struct {
+		cells, h int
+		u        uint64
+		want     int
+	}{
+		{8, 10, 1 << 60, 8*(1+8+4) + 8},    // cascade level 1 and 2 at hot_sos_tcp's shape
+		{16, 10, 1 << 60, 16*(1+8+4) + 8},  // level 3
+		{32, 10, 1 << 60, 32*(1+8+4) + 8},  // level 4
+		{8, 10, 1 << 32, 8*(1+4+4) + 8},    // churn_sos_disk's universe: 4-byte key sums
+		{8, 10, 1<<32 + 1, 8*(1+5+4) + 8},  // one element more needs a fifth byte
+		{8, 10, 256, 8*(1+1+4) + 8},        // 1-byte key sums
+		{8, 300, 1 << 60, 8*(2+8+4) + 8},   // 2-byte counts
+		{8, 70000, 1 << 60, 8*(4+8+4) + 8}, // 4-byte counts
+		{9, 10, 1 << 60, 12*(1+8+4) + 8},   // cells round up to a multiple of k
 	} {
-		c := newChildCodec(coins, "test/child", 0, tc.cells, tc.h)
+		c := newChildCodec(coins, "test/child", 0, tc.cells, Params{H: tc.h, U: tc.u})
 		if c.width != tc.want || len(c.encode([]uint64{1, 2, 3})) != tc.want {
-			t.Fatalf("cells=%d H=%d: width %d, encoding %d, want %d",
-				tc.cells, tc.h, c.width, len(c.encode([]uint64{1, 2, 3})), tc.want)
+			t.Fatalf("cells=%d H=%d u=%d: width %d, encoding %d, want %d",
+				tc.cells, tc.h, tc.u, c.width, len(c.encode([]uint64{1, 2, 3})), tc.want)
 		}
 	}
 }

@@ -398,12 +398,16 @@ func TestCascadeCheaperThanNestedForLargeD(t *testing.T) {
 
 func TestMultiRoundCheaperThanCascadeForSmallDLargeH(t *testing.T) {
 	// Table 1's ordering: the 3-round protocol has the least communication
-	// when h is large and d small, because it never ships per-level child
-	// IBLTs for unchanged elements. d=16 sits clear of the crossover: at d=4,
-	// where log₂ min(d,h) is only 2, the two are within a few percent and
-	// the order depends on encoding constants.
+	// when h is large, because it never ships per-level child IBLTs for
+	// unchanged elements. Where it starts to win depends on encoding
+	// constants. Until protoVersion 6 it won from below d = 16 here (32 967 B
+	// against 40 333 B). Version 6 cut cascade's cells to what the plan needs
+	// (4-byte checksums, 5-byte key sums at u = 2^40), so cascade fell to
+	// 24 720 B, while multi-round fell 2 % (its estimators did not move):
+	// the crossover is now between d = 16 and d = 32. d = 64 sits clear of it
+	// (61 384 B against 98 332 B).
 	p := Params{S: 32, H: 512, U: testU}
-	d := 16
+	d := 64
 	alice, bob := makeInstance(4321, p.S, 384, p.U, d)
 	cascade := transport.New()
 	if _, err := CascadeKnownD(cascade, hashing.NewCoins(93), alice, bob, p, d); err != nil {

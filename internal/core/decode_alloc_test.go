@@ -161,7 +161,7 @@ func TestApplyMsgCachedParity(t *testing.T) {
 func TestBobSketchSubtractionBytes(t *testing.T) {
 	_, bob, p := decodeWorkload(t)
 	coins := hashing.NewCoins(42)
-	codec := newChildCodec(coins, "cascade/child", 1, iblt.CellsTight(2), p.H)
+	codec := newChildCodec(coins, "cascade/child", 1, iblt.CellsTight(2), p)
 	enc := codec.encoder()
 
 	deleted := iblt.New(64, codec.width, 0, 7)

@@ -42,13 +42,18 @@ func AliceMsg(kind DigestKind, coins hashing.Coins, alice [][]uint64, p Params, 
 }
 
 // ApplyMsg runs Bob's side of an AliceMsg payload built under the same
-// (coins, p, d, dHat). The Result carries zero Stats; the caller owns
-// communication accounting.
+// (coins, p, d, dHat). A naive payload applied with dHat ≤ 0 is the single
+// shot after Alice's estimate (Theorem 3.4), whose d̂ Bob never learns: its one
+// table is as many cells as the payload holds. The Result carries zero
+// Stats; the caller owns communication accounting.
 func ApplyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
 	w := getWork()
 	defer putWork(w)
 	if err := w.plan.init(kind, coins, p, d, dHat); err != nil {
 		return nil, err
+	}
+	if kind == DigestNaive && dHat <= 0 {
+		w.plan.fitTo(len(body))
 	}
 	return w.run(&w.plan, body, bob, nil)
 }

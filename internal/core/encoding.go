@@ -113,27 +113,35 @@ func (c naiveCodec) appendDecode(dst []uint64, buf []byte) ([]uint64, error) {
 // shape, so any two of them can be subtracted. An encoding is the child
 // table's bare cells (iblt.AppendCells) followed by the 8-byte set hash: the
 // shape header both parties derive from the plan is not repeated in every
-// parent cell, and cell counts take only the bytes the instance's child-size
-// bound needs.
+// parent cell, cell counts take only the bytes the instance's child-size
+// bound needs, and key sums only the bytes its universe needs.
 type childCodec struct {
 	cells      int
 	seed       uint64
 	hash       uint64 // seed of the per-child-set hash
 	countBytes int    // per-cell count width, from the child-size bound
+	sumBytes   int    // per-cell key-sum width, from the universe
 	width      int
 }
 
-// newChildCodec plans the encoding of child sets of at most maxLen elements
-// (Params.H, which both parties fix before any payload is built).
-func newChildCodec(coins hashing.Coins, label string, level, cells, maxLen int) childCodec {
-	cb := countBytesFor(maxLen)
-	return childCodec{
+// newChildCodec plans the encoding of child sets of at most p.H elements from
+// [0, p.U), the shape both parties fix before any payload is built.
+func newChildCodec(coins hashing.Coins, label string, level, cells int, p Params) childCodec {
+	c := childCodec{
 		cells:      iblt.RoundCells(cells, 0),
 		seed:       coins.Seed(label+"/cells", level),
 		hash:       coins.Seed(childHashLabel, 0),
-		countBytes: cb,
-		width:      childWidth(cells, maxLen),
+		countBytes: countBytesFor(p.H),
+		sumBytes:   sumBytesFor(p.U),
 	}
+	c.width = iblt.CellsSize(c.cells, c.sumBytes, 0, c.countBytes) + 8
+	return c
+}
+
+// sumBytesFor is the key-sum width of a table of elements below u: ⌈log₂ u⌉
+// bits, which an XOR of such elements cannot exceed (0 is the 2^64 range).
+func sumBytesFor(u uint64) int {
+	return max((bits.Len64(u-1)+7)/8, 1)
 }
 
 // countBytesFor is the count width for a table that only ever holds
@@ -184,7 +192,7 @@ func (e *childEncoder) encode(cs []uint64) []byte {
 	for _, x := range cs {
 		e.t.InsertUint64(x)
 	}
-	buf := e.t.AppendCells(e.buf[:0], e.c.countBytes)
+	buf := e.t.AppendCells(e.buf[:0], e.c.countBytes, e.c.sumBytes)
 	buf = binary.LittleEndian.AppendUint64(buf, setutil.Hash(e.c.hash, cs))
 	e.buf = buf
 	return buf
@@ -196,7 +204,7 @@ func (c childCodec) decodeInto(t *iblt.Table, buf []byte) (uint64, error) {
 		return 0, fmt.Errorf("core: child encoding width %d != %d", len(buf), c.width)
 	}
 	t.Reshape(c.cells, iblt.WordWidth, 0, c.seed)
-	if err := t.LoadCells(buf[:len(buf)-8], c.countBytes); err != nil {
+	if err := t.LoadCells(buf[:len(buf)-8], c.countBytes, c.sumBytes); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(buf[len(buf)-8:]), nil

@@ -9,7 +9,7 @@ import (
 // FuzzApplyMsg feeds arbitrary payloads to Bob's one-round entry point for
 // every protocol kind: the scratch-reuse receive paths must reject malformed
 // bodies with an error — never panic, index out of range, or loop — even when
-// widths, level counts, or framing lie about themselves.
+// a length, a count or a key lies about itself.
 func FuzzApplyMsg(f *testing.F) {
 	coins, alice, bob := hashing.NewCoins(21), fuzzAlice, fuzzBob
 	// The kind byte's high nibble picks the instance shape, so the fuzzer
@@ -43,20 +43,18 @@ func FuzzApplyMsg(f *testing.F) {
 	// Header-less child keys at each count width: intact, with the first
 	// child count inside the first parent cell's key sum saturated (a count
 	// no honest child can carry), and one byte short (every key misaligned).
+	// The message starts with the first parent cell's count.
 	for si, np := range shapes {
-		for _, tc := range []struct {
-			kind       DigestKind
-			firstCount int // table header, parent count; cascade adds t and the frame length
-		}{{DigestNested, 20 + 4}, {DigestCascade, 4 + 4 + 20 + 4}} {
-			msg, err := AliceMsg(tc.kind, coins, alice, np, d, dHat)
+		for _, kind := range []DigestKind{DigestNested, DigestCascade} {
+			msg, err := AliceMsg(kind, coins, alice, np, d, dHat)
 			if err != nil {
 				f.Fatal(err)
 			}
-			sel := byte(si<<4) | byte(tc.kind)
+			sel := byte(si<<4) | byte(kind)
 			f.Add(sel, msg)
 			saturated := append([]byte(nil), msg...)
 			for i := 0; i < countBytesFor(np.H); i++ {
-				saturated[tc.firstCount+i] = 0xff
+				saturated[countBytesFor(np.S)+i] = 0xff
 			}
 			f.Add(sel, saturated)
 			f.Add(sel, msg[1:])

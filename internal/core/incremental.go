@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -69,6 +70,9 @@ func (b *IncrementalDigest) Add(cs []uint64) error {
 	h := setutil.Hash(b.chSeed, cs)
 	if b.hashes[h] > 0 {
 		return fmt.Errorf("%w: child set already present", ErrInvalidInstance)
+	}
+	if b.count == b.plan.p.S { // the tables' counts are sized by S
+		return fmt.Errorf("%w: digest already holds S=%d child sets", ErrInvalidInstance, b.count)
 	}
 	b.update(cs, true)
 	b.hashes[h]++
@@ -152,9 +156,9 @@ func (b *IncrementalDigest) parentHashNow() uint64 {
 // AliceMsg(kind, coins, currentParent, p, d, dHat) — the form split-party
 // servers ship under the protocol's transport label.
 func (b *IncrementalDigest) SnapshotMsg() []byte {
-	body := b.plan.appendHead(make([]byte, 0, b.plan.msgSize()))
-	for i, t := range b.tables {
-		body = b.plan.appendTable(body, i, t)
+	body := make([]byte, 0, b.plan.msgSize())
+	for _, t := range b.tables {
+		body = t.AppendCells(body, b.plan.countBytes, t.Width())
 	}
-	return b.plan.appendTail(body, b.parentHashNow())
+	return binary.LittleEndian.AppendUint64(body, b.parentHashNow())
 }

@@ -436,3 +436,23 @@ func multiRound(sess *transport.Session, coins hashing.Coins, alice, bob [][]uin
 	res.DUsed = dUsed
 	return res, nil
 }
+
+// appendFramedTable appends t's serialization after its 4-byte length, the
+// framing readFramed cuts. Multi-round frames its tables because their shape
+// travels with them: the receiver takes a hash table's cell count from the
+// peer's, and a pair entry may be a table or evaluations.
+func appendFramedTable(dst []byte, t *iblt.Table) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.SerializedSize()))
+	return t.AppendMarshal(dst)
+}
+
+func readFramed(buf []byte) (body []byte, consumed int, err error) {
+	if len(buf) < 4 {
+		return nil, 0, fmt.Errorf("core: truncated frame")
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if len(buf) < 4+n {
+		return nil, 0, fmt.Errorf("core: truncated frame body (%d < %d)", len(buf)-4, n)
+	}
+	return buf[4 : 4+n], 4 + n, nil
+}

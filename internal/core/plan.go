@@ -21,7 +21,8 @@ import (
 // decode, Bob's sketch, the live digest, the size and bound arithmetic) is a
 // loop over plan.tables. plan.init is the only place that asks which theorem
 // it is serving, so it is where a cell rule, a coin label or a key codec
-// changes.
+// changes; it and the child codec are the only places that choose a cell's
+// field widths.
 
 // tableSpec is one parent table of a plan: its shape, and how a child set
 // becomes one of its fixed-width keys.
@@ -43,7 +44,7 @@ type plan struct {
 	p          Params
 	d, dHat    int
 	tables     []tableSpec
-	framed     bool   // Algorithm 2's layout: level count, length-framed tables, star flag; otherwise one bare table
+	countBytes int    // every parent table's count width: Alice's tables hold at most S keys
 	sizedByHat bool   // table sizes depend on d̂ (Algorithm 2 derives its own from d)
 	label      string // the transport label the in-process protocol sends the message under
 }
@@ -60,7 +61,7 @@ func (pl *plan) init(kind DigestKind, coins hashing.Coins, p Params, d, dHat int
 	if dHat <= 0 {
 		dHat = DHat(d, p.S)
 	}
-	*pl = plan{kind: kind, coins: coins, p: p, d: d, dHat: dHat, tables: pl.tables[:0]}
+	*pl = plan{kind: kind, coins: coins, p: p, d: d, dHat: dHat, tables: pl.tables[:0], countBytes: countBytesFor(p.S)}
 	switch kind {
 	case DigestNaive:
 		// Theorem 3.3: the table holds the full symmetric difference of
@@ -71,9 +72,9 @@ func (pl *plan) init(kind DigestKind, coins hashing.Coins, p Params, d, dHat int
 		// Algorithm 1: |EA ⊕ EB| ≤ 2·d̂ keys, each an O(d)-cell child IBLT.
 		pl.label, pl.sizedByHat = "nested-iblt", true
 		pl.addChild(iblt.CellsFor(2*dHat), coins.Seed("nested/parent", 0),
-			newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d), p.H))
+			newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d), p))
 	case DigestCascade:
-		pl.label, pl.framed = "cascade-iblts", true
+		pl.label = "cascade-iblts"
 		t, star := cascadeLevels(p, d)
 		pl.tables = slices.Grow(pl.tables, t+1)
 		hat := DHat(d, p.S) // Algorithm 2 sizes by d alone
@@ -86,7 +87,7 @@ func (pl *plan) init(kind DigestKind, coins hashing.Coins, p Params, d, dHat int
 				cells = iblt.CellsFor(max(min((9*d)>>uint(i+1), hat), 2))
 			}
 			pl.addChild(cells, coins.Seed("cascade/parent", i),
-				newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p.H))
+				newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p))
 		}
 		if star {
 			pl.addFull(iblt.CellsFor((3*d)/(2*p.H)+2), coins.Seed("cascade/star", 0))
@@ -114,111 +115,47 @@ func cascadeLevels(p Params, d int) (t int, star bool) {
 	return t, d >= p.H
 }
 
-// levels splits a framed plan's tables into its t cascading levels and
-// whether T* closes them.
-func (pl *plan) levels() (t int, star bool) {
-	star = pl.tables[len(pl.tables)-1].full
-	if star {
-		return len(pl.tables) - 1, true
-	}
-	return len(pl.tables), false
+// The message layout: every table's cells (iblt.AppendCells at the plan's
+// count width and the table's key width) in plan order, then the parent
+// verification hash. The plan fixes every table's shape, so nothing else is
+// sent: no table header, length frame, level count or T* flag.
+
+// tableBytes is the size of table i's cells in the message; cells 1 and k 1
+// give one cell's.
+func (pl *plan) tableBytes(i, cells, k int) int {
+	return iblt.CellsSize(cells, pl.tables[i].width, k, pl.countBytes)
 }
 
-// The message layout. A bare plan's message is its one table and the parent
-// verification hash. A framed plan's is Algorithm 2's: the level count, one
-// length-framed table per level, the star flag and T* framed when the plan
-// has one, the parent hash.
+// fitTo sizes a naive plan's one table to a message of n bytes, for a Bob who
+// never learns the d̂ Alice sized it by. split still refuses a message that is
+// not a whole table of the plan's cells and the parent hash.
+func (pl *plan) fitTo(n int) {
+	if cells := (n - 8) / pl.tableBytes(0, 1, 1); cells > 0 {
+		pl.tables[0].cells = cells
+	}
+}
 
 // msgSize is the exact length of the plan's message.
 func (pl *plan) msgSize() int {
 	n := 8
 	for i := range pl.tables {
-		n += iblt.SerializedSizeFor(pl.tables[i].cells, pl.tables[i].width, 0)
-	}
-	if pl.framed {
-		n += 4 + 4*len(pl.tables) + 1
+		n += pl.tableBytes(i, pl.tables[i].cells, 0)
 	}
 	return n
 }
 
-func (pl *plan) appendHead(dst []byte) []byte {
-	if !pl.framed {
-		return dst
-	}
-	t, _ := pl.levels()
-	return binary.LittleEndian.AppendUint32(dst, uint32(t))
-}
-
-// appendTable appends the plan's i-th table, filled, in its place in the
-// message.
-func (pl *plan) appendTable(dst []byte, i int, t *iblt.Table) []byte {
-	if !pl.framed {
-		return t.AppendMarshal(dst)
-	}
-	if pl.tables[i].full {
-		dst = append(dst, 1)
-	}
-	return appendFramedTable(dst, t)
-}
-
-func (pl *plan) appendTail(dst []byte, parentHash uint64) []byte {
-	if pl.framed {
-		if _, star := pl.levels(); !star {
-			dst = append(dst, 0)
-		}
-	}
-	return binary.LittleEndian.AppendUint64(dst, parentHash)
-}
-
 // split cuts a message into one table body per plan table (frames) and
-// returns the parent hash. It parses no table, and a framed message whose
-// level count or star flag disagrees with the plan is refused here: the flag
-// is the peer's, the table list Bob indexes is the plan's. run classifies
-// every refusal as ErrParentDecode.
+// returns the parent hash. It parses no table; a message of any length but
+// msgSize is refused, and run classifies the refusal as ErrParentDecode.
 func (w *cascadeWork) split(pl *plan, msg []byte) (wantParent uint64, err error) {
-	if !pl.framed {
-		if len(msg) < 8 {
-			return 0, fmt.Errorf("core: short %s message", pl.label)
-		}
-		w.frames = append(w.frames, msg[:len(msg)-8])
-		return binary.LittleEndian.Uint64(msg[len(msg)-8:]), nil
+	if len(msg) != pl.msgSize() {
+		return 0, fmt.Errorf("core: %s message is %d bytes, the plan's is %d", pl.label, len(msg), pl.msgSize())
 	}
-	if len(msg) < 4+1+8 {
-		return 0, fmt.Errorf("core: short %s message", pl.label)
-	}
-	t, star := pl.levels()
-	if got := int(binary.LittleEndian.Uint32(msg)); got != t {
-		return 0, fmt.Errorf("core: cascade level count %d != plan %d", got, t)
-	}
-	off := 4
-	frame := func() error {
-		body, n, err := readFramed(msg[off:])
-		if err != nil {
-			return err
-		}
+	off := 0
+	for i := range pl.tables {
+		n := pl.tableBytes(i, pl.tables[i].cells, 0)
+		w.frames = append(w.frames, msg[off:off+n])
 		off += n
-		w.frames = append(w.frames, body)
-		return nil
-	}
-	for i := 0; i < t; i++ {
-		if err := frame(); err != nil {
-			return 0, err
-		}
-	}
-	if off >= len(msg) {
-		return 0, fmt.Errorf("core: cascade message missing star flag")
-	}
-	if flag := msg[off] == 1; flag != star {
-		return 0, fmt.Errorf("core: star flag %v, plan has T*: %v", flag, star)
-	}
-	off++
-	if star {
-		if err := frame(); err != nil {
-			return 0, err
-		}
-	}
-	if len(msg) < off+8 {
-		return 0, fmt.Errorf("core: cascade message missing parent hash")
 	}
 	return binary.LittleEndian.Uint64(msg[off:]), nil
 }
@@ -254,7 +191,7 @@ func (w *cascadeWork) encoder(ts *tableSpec) setEncoder {
 func (w *cascadeWork) alice(pl *plan, alice [][]uint64) []byte {
 	// Sized up front: a forest payload is ~1 MB, and growing it by doubling
 	// copies it several times over.
-	payload := pl.appendHead(make([]byte, 0, pl.msgSize()))
+	payload := make([]byte, 0, pl.msgSize())
 	for i := range pl.tables {
 		ts := &pl.tables[i]
 		enc := w.encoder(ts)
@@ -262,24 +199,22 @@ func (w *cascadeWork) alice(pl *plan, alice [][]uint64) []byte {
 		for _, cs := range alice {
 			w.parent.Insert(enc.encode(cs))
 		}
-		payload = pl.appendTable(payload, i, &w.parent)
+		payload = w.parent.AppendCells(payload, pl.countBytes, ts.width)
 	}
-	return pl.appendTail(payload, w.parentHash(pl.coins, alice))
+	return binary.LittleEndian.AppendUint64(payload, w.parentHash(pl.coins, alice))
 }
 
-// load parses table i's body into the parent scratch and removes Bob's
-// children from it: all of them for the first table, all except D_B after.
-// With a sketch that is one subtraction of its aggregate (plus re-inserting
-// D_B, which XOR-cancels to the same state); without, every child is
-// re-encoded. The order is parse, width check, encoder: an encoder is sized
-// by the plan, and the plan may come from a peer's header. The table's
-// encoder is returned for what the caller removes next.
-func (w *cascadeWork) load(ts *tableSpec, i int, agg *iblt.Table) (setEncoder, error) {
-	if err := w.parent.UnmarshalInto(w.frames[i], iblt.DefaultHashCount, ts.seed); err != nil {
-		return nil, err
-	}
-	if w.parent.Width() != ts.width {
-		return nil, fmt.Errorf("%w: table %d key width %d != %d", ErrParentDecode, i+1, w.parent.Width(), ts.width)
+// load loads table i's cells into the parent scratch, shaped by the plan, and
+// removes Bob's children from it: all of them for the first table, all except
+// D_B after. With a sketch that is one subtraction of its aggregate (plus
+// re-inserting D_B, which XOR-cancels to the same state); without, every
+// child is re-encoded. The table's encoder is returned for what the caller
+// removes next.
+func (w *cascadeWork) load(pl *plan, i int, agg *iblt.Table) (setEncoder, error) {
+	ts := &pl.tables[i]
+	w.parent.Reshape(ts.cells, ts.width, 0, ts.seed)
+	if err := w.parent.LoadCells(w.frames[i], pl.countBytes, ts.width); err != nil {
+		return nil, fmt.Errorf("%w: table %d: %v", ErrParentDecode, i+1, err)
 	}
 	enc := w.encoder(ts)
 	if agg == nil {
@@ -325,7 +260,7 @@ func (w *cascadeWork) run(pl *plan, msg []byte, bob [][]uint64, sk *BobSketch) (
 	}
 	for i := range pl.tables {
 		ts := &pl.tables[i]
-		enc, err := w.load(ts, i, sk.table(i))
+		enc, err := w.load(pl, i, sk.table(i))
 		if err != nil {
 			return nil, err
 		}

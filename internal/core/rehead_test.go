@@ -3,16 +3,20 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
 	"sosr/internal/hashing"
+	"sosr/internal/iblt"
 )
 
-// Every IBLT Bob parses carries the hash count and seed the public coins fix.
-// A peer that re-heads a valid table with k = cells would have each of Bob's
-// children hashed k times before anything failed, so each parse refuses a
-// header that is not the plan's.
+// Every IBLT Bob parses has the hash count and seed the public coins fix. A
+// peer that re-heads a valid table with k = cells would have each of Bob's
+// children hashed k times before anything failed, so each parse of a table
+// that carries a header refuses one that is not the plan's; a one-round
+// plan's tables carry none, and its message is refused unless it is exactly
+// the plan's length.
 
 // reheaded returns copies of buf whose IBLT header at buf[at:] declares
 // k = cells, or a foreign seed.
@@ -30,6 +34,10 @@ func refusedAtParse(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "iblt: table of k=")
 }
 
+// TestPlanLoadRefusesReheadedTable: a one-round message whose table carries
+// a shape header (protoVersion 5's layout, any k or seed), or is a byte short
+// or long, is refused for its length as ErrParentDecode before any cell is
+// loaded.
 func TestPlanLoadRefusesReheadedTable(t *testing.T) {
 	coins := hashing.NewCoins(61)
 	p := Params{S: 12, H: 16, U: 1 << 40}
@@ -42,9 +50,15 @@ func TestPlanLoadRefusesReheadedTable(t *testing.T) {
 	if _, err := ApplyMsg(DigestNaive, coins, msg, bob, p, 4, dHat); err != nil {
 		t.Fatal(err)
 	}
-	for name, bad := range reheaded(msg, 0) {
-		if _, err := ApplyMsg(DigestNaive, coins, bad, bob, p, 4, dHat); !refusedAtParse(err) {
-			t.Errorf("%s: err = %v, want the header refused", name, err)
+	headed := append(make([]byte, 20), msg...)
+	binary.LittleEndian.PutUint32(headed, iblt.DefaultHashCount)
+	binary.LittleEndian.PutUint32(headed[4:], uint32(mustPlan(t, DigestNaive, coins, p, 4, dHat).tables[0].cells))
+	bad := reheaded(headed, 0)
+	bad["plan's header"] = headed
+	bad["short"], bad["long"] = msg[:len(msg)-1], append(bytes.Clone(msg), 0)
+	for name, b := range bad {
+		if _, err := ApplyMsg(DigestNaive, coins, b, bob, p, 4, dHat); !errors.Is(err, ErrParentDecode) || !strings.Contains(err.Error(), "the plan's is") {
+			t.Errorf("%s: err = %v, want the length refused", name, err)
 		}
 	}
 }

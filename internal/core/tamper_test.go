@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -122,12 +121,13 @@ func TestTamperEmptyPayloads(t *testing.T) {
 	}
 }
 
-// TestStarFlagLie: the star flag is the peer's word, the table list Bob
-// indexes is the plan's. A cascade message that announces T* where (p, d)
-// derive none — with a well-formed star table of the right key width spliced
-// in — or none where they derive one is a classified refusal before any table
-// is parsed, with and without a sketch. The first used to index past the
-// sketch's aggregates.
+// TestStarFlagLie: whether T* closes a cascade is the plan's, never the
+// peer's (until protoVersion 6 the message carried a star flag). A cascade
+// message that carries T*'s cells where (p, d) derive none — a well-formed
+// star table of the right key width spliced in — or drops them where they
+// derive one, or still carries protoVersion 5's flag byte, is a classified
+// refusal before any table is loaded, with and without a sketch. The first
+// used to index past the sketch's aggregates.
 func TestStarFlagLie(t *testing.T) {
 	coins := hashing.NewCoins(77)
 	p, err := Params{S: 12, H: 16, U: 1 << 40}.normalized()
@@ -140,21 +140,18 @@ func TestStarFlagLie(t *testing.T) {
 		d    int
 		lie  func(msg []byte, star []byte) []byte
 	}{
-		{"star announced at d < h", 4, func(msg, star []byte) []byte {
+		{"star sent at d < h", 4, func(msg, star []byte) []byte {
 			hash := msg[len(msg)-8:]
-			out := append(bytes.Clone(msg[:len(msg)-9]), 1)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(star)))
-			return append(append(out, star...), hash...)
-		}},
-		{"star denied at d >= h, table dropped", 32, func(msg, star []byte) []byte {
-			hash := msg[len(msg)-8:]
-			out := append(bytes.Clone(msg[:len(msg)-8-len(star)-4-1]), 0)
+			out := append(bytes.Clone(msg[:len(msg)-8]), star...)
 			return append(out, hash...)
 		}},
-		{"star denied at d >= h, table left", 32, func(msg, star []byte) []byte {
-			out := bytes.Clone(msg)
-			out[len(msg)-8-len(star)-4-1] = 0
-			return out
+		{"star dropped at d >= h", 32, func(msg, star []byte) []byte {
+			hash := msg[len(msg)-8:]
+			return append(bytes.Clone(msg[:len(msg)-8-len(star)]), hash...)
+		}},
+		{"version 5 star flag at d >= h", 32, func(msg, star []byte) []byte {
+			at := len(msg) - 8 - len(star)
+			return append(append(bytes.Clone(msg[:at]), 1), msg[at:]...)
 		}},
 	} {
 		dHat := DHat(tc.d, p.S)
@@ -167,7 +164,7 @@ func TestStarFlagLie(t *testing.T) {
 		for _, cs := range alice {
 			table.Insert(codec.encode(cs))
 		}
-		lying := tc.lie(msg, table.AppendMarshal(nil))
+		lying := tc.lie(msg, table.AppendCells(nil, countBytesFor(p.S), codec.width))
 		sk := mustSketch(t, DigestCascade, coins, bob, p, tc.d)
 		for _, cached := range []*BobSketch{nil, sk} {
 			res, err := ApplyMsgCached(DigestCascade, coins, lying, bob, p, tc.d, dHat, cached)

@@ -30,10 +30,11 @@ func goldenTables() []*Table {
 	return out
 }
 
-// TestMarshalGolden pins Marshal for stand-alone tables to the bytes of the
-// commit before AppendCells existed (PR 12): set reconciliation, edge tables,
-// multi-round, strata and persisted digests' framing all ship Marshal, and
-// none of them may move when the child-key encoding does.
+// TestMarshalGolden pins Marshal for stand-alone tables: set reconciliation,
+// edge tables and multi-round ship Marshal, so a change here is a wire
+// change. The bytes were those of the commit before AppendCells existed
+// (PR 12) until protoVersion 6 narrowed every checksum to 32 bits; no cell
+// index or count moved with it.
 func TestMarshalGolden(t *testing.T) {
 	h := sha256.New()
 	for _, tab := range goldenTables() {
@@ -46,7 +47,7 @@ func TestMarshalGolden(t *testing.T) {
 		}
 		h.Write(buf)
 	}
-	const want = "4a363834b5c5070d4c626b1b6ac3f0fc021e140fca288a38060d00b66e46474b"
+	const want = "a7c36dd0ef905a537800d65d735e4a28f7921e093c6ec2158217532d6cf019d9"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Marshal bytes moved: sha256 %s, want %s", got, want)
 	}
@@ -67,7 +68,7 @@ func cellsEqual(a, b *Table) bool {
 
 // TestCellsRoundTrip is the codec's defining property: for every count width
 // LoadCells(AppendCells(t)) is t cell for cell, the size is CellsSize, and
-// every other length is refused.
+// every other length or layout is refused.
 func TestCellsRoundTrip(t *testing.T) {
 	src := prng.New(77)
 	for trial := 0; trial < 60; trial++ {
@@ -84,7 +85,7 @@ func TestCellsRoundTrip(t *testing.T) {
 					orig.Insert(key)
 				}
 			}
-			enc := orig.AppendCells([]byte{1, 2, 3}, cb)
+			enc := orig.AppendCells([]byte{1, 2, 3}, cb, width)
 			if !bytes.Equal(enc[:3], []byte{1, 2, 3}) {
 				t.Fatal("AppendCells clobbered its prefix")
 			}
@@ -94,14 +95,14 @@ func TestCellsRoundTrip(t *testing.T) {
 			}
 			got := New(cells, width, k, orig.seed)
 			got.Insert(got.FuzzSeededKey(1)) // stale contents must be overwritten
-			if err := got.LoadCells(enc, cb); err != nil {
+			if err := got.LoadCells(enc, cb, width); err != nil {
 				t.Fatalf("cb=%d: %v", cb, err)
 			}
 			if !cellsEqual(orig, got) {
 				t.Fatalf("cb=%d cells=%d width=%d k=%d: round trip changed the table", cb, cells, width, k)
 			}
 			for _, bad := range [][]byte{nil, enc[:len(enc)-1], append(append([]byte(nil), enc...), 0), enc[:len(enc)/2]} {
-				if err := got.LoadCells(bad, cb); err == nil {
+				if err := got.LoadCells(bad, cb, width); err == nil {
 					t.Fatalf("cb=%d: %d-byte encoding accepted for a %d-byte shape", cb, len(bad), len(enc))
 				}
 			}
@@ -109,12 +110,15 @@ func TestCellsRoundTrip(t *testing.T) {
 				t.Fatal("a refused LoadCells modified the table")
 			}
 			for _, other := range []int{1, 2, 4} {
-				if other != cb && got.LoadCells(enc, other) == nil {
+				if other != cb && got.LoadCells(enc, other, width) == nil {
 					t.Fatalf("cb=%d encoding accepted at count width %d", cb, other)
 				}
 			}
-			if got.LoadCells(enc, 3) == nil {
+			if got.LoadCells(enc, 3, width) == nil {
 				t.Fatal("count width 3 accepted")
+			}
+			if got.LoadCells(enc, cb, 0) == nil || got.LoadCells(enc, cb, width+1) == nil {
+				t.Fatal("a key-sum width outside 1..width accepted")
 			}
 		}
 	}
@@ -138,7 +142,7 @@ func TestCellsCountBoundaries(t *testing.T) {
 		var enc []byte
 		panicked := func() (p bool) {
 			defer func() { p = recover() != nil }()
-			enc = tab.AppendCells(nil, tc.cb)
+			enc = tab.AppendCells(nil, tc.cb, WordWidth)
 			return false
 		}()
 		if panicked == tc.fits {
@@ -146,9 +150,54 @@ func TestCellsCountBoundaries(t *testing.T) {
 		}
 		if tc.fits {
 			got := NewUint64(4, 0, 1)
-			if err := got.LoadCells(enc, tc.cb); err != nil || got.counts[2] != tc.count {
+			if err := got.LoadCells(enc, tc.cb, WordWidth); err != nil || got.counts[2] != tc.count {
 				t.Fatalf("cb=%d count=%d: loaded %d (%v)", tc.cb, tc.count, got.counts[2], err)
 			}
+		}
+	}
+}
+
+// TestCellsNarrowSums: a word table whose keys fit sumBytes round-trips
+// through sumBytes-wide key sums cell for cell and decodes; one key beyond
+// that range loses its high bytes, so its cells no longer match their
+// checksums and the peel stalls instead of returning a truncated key.
+func TestCellsNarrowSums(t *testing.T) {
+	src := prng.New(78)
+	for sb := 1; sb <= WordWidth; sb++ {
+		limit := uint64(1)<<(8*sb) - 1
+		if sb == WordWidth {
+			limit = ^uint64(0)
+		}
+		orig := NewUint64(CellsFor(6), 0, src.Uint64())
+		keys := map[uint64]bool{}
+		for len(keys) < 6 {
+			x := src.Uint64() & limit
+			if !keys[x] {
+				keys[x] = true
+				orig.InsertUint64(x)
+			}
+		}
+		enc := orig.AppendCells(nil, 1, sb)
+		if want := CellsSize(orig.Cells(), sb, 0, 1); len(enc) != want {
+			t.Fatalf("sb=%d: %d bytes, CellsSize %d", sb, len(enc), want)
+		}
+		got := NewUint64(orig.Cells(), 0, orig.seed)
+		got.InsertUint64(limit) // stale high bytes must be cleared
+		if err := got.LoadCells(enc, 1, sb); err != nil || !cellsEqual(orig, got) {
+			t.Fatalf("sb=%d: round trip changed the table (%v)", sb, err)
+		}
+		if add, _, err := got.DecodeUint64(); err != nil || len(add) != len(keys) {
+			t.Fatalf("sb=%d: decoded %d of %d keys (%v)", sb, len(add), len(keys), err)
+		}
+		if sb == WordWidth {
+			continue
+		}
+		orig.InsertUint64(limit + 1 + src.Uint64n(1<<20))
+		if err := got.LoadCells(orig.AppendCells(nil, 1, sb), 1, sb); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := got.DecodeUint64(); err == nil {
+			t.Fatalf("sb=%d: a table holding a truncated key decoded", sb)
 		}
 	}
 }

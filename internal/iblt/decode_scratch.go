@@ -3,6 +3,7 @@ package iblt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Decode-side scratch reuse: the receive path unmarshals, subtracts, and
@@ -36,7 +37,7 @@ func (t *Table) Reshape(cells, width, k int, seed uint64) {
 		clear(t.keySums)
 	}
 	if cap(t.checks) < cells {
-		t.checks = make([]uint64, cells)
+		t.checks = make([]uint32, cells)
 	} else {
 		t.checks = t.checks[:cells]
 		clear(t.checks)
@@ -75,7 +76,7 @@ func parseHeader(buf []byte) (k, cells, width int, seed uint64, err error) {
 	if cells > len(buf) || width > len(buf) {
 		return 0, 0, 0, 0, fmt.Errorf("iblt: truncated body (%d cells of width %d in %d bytes)", cells, width, len(buf))
 	}
-	need64 := int64(headerSize) + int64(cells)*int64(4+width+8)
+	need64 := int64(headerSize) + int64(cells)*int64(marshalCountBytes+width+checkBytes)
 	if int64(len(buf)) < need64 {
 		return 0, 0, 0, 0, fmt.Errorf("iblt: truncated body (%d < %d bytes)", len(buf), need64)
 	}
@@ -97,7 +98,7 @@ func (t *Table) UnmarshalInto(buf []byte, k int, seed uint64) error {
 		return fmt.Errorf("iblt: table of k=%d seed=%#x, the plan's is k=%d seed=%#x", hk, hseed, k, seed)
 	}
 	t.Reshape(cells, width, k, seed)
-	return t.LoadCells(buf[headerSize:t.SerializedSize()], marshalCountBytes)
+	return t.LoadCells(buf[headerSize:t.SerializedSize()], marshalCountBytes, width)
 }
 
 // PackedDiff receives DecodePacked results: every peeled key is copied into
@@ -151,10 +152,11 @@ func (t *Table) DecodePacked(d *PackedDiff) error {
 		if sign != 1 && sign != -1 {
 			continue // cell changed since enqueued
 		}
-		// One pass over the cell's key sum gives the checksum that decides
-		// whether it is a key at all and, when it is, that key's cells.
+		// One pass over the cell's key sum gives the checksum and the cells
+		// that decide whether it is a key at all: it must match the cell's
+		// checksum and hash to the cell.
 		idx, cs := t.keyHashes(t.keySums[c*t.width : (c+1)*t.width])
-		if cs != t.checks[c] {
+		if cs != t.checks[c] || !slices.Contains(idx, c) {
 			continue
 		}
 		if t.peeled >= t.cells {

@@ -204,7 +204,7 @@ func TestDecodePackedBoundedOnCorruptTable(t *testing.T) {
 	buf := tab.AppendMarshal(nil)
 	// Corrupt every checksum so purability checks misfire unpredictably.
 	for c := 0; c < tab.Cells(); c++ {
-		off := headerSize + c*(4+WordWidth+8) + 4 + WordWidth
+		off := headerSize + c*(4+WordWidth+checkBytes) + 4 + WordWidth
 		buf[off] ^= 0xff
 	}
 	var mangled Table

@@ -131,8 +131,8 @@ func TestSubtractedCorruptTablesDecodeSafely(t *testing.T) {
 }
 
 // FuzzLoadCells feeds arbitrary bytes to LoadCells, which a decoder calls on
-// a table it has shaped from its own plan, so the shape and count width here
-// are arbitrary too. Either the buffer is refused, or the loaded table
+// a table it has shaped from its own plan, so the shape and the count and
+// key-sum widths here are arbitrary too. Either the buffer is refused, or the loaded table
 // re-encodes to the same bytes and its Decode terminates.
 func FuzzLoadCells(f *testing.F) {
 	word := New(12, WordWidth, 0, 3)
@@ -145,17 +145,25 @@ func FuzzLoadCells(f *testing.F) {
 	}
 	wide.Delete(bytes.Repeat([]byte{7}, 20))
 	for _, cb := range []uint8{1, 2, 4} {
-		f.Add(word.AppendCells(nil, int(cb)), uint8(12), uint8(WordWidth), uint8(0), cb, uint64(3))
+		f.Add(word.AppendCells(nil, int(cb), WordWidth), uint8(12), uint8(WordWidth), uint8(0), cb, uint8(WordWidth), uint64(3))
 	}
-	f.Add(wide.AppendCells(nil, 4), uint8(10), uint8(20), uint8(3), uint8(4), uint64(9)) // a -1 count needs 4 bytes
-	f.Add(word.AppendCells(nil, 2), uint8(12), uint8(WordWidth), uint8(0), uint8(3), uint64(3))
-	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint64(0))
-	f.Fuzz(func(t *testing.T, buf []byte, cells, width, k, countBytes uint8, seed uint64) {
+	// 4-byte key sums beside the 4-byte checksums: a child table over a
+	// 32-bit universe.
+	narrow := New(12, WordWidth, 0, 5)
+	for i := uint64(0); i < 5; i++ {
+		narrow.InsertUint64(i*977 + 1<<31)
+	}
+	f.Add(narrow.AppendCells(nil, 1, 4), uint8(12), uint8(WordWidth), uint8(0), uint8(1), uint8(4), uint64(5))
+	f.Add(narrow.AppendCells(nil, 1, 4), uint8(12), uint8(WordWidth), uint8(0), uint8(1), uint8(3), uint64(5))
+	f.Add(wide.AppendCells(nil, 4, 20), uint8(10), uint8(20), uint8(3), uint8(4), uint8(20), uint64(9)) // a -1 count needs 4 bytes
+	f.Add(word.AppendCells(nil, 2, WordWidth), uint8(12), uint8(WordWidth), uint8(0), uint8(3), uint8(WordWidth), uint64(3))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(0))
+	f.Fuzz(func(t *testing.T, buf []byte, cells, width, k, countBytes, sumBytes uint8, seed uint64) {
 		tab := New(int(cells), max(1, int(width)), int(k%8), seed)
-		if err := tab.LoadCells(buf, int(countBytes)); err != nil {
+		if err := tab.LoadCells(buf, int(countBytes), int(sumBytes)); err != nil {
 			return
 		}
-		if got := tab.AppendCells(nil, int(countBytes)); !bytes.Equal(got, buf) {
+		if got := tab.AppendCells(nil, int(countBytes), int(sumBytes)); !bytes.Equal(got, buf) {
 			t.Fatalf("loaded cells re-encode to %x, not %x", got, buf)
 		}
 		_, _, _ = tab.Decode()

@@ -5,15 +5,20 @@
 //   - signed counts, so a table can represent two disjoint sets (added keys
 //     with +1 counts and deleted keys with -1 counts) and a subtracted pair
 //     of tables decodes to the symmetric difference;
-//   - per-cell checksums to validate peels, since a ±1 count may hide several
-//     colliding keys from both sides;
+//   - per-cell 32-bit checksums to validate peels, since a ±1 count may hide
+//     several colliding keys from both sides, and a peel that also checks that
+//     a pure key hashes to the cell it sits in; a false peel that slips past
+//     both is caught by the verification hash every protocol sends above its
+//     tables;
 //   - vector-valued keys of a fixed byte width, so an entire child-set
 //     encoding (a serialized child IBLT plus a set hash) can itself be a key
 //     inside a parent IBLT — the "IBLTs of IBLTs" of §3.2;
 //   - deterministic construction from shared public coins, so Alice and Bob
 //     build structurally identical tables without communication;
 //   - compact serialization, so transmitted tables are measured in real
-//     bytes by the transport layer.
+//     bytes by the transport layer: a table that carries its own shape
+//     (AppendMarshal), or bare cells whose count and key-sum widths the
+//     receiver's plan fixes (AppendCells).
 package iblt
 
 import (
@@ -21,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sosr/internal/hashing"
 )
@@ -50,8 +56,8 @@ type Table struct {
 	width   int    // key width in bytes
 	seed    uint64 // base seed; hash i uses seed+i, checksum uses seed^checksumSalt
 	counts  []int32
-	keySums []byte // cells * width bytes
-	checks  []uint64
+	keySums []byte   // cells * width bytes
+	checks  []uint32 // XOR of the keys' 32-bit checksums
 	idx     []int    // per-table cell-index scratch, reused across updates/peels
 	hs      []uint64 // keyHashes' seed and hash scratch when k is not the default
 	queue   []int    // per-table peel queue scratch, reused across decodes
@@ -73,7 +79,7 @@ func New(cells, width, k int, seed uint64) *Table {
 		seed:    sh.Seed,
 		counts:  make([]int32, sh.Cells),
 		keySums: make([]byte, sh.Cells*sh.Width),
-		checks:  make([]uint64, sh.Cells),
+		checks:  make([]uint32, sh.Cells),
 		idx:     make([]int, 0, sh.K),
 	}
 }
@@ -99,16 +105,17 @@ func (t *Table) indexSeed(i int) uint64 { return t.seed + uint64(i)*0x9e3779b97f
 // independent seeded chains over the same bytes, so one interleaved pass
 // (hashing.HashBytes5 at the default k, HashBytesMulti otherwise) returns the
 // words k+1 separate HashBytes calls would: a wide key is read once, and no
-// cell index or checksum byte differs from a table built a hash at a time.
+// cell index or checksum byte differs from a table built a hash at a time. The
+// checksum is the low 32 bits of its chain.
 // The indexes live in the table's reusable scratch buffer and are valid until
 // the next keyHashes/cellIndexesWord call.
-func (t *Table) keyHashes(key []byte) ([]int, uint64) {
+func (t *Table) keyHashes(key []byte) ([]int, uint32) {
 	per := uint64(t.cells / t.k)
 	if t.k == DefaultHashCount {
 		h0, h1, h2, h3, cs := hashing.HashBytes5(t.indexSeed(0), t.indexSeed(1), t.indexSeed(2), t.indexSeed(3), t.seed^checksumSalt, key)
 		p := int(per)
 		t.idx = append(t.idx[:0], int(h0%per), p+int(h1%per), 2*p+int(h2%per), 3*p+int(h3%per))
-		return t.idx, cs
+		return t.idx, uint32(cs)
 	}
 	// hs holds the k+1 seeds, then the k+1 hashes.
 	if n := 2 * (t.k + 1); cap(t.hs) < n {
@@ -125,7 +132,7 @@ func (t *Table) keyHashes(key []byte) ([]int, uint64) {
 		out = append(out, i*int(per)+int(hs[i]%per))
 	}
 	t.idx = out
-	return out, hs[t.k]
+	return out, uint32(hs[t.k])
 }
 
 // cellIndexesWord is keyHashes' indexes for a word key, hashing the 8-byte
@@ -141,13 +148,13 @@ func (t *Table) cellIndexesWord(x uint64) []int {
 	return out
 }
 
-func (t *Table) checksum(key []byte) uint64 {
-	return hashing.HashBytes(t.seed^checksumSalt, key)
+func (t *Table) checksum(key []byte) uint32 {
+	return uint32(hashing.HashBytes(t.seed^checksumSalt, key))
 }
 
 // checksumWord equals checksum on the word's LE encoding.
-func (t *Table) checksumWord(x uint64) uint64 {
-	return hashing.HashWord(t.seed^checksumSalt, x)
+func (t *Table) checksumWord(x uint64) uint32 {
+	return uint32(hashing.HashWord(t.seed^checksumSalt, x))
 }
 
 // xorKey folds key into a cell's key sum. Keys are up to several hundred
@@ -206,7 +213,7 @@ func (t *Table) Clone() *Table {
 		k: t.k, cells: t.cells, width: t.width, seed: t.seed,
 		counts:  append([]int32(nil), t.counts...),
 		keySums: append([]byte(nil), t.keySums...),
-		checks:  append([]uint64(nil), t.checks...),
+		checks:  append([]uint32(nil), t.checks...),
 		idx:     make([]int, 0, t.k),
 	}
 	return out
@@ -263,7 +270,7 @@ func newAll(n int, shape func(i int) Shape) []*Table {
 	out := make([]*Table, n)
 	counts := make([]int32, cells)
 	keySums := make([]byte, sums)
-	checks := make([]uint64, cells)
+	checks := make([]uint32, cells)
 	idx := make([]int, ks)
 	for i := range tabs {
 		sh := shape(i).resolved()
@@ -360,9 +367,11 @@ func (t *Table) seedQueue() []int {
 // iterations" a decode-stage histogram observes.
 func (t *Table) PeelCount() int { return t.peeled }
 
-// purable reports whether cell c holds exactly one key: |count| == 1 and the
-// checksum of the key sum matches the checksum sum (§2's guard against
-// mixed-sign collisions that net to ±1).
+// purable reports whether cell c may hold exactly one key: |count| == 1 and
+// the checksum of the key sum matches the checksum sum (§2's guard against
+// mixed-sign collisions that net to ±1). A peel takes the key only if it also
+// hashes to c, which the key's cell indexes, computed for the peel anyway,
+// tell at no extra cost.
 func (t *Table) purable(c int) bool {
 	if t.counts[c] != 1 && t.counts[c] != -1 {
 		return false
@@ -409,6 +418,10 @@ func (t *Table) AppendDecodeUint64(added, removed []uint64) (a, r []uint64, err 
 			return added, removed, ErrDecodeFailed
 		}
 		x := binary.LittleEndian.Uint64(t.keySums[c*WordWidth:])
+		idx := t.cellIndexesWord(x)
+		if !slices.Contains(idx, c) {
+			continue // a checksum collision: the key does not hash here
+		}
 		sign := t.counts[c]
 		t.peeled++
 		if sign == 1 {
@@ -417,7 +430,7 @@ func (t *Table) AppendDecodeUint64(added, removed []uint64) (a, r []uint64, err 
 			removed = append(removed, x)
 		}
 		cs := t.checksumWord(x)
-		for _, ci := range t.cellIndexesWord(x) {
+		for _, ci := range idx {
 			t.counts[ci] -= sign
 			base := ci * WordWidth
 			binary.LittleEndian.PutUint64(t.keySums[base:],
@@ -435,8 +448,14 @@ func (t *Table) AppendDecodeUint64(added, removed []uint64) (a, r []uint64, err 
 	return added, removed, nil
 }
 
+// checkBytes is the width of a serialized cell's checksum. Every table,
+// stand-alone or riding inside a parent as a key, carries 32 bits: a checksum
+// only rejects a falsely pure cell, and each protocol verifies what a decode
+// returns with a 64-bit hash above its tables.
+const checkBytes = 4
+
 // SerializedSize returns the exact number of bytes AppendMarshal adds for a
-// table of this shape: a fixed header plus (4 + width + 8) bytes per cell.
+// table of this shape: a fixed header plus (4 + width + 4) bytes per cell.
 func (t *Table) SerializedSize() int {
 	return headerSize + CellsSize(t.cells, t.width, t.k, marshalCountBytes)
 }
@@ -447,10 +466,11 @@ func SerializedSizeFor(cells, width, k int) int {
 	return headerSize + CellsSize(cells, width, k, marshalCountBytes)
 }
 
-// CellsSize is the exact number of bytes AppendCells produces for a table
-// built with New(cells, width, k, _): (countBytes + width + 8) per cell.
-func CellsSize(cells, width, k, countBytes int) int {
-	return RoundCells(cells, k) * (countBytes + width + 8)
+// CellsSize is the exact number of bytes AppendCells(_, countBytes, sumBytes)
+// produces for a table built with New(cells, _, k, _): (countBytes + sumBytes
+// + 4) per cell.
+func CellsSize(cells, sumBytes, k, countBytes int) int {
+	return RoundCells(cells, k) * (countBytes + sumBytes + checkBytes)
 }
 
 // RoundCells returns the actual cell count a table built with New(cells, _,
@@ -476,18 +496,17 @@ const (
 )
 
 // AppendMarshal appends the table's encoding — the shape header, then the
-// cells with 4-byte counts — to dst and returns the extended slice, letting
-// encode loops reuse one buffer across many tables. The layout is fixed-width
-// so an encoding of a child IBLT can be XORed inside a parent table:
-// equal-shaped empty tables serialize to equal bytes, and every field is
-// position-stable.
+// cells with 4-byte counts and full-width key sums — to dst and returns the
+// extended slice, letting encode loops reuse one buffer across many tables.
+// It is the encoding of a table whose shape the receiver takes from the
+// sender (UnmarshalInto checks it against the receiver's coins).
 func (t *Table) AppendMarshal(dst []byte) []byte {
 	dst = grow(dst, t.SerializedSize())
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.k))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.cells))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.width))
 	dst = binary.LittleEndian.AppendUint64(dst, t.seed)
-	return t.AppendCells(dst, marshalCountBytes)
+	return t.AppendCells(dst, marshalCountBytes, t.width)
 }
 
 // grow returns dst with room for need more bytes, doubling so that a buffer
@@ -502,18 +521,26 @@ func grow(dst []byte, need int) []byte {
 }
 
 // AppendCells appends the table's cells with no shape header: per cell the
-// count in countBytes (1, 2 or 4) little-endian bytes, the key sum, and the
-// 8-byte checksum. It is the encoding for a table that rides as a key inside
-// another table, where both parties derive the shape from their plan and the
-// header would repeat in every parent cell. Narrow counts are the count's low
-// bytes and LoadCells zero-extends them, so 1 and 2 bytes suit insert-only
-// tables of fewer than 256 and 65 536 keys; a count that does not fit its
-// width is a caller bug and panics, like a key of the wrong width.
-func (t *Table) AppendCells(dst []byte, countBytes int) []byte {
-	if !validCountBytes(countBytes) {
-		panic(fmt.Sprintf("iblt: count width %d not 1, 2 or 4", countBytes))
+// count in countBytes (1, 2 or 4) little-endian bytes, the first sumBytes
+// (1 to the key width) bytes of the key sum, and the 4-byte checksum. It is
+// the encoding for a table whose shape both parties derive from their plan,
+// where a header would repeat what the receiver already knows — in every
+// parent cell, for a table that rides as a key inside another. The layout is
+// fixed-width and position-stable, so equal-shaped empty tables encode to
+// equal bytes and one encoding can be XORed inside a parent table.
+//
+// Narrow fields are the low bytes of the value and LoadCells zero-extends
+// them. Counts of 1 and 2 bytes suit insert-only tables of fewer than 256 and
+// 65 536 keys; a count that does not fit its width is a caller bug and
+// panics, like a key of the wrong width. A key sum of fewer bytes than the
+// key suits word keys below 2^(8·sumBytes); the bytes above are dropped, so a
+// key beyond that range no longer matches its checksum on the far side and
+// fails there as a stalled peel.
+func (t *Table) AppendCells(dst []byte, countBytes, sumBytes int) []byte {
+	if err := t.layoutErr(countBytes, sumBytes); err != nil {
+		panic(err.Error())
 	}
-	start, need := len(dst), CellsSize(t.cells, t.width, t.k, countBytes)
+	start, need := len(dst), CellsSize(t.cells, sumBytes, t.k, countBytes)
 	dst = grow(dst, need)[:start+need]
 	buf := dst[start:] // every byte below is overwritten; no clearing needed
 	off := 0
@@ -531,25 +558,34 @@ func (t *Table) AppendCells(dst []byte, countBytes int) []byte {
 			binary.LittleEndian.PutUint32(buf[off:], n)
 		}
 		off += countBytes
-		copy(buf[off:], t.keySums[c*t.width:(c+1)*t.width])
-		off += t.width
-		binary.LittleEndian.PutUint64(buf[off:], t.checks[c])
-		off += 8
+		copy(buf[off:off+sumBytes], t.keySums[c*t.width:])
+		off += sumBytes
+		binary.LittleEndian.PutUint32(buf[off:], t.checks[c])
+		off += checkBytes
 	}
 	return dst
 }
 
-func validCountBytes(n int) bool { return n == 1 || n == 2 || n == 4 }
+// layoutErr refuses a cell layout the table cannot be written in.
+func (t *Table) layoutErr(countBytes, sumBytes int) error {
+	if countBytes != 1 && countBytes != 2 && countBytes != 4 {
+		return fmt.Errorf("iblt: count width %d not 1, 2 or 4", countBytes)
+	}
+	if sumBytes < 1 || sumBytes > t.width {
+		return fmt.Errorf("iblt: key-sum width %d not in 1..%d", sumBytes, t.width)
+	}
+	return nil
+}
 
 // LoadCells overwrites every cell of t — already shaped by the caller from
 // its plan (New or Reshape) — with an AppendCells encoding of the same count
-// width. buf must be exactly the encoding's length; nothing is allocated, so
-// no size is ever taken from the input.
-func (t *Table) LoadCells(buf []byte, countBytes int) error {
-	if !validCountBytes(countBytes) {
-		return fmt.Errorf("iblt: count width %d not 1, 2 or 4", countBytes)
+// and key-sum widths. buf must be exactly the encoding's length; nothing is
+// allocated, so no size is ever taken from the input.
+func (t *Table) LoadCells(buf []byte, countBytes, sumBytes int) error {
+	if err := t.layoutErr(countBytes, sumBytes); err != nil {
+		return err
 	}
-	if need := CellsSize(t.cells, t.width, t.k, countBytes); len(buf) != need {
+	if need := CellsSize(t.cells, sumBytes, t.k, countBytes); len(buf) != need {
 		return fmt.Errorf("iblt: cell encoding is %d bytes, shape needs %d", len(buf), need)
 	}
 	off := 0
@@ -563,10 +599,11 @@ func (t *Table) LoadCells(buf []byte, countBytes int) error {
 			t.counts[c] = int32(binary.LittleEndian.Uint32(buf[off:]))
 		}
 		off += countBytes
-		copy(t.keySums[c*t.width:(c+1)*t.width], buf[off:off+t.width])
-		off += t.width
-		t.checks[c] = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
+		sum := t.keySums[c*t.width : (c+1)*t.width]
+		clear(sum[copy(sum, buf[off:off+sumBytes]):])
+		off += sumBytes
+		t.checks[c] = binary.LittleEndian.Uint32(buf[off:])
+		off += checkBytes
 	}
 	return nil
 }

@@ -11,7 +11,8 @@ import (
 
 // The reference path: the table kernel as it was before the one-pass hash —
 // k separate index hashes and a separate checksum per update, and a peel that
-// checks purity, then recomputes the checksum, then the indexes. The tests
+// checks purity, then recomputes the checksum, then the indexes, and takes
+// the key only if they include its cell. The tests
 // below hold the one-pass path to it cell for cell.
 
 func refIndexes(t *Table, key []byte) []int {
@@ -25,7 +26,7 @@ func refIndexes(t *Table, key []byte) []int {
 }
 
 func refUpdate(t *Table, key []byte, delta int32) {
-	cs := hashing.HashBytes(t.seed^checksumSalt, key)
+	cs := uint32(hashing.HashBytes(t.seed^checksumSalt, key))
 	for _, c := range refIndexes(t, key) {
 		t.counts[c] += delta
 		for i, x := range key {
@@ -39,7 +40,7 @@ func refPurable(t *Table, c int) bool {
 	if t.counts[c] != 1 && t.counts[c] != -1 {
 		return false
 	}
-	return hashing.HashBytes(t.seed^checksumSalt, t.keySums[c*t.width:(c+1)*t.width]) == t.checks[c]
+	return uint32(hashing.HashBytes(t.seed^checksumSalt, t.keySums[c*t.width:(c+1)*t.width])) == t.checks[c]
 }
 
 // refDecode peels in the order Decode always has: a stack seeded with the
@@ -58,13 +59,16 @@ func refDecode(t *Table) (added, removed [][]byte, ok bool) {
 			continue
 		}
 		key := bytes.Clone(t.keySums[c*t.width : (c+1)*t.width])
+		if !slices.Contains(refIndexes(t, key), c) {
+			continue
+		}
 		sign := t.counts[c]
 		if sign == 1 {
 			added = append(added, key)
 		} else {
 			removed = append(removed, key)
 		}
-		cs := hashing.HashBytes(t.seed^checksumSalt, key)
+		cs := uint32(hashing.HashBytes(t.seed^checksumSalt, key))
 		for _, ci := range refIndexes(t, key) {
 			t.counts[ci] -= sign
 			for i, x := range key {

@@ -17,8 +17,8 @@ const (
 	// ProtocolAuto picks Cascade for known d, the fewest bytes measured in
 	// one round, and MultiRound for unknown d, the fewest rounds: it is not
 	// the fewest bytes there (the unknownd rows of cmd/sosbench's grid, true
-	// d = 12, mean of five instances: multi-round sends 45 084 B in 4 rounds,
-	// cascade doubling 24 746 B in 7.2). ROADMAP item 8 replaces this rule
+	// d = 12, mean of five instances: multi-round sends 42 095 B in 4 rounds,
+	// cascade doubling 14 868 B in 8). ROADMAP item 8 replaces this rule
 	// with a measured crossover.
 	ProtocolAuto Protocol = iota
 	// ProtocolNaive treats child sets as opaque items (Theorems 3.3/3.4):

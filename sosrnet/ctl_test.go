@@ -30,13 +30,13 @@ var (
 		V: protoVersion, Kind: KindSetsOfSets, D: 32, Protocol: "cascade",
 		DHat: 32, Replicas: 3, S: 200, H: 10, U: setutil.MaxElement + 1,
 	}
-	goldenDone = doneMsg{OK: true, Rounds: 1, Bytes: 66133, Messages: 1, Attempts: 1}
+	goldenDone = doneMsg{OK: true, Rounds: 1, Bytes: 50228, Messages: 1, Attempts: 1}
 )
 
 const (
-	goldenHelloHex  = "010502030304646f637304070b200d0313c801140a"
-	goldenAcceptHex = "01050203032004030520060307c801080a09808080808080808010"
-	goldenDoneHex   = "0101030104d5840405010601"
+	goldenHelloHex  = "010602030304646f637304070b200d0313c801140a"
+	goldenAcceptHex = "01060203032004030520060307c801080a09808080808080808010"
+	goldenDoneHex   = "0101030104b4880305010601"
 )
 
 // golden holds one message to its pinned bytes, both ways.

@@ -60,8 +60,8 @@ func (a *sosApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err erro
 		d, dHat = 1<<k, core.DHat(1<<k, a.p.S)
 	case a.fl.probe != "":
 		// The shot after a probe is sized by the server's estimate of d̂,
-		// which Bob never learns: there is no bound to key a sketch on, and
-		// the apply re-encodes.
+		// which Bob never learns: there is no bound to key a sketch on, the
+		// apply re-encodes, and its table is as large as the message.
 		d, dHat = 1, 0
 	}
 	dsp := a.sp.Child("decode")

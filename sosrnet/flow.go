@@ -145,8 +145,10 @@ func (f *sosFamily) flow(d int) *flow {
 
 // limit is how many attempts the row allows under the accepted plan: the
 // stopping rule of its schedule, which both ends read off the same accept —
-// the replicas of §3.2, a budget of 16·2^k within the forest cap, core's cap
-// on any doubling.
+// the replicas of §3.2, a budget of 16·2^k within the forest cap, and core's
+// rule for a sets-of-sets doubling: the attempt whose bound outgrew the
+// accepted shape is the last. Bob holds to it too, so a server that keeps
+// failing cannot walk him to bounds no instance of the shape needs.
 func (fl *flow) limit(acc *acceptMsg) int {
 	switch {
 	case fl.sched == replicated:
@@ -154,7 +156,12 @@ func (fl *flow) limit(acc *acceptMsg) int {
 	case fl == &flowForestAuto:
 		return bits.Len(uint(acc.MaxBudget / 16))
 	case fl.sched == doubling:
-		return core.MaxDoublingAttempts
+		p := core.Params{S: acc.S, H: acc.H}
+		k := 1
+		for k < core.MaxDoublingAttempts && !core.DoublingTooBig(1<<(k-1), p) {
+			k++
+		}
+		return k
 	}
 	return 1
 }

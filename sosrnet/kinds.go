@@ -7,6 +7,7 @@ import (
 	"sosr/internal/forest"
 	"sosr/internal/graph"
 	"sosr/internal/hashing"
+	"sosr/internal/iblt"
 	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
 	"sosr/internal/store"
@@ -351,6 +352,6 @@ func stageMultiset(c *contents, up *store.Update) (contents, error) {
 	return contents{set: packed}, nil
 }
 
-// setCellBytes is one cell of a plain set's IBLT: an 8-byte element, a count
-// and a checksum.
-const setCellBytes = 8 + 4 + 8
+// setCellBytes is one cell of a plain set's IBLT as Marshal lays it out: a
+// 4-byte count, an 8-byte element and a checksum.
+var setCellBytes = iblt.CellsSize(1, iblt.WordWidth, 1, 4)

@@ -86,7 +86,15 @@ const (
 // shardid and shardset derive from (position, shard count), no longer from
 // the replica addresses — so every sharded session partitions and hashes
 // differently from v4's; unsharded payloads are unchanged.
-const protoVersion = 5
+// v6: an IBLT cell carries only what its plan needs. Every checksum is 32
+// bits; a one-round parent table's counts are as wide as s needs and a child
+// IBLT's key sums as wide as u needs; a one-round message is its tables'
+// cells and the parent hash, with no table header, length frame, level count
+// or T* flag. Every payload that carries a table differs from v5's, and the
+// control frames changed only in the version. No coin moved, nor a cell index
+// of a table keyed by elements, hashes or whole child sets; a parent table
+// keyed by child-IBLT encodings hashes the narrower encodings to new cells.
+const protoVersion = 6
 
 // Package errors.
 var (

@@ -155,8 +155,9 @@ func TestHostileAcceptShapeRejected(t *testing.T) {
 
 // TestHostileStarFlagRefused plays a server that accepts an honest cascade
 // hello at d < h — no T* in the plan both ends derive — and then sends, for
-// every attempt of the first session, a payload whose star flag says T*
-// follows, with a well-formed star table behind it. The client decodes a
+// every attempt of the first session, a payload with a well-formed star
+// table's cells spliced in before the parent hash (until protoVersion 6, a
+// star flag announced it). The client decodes a
 // known-d session through a sketch from the first one on, and the sketch has
 // no aggregate for a table the plan does not have: the lie must end as a
 // classified error once the attempts are spent (it used to index past the
@@ -206,7 +207,7 @@ func TestHostileStarFlagRefused(t *testing.T) {
 			}
 			if lie {
 				// T* as a d ≥ h plan lays it out: Alice's children as
-				// list keys, behind flag 1, before the parent hash.
+				// list keys, its cells before the parent hash.
 				star := iblt.New(iblt.CellsFor(4), 4+8*p.H, 0, coins.Seed("cascade/star", 0))
 				key := make([]byte, star.Width())
 				for _, cs := range alice {
@@ -218,9 +219,8 @@ func TestHostileStarFlagRefused(t *testing.T) {
 					star.Insert(key)
 				}
 				hash := msg[len(msg)-8:]
-				lying := append(bytes.Clone(msg[:len(msg)-9]), 1)
-				lying = binary.LittleEndian.AppendUint32(lying, uint32(star.SerializedSize()))
-				msg = append(star.AppendMarshal(lying), hash...)
+				lying := bytes.Clone(msg[:len(msg)-8])
+				msg = append(star.AppendCells(lying, 1, star.Width()), hash...)
 			}
 			if err := ep.SendFrame("cascade-iblts", msg); err != nil {
 				return err
@@ -252,8 +252,8 @@ func TestHostileStarFlagRefused(t *testing.T) {
 	c.Timeout = 10 * time.Second
 	cfg := sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: d}
 	res, _, err := c.SetsOfSets(context.Background(), "docs", bob, cfg)
-	if !errors.Is(err, ErrGaveUp) || !strings.Contains(err.Error(), "star flag") || res != nil {
-		t.Fatalf("lying server: result %v, err %v; want ErrGaveUp naming the star flag", res != nil, err)
+	if !errors.Is(err, ErrGaveUp) || !strings.Contains(err.Error(), "the plan's is") || res != nil {
+		t.Fatalf("lying server: result %v, err %v; want ErrGaveUp naming the message length", res != nil, err)
 	}
 	// d = 4 is far below the pair's true difference: the honest session runs
 	// at a bound that covers it.
@@ -429,13 +429,14 @@ func TestHostileAcceptRefused(t *testing.T) {
 }
 
 // TestPreviousProtocolVersionRefused: a peer of the previous revision builds
-// payloads this one cannot decode (v4 partitioned and drew shard coins by
-// replica address); it must be told so at the handshake rather than discover
-// it as a decode failure. TestV4PeersAreVersionRejects checks how each end
-// counts and reports the skew.
+// payloads this one cannot decode (v5 sent 64-bit checksums, 4-byte parent
+// counts, 8-byte child key sums and a header per table); it must be told so
+// at the handshake, counted as a version reject, rather than discover it as a
+// decode failure. TestV4PeersAreVersionRejects checks how each end counts and
+// reports an older skew.
 func TestPreviousProtocolVersionRefused(t *testing.T) {
 	alice, _ := sosPair()
-	_, addr, _ := startServer(t, func(s *Server) {
+	srv, addr, _ := startServer(t, func(s *Server) {
 		if err := s.HostSetsOfSets("docs", alice); err != nil {
 			t.Fatal(err)
 		}
@@ -451,9 +452,10 @@ func TestPreviousProtocolVersionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = recvOrServerError(ep, lblAccept)
-	if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 4 unsupported (want 5)") {
+	if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 5 unsupported (want 6)") {
 		t.Fatalf("got %v, want the version refusal", err)
 	}
+	waitFor(t, "version reject counted", func() bool { return srv.metrics().rejects.With(rejectVersion).Value() == 1 })
 }
 
 // TestV4PeersAreVersionRejects: each end of a skew with the previous revision
@@ -503,7 +505,7 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 
 	t.Run("v4 client", func(t *testing.T) {
 		v4 := helloMsg{V: 4, Dataset: "docs", Kind: KindSetsOfSets, Seed: 1, Protocol: "cascade", D: 8, ShardID: 9, ShardCount: 3}
-		if err := hello(t, appendCtl(nil, helloFields, &v4)); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 4 unsupported (want 5)") {
+		if err := hello(t, appendCtl(nil, helloFields, &v4)); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 4 unsupported (want 6)") {
 			t.Fatalf("got %v, want the version refusal", err)
 		}
 		// reject counts before it logs: wait for the log line too.
@@ -517,8 +519,8 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if len(rejected) != 1 || !strings.Contains(rejected[0], "version 4") || !strings.Contains(rejected[0], "want 5") {
-			t.Fatalf("reject log lines %q, want one naming versions 4 and 5", rejected)
+		if len(rejected) != 1 || !strings.Contains(rejected[0], "version 4") || !strings.Contains(rejected[0], "want 6") {
+			t.Fatalf("reject log lines %q, want one naming versions 4 and 6", rejected)
 		}
 	})
 
@@ -540,7 +542,7 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 			}
 		}()
 		_, _, err = Dial(ln.Addr().String()).Sets(context.Background(), "ids", seqSet(0, 50), sosr.SetConfig{Seed: 1, KnownDiff: 8})
-		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 5 unsupported (want 4)") {
+		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 6 unsupported (want 4)") {
 			t.Fatalf("got %v, want an error naming the protocol version skew", err)
 		}
 	})
