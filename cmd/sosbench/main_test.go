@@ -250,16 +250,23 @@ func TestScalingLaws(t *testing.T) {
 		}
 	}
 	// Naive sends one parent table of iblt.CellsFor(2d̂) cells, each a 1-byte
-	// count, an h-bit bitmap and a 4-byte checksum, and 8 B besides: affine in
-	// d, not linear.
+	// count (s < 256), a key and a 4-byte checksum, and 8 B besides: affine in
+	// d, not linear. The key is a child set: an h-bit bitmap where u = h, and
+	// at u = 2^40 a list — a length as wide as h needs (2 bytes for
+	// h = 16 384) and h elements as wide as u needs (5 bytes).
 	for _, c := range []struct {
 		name     string
 		shape, h int
+		key      int
 		ds       []int
-	}{{"naive (Thm 3.3)", table1Shape, 16384, table1Ds()}, {"naive", failureShape, 1024, dsTable1}} {
+	}{
+		{"naive (Thm 3.3)", table1Shape, 16384, 16384 / 8, table1Ds()},
+		{"naive list (u=2^40)", table1Shape, 16384, 2 + 5*16384, table1Ds()},
+		{"naive", failureShape, 1024, 1024 / 8, dsTable1},
+	} {
 		for _, d := range c.ds {
-			if got, want := meanBytes(t, c.name, c.shape, d), iblt.CellsSize(iblt.CellsFor(2*d), c.h/8, 0, 1)+8; got != want {
-				t.Errorf("naive at h=%d d=%d: %d B, want %d", c.h, d, got, want)
+			if got, want := meanBytes(t, c.name, c.shape, d), iblt.CellsSize(iblt.CellsFor(2*d), c.key, 0, 1)+8; got != want {
+				t.Errorf("%s at h=%d d=%d: %d B, want %d", c.name, c.h, d, got, want)
 			}
 		}
 	}

@@ -39,22 +39,29 @@ import (
 // core/naive, core/nested, core/cascade, forest/sig and the four
 // graphrecon/*-edges and *-sig entries. The other seven — the multiset
 // packing, the root order, the forest meta frame, char-poly, the multiset
-// payload and Bob's two results — kept their hashes. The control frames of the
-// same revision are pinned in sosrnet/ctl_test.go.
+// payload and Bob's two results — kept their hashes. Listing a child set at
+// the widths its shape needs (protoVersion 7: a length as wide as h needs,
+// elements as wide as u needs, where v6 took 4 and 8 bytes) moved exactly the
+// four payloads that list one: core/naive and core/cascade's T* (both at the
+// explicit u = 2^32 here, so their elements went from 8 bytes to 4), and the
+// T* of forest/sig and graphrecon/nbr-sig (whose signature shapes pass u = 0
+// and keep 8-byte elements: only the length narrowed). core/nested and
+// graphrecon/degree-sig have no T* and kept their hashes. The control frames of
+// the same revision are pinned in sosrnet/ctl_test.go.
 var goldenPayloads = map[string]string{
-	"core/cascade":             "8b6a7b6324b9f60aba3f67d32b89706931c9e86b730a29a17d4aac06cee7503a",
+	"core/cascade":             "85b94bec3dff93f79e674b64f6372bc3727d6f4a7c09505c0d5f1563ca694851",
 	"core/multiset-parent":     "7c701af2ea5e39c5d3a022761f734ceafeddc4bdce5f8cfa19b1653bd1a526e9",
-	"core/naive":               "67173a5531a205dc58c51cdc4c504dd72ba5660d617a8fbdbb4b318449de9c93",
+	"core/naive":               "a5d744eb31dc263518c525d7917501ba305a88e9537af17d0ba348e7098c28de",
 	"core/nested":              "e97a65d6f1addfacac3af421e1162d46b23d14dbe7c581eb231bb02c90f3050c",
 	"field/roots-order":        "cdf4ff6f5cd7158602e64a83ffea27431cbdcd462fb07c700060634a4128dc11",
 	"forest/meta":              "dcd6e9b82ebb172375dd3040d193dc146c388390ead62c09c17b74782bce9691",
-	"forest/sig":               "1eeebf1861b5d39751d6ac64cae3e8d0471dc1f38a2f10889fa04d3688c265b3",
+	"forest/sig":               "c23f0a4a04322873b2df595e1a3157d0dce0b144cbab6e49ae67fe72e9ffcb6d",
 	"graphrecon/degree-edges":  "55518790cf8dabe44d0726ed5d50ecccbcc2a741f5066290304332572c118af8",
 	"graphrecon/degree-result": "38681f8380eea2298e5bcfd364da09be1ad335dbd54cf06f186e59f647f3a4fc",
 	"graphrecon/degree-sig":    "f038bc0fa0d2cd3b753187e6fbccc1c1145b3c89c9478a1d8d1ee5b30e3b3df4",
 	"graphrecon/nbr-edges":     "0422cf23f81f2dc1f0a83cf0ac7f2eb7ff00454ca232dae7ab8095c2ac26f7c7",
 	"graphrecon/nbr-result":    "bfad4be05e8e78b20d97427235f1b7f59ffc5595fca325294d618cba155eb4d6",
-	"graphrecon/nbr-sig":       "57adfbd674fb40eba9824c6157c64daed54049bcf05d82fd6127d49670d34063",
+	"graphrecon/nbr-sig":       "9896f3be34125c3a20d80fd19541a225e7d59bdd83af4733137ff2e25b4411dc",
 	"setrecon/charpoly":        "957c7edf6bbb42595acd874be32e099bbcac0604c4d924ddb2b3fc2edc213ab8",
 	"setrecon/multiset":        "14590b9d95d1a486fe3d2dd4f1136d9e7b4214768412db71d7f66239f80105c3",
 }

@@ -304,7 +304,7 @@ func TestNaiveCodecChoice(t *testing.T) {
 	if big.bitmap {
 		t.Fatal("big universe chose bitmap")
 	}
-	if big.width != 4+8*4 {
+	if big.width != 1+5*4 { // a 1-byte length (h < 256), 5-byte elements (u = 2^40)
 		t.Fatalf("list width %d", big.width)
 	}
 	// Round trips.
@@ -332,8 +332,11 @@ func TestNaiveCodecChoice(t *testing.T) {
 // benchmark shapes to the layout formula — per table, cells × (parent count +
 // key + 4-byte checksum), and the 8-byte parent hash — and holds CellBytes,
 // the bound audit's per-key factor, to the same cells: one cell of each
-// table, as the message lays them out. Until protoVersion 6 the three were
-// 65 941, 17 157 and 65 941 B.
+// table, as the message lays them out. Hot and shard declare no universe, and
+// their elements lie below 2^32, so Resolve gives them u = 2^32. Until
+// protoVersion 6 the three were 65 941, 17 157 and 65 941 B; until
+// protoVersion 7, when u = 0 still meant 2^60 and a listed child set took 4 +
+// 8·h bytes, 50 036, 9 360 and 50 352 B.
 func TestBenchShapeMsgSize(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -341,11 +344,11 @@ func TestBenchShapeMsgSize(t *testing.T) {
 		d    int
 		want int
 	}{
-		{"hot_sos_tcp", Params{S: 200, H: 10}, 32, 50036},
+		{"hot_sos_tcp", Params{S: 200, H: 10, U: 1 << 32}, 32, 35436},
 		{"churn_sos_disk", Params{S: 2000, H: 10, U: 1 << 32}, 8, 9360},
 		// Each of the two shards holds about 1 000 of the 2 000 children: any
 		// s from 256 to 65 535 takes 2-byte parent counts.
-		{"shard_sos_fanout (per shard)", Params{S: 1000, H: 10}, 32, 50352},
+		{"shard_sos_fanout (per shard)", Params{S: 1000, H: 10, U: 1 << 32}, 32, 35752},
 	} {
 		pl := mustPlan(t, DigestCascade, hashing.NewCoins(1), tc.p, tc.d, 0)
 		p := pl.p

@@ -32,6 +32,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"sosr/internal/hashing"
@@ -47,8 +48,11 @@ type Params struct {
 	S int
 	// H is the maximum child set size.
 	H int
-	// U is the universe size: elements lie in [0, U). Zero means the full
-	// 2^60 range supported by the characteristic-polynomial substrate.
+	// U is the universe size: elements lie in [0, U), and a child IBLT's key
+	// sums and a listed child set's elements take the bytes U needs. Zero
+	// derives it from both parties' data in Resolve; an engine handed zero
+	// directly uses the full 2^60 range supported by the
+	// characteristic-polynomial substrate.
 	U uint64
 }
 
@@ -72,18 +76,60 @@ func (p Params) normalized() (Params, error) {
 	return p, nil
 }
 
-// Fits reports, as ErrInvalidInstance, a parent set the shape cannot hold:
-// more than S child sets, or a child set of more than H elements. Encoders
-// size their fixed-width keys and count fields from the shape, so data
-// beyond it must be refused before it reaches one.
-func (p Params) Fits(parent [][]uint64) error {
-	if len(parent) > p.S {
-		return fmt.Errorf("%w: %d child sets exceeds S=%d", ErrInvalidInstance, len(parent), p.S)
-	}
-	for i, cs := range parent {
-		if len(cs) > p.H {
-			return fmt.Errorf("%w: child %d has %d elements, H=%d", ErrInvalidInstance, i, len(cs), p.H)
+// Resolve is the one shape rule of a session: every party, in process or on
+// either end of the wire, calls it on its own parent set. Each bound p sets is
+// kept; each it leaves zero becomes the larger of what own and peer need,
+// where peer is the other party's need (zero when it has none to add). A
+// parent set needs S = its child count, H = its largest child and U = the
+// smallest 2^(8·b) above its largest element, at least 2^8 and at most 2^60:
+// whole bytes are all a key sum can use, and they keep the shape — with it
+// the plan, the live digest and every cache key — where it was while updates
+// stay within the same key width. own must fit the resolved shape; data
+// beyond a bound is ErrInvalidInstance, whoever set the bound. need is own's,
+// for a party that sends it to its peer. One pass over own; nothing is
+// allocated unless own is refused.
+func (p Params) Resolve(own [][]uint64, peer Params) (shape, need Params, err error) {
+	var top uint64
+	need.S, need.H = max(len(own), 1), 1
+	for _, cs := range own {
+		need.H = max(need.H, len(cs))
+		for _, x := range cs {
+			top = max(top, x)
 		}
+	}
+	need.U = setutil.MaxElement + 1
+	if b := max((bits.Len64(top)+7)/8, 1); 8*b < 60 {
+		need.U = 1 << (8 * b)
+	}
+	shape = p
+	if shape.S <= 0 {
+		shape.S = max(need.S, peer.S)
+	}
+	if shape.H <= 0 {
+		shape.H = max(need.H, peer.H)
+	}
+	if shape.U == 0 {
+		shape.U = max(need.U, peer.U)
+	}
+	if shape, err = shape.normalized(); err == nil {
+		err = shape.fits(len(own), need.H, top)
+	}
+	return shape, need, err
+}
+
+// fits reports, as ErrInvalidInstance, data the shape cannot hold: more than
+// S child sets, a child set of more than H elements, or an element at or
+// above U (its largest is top). Encoders size their fixed-width keys, counts
+// and key sums from the shape, so data beyond it must be refused before it
+// reaches one.
+func (p Params) fits(children, largest int, top uint64) error {
+	switch {
+	case children > p.S:
+		return fmt.Errorf("%w: %d child sets exceeds S=%d", ErrInvalidInstance, children, p.S)
+	case largest > p.H:
+		return fmt.Errorf("%w: a child set of %d elements exceeds H=%d", ErrInvalidInstance, largest, p.H)
+	case top >= p.U:
+		return fmt.Errorf("%w: element %d outside universe %d", ErrInvalidInstance, top, p.U)
 	}
 	return nil
 }
@@ -132,18 +178,13 @@ func Validate(parent [][]uint64, p Params) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Fits(parent); err != nil {
+	if _, _, err := p.Resolve(parent, Params{}); err != nil {
 		return err
 	}
 	seen := make(map[uint64][]uint64, len(parent))
 	for i, cs := range parent {
 		if !setutil.IsCanonical(cs) {
 			return fmt.Errorf("%w: child %d not canonical", ErrInvalidInstance, i)
-		}
-		for _, x := range cs {
-			if x >= p.U {
-				return fmt.Errorf("%w: element %d outside universe %d", ErrInvalidInstance, x, p.U)
-			}
 		}
 		h := setutil.Hash(0xd15717c7, cs)
 		if prev, dup := seen[h]; dup && setutil.Equal(prev, cs) {

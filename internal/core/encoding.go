@@ -21,20 +21,24 @@ import (
 //   - childEncoding: a c-cell child IBLT plus the child set's
 //     pairwise-independent hash (Algorithm 1's "(child IBLT, hash) pair").
 
-// naiveCodec encodes child sets at a fixed width chosen from Params.
+// naiveCodec encodes child sets at a fixed width chosen from Params. A list
+// is a count of the bytes h needs, then each element in the bytes u needs
+// (sumBytesFor), both little-endian, then zeros to the width.
 type naiveCodec struct {
-	p      Params
-	bitmap bool
-	width  int
+	p          Params
+	bitmap     bool
+	countBytes int // list: the length prefix
+	elemBytes  int // list: each element
+	width      int
 }
 
 func newNaiveCodec(p Params) naiveCodec {
-	listWidth := 4 + 8*p.H
-	bitmapWidth := int((p.U + 7) / 8)
-	if p.U > 0 && bitmapWidth < listWidth {
-		return naiveCodec{p: p, bitmap: true, width: bitmapWidth}
+	c := naiveCodec{p: p, countBytes: countBytesFor(p.H), elemBytes: sumBytesFor(p.U)}
+	c.width = c.countBytes + c.elemBytes*p.H
+	if bitmapWidth := int((p.U + 7) / 8); p.U > 0 && bitmapWidth < c.width {
+		c.bitmap, c.width = true, bitmapWidth
 	}
-	return naiveCodec{p: p, bitmap: false, width: listWidth}
+	return c
 }
 
 func (c naiveCodec) encode(cs []uint64) []byte {
@@ -51,11 +55,28 @@ func (c naiveCodec) encodeInto(buf []byte, cs []uint64) []byte {
 		}
 		return buf
 	}
-	binary.LittleEndian.PutUint32(buf, uint32(len(cs)))
+	putLow(buf[:c.countBytes], uint64(len(cs)))
 	for i, x := range cs {
-		binary.LittleEndian.PutUint64(buf[4+8*i:], x)
+		off := c.countBytes + c.elemBytes*i
+		putLow(buf[off:off+c.elemBytes], x)
 	}
 	return buf
+}
+
+// putLow writes the len(dst) low bytes of v into dst, little-endian.
+func putLow(dst []byte, v uint64) {
+	for i := range dst {
+		dst[i] = byte(v >> (8 * i))
+	}
+}
+
+// getLow reads a little-endian value of len(src) ≤ 8 bytes.
+func getLow(src []byte) uint64 {
+	var v uint64
+	for i, b := range src {
+		v |= uint64(b) << (8 * i)
+	}
+	return v
 }
 
 // naiveEncoder amortizes naiveCodec.encode's buffer across a loop; the
@@ -94,13 +115,14 @@ func (c naiveCodec) appendDecode(dst []uint64, buf []byte) ([]uint64, error) {
 		}
 		return dst, nil
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if n < 0 || n > c.p.H || 4+8*n > len(buf) {
+	n := getLow(buf[:c.countBytes])
+	if n > uint64(c.p.H) {
 		return nil, fmt.Errorf("core: corrupt naive encoding (n=%d)", n)
 	}
 	at := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, binary.LittleEndian.Uint64(buf[4+8*i:]))
+	for i := range int(n) {
+		off := c.countBytes + c.elemBytes*i
+		dst = append(dst, getLow(buf[off:off+c.elemBytes]))
 	}
 	if !setutil.IsCanonical(dst[at:]) {
 		return nil, fmt.Errorf("core: corrupt naive encoding (not canonical)")

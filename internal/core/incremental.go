@@ -62,17 +62,16 @@ func NewIncrementalDigest(kind DigestKind, coins hashing.Coins, p Params, d, dHa
 }
 
 // Add inserts a child set (must be canonical and within bounds; must not
-// already be present — parents are sets).
+// already be present — parents are sets). A child the shape cannot hold — one
+// past S, more than H elements, an element at or above U — is refused as
+// ErrInvalidInstance: the tables' counts, keys and key sums are sized by it.
 func (b *IncrementalDigest) Add(cs []uint64) error {
-	if err := b.checkChild(cs); err != nil {
+	if err := b.checkChild(cs, b.count+1); err != nil {
 		return err
 	}
 	h := setutil.Hash(b.chSeed, cs)
 	if b.hashes[h] > 0 {
 		return fmt.Errorf("%w: child set already present", ErrInvalidInstance)
-	}
-	if b.count == b.plan.p.S { // the tables' counts are sized by S
-		return fmt.Errorf("%w: digest already holds S=%d child sets", ErrInvalidInstance, b.count)
 	}
 	b.update(cs, true)
 	b.hashes[h]++
@@ -88,7 +87,7 @@ func (b *IncrementalDigest) verifyHash(cs []uint64) uint64 {
 
 // Remove deletes a previously added child set.
 func (b *IncrementalDigest) Remove(cs []uint64) error {
-	if err := b.checkChild(cs); err != nil {
+	if err := b.checkChild(cs, b.count); err != nil {
 		return err
 	}
 	h := setutil.Hash(b.chSeed, cs)
@@ -112,19 +111,17 @@ func (b *IncrementalDigest) Remove(cs []uint64) error {
 // Len returns the current number of child sets.
 func (b *IncrementalDigest) Len() int { return b.count }
 
-func (b *IncrementalDigest) checkChild(cs []uint64) error {
-	if len(cs) > b.plan.p.H {
-		return fmt.Errorf("%w: child has %d elements, H=%d", ErrInvalidInstance, len(cs), b.plan.p.H)
-	}
+// checkChild refuses a child set that is not canonical, or that the shape
+// cannot hold as one of children child sets.
+func (b *IncrementalDigest) checkChild(cs []uint64, children int) error {
 	if !setutil.IsCanonical(cs) {
 		return fmt.Errorf("%w: child not canonical", ErrInvalidInstance)
 	}
-	for _, x := range cs {
-		if x >= b.plan.p.U {
-			return fmt.Errorf("%w: element %d outside universe", ErrInvalidInstance, x)
-		}
+	var top uint64
+	if len(cs) > 0 {
+		top = cs[len(cs)-1]
 	}
-	return nil
+	return b.plan.p.fits(children, len(cs), top)
 }
 
 func (b *IncrementalDigest) update(cs []uint64, insert bool) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"sosr/internal/hashing"
@@ -104,33 +105,48 @@ func TestIncrementalSnapshotApplies(t *testing.T) {
 	}
 }
 
+// TestIncrementalRejectsInvalid: a child the digest's shape cannot hold is
+// ErrInvalidInstance, like one it must not take twice — above all an element
+// at or above U, whose high bytes a key sum as wide as U would drop.
 func TestIncrementalRejectsInvalid(t *testing.T) {
-	p := Params{S: 4, H: 2, U: 100}
+	p := Params{S: 2, H: 2, U: 100}
 	coins := hashing.NewCoins(12)
 	b, err := NewIncrementalDigest(DigestNaive, coins, p, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add([]uint64{2, 1}); err == nil {
-		t.Fatal("non-canonical accepted")
-	}
-	if err := b.Add([]uint64{1, 2, 3}); err == nil {
-		t.Fatal("oversized accepted")
-	}
-	if err := b.Add([]uint64{200}); err == nil {
-		t.Fatal("out-of-universe accepted")
+	for name, cs := range map[string][]uint64{
+		"non-canonical": {2, 1}, "oversized": {1, 2, 3}, "out-of-universe": {200},
+	} {
+		if err := b.Add(cs); !errors.Is(err, ErrInvalidInstance) {
+			t.Fatalf("%s child: %v, want ErrInvalidInstance", name, err)
+		}
 	}
 	if err := b.Add([]uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add([]uint64{1}); err == nil {
-		t.Fatal("duplicate accepted")
+	if err := b.Add([]uint64{1}); !errors.Is(err, ErrInvalidInstance) {
+		t.Fatalf("duplicate child: %v, want ErrInvalidInstance", err)
+	}
+	if err := b.Add([]uint64{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add([]uint64{3}); !errors.Is(err, ErrInvalidInstance) {
+		t.Fatalf("child past S: %v, want ErrInvalidInstance", err)
 	}
 	if err := b.Remove([]uint64{50}); err == nil {
 		t.Fatal("removing absent child accepted")
 	}
 	if _, err := NewIncrementalDigest(DigestKind(99), coins, p, 2, 0); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+	// The same at the width the wire derives for data below 2^32.
+	wide, err := NewIncrementalDigest(DigestCascade, coins, Params{S: 4, H: 4, U: 1 << 32}, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.Add([]uint64{7, 1 << 32}); !errors.Is(err, ErrInvalidInstance) {
+		t.Fatalf("an element of 2^32 at u = 2^32: %v, want ErrInvalidInstance", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/setrecon"
-	"sosr/internal/setutil"
 )
 
 // Sets of multisets (§3.4): child collections may contain repeated
@@ -37,10 +36,7 @@ func ReconcileSetsOfMultisets(alice, bob [][]uint64, cfg Config) (*MultisetChild
 	if err != nil {
 		return nil, fmt.Errorf("sosr: bob: %w", err)
 	}
-	if cfg.MaxChildSize <= 0 {
-		cfg.MaxChildSize = setutil.MaxChildLen(packA, packB)
-	}
-	cfg.Universe = 0 // packed words use the full range
+	cfg.Universe = 0 // packed words are not the caller's elements: derive their universe
 	res, err := ReconcileSetsOfSets(packA, packB, cfg)
 	if err != nil {
 		return nil, err

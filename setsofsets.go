@@ -5,7 +5,6 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/hashing"
-	"sosr/internal/setutil"
 	"sosr/internal/transport"
 )
 
@@ -57,12 +56,17 @@ func (p Protocol) String() string {
 type Config struct {
 	// Seed seeds the shared public coins.
 	Seed uint64
-	// MaxChildSets is s, the maximum number of child sets per parent.
+	// MaxChildSets is s, the maximum number of child sets per parent. 0
+	// derives it from both parties' data.
 	MaxChildSets int
-	// MaxChildSize is h, the maximum elements per child set.
+	// MaxChildSize is h, the maximum elements per child set. 0 derives it
+	// from both parties' data.
 	MaxChildSize int
-	// Universe is u; elements lie in [0, Universe). 0 means the full 2^60
-	// range. Small universes let the naive protocol use bitmap encodings.
+	// Universe is u; elements lie in [0, Universe), and the child IBLTs' key
+	// sums and the naive protocol's listed elements take the bytes u needs.
+	// 0 derives it from both parties' data: the smallest 2^(8·b) above the
+	// largest element. A smaller explicit universe still selects the naive
+	// protocol's bitmap encoding when that is the shorter key.
 	Universe uint64
 	// Protocol selects the algorithm; see the Protocol constants.
 	Protocol Protocol
@@ -183,24 +187,17 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 // (§3.1). Local computation, O(s³) — for sizing, testing and experiments.
 func SetsOfSetsDistance(a, b [][]uint64) int { return core.Distance(a, b) }
 
-// sosShape resolves the instance shape of a run: the bounds cfg sets, and for
-// those it leaves zero the parties' own sizes. A bound set below either
-// party's data is refused as core.ErrInvalidInstance, Validate or not: the
-// encoders size their keys from the shape.
+// sosShape resolves the instance shape of a run with core's one shape rule:
+// the bounds cfg sets, and for those it leaves zero what both parties' data
+// needs. A bound set below either party's data is refused as
+// core.ErrInvalidInstance, Validate or not: the encoders size their keys from
+// the shape.
 func sosShape(cfg Config, alice, bob [][]uint64) (core.Params, error) {
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = max(len(alice), len(bob), 1)
+	bounds := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
+	_, bobNeed, err := bounds.Resolve(bob, core.Params{})
+	if err != nil {
+		return core.Params{}, err
 	}
-	if p.H <= 0 {
-		p.H = setutil.MaxChildLen(alice, bob)
-	}
-	if cfg.MaxChildSets > 0 || cfg.MaxChildSize > 0 {
-		for _, parent := range [][][]uint64{alice, bob} {
-			if err := p.Fits(parent); err != nil {
-				return p, err
-			}
-		}
-	}
-	return p, nil
+	p, _, err := bounds.Resolve(alice, bobNeed)
+	return p, err
 }

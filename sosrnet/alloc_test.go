@@ -27,7 +27,10 @@ import (
 // connection per session. The collector is held off while counting: a
 // collection empties the sync.Pools, and refilling them costs objects at a
 // rate set by the bytes a session allocates, which at s = 2 000 — ten times
-// the result — shows as a fraction of an object per session.
+// the result — shows as a fraction of an object per session. The config
+// leaves s, h and u to derive, so every hello carries cs, ch and cu, and both
+// ends run core's shape rule over their own data each session: a pass that
+// allocates nothing.
 func TestSetsOfSetsSessionAllocsIndependentOfS(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds buffers and workspaces under the race detector")

@@ -4,16 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sosr"
+	"sosr/internal/core"
 	"sosr/internal/setutil"
 	"sosr/internal/shardmap"
 	"sosr/internal/store"
+	"sosr/internal/wire"
 )
 
 // TestCacheConcurrentSessionsEncodeOnce: many concurrent sessions against
@@ -210,6 +214,122 @@ func TestUpdateSetsOfSetsServesFreshDigest(t *testing.T) {
 	checkNetStats(t, ns3, want3.Stats)
 	if v, err := srv.DatasetVersion("docs"); err != nil || v != 2 {
 		t.Fatalf("version %d, %v; want 2", v, err)
+	}
+}
+
+// TestLiveDigestAcrossUniverseBoundary: a shape that leaves u to derive
+// follows the data across a key width. The hosted data lies below 2^32 and a
+// live digest serves it; an update puts one element at 2^32 + 5 into a child,
+// which that digest cannot hold (it is dropped, not patched), and the next
+// session runs at u = 2^40; an update takes the element out again and the
+// session after it runs at u = 2^32, with the bytes a fresh build of the same
+// data sent. Every session verifies against the in-process run, and the TCP
+// bytes are its Stats plus the itemised framing of each session.
+func TestLiveDigestAcrossUniverseBoundary(t *testing.T) {
+	alice, bob := sosPair()
+	var finished atomic.Int64
+	srv, addr, cl := startServer(t, func(s *Server) {
+		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+			if r.Message == "session finished" {
+				finished.Add(1)
+			}
+		}})
+		if err := s.HostSetsOfSets("docs", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ds, err := srv.byName("docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// liveAt reports whether a live digest of universe u serves the dataset.
+	liveAt := func(u uint64) bool {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
+		for lk := range ds.live {
+			if lk.u == u {
+				return true
+			}
+		}
+		return false
+	}
+	cfg := sosr.Config{Seed: 9, Protocol: sosr.ProtocolCascade, KnownDiff: 24,
+		MaxChildSets: len(alice) + 2, MaxChildSize: setutil.MaxChildLen(alice) + 2}
+	c := Dial(addr)
+	c.Timeout = 60 * time.Second
+	var tcp, sessions int64
+	// session reconciles against the hosted data, which is now data, and
+	// checks it at universe u; it returns the protocol bytes.
+	session := func(data [][]uint64, u uint64) sosr.Stats {
+		t.Helper()
+		want, err := sosr.ReconcileSetsOfSets(data, bob, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ns, err := c.SetsOfSets(context.Background(), "docs", bob, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Recovered, want.Recovered) {
+			t.Fatalf("at u = %d the client did not recover the hosted data", u)
+		}
+		checkNetStats(t, ns, want.Stats)
+		_, need, _ := core.Params{}.Resolve(bob, core.Params{})
+		hello := helloMsg{
+			V: protoVersion, Kind: KindSetsOfSets, Dataset: "docs", Seed: cfg.Seed, D: cfg.KnownDiff, Protocol: "cascade",
+			S: cfg.MaxChildSets, H: cfg.MaxChildSize, CS: len(bob), CH: need.H, CU: need.U,
+		}
+		accept := acceptMsg{
+			V: protoVersion, Kind: KindSetsOfSets, D: cfg.KnownDiff, Protocol: "cascade",
+			DHat: 24, Replicas: 3, S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: u,
+		}
+		done := doneMsg{OK: true, Rounds: 1, Bytes: want.Stats.TotalBytes, Messages: 1, Attempts: 1}
+		framing := int64(wire.FrameSize(lblHello, len(appendCtl(nil, helloFields, &hello))) +
+			wire.FrameSize(lblAccept, len(appendCtl(nil, acceptFields, &accept))) +
+			wire.Overhead("cascade-iblts") +
+			wire.FrameSize(lblDone, len(appendCtl(nil, doneFields, &done))))
+		if ns.Overhead != framing {
+			t.Fatalf("at u = %d: overhead %d, itemised %d", u, ns.Overhead, framing)
+		}
+		tcp += int64(want.Stats.TotalBytes) + framing
+		sessions++
+		waitFor(t, "server to finish the session", func() bool { return finished.Load() == sessions })
+		if got := cl.n.Load(); got != tcp {
+			t.Fatalf("at u = %d: TCP bytes %d, in-process Stats plus framing %d", u, got, tcp)
+		}
+		return ns.Protocol
+	}
+
+	// A first session at v0 and a second after a small update promote the
+	// key to a live digest.
+	session(alice, 1<<32)
+	small := setutil.CloneSets(alice)
+	small[0] = setutil.Canonical(append(slices.Clone(alice[0]), 77))
+	if err := srv.UpdateSetsOfSets("docs", [][]uint64{small[0]}, [][]uint64{alice[0]}); err != nil {
+		t.Fatal(err)
+	}
+	before := session(small, 1<<32)
+	if !liveAt(1 << 32) {
+		t.Fatal("no live digest at u = 2^32 after the second miss")
+	}
+
+	// Across the boundary: the live digest cannot hold the element.
+	wide := setutil.CloneSets(small)
+	wide[1] = setutil.Canonical(append(slices.Clone(small[1]), 1<<32+5))
+	if err := srv.UpdateSetsOfSets("docs", [][]uint64{wide[1]}, [][]uint64{small[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if liveAt(1 << 32) {
+		t.Fatal("the u = 2^32 live digest was patched with an element of 2^32 + 5")
+	}
+	session(wide, 1<<40)
+
+	// And back: the same data as before the boundary, the same bytes.
+	if err := srv.UpdateSetsOfSets("docs", [][]uint64{small[1]}, [][]uint64{wide[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if after := session(small, 1<<32); after != before {
+		t.Fatalf("back at u = 2^32 the session moved %+v, the same data before the boundary %+v", after, before)
 	}
 }
 

@@ -490,7 +490,9 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 	ap := &sosApply{name: name}
 	return session(ctx, c, &ap.clientSession, name, KindSetsOfSets, cfg.Seed, func() (*sosr.Result, error) {
 		ap.bob = setutil.CanonicalSetsView(local)
-		bobH := setutil.MaxChildLen(ap.bob)
+		// Bob's need rides the hello; whether his data fits the shape is
+		// checked against the accepted one, so the server hears of a refusal.
+		_, need, _ := core.Params{}.Resolve(ap.bob, core.Params{})
 		h, acc := &ap.h, &ap.acc
 		h.D, h.DHat, h.Replicas = max(cfg.KnownDiff, 0), max(cfg.KnownChildDiff, 0), max(cfg.Replicas, 0)
 		if cfg.Protocol != sosr.ProtocolAuto {
@@ -498,12 +500,15 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 				return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
 			}
 		}
-		h.S, h.H, h.U, h.CS, h.CH, h.Validate = max(cfg.MaxChildSets, 0), max(cfg.MaxChildSize, 0), cfg.Universe, len(ap.bob), bobH, cfg.Validate
+		h.S, h.H, h.U, h.CS, h.CH, h.Validate = max(cfg.MaxChildSets, 0), max(cfg.MaxChildSize, 0), cfg.Universe, len(ap.bob), need.H, cfg.Validate
+		if h.U == 0 {
+			h.CU = need.U
+		}
 		if err := ap.open(); err != nil {
 			return nil, err
 		}
 		ap.fam = sosFamilyOf(acc.Protocol)
-		err := ap.check(bobH, cfg.Validate)
+		err := ap.check(cfg.Validate)
 		if err != nil {
 			return nil, err
 		}
@@ -529,17 +534,14 @@ func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, 
 // shape — it sizes Bob's encoders too — must cover his data whether the bound
 // came from his own config or from the peer. A refusal is reported to the
 // server.
-func (a *sosApply) check(bobH int, validate bool) (err error) {
+func (a *sosApply) check(validate bool) (err error) {
 	acc := &a.acc
 	if a.fam == nil {
 		return fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
 	}
-	if a.p, err = (core.Params{S: acc.S, H: acc.H, U: acc.U}).Normalized(); err != nil {
-		return err
-	}
-	if len(a.bob) > a.p.S || bobH > a.p.H {
-		err = fmt.Errorf("%w: local replica (%d child sets, largest %d) exceeds the accepted shape s=%d h=%d",
-			core.ErrInvalidInstance, len(a.bob), bobH, a.p.S, a.p.H)
+	a.p, _, err = core.Params{S: acc.S, H: acc.H, U: acc.U}.Resolve(a.bob, core.Params{})
+	if err != nil {
+		err = fmt.Errorf("local replica: %w", err)
 	} else if validate {
 		err = core.Validate(a.bob, a.p)
 	}

@@ -6,11 +6,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"reflect"
-	"slices"
 	"testing"
 
 	"sosr"
-	"sosr/internal/setutil"
 	"sosr/internal/wire"
 	"sosr/internal/workload"
 )
@@ -24,19 +22,19 @@ import (
 var (
 	goldenHello = helloMsg{
 		V: protoVersion, Kind: KindSetsOfSets, Dataset: "docs", Seed: 7,
-		D: 32, Protocol: "cascade", CS: 200, CH: 10,
+		D: 32, Protocol: "cascade", CS: 200, CH: 10, CU: 1 << 32,
 	}
 	goldenAccept = acceptMsg{
 		V: protoVersion, Kind: KindSetsOfSets, D: 32, Protocol: "cascade",
-		DHat: 32, Replicas: 3, S: 200, H: 10, U: setutil.MaxElement + 1,
+		DHat: 32, Replicas: 3, S: 200, H: 10, U: 1 << 32,
 	}
-	goldenDone = doneMsg{OK: true, Rounds: 1, Bytes: 50228, Messages: 1, Attempts: 1}
+	goldenDone = doneMsg{OK: true, Rounds: 1, Bytes: 35532, Messages: 1, Attempts: 1}
 )
 
 const (
-	goldenHelloHex  = "010602030304646f637304070b200d0313c801140a"
-	goldenAcceptHex = "01060203032004030520060307c801080a09808080808080808010"
-	goldenDoneHex   = "0101030104b4880305010601"
+	goldenHelloHex  = "010702030304646f637304070b200d0313c801140a158080808010"
+	goldenAcceptHex = "01070203032004030520060307c801080a098080808010"
+	goldenDoneHex   = "0101030104cc950205010601"
 )
 
 // golden holds one message to its pinned bytes, both ways.
@@ -86,21 +84,15 @@ func sizingInts(v reflect.Value, f func(name string, field reflect.Value)) {
 	}
 }
 
-// checkTable: tags ascend from 1, skipping only the retired ones (numbers a
-// deleted field held, which stay unassigned until the next protocol version),
-// so a parser that walks the table once sees every legal message, and the
-// table names every field of its message.
-func checkTable[M any](t *testing.T, name string, fields []ctlField[M], retired ...byte) {
+// checkTable: tags run 1, 2, 3, … without gaps, so a parser that walks the
+// table once sees every legal message, and the table names every field of its
+// message.
+func checkTable[M any](t *testing.T, name string, fields []ctlField[M]) {
 	t.Helper()
-	next := byte(1)
 	for i := range fields {
-		for slices.Contains(retired, next) {
-			next++
+		if want := byte(i + 1); fields[i].tag != want {
+			t.Errorf("%s: field %d carries tag %d, want %d", name, i, fields[i].tag, want)
 		}
-		if fields[i].tag != next {
-			t.Errorf("%s: field %d carries tag %d, want %d", name, i, fields[i].tag, next)
-		}
-		next++
 	}
 	var m M
 	if n := reflect.TypeOf(m).NumField(); n != len(fields) {
@@ -113,7 +105,7 @@ func checkTable[M any](t *testing.T, name string, fields []ctlField[M], retired 
 // before anything is sized from it: set each out of range in turn and the
 // entrance check must refuse the message.
 func TestCtlFieldTables(t *testing.T) {
-	checkTable(t, "hello", helloFields, 26, 29, 30)
+	checkTable(t, "hello", helloFields)
 	checkTable(t, "accept", acceptFields)
 	checkTable(t, "done", doneFields)
 	checkTable(t, "error", errorFields)
@@ -207,6 +199,10 @@ func FuzzCtlCodec(f *testing.F) {
 	f.Add(appendCtl(nil, doneFields, &goldenDone))
 	f.Add(appendCtl(nil, doneFields, &doneMsg{Error: "sosrnet: exhausted retry attempts", Attempts: 3}))
 	f.Add(appendCtl(nil, errorFields, &errorMsg{Error: "sosrnet: server busy", Code: "busy"}))
+	f.Add(appendCtl(nil, helloFields, &helloMsg{
+		V: protoVersion, Kind: KindSetsOfSets, Dataset: "docs", Seed: 3, D: 6, Protocol: "naive",
+		S: 40, H: 9, CS: 38, CH: 7, CU: 1 << 16, Validate: true,
+	}))
 	f.Add(appendCtl(nil, helloFields, &helloMsg{
 		V: protoVersion, Kind: KindGraph, Dataset: "net", Seed: 1<<64 - 1, ShardID: 9, ShardCount: 3, ShardSet: 5, ShardEpoch: 7,
 		TraceID: 1 << 63, SpanID: 3, D: 2, Scheme: "neighborhood", M: 96, N: 128, MaxSig: 77, CharPoly: true, Validate: true,

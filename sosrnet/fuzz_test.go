@@ -58,6 +58,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "bag", Kind: KindMultiset, Seed: 3, D: 4}))
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "cascade", D: 6, DHat: 4}))
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "multiround", D: 6}))
+	f.Add(hello(helloMsg{V: protoVersion, Dataset: "docs", Kind: KindSetsOfSets, Seed: 9, Protocol: "naive", D: 6, CS: 40, CH: 9, CU: 1 << 16}))
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "net", Kind: KindGraph, Seed: 14, Scheme: "degree", D: 2, TopH: 2, N: 600}))
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "tree", Kind: KindForest, Seed: 5, D: 3, N: 32}))
 	f.Add(hello(helloMsg{V: protoVersion, Dataset: "ids", Kind: KindSet, Seed: 1, D: 1 << 40}))

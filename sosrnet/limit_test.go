@@ -80,7 +80,7 @@ func TestEveryScheduleEndsWithinLimit(t *testing.T) {
 				if err != nil || parseCtl(helloFields, payload, &h) != nil {
 					return
 				}
-				p, err := core.Params{S: h.CS, H: h.CH}.Normalized()
+				p, err := core.Params{S: h.CS, H: h.CH, U: h.CU}.Normalized()
 				if err != nil {
 					return
 				}

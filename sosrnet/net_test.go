@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sosr"
+	"sosr/internal/core"
 	"sosr/internal/setutil"
 	"sosr/internal/wire"
 	"sosr/internal/workload"
@@ -458,17 +459,17 @@ func endToEndWireBytes(t *testing.T, cacheBytes int64) {
 	// Reconstruct the session's frames to compute the exact expected
 	// overhead: hello, accept and done control frames plus the framing
 	// around the single cascade payload.
+	_, need, _ := core.Params{}.Resolve(bob, core.Params{})
+	shape, _, _ := core.Params{}.Resolve(alice, need)
 	hello := helloMsg{
 		V: protoVersion, Dataset: "docs", Kind: KindSetsOfSets, Seed: cfg.Seed,
 		D: cfg.KnownDiff, Protocol: "cascade",
-		CS: len(bob), CH: setutil.MaxChildLen(bob),
+		CS: len(bob), CH: need.H, CU: need.U,
 	}
 	accept := acceptMsg{
 		V: protoVersion, Kind: KindSetsOfSets, Protocol: "cascade",
 		D: cfg.KnownDiff, DHat: 24, Replicas: 3,
-		S: max(len(alice), len(bob), 1),
-		H: setutil.MaxChildLen(alice, bob),
-		U: setutil.MaxElement + 1,
+		S: shape.S, H: shape.H, U: shape.U,
 	}
 	done := doneMsg{
 		OK: true, Rounds: want.Stats.Rounds, Bytes: want.Stats.TotalBytes,

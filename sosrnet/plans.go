@@ -11,7 +11,6 @@ import (
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
 	"sosr/internal/setrecon"
-	"sosr/internal/setutil"
 )
 
 // The server's plans, one per kind: what a hello resolves to (the `plan`
@@ -122,23 +121,13 @@ func planSOS(_ *Server, rec *sessionRecord, acc *acceptMsg) (alicePlan, error) {
 	if pl.fam = sosFamilyOf(name); pl.fam == nil {
 		return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
 	}
-	// A derived bound covers the hosted data by construction; an explicit
-	// one must, because every encoder below sizes its buffers and count
-	// widths from it.
-	S, H := h.S, h.H
-	if S <= 0 {
-		S = max(len(alice), h.CS, 1)
-	} else if len(alice) > S {
-		return nil, fmt.Errorf("%w: hosted dataset has %d child sets, hello bounds s=%d", core.ErrInvalidInstance, len(alice), S)
-	}
-	if H <= 0 {
-		H = max(setutil.MaxChildLen(alice), h.CH)
-	} else if m := setutil.MaxChildLen(alice); m > H {
-		return nil, fmt.Errorf("%w: hosted dataset has a child set of %d elements, hello bounds h=%d", core.ErrInvalidInstance, m, H)
-	}
+	// The bounds the hello sets must cover the hosted data, because every
+	// encoder below sizes its keys, counts and key sums from them; those it
+	// leaves to derive cover both parties' data.
 	var err error
-	if pl.p, err = (core.Params{S: S, H: H, U: h.U}).Normalized(); err != nil {
-		return nil, err
+	bounds, bobNeed := core.Params{S: h.S, H: h.H, U: h.U}, core.Params{S: h.CS, H: h.CH, U: h.CU}
+	if pl.p, _, err = bounds.Resolve(alice, bobNeed); err != nil {
+		return nil, fmt.Errorf("hosted dataset: %w", err)
 	}
 	if pl.replicas <= 0 {
 		pl.replicas = 3

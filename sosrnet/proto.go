@@ -94,7 +94,14 @@ const (
 // control frames changed only in the version. No coin moved, nor a cell index
 // of a table keyed by elements, hashes or whole child sets; a parent table
 // keyed by child-IBLT encodings hashes the narrower encodings to new cells.
-const protoVersion = 6
+// v7: an unset u derives from both parties' data, as s and h do — the
+// smallest 2^(8·b) above the largest element either holds, carried by the
+// hello's new cu beside cs and ch — and a listed child set (the naive
+// protocol's keys, cascade's T*) is a length as wide as h needs and elements
+// as wide as u needs. The hello's tags run from 1 without gaps, so every
+// hello differs from v6's. No coin moved, nor a child IBLT's cell index:
+// payloads at a declared u change only where a child set is listed.
+const protoVersion = 7
 
 // Package errors.
 var (
@@ -184,6 +191,7 @@ type helloMsg struct {
 	U        uint64
 	CS       int // client-side derived shape lower bounds
 	CH       int
+	CU       uint64 // sent only when U is left to derive
 	Validate bool
 
 	// Graph.
@@ -317,15 +325,16 @@ var helloFields = []ctlField[helloMsg]{
 	{tag: 18, name: "u", at: func(h *helloMsg) any { return &h.U }},
 	{tag: 19, name: "cs", at: func(h *helloMsg) any { return &h.CS }, max: perSession},
 	{tag: 20, name: "ch", at: func(h *helloMsg) any { return &h.CH }, max: perSession},
-	{tag: 21, name: "validate", at: func(h *helloMsg) any { return &h.Validate }},
-	{tag: 22, name: "scheme", at: func(h *helloMsg) any { return &h.Scheme }, enum: graphSchemes},
-	{tag: 23, name: "toph", at: func(h *helloMsg) any { return &h.TopH }, max: perSession},
-	{tag: 24, name: "m", at: func(h *helloMsg) any { return &h.M }, max: perSession},
-	{tag: 25, name: "n", at: func(h *helloMsg) any { return &h.N }, max: perSession},
+	{tag: 21, name: "cu", at: func(h *helloMsg) any { return &h.CU }},
+	{tag: 22, name: "validate", at: func(h *helloMsg) any { return &h.Validate }},
+	{tag: 23, name: "scheme", at: func(h *helloMsg) any { return &h.Scheme }, enum: graphSchemes},
+	{tag: 24, name: "toph", at: func(h *helloMsg) any { return &h.TopH }, max: perSession},
+	{tag: 25, name: "m", at: func(h *helloMsg) any { return &h.M }, max: perSession},
+	{tag: 26, name: "n", at: func(h *helloMsg) any { return &h.N }, max: perSession},
 	{tag: 27, name: "maxsig", at: func(h *helloMsg) any { return &h.MaxSig }, max: perSession},
 	{tag: 28, name: "sigma", at: func(h *helloMsg) any { return &h.Sigma }, max: perSession},
-	{tag: 31, name: "depth", at: func(h *helloMsg) any { return &h.Depth }, max: perSession},
-	{tag: 32, name: "maxchild", at: func(h *helloMsg) any { return &h.MaxChild }, max: perSession},
+	{tag: 29, name: "depth", at: func(h *helloMsg) any { return &h.Depth }, max: perSession},
+	{tag: 30, name: "maxchild", at: func(h *helloMsg) any { return &h.MaxChild }, max: perSession},
 }
 
 var acceptFields = []ctlField[acceptMsg]{

@@ -115,6 +115,96 @@ func TestUndersizedShapeRejected(t *testing.T) {
 	}
 }
 
+// TestEveryPlaceRefusesDataBeyondItsBound: an explicit bound — s, h or u —
+// below a party's data is ErrInvalidInstance wherever that data lives, with
+// Validate off: in process (either party), hosted by the server (refused at
+// the handshake) and in the client's local replica (refused after the accept,
+// which the server hears in the done). Before u joined the shape rule, an
+// element at or above an explicit u passed the bounds check, lost its high
+// bytes in the key sums and surfaced later as a decode error.
+func TestEveryPlaceRefusesDataBeyondItsBound(t *testing.T) {
+	fits := [][]uint64{{1, 2}, {3}}
+	cfg := sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 2, MaxChildSets: 2, MaxChildSize: 2, Universe: 1 << 8}
+	beyond := map[string][][]uint64{
+		"s": {{1, 2}, {3}, {4}},
+		"h": {{1, 2, 3}, {3}},
+		"u": {{1, 2}, {1 << 8}},
+	}
+	var mu sync.Mutex
+	var clientErrs []string
+	srv, addr, _ := startServer(t, func(s *Server) {
+		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+			r.Attrs(func(a slog.Attr) bool {
+				if a.Key == "client_err" {
+					mu.Lock()
+					clientErrs = append(clientErrs, a.Value.String())
+					mu.Unlock()
+				}
+				return true
+			})
+		}})
+		for name, data := range map[string][][]uint64{"fits": fits, "s": beyond["s"], "h": beyond["h"], "u": beyond["u"]} {
+			if err := s.HostSetsOfSets(name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	ctx := context.Background()
+	rejects := srv.metrics().rejects.With(rejectInstance)
+	places := []struct {
+		name string
+		run  func(bound string, data [][]uint64) error
+		// served: the server refused the hello; else the client refused its
+		// own replica and reported it in the done.
+		served bool
+	}{
+		{"in process, Alice", func(_ string, data [][]uint64) error {
+			_, err := sosr.ReconcileSetsOfSets(data, fits, cfg)
+			return err
+		}, false},
+		{"in process, Bob", func(_ string, data [][]uint64) error {
+			_, err := sosr.ReconcileSetsOfSets(fits, data, cfg)
+			return err
+		}, false},
+		{"hosted", func(bound string, _ [][]uint64) error {
+			_, _, err := Dial(addr).SetsOfSets(ctx, bound, fits, cfg)
+			return err
+		}, true},
+		{"replica", func(_ string, data [][]uint64) error {
+			_, _, err := Dial(addr).SetsOfSets(ctx, "fits", data, cfg)
+			return err
+		}, false},
+	}
+	var wantRejects uint64
+	wantDones := 0
+	for _, bound := range []string{"s", "h", "u"} {
+		for _, place := range places {
+			err := place.run(bound, beyond[bound])
+			if !errors.Is(err, core.ErrInvalidInstance) || errors.Is(err, ErrServer) != place.served {
+				t.Fatalf("%s beyond %s: got %v, want ErrInvalidInstance (from the server: %v)", place.name, bound, err, place.served)
+			}
+			switch {
+			case place.served:
+				wantRejects++
+				waitFor(t, "reject counted", func() bool { return rejects.Value() == wantRejects })
+			case place.name == "replica":
+				wantDones++
+				waitFor(t, "the done's error logged", func() bool {
+					mu.Lock()
+					defer mu.Unlock()
+					return len(clientErrs) == wantDones
+				})
+				mu.Lock()
+				got := clientErrs[wantDones-1]
+				mu.Unlock()
+				if got != err.Error() {
+					t.Fatalf("replica beyond %s: the server heard %q, the client returned %q", bound, got, err)
+				}
+			}
+		}
+	}
+}
+
 // TestHostileAcceptShapeRejected plays a server that answers a well-formed
 // hello with an accept whose H is below the client's own children: the client
 // must classify it, not index past its encoders.
@@ -188,7 +278,7 @@ func TestHostileStarFlagRefused(t *testing.T) {
 		if err := parseCtl(helloFields, payload, &h); err != nil {
 			return err
 		}
-		p, err := core.Params{S: max(len(alice), h.CS), H: max(setutil.MaxChildLen(alice), h.CH)}.Normalized()
+		p, _, err := core.Params{}.Resolve(alice, core.Params{S: h.CS, H: h.CH, U: h.CU})
 		if err != nil {
 			return err
 		}
@@ -207,14 +297,15 @@ func TestHostileStarFlagRefused(t *testing.T) {
 			}
 			if lie {
 				// T* as a d ≥ h plan lays it out: Alice's children as
-				// list keys, its cells before the parent hash.
-				star := iblt.New(iblt.CellsFor(4), 4+8*p.H, 0, coins.Seed("cascade/star", 0))
+				// list keys (a 1-byte length for h < 256, 4-byte elements
+				// below u = 2^32), its cells before the parent hash.
+				star := iblt.New(iblt.CellsFor(4), 1+4*p.H, 0, coins.Seed("cascade/star", 0))
 				key := make([]byte, star.Width())
 				for _, cs := range alice {
 					clear(key)
-					binary.LittleEndian.PutUint32(key, uint32(len(cs)))
+					key[0] = byte(len(cs))
 					for i, x := range cs {
-						binary.LittleEndian.PutUint64(key[4+8*i:], x)
+						binary.LittleEndian.PutUint32(key[1+4*i:], uint32(x))
 					}
 					star.Insert(key)
 				}
@@ -429,8 +520,8 @@ func TestHostileAcceptRefused(t *testing.T) {
 }
 
 // TestPreviousProtocolVersionRefused: a peer of the previous revision builds
-// payloads this one cannot decode (v5 sent 64-bit checksums, 4-byte parent
-// counts, 8-byte child key sums and a header per table); it must be told so
+// payloads this one cannot decode (v6 took an unset u as 2^60 and listed a
+// child set as a 4-byte length and 8-byte elements); it must be told so
 // at the handshake, counted as a version reject, rather than discover it as a
 // decode failure. TestV4PeersAreVersionRejects checks how each end counts and
 // reports an older skew.
@@ -452,7 +543,7 @@ func TestPreviousProtocolVersionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = recvOrServerError(ep, lblAccept)
-	if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 5 unsupported (want 6)") {
+	if want := fmt.Sprintf("protocol version %d unsupported (want %d)", protoVersion-1, protoVersion); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("got %v, want the version refusal", err)
 	}
 	waitFor(t, "version reject counted", func() bool { return srv.metrics().rejects.With(rejectVersion).Value() == 1 })
@@ -505,7 +596,8 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 
 	t.Run("v4 client", func(t *testing.T) {
 		v4 := helloMsg{V: 4, Dataset: "docs", Kind: KindSetsOfSets, Seed: 1, Protocol: "cascade", D: 8, ShardID: 9, ShardCount: 3}
-		if err := hello(t, appendCtl(nil, helloFields, &v4)); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 4 unsupported (want 6)") {
+		want := fmt.Sprintf("protocol version 4 unsupported (want %d)", protoVersion)
+		if err := hello(t, appendCtl(nil, helloFields, &v4)); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("got %v, want the version refusal", err)
 		}
 		// reject counts before it logs: wait for the log line too.
@@ -519,8 +611,8 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if len(rejected) != 1 || !strings.Contains(rejected[0], "version 4") || !strings.Contains(rejected[0], "want 6") {
-			t.Fatalf("reject log lines %q, want one naming versions 4 and 6", rejected)
+		if len(rejected) != 1 || !strings.Contains(rejected[0], "version 4") || !strings.Contains(rejected[0], fmt.Sprintf("want %d", protoVersion)) {
+			t.Fatalf("reject log lines %q, want one naming versions 4 and %d", rejected, protoVersion)
 		}
 	})
 
@@ -542,7 +634,7 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 			}
 		}()
 		_, _, err = Dial(ln.Addr().String()).Sets(context.Background(), "ids", seqSet(0, 50), sosr.SetConfig{Seed: 1, KnownDiff: 8})
-		if !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "protocol version 6 unsupported (want 4)") {
+		if want := fmt.Sprintf("protocol version %d unsupported (want 4)", protoVersion); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("got %v, want an error naming the protocol version skew", err)
 		}
 	})
@@ -610,6 +702,8 @@ func TestEveryHelloFieldHasASetter(t *testing.T) {
 		})
 		note(err)
 	}
+	_, _, err = c.SetsOfSets(ctx, "x", sos, sosr.Config{Seed: 1, KnownDiff: 2}) // every bound left to derive
+	note(err)
 	for _, cfg := range []sosr.GraphConfig{
 		{Seed: 1, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 1, TopDegrees: 6},
 		{Seed: 1, Scheme: sosr.SchemeDegreeNeighborhood, MaxEdits: 1, DegreeThreshold: 30},
@@ -660,16 +754,16 @@ func TestEveryHelloFieldHasASetter(t *testing.T) {
 			t.Errorf("hello field %s (tag %d) was zero in every session a Client can open: nothing sets it", name, helloFields[i].tag)
 		}
 	}
-	if len(helloFields) != 29 {
-		t.Errorf("helloFields has %d rows, want 29", len(helloFields))
+	if len(helloFields) != 30 {
+		t.Errorf("helloFields has %d rows, want 30", len(helloFields))
 	}
 }
 
-// TestRetiredHelloTagsAreMalformed: tags 26, 29 and 30 were hello fields no
-// client ever set (sigbudget, budget, maxbudget); a hello that carries one is
-// now refused whole, as any unknown tag is — counted as a malformed reject — and
-// the server goes on serving honest sessions.
-func TestRetiredHelloTagsAreMalformed(t *testing.T) {
+// TestUnknownHelloTagsAreMalformed: the hello's tags run from 1 to the last
+// field without gaps; a hello that carries a tag past them — the next one, or
+// one far beyond — is refused whole, counted as a malformed reject, and the
+// server goes on serving honest sessions.
+func TestUnknownHelloTagsAreMalformed(t *testing.T) {
 	alice, bob := setPair()
 	srv, addr, _ := startServer(t, func(s *Server) {
 		if err := s.HostSets("ids", alice); err != nil {
@@ -677,13 +771,14 @@ func TestRetiredHelloTagsAreMalformed(t *testing.T) {
 		}
 	})
 	rejects := srv.metrics().rejects.With(rejectMalformed)
-	for i, tag := range []byte{26, 29, 30} {
+	last := helloFields[len(helloFields)-1].tag
+	for i, tag := range []byte{last + 1, last + 2, 200} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ep := wire.NewEndpoint(conn, transport.Bob)
-		// An honest set hello's fields end at tag 11 (d): the retired tag
+		// An honest set hello's fields end at tag 11 (d): the unknown tag
 		// behind them is in ascending order, as the parser demands.
 		hello := appendCtl(nil, helloFields, &helloMsg{V: protoVersion, Kind: KindSet, Dataset: "ids", Seed: 1, D: 16})
 		if err := ep.SendFrame(lblHello, append(hello, tag, 5)); err != nil {
