@@ -1,7 +1,22 @@
-// Package worktest holds the checks every pooled workspace's tests share: a
-// released workspace must not point into the memory of the call it served,
-// or the pool would keep a caller's message or data set alive — and hand a
-// later caller a window into it.
+// Package worktest holds what the tests of several packages share.
+//
+//   - The pinning check every pooled workspace's tests run: a released
+//     workspace must not point into the memory of the call it served, or the
+//     pool would keep a caller's message or data set alive — and hand a later
+//     caller a window into it (PinsNothing).
+//   - The model driver's op stream (Stream): one seed gives a deterministic
+//     list of host, update, refused-update, reconcile, idle, snapshot, crash,
+//     kill-replica and epoch-bump steps over the flow table (Rows), and a
+//     Model of what the hosted data must then be. Every deployment shape —
+//     sosrnet over net.Pipe, over TCP and on a crashed and recovered store,
+//     sosrshard's replicated grid — runs a stream and holds each step to the
+//     in-process library.
+//   - One counting, fault-injecting net.Conn and Listener (Conn, Faults), and
+//     one counter of the server's "session finished" records (Sessions).
+//
+// It imports none of the algorithm packages (sosr, core, forest, graphrecon,
+// setrecon), whose own tests import it: graph and forest steps carry a seed,
+// and the deployment under test builds the data from it.
 package worktest
 
 import (

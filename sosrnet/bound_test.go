@@ -16,6 +16,7 @@ import (
 	"sosr/internal/transport"
 	"sosr/internal/wire"
 	"sosr/internal/workload"
+	"sosr/internal/worktest"
 )
 
 // The bound audit must be quiet on every healthy session and loud on a
@@ -28,7 +29,7 @@ type envelopeWarnings struct {
 }
 
 func (w *envelopeWarnings) logger() *slog.Logger {
-	return slog.New(hookHandler{fn: func(r slog.Record) {
+	return slog.New(worktest.Handler(func(r slog.Record) {
 		if r.Message != "session exceeded communication envelope" {
 			return
 		}
@@ -40,7 +41,7 @@ func (w *envelopeWarnings) logger() *slog.Logger {
 		w.mu.Lock()
 		w.recs = append(w.recs, line)
 		w.mu.Unlock()
-	}})
+	}))
 }
 
 func (w *envelopeWarnings) all() []string {

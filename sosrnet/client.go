@@ -569,7 +569,8 @@ func (a *sosApply) multiRound() (int, error) {
 			return 0, err
 		}
 	}
-	for r := 0; r < attempts; r++ {
+	// Only the last failed round's retry ends the loop: ErrGaveUp and its cause.
+	for r := 0; ; r++ {
 		c := cs.coins
 		if acc.D > 0 {
 			c = c.Sub("replica", r)
@@ -605,7 +606,6 @@ func (a *sosApply) multiRound() (int, error) {
 		cs.c.observePeels(a.res.PeelIterations)
 		return r + 1, nil
 	}
-	return 0, ErrGaveUp
 }
 
 // Graph reconciles a local graph against the hosted graph `name`: the client

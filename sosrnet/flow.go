@@ -295,7 +295,7 @@ func (cs *clientSession) runFlow(fl *flow, b bobRound) (attempts int, err error)
 				// Connection failures and server errors end the session;
 				// only a failed apply drives the schedule.
 				if lastErr != nil {
-					err = fmt.Errorf("%w (last attempt: %v)", err, lastErr)
+					err = fmt.Errorf("%w (last attempt: %w)", err, lastErr)
 				}
 				return 0, err
 			}
@@ -313,7 +313,7 @@ func (cs *clientSession) runFlow(fl *flow, b bobRound) (attempts int, err error)
 		}
 	}
 	// A doubling schedule ran out; its last "retry" has told the server.
-	return 0, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+	return 0, fmt.Errorf("%w: %w", ErrGaveUp, lastErr)
 }
 
 // retry follows attempt k of limit failing with cause. A doubling schedule
@@ -329,7 +329,7 @@ func (cs *clientSession) retry(sched schedule, k, limit int, cause error) error 
 	case k+1 < limit:
 		return cs.ep.SendFrame(lblRetry, nil)
 	case sched == replicated:
-		cause = fmt.Errorf("%w: %v", ErrGaveUp, cause)
+		cause = fmt.Errorf("%w: %w", ErrGaveUp, cause)
 	}
 	cs.cc.sendDone(false, cause, limit)
 	return cause

@@ -3,7 +3,6 @@ package sosrnet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net"
 	"reflect"
@@ -17,6 +16,7 @@ import (
 	"sosr"
 	"sosr/internal/obs"
 	"sosr/internal/setutil"
+	"sosr/internal/worktest"
 )
 
 // Connection-reuse tests: sessions of one Client share connections without
@@ -86,257 +86,12 @@ func (l *pipeListener) dial(context.Context, string) (net.Conn, error) {
 	}
 }
 
-// TestReuseSequentialSessionsEveryKind runs several sessions of every dataset
-// kind over one Client: one dial in all, and the n-th session of a kind
-// reports exactly what the first did — the in-process protocol stats plus the
-// same itemised framing — while the listener sees exactly the bytes the
-// sessions reported. Results are checked only after every session has run,
-// so one that aliased a (since reused) frame buffer would show.
-//
-// The transport is a row. Over net.Pipe nothing is buffered, so the in-memory
-// row is also the proof that every flow is ping-pong — it runs every row of
-// the flow table, where TCP runs one per kind — and a flow that is not fails
-// by the client's timeout. The one exchange that leans on a socket buffer, the
-// busy refusal (admit writes its error frame before it reads the hello), stays
-// on TCP in TestMaxConcurrentSessionsBusy.
-func TestReuseSequentialSessionsEveryKind(t *testing.T) {
-	t.Run("tcp", func(t *testing.T) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		reuseSequentialSessions(t, ln, nil)
-	})
-	t.Run("pipe", func(t *testing.T) {
-		ln := newPipeListener()
-		reuseSequentialSessions(t, ln, ln.dial)
-	})
-}
-
-// reuseSequentialSessions serves on ln and reaches it through dial (nil: TCP to
-// ln's address).
-func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Context, string) (net.Conn, error)) {
-	setA, setB := setPair()
-	multiA := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 9, 9, 40}
-	multiB := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41}
-	sosA, sosB := sosPair()
-	base, topH, err := sosr.PlantedSeparatedGraph(600, 2, 0.4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga, gb := sosr.PerturbGraph(base, 1, 12), sosr.PerturbGraph(base, 1, 13)
-	tinyA := sosr.RandomGraph(6, 0.5, 31) // the §4 scheme's tiny-graph limit
-	tinyB := sosr.PerturbGraph(tinyA, 2, 32)
-	fa := sosr.RandomForest(120, 0.15, 51)
-	fb := sosr.PerturbForest(fa, 3, 52)
-	var finished atomic.Int64
-	srv := NewServer()
-	srv.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
-		if r.Message == "session finished" {
-			finished.Add(1)
-		}
-	}})
-	for _, err := range []error{
-		srv.HostSets("ids", setA), srv.HostMultiset("bag", multiA), srv.HostSetsOfSets("docs", sosA),
-		srv.HostGraph("net", ga), srv.HostGraph("tiny", tinyA), srv.HostForest("tree", fa),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl := &countingListener{Listener: ln}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(cl) }()
-	defer func() {
-		srv.Close()
-		if err := <-served; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	ctx := context.Background()
-	c := Dial(ln.Addr().String())
-	defer c.Close()
-	c.Timeout = time.Minute // a flow in which both ends write at once ends here
-	var dials atomic.Int64
-	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
-		dials.Add(1)
-		if dial != nil {
-			return dial(ctx, addr)
-		}
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
-
-	type outcome struct {
-		ns    *NetStats
-		check func() error // run after all sessions
-	}
-	type row struct {
-		name string
-		want sosr.Stats
-		run  func() (outcome, error)
-	}
-	setRow := func(name string, cfg sosr.SetConfig) row {
-		want, err := sosr.ReconcileSets(setA, setB, cfg)
-		if err != nil {
-			t.Fatalf("in-process %s: %v", name, err)
-		}
-		return row{name, want.Stats, func() (outcome, error) {
-			res, ns, err := c.Sets(ctx, "ids", setB, cfg)
-			return outcome{ns, func() error {
-				if !reflect.DeepEqual(res.Recovered, setutil.Canonical(setA)) || !reflect.DeepEqual(res.OnlyA, want.OnlyA) {
-					return errors.New("wrong set recovered")
-				}
-				return nil
-			}}, err
-		}}
-	}
-	sosRow := func(name string, cfg sosr.Config) row {
-		want, err := sosr.ReconcileSetsOfSets(sosA, sosB, cfg)
-		if err != nil {
-			t.Fatalf("in-process %s: %v", name, err)
-		}
-		return row{name, want.Stats, func() (outcome, error) {
-			res, ns, err := c.SetsOfSets(ctx, "docs", sosB, cfg)
-			return outcome{ns, func() error {
-				if !reflect.DeepEqual(res.Recovered, want.Recovered) || !reflect.DeepEqual(res.Added, want.Added) ||
-					!reflect.DeepEqual(res.Removed, want.Removed) || res.Attempts != want.Attempts {
-					return errors.New("wrong parent set recovered")
-				}
-				return nil
-			}}, err
-		}}
-	}
-	forestRow := func(name string, cfg sosr.ForestConfig) row {
-		want, err := sosr.ReconcileForests(fa, fb, cfg)
-		if err != nil {
-			t.Fatalf("in-process %s: %v", name, err)
-		}
-		return row{name, want.Stats, func() (outcome, error) {
-			res, ns, err := c.Forest(ctx, "tree", fb, cfg)
-			return outcome{ns, func() error {
-				if !sosr.ForestsIsomorphic(res.Recovered, fa) {
-					return errors.New("wrong forest recovered")
-				}
-				return nil
-			}}, err
-		}}
-	}
-	graphRow := func(name, dataset string, alice, bob sosr.Graph, cfg sosr.GraphConfig) row {
-		want, err := sosr.ReconcileGraphs(alice, bob, cfg)
-		if err != nil {
-			t.Fatalf("in-process %s: %v", name, err)
-		}
-		return row{name, want.Stats, func() (outcome, error) {
-			res, ns, err := c.Graph(ctx, dataset, bob, cfg)
-			return outcome{ns, func() error {
-				if !sosr.GraphsExactlyIsomorphic(res.Recovered, alice) {
-					return errors.New("wrong graph recovered")
-				}
-				return nil
-			}}, err
-		}}
-	}
-	wantMulti, wantMultiStats, err := sosr.ReconcileMultisets(multiA, multiB, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := []row{
-		setRow("set", sosr.SetConfig{Seed: 7, KnownDiff: 16}),
-		{"multiset", wantMultiStats, func() (outcome, error) {
-			rec, ns, err := c.Multiset(ctx, "bag", multiB, 16, 3)
-			return outcome{ns, func() error {
-				if !reflect.DeepEqual(rec, wantMulti) {
-					return errors.New("wrong multiset recovered")
-				}
-				return nil
-			}}, err
-		}},
-		sosRow("sos/cascade", sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24}),
-		sosRow("sos/nested-doubling", sosr.Config{Seed: 4, Protocol: sosr.ProtocolNested}), // several attempts, acks
-		graphRow("graph", "net", ga, gb, sosr.GraphConfig{Seed: 14, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 2, TopDegrees: topH}),
-		forestRow("forest", sosr.ForestConfig{Seed: 53, MaxEdits: 3}),
-	}
-	if dial != nil { // the in-memory row: the rest of the flow table
-		kinds = append(kinds,
-			setRow("set/unknown-d", sosr.SetConfig{Seed: 8}),
-			sosRow("sos/naive", sosr.Config{Seed: 1, Protocol: sosr.ProtocolNaive, KnownDiff: 24}),
-			sosRow("sos/naive-probe", sosr.Config{Seed: 2, Protocol: sosr.ProtocolNaive}),
-			sosRow("sos/nested", sosr.Config{Seed: 3, Protocol: sosr.ProtocolNested, KnownDiff: 24}),
-			sosRow("sos/cascade-doubling", sosr.Config{Seed: 6, Protocol: sosr.ProtocolCascade}),
-			sosRow("sos/multiround", sosr.Config{Seed: 7, Protocol: sosr.ProtocolMultiRound, KnownDiff: 24}),
-			sosRow("sos/multiround-4", sosr.Config{Seed: 8, Protocol: sosr.ProtocolMultiRound}),
-			graphRow("graph/polynomial", "tiny", tinyA, tinyB, sosr.GraphConfig{Seed: 33, Scheme: sosr.SchemePolynomial, MaxEdits: 2}),
-			forestRow("forest/auto", sosr.ForestConfig{Seed: 63}),
-		)
-	}
-	const rounds = 4
-	var checks []func() error
-	var reported int64
-	first := make([]*NetStats, len(kinds))
-	for n := 1; n <= rounds; n++ {
-		for k, kind := range kinds {
-			out, err := kind.run()
-			if err != nil {
-				t.Fatalf("%s, session %d: %v", kind.name, n, err)
-			}
-			checkNetStats(t, out.ns, kind.want)
-			if first[k] == nil {
-				first[k] = out.ns
-			} else if *out.ns != *first[k] {
-				t.Fatalf("%s: session %d reports %+v, the first %+v", kind.name, n, *out.ns, *first[k])
-			}
-			reported += out.ns.WireIn + out.ns.WireOut
-			what := fmt.Sprintf("%s, session %d", kind.name, n)
-			checks = append(checks, func() error {
-				if err := out.check(); err != nil {
-					return fmt.Errorf("%s: %w", what, err)
-				}
-				return nil
-			})
-		}
-	}
-	for _, check := range checks {
-		if err := check(); err != nil {
-			t.Error(err)
-		}
-	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("%d sequential sessions dialed %d times, want once", rounds*len(kinds), got)
-	}
-	if got := cl.accepted.Load(); got != 1 {
-		t.Fatalf("server accepted %d connections, want 1", got)
-	}
-	// The server reads each closing ctl/done after the client has its
-	// result; once it has logged the last session, the listener's count is
-	// final: transport bytes == Σ (in-process Stats + itemised framing).
-	waitFor(t, "server to finish the last session", func() bool { return finished.Load() == int64(rounds*len(kinds)) })
-	if got := cl.n.Load(); got != reported {
-		t.Fatalf("listener counted %d bytes, the sessions reported %d", got, reported)
-	}
-}
-
-// beforeWriteConn runs before, once, ahead of the next write. Only the session
-// goroutine touches a client connection, so the field needs no lock.
-type beforeWriteConn struct {
-	net.Conn
-	before func()
-}
-
-func (c *beforeWriteConn) Write(p []byte) (int, error) {
-	if f := c.before; f != nil {
-		c.before = nil
-		f()
-	}
-	return c.Conn.Write(p)
-}
-
-// TestStaleIdleConnReplayedOnce: the server drops a parked connection — long
-// before the client's next session takes it, or as that session's hello is
-// written. Either way nothing reads a parked connection, so the hello is what
-// finds it dead: the reused connection fails before the session's first frame,
-// the session is replayed on a fresh dial and succeeds; the caller sees no
-// error, the metrics see a stale_redial.
+// TestStaleIdleConnReplayedOnce: a parked connection dies — the server drops
+// it long before the client's next session takes it, or it is closed as that
+// session's hello is written. Either way nothing reads a parked connection, so
+// the hello is what finds it dead: the reused connection fails before the
+// session's first frame, the session is replayed on a fresh dial and succeeds;
+// the caller sees no error, the metrics see a stale_redial.
 func TestStaleIdleConnReplayedOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -355,15 +110,16 @@ func TestStaleIdleConnReplayedOnce(t *testing.T) {
 			c := Dial(addr)
 			defer c.Close()
 			c.Obs = obs.NewRegistry()
-			var conns []*beforeWriteConn
+			var faults worktest.Faults
+			dials := 0
 			c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+				dials++
 				var d net.Dialer
 				conn, err := d.DialContext(ctx, "tcp", addr)
 				if err != nil {
 					return nil, err
 				}
-				conns = append(conns, &beforeWriteConn{Conn: conn})
-				return conns[len(conns)-1], nil
+				return worktest.Wrap(conn, &faults), nil
 			}
 			cfg := sosr.SetConfig{Seed: 7, KnownDiff: 16}
 			if _, _, err := c.Sets(context.Background(), "ids", bob, cfg); err != nil {
@@ -371,7 +127,7 @@ func TestStaleIdleConnReplayedOnce(t *testing.T) {
 			}
 			waitFor(t, "connection to go idle on the server", func() bool { return idleConns(srv) == 1 })
 			if tc.atHello {
-				conns[0].before = func() { closeIdleConns(srv) }
+				faults.Arm(worktest.ResetIdle)
 			} else {
 				closeIdleConns(srv)
 				waitFor(t, "server to drop the connection", func() bool { return idleConns(srv) == 0 })
@@ -388,8 +144,8 @@ func TestStaleIdleConnReplayedOnce(t *testing.T) {
 					t.Fatalf("a replayed hello must not show as a protocol attempt: %+v", ns)
 				}
 			}
-			if len(conns) != 2 {
-				t.Fatalf("dialed %d times, want 2", len(conns))
+			if dials != 2 {
+				t.Fatalf("dialed %d times, want 2", dials)
 			}
 			ev := clientConnEvents(t, c)
 			if ev["dial"] != 2 || ev["stale_redial"] != 1 || ev["reuse"] != 1 {
@@ -640,7 +396,7 @@ func TestSessionRecordCarriesConnSeq(t *testing.T) {
 	tracer := &obs.Tracer{SampleRate: 1}
 	_, addr, _ := startServer(t, func(s *Server) {
 		s.Trace = tracer
-		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+		s.Logger = slog.New(worktest.Handler(func(r slog.Record) {
 			if r.Message != "session finished" {
 				return
 			}
@@ -652,7 +408,7 @@ func TestSessionRecordCarriesConnSeq(t *testing.T) {
 				}
 				return true
 			})
-		}})
+		}))
 		if err := s.HostSets("ids", alice); err != nil {
 			t.Fatal(err)
 		}

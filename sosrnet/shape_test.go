@@ -23,6 +23,7 @@ import (
 	"sosr/internal/setutil"
 	"sosr/internal/transport"
 	"sosr/internal/wire"
+	"sosr/internal/worktest"
 )
 
 // recvDone plays a server reading the client's closing report.
@@ -43,11 +44,11 @@ type logMessages struct {
 }
 
 func (l *logMessages) logger() *slog.Logger {
-	return slog.New(hookHandler{fn: func(r slog.Record) {
+	return slog.New(worktest.Handler(func(r slog.Record) {
 		l.mu.Lock()
 		l.msgs = append(l.msgs, r.Message)
 		l.mu.Unlock()
-	}})
+	}))
 }
 
 func (l *logMessages) count(msg string) int {
@@ -133,7 +134,7 @@ func TestEveryPlaceRefusesDataBeyondItsBound(t *testing.T) {
 	var mu sync.Mutex
 	var clientErrs []string
 	srv, addr, _ := startServer(t, func(s *Server) {
-		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+		s.Logger = slog.New(worktest.Handler(func(r slog.Record) {
 			r.Attrs(func(a slog.Attr) bool {
 				if a.Key == "client_err" {
 					mu.Lock()
@@ -142,7 +143,7 @@ func TestEveryPlaceRefusesDataBeyondItsBound(t *testing.T) {
 				}
 				return true
 			})
-		}})
+		}))
 		for name, data := range map[string][][]uint64{"fits": fits, "s": beyond["s"], "h": beyond["h"], "u": beyond["u"]} {
 			if err := s.HostSetsOfSets(name, data); err != nil {
 				t.Fatal(err)
@@ -560,7 +561,7 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 	var mu sync.Mutex
 	var rejected []string
 	srv, addr, _ := startServer(t, func(s *Server) {
-		s.Logger = slog.New(hookHandler{fn: func(r slog.Record) {
+		s.Logger = slog.New(worktest.Handler(func(r slog.Record) {
 			if r.Message != "handshake rejected" {
 				return
 			}
@@ -572,7 +573,7 @@ func TestV4PeersAreVersionRejects(t *testing.T) {
 				}
 				return true
 			})
-		}})
+		}))
 		if err := s.HostSetsOfSets("docs", alice); err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestShardedMetricsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.waitSessions(t, 3)
+	d.sessions.Wait(t, 3)
 
 	// Per shard and in aggregate: scraped server counters == client's
 	// itemized NetStats, directions mirrored.
