@@ -125,6 +125,99 @@ func TestOneShotSessionsKeepProvenPayload(t *testing.T) {
 	}
 }
 
+// TestUpdateSetsOfSetsServesFreshDigest: a mutation between two sessions
+// must yield the post-update payload — never a stale one — and the updated
+// bytes must equal a from-scratch in-process run over the updated parent
+// (the IncrementalDigest patch path is byte-exact).
+func TestUpdateSetsOfSetsServesFreshDigest(t *testing.T) {
+	alice, bob := sosPair()
+	srv, addr, _ := startServer(t, func(s *Server) {
+		if err := s.HostSetsOfSets("docs", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cfg := sosr.Config{Seed: 9, Protocol: sosr.ProtocolCascade, KnownDiff: 24,
+		MaxChildSets: len(alice) + 2, MaxChildSize: setutil.MaxChildLen(alice) + 2}
+	c := Dial(addr)
+	c.Timeout = 60 * time.Second
+
+	want1, err := sosr.ReconcileSetsOfSets(alice, bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got1, ns1, err := c.SetsOfSets(context.Background(), "docs", bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got1.Recovered, want1.Recovered) {
+		t.Fatal("pre-update recovery diverges")
+	}
+	checkNetStats(t, ns1, want1.Stats)
+
+	// Mutate: drop one hosted child set, add a brand-new one.
+	removed := alice[3]
+	added := []uint64{90_000_001, 90_000_005, 90_000_009}
+	if err := srv.UpdateSetsOfSets("docs", [][]uint64{added}, [][]uint64{removed}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := srv.DatasetVersion("docs"); err != nil || v != 1 {
+		t.Fatalf("version %d, %v; want 1", v, err)
+	}
+	updated := make([][]uint64, 0, len(alice))
+	for i, cs := range alice {
+		if i != 3 {
+			updated = append(updated, cs)
+		}
+	}
+	updated = append(updated, setutil.Canonical(added))
+
+	want2, err := sosr.ReconcileSetsOfSets(updated, bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, ns2, err := c.SetsOfSets(context.Background(), "docs", bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got2.Recovered, want2.Recovered) {
+		t.Fatal("post-update recovery diverges from in-process run over updated parent")
+	}
+	if reflect.DeepEqual(got2.Recovered, want1.Recovered) {
+		t.Fatal("post-update session served the stale parent set")
+	}
+	checkNetStats(t, ns2, want2.Stats)
+
+	// Both sessions were cache misses (different versions).
+	if cs := srv.CacheStats(); cs.Misses != 2 {
+		t.Fatalf("expected 2 cache misses across the update, got %+v", cs)
+	}
+
+	// The second miss promoted the key to a live digest (second use). A
+	// further mutation now patches that digest in place; the third session
+	// must be byte-par with a from-scratch run over the twice-updated
+	// parent — this is the incremental patch path over the wire.
+	added2 := []uint64{91_000_002, 91_000_006}
+	if err := srv.UpdateSetsOfSets("docs", [][]uint64{added2}, [][]uint64{updated[0]}); err != nil {
+		t.Fatal(err)
+	}
+	updated2 := append(setutil.CloneSets(updated[1:]), setutil.Canonical(added2))
+	want3, err := sosr.ReconcileSetsOfSets(updated2, bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got3, ns3, err := c.SetsOfSets(context.Background(), "docs", bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got3.Recovered, want3.Recovered) {
+		t.Fatal("patched-digest session diverges from in-process run")
+	}
+	checkNetStats(t, ns3, want3.Stats)
+	if v, err := srv.DatasetVersion("docs"); err != nil || v != 2 {
+		t.Fatalf("version %d, %v; want 2", v, err)
+	}
+}
+
 // TestLiveDigestAcrossUniverseBoundary: a shape that leaves u to derive
 // follows the data across a key width. The hosted data lies below 2^32 and a
 // live digest serves it; an update puts one element at 2^32 + 5 into a child,
@@ -268,6 +361,38 @@ func TestUpdateSetsOfSetsValidation(t *testing.T) {
 	}
 }
 
+// TestUpdateSetsOverTCP: plain-set updates are visible to the next session
+// and byte-par with an in-process run over the updated set.
+func TestUpdateSetsOverTCP(t *testing.T) {
+	alice, bob := setPair()
+	srv, addr, _ := startServer(t, func(s *Server) {
+		if err := s.HostSets("ids", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cfg := sosr.SetConfig{Seed: 5, KnownDiff: 24}
+	c := Dial(addr)
+	if _, _, err := c.Sets(context.Background(), "ids", bob, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.UpdateSets("ids", []uint64{70_000_001, 70_000_002}, []uint64{alice[0]}); err != nil {
+		t.Fatal(err)
+	}
+	updated := setutil.ApplyDiff(alice, []uint64{70_000_001, 70_000_002}, []uint64{alice[0]})
+	want, err := sosr.ReconcileSets(updated, bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ns, err := c.Sets(context.Background(), "ids", bob, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Recovered, updated) {
+		t.Fatal("post-update session did not serve the updated set")
+	}
+	checkNetStats(t, ns, want.Stats)
+}
+
 // TestConcurrentSessionsDuringUpdates: reconciliations racing live mutations
 // must always succeed against a consistent snapshot (run under -race in CI).
 func TestConcurrentSessionsDuringUpdates(t *testing.T) {
@@ -333,6 +458,91 @@ func TestConcurrentSessionsDuringUpdates(t *testing.T) {
 	updaterWg.Wait()
 }
 
+// TestUpdateMultisetsOverTCP: live multiset mutations bump the version, are
+// served to the next session byte-par with an in-process run over the
+// updated multiset, and invalid mutations are rejected atomically.
+func TestUpdateMultisetsOverTCP(t *testing.T) {
+	alice := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 9, 9, 40}
+	bob := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41}
+	srv, addr, _ := startServer(t, func(s *Server) {
+		if err := s.HostMultiset("bag", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	c := Dial(addr)
+	c.Timeout = 30 * time.Second
+	if _, _, err := c.Multiset(context.Background(), "bag", bob, 16, 3); err != nil {
+		t.Fatal(err)
+	}
+	// Add one new element and one extra copy of 1; remove one 9 and one 5.
+	if err := srv.UpdateMultisets("bag", []uint64{41, 1}, []uint64{9, 5}); err != nil {
+		t.Fatal(err)
+	}
+	updated := []uint64{1, 1, 1, 1, 2, 5, 9, 9, 9, 40, 41}
+	if v, err := srv.DatasetVersion("bag"); err != nil || v != 1 {
+		t.Fatalf("version %d (%v), want 1", v, err)
+	}
+	wantRec, wantStats, err := sosr.ReconcileMultisets(updated, bob, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ns, err := c.Multiset(context.Background(), "bag", bob, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, wantRec) {
+		t.Fatalf("post-update recovered %v, want %v", got, wantRec)
+	}
+	checkNetStats(t, ns, wantStats)
+
+	// Removing an occurrence the dataset does not hold is rejected whole.
+	if err := srv.UpdateMultisets("bag", []uint64{123}, []uint64{777}); err == nil {
+		t.Fatal("removing an absent occurrence succeeded")
+	}
+	// Removing more copies than present (updated holds exactly one 2).
+	if err := srv.UpdateMultisets("bag", nil, []uint64{2, 2}); err == nil {
+		t.Fatal("removing beyond the multiplicity succeeded")
+	}
+	// Overflowing the packable multiplicity.
+	over := make([]uint64, 4096)
+	for i := range over {
+		over[i] = 40
+	}
+	if err := srv.UpdateMultisets("bag", over, nil); err == nil {
+		t.Fatal("multiplicity overflow accepted")
+	}
+	// Unpackable element value.
+	if err := srv.UpdateMultisets("bag", []uint64{1 << 50}, nil); err == nil {
+		t.Fatal("out-of-range element accepted")
+	}
+	// Kind mismatch and unknown dataset.
+	if err := srv.UpdateMultisets("nope", []uint64{1}, nil); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("unknown dataset: %v", err)
+	}
+	// None of the rejected mutations changed anything.
+	if v, _ := srv.DatasetVersion("bag"); v != 1 {
+		t.Fatalf("rejected updates bumped version to %d", v)
+	}
+	// An empty mutation is a no-op, keeping caches warm.
+	if err := srv.UpdateMultisets("bag", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := srv.DatasetVersion("bag"); v != 1 {
+		t.Fatal("empty update bumped the version")
+	}
+	got2, _, err := c.Multiset(context.Background(), "bag", bob, 16, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRec2, _, err := sosr.ReconcileMultisets(updated, bob, 16, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got2, wantRec2) {
+		t.Fatal("dataset changed despite rejected/empty updates")
+	}
+}
+
 // TestConcurrentMultisetSessionsDuringUpdates: sessions racing live multiset
 // mutations always reconcile a consistent copy-on-write snapshot — one of the
 // two alternating states, never a torn mix (run under -race in CI).
@@ -394,6 +604,78 @@ func TestConcurrentMultisetSessionsDuringUpdates(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	updaterWg.Wait()
+}
+
+// TestGraphForestCacheParity: graph and forest Alice payloads flow through
+// the composite (multi-frame) cache; sessions must be byte-par with the
+// in-process run whether the cache is on or off, and with the cache on a
+// repeat session replays both frames without re-encoding.
+func TestGraphForestCacheParity(t *testing.T) {
+	base, h, err := sosr.PlantedSeparatedGraph(400, 2, 0.4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga := sosr.PerturbGraph(base, 1, 12)
+	gb := sosr.PerturbGraph(base, 1, 13)
+	gcfg := sosr.GraphConfig{Seed: 14, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 2, TopDegrees: h}
+	wantG, err := sosr.ReconcileGraphs(ga, gb, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := sosr.RandomForest(120, 0.15, 51)
+	fb := sosr.PerturbForest(fa, 3, 52)
+	fcfg := sosr.ForestConfig{Seed: 53, MaxEdits: 3}
+	wantF, err := sosr.ReconcileForests(fa, fb, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+	}{{"cache-on", 0}, {"cache-off", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr, _ := startServer(t, func(s *Server) {
+				s.CacheBytes = tc.cacheBytes
+				if err := s.HostGraph("net", ga); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.HostForest("tree", fa); err != nil {
+					t.Fatal(err)
+				}
+			})
+			c := Dial(addr)
+			c.Timeout = 60 * time.Second
+			for i := 0; i < 2; i++ {
+				gotG, nsG, err := c.Graph(context.Background(), "net", gb, gcfg)
+				if err != nil {
+					t.Fatalf("graph session %d: %v", i, err)
+				}
+				if !sosr.GraphsExactlyIsomorphic(gotG.Recovered, ga) {
+					t.Fatalf("graph session %d: not isomorphic", i)
+				}
+				checkNetStats(t, nsG, wantG.Stats)
+				gotF, nsF, err := c.Forest(context.Background(), "tree", fb, fcfg)
+				if err != nil {
+					t.Fatalf("forest session %d: %v", i, err)
+				}
+				if !sosr.ForestsIsomorphic(gotF.Recovered, fa) {
+					t.Fatalf("forest session %d: not isomorphic", i)
+				}
+				checkNetStats(t, nsF, wantF.Stats)
+			}
+			cs := srv.CacheStats()
+			if tc.cacheBytes < 0 {
+				if cs.Misses != 0 || cs.Hits != 0 {
+					t.Fatalf("disabled cache recorded traffic: %+v", cs)
+				}
+			} else {
+				// One composite key per dataset, hit on each repeat session.
+				if cs.Misses != 2 || cs.Hits+cs.Shared != 2 {
+					t.Fatalf("composite cache counters %+v, want 2 misses + 2 hits", cs)
+				}
+			}
+		})
+	}
 }
 
 // countingStore counts the WAL appends a server makes.

@@ -3,6 +3,7 @@ package sosrnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net"
 	"reflect"
@@ -83,6 +84,236 @@ func (l *pipeListener) dial(context.Context, string) (net.Conn, error) {
 		return client, nil
 	case <-l.done:
 		return nil, net.ErrClosed
+	}
+}
+
+// TestReuseSequentialSessionsEveryKind runs several sessions of every dataset
+// kind over one Client: one dial in all, and the n-th session of a kind
+// reports exactly what the first did — the in-process protocol stats plus the
+// same itemised framing — while the listener sees exactly the bytes the
+// sessions reported. Results are checked only after every session has run,
+// so one that aliased a (since reused) frame buffer would show.
+//
+// The transport is a row. Over net.Pipe nothing is buffered, so the in-memory
+// row is also the proof that every flow is ping-pong — it runs every row of
+// the flow table, where TCP runs one per kind — and a flow that is not fails
+// by the client's timeout. The one exchange that leans on a socket buffer, the
+// busy refusal (admit writes its error frame before it reads the hello), stays
+// on TCP in TestMaxConcurrentSessionsBusy.
+func TestReuseSequentialSessionsEveryKind(t *testing.T) {
+	t.Run("tcp", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reuseSequentialSessions(t, ln, nil)
+	})
+	t.Run("pipe", func(t *testing.T) {
+		ln := newPipeListener()
+		reuseSequentialSessions(t, ln, ln.dial)
+	})
+}
+
+// reuseSequentialSessions serves on ln and reaches it through dial (nil: TCP to
+// ln's address).
+func reuseSequentialSessions(t *testing.T, ln net.Listener, dial func(context.Context, string) (net.Conn, error)) {
+	setA, setB := setPair()
+	multiA := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 9, 9, 40}
+	multiB := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41}
+	sosA, sosB := sosPair()
+	base, topH, err := sosr.PlantedSeparatedGraph(600, 2, 0.4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga, gb := sosr.PerturbGraph(base, 1, 12), sosr.PerturbGraph(base, 1, 13)
+	tinyA := sosr.RandomGraph(6, 0.5, 31) // the §4 scheme's tiny-graph limit
+	tinyB := sosr.PerturbGraph(tinyA, 2, 32)
+	fa := sosr.RandomForest(120, 0.15, 51)
+	fb := sosr.PerturbForest(fa, 3, 52)
+	var finished atomic.Int64
+	srv := NewServer()
+	srv.Logger = slog.New(worktest.Handler(func(r slog.Record) {
+		if r.Message == "session finished" {
+			finished.Add(1)
+		}
+	}))
+	for _, err := range []error{
+		srv.HostSets("ids", setA), srv.HostMultiset("bag", multiA), srv.HostSetsOfSets("docs", sosA),
+		srv.HostGraph("net", ga), srv.HostGraph("tiny", tinyA), srv.HostForest("tree", fa),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := &worktest.Listener{Listener: ln}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(cl) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	c := Dial(ln.Addr().String())
+	defer c.Close()
+	c.Timeout = time.Minute // a flow in which both ends write at once ends here
+	var dials atomic.Int64
+	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		dials.Add(1)
+		if dial != nil {
+			return dial(ctx, addr)
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+
+	type outcome struct {
+		ns    *NetStats
+		check func() error // run after all sessions
+	}
+	type row struct {
+		name string
+		want sosr.Stats
+		run  func() (outcome, error)
+	}
+	setRow := func(name string, cfg sosr.SetConfig) row {
+		want, err := sosr.ReconcileSets(setA, setB, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.Sets(ctx, "ids", setB, cfg)
+			return outcome{ns, func() error {
+				if !reflect.DeepEqual(res.Recovered, setutil.Canonical(setA)) || !reflect.DeepEqual(res.OnlyA, want.OnlyA) {
+					return errors.New("wrong set recovered")
+				}
+				return nil
+			}}, err
+		}}
+	}
+	sosRow := func(name string, cfg sosr.Config) row {
+		want, err := sosr.ReconcileSetsOfSets(sosA, sosB, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.SetsOfSets(ctx, "docs", sosB, cfg)
+			return outcome{ns, func() error {
+				if !reflect.DeepEqual(res.Recovered, want.Recovered) || !reflect.DeepEqual(res.Added, want.Added) ||
+					!reflect.DeepEqual(res.Removed, want.Removed) || res.Attempts != want.Attempts {
+					return errors.New("wrong parent set recovered")
+				}
+				return nil
+			}}, err
+		}}
+	}
+	forestRow := func(name string, cfg sosr.ForestConfig) row {
+		want, err := sosr.ReconcileForests(fa, fb, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.Forest(ctx, "tree", fb, cfg)
+			return outcome{ns, func() error {
+				if !sosr.ForestsIsomorphic(res.Recovered, fa) {
+					return errors.New("wrong forest recovered")
+				}
+				return nil
+			}}, err
+		}}
+	}
+	graphRow := func(name, dataset string, alice, bob sosr.Graph, cfg sosr.GraphConfig) row {
+		want, err := sosr.ReconcileGraphs(alice, bob, cfg)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", name, err)
+		}
+		return row{name, want.Stats, func() (outcome, error) {
+			res, ns, err := c.Graph(ctx, dataset, bob, cfg)
+			return outcome{ns, func() error {
+				if !sosr.GraphsExactlyIsomorphic(res.Recovered, alice) {
+					return errors.New("wrong graph recovered")
+				}
+				return nil
+			}}, err
+		}}
+	}
+	wantMulti, wantMultiStats, err := sosr.ReconcileMultisets(multiA, multiB, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []row{
+		setRow("set", sosr.SetConfig{Seed: 7, KnownDiff: 16}),
+		{"multiset", wantMultiStats, func() (outcome, error) {
+			rec, ns, err := c.Multiset(ctx, "bag", multiB, 16, 3)
+			return outcome{ns, func() error {
+				if !reflect.DeepEqual(rec, wantMulti) {
+					return errors.New("wrong multiset recovered")
+				}
+				return nil
+			}}, err
+		}},
+		sosRow("sos/cascade", sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24}),
+		sosRow("sos/nested-doubling", sosr.Config{Seed: 4, Protocol: sosr.ProtocolNested}), // several attempts, acks
+		graphRow("graph", "net", ga, gb, sosr.GraphConfig{Seed: 14, Scheme: sosr.SchemeDegreeOrdering, MaxEdits: 2, TopDegrees: topH}),
+		forestRow("forest", sosr.ForestConfig{Seed: 53, MaxEdits: 3}),
+	}
+	if dial != nil { // the in-memory row: the rest of the flow table
+		kinds = append(kinds,
+			setRow("set/unknown-d", sosr.SetConfig{Seed: 8}),
+			sosRow("sos/naive", sosr.Config{Seed: 1, Protocol: sosr.ProtocolNaive, KnownDiff: 24}),
+			sosRow("sos/naive-probe", sosr.Config{Seed: 2, Protocol: sosr.ProtocolNaive}),
+			sosRow("sos/nested", sosr.Config{Seed: 3, Protocol: sosr.ProtocolNested, KnownDiff: 24}),
+			sosRow("sos/cascade-doubling", sosr.Config{Seed: 6, Protocol: sosr.ProtocolCascade}),
+			sosRow("sos/multiround", sosr.Config{Seed: 7, Protocol: sosr.ProtocolMultiRound, KnownDiff: 24}),
+			sosRow("sos/multiround-4", sosr.Config{Seed: 8, Protocol: sosr.ProtocolMultiRound}),
+			graphRow("graph/polynomial", "tiny", tinyA, tinyB, sosr.GraphConfig{Seed: 33, Scheme: sosr.SchemePolynomial, MaxEdits: 2}),
+			forestRow("forest/auto", sosr.ForestConfig{Seed: 63}),
+		)
+	}
+	const rounds = 4
+	var checks []func() error
+	var reported int64
+	first := make([]*NetStats, len(kinds))
+	for n := 1; n <= rounds; n++ {
+		for k, kind := range kinds {
+			out, err := kind.run()
+			if err != nil {
+				t.Fatalf("%s, session %d: %v", kind.name, n, err)
+			}
+			checkNetStats(t, out.ns, kind.want)
+			if first[k] == nil {
+				first[k] = out.ns
+			} else if *out.ns != *first[k] {
+				t.Fatalf("%s: session %d reports %+v, the first %+v", kind.name, n, *out.ns, *first[k])
+			}
+			reported += out.ns.WireIn + out.ns.WireOut
+			what := fmt.Sprintf("%s, session %d", kind.name, n)
+			checks = append(checks, func() error {
+				if err := out.check(); err != nil {
+					return fmt.Errorf("%s: %w", what, err)
+				}
+				return nil
+			})
+		}
+	}
+	for _, check := range checks {
+		if err := check(); err != nil {
+			t.Error(err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("%d sequential sessions dialed %d times, want once", rounds*len(kinds), got)
+	}
+	if got := cl.Accepted.Load(); got != 1 {
+		t.Fatalf("server accepted %d connections, want 1", got)
+	}
+	// The server reads each closing ctl/done after the client has its
+	// result; once it has logged the last session, the listener's count is
+	// final: transport bytes == Σ (in-process Stats + itemised framing).
+	waitFor(t, "server to finish the last session", func() bool { return finished.Load() == int64(rounds*len(kinds)) })
+	if got := cl.Bytes.Load(); got != reported {
+		t.Fatalf("listener counted %d bytes, the sessions reported %d", got, reported)
 	}
 }
 
