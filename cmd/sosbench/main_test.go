@@ -163,7 +163,12 @@ func TestTable1(t *testing.T) {
 		// at every d. Until protoVersion 6 naive was cheapest at every d and
 		// multi-round undercut cascade from d = 8: version 6 cut naive's
 		// per-cell overhead from 12 to 5 bytes but cascade's child cells from
-		// 18 to 8 bytes (2-byte counts at h = 1024).
+		// 18 to 8 bytes (2-byte counts at h = 1024). Since protoVersion 8 a
+		// table keys a child set by the narrower of its child IBLT and its
+		// bitmap, so nested is the naive table here and ties it, and
+		// cascade's third level is a bitmap level: 8 212 B at d = 8 where it
+		// was 8 372 B. At (48, 16384) every child key stays narrower than the
+		// 2 048-byte bitmap, and no row moved.
 		cheapest := naive
 		if d <= 4 {
 			cheapest = cascade
@@ -199,31 +204,41 @@ func slope(xs, ys []float64) float64 {
 	return sxy / sxx
 }
 
-// parentCell is one cell of a parent table keyed by (child IBLT, hash) pairs
-// at both Table 1 shapes: a 1-byte count (s < 256), the key — the child
-// table's cells of a 2-byte count (h ≥ 256), a 2-byte key sum (u ≤ 2^16) and
-// a 4-byte checksum, then the 8-byte set hash — and a 4-byte checksum.
-func parentCell(childCells int) int { return 1 + iblt.CellsSize(childCells, 2, 0, 2) + 8 + 4 }
-
-// nestedBytes is Theorem 3.5's message at d (d̂ = d): one table of
-// CellsFor(2d) cells keyed by CellsFor(d)-cell child tables, and the 8-byte
-// parent hash.
-func nestedBytes(d int) int {
-	return iblt.RoundCells(iblt.CellsFor(2*d), 0)*parentCell(iblt.CellsFor(d)) + 8
+// parentCell is one cell of a parent table at both Table 1 shapes: a 1-byte
+// count (s < 256), the key and a 4-byte checksum. The key is the narrower of a
+// whole child set (an h-bit bitmap, whole bytes, since u = h) and a (child
+// IBLT, hash) pair — the child table's cells of a 2-byte count (h ≥ 256), a
+// 2-byte key sum (u ≤ 2^16) and a 4-byte checksum, then the 8-byte set hash;
+// it reports whether the key is the whole set.
+func parentCell(childCells, whole int) (int, bool) {
+	child := iblt.CellsSize(childCells, 2, 0, 2) + 8
+	return 1 + min(child, whole) + 4, child >= whole
 }
 
-// cascadeBytes is Algorithm 2's message at d < h (no T*): t = ⌈log₂ d⌉
-// levels, level 1 of CellsFor(2d) cells and level i of CellsFor(max(min(
-// 9d/2^(i+1), d), 2)), keyed by CellsTight(2^i)-cell child tables, and the
-// 8-byte parent hash.
-func cascadeBytes(d int) int {
+// nestedBytes is Theorem 3.5's message at d (d̂ = d): one table of
+// CellsFor(2d) cells keyed by CellsFor(d)-cell child tables or whole sets,
+// and the 8-byte parent hash.
+func nestedBytes(d, whole int) int {
+	cell, _ := parentCell(iblt.CellsFor(d), whole)
+	return iblt.RoundCells(iblt.CellsFor(2*d), 0)*cell + 8
+}
+
+// cascadeBytes is Algorithm 2's message at d < h: up to t = ⌈log₂ d⌉ levels,
+// level 1 of CellsFor(2d) cells and level i of CellsFor(max(min(9d/2^(i+1),
+// d), 2)), keyed by CellsTight(2^i)-cell child tables and ending at the first
+// level keyed by whole sets, and the 8-byte parent hash.
+func cascadeBytes(d, whole int) int {
 	n := 8
 	for i := 1; i <= max(bits.Len(uint(d-1)), 1); i++ {
 		cells := iblt.CellsFor(2 * d)
 		if i > 1 {
 			cells = iblt.CellsFor(max(min((9*d)>>(i+1), d), 2))
 		}
-		n += iblt.RoundCells(cells, 0) * parentCell(iblt.CellsTight(1<<i))
+		cell, full := parentCell(iblt.CellsTight(1<<i), whole)
+		n += iblt.RoundCells(cells, 0) * cell
+		if full {
+			break
+		}
 	}
 	return n
 }
@@ -233,20 +248,33 @@ func cascadeBytes(d int) int {
 // leaves.
 func TestScalingLaws(t *testing.T) {
 	// Nested and cascade size every table from d alone, and their cell
-	// widths from the bytes s, h and u need, which are the same at both
-	// shapes: one message of the plan's size at both.
+	// widths from the bytes s, h and u need. A whole child set is 128 B at
+	// (16, 1024) and 2 048 B at (48, 16384). At (16, 1024) nested's child key
+	// is never narrower, so its message is the naive one, and cascade's third
+	// level is keyed by whole sets: 8 212 B at d = 8 and 12 972 B at d = 16.
+	// At (48, 16384) both keep their child keys.
 	for _, c := range []struct {
 		name, big string
-		bytes     func(d int) int
+		bytes     func(d, whole int) int
 	}{
 		{"nested", "nested (Thm 3.5)", nestedBytes},
 		{"cascade", "cascade (Thm 3.7)", cascadeBytes},
 	} {
 		for _, d := range table1Ds() {
 			at16, at48 := meanBytes(t, c.name, failureShape, d), meanBytes(t, c.big, table1Shape, d)
-			if want := c.bytes(d); at16 != want || at48 != want {
-				t.Errorf("%s d=%d: %d B at (16, 1024), %d B at (48, 16384), want %d at both", c.name, d, at16, at48, want)
+			if want16, want48 := c.bytes(d, 1024/8), c.bytes(d, 16384/8); at16 != want16 || at48 != want48 {
+				t.Errorf("%s d=%d: %d B at (16, 1024), %d B at (48, 16384), want %d and %d", c.name, d, at16, at48, want16, want48)
 			}
+		}
+	}
+	for d, want := range map[int]int{8: 8212, 16: 12972} {
+		if got := cascadeBytes(d, 1024/8); got != want {
+			t.Errorf("cascade law at (16, 1024) d=%d: %d B, want %d", d, got, want)
+		}
+	}
+	for _, d := range dsTable1 {
+		if nested, naive := meanBytes(t, "nested", failureShape, d), meanBytes(t, "naive", failureShape, d); nested != naive {
+			t.Errorf("(16, 1024) d=%d: nested %d B, naive %d B; want the naive table", d, nested, naive)
 		}
 	}
 	// Naive sends one parent table of iblt.CellsFor(2d̂) cells, each a 1-byte
@@ -271,16 +299,19 @@ func TestScalingLaws(t *testing.T) {
 		}
 	}
 	// Over d = 2…16 at (16, 1024): cascade's O(d log min(d, h)) is at least
-	// linear and at most d·log d's slope (1.67); nested's O(d̂·d) with d̂ = d is
-	// at most quadratic; multi-round's O(d) after round 1's hash table of
-	// fixed cells is under linear at small d (0.74 measured), allowed 0.6–1.25.
+	// linear and at most d·log d's slope (1.67); multi-round's O(d) after
+	// round 1's hash table of fixed cells is under linear at small d (0.74
+	// measured), allowed 0.6–1.25. At (48, 16384), where nested keeps its
+	// child keys, its O(d̂·d) with d̂ = d is at least linear and at most
+	// quadratic (1.10 measured).
 	for _, c := range []struct {
 		name   string
+		shape  int
 		lo, hi float64
-	}{{"cascade", 1, 1.67}, {"nested", 1, 2}, {"multiround", 0.6, 1.25}} {
+	}{{"cascade", failureShape, 1, 1.67}, {"nested (Thm 3.5)", table1Shape, 1, 2}, {"multiround", failureShape, 0.6, 1.25}} {
 		var xs, ys []float64
 		for _, d := range dsTable1 {
-			xs, ys = append(xs, float64(d)), append(ys, float64(meanBytes(t, c.name, failureShape, d)))
+			xs, ys = append(xs, float64(d)), append(ys, float64(meanBytes(t, c.name, c.shape, d)))
 		}
 		if s := slope(logs(xs, ys)); s < c.lo || s > c.hi {
 			t.Errorf("%s: log-log slope of bytes over d %.2f, want %.2f–%.2f", c.name, s, c.lo, c.hi)

@@ -46,22 +46,28 @@ import (
 // explicit u = 2^32 here, so their elements went from 8 bytes to 4), and the
 // T* of forest/sig and graphrecon/nbr-sig (whose signature shapes pass u = 0
 // and keep 8-byte elements: only the length narrowed). core/nested and
-// graphrecon/degree-sig have no T* and kept their hashes. The control frames of
-// the same revision are pinned in sosrnet/ctl_test.go.
+// graphrecon/degree-sig have no T* and kept their hashes. Keying each table by
+// the narrower of a child IBLT and a whole child set (protoVersion 8; a
+// cascade ends at its first whole-set level, and T* is gone) moved exactly the
+// five payloads that PR 14 moved, the ones with a child-keyed table. Here core/nested
+// and core/cascade are each one whole-set table (65 B keys at h = 16,
+// u = 2^32). The edge tables, the meta frame, the naive payload and Bob's
+// results kept their hashes. The control frames of the same revision are
+// pinned in sosrnet/ctl_test.go.
 var goldenPayloads = map[string]string{
-	"core/cascade":             "85b94bec3dff93f79e674b64f6372bc3727d6f4a7c09505c0d5f1563ca694851",
+	"core/cascade":             "b9399ee7c3b95c673fdb0542b5d5cd0067fe628b77302ef95a846bf079354152",
 	"core/multiset-parent":     "7c701af2ea5e39c5d3a022761f734ceafeddc4bdce5f8cfa19b1653bd1a526e9",
 	"core/naive":               "a5d744eb31dc263518c525d7917501ba305a88e9537af17d0ba348e7098c28de",
-	"core/nested":              "e97a65d6f1addfacac3af421e1162d46b23d14dbe7c581eb231bb02c90f3050c",
+	"core/nested":              "254a6ff1826543f594653d15c81d505412858f1d519d1916878656db176e5885",
 	"field/roots-order":        "cdf4ff6f5cd7158602e64a83ffea27431cbdcd462fb07c700060634a4128dc11",
 	"forest/meta":              "dcd6e9b82ebb172375dd3040d193dc146c388390ead62c09c17b74782bce9691",
-	"forest/sig":               "c23f0a4a04322873b2df595e1a3157d0dce0b144cbab6e49ae67fe72e9ffcb6d",
+	"forest/sig":               "510d6ebe77e99c46f7e8040219469bb7747658b4c293b07da17f4b4172404d4c",
 	"graphrecon/degree-edges":  "55518790cf8dabe44d0726ed5d50ecccbcc2a741f5066290304332572c118af8",
 	"graphrecon/degree-result": "38681f8380eea2298e5bcfd364da09be1ad335dbd54cf06f186e59f647f3a4fc",
-	"graphrecon/degree-sig":    "f038bc0fa0d2cd3b753187e6fbccc1c1145b3c89c9478a1d8d1ee5b30e3b3df4",
+	"graphrecon/degree-sig":    "7623dfc45fef4367e992281a48815bc1b980b7e796003d5813f784c900295f9f",
 	"graphrecon/nbr-edges":     "0422cf23f81f2dc1f0a83cf0ac7f2eb7ff00454ca232dae7ab8095c2ac26f7c7",
 	"graphrecon/nbr-result":    "bfad4be05e8e78b20d97427235f1b7f59ffc5595fca325294d618cba155eb4d6",
-	"graphrecon/nbr-sig":       "9896f3be34125c3a20d80fd19541a225e7d59bdd83af4733137ff2e25b4411dc",
+	"graphrecon/nbr-sig":       "9ba2896ecc9edf710eec0e8372766bb550194e146901dbae12720f042005d98e",
 	"setrecon/charpoly":        "957c7edf6bbb42595acd874be32e099bbcac0604c4d924ddb2b3fc2edc213ab8",
 	"setrecon/multiset":        "14590b9d95d1a486fe3d2dd4f1136d9e7b4214768412db71d7f66239f80105c3",
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
@@ -16,7 +17,7 @@ import (
 // server, a fan-in client) can therefore build these aggregates once per
 // (parent set, coins, shape) and subtract them per session instead of
 // re-encoding every child set — the decode-side twin of the Alice encoding
-// cache. The cascade levels ≥ 2 and T* delete "all except D_B": the cached
+// cache. The cascade levels ≥ 2 delete "all except D_B": the cached
 // path subtracts the full aggregate and re-inserts the (few) D_B encodings,
 // which XOR-cancels to the identical table state.
 //
@@ -144,14 +145,16 @@ func (sk *BobSketch) Holds(bob [][]uint64) bool {
 	return true
 }
 
-// SizeBytes reports the sketch's approximate memory footprint for cache
-// accounting, a retained parent set included.
+// SizeBytes reports the sketch's memory footprint for cache accounting: the
+// sketch and its plan, the aggregate tables with their headers, the child
+// hashes and a retained parent set.
 func (sk *BobSketch) SizeBytes() int64 {
-	n := int64(8*len(sk.bobHashes) + 24*len(sk.bob) + 8*setutil.TotalSize(sk.bob))
+	n := int(unsafe.Sizeof(*sk)+unsafe.Sizeof(tableSpec{})*uintptr(cap(sk.plan.tables))) +
+		8*(cap(sk.tables)+cap(sk.bobHashes)) + 24*cap(sk.bob) + 8*setutil.TotalSize(sk.bob)
 	for _, t := range sk.tables {
-		n += int64(t.SerializedSize())
+		n += t.HeapBytes()
 	}
-	return n
+	return int64(n)
 }
 
 // check verifies the sketch was built for exactly this decode shape; a

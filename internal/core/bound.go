@@ -15,8 +15,8 @@ import (
 
 // CellBytes returns the bytes of parent-table cells one differing child set
 // occupies when it appears once in every table of a one-round protocol: one
-// full encoding (naive), one (child IBLT, hash) key (nested), or one key per
-// cascade level plus a full encoding when T* is present. It allocates
+// key per table, a whole child set or, where narrower, a (child IBLT, hash)
+// pair — one for naive and nested, one per level for cascade. It allocates
 // nothing (the plan is derived on a pooled workspace). 0 for an unknown kind
 // or an invalid shape.
 func CellBytes(kind DigestKind, p Params, d int) int {

@@ -16,10 +16,14 @@ import (
 // t = ⌈log₂ min(d, h)⌉, Alice sends a parent IBLT T_i of O(d/2^i) cells
 // whose keys are (O(2^i)-cell child IBLT, hash) encodings; child sets with
 // small differences decode at low levels, and each recovered set is deleted
-// from all later levels. When d ≥ h a final table T* of O(d/h) cells carries
-// full child-set encodings for the stragglers. One round,
-// O(d log min(d,h) log u + d log s) bits, success probability Ω(1)
-// (amplify with Replicated, or use CascadeUnknownD's verified doubling).
+// from all later levels. A level whose child key would be no narrower than a
+// whole child set keys whole sets instead, in the same cells, and ends the
+// cascade: nothing it carries is left outstanding. When d ≥ h the last level
+// always is one, where the paper closes with a table T* of O(d/h) cells of
+// whole sets; at small h or u the first level is, and the cascade is one
+// naive table. One round, O(d log min(d,h) log u + d log s) bits, success
+// probability Ω(1) (amplify with Replicated, or use CascadeUnknownD's
+// verified doubling).
 func CascadeKnownD(sess *transport.Session, coins hashing.Coins, alice, bob [][]uint64, p Params, d int) (*Result, error) {
 	return knownD(DigestCascade, sess, coins, alice, bob, p, max(d, 1), 0)
 }
@@ -72,7 +76,7 @@ type cascadeWork struct {
 	diff        iblt.PackedDiff
 	rec         childRecoverer
 	enc         childEncoder
-	star        naiveEncoder
+	whole       naiveEncoder
 	shapes      []iblt.Shape     // a sketch build's table shapes
 	tally       map[uint64]int32 // diffParents: occurrences of a child hash in the old parent not yet matched
 	gone, come  [][]uint64       // diffParents: the children only the old, only the new parent holds

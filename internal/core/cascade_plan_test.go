@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"sosr/internal/setutil"
 )
 
-// Unit tests for the plan arithmetic (Algorithm 2's levels and star inclusion,
+// Unit tests for the plan arithmetic (Algorithm 2's levels, the key rule,
 // cell schedules, message sizes) independent of full protocol runs.
 
 func mustPlan(t testing.TB, kind DigestKind, coins hashing.Coins, p Params, d, dHat int) *plan {
@@ -25,48 +26,80 @@ func mustPlan(t testing.TB, kind DigestKind, coins hashing.Coins, p Params, d, d
 	return pl
 }
 
-// levels splits a cascade plan's tables into its t cascading levels and
-// whether T* closes them.
-func (pl *plan) levels() (t int, star bool) {
-	star = pl.tables[len(pl.tables)-1].full
-	if star {
-		return len(pl.tables) - 1, true
-	}
-	return len(pl.tables), false
+// levels is a cascade plan's table count and whether its last table is keyed
+// by whole child sets, which ends a cascade.
+func (pl *plan) levels() (t int, whole bool) {
+	return len(pl.tables), pl.tables[len(pl.tables)-1].full
 }
 
+// TestCascadePlanLevels: t = ⌈log₂ min(d, h)⌉ levels, cut at the first whole-set
+// level. At h = 100 and u = 2^30 a whole child set is 401 B, and a level-i
+// child key is 9 B per child cell and an 8-byte hash: 80, 80, 152 and 296 B at
+// levels 1–4 and 548 B at level 5, which is therefore a whole-set level. At
+// h = 16 a whole set is 65 B, narrower than level 1's key.
 func TestCascadePlanLevels(t *testing.T) {
 	coins := hashing.NewCoins(1)
 	cases := []struct {
-		d, h     int
-		wantT    int
-		wantStar bool
+		d, h      int
+		wantT     int
+		wantWhole bool
 	}{
 		{1, 100, 1, false},  // t = max(1, ceil(log2 1))
 		{2, 100, 1, false},  // ceil(log2 2) = 1
 		{3, 100, 2, false},  // ceil(log2 3) = 2
 		{8, 100, 3, false},  // ceil(log2 8) = 3
 		{9, 100, 4, false},  // ceil(log2 9) = 4
-		{64, 100, 6, false}, // d < h
-		{200, 100, 7, true}, // d ≥ h: t = ceil(log2 h) = 7, star on
-		{1000, 16, 4, true}, // t = log2 16
-		{16, 16, 4, true},   // boundary d == h
+		{64, 100, 5, true},  // t = 6, cut at level 5
+		{200, 100, 5, true}, // d ≥ h: t = ceil(log2 h) = 7, cut at level 5
+		{1000, 16, 1, true}, // t = log2 16 = 4, cut at level 1
+		{16, 16, 1, true},   // boundary d == h
 	}
 	for _, c := range cases {
 		plan := mustPlan(t, DigestCascade, coins, Params{S: 64, H: c.h, U: 1 << 30}, c.d, 0)
-		gotT, star := plan.levels()
+		gotT, whole := plan.levels()
 		if gotT != c.wantT {
 			t.Errorf("d=%d h=%d: t=%d want %d", c.d, c.h, gotT, c.wantT)
 		}
-		if star != c.wantStar {
-			t.Errorf("d=%d h=%d: star=%v want %v", c.d, c.h, star, c.wantStar)
+		if whole != c.wantWhole {
+			t.Errorf("d=%d h=%d: whole=%v want %v", c.d, c.h, whole, c.wantWhole)
 		}
 		for i, ts := range plan.tables {
-			if ts.full != (star && i == gotT) {
+			if ts.full != (whole && i == gotT-1) {
 				t.Errorf("d=%d: table %d of %d full=%v", c.d, i+1, len(plan.tables), ts.full)
 			}
 		}
 	}
+}
+
+// TestKeyRule: over a grid of (s, h, u, d), no table of any plan keeps a
+// child key at least as wide as a whole child set, a whole-set table is a
+// plan's last, and a cascade at d ≥ h always ends in one.
+func TestKeyRule(t *testing.T) {
+	coins := hashing.NewCoins(4)
+	shapes := 0
+	for _, s := range []int{1, 12, 255, 256, 70000} {
+		for _, h := range []int{1, 2, 3, 7, 10, 16, 100, 255, 256, 1024, 16384, 70000} {
+			for _, u := range []uint64{0, 2, 16, 1000, 1 << 16, 1 << 32, 1<<40 + 1, 1 << 60} {
+				for _, d := range []int{1, 2, 3, 5, 8, 16, 31, 64, 100, 257, 1024, 5000, 16384, 100000} {
+					p := Params{S: s, H: h, U: u}
+					whole := newNaiveCodec(mustPlan(t, DigestNaive, coins, p, d, 0).p).width
+					for _, kind := range oneRoundKinds {
+						pl := mustPlan(t, kind, coins, p, d, 0)
+						for i, ts := range pl.tables {
+							if !ts.full && ts.width >= whole || ts.full && i != len(pl.tables)-1 {
+								t.Fatalf("kind %d %+v d=%d: table %d of %d: full=%v, key %d B, whole set %d B", kind, p, d, i+1, len(pl.tables), ts.full, ts.width, whole)
+							}
+						}
+						if _, last := pl.levels(); kind == DigestCascade && d >= h && !last {
+							t.Fatalf("%+v d=%d: the cascade ends in a child level", p, d)
+						}
+					}
+					shapes++
+				}
+			}
+		}
+	}
+	t.Logf("%d (s, h, u, d) shapes", shapes)
 }
 
 func TestCascadePlanCellsShrink(t *testing.T) {
@@ -119,27 +152,31 @@ var planShapes = []struct {
 
 // cellBytesReference is CellBytes written out per kind: the closed forms the
 // sum over plan tables must equal. A parent cell is a count of the bytes S
-// needs, the key and a 4-byte checksum; a child-IBLT key is its cells (a
-// count of the bytes h needs, a key sum of the bytes u needs, a 4-byte
-// checksum) and an 8-byte set hash.
+// needs, the key and a 4-byte checksum. A key is the narrower of a whole
+// child set and a child-IBLT key — its cells (a count of the bytes h needs, a
+// key sum of the bytes u needs, a 4-byte checksum) and an 8-byte set hash —
+// and a cascade ends at its first whole-set key.
 func cellBytesReference(kind DigestKind, p Params, d int) int {
 	parent := func(key int) int { return countBytesFor(p.S) + key + 4 }
-	child := func(cells int) int {
-		return parent(iblt.RoundCells(cells, 0)*(countBytesFor(p.H)+sumBytesFor(p.U)+4) + 8)
+	whole := newNaiveCodec(p).width
+	key := func(cells int) (int, bool) {
+		child := iblt.RoundCells(cells, 0)*(countBytesFor(p.H)+sumBytesFor(p.U)+4) + 8
+		return min(child, whole), child >= whole
 	}
 	switch kind {
 	case DigestNaive:
-		return parent(newNaiveCodec(p).width)
+		return parent(whole)
 	case DigestNested:
-		return child(iblt.CellsFor(d))
+		k, _ := key(iblt.CellsFor(d))
+		return parent(k)
 	}
-	t, star := cascadeLevels(p, d)
 	n := 0
-	for i := 1; i <= t; i++ {
-		n += child(iblt.CellsTight(1 << i))
-	}
-	if star {
-		n += parent(newNaiveCodec(p).width)
+	for i := 1; i <= max(bits.Len(uint(min(d, p.H)-1)), 1); i++ {
+		k, full := key(iblt.CellsTight(1 << i))
+		n += parent(k)
+		if full {
+			break
+		}
 	}
 	return n
 }
@@ -333,10 +370,13 @@ func TestNaiveCodecChoice(t *testing.T) {
 // key + 4-byte checksum), and the 8-byte parent hash — and holds CellBytes,
 // the bound audit's per-key factor, to the same cells: one cell of each
 // table, as the message lays them out. Hot and shard declare no universe, and
-// their elements lie below 2^32, so Resolve gives them u = 2^32. Until
-// protoVersion 6 the three were 65 941, 17 157 and 65 941 B; until
-// protoVersion 7, when u = 0 still meant 2^60 and a listed child set took 4 +
-// 8·h bytes, 50 036, 9 360 and 50 352 B.
+// their elements lie below 2^32, so Resolve gives them u = 2^32. At h = 10 a
+// whole child set is 41 B and the narrowest child key 80 B, so each message is
+// one whole-set table in level 1's cells. Until protoVersion 6 the three were
+// 65 941, 17 157 and 65 941 B; until protoVersion 7, when u = 0 still meant
+// 2^60 and a listed child set took 4 + 8·h bytes, 50 036, 9 360 and 50 352 B;
+// until protoVersion 8, when every level was keyed by child IBLTs, 35 436,
+// 9 360 and 35 752 B.
 func TestBenchShapeMsgSize(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -344,11 +384,11 @@ func TestBenchShapeMsgSize(t *testing.T) {
 		d    int
 		want int
 	}{
-		{"hot_sos_tcp", Params{S: 200, H: 10, U: 1 << 32}, 32, 35436},
-		{"churn_sos_disk", Params{S: 2000, H: 10, U: 1 << 32}, 8, 9360},
+		{"hot_sos_tcp", Params{S: 200, H: 10, U: 1 << 32}, 32, 6448},
+		{"churn_sos_disk", Params{S: 2000, H: 10, U: 1 << 32}, 8, 2076},
 		// Each of the two shards holds about 1 000 of the 2 000 children: any
 		// s from 256 to 65 535 takes 2-byte parent counts.
-		{"shard_sos_fanout (per shard)", Params{S: 1000, H: 10, U: 1 << 32}, 32, 35752},
+		{"shard_sos_fanout (per shard)", Params{S: 1000, H: 10, U: 1 << 32}, 32, 6588},
 	} {
 		pl := mustPlan(t, DigestCascade, hashing.NewCoins(1), tc.p, tc.d, 0)
 		p := pl.p

@@ -249,11 +249,11 @@ func TestCascadeKnownD(t *testing.T) {
 }
 
 func TestCascadeStarPath(t *testing.T) {
-	// d >= h forces the T* table (Algorithm 2's final stage).
+	// d >= h ends the cascade in a whole-set table, where Algorithm 2 puts T*.
 	p := Params{S: 12, H: 8, U: testU}
 	alice, bob := makeInstance(91, p.S, 6, p.U, 16)
-	if _, star := mustPlan(t, DigestCascade, hashing.NewCoins(1), p, 16, 0).levels(); !star {
-		t.Fatal("expected star table in plan")
+	if _, whole := mustPlan(t, DigestCascade, hashing.NewCoins(1), p, 16, 0).levels(); !whole {
+		t.Fatal("expected a whole-set table in plan")
 	}
 	sess := transport.New()
 	res, err := CascadeKnownD(sess, hashing.NewCoins(31), alice, bob, p, 16)

@@ -14,7 +14,13 @@ import (
 
 // §3.2 grows one construction through three theorems: a parent IBLT keyed by
 // whole child sets (3.3), a parent IBLT keyed by (child IBLT, hash) pairs
-// (3.5), and a cascade of the latter closed by one of the former, T* (3.7).
+// (3.5), and a cascade of the latter (3.7). A child set has two keys: the
+// whole set, O(min(h log u, u)) bits, and the pair, O(c log u) bits for a
+// c-cell child IBLT. A table takes the narrower (addChild), and a cascade
+// ends at its first whole-set table, which leaves nothing outstanding. So
+// where the pair is no narrower, nested and cascade are Theorem 3.3's table,
+// and whenever d ≥ h the cascade's last level is such a table, in the place
+// of the paper's T*.
 // A plan is that construction as data — the ordered parent tables both
 // parties derive from (kind, coins, p, d, d̂), the message layout and the
 // transport label — and everything else in the package (Alice's build, Bob's
@@ -74,9 +80,11 @@ func (pl *plan) init(kind DigestKind, coins hashing.Coins, p Params, d, dHat int
 		pl.addChild(iblt.CellsFor(2*dHat), coins.Seed("nested/parent", 0),
 			newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d), p))
 	case DigestCascade:
+		// Algorithm 2: t = ⌈log₂ min(d, h)⌉ levels (at least one), cut at the
+		// first whole-set level.
 		pl.label = "cascade-iblts"
-		t, star := cascadeLevels(p, d)
-		pl.tables = slices.Grow(pl.tables, t+1)
+		t := max(bits.Len(uint(min(d, p.H)-1)), 1)
+		pl.tables = slices.Grow(pl.tables, t)
 		hat := DHat(d, p.S) // Algorithm 2 sizes by d alone
 		for i := 1; i <= t; i++ {
 			// Level 1 must hold the full symmetric difference of encodings
@@ -86,11 +94,10 @@ func (pl *plan) init(kind DigestKind, coins hashing.Coins, p Params, d, dHat int
 			if i > 1 {
 				cells = iblt.CellsFor(max(min((9*d)>>uint(i+1), hat), 2))
 			}
-			pl.addChild(cells, coins.Seed("cascade/parent", i),
-				newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p))
-		}
-		if star {
-			pl.addFull(iblt.CellsFor((3*d)/(2*p.H)+2), coins.Seed("cascade/star", 0))
+			if pl.addChild(cells, coins.Seed("cascade/parent", i),
+				newChildCodec(coins, "cascade/child", i, iblt.CellsTight(1<<i), p)) {
+				break
+			}
 		}
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
@@ -103,22 +110,22 @@ func (pl *plan) addFull(cells int, seed uint64) {
 	pl.tables = append(pl.tables, tableSpec{cells: cells, seed: seed, width: c.width, full: true, naive: c})
 }
 
-func (pl *plan) addChild(cells int, seed uint64, c childCodec) {
+// addChild adds a table keyed by c's (child IBLT, hash) pairs or, when such a
+// key is no narrower than a whole child set, a whole-set table of the same
+// cells and seed; it reports the latter.
+func (pl *plan) addChild(cells int, seed uint64, c childCodec) (full bool) {
+	if c.width >= newNaiveCodec(pl.p).width {
+		pl.addFull(cells, seed)
+		return true
+	}
 	pl.tables = append(pl.tables, tableSpec{cells: cells, seed: seed, width: c.width, child: c})
-}
-
-// cascadeLevels is Algorithm 2's shape for (p, d): t = ⌈log₂ min(d, h)⌉
-// cascading levels (at least one), and whether the final table T* of full
-// encodings is present.
-func cascadeLevels(p Params, d int) (t int, star bool) {
-	t = max(bits.Len(uint(min(d, p.H)-1)), 1)
-	return t, d >= p.H
+	return false
 }
 
 // The message layout: every table's cells (iblt.AppendCells at the plan's
 // count width and the table's key width) in plan order, then the parent
 // verification hash. The plan fixes every table's shape, so nothing else is
-// sent: no table header, length frame, level count or T* flag.
+// sent: no table header, length frame, level count or key kind.
 
 // tableBytes is the size of table i's cells in the message; cells 1 and k 1
 // give one cell's.
@@ -179,8 +186,8 @@ func (ts *tableSpec) newEncoder() setEncoder {
 // handed against ts.width.
 func (w *cascadeWork) encoder(ts *tableSpec) setEncoder {
 	if ts.full {
-		w.star.reuse(ts.naive)
-		return &w.star
+		w.whole.reuse(ts.naive)
+		return &w.whole
 	}
 	w.enc.reuse(ts.child)
 	return &w.enc
@@ -246,8 +253,8 @@ func (w *cascadeWork) load(pl *plan, i int, agg *iblt.Table) (setEncoder, error)
 // later table; a whole-child-set key is taken as is. Anything still
 // outstanding after the last table is ErrChildDecode.
 func (w *cascadeWork) run(pl *plan, msg []byte, bob [][]uint64, sk *BobSketch) (*Result, error) {
-	if sk != nil && len(sk.tables) != len(pl.tables) {
-		return nil, fmt.Errorf("%w: Bob sketch has %d tables, plan %d", ErrBadDigest, len(sk.tables), len(pl.tables))
+	if sk != nil && !slices.Equal(sk.plan.tables, pl.tables) {
+		return nil, fmt.Errorf("%w: Bob sketch tables are not the plan's", ErrBadDigest)
 	}
 	wantParent, err := w.split(pl, msg)
 	if err != nil {

@@ -121,36 +121,49 @@ func TestTamperEmptyPayloads(t *testing.T) {
 	}
 }
 
-// TestStarFlagLie: whether T* closes a cascade is the plan's, never the
-// peer's (until protoVersion 6 the message carried a star flag). A cascade
-// message that carries T*'s cells where (p, d) derive none — a well-formed
-// star table of the right key width spliced in — or drops them where they
-// derive one, or still carries protoVersion 5's flag byte, is a classified
-// refusal before any table is loaded, with and without a sketch. The first
-// used to index past the sketch's aggregates.
+// TestStarFlagLie: where a cascade ends is the plan's, never the peer's
+// (until protoVersion 6 the message carried a T* flag; since protoVersion 8 a
+// cascade ends at its first whole-set level, where T* was). At h = 100 and
+// u = 2^40 a whole child set is 501 B, narrower than a level-5 child key, so
+// d = 4 derives two child levels and d = 128 four child levels and a
+// whole-set fifth. A message that carries that fifth level's cells where
+// (p, d) derive none — a well-formed table of Alice's children spliced in —
+// or drops them where they derive one, or still carries protoVersion 5's flag
+// byte, is a classified refusal before any table is loaded, with and without
+// a sketch. The first used to index past the sketch's aggregates.
 func TestStarFlagLie(t *testing.T) {
 	coins := hashing.NewCoins(77)
-	p, err := Params{S: 12, H: 16, U: 1 << 40}.normalized()
+	p, err := Params{S: 12, H: 100, U: 1 << 40}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	alice, bob := makeInstance(91, p.S, 12, p.U, 4)
+	pl := mustPlan(t, DigestCascade, coins, p, 128, 0)
+	ts := pl.tables[len(pl.tables)-1]
+	if n, whole := pl.levels(); n != 5 || !whole {
+		t.Fatalf("d = 128: %d levels, the last whole-set %v; want 5, true", n, whole)
+	}
+	level := iblt.New(ts.cells, ts.width, 0, ts.seed)
+	for _, cs := range alice {
+		level.Insert(ts.naive.encode(cs))
+	}
+	cells := level.AppendCells(nil, pl.countBytes, ts.width)
 	for _, tc := range []struct {
 		name string
 		d    int
-		lie  func(msg []byte, star []byte) []byte
+		lie  func(msg []byte) []byte
 	}{
-		{"star sent at d < h", 4, func(msg, star []byte) []byte {
+		{"whole-set level sent at d < h", 4, func(msg []byte) []byte {
 			hash := msg[len(msg)-8:]
-			out := append(bytes.Clone(msg[:len(msg)-8]), star...)
+			out := append(bytes.Clone(msg[:len(msg)-8]), cells...)
 			return append(out, hash...)
 		}},
-		{"star dropped at d >= h", 32, func(msg, star []byte) []byte {
+		{"whole-set level dropped at d >= h", 128, func(msg []byte) []byte {
 			hash := msg[len(msg)-8:]
-			return append(bytes.Clone(msg[:len(msg)-8-len(star)]), hash...)
+			return append(bytes.Clone(msg[:len(msg)-8-len(cells)]), hash...)
 		}},
-		{"version 5 star flag at d >= h", 32, func(msg, star []byte) []byte {
-			at := len(msg) - 8 - len(star)
+		{"version 5 star flag at d >= h", 128, func(msg []byte) []byte {
+			at := len(msg) - 8 - len(cells)
 			return append(append(bytes.Clone(msg[:at]), 1), msg[at:]...)
 		}},
 	} {
@@ -159,12 +172,7 @@ func TestStarFlagLie(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		codec := newNaiveCodec(p)
-		table := iblt.New(iblt.CellsFor(4), codec.width, 0, coins.Seed("cascade/star", 0))
-		for _, cs := range alice {
-			table.Insert(codec.encode(cs))
-		}
-		lying := tc.lie(msg, table.AppendCells(nil, countBytesFor(p.S), codec.width))
+		lying := tc.lie(msg)
 		sk := mustSketch(t, DigestCascade, coins, bob, p, tc.d)
 		for _, cached := range []*BobSketch{nil, sk} {
 			res, err := ApplyMsgCached(DigestCascade, coins, lying, bob, p, tc.d, dHat, cached)
@@ -178,8 +186,9 @@ func TestStarFlagLie(t *testing.T) {
 	}
 }
 
-// TestRunRefusesForeignSketch: a sketch with another table count than the
-// plan's is ErrBadDigest, not an index.
+// TestRunRefusesForeignSketch: a sketch whose tables differ from the plan's in
+// shape is ErrBadDigest, not an index or a failed subtraction. At h = 16 both
+// plans are one whole-set table, of 28 and 60 cells.
 func TestRunRefusesForeignSketch(t *testing.T) {
 	coins := hashing.NewCoins(78)
 	p, err := Params{S: 12, H: 16, U: 1 << 40}.normalized()

@@ -18,27 +18,29 @@
 // into the main LRU, and eviction takes the probation tail before the main
 // one: one-shot payloads hold at most an eighth of the budget, or a single
 // entry, and give way to each other before an entry asked for twice does.
-// Probation remembers the keys it drops, without their payloads, up to a
-// budget's worth of what they held; a key rebuilt while remembered goes
-// straight to main. Keys asked for in turn whose payloads fit in seven
-// eighths of the budget therefore all hit from their third round on, however
-// far they exceed probation's eighth.
+// Probation remembers the keys it drops, as a 64-bit fingerprint and a size,
+// up to a budget's worth of what they held and an eighth of the budget of
+// their own records; a key rebuilt while remembered goes straight to main.
+// Keys asked for in turn whose payloads fit in seven eighths of the budget
+// therefore all hit from their third round on, however far they exceed
+// probation's eighth, as long as their records fit in theirs.
 //
 // A miss allocates only what its builder returns. The call that coalesces
 // lookups is the one the previous miss finished with, unless a lookup waited
 // on that one — a waiter reads the result out of its call after the build, so
 // a call a waiter has seen is never reused — and its channel is made only
 // when a lookup does wait. The entry that keeps a built value is one the cache
-// dropped earlier (a ghost forgotten, a main entry evicted, a stale value
-// replaced by an oversized one), from a list of at most sixteen, so entries
-// are allocated only until the ghosts have held a budget's worth of bytes. On
-// the cold_kinds_tcp benchmark, where every session misses both caches, the
-// calls and channels took about 26 objects off the 322 of an operation and the
-// entries about 12 (seed 1, 2 vCPU, medians of 20-second runs).
+// dropped earlier (an entry evicted, a stale value replaced by an oversized
+// one), from a list of at most sixteen, so entries are allocated only until
+// the segments are full. On the cold_kinds_tcp benchmark, where every session
+// misses both caches, the calls and channels took about 26 objects off the 322
+// of an operation and the entries about 12 (seed 1, 2 vCPU, medians of
+// 20-second runs).
 package enccache
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 )
 
@@ -87,8 +89,8 @@ type Cache struct {
 	main       segment // entries looked up since they were built
 	probation  segment // entries not looked up since they were built
 	entries    map[Key]*entry
-	ghost      segment // keys probation dropped; bytes is what they held
-	ghosts     map[Key]*entry
+	ghost      ghostRing // keys probation dropped
+	seed       maphash.Seed
 	inflight   map[Key]*call
 	spare      *call  // a finished call no lookup waited on
 	free       *entry // dropped entries, linked through next
@@ -104,11 +106,18 @@ type Cache struct {
 // probation segment may hold beyond its newest entry.
 const probationShare = 8
 
+// ghostBytes is what a remembered key keeps: its 16-byte record in the ring
+// and the 16 bytes of its fingerprint's map slot. Ghosts whose records would
+// keep more than 1/probationShare of the budget are forgotten, oldest first.
+// With the slack of the ring and the map, a ghost holds about 90 bytes of
+// heap (TestGhostHeap), where one that was a whole entry held about 300.
+const ghostBytes = 32
+
 // maxFree bounds the dropped entries kept for later inserts. A miss drops
-// about one entry for the one it inserts, but in bursts: a large ghost makes
-// the ghost ring forget many small ones at once. On cold_kinds_tcp a bound of
-// 1 kept a fifth of the objects this one saves, 8 four fifths, and 32 no more
-// than 16 (seed 1, 2 vCPU).
+// about one entry for the one it inserts, but in bursts: a large payload makes
+// probation evict many small ones at once. On cold_kinds_tcp, when a ghost
+// still held its entry, a bound of 1 kept a fifth of the objects this one
+// saves, 8 four fifths, and 32 no more than 16 (seed 1, 2 vCPU).
 const maxFree = 16
 
 // value is what a builder produced: a payload of one or more frames, or an
@@ -124,9 +133,7 @@ type value struct {
 
 // entry is one key linked into a segment's ring. Entries are read and written
 // only under the cache's lock — lookups return a copy of the value — so an
-// entry probation drops becomes a ghost in place: its value goes, its key and
-// size stay; and an entry the cache drops altogether is reused by a later
-// insert.
+// entry the cache drops is reused by a later insert.
 type entry struct {
 	key Key
 	value
@@ -162,6 +169,60 @@ func (s *segment) remove(e *entry) {
 // back is the least recently used entry; the segment must not be empty.
 func (s *segment) back() *entry { return s.root.prev }
 
+// ghost is what probation remembers of a key it dropped: the key's
+// fingerprint, and the payload bytes it held (0 once the key is rebuilt).
+type ghost struct {
+	fp   uint64
+	size int64
+}
+
+// ghostRing is the dropped keys, oldest first, in a circular buffer that
+// grows by doubling. at maps a fingerprint to the sequence number of its
+// newest record; a record is numbered first + its distance from head.
+type ghostRing struct {
+	recs  []ghost
+	head  int
+	n     int
+	first uint64
+	bytes int64 // what the remembered keys held
+	at    map[uint64]uint64
+}
+
+func (r *ghostRing) push(g ghost) {
+	if r.n == len(r.recs) {
+		grown := make([]ghost, max(2*r.n, 16))
+		copy(grown[copy(grown, r.recs[r.head:]):], r.recs[:r.head])
+		r.recs, r.head = grown, 0
+	}
+	r.recs[(r.head+r.n)%len(r.recs)] = g
+	r.at[g.fp] = r.first + uint64(r.n)
+	r.n++
+	r.bytes += g.size
+}
+
+// pop forgets the oldest record.
+func (r *ghostRing) pop() {
+	g := r.recs[r.head]
+	if seq, ok := r.at[g.fp]; ok && seq == r.first {
+		delete(r.at, g.fp)
+	}
+	r.bytes -= g.size
+	r.head, r.first, r.n = (r.head+1)%len(r.recs), r.first+1, r.n-1
+}
+
+// take reports whether a key of fingerprint fp is remembered, and forgets it.
+func (r *ghostRing) take(fp uint64) bool {
+	seq, ok := r.at[fp]
+	if !ok {
+		return false
+	}
+	delete(r.at, fp)
+	g := &r.recs[(r.head+int(seq-r.first))%len(r.recs)]
+	r.bytes -= g.size
+	g.size = 0
+	return true
+}
+
 // call is one in-flight build other lookups can wait on. The first lookup that
 // waits makes done, under the lock, and the result is stored in the call only
 // for those that wait; a call nobody waited on is kept for the next miss.
@@ -193,12 +254,12 @@ func New(maxBytes int64) *Cache {
 	c := &Cache{
 		maxBytes: maxBytes,
 		entries:  make(map[Key]*entry),
-		ghosts:   make(map[Key]*entry),
+		ghost:    ghostRing{at: make(map[uint64]uint64)},
+		seed:     maphash.MakeSeed(),
 		inflight: make(map[Key]*call),
 	}
 	c.main.init()
 	c.probation.init()
-	c.ghost.init()
 	return c
 }
 
@@ -352,8 +413,9 @@ func (c *Cache) finish(k Key, cl *call, built value, size int64, err error) {
 }
 
 // insert stores a built value: in place of the key's resident entry, in that
-// one's segment; in main, in its ghost, if probation dropped the key and still
-// remembers it; or else as the newest entry of probation. Probation then
+// one's segment; in main, if probation dropped the key and still remembers
+// it (or one of its fingerprint: a collision only promotes an entry); or else
+// as the newest entry of probation. Probation then
 // evicts its own tail down to a 1/probationShare share of the bound or its
 // newest entry, and while the bound is exceeded the rest of probation goes
 // before the main tail. Oversized payloads (> half the bound) are not
@@ -373,15 +435,13 @@ func (c *Cache) insert(k Key, v value, size int64) {
 		}
 		return
 	}
-	if g := c.ghosts[k]; g != nil {
-		// Asked for again within a budget's worth of dropped payloads: a
-		// plain LRU would still hold it.
-		c.ghost.remove(g)
-		delete(c.ghosts, k)
-		c.promotions++
-		seg, e = &c.main, g
-	}
 	if e == nil {
+		if c.ghost.take(maphash.Comparable(c.seed, k)) {
+			// Asked for again within a budget's worth of dropped payloads: a
+			// plain LRU would still hold it.
+			c.promotions++
+			seg = &c.main
+		}
 		e = c.newEntry(k)
 	}
 	e.value, e.size = v, size
@@ -401,8 +461,8 @@ func (c *Cache) insert(k Key, v value, size int64) {
 	}
 }
 
-// evict drops the least recently used entry of seg; one probation drops
-// becomes a ghost. Caller holds mu.
+// evict drops the least recently used entry of seg; probation remembers the
+// keys it drops. Caller holds mu.
 func (c *Cache) evict(seg *segment) {
 	e := seg.back()
 	seg.remove(e)
@@ -410,23 +470,18 @@ func (c *Cache) evict(seg *segment) {
 	c.evictions++
 	if seg == &c.probation {
 		c.remember(e)
-	} else {
-		c.recycle(e)
 	}
+	c.recycle(e)
 }
 
-// remember keeps e's key and size without its value, forgetting the oldest
-// ghosts while the bytes they held would exceed the bound. Caller holds mu.
+// remember keeps e's key as a ghost record, forgetting the oldest ghosts
+// while the bytes they held would exceed the bound or their records an
+// eighth of it. Caller holds mu.
 func (c *Cache) remember(e *entry) {
-	e.value = value{}
-	for c.ghost.n > 0 && c.ghost.bytes+e.size > c.maxBytes {
-		g := c.ghost.back()
-		c.ghost.remove(g)
-		delete(c.ghosts, g.key)
-		c.recycle(g)
+	for c.ghost.n > 0 && (c.ghost.bytes+e.size > c.maxBytes || int64(c.ghost.n+1)*ghostBytes > c.maxBytes/probationShare) {
+		c.ghost.pop()
 	}
-	c.ghosts[e.key] = e
-	c.ghost.pushFront(e)
+	c.ghost.push(ghost{fp: maphash.Comparable(c.seed, e.key), size: e.size})
 }
 
 // newEntry returns an unlinked entry for k, a dropped one if any is kept.

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sosr/internal/raceflag"
 )
 
 func key(i int) Key {
@@ -535,16 +539,32 @@ func checkSegments(t *testing.T, c *Cache) (probN int, probBytes int64) {
 	}
 	count(&c.main, c.entries)
 	count(&c.probation, c.entries)
-	count(&c.ghost, c.ghosts)
 	if n, total := c.main.n+c.probation.n, c.main.bytes+c.probation.bytes; n != len(c.entries) || total > c.maxBytes {
 		t.Fatalf("rings hold %d entries of %d bytes; map %d, bound %d", n, total, len(c.entries), c.maxBytes)
 	}
-	if c.ghost.n != len(c.ghosts) || c.ghost.n > 1 && c.ghost.bytes > c.maxBytes {
-		t.Fatalf("%d dropped keys of %d bytes remembered; map %d, bound %d", c.ghost.n, c.ghost.bytes, len(c.ghosts), c.maxBytes)
+	// The ghost ring: every fingerprint the map holds names its newest
+	// record, every record still counting bytes is remembered, and the
+	// records and what they held stay within their bounds.
+	g := &c.ghost
+	var held int64
+	for i := range g.n {
+		rec := g.recs[(g.head+i)%len(g.recs)]
+		if seq, ok := g.at[rec.fp]; rec.size != 0 && (!ok || seq < g.first+uint64(i)) {
+			t.Fatalf("ghost record %d of %d bytes is not remembered", i, rec.size)
+		}
+		held += rec.size
 	}
-	for k, g := range c.ghosts {
-		if c.entries[k] != nil || g.frames != nil || g.val != nil {
-			t.Fatalf("key %+v remembered as dropped is resident or kept its payload", k)
+	for fp, seq := range g.at {
+		if seq < g.first || seq >= g.first+uint64(g.n) || g.recs[(g.head+int(seq-g.first))%len(g.recs)].fp != fp {
+			t.Fatalf("fingerprint %x names record %d, the ring holds %d from %d", fp, seq, g.n, g.first)
+		}
+	}
+	if held != g.bytes || g.n > 1 && (g.bytes > c.maxBytes || int64(g.n)*ghostBytes > c.maxBytes/probationShare) {
+		t.Fatalf("%d ghost records of %d bytes (counted %d); bounds %d bytes and %d records", g.n, g.bytes, held, c.maxBytes, c.maxBytes/probationShare/ghostBytes)
+	}
+	for k := range c.entries {
+		if _, ok := g.at[maphash.Comparable(c.seed, k)]; ok {
+			t.Fatalf("resident key %+v is remembered as dropped", k)
 		}
 	}
 	n := 0
@@ -684,17 +704,23 @@ func TestCacheAllocBudget(t *testing.T) {
 		t.Errorf("the call of a miss nobody waited on is not kept, or made a channel: %+v", c.spare)
 	}
 
-	// A 1000-byte bound keeps five ghosts of 200-byte entries, so from the
-	// seventh miss on, each one reuses the entry the one before forgot. Each
-	// miss evicts the one before it: probation holds 125 bytes or one entry.
-	c = New(1000)
-	payload := [][]byte{make([]byte, 200)}
+	// An 8000-byte bound of 1600-byte entries: four proven ones fill main to
+	// 6400 bytes, probation holds one entry (1000 bytes or one entry), and its
+	// ring remembers the five keys it dropped last. From the third miss on,
+	// each one reuses the entry the one before evicted.
+	c = New(8000)
+	payload := [][]byte{make([]byte, 1600)}
 	built := func() ([][]byte, error) { return payload, nil }
 	miss := func() {
 		if _, err := c.GetOrComputeFrames(key(next), built); err != nil {
 			t.Fatal(err)
 		}
 		next++
+	}
+	for range 4 {
+		miss()
+		next--
+		miss() // a hit: promoted to main
 	}
 	for range 6 {
 		miss()
@@ -706,14 +732,58 @@ func TestCacheAllocBudget(t *testing.T) {
 	if c.spare == nil || c.spare.done != nil || c.nfree == 0 {
 		t.Errorf("misses nobody waited on made a channel or kept no entry: spare %+v, %d free", c.spare, c.nfree)
 	}
-	// The five entries probation dropped last are the ghosts.
+	// The five keys probation dropped last are the ghosts. Each rebuild goes to
+	// main and evicts main's tail, whose entry the next rebuild reuses.
 	before = c.Stats()
 	last := next - 2
 	next = 0
-	if n := testing.AllocsPerRun(4, func() { insert(key(last-next), 1); next++ }); n != 0 || c.Stats().Promotions != before.Promotions+5 {
+	if n := testing.AllocsPerRun(4, func() { insert(key(last-next), 1600); next++ }); n != 0 || c.Stats().Promotions != before.Promotions+5 {
 		t.Errorf("a rebuild of a ghost's key allocates %.0f objects (%+v)", n, c.Stats())
 	}
 	checkSegments(t, c)
+}
+
+// TestGhostHeap: a key probation drops is remembered as a fingerprint and a
+// size, so one-shot keys — fresh coins every session — pin little heap once
+// dropped, however small their payloads. A 1 MiB cache fed 200 000 one-shot
+// 16-byte payloads holds under 2 MiB of heap in its ghosts, measured after a
+// GC as what forgetting them frees: 4 096 records, 361 088 bytes on
+// linux/amd64 with Go 1.24. When a ghost was a whole entry, the ring held
+// 65 536 of them here, in 27 MB.
+// The rest of the cache is not what this bounds: probation's eighth of the
+// budget counts its 8 192 entries' payloads, not the entries.
+func TestGhostHeap(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow memory is in the heap")
+	}
+	const maxBytes, size, keys = 1 << 20, 16, 200_000
+	heap := func() int64 {
+		runtime.GC() // twice: what a sync.Pool sheds survives one collection
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	c := New(maxBytes)
+	for i := range keys {
+		if _, err := c.GetOrCompute(key(i), sized(size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Misses != keys || st.Entries != maxBytes/probationShare/size {
+		t.Fatalf("stats %+v", st)
+	}
+	records := c.ghost.n
+	held := heap()
+	c.mu.Lock()
+	c.ghost = ghostRing{at: make(map[uint64]uint64)}
+	c.mu.Unlock()
+	freed := held - heap()
+	t.Logf("%d ghost records held %d bytes of heap", records, freed)
+	if records != maxBytes/probationShare/ghostBytes || freed > 2<<20 {
+		t.Errorf("%d ghost records held %d bytes of heap; want %d records in under 2 MiB", records, freed, maxBytes/probationShare/ghostBytes)
+	}
+	runtime.KeepAlive(c)
 }
 
 // TestConcurrentOutcomesUnderChurn: goroutines look up a few keys, with new

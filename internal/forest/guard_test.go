@@ -14,16 +14,18 @@ import (
 
 // The failure guard of the signature collection's shape. Plan hands the
 // cascade h = the largest M_v either party holds and nothing on top; what
-// that buys is bytes (⌈log₂ h⌉ levels and a T* where ⌈log₂ budget⌉ levels
-// went), and what it must not cost is a decode. Each row below is a family of
+// that buys is bytes (⌈log₂ h⌉ levels, ending in a level of whole child sets,
+// where ⌈log₂ budget⌉ levels went), and what it must not cost is a decode. Each row below is a family of
 // instances reconciled under fresh forests and fresh coins per trial, held to
 // three things: no reconciliation that reports success returns a forest other
 // than Alice's; the known-d protocol fails at most once in two hundred (the
 // doubling one, never: it retries until Bob verifies, within the attempts the
 // wire flow allows); and the mean session stays under a byte ceiling about a
-// third over what the row measured when it was written — well below what the
-// same row cost when h carried twice the budget (in comments), so that slack
-// cannot come back unnoticed.
+// third over what the row measures since protoVersion 8 — well below what the
+// same row cost at protoVersion 7 and when h carried twice the budget (in
+// comments), so that slack cannot come back unnoticed. Version 8 keys a level
+// by whole child sets wherever they are narrower than child IBLTs, which cut
+// every row but the star's by 67–84 %.
 type guardRow struct {
 	name string
 	// trials at full size; a seventh of it under -short and under the race
@@ -32,9 +34,9 @@ type guardRow struct {
 	// instance draws Alice's and Bob's forests and the parameters they
 	// reconcile under. A zero D selects the doubling protocol.
 	instance func(src *prng.Source) (fa, fb *Forest, p ReconParams)
-	// tstar says whether the row's budget reaches h, so that the cascade's last
-	// table T* of full encodings is present: asserted, so the rows keep
-	// covering both forms of the payload.
+	// tstar says whether the row's budget reaches h, so that the cascade ends
+	// in a table of whole child sets, where the paper puts T*: asserted, so the
+	// rows keep covering both forms of the payload.
 	tstar bool
 	// ceiling bounds the mean bytes of a session.
 	ceiling int
@@ -77,42 +79,45 @@ func editsUnderOneVertex(n, k int) func(*prng.Source) (*Forest, *Forest, ReconPa
 }
 
 var guardRows = []guardRow{
-	// The benchmark's forest leg: 379 436 B a session, 860 933 before.
-	{"bench", 600, perturbed(600, 0.2, 3, ReconParams{Sigma: 16, D: 3}), true, 520_000},
-	// 521 515, was 1 344 227.
-	{"deep", 250, perturbed(300, 0.02, 5, ReconParams{D: 5}), true, 700_000},
-	// 455 011, was 1 392 773.
-	{"flat", 200, perturbed(1000, 0.6, 8, ReconParams{D: 8}), true, 610_000},
-	// 145 907, was 281 314.
-	{"one-edit", 100, perturbed(2000, 0.2, 1, ReconParams{D: 1}), true, 195_000},
-	// 539 214, was 1 546 239.
-	{"eight-edits", 150, perturbed(200, 0.3, 8, ReconParams{D: 8}), true, 720_000},
-	// One root and n − 1 leaves: h = n + 1 is far above the budget, so there is
-	// no T*, the one large M_v rides the cascade's levels, and the payload is
-	// what it was, 174 877.
+	// The benchmark's forest leg: 82 615 B a session, 288 846 at version 7,
+	// 860 933 when h carried the budget.
+	{"bench", 600, perturbed(600, 0.2, 3, ReconParams{Sigma: 16, D: 3}), true, 110_000},
+	// 117 960, 397 000 at version 7, was 1 344 227.
+	{"deep", 250, perturbed(300, 0.02, 5, ReconParams{D: 5}), true, 160_000},
+	// 89 949, 346 001 at version 7, was 1 392 773.
+	{"flat", 200, perturbed(1000, 0.6, 8, ReconParams{D: 8}), true, 120_000},
+	// 36 360, 111 193 at version 7, was 281 314.
+	{"one-edit", 100, perturbed(2000, 0.2, 1, ReconParams{D: 1}), true, 50_000},
+	// 108 635, 410 235 at version 7, was 1 546 239.
+	{"eight-edits", 150, perturbed(200, 0.3, 8, ReconParams{D: 8}), true, 145_000},
+	// One root and n − 1 leaves: h = n + 1 is far above the budget, so every
+	// level keeps its child keys, the one large M_v rides the cascade's
+	// levels, and the payload is what it was, 135 068 (174 877 before
+	// version 6).
 	{"star", 150, func(src *prng.Source) (*Forest, *Forest, ReconParams) {
 		fa := star(400)
 		return fa, Perturb(fa, 2, src), ReconParams{D: 2}
 	}, false, 235_000},
-	// One path: σ = n, and a cut re-signs every vertex above it. 145 596, was
-	// 2 038 581.
+	// One path: σ = n, and a cut re-signs every vertex above it. 17 217,
+	// 109 445 at version 7, was 2 038 581.
 	{"path", 150, func(src *prng.Source) (*Forest, *Forest, ReconParams) {
 		fa := chain(64)
 		return fa, Perturb(fa, 2, src), ReconParams{D: 2}
-	}, true, 195_000},
-	// 587 495, was 1 480 387.
-	{"one-vertex", 200, editsUnderOneVertex(600, 6), true, 785_000},
+	}, true, 23_000},
+	// 126 706, 447 193 at version 7, was 1 480 387.
+	{"one-vertex", 200, editsUnderOneVertex(600, 6), true, 170_000},
 	// The doubling protocol plans every attempt for a budget of its own, from
-	// 16 up. A session that ends on its first attempts now carries a T*
-	// (16 ≥ h) where it had a fourth level — 39 067 and 40 107 B, were 38 294
-	// and 38 997 — and one that must double in earnest, the path's five
-	// attempts, stops adding a level per doubling: 309 669, was 945 030.
-	{"doubling-bench", 120, perturbed(600, 0.2, 3, ReconParams{}), true, 52_000},
-	{"doubling-deep", 120, perturbed(300, 0.02, 5, ReconParams{}), true, 54_000},
+	// 16 up. A session that ends on its first attempts ends its cascade in a
+	// whole-set level (16 ≥ h) where it had a fourth child level — 6 700 and
+	// 6 836 B, 30 253 and 31 468 at version 7, 38 294 and 38 997 before — and
+	// one that must double in earnest, the path's five attempts, stops adding
+	// a level per doubling: 46 322, 233 078 at version 7, was 945 030.
+	{"doubling-bench", 120, perturbed(600, 0.2, 3, ReconParams{}), true, 9_000},
+	{"doubling-deep", 120, perturbed(300, 0.02, 5, ReconParams{}), true, 9_200},
 	{"doubling-path", 60, func(src *prng.Source) (*Forest, *Forest, ReconParams) {
 		fa := chain(300)
 		return fa, Perturb(fa, 4, src), ReconParams{}
-	}, true, 415_000},
+	}, true, 62_000},
 }
 
 func TestFailureGuard(t *testing.T) {

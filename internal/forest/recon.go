@@ -136,7 +136,7 @@ func Measure(f *Forest) SideInfo {
 // Theorem 3.7, not how large a child set can be, which is h; adding it to H
 // (as this function did up to protocol version 3, with twice the budget) makes
 // min(d, h) = d always, and the cascade then sends ⌈log₂ budget⌉ levels where
-// the theorem sends ⌈log₂ h⌉ and the final table T* of full encodings — some
+// the theorem sends ⌈log₂ h⌉, the last of them keyed by whole child sets — some
 // 2.3 times the bytes at n = 600, σ = 16, d = 3, for no failure probability
 // anyone can name (TestFailureGuard holds both halves).
 func Plan(a, b SideInfo, p ReconParams) (ReconParams, core.Params) {

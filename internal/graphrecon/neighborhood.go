@@ -130,7 +130,9 @@ func NeighborhoodEncode(g *graph.Graph, m int) (*NbrSide, error) {
 // elements differ — d of Theorem 3.7 — and is no part of h: with it added
 // (twice, up to protocol version 3) min(d, h) was always d and the 10·d·m
 // budget bought ⌈log₂ budget⌉ cascade levels, 2.8 MB at G(128, ½), m = 96,
-// where ⌈log₂ h⌉ levels and T* are 0.66 MB (TestNeighborhoodFailureGuard).
+// where ⌈log₂ h⌉ levels closed by whole signatures were 0.66 MB, and are
+// 0.16 MB since a level keys whole signatures wherever they are the narrower
+// key (TestNeighborhoodFailureGuard).
 func NeighborhoodSigShape(n int, p NeighborhoodParams, maxSig int) (core.Params, int) {
 	return core.Params{S: n, H: maxSig, U: 0}, NeighborhoodBudget(p)
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"sosr/internal/hashing"
 )
@@ -458,6 +459,12 @@ const checkBytes = 4
 // table of this shape: a fixed header plus (4 + width + 4) bytes per cell.
 func (t *Table) SerializedSize() int {
 	return headerSize + CellsSize(t.cells, t.width, t.k, marshalCountBytes)
+}
+
+// HeapBytes is the table's resident size: its header and the cell and
+// scratch arrays it holds.
+func (t *Table) HeapBytes() int {
+	return int(unsafe.Sizeof(*t)) + 4*cap(t.counts) + cap(t.keySums) + 4*cap(t.checks) + 8*(cap(t.idx)+cap(t.hs)+cap(t.queue))
 }
 
 // SerializedSizeFor computes the AppendMarshal size for a hypothetical table,

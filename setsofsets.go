@@ -24,10 +24,15 @@ const (
 	// simplest and fastest, O(d̂·min(h log u, u)) bits.
 	ProtocolNaive
 	// ProtocolNested is Algorithm 1, IBLTs of IBLTs (Theorem 3.5 /
-	// Corollary 3.6): O(d̂·d log u + d̂ log s) bits in one round.
+	// Corollary 3.6): O(d̂·d log u + d̂ log s) bits in one round. Where a
+	// whole child set is no wider than its child IBLT (small h or u), the
+	// table keys whole sets, and nested is naive's table.
 	ProtocolNested
 	// ProtocolCascade is Algorithm 2, cascading IBLTs of IBLTs (Theorem 3.7
 	// / Corollary 3.8): O(d log min(d,h) log u + d log s) bits in one round.
+	// Each level keys a child set by the narrower of its child IBLT and the
+	// whole set, and the cascade ends at its first whole-set level: at the
+	// benchmark shapes (h = 10, u = 2^32) it is one table of whole sets.
 	ProtocolCascade
 	// ProtocolMultiRound is the 3/4-round protocol (Theorems 3.9/3.10):
 	// least communication for large h, at the cost of extra rounds.

@@ -28,13 +28,13 @@ var (
 		V: protoVersion, Kind: KindSetsOfSets, D: 32, Protocol: "cascade",
 		DHat: 32, Replicas: 3, S: 200, H: 10, U: 1 << 32,
 	}
-	goldenDone = doneMsg{OK: true, Rounds: 1, Bytes: 35532, Messages: 1, Attempts: 1}
+	goldenDone = doneMsg{OK: true, Rounds: 1, Bytes: 7008, Messages: 1, Attempts: 1}
 )
 
 const (
-	goldenHelloHex  = "010702030304646f637304070b200d0313c801140a158080808010"
-	goldenAcceptHex = "01070203032004030520060307c801080a098080808010"
-	goldenDoneHex   = "0101030104cc950205010601"
+	goldenHelloHex  = "010802030304646f637304070b200d0313c801140a158080808010"
+	goldenAcceptHex = "01080203032004030520060307c801080a098080808010"
+	goldenDoneHex   = "0101030104e03605010601"
 )
 
 // golden holds one message to its pinned bytes, both ways.

@@ -101,7 +101,14 @@ const (
 // as wide as u needs. The hello's tags run from 1 without gaps, so every
 // hello differs from v6's. No coin moved, nor a child IBLT's cell index:
 // payloads at a declared u change only where a child set is listed.
-const protoVersion = 7
+// v8: a parent table keys each child set by the narrower of its child IBLT
+// and its whole encoding, and a cascade ends at its first whole-set level,
+// so T* is gone. Where no child key is narrower, nested and cascade send
+// Theorem 3.3's one table, in their first level's cells and under its seed.
+// Every nested, cascade, graph-signature and forest-signature payload with a
+// level that changed key differs from v7's; naive payloads and the control
+// frames changed only in the version.
+const protoVersion = 8
 
 // Package errors.
 var (

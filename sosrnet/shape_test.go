@@ -245,10 +245,12 @@ func TestHostileAcceptShapeRejected(t *testing.T) {
 }
 
 // TestHostileStarFlagRefused plays a server that accepts an honest cascade
-// hello at d < h — no T* in the plan both ends derive — and then sends, for
-// every attempt of the first session, a payload with a well-formed star
-// table's cells spliced in before the parent hash (until protoVersion 6, a
-// star flag announced it). The client decodes a
+// hello — a plan of one whole-set table, since children of up to 8 elements
+// below 2^32 are narrower than any child key, and a cascade ends at its
+// first whole-set level — and then sends, for every attempt of the first
+// session, a payload with a second well-formed whole-set table's cells
+// spliced in before the parent hash, as T*'s were until protoVersion 8 (until
+// protoVersion 6, a star flag announced it). The client decodes a
 // known-d session through a sketch from the first one on, and the sketch has
 // no aggregate for a table the plan does not have: the lie must end as a
 // classified error once the attempts are spent (it used to index past the
@@ -297,10 +299,10 @@ func TestHostileStarFlagRefused(t *testing.T) {
 				return err
 			}
 			if lie {
-				// T* as a d ≥ h plan lays it out: Alice's children as
-				// list keys (a 1-byte length for h < 256, 4-byte elements
-				// below u = 2^32), its cells before the parent hash.
-				star := iblt.New(iblt.CellsFor(4), 1+4*p.H, 0, coins.Seed("cascade/star", 0))
+				// A level-2 whole-set table: Alice's children as list keys
+				// (a 1-byte length for h < 256, 4-byte elements below
+				// u = 2^32), its cells before the parent hash.
+				star := iblt.New(iblt.CellsFor(4), 1+4*p.H, 0, coins.Seed("cascade/parent", 2))
 				key := make([]byte, star.Width())
 				for _, cs := range alice {
 					clear(key)
