@@ -147,7 +147,9 @@ func (sk *BobSketch) Holds(bob [][]uint64) bool {
 
 // SizeBytes reports the sketch's memory footprint for cache accounting: the
 // sketch and its plan, the aggregate tables with their headers, the child
-// hashes and a retained parent set.
+// hashes and a retained parent set. A successor patched from its predecessor
+// shares that one's table specs and charges them again: a safe over-charge of
+// one tableSpec a table.
 func (sk *BobSketch) SizeBytes() int64 {
 	n := int(unsafe.Sizeof(*sk)+unsafe.Sizeof(tableSpec{})*uintptr(cap(sk.plan.tables))) +
 		8*(cap(sk.tables)+cap(sk.bobHashes)) + 24*cap(sk.bob) + 8*setutil.TotalSize(sk.bob)

@@ -32,6 +32,28 @@ func (pl *plan) levels() (t int, whole bool) {
 	return len(pl.tables), pl.tables[len(pl.tables)-1].full
 }
 
+// childLevels is the number of the plan's tables keyed by (child IBLT, hash)
+// pairs.
+func (pl *plan) childLevels() (n int) {
+	for _, ts := range pl.tables {
+		if !ts.full {
+			n++
+		}
+	}
+	return n
+}
+
+// requireKeys fails t unless kind's plan at (p, d, d̂) has a child-keyed table
+// exactly when childKeyed says it should (a naive plan never has one), so a
+// later change to the key rule cannot quietly move a test written for one key
+// path onto the other.
+func requireKeys(t testing.TB, kind DigestKind, p Params, d, dHat int, childKeyed bool) {
+	t.Helper()
+	if n := mustPlan(t, kind, hashing.NewCoins(0), p, d, dHat).childLevels(); (n > 0) != (childKeyed && kind != DigestNaive) {
+		t.Fatalf("kind %d %+v d=%d: %d child-keyed tables, want child keys: %v", kind, p, d, n, childKeyed)
+	}
+}
+
 // TestCascadePlanLevels: t = ⌈log₂ min(d, h)⌉ levels, cut at the first whole-set
 // level. At h = 100 and u = 2^30 a whole child set is 401 B, and a level-i
 // child key is 9 B per child cell and an 8-byte hash: 80, 80, 152 and 296 B at

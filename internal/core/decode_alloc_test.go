@@ -23,10 +23,35 @@ import (
 // level, a slice per recovered child or an arena per list fails loudly. They
 // skip under the race detector, where sync.Pool sheds entries.
 
+// oneRoundShapes are the shapes the one-round tests run at, both with
+// children of up to 10 elements below 2^32. At the benchmark's (h = 16) a
+// whole child set, 65 B, is narrower than any child key, so every kind is
+// Theorem 3.3's one whole-set table. At h = 1 024 a whole set is 4 098 B, and
+// nested and cascade keep their (child IBLT, hash) tables: Bob's hash index,
+// the cross-decode pair loop, the child encoder, a load per level and the
+// re-inserted D_B. requireKeys holds each test to its shape's key path.
+var oneRoundShapes = []keyShape{
+	{"whole-set", 16, false},
+	{"child-keyed", 1024, true},
+}
+
+// keyShape is a declared child-size bound and whether nested and cascade
+// plans keep child keys under it.
+type keyShape struct {
+	name       string
+	h          int
+	childKeyed bool
+}
+
 func decodeWorkload(t testing.TB) (alice, bob [][]uint64, p Params) {
+	return decodeWorkloadAt(t, oneRoundShapes[0].h)
+}
+
+// decodeWorkloadAt is 200 children, 16 of them differing, declared at h.
+func decodeWorkloadAt(t testing.TB, h int) (alice, bob [][]uint64, p Params) {
 	t.Helper()
 	alice, bob = workload.PlantedSetsOfSets(17, 200, 10, 1<<32, 16)
-	p = Params{S: 200, H: 16, U: 1 << 32}
+	p = Params{S: 200, H: h, U: 1 << 32}
 	np, err := p.normalized()
 	if err != nil {
 		t.Fatal(err)
@@ -35,60 +60,66 @@ func decodeWorkload(t testing.TB) (alice, bob [][]uint64, p Params) {
 }
 
 // measureOneRound returns the allocations of one AliceMsg and of one ApplyMsg
-// at the benchmark's shape.
-func measureOneRound(t *testing.T, kind DigestKind, d int) (encode, decode float64) {
+// at each of oneRoundShapes.
+func measureOneRound(t *testing.T, kind DigestKind, d int) (encode, decode [2]float64) {
 	t.Helper()
 	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds workspaces under the race detector")
 	}
-	alice, bob, p := decodeWorkload(t)
-	coins := hashing.NewCoins(42)
-	dHat := DHat(d, p.S)
-	msg, err := AliceMsg(kind, coins, alice, p, d, dHat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyMsg(kind, coins, msg, bob, p, d, dHat); err != nil {
-		t.Fatal(err)
-	}
-	encode = testing.AllocsPerRun(20, func() {
-		if _, err := AliceMsg(kind, coins, alice, p, d, dHat); err != nil {
+	for i, sh := range oneRoundShapes {
+		alice, bob, p := decodeWorkloadAt(t, sh.h)
+		coins := hashing.NewCoins(42)
+		dHat := DHat(d, p.S)
+		requireKeys(t, kind, p, d, dHat, sh.childKeyed)
+		msg, err := AliceMsg(kind, coins, alice, p, d, dHat)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	decode = testing.AllocsPerRun(20, func() {
 		if _, err := ApplyMsg(kind, coins, msg, bob, p, d, dHat); err != nil {
 			t.Fatal(err)
 		}
-	})
+		encode[i] = testing.AllocsPerRun(20, func() {
+			if _, err := AliceMsg(kind, coins, alice, p, d, dHat); err != nil {
+				t.Fatal(err)
+			}
+		})
+		decode[i] = testing.AllocsPerRun(20, func() {
+			if _, err := ApplyMsg(kind, coins, msg, bob, p, d, dHat); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	return encode, decode
 }
 
+// checkOneRoundBudget fails t when a shape's encode or decode exceeds its
+// budget of 2 and 4 objects.
+func checkOneRoundBudget(t *testing.T, name string, enc, dec [2]float64) {
+	t.Helper()
+	for i, sh := range oneRoundShapes {
+		t.Logf("%s %s: AliceMsg allocs/op %.0f, ApplyMsg %.0f", name, sh.name, enc[i], dec[i])
+		if enc[i] > 2 || dec[i] > 4 {
+			t.Errorf("%s %s allocates %.0f/encode and %.0f/decode, budgets 2 and 4", name, sh.name, enc[i], dec[i])
+		}
+	}
+}
+
+// The cascade decode went from 1449 objects to ≤ 150, to 7 on the workspace,
+// to 3 with one arena per Result; the encode from 45 (a table and an encoder
+// per level) to 1.
 func TestCascadeDecodeAllocBudget(t *testing.T) {
 	enc, dec := measureOneRound(t, DigestCascade, 32)
-	t.Logf("cascade AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
-	// The decode went from 1449 to ≤ 150, to 7 on the workspace, to 3 with one
-	// arena per Result; the encode from 45 (a table and an encoder per level)
-	// to 1.
-	if enc > 2 || dec > 4 {
-		t.Fatalf("cascade allocates %.0f/encode and %.0f/decode, budgets 2 and 4", enc, dec)
-	}
+	checkOneRoundBudget(t, "cascade", enc, dec)
 }
 
 func TestNestedDecodeAllocBudget(t *testing.T) {
 	enc, dec := measureOneRound(t, DigestNested, 16)
-	t.Logf("nested AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
-	if enc > 2 || dec > 4 {
-		t.Fatalf("nested allocates %.0f/encode and %.0f/decode, budgets 2 and 4", enc, dec)
-	}
+	checkOneRoundBudget(t, "nested", enc, dec)
 }
 
 func TestNaiveDecodeAllocBudget(t *testing.T) {
 	enc, dec := measureOneRound(t, DigestNaive, 16)
-	t.Logf("naive AliceMsg allocs/op: %.0f, ApplyMsg: %.0f", enc, dec)
-	if enc > 2 || dec > 4 {
-		t.Fatalf("naive allocates %.0f/encode and %.0f/decode, budgets 2 and 4", enc, dec)
-	}
+	checkOneRoundBudget(t, "naive", enc, dec)
 }
 
 // TestCellBytesAllocationFree: the bound audit calls CellBytes once per
@@ -97,10 +128,12 @@ func TestCellBytesAllocationFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds workspaces under the race detector")
 	}
-	_, _, p := decodeWorkload(t)
-	for _, kind := range oneRoundKinds {
-		if got := testing.AllocsPerRun(20, func() { CellBytes(kind, p, 32) }); got != 0 {
-			t.Errorf("kind %d: CellBytes allocates %.0f objects", kind, got)
+	for _, sh := range oneRoundShapes {
+		_, _, p := decodeWorkloadAt(t, sh.h)
+		for _, kind := range oneRoundKinds {
+			if got := testing.AllocsPerRun(20, func() { CellBytes(kind, p, 32) }); got != 0 {
+				t.Errorf("%s kind %d: CellBytes allocates %.0f objects", sh.name, kind, got)
+			}
 		}
 	}
 }
@@ -110,7 +143,6 @@ func TestCellBytesAllocationFree(t *testing.T) {
 // makes Subtract(aggregate of Bob's encodings) the same table state as
 // deleting each encoding individually.
 func TestApplyMsgCachedParity(t *testing.T) {
-	alice, bob, p := decodeWorkload(t)
 	coins := hashing.NewCoins(42)
 	for _, tc := range []struct {
 		name string
@@ -122,34 +154,40 @@ func TestApplyMsgCachedParity(t *testing.T) {
 		{"naive", DigestNaive, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dHat := DHat(tc.d, p.S)
-			msg, err := AliceMsg(tc.kind, coins, alice, p, tc.d, dHat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := ApplyMsg(tc.kind, coins, msg, bob, p, tc.d, dHat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sk, err := NewBobSketch(tc.kind, coins, bob, p, tc.d, dHat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cached, err := ApplyMsgCached(tc.kind, coins, msg, bob, p, tc.d, dHat, sk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain.Recovered, cached.Recovered) {
-				t.Fatal("cached Recovered differs from plain")
-			}
-			if !reflect.DeepEqual(plain.Added, cached.Added) {
-				t.Fatal("cached Added differs from plain")
-			}
-			if !reflect.DeepEqual(plain.Removed, cached.Removed) {
-				t.Fatal("cached Removed differs from plain")
-			}
-			if sk.SizeBytes() <= 0 {
-				t.Fatal("sketch reports non-positive size")
+			for _, sh := range oneRoundShapes {
+				t.Run(sh.name, func(t *testing.T) {
+					alice, bob, p := decodeWorkloadAt(t, sh.h)
+					dHat := DHat(tc.d, p.S)
+					requireKeys(t, tc.kind, p, tc.d, dHat, sh.childKeyed)
+					msg, err := AliceMsg(tc.kind, coins, alice, p, tc.d, dHat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plain, err := ApplyMsg(tc.kind, coins, msg, bob, p, tc.d, dHat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sk, err := NewBobSketch(tc.kind, coins, bob, p, tc.d, dHat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cached, err := ApplyMsgCached(tc.kind, coins, msg, bob, p, tc.d, dHat, sk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(plain.Recovered, cached.Recovered) {
+						t.Fatal("cached Recovered differs from plain")
+					}
+					if !reflect.DeepEqual(plain.Added, cached.Added) {
+						t.Fatal("cached Added differs from plain")
+					}
+					if !reflect.DeepEqual(plain.Removed, cached.Removed) {
+						t.Fatal("cached Removed differs from plain")
+					}
+					if sk.SizeBytes() <= 0 {
+						t.Fatal("sketch reports non-positive size")
+					}
+				})
 			}
 		})
 	}
@@ -189,7 +227,18 @@ func TestBobSketchSubtractionBytes(t *testing.T) {
 // order are refused up front as ErrBadDigest (the last two used to surface
 // only as a late ErrVerify).
 func TestApplyMsgCachedRejectsMismatch(t *testing.T) {
-	alice, bob, p := decodeWorkload(t)
+	for _, sh := range oneRoundShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			alice, bob, p := decodeWorkloadAt(t, sh.h)
+			for _, kind := range oneRoundKinds {
+				requireKeys(t, kind, p, 32, DHat(32, p.S), sh.childKeyed)
+			}
+			rejectsMismatch(t, alice, bob, p)
+		})
+	}
+}
+
+func rejectsMismatch(t *testing.T, alice, bob [][]uint64, p Params) {
 	coins := hashing.NewCoins(42)
 	const d = 32
 	dHat := DHat(d, p.S)

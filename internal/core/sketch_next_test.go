@@ -97,9 +97,11 @@ var sketchMutations = []struct {
 // cell — every level, whole-set or child-keyed, and the child hashes in
 // parent order — for every one-round kind, the predecessor is left as it was,
 // and decoding with the derived sketch gives the Result the uncached decode
-// gives. At h = 12 (u = 2^60) a whole child set is narrower than any child key,
-// so both cascade plans there are one whole-set table; at h = 1 024 the
-// cascade keeps its three child levels.
+// gives. At h = 12 a whole child set is narrower than any child key, so the
+// nested and both cascade plans there are one whole-set table; at h = 1 024
+// nested keeps its child key and the cascade its three child levels; at
+// h = 64 and d = 100 the cascade has four child levels and then a whole-set
+// fifth, the plan a d ≥ h cascade sends at larger h.
 func TestNextBobSketchEqualsBuild(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -110,9 +112,11 @@ func TestNextBobSketchEqualsBuild(t *testing.T) {
 	}{
 		{"naive", DigestNaive, 12, 16, 1, true},
 		{"nested", DigestNested, 12, 16, 1, true},
+		{"nested-child", DigestNested, 1024, 16, 1, false},
 		{"cascade", DigestCascade, 12, 6, 1, true},
 		{"cascade-star", DigestCascade, 12, 24, 1, true},
 		{"cascade-levels", DigestCascade, 1024, 6, 3, false},
+		{"cascade-mixed", DigestCascade, 64, 100, 5, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -313,16 +317,17 @@ func mustSketch(t *testing.T, kind DigestKind, coins hashing.Coins, bob [][]uint
 
 // TestSketchSizeBytesMatchesHeap: a cache that holds sketches up to a byte
 // budget holds that many bytes. At the cold benchmark shape (200 children of
-// up to 10 elements below 2^32, d = 16) the heap 400 sketches of each kind
-// hold, measured after a GC, is within 10 % of their SizeBytes. Until the
-// fixed part — the sketch, its plan and the table headers — was charged, a
-// one-table sketch of 5 344 B went 768 B uncharged.
+// up to 10 elements below 2^32, d = 16), where every kind is one whole-set
+// table, and at h = 1 024, where nested keeps one child-keyed table and the
+// cascade four, the heap 400 sketches of each kind hold, measured after a GC,
+// is within 10 % of their SizeBytes. Until the fixed part — the sketch, its
+// plan and the table headers — was charged, a one-table sketch of 5 344 B
+// went 768 B uncharged.
 func TestSketchSizeBytesMatchesHeap(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's shadow memory is in the heap")
 	}
 	_, bob := workload.PlantedSetsOfSets(3, 200, 10, 1<<32, 16)
-	p := Params{S: 200, H: 10, U: 1 << 32}
 	heap := func() int64 {
 		runtime.GC() // twice: what a sync.Pool sheds survives one collection
 		runtime.GC()
@@ -330,19 +335,23 @@ func TestSketchSizeBytesMatchesHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	for _, kind := range oneRoundKinds {
-		sks := make([]*BobSketch, 400)
-		before := heap()
-		var charged int64
-		for i := range sks {
-			sks[i] = mustSketch(t, kind, hashing.NewCoins(uint64(i)), bob, p, 16)
-			charged += sks[i].SizeBytes()
+	for _, sh := range []keyShape{{"cold", 10, false}, {"child-keyed", 1024, true}} {
+		p := Params{S: 200, H: sh.h, U: 1 << 32}
+		for _, kind := range oneRoundKinds {
+			requireKeys(t, kind, p, 16, 0, sh.childKeyed)
+			sks := make([]*BobSketch, 400)
+			before := heap()
+			var charged int64
+			for i := range sks {
+				sks[i] = mustSketch(t, kind, hashing.NewCoins(uint64(i)), bob, p, 16)
+				charged += sks[i].SizeBytes()
+			}
+			held := heap() - before
+			if ratio := float64(charged) / float64(held); ratio < 0.9 || ratio > 1.1 {
+				t.Errorf("%s kind %d: 400 sketches of %d tables charge %d B and hold %d B of heap (%.2f)", sh.name, kind, len(sks[0].tables), charged, held, ratio)
+			}
+			t.Logf("%s kind %d: %d tables, %d B a sketch charged, %d B held", sh.name, kind, len(sks[0].tables), charged/400, held/400)
+			runtime.KeepAlive(sks)
 		}
-		held := heap() - before
-		if ratio := float64(charged) / float64(held); ratio < 0.9 || ratio > 1.1 {
-			t.Errorf("kind %d: 400 sketches charge %d B and hold %d B of heap (%.2f)", kind, charged, held, ratio)
-		}
-		t.Logf("kind %d: %d B a sketch charged, %d B held", kind, charged/400, held/400)
-		runtime.KeepAlive(sks)
 	}
 }

@@ -29,10 +29,20 @@ type cachedCascade struct {
 	sk         *BobSketch
 }
 
-func newCachedCascade(t testing.TB, seed uint64, d int) *cachedCascade {
+// cascadeShapes are the planted child sizes of the cached-cascade tests, with
+// h derived from the data as a wire session derives it. Children of up to 10
+// elements below 2^32 make one whole-set table. Children of up to 100 keep
+// child keys: at d = 16 four child levels, at d = 32 four and a whole-set
+// fifth (a whole set is 401 B, the fifth level's child key 548 B).
+var cascadeShapes = []keyShape{
+	{"whole-set", 10, false},
+	{"mixed", 100, true},
+}
+
+func newCachedCascade(t testing.TB, sh keyShape, seed uint64, d int) *cachedCascade {
 	t.Helper()
 	c := &cachedCascade{coins: hashing.NewCoins(seed), d: d}
-	c.alice, c.bob = workload.PlantedSetsOfSets(seed, 200, 10, 1<<32, 16)
+	c.alice, c.bob = workload.PlantedSetsOfSets(seed, 200, sh.h, 1<<32, 16)
 	var err error
 	h := 1 // the shape a wire session derives: the largest child on either side
 	for _, cs := range append(append([][]uint64(nil), c.alice...), c.bob...) {
@@ -41,6 +51,7 @@ func newCachedCascade(t testing.TB, seed uint64, d int) *cachedCascade {
 	if c.p, err = (Params{S: 200, H: h, U: 1 << 32}).normalized(); err != nil {
 		t.Fatal(err)
 	}
+	requireKeys(t, DigestCascade, c.p, d, DHat(d, c.p.S), sh.childKeyed)
 	if c.msg, err = AliceMsg(DigestCascade, c.coins, c.alice, c.p, d, DHat(d, c.p.S)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +68,10 @@ func (c *cachedCascade) apply() (*Result, error) {
 // usable draws seeds until one decodes: a cascade attempt fails with constant
 // probability by design, and these tests are about the workspace, not the
 // retry loop.
-func usableCascade(t testing.TB, from uint64, d int) *cachedCascade {
+func usableCascade(t testing.TB, sh keyShape, from uint64, d int) *cachedCascade {
 	t.Helper()
 	for seed := from; seed < from+32; seed++ {
-		c := newCachedCascade(t, seed, d)
+		c := newCachedCascade(t, sh, seed, d)
 		if _, err := c.apply(); err == nil {
 			return c
 		}
@@ -72,73 +83,83 @@ func usableCascade(t testing.TB, from uint64, d int) *cachedCascade {
 // TestCachedCascadeDecodeAllocBudget: at the benchmark's shape (s=200, h≈10,
 // d=32) a cached decode allocated 97 objects before the workspace and 7 with
 // it; what is left is the Result and the one arena and header slice its three
-// lists are packed in.
+// lists are packed in. Child levels, their cross-decodes and the D_B
+// re-inserted at each add nothing.
 func TestCachedCascadeDecodeAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds workspaces under the race detector")
 	}
-	c := usableCascade(t, 1, 32)
-	got := testing.AllocsPerRun(50, func() {
-		if _, err := c.apply(); err != nil {
-			t.Fatal(err)
+	for _, sh := range cascadeShapes {
+		c := usableCascade(t, sh, 1, 32)
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := c.apply(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: cached cascade decode allocs/op: %.0f", sh.name, got)
+		if got > 4 {
+			t.Errorf("%s: cached cascade decode allocates %.0f/op, budget 4", sh.name, got)
 		}
-	})
-	t.Logf("cached cascade decode allocs/op: %.0f", got)
-	if got > 4 {
-		t.Fatalf("cached cascade decode allocates %.0f/op, budget 4", got)
 	}
 }
 
 // TestWorkspaceResultsDoNotAlias: a Result must survive any number of later
-// decodes on the same (pooled) workspace, with different inputs.
+// decodes on the same (pooled) workspace, with different inputs of either
+// shape.
 func TestWorkspaceResultsDoNotAlias(t *testing.T) {
-	first, second := usableCascade(t, 1, 32), usableCascade(t, 100, 16)
-	res, err := first.apply()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot := &Result{
-		Recovered: setutil.CloneSets(res.Recovered),
-		Added:     setutil.CloneSets(res.Added),
-		Removed:   setutil.CloneSets(res.Removed),
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := second.apply(); err != nil {
-			t.Fatal(err)
+	for _, a := range cascadeShapes {
+		for _, b := range cascadeShapes {
+			first, second := usableCascade(t, a, 1, 32), usableCascade(t, b, 100, 16)
+			res, err := first.apply()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshot := &Result{
+				Recovered: setutil.CloneSets(res.Recovered),
+				Added:     setutil.CloneSets(res.Added),
+				Removed:   setutil.CloneSets(res.Removed),
+			}
+			for i := 0; i < 4; i++ {
+				if _, err := second.apply(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(res.Recovered, snapshot.Recovered) ||
+				!reflect.DeepEqual(res.Added, snapshot.Added) || !reflect.DeepEqual(res.Removed, snapshot.Removed) {
+				t.Fatalf("%s then %s: a later decode on the same workspace changed an earlier Result", a.name, b.name)
+			}
+			if !setutil.EqualSetOfSets(res.Recovered, first.alice) {
+				t.Fatalf("%s: first decode did not recover Alice's parent set", a.name)
+			}
 		}
-	}
-	if !reflect.DeepEqual(res.Recovered, snapshot.Recovered) ||
-		!reflect.DeepEqual(res.Added, snapshot.Added) || !reflect.DeepEqual(res.Removed, snapshot.Removed) {
-		t.Fatal("a later decode on the same workspace changed an earlier Result")
-	}
-	if !setutil.EqualSetOfSets(res.Recovered, first.alice) {
-		t.Fatal("first decode did not recover Alice's parent set")
 	}
 }
 
 // TestConcurrentCachedDecodesShareOneSketch: the sketch (and the plan inside
 // it) is read-only and every call takes its own workspace. Run under -race.
 func TestConcurrentCachedDecodesShareOneSketch(t *testing.T) {
-	c := usableCascade(t, 1, 32)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				res, err := c.apply()
-				if err != nil {
-					t.Error(err)
-					return
+	for _, sh := range cascadeShapes {
+		c := usableCascade(t, sh, 1, 32)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					res, err := c.apply()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !setutil.EqualSetOfSets(res.Recovered, c.alice) {
+						t.Errorf("%s: concurrent decode recovered the wrong parent set", sh.name)
+						return
+					}
 				}
-				if !setutil.EqualSetOfSets(res.Recovered, c.alice) {
-					t.Error("concurrent decode recovered the wrong parent set")
-					return
-				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestReleasedWorkspacePinsNoCallerData walks a released workspace and
@@ -146,21 +167,23 @@ func TestConcurrentCachedDecodesShareOneSketch(t *testing.T) {
 // Bob's child sets (one arena, after CanonicalSets), so a pooled workspace
 // keeps neither alive.
 func TestReleasedWorkspacePinsNoCallerData(t *testing.T) {
-	c := usableCascade(t, 1, 32)
-	c.bob = setutil.CanonicalSets(c.bob) // one arena: one address range to look for
-	for _, sk := range []*BobSketch{c.sk, nil} {
-		w := newCascadeWork()
-		if _, err := w.run(mustPlan(t, DigestCascade, c.coins, c.p, c.d, 0), c.msg, c.bob, sk); err != nil {
-			t.Fatal(err)
-		}
-		w.release()
-		caller := append(worktest.SpansOf(c.bob), worktest.SpanOf(c.msg))
-		if sk != nil {
-			caller = append(caller, worktest.SpanOf(sk.bobHashes))
-		}
-		worktest.PinsNothing(t, "cascadeWork", w, caller...)
-		if w.bob != nil || w.bobHashes != nil {
-			t.Error("released workspace keeps the run's inputs")
+	for _, sh := range cascadeShapes {
+		c := usableCascade(t, sh, 1, 32)
+		c.bob = setutil.CanonicalSets(c.bob) // one arena: one address range to look for
+		for _, sk := range []*BobSketch{c.sk, nil} {
+			w := newCascadeWork()
+			if _, err := w.run(mustPlan(t, DigestCascade, c.coins, c.p, c.d, 0), c.msg, c.bob, sk); err != nil {
+				t.Fatal(err)
+			}
+			w.release()
+			caller := append(worktest.SpansOf(c.bob), worktest.SpanOf(c.msg))
+			if sk != nil {
+				caller = append(caller, worktest.SpanOf(sk.bobHashes))
+			}
+			worktest.PinsNothing(t, "cascadeWork "+sh.name, w, caller...)
+			if w.bob != nil || w.bobHashes != nil {
+				t.Errorf("%s: released workspace keeps the run's inputs", sh.name)
+			}
 		}
 	}
 }
@@ -175,18 +198,20 @@ type oneRound struct {
 	msg        []byte
 }
 
-// usableOneRound draws seeds until the exchange decodes.
-func usableOneRound(t testing.TB, kind DigestKind, from uint64, s, d int) *oneRound {
+// usableOneRound draws seeds until the exchange at sh (one of
+// oneRoundShapes) decodes.
+func usableOneRound(t testing.TB, kind DigestKind, sh keyShape, from uint64, s, d int) *oneRound {
 	t.Helper()
 	for seed := from; seed < from+32; seed++ {
 		c := &oneRound{kind: kind, coins: hashing.NewCoins(seed), d: d}
 		c.alice, c.bob = workload.PlantedSetsOfSets(seed, s, 10, 1<<32, d)
 		c.alice, c.bob = setutil.CanonicalSets(c.alice), setutil.CanonicalSets(c.bob)
 		var err error
-		if c.p, err = (Params{S: s, H: 16, U: 1 << 32}).normalized(); err != nil {
+		if c.p, err = (Params{S: s, H: sh.h, U: 1 << 32}).normalized(); err != nil {
 			t.Fatal(err)
 		}
 		c.dHat = DHat(d, c.p.S)
+		requireKeys(t, kind, c.p, d, c.dHat, sh.childKeyed)
 		if c.msg, err = AliceMsg(kind, c.coins, c.alice, c.p, d, c.dHat); err != nil {
 			t.Fatal(err)
 		}
@@ -204,16 +229,26 @@ func (c *oneRound) apply() (*Result, error) {
 
 var oneRoundKinds = []DigestKind{DigestNaive, DigestNested, DigestCascade}
 
-// TestOneRoundWorkspaceResultsDoNotAlias: for every kind, a payload and a
-// Result survive later encodes and decodes of other inputs, of every kind, on
-// the same pooled workspaces.
-func TestOneRoundWorkspaceResultsDoNotAlias(t *testing.T) {
-	var others []*oneRound
-	for _, kind := range oneRoundKinds {
-		others = append(others, usableOneRound(t, kind, 100, 120, 8))
+// usableOneRounds is usableOneRound of every kind at every one of
+// oneRoundShapes.
+func usableOneRounds(t testing.TB, from uint64, s, d int) []*oneRound {
+	t.Helper()
+	var cases []*oneRound
+	for _, sh := range oneRoundShapes {
+		for _, kind := range oneRoundKinds {
+			cases = append(cases, usableOneRound(t, kind, sh, from, s, d))
+		}
 	}
-	for _, kind := range oneRoundKinds {
-		c := usableOneRound(t, kind, 1, 200, 16)
+	return cases
+}
+
+// TestOneRoundWorkspaceResultsDoNotAlias: for every kind and shape, a payload
+// and a Result survive later encodes and decodes of other inputs, of every
+// kind and shape, on the same pooled workspaces.
+func TestOneRoundWorkspaceResultsDoNotAlias(t *testing.T) {
+	others := usableOneRounds(t, 100, 120, 8)
+	for _, c := range usableOneRounds(t, 1, 200, 16) {
+		kind := c.kind
 		res, err := c.apply()
 		if err != nil {
 			t.Fatal(err)
@@ -231,33 +266,33 @@ func TestOneRoundWorkspaceResultsDoNotAlias(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(msg, c.msg) {
-			t.Fatalf("kind %d: a later encode changed an earlier payload", kind)
+			t.Fatalf("kind %d h=%d: a later encode changed an earlier payload", kind, c.p.H)
 		}
 		if !reflect.DeepEqual(snapshot, [3][][]uint64{res.Recovered, res.Added, res.Removed}) {
-			t.Fatalf("kind %d: a later decode changed an earlier Result", kind)
+			t.Fatalf("kind %d h=%d: a later decode changed an earlier Result", kind, c.p.H)
 		}
 		if !setutil.EqualSetOfSets(res.Recovered, c.alice) {
-			t.Fatalf("kind %d: decode did not recover Alice's parent set", kind)
+			t.Fatalf("kind %d h=%d: decode did not recover Alice's parent set", kind, c.p.H)
 		}
 	}
 }
 
 // TestReleasedOneRoundWorkspacePinsNothing: after Alice's build and after
-// Bob's apply, of every kind, a released workspace points neither into the
-// parent set it read nor into the message.
+// Bob's apply, of every kind and shape, a released workspace points neither
+// into the parent set it read nor into the message.
 func TestReleasedOneRoundWorkspacePinsNothing(t *testing.T) {
-	for _, kind := range oneRoundKinds {
-		c := usableOneRound(t, kind, 1, 200, 16)
+	for _, c := range usableOneRounds(t, 1, 200, 16) {
+		kind := c.kind
 		caller := append(append(worktest.SpansOf(c.alice), worktest.SpansOf(c.bob)...), worktest.SpanOf(c.msg))
 		w := newCascadeWork()
 		if err := w.plan.init(kind, c.coins, c.p, c.d, c.dHat); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(w.alice(&w.plan, c.alice), c.msg) {
-			t.Fatalf("kind %d: alice on a fresh workspace differs from AliceMsg", kind)
+			t.Fatalf("kind %d h=%d: alice on a fresh workspace differs from AliceMsg", kind, c.p.H)
 		}
 		w.release()
-		worktest.PinsNothing(t, fmt.Sprintf("cascadeWork after Alice kind %d", kind), w, caller...)
+		worktest.PinsNothing(t, fmt.Sprintf("cascadeWork after Alice kind %d h=%d", kind, c.p.H), w, caller...)
 
 		if err := w.plan.init(kind, c.coins, c.p, c.d, c.dHat); err != nil {
 			t.Fatal(err)
@@ -267,19 +302,20 @@ func TestReleasedOneRoundWorkspacePinsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.release()
-		worktest.PinsNothing(t, fmt.Sprintf("cascadeWork after Bob kind %d", kind), w, caller...)
+		worktest.PinsNothing(t, fmt.Sprintf("cascadeWork after Bob kind %d h=%d", kind, c.p.H), w, caller...)
 	}
 }
 
 // TestResultOwnsItsMemory: Recovered, Added and Removed are cut from one
-// arena and one header slice, and own them. For every one-round kind, plain
-// and through a sketch, and for the multi-round finish: appending to any of
+// arena and one header slice, and own them. For every one-round kind and
+// shape, plain and through a sketch, and for the multi-round finish: appending to any of
 // the three slices, or to any child of one, writes into no other; and neither
 // the caller overwriting the parent it passed nor the next decode on the same
 // workspace changes the Result.
 func TestResultOwnsItsMemory(t *testing.T) {
-	for _, kind := range oneRoundKinds {
-		c, other := usableOneRound(t, kind, 1, 200, 16), usableOneRound(t, kind, 100, 120, 8)
+	others := usableOneRounds(t, 100, 120, 8)
+	for i, c := range usableOneRounds(t, 1, 200, 16) {
+		kind, other := c.kind, others[i]
 		w := newCascadeWork()
 		decode := func(c *oneRound, bob [][]uint64, sk *BobSketch) (*Result, error) {
 			defer w.release()
@@ -292,10 +328,10 @@ func TestResultOwnsItsMemory(t *testing.T) {
 			return w.run(&w.plan, c.msg, bob, nil)
 		}
 		next := func() error { _, err := decode(other, other.bob, nil); return err }
-		ownsItsMemory(t, fmt.Sprintf("kind %d", kind), c.bob, func(mine [][]uint64) (*Result, error) {
+		ownsItsMemory(t, fmt.Sprintf("kind %d h=%d", kind, c.p.H), c.bob, func(mine [][]uint64) (*Result, error) {
 			return decode(c, mine, nil)
 		}, next)
-		ownsItsMemory(t, fmt.Sprintf("kind %d cached", kind), c.bob, func(mine [][]uint64) (*Result, error) {
+		ownsItsMemory(t, fmt.Sprintf("kind %d h=%d cached", kind, c.p.H), c.bob, func(mine [][]uint64) (*Result, error) {
 			sk, err := NewBobSketch(kind, c.coins, mine, c.p, c.d, c.dHat)
 			if err != nil {
 				return nil, err
@@ -364,12 +400,10 @@ func ownsItsMemory(t *testing.T, name string, bob [][]uint64, decode func(mine [
 }
 
 // TestConcurrentOneRoundExchanges: eight goroutines encode and decode every
-// kind at once, each call on its own pooled workspace. Run under -race.
+// kind at every shape at once, each call on its own pooled workspace. Run
+// under -race.
 func TestConcurrentOneRoundExchanges(t *testing.T) {
-	var cases []*oneRound
-	for _, kind := range oneRoundKinds {
-		cases = append(cases, usableOneRound(t, kind, 1, 200, 16))
-	}
+	cases := usableOneRounds(t, 1, 200, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

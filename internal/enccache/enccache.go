@@ -19,11 +19,15 @@
 // one: one-shot payloads hold at most an eighth of the budget, or a single
 // entry, and give way to each other before an entry asked for twice does.
 // Probation remembers the keys it drops, as a 64-bit fingerprint and a size,
-// up to a budget's worth of what they held and an eighth of the budget of
-// their own records; a key rebuilt while remembered goes straight to main.
-// Keys asked for in turn whose payloads fit in seven eighths of the budget
+// up to a budget's worth of what they held and as many records as an eighth
+// of the budget holds at ghostBytes (32) each; a key rebuilt while remembered
+// goes straight to main. Keys asked for in turn whose payloads fit in seven
+// eighths of the budget and are each at least 7·ghostBytes = 224 bytes
 // therefore all hit from their third round on, however far they exceed
-// probation's eighth, as long as their records fit in theirs.
+// probation's eighth: their records then fit in theirs. A record holds about
+// 88 bytes of heap, not 32 (TestGhostHeap), so the ghosts of payloads of a
+// few bytes hold about a third of the budget beside it: 22 MiB at
+// DefaultMaxBytes.
 //
 // A miss allocates only what its builder returns. The call that coalesces
 // lookups is the one the previous miss finished with, unless a lookup waited
@@ -106,11 +110,13 @@ type Cache struct {
 // probation segment may hold beyond its newest entry.
 const probationShare = 8
 
-// ghostBytes is what a remembered key keeps: its 16-byte record in the ring
-// and the 16 bytes of its fingerprint's map slot. Ghosts whose records would
-// keep more than 1/probationShare of the budget are forgotten, oldest first.
-// With the slack of the ring and the map, a ghost holds about 90 bytes of
-// heap (TestGhostHeap), where one that was a whole entry held about 300.
+// ghostBytes is the data a remembered key keeps: its 16-byte record in the
+// ring and the 16 bytes of its fingerprint's map slot. Ghosts whose records
+// would keep more than 1/probationShare of the budget at this size are
+// forgotten, oldest first. With the slack of the ring, which grows by
+// doubling, and of the map, a ghost holds about 88 bytes of heap
+// (TestGhostHeap), where one that was a whole entry held about 300: the
+// records' eighth of the budget is about 34 % of it in heap.
 const ghostBytes = 32
 
 // maxFree bounds the dropped entries kept for later inserts. A miss drops

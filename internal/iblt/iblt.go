@@ -230,7 +230,8 @@ type Shape struct {
 // cell arrays are carved out of one allocation per array kind, so a whole
 // family of tables (every level of a sketch) costs six allocations however
 // many tables there are. Each table's slices are capacity-limited to its own
-// share.
+// share, but the last table's, which also hold what the allocator rounded each
+// array up to, so that the tables' HeapBytes sum to what they hold.
 func NewAll(shapes []Shape) []*Table {
 	return newAll(len(shapes), func(i int) Shape { return shapes[i] })
 }
@@ -269,24 +270,35 @@ func newAll(n int, shape func(i int) Shape) []*Table {
 	}
 	tabs := make([]Table, n)
 	out := make([]*Table, n)
-	counts := make([]int32, cells)
-	keySums := make([]byte, sums)
-	checks := make([]uint32, cells)
-	idx := make([]int, ks)
+	// Grown, not made: a grown slice's capacity is its size class.
+	counts := slices.Grow([]int32(nil), cells)[:cells]
+	keySums := slices.Grow([]byte(nil), sums)[:sums]
+	checks := slices.Grow([]uint32(nil), cells)[:cells]
+	idx := slices.Grow([]int(nil), ks)[:ks]
 	for i := range tabs {
 		sh := shape(i).resolved()
-		c, s := sh.Cells, sh.Cells*sh.Width
+		c, s, last := sh.Cells, sh.Cells*sh.Width, i == n-1
 		tabs[i] = Table{
 			k: sh.K, cells: c, width: sh.Width, seed: sh.Seed,
-			counts:  counts[:c:c],
-			keySums: keySums[:s:s],
-			checks:  checks[:c:c],
-			idx:     idx[:0:sh.K],
+			counts:  share(&counts, c, last),
+			keySums: share(&keySums, s, last),
+			checks:  share(&checks, c, last),
+			idx:     share(&idx, sh.K, last)[:0],
 		}
-		counts, keySums, checks, idx = counts[c:], keySums[s:], checks[c:], idx[sh.K:]
 		out[i] = &tabs[i]
 	}
 	return out
+}
+
+// share cuts n elements off the front of an arena, capacity-limited to them
+// unless last.
+func share[E any](arena *[]E, n int, last bool) []E {
+	s := (*arena)[:n:n]
+	if last {
+		s = (*arena)[:n:cap(*arena)]
+	}
+	*arena = (*arena)[n:]
+	return s
 }
 
 // Reset zeroes every cell while retaining allocations, so one table can

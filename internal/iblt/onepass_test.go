@@ -149,7 +149,8 @@ func TestOnePassTablesMatchReference(t *testing.T) {
 // TestNewAllAndCloneAllMatchNew: the tables of one arena are, each, what New
 // builds — shape defaults and rounding included — and stay independent: a
 // key inserted into one appears in that one alone, appending cannot reach a
-// neighbour, and a clone equals its source and then moves without it.
+// neighbour (only the last table, which has none, holds the arenas' size-class
+// slack), and a clone equals its source and then moves without it.
 func TestNewAllAndCloneAllMatchNew(t *testing.T) {
 	shapes := []Shape{{Cells: 10, Width: 8, Seed: 1}, {Cells: 33, Width: 51, K: 3, Seed: 2}, {Cells: 1, Width: 272, K: 5, Seed: 3}, {Cells: 64, Width: 8, K: 4, Seed: 4}}
 	all := NewAll(shapes)
@@ -167,6 +168,9 @@ func TestNewAllAndCloneAllMatchNew(t *testing.T) {
 			}
 		}
 		tab.Delete(key)
+		if i == len(all)-1 {
+			break
+		}
 		if cap(tab.counts) != tab.cells || cap(tab.keySums) != tab.cells*tab.width || cap(tab.checks) != tab.cells || cap(tab.idx) != tab.k {
 			t.Fatalf("table %d: a slice's capacity reaches past its share", i)
 		}
