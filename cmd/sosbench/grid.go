@@ -68,9 +68,9 @@ var grid = []group{
 	}, note: "Sets and multisets are sized by sosr.SetDifference, sets of multisets by 2 × sosr.SetsOfMultisetsDistance."},
 	{name: "estimator", run: (*bench).estimator},
 	{name: "crossover", rows: []row{
-		{name: "nested", entry: setsOfSets, proto: sosr.ProtocolNested, s: 96, h: 96, u: 96, ds: dsCrossover, replicas: 1, instances: 5, coins: 1},
-		{name: "cascade", entry: setsOfSets, proto: sosr.ProtocolCascade, s: 96, h: 96, u: 96, ds: dsCrossover, replicas: 1, instances: 5, coins: 1},
-	}, note: "Theorem 3.5 is O(d̂·d log u); Theorem 3.7 is O(d log d log u): cascade wins once d is large."},
+		{name: "nested", entry: setsOfSets, proto: sosr.ProtocolNested, s: 96, h: 1024, u: 1 << 32, ds: dsCrossover, replicas: 1, instances: 5, coins: 1},
+		{name: "cascade", entry: setsOfSets, proto: sosr.ProtocolCascade, s: 96, h: 1024, u: 1 << 32, ds: dsCrossover, replicas: 1, instances: 5, coins: 1},
+	}, note: "Theorem 3.5 is O(d̂·d log u); Theorem 3.7 is O(d log d log u). A whole child set is 4 KB here, so both keep child IBLT keys at every d: nested's bytes per d grow with d, cascade's with log d."},
 	{name: "unknownd", rows: []row{
 		{name: "naive estimator (Thm 3.4)", entry: setsOfSets, proto: sosr.ProtocolNaive, blind: true, s: 48, h: 16384, u: 16384, ds: []int{12}, instances: 5, coins: 1},
 		{name: "nested doubling (Cor 3.6)", entry: setsOfSets, proto: sosr.ProtocolNested, blind: true, s: 48, h: 16384, u: 16384, ds: []int{12}, instances: 5, coins: 1},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"sosr/internal/iblt"
 	"sosr/internal/prng"
 	"sosr/internal/setutil"
+	"sosr/internal/worktest"
 )
 
 // Unit tests for the plan arithmetic (Algorithm 2's levels, the key rule,
@@ -51,6 +53,34 @@ func requireKeys(t testing.TB, kind DigestKind, p Params, d, dHat int, childKeye
 	t.Helper()
 	if n := mustPlan(t, kind, hashing.NewCoins(0), p, d, dHat).childLevels(); (n > 0) != (childKeyed && kind != DigestNaive) {
 		t.Fatalf("kind %d %+v d=%d: %d child-keyed tables, want child keys: %v", kind, p, d, n, childKeyed)
+	}
+}
+
+// TestModelDocsKeys pins the key forms the model driver's docs base reaches
+// (internal/worktest): naive, and nested at d = 24, plan one whole-set table;
+// nested and cascade at d ≤ 2 key child sets by child IBLTs only; cascade at
+// d = 24 plans child levels and then a whole-set level. A later key-rule
+// change fails here instead of quietly moving the driver off a key path. A
+// doubling row's first attempt is at d = 1.
+func TestModelDocsKeys(t *testing.T) {
+	kinds := map[string]DigestKind{"naive": DigestNaive, "nested": DigestNested, "cascade": DigestCascade, "auto": DigestCascade}
+	for seed := uint64(1); seed <= 4; seed++ {
+		docs, _, err := Params{}.Resolve(worktest.Docs(seed), Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range worktest.Rows {
+			kind, ok := kinds[r.Protocol]
+			if r.Base != "docs" || !ok || r.Fails == worktest.InvalidInstance {
+				continue
+			}
+			p, d := docs, max(r.D, 1)
+			p.S, p.H = cmp.Or(max(r.S, 0), p.S), cmp.Or(max(r.H, 0), p.H)
+			requireKeys(t, kind, p, d, max(r.DHat, 0), kind == DigestCascade || d <= 2)
+			if _, whole := mustPlan(t, kind, hashing.NewCoins(0), p, d, max(r.DHat, 0)).levels(); whole != (kind == DigestNaive || d > 2) {
+				t.Fatalf("row %s at %+v: last table keyed by whole sets: %v", r.Name, p, whole)
+			}
+		}
 	}
 }
 

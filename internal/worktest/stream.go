@@ -55,7 +55,48 @@ const (
 	Rewritten
 	// Duplicated is Near holding one child set twice.
 	Duplicated
+	// Scattered is the dataset with every child set edited by one element:
+	// as many differing child sets as the parent holds, on every shard.
+	Scattered
 )
+
+// Local reports whether the row's failure lies in one child set, so that on
+// a grid only the shard owning it fails.
+func (b Bob) Local() bool { return b == Rewritten || b == Duplicated }
+
+// Class is a failure class. A row names the class it fails in by
+// construction, and each leg maps a class to its sentinel errors, in process
+// and over the wire.
+type Class int
+
+const (
+	// None: the row's sessions succeed.
+	None Class = iota
+	ParentDecode
+	ChildDecode
+	Verify
+	InvalidInstance
+	// GaveUp wraps the cause of every exhausted replicated or doubling run;
+	// no row fails in it alone.
+	GaveUp
+	SetDecode
+	SetVerify
+)
+
+var classNames = []string{"none", "parent-decode", "child-decode", "verify", "invalid-instance", "gave-up", "set-decode", "set-verify"}
+
+func (c Class) String() string { return classNames[c] }
+
+// EndsIn reports whether a run whose error carries the classes got ended as
+// the row says: a row that fails ends in exactly its class, give-up aside;
+// any other row succeeds.
+func (r Row) EndsIn(err error, got []Class) bool {
+	if r.Fails == None {
+		return err == nil
+	}
+	cause := slices.DeleteFunc(slices.Clone(got), func(c Class) bool { return c == GaveUp })
+	return slices.Equal(cause, []Class{r.Fails})
+}
 
 // Row is one row of the flow table: the dataset a reconcile runs against
 // and its configuration. The fields mirror sosr's configs, and a leg maps
@@ -72,11 +113,15 @@ type Row struct {
 	CharPoly bool
 	Validate bool
 	Bob      Bob
-	Fails    bool // the row fails by construction, in its error class
+	Fails    Class // the class the row fails in by construction; None for a row that succeeds
 }
 
 // Rows is the flow table: every kind, every protocol with a known and an
-// unknown bound, every bound left negative, and one row per error class.
+// unknown bound, every bound left negative, and one row per error class (the
+// gave-up row's two replicas both fail their parent decode). At the docs
+// shape naive, and nested at d = 24, are one whole-set table; nested and
+// cascade at d ≤ 2 key child sets by child IBLTs only; cascade at d = 24 has
+// child levels and then a whole-set level.
 var Rows = []Row{
 	{Name: "set", Base: "ids", D: 16},
 	{Name: "set/unknown-d", Base: "ids"},
@@ -94,17 +139,17 @@ var Rows = []Row{
 	{Name: "sos/multiround", Base: "docs", Protocol: "multiround", D: 24},
 	{Name: "sos/multiround-4", Base: "docs", Protocol: "multiround"},
 	{Name: "sos/auto", Base: "docs", Protocol: "auto", D: 24},
-	{Name: "sos/shape+validate", Base: "docs", Protocol: "cascade", D: 24, S: 96, H: 12, Validate: true},
+	{Name: "sos/shape+validate", Base: "docs", Protocol: "cascade", D: 24, S: 96, H: 80, Validate: true},
 	{Name: "sos/d=-1", Base: "docs", Protocol: "cascade", D: -1},
 	{Name: "sos/dhat=-1", Base: "docs", Protocol: "nested", D: 24, DHat: -1},
 	{Name: "sos/replicas=-1", Base: "docs", Protocol: "cascade", D: 24, Replicas: -1},
 	{Name: "sos/s=-1", Base: "docs", Protocol: "cascade", D: 24, S: -1},
 	{Name: "sos/h=-1", Base: "docs", Protocol: "cascade", D: 24, H: -1},
-	{Name: "sos/parent-decode", Base: "docs", Protocol: "cascade", D: 1, Replicas: 1, Fails: true},
-	{Name: "sos/gave-up", Base: "docs", Protocol: "cascade", D: 1, Replicas: 2, Fails: true},
-	{Name: "sos/child-decode", Base: "docs", Protocol: "cascade", D: 2, DHat: 24, Replicas: 1, Bob: Rewritten, Fails: true},
-	{Name: "sos/verify", Base: "docs", Protocol: "naive", D: 24, Bob: Duplicated, Fails: true},
-	{Name: "sos/invalid-instance", Base: "docs", Protocol: "cascade", D: 24, H: 4, Fails: true},
+	{Name: "sos/parent-decode", Base: "docs", Protocol: "cascade", D: 1, Replicas: 1, Bob: Scattered, Fails: ParentDecode},
+	{Name: "sos/gave-up", Base: "docs", Protocol: "cascade", D: 1, Replicas: 2, Bob: Scattered, Fails: ParentDecode},
+	{Name: "sos/child-decode", Base: "docs", Protocol: "cascade", D: 2, DHat: 24, Replicas: 1, Bob: Rewritten, Fails: ChildDecode},
+	{Name: "sos/verify", Base: "docs", Protocol: "naive", D: 24, Bob: Duplicated, Fails: Verify},
+	{Name: "sos/invalid-instance", Base: "docs", Protocol: "cascade", D: 24, H: 4, Fails: InvalidInstance},
 	{Name: "graph/degree", Base: "net", Protocol: "degree", D: 2},
 	{Name: "graph/neighborhood", Base: "soc", Protocol: "neighborhood", D: 1},
 	{Name: "graph/polynomial", Base: "tiny", Protocol: "polynomial", D: 2},
@@ -278,7 +323,7 @@ func materialize(ops []Op, src *prng.Source, bases []string) []Op {
 func rowFor(bases []string, src *prng.Source) Row {
 	for {
 		row := Rows[src.Intn(len(Rows))]
-		if slices.Contains(bases, row.Base) && !row.Fails && row.Protocol != "neighborhood" {
+		if slices.Contains(bases, row.Base) && row.Fails == None && row.Protocol != "neighborhood" {
 			return row
 		}
 	}
@@ -376,7 +421,7 @@ func (m *Model) replace(old, d *Data) {
 }
 
 // hostData draws a dataset's first contents: 400 set elements, 120 multiset
-// values of multiplicity 1 to 3, or a planted parent of 60 child sets.
+// values of multiplicity 1 to 3, or Docs.
 func hostData(kind string, seed uint64) ([]uint64, [][]uint64) {
 	src := prng.New(seed)
 	switch kind {
@@ -391,10 +436,16 @@ func hostData(kind string, seed uint64) ([]uint64, [][]uint64) {
 		}
 		return out, nil
 	case "sos":
-		alice, _ := workload.PlantedSetsOfSets(seed, 60, 8, 1<<32, 12)
-		return nil, alice
+		return nil, Docs(seed)
 	}
 	return nil, nil
+}
+
+// Docs is the parent the docs base hosts first: 60 planted child sets of 32
+// to 64 elements below 2^32, 12 of them edited.
+func Docs(seed uint64) [][]uint64 {
+	alice, _ := workload.PlantedSetsOfSets(seed, 60, 64, 1<<32, 12)
+	return alice
 }
 
 func distinct(src *prng.Source, n int, below uint64) []uint64 {
@@ -468,18 +519,27 @@ func (op Op) BobElems(d *Data) []uint64 {
 func (op Op) BobSets(d *Data) [][]uint64 {
 	src := prng.New(op.Seed)
 	bob := setutil.CloneSets(d.Sets)
-	if op.Row.Bob == Rewritten {
-		i := src.Intn(len(bob))
-		bob[i] = distinct(src, len(bob[i]), 1<<32)
-		return bob
-	}
-	for range 1 + src.Intn(3) {
-		i := src.Intn(len(bob))
+	// edit adds an element to child set i or removes its first.
+	edit := func(i int) {
 		if src.Bool() || len(bob[i]) < 2 {
 			bob[i] = setutil.Canonical(append(bob[i], src.Uint64n(1<<32)))
 		} else {
 			bob[i] = slices.Delete(bob[i], 0, 1)
 		}
+	}
+	switch op.Row.Bob {
+	case Rewritten:
+		i := src.Intn(len(bob))
+		bob[i] = distinct(src, len(bob[i]), 1<<32)
+		return bob
+	case Scattered:
+		for i := range bob {
+			edit(i)
+		}
+		return bob
+	}
+	for range 1 + src.Intn(3) {
+		edit(src.Intn(len(bob)))
 	}
 	if src.Intn(4) == 0 {
 		i := src.Intn(len(bob))

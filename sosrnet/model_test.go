@@ -242,6 +242,9 @@ func (l *modelLeg) update(op worktest.Op) error {
 func (l *modelLeg) reconcile(op worktest.Op) {
 	d := l.m.Cur(op.Base)
 	want := l.run(op, d, false)
+	if !op.Row.EndsIn(want.err, classOf(want.err, core.ErrGaveUp)) {
+		l.fatalf("in process: %v, want the row's class %v", want.err, op.Row.Fails)
+	}
 	if op.Fault == worktest.StallRead {
 		l.c.Timeout = 50 * time.Millisecond
 	}
@@ -331,13 +334,15 @@ func (l *modelLeg) same(op worktest.Op, got, want outcome) {
 	}
 }
 
-// classOf names the protocol failure classes err carries; gaveUp is the
-// give-up sentinel of the side err comes from.
-func classOf(err, gaveUp error) []int {
-	var out []int
-	for i, s := range []error{core.ErrParentDecode, core.ErrChildDecode, core.ErrVerify, core.ErrInvalidInstance, gaveUp, setrecon.ErrDecode, setrecon.ErrVerify} {
-		if errors.Is(err, s) {
-			out = append(out, i)
+// classOf names the failure classes err carries; gaveUp is the give-up
+// sentinel of the side err comes from.
+func classOf(err, gaveUp error) []worktest.Class {
+	var out []worktest.Class
+	for c, s := range []error{worktest.ParentDecode: core.ErrParentDecode, worktest.ChildDecode: core.ErrChildDecode,
+		worktest.Verify: core.ErrVerify, worktest.InvalidInstance: core.ErrInvalidInstance, worktest.GaveUp: gaveUp,
+		worktest.SetDecode: setrecon.ErrDecode, worktest.SetVerify: setrecon.ErrVerify} {
+		if s != nil && errors.Is(err, s) {
+			out = append(out, worktest.Class(c))
 		}
 	}
 	return out
@@ -547,7 +552,7 @@ func (l *modelLeg) probe() map[helloMsg]string {
 	hellos := []helloMsg{
 		{Dataset: cur("ids"), Kind: KindSet, Seed: 7, D: 16}, {Dataset: cur("ids"), Kind: KindSet, Seed: 7, D: 12, CharPoly: true},
 		{Dataset: cur("bag"), Kind: KindMultiset, Seed: 3, D: 8},
-		{Dataset: cur("docs"), Kind: KindSetsOfSets, Seed: 9, Protocol: "cascade", D: 4, S: 96, H: 12},
+		{Dataset: cur("docs"), Kind: KindSetsOfSets, Seed: 9, Protocol: "cascade", D: 4, S: 96, H: 80},
 		{Dataset: cur("net"), Kind: KindGraph, Seed: 14, Scheme: "degree", D: 2, TopH: g.h, N: g.alice.N},
 		{Dataset: cur("tree"), Kind: KindForest, Seed: 53, D: 3, N: fi.N, Depth: fi.Depth, MaxChild: fi.MaxChild},
 	}

@@ -76,285 +76,8 @@ func checkNetStats(t *testing.T, ns *NetStats, want sosr.Stats) {
 	}
 }
 
-func TestSetsOverTCP(t *testing.T) {
-	alice, bob := setPair()
-	_, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostSets("ids", alice); err != nil {
-			t.Fatal(err)
-		}
-	})
-	c := Dial(addr)
-	c.Timeout = 30 * time.Second
-	cases := []sosr.SetConfig{
-		{Seed: 7, KnownDiff: 16},
-		{Seed: 8}, // unknown d: estimator round first
-		{Seed: 9, KnownDiff: 12, UseCharPoly: true}, // Theorem 2.3
-	}
-	for _, cfg := range cases {
-		want, err := sosr.ReconcileSets(alice, bob, cfg)
-		if err != nil {
-			t.Fatalf("in-process %+v: %v", cfg, err)
-		}
-		got, ns, err := c.Sets(context.Background(), "ids", bob, cfg)
-		if err != nil {
-			t.Fatalf("wire %+v: %v", cfg, err)
-		}
-		if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-			t.Fatalf("%+v: client did not recover the server's set", cfg)
-		}
-		if !reflect.DeepEqual(got.OnlyA, want.OnlyA) || !reflect.DeepEqual(got.OnlyB, want.OnlyB) {
-			t.Fatalf("%+v: decoded difference diverges", cfg)
-		}
-		checkNetStats(t, ns, want.Stats)
-	}
-}
-
-func TestMultisetOverTCP(t *testing.T) {
-	alice := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 9, 9, 40}
-	bob := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41}
-	const d = 16
-	_, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostMultiset("bag", alice); err != nil {
-			t.Fatal(err)
-		}
-	})
-	wantRec, wantStats, err := sosr.ReconcileMultisets(alice, bob, d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ns, err := Dial(addr).Multiset(context.Background(), "bag", bob, d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, wantRec) {
-		t.Fatalf("recovered multiset %v, want %v", got, wantRec)
-	}
-	checkNetStats(t, ns, wantStats)
-
-	// diffBound ≤ 0 must run the estimator variant, not deadlock waiting
-	// for a payload the server won't send until it sees a probe.
-	c := Dial(addr)
-	c.Timeout = 10 * time.Second
-	gotU, nsU, err := c.Multiset(context.Background(), "bag", bob, 0, 4)
-	if err != nil {
-		t.Fatalf("unknown-d multiset: %v", err)
-	}
-	if !reflect.DeepEqual(gotU, wantRec) {
-		t.Fatalf("unknown-d recovered %v, want %v", gotU, wantRec)
-	}
-	if nsU.Protocol.Rounds != 2 || nsU.Protocol.BobBytes == 0 {
-		t.Fatalf("unknown-d flow did not run the estimator round: %+v", nsU.Protocol)
-	}
-}
-
-// TestMultisetUnknownBoundMatchesInProcess: with no bound (diffBound 0) the
-// in-process call runs what the wire runs — the estimator round, then a table
-// sized by its estimate — so a packed difference of 40, well past the floor
-// table a zero bound would size, recovers the same multiset from the same
-// protocol bytes both ways.
-func TestMultisetUnknownBoundMatchesInProcess(t *testing.T) {
-	var alice, bob []uint64
-	for x := uint64(0); x < 300; x++ {
-		k := 1 + int(x%3)
-		for i := 0; i < k; i++ {
-			alice = append(alice, x)
-		}
-		if x < 20 {
-			k++ // one more occurrence: two packed-set differences
-		}
-		for i := 0; i < k; i++ {
-			bob = append(bob, x)
-		}
-	}
-	_, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostMultiset("bag", alice); err != nil {
-			t.Fatal(err)
-		}
-	})
-	want, wantStats, err := sosr.ReconcileMultisets(alice, bob, 0, 5)
-	if err != nil {
-		t.Fatalf("in-process: %v", err)
-	}
-	got, ns, err := Dial(addr).Multiset(context.Background(), "bag", bob, 0, 5)
-	if err != nil {
-		t.Fatalf("wire: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, alice) {
-		t.Fatalf("recovered multisets differ: wire %d elements, in-process %d, hosted %d", len(got), len(want), len(alice))
-	}
-	checkNetStats(t, ns, wantStats)
-	if wantStats.Rounds != 2 {
-		t.Fatalf("in-process run took %d rounds, want the estimator's 2", wantStats.Rounds)
-	}
-}
-
-// TestNegativeBoundsMeanUnset: the in-process API reads a negative bound,
-// shape, replica count or depth as unset, and so must the wire — the client
-// sends it as 0, where the server would refuse the negative number. Each row
-// sets one field to −1; the in-process call and the session recover the same
-// data with the same protocol Stats.
-func TestNegativeBoundsMeanUnset(t *testing.T) {
-	setA, setB := setPair()
-	bagA, bagB := []uint64{1, 1, 1, 2, 5, 5, 9, 40}, []uint64{1, 1, 2, 2, 5, 9, 40, 41}
-	sosA, sosB := sosPair()
-	forA := sosr.RandomForest(120, 0.15, 51)
-	forB := sosr.PerturbForest(forA, 3, 52)
-	_, addr, _ := startServer(t, func(s *Server) {
-		for _, err := range []error{
-			s.HostSets("ids", setA), s.HostMultiset("bag", bagA),
-			s.HostSetsOfSets("docs", sosA), s.HostForest("tree", forA),
-		} {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	c := Dial(addr)
-	c.Timeout = 60 * time.Second
-	ctx := context.Background()
-	type run func() (recovered any, st sosr.Stats, err error)
-	for _, row := range []struct {
-		field         string
-		local, remote run
-	}{
-		{"SetConfig.KnownDiff", func() (any, sosr.Stats, error) {
-			r, err := sosr.ReconcileSets(setA, setB, sosr.SetConfig{Seed: 1, KnownDiff: -1})
-			if err != nil {
-				return nil, sosr.Stats{}, err
-			}
-			return r.Recovered, r.Stats, nil
-		}, func() (any, sosr.Stats, error) {
-			r, ns, err := c.Sets(ctx, "ids", setB, sosr.SetConfig{Seed: 1, KnownDiff: -1})
-			if err != nil {
-				return nil, sosr.Stats{}, err
-			}
-			return r.Recovered, ns.Protocol, nil
-		}},
-		{"multiset diffBound", func() (any, sosr.Stats, error) {
-			return sosr.ReconcileMultisets(bagA, bagB, -1, 2)
-		}, func() (any, sosr.Stats, error) {
-			r, ns, err := c.Multiset(ctx, "bag", bagB, -1, 2)
-			if err != nil {
-				return nil, sosr.Stats{}, err
-			}
-			return r, ns.Protocol, nil
-		}},
-	} {
-		checkSameRun(t, row.field, row.local, row.remote)
-	}
-	for _, row := range []struct {
-		field string
-		cfg   sosr.Config
-	}{
-		{"Config.KnownDiff", sosr.Config{Seed: 3, Protocol: sosr.ProtocolCascade, KnownDiff: -1}},
-		{"Config.KnownChildDiff", sosr.Config{Seed: 4, Protocol: sosr.ProtocolNested, KnownDiff: 24, KnownChildDiff: -1}},
-		{"Config.Replicas", sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24, Replicas: -1}},
-		{"Config.MaxChildSets", sosr.Config{Seed: 6, Protocol: sosr.ProtocolCascade, KnownDiff: 24, MaxChildSets: -1}},
-		{"Config.MaxChildSize", sosr.Config{Seed: 7, Protocol: sosr.ProtocolCascade, KnownDiff: 24, MaxChildSize: -1}},
-	} {
-		checkSameRun(t, row.field, func() (any, sosr.Stats, error) {
-			r, err := sosr.ReconcileSetsOfSets(sosA, sosB, row.cfg)
-			if err != nil {
-				return nil, sosr.Stats{}, err
-			}
-			return r.Recovered, r.Stats, nil
-		}, func() (any, sosr.Stats, error) {
-			r, ns, err := c.SetsOfSets(ctx, "docs", sosB, row.cfg)
-			if err != nil {
-				return nil, sosr.Stats{}, err
-			}
-			return r.Recovered, ns.Protocol, nil
-		})
-	}
-	for _, row := range []struct {
-		field string
-		cfg   sosr.ForestConfig
-	}{
-		{"ForestConfig.MaxEdits", sosr.ForestConfig{Seed: 8, MaxEdits: -1}},
-		{"ForestConfig.Depth", sosr.ForestConfig{Seed: 9, MaxEdits: 3, Depth: -1}},
-	} {
-		checkSameRun(t, row.field, func() (any, sosr.Stats, error) {
-			r, err := sosr.ReconcileForests(forA, forB, row.cfg)
-			if err != nil {
-				return nil, sosr.Stats{}, err
-			}
-			return r.Recovered.Parent, r.Stats, nil
-		}, func() (any, sosr.Stats, error) {
-			r, ns, err := c.Forest(ctx, "tree", forB, row.cfg)
-			if err != nil {
-				return nil, sosr.Stats{}, err
-			}
-			return r.Recovered.Parent, ns.Protocol, nil
-		})
-	}
-}
-
-// checkSameRun runs one configuration in process and over the wire and
-// requires the same recovered data and the same protocol Stats.
-func checkSameRun(t *testing.T, name string, local, remote func() (any, sosr.Stats, error)) {
-	t.Helper()
-	want, wantStats, err := local()
-	if err != nil {
-		t.Fatalf("%s=-1 in process: %v", name, err)
-	}
-	got, gotStats, err := remote()
-	if err != nil {
-		t.Fatalf("%s=-1 over the wire: %v", name, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s=-1: the wire recovered other data than the in-process run", name)
-	}
-	if gotStats != wantStats {
-		t.Errorf("%s=-1: wire stats %+v, in-process %+v", name, gotStats, wantStats)
-	}
-}
-
 func sosPair() (alice, bob [][]uint64) {
 	return workload.PlantedSetsOfSets(17, 60, 8, 1<<32, 12)
-}
-
-func TestSetsOfSetsOverTCPAllProtocols(t *testing.T) {
-	alice, bob := sosPair()
-	_, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostSetsOfSets("docs", alice); err != nil {
-			t.Fatal(err)
-		}
-	})
-	c := Dial(addr)
-	c.Timeout = 60 * time.Second
-	cases := []sosr.Config{
-		{Seed: 1, Protocol: sosr.ProtocolNaive, KnownDiff: 24},
-		{Seed: 2, Protocol: sosr.ProtocolNaive}, // probe + one shot
-		{Seed: 3, Protocol: sosr.ProtocolNested, KnownDiff: 24},
-		{Seed: 4, Protocol: sosr.ProtocolNested}, // doubling
-		{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24},
-		{Seed: 6, Protocol: sosr.ProtocolCascade}, // doubling
-		{Seed: 7, Protocol: sosr.ProtocolMultiRound, KnownDiff: 24},
-		{Seed: 8, Protocol: sosr.ProtocolMultiRound},          // 4-round
-		{Seed: 9, Protocol: sosr.ProtocolAuto, KnownDiff: 24}, // = cascade
-		{Seed: 10, Protocol: sosr.ProtocolCascade, KnownDiff: 24, MaxChildSets: 70, MaxChildSize: 9, Validate: true},
-	}
-	for _, cfg := range cases {
-		name := fmt.Sprintf("%v/d=%d", cfg.Protocol, cfg.KnownDiff)
-		want, err := sosr.ReconcileSetsOfSets(alice, bob, cfg)
-		if err != nil {
-			t.Fatalf("in-process %s: %v", name, err)
-		}
-		got, ns, err := c.SetsOfSets(context.Background(), "docs", bob, cfg)
-		if err != nil {
-			t.Fatalf("wire %s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Recovered, want.Recovered) {
-			t.Fatalf("%s: recovered parent diverges from in-process run", name)
-		}
-		if !reflect.DeepEqual(got.Added, want.Added) || !reflect.DeepEqual(got.Removed, want.Removed) {
-			t.Fatalf("%s: diff sets diverge", name)
-		}
-		if got.Attempts != want.Attempts {
-			t.Fatalf("%s: attempts %d, want %d", name, got.Attempts, want.Attempts)
-		}
-		checkNetStats(t, ns, want.Stats)
-	}
 }
 
 // TestEndToEndWireBytes is the acceptance check: a set-of-sets reconciles
@@ -704,27 +427,6 @@ func TestUnknownDatasetAndKindMismatch(t *testing.T) {
 	// The server must keep serving after rejected sessions.
 	if _, _, err := c.Sets(context.Background(), "ids", bob, sosr.SetConfig{Seed: 1, KnownDiff: 16}); err != nil {
 		t.Fatalf("post-rejection session: %v", err)
-	}
-}
-
-func TestReplicatedGiveUpMatchesInProcess(t *testing.T) {
-	alice, bob := sosPair() // true difference ≈ 12
-	cfg := sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 1, Replicas: 2}
-	if _, err := sosr.ReconcileSetsOfSets(alice, bob, cfg); err == nil {
-		t.Fatal("in-process run unexpectedly succeeded with d=1")
-	}
-	_, addr, _ := startServer(t, func(s *Server) {
-		if err := s.HostSetsOfSets("docs", alice); err != nil {
-			t.Fatal(err)
-		}
-	})
-	c := Dial(addr)
-	if _, _, err := c.SetsOfSets(context.Background(), "docs", bob, cfg); !errors.Is(err, ErrGaveUp) {
-		t.Fatalf("wire run: want ErrGaveUp, got %v", err)
-	}
-	// Server survives the failed session.
-	if _, _, err := c.SetsOfSets(context.Background(), "docs", bob, sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24}); err != nil {
-		t.Fatalf("post-failure session: %v", err)
 	}
 }
 

@@ -304,15 +304,22 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 		cfg := sosr.Config{Protocol: protocols[r.Protocol], KnownDiff: r.D, KnownChildDiff: r.DHat,
 			Replicas: r.Replicas, MaxChildSets: r.S, MaxChildSize: r.H, Validate: r.Validate}
 		var recs, added, removed [][]uint64
-		for i := 0; i < n && wantErr == nil; i++ {
+		for i := range n {
 			sc := cfg
 			sc.Seed = shardSeed(op.Seed, i)
 			res, err := sosr.ReconcileSetsOfSets(topo.OwnedSets(i, data.Sets), topo.OwnedSets(i, bob), sc)
-			if wantErr = err; err == nil {
-				recs, added, removed = append(recs, res.Recovered...), append(added, res.Added...), append(removed, res.Removed...)
-				shardStats[i], shardAttempts[i] = res.Stats, res.Attempts
-				want.Attempts += res.Attempts
+			// Every shard ends as the row says, but a failure that lies in one
+			// child set fails only the shard holding it.
+			if (err != nil || !r.Bob.Local()) && !r.EndsIn(err, classOf(err, core.ErrGaveUp)) {
+				g.fatalf("shard %d in process: %v, want the row's class %v", i, err, r.Fails)
 			}
+			if err != nil {
+				wantErr = cmp.Or(wantErr, err)
+				continue
+			}
+			recs, added, removed = append(recs, res.Recovered...), append(added, res.Added...), append(removed, res.Removed...)
+			shardStats[i], shardAttempts[i] = res.Stats, res.Attempts
+			want.Attempts += res.Attempts
 		}
 		for _, ss := range [][][]uint64{recs, added, removed} {
 			setutil.SortSets(ss)
@@ -323,6 +330,9 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 		if st, gotErr = s, err; err == nil {
 			got = fanResult{res.Recovered, res.Added, res.Removed, res.Attempts}
 		}
+	}
+	if !r.EndsIn(wantErr, classOf(wantErr, core.ErrGaveUp)) {
+		g.fatalf("in process: %v, want the row's class %v", wantErr, r.Fails)
 	}
 	if (gotErr != nil) != (wantErr != nil) || !slices.Equal(classOf(gotErr, sosrnet.ErrGaveUp), classOf(wantErr, core.ErrGaveUp)) {
 		g.fatalf("fan-out error %v, in-process error %v", gotErr, wantErr)
@@ -382,13 +392,15 @@ func sortedConcat(parts [][]uint64) []uint64 {
 var protocols = map[string]sosr.Protocol{"auto": sosr.ProtocolAuto, "naive": sosr.ProtocolNaive, "nested": sosr.ProtocolNested,
 	"cascade": sosr.ProtocolCascade, "multiround": sosr.ProtocolMultiRound}
 
-// classOf names the protocol failure classes err carries; gaveUp is the
-// give-up sentinel of the side err comes from.
-func classOf(err, gaveUp error) []int {
-	var out []int
-	for i, s := range []error{core.ErrParentDecode, core.ErrChildDecode, core.ErrVerify, core.ErrInvalidInstance, gaveUp, setrecon.ErrDecode, setrecon.ErrVerify} {
-		if errors.Is(err, s) {
-			out = append(out, i)
+// classOf names the failure classes err carries; gaveUp is the give-up
+// sentinel of the side err comes from.
+func classOf(err, gaveUp error) []worktest.Class {
+	var out []worktest.Class
+	for c, s := range []error{worktest.ParentDecode: core.ErrParentDecode, worktest.ChildDecode: core.ErrChildDecode,
+		worktest.Verify: core.ErrVerify, worktest.InvalidInstance: core.ErrInvalidInstance, worktest.GaveUp: gaveUp,
+		worktest.SetDecode: setrecon.ErrDecode, worktest.SetVerify: setrecon.ErrVerify} {
+		if s != nil && errors.Is(err, s) {
+			out = append(out, worktest.Class(c))
 		}
 	}
 	return out
