@@ -200,11 +200,19 @@ type Shape struct {
 // from.
 const Steps, coins = 300, 16
 
+// Follow is the row of the follow run: a known-d one-round row whose shape is
+// explicit, so an update that changes the data moves neither the key of the
+// server's payload nor that of Bob's sketch. FollowCoin is the run's coin,
+// and the coin of the crash probe's hello of the row.
+var Follow = Rows[slices.IndexFunc(Rows, func(r Row) bool { return r.Name == "sos/shape+validate" })]
+
+const FollowCoin = 9
+
 // Stream is the op list one seed gives a shape. Every base is hosted first;
 // then every row of the flow table for the shape's bases, every fault, every
 // kind of refused mutation and every op the shape takes appear at least once,
 // shuffled among random draws, up to Steps. Under -race or -short the stream
-// is that deck alone: every op once.
+// is that deck alone: every op once. The follow run ends it (follow).
 func Stream(seed uint64, sh Shape) []Op {
 	n := Steps
 	if raceflag.Enabled || testing.Short() {
@@ -274,13 +282,45 @@ func Stream(seed uint64, sh Shape) []Op {
 	for i, j := range src.Perm(len(tail)) {
 		ops[len(sh.Bases)+i] = tail[j]
 	}
-	return materialize(ops, src, sh.Bases)
+	m := NewModel()
+	ops = materialize(m, ops, src, sh.Bases)
+	if slices.Contains(sh.Bases, Follow.Base) {
+		ops = follow(m, ops, src, sh.Store)
+	}
+	return ops
+}
+
+// follow appends the follow run: three sessions of Follow at FollowCoin, each
+// after an update of its dataset, so each is on a version no step before it
+// saw and the server encodes it. The second one promotes its key to a live
+// digest, the update after it patches that digest, and the third session is
+// served from it. Bob's parent follows the data, so the client derives its
+// third sketch by patching the second. On a store one more update patches the
+// digest and a crash follows, whose probe the patched digest serves.
+func follow(m *Model, ops []Op, src *prng.Source, store bool) []Op {
+	run := []Do{Update, Reconcile, Update, Reconcile, Update, Reconcile}
+	if store {
+		run = append(run, Update, Crash)
+	}
+	for _, do := range run {
+		op := Op{Step: len(ops), Do: do}
+		d := m.Cur(Follow.Base)
+		switch do {
+		case Update:
+			op.Base, op.Name, op.Seed = d.Base, d.Name, src.Uint64()
+			op.churn(d, src, 8)
+		case Reconcile:
+			op.Base, op.Name, op.Seed, op.Row = d.Base, d.Name, FollowCoin, Follow
+		}
+		m.Apply(op)
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // materialize fills every op in against a running model: the hosted names,
 // the seeds, the mutations, the rows of reconciles drawn with a fault.
-func materialize(ops []Op, src *prng.Source, bases []string) []Op {
-	m := NewModel()
+func materialize(m *Model, ops []Op, src *prng.Source, bases []string) []Op {
 	for i := range ops {
 		op := &ops[i]
 		op.Step = i
@@ -478,6 +518,15 @@ func (op *Op) mutate(d *Data, src *prng.Source) {
 	}
 }
 
+// churn draws the follow run's update: n held child sets out and n new ones
+// in, so that on a grid every shard's slice changes, all but surely.
+func (op *Op) churn(d *Data, src *prng.Source, n int) {
+	for _, i := range src.Perm(len(d.Sets))[:n] {
+		op.RemoveSets = append(op.RemoveSets, d.Sets[i])
+		op.AddSets = append(op.AddSets, distinct(src, 3+src.Intn(6), 1<<32))
+	}
+}
+
 // badUpdates are, per kind, the mutations a server must refuse whole: only
 // the bad part, so a routed one cannot land on some shards first.
 var badUpdates = map[string][]func(op *Op, d *Data, src *prng.Source){
@@ -493,10 +542,12 @@ var badUpdates = map[string][]func(op *Op, d *Data, src *prng.Source){
 		},
 		func(op *Op, d *Data, _ *prng.Source) { op.Add = slices.Repeat(d.Elems[:1], 4096) }, // past the packable multiplicity
 		func(op *Op, _ *Data, _ *prng.Source) { op.Add = []uint64{1 << 50} },                // past the packable value
+		func(op *Op, _ *Data, _ *prng.Source) { op.Name, op.Add = "nope", []uint64{1} },
 	},
 	"sos": {
 		func(op *Op, _ *Data, src *prng.Source) { op.RemoveSets = [][]uint64{distinct(src, 3, 1<<32)} },    // a child set not held
 		func(op *Op, d *Data, src *prng.Source) { op.AddSets = [][]uint64{d.Sets[src.Intn(len(d.Sets))]} }, // one already held
+		func(op *Op, _ *Data, _ *prng.Source) { op.Name, op.AddSets = "nope", [][]uint64{{1}} },
 	},
 }
 

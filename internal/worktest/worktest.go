@@ -6,11 +6,12 @@
 //     caller a window into it (PinsNothing).
 //   - The model driver's op stream (Stream): one seed gives a deterministic
 //     list of host, update, refused-update, reconcile, idle, snapshot, crash,
-//     kill-replica and epoch-bump steps over the flow table (Rows), and a
-//     Model of what the hosted data must then be. Every deployment shape —
-//     sosrnet over net.Pipe, over TCP and on a crashed and recovered store,
-//     sosrshard's replicated grid — runs a stream and holds each step to the
-//     in-process library.
+//     kill-replica and epoch-bump steps over the flow table (Rows), ending in
+//     a follow run that meets each update with the session it invalidates,
+//     and a Model of what the hosted data must then be. Every deployment
+//     shape — sosrnet over net.Pipe, over TCP and on a crashed and recovered
+//     store, sosrshard's replicated grid — runs a stream and holds each step
+//     to the in-process library.
 //   - One counting, fault-injecting net.Conn and Listener (Conn, Faults), and
 //     one counter of the server's "session finished" records (Sessions).
 //

@@ -16,6 +16,8 @@ import (
 	"sosr"
 	"sosr/internal/core"
 	"sosr/internal/forest"
+	"sosr/internal/hashing"
+	"sosr/internal/obs"
 	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
 	"sosr/internal/store"
@@ -29,10 +31,37 @@ import (
 // each to the in-process library on the model's data: the same recovered
 // data, difference and attempts, or the same error class; the same protocol
 // Stats; the listener's bytes equal to what the sessions reported; and the
-// same hosted datasets. A failure names the seed, the step and the leg, and
-// the stream's prefix up to that step reproduces it.
+// same hosted datasets. The stream's follow run must make every leg's client
+// patch a Bob sketch, and the server serve a session from a patched live
+// digest — except on the TCP leg, whose server keeps none with the payload
+// cache off — and the store leg must crash while one serves the probe. A
+// failure names the seed, the step and the leg, and the stream's prefix up to
+// that step reproduces it.
+//
+// The kind table and the flow table are held to each other first: every
+// registered kind has a base the stream hosts, and the stream updates a base
+// exactly when its kind takes updates.
 func TestModel(t *testing.T) {
 	all := []string{"ids", "bag", "docs", "net", "soc", "tiny", "tree"}
+	updated := map[string]bool{}
+	for _, op := range worktest.Stream(1, worktest.Shape{Bases: all}) {
+		updated[op.Base] = updated[op.Base] || op.Do == worktest.Update
+	}
+	for _, k := range kinds {
+		hosted := false
+		for base, kind := range worktest.Kinds {
+			if kind != string(k.kind) {
+				continue
+			}
+			hosted = true
+			if updated[base] != (k.stage != nil) {
+				t.Fatalf("the stream updates %s: %v, but kind %q takes updates: %v", base, updated[base], k.kind, k.stage != nil)
+			}
+		}
+		if !hosted {
+			t.Fatalf("kind %q is registered, but no base of the flow table hosts it", k.kind)
+		}
+	}
 	for _, leg := range []struct {
 		name  string
 		tcp   bool
@@ -71,6 +100,11 @@ func TestModel(t *testing.T) {
 			if cs := l.srv.CacheStats(); leg.name == "tcp" && cs.Misses+cs.Hits+cs.Shared != 0 {
 				t.Fatalf("the disabled payload cache recorded traffic: %+v", cs)
 			}
+			patched := l.c.metrics().patch.Value()
+			if (l.servedLive > 0) != (leg.name != "tcp") || patched == 0 || (leg.disk && l.probedLive == 0) {
+				t.Fatalf("seed %d, leg %s: %d sessions and %d crash probes served from a live digest, %d Bob sketches patched",
+					seed, leg.name, l.servedLive, l.probedLive, patched)
+			}
 			for _, k := range l.kept {
 				if !reflect.DeepEqual(k.got, k.want) {
 					t.Fatalf("seed %d, %v, leg %s: the result changed after later sessions (it shares pooled memory)", seed, k.op, leg.name)
@@ -100,6 +134,10 @@ type modelLeg struct {
 	infos    map[*worktest.Data]DatasetInfo
 	graphs   map[string]*graphFixture // by dataset name
 	kept     []kept
+
+	// Sessions of worktest.Follow, and crash probes of its hello, that the
+	// server served from a live digest.
+	servedLive, probedLive int
 }
 
 type kept struct {
@@ -147,6 +185,7 @@ func (l *modelLeg) start(restore func()) {
 	if l.c == nil {
 		l.c = Dial("")
 		l.c.Timeout = 30 * time.Second
+		l.c.Obs = obs.NewRegistry()
 		l.c.dial = func(ctx context.Context, _ string) (net.Conn, error) {
 			l.dials.Add(1)
 			var conn net.Conn
@@ -250,7 +289,11 @@ func (l *modelLeg) reconcile(op worktest.Op) {
 	}
 	l.faults.Arm(op.Fault)
 	finished, dials, bytes := l.sessions.Load(), l.dials.Load(), l.ln.Bytes.Load()
+	live, misses := op.Row.Name == worktest.Follow.Name && l.holdsLive(op.Seed), l.srv.CacheStats().Misses
 	got := l.run(op, d, true)
+	if live && l.srv.CacheStats().Misses > misses {
+		l.servedLive++
+	}
 	l.faults.Arm(worktest.NoFault)
 	l.c.Timeout = 30 * time.Second
 	if op.Fault != worktest.NoFault {
@@ -302,6 +345,26 @@ func (l *modelLeg) reconcile(op worktest.Op) {
 			l.fatalf("a repeated session: cache %+v after %+v, want one hit", now, cs)
 		}
 	}
+}
+
+// holdsLive reports whether the server keeps a live digest of the docs
+// dataset under the key of the first attempt of a worktest.Follow session at
+// seed. A session under that key that misses the payload cache is served
+// from the digest, not encoded.
+func (l *modelLeg) holdsLive(seed uint64) bool {
+	r := worktest.Follow
+	master := sosFamilyOf(r.Protocol).flow(r.D).attemptCoins(hashing.NewCoins(seed), 0).Master()
+	l.srv.mu.Lock()
+	ds := l.srv.datasets[l.m.Cur(r.Base).Name]
+	l.srv.mu.Unlock()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	for lk := range ds.live {
+		if lk.seed == master && lk.d == r.D {
+			return true
+		}
+	}
+	return false
 }
 
 // settle waits until the server has accepted every connection dialed and
@@ -544,26 +607,33 @@ func (l *modelLeg) crash() {
 }
 
 // probe captures the Alice payload (its label and bytes) the server sends each
-// current dataset for a fixed hello per protocol.
+// current dataset for a fixed hello per protocol. The first is the hello of a
+// worktest.Follow session at FollowCoin; when the server holds a live digest
+// under its key and the probe misses the payload cache, the digest serves it.
 func (l *modelLeg) probe() map[helloMsg]string {
 	cur := func(base string) string { return l.m.Cur(base).Name }
 	g := l.graph(l.m.Cur("net"))
 	fi := forest.Measure(&forest.Forest{Parent: sosr.RandomForest(120, 0.15, l.m.Cur("tree").Seed).Parent})
+	r := worktest.Follow
 	hellos := []helloMsg{
+		{Dataset: cur(r.Base), Kind: KindSetsOfSets, Seed: worktest.FollowCoin, Protocol: r.Protocol, D: r.D, S: r.S, H: r.H},
 		{Dataset: cur("ids"), Kind: KindSet, Seed: 7, D: 16}, {Dataset: cur("ids"), Kind: KindSet, Seed: 7, D: 12, CharPoly: true},
 		{Dataset: cur("bag"), Kind: KindMultiset, Seed: 3, D: 8},
-		{Dataset: cur("docs"), Kind: KindSetsOfSets, Seed: 9, Protocol: "cascade", D: 4, S: 96, H: 80},
 		{Dataset: cur("net"), Kind: KindGraph, Seed: 14, Scheme: "degree", D: 2, TopH: g.h, N: g.alice.N},
 		{Dataset: cur("tree"), Kind: KindForest, Seed: 53, D: 3, N: fi.N, Depth: fi.Depth, MaxChild: fi.MaxChild},
 	}
 	for _, p := range []string{"naive", "nested", "cascade", "multiround"} {
 		hellos = append(hellos, helloMsg{Dataset: cur("docs"), Kind: KindSetsOfSets, Seed: 9, Protocol: p, D: 4})
 	}
+	live, misses := l.holdsLive(worktest.FollowCoin), l.srv.CacheStats().Misses
 	out := map[helloMsg]string{}
-	for _, h := range hellos {
+	for i, h := range hellos {
 		label, body := aliceProbe(l.t, l.ln.Addr().String(), h)
 		l.dials.Add(1) // the listener accepts the probe's connection too
 		out[h] = label + ":" + string(body)
+		if i == 0 && live && l.srv.CacheStats().Misses > misses {
+			l.probedLive++
+		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package sosrnet
 
 import (
-	"bytes"
 	"context"
 	"log/slog"
 	"net"
@@ -47,165 +46,6 @@ func aliceProbe(t *testing.T, addr string, h helloMsg) (label string, payload []
 	}
 	_ = ep.SendFrame(lblDone, appendCtl(nil, doneFields, &doneMsg{OK: true, Rounds: 1}))
 	return label, payload
-}
-
-// restoreProbes is the cross-protocol matrix the restore tests replay: every
-// cached one-shot Alice path (IBLT set, charpoly, multiset, and the naive /
-// nested / cascade / multiround sets-of-sets encoders) — the probes of the
-// conformance fixtures of the kinds that take updates.
-func restoreProbes(t testing.TB) map[string]helloMsg {
-	probes := map[string]helloMsg{}
-	for _, fx := range conformanceFixtures(t) {
-		if fx.update != nil {
-			for pname, h := range fx.probes {
-				probes[pname] = h
-			}
-		}
-	}
-	return probes
-}
-
-// seedDatasets hosts the conformance fixtures of the three updatable kinds
-// ("ids", "bag", "docs"); the restore tests apply their own update schedules.
-func seedDatasets(t *testing.T, srv *Server) {
-	t.Helper()
-	for _, fx := range conformanceFixtures(t) {
-		if fx.update != nil {
-			if err := fx.host(srv); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestRestoreEquivalence is the tentpole's correctness core: a server
-// restored from snapshot + WAL serves byte-identical Alice payloads across
-// every cached protocol, at the same dataset versions, its payloads rebuilt
-// from the recovered contents.
-func TestRestoreEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srvA := NewServer()
-	srvA.UseStore(st)
-	seedDatasets(t, srvA)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srvA.Serve(ln) }()
-	addrA := ln.Addr().String()
-
-	// Mutate every dataset so the WAL carries entries beyond the hosting
-	// snapshots.
-	if err := srvA.UpdateSets("ids", []uint64{5000, 5001}, []uint64{100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvA.UpdateMultisets("bag", []uint64{4, 4}, []uint64{9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9000, 9001}}, [][]uint64{{0, 1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm a live incremental digest: a key is promoted on its second cache
-	// miss, and same-version repeats are absorbed by the payload cache, so
-	// the second probe must come after a version bump. Snapshot, then update
-	// once more, so the restarted server (which keeps no digest) must send
-	// what the patched live digest sends.
-	aliceProbe(t, addrA, restoreProbes(t)["cascade-live"])
-	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9050, 9051}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	aliceProbe(t, addrA, restoreProbes(t)["cascade-live"])
-	if err := srvA.SnapshotDataset("docs"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvA.UpdateSetsOfSets("docs", [][]uint64{{9100, 9101, 9102}}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	wantVersions := map[string]uint64{}
-	wantPayload := map[string][]byte{}
-	wantLabel := map[string]string{}
-	for pname, h := range restoreProbes(t) {
-		wantLabel[pname], wantPayload[pname] = aliceProbe(t, addrA, h)
-	}
-	for _, name := range []string{"ids", "bag", "docs"} {
-		v, err := srvA.DatasetVersion(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantVersions[name] = v
-	}
-	wantInfos := map[string]DatasetInfo{}
-	for _, di := range srvA.Datasets() {
-		wantInfos[di.Name] = di
-	}
-	srvA.Close()
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: a fresh store handle, a fresh server, recovery before serving.
-	st2, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	var rs RecoveryStats
-	srvB, addrB, _ := startServer(t, func(s *Server) {
-		s.UseStore(st2)
-		var err error
-		if rs, err = s.Recover(); err != nil {
-			t.Fatalf("Recover: %v", err)
-		}
-	})
-	if rs.Datasets != 3 {
-		t.Fatalf("recovered %d datasets, want 3 (%+v)", rs.Datasets, rs)
-	}
-	if rs.Replayed == 0 {
-		t.Fatalf("no WAL entries replayed (%+v)", rs)
-	}
-
-	for name, want := range wantVersions {
-		if got, err := srvB.DatasetVersion(name); err != nil || got != want {
-			t.Fatalf("%s: version %d (err %v), want %d — enccache keys would lie", name, got, err, want)
-		}
-	}
-	for _, di := range srvB.Datasets() {
-		if want := wantInfos[di.Name]; !reflect.DeepEqual(di, want) {
-			t.Fatalf("%s: dataset summary diverged after restore:\n got %+v\nwant %+v", di.Name, di, want)
-		}
-	}
-	for pname, h := range restoreProbes(t) {
-		label, payload := aliceProbe(t, addrB, h)
-		if label != wantLabel[pname] {
-			t.Fatalf("%s: restored server sent %q, want %q", pname, label, wantLabel[pname])
-		}
-		if !bytes.Equal(payload, wantPayload[pname]) {
-			t.Fatalf("%s: restored Alice payload differs (%d vs %d bytes)", pname, len(payload), len(wantPayload[pname]))
-		}
-	}
-
-	// And a full reconcile against the restored server lands on the restored
-	// contents.
-	bob := append(seqSet(101, 390), 7777)
-	got, _, err := Dial(addrB).Sets(context.Background(), "ids", bob, sosr.SetConfig{Seed: 21, KnownDiff: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := setutil.ApplyDiff(seqSet(100, 400), []uint64{5000, 5001}, []uint64{100})
-	if !reflect.DeepEqual(got.Recovered, want) {
-		t.Fatal("reconcile against restored server recovered the wrong set")
-	}
 }
 
 // TestShardRestartsOnNewAddress: a persisted slice is bound to its shard's
@@ -398,7 +238,13 @@ func TestSnapshotAllCompactsWALs(t *testing.T) {
 	}
 	srv := NewServer()
 	srv.UseStore(st)
-	seedDatasets(t, srv)
+	docs, _ := sosPair()
+	for _, err := range []error{srv.HostSets("ids", seqSet(100, 400)), srv.HostMultiset("bag", []uint64{1, 1, 2, 3}),
+		srv.HostSetsOfSets("docs", docs)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := srv.UpdateSets("ids", []uint64{7001}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@ import (
 
 	"sosr"
 	"sosr/internal/core"
+	"sosr/internal/hashing"
+	"sosr/internal/obs"
 	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
 	"sosr/internal/store"
@@ -24,16 +26,22 @@ import (
 // replica of their owning shards, fan-outs checked shard by shard against the
 // in-process library on the shard's slices and coins, a replica of every shard
 // killed under a fan-out, and the deployment moved to its next epoch under a
-// client that still holds the last one. A failure names the seed, the step
-// and the leg.
+// client that still holds the last one. The stream's follow run must make a
+// shard serve a session from a patched live digest, and the client patch a
+// Bob sketch. A failure names the seed, the step and the leg.
 func TestModel(t *testing.T) {
 	const seed = 1
 	d := startReplicated(t, 3, 2)
+	d.client.Obs = obs.NewRegistry()
 	g := &gridLeg{t: t, d: d, m: worktest.NewModel(), topos: map[string]*Topology{},
 		versions: map[string][]uint64{}, infos: map[infoKey]sosrnet.DatasetInfo{}}
 	for _, op := range worktest.Stream(seed, worktest.Shape{Bases: []string{"ids", "bag", "docs"}, Grid: true}) {
 		g.at = fmt.Sprintf("seed %d, %v, leg grid", seed, op)
 		g.step(op)
+	}
+	patched := d.client.Obs.Counter("sosr_decodecache_events_total", "", "event").With("patch").Value()
+	if g.servedLive == 0 || patched == 0 {
+		t.Fatalf("seed %d, leg grid: %d shard sessions served from a live digest, %d Bob sketches patched; want the follow run to reach both", seed, g.servedLive, patched)
 	}
 }
 
@@ -47,6 +55,9 @@ type gridLeg struct {
 	topos    map[string]*Topology
 	versions map[string][]uint64
 	infos    map[infoKey]sosrnet.DatasetInfo
+	// servedLive counts the shard sessions of worktest.Follow that a server
+	// served from a live digest.
+	servedLive int
 }
 
 type infoKey struct {
@@ -104,6 +115,9 @@ func (g *gridLeg) step(op worktest.Op) {
 					err = srv.UpdateMultisets(op.Name, op.Add, op.Remove)
 				default:
 					err = srv.UpdateSetsOfSets(op.Name, op.AddSets, op.RemoveSets)
+				}
+				if op.Name == "nope" && !errors.Is(err, sosrnet.ErrUnknownDataset) {
+					g.fatalf("update of an unknown dataset: %v", err)
 				}
 				if err != nil {
 					refused++
@@ -326,9 +340,15 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 		}
 		want.Data, want.A, want.B = recs, added, removed
 		cfg.Seed = op.Seed
+		live, misses := g.liveShards(op)
 		res, s, err := d.client.SetsOfSets(ctx, op.Name, bob, cfg)
 		if st, gotErr = s, err; err == nil {
 			got = fanResult{res.Recovered, res.Added, res.Removed, res.Attempts}
+		}
+		for i, srv := range live {
+			if srv != nil && srv.CacheStats().Misses > misses[i] {
+				g.servedLive++
+			}
 		}
 	}
 	if !r.EndsIn(wantErr, classOf(wantErr, core.ErrGaveUp)) {
@@ -378,6 +398,37 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			g.fatalf("shard %d: the listeners counted %d bytes, the session reported %d + %d", i, tcp-base[i], sh.Net.Protocol.TotalBytes, sh.Net.Overhead)
 		}
 	}
+}
+
+// liveShards returns, per shard, the replica that keeps a live digest of op's
+// dataset under the key of the first attempt of a worktest.Follow session at
+// op's coins, or nil, and each one's payload-cache misses: a session that
+// then misses the cache is served from the digest, not encoded. sosrnet keeps
+// its digests unexported, so this reads them by reflection, between
+// fan-outs, as worktest.PinsNothing reads a workspace.
+func (g *gridLeg) liveShards(op worktest.Op) ([]*sosrnet.Server, []uint64) {
+	live, misses := make([]*sosrnet.Server, len(g.d.all)), make([]uint64, len(g.d.all))
+	if op.Row.Name != worktest.Follow.Name {
+		return live, misses
+	}
+	for i, group := range g.d.all {
+		// A known-d one-round row's attempt k runs under the shard's coins'
+		// "replica" sub-coins.
+		master := hashing.NewCoins(shardSeed(op.Seed, i)).Sub("replica", 0).Master()
+		for _, srv := range group {
+			ds := reflect.ValueOf(srv).Elem().FieldByName("datasets").MapIndex(reflect.ValueOf(op.Name))
+			if !ds.IsValid() {
+				continue
+			}
+			digests := ds.Elem().FieldByName("live")
+			for _, k := range digests.MapKeys() {
+				if k.FieldByName("seed").Uint() == master && k.FieldByName("d").Int() == int64(op.Row.D) {
+					live[i], misses[i] = srv, srv.CacheStats().Misses
+				}
+			}
+		}
+	}
+	return live, misses
 }
 
 func sortedConcat(parts [][]uint64) []uint64 {
