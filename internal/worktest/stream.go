@@ -174,6 +174,10 @@ type Op struct {
 	// A mutation (Update, BadUpdate).
 	Add, Remove         []uint64
 	AddSets, RemoveSets [][]uint64
+	// Broadcast sends a grid's Update verbatim to every server, each of
+	// which applies the part its shard owns, instead of routing it through
+	// the coordinator.
+	Broadcast bool
 }
 
 func (op Op) String() string {
@@ -184,6 +188,9 @@ func (op Op) String() string {
 	if op.Fault != NoFault {
 		s += " fault=" + op.Fault.String()
 	}
+	if op.Broadcast {
+		s += " broadcast"
+	}
 	return s
 }
 
@@ -193,7 +200,7 @@ type Shape struct {
 	Bases  []string
 	Faults []Fault
 	Store  bool // Snapshot and Crash
-	Grid   bool // KillReplica and EpochBump
+	Grid   bool // KillReplica, EpochBump and broadcast updates
 }
 
 // Steps is the length of a stream; coins is how many session seeds it draws
@@ -211,8 +218,10 @@ const FollowCoin = 9
 // Stream is the op list one seed gives a shape. Every base is hosted first;
 // then every row of the flow table for the shape's bases, every fault, every
 // kind of refused mutation and every op the shape takes appear at least once,
-// shuffled among random draws, up to Steps. Under -race or -short the stream
-// is that deck alone: every op once. The follow run ends it (follow).
+// shuffled among random draws, up to Steps; on a grid, half of each base's
+// updates are broadcast. Under -race or -short the stream is that deck alone:
+// every op once, and on a grid an update of each base by each route. The
+// follow run ends it (follow).
 func Stream(seed uint64, sh Shape) []Op {
 	n := Steps
 	if raceflag.Enabled || testing.Short() {
@@ -238,12 +247,15 @@ func Stream(seed uint64, sh Shape) []Op {
 			continue
 		}
 		add(&deck, Op{Do: Update, Base: base})
+		if sh.Grid {
+			add(&deck, Op{Do: Update, Base: base, Broadcast: true})
+		}
 		for v := range badUpdates[Kinds[base]] {
 			add(&deck, Op{Do: BadUpdate, Base: base, Seed: uint64(v)})
 			add(&draws, Op{Do: BadUpdate, Base: base, Seed: uint64(v)})
 		}
-		for range 4 {
-			add(&draws, Op{Do: Update, Base: base})
+		for i := range 4 {
+			add(&draws, Op{Do: Update, Base: base, Broadcast: sh.Grid && i%2 == 1})
 		}
 		if sh.Store {
 			add(&deck, Op{Do: Snapshot, Base: base})
@@ -285,7 +297,7 @@ func Stream(seed uint64, sh Shape) []Op {
 	m := NewModel()
 	ops = materialize(m, ops, src, sh.Bases)
 	if slices.Contains(sh.Bases, Follow.Base) {
-		ops = follow(m, ops, src, sh.Store)
+		ops = follow(m, ops, src, sh)
 	}
 	return ops
 }
@@ -296,18 +308,19 @@ func Stream(seed uint64, sh Shape) []Op {
 // digest, the update after it patches that digest, and the third session is
 // served from it. Bob's parent follows the data, so the client derives its
 // third sketch by patching the second. On a store one more update patches the
-// digest and a crash follows, whose probe the patched digest serves.
-func follow(m *Model, ops []Op, src *prng.Source, store bool) []Op {
+// digest and a crash follows, whose probe the patched digest serves. On a grid
+// the second update is broadcast, the others routed.
+func follow(m *Model, ops []Op, src *prng.Source, sh Shape) []Op {
 	run := []Do{Update, Reconcile, Update, Reconcile, Update, Reconcile}
-	if store {
+	if sh.Store {
 		run = append(run, Update, Crash)
 	}
-	for _, do := range run {
+	for i, do := range run {
 		op := Op{Step: len(ops), Do: do}
 		d := m.Cur(Follow.Base)
 		switch do {
 		case Update:
-			op.Base, op.Name, op.Seed = d.Base, d.Name, src.Uint64()
+			op.Base, op.Name, op.Seed, op.Broadcast = d.Base, d.Name, src.Uint64(), sh.Grid && i == 2
 			op.churn(d, src, 8)
 		case Reconcile:
 			op.Base, op.Name, op.Seed, op.Row = d.Base, d.Name, FollowCoin, Follow
@@ -343,7 +356,11 @@ func materialize(m *Model, ops []Op, src *prng.Source, bases []string) []Op {
 			op.Name = m.nextName(op.Base)
 		case Update:
 			op.Name = d.Name
-			op.mutate(d, src)
+			if op.Broadcast {
+				op.spread(d, src)
+			} else {
+				op.mutate(d, src)
+			}
 		case BadUpdate:
 			op.Name = d.Name
 			badUpdates[Kinds[op.Base]][op.Seed](op, d, src)
@@ -515,6 +532,24 @@ func (op *Op) mutate(d *Data, src *prng.Source) {
 		if len(d.Sets) > 40 {
 			op.RemoveSets = [][]uint64{d.Sets[src.Intn(len(d.Sets))]}
 		}
+	}
+}
+
+// spread draws a broadcast update: three elements, occurrences or child sets
+// in and three held ones out, so that on a grid some server owns a part of it
+// but not all, all but surely.
+func (op *Op) spread(d *Data, src *prng.Source) {
+	switch d.Kind {
+	case "set":
+		op.Add = distinct(src, 3, 1<<40)
+	case "multiset":
+		op.Add = []uint64{d.Elems[src.Intn(len(d.Elems))], 1 + src.Uint64n(1<<20), 1 + src.Uint64n(1<<20)}
+	case "sos":
+		op.churn(d, src, 3)
+		return
+	}
+	for _, i := range src.Perm(len(d.Elems))[:3] {
+		op.Remove = append(op.Remove, d.Elems[i])
 	}
 }
 

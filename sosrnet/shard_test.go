@@ -126,210 +126,6 @@ func TestShardedSetHostServesOwnedSlice(t *testing.T) {
 	}
 }
 
-// TestShardedSetsOfSetsHostServesOwnedSlice: child sets partition by
-// identity hash, and a shard session is byte-par with an in-process run over
-// the two owned slices.
-func TestShardedSetsOfSetsHostServesOwnedSlice(t *testing.T) {
-	ctx := context.Background()
-	topo := mustTopo(t, 1, "a:1", "b:2", "c:3")
-	alice, bob := sosPair()
-	for index := 0; index < topo.NumShards(); index++ {
-		_, addr, _ := startServer(t, func(s *Server) {
-			if err := s.Host(&store.Record{Name: "docs", Kind: store.KindSetsOfSets, Parents: alice}, topo, index); err != nil {
-				t.Fatal(err)
-			}
-		})
-		aliceSlice := topo.OwnedSets(index, alice)
-		bobSlice := topo.OwnedSets(index, bob)
-		cfg := sosr.Config{Seed: uint64(21 + index), Protocol: sosr.ProtocolCascade, KnownDiff: 24}
-		want, err := sosr.ReconcileSetsOfSets(aliceSlice, bobSlice, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := shardClient(addr, topo, index)
-		c.Timeout = 60 * time.Second
-		got, ns, err := c.SetsOfSets(ctx, "docs", bobSlice, cfg)
-		if err != nil {
-			t.Fatalf("shard %d: %v", index, err)
-		}
-		if !reflect.DeepEqual(got.Recovered, want.Recovered) {
-			t.Fatalf("shard %d: recovered slice diverges from in-process run", index)
-		}
-		checkNetStats(t, ns, want.Stats)
-	}
-}
-
-// TestReplicatedShardHostsIdenticalSlice: every replica of one shard hosts
-// the identical slice under the same positional identity, and a client
-// carrying that shard's coordinates reconciles byte-identically against
-// either replica.
-func TestReplicatedShardHostsIdenticalSlice(t *testing.T) {
-	ctx := context.Background()
-	topo, err := shardmap.NewTopology(1, [][]string{
-		{"r0a:1", "r0b:1"},
-		{"r1a:2"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice, bob := setPair()
-	const index = 0
-	var addrs []string
-	for range topo.Replicas(index) {
-		_, addr, _ := startServer(t, func(s *Server) {
-			if err := s.Host(&store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}, topo, index); err != nil {
-				t.Fatal(err)
-			}
-		})
-		addrs = append(addrs, addr)
-	}
-	bobSlice := setutil.Canonical(topo.OwnedElems(index, bob))
-	cfg := sosr.SetConfig{Seed: 17, KnownDiff: 16}
-	var results []*sosr.SetResult
-	var stats []*NetStats
-	for _, addr := range addrs {
-		c := shardClient(addr, topo, index)
-		c.Timeout = 30 * time.Second
-		got, ns, err := c.Sets(ctx, "ids", bobSlice, cfg)
-		if err != nil {
-			t.Fatalf("replica %s: %v", addr, err)
-		}
-		results = append(results, got)
-		stats = append(stats, ns)
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatal("replicas of one shard recovered different slices")
-	}
-	if stats[0].Protocol.TotalBytes != stats[1].Protocol.TotalBytes {
-		t.Fatalf("replicas moved different protocol bytes: %d vs %d",
-			stats[0].Protocol.TotalBytes, stats[1].Protocol.TotalBytes)
-	}
-}
-
-// TestShardedUpdatesRouteToOwner: one logical mutation broadcast to every
-// shard server applies exactly the owned slice on each — non-owners stay
-// untouched (no version bump, caches warm).
-func TestShardedUpdatesRouteToOwner(t *testing.T) {
-	ctx := context.Background()
-	topo := mustTopo(t, 1, "u0:1", "u1:2")
-	alice, bob := setPair()
-	type shardSrv struct {
-		srv  *Server
-		addr string
-	}
-	shards := make([]shardSrv, topo.NumShards())
-	for i := range shards {
-		i := i
-		srv, addr, _ := startServer(t, func(s *Server) {
-			if err := s.Host(&store.Record{Name: "ids", Kind: store.KindSet, Elems: alice}, topo, i); err != nil {
-				t.Fatal(err)
-			}
-		})
-		shards[i] = shardSrv{srv, addr}
-	}
-	// Pick one added element per shard so the broadcast touches both, plus a
-	// removal owned by whichever shard owns alice[0].
-	adds := []uint64{}
-	for x := uint64(50_000_000); len(adds) < topo.NumShards(); x++ {
-		if len(topo.OwnedElems(len(adds), []uint64{x})) == 1 {
-			adds = append(adds, x)
-		}
-	}
-	removes := []uint64{alice[0]}
-	logical := setutil.ApplyDiff(alice, adds, removes)
-	for i, sh := range shards {
-		if err := sh.srv.UpdateSets("ids", adds, removes); err != nil {
-			t.Fatalf("shard %d broadcast update: %v", i, err)
-		}
-		if v, err := sh.srv.DatasetVersion("ids"); err != nil || v != 1 {
-			t.Fatalf("shard %d version %d (%v), want 1", i, v, err)
-		}
-		// A second broadcast owning nothing on this shard is a no-op.
-		other := adds[(i+1)%topo.NumShards()]
-		if err := sh.srv.UpdateSets("ids", nil, []uint64{other + 2}); err != nil {
-			t.Fatalf("shard %d no-op update: %v", i, err)
-		}
-		if len(topo.OwnedElems(i, []uint64{other + 2})) == 0 {
-			if v, _ := sh.srv.DatasetVersion("ids"); v != 1 {
-				t.Fatalf("shard %d: update owning nothing bumped version to %d", i, v)
-			}
-		}
-	}
-	// Every shard now serves its slice of the updated logical set.
-	for i, sh := range shards {
-		c := shardClient(sh.addr, topo, i)
-		c.Timeout = 30 * time.Second
-		bobSlice := setutil.Canonical(topo.OwnedElems(i, bob))
-		got, _, err := c.Sets(ctx, "ids", bobSlice, sosr.SetConfig{Seed: 31, KnownDiff: 24})
-		if err != nil {
-			t.Fatalf("shard %d session: %v", i, err)
-		}
-		if want := setutil.Canonical(topo.OwnedElems(i, logical)); !reflect.DeepEqual(got.Recovered, want) {
-			t.Fatalf("shard %d serves a stale or misfiltered slice", i)
-		}
-	}
-}
-
-// TestShardedMultisetHostAndUpdate: multiset occurrences follow their element
-// value to one shard, and broadcast multiset updates route the same way.
-func TestShardedMultisetHostAndUpdate(t *testing.T) {
-	ctx := context.Background()
-	topo := mustTopo(t, 1, "m0:1", "m1:2")
-	alice := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 9, 9, 40}
-	bob := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41}
-	const index = 0
-	srv, addr, _ := startServer(t, func(s *Server) {
-		if err := s.Host(&store.Record{Name: "bag", Kind: store.KindMultiset, Elems: alice}, topo, index); err != nil {
-			t.Fatal(err)
-		}
-	})
-	owned := func(ms []uint64) []uint64 { return topo.OwnedElems(index, ms) }
-	wantRec, _, err := sosr.ReconcileMultisets(owned(alice), owned(bob), 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := shardClient(addr, topo, index)
-	c.Timeout = 30 * time.Second
-	got, _, err := c.Multiset(ctx, "bag", owned(bob), 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, wantRec) {
-		t.Fatalf("sharded multiset recovered %v, want %v", got, wantRec)
-	}
-	// Broadcast an update touching both shards; this shard applies only its
-	// owned occurrences.
-	adds := []uint64{}
-	for x := uint64(100); len(adds) < 2; x++ {
-		if len(topo.OwnedElems(len(adds), []uint64{x})) == 1 {
-			adds = append(adds, x)
-		}
-	}
-	// A malformed broadcast is rejected on every shard, even one that does
-	// not own the bad element — no partial application across the fleet.
-	if err := srv.UpdateMultisets("bag", []uint64{adds[0], 1 << 50}, nil); err == nil {
-		t.Fatal("out-of-range element in a broadcast accepted by a non-owning shard")
-	}
-	if v, _ := srv.DatasetVersion("bag"); v != 0 {
-		t.Fatalf("rejected broadcast bumped version to %d", v)
-	}
-	if err := srv.UpdateMultisets("bag", adds, nil); err != nil {
-		t.Fatal(err)
-	}
-	updated := append(owned(alice), topo.OwnedElems(index, adds)...)
-	wantRec2, _, err := sosr.ReconcileMultisets(updated, owned(bob), 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, _, err := c.Multiset(ctx, "bag", owned(bob), 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got2, wantRec2) {
-		t.Fatalf("post-update sharded multiset recovered %v, want %v", got2, wantRec2)
-	}
-}
-
 // TestHostShardsOnlyPartitionedKinds: Host partitions a dataset through its
 // kind's canon, and a kind without one has no rule for which shard holds what.
 // Hosting a graph or a forest with a topology must be refused — not hosted

@@ -22,22 +22,31 @@ import (
 )
 
 // TestModel runs the seeded op stream of internal/worktest against a 3 × 2
-// grid through Coordinator and Client: hosting and updates routed to every
-// replica of their owning shards, fan-outs checked shard by shard against the
-// in-process library on the shard's slices and coins, a replica of every shard
-// killed under a fan-out, and the deployment moved to its next epoch under a
-// client that still holds the last one. The stream's follow run must make a
-// shard serve a session from a patched live digest, and the client patch a
-// Bob sketch. A failure names the seed, the step and the leg.
+// grid through Coordinator and Client: hosting sent to every replica, each
+// update either routed to every replica of its owning shards or broadcast
+// verbatim to every server, fan-outs checked shard by shard against the
+// in-process library on the shard's slices and coins and whole against the
+// model, a replica of every shard killed under a fan-out, and the deployment
+// moved to its next epoch under a client that still holds the last one. Every
+// base must take an update by each route, and a broadcast that some server
+// owns a part of but not all; the stream's follow run must make a shard serve
+// a session from a patched live digest, and the client patch a Bob sketch. A
+// failure names the seed, the step and the leg.
 func TestModel(t *testing.T) {
 	const seed = 1
+	bases := []string{"ids", "bag", "docs"}
 	d := startReplicated(t, 3, 2)
 	d.client.Obs = obs.NewRegistry()
 	g := &gridLeg{t: t, d: d, m: worktest.NewModel(), topos: map[string]*Topology{},
-		versions: map[string][]uint64{}, infos: map[infoKey]sosrnet.DatasetInfo{}}
-	for _, op := range worktest.Stream(seed, worktest.Shape{Bases: []string{"ids", "bag", "docs"}, Grid: true}) {
+		versions: map[string][]uint64{}, infos: map[infoKey]sosrnet.DatasetInfo{}, landed: map[string][3]int{}}
+	for _, op := range worktest.Stream(seed, worktest.Shape{Bases: bases, Grid: true}) {
 		g.at = fmt.Sprintf("seed %d, %v, leg grid", seed, op)
 		g.step(op)
+	}
+	for _, base := range bases {
+		if l := g.landed[base]; l[0] == 0 || l[1] == 0 || l[2] == 0 {
+			t.Fatalf("seed %d, leg grid: %s took %d routed updates, %d broadcast, %d broadcast to a server owning a part but not all; want each route, and the filter met", seed, base, l[0], l[1], l[2])
+		}
 	}
 	patched := d.client.Obs.Counter("sosr_decodecache_events_total", "", "event").With("patch").Value()
 	if g.servedLive == 0 || patched == 0 {
@@ -58,6 +67,9 @@ type gridLeg struct {
 	// servedLive counts the shard sessions of worktest.Follow that a server
 	// served from a live digest.
 	servedLive int
+	// landed counts each base's updates: routed, broadcast, and broadcast
+	// with a server owning a part of the mutation but not all of it.
+	landed map[string][3]int
 }
 
 type infoKey struct {
@@ -78,21 +90,35 @@ func (g *gridLeg) step(op worktest.Op) {
 		g.host(d.co, g.m.Cur(op.Base))
 		g.checkDatasets()
 	case worktest.Update:
-		// The shards owning a part of the mutation bump their version.
+		// Either way the mutation goes, the shards owning a part of it bump
+		// their version and the others keep theirs.
 		var parts []int
-		var err error
-		switch worktest.Kinds[op.Base] {
-		case "set":
-			parts, err = lens(d.topo.SplitElems(slices.Concat(op.Add, op.Remove))), d.co.UpdateSets(op.Name, op.Add, op.Remove)
-		case "multiset":
-			parts, err = lens(d.topo.SplitElems(slices.Concat(op.Add, op.Remove))), d.co.UpdateMultisets(op.Name, op.Add, op.Remove)
-		default:
+		if worktest.Kinds[op.Base] == "sos" {
 			parts = lens(d.topo.SplitSets(setutil.CanonicalSets(slices.Concat(op.AddSets, op.RemoveSets))))
-			err = d.co.UpdateSetsOfSets(op.Name, op.AddSets, op.RemoveSets)
+		} else {
+			parts = lens(d.topo.SplitElems(slices.Concat(op.Add, op.Remove)))
 		}
-		if err != nil {
-			g.fatalf("update: %v", err)
+		landed := g.landed[op.Base]
+		if !op.Broadcast {
+			if err := update(d.co, op); err != nil {
+				g.fatalf("routed update: %v", err)
+			}
+			landed[0]++
+		} else {
+			for _, group := range d.all {
+				for _, srv := range group {
+					if err := update(srv, op); err != nil {
+						g.fatalf("broadcast update: %v", err)
+					}
+				}
+			}
+			landed[1]++
+			total := len(op.Add) + len(op.Remove) + len(op.AddSets) + len(op.RemoveSets)
+			if slices.ContainsFunc(parts, func(n int) bool { return n > 0 && n < total }) {
+				landed[2]++
+			}
 		}
+		g.landed[op.Base] = landed
 		for i, n := range parts {
 			if n > 0 {
 				g.versions[op.Name][i]++
@@ -107,15 +133,7 @@ func (g *gridLeg) step(op worktest.Op) {
 		malformed, refused := slices.ContainsFunc(op.Add, func(x uint64) bool { return x >= 1<<48 }), 0
 		for _, group := range d.all {
 			for _, srv := range group {
-				var err error
-				switch worktest.Kinds[op.Base] {
-				case "set":
-					err = srv.UpdateSets(op.Name, op.Add, op.Remove)
-				case "multiset":
-					err = srv.UpdateMultisets(op.Name, op.Add, op.Remove)
-				default:
-					err = srv.UpdateSetsOfSets(op.Name, op.AddSets, op.RemoveSets)
-				}
+				err := update(srv, op)
 				if op.Name == "nope" && !errors.Is(err, sosrnet.ErrUnknownDataset) {
 					g.fatalf("update of an unknown dataset: %v", err)
 				}
@@ -145,14 +163,7 @@ func (g *gridLeg) step(op worktest.Op) {
 			d.allLn[i][j].KillAfter.Store(0)
 		}
 	case worktest.EpochBump:
-		lists := make([][]string, d.topo.NumShards())
-		for i := range lists {
-			lists[i] = d.topo.Replicas(i)
-		}
-		topo, err := NewTopology(d.topo.Epoch()+1, lists)
-		if err != nil {
-			g.fatalf("%v", err)
-		}
+		topo := d.topoAt(g.t, d.topo.Epoch()+1)
 		co, err := NewCoordinator(topo, d.all)
 		if err != nil {
 			g.fatalf("%v", err)
@@ -179,6 +190,25 @@ func (g *gridLeg) step(op worktest.Op) {
 		op.Base, op.Name, op.Row = "ids", cur.Name, worktest.Rows[0]
 		g.reconcile(op, nil)
 	}
+}
+
+// updater is what takes a mutation: the coordinator, which routes it, or one
+// server, which applies the part its shard owns.
+type updater interface {
+	UpdateSets(name string, add, remove []uint64) error
+	UpdateMultisets(name string, add, remove []uint64) error
+	UpdateSetsOfSets(name string, add, remove [][]uint64) error
+}
+
+// update sends op's mutation to u.
+func update(u updater, op worktest.Op) error {
+	switch worktest.Kinds[op.Base] {
+	case "set":
+		return u.UpdateSets(op.Name, op.Add, op.Remove)
+	case "multiset":
+		return u.UpdateMultisets(op.Name, op.Add, op.Remove)
+	}
+	return u.UpdateSetsOfSets(op.Name, op.AddSets, op.RemoveSets)
 }
 
 func lens[T any](parts [][]T) []int {
@@ -264,9 +294,11 @@ type fanResult struct {
 }
 
 // reconcile runs op's row as one fan-out and holds it shard by shard to the
-// in-process run over the shard's slices under the shard's coins. killed,
-// when set, is the replica of each shard that is dead for this fan-out: the
-// result must be the same, reached by failing over.
+// in-process run over the shard's slices under the shard's coins, and whole
+// to the model: the merge must be the model's contents and their exact
+// difference from Bob's, by set difference, whatever the shard map does.
+// killed, when set, is the replica of each shard that is dead for this
+// fan-out: the result must be the same, reached by failing over.
 func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 	d, r, ctx := g.d, op.Row, context.Background()
 	data := g.m.Cur(op.Base)
@@ -279,7 +311,7 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			base[i] += ln.Bytes.Load()
 		}
 	}
-	var got, want fanResult
+	var got, want, whole fanResult
 	var st *Stats
 	var gotErr, wantErr error
 	shardStats := make([]sosr.Stats, n)
@@ -305,9 +337,11 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 		if data.Kind == "multiset" {
 			var rec []uint64
 			rec, st, gotErr = d.client.Multiset(ctx, op.Name, bob, r.D, op.Seed)
-			got.Data, want.Data = rec, sortedConcat(recs)
+			got.Data, want.Data, whole.Data = rec, sortedConcat(recs), data.Elems
 			break
 		}
+		eq, canon := func(x, y uint64) bool { return x == y }, setutil.Canonical(bob)
+		whole = fanResult{data.Elems, minus(data.Elems, canon, eq), minus(canon, data.Elems, eq), 0}
 		res, s, err := d.client.Sets(ctx, op.Name, bob, sosr.SetConfig{Seed: op.Seed, KnownDiff: r.D, UseCharPoly: r.CharPoly})
 		if st, gotErr = s, err; err == nil {
 			got = fanResult{res.Recovered, res.OnlyA, res.OnlyB, 0}
@@ -339,6 +373,11 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			setutil.SortSets(ss)
 		}
 		want.Data, want.A, want.B = recs, added, removed
+		alice, canon := setutil.CanonicalSets(data.Sets), setutil.CanonicalSets(bob)
+		setutil.SortSets(alice)
+		onlyB := minus(canon, alice, slices.Equal)
+		setutil.SortSets(onlyB)
+		whole = fanResult{alice, minus(alice, canon, slices.Equal), onlyB, 0}
 		cfg.Seed = op.Seed
 		live, misses := g.liveShards(op)
 		res, s, err := d.client.SetsOfSets(ctx, op.Name, bob, cfg)
@@ -369,6 +408,9 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 	if !reflect.DeepEqual(got, want) {
 		g.fatalf("the fan-out recovered other data than the in-process runs over the slices")
 	}
+	if got.Attempts = 0; !reflect.DeepEqual(got, whole) {
+		g.fatalf("the fan-out's merge is not the model's whole dataset and its difference from Bob's")
+	}
 	for i, sh := range st.Shards {
 		if sh.Net.Protocol != shardStats[i] || (data.Kind == "sos" && sh.Net.Attempts != shardAttempts[i]) {
 			g.fatalf("shard %d: wire stats %+v, in-process %+v", i, sh.Net, shardStats[i])
@@ -387,8 +429,12 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 		}
 		return
 	}
-	// Every shard's first replica won outright, so the listeners moved exactly
-	// what the sessions report: per shard, its protocol bytes and framing.
+	// With every replica up, each shard's first replica wins outright, so the
+	// listeners moved exactly what the sessions report: per shard, its
+	// protocol bytes and framing.
+	if st.Failovers != 0 || st.Hedges != 0 {
+		g.fatalf("%d failovers and %d hedges with every replica up", st.Failovers, st.Hedges)
+	}
 	for i, sh := range st.Shards {
 		var tcp int64
 		for _, ln := range d.allLn[i] {
@@ -429,6 +475,18 @@ func (g *gridLeg) liveShards(op worktest.Op) ([]*sosrnet.Server, []uint64) {
 		}
 	}
 	return live, misses
+}
+
+// minus returns, in a's order, the members of a that b does not hold, nil
+// when there are none.
+func minus[T any](a, b []T, eq func(x, y T) bool) []T {
+	var out []T
+	for _, x := range a {
+		if !slices.ContainsFunc(b, func(y T) bool { return eq(x, y) }) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 func sortedConcat(parts [][]uint64) []uint64 {

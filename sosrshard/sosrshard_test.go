@@ -112,39 +112,6 @@ func (d *shardDeployment) primary(shard int, seed uint64) int {
 	return d.topo.ReplicaOrder(shard, key)[0]
 }
 
-// checkAggregateParity verifies the itemized byte report: per shard, the
-// listener-measured TCP bytes equal that shard's protocol bytes plus its
-// framing overhead; in aggregate, total TCP bytes equal the summed Stats
-// plus summed framing. This is the acceptance invariant for sharding; it
-// only holds when every shard's first replica won outright (no failovers or
-// hedges — abandoned attempts move TCP bytes no winning session accounts).
-func (d *shardDeployment) checkAggregateParity(t *testing.T, st *Stats) {
-	t.Helper()
-	if len(st.Shards) != len(d.allLn) {
-		t.Fatalf("itemized report covers %d shards, deployment has %d", len(st.Shards), len(d.allLn))
-	}
-	var tcpTotal int64
-	for i, sh := range st.Shards {
-		var tcp int64
-		for _, ln := range d.allLn[i] {
-			tcp += ln.Bytes.Load()
-		}
-		tcpTotal += tcp
-		if want := int64(sh.Net.Protocol.TotalBytes) + sh.Net.Overhead; tcp != want {
-			t.Fatalf("shard %d: TCP bytes %d != protocol %d + framing %d",
-				i, tcp, sh.Net.Protocol.TotalBytes, sh.Net.Overhead)
-		}
-		if sh.Net.WireIn+sh.Net.WireOut != int64(sh.Net.Protocol.TotalBytes)+sh.Net.Overhead {
-			t.Fatalf("shard %d: wire accounting inconsistent: %+v", i, sh.Net)
-		}
-	}
-	if want := int64(st.Protocol.TotalBytes) + st.Overhead; tcpTotal != want {
-		t.Fatalf("total TCP bytes %d != Σ shard protocol %d + Σ framing %d",
-			tcpTotal, st.Protocol.TotalBytes, st.Overhead)
-	}
-	checkStatsParity(t, st)
-}
-
 // checkStatsParity checks the Stats-internal invariant alone (survives
 // failovers and hedges, whose losing attempts are outside the winning
 // sessions' accounting).
@@ -155,7 +122,10 @@ func checkStatsParity(t *testing.T, st *Stats) {
 	}
 	var in, out, overhead int64
 	var bytes int
-	for _, sh := range st.Shards {
+	for i, sh := range st.Shards {
+		if sh.Net.WireIn+sh.Net.WireOut != int64(sh.Net.Protocol.TotalBytes)+sh.Net.Overhead {
+			t.Fatalf("shard %d: wire accounting inconsistent: %+v", i, sh.Net)
+		}
 		in += sh.Net.WireIn
 		out += sh.Net.WireOut
 		overhead += sh.Net.Overhead
@@ -164,103 +134,6 @@ func checkStatsParity(t *testing.T, st *Stats) {
 	if in != st.WireIn || out != st.WireOut || overhead != st.Overhead || bytes != st.Protocol.TotalBytes {
 		t.Fatalf("itemized shards do not sum to the aggregate: %+v", st)
 	}
-}
-
-// TestShardedSetsOfSetsMatchesSingleInstance is the acceptance test: a
-// 3-shard loopback fan-out recovers the identical difference set as a
-// single-instance reconcile of the same data, and the measured TCP bytes
-// equal the sum of the per-shard Stats plus itemized framing overhead.
-func TestShardedSetsOfSetsMatchesSingleInstance(t *testing.T) {
-	ctx := context.Background()
-	alice, bob := workload.PlantedSetsOfSets(17, 60, 8, 1<<32, 12)
-	d := startShards(t, 3)
-	if err := d.co.HostSetsOfSets("docs", alice); err != nil {
-		t.Fatal(err)
-	}
-	cfg := sosr.Config{Seed: 77, Protocol: sosr.ProtocolCascade, KnownDiff: 24}
-	want, err := sosr.ReconcileSetsOfSets(alice, bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := d.client.SetsOfSets(ctx, "docs", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !setutil.EqualSetOfSets(got.Recovered, want.Recovered) {
-		t.Fatal("sharded fan-out recovered a different parent set than the single-instance run")
-	}
-	wantAdded, wantRemoved := setutil.CloneSets(want.Added), setutil.CloneSets(want.Removed)
-	setutil.SortSets(wantAdded)
-	setutil.SortSets(wantRemoved)
-	if !reflect.DeepEqual(got.Added, wantAdded) || !reflect.DeepEqual(got.Removed, wantRemoved) {
-		t.Fatalf("sharded difference set diverges:\n  added   %v vs %v\n  removed %v vs %v",
-			got.Added, wantAdded, got.Removed, wantRemoved)
-	}
-	// Every shard actually participated (the planted instance is large
-	// enough that rendezvous hashing spreads children over all three).
-	for i, sh := range st.Shards {
-		if sh.Net.Protocol.TotalBytes == 0 {
-			t.Fatalf("shard %d moved no protocol bytes", i)
-		}
-	}
-	d.sessions.Wait(t, 3)
-	d.checkAggregateParity(t, st)
-}
-
-// TestShardedSetsMatchesSingleInstance: same acceptance shape for plain sets.
-func TestShardedSetsMatchesSingleInstance(t *testing.T) {
-	ctx := context.Background()
-	alice := make([]uint64, 0, 800)
-	for x := uint64(100); x < 900; x++ {
-		alice = append(alice, x)
-	}
-	bob := append(append([]uint64{}, alice[5:]...), 10_000, 10_001, 10_002, 10_003, 10_004)
-	d := startShards(t, 3)
-	if err := d.co.HostSets("ids", alice); err != nil {
-		t.Fatal(err)
-	}
-	cfg := sosr.SetConfig{Seed: 7, KnownDiff: 16}
-	want, err := sosr.ReconcileSets(alice, bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("sharded fan-out did not recover the full logical set")
-	}
-	if !reflect.DeepEqual(got.OnlyA, want.OnlyA) || !reflect.DeepEqual(got.OnlyB, want.OnlyB) {
-		t.Fatal("sharded difference set diverges from the single-instance run")
-	}
-	d.sessions.Wait(t, 3)
-	d.checkAggregateParity(t, st)
-}
-
-// TestShardedMultisetMatchesSingleInstance: multiset fan-out merges to the
-// same recovery as the unsharded reconcile.
-func TestShardedMultisetMatchesSingleInstance(t *testing.T) {
-	ctx := context.Background()
-	alice := []uint64{1, 1, 1, 2, 5, 5, 9, 9, 9, 9, 40, 41, 41, 77, 78, 79, 80, 80}
-	bob := []uint64{1, 1, 2, 2, 5, 9, 9, 9, 9, 40, 41, 42, 77, 78, 79, 80}
-	d := startShards(t, 3)
-	if err := d.co.HostMultiset("bag", alice); err != nil {
-		t.Fatal(err)
-	}
-	wantRec, _, err := sosr.ReconcileMultisets(alice, bob, 24, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := d.client.Multiset(ctx, "bag", bob, 24, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, wantRec) {
-		t.Fatalf("sharded multiset recovered %v, want %v", got, wantRec)
-	}
-	d.sessions.Wait(t, 3)
-	d.checkAggregateParity(t, st)
 }
 
 // TestPerShardDiffEstimation: with PerShardDiff set, the caller's logical
@@ -295,191 +168,6 @@ func TestPerShardDiffEstimation(t *testing.T) {
 			t.Fatalf("shard %d reports no attempts", i)
 		}
 	}
-}
-
-// TestCoordinatorUpdatesVisibleToFanOut: a logical mutation routed by the
-// coordinator is what the next fan-out reconcile sees — identical to a
-// single-instance run over the updated logical dataset.
-func TestCoordinatorUpdatesVisibleToFanOut(t *testing.T) {
-	ctx := context.Background()
-	alice, bob := workload.PlantedSetsOfSets(23, 40, 8, 1<<32, 10)
-	d := startShards(t, 3)
-	if err := d.co.HostSetsOfSets("docs", alice); err != nil {
-		t.Fatal(err)
-	}
-	added := []uint64{90_000_001, 90_000_005}
-	removed := alice[7]
-	if err := d.co.UpdateSetsOfSets("docs", [][]uint64{added}, [][]uint64{removed}); err != nil {
-		t.Fatal(err)
-	}
-	updated := make([][]uint64, 0, len(alice))
-	for i, cs := range alice {
-		if i != 7 {
-			updated = append(updated, cs)
-		}
-	}
-	updated = append(updated, setutil.Canonical(added))
-	cfg := sosr.Config{Seed: 5, Protocol: sosr.ProtocolCascade, KnownDiff: 24}
-	want, err := sosr.ReconcileSetsOfSets(updated, bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := d.client.SetsOfSets(ctx, "docs", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !setutil.EqualSetOfSets(got.Recovered, want.Recovered) {
-		t.Fatal("fan-out after coordinator update diverges from single-instance run over updated data")
-	}
-	// Only the shards owning a touched child were bumped.
-	bumped := map[int]bool{}
-	for i, part := range d.topo.SplitSets([][]uint64{setutil.Canonical(added), removed}) {
-		bumped[i] = len(part) > 0
-	}
-	for i, srv := range d.servers {
-		v, err := srv.DatasetVersion("docs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bumped[i] && v == 0 {
-			t.Fatalf("owning shard %d was not updated", i)
-		}
-		if !bumped[i] && v != 0 {
-			t.Fatalf("non-owning shard %d version bumped to %d", i, v)
-		}
-	}
-}
-
-// TestReplicatedCoordinatorKeepsReplicasIdentical: hosting and updates apply
-// to every replica of the owning shard, so any replica can serve the shard's
-// slice interchangeably.
-func TestReplicatedCoordinatorKeepsReplicasIdentical(t *testing.T) {
-	ctx := context.Background()
-	alice := make([]uint64, 0, 600)
-	for x := uint64(500); x < 1100; x++ {
-		alice = append(alice, x)
-	}
-	bob := append(append([]uint64{}, alice[4:]...), 70_001, 70_002)
-	d := startReplicated(t, 2, 2)
-	if err := d.co.HostSets("ids", alice); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.co.UpdateSets("ids", []uint64{80_001, 80_002, 80_003}, []uint64{alice[0]}); err != nil {
-		t.Fatal(err)
-	}
-	logical := setutil.ApplyDiff(alice, []uint64{80_001, 80_002, 80_003}, []uint64{alice[0]})
-	// Every replica of every shard serves the identical updated slice:
-	// different seeds move the rendezvous choice until both columns have
-	// served, and every winner's result must be the same.
-	want := setutil.Canonical(logical)
-	for seed := uint64(0); seed < 4; seed++ {
-		got, st, err := d.client.Sets(ctx, "ids", bob, sosr.SetConfig{Seed: seed, KnownDiff: 16})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got.Recovered, want) {
-			t.Fatalf("seed %d: replicas disagree on the updated slice", seed)
-		}
-		if st.Failovers != 0 || st.Hedges != 0 {
-			t.Fatalf("seed %d: unexpected failovers/hedges in a healthy deployment: %+v", seed, st)
-		}
-		checkStatsParity(t, st)
-	}
-	// Distinct seeds spread primaries: across the seeds above, both replica
-	// columns of at least one shard should have served traffic.
-	spread := false
-	for i := range d.allLn {
-		if d.allLn[i][0].Bytes.Load() > 0 && d.allLn[i][1].Bytes.Load() > 0 {
-			spread = true
-		}
-	}
-	if !spread {
-		t.Log("note: rendezvous primaries did not spread across replicas for these seeds")
-	}
-}
-
-// TestFailoverRecoversExactDifference is the chaos acceptance test: with one
-// replica of each shard dead — including the would-be primary of at least
-// one shard — the fan-out fails over and still recovers the exact difference
-// set, with internally consistent aggregated Stats and a nonzero failover
-// count.
-func TestFailoverRecoversExactDifference(t *testing.T) {
-	ctx := context.Background()
-	alice, bob := workload.PlantedSetsOfSets(37, 60, 8, 1<<32, 12)
-	d := startReplicated(t, 3, 2)
-	if err := d.co.HostSetsOfSets("docs", alice); err != nil {
-		t.Fatal(err)
-	}
-	cfg := sosr.Config{Seed: 11, Protocol: sosr.ProtocolCascade, KnownDiff: 24}
-	want, err := sosr.ReconcileSetsOfSets(alice, bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill each shard's rendezvous primary for this seed: every shard must
-	// fail over to its surviving replica.
-	for i := range d.all {
-		p := d.primary(i, cfg.Seed)
-		d.all[i][p].Close()
-		d.allLn[i][p].Close()
-	}
-	got, st, err := d.client.SetsOfSets(ctx, "docs", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !setutil.EqualSetOfSets(got.Recovered, want.Recovered) {
-		t.Fatal("fan-out with dead primaries recovered a different parent set")
-	}
-	wantAdded, wantRemoved := setutil.CloneSets(want.Added), setutil.CloneSets(want.Removed)
-	setutil.SortSets(wantAdded)
-	setutil.SortSets(wantRemoved)
-	if !reflect.DeepEqual(got.Added, wantAdded) || !reflect.DeepEqual(got.Removed, wantRemoved) {
-		t.Fatal("difference set diverges after failover")
-	}
-	if st.Failovers < len(d.all) {
-		t.Fatalf("expected at least %d failovers, got %d", len(d.all), st.Failovers)
-	}
-	for i, sh := range st.Shards {
-		dead := d.topo.Replicas(i)[d.primary(i, cfg.Seed)]
-		if sh.Replica == dead {
-			t.Fatalf("shard %d reports the dead replica %s as its winner", i, dead)
-		}
-		if sh.Attempts < 2 {
-			t.Fatalf("shard %d: %d attempts despite a dead primary", i, sh.Attempts)
-		}
-	}
-	checkStatsParity(t, st)
-}
-
-// TestFailoverMidSession: a replica that dies after the session is already
-// in flight (conn severed mid-protocol) is retried on the next replica and
-// the reconcile still completes exactly.
-func TestFailoverMidSession(t *testing.T) {
-	ctx := context.Background()
-	alice := make([]uint64, 0, 500)
-	for x := uint64(100); x < 600; x++ {
-		alice = append(alice, x)
-	}
-	bob := append(append([]uint64{}, alice[3:]...), 40_001, 40_002)
-	d := startReplicated(t, 1, 2)
-	if err := d.co.HostSets("ids", alice); err != nil {
-		t.Fatal(err)
-	}
-	cfg := sosr.SetConfig{Seed: 3, KnownDiff: 8}
-	// Sever the primary's connections mid-session: the replica dies under
-	// the client after the handshake bytes are already in flight, so the
-	// failure is an IO error on an established session, not a refused dial.
-	d.allLn[0][d.primary(0, cfg.Seed)].KillAfter.Store(1)
-	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("failover reconcile did not recover the hosted set")
-	}
-	if st.Failovers == 0 {
-		t.Fatal("no failover recorded despite a dead primary")
-	}
-	checkStatsParity(t, st)
 }
 
 // TestHedgedRequestBeatsStalledPrimary is the tail-latency acceptance test: a
@@ -580,48 +268,6 @@ func TestCancelledFanOutReturnsPromptly(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestStaleEpochRefresh: a client holding yesterday's topology is rejected
-// with ErrStaleEpoch, reconcile after reconcile — nothing retries behind the
-// caller's back. The caller refreshes: it adopts the new topology with
-// SetTopology, and the retry re-splits and lands on the new epoch.
-func TestStaleEpochRefresh(t *testing.T) {
-	ctx := context.Background()
-	alice := make([]uint64, 0, 300)
-	for x := uint64(300); x < 600; x++ {
-		alice = append(alice, x)
-	}
-	bob := append(append([]uint64{}, alice[2:]...), 50_001)
-	d := startShards(t, 2)
-	// Re-host everything at epoch 2: the deployment moved on while the
-	// client still holds the epoch-1 topology it dialed with.
-	topo2 := d.topoAt(t, 2)
-	co2, err := NewCoordinator(topo2, d.all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := co2.HostSets("ids", alice); err != nil {
-		t.Fatal(err)
-	}
-	cfg := sosr.SetConfig{Seed: 21, KnownDiff: 8}
-
-	for range 2 {
-		if _, _, err := d.client.Sets(ctx, "ids", bob, cfg); !errors.Is(err, sosrnet.ErrStaleEpoch) {
-			t.Fatalf("stale client not rejected with ErrStaleEpoch: %v", err)
-		}
-	}
-	if err := d.client.SetTopology(topo2); err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := d.client.Sets(ctx, "ids", bob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Recovered, setutil.Canonical(alice)) {
-		t.Fatal("reconcile after SetTopology did not recover the hosted set")
-	}
-	checkStatsParity(t, st)
 }
 
 // TestReorderedTopologyRefused: a shard is its position, so the same

@@ -43,6 +43,12 @@ func spanAttrInt(t *testing.T, sp *obs.SpanDump, key string) int64 {
 // the winning attempts, and — joined via the hello's trace context — every
 // shard server's session span. The reconcile root's wire attributes must
 // equal the returned Stats exactly.
+//
+// It is also the test of a refused dial, which TestModel's grid does not
+// reach (its kill-replica step severs sessions in flight): the primary's
+// server and listener are closed before the fan-out, so its first attempt
+// cannot connect, and the shard must fail over to the other replica and
+// recover the exact difference.
 func TestTracedFailoverSingleTrace(t *testing.T) {
 	ctx := context.Background()
 	alice, bob := workload.PlantedSetsOfSets(41, 60, 8, 1<<32, 12)
@@ -73,11 +79,12 @@ func TestTracedFailoverSingleTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !setutil.EqualSetOfSets(got.Recovered, want.Recovered) {
-		t.Fatal("fan-out with a dead primary recovered a different parent set")
+	if !setutil.EqualSetOfSets(got.Recovered, want.Recovered) || !setutil.EqualSetOfSets(got.Added, want.Added) || !setutil.EqualSetOfSets(got.Removed, want.Removed) {
+		t.Fatal("fan-out with a dead primary recovered another difference")
 	}
-	if st.Failovers == 0 {
-		t.Fatal("no failover recorded despite a dead primary")
+	deadAddr := d.topo.Replicas(killedShard)[deadReplica]
+	if sh := st.Shards[killedShard]; st.Failovers == 0 || sh.Attempts < 2 || sh.Replica == deadAddr {
+		t.Fatalf("shard %d: its primary is dead, yet %d failovers and %d attempts won on %s", killedShard, st.Failovers, sh.Attempts, sh.Replica)
 	}
 
 	// The failed attempt flags the trace, so it lands in the flagged ring.
@@ -143,7 +150,6 @@ func TestTracedFailoverSingleTrace(t *testing.T) {
 	if len(attempts) < 2 {
 		t.Fatalf("killed shard's fanout has %d attempt spans, want >= 2", len(attempts))
 	}
-	deadAddr := d.topo.Replicas(killedShard)[deadReplica]
 	var sawDead, sawWinner bool
 	for _, a := range attempts {
 		replica, _ := a.Attrs["replica"].(string)
