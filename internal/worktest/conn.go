@@ -2,6 +2,7 @@ package worktest
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
 	"log/slog"
 	"net"
@@ -10,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sosr/internal/wire"
 )
 
 // Fault is one way a step can fail under the system: a connection that
@@ -25,7 +28,9 @@ const (
 	// ResetMidFrame: the session's second frame goes out half written, then
 	// the connection dies.
 	ResetMidFrame
-	// BitFlip: one bit of the next frame body read flips under its CRC.
+	// BitFlip: one bit flips in the first payload byte of the next frame
+	// read that is not session control: the protocol payload of the session,
+	// never the accept, never a CRC byte, so only the frame's CRC can catch it.
 	BitFlip
 	// StallRead: the next frame body read waits out the connection deadline.
 	StallRead
@@ -61,8 +66,9 @@ func (fs *Faults) Fire(f Fault) bool {
 	return fs != nil && fs.armed.CompareAndSwap(int32(f), int32(NoFault))
 }
 
-// headerLen is a wire frame header: a read longer than it is a frame body.
-const headerLen = 10
+// headerLen is a wire frame header (magic, version, label length, payload
+// length): a read longer than it is a frame body. crcLen trails the body.
+const headerLen, crcLen = 10, 4
 
 // Conn is a net.Conn that counts the bytes it moves into its listener and
 // injects the faults armed on it.
@@ -72,6 +78,12 @@ type Conn struct {
 	faults   *Faults   // nil when none are armed on it
 	stall    sync.Once
 	deadline time.Time
+	// A dialed connection follows the frames it reads, so that a flipped bit
+	// lands in a payload: at is how much of the current frame has arrived,
+	// hdr and label what of its header and label.
+	at    int
+	hdr   [headerLen]byte
+	label []byte
 }
 
 // Wrap returns conn with faults armed through fs.
@@ -94,11 +106,33 @@ func (c *Conn) Read(p []byte) (int, error) {
 		return 0, os.ErrDeadlineExceeded
 	}
 	n, err := c.Conn.Read(p)
-	if body && n > 0 && c.faults.Fire(BitFlip) {
-		p[n-1] ^= 0x10
+	if c.faults != nil {
+		c.follow(p[:n])
 	}
 	c.count(n)
 	return n, err
+}
+
+// follow moves the frame cursor over p, the bytes just read, and flips a bit
+// of the first payload byte of a frame that is not session control when
+// BitFlip is armed.
+func (c *Conn) follow(p []byte) {
+	for i := range p {
+		if c.at < headerLen {
+			c.hdr[c.at] = p[i]
+		}
+		labelLen, payloadLen := int(c.hdr[5]), int(binary.LittleEndian.Uint32(c.hdr[6:]))
+		switch body := c.at - headerLen; {
+		case body < 0:
+		case body < labelLen:
+			c.label = append(c.label, p[i])
+		case body == labelLen && payloadLen > 0 && !wire.IsControl(string(c.label)) && c.faults.Fire(BitFlip):
+			p[i] ^= 0x10
+		}
+		if c.at++; c.at >= headerLen && c.at == headerLen+labelLen+payloadLen+crcLen {
+			c.at, c.label = 0, c.label[:0]
+		}
+	}
 }
 
 func (c *Conn) Write(p []byte) (int, error) {

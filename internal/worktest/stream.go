@@ -477,6 +477,48 @@ func (m *Model) replace(old, d *Data) {
 	m.cur[d.Base] = d
 }
 
+// Result is what a reconcile recovered: the data, the two sides of the
+// difference when the kind reports them, and the attempts.
+type Result struct {
+	Data, A, B any
+	Attempts   int
+}
+
+// Whole is what a reconcile of op's row against d that succeeds must recover,
+// computed from the model alone: d's contents and, for a set or a set of
+// sets, the members only d holds and those only Bob's replica holds, by set
+// difference, in canonical order. Attempts is 0, and a multiset reports no
+// difference. A graph or a forest is built from its seed by the deployment,
+// which holds it to Alice's up to isomorphism; for one Whole is the zero
+// Result.
+func Whole(d *Data, op Op) Result {
+	switch d.Kind {
+	case "set":
+		bob, eq := setutil.Canonical(op.BobElems(d)), func(x, y uint64) bool { return x == y }
+		return Result{d.Elems, minus(d.Elems, bob, eq), minus(bob, d.Elems, eq), 0}
+	case "multiset":
+		return Result{Data: d.Elems}
+	case "sos":
+		alice, bob := setutil.CanonicalSets(d.Sets), setutil.CanonicalSets(op.BobSets(d))
+		setutil.SortSets(alice)
+		setutil.SortSets(bob)
+		return Result{alice, minus(alice, bob, slices.Equal), minus(bob, alice, slices.Equal), 0}
+	}
+	return Result{}
+}
+
+// minus returns, in a's order, the members of a that b does not hold, nil
+// when there are none.
+func minus[T any](a, b []T, eq func(x, y T) bool) []T {
+	var out []T
+	for _, x := range a {
+		if !slices.ContainsFunc(b, func(y T) bool { return eq(x, y) }) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // hostData draws a dataset's first contents: 400 set elements, 120 multiset
 // values of multiplicity 1 to 3, or Docs.
 func hostData(kind string, seed uint64) ([]uint64, [][]uint64) {

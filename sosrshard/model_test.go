@@ -258,8 +258,10 @@ func (g *gridLeg) host(co *Coordinator, d *worktest.Data) {
 }
 
 // checkDatasets holds every replica's dataset summary to the model's: each
-// shard's slice at that shard's version, with the items and content hash a
-// server hosting the slice afresh reports.
+// shard's slice at that shard's version and under the dataset's topology,
+// with the items and content hash an unsharded server hosting that slice
+// reports. The slice is the one the shard map assigns the shard, computed
+// from the model, so the server's own ownership filter is not the reference.
 func (g *gridLeg) checkDatasets() {
 	for i, group := range g.d.all {
 		var want []sosrnet.DatasetInfo
@@ -267,11 +269,13 @@ func (g *gridLeg) checkDatasets() {
 			key := infoKey{d, i}
 			di, ok := g.infos[key]
 			if !ok {
-				ref := sosrnet.NewServer()
-				if err := ref.Host(&store.Record{Name: d.Name, Kind: d.Kind, Elems: slices.Clone(d.Elems), Parents: setutil.CloneSets(d.Sets)}, g.topos[d.Name], i); err != nil {
+				topo, ref := g.topos[d.Name], sosrnet.NewServer()
+				rec := &store.Record{Name: d.Name, Kind: d.Kind, Elems: topo.OwnedElems(i, d.Elems), Parents: setutil.CloneSets(topo.OwnedSets(i, d.Sets))}
+				if err := ref.Host(rec, nil, 0); err != nil {
 					g.fatalf("reference host: %v", err)
 				}
 				di = ref.Datasets()[0]
+				di.ShardIndex, di.ShardCount, di.ShardEpoch = i, topo.NumShards(), topo.Epoch()
 				g.infos[key] = di
 			}
 			di.Version = g.versions[d.Name][i]
@@ -284,13 +288,6 @@ func (g *gridLeg) checkDatasets() {
 			}
 		}
 	}
-}
-
-// fanResult is a merged fan-out result: the data, the two sides of the
-// difference, and the attempts.
-type fanResult struct {
-	Data, A, B any
-	Attempts   int
 }
 
 // reconcile runs op's row as one fan-out and holds it shard by shard to the
@@ -311,7 +308,7 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			base[i] += ln.Bytes.Load()
 		}
 	}
-	var got, want, whole fanResult
+	var got, want worktest.Result
 	var st *Stats
 	var gotErr, wantErr error
 	shardStats := make([]sosr.Stats, n)
@@ -337,16 +334,14 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 		if data.Kind == "multiset" {
 			var rec []uint64
 			rec, st, gotErr = d.client.Multiset(ctx, op.Name, bob, r.D, op.Seed)
-			got.Data, want.Data, whole.Data = rec, sortedConcat(recs), data.Elems
+			got.Data, want.Data = rec, sortedConcat(recs)
 			break
 		}
-		eq, canon := func(x, y uint64) bool { return x == y }, setutil.Canonical(bob)
-		whole = fanResult{data.Elems, minus(data.Elems, canon, eq), minus(canon, data.Elems, eq), 0}
 		res, s, err := d.client.Sets(ctx, op.Name, bob, sosr.SetConfig{Seed: op.Seed, KnownDiff: r.D, UseCharPoly: r.CharPoly})
 		if st, gotErr = s, err; err == nil {
-			got = fanResult{res.Recovered, res.OnlyA, res.OnlyB, 0}
+			got = worktest.Result{Data: res.Recovered, A: res.OnlyA, B: res.OnlyB}
 		}
-		want = fanResult{sortedConcat(recs), sortedConcat(onlyA), sortedConcat(onlyB), 0}
+		want = worktest.Result{Data: sortedConcat(recs), A: sortedConcat(onlyA), B: sortedConcat(onlyB)}
 	default:
 		bob := op.BobSets(data)
 		cfg := sosr.Config{Protocol: protocols[r.Protocol], KnownDiff: r.D, KnownChildDiff: r.DHat,
@@ -373,16 +368,11 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			setutil.SortSets(ss)
 		}
 		want.Data, want.A, want.B = recs, added, removed
-		alice, canon := setutil.CanonicalSets(data.Sets), setutil.CanonicalSets(bob)
-		setutil.SortSets(alice)
-		onlyB := minus(canon, alice, slices.Equal)
-		setutil.SortSets(onlyB)
-		whole = fanResult{alice, minus(alice, canon, slices.Equal), onlyB, 0}
 		cfg.Seed = op.Seed
 		live, misses := g.liveShards(op)
 		res, s, err := d.client.SetsOfSets(ctx, op.Name, bob, cfg)
 		if st, gotErr = s, err; err == nil {
-			got = fanResult{res.Recovered, res.Added, res.Removed, res.Attempts}
+			got = worktest.Result{Data: res.Recovered, A: res.Added, B: res.Removed, Attempts: res.Attempts}
 		}
 		for i, srv := range live {
 			if srv != nil && srv.CacheStats().Misses > misses[i] {
@@ -408,7 +398,7 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 	if !reflect.DeepEqual(got, want) {
 		g.fatalf("the fan-out recovered other data than the in-process runs over the slices")
 	}
-	if got.Attempts = 0; !reflect.DeepEqual(got, whole) {
+	if got.Attempts = 0; !reflect.DeepEqual(got, worktest.Whole(data, op)) {
 		g.fatalf("the fan-out's merge is not the model's whole dataset and its difference from Bob's")
 	}
 	for i, sh := range st.Shards {
@@ -475,18 +465,6 @@ func (g *gridLeg) liveShards(op worktest.Op) ([]*sosrnet.Server, []uint64) {
 		}
 	}
 	return live, misses
-}
-
-// minus returns, in a's order, the members of a that b does not hold, nil
-// when there are none.
-func minus[T any](a, b []T, eq func(x, y T) bool) []T {
-	var out []T
-	for _, x := range a {
-		if !slices.ContainsFunc(b, func(y T) bool { return eq(x, y) }) {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 func sortedConcat(parts [][]uint64) []uint64 {
