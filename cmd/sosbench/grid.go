@@ -95,5 +95,5 @@ var grid = []group{
 		{name: "doubling", entry: forests, blind: true, n: 600, ds: []int{3}, instances: 5, coins: 1},
 		{name: "bound d (Thm 6.1)", entry: forests, n: 1800, ds: []int{3}, instances: 5, coins: 1},
 		{name: "doubling", entry: forests, blind: true, n: 1800, ds: []int{3}, instances: 5, coins: 1},
-	}, note: "Theorem 6.1: O(dσ log(dσ) log n) bits — driven by d·σ, nearly flat in n."},
+	}, note: "Theorem 6.1: O(dσ log(dσ) log n) bits — driven by d·σ, nearly flat in n. A bound d caps the doubling at the theorem's budget 4·d·(σ+2)+16; it never sends more than the doubling without one."},
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -244,8 +243,8 @@ func cascadeBytes(d, whole int) int {
 }
 
 // TestScalingLaws pins how bytes grow: exact laws where a table's size is a
-// formula of d, and log-log slopes over d with the tolerance the theorem
-// leaves.
+// formula of d, log-log slopes over d with the tolerance the theorem leaves,
+// and a forest's edit bound never costing bytes over doubling without one.
 func TestScalingLaws(t *testing.T) {
 	// Nested and cascade size every table from d alone, and their cell
 	// widths from the bytes s, h and u need. A whole child set is 128 B at
@@ -331,29 +330,25 @@ func TestScalingLaws(t *testing.T) {
 			}
 		}
 	}
-	// Forests: Theorem 6.1's known-d run reconciles under the budget
-	// 4·d·(σ+2)+16, linear in σ. Within each bound row (one n, instances of
-	// varying σ) bytes against the budget have a log-log slope of 0.8–1.25
-	// (0.95–1.12 measured): cascade's log factor barely moves at one n.
-	var xs, ys []float64
+	// Forests: an edit bound only caps the doubling (forest.Schedule), so on
+	// the same instances and coins a bound d row sends no more than its
+	// doubling row — the same attempts below the cap, and at the cap a budget
+	// no larger than the doubling's. Theorem 6.1's law, bytes linear in the
+	// budget 4·d·(σ+2)+16, is its one-round message's: forest.TestBudgetLaw
+	// holds it.
 	for _, n := range []int{200, 600, 1800} {
-		r := find(t, "forest", "bound d (Thm 6.1)", n)
-		for _, d := range r.ds {
-			var bs, bytes []float64
-			p := at(r, d)
-			for i, s := range p.sessions {
-				sigma, err := strconv.Atoi(strings.TrimPrefix(p.notes[i/r.coins], "σ="))
-				if err != nil || s.class != "" {
-					t.Fatalf("forest n=%d: note %q, failure %q", n, p.notes[i/r.coins], s.class)
+		bound, doubling := find(t, "forest", "bound d (Thm 6.1)", n), find(t, "forest", "doubling", n)
+		for _, d := range bound.ds {
+			pb, pd := at(bound, d), at(doubling, d)
+			for i, s := range pb.sessions {
+				if s.class != "" || pd.sessions[i].class != "" {
+					t.Fatalf("forest n=%d session %d: failures %q and %q", n, i, s.class, pd.sessions[i].class)
 				}
-				bs, bytes = append(bs, float64(4*d*(sigma+2)+16)), append(bytes, float64(s.bytes))
+				if s.bytes > pd.sessions[i].bytes {
+					t.Errorf("forest n=%d session %d: the bound sent %d B, doubling %d B", n, i, s.bytes, pd.sessions[i].bytes)
+				}
 			}
-			lx, ly := logs(bs, bytes)
-			xs, ys = append(xs, lx...), append(ys, ly...)
 		}
-	}
-	if s := slope(xs, ys); s < 0.8 || s > 1.25 {
-		t.Errorf("forest: log-log slope of bytes over the budget %.2f, want 0.8–1.25", s)
 	}
 }
 

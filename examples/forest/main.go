@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Theorem 6.1 protocol: %d bytes, %d round(s)\n", res.Stats.TotalBytes, res.Stats.Rounds)
+	fmt.Printf("doubling capped at Theorem 6.1's budget: %d bytes, %d round(s)\n", res.Stats.TotalBytes, res.Stats.Rounds)
 	if !sosr.ForestsIsomorphic(res.Recovered, alice) {
 		log.Fatal("recovered forest is not isomorphic to Alice's")
 	}
@@ -42,7 +42,7 @@ func main() {
 	}
 	fmt.Println("Bob now holds a rooted forest isomorphic to Alice's.")
 
-	// Without a bound on d, the doubling variant converges on its own.
+	// Without a bound on d, the same doubling runs up to a budget of 2^20.
 	res2, err := sosr.ReconcileForests(alice, bob, sosr.ForestConfig{Seed: 24})
 	if err != nil {
 		log.Fatal(err)

@@ -27,8 +27,12 @@ func (f Forest) Validate() error { return f.toInternal().Validate() }
 type ForestConfig struct {
 	// Seed seeds the shared public coins.
 	Seed uint64
-	// MaxEdits is d, the bound on forest edge edits; 0 runs the doubling
-	// variant that needs no bound.
+	// MaxEdits is d, the bound on forest edge edits. Every session runs
+	// verified doubling over the signature budget, one round trip per
+	// attempt; d caps it at Theorem 6.1's budget 4·d·(σ+2)+16, whose attempt
+	// is the theorem's one-round message, so a session fails only where that
+	// message fails, and one that needs a smaller budget sends less. 0 leaves
+	// the cap at 2^20.
 	MaxEdits int
 	// Depth is σ, the maximum tree depth across both forests; 0 derives it.
 	Depth int
@@ -41,8 +45,9 @@ type ForestResult struct {
 	Stats     Stats
 }
 
-// ReconcileForests runs Theorem 6.1: Bob (second argument) recovers a forest
-// isomorphic to Alice's, with communication O(dσ log(dσ) log n).
+// ReconcileForests runs Theorem 6.1 under verified doubling (see
+// ForestConfig.MaxEdits): Bob (second argument) recovers a forest isomorphic
+// to Alice's, with communication O(dσ log(dσ) log n).
 func ReconcileForests(alice, bob Forest, cfg ForestConfig) (*ForestResult, error) {
 	fa, fb := alice.toInternal(), bob.toInternal()
 	if err := fa.Validate(); err != nil {
@@ -51,16 +56,8 @@ func ReconcileForests(alice, bob Forest, cfg ForestConfig) (*ForestResult, error
 	if err := fb.Validate(); err != nil {
 		return nil, err
 	}
-	sess := transport.New()
-	coins := hashing.NewCoins(cfg.Seed)
-	var rec *forest.Forest
-	var st transport.Stats
-	var err error
-	if cfg.MaxEdits > 0 {
-		rec, st, err = forest.Recon(sess, coins, fa, fb, forest.ReconParams{Sigma: cfg.Depth, D: cfg.MaxEdits})
-	} else {
-		rec, st, err = forest.ReconAuto(sess, coins, fa, fb, 0)
-	}
+	sched := forest.NewSchedule(forest.Measure(fa), forest.Measure(fb), forest.ReconParams{Sigma: cfg.Depth, D: cfg.MaxEdits}, 0)
+	rec, st, err := forest.ReconAuto(transport.New(), hashing.NewCoins(cfg.Seed), fa, fb, sched)
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,11 @@
 //
 // Sessions that draw fresh coins ask for every key once, so an entry built
 // for a key nothing held waits in a probation segment, capped at an eighth
-// of the budget or its newest entry. The next lookup of its key moves it
-// into the main LRU, and eviction takes the probation tail before the main
-// one: one-shot payloads hold at most an eighth of the budget, or a single
-// entry, and give way to each other before an entry asked for twice does.
+// of the budget or its newest entry, where an entry counts its payload and
+// entryBytes beside it. The next lookup of its key moves it into the main
+// LRU, and eviction takes the probation tail before the main one: one-shot
+// payloads hold at most an eighth of the budget, or a single entry, and give
+// way to each other before an entry asked for twice does.
 // Probation remembers the keys it drops, as a 64-bit fingerprint and a size,
 // up to a budget's worth of what they held and as many records as an eighth
 // of the budget holds at ghostBytes (32) each; a key rebuilt while remembered
@@ -109,6 +110,14 @@ type Cache struct {
 // probationShare is the fraction of the byte budget (1/probationShare) the
 // probation segment may hold beyond its newest entry.
 const probationShare = 8
+
+// entryBytes is the heap a resident entry holds beside its payload: the entry,
+// its map slot with the map's slack, and its frame list (TestEntryHeap).
+// Probation's cap counts it, so that its eighth of the budget bounds heap and
+// not only payload bytes: counting payloads only, cold_kinds_tcp's server
+// probation held 2 282 entries of 3.7 kB on average, and the entries alone
+// took another 1.1 MB beside the 8 MB of payloads.
+const entryBytes = 448
 
 // ghostBytes is the data a remembered key keeps: its 16-byte record in the
 // ring and the 16 bytes of its fingerprint's map slot. Ghosts whose records
@@ -421,10 +430,10 @@ func (c *Cache) finish(k Key, cl *call, built value, size int64, err error) {
 // insert stores a built value: in place of the key's resident entry, in that
 // one's segment; in main, if probation dropped the key and still remembers
 // it (or one of its fingerprint: a collision only promotes an entry); or else
-// as the newest entry of probation. Probation then
-// evicts its own tail down to a 1/probationShare share of the bound or its
-// newest entry, and while the bound is exceeded the rest of probation goes
-// before the main tail. Oversized payloads (> half the bound) are not
+// as the newest entry of probation. Probation then evicts its own tail down
+// to a 1/probationShare share of the bound, counting entryBytes an entry, or
+// to its newest entry, and while the bound is exceeded the rest of probation
+// goes before the main tail. Oversized payloads (> half the bound) are not
 // retained — one giant value must not flush the whole working set — and the
 // value they would have replaced goes too: it is stale. Caller holds mu.
 func (c *Cache) insert(k Key, v value, size int64) {
@@ -453,7 +462,7 @@ func (c *Cache) insert(k Key, v value, size int64) {
 	e.value, e.size = v, size
 	c.entries[k] = e
 	seg.pushFront(e)
-	for c.probation.n > 1 && c.probation.bytes > c.maxBytes/probationShare {
+	for c.probation.n > 1 && c.probation.bytes+int64(c.probation.n)*entryBytes > c.maxBytes/probationShare {
 		c.evict(&c.probation)
 	}
 	for c.main.bytes+c.probation.bytes > c.maxBytes {

@@ -627,14 +627,15 @@ func TestOneShotFloodKeepsProvenEntry(t *testing.T) {
 // TestCycledKeysHitAfterWarmup: keys asked for in turn whose payloads fill
 // half the bound, four times what probation holds, are all served from memory
 // from the third round on. Those probation dropped before their second
-// request are remembered, so their rebuild goes straight to main.
+// request are remembered, so their rebuild goes straight to main. The
+// payloads are 400 bytes, above the 224 the package comment's promise needs.
 func TestCycledKeysHitAfterWarmup(t *testing.T) {
-	const maxBytes, n = 8000, 40
+	const maxBytes, n, size = 32000, 40, 400
 	c := New(maxBytes)
 	for round := 0; round < 5; round++ {
 		before := c.Stats()
 		for i := 0; i < n; i++ {
-			if _, err := c.GetOrCompute(key(i), sized(maxBytes/2/n)); err != nil {
+			if _, err := c.GetOrCompute(key(i), sized(size)); err != nil {
 				t.Fatal(err)
 			}
 			checkSegments(t, c)
@@ -643,8 +644,9 @@ func TestCycledKeysHitAfterWarmup(t *testing.T) {
 			t.Fatalf("round %d: %d of %d lookups missed (%+v)", round, st.Misses-before.Misses, n, st)
 		}
 	}
-	// Forty misses in the first round, then the thirty probation dropped.
-	if st := c.Stats(); st.Promotions != n || st.Entries != n || st.Misses != 70 {
+	// Forty misses in the first round, then the thirty-six probation dropped:
+	// it holds four entries of size + entryBytes.
+	if st := c.Stats(); st.Promotions != n || st.Entries != n || st.Misses != 2*n-maxBytes/probationShare/(size+entryBytes) {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -751,7 +753,7 @@ func TestCacheAllocBudget(t *testing.T) {
 // linux/amd64 with Go 1.24. When a ghost was a whole entry, the ring held
 // 65 536 of them here, in 27 MB.
 // The rest of the cache is not what this bounds: probation's eighth of the
-// budget counts its 8 192 entries' payloads, not the entries.
+// budget holds 282 entries of 16 + entryBytes (TestEntryHeap).
 func TestGhostHeap(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's shadow memory is in the heap")
@@ -770,7 +772,7 @@ func TestGhostHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Misses != keys || st.Entries != maxBytes/probationShare/size {
+	if st := c.Stats(); st.Misses != keys || st.Entries != maxBytes/probationShare/(size+entryBytes) {
 		t.Fatalf("stats %+v", st)
 	}
 	records := c.ghost.n
@@ -784,6 +786,40 @@ func TestGhostHeap(t *testing.T) {
 		t.Errorf("%d ghost records held %d bytes of heap; want %d records in under 2 MiB", records, freed, maxBytes/probationShare/ghostBytes)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestEntryHeap: entryBytes, what probation counts an entry beside its
+// payload, is the heap an entry holds within a factor of two: a cache of
+// 3 000 entries of 16-byte payloads, each under a forest-sized key and as two
+// frames, measured after a GC as what dropping the cache frees (about 410 B
+// an entry on linux/amd64 with Go 1.24, 380–500 B as the map grows).
+func TestEntryHeap(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow memory is in the heap")
+	}
+	const entries, size = 3000, 16
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	c := New(1 << 30)
+	for i := range entries {
+		k := key(i)
+		k.Extra = "n=600,dep=12,mc=9"
+		if _, err := c.GetOrComputeFrames(k, func() ([][]byte, error) { return [][]byte{make([]byte, size/2), make([]byte, size/2)}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perEntry := (heap() - before) / entries
+	runtime.KeepAlive(c)
+	t.Logf("%d entries hold %d B of heap each beside %d payload bytes", entries, perEntry-size, size)
+	if got := perEntry - size; got < entryBytes/2 || got > 2*entryBytes {
+		t.Errorf("an entry holds %d B beside its payload, entryBytes says %d", got, entryBytes)
+	}
 }
 
 // TestConcurrentOutcomesUnderChurn: goroutines look up a few keys, with new

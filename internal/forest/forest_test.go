@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -226,13 +227,78 @@ func TestReconAuto(t *testing.T) {
 	fa := Random(60, 0.2, src)
 	fb := Perturb(fa, 3, src)
 	sess := transport.New()
-	rec, _, err := ReconAuto(sess, hashing.NewCoins(23), fa, fb, 1<<16)
+	rec, _, err := ReconAuto(sess, hashing.NewCoins(23), fa, fb, Schedule{Cap: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !IsIsomorphic(rec, fa) {
 		t.Fatal("auto reconciliation wrong")
 	}
+}
+
+// TestSchedule: budgets double from 16, and the last attempt runs at exactly
+// the cap, whether or not the cap is a power of two.
+func TestSchedule(t *testing.T) {
+	for _, c := range []struct {
+		cap  int
+		want []int
+	}{
+		{8, []int{8}}, {16, []int{16}}, {17, []int{16, 17}}, {28, []int{16, 28}},
+		{232, []int{16, 32, 64, 128, 232}}, {256, []int{16, 32, 64, 128, 256}},
+	} {
+		s := Schedule{Cap: c.cap}
+		var got []int
+		for k := range s.Attempts() {
+			got = append(got, s.Ask(k).Budget)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("cap %d: budgets %v, want %v", c.cap, got, c.want)
+		}
+	}
+	if got := NewSchedule(SideInfo{}, SideInfo{}, ReconParams{}, 0).Attempts(); got != 17 {
+		t.Errorf("an unbounded schedule runs %d attempts, want 17 (16 up to 2^20)", got)
+	}
+}
+
+// TestBudgetLaw: Theorem 6.1's message — Recon's, and the last attempt of a
+// session's schedule — is sized by the budget 4·d·(σ+2)+16, linear in σ. On
+// each instance, at σ its depth and twice and four times that, its bytes
+// against the budget have a log-log slope of 0.8–1.25 (0.93 measured): the
+// cascade's log factor barely moves over a fourfold budget.
+func TestBudgetLaw(t *testing.T) {
+	const d = 3
+	var sxx, sxy float64
+	for _, n := range []int{200, 600, 1800} {
+		for inst := uint64(1); inst <= 5; inst++ {
+			fa := Random(n, 0.2, prng.New(inst))
+			fb := Perturb(fa, d, prng.New(inst+1))
+			var xs, ys []float64
+			for _, times := range []int{1, 2, 4} {
+				p, params := Plan(Measure(fa), Measure(fb), ReconParams{Sigma: times * max(fa.Depth(), fb.Depth()), D: d})
+				sig, meta, err := AliceMsg(hashing.NewCoins(inst), fa, p, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				xs, ys = append(xs, math.Log(float64(p.Budget))), append(ys, math.Log(float64(len(sig)+len(meta))))
+			}
+			// Centre each instance's points: the slope is within instances.
+			mx, my := mean(xs), mean(ys)
+			for i := range xs {
+				sxx, sxy = sxx+(xs[i]-mx)*(xs[i]-mx), sxy+(xs[i]-mx)*(ys[i]-my)
+			}
+		}
+	}
+	if s := sxy / sxx; s < 0.8 || s > 1.25 {
+		t.Errorf("log-log slope of bytes over the budget %.2f, want 0.8–1.25", s)
+	}
+}
+
+func mean(xs []float64) float64 {
+	var m float64
+	for _, x := range xs {
+		m += x / float64(len(xs))
+	}
+	return m
 }
 
 func TestReconCommunicationScalesWithDSigma(t *testing.T) {

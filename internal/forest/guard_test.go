@@ -2,7 +2,6 @@ package forest
 
 import (
 	"errors"
-	"math/bits"
 	"sync/atomic"
 	"testing"
 
@@ -12,20 +11,21 @@ import (
 	"sosr/internal/transport"
 )
 
-// The failure guard of the signature collection's shape. Plan hands the
-// cascade h = the largest M_v either party holds and nothing on top; what
-// that buys is bytes (⌈log₂ h⌉ levels, ending in a level of whole child sets,
-// where ⌈log₂ budget⌉ levels went), and what it must not cost is a decode. Each row below is a family of
-// instances reconciled under fresh forests and fresh coins per trial, held to
-// three things: no reconciliation that reports success returns a forest other
-// than Alice's; the known-d protocol fails at most once in two hundred (the
-// doubling one, never: it retries until Bob verifies, within the attempts the
-// wire flow allows); and the mean session stays under a byte ceiling about a
-// third over what the row measures since protoVersion 8 — well below what the
-// same row cost at protoVersion 7 and when h carried twice the budget (in
-// comments), so that slack cannot come back unnoticed. Version 8 keys a level
-// by whole child sets wherever they are narrower than child IBLTs, which cut
-// every row but the star's by 67–84 %.
+// The failure guard of the signature collection's shape and of the schedule
+// every session runs. Plan hands the cascade h = the largest M_v either party
+// holds and nothing on top; what that buys is bytes (⌈log₂ h⌉ levels, ending
+// in a level of whole child sets, where ⌈log₂ budget⌉ levels went), and what
+// it must not cost is a decode. Each row below is a family of instances
+// reconciled under fresh forests and fresh coins per trial, through ReconAuto
+// and the Schedule a session derives — capped at Plan's budget when the row
+// bounds the edits, at 2^20 when it does not — and held to three things: no
+// reconciliation that reports success returns a forest other than Alice's; a
+// row with an edit bound fails at most once in two hundred (one without,
+// never: it retries until Bob verifies); and the mean session stays under a
+// byte ceiling about a third over what the row measures since protoVersion 9.
+// The comments keep what each row cost before: at version 8, when a known
+// bound sent Recon's one message at Plan's budget; at version 7; and when h
+// carried twice the budget, so that slack cannot come back unnoticed.
 type guardRow struct {
 	name string
 	// trials at full size; a seventh of it under -short and under the race
@@ -40,6 +40,9 @@ type guardRow struct {
 	tstar bool
 	// ceiling bounds the mean bytes of a session.
 	ceiling int
+	// atCap says every success of the row must come on the schedule's last
+	// attempt, at exactly its cap.
+	atCap bool
 }
 
 // perturbed is the common instance: a random forest and k edits of it.
@@ -78,53 +81,91 @@ func editsUnderOneVertex(n, k int) func(*prng.Source) (*Forest, *Forest, ReconPa
 	}
 }
 
+// broomCut draws a broom — a spine of n vertices, the i-th holding i + 1
+// leaves, so that no two spine vertices root the same shape — under a random
+// labelling, and cuts its bottom spine vertex loose: every spine vertex
+// re-signs. Its one edit needs a budget above 16 (which decoded it under none
+// of 40 coins) and at most 28 (which decoded it under all of 100).
+func broomCut(n int) func(*prng.Source) (*Forest, *Forest, ReconParams) {
+	return func(src *prng.Source) (*Forest, *Forest, ReconParams) {
+		f := New(n + n*(n+1)/2)
+		v := n
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				f.Parent[i] = int32(i - 1)
+			}
+			for j := 0; j <= i; j, v = j+1, v+1 {
+				f.Parent[v] = int32(i)
+			}
+		}
+		cut := f.Clone()
+		cut.Parent[n-1] = -1
+		perm := src.Perm(f.N())
+		relabel := func(f *Forest) *Forest {
+			out := New(f.N())
+			for v, p := range f.Parent {
+				if p >= 0 {
+					out.Parent[perm[v]] = int32(perm[p])
+				}
+			}
+			return out
+		}
+		return relabel(f), relabel(cut), ReconParams{D: 1, Budget: 28}
+	}
+}
+
 var guardRows = []guardRow{
-	// The benchmark's forest leg: 82 615 B a session, 288 846 at version 7,
-	// 860 933 when h carried the budget.
-	{"bench", 600, perturbed(600, 0.2, 3, ReconParams{Sigma: 16, D: 3}), true, 110_000},
-	// 117 960, 397 000 at version 7, was 1 344 227.
-	{"deep", 250, perturbed(300, 0.02, 5, ReconParams{D: 5}), true, 160_000},
-	// 89 949, 346 001 at version 7, was 1 392 773.
-	{"flat", 200, perturbed(1000, 0.6, 8, ReconParams{D: 8}), true, 120_000},
-	// 36 360, 111 193 at version 7, was 281 314.
-	{"one-edit", 100, perturbed(2000, 0.2, 1, ReconParams{D: 1}), true, 50_000},
-	// 108 635, 410 235 at version 7, was 1 546 239.
-	{"eight-edits", 150, perturbed(200, 0.3, 8, ReconParams{D: 8}), true, 145_000},
-	// One root and n − 1 leaves: h = n + 1 is far above the budget, so every
-	// level keeps its child keys, the one large M_v rides the cascade's
-	// levels, and the payload is what it was, 135 068 (174 877 before
-	// version 6).
+	// The benchmark's forest leg: 6 715 B a session, 82 615 at version 8,
+	// 288 846 at version 7, 860 933 when h carried the budget.
+	{"bench", 600, perturbed(600, 0.2, 3, ReconParams{Sigma: 16, D: 3}), true, 9_000, false},
+	// 7 323, 117 960 at version 8, 397 000 at version 7, was 1 344 227.
+	{"deep", 250, perturbed(300, 0.02, 5, ReconParams{D: 5}), true, 9_800, false},
+	// 5 133, 89 949 at version 8, 346 001 at version 7, was 1 392 773.
+	{"flat", 200, perturbed(1000, 0.6, 8, ReconParams{D: 8}), true, 6_900, false},
+	// 8 251, 36 360 at version 8, 111 193 at version 7, was 281 314.
+	{"one-edit", 100, perturbed(2000, 0.2, 1, ReconParams{D: 1}), true, 11_000, false},
+	// 5 522, 108 635 at version 8, 410 235 at version 7, was 1 546 239.
+	{"eight-edits", 150, perturbed(200, 0.3, 8, ReconParams{D: 8}), true, 7_400, false},
+	// One root and n − 1 leaves: h = n + 1 is far above every budget, so
+	// every level keeps its child keys and the one large M_v rides the
+	// cascade's levels. 31 041, 135 068 at version 8, 174 877 before
+	// version 6.
 	{"star", 150, func(src *prng.Source) (*Forest, *Forest, ReconParams) {
 		fa := star(400)
 		return fa, Perturb(fa, 2, src), ReconParams{D: 2}
-	}, false, 235_000},
-	// One path: σ = n, and a cut re-signs every vertex above it. 17 217,
-	// 109 445 at version 7, was 2 038 581.
+	}, false, 41_500, false},
+	// One path: σ = n, and a cut re-signs every vertex above it, so a session
+	// takes up to three attempts. 5 730, 17 217 at version 8, 109 445 at
+	// version 7, was 2 038 581.
 	{"path", 150, func(src *prng.Source) (*Forest, *Forest, ReconParams) {
 		fa := chain(64)
 		return fa, Perturb(fa, 2, src), ReconParams{D: 2}
-	}, true, 23_000},
-	// 126 706, 447 193 at version 7, was 1 480 387.
-	{"one-vertex", 200, editsUnderOneVertex(600, 6), true, 170_000},
-	// The doubling protocol plans every attempt for a budget of its own, from
-	// 16 up. A session that ends on its first attempts ends its cascade in a
+	}, true, 7_700, false},
+	// 6 592, 126 706 at version 8, 447 193 at version 7, was 1 480 387.
+	{"one-vertex", 200, editsUnderOneVertex(600, 6), true, 8_800, false},
+	// Without a bound every attempt plans for a budget of its own, from 16
+	// up. A session that ends on its first attempts ends its cascade in a
 	// whole-set level (16 ≥ h) where it had a fourth child level — 6 700 and
 	// 6 836 B, 30 253 and 31 468 at version 7, 38 294 and 38 997 before — and
 	// one that must double in earnest, the path's five attempts, stops adding
 	// a level per doubling: 46 322, 233 078 at version 7, was 945 030.
-	{"doubling-bench", 120, perturbed(600, 0.2, 3, ReconParams{}), true, 9_000},
-	{"doubling-deep", 120, perturbed(300, 0.02, 5, ReconParams{}), true, 9_200},
+	{"doubling-bench", 120, perturbed(600, 0.2, 3, ReconParams{}), true, 9_000, false},
+	{"doubling-deep", 120, perturbed(300, 0.02, 5, ReconParams{}), true, 9_200, false},
 	{"doubling-path", 60, func(src *prng.Source) (*Forest, *Forest, ReconParams) {
 		fa := chain(300)
 		return fa, Perturb(fa, 4, src), ReconParams{}
-	}, true, 62_000},
+	}, true, 62_000, false},
+	// The cap binds: Plan's budget (28, passed as Budget) is no power of two
+	// and the edit needs more than the 16 below it, so every session fails
+	// its first attempt and succeeds on the last, at exactly the cap. A
+	// schedule that stopped at the last power of two under its cap fails
+	// every trial here. At an honest σ, Theorem 6.1's budget is far above
+	// what any row above needed, so only a declared budget binds.
+	// 64 926 B.
+	{"cap", 60, broomCut(34), false, 86_500, true},
 }
 
 func TestFailureGuard(t *testing.T) {
-	// What sosrnet's flow.limit allows a doubling session under the default
-	// budget cap: budgets 16·2^k up to 1<<20.
-	const maxBudget = 1 << 20
-	doublingLimit := bits.Len(maxBudget / 16)
 	small := testing.Short() || raceflag.Enabled
 	var total, knownD, knownDFailed atomic.Int64
 	// The rows run side by side inside one group, so that what follows the
@@ -142,36 +183,39 @@ func TestFailureGuard(t *testing.T) {
 				for trial := 0; trial < trials; trial++ {
 					fa, fb, p := row.instance(src)
 					coins := hashing.NewCoins(src.Uint64())
-					var rec *Forest
-					var st transport.Stats
-					var err error
+					a, b := Measure(fa), Measure(fb)
+					// The schedule a session runs: the cap is Plan's
+					// budget when p bounds the edits, 2^20 otherwise.
+					sched := NewSchedule(a, b, p, 0)
 					if known = p.D > 0; known {
-						rp, shape := Plan(Measure(fa), Measure(fb), p)
+						rp, shape := Plan(a, b, p)
+						if rp.Budget != sched.Cap {
+							t.Fatalf("trial %d: the schedule's cap is %d, Plan's budget %d", trial, sched.Cap, rp.Budget)
+						}
 						if tstar := rp.Budget >= shape.H; tstar != row.tstar {
 							t.Fatalf("trial %d: budget %d against h = %d: T* present = %v, the row wants %v", trial, rp.Budget, shape.H, tstar, row.tstar)
 						}
-						rec, st, err = Recon(transport.New(), coins, fa, fb, p)
-					} else {
-						rec, st, err = ReconAuto(transport.New(), coins, fa, fb, maxBudget)
-						// An attempt is Alice's two messages and Bob's verdict.
-						attempts = max(attempts, st.Messages/3)
-						if err != nil || attempts > doublingLimit {
-							t.Fatalf("trial %d: doubling ended after %d attempts (limit %d): %v", trial, st.Messages/3, doublingLimit, err)
-						}
+					}
+					rec, st, err := ReconAuto(transport.New(), coins, fa, fb, sched)
+					// An attempt is Alice's two messages and Bob's verdict.
+					ran := st.Messages / 3
+					attempts = max(attempts, ran)
+					if row.atCap && err == nil && (ran != sched.Attempts() || sched.Ask(ran-1).Budget != sched.Cap) {
+						t.Fatalf("trial %d: succeeded on attempt %d of %d, the row must need the one at its cap %d", trial, ran, sched.Attempts(), sched.Cap)
 					}
 					switch {
 					case err == nil && !IsIsomorphic(rec, fa):
 						t.Fatalf("trial %d: a reconciliation that reported success returned a forest other than Alice's", trial)
 					case err == nil:
 						bytes += st.TotalBytes
-					case errors.Is(err, ErrBudget) || errors.Is(err, ErrRebuild):
+					case known && (errors.Is(err, ErrBudget) || errors.Is(err, ErrRebuild)):
 						failed++
 					default:
-						t.Fatalf("trial %d: unclassified failure: %v", trial, err)
+						t.Fatalf("trial %d: %v", trial, err)
 					}
 				}
 				mean := bytes / max(trials-failed, 1)
-				t.Logf("%s: %d trials, %d failed, mean %d B a session (ceiling %d), at most %d doubling attempts", row.name, trials, failed, mean, row.ceiling, attempts)
+				t.Logf("%s: %d trials, %d failed, mean %d B a session (ceiling %d), at most %d attempts", row.name, trials, failed, mean, row.ceiling, attempts)
 				if mean > row.ceiling {
 					t.Errorf("mean session is %d B, ceiling %d", mean, row.ceiling)
 				}

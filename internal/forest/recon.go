@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"sosr/internal/core"
@@ -154,9 +155,9 @@ func Plan(a, b SideInfo, p ReconParams) (ReconParams, core.Params) {
 		// Each edit re-signs at most σ ancestors; each re-signed vertex
 		// changes its own M_v and its parent's, costing ≲4 packed elements
 		// plus multiplicity-tag churn: the theorem's worst case, d edits each
-		// at the bottom of a path of depth σ. Callers wanting certainty can
-		// pass a larger Budget; callers who need no a-priori guarantee use
-		// ReconAuto's verified doubling and pay for the difference they have.
+		// at the bottom of a path of depth σ. Recon sends its message at this
+		// budget in one round; a session (NewSchedule) makes it the cap of
+		// its doubling and reaches it only when every smaller budget failed.
 		p.Budget = 4*p.D*(p.Sigma+2) + 16
 	}
 	return p, core.Params{S: a.N + b.N, H: max(a.MaxChild, b.MaxChild), U: 0}
@@ -229,16 +230,54 @@ func (w *forestWork) apply(coins hashing.Coins, fb *Forest, p ReconParams, param
 	return w.rebuild(res.Recovered, int(wantN))
 }
 
-// ReconAuto retries Recon with doubling budgets until Bob verifies, for
-// callers without a good d·σ bound (the Corollary 3.8 doubling applied to
-// forests). Bob acknowledges each attempt.
-func ReconAuto(sess *transport.Session, coins hashing.Coins, fa, fb *Forest, maxBudget int) (*Forest, transport.Stats, error) {
+// Schedule is verified doubling over the signature budget — Corollary 3.8's
+// repetition applied to forests — and the one flow every forest session runs,
+// in process and on the wire. Attempt k plans for a budget of min(16·2^k, Cap)
+// under coins.Sub("forest-attempt", k), Bob verifies by rebuilding, and the
+// attempt at Cap is the last. An edit bound only sets the cap: at Theorem 6.1's
+// budget (see NewSchedule) the last attempt is Recon's one-round plan, so a
+// session fails only where that plan fails too, and one that succeeds earlier
+// pays for the difference it has rather than for d edits each at the bottom of
+// a depth-σ path.
+type Schedule struct {
+	// Cap is the budget of the last attempt.
+	Cap int
+}
+
+// NewSchedule derives the schedule both parties read off their side infos: its
+// cap is Plan's budget for p when p bounds the edits (p.D > 0; p.Sigma and
+// p.Budget as Plan takes them), and maxBudget otherwise, never above
+// maxBudget; maxBudget ≤ 0 means 2^20.
+func NewSchedule(a, b SideInfo, p ReconParams, maxBudget int) Schedule {
 	if maxBudget <= 0 {
 		maxBudget = 1 << 20
 	}
+	if p.D <= 0 {
+		return Schedule{Cap: maxBudget}
+	}
+	p, _ = Plan(a, b, p)
+	return Schedule{Cap: min(p.Budget, maxBudget)}
+}
+
+// Attempts is the number of attempts the schedule allows: one for each budget
+// 16·2^k below Cap, and the one at Cap.
+func (s Schedule) Attempts() int {
+	return 1 + bits.Len(uint(max(s.Cap-1, 0)/16))
+}
+
+// Ask is what attempt k plans for; Plan resolves the shape from the side
+// infos.
+func (s Schedule) Ask(k int) ReconParams {
+	return ReconParams{Sigma: 1, D: 1, Budget: min(16<<k, s.Cap)}
+}
+
+// ReconAuto runs s: Recon at each attempt's budget, under the attempt's coins,
+// until Bob rebuilds a forest. Bob answers each attempt with a one-byte "ack"
+// or "retry".
+func ReconAuto(sess *transport.Session, coins hashing.Coins, fa, fb *Forest, s Schedule) (*Forest, transport.Stats, error) {
 	var lastErr error
-	for budget, k := 16, 0; budget <= maxBudget; budget, k = budget*2, k+1 {
-		out, _, err := Recon(sess, coins.Sub("forest-attempt", k), fa, fb, ReconParams{Sigma: 1, D: 1, Budget: budget})
+	for k := range s.Attempts() {
+		out, _, err := Recon(sess, coins.Sub("forest-attempt", k), fa, fb, s.Ask(k))
 		if err == nil {
 			sess.Send(transport.Bob, "ack", []byte{1})
 			return out, sess.Stats(), nil

@@ -682,7 +682,8 @@ func (a *graphApply) apply(_ int, coins hashing.Coins, frames [2][]byte) (err er
 
 // Forest reconciles a local rooted forest against the hosted forest `name`:
 // the client ends up with a forest isomorphic to the server's. cfg mirrors
-// sosr.ReconcileForests (known-budget and auto-doubling variants).
+// sosr.ReconcileForests: verified doubling, capped at Theorem 6.1's budget
+// when cfg bounds the edits.
 // Cancelling ctx severs the session.
 func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig) (*sosr.ForestResult, *NetStats, error) {
 	ap := &forestApply{}
@@ -691,14 +692,14 @@ func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg
 		if err := fb.Validate(); err != nil {
 			return nil, err
 		}
-		ap.fb, ap.info = fb, forest.Measure(fb)
-		h := &ap.h
+		ap.fb = fb
+		info, h := forest.Measure(fb), &ap.h
 		h.D, h.Sigma = max(cfg.MaxEdits, 0), max(cfg.Depth, 0)
-		h.N, h.Depth, h.MaxChild = ap.info.N, ap.info.Depth, ap.info.MaxChild
+		h.N, h.Depth, h.MaxChild = info.N, info.Depth, info.MaxChild
 		if err := ap.open(); err != nil {
 			return nil, err
 		}
-		attempts, err := ap.runFlow(h.forestFlow(), ap)
+		attempts, err := ap.runFlow(&flowForest, ap)
 		if err != nil {
 			return nil, err
 		}
@@ -706,19 +707,17 @@ func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg
 	})
 }
 
-// forestApply is Bob's side of a forest session: attempt k plans, from both
-// parties' side info, exactly as the server's forestPlan.build does.
+// forestApply is Bob's side of a forest session: attempt k plans from the
+// hello and the accept, exactly as the server's forestPlan.build does.
 type forestApply struct {
 	noProbe
 	clientSession
-	fb   *forest.Forest
-	info forest.SideInfo
-	rec  *forest.Forest
+	fb  *forest.Forest
+	rec *forest.Forest
 }
 
 func (a *forestApply) apply(k int, coins hashing.Coins, frames [2][]byte) (err error) {
-	acc := &a.acc
-	rp, params := forest.Plan(forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}, a.info, a.h.forestAsk(k))
+	rp, params := forestAttempt(&a.h, &a.acc, k)
 	dsp := a.sp.Child("decode")
 	a.rec, err = forest.Apply(coins, a.fb, rp, params, frames[0], frames[1])
 	endDecode(dsp, err)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sosr"
@@ -32,9 +34,33 @@ var (
 )
 
 const (
-	goldenHelloHex  = "010802030304646f637304070b200d0313c801140a158080808010"
-	goldenAcceptHex = "01080203032004030520060307c801080a098080808010"
+	goldenHelloHex  = "010902030304646f637304070b200d0313c801140a158080808010"
+	goldenAcceptHex = "01090203032004030520060307c801080a098080808010"
 	goldenDoneHex   = "0101030104e03605010601"
+)
+
+// The frames of a known-d forest session — the benchmark's cold_kinds_tcp
+// forest op: RandomForest(600, 0.2, 51) hosted, PerturbForest(·, 3, 52)
+// reconciled at MaxEdits 3 and Depth 16 under seed 53 — pinned like the hot
+// session's, with the label of every frame each way. The hello selects the
+// flow row, which no payload golden sees; the done's counts and the labels do.
+var (
+	goldenForestHello = helloMsg{
+		V: protoVersion, Kind: KindForest, Dataset: "forest", Seed: 53,
+		D: 3, Sigma: 16, N: 600, Depth: 12, MaxChild: 9,
+	}
+	goldenForestAccept = acceptMsg{
+		V: protoVersion, Kind: KindForest, D: 3, N: 600, Depth: 12, MaxChild: 9, MaxBudget: 1 << 20,
+	}
+	goldenForestDone = doneMsg{OK: true, Rounds: 2, Bytes: 6021, Messages: 3, Attempts: 1}
+	// Bob's frames, then Alice's.
+	goldenForestLabels = [2][]string{{lblHello, "ack", lblDone}, {lblAccept, "cascade-iblts", "forest-meta"}}
+)
+
+const (
+	goldenForestHelloHex  = "010902050306666f7265737404350b031ad8041c101d0c1e09"
+	goldenForestAcceptHex = "0109020503030bd8040c0c0d090e808040"
+	goldenForestDoneHex   = "0101030204852f05030601"
 )
 
 // golden holds one message to its pinned bytes, both ways.
@@ -72,6 +98,68 @@ func TestCtlGoldens(t *testing.T) {
 	if ns.Protocol.TotalBytes != goldenDone.Bytes || ns.Overhead != int64(frames) {
 		t.Errorf("the session moved %d payload and %d other bytes, the goldens say %d and %d", ns.Protocol.TotalBytes, ns.Overhead, goldenDone.Bytes, frames)
 	}
+}
+
+// TestForestGoldens runs the pinned forest session and holds it to its frames:
+// the control messages' bytes, every frame's label in order each way, and the
+// payload and framing bytes the session moved.
+func TestForestGoldens(t *testing.T) {
+	golden(t, "forest hello", goldenForestHelloHex, helloFields, &goldenForestHello)
+	golden(t, "forest accept", goldenForestAcceptHex, acceptFields, &goldenForestAccept)
+	golden(t, "forest done", goldenForestDoneHex, doneFields, &goldenForestDone)
+	alice := sosr.RandomForest(600, 0.2, 51)
+	_, addr, _ := startServer(t, func(s *Server) {
+		if err := s.HostForest("forest", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	c := Dial(addr)
+	defer c.Close()
+	var conn *recordConn
+	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		nc, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
+		conn = &recordConn{Conn: nc}
+		return conn, err
+	}
+	_, ns, err := c.Forest(context.Background(), "forest", sosr.PerturbForest(alice, 3, 52), sosr.ForestConfig{Seed: 53, MaxEdits: 3, Depth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range [2][]byte{conn.out.Bytes(), conn.in.Bytes()} {
+		var labels []string
+		for r := bytes.NewReader(b); r.Len() > 0; {
+			label, _, _, err := wire.ReadFrame(r, 1<<24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels = append(labels, label)
+		}
+		if !slices.Equal(labels, goldenForestLabels[i]) {
+			t.Errorf("%s sent %q, golden %q", [2]string{"Bob", "Alice"}[i], labels, goldenForestLabels[i])
+		}
+	}
+	frames := wire.FrameSize(lblHello, len(goldenForestHelloHex)/2) + wire.FrameSize(lblAccept, len(goldenForestAcceptHex)/2) +
+		wire.FrameSize(lblDone, len(goldenForestDoneHex)/2) + wire.Overhead("cascade-iblts") + wire.Overhead("forest-meta") + wire.Overhead("ack")
+	if ns.Protocol.TotalBytes != goldenForestDone.Bytes || ns.Overhead != int64(frames) {
+		t.Errorf("the session moved %d payload and %d other bytes, the goldens say %d and %d", ns.Protocol.TotalBytes, ns.Overhead, goldenForestDone.Bytes, frames)
+	}
+}
+
+// recordConn keeps a copy of every byte a connection reads and writes.
+type recordConn struct {
+	net.Conn
+	in, out bytes.Buffer
+}
+
+func (c *recordConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.in.Write(p[:n])
+	return n, err
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.out.Write(p)
+	return c.Conn.Write(p)
 }
 
 // sizingInts calls f for every int field of message v but the version: the

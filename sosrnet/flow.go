@@ -2,7 +2,6 @@ package sosrnet
 
 import (
 	"fmt"
-	"math/bits"
 
 	"sosr"
 	"sosr/internal/core"
@@ -65,14 +64,13 @@ func (h *helloMsg) setFlow() *flow {
 }
 
 // Graphs (both §5 schemes send a signature cascade and an edge table; the §4
-// polynomial scheme one 24-byte evaluation) and forests (known edit bound, or
-// Corollary 3.8's doubling applied to the signature budget: attempt k plans
-// for a budget of 16·2^k):
+// polynomial scheme one 24-byte evaluation) and forests (forest.Schedule:
+// Corollary 3.8's doubling applied to the signature budget, capped at Theorem
+// 6.1's budget when the hello bounds the edits):
 var (
-	flowGraph      = flow{labels: [2]string{"cascade-iblts", "edge-iblt"}}
-	flowGraphPoly  = flow{labels: [2]string{"poly-recon"}}
-	flowForest     = flow{labels: [2]string{"cascade-iblts", "forest-meta"}}
-	flowForestAuto = flow{labels: [2]string{"cascade-iblts", "forest-meta"}, sched: doubling, coins: "forest-attempt"}
+	flowGraph     = flow{labels: [2]string{"cascade-iblts", "edge-iblt"}}
+	flowGraphPoly = flow{labels: [2]string{"poly-recon"}}
+	flowForest    = flow{labels: [2]string{"cascade-iblts", "forest-meta"}, sched: doubling, coins: "forest-attempt"}
 )
 
 // graphFlow is the row a graph hello selects.
@@ -83,21 +81,20 @@ func (h *helloMsg) graphFlow() *flow {
 	return &flowGraph
 }
 
-// forestFlow is the row a forest hello selects, and forestAsk what attempt k
-// of it plans for (forest.Plan resolves the rest from both parties' side
-// info).
-func (h *helloMsg) forestFlow() *flow {
-	if h.D <= 0 {
-		return &flowForestAuto
-	}
-	return &flowForest
+// forestSchedule is what a forest session plans from, read off the hello
+// (Bob's side info and edit bound) and the accept (Alice's side info and the
+// server's budget cap) by both ends alike: both side infos, and the budget
+// schedule whose attempts the session runs.
+func forestSchedule(h *helloMsg, acc *acceptMsg) (alice, bob forest.SideInfo, s forest.Schedule) {
+	alice = forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}
+	bob = forest.SideInfo{N: h.N, Depth: h.Depth, MaxChild: h.MaxChild}
+	return alice, bob, forest.NewSchedule(alice, bob, forest.ReconParams{Sigma: h.Sigma, D: h.D}, acc.MaxBudget)
 }
 
-func (h *helloMsg) forestAsk(k int) forest.ReconParams {
-	if h.D <= 0 {
-		return forest.ReconParams{Sigma: 1, D: 1, Budget: 16 << k}
-	}
-	return forest.ReconParams{Sigma: h.Sigma, D: h.D}
+// forestAttempt is the plan of attempt k of a forest session.
+func forestAttempt(h *helloMsg, acc *acceptMsg, k int) (forest.ReconParams, core.Params) {
+	alice, bob, s := forestSchedule(h, acc)
+	return forest.Plan(alice, bob, s.Ask(k))
 }
 
 // sosFamily is one sets-of-sets protocol family: its name on the wire, in
@@ -144,17 +141,18 @@ func (f *sosFamily) flow(d int) *flow {
 }
 
 // limit is how many attempts the row allows under the accepted plan: the
-// stopping rule of its schedule, which both ends read off the same accept —
-// the replicas of §3.2, a budget of 16·2^k within the forest cap, and core's
-// rule for a sets-of-sets doubling: the attempt whose bound outgrew the
+// stopping rule of its schedule, which both ends read off the same hello and
+// accept — the replicas of §3.2, the forest schedule's attempt at its cap, and
+// core's rule for a sets-of-sets doubling: the attempt whose bound outgrew the
 // accepted shape is the last. Bob holds to it too, so a server that keeps
 // failing cannot walk him to bounds no instance of the shape needs.
-func (fl *flow) limit(acc *acceptMsg) int {
+func (fl *flow) limit(h *helloMsg, acc *acceptMsg) int {
 	switch {
 	case fl.sched == replicated:
 		return acc.Replicas
-	case fl == &flowForestAuto:
-		return bits.Len(uint(acc.MaxBudget / 16))
+	case fl == &flowForest:
+		_, _, s := forestSchedule(h, acc)
+		return s.Attempts()
 	case fl.sched == doubling:
 		p := core.Params{S: acc.S, H: acc.H}
 		k := 1
@@ -222,7 +220,7 @@ func (s *Server) serveFlow(rec *sessionRecord, fl *flow, a aliceRound) error {
 		}
 	}
 	for k := 0; ; k++ {
-		if k == fl.limit(&rec.acc) {
+		if k == fl.limit(&rec.h, &rec.acc) {
 			err := fmt.Errorf("%w: %d attempts", ErrGaveUp, k)
 			sendErrorFrame(ep, err)
 			return err
@@ -278,7 +276,7 @@ func (cs *clientSession) sendProbe(label string, b bobRound) error {
 // attempts a success took, and leaves the closing ctl/done of a success to
 // the caller (clientSession.done).
 func (cs *clientSession) runFlow(fl *flow, b bobRound) (attempts int, err error) {
-	ep, limit := cs.ep, fl.limit(&cs.acc)
+	ep, limit := cs.ep, fl.limit(&cs.h, &cs.acc)
 	if fl.probe != "" {
 		if err := cs.sendProbe(fl.probe, b); err != nil {
 			return 0, err

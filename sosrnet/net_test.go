@@ -13,6 +13,7 @@ import (
 
 	"sosr"
 	"sosr/internal/core"
+	"sosr/internal/forest"
 	"sosr/internal/setutil"
 	"sosr/internal/wire"
 	"sosr/internal/workload"
@@ -84,7 +85,8 @@ func sosPair() (alice, bob [][]uint64) {
 // overhead, reconstructed frame by frame. The cascade row runs with the
 // encode cache enabled (the default) and disabled, since cached payloads must
 // be byte-identical to freshly encoded ones; the graph row is the §4 scheme's
-// one 24-byte poly-recon frame.
+// one 24-byte poly-recon frame, and the forest row a doubling session whose
+// verdicts ride as frames of their own.
 func TestEndToEndWireBytes(t *testing.T) {
 	alice, bob := sosPair()
 	cascade := func(t *testing.T, s *Server, c *Client) (sosr.Stats, *NetStats, int64) {
@@ -164,6 +166,41 @@ func TestEndToEndWireBytes(t *testing.T) {
 				wire.FrameSize(lblAccept, len(appendCtl(nil, acceptFields, &accept))) +
 				wire.Overhead("poly-recon") +
 				wire.FrameSize(lblDone, len(appendCtl(nil, doneFields, &done))))
+		}},
+		{"forest/bound", 0, func(t *testing.T, s *Server, c *Client) (sosr.Stats, *NetStats, int64) {
+			fa := sosr.RandomForest(200, 0.2, 41)
+			fb := sosr.PerturbForest(fa, 3, 42)
+			if err := s.HostForest("tree", fa); err != nil {
+				t.Fatal(err)
+			}
+			cfg := sosr.ForestConfig{Seed: 43, MaxEdits: 3, Depth: 16}
+			want, err := sosr.ReconcileForests(fa, fb, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ns, err := c.Forest(context.Background(), "tree", fb, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sosr.ForestsIsomorphic(got.Recovered, fa) {
+				t.Fatal("recovered forest not isomorphic to the server's")
+			}
+			// Each attempt is Alice's signature and meta frames and Bob's
+			// one-byte verdict, "retry" until the "ack"; then the done.
+			ia, ib := forest.Measure(&forest.Forest{Parent: fa.Parent}), forest.Measure(&forest.Forest{Parent: fb.Parent})
+			hello := helloMsg{V: protoVersion, Dataset: "tree", Kind: KindForest, Seed: cfg.Seed, D: 3, Sigma: 16, N: ib.N, Depth: ib.Depth, MaxChild: ib.MaxChild}
+			accept := acceptMsg{V: protoVersion, Kind: KindForest, D: 3, N: ia.N, Depth: ia.Depth, MaxChild: ia.MaxChild, MaxBudget: 1 << 20}
+			done := doneMsg{OK: true, Rounds: want.Stats.Rounds, Bytes: want.Stats.TotalBytes, Messages: want.Stats.Messages, Attempts: ns.Attempts}
+			framing := wire.FrameSize(lblHello, len(appendCtl(nil, helloFields, &hello))) +
+				wire.FrameSize(lblAccept, len(appendCtl(nil, acceptFields, &accept))) +
+				wire.FrameSize(lblDone, len(appendCtl(nil, doneFields, &done))) + wire.Overhead("ack")
+			for range ns.Attempts {
+				framing += wire.Overhead("cascade-iblts") + wire.Overhead("forest-meta")
+			}
+			for range ns.Attempts - 1 {
+				framing += wire.Overhead("retry")
+			}
+			return want.Stats, ns, int64(framing)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

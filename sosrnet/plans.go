@@ -387,8 +387,8 @@ func (pl *graphPlan) build(s *Server, _ int, coins hashing.Coins) ([][]byte, err
 
 // ---- forest ----
 
-// forestPlan serves a forest at a known edit bound, or — d unknown — by
-// verified doubling over the signature budget, up to the accepted cap.
+// forestPlan serves a forest by verified doubling over the signature budget,
+// up to the cap the hello's edit bound and the accept set (forestSchedule).
 type forestPlan struct {
 	noEstimate
 	rec *sessionRecord
@@ -406,28 +406,18 @@ func (pl *forestPlan) detail() string {
 	return fmt.Sprintf("d=%d sigma=%d", pl.rec.h.D, pl.rec.h.Sigma)
 }
 func (pl *forestPlan) serve(s *Server) error {
-	return s.serveFlow(pl.rec, pl.rec.h.forestFlow(), pl)
+	return s.serveFlow(pl.rec, &flowForest, pl)
 }
 
 func (pl *forestPlan) build(s *Server, k int, coins hashing.Coins) ([][]byte, error) {
 	rec, h := pl.rec, &pl.rec.h
-	// The client's side info; the server's was measured at hosting.
-	infoB := forest.SideInfo{N: h.N, Depth: h.Depth, MaxChild: h.MaxChild}
-	proto, ask := "forest", h.forestAsk(k)
-	rec.tr.bounds(h.D, h.D)
-	if h.D <= 0 {
-		proto = "forest-auto"
-		rec.tr.bounds(1, ask.Budget)
-	}
-	rp, params := forest.Plan(rec.view.fi, infoB, ask)
+	rp, params := forestAttempt(h, &rec.acc, k)
+	rec.tr.bounds(max(h.D, 1), rp.Budget)
 	rec.tr.audit(core.DHat(rp.Budget, params.S), core.CellBytes(core.DigestCascade, params, rp.Budget))
-	if rp.Budget > s.maxBound() {
-		return nil, fmt.Errorf("%w: forest budget %d exceeds server bound %d", ErrUnsupported, rp.Budget, s.maxBound())
-	}
 	// The forest plan — and therefore the payload — depends on the client's
 	// side info, which has no dedicated cache-key field; it rides in Extra.
-	key := enccache.Key{Proto: proto, Seed: coins.Master(), D: ask.D,
-		Extra: fmt.Sprintf("n=%d,dep=%d,mc=%d,sigma=%d,budget=%d", infoB.N, infoB.Depth, infoB.MaxChild, ask.Sigma, ask.Budget)}
+	key := enccache.Key{Proto: "forest", Seed: coins.Master(), D: rp.Budget,
+		Extra: fmt.Sprintf("n=%d,dep=%d,mc=%d", h.N, h.Depth, h.MaxChild)}
 	return s.memo(rec, key, func() ([][]byte, error) {
 		sig, meta, err := forest.AliceMsg(coins, rec.view.f, rp, params)
 		if err != nil {

@@ -108,7 +108,14 @@ const (
 // Every nested, cascade, graph-signature and forest-signature payload with a
 // level that changed key differs from v7's; naive payloads and the control
 // frames changed only in the version.
-const protoVersion = 8
+// v9: a forest session is verified doubling over the signature budget whatever
+// the hello says: attempt k plans for min(16·2^k, cap) under the coins
+// forest-attempt/k and Bob answers each with "ack" or "retry". An edit bound
+// sets the cap to Theorem 6.1's budget 4·d·(σ+2)+16 (never above the
+// accept's maxbudget), where v8 sent one message at that budget under the
+// session's own coins. No other payload or control frame changed but in the
+// version.
+const protoVersion = 9
 
 // Package errors.
 var (
