@@ -29,10 +29,11 @@ type ForestConfig struct {
 	Seed uint64
 	// MaxEdits is d, the bound on forest edge edits. Every session runs
 	// verified doubling over the signature budget, one round trip per
-	// attempt; d caps it at Theorem 6.1's budget 4·d·(σ+2)+16, whose attempt
-	// is the theorem's one-round message, so a session fails only where that
-	// message fails, and one that needs a smaller budget sends less. 0 leaves
-	// the cap at 2^20.
+	// attempt; d caps it at Theorem 6.1's budget 4·d·(σ+2)+16. The last
+	// attempt has the plan and budget of the theorem's one-round message,
+	// under the attempt's own coins, so a session fails with no higher
+	// probability than that message, and one that needs a smaller budget
+	// sends less. 0 leaves the cap at 2^20.
 	MaxEdits int
 	// Depth is σ, the maximum tree depth across both forests; 0 derives it.
 	Depth int

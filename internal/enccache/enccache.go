@@ -14,11 +14,10 @@
 //
 // Sessions that draw fresh coins ask for every key once, so an entry built
 // for a key nothing held waits in a probation segment, capped at an eighth
-// of the budget or its newest entry, where an entry counts its payload and
-// entryBytes beside it. The next lookup of its key moves it into the main
-// LRU, and eviction takes the probation tail before the main one: one-shot
-// payloads hold at most an eighth of the budget, or a single entry, and give
-// way to each other before an entry asked for twice does.
+// of the budget or its newest entry. The next lookup of its key moves it
+// into the main LRU, and eviction takes the probation tail before the main
+// one: one-shot payloads hold at most an eighth of the budget, or a single
+// entry, and give way to each other before an entry asked for twice does.
 // Probation remembers the keys it drops, as a 64-bit fingerprint and a size,
 // up to a budget's worth of what they held and as many records as an eighth
 // of the budget holds at ghostBytes (32) each; a key rebuilt while remembered
@@ -89,11 +88,14 @@ type Stats struct {
 // Cache is a byte-bounded, two-segment LRU of encoded payloads, safe for
 // concurrent use.
 type Cache struct {
-	mu         sync.Mutex
-	maxBytes   int64
-	main       segment // entries looked up since they were built
-	probation  segment // entries not looked up since they were built
-	entries    map[Key]*entry
+	mu        sync.Mutex
+	maxBytes  int64
+	main      segment // entries looked up since they were built
+	probation segment // entries not looked up since they were built
+	// entries holds each resident entry under its key's fingerprint, one
+	// key a fingerprint: a slot is 16 bytes, where a Key's is 112, and the
+	// map keeps the slots of its largest size.
+	entries    map[uint64]*entry
 	ghost      ghostRing // keys probation dropped
 	seed       maphash.Seed
 	inflight   map[Key]*call
@@ -110,14 +112,6 @@ type Cache struct {
 // probationShare is the fraction of the byte budget (1/probationShare) the
 // probation segment may hold beyond its newest entry.
 const probationShare = 8
-
-// entryBytes is the heap a resident entry holds beside its payload: the entry,
-// its map slot with the map's slack, and its frame list (TestEntryHeap).
-// Probation's cap counts it, so that its eighth of the budget bounds heap and
-// not only payload bytes: counting payloads only, cold_kinds_tcp's server
-// probation held 2 282 entries of 3.7 kB on average, and the entries alone
-// took another 1.1 MB beside the 8 MB of payloads.
-const entryBytes = 448
 
 // ghostBytes is the data a remembered key keeps: its 16-byte record in the
 // ring and the 16 bytes of its fingerprint's map slot. Ghosts whose records
@@ -268,7 +262,7 @@ func New(maxBytes int64) *Cache {
 	}
 	c := &Cache{
 		maxBytes: maxBytes,
-		entries:  make(map[Key]*entry),
+		entries:  make(map[uint64]*entry),
 		ghost:    ghostRing{at: make(map[uint64]uint64)},
 		seed:     maphash.MakeSeed(),
 		inflight: make(map[Key]*call),
@@ -347,8 +341,12 @@ func (c *Cache) GetOrComputeValue(k Key, current func(val any) bool, build func(
 // runs without the lock; whatever became resident meanwhile is still
 // replaced.
 func (c *Cache) getOrCompute(k Key, fresh func(val any) bool, build func(prev any) (value, int64, error)) (v value, hit bool, err error) {
+	fp := c.fingerprint(k)
 	c.mu.Lock()
-	prev := c.entries[k]
+	prev := c.entries[fp]
+	if prev != nil && prev.key != k {
+		prev = nil // another key of the fingerprint: insert replaces it
+	}
 	if prev != nil {
 		v = prev.value
 		if prev != c.main.root.next {
@@ -396,7 +394,7 @@ func (c *Cache) getOrCompute(k Key, fresh func(val any) bool, build func(prev an
 	completed := false
 	defer func() {
 		if !completed {
-			c.finish(k, cl, value{}, 0, fmt.Errorf("enccache: builder panicked for %q/%s", k.Dataset, k.Proto))
+			c.finish(k, fp, cl, value{}, 0, fmt.Errorf("enccache: builder panicked for %q/%s", k.Dataset, k.Proto))
 		}
 	}()
 	built, size, err := build(v.val)
@@ -404,7 +402,7 @@ func (c *Cache) getOrCompute(k Key, fresh func(val any) bool, build func(prev an
 	if err != nil {
 		built = value{}
 	}
-	c.finish(k, cl, built, size, err)
+	c.finish(k, fp, cl, built, size, err)
 	return built, false, err
 }
 
@@ -412,11 +410,11 @@ func (c *Cache) getOrCompute(k Key, fresh func(val any) bool, build func(prev an
 // deregistered, and the result goes to the lookups that wait on cl — or, when
 // none did, cl is kept for the next miss. No waiter can find cl once it is
 // deregistered, so a call is reused only if no lookup ever saw it.
-func (c *Cache) finish(k Key, cl *call, built value, size int64, err error) {
+func (c *Cache) finish(k Key, fp uint64, cl *call, built value, size int64, err error) {
 	c.mu.Lock()
 	delete(c.inflight, k)
 	if err == nil {
-		c.insert(k, built, size)
+		c.insert(k, fp, built, size)
 	}
 	if cl.done != nil {
 		cl.value, cl.err = built, err
@@ -427,31 +425,39 @@ func (c *Cache) finish(k Key, cl *call, built value, size int64, err error) {
 	c.mu.Unlock()
 }
 
-// insert stores a built value: in place of the key's resident entry, in that
-// one's segment; in main, if probation dropped the key and still remembers
-// it (or one of its fingerprint: a collision only promotes an entry); or else
-// as the newest entry of probation. Probation then evicts its own tail down
-// to a 1/probationShare share of the bound, counting entryBytes an entry, or
-// to its newest entry, and while the bound is exceeded the rest of probation
-// goes before the main tail. Oversized payloads (> half the bound) are not
+// insert stores a built value for k, of fingerprint fp: in place of the key's
+// resident entry, in that one's segment; in main, if probation dropped the key
+// and still remembers it (or one of its fingerprint: a collision only promotes
+// an entry); or else as the newest entry of probation, in place of a resident
+// entry of another key of the fingerprint, if any. Probation then
+// evicts its own tail down to a 1/probationShare share of the bound or its
+// newest entry, and while the bound is exceeded the rest of probation goes
+// before the main tail. Oversized payloads (> half the bound) are not
 // retained — one giant value must not flush the whole working set — and the
 // value they would have replaced goes too: it is stale. Caller holds mu.
-func (c *Cache) insert(k Key, v value, size int64) {
+func (c *Cache) insert(k Key, fp uint64, v value, size int64) {
 	seg := &c.probation
-	e := c.entries[k]
+	e := c.entries[fp]
+	if e != nil && e.key != k {
+		// The cache keeps one key of a fingerprint, the newest.
+		e.seg.remove(e)
+		delete(c.entries, fp)
+		c.recycle(e)
+		e = nil
+	}
 	if e != nil {
 		seg = e.seg
 		seg.remove(e)
 	}
 	if size > c.maxBytes/2 {
 		if e != nil {
-			delete(c.entries, k)
+			delete(c.entries, fp)
 			c.recycle(e)
 		}
 		return
 	}
 	if e == nil {
-		if c.ghost.take(maphash.Comparable(c.seed, k)) {
+		if c.ghost.take(fp) {
 			// Asked for again within a budget's worth of dropped payloads: a
 			// plain LRU would still hold it.
 			c.promotions++
@@ -460,9 +466,9 @@ func (c *Cache) insert(k Key, v value, size int64) {
 		e = c.newEntry(k)
 	}
 	e.value, e.size = v, size
-	c.entries[k] = e
+	c.entries[fp] = e
 	seg.pushFront(e)
-	for c.probation.n > 1 && c.probation.bytes+int64(c.probation.n)*entryBytes > c.maxBytes/probationShare {
+	for c.probation.n > 1 && c.probation.bytes > c.maxBytes/probationShare {
 		c.evict(&c.probation)
 	}
 	for c.main.bytes+c.probation.bytes > c.maxBytes {
@@ -481,22 +487,26 @@ func (c *Cache) insert(k Key, v value, size int64) {
 func (c *Cache) evict(seg *segment) {
 	e := seg.back()
 	seg.remove(e)
-	delete(c.entries, e.key)
+	fp := c.fingerprint(e.key)
+	delete(c.entries, fp)
 	c.evictions++
 	if seg == &c.probation {
-		c.remember(e)
+		c.remember(ghost{fp: fp, size: e.size})
 	}
 	c.recycle(e)
 }
 
-// remember keeps e's key as a ghost record, forgetting the oldest ghosts
-// while the bytes they held would exceed the bound or their records an
-// eighth of it. Caller holds mu.
-func (c *Cache) remember(e *entry) {
-	for c.ghost.n > 0 && (c.ghost.bytes+e.size > c.maxBytes || int64(c.ghost.n+1)*ghostBytes > c.maxBytes/probationShare) {
+// fingerprint is the 64-bit hash of k that keys its entry and its ghost.
+func (c *Cache) fingerprint(k Key) uint64 { return maphash.Comparable(c.seed, k) }
+
+// remember keeps g, a dropped key, forgetting the oldest ghosts while the
+// bytes they held would exceed the bound or their records an eighth of it.
+// Caller holds mu.
+func (c *Cache) remember(g ghost) {
+	for c.ghost.n > 0 && (c.ghost.bytes+g.size > c.maxBytes || int64(c.ghost.n+1)*ghostBytes > c.maxBytes/probationShare) {
 		c.ghost.pop()
 	}
-	c.ghost.push(ghost{fp: maphash.Comparable(c.seed, e.key), size: e.size})
+	c.ghost.push(g)
 }
 
 // newEntry returns an unlinked entry for k, a dropped one if any is kept.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"runtime"
 	"strings"
 	"sync"
@@ -524,10 +523,10 @@ func checkSegments(t *testing.T, c *Cache) (probN int, probBytes int64) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	count := func(s *segment, m map[Key]*entry) {
+	count := func(s *segment, m map[uint64]*entry) {
 		n, bytes := 0, int64(0)
 		for e := s.root.next; e != &s.root; e = e.next {
-			if e.next.prev != e || e.seg != s || m[e.key] != e {
+			if e.next.prev != e || e.seg != s || m[c.fingerprint(e.key)] != e {
 				t.Fatalf("entry %+v is not linked where the map says", e.key)
 			}
 			n++
@@ -562,9 +561,9 @@ func checkSegments(t *testing.T, c *Cache) (probN int, probBytes int64) {
 	if held != g.bytes || g.n > 1 && (g.bytes > c.maxBytes || int64(g.n)*ghostBytes > c.maxBytes/probationShare) {
 		t.Fatalf("%d ghost records of %d bytes (counted %d); bounds %d bytes and %d records", g.n, g.bytes, held, c.maxBytes, c.maxBytes/probationShare/ghostBytes)
 	}
-	for k := range c.entries {
-		if _, ok := g.at[maphash.Comparable(c.seed, k)]; ok {
-			t.Fatalf("resident key %+v is remembered as dropped", k)
+	for fp, e := range c.entries {
+		if _, ok := g.at[fp]; ok {
+			t.Fatalf("resident key %+v is remembered as dropped", e.key)
 		}
 	}
 	n := 0
@@ -585,12 +584,39 @@ func checkSegments(t *testing.T, c *Cache) (probN int, probBytes int64) {
 func inMain(c *Cache, k Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[k]
-	return e != nil && e.seg == &c.main
+	e := c.entries[c.fingerprint(k)]
+	return e != nil && e.key == k && e.seg == &c.main
 }
 
 func sized(n int) func() ([]byte, error) {
 	return func() ([]byte, error) { return make([]byte, n), nil }
+}
+
+// TestFingerprintCollisionMisses: an entry is found by its key's 64-bit
+// fingerprint, and a key whose fingerprint names another key's entry misses:
+// its build takes that entry's place, and no key is served another's payload.
+// The collision is planted by moving an entry under another key's fingerprint.
+func TestFingerprintCollisionMisses(t *testing.T) {
+	c := New(1 << 20)
+	a, b := key(1), key(2)
+	if _, err := c.GetOrCompute(b, sized(20)); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	e := c.entries[c.fingerprint(b)]
+	delete(c.entries, c.fingerprint(b))
+	c.entries[c.fingerprint(a)] = e
+	c.mu.Unlock()
+	for i := range 2 {
+		got, err := c.GetOrCompute(a, sized(10))
+		if err != nil || len(got) != 10 {
+			t.Fatalf("lookup %d of the colliding key: %d bytes, %v", i, len(got), err)
+		}
+		checkSegments(t, c)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 || st.Entries != 1 || st.Bytes != 10 {
+		t.Fatalf("stats %+v", st)
+	}
 }
 
 // TestOneShotFloodKeepsProvenEntry: keys asked for once — a session's fresh
@@ -627,15 +653,14 @@ func TestOneShotFloodKeepsProvenEntry(t *testing.T) {
 // TestCycledKeysHitAfterWarmup: keys asked for in turn whose payloads fill
 // half the bound, four times what probation holds, are all served from memory
 // from the third round on. Those probation dropped before their second
-// request are remembered, so their rebuild goes straight to main. The
-// payloads are 400 bytes, above the 224 the package comment's promise needs.
+// request are remembered, so their rebuild goes straight to main.
 func TestCycledKeysHitAfterWarmup(t *testing.T) {
-	const maxBytes, n, size = 32000, 40, 400
+	const maxBytes, n = 8000, 40
 	c := New(maxBytes)
 	for round := 0; round < 5; round++ {
 		before := c.Stats()
 		for i := 0; i < n; i++ {
-			if _, err := c.GetOrCompute(key(i), sized(size)); err != nil {
+			if _, err := c.GetOrCompute(key(i), sized(maxBytes/2/n)); err != nil {
 				t.Fatal(err)
 			}
 			checkSegments(t, c)
@@ -644,9 +669,8 @@ func TestCycledKeysHitAfterWarmup(t *testing.T) {
 			t.Fatalf("round %d: %d of %d lookups missed (%+v)", round, st.Misses-before.Misses, n, st)
 		}
 	}
-	// Forty misses in the first round, then the thirty-six probation dropped:
-	// it holds four entries of size + entryBytes.
-	if st := c.Stats(); st.Promotions != n || st.Entries != n || st.Misses != 2*n-maxBytes/probationShare/(size+entryBytes) {
+	// Forty misses in the first round, then the thirty probation dropped.
+	if st := c.Stats(); st.Promotions != n || st.Entries != n || st.Misses != 70 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -667,7 +691,7 @@ func TestCacheAllocBudget(t *testing.T) {
 	}
 	insert := func(k Key, size int64) {
 		c.mu.Lock()
-		c.insert(k, value{}, size)
+		c.insert(k, c.fingerprint(k), value{}, size)
 		c.mu.Unlock()
 	}
 	for _, k := range keys {
@@ -753,7 +777,7 @@ func TestCacheAllocBudget(t *testing.T) {
 // linux/amd64 with Go 1.24. When a ghost was a whole entry, the ring held
 // 65 536 of them here, in 27 MB.
 // The rest of the cache is not what this bounds: probation's eighth of the
-// budget holds 282 entries of 16 + entryBytes (TestEntryHeap).
+// budget counts its 8 192 entries' payloads, not the entries.
 func TestGhostHeap(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's shadow memory is in the heap")
@@ -772,7 +796,7 @@ func TestGhostHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Misses != keys || st.Entries != maxBytes/probationShare/(size+entryBytes) {
+	if st := c.Stats(); st.Misses != keys || st.Entries != maxBytes/probationShare/size {
 		t.Fatalf("stats %+v", st)
 	}
 	records := c.ghost.n
@@ -786,40 +810,6 @@ func TestGhostHeap(t *testing.T) {
 		t.Errorf("%d ghost records held %d bytes of heap; want %d records in under 2 MiB", records, freed, maxBytes/probationShare/ghostBytes)
 	}
 	runtime.KeepAlive(c)
-}
-
-// TestEntryHeap: entryBytes, what probation counts an entry beside its
-// payload, is the heap an entry holds within a factor of two: a cache of
-// 3 000 entries of 16-byte payloads, each under a forest-sized key and as two
-// frames, measured after a GC as what dropping the cache frees (about 410 B
-// an entry on linux/amd64 with Go 1.24, 380–500 B as the map grows).
-func TestEntryHeap(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("the race detector's shadow memory is in the heap")
-	}
-	const entries, size = 3000, 16
-	heap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	before := heap()
-	c := New(1 << 30)
-	for i := range entries {
-		k := key(i)
-		k.Extra = "n=600,dep=12,mc=9"
-		if _, err := c.GetOrComputeFrames(k, func() ([][]byte, error) { return [][]byte{make([]byte, size/2), make([]byte, size/2)}, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perEntry := (heap() - before) / entries
-	runtime.KeepAlive(c)
-	t.Logf("%d entries hold %d B of heap each beside %d payload bytes", entries, perEntry-size, size)
-	if got := perEntry - size; got < entryBytes/2 || got > 2*entryBytes {
-		t.Errorf("an entry holds %d B beside its payload, entryBytes says %d", got, entryBytes)
-	}
 }
 
 // TestConcurrentOutcomesUnderChurn: goroutines look up a few keys, with new

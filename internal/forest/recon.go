@@ -235,10 +235,11 @@ func (w *forestWork) apply(coins hashing.Coins, fb *Forest, p ReconParams, param
 // in process and on the wire. Attempt k plans for a budget of min(16·2^k, Cap)
 // under coins.Sub("forest-attempt", k), Bob verifies by rebuilding, and the
 // attempt at Cap is the last. An edit bound only sets the cap: at Theorem 6.1's
-// budget (see NewSchedule) the last attempt is Recon's one-round plan, so a
-// session fails only where that plan fails too, and one that succeeds earlier
-// pays for the difference it has rather than for d edits each at the bottom of
-// a depth-σ path.
+// budget (see NewSchedule) the last attempt has Recon's one-round plan and
+// budget under the attempt's coins, so a session fails with no higher
+// probability than that plan, and one that succeeds earlier pays for the
+// difference it has rather than for d edits each at the bottom of a depth-σ
+// path.
 type Schedule struct {
 	// Cap is the budget of the last attempt.
 	Cap int

@@ -101,8 +101,8 @@ func TestCtlGoldens(t *testing.T) {
 }
 
 // TestForestGoldens runs the pinned forest session and holds it to its frames:
-// the control messages' bytes, every frame's label in order each way, and the
-// payload and framing bytes the session moved.
+// the control messages' bytes and every frame's label in order each way.
+// TestEndToEndWireBytes' forest/bound row itemises a bounded session's framing.
 func TestForestGoldens(t *testing.T) {
 	golden(t, "forest hello", goldenForestHelloHex, helloFields, &goldenForestHello)
 	golden(t, "forest accept", goldenForestAcceptHex, acceptFields, &goldenForestAccept)
@@ -121,7 +121,7 @@ func TestForestGoldens(t *testing.T) {
 		conn = &recordConn{Conn: nc}
 		return conn, err
 	}
-	_, ns, err := c.Forest(context.Background(), "forest", sosr.PerturbForest(alice, 3, 52), sosr.ForestConfig{Seed: 53, MaxEdits: 3, Depth: 16})
+	_, _, err := c.Forest(context.Background(), "forest", sosr.PerturbForest(alice, 3, 52), sosr.ForestConfig{Seed: 53, MaxEdits: 3, Depth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,6 @@ func TestForestGoldens(t *testing.T) {
 		if !slices.Equal(labels, goldenForestLabels[i]) {
 			t.Errorf("%s sent %q, golden %q", [2]string{"Bob", "Alice"}[i], labels, goldenForestLabels[i])
 		}
-	}
-	frames := wire.FrameSize(lblHello, len(goldenForestHelloHex)/2) + wire.FrameSize(lblAccept, len(goldenForestAcceptHex)/2) +
-		wire.FrameSize(lblDone, len(goldenForestDoneHex)/2) + wire.Overhead("cascade-iblts") + wire.Overhead("forest-meta") + wire.Overhead("ack")
-	if ns.Protocol.TotalBytes != goldenForestDone.Bytes || ns.Overhead != int64(frames) {
-		t.Errorf("the session moved %d payload and %d other bytes, the goldens say %d and %d", ns.Protocol.TotalBytes, ns.Overhead, goldenForestDone.Bytes, frames)
 	}
 }
 
