@@ -126,9 +126,9 @@ func (sp *Span) Child(name string) *Span {
 	return sp.child(name, time.Now())
 }
 
-// ChildAt starts a sub-span back-dated to start — for stages whose
-// beginning predates the decision to trace (e.g. the hello handshake,
-// timed from connection accept).
+// ChildAt starts a sub-span at start — for stages whose beginning predates
+// the decision to trace (e.g. the hello handshake, timed from connection
+// accept), or whose clock reading also feeds a histogram.
 func (sp *Span) ChildAt(name string, start time.Time) *Span {
 	if sp == nil {
 		return nil
@@ -207,9 +207,14 @@ func (sp *Span) Fail(err error) {
 	sp.mu.Unlock()
 }
 
-// Finish ends the span and publishes it to the tracer's trace store.
+// Finish ends the span now and publishes it to the tracer's trace store.
 // Finishing twice is a no-op.
-func (sp *Span) Finish() {
+func (sp *Span) Finish() { sp.FinishAt(time.Now()) }
+
+// FinishAt ends the span at end — for a caller that read the clock once
+// and also records that reading elsewhere (a latency histogram), so the two
+// agree.
+func (sp *Span) FinishAt(end time.Time) {
 	if sp == nil {
 		return
 	}
@@ -219,7 +224,7 @@ func (sp *Span) Finish() {
 		return
 	}
 	sp.finished = true
-	sp.end = time.Now()
+	sp.end = end
 	sp.mu.Unlock()
 	sp.tracer.finishSpan(sp)
 }

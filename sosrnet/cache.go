@@ -2,7 +2,6 @@ package sosrnet
 
 import (
 	"fmt"
-	"time"
 
 	"sosr/internal/core"
 	"sosr/internal/enccache"
@@ -77,26 +76,22 @@ func (s *Server) CacheStats() enccache.Stats {
 // memo returns Alice's frames for one attempt of the session in rec: from the
 // payload cache when the key is resident (the session's view supplies its
 // dataset and version), from build otherwise. Builder runs — the cache misses
-// that actually encode — are observed into the encode stage histogram and get
-// an "encode" span, so both reflect real work, not replayed bytes; the session
-// trace tallies the lookup either way. The frames are shared: callers must not
-// write to them.
+// that actually encode — are runs of the encode stage, so its span and total
+// reflect real work, not replayed bytes; the session trace tallies the lookup
+// either way. The frames are shared: callers must not write to them.
 func (s *Server) memo(rec *sessionRecord, k enccache.Key, build func() ([][]byte, error)) ([][]byte, error) {
 	k.Dataset, k.Version = rec.view.name, rec.view.version
 	built := false
 	timed := func() ([][]byte, error) {
 		built = true
-		sp := rec.tr.child("encode")
-		sp.SetStr("proto", k.Proto)
-		sp.SetInt("d", int64(k.D))
+		run := rec.begin(stageEncode)
+		run.sp.SetStr("proto", k.Proto)
+		run.sp.SetInt("d", int64(k.D))
 		if k.DHat != 0 {
-			sp.SetInt("dhat", int64(k.DHat))
+			run.sp.SetInt("dhat", int64(k.DHat))
 		}
-		t0 := time.Now()
 		frames, err := build()
-		s.observeEncode(t0)
-		sp.Fail(err)
-		sp.Finish()
+		run.end(err)
 		return frames, err
 	}
 	var frames [][]byte

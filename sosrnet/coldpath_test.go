@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"testing"
 
@@ -22,7 +23,9 @@ import (
 // every other kind's apply was read as transfer time), the unknown-d flows
 // record the client's probe build as an "estimate" span, and the server
 // records round 3 of the multi-round protocol — built per session, never
-// cached — as an "encode" span.
+// cached — as an "encode" span. Each server stage's sosr_stage_seconds sum
+// moves by exactly what that stage's spans in the session's trace add up to:
+// one clock reading feeds both.
 func TestEveryKindHasDecodeSpan(t *testing.T) {
 	aliceSOS, bobSOS := sosPair()
 	aliceSet, bobSet := setPair()
@@ -47,6 +50,28 @@ func TestEveryKindHasDecodeSpan(t *testing.T) {
 		}
 	})
 	ctx := context.Background()
+	stages := []string{"hello", "estimate", "encode", "transfer"}
+	stageSum := func(stage string) float64 {
+		if h := srv.Registry().GetHistogram("sosr_stage_seconds", stage); h != nil {
+			return h.Sum()
+		}
+		return 0
+	}
+	var walk func(spans []*obs.SpanDump, visit func(*obs.SpanDump))
+	walk = func(spans []*obs.SpanDump, visit func(*obs.SpanDump)) {
+		for _, sp := range spans {
+			visit(sp)
+			walk(sp.Children, visit)
+		}
+	}
+	count := func(spans []*obs.SpanDump, name string) (n int) {
+		walk(spans, func(sp *obs.SpanDump) {
+			if sp.Name == name {
+				n++
+			}
+		})
+		return n
+	}
 	for _, tc := range []struct {
 		name         string
 		clientSpans  []string
@@ -90,6 +115,10 @@ func TestEveryKindHasDecodeSpan(t *testing.T) {
 			return err
 		}},
 	} {
+		before := make([]float64, len(stages))
+		for i, stage := range stages {
+			before[i] = stageSum(stage)
+		}
 		c := Dial(addr)
 		c.Trace = &obs.Tracer{SampleRate: 1}
 		// A randomised attempt may fail to decode; its spans are recorded all
@@ -106,31 +135,36 @@ func TestEveryKindHasDecodeSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := findSpan(c.Trace.Get(tid).Roots, "client/session")
+		client := c.Trace.Get(tid)
+		root := findSpan(client.Roots, "client/session")
 		for _, name := range tc.clientSpans {
 			if findSpan([]*obs.SpanDump{root}, name) == nil {
 				t.Errorf("%s: client session has no %q span", tc.name, name)
 			}
 		}
-		if tc.serverEncode != "" {
-			var enc *obs.SpanDump
-			waitFor(t, tc.name+": server session span", func() bool {
-				d := srv.Trace.Get(tid)
-				return d != nil && findSpan(d.Roots, "server/session") != nil
-			})
-			var find func(spans []*obs.SpanDump)
-			find = func(spans []*obs.SpanDump) {
-				for _, sp := range spans {
-					if sp.Name == "encode" && sp.Attrs["proto"] == tc.serverEncode {
-						enc = sp
-					}
-					find(sp.Children)
-				}
+		// The server observes a session's stage times before its session
+		// span finishes, so once every session's span is in, so are they.
+		sessions := count(client.Roots, "client/session")
+		var server *obs.TraceDump
+		waitFor(t, tc.name+": server session spans", func() bool {
+			server = srv.Trace.Get(tid)
+			return server != nil && count(server.Roots, "server/session") == sessions
+		})
+		ms := map[string]float64{}
+		var enc *obs.SpanDump
+		walk(server.Roots, func(sp *obs.SpanDump) {
+			ms[sp.Name] += sp.Ms
+			if sp.Name == "encode" && sp.Attrs["proto"] == tc.serverEncode {
+				enc = sp
 			}
-			find(srv.Trace.Get(tid).Roots)
-			if enc == nil {
-				t.Errorf("%s: server session has no encode span with proto=%s", tc.name, tc.serverEncode)
+		})
+		for i, stage := range stages {
+			if got := (stageSum(stage) - before[i]) * 1e3; math.Abs(got-ms[stage]) > 1e-6 {
+				t.Errorf("%s: sosr_stage_seconds{stage=%q} moved by %.6f ms, its spans sum to %.6f ms", tc.name, stage, got, ms[stage])
 			}
+		}
+		if tc.serverEncode != "" && enc == nil {
+			t.Errorf("%s: server session has no encode span with proto=%s", tc.name, tc.serverEncode)
 		}
 	}
 }

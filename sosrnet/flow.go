@@ -199,15 +199,14 @@ func (noEstimate) estimate([]byte, *obs.Span) error { return nil }
 // recvProbe reads Bob's opening probe and lets the plan resolve the session's
 // bound from it, under an "estimate" span.
 func (rec *sessionRecord) recvProbe(label string, a aliceRound) error {
-	esp := rec.tr.child("estimate")
+	run := rec.begin(stageEstimate)
 	probe, err := rec.ep.RecvExpect(label)
 	if err == nil {
-		if err = a.estimate(probe, esp); err != nil {
+		if err = a.estimate(probe, run.sp); err != nil {
 			sendErrorFrame(rec.ep, err)
 		}
 	}
-	esp.Fail(err)
-	esp.Finish()
+	run.end(err)
 	return err
 }
 

@@ -2,15 +2,17 @@ package sosrnet
 
 import (
 	"strconv"
-	"time"
 
 	"sosr/internal/obs"
 )
 
 // Metric names exported by a Server's registry. Session counters and stage
-// histograms are written on the session path; cache and dataset series are
-// collectors, computed at scrape time from state that already has an owner
-// and a lock.
+// histograms are written once per session, when report closes its books;
+// cache and dataset series are collectors, computed at scrape time from
+// state that already has an owner and a lock. A stage value is the session's
+// total time in that stage, read off the same two clock readings as its
+// spans (sessionRecord.begin); the stages nest: transfer holds estimate and
+// encode, and done holds them all.
 //
 //	sosr_sessions_started_total{kind}          sessions past a valid handshake
 //	sosr_sessions_total{kind,proto,status}     finished sessions (ok|error|client_failed)
@@ -20,7 +22,8 @@ import (
 //	                                           session) or idle (between two)
 //	sosr_wire_bytes_total{proto,dir}           connection bytes, framing included
 //	sosr_protocol_bytes_total{proto,party}     protocol-frame payload bytes
-//	sosr_stage_seconds{stage}                  hello|encode|transfer|done latency
+//	sosr_stage_seconds{stage}                  hello|estimate|encode|transfer|done
+//	                                           time per session
 //	sosr_enccache_events_total{event}          hit|miss|shared|evict|promote
 //	sosr_enccache_bytes / sosr_enccache_entries
 //	sosr_dataset_version{dataset,shard}        copy-on-write version counter
@@ -43,12 +46,22 @@ type serverMetrics struct {
 	// regression, not a bigger dataset or a wider key.
 	boundRatio *obs.Histogram
 
-	// Hot stage children, resolved once so the session path is an atomic add.
-	stageHello    *obs.Histogram
-	stageEncode   *obs.Histogram
-	stageTransfer *obs.Histogram
-	stageDone     *obs.Histogram
+	// Stage children, resolved once so the session path is an atomic add.
+	stages [len(stageNames)]*obs.Histogram
 }
+
+// Session stages: the label values of sosr_stage_seconds{stage} and the names
+// of the stage spans. done, the whole session from its start, has no span of
+// its own; report times it.
+const (
+	stageHello = iota
+	stageEstimate
+	stageEncode
+	stageTransfer
+	stageDone
+)
+
+var stageNames = [...]string{"hello", "estimate", "encode", "transfer", "done"}
 
 // Handshake-reject reasons (sosr_handshake_rejects_total{reason=...}).
 const (
@@ -88,7 +101,7 @@ func (s *Server) metrics() *serverMetrics {
 			protoB: r.Counter("sosr_protocol_bytes_total",
 				"Protocol-frame payload bytes by variant and sending party.", "proto", "party"),
 			stage: r.Histogram("sosr_stage_seconds",
-				"Session latency by stage: hello (accept to validated handshake), encode (payload builds), transfer (serving), done (whole session).",
+				"Time per session by stage: hello (accept to validated handshake), estimate (Bob's probe), encode (payload builds), transfer (serving; holds estimate and encode), done (whole session).",
 				nil, "stage"),
 			active: r.Gauge("sosr_sessions_active",
 				"Sessions currently being served (a fresh connection counts from accept, a reused one from its hello).").With(),
@@ -96,10 +109,9 @@ func (s *Server) metrics() *serverMetrics {
 				"Server payload bytes divided by (differing keys the session's bound allows × table-cell bytes of one key) — the paper's O(d̂) communication promise, audited per session; the cells-per-key slack of a healthy encoder, 2 to 20.",
 				boundRatioBuckets).With(),
 		}
-		m.stageHello = m.stage.With("hello")
-		m.stageEncode = m.stage.With("encode")
-		m.stageTransfer = m.stage.With("transfer")
-		m.stageDone = m.stage.With("done")
+		for st, name := range stageNames {
+			m.stages[st] = m.stage.With(name)
+		}
 
 		r.CounterFunc("sosr_enccache_events_total",
 			"Encoding-cache lookups by outcome: hit, miss, shared (coalesced onto an in-flight build), evict, promote (a key asked for again after its payload was built).",
@@ -163,13 +175,6 @@ func shardLabel(count, index int) string {
 func (s *Server) Registry() *obs.Registry {
 	s.metrics()
 	return s.Obs
-}
-
-// observeEncode records one payload build into the encode stage. The
-// receiver is resolved lazily so builders that run before the first session
-// (none today) would still be counted.
-func (s *Server) observeEncode(start time.Time) {
-	s.metrics().stageEncode.Observe(time.Since(start).Seconds())
 }
 
 // Client-side metric names, registered on Client.Obs when set:

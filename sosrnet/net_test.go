@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -243,6 +244,7 @@ func TestConcurrentSessions(t *testing.T) {
 		status  string
 		wireIn  int64
 		hasWire bool
+		stages  []string // the stage timings the record carries, in order
 	}
 	var logMu sync.Mutex
 	var logged []sessionRecord
@@ -258,6 +260,10 @@ func TestConcurrentSessions(t *testing.T) {
 					rec.status = a.Value.String()
 				case "wire_in":
 					rec.wireIn, rec.hasWire = a.Value.Int64(), true
+				case "hello", "estimate", "encode", "transfer":
+					if _, err := time.ParseDuration(a.Value.String()); err == nil {
+						rec.stages = append(rec.stages, a.Key)
+					}
 				}
 				return true
 			})
@@ -320,8 +326,12 @@ func TestConcurrentSessions(t *testing.T) {
 	if len(logged) != workers*3 {
 		t.Fatalf("expected %d session log records, got %d", workers*3, len(logged))
 	}
+	// Every session ran hello and transfer, and encoded unless its payload
+	// came from the cache; none of them probed for its bound.
 	for _, rec := range logged {
-		if rec.status != "ok" || !rec.hasWire || rec.wireIn <= 0 {
+		st := strings.Join(rec.stages, ",")
+		if rec.status != "ok" || !rec.hasWire || rec.wireIn <= 0 ||
+			(st != "hello,transfer" && st != "hello,encode,transfer") {
 			t.Fatalf("malformed session record: %+v", rec)
 		}
 	}

@@ -168,7 +168,7 @@ func TestIdleConnectionRecordHoldsNothing(t *testing.T) {
 			t.Fatalf("session %d: the connection was not kept", i+1)
 		}
 		rec := &sc.rec
-		if rec.view.ds != nil || rec.view.sos != nil || rec.view.set != nil || rec.view.f != nil || rec.plan != nil || rec.sp != nil || rec.tr.stage != nil {
+		if rec.view.ds != nil || rec.view.sos != nil || rec.view.set != nil || rec.view.f != nil || rec.plan != nil || rec.sp != nil || rec.xfer != nil {
 			t.Fatalf("session %d: the idle connection's record still holds a view of %q, plan %v, span %v", i+1, rec.view.name, rec.plan, rec.sp)
 		}
 		if !reflect.ValueOf(*rec).IsZero() {

@@ -257,11 +257,10 @@ func (pl *sosPlan) serveMultiRound(s *Server) error {
 		default:
 			return fmt.Errorf("sosrnet: unexpected frame %q", got)
 		}
-		esp := tr.child("encode")
-		esp.SetStr("proto", "mr3")
+		run := rec.begin(stageEncode)
+		run.sp.SetStr("proto", "mr3")
 		round3, _, err := core.MRAlice3(c, alice, pl.p, pl.d, payload)
-		esp.Fail(err)
-		esp.Finish()
+		run.end(err)
 		if err != nil {
 			sendErrorFrame(ep, err)
 			return err

@@ -93,8 +93,11 @@ type Server struct {
 	// decides whether to start a server-local root. Each traced session
 	// gets per-stage spans (hello, estimate, encode, transfer) plus the
 	// resolved bounds, byte totals, cache outcomes, and the bytes÷d̂ bound
-	// ratio on its session span. Nil disables tracing; the session path
-	// then allocates nothing for it (all span helpers are nil-safe).
+	// ratio on its session span. A stage span is stamped with the same two
+	// clock readings that sosr_stage_seconds and the session log record
+	// sum, so the trace and the metrics agree; untraced sessions record the
+	// stage times all the same. Nil disables tracing; the session path then
+	// allocates nothing for it (all span helpers are nil-safe).
 	Trace *obs.Tracer
 	// AdminToken, when non-empty, gates the mutating and introspective ops
 	// endpoints (/admin/*, /debug/*) behind "Authorization: Bearer <token>".
@@ -518,15 +521,14 @@ func (s *Server) reject(sid uint64, remote, reason string, err error, tid obs.Tr
 	lg.Warn("handshake rejected", args...)
 }
 
-// sessTrace is what a session's plan records as it serves: the
-// transfer-stage span the per-stage children hang off (nil, and every child
-// of it inert, when the session is untraced), the resolved difference
-// bounds, and the encode-cache outcomes. The bounds and tallies are kept on
-// every session: they feed sosr_bound_ratio, traced or not.
+// sessTrace is what a session's plan records as it serves: the resolved
+// difference bounds and the encode-cache outcomes. It holds no span — a
+// stage's span and timing come from sessionRecord.begin. The bounds and
+// tallies are kept on every session: they feed sosr_bound_ratio, traced or
+// not.
 type sessTrace struct {
-	stage *obs.Span // "transfer" span, parent of estimate/encode children
-	d     int       // resolved difference bound
-	dHat  int       // resolved d̂ (== d for set/graph/forest kinds)
+	d    int // resolved difference bound
+	dHat int // resolved d̂ (== d for set/graph/forest kinds)
 	// The bound audit's denominator: how many differing keys the session's
 	// bound allows for, and the table-cell bytes one of them costs under the
 	// session's plan. For a sets-of-sets session that is d̂ and
@@ -551,9 +553,6 @@ func (t *sessTrace) boundRatio(aliceBytes int) float64 {
 	}
 	return float64(aliceBytes) / (float64(t.keys) * float64(t.cellBytes))
 }
-
-// child opens a stage span under the transfer span.
-func (t *sessTrace) child(name string) *obs.Span { return t.stage.Child(name) }
 
 // bounds records the session's resolved (d, d̂).
 func (t *sessTrace) bounds(d, dHat int) { t.d, t.dHat = d, dHat }
@@ -598,7 +597,11 @@ type sessionRecord struct {
 	start time.Time
 	h     helloMsg
 	sp    *obs.Span // session span; nil when untraced
+	xfer  *obs.Span // transfer span, parent of the estimate and encode spans
 	tr    sessTrace
+	// took is the session's total time in each stage; a stage that never
+	// began reads 0.
+	took [len(stageNames)]time.Duration
 	// What dispatch hands the session's plan: Alice's endpoint, the dataset
 	// snapshot and the public coins of the hello's seed.
 	ep    *wire.Endpoint
@@ -783,9 +786,7 @@ func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*datas
 		}
 		return refuse(rejectMisroute, err)
 	}
-	m := s.metrics()
-	m.stageHello.Observe(time.Since(rec.start).Seconds())
-	m.started.With(string(h.Kind)).Inc()
+	s.metrics().started.With(string(h.Kind)).Inc()
 	// Trace context: a hello carrying trace IDs joins the client's trace
 	// unconditionally (the client sampled it); otherwise the server's own
 	// sample rate decides. The span stays nil on untraced sessions — every
@@ -795,17 +796,50 @@ func (s *Server) handshake(c *srvConn, rec *sessionRecord, hello []byte) (*datas
 	} else {
 		rec.sp = s.Trace.StartRoot("server/session")
 	}
-	rec.sp.ChildAt("hello", rec.start).Finish()
+	rec.begin(stageHello).end(nil)
 	return ds, true
+}
+
+// stageRun is one run of a session stage, from sessionRecord.begin to end.
+type stageRun struct {
+	rec   *sessionRecord
+	stage int
+	t0    time.Time
+	sp    *obs.Span // the stage's span; nil when the session is untraced
+}
+
+// begin opens a run of stage. begin and end are the only places a session
+// stage reads the clock, and each reading serves both the stage's span and
+// its total in rec.took, so the trace and sosr_stage_seconds cannot disagree.
+// hello runs from rec.start; hello and transfer hang under the session span,
+// estimate and encode under the transfer span.
+func (rec *sessionRecord) begin(stage int) stageRun {
+	t0, parent := rec.start, rec.sp
+	if stage != stageHello {
+		t0 = time.Now()
+	}
+	if stage == stageEstimate || stage == stageEncode {
+		parent = rec.xfer
+	}
+	return stageRun{rec, stage, t0, parent.ChildAt(stageNames[stage], t0)}
+}
+
+// end closes the run at one clock reading: the span ends there, and the run
+// adds its length to the session's total for the stage.
+func (r stageRun) end(err error) {
+	t1 := time.Now()
+	r.rec.took[r.stage] += t1.Sub(r.t0)
+	r.sp.Fail(err)
+	r.sp.FinishAt(t1)
 }
 
 // dispatch resolves the session's plan through its kind's table entry, answers
 // the hello and serves the protocol frames, leaving the outcome in rec.
 func (s *Server) dispatch(c *srvConn, rec *sessionRecord, ds *dataset) {
-	h, ep, tr := &rec.h, c.ep, &rec.tr
+	h, ep := &rec.h, c.ep
 	rec.ep, rec.view, rec.coins = ep, ds.view(h.Dataset), hashing.NewCoins(h.Seed)
-	serveStart := time.Now()
-	tr.stage = rec.sp.Child("transfer")
+	xfer := rec.begin(stageTransfer)
+	rec.xfer = xfer.sp
 	rec.acc = acceptMsg{V: protoVersion, Kind: h.Kind, D: h.D}
 	if rec.plan, rec.err = ds.k.plan(s, rec, &rec.acc); rec.err != nil {
 		sendErrorFrame(ep, rec.err)
@@ -818,9 +852,7 @@ func (s *Server) dispatch(c *srvConn, rec *sessionRecord, ds *dataset) {
 	if errors.Is(rec.err, core.ErrInvalidInstance) {
 		s.reject(rec.sid, c.remote, rejectInstance, rec.err, rec.traceID())
 	}
-	tr.stage.Fail(rec.err)
-	tr.stage.Finish()
-	s.metrics().stageTransfer.Observe(time.Since(serveStart).Seconds())
+	xfer.end(rec.err)
 }
 
 // traceID is the trace the session belongs to: its span's, or the one the
@@ -846,7 +878,14 @@ func (s *Server) account(c *srvConn, rec *sessionRecord) {
 func (s *Server) report(c *srvConn, rec *sessionRecord) {
 	m, h, tr, sp := s.metrics(), &rec.h, &rec.tr, rec.sp
 	dur := time.Since(rec.start)
-	m.stageDone.Observe(dur.Seconds())
+	// Observed before the session span finishes: a reader that has the
+	// session's trace also has its stage times.
+	for st, d := range rec.took[:stageDone] {
+		if d > 0 {
+			m.stages[st].Observe(d.Seconds())
+		}
+	}
+	m.stages[stageDone].Observe(dur.Seconds())
 	st := c.ep.Stats()
 	in, out := c.ep.BytesRead(), c.ep.BytesWritten()
 	m.wire.With(rec.proto, "in").Add(uint64(in))
@@ -916,6 +955,11 @@ func (s *Server) report(c *srvConn, rec *sessionRecord) {
 		"rounds", st.Rounds, "proto_bytes", st.TotalBytes,
 		"wire_in", in, "wire_out", out,
 		"dur", dur.Round(time.Microsecond).String(),
+	}
+	for st, d := range rec.took[:stageDone] {
+		if d > 0 {
+			args = append(args, stageNames[st], d.Round(time.Microsecond).String())
+		}
 	}
 	if tid != 0 {
 		args = append(args, "trace_id", tid.String(), "span_id", sp.ID().String())

@@ -568,12 +568,13 @@ func fanOut[R any](ctx context.Context, c *Client, st state, seed uint64, fn sha
 	run := func(i int) {
 		r := &runs[i]
 		t0 := time.Now()
-		fsp := obs.SpanFromContext(ctx).Child("shard/fanout")
+		fsp := obs.SpanFromContext(ctx).ChildAt("shard/fanout", t0)
 		fsp.SetInt("shard", int64(i))
 		r.err = runShard(obs.ContextWithSpan(ctx, fsp), c, st, i, shardSeed(seed, i), fn, r)
+		t1 := time.Now()
+		r.dur = t1.Sub(t0)
 		fsp.Fail(r.err)
-		fsp.Finish()
-		r.dur = time.Since(t0)
+		fsp.FinishAt(t1)
 	}
 	last := len(runs) - 1
 	var wg sync.WaitGroup

@@ -2,6 +2,8 @@ package sosrshard
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -71,6 +73,8 @@ func TestTracedFailoverSingleTrace(t *testing.T) {
 	d.allLn[killedShard][deadReplica].Close()
 
 	d.client.Trace = &obs.Tracer{SampleRate: 1}
+	reg := obs.NewRegistry()
+	d.client.Obs = reg
 	got, st, err := d.client.SetsOfSets(ctx, "docs", bob, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,15 +133,24 @@ func TestTracedFailoverSingleTrace(t *testing.T) {
 		}
 	}
 
-	// One fan-out span per shard, all under the single root.
+	// One fan-out span per shard, all under the single root, each as long as
+	// the shard's latency observation: one clock pair stamps both.
 	fanouts := findSpans([]*obs.SpanDump{root}, "shard/fanout")
 	if len(fanouts) != 3 {
 		t.Fatalf("trace has %d shard/fanout spans under the root, want 3", len(fanouts))
 	}
 	var killed *obs.SpanDump
 	for _, f := range fanouts {
-		if spanAttrInt(t, f, "shard") == killedShard {
+		shard := spanAttrInt(t, f, "shard")
+		if shard == killedShard {
 			killed = f
+		}
+		h := reg.GetHistogram("sosr_shard_session_seconds", strconv.FormatInt(shard, 10))
+		if h == nil {
+			t.Fatalf("shard %d: no sosr_shard_session_seconds series", shard)
+		}
+		if ms := h.Sum() * 1e3; h.Count() != 1 || math.Abs(ms-f.Ms) > 1e-6 {
+			t.Errorf("shard %d: %d sosr_shard_session_seconds observations sum to %.6f ms, its shard/fanout span is %.6f ms", shard, h.Count(), ms, f.Ms)
 		}
 	}
 	if killed == nil {
