@@ -162,6 +162,10 @@ var Rows = []Row{
 // Kinds names the store kind of every base dataset.
 var Kinds = map[string]string{"ids": "set", "bag": "multiset", "docs": "sos", "net": "graph", "soc": "graph", "tiny": "graph", "tree": "forest"}
 
+// Bases lists every base dataset of Kinds, in the order a stream over all of
+// them hosts them.
+var Bases = []string{"ids", "bag", "docs", "net", "soc", "tiny", "tree"}
+
 // Op is one step of a stream.
 type Op struct {
 	Step  int

@@ -14,6 +14,9 @@
 //     to the in-process library.
 //   - One counting, fault-injecting net.Conn and Listener (Conn, Faults), and
 //     one counter of the server's "session finished" records (Sessions).
+//   - The Meter the deployments' BenchmarkModel legs report through: per kind
+//     of op, its time, the bytes the leg moved, the process's allocations and
+//     the servers' stage times.
 //
 // It imports none of the algorithm packages (sosr, core, forest, graphrecon,
 // setrecon), whose own tests import it: graph and forest steps carry a seed,

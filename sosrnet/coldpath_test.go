@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"sosr"
 	"sosr/internal/hashing"
@@ -166,6 +167,51 @@ func TestEveryKindHasDecodeSpan(t *testing.T) {
 		if tc.serverEncode != "" && enc == nil {
 			t.Errorf("%s: server session has no encode span with proto=%s", tc.name, tc.serverEncode)
 		}
+	}
+}
+
+// TestEstimateStageExcludesTheClient: the server's estimate stage starts when
+// Bob's probe has arrived. A raw client that waits 50 ms between the accept
+// and its probe must not show up as server estimate time: the wait is the
+// client's.
+func TestEstimateStageExcludesTheClient(t *testing.T) {
+	alice, bob := setPair()
+	srv, addr, _ := startServer(t, func(s *Server) {
+		if err := s.HostSets("set", alice); err != nil {
+			t.Fatal(err)
+		}
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const seed, wait = 3, 50 * time.Millisecond
+	ep := wire.NewEndpoint(conn, transport.Bob)
+	h := helloMsg{V: protoVersion, Dataset: "set", Kind: KindSet, Seed: seed}
+	if err := ep.SendFrame(lblHello, appendCtl(nil, helloFields, &h)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recvOrServerError(ep, lblAccept); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(wait)
+	if err := ep.SendFrame(flowSetUnknownD.probe, setrecon.BuildDiffEstimator(hashing.NewCoins(seed), bob)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recvOrServerError(ep, flowSetUnknownD.labels[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.SendFrame(lblDone, appendCtl(nil, doneFields, &doneMsg{OK: true, Rounds: 2})); err != nil {
+		t.Fatal(err)
+	}
+	var est *obs.Histogram
+	waitFor(t, "the session's stage times", func() bool {
+		est = srv.Registry().GetHistogram("sosr_stage_seconds", "estimate")
+		return est != nil && est.Count() == 1
+	})
+	if got := time.Duration(est.Sum() * float64(time.Second)); got >= wait/5 {
+		t.Fatalf("the server's estimate stage took %v while the client waited %v before its probe", got, wait)
 	}
 }
 

@@ -197,14 +197,16 @@ type noEstimate struct{}
 func (noEstimate) estimate([]byte, *obs.Span) error { return nil }
 
 // recvProbe reads Bob's opening probe and lets the plan resolve the session's
-// bound from it, under an "estimate" span.
+// bound from it, under an "estimate" span. The stage opens once the probe has
+// arrived: the wait for it is the client's time, not the server's.
 func (rec *sessionRecord) recvProbe(label string, a aliceRound) error {
-	run := rec.begin(stageEstimate)
 	probe, err := rec.ep.RecvExpect(label)
-	if err == nil {
-		if err = a.estimate(probe, run.sp); err != nil {
-			sendErrorFrame(rec.ep, err)
-		}
+	if err != nil {
+		return err
+	}
+	run := rec.begin(stageEstimate)
+	if err = a.estimate(probe, run.sp); err != nil {
+		sendErrorFrame(rec.ep, err)
 	}
 	run.end(err)
 	return err

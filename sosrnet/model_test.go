@@ -49,9 +49,8 @@ import (
 // registered kind has a base the stream hosts, and the stream updates a base
 // exactly when its kind takes updates.
 func TestModel(t *testing.T) {
-	all := []string{"ids", "bag", "docs", "net", "soc", "tiny", "tree"}
 	updated := map[string]bool{}
-	for _, op := range worktest.Stream(1, worktest.Shape{Bases: all}) {
+	for _, op := range worktest.Stream(modelSeed, worktest.Shape{Bases: worktest.Bases}) {
 		updated[op.Base] = updated[op.Base] || op.Do == worktest.Update
 	}
 	for _, k := range kinds {
@@ -70,38 +69,24 @@ func TestModel(t *testing.T) {
 		}
 	}
 	for _, leg := range []struct {
-		name  string
-		tcp   bool
-		disk  bool
+		legSpec
 		shape worktest.Shape
 	}{
-		{"pipe", false, false, worktest.Shape{Bases: all, Faults: worktest.ConnFaults}},
-		{"tcp", true, false, worktest.Shape{Bases: all, Faults: worktest.ConnFaults}}, // with the payload cache off
-		{"store", true, true, worktest.Shape{Bases: all, Store: true,
+		{legSpec{name: "pipe"}, worktest.Shape{Bases: worktest.Bases, Faults: worktest.ConnFaults}},
+		{legSpec{name: "tcp", tcp: true, tune: func(s *Server, _ *Client) { s.CacheBytes = -1 }}, // payloads encoded afresh every session
+			worktest.Shape{Bases: worktest.Bases, Faults: worktest.ConnFaults}},
+		{legSpec{name: "store", tcp: true, disk: true}, worktest.Shape{Bases: worktest.Bases, Store: true,
 			Faults: append([]worktest.Fault{worktest.AppendFails, worktest.SnapshotFails}, worktest.ConnFaults...)}},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			const seed = 1
-			l := &modelLeg{t: t, tcp: leg.tcp, m: worktest.NewModel(), infos: map[*worktest.Data]DatasetInfo{}, graphs: map[string]*graphFixture{}, repeated: map[string]bool{}}
-			l.at = fmt.Sprintf("seed %d, leg %s, before the stream", seed, leg.name)
+			l := newLeg(t, leg.legSpec)
 			t.Cleanup(func() {
 				if t.Failed() {
 					t.Logf("failed at %s", l.at)
 				}
 			})
-			if leg.disk {
-				l.dir = t.TempDir()
-			}
-			l.start(nil)
-			t.Cleanup(func() {
-				l.c.Close()
-				l.srv.Close()
-				if l.served != nil {
-					<-l.served
-				}
-			})
-			for _, op := range worktest.Stream(seed, leg.shape) {
-				l.at = fmt.Sprintf("seed %d, %v, leg %s", seed, op, leg.name)
+			for _, op := range worktest.Stream(modelSeed, leg.shape) {
+				l.at = fmt.Sprintf("seed %d, %v, leg %s", modelSeed, op, leg.name)
 				l.step(op)
 			}
 			if cs := l.srv.CacheStats(); leg.name == "tcp" && cs.Misses+cs.Hits+cs.Shared != 0 {
@@ -110,23 +95,57 @@ func TestModel(t *testing.T) {
 			patched := l.c.metrics().patch.Value()
 			if (l.servedLive > 0) != (leg.name != "tcp") || patched == 0 || (leg.disk && l.probedLive == 0) {
 				t.Fatalf("seed %d, leg %s: %d sessions and %d crash probes served from a live digest, %d Bob sketches patched",
-					seed, leg.name, l.servedLive, l.probedLive, patched)
+					modelSeed, leg.name, l.servedLive, l.probedLive, patched)
 			}
 			for _, k := range l.kept {
 				if !reflect.DeepEqual(k.got, k.want) {
-					t.Fatalf("seed %d, %v, leg %s: the result changed after later sessions (it shares pooled memory)", seed, k.op, leg.name)
+					t.Fatalf("seed %d, %v, leg %s: the result changed after later sessions (it shares pooled memory)", modelSeed, k.op, leg.name)
 				}
 			}
 		})
 	}
 }
 
+// modelSeed is the seed of the stream TestModel and BenchmarkModel run.
+const modelSeed = 1
+
+// legSpec is one deployment under the stream: in process (local), or a server
+// and its client over net.Pipe or TCP, on a disk store or not; tune, when
+// set, configures the server and the client before either serves.
+type legSpec struct {
+	name             string
+	local, tcp, disk bool
+	tune             func(*Server, *Client)
+}
+
+// newLeg brings up spec's deployment; the test's cleanup closes it.
+func newLeg(tb testing.TB, spec legSpec) *modelLeg {
+	l := &modelLeg{t: tb, tcp: spec.tcp, tune: spec.tune, m: worktest.NewModel(), infos: map[*worktest.Data]DatasetInfo{}, graphs: map[string]*graphFixture{}, repeated: map[string]bool{}}
+	l.at = fmt.Sprintf("seed %d, leg %s, before the stream", modelSeed, spec.name)
+	if spec.local {
+		return l
+	}
+	if spec.disk {
+		l.dir = tb.TempDir()
+	}
+	l.start(nil)
+	tb.Cleanup(func() {
+		l.c.Close()
+		l.srv.Close()
+		if l.served != nil {
+			<-l.served
+		}
+	})
+	return l
+}
+
 // modelLeg is one deployment under the stream.
 type modelLeg struct {
-	t        *testing.T
+	t        testing.TB
 	at       string
 	tcp      bool
 	dir      string // the store's root; "" without one
+	tune     func(*Server, *Client)
 	m        *worktest.Model
 	srv      *Server
 	ln       *worktest.Listener
@@ -164,15 +183,18 @@ func (l *modelLeg) fatalf(format string, args ...any) {
 func (l *modelLeg) start(restore func()) {
 	l.srv = NewServer()
 	l.srv.Logger = l.sessions.Logger()
-	if l.tcp && l.dir == "" { // the TCP leg: payloads encoded afresh every session
-		l.srv.CacheBytes = -1
-	}
 	if l.dir != "" {
 		st, err := store.Open(l.dir, store.Options{})
 		if err != nil {
 			l.fatalf("%v", err)
 		}
 		l.srv.UseStore(&faultStore{Store: st, faults: &l.faults})
+	}
+	if l.c == nil {
+		l.c = l.client()
+	}
+	if l.tune != nil {
+		l.tune(l.srv, l.c)
 	}
 	if restore != nil {
 		restore()
@@ -190,28 +212,32 @@ func (l *modelLeg) start(restore func()) {
 	l.ln = &worktest.Listener{Listener: inner}
 	l.served = make(chan error, 1)
 	go func(srv *Server, ln net.Listener) { l.served <- srv.Serve(ln) }(l.srv, l.ln)
-	if l.c == nil {
-		l.c = Dial("")
-		l.c.Timeout = 30 * time.Second
-		l.c.Obs = obs.NewRegistry()
-		l.c.dial = func(ctx context.Context, _ string) (net.Conn, error) {
-			l.dials.Add(1)
-			var conn net.Conn
-			var err error
-			if l.tcp {
-				var d net.Dialer
-				conn, err = d.DialContext(ctx, "tcp", l.ln.Addr().String())
-			} else {
-				conn, err = l.pipe.dial(ctx, "")
-			}
-			if err != nil {
-				return nil, err
-			}
-			return worktest.Wrap(conn, &l.faults), nil
-		}
-	}
 	l.fresh = true
 	l.dials.Store(0)
+}
+
+// client returns a client of the leg's server: it dials the current
+// listener, counts its dials and carries the faults armed on the leg.
+func (l *modelLeg) client() *Client {
+	c := Dial("")
+	c.Timeout = 30 * time.Second
+	c.Obs = obs.NewRegistry()
+	c.dial = func(ctx context.Context, _ string) (net.Conn, error) {
+		l.dials.Add(1)
+		var conn net.Conn
+		var err error
+		if l.tcp {
+			var d net.Dialer
+			conn, err = d.DialContext(ctx, "tcp", l.ln.Addr().String())
+		} else {
+			conn, err = l.pipe.dial(ctx, "")
+		}
+		if err != nil {
+			return nil, err
+		}
+		return worktest.Wrap(conn, &l.faults), nil
+	}
+	return c
 }
 
 // faultStore refuses the write its fault arms.
@@ -289,7 +315,7 @@ func (l *modelLeg) update(op worktest.Op) error {
 // returns what the last session over the wire reported.
 func (l *modelLeg) reconcile(op worktest.Op) *NetStats {
 	d := l.m.Cur(op.Base)
-	want := l.run(op, d, false)
+	want := l.run(op, d, nil)
 	if !op.Row.EndsIn(want.err, classOf(want.err, core.ErrGaveUp)) {
 		l.fatalf("in process: %v, want the row's class %v", want.err, op.Row.Fails)
 	}
@@ -299,7 +325,7 @@ func (l *modelLeg) reconcile(op worktest.Op) *NetStats {
 	l.faults.Arm(op.Fault)
 	finished, dials, bytes := l.sessions.Load(), l.dials.Load(), l.ln.Bytes.Load()
 	live, misses := op.Row.Name == worktest.Follow.Name && l.holdsLive(op.Seed), l.srv.CacheStats().Misses
-	got := l.run(op, d, true)
+	got := l.run(op, d, l.c)
 	if live && l.srv.CacheStats().Misses > misses {
 		l.servedLive++
 	}
@@ -450,7 +476,7 @@ type outcome struct {
 	err   error
 }
 
-// call runs local in process or wire over the leg's client.
+// call runs local in process or wire over a client of the leg.
 func call[R any](remote bool, local func() (R, error), wire func() (R, *NetStats, error)) (R, *NetStats, error) {
 	if remote {
 		return wire()
@@ -462,15 +488,16 @@ func call[R any](remote bool, local func() (R, error), wire func() (R, *NetStats
 var protocols = map[string]sosr.Protocol{"auto": sosr.ProtocolAuto, "naive": sosr.ProtocolNaive, "nested": sosr.ProtocolNested,
 	"cascade": sosr.ProtocolCascade, "multiround": sosr.ProtocolMultiRound}
 
-// run reconciles op's row against d: over the wire, or in process.
-func (l *modelLeg) run(op worktest.Op, d *worktest.Data, remote bool) outcome {
-	ctx, r, seed := context.Background(), op.Row, op.Seed
+// run reconciles op's row against d: over the wire through c, or in process
+// when c is nil.
+func (l *modelLeg) run(op worktest.Op, d *worktest.Data, c *Client) outcome {
+	ctx, r, seed, remote := context.Background(), op.Row, op.Seed, c != nil
 	var o outcome
 	switch d.Kind {
 	case "set":
 		bob, cfg := op.BobElems(d), sosr.SetConfig{Seed: seed, KnownDiff: r.D, UseCharPoly: r.CharPoly}
 		res, ns, err := call(remote, func() (*sosr.SetResult, error) { return sosr.ReconcileSets(d.Elems, bob, cfg) },
-			func() (*sosr.SetResult, *NetStats, error) { return l.c.Sets(ctx, op.Name, bob, cfg) })
+			func() (*sosr.SetResult, *NetStats, error) { return c.Sets(ctx, op.Name, bob, cfg) })
 		if o.ns, o.err = ns, err; err == nil {
 			o.res, o.stats = worktest.Result{Data: res.Recovered, A: res.OnlyA, B: res.OnlyB}, res.Stats
 		}
@@ -478,7 +505,7 @@ func (l *modelLeg) run(op worktest.Op, d *worktest.Data, remote bool) outcome {
 		bob := op.BobElems(d)
 		var rec []uint64
 		if remote {
-			rec, o.ns, o.err = l.c.Multiset(ctx, op.Name, bob, r.D, seed)
+			rec, o.ns, o.err = c.Multiset(ctx, op.Name, bob, r.D, seed)
 		} else {
 			rec, o.stats, o.err = sosr.ReconcileMultisets(d.Elems, bob, r.D, seed)
 		}
@@ -488,7 +515,7 @@ func (l *modelLeg) run(op worktest.Op, d *worktest.Data, remote bool) outcome {
 		cfg := sosr.Config{Seed: seed, Protocol: protocols[r.Protocol], KnownDiff: r.D, KnownChildDiff: r.DHat,
 			Replicas: r.Replicas, MaxChildSets: r.S, MaxChildSize: r.H, Validate: r.Validate}
 		res, ns, err := call(remote, func() (*sosr.Result, error) { return sosr.ReconcileSetsOfSets(d.Sets, bob, cfg) },
-			func() (*sosr.Result, *NetStats, error) { return l.c.SetsOfSets(ctx, op.Name, bob, cfg) })
+			func() (*sosr.Result, *NetStats, error) { return c.SetsOfSets(ctx, op.Name, bob, cfg) })
 		if o.ns, o.err = ns, err; err == nil {
 			o.res, o.stats = worktest.Result{Data: res.Recovered, A: res.Added, B: res.Removed, Attempts: res.Attempts}, res.Stats
 		}
@@ -504,7 +531,7 @@ func (l *modelLeg) run(op worktest.Op, d *worktest.Data, remote bool) outcome {
 			cfg.Scheme = sosr.SchemePolynomial
 		}
 		res, ns, err := call(remote, func() (*sosr.GraphResult, error) { return sosr.ReconcileGraphs(g.alice, bob, cfg) },
-			func() (*sosr.GraphResult, *NetStats, error) { return l.c.Graph(ctx, op.Name, bob, cfg) })
+			func() (*sosr.GraphResult, *NetStats, error) { return c.Graph(ctx, op.Name, bob, cfg) })
 		if o.ns, o.err = ns, err; err == nil {
 			o.res, o.stats = worktest.Result{Data: res.Recovered}, res.Stats
 		}
@@ -512,7 +539,7 @@ func (l *modelLeg) run(op worktest.Op, d *worktest.Data, remote bool) outcome {
 		fa := aliceForest(d)
 		fb, cfg := sosr.PerturbForest(fa, 3, op.Seed), sosr.ForestConfig{Seed: seed, MaxEdits: r.D, Depth: r.Depth}
 		res, ns, err := call(remote, func() (*sosr.ForestResult, error) { return sosr.ReconcileForests(fa, fb, cfg) },
-			func() (*sosr.ForestResult, *NetStats, error) { return l.c.Forest(ctx, op.Name, fb, cfg) })
+			func() (*sosr.ForestResult, *NetStats, error) { return c.Forest(ctx, op.Name, fb, cfg) })
 		if o.ns, o.err = ns, err; err == nil {
 			o.res, o.stats = worktest.Result{Data: res.Recovered}, res.Stats
 		}

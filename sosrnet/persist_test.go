@@ -25,7 +25,7 @@ import (
 // bytes across a restart is the strongest restore check available: in the
 // public-coin model the payload is a pure function of (contents, seed,
 // params), so a restored server is correct iff its payloads are identical.
-func aliceProbe(t *testing.T, addr string, h helloMsg) (label string, payload []byte) {
+func aliceProbe(t testing.TB, addr string, h helloMsg) (label string, payload []byte) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

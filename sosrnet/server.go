@@ -74,8 +74,7 @@ type Server struct {
 	HelloTimeout time.Duration
 	// CacheBytes bounds the Alice-side encoding cache: 0 selects
 	// enccache.DefaultMaxBytes, negative disables caching entirely (every
-	// session re-encodes, the pre-PR-4 behavior). Set before the first
-	// session.
+	// session re-encodes). Set before the first session.
 	CacheBytes int64
 	// MaxConcurrentSessions caps sessions holding a goroutine at once
 	// (0 = unlimited). A connection over the cap is answered with a ctl/error

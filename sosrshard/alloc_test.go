@@ -2,6 +2,7 @@ package sosrshard
 
 import (
 	"context"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -144,4 +145,42 @@ func TestFanOutSessionAllocBudget(t *testing.T) {
 			t.Errorf("%s: a warm fan-out over 2 shards allocates %.0f objects, budget %.0f", row.name, got, row.budget)
 		}
 	}
+}
+
+// startQuiet builds a shards × replicas loopback deployment at epoch 1 whose
+// servers log nothing, so what a measurement counts is the fan-out and its
+// sessions rather than a test's log handler (startReplicated counts every
+// server's session log line).
+func startQuiet(tb testing.TB, shards, replicas int) (*Client, *Coordinator) {
+	tb.Helper()
+	lists := make([][]string, shards)
+	groups := make([][]*sosrnet.Server, shards)
+	for i := range groups {
+		for range replicas {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				tb.Fatal(err)
+			}
+			srv := sosrnet.NewServer()
+			go srv.Serve(ln)
+			tb.Cleanup(func() { srv.Close() })
+			lists[i] = append(lists[i], ln.Addr().String())
+			groups[i] = append(groups[i], srv)
+		}
+	}
+	topo, err := NewTopology(1, lists)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	co, err := NewCoordinator(topo, groups)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client, err := Dial(topo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client.Timeout = 60 * time.Second
+	tb.Cleanup(func() { client.Close() })
+	return client, co
 }

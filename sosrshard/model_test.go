@@ -35,10 +35,8 @@ import (
 func TestModel(t *testing.T) {
 	const seed = 1
 	bases := []string{"ids", "bag", "docs"}
-	d := startReplicated(t, 3, 2)
-	d.client.Obs = obs.NewRegistry()
-	g := &gridLeg{t: t, d: d, m: worktest.NewModel(), topos: map[string]*Topology{},
-		versions: map[string][]uint64{}, infos: map[infoKey]sosrnet.DatasetInfo{}, landed: map[string][3]int{}}
+	g := newGridLeg(t)
+	d := g.d
 	for _, op := range worktest.Stream(seed, worktest.Shape{Bases: bases, Grid: true}) {
 		g.at = fmt.Sprintf("seed %d, %v, leg grid", seed, op)
 		g.step(op)
@@ -57,7 +55,7 @@ func TestModel(t *testing.T) {
 // gridLeg is the grid under the stream: the model, each dataset's topology
 // and per-shard versions.
 type gridLeg struct {
-	t        *testing.T
+	t        testing.TB
 	at       string
 	d        *shardDeployment
 	m        *worktest.Model
@@ -70,6 +68,15 @@ type gridLeg struct {
 	// landed counts each base's updates: routed, broadcast, and broadcast
 	// with a server owning a part of the mutation but not all of it.
 	landed map[string][3]int
+}
+
+// newGridLeg brings up the 3 × 2 grid the stream runs on; the test's cleanup
+// closes it.
+func newGridLeg(tb testing.TB) *gridLeg {
+	d := startReplicated(tb, 3, 2)
+	d.client.Obs = obs.NewRegistry()
+	return &gridLeg{t: tb, d: d, m: worktest.NewModel(), topos: map[string]*Topology{},
+		versions: map[string][]uint64{}, infos: map[infoKey]sosrnet.DatasetInfo{}, landed: map[string][3]int{}}
 }
 
 type infoKey struct {
@@ -297,7 +304,7 @@ func (g *gridLeg) checkDatasets() {
 // killed, when set, is the replica of each shard that is dead for this
 // fan-out: the result must be the same, reached by failing over.
 func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
-	d, r, ctx := g.d, op.Row, context.Background()
+	d, r := g.d, op.Row
 	data := g.m.Cur(op.Base)
 	topo := d.topo
 	n := topo.NumShards()
@@ -332,24 +339,15 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			}
 		}
 		if data.Kind == "multiset" {
-			var rec []uint64
-			rec, st, gotErr = d.client.Multiset(ctx, op.Name, bob, r.D, op.Seed)
-			got.Data, want.Data = rec, sortedConcat(recs)
+			want.Data = sortedConcat(recs)
 			break
-		}
-		res, s, err := d.client.Sets(ctx, op.Name, bob, sosr.SetConfig{Seed: op.Seed, KnownDiff: r.D, UseCharPoly: r.CharPoly})
-		if st, gotErr = s, err; err == nil {
-			got = worktest.Result{Data: res.Recovered, A: res.OnlyA, B: res.OnlyB}
 		}
 		want = worktest.Result{Data: sortedConcat(recs), A: sortedConcat(onlyA), B: sortedConcat(onlyB)}
 	default:
 		bob := op.BobSets(data)
-		cfg := sosr.Config{Protocol: protocols[r.Protocol], KnownDiff: r.D, KnownChildDiff: r.DHat,
-			Replicas: r.Replicas, MaxChildSets: r.S, MaxChildSize: r.H, Validate: r.Validate}
 		var recs, added, removed [][]uint64
 		for i := range n {
-			sc := cfg
-			sc.Seed = shardSeed(op.Seed, i)
+			sc := sosConfig(r, shardSeed(op.Seed, i))
 			res, err := sosr.ReconcileSetsOfSets(topo.OwnedSets(i, data.Sets), topo.OwnedSets(i, bob), sc)
 			// Every shard ends as the row says, but a failure that lies in one
 			// child set fails only the shard holding it.
@@ -368,16 +366,12 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			setutil.SortSets(ss)
 		}
 		want.Data, want.A, want.B = recs, added, removed
-		cfg.Seed = op.Seed
-		live, misses := g.liveShards(op)
-		res, s, err := d.client.SetsOfSets(ctx, op.Name, bob, cfg)
-		if st, gotErr = s, err; err == nil {
-			got = worktest.Result{Data: res.Recovered, A: res.Added, B: res.Removed, Attempts: res.Attempts}
-		}
-		for i, srv := range live {
-			if srv != nil && srv.CacheStats().Misses > misses[i] {
-				g.servedLive++
-			}
+	}
+	live, misses := g.liveShards(op)
+	got, st, gotErr = g.run(op, data)
+	for i, srv := range live {
+		if srv != nil && srv.CacheStats().Misses > misses[i] {
+			g.servedLive++
 		}
 	}
 	if !r.EndsIn(wantErr, classOf(wantErr, core.ErrGaveUp)) {
@@ -434,6 +428,33 @@ func (g *gridLeg) reconcile(op worktest.Op, killed []int) {
 			g.fatalf("shard %d: the listeners counted %d bytes, the session reported %d + %d", i, tcp-base[i], sh.Net.Protocol.TotalBytes, sh.Net.Overhead)
 		}
 	}
+}
+
+// run runs op's row against data as one fan-out through the grid's client.
+func (g *gridLeg) run(op worktest.Op, data *worktest.Data) (worktest.Result, *Stats, error) {
+	ctx, r, c := context.Background(), op.Row, g.d.client
+	switch data.Kind {
+	case "multiset":
+		rec, st, err := c.Multiset(ctx, op.Name, op.BobElems(data), r.D, op.Seed)
+		return worktest.Result{Data: rec}, st, err
+	case "set":
+		res, st, err := c.Sets(ctx, op.Name, op.BobElems(data), sosr.SetConfig{Seed: op.Seed, KnownDiff: r.D, UseCharPoly: r.CharPoly})
+		if err != nil {
+			return worktest.Result{}, st, err
+		}
+		return worktest.Result{Data: res.Recovered, A: res.OnlyA, B: res.OnlyB}, st, nil
+	}
+	res, st, err := c.SetsOfSets(ctx, op.Name, op.BobSets(data), sosConfig(r, op.Seed))
+	if err != nil {
+		return worktest.Result{}, st, err
+	}
+	return worktest.Result{Data: res.Recovered, A: res.Added, B: res.Removed, Attempts: res.Attempts}, st, nil
+}
+
+// sosConfig is r's sets-of-sets configuration under seed.
+func sosConfig(r worktest.Row, seed uint64) sosr.Config {
+	return sosr.Config{Seed: seed, Protocol: protocols[r.Protocol], KnownDiff: r.D, KnownChildDiff: r.DHat,
+		Replicas: r.Replicas, MaxChildSets: r.S, MaxChildSize: r.H, Validate: r.Validate}
 }
 
 // liveShards returns, per shard, the replica that keeps a live digest of op's

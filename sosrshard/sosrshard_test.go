@@ -39,7 +39,7 @@ func startShards(t *testing.T, n int) *shardDeployment {
 }
 
 // startReplicated builds a shards × replicas loopback deployment at epoch 1.
-func startReplicated(t *testing.T, shards, replicas int) *shardDeployment {
+func startReplicated(t testing.TB, shards, replicas int) *shardDeployment {
 	t.Helper()
 	d := &shardDeployment{}
 	lists := make([][]string, shards)
@@ -91,7 +91,7 @@ func startReplicated(t *testing.T, shards, replicas int) *shardDeployment {
 }
 
 // topoAt rebuilds the deployment's topology at another epoch (same shards).
-func (d *shardDeployment) topoAt(t *testing.T, epoch uint64) *Topology {
+func (d *shardDeployment) topoAt(t testing.TB, epoch uint64) *Topology {
 	t.Helper()
 	lists := make([][]string, d.topo.NumShards())
 	for i := range lists {
@@ -115,7 +115,7 @@ func (d *shardDeployment) primary(shard int, seed uint64) int {
 // checkStatsParity checks the Stats-internal invariant alone (survives
 // failovers and hedges, whose losing attempts are outside the winning
 // sessions' accounting).
-func checkStatsParity(t *testing.T, st *Stats) {
+func checkStatsParity(t testing.TB, st *Stats) {
 	t.Helper()
 	if st.WireIn+st.WireOut != int64(st.Protocol.TotalBytes)+st.Overhead {
 		t.Fatalf("aggregate wire accounting inconsistent: %+v", st)
