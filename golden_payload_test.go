@@ -52,22 +52,24 @@ import (
 // five payloads that PR 14 moved, the ones with a child-keyed table. Here core/nested
 // and core/cascade are each one whole-set table (65 B keys at h = 16,
 // u = 2^32). The edge tables, the meta frame, the naive payload and Bob's
-// results kept their hashes. The control frames of the same revision are
-// pinned in sosrnet/ctl_test.go.
+// results kept their hashes. Deriving a key's cell indexes and checksum from
+// its one hash (protoVersion 10) moved every cell of every table: exactly the
+// eight payloads protoVersion 6 moved, and no payload's length. The control
+// frames of the same revision are pinned in sosrnet/ctl_test.go.
 var goldenPayloads = map[string]string{
-	"core/cascade":             "b9399ee7c3b95c673fdb0542b5d5cd0067fe628b77302ef95a846bf079354152",
+	"core/cascade":             "93e7e8e17bf9d592fb8466eaffd8d181b81586266a7935f56c08fa0e736d878c",
 	"core/multiset-parent":     "7c701af2ea5e39c5d3a022761f734ceafeddc4bdce5f8cfa19b1653bd1a526e9",
-	"core/naive":               "a5d744eb31dc263518c525d7917501ba305a88e9537af17d0ba348e7098c28de",
-	"core/nested":              "254a6ff1826543f594653d15c81d505412858f1d519d1916878656db176e5885",
+	"core/naive":               "81670f19b858885a25faf811932331f5bb92900b3dccbe9df1f748f4a2d4b212",
+	"core/nested":              "1ddb6acca2f5c4744c3d90c5c49ba4c94eae921def6f8c849da404ce8365e73e",
 	"field/roots-order":        "cdf4ff6f5cd7158602e64a83ffea27431cbdcd462fb07c700060634a4128dc11",
 	"forest/meta":              "dcd6e9b82ebb172375dd3040d193dc146c388390ead62c09c17b74782bce9691",
-	"forest/sig":               "510d6ebe77e99c46f7e8040219469bb7747658b4c293b07da17f4b4172404d4c",
-	"graphrecon/degree-edges":  "55518790cf8dabe44d0726ed5d50ecccbcc2a741f5066290304332572c118af8",
+	"forest/sig":               "74c88121051ca6cc25241514fdfb9ae32dfd60619d0ca096a415d19fefddfed3",
+	"graphrecon/degree-edges":  "1867cfc4ea437fb739a02c6bb517ad12446a331fddc846c1f4757fc6edd7cafe",
 	"graphrecon/degree-result": "38681f8380eea2298e5bcfd364da09be1ad335dbd54cf06f186e59f647f3a4fc",
-	"graphrecon/degree-sig":    "7623dfc45fef4367e992281a48815bc1b980b7e796003d5813f784c900295f9f",
-	"graphrecon/nbr-edges":     "0422cf23f81f2dc1f0a83cf0ac7f2eb7ff00454ca232dae7ab8095c2ac26f7c7",
+	"graphrecon/degree-sig":    "1ecbd3f972c6e20b891026be6ce1e4c232dbf031f70fa582f30da15e0fbf19b5",
+	"graphrecon/nbr-edges":     "4e1d1f67cab7ddafaa5cb5dfddb7a75ba648596f4a73d5a49f38bb87dfb5b779",
 	"graphrecon/nbr-result":    "bfad4be05e8e78b20d97427235f1b7f59ffc5595fca325294d618cba155eb4d6",
-	"graphrecon/nbr-sig":       "9ba2896ecc9edf710eec0e8372766bb550194e146901dbae12720f042005d98e",
+	"graphrecon/nbr-sig":       "dab5ea51b9482b5a167d622d06b7752a79bc618f3dbad2cc9e2074a4fba34a74",
 	"setrecon/charpoly":        "957c7edf6bbb42595acd874be32e099bbcac0604c4d924ddb2b3fc2edc213ab8",
 	"setrecon/multiset":        "14590b9d95d1a486fe3d2dd4f1136d9e7b4214768412db71d7f66239f80105c3",
 }

@@ -82,58 +82,6 @@ func HashBytes(seed uint64, data []byte) uint64 {
 	return prng.Mix64(h ^ uint64(len(data)))
 }
 
-// HashBytes5 returns HashBytes(s0, data) … HashBytes(s4, data) from one pass
-// over data. The five chains are independent, so advancing them together a
-// word at a time yields exactly the words five separate calls would, while a
-// wide key (a child-IBLT encoding of several hundred bytes) is read once and
-// the multiplies of one chain overlap the others'. It is the fixed-arity form
-// an IBLT with the default four index hashes plus its checksum needs.
-func HashBytes5(s0, s1, s2, s3, s4 uint64, data []byte) (h0, h1, h2, h3, h4 uint64) {
-	const prime = fnvPrime
-	h0, h1, h2, h3, h4 = s0^fnvOffset, s1^fnvOffset, s2^fnvOffset, s3^fnvOffset, s4^fnvOffset
-	for len(data) >= 8 {
-		v := binary.LittleEndian.Uint64(data)
-		h0 = bits.RotateLeft64((h0^v)*prime, 29)
-		h1 = bits.RotateLeft64((h1^v)*prime, 29)
-		h2 = bits.RotateLeft64((h2^v)*prime, 29)
-		h3 = bits.RotateLeft64((h3^v)*prime, 29)
-		h4 = bits.RotateLeft64((h4^v)*prime, 29)
-		data = data[8:]
-	}
-	for _, b := range data {
-		v := uint64(b)
-		h0, h1, h2, h3, h4 = (h0^v)*prime, (h1^v)*prime, (h2^v)*prime, (h3^v)*prime, (h4^v)*prime
-	}
-	n := uint64(len(data))
-	return prng.Mix64(h0 ^ n), prng.Mix64(h1 ^ n), prng.Mix64(h2 ^ n), prng.Mix64(h3 ^ n), prng.Mix64(h4 ^ n)
-}
-
-// HashBytesMulti sets out[i] to HashBytes(seeds[i], data) for every seed, in
-// one pass over data like HashBytes5: the form for any number of seeds (an
-// IBLT whose received header declares another hash count).
-func HashBytesMulti(seeds, out []uint64, data []byte) {
-	const prime = fnvPrime
-	out = out[:len(seeds)]
-	for i, s := range seeds {
-		out[i] = s ^ fnvOffset
-	}
-	for len(data) >= 8 {
-		v := binary.LittleEndian.Uint64(data)
-		for i, h := range out {
-			out[i] = bits.RotateLeft64((h^v)*prime, 29)
-		}
-		data = data[8:]
-	}
-	for _, b := range data {
-		for i, h := range out {
-			out[i] = (h ^ uint64(b)) * prime
-		}
-	}
-	for i, h := range out {
-		out[i] = prng.Mix64(h ^ uint64(len(data)))
-	}
-}
-
 // HashWord hashes a single 64-bit word to 64 bits with the given seed. It is
 // defined to equal HashBytes(seed, b) where b is x's 8-byte little-endian
 // encoding, so word-keyed fast paths (IBLT InsertUint64, estimator updates)

@@ -34,7 +34,8 @@ func goldenTables() []*Table {
 // edge tables and multi-round ship Marshal, so a change here is a wire
 // change. The bytes were those of the commit before AppendCells existed
 // (PR 12) until protoVersion 6 narrowed every checksum to 32 bits; no cell
-// index or count moved with it.
+// index or count moved with it. protoVersion 10 moved every cell index and
+// checksum (one hash per key) and no length.
 func TestMarshalGolden(t *testing.T) {
 	h := sha256.New()
 	for _, tab := range goldenTables() {
@@ -47,7 +48,7 @@ func TestMarshalGolden(t *testing.T) {
 		}
 		h.Write(buf)
 	}
-	const want = "a7c36dd0ef905a537800d65d735e4a28f7921e093c6ec2158217532d6cf019d9"
+	const want = "fdb9631318c8d72f9b9531a55298b4ed996f4f1e7612ab0a77959fe9360a33e3"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Marshal bytes moved: sha256 %s, want %s", got, want)
 	}

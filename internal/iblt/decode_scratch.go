@@ -138,10 +138,11 @@ func (d *PackedDiff) grab(key []byte) []byte {
 
 // DecodePacked runs the peeling process like Decode, but packs every peeled
 // key into d's arena instead of allocating one slice per key. The peel is
-// bounded at cells keys (the arena capacity; an honest table never yields
-// more, since every peel empties at least the pure cell it came from), so a
-// corrupt table fails with ErrDecodeFailed instead of overrunning. The table
-// is consumed either way.
+// bounded at cells keys, the arena's capacity: an honest table never yields
+// more, since the cell a key is peeled from is one no key left in the table
+// hashes to, so each peel uses up a cell of its own. A corrupt table fails
+// with ErrDecodeFailed instead of overrunning. The table is consumed either
+// way.
 func (t *Table) DecodePacked(d *PackedDiff) error {
 	d.reset(t.cells, t.width)
 	queue := t.seedQueue()
@@ -152,7 +153,7 @@ func (t *Table) DecodePacked(d *PackedDiff) error {
 		if sign != 1 && sign != -1 {
 			continue // cell changed since enqueued
 		}
-		// One pass over the cell's key sum gives the checksum and the cells
+		// One hash of the cell's key sum gives the checksum and the cells
 		// that decide whether it is a key at all: it must match the cell's
 		// checksum and hash to the cell.
 		idx, cs := t.keyHashes(t.keySums[c*t.width : (c+1)*t.width])

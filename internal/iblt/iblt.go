@@ -14,7 +14,9 @@
 //     encoding (a serialized child IBLT plus a set hash) can itself be a key
 //     inside a parent IBLT — the "IBLTs of IBLTs" of §3.2;
 //   - deterministic construction from shared public coins, so Alice and Bob
-//     build structurally identical tables without communication;
+//     build structurally identical tables without communication: a key is
+//     hashed once, under the table's seed, and its k cell indexes and its
+//     checksum are all derived from that one hash;
 //   - compact serialization, so transmitted tables are measured in real
 //     bytes by the transport layer: a table that carries its own shape
 //     (AppendMarshal), or bare cells whose count and key-sum widths the
@@ -26,10 +28,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"unsafe"
 
 	"sosr/internal/hashing"
+	"sosr/internal/prng"
 )
 
 // DefaultHashCount is the number of hash functions (k in the paper); 4 gives
@@ -55,17 +59,19 @@ type Table struct {
 	k       int    // number of hash functions; cells are partitioned into k ranges
 	cells   int    // total number of cells (multiple of k)
 	width   int    // key width in bytes
-	seed    uint64 // base seed; hash i uses seed+i, checksum uses seed^checksumSalt
+	seed    uint64 // seed of every key's one hash (derive)
 	counts  []int32
 	keySums []byte   // cells * width bytes
 	checks  []uint32 // XOR of the keys' 32-bit checksums
 	idx     []int    // per-table cell-index scratch, reused across updates/peels
-	hs      []uint64 // keyHashes' seed and hash scratch when k is not the default
 	queue   []int    // per-table peel queue scratch, reused across decodes
 	peeled  int      // keys peeled by the most recent decode (PeelCount)
 }
 
-const checksumSalt = 0x635f73756d5f6b65
+const (
+	checksumSalt = 0x635f73756d5f6b65
+	phi          = 0x9e3779b97f4a7c15 // 2^64 / the golden ratio
+)
 
 // New creates a table with at least cells cells (rounded up to a multiple of
 // the hash count k) for keys of the given byte width, with hashes derived
@@ -96,66 +102,35 @@ func (t *Table) Cells() int { return t.cells }
 // Width returns the key width in bytes.
 func (t *Table) Width() int { return t.width }
 
-// indexSeed is the seed of the i-th index hash; the checksum hashes under
-// seed^checksumSalt.
-func (t *Table) indexSeed(i int) uint64 { return t.seed + uint64(i)*0x9e3779b97f4a7c15 + 1 }
-
-// keyHashes computes the k distinct cells for a key, one per partition (the
-// paper's "partitioned hash table, with each hash function having m/k
-// cells"), and the key's checksum. The k index hashes and the checksum are
-// independent seeded chains over the same bytes, so one interleaved pass
-// (hashing.HashBytes5 at the default k, HashBytesMulti otherwise) returns the
-// words k+1 separate HashBytes calls would: a wide key is read once, and no
-// cell index or checksum byte differs from a table built a hash at a time. The
-// checksum is the low 32 bits of its chain.
-// The indexes live in the table's reusable scratch buffer and are valid until
-// the next keyHashes/cellIndexesWord call.
+// keyHashes returns a key's k cell indexes and its checksum, derived from its
+// one seeded hash (derive). The indexes live in the table's reusable scratch
+// buffer and are valid until the next keyHashes/wordHashes call.
 func (t *Table) keyHashes(key []byte) ([]int, uint32) {
+	return t.derive(hashing.HashBytes(t.seed, key), t.k)
+}
+
+// wordHashes is keyHashes for a word key, hashing the 8-byte value directly
+// (HashWord equals HashBytes on the key's LE encoding).
+func (t *Table) wordHashes(x uint64) ([]int, uint32) {
+	return t.derive(hashing.HashWord(t.seed, x), t.k)
+}
+
+// derive is the one place a key's hash h becomes its cell indexes and its
+// checksum. It returns the first n of the k indexes: k for an update or a
+// peel, 0 for a purity check, which must not overwrite the indexes of the peel
+// that asked. Index i lies in partition i (§2's partitioned table), at a
+// multiply-shift reduction of h remixed once per partition, so two keys share
+// all k cells at the per^-k rate of independent hashes; the linear h₁ + i·h₂
+// does not (README, One hash per key).
+func (t *Table) derive(h uint64, n int) ([]int, uint32) {
 	per := uint64(t.cells / t.k)
-	if t.k == DefaultHashCount {
-		h0, h1, h2, h3, cs := hashing.HashBytes5(t.indexSeed(0), t.indexSeed(1), t.indexSeed(2), t.indexSeed(3), t.seed^checksumSalt, key)
-		p := int(per)
-		t.idx = append(t.idx[:0], int(h0%per), p+int(h1%per), 2*p+int(h2%per), 3*p+int(h3%per))
-		return t.idx, uint32(cs)
-	}
-	// hs holds the k+1 seeds, then the k+1 hashes.
-	if n := 2 * (t.k + 1); cap(t.hs) < n {
-		t.hs = make([]uint64, n)
-	}
-	seeds, hs := t.hs[:t.k+1], t.hs[t.k+1:2*(t.k+1)]
-	for i := 0; i < t.k; i++ {
-		seeds[i] = t.indexSeed(i)
-	}
-	seeds[t.k] = t.seed ^ checksumSalt
-	hashing.HashBytesMulti(seeds, hs, key)
 	out := t.idx[:0]
-	for i := 0; i < t.k; i++ {
-		out = append(out, i*int(per)+int(hs[i]%per))
+	for i := 0; i < n; i++ {
+		c, _ := bits.Mul64(prng.Mix64(h+uint64(i+1)*phi), per)
+		out = append(out, i*int(per)+int(c))
 	}
 	t.idx = out
-	return out, uint32(hs[t.k])
-}
-
-// cellIndexesWord is keyHashes' indexes for a word key, hashing the 8-byte
-// value directly (identical output to keyHashes on the key's LE encoding).
-func (t *Table) cellIndexesWord(x uint64) []int {
-	per := t.cells / t.k
-	out := t.idx[:0]
-	for i := 0; i < t.k; i++ {
-		h := hashing.HashWord(t.indexSeed(i), x)
-		out = append(out, i*per+int(h%uint64(per)))
-	}
-	t.idx = out
-	return out
-}
-
-func (t *Table) checksum(key []byte) uint32 {
-	return uint32(hashing.HashBytes(t.seed^checksumSalt, key))
-}
-
-// checksumWord equals checksum on the word's LE encoding.
-func (t *Table) checksumWord(x uint64) uint32 {
-	return uint32(hashing.HashWord(t.seed^checksumSalt, x))
+	return out, uint32(prng.Mix64(h ^ checksumSalt))
 }
 
 // xorKey folds key into a cell's key sum. Keys are up to several hundred
@@ -169,7 +144,7 @@ func (t *Table) update(key []byte, delta int32) {
 	if len(key) != t.width {
 		panic(fmt.Sprintf("iblt: key width %d != table width %d", len(key), t.width))
 	}
-	idx, cs := t.keyHashes(key) // one pass over the key per update
+	idx, cs := t.keyHashes(key) // one hash of the key per update
 	for _, c := range idx {
 		t.counts[c] += delta
 		t.xorKey(c, key)
@@ -185,8 +160,8 @@ func (t *Table) updateWord(x uint64, delta int32) {
 	if t.width != WordWidth {
 		panic(fmt.Sprintf("iblt: key width %d != table width %d", WordWidth, t.width))
 	}
-	cs := t.checksumWord(x)
-	for _, c := range t.cellIndexesWord(x) {
+	idx, cs := t.wordHashes(x)
+	for _, c := range idx {
 		t.counts[c] += delta
 		base := c * WordWidth
 		binary.LittleEndian.PutUint64(t.keySums[base:],
@@ -389,10 +364,14 @@ func (t *Table) purable(c int) bool {
 	if t.counts[c] != 1 && t.counts[c] != -1 {
 		return false
 	}
+	var h uint64
 	if t.width == WordWidth {
-		return t.checksumWord(binary.LittleEndian.Uint64(t.keySums[c*WordWidth:])) == t.checks[c]
+		h = hashing.HashWord(t.seed, binary.LittleEndian.Uint64(t.keySums[c*WordWidth:]))
+	} else {
+		h = hashing.HashBytes(t.seed, t.keySums[c*t.width:(c+1)*t.width])
 	}
-	return t.checksum(t.keySums[c*t.width:(c+1)*t.width]) == t.checks[c]
+	_, cs := t.derive(h, 0)
+	return cs == t.checks[c]
 }
 
 // DecodeUint64 decodes a word-keyed table into uint64 slices. For WordWidth
@@ -404,9 +383,10 @@ func (t *Table) DecodeUint64() (added, removed []uint64, err error) {
 
 // AppendDecodeUint64 is DecodeUint64 appending into caller-provided slices
 // (either may be nil), so a steady-state decode loop reuses its result
-// buffers and allocates nothing. The peel is bounded at 2×cells keys — far
-// beyond anything an honest table yields — so a corrupt table whose checksum
-// collisions keep minting "pure" cells fails instead of spinning.
+// buffers and allocates nothing. The peel is bounded at cells keys, as
+// DecodePacked's is (an honest table never yields more), so a corrupt table
+// whose checksum collisions keep minting "pure" cells fails instead of
+// spinning.
 func (t *Table) AppendDecodeUint64(added, removed []uint64) (a, r []uint64, err error) {
 	if t.width != WordWidth {
 		ab, rb, err := t.Decode()
@@ -419,30 +399,28 @@ func (t *Table) AppendDecodeUint64(added, removed []uint64) (a, r []uint64, err 
 		return added, removed, err
 	}
 	queue := t.seedQueue()
-	maxPeels := 2 * t.cells
 	for len(queue) > 0 {
 		c := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		if !t.purable(c) {
-			continue
+		sign := t.counts[c]
+		if sign != 1 && sign != -1 {
+			continue // cell changed since enqueued
 		}
-		if t.peeled >= maxPeels {
+		x := binary.LittleEndian.Uint64(t.keySums[c*WordWidth:])
+		idx, cs := t.wordHashes(x)
+		if cs != t.checks[c] || !slices.Contains(idx, c) {
+			continue // not pure: the checksum differs, or the key does not hash here
+		}
+		if t.peeled >= t.cells {
 			t.queue = queue[:0]
 			return added, removed, ErrDecodeFailed
 		}
-		x := binary.LittleEndian.Uint64(t.keySums[c*WordWidth:])
-		idx := t.cellIndexesWord(x)
-		if !slices.Contains(idx, c) {
-			continue // a checksum collision: the key does not hash here
-		}
-		sign := t.counts[c]
 		t.peeled++
 		if sign == 1 {
 			added = append(added, x)
 		} else {
 			removed = append(removed, x)
 		}
-		cs := t.checksumWord(x)
 		for _, ci := range idx {
 			t.counts[ci] -= sign
 			base := ci * WordWidth
@@ -476,7 +454,7 @@ func (t *Table) SerializedSize() int {
 // HeapBytes is the table's resident size: its header and the cell and
 // scratch arrays it holds.
 func (t *Table) HeapBytes() int {
-	return int(unsafe.Sizeof(*t)) + 4*cap(t.counts) + cap(t.keySums) + 4*cap(t.checks) + 8*(cap(t.idx)+cap(t.hs)+cap(t.queue))
+	return int(unsafe.Sizeof(*t)) + 4*cap(t.counts) + cap(t.keySums) + 4*cap(t.checks) + 8*(cap(t.idx)+cap(t.queue))
 }
 
 // SerializedSizeFor computes the AppendMarshal size for a hypothetical table,

@@ -2,6 +2,8 @@ package iblt
 
 import (
 	"bytes"
+	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -9,25 +11,36 @@ import (
 	"sosr/internal/prng"
 )
 
-// The reference path: the table kernel as it was before the one-pass hash —
-// k separate index hashes and a separate checksum per update, and a peel that
-// checks purity, then recomputes the checksum, then the indexes, and takes
-// the key only if they include its cell. The tests
-// below hold the one-pass path to it cell for cell.
+// The reference path: the definition of a key's cells and checksum spelled
+// out with one HashBytes per key — index i is i·per + hi64(Mix64(h +
+// (i+1)·φ)·per), the checksum the low 32 bits of Mix64(h ^ checksumSalt) —
+// and a peel that checks purity, then hashes the key again for its indexes,
+// and takes the key only if they include its cell. The tests below hold the
+// kernel to it cell for cell.
+
+func refHash(t *Table, key []byte) (idx []int, cs uint32) {
+	h := hashing.HashBytes(t.seed, key)
+	per := uint64(t.cells / t.k)
+	for i := 0; i < t.k; i++ {
+		hi, _ := bits.Mul64(prng.Mix64(h+uint64(i+1)*0x9e3779b97f4a7c15), per)
+		idx = append(idx, i*int(per)+int(hi))
+	}
+	return idx, uint32(prng.Mix64(h ^ 0x635f73756d5f6b65))
+}
 
 func refIndexes(t *Table, key []byte) []int {
-	per := t.cells / t.k
-	out := make([]int, 0, t.k)
-	for i := 0; i < t.k; i++ {
-		h := hashing.HashBytes(t.seed+uint64(i)*0x9e3779b97f4a7c15+1, key)
-		out = append(out, i*per+int(h%uint64(per)))
-	}
-	return out
+	idx, _ := refHash(t, key)
+	return idx
+}
+
+func refChecksum(t *Table, key []byte) uint32 {
+	_, cs := refHash(t, key)
+	return cs
 }
 
 func refUpdate(t *Table, key []byte, delta int32) {
-	cs := uint32(hashing.HashBytes(t.seed^checksumSalt, key))
-	for _, c := range refIndexes(t, key) {
+	idx, cs := refHash(t, key)
+	for _, c := range idx {
 		t.counts[c] += delta
 		for i, x := range key {
 			t.keySums[c*t.width+i] ^= x
@@ -40,7 +53,7 @@ func refPurable(t *Table, c int) bool {
 	if t.counts[c] != 1 && t.counts[c] != -1 {
 		return false
 	}
-	return uint32(hashing.HashBytes(t.seed^checksumSalt, t.keySums[c*t.width:(c+1)*t.width])) == t.checks[c]
+	return refChecksum(t, t.keySums[c*t.width:(c+1)*t.width]) == t.checks[c]
 }
 
 // refDecode peels in the order Decode always has: a stack seeded with the
@@ -68,7 +81,7 @@ func refDecode(t *Table) (added, removed [][]byte, ok bool) {
 		} else {
 			removed = append(removed, key)
 		}
-		cs := uint32(hashing.HashBytes(t.seed^checksumSalt, key))
+		cs := refChecksum(t, key)
 		for _, ci := range refIndexes(t, key) {
 			t.counts[ci] -= sign
 			for i, x := range key {
@@ -87,10 +100,10 @@ func sameCells(a, b *Table) bool {
 	return slices.Equal(a.counts, b.counts) && bytes.Equal(a.keySums, b.keySums) && slices.Equal(a.checks, b.checks)
 }
 
-// TestOnePassTablesMatchReference: tables built and peeled through the
-// one-pass hash equal the reference cell for cell — word-width and wide keys,
-// the fixed-arity k = 4 path and the generic one, a decode that completes and
-// one that stalls (same keys peeled in the same order, same cells left).
+// TestOnePassTablesMatchReference: tables built and peeled by the kernel
+// equal the reference cell for cell — word-width and wide keys, k = 3, 4
+// and 5, a decode that completes and one that stalls (same keys peeled in the
+// same order, same cells left).
 func TestOnePassTablesMatchReference(t *testing.T) {
 	src := prng.New(0x6f6e6570617373)
 	partial := 0 // decodes that peeled some keys and then stalled
@@ -143,6 +156,35 @@ func TestOnePassTablesMatchReference(t *testing.T) {
 	}
 	if partial == 0 {
 		t.Fatal("no case stalled part-way through a peel")
+	}
+}
+
+// TestCellSetCollisionRate: two random keys share all k cells at the rate
+// per^-k of k independent hashes, within a binomial bound, at 4, 8 and 16
+// cells a partition (the sizes child tables run at). A derivation whose k
+// indexes are correlated fails it: the linear h₁ + i·h₂ shares all four
+// cells about 3, 12 and 50 times as often at these sizes.
+func TestCellSetCollisionRate(t *testing.T) {
+	const k, pairs = 4, 200_000
+	src := prng.New(0x636f6c6c)
+	for _, per := range []int{4, 8, 16} {
+		tab := NewUint64(k*per, k, src.Uint64())
+		var a [k]int
+		shared := 0
+		for i := 0; i < pairs; i++ {
+			idx, _ := tab.wordHashes(src.Uint64())
+			copy(a[:], idx)
+			idx, _ = tab.wordHashes(src.Uint64())
+			if slices.Equal(a[:], idx) {
+				shared++
+			}
+		}
+		p := math.Pow(float64(per), -k)
+		mean, sd := pairs*p, math.Sqrt(pairs*p*(1-p))
+		t.Logf("%2d cells a partition: %d of %d pairs share all %d cells (%.1e; independent %.1e)", per, shared, pairs, k, float64(shared)/pairs, p)
+		if math.Abs(float64(shared)-mean) > 6*sd+1 {
+			t.Errorf("%d cells a partition: %d of %d pairs share all %d cells, want %.1f ± %.1f", per, shared, pairs, k, mean, 6*sd+1)
+		}
 	}
 }
 

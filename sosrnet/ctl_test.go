@@ -34,8 +34,8 @@ var (
 )
 
 const (
-	goldenHelloHex  = "010902030304646f637304070b200d0313c801140a158080808010"
-	goldenAcceptHex = "01090203032004030520060307c801080a098080808010"
+	goldenHelloHex  = "010a02030304646f637304070b200d0313c801140a158080808010"
+	goldenAcceptHex = "010a0203032004030520060307c801080a098080808010"
 	goldenDoneHex   = "0101030104e03605010601"
 )
 
@@ -58,8 +58,8 @@ var (
 )
 
 const (
-	goldenForestHelloHex  = "010902050306666f7265737404350b031ad8041c101d0c1e09"
-	goldenForestAcceptHex = "0109020503030bd8040c0c0d090e808040"
+	goldenForestHelloHex  = "010a02050306666f7265737404350b031ad8041c101d0c1e09"
+	goldenForestAcceptHex = "010a020503030bd8040c0c0d090e808040"
 	goldenForestDoneHex   = "0101030204852f05030601"
 )
 

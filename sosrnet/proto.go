@@ -115,7 +115,11 @@ const (
 // accept's maxbudget), where v8 sent one message at that budget under the
 // session's own coins. No other payload or control frame changed but in the
 // version.
-const protoVersion = 9
+// v10: every IBLT hashes a key once under its seed and derives the key's k
+// cell indexes and its checksum from that one hash, where v9 ran k + 1
+// independently seeded hashes. No payload changed size, but every cell
+// position in every table did.
+const protoVersion = 10
 
 // Package errors.
 var (
