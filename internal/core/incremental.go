@@ -18,37 +18,30 @@ import (
 // is byte-identical to AliceMsg over the current parent set.
 //
 // The only non-linear component is the whole-parent verification hash, which
-// sorts child hashes; the builder tracks the multiset of child hashes and
-// re-derives that hash in O(s log s) at snapshot time.
+// chains the sorted per-child hashes. The builder keeps one sorted word a
+// child, that child's verification-role hash: it answers the presence checks
+// by binary search, and a snapshot chains it as it stands, so SnapshotMsg is
+// O(cells + s) with no sort and one allocation, its body.
 type IncrementalDigest struct {
 	plan plan
 	// encs holds one reusable encoder per table, so updates encode each child
 	// set without per-call table/buffer allocations.
 	encs []setEncoder
 
-	// chSeed/verSeed/parSeed are the hash-role seeds hoisted out of the
-	// per-update path (Coins.Seed hashes its label per call).
-	chSeed  uint64
+	// verSeed/parSeed are the hash-role seeds hoisted out of the per-update
+	// path (Coins.Seed hashes its label per call).
 	verSeed uint64
 	parSeed uint64
 
 	tables []*iblt.Table // one per plan table
-	// hashes tracks child identity (dedup); vHashes tracks the
-	// verification-role hashes that HashSetOfSets combines.
-	hashes  map[uint64]int
-	vHashes map[uint64]int
-	count   int
+	// vHashes is setutil.Hash(verSeed, cs) of every child set, sorted.
+	vHashes []uint64
 }
 
 // NewIncrementalDigest creates an empty builder for the given one-round
 // protocol digest. Parameters mirror AliceMsg.
 func NewIncrementalDigest(kind DigestKind, coins hashing.Coins, p Params, d, dHat int) (*IncrementalDigest, error) {
-	b := &IncrementalDigest{
-		chSeed:  childSeed(coins),
-		parSeed: coins.Seed(parentVerifyLabel, 0),
-		hashes:  map[uint64]int{},
-		vHashes: map[uint64]int{},
-	}
+	b := &IncrementalDigest{parSeed: coins.Seed(parentVerifyLabel, 0)}
 	b.verSeed = b.parSeed ^ 0xa5a5a5a5a5a5a5a5
 	if err := b.plan.init(kind, coins, p, d, dHat); err != nil {
 		return nil, err
@@ -65,51 +58,63 @@ func NewIncrementalDigest(kind DigestKind, coins hashing.Coins, p Params, d, dHa
 // already be present — parents are sets). A child the shape cannot hold — one
 // past S, more than H elements, an element at or above U — is refused as
 // ErrInvalidInstance: the tables' counts, keys and key sums are sized by it.
+// Its hash goes in at its sorted place, an O(s) move of words.
 func (b *IncrementalDigest) Add(cs []uint64) error {
-	if err := b.checkChild(cs, b.count+1); err != nil {
+	if err := b.checkChild(cs, len(b.vHashes)+1); err != nil {
 		return err
 	}
-	h := setutil.Hash(b.chSeed, cs)
-	if b.hashes[h] > 0 {
+	vh := setutil.Hash(b.verSeed, cs)
+	i, found := slices.BinarySearch(b.vHashes, vh)
+	if found {
 		return fmt.Errorf("%w: child set already present", ErrInvalidInstance)
 	}
 	b.update(cs, true)
-	b.hashes[h]++
-	b.vHashes[b.verifyHash(cs)]++
-	b.count++
+	b.vHashes = slices.Insert(b.vHashes, i, vh)
 	return nil
 }
 
-// verifyHash mirrors setutil.HashSetOfSets's per-child hashing role.
-func (b *IncrementalDigest) verifyHash(cs []uint64) uint64 {
-	return setutil.Hash(b.verSeed, cs)
+// AddAll adds every child set of parent as Add would, but sorts the hashes
+// once, so a first build is O(s log s) where s Adds would be O(s²). A child
+// Add would refuse, or one repeated (in parent or already present), refuses
+// the whole call before any table changes.
+func (b *IncrementalDigest) AddAll(parent [][]uint64) error {
+	n := len(b.vHashes) + len(parent)
+	hs := append(make([]uint64, 0, n), b.vHashes...)
+	for _, cs := range parent {
+		if err := b.checkChild(cs, n); err != nil {
+			return err
+		}
+		hs = append(hs, setutil.Hash(b.verSeed, cs))
+	}
+	slices.Sort(hs)
+	for i := 1; i < len(hs); i++ {
+		if hs[i] == hs[i-1] {
+			return fmt.Errorf("%w: child set already present", ErrInvalidInstance)
+		}
+	}
+	for _, cs := range parent {
+		b.update(cs, true)
+	}
+	b.vHashes = hs
+	return nil
 }
 
 // Remove deletes a previously added child set.
 func (b *IncrementalDigest) Remove(cs []uint64) error {
-	if err := b.checkChild(cs, b.count); err != nil {
+	if err := b.checkChild(cs, len(b.vHashes)); err != nil {
 		return err
 	}
-	h := setutil.Hash(b.chSeed, cs)
-	if b.hashes[h] == 0 {
+	i, found := slices.BinarySearch(b.vHashes, setutil.Hash(b.verSeed, cs))
+	if !found {
 		return fmt.Errorf("%w: child set not present", ErrInvalidInstance)
 	}
 	b.update(cs, false)
-	b.hashes[h]--
-	if b.hashes[h] == 0 {
-		delete(b.hashes, h)
-	}
-	vh := b.verifyHash(cs)
-	b.vHashes[vh]--
-	if b.vHashes[vh] == 0 {
-		delete(b.vHashes, vh)
-	}
-	b.count--
+	b.vHashes = slices.Delete(b.vHashes, i, i+1)
 	return nil
 }
 
 // Len returns the current number of child sets.
-func (b *IncrementalDigest) Len() int { return b.count }
+func (b *IncrementalDigest) Len() int { return len(b.vHashes) }
 
 // checkChild refuses a child set that is not canonical, or that the shape
 // cannot hold as one of children child sets.
@@ -135,27 +140,15 @@ func (b *IncrementalDigest) update(cs []uint64, insert bool) {
 	}
 }
 
-// parentHashNow re-derives the whole-parent verification hash from the
-// tracked verification-role hash multiset, matching setutil.HashSetOfSets
-// over the current parent set (which sorts per-child hashes then chains).
-func (b *IncrementalDigest) parentHashNow() uint64 {
-	hs := make([]uint64, 0, b.count)
-	for vh, c := range b.vHashes {
-		for i := 0; i < c; i++ {
-			hs = append(hs, vh)
-		}
-	}
-	slices.Sort(hs)
-	return hashing.HashUint64s(b.parSeed, hs)
-}
-
 // SnapshotMsg emits the current one-round payload, byte-identical to
 // AliceMsg(kind, coins, currentParent, p, d, dHat) — the form split-party
-// servers ship under the protocol's transport label.
+// servers ship under the protocol's transport label. Its last word is
+// setutil.HashSetOfSets over that parent, chained from vHashes as they stand:
+// they are already that hash's sorted per-child list.
 func (b *IncrementalDigest) SnapshotMsg() []byte {
 	body := make([]byte, 0, b.plan.msgSize())
 	for _, t := range b.tables {
 		body = t.AppendCells(body, b.plan.countBytes, t.Width())
 	}
-	return binary.LittleEndian.AppendUint64(body, b.parentHashNow())
+	return binary.LittleEndian.AppendUint64(body, hashing.HashUint64s(b.parSeed, b.vHashes))
 }

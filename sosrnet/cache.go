@@ -33,7 +33,7 @@ type liveKey struct {
 }
 
 // maxLiveDigests bounds the per-dataset incremental builders. Each retains
-// its parent tables plus O(|parent|) bookkeeping maps, so admission is
+// its parent tables plus 8 B a child set of bookkeeping, so admission is
 // deliberately conservative: a key must be requested twice (see wanted)
 // before it earns a builder, and evicted builders simply fall back to a full
 // re-encode on next use.
@@ -148,11 +148,7 @@ func (d *dataset) oneRoundBody(kind core.DigestKind, coins hashing.Coins, view d
 	}
 	dig, err := core.NewIncrementalDigest(kind, coins, p, dd, dHat)
 	if err == nil {
-		for _, cs := range view.sos {
-			if err = dig.Add(cs); err != nil {
-				break
-			}
-		}
+		err = dig.AddAll(view.sos)
 	}
 	if err != nil {
 		return core.AliceMsg(kind, coins, view.sos, p, dd, dHat)
